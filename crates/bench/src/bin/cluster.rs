@@ -9,7 +9,7 @@
 //! and replays it against a fresh [`Cluster`] per placement policy:
 //! the load/affinity scoring placer versus round-robin and random
 //! baselines. Delivered instances are credited per application
-//! cluster-wide by `sim::online::replay_fleet`.
+//! cluster-wide by `sim::online::replay`.
 //!
 //! A drain demo then evacuates the busiest node of the scoring fleet
 //! and checks the maintenance story: every resident application moves,
@@ -31,7 +31,7 @@ use cellstream_bench::{quick_mode, write_results};
 use cellstream_cluster::{policy_by_name, Cluster, ClusterOptions, ClusterVerdict, NetworkModel};
 use cellstream_daggen::{chain, CostParams};
 use cellstream_platform::CellSpec;
-use cellstream_sim::online::{replay_fleet, EventTrace, OnlineReport, TraceEvent};
+use cellstream_sim::online::{replay, EventTrace, OnlineReport, TraceEvent};
 use cellstream_telemetry::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,7 +121,7 @@ fn run_policy(policy: &'static str, trace: &EventTrace, instances: u64) -> (Poli
         ..ClusterOptions::default()
     };
     let mut fleet = Cluster::homogeneous(NODES, &CellSpec::qs22(), opts);
-    let report: OnlineReport = replay_fleet(&mut fleet, trace, instances);
+    let report: OnlineReport = replay(&mut fleet, trace, instances);
     if std::env::var("CLUSTER_DEBUG").is_ok() {
         for n in fleet.status().nodes {
             let w: f64 = n.apps.iter().map(|(_, w)| w).sum();

@@ -37,7 +37,7 @@ use cellstream_cluster::{Cluster, ClusterOptions};
 use cellstream_daggen::{chain, CostParams};
 use cellstream_platform::CellSpec;
 use cellstream_serve::{Event, Service, ServiceOptions};
-use cellstream_sim::online::{replay_fleet, EventTrace};
+use cellstream_sim::online::{replay, EventTrace};
 use cellstream_sim::scenario::{Arrivals, Impairment, Scenario};
 use std::path::{Path, PathBuf};
 
@@ -188,7 +188,7 @@ struct ScenarioRun {
 /// Replay the adversarial trace against a fleet and audit the wreckage.
 fn scenario_demo(trace: &EventTrace, instances: u64) -> ScenarioRun {
     let mut fleet = Cluster::homogeneous(NODES, &CellSpec::qs22(), ClusterOptions::default());
-    let report = replay_fleet(&mut fleet, trace, instances);
+    let report = replay(&mut fleet, trace, instances);
 
     // zero capacity-invariant violations anywhere in the fleet
     for a in fleet.agents() {

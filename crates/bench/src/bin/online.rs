@@ -28,7 +28,7 @@ use cellstream_graph::StreamGraph;
 use cellstream_heuristics::Portfolio;
 use cellstream_platform::CellSpec;
 use cellstream_serve::Service;
-use cellstream_sim::online::{replay, EventTrace, OnlineSystem, TraceEvent};
+use cellstream_sim::online::{replay, EventTrace, TraceEvent};
 use cellstream_telemetry::Histogram;
 use std::time::{Duration, Instant};
 
@@ -123,7 +123,7 @@ fn main() {
     let instances = if quick_mode() { 800 } else { 5_000 };
     let online = replay(&mut replay_svc, &trace, instances);
     assert_eq!(online.rejected, 0, "the whole trace fits on a QS22");
-    if let (Some(w), Some(m)) = (replay_svc.current().map(|c| c.0), replay_svc.mapping()) {
+    if let (Some(w), Some(m)) = (replay_svc.workload(), replay_svc.mapping()) {
         let r = cellstream_core::evaluate(w.graph(), &spec, m).expect("valid incumbent");
         assert!(r.is_feasible(), "the incumbent must end feasible");
     }

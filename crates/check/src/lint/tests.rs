@@ -61,6 +61,9 @@ fn hot_path_panic_applies_only_to_hot_path_files() {
     let src = "fn f() { x.unwrap(); }\n";
     assert!(rules_fired("crates/milp/src/bb.rs", src).is_empty());
     assert!(!rules_fired("crates/heuristics/src/repair.rs", src).is_empty());
+    // the serve crate is scoped as a directory: a file nobody listed
+    assert!(!rules_fired("crates/serve/src/brand_new.rs", src).is_empty());
+    assert!(rules_fired("crates/serve/tests/invariants.rs", src).is_empty());
 }
 
 #[test]

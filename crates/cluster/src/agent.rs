@@ -7,12 +7,14 @@
 //! [`AgentOutcome`]s, and stamp every reply with a fresh
 //! [`NodeSummary`] so the coordinator's capacity view tracks reality.
 
-use crate::msg::{AgentMsg, AgentOutcome, BatchOp, ClusterMsg, NodeId, NodeSummary};
+use crate::msg::{AgentMsg, AgentOutcome, ClusterMsg, NodeId, NodeSummary};
 use cellstream_core::evaluate;
 use cellstream_core::steady::buffers::BufferPlan;
 use cellstream_graph::TaskId;
 use cellstream_platform::CellSpec;
-use cellstream_serve::{Event, Service, ServiceOptions, Verdict};
+use cellstream_serve::{Service, ServiceOptions, Verdict};
+use cellstream_sim::online::TraceEvent;
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// One node's control loop: a local [`Service`] plus the protocol glue.
@@ -23,6 +25,19 @@ pub struct Agent {
     /// serving loop from scratch.
     spec: CellSpec,
     opts: ServiceOptions,
+}
+
+/// A serving-loop verdict in protocol terms. Queueing is disabled in
+/// [`Agent::new`] and nothing a request triggers ends
+/// `Adopted`/`NoChange` — any such protocol drift is a refusal rather
+/// than a crash.
+fn outcome_of(verdict: &Verdict) -> AgentOutcome {
+    match verdict {
+        Verdict::Admitted(_) => AgentOutcome::Admitted,
+        Verdict::Applied => AgentOutcome::Applied,
+        Verdict::Rejected(r) => AgentOutcome::Rejected(r.to_string()),
+        other => AgentOutcome::Rejected(format!("unexpected verdict {other:?}")),
+    }
 }
 
 impl Agent {
@@ -48,95 +63,22 @@ impl Agent {
         &self.service
     }
 
-    /// Handle one coordinator request.
+    /// Handle one coordinator request. The receiving node is fleet
+    /// index 0 of its own serving loop.
     pub fn handle(&mut self, msg: ClusterMsg) -> AgentMsg {
         match msg {
-            ClusterMsg::Admit { graph, weight } => {
-                let name = graph.name().to_owned();
-                let report = self.service.admit(&graph, weight);
-                match report.verdict {
-                    Verdict::Admitted(_) => {
-                        let ws = self.working_set(&name);
-                        self.reply(
-                            AgentOutcome::Admitted,
-                            report.replan,
-                            report.migration_bytes(),
-                            ws,
-                        )
-                    }
-                    Verdict::Rejected(r) => {
-                        self.reply(AgentOutcome::Rejected(r.to_string()), report.replan, 0.0, 0.0)
-                    }
-                    // queueing is disabled in `new`, and admit() never
-                    // returns Applied/Adopted/NoChange — treat any
-                    // protocol drift as a refusal rather than a crash
-                    other => self.reply(
-                        AgentOutcome::Rejected(format!("unexpected admit verdict {other:?}")),
-                        report.replan,
-                        0.0,
-                        0.0,
-                    ),
-                }
+            ClusterMsg::Admit { graph, weight } => self.apply(TraceEvent::Admit { graph, weight }),
+            ClusterMsg::Retire { app } => self.apply(TraceEvent::Retire { app }),
+            ClusterMsg::Reweight { app, weight } => {
+                self.apply(TraceEvent::Reweight { app, weight })
             }
-            ClusterMsg::Retire { app } => match self.service.handle_of(&app) {
-                Some(id) => {
-                    // size the working set before the tasks vanish: it is
-                    // what the departing app's state transfer would cost
-                    let ws = self.working_set(&app);
-                    // check:allow(hot-path-panic): handle came from handle_of
-                    let report = self.service.retire(id).expect("handle came from handle_of");
-                    self.reply(AgentOutcome::Applied, report.replan, report.migration_bytes(), ws)
-                }
-                None => self.reply(AgentOutcome::UnknownApp, Duration::ZERO, 0.0, 0.0),
-            },
-            ClusterMsg::Reweight { app, weight } => match self.service.handle_of(&app) {
-                Some(id) => {
-                    let report =
-                        // check:allow(hot-path-panic): handle came from handle_of
-                        self.service.reweight(id, weight).expect("handle came from handle_of");
-                    let outcome = match &report.verdict {
-                        Verdict::Applied => AgentOutcome::Applied,
-                        Verdict::Rejected(r) => AgentOutcome::Rejected(r.to_string()),
-                        other => {
-                            AgentOutcome::Rejected(format!("unexpected reweight verdict {other:?}"))
-                        }
-                    };
-                    let ws = self.working_set(&app);
-                    self.reply(outcome, report.replan, report.migration_bytes(), ws)
-                }
-                None => self.reply(AgentOutcome::UnknownApp, Duration::ZERO, 0.0, 0.0),
-            },
-            ClusterMsg::Batch { ops } => self.handle_batch(&ops),
+            ClusterMsg::PeFailed { pe } => self.apply(TraceEvent::PeFailed { node: 0, pe }),
+            ClusterMsg::PeRestored { pe } => self.apply(TraceEvent::PeRestored { node: 0, pe }),
+            ClusterMsg::CostDrift { app, factor } => {
+                self.apply(TraceEvent::CostDrift { app, factor })
+            }
+            ClusterMsg::Batch { ops } => self.handle_batch(ops),
             ClusterMsg::Status => self.reply(AgentOutcome::Status, Duration::ZERO, 0.0, 0.0),
-            ClusterMsg::PeFailed { pe } => match self.service.fail_pe(pe) {
-                Ok(report) => self.recovered_reply(&report),
-                Err(e) => {
-                    self.reply(AgentOutcome::Rejected(e.to_string()), Duration::ZERO, 0.0, 0.0)
-                }
-            },
-            ClusterMsg::PeRestored { pe } => match self.service.restore_pe(pe) {
-                Ok(report) => self.recovered_reply(&report),
-                Err(e) => {
-                    self.reply(AgentOutcome::Rejected(e.to_string()), Duration::ZERO, 0.0, 0.0)
-                }
-            },
-            ClusterMsg::CostDrift { app, factor } => match self.service.handle_of(&app) {
-                Some(id) => {
-                    let report =
-                        // check:allow(hot-path-panic): handle came from handle_of
-                        self.service.cost_drift(id, factor).expect("handle came from handle_of");
-                    match &report.verdict {
-                        Verdict::Rejected(r) => self.reply(
-                            AgentOutcome::Rejected(r.to_string()),
-                            report.replan,
-                            0.0,
-                            0.0,
-                        ),
-                        _ => self.recovered_reply(&report),
-                    }
-                }
-                None => self.reply(AgentOutcome::UnknownApp, Duration::ZERO, 0.0, 0.0),
-            },
             // the crash stand-in: resident applications and their buffer
             // state are lost with the process — rebuild an empty serving
             // loop so the restored node rejoins cold
@@ -150,109 +92,81 @@ impl Agent {
         }
     }
 
-    /// Reply to an absorbed fault: [`AgentOutcome::Recovered`] carrying
-    /// the shed applications when the recovery displaced anyone,
-    /// [`AgentOutcome::Applied`] otherwise.
-    fn recovered_reply(&mut self, report: &cellstream_serve::ServeReport) -> AgentMsg {
+    /// One name-addressed operation through the serving loop. An
+    /// absorbed fault that displaced anyone replies
+    /// [`AgentOutcome::Recovered`] carrying the shed applications. The
+    /// reply sizes the working set of the application a request named:
+    /// before a retire (it is what the departing state transfer would
+    /// cost), after anything else.
+    fn apply(&mut self, ev: TraceEvent) -> AgentMsg {
+        let app = match &ev {
+            TraceEvent::Admit { graph, .. } => Some(graph.name().to_owned()),
+            TraceEvent::Retire { app } | TraceEvent::Reweight { app, .. } => Some(app.clone()),
+            _ => None,
+        };
+        let retiring = matches!(ev, TraceEvent::Retire { .. });
+        let leaving = app.as_deref().filter(|_| retiring).map(|app| self.working_set(app));
+        let Some(event) = self.service.resolve(ev) else {
+            return self.reply(AgentOutcome::UnknownApp, Duration::ZERO, 0.0, 0.0);
+        };
+        let report = match self.service.process(event) {
+            Ok(report) => report,
+            Err(e) => {
+                return self.reply(AgentOutcome::Rejected(e.to_string()), Duration::ZERO, 0.0, 0.0)
+            }
+        };
         let shed = self.service.take_shed();
-        let outcome =
-            if shed.is_empty() { AgentOutcome::Applied } else { AgentOutcome::Recovered { shed } };
-        self.reply(outcome, report.replan, report.migration_bytes(), 0.0)
+        let outcome = match shed.is_empty() {
+            true => outcome_of(&report.verdict),
+            false => AgentOutcome::Recovered { shed },
+        };
+        let ws = leaving.unwrap_or_else(|| app.map_or(0.0, |app| self.working_set(&app)));
+        self.reply(outcome, report.replan, report.migration_bytes(), ws)
     }
 
     /// Apply a coordinator burst through `Service::process_batch`: one
-    /// composed replan per run of ops touching distinct application
-    /// names. A repeated name cuts the run — names resolve to handles
-    /// against the live incumbent, which only advances when a batch
-    /// commits — so in-order semantics hold across the cut. Unresolved
-    /// retires/reweights get [`AgentOutcome::UnknownApp`] without
-    /// poisoning the rest of the burst.
-    fn handle_batch(&mut self, ops: &[BatchOp]) -> AgentMsg {
-        let mut outcomes: Vec<Option<AgentOutcome>> = vec![None; ops.len()];
-        let mut replan = Duration::ZERO;
-        let mut local_bytes = 0.0;
-        let mut events: Vec<Event> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
-        let mut touched: Vec<&str> = Vec::new();
-        let mut i = 0;
-        while i < ops.len() {
-            events.clear();
-            slots.clear();
-            touched.clear();
-            while i < ops.len() {
-                let name = ops[i].app_name();
-                if touched.contains(&name) {
-                    break;
-                }
-                touched.push(name);
-                match &ops[i] {
-                    BatchOp::Admit { graph, weight } => {
-                        events.push(Event::Admit(graph.clone(), *weight));
-                        slots.push(i);
-                    }
-                    BatchOp::Retire { app } => match self.service.handle_of(app) {
-                        Some(id) => {
-                            events.push(Event::Retire(id));
-                            slots.push(i);
-                        }
-                        None => outcomes[i] = Some(AgentOutcome::UnknownApp),
-                    },
-                    BatchOp::Reweight { app, weight } => match self.service.handle_of(app) {
-                        Some(id) => {
-                            events.push(Event::Reweight(id, *weight));
-                            slots.push(i);
-                        }
-                        None => outcomes[i] = Some(AgentOutcome::UnknownApp),
-                    },
-                }
-                i += 1;
-            }
-            if events.is_empty() {
+    /// composed replan per run [`Service::resolve_run`] cuts — a
+    /// repeated name ends a run, so in-order semantics hold across the
+    /// cut. Unresolved retires/reweights get [`AgentOutcome::UnknownApp`]
+    /// without poisoning the rest of the burst; a fault is refused in
+    /// place (faults travel as their own messages, never batched).
+    fn handle_batch(&mut self, ops: Vec<TraceEvent>) -> AgentMsg {
+        let mut outcomes = Vec::with_capacity(ops.len());
+        let (mut replan, mut local_bytes) = (Duration::ZERO, 0.0);
+        let mut pending = VecDeque::from(ops);
+        let mut events = Vec::new();
+        while let Some(front) = pending.front() {
+            if front.is_fault() {
+                let refusal = format!("{} arrived inside a batch", front.label());
+                outcomes.push(AgentOutcome::Rejected(refusal));
+                pending.pop_front();
                 continue;
             }
-            match self.service.process_batch(&events) {
-                Ok(report) => {
-                    replan += report.replan;
-                    local_bytes += report.migration_bytes();
-                    // the report's verdicts are in the canonical
-                    // retire → reweight → admit order; recompute the
-                    // same stable permutation to map them back to
-                    // request slots
-                    let rank = |ev: &Event| match ev {
-                        Event::Retire(_) => 0u8,
-                        Event::Reweight(..) => 1,
-                        Event::Admit(..) => 2,
-                        // check:allow(hot-path-panic): batches are built
-                        // from BatchOp churn only — faults arrive as
-                        // dedicated ClusterMsg variants, never batched
-                        _ => unreachable!("fault events are never batched"),
-                    };
-                    let mut order: Vec<usize> = (0..events.len()).collect();
-                    order.sort_by_key(|&k| rank(&events[k]));
-                    for (pos, (_, verdict)) in report.events.iter().enumerate() {
-                        outcomes[slots[order[pos]]] = Some(match verdict {
-                            Verdict::Admitted(_) => AgentOutcome::Admitted,
-                            Verdict::Applied => AgentOutcome::Applied,
-                            Verdict::Rejected(r) => AgentOutcome::Rejected(r.to_string()),
-                            other => AgentOutcome::Rejected(format!(
-                                "unexpected batch verdict {other:?}"
-                            )),
-                        });
+            let known = self.service.resolve_run(&mut pending, usize::MAX, &mut events);
+            let mut verdicts = Vec::new();
+            if !events.is_empty() {
+                verdicts = match self.service.process_batch(&events) {
+                    Ok(report) => {
+                        replan += report.replan;
+                        local_bytes += report.migration_bytes();
+                        report.events.iter().map(|(_, verdict)| outcome_of(verdict)).collect()
                     }
-                }
-                // unreachable by construction — handles resolved above
-                // and names within a run are distinct — but refuse
-                // rather than crash on protocol drift
-                Err(e) => {
-                    for &slot in &slots {
-                        outcomes[slot] =
-                            Some(AgentOutcome::Rejected(format!("batch refused: {e}")));
+                    // unreachable by construction — handles were just
+                    // resolved and names within a run are distinct — but
+                    // refuse rather than crash should validation ever fail
+                    Err(e) => {
+                        vec![AgentOutcome::Rejected(format!("batch refused: {e}")); events.len()]
                     }
-                }
+                };
             }
+            let mut verdicts = verdicts.into_iter();
+            outcomes.extend(known.into_iter().map(|resolved| match resolved {
+                true => verdicts.next().unwrap_or_else(|| {
+                    AgentOutcome::Rejected("the batch reported no verdict".to_owned())
+                }),
+                false => AgentOutcome::UnknownApp,
+            }));
         }
-        // check:allow(hot-path-panic): the dispatch loop above fills every slot
-        let outcomes = outcomes.into_iter().map(|o| o.expect("every op got an outcome")).collect();
         self.reply(AgentOutcome::Batch(outcomes), replan, local_bytes, 0.0)
     }
 
@@ -377,10 +291,10 @@ mod tests {
 
         let reply = a.handle(ClusterMsg::Batch {
             ops: vec![
-                BatchOp::Reweight { app: "x".to_owned(), weight: 2.0 },
-                BatchOp::Retire { app: "ghost".to_owned() },
-                BatchOp::Admit { graph: chain("z", 3, &CostParams::default(), 3), weight: 1.5 },
-                BatchOp::Retire { app: "y".to_owned() },
+                TraceEvent::Reweight { app: "x".to_owned(), weight: 2.0 },
+                TraceEvent::Retire { app: "ghost".to_owned() },
+                TraceEvent::Admit { graph: chain("z", 3, &CostParams::default(), 3), weight: 1.5 },
+                TraceEvent::Retire { app: "y".to_owned() },
             ],
         });
         assert_eq!(
@@ -400,6 +314,30 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_inside_a_batch_is_refused_and_changes_nothing() {
+        let mut a = agent();
+        a.handle(ClusterMsg::Admit {
+            graph: chain("x", 3, &CostParams::default(), 1),
+            weight: 1.0,
+        });
+        let reply = a.handle(ClusterMsg::Batch {
+            ops: vec![
+                TraceEvent::PeFailed { node: 0, pe: cellstream_platform::PeId(2) },
+                TraceEvent::Reweight { app: "x".to_owned(), weight: 2.0 },
+                TraceEvent::CostDrift { app: "x".to_owned(), factor: 3.0 },
+                TraceEvent::NodeFailed { node: 0 },
+            ],
+        });
+        let AgentOutcome::Batch(outs) = reply.outcome else { panic!("batch reply") };
+        assert!(matches!(outs[0], AgentOutcome::Rejected(_)), "{:?}", outs[0]);
+        assert_eq!(outs[1], AgentOutcome::Applied, "the churn around the faults still lands");
+        assert!(matches!(outs[2], AgentOutcome::Rejected(_)), "{:?}", outs[2]);
+        assert!(matches!(outs[3], AgentOutcome::Rejected(_)), "{:?}", outs[3]);
+        assert!(a.service().availability().all_healthy(), "no PE was failed");
+        assert_eq!(reply.summary.apps, vec![("x".to_owned(), 2.0)], "x stays, reweighted");
+    }
+
+    #[test]
     fn batch_cuts_at_repeated_names_so_dependent_ops_still_apply() {
         let mut a = agent();
         // admit then retire the same name in one burst: the second op
@@ -407,8 +345,8 @@ mod tests {
         // the run and both land
         let reply = a.handle(ClusterMsg::Batch {
             ops: vec![
-                BatchOp::Admit { graph: chain("w", 3, &CostParams::default(), 9), weight: 1.0 },
-                BatchOp::Retire { app: "w".to_owned() },
+                TraceEvent::Admit { graph: chain("w", 3, &CostParams::default(), 9), weight: 1.0 },
+                TraceEvent::Retire { app: "w".to_owned() },
             ],
         });
         assert_eq!(
@@ -420,8 +358,11 @@ mod tests {
         // an invalid weight inside a batch is refused per-op, not per-burst
         let reply = a.handle(ClusterMsg::Batch {
             ops: vec![
-                BatchOp::Admit { graph: chain("ok", 3, &CostParams::default(), 4), weight: 1.0 },
-                BatchOp::Admit { graph: chain("bad", 3, &CostParams::default(), 5), weight: 0.0 },
+                TraceEvent::Admit { graph: chain("ok", 3, &CostParams::default(), 4), weight: 1.0 },
+                TraceEvent::Admit {
+                    graph: chain("bad", 3, &CostParams::default(), 5),
+                    weight: 0.0,
+                },
             ],
         });
         let AgentOutcome::Batch(outs) = reply.outcome else { panic!("batch reply") };

@@ -13,7 +13,7 @@
 //! is priced by the [`NetworkModel`] and reported as a [`Migration`].
 
 use crate::metrics::ClusterMetrics;
-use crate::msg::{AgentMsg, AgentOutcome, BatchOp, ClusterMsg, NodeId, NodeSummary};
+use crate::msg::{AgentMsg, AgentOutcome, ClusterMsg, NodeId, NodeSummary};
 use crate::net::NetworkModel;
 use crate::placer::{AppDemand, LoadAffinity, PlacePolicy};
 use crate::transport::{InProcessTransport, Transport};
@@ -22,7 +22,7 @@ use cellstream_graph::{StreamGraph, Workload};
 use cellstream_heuristics::scheduler_names;
 use cellstream_platform::{CellSpec, PeId};
 use cellstream_serve::ServiceOptions;
-use cellstream_sim::online::{EventOutcome, FleetSystem, TraceEvent};
+use cellstream_sim::online::{EventOutcome, OnlineSystem, TraceEvent};
 use cellstream_telemetry::Snapshot;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -520,7 +520,7 @@ impl<T: Transport> Coordinator<T> {
         let mut i = 0;
         while i < events.len() {
             let mut touched: Vec<String> = Vec::new();
-            let mut per_node: BTreeMap<NodeId, Vec<(usize, BatchOp)>> = BTreeMap::new();
+            let mut per_node: BTreeMap<NodeId, Vec<(usize, TraceEvent)>> = BTreeMap::new();
             while i < events.len() {
                 // impairments are burst barriers: flush the batched
                 // churn first, then run the fault sequentially below
@@ -559,7 +559,7 @@ impl<T: Transport> Coordinator<T> {
                             Some(&node) => per_node
                                 .entry(node)
                                 .or_default()
-                                .push((i, BatchOp::Admit { graph: g, weight: *weight })),
+                                .push((i, TraceEvent::Admit { graph: g, weight: *weight })),
                             None => {
                                 verdicts[i] =
                                     Some(ClusterVerdict::Rejected("no schedulable node".to_owned()))
@@ -569,10 +569,9 @@ impl<T: Transport> Coordinator<T> {
                     TraceEvent::Retire { app } => {
                         touched.push(app.clone());
                         match self.node_of(app) {
-                            Some(node) => per_node
-                                .entry(node)
-                                .or_default()
-                                .push((i, BatchOp::Retire { app: app.clone() })),
+                            Some(node) => {
+                                per_node.entry(node).or_default().push((i, events[i].clone()))
+                            }
                             // a stranded app retires out of the ledger
                             None => {
                                 verdicts[i] = Some(if self.stranded.remove(app).is_some() {
@@ -586,10 +585,9 @@ impl<T: Transport> Coordinator<T> {
                     TraceEvent::Reweight { app, weight } => {
                         touched.push(app.clone());
                         match self.node_of(app) {
-                            Some(node) => per_node
-                                .entry(node)
-                                .or_default()
-                                .push((i, BatchOp::Reweight { app: app.clone(), weight: *weight })),
+                            Some(node) => {
+                                per_node.entry(node).or_default().push((i, events[i].clone()))
+                            }
                             // a stranded app carries the new weight
                             // into its next retry
                             None => {
@@ -612,7 +610,7 @@ impl<T: Transport> Coordinator<T> {
             // dispatch one batch per node, in node order (deterministic)
             for (node, ops) in per_node {
                 batches += 1;
-                let msg_ops: Vec<BatchOp> = ops.iter().map(|(_, op)| op.clone()).collect();
+                let msg_ops: Vec<TraceEvent> = ops.iter().map(|(_, op)| op.clone()).collect();
                 let reply = self.transport.send(node, ClusterMsg::Batch { ops: msg_ops });
                 self.absorb(&reply);
                 local_bytes += reply.local_migration_bytes;
@@ -627,7 +625,7 @@ impl<T: Transport> Coordinator<T> {
                 };
                 for ((idx, op), out) in ops.iter().zip(outs.iter()) {
                     let v = match (op, out) {
-                        (BatchOp::Admit { graph, weight }, AgentOutcome::Admitted) => {
+                        (TraceEvent::Admit { graph, weight }, AgentOutcome::Admitted) => {
                             self.apps.insert(
                                 graph.name().to_owned(),
                                 Placed { graph: graph.clone(), weight: *weight, node },
@@ -637,16 +635,16 @@ impl<T: Transport> Coordinator<T> {
                         // the pre-ranked node refused: fall back to the
                         // sequential preference walk with the refusal's
                         // fresh summaries
-                        (BatchOp::Admit { graph, weight }, AgentOutcome::Rejected(_)) => {
+                        (TraceEvent::Admit { graph, weight }, AgentOutcome::Rejected(_)) => {
                             let r = self.admit(graph, *weight);
                             local_bytes += r.local_migration_bytes;
                             r.verdict
                         }
-                        (BatchOp::Retire { app }, AgentOutcome::Applied) => {
+                        (TraceEvent::Retire { app }, AgentOutcome::Applied) => {
                             self.apps.remove(app);
                             ClusterVerdict::Applied
                         }
-                        (BatchOp::Reweight { app, weight }, AgentOutcome::Applied) => {
+                        (TraceEvent::Reweight { app, weight }, AgentOutcome::Applied) => {
                             // check:allow(hot-path-panic): routed via node_of
                             self.apps.get_mut(app).expect("routed via node_of").weight = *weight;
                             ClusterVerdict::Applied
@@ -1460,7 +1458,7 @@ impl Cluster {
     }
 }
 
-impl FleetSystem for Cluster {
+impl OnlineSystem for Cluster {
     fn apply_event(&mut self, ev: &TraceEvent) -> EventOutcome {
         let report = match ev {
             TraceEvent::Admit { graph, weight } => Some(self.admit(graph, *weight)),

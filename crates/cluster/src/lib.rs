@@ -59,7 +59,7 @@ pub use coordinator::{
     ClusterVerdict, Coordinator, Migration,
 };
 pub use metrics::{cluster_verdict_name, event_kind, ClusterMetrics};
-pub use msg::{AgentMsg, AgentOutcome, BatchOp, ClusterMsg, NodeId, NodeSummary};
+pub use msg::{AgentMsg, AgentOutcome, ClusterMsg, NodeId, NodeSummary};
 pub use net::NetworkModel;
 pub use placer::{
     policy_by_name, AppDemand, BestFit, FirstFit, LoadAffinity, PlacePolicy, RandomPlace,

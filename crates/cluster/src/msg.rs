@@ -12,6 +12,7 @@
 
 use cellstream_graph::StreamGraph;
 use cellstream_platform::{CellSpec, PeId};
+use cellstream_sim::online::TraceEvent;
 use std::fmt;
 use std::time::Duration;
 
@@ -54,15 +55,19 @@ pub enum ClusterMsg {
         /// New weight.
         weight: f64,
     },
-    /// Apply a burst of operations in one exchange. The agent fuses as
-    /// many consecutive ops as touch distinct application names into
-    /// single `Service::process_batch` calls (one compose + one repair
-    /// per run), and replies with [`AgentOutcome::Batch`] — one outcome
-    /// per op, in request order. Batch replies do not size working
-    /// sets: coordinator bursts never migrate.
+    /// Apply a burst of churn in one exchange: the admit / retire /
+    /// reweight [`TraceEvent`]s the coordinator routed here, as it holds
+    /// them. The agent fuses as many consecutive ops as touch distinct
+    /// application names into single `Service::process_batch` calls
+    /// (one compose + one repair per run), and replies with
+    /// [`AgentOutcome::Batch`] — one outcome per op, in request order.
+    /// Faults travel as their own messages: a fault variant inside a
+    /// batch is answered [`AgentOutcome::Rejected`] and changes nothing.
+    /// Batch replies do not size working sets: coordinator bursts never
+    /// migrate.
     Batch {
         /// The operations, applied in order.
-        ops: Vec<BatchOp>,
+        ops: Vec<TraceEvent>,
     },
     /// No-op: reply with a fresh capacity summary.
     Status,
@@ -97,40 +102,6 @@ pub enum ClusterMsg {
     NodeFailed,
     /// The crashed node rejoins the fleet, empty and cold.
     NodeRestored,
-}
-
-/// One name-addressed operation inside a [`ClusterMsg::Batch`].
-#[derive(Debug, Clone)]
-pub enum BatchOp {
-    /// Place this application on the receiving node.
-    Admit {
-        /// The application's graph (its name identifies it fleet-wide).
-        graph: StreamGraph,
-        /// Relative throughput target.
-        weight: f64,
-    },
-    /// Retire the named application.
-    Retire {
-        /// Application (graph) name.
-        app: String,
-    },
-    /// Change the named application's throughput weight.
-    Reweight {
-        /// Application (graph) name.
-        app: String,
-        /// New weight.
-        weight: f64,
-    },
-}
-
-impl BatchOp {
-    /// The application name this op concerns.
-    pub fn app_name(&self) -> &str {
-        match self {
-            BatchOp::Admit { graph, .. } => graph.name(),
-            BatchOp::Retire { app } | BatchOp::Reweight { app, .. } => app,
-        }
-    }
 }
 
 /// What an agent did with a request.
@@ -239,47 +210,6 @@ impl NodeSummary {
 // tagged objects ({"type": "admit", ...}), the same dialect as the
 // sim's trace events; the unit-enum macro cannot express
 // payload-carrying variants, so the impls are spelled out.
-impl serde::Serialize for BatchOp {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let obj = |pairs: Vec<(&str, Value)>| {
-            Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-        };
-        match self {
-            BatchOp::Admit { graph, weight } => obj(vec![
-                ("type", Value::Str("admit".into())),
-                ("graph", graph.to_value()),
-                ("weight", Value::Num(*weight)),
-            ]),
-            BatchOp::Retire { app } => {
-                obj(vec![("type", Value::Str("retire".into())), ("app", Value::Str(app.clone()))])
-            }
-            BatchOp::Reweight { app, weight } => obj(vec![
-                ("type", Value::Str("reweight".into())),
-                ("app", Value::Str(app.clone())),
-                ("weight", Value::Num(*weight)),
-            ]),
-        }
-    }
-}
-
-impl serde::Deserialize for BatchOp {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v.field("type")?.as_str()? {
-            "admit" => Ok(BatchOp::Admit {
-                graph: StreamGraph::from_value(v.field("graph")?)?,
-                weight: v.field("weight")?.as_f64()?,
-            }),
-            "retire" => Ok(BatchOp::Retire { app: v.field("app")?.as_str()?.to_owned() }),
-            "reweight" => Ok(BatchOp::Reweight {
-                app: v.field("app")?.as_str()?.to_owned(),
-                weight: v.field("weight")?.as_f64()?,
-            }),
-            other => Err(serde::Error::new(format!("unknown BatchOp type `{other}`"))),
-        }
-    }
-}
-
 impl serde::Serialize for ClusterMsg {
     fn to_value(&self) -> serde::Value {
         use serde::Value;
@@ -436,17 +366,17 @@ mod tests {
     fn batches_round_trip_through_json() {
         let msg = ClusterMsg::Batch {
             ops: vec![
-                BatchOp::Admit { graph: tiny("a"), weight: 1.0 },
-                BatchOp::Reweight { app: "a".into(), weight: 3.0 },
-                BatchOp::Retire { app: "a".into() },
+                TraceEvent::Admit { graph: tiny("a"), weight: 1.0 },
+                TraceEvent::Reweight { app: "a".into(), weight: 3.0 },
+                TraceEvent::Retire { app: "a".into() },
             ],
         };
         match round_trip(&msg) {
             ClusterMsg::Batch { ops } => {
                 assert_eq!(ops.len(), 3);
-                assert_eq!(ops[0].app_name(), "a");
-                assert!(matches!(&ops[1], BatchOp::Reweight { weight, .. } if *weight == 3.0));
-                assert!(matches!(&ops[2], BatchOp::Retire { .. }));
+                assert!(matches!(&ops[0], TraceEvent::Admit { graph, .. } if graph.name() == "a"));
+                assert!(matches!(&ops[1], TraceEvent::Reweight { weight, .. } if *weight == 3.0));
+                assert!(matches!(&ops[2], TraceEvent::Retire { .. }));
             }
             other => panic!("expected batch, got {other:?}"),
         }

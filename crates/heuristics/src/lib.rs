@@ -53,8 +53,8 @@ pub use greedy::{greedy_cpu, greedy_mem};
 pub use multi_app::{best_partition, partition_mapping};
 pub use portfolio::{MemberResult, Portfolio, PortfolioOutcome};
 pub use repair::{
-    carry_over, carry_over_into, repair, repair_in_place, repair_in_place_with, repair_with,
-    RepairOptions, RepairScheduler,
+    carry_over, carry_over_into, repair, repair_in_place, repair_with, RepairOptions,
+    RepairScheduler,
 };
 pub use schedulers::{
     all_schedulers, scheduler_by_name, scheduler_names, AnnealScheduler, CommAwareScheduler,

@@ -36,22 +36,10 @@ use cellstream_platform::{CellSpec, PeId};
 use std::time::Instant;
 
 /// Knobs for [`repair_with`] beyond the refinement pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RepairOptions {
     /// Parameters of the final [`refine_in_place`] polish (step 4).
     pub refine: LocalSearchOptions,
-    /// Worker threads for the placement probes (step 2). `0`/`1` keeps
-    /// placement sequential; more threads split the PE range into
-    /// contiguous id chunks probed concurrently on per-thread
-    /// [`EvalState`] clones. The chosen seats are **identical** to the
-    /// sequential scan's — workers report raw per-PE verdicts and the
-    /// reduction folds them in global PE id order, so the tie-break
-    /// stays "lowest PE id wins" regardless of thread timing.
-    pub probe_threads: usize,
-    /// Minimum probe count (`unplaced tasks × PEs`) before the thread
-    /// pool spins up; smaller deltas stay sequential (spawning costs
-    /// more than it buys on a handful of O(degree) probes).
-    pub parallel_min_probes: usize,
     /// Live platform capacity. `None` plans against the nominal
     /// platform (every PE healthy — the common case, zero overhead).
     /// `Some` overlays per-PE health: the evaluator slows tasks on
@@ -60,17 +48,6 @@ pub struct RepairOptions {
     /// evacuates seats stranded on them — fault recovery reuses the
     /// ordinary repair machinery unchanged.
     pub avail: Option<Availability>,
-}
-
-impl Default for RepairOptions {
-    fn default() -> Self {
-        RepairOptions {
-            refine: LocalSearchOptions::default(),
-            probe_threads: 1,
-            parallel_min_probes: 2048,
-            avail: None,
-        }
-    }
 }
 
 /// Repair a partial assignment into a full feasible mapping and refine
@@ -92,7 +69,7 @@ pub fn repair(
     repair_with(g, spec, partial, &ropts)
 }
 
-/// [`repair`] with explicit [`RepairOptions`] (parallel probing et al.).
+/// [`repair`] with explicit [`RepairOptions`] (live platform capacity).
 pub fn repair_with(
     g: &StreamGraph,
     spec: &CellSpec,
@@ -109,7 +86,7 @@ pub fn repair_with(
         None => EvalState::new(g, spec, &seed),
     }
     .expect("seed is structurally valid"); // check:allow(hot-path-panic): the just-built seed mapping is structurally valid
-    repair_in_place_with(&mut state, partial, opts);
+    repair_in_place(&mut state, partial, &opts.refine);
     // publish the exact verifier period, free of incremental drift
     let mapping = state.mapping();
     let period = match &opts.avail {
@@ -130,35 +107,7 @@ pub fn repair_with(
 pub fn repair_in_place(
     state: &mut EvalState<'_>,
     partial: &[Option<PeId>],
-    opts: &LocalSearchOptions,
-) -> f64 {
-    repair_seats(state, partial, opts, 1)
-}
-
-/// [`repair_in_place`] with [`RepairOptions`] (the parallel-probing
-/// variant allocates for its thread plumbing; the sequential path stays
-/// allocation-free).
-pub fn repair_in_place_with(
-    state: &mut EvalState<'_>,
-    partial: &[Option<PeId>],
-    opts: &RepairOptions,
-) -> f64 {
-    let unplaced = partial.iter().filter(|p| p.is_none()).count();
-    let threads =
-        if opts.probe_threads > 1 && unplaced * state.spec().n_pes() >= opts.parallel_min_probes {
-            opts.probe_threads
-        } else {
-            1
-        };
-    repair_seats(state, partial, &opts.refine, threads)
-}
-
-// check: no-alloc
-fn repair_seats(
-    state: &mut EvalState<'_>,
-    partial: &[Option<PeId>],
     refine: &LocalSearchOptions,
-    threads: usize,
 ) -> f64 {
     let spec = state.spec();
     assert_eq!(partial.len(), state.graph().n_tasks(), "partial assignment covers every task");
@@ -166,11 +115,7 @@ fn repair_seats(
     // seed: retained seats; unplaced tasks start on the PPE (always legal)
     state.reseat(partial.iter().map(|p| p.unwrap_or(ppe)));
 
-    if threads > 1 {
-        place_delta_parallel(state, partial, threads);
-    } else {
-        place_delta(state, partial);
-    }
+    place_delta(state, partial);
 
     // evict: restore feasibility if the retained seats (or a reweight)
     // broke it — move the largest working set off each violated SPE to
@@ -183,7 +128,7 @@ fn repair_seats(
     // from the repaired seats
     state.rebase();
     #[cfg(feature = "debug_invariants")]
-    state.check_invariants("repair_seats: after eviction and rebase");
+    state.check_invariants("repair_in_place: after eviction and rebase");
     refine_in_place(state, refine)
 }
 
@@ -204,7 +149,7 @@ fn seat_better(best: &Option<(PeId, f64, bool, f64)>, p: f64, feasible: bool, oc
     }
 }
 
-/// Place the delta tasks sequentially: topological order so producers
+/// Place the delta tasks: topological order so producers
 /// sit before consumers, each onto the best seat per [`seat_better`].
 fn place_delta(state: &mut EvalState<'_>, partial: &[Option<PeId>]) {
     let g = state.graph();
@@ -225,97 +170,6 @@ fn place_delta(state: &mut EvalState<'_>, partial: &[Option<PeId>]) {
         let (to, ..) = best.expect("platforms have at least one PE"); // check:allow(hot-path-panic): every platform has at least the PPE, so the fold is non-empty
         state.apply(Move::Relocate { task: t, to });
     }
-}
-
-/// Per-PE probe verdict a worker reports: (period, feasible, occupancy).
-type SeatProbe = (f64, bool, f64);
-
-enum ProbeJob {
-    /// Probe every PE in the worker's chunk for this task.
-    Probe(TaskId),
-    /// The main thread chose this seat: commit it so the clone tracks.
-    Commit(TaskId, PeId),
-}
-
-/// [`place_delta`] with the per-task PE scan fanned out over worker
-/// threads holding [`EvalState`] clones. Workers report raw per-PE
-/// verdicts for contiguous PE id chunks and the main thread folds them
-/// in global PE id order through the same [`seat_better`] predicate, so
-/// the chosen seats — including every tie-break — are bitwise identical
-/// to the sequential scan's, independent of thread scheduling (probes
-/// restore exactly and commits replay identically on every clone, so no
-/// clone ever drifts from the main state).
-fn place_delta_parallel(state: &mut EvalState<'_>, partial: &[Option<PeId>], threads: usize) {
-    let g = state.graph();
-    let spec = state.spec();
-    let n_pes = spec.n_pes();
-    let threads = threads.min(n_pes).max(1);
-    // chunk w probes PE ids [bounds[w], bounds[w+1])
-    let bounds: Vec<usize> = (0..=threads).map(|w| w * n_pes / threads).collect();
-    std::thread::scope(|scope| {
-        let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, Vec<SeatProbe>)>();
-        let mut job_txs = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (tx, rx) = std::sync::mpsc::channel::<ProbeJob>();
-            job_txs.push(tx);
-            let res_tx = res_tx.clone();
-            let mut local = state.clone();
-            let (lo, hi) = (bounds[w], bounds[w + 1]);
-            scope.spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    match job {
-                        ProbeJob::Probe(t) => {
-                            let mut probes = Vec::with_capacity(hi - lo);
-                            for i in lo..hi {
-                                let to = spec.pe(i);
-                                local.apply(Move::Relocate { task: t, to });
-                                probes.push((
-                                    local.period(),
-                                    local.is_feasible(),
-                                    local.occupancy(to),
-                                ));
-                                local.undo();
-                            }
-                            if res_tx.send((w, probes)).is_err() {
-                                break;
-                            }
-                        }
-                        ProbeJob::Commit(t, to) => local.apply(Move::Relocate { task: t, to }),
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-        let mut round: Vec<Option<Vec<SeatProbe>>> = vec![None; threads];
-        for &t in g.topo_order() {
-            if partial[t.index()].is_some() {
-                continue;
-            }
-            for tx in &job_txs {
-                tx.send(ProbeJob::Probe(t)).expect("probe worker alive"); // check:allow(hot-path-panic): probe workers live until Shutdown is sent
-            }
-            round.iter_mut().for_each(|r| *r = None);
-            for _ in 0..threads {
-                let (w, probes) = res_rx.recv().expect("probe worker replies"); // check:allow(hot-path-panic): each worker sends exactly one reply per round
-                round[w] = Some(probes);
-            }
-            // the sequential scan's fold, replayed in global PE id order
-            let mut best: Option<(PeId, f64, bool, f64)> = None;
-            for w in 0..threads {
-                let probes = round[w].as_ref().expect("every worker reported"); // check:allow(hot-path-panic): filled by the recv loop just above
-                for (k, &(p, feasible, occ)) in probes.iter().enumerate() {
-                    if seat_better(&best, p, feasible, occ) {
-                        best = Some((spec.pe(bounds[w] + k), p, feasible, occ));
-                    }
-                }
-            }
-            let (to, ..) = best.expect("platforms have at least one PE"); // check:allow(hot-path-panic): every platform has at least the PPE, so the fold is non-empty
-            for tx in &job_txs {
-                tx.send(ProbeJob::Commit(t, to)).expect("probe worker alive"); // check:allow(hot-path-panic): probe workers live until Shutdown is sent
-            }
-            state.apply(Move::Relocate { task: t, to });
-        }
-    });
 }
 
 /// Move tasks off violated SPEs onto the PPE until constraints (1i)–(1k)
@@ -499,50 +353,6 @@ mod tests {
         let (m, p) = repair(new_w.graph(), &spec, &partial, &LocalSearchOptions::default());
         assert!(p.is_finite());
         assert!(evaluate(new_w.graph(), &spec, &m).unwrap().is_feasible());
-    }
-
-    #[test]
-    fn parallel_probing_places_identically_to_sequential() {
-        // several graph shapes × platforms × thread counts: the chosen
-        // mapping must be bitwise identical to the sequential scan's
-        // (workers report raw verdicts; the fold replays PE id order)
-        let spec_big = CellSpec::qs22();
-        let spec_small = CellSpec::ps3();
-        for (g, spec) in [
-            (chain("c", 24, &CostParams::default(), 3), &spec_big),
-            (fork_join("fj", 9, &CostParams::default(), 8), &spec_big),
-            (chain("s", 12, &CostParams::default(), 5), &spec_small),
-        ] {
-            // half the tasks retained (alternating), half unplaced
-            let partial: Vec<Option<PeId>> =
-                (0..g.n_tasks()).map(|k| (k % 2 == 0).then(|| spec.pe(k % spec.n_pes()))).collect();
-            let (seq, seq_p) = repair(&g, spec, &partial, &LocalSearchOptions::default());
-            for threads in [2, 3, 8] {
-                let opts = RepairOptions {
-                    probe_threads: threads,
-                    parallel_min_probes: 1, // force the pool on
-                    ..RepairOptions::default()
-                };
-                let (par, par_p) = repair_with(&g, spec, &partial, &opts);
-                assert_eq!(par, seq, "{threads} threads diverged on {}", g.name());
-                assert_eq!(par_p, seq_p);
-            }
-        }
-    }
-
-    #[test]
-    fn small_deltas_stay_sequential_under_the_probe_threshold() {
-        // under parallel_min_probes the pool must not spin up; results
-        // are identical either way, so pin via the default threshold
-        let g = chain("c", 4, &CostParams::default(), 2);
-        let spec = CellSpec::ps3();
-        let partial = vec![None; g.n_tasks()];
-        let opts = RepairOptions { probe_threads: 4, ..RepairOptions::default() };
-        assert!(g.n_tasks() * spec.n_pes() < opts.parallel_min_probes);
-        let (m, p) = repair_with(&g, &spec, &partial, &opts);
-        let (seq, seq_p) = repair(&g, &spec, &partial, &LocalSearchOptions::default());
-        assert_eq!(m, seq);
-        assert_eq!(p, seq_p);
     }
 
     #[test]

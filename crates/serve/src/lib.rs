@@ -23,6 +23,16 @@
 //!   and buffer footprints rescale, and the repair planner restores
 //!   feasibility if the new footprints broke it.
 //!
+//! **One path.** Fault events ([`Event::PeFailed`] /
+//! [`Event::PeRestored`] / [`Event::CostDrift`]) re-solve the same
+//! mapping problem for a changed platform or changed costs, so every
+//! event takes the same route — validate, canonical sort, cut into
+//! groups, one replan per group, then the commit rule: a request the
+//! platform cannot carry is *refused*, a fault it cannot carry *sheds*
+//! lowest-weight applications. [`Service::process`] is
+//! [`Service::process_batch`] for a burst of one; a burst without
+//! faults or a guarantee fuses into a single replan.
+//!
 //! **Incremental replanning.** Each event goes through
 //! [`cellstream_heuristics::repair`]: retained applications keep their
 //! seats, only the delta is placed/evicted, and a budgeted local search
@@ -72,13 +82,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod background;
 mod metrics;
 mod pipeline;
+mod report;
 mod service;
 
 pub use metrics::{verdict_name, ServeMetrics};
 pub use pipeline::{PipelineOptions, PipelineStats, ServePipeline};
-pub use service::{
-    BatchReport, Event, EventLabel, QueueBackoff, RecoveryReport, RejectReason, ServeError,
-    ServeReport, Service, ServiceOptions, Verdict,
+pub use report::{
+    BatchReport, EventLabel, QueueBackoff, RecoveryReport, RejectReason, ServeError, ServeReport,
+    Verdict,
 };
+pub use service::{Event, Service, ServiceOptions};

@@ -11,7 +11,7 @@
 //!
 //! [`Service::metrics_handle`]: crate::Service::metrics_handle
 
-use crate::service::{BatchReport, RejectReason, ServeReport, Verdict};
+use crate::report::{RejectReason, ServeReport, Verdict};
 use cellstream_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Histogram};
 
 /// A [`Verdict`] as a static exposition label.
@@ -31,7 +31,7 @@ pub fn verdict_name(v: &Verdict) -> &'static str {
 #[derive(Debug)]
 pub struct ServeMetrics {
     enabled: bool,
-    /// Events processed (per-event ops plus fused batch events).
+    /// Events processed, whichever entry point carried them.
     pub events_total: Counter,
     /// Events ending [`Verdict::Admitted`].
     pub admitted_total: Counter,
@@ -61,7 +61,7 @@ pub struct ServeMetrics {
     pub shed_total: Counter,
     /// Seats evacuated off failed PEs by recovery replans.
     pub evacuated_seats_total: Counter,
-    /// `process_batch` calls (fused or sequential).
+    /// `process_batch` calls.
     pub batches_total: Counter,
     /// Events per `process_batch` call.
     pub batch_events: Histogram,
@@ -135,18 +135,27 @@ impl ServeMetrics {
         }
     }
 
-    /// Record one per-event report: counters, the replan histogram and
-    /// one flight-recorder entry. `stranded` is the shed-ledger size
-    /// after the event ([`Service::take_shed`] backlog).
+    /// Record one group step's report — or one background poll's:
+    /// per-verdict counters for the events it covers (`verdicts`: one
+    /// for a single event, several for a fused group), the replan
+    /// histogram and one flight-recorder entry. `stranded` is the
+    /// shed-ledger size after the step ([`Service::take_shed`] backlog).
     ///
     /// [`Service::take_shed`]: crate::Service::take_shed
     // check: no-alloc
-    pub fn note_report(&self, r: &ServeReport, stranded: usize) {
+    pub(crate) fn note_report<'a>(
+        &self,
+        r: &ServeReport,
+        verdicts: impl Iterator<Item = &'a Verdict>,
+        stranded: usize,
+    ) {
         if !self.enabled {
             return;
         }
-        self.events_total.inc();
-        self.note_verdict(&r.verdict);
+        for v in verdicts {
+            self.events_total.inc();
+            self.note_verdict(v);
+        }
         self.replan_ns.record_duration(r.replan);
         let migration = r.migration_bytes();
         self.migration_bytes_total.add(migration as u64);
@@ -178,41 +187,14 @@ impl ServeMetrics {
         });
     }
 
-    /// Record one `process_batch` call. The sequential fallback already
-    /// recorded its events one at a time through [`Self::note_report`],
-    /// so only the fused path (`fused`) records per-event counters and
-    /// the batch-level flight entry here.
+    /// Record the shape of one `process_batch` call; its events reached
+    /// the cells group by group through [`Self::note_report`].
     // check: no-alloc
-    pub fn note_batch(&self, b: &BatchReport, queue_depth: usize, stranded: usize, fused: bool) {
+    pub(crate) fn note_batch(&self, events: usize) {
         if !self.enabled {
             return;
         }
         self.batches_total.inc();
-        self.batch_events.record(b.events.len() as u64);
-        if !fused {
-            return;
-        }
-        self.events_total.add(b.events.len() as u64);
-        for (_, v) in &b.events {
-            self.note_verdict(v);
-        }
-        self.replan_ns.record_duration(b.replan);
-        let migration = b.migration_bytes();
-        self.migration_bytes_total.add(migration as u64);
-        self.queue_depth.set_usize(queue_depth);
-        for d in &b.drained {
-            self.note_drained(d);
-        }
-        self.recorder.record(FlightEvent {
-            seq: 0,
-            kind: "batch",
-            verdict: "applied",
-            replan_ns: u64::try_from(b.replan.as_nanos()).unwrap_or(u64::MAX),
-            migration_bytes: migration,
-            shed: 0,
-            stranded: stranded as u32,
-            queued: queue_depth as u32,
-            mask_delta: 0,
-        });
+        self.batch_events.record(events as u64);
     }
 }

@@ -12,22 +12,24 @@
 //! carry-over + repair instead of paying one replan per event.
 //!
 //! Events are applied in submission order; the planner never reorders
-//! across a dependency. Two events touching the **same application
-//! name** (admit then retire, retire then re-admit, ...) are split into
-//! separate batches, because names resolve to handles against the live
-//! incumbent — the first batch must commit before the second one's
-//! names make sense.
+//! across a dependency. [`Service::resolve_run`] cuts the batches: two
+//! events touching the **same application name** (admit then retire,
+//! retire then re-admit, ...) are split into separate batches, because
+//! names resolve to handles against the live incumbent — the first
+//! batch must commit before the second one's names make sense — and a
+//! fault commits alone.
 //!
 //! The pipeline implements [`IntakeSystem`], so
 //! [`cellstream_sim::online::replay_concurrent`] can drive it straight
 //! from an [`EventTrace`](cellstream_sim::online::EventTrace).
 
 use crate::metrics::ServeMetrics;
-use crate::service::{Event, Service, Verdict};
+use crate::report::Verdict;
+use crate::service::{Event, Service};
 use cellstream_rt::SpscRing;
 use cellstream_sim::online::{IntakeSystem, TraceEvent};
 use cellstream_telemetry::percentile_sorted;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -182,80 +184,6 @@ impl IntakeSystem for ServePipeline {
     }
 }
 
-/// Build the next batch from the front of `pending`: translate
-/// name-addressed trace events into handle-addressed [`Event`]s against
-/// the live incumbent, stopping at `max_batch` or at the first event
-/// whose application name an earlier event of this batch already
-/// touched (its handle only exists once this batch commits). Unknown
-/// names are dropped and counted, never blocking the batch.
-fn build_batch(
-    service: &Service,
-    pending: &mut VecDeque<TraceEvent>,
-    max_batch: usize,
-    events: &mut Vec<Event>,
-    touched: &mut HashSet<String>,
-) -> u64 {
-    let mut skipped = 0;
-    touched.clear();
-    while events.len() < max_batch {
-        // impairment events are batch barriers: they commit alone, in
-        // trace order, never fused with the churn around them (a fault
-        // can shed arbitrary applications, invalidating handles the
-        // rest of the batch resolved)
-        if pending.front().is_some_and(TraceEvent::is_fault) {
-            if !events.is_empty() {
-                break; // flush the churn batch first; the fault goes next
-            }
-            // check:allow(hot-path-panic): the loop peeked Some at the front just above
-            match pending.pop_front().expect("front was Some") {
-                TraceEvent::PeFailed { node: 0, pe } => events.push(Event::PeFailed(pe)),
-                TraceEvent::PeRestored { node: 0, pe } => events.push(Event::PeRestored(pe)),
-                TraceEvent::CostDrift { app, factor } => match service.handle_of(&app) {
-                    Some(id) => events.push(Event::CostDrift(id, factor)),
-                    None => skipped += 1,
-                },
-                // impairments aimed at other fleet nodes — including
-                // whole-node loss, the cluster's event — mean nothing
-                // to a single-node pipeline
-                _ => skipped += 1,
-            }
-            break;
-        }
-        let name = match pending.front() {
-            Some(TraceEvent::Admit { graph, .. }) => graph.name(),
-            Some(TraceEvent::Retire { app }) | Some(TraceEvent::Reweight { app, .. }) => app,
-            _ => break, // empty (faults were handled above)
-        };
-        if touched.contains(name) {
-            break; // dependency on this batch's own commit: cut here
-        }
-        // check:allow(hot-path-panic): the loop peeked Some at the front just above
-        match pending.pop_front().expect("front was Some") {
-            TraceEvent::Admit { graph, weight } => {
-                touched.insert(graph.name().to_owned());
-                events.push(Event::Admit(graph, weight));
-            }
-            TraceEvent::Retire { app } => match service.handle_of(&app) {
-                Some(id) => {
-                    touched.insert(app);
-                    events.push(Event::Retire(id));
-                }
-                None => skipped += 1,
-            },
-            TraceEvent::Reweight { app, weight } => match service.handle_of(&app) {
-                Some(id) => {
-                    touched.insert(app);
-                    events.push(Event::Reweight(id, weight));
-                }
-                None => skipped += 1,
-            },
-            // check:allow(hot-path-panic): is_fault events never reach the churn path
-            _ => unreachable!("fault events are handled as barriers above"),
-        }
-    }
-    skipped
-}
-
 fn planner_loop(
     mut service: Service,
     ring: &SpscRing<TraceEvent>,
@@ -266,7 +194,6 @@ fn planner_loop(
     let mut stats = PipelineStats::default();
     let mut pending: VecDeque<TraceEvent> = VecDeque::with_capacity(max_batch);
     let mut events: Vec<Event> = Vec::with_capacity(max_batch);
-    let mut touched: HashSet<String> = HashSet::with_capacity(max_batch);
     loop {
         while pending.len() < max_batch {
             match ring.try_pop() {
@@ -282,9 +209,10 @@ fn planner_loop(
             continue;
         }
 
-        events.clear();
         let occupancy = pending.len();
-        stats.skipped += build_batch(&service, &mut pending, max_batch, &mut events, &mut touched);
+        // unknown names are dropped and counted, never blocking the batch
+        let known = service.resolve_run(&mut pending, max_batch, &mut events);
+        stats.skipped += known.iter().filter(|&&k| !k).count() as u64;
         if events.is_empty() {
             continue;
         }
@@ -332,7 +260,7 @@ mod tests {
     use super::*;
     use crate::service::ServiceOptions;
     use cellstream_apps::{audio, cipher, dsp, video};
-    use cellstream_platform::CellSpec;
+    use cellstream_platform::{CellSpec, PeId};
     use cellstream_sim::online::{replay_concurrent, EventTrace};
 
     fn churn_trace() -> EventTrace {
@@ -431,22 +359,46 @@ mod tests {
             TraceEvent::Admit { graph: g.renamed("other"), weight: 1.0 },
         ]);
         let mut events = Vec::new();
-        let mut touched = HashSet::new();
 
         // batch 1: just the first admit — the retire names it
-        let skipped = build_batch(&svc, &mut pending, 16, &mut events, &mut touched);
-        assert_eq!(skipped, 0);
-        assert_eq!(events.len(), 1);
-        assert!(matches!(events[0], Event::Admit(..)));
+        let known = svc.resolve_run(&mut pending, 16, &mut events);
+        assert_eq!(known, [true]);
+        assert!(matches!(events[..], [Event::Admit(..)]));
         assert_eq!(pending.len(), 3);
 
         // the retire now resolves only once batch 1 committed; against
         // the still-idle service it is an unknown name and is dropped —
-        // batch 2 then cuts again between retire and re-admit
-        events.clear();
-        let skipped = build_batch(&svc, &mut pending, 16, &mut events, &mut touched);
-        assert_eq!(skipped, 1, "retire of a never-admitted name is dropped");
-        assert_eq!(events.len(), 2, "re-admit and the unrelated admit fuse");
+        // the re-admit and the unrelated admit then fuse
+        let known = svc.resolve_run(&mut pending, 16, &mut events);
+        assert_eq!(known, [false, true, true], "retire of a never-admitted name is dropped");
+        assert_eq!(events.len(), 2);
+        assert!(pending.is_empty());
+    }
+
+    #[test]
+    fn faults_resolve_alone_and_only_for_node_zero() {
+        let g = audio::graph().unwrap();
+        let mut svc = Service::new(CellSpec::ps3());
+        svc.admit(&g, 1.0).admitted().unwrap();
+        let mut pending: VecDeque<TraceEvent> = VecDeque::from([
+            TraceEvent::Reweight { app: g.name().into(), weight: 2.0 },
+            TraceEvent::PeFailed { node: 0, pe: PeId(2) },
+            TraceEvent::CostDrift { app: "ghost".into(), factor: 2.0 },
+            TraceEvent::NodeFailed { node: 0 },
+            TraceEvent::PeRestored { node: 3, pe: PeId(2) },
+        ]);
+        let mut events = Vec::new();
+        // the churn flushes first; each fault then travels alone
+        assert_eq!(svc.resolve_run(&mut pending, 16, &mut events), [true]);
+        assert!(matches!(events[..], [Event::Reweight(..)]));
+        assert_eq!(svc.resolve_run(&mut pending, 16, &mut events), [true]);
+        assert!(matches!(events[..], [Event::PeFailed(PeId(2))]));
+        // unknown names, whole-node loss and other nodes' impairments
+        // mean nothing to a single node
+        for _ in 0..3 {
+            assert_eq!(svc.resolve_run(&mut pending, 16, &mut events), [false]);
+            assert!(events.is_empty());
+        }
         assert!(pending.is_empty());
     }
 

@@ -1,21 +1,30 @@
 //! The event-driven serving loop. See the crate docs for the model.
+//!
+//! Every event — admit, retire, reweight, PE fault, cost drift — is
+//! "re-solve the mapping for a slightly different composed workload",
+//! so there is one path: events → canonical sort → **cut** into groups
+//! → **group step** (candidate workload → warm replan → commit rule →
+//! report). [`Service::process`] is that path for a burst of one.
 
-use cellstream_core::scheduler::{CancelToken, PlanContext};
 use cellstream_core::workload::AppReport;
-use cellstream_core::{evaluate_with, evaluate_workload_with, Availability, Mapping, MappingDelta};
+use cellstream_core::{evaluate_workload_with, Availability, Mapping, MappingDelta};
 use cellstream_graph::{AppId, StreamGraph, Workload};
 use cellstream_heuristics::repair::{carry_over_into, repair_with, RepairOptions};
-use cellstream_heuristics::{LocalSearchOptions, Portfolio};
+use cellstream_heuristics::LocalSearchOptions;
 use cellstream_platform::{CellSpec, PeId};
 use cellstream_sim::online::{EventOutcome, OnlineSystem, TraceEvent};
 use cellstream_telemetry::Snapshot;
+use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::background::Background;
 use crate::metrics::ServeMetrics;
+use crate::report::{
+    BatchReport, EventLabel, QueueBackoff, RecoveryReport, RejectReason, ServeError, ServeReport,
+    Verdict,
+};
 
 /// One workload-churn event. Applications are addressed by the **stable
 /// handle** [`Service::process`] returned at admission — handles never
@@ -58,353 +67,6 @@ impl Event {
     }
 }
 
-/// Allocation-free label of a processed event: a static kind plus the
-/// handle/weight operands, formatted on demand. The hot path used to
-/// build a `String` per event even when nobody printed it; this is the
-/// same information as plain copies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventLabel {
-    /// Event class: `"admit"`, `"retire"`, `"reweight"`,
-    /// `"pe failed"`, `"pe restored"`, `"cost drift"`,
-    /// `"background solve"`.
-    pub kind: &'static str,
-    /// The application handle, once known (admissions get theirs at
-    /// commit).
-    pub app: Option<AppId>,
-    /// The requested weight, for admits and reweights.
-    pub weight: Option<f64>,
-    /// The processing element, for PE fail/restore events.
-    pub pe: Option<PeId>,
-    /// The drift factor, for cost-drift events.
-    pub factor: Option<f64>,
-}
-
-impl EventLabel {
-    /// Label of an admission.
-    pub fn admit(weight: f64) -> Self {
-        EventLabel { kind: "admit", app: None, weight: Some(weight), pe: None, factor: None }
-    }
-
-    /// Label of a retirement.
-    pub fn retire(app: AppId) -> Self {
-        EventLabel { kind: "retire", app: Some(app), weight: None, pe: None, factor: None }
-    }
-
-    /// Label of a weight change.
-    pub fn reweight(app: AppId, weight: f64) -> Self {
-        EventLabel {
-            kind: "reweight",
-            app: Some(app),
-            weight: Some(weight),
-            pe: None,
-            factor: None,
-        }
-    }
-
-    /// Label of a PE failure.
-    pub fn pe_failed(pe: PeId) -> Self {
-        EventLabel { kind: "pe failed", app: None, weight: None, pe: Some(pe), factor: None }
-    }
-
-    /// Label of a PE restoration.
-    pub fn pe_restored(pe: PeId) -> Self {
-        EventLabel { kind: "pe restored", app: None, weight: None, pe: Some(pe), factor: None }
-    }
-
-    /// Label of a cost-drift correction.
-    pub fn cost_drift(app: AppId, factor: f64) -> Self {
-        EventLabel {
-            kind: "cost drift",
-            app: Some(app),
-            weight: None,
-            pe: None,
-            factor: Some(factor),
-        }
-    }
-
-    /// Label of a background-solve conclusion.
-    pub fn background() -> Self {
-        EventLabel { kind: "background solve", app: None, weight: None, pe: None, factor: None }
-    }
-
-    /// The same label with the handle filled in.
-    fn with_app(self, app: AppId) -> Self {
-        EventLabel { app: Some(app), ..self }
-    }
-}
-
-impl fmt::Display for EventLabel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.kind)?;
-        if let Some(app) = self.app {
-            write!(f, " {app}")?;
-        }
-        if let Some(pe) = self.pe {
-            write!(f, " {pe}")?;
-        }
-        if let Some(w) = self.weight {
-            write!(f, " w={w}")?;
-        }
-        if let Some(x) = self.factor {
-            write!(f, " x{x}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Why an admission (or a reweight) was refused.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RejectReason {
-    /// No feasible placement exists at all (defensive: the repair
-    /// planner can always fall back to the PPE, so this indicates a
-    /// platform without one).
-    Infeasible,
-    /// The requested weight was zero, negative or non-finite. Never
-    /// queued — it cannot succeed later.
-    InvalidWeight(f64),
-    /// The candidate plan would break this application's per-instance
-    /// period guarantee.
-    Guarantee {
-        /// The application whose guarantee would break (may be a
-        /// resident one, not the arriving one).
-        app: String,
-        /// Its per-instance period under the candidate plan (seconds).
-        period: f64,
-        /// The configured cap ([`ServiceOptions::max_period`]).
-        guarantee: f64,
-    },
-    /// A cost-drift factor was zero, negative or non-finite.
-    InvalidFactor(f64),
-    /// A queued admission exhausted its retry budget
-    /// ([`ServiceOptions::queue_max_attempts`]) and left the queue for
-    /// good — dropped visibly, never silently.
-    Expired {
-        /// The application that gave up waiting.
-        app: String,
-        /// Admission attempts made before expiring.
-        attempts: u32,
-    },
-}
-
-impl fmt::Display for RejectReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RejectReason::Infeasible => write!(f, "no feasible placement"),
-            RejectReason::InvalidWeight(w) => {
-                write!(f, "weight must be positive finite, got {w}")
-            }
-            RejectReason::Guarantee { app, period, guarantee } => write!(
-                f,
-                "'{app}' would run at {:.3} us > guaranteed {:.3} us",
-                period * 1e6,
-                guarantee * 1e6
-            ),
-            RejectReason::InvalidFactor(x) => {
-                write!(f, "drift factor must be positive finite, got {x}")
-            }
-            RejectReason::Expired { app, attempts } => {
-                write!(f, "'{app}' expired from the admission queue after {attempts} attempts")
-            }
-        }
-    }
-}
-
-/// What happened to one event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
-    /// Admission succeeded; the handle addresses the application from
-    /// now on.
-    Admitted(AppId),
-    /// Admission control refused the application and
-    /// [`ServiceOptions::queue_rejected`] parked it for retry when
-    /// capacity frees up.
-    Queued,
-    /// Admission control (or a guarantee-breaking reweight) refused.
-    Rejected(RejectReason),
-    /// A retire/reweight took effect.
-    Applied,
-    /// A background portfolio plan was adopted
-    /// ([`Service::poll_background`]).
-    Adopted,
-    /// A background solve concluded without beating the incumbent (or
-    /// arrived stale) and was discarded.
-    NoChange,
-}
-
-/// Errors from [`Service::process`]: malformed events, not admission
-/// outcomes (a refused admission is a [`Verdict`], not an error).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeError {
-    /// No live application has this handle.
-    UnknownApp(AppId),
-    /// A PE fail/restore named a PE that cannot be failed: out of range,
-    /// or the PPE — the serving loop itself runs there, so a dead PPE
-    /// means a dead node (the cluster layer's event, not this one).
-    InvalidPe(PeId),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::UnknownApp(id) => write!(f, "no live application with handle {id}"),
-            ServeError::InvalidPe(pe) => {
-                write!(f, "{pe} cannot fail or be restored (out of range, or the control PPE)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-/// Per-event report: what the service did and what it cost.
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// Label of the processed event.
-    pub event: EventLabel,
-    /// The outcome.
-    pub verdict: Verdict,
-    /// Wall-clock replanning latency (compose + repair + checks).
-    pub replan: Duration,
-    /// What changed between the previous and the new incumbent mapping
-    /// (empty when nothing was adopted).
-    pub delta: MappingDelta,
-    /// Composed round period after the event (`+∞` while idle).
-    pub period: f64,
-    /// Per-application reports after the event (guarantee `w/T`,
-    /// fair-share prediction, isolated bound — see
-    /// [`cellstream_core::workload::AppReport`]).
-    pub per_app: Vec<AppReport>,
-    /// `true` if a finished background solve was adopted while handling
-    /// this event (before the event's own replanning).
-    pub background_adopted: bool,
-    /// The adoption's own task moves when `background_adopted` — the
-    /// EIB traffic of switching to the background plan, separate from
-    /// [`delta`](Self::delta) (which diffs against the already-adopted
-    /// incumbent). Empty otherwise.
-    pub background_delta: MappingDelta,
-    /// Reports of queued admissions that entered service because this
-    /// event freed capacity.
-    pub drained: Vec<ServeReport>,
-    /// Recovery metrics when this event was a fault (PE fail/restore,
-    /// cost drift); `None` for ordinary churn events.
-    pub recovery: Option<RecoveryReport>,
-    /// Retry-queue depth after this event (drains included).
-    pub queue_depth: usize,
-    /// Per-application backoff state of everything still parked in the
-    /// retry queue after this event, in FIFO order.
-    pub queue_backoff: Vec<QueueBackoff>,
-}
-
-/// One parked admission's retry bookkeeping, itemised in
-/// [`ServeReport::queue_backoff`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueueBackoff {
-    /// The queued application's name.
-    pub app: String,
-    /// Failed admission attempts so far.
-    pub attempts: u32,
-    /// Drain passes the entry still sits out (exponential backoff,
-    /// `2^attempts` capped at 64).
-    pub cooldown: u32,
-}
-
-/// What recovering from one fault event cost.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecoveryReport {
-    /// Seats the fault stranded on the failed PE — every one was
-    /// evacuated by the recovery replan (or shed with its application).
-    pub evacuated_seats: usize,
-    /// EIB bytes the recovery replan moved (§4.2 migration cost of the
-    /// whole recovery delta, including rebalancing ripple moves).
-    pub migration_bytes: f64,
-    /// Applications shed into the retry queue — lowest weight first —
-    /// because the post-fault platform could not carry everyone within
-    /// feasibility and guarantees. Never silently dropped: shed apps
-    /// retry on every capacity change until admitted or expired.
-    pub shed: Vec<String>,
-}
-
-impl ServeReport {
-    /// The assigned handle when this event admitted an application.
-    pub fn admitted(&self) -> Option<AppId> {
-        match self.verdict {
-            Verdict::Admitted(id) => Some(id),
-            _ => None,
-        }
-    }
-
-    /// `true` when the event changed the served workload.
-    pub fn applied(&self) -> bool {
-        matches!(self.verdict, Verdict::Admitted(_) | Verdict::Applied | Verdict::Adopted)
-    }
-
-    /// Migration traffic this event's replan pushes over the EIB (bytes;
-    /// includes a background adoption folded into this event and any
-    /// drained queue admissions).
-    pub fn migration_bytes(&self) -> f64 {
-        self.delta.migration_bytes
-            + self.background_delta.migration_bytes
-            + self.drained.iter().map(ServeReport::migration_bytes).sum::<f64>()
-    }
-
-    /// Seconds the migration traffic occupies the EIB.
-    pub fn migration_time(&self, spec: &CellSpec) -> f64 {
-        self.delta.migration_time(spec)
-            + self.background_delta.migration_time(spec)
-            + self.drained.iter().map(|r| r.migration_time(spec)).sum::<f64>()
-    }
-}
-
-/// What one batched burst did: per-event verdicts plus one fused
-/// replan covering the whole burst — see [`Service::process_batch`].
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Per-event labels and verdicts, in the canonical
-    /// retire → reweight → admit application order.
-    pub events: Vec<(EventLabel, Verdict)>,
-    /// Wall-clock latency of the whole burst (one compose + one replan).
-    pub replan: Duration,
-    /// Seat changes between the pre-burst and post-burst incumbents.
-    pub delta: MappingDelta,
-    /// Composed round period after the burst (`+∞` when it emptied the
-    /// service).
-    pub period: f64,
-    /// Per-application reports after the burst (empty when
-    /// [`ServiceOptions::per_app_reports`] is off).
-    pub per_app: Vec<AppReport>,
-    /// `true` if a finished background solve was adopted on entry.
-    pub background_adopted: bool,
-    /// The adoption's own moves (see [`ServeReport::background_delta`]).
-    pub background_delta: MappingDelta,
-    /// Queued admissions drained because the burst freed capacity.
-    pub drained: Vec<ServeReport>,
-}
-
-impl BatchReport {
-    /// Handles assigned by this burst's admissions, in admission order.
-    pub fn admitted(&self) -> impl Iterator<Item = AppId> + '_ {
-        self.events.iter().filter_map(|(_, v)| match v {
-            Verdict::Admitted(id) => Some(*id),
-            _ => None,
-        })
-    }
-
-    /// Number of events that changed the served workload.
-    pub fn applied(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|(_, v)| matches!(v, Verdict::Admitted(_) | Verdict::Applied))
-            .count()
-    }
-
-    /// Migration traffic of the burst (bytes over the EIB).
-    pub fn migration_bytes(&self) -> f64 {
-        self.delta.migration_bytes
-            + self.background_delta.migration_bytes
-            + self.drained.iter().map(ServeReport::migration_bytes).sum::<f64>()
-    }
-}
-
 /// Tunables of one [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
@@ -442,12 +104,6 @@ pub struct ServiceOptions {
     /// migration_time`. Defaults to 10⁶ rounds (a streaming pipeline
     /// runs many millions).
     pub migration_horizon: f64,
-    /// Threads for parallel seat probing inside the repair replanner
-    /// (see [`RepairOptions`]). 1 (default) probes sequentially; more
-    /// fan the candidate-seat scan of large deltas out across this many
-    /// OS threads with a deterministic fold, so the batched admit path
-    /// replans faster without changing its answer.
-    pub probe_threads: usize,
     /// Attach per-application reports to every [`ServeReport`]
     /// (default). Off, reports carry an empty `per_app` and the hot
     /// path skips a full workload evaluation per event — query
@@ -468,7 +124,6 @@ impl Default for ServiceOptions {
             queue_max_attempts: 8,
             background: None,
             migration_horizon: 1e6,
-            probe_threads: 1,
             per_app_reports: true,
             telemetry: true,
         }
@@ -476,10 +131,10 @@ impl Default for ServiceOptions {
 }
 
 /// The live state: what is currently being served.
-struct Live {
-    workload: Workload,
-    mapping: Mapping,
-    period: f64,
+pub(crate) struct Live {
+    pub(crate) workload: Workload,
+    pub(crate) mapping: Mapping,
+    pub(crate) period: f64,
 }
 
 /// A queued (admission-refused or fault-shed) application awaiting
@@ -493,33 +148,26 @@ struct Queued {
     cooldown: u32,
 }
 
-/// An in-flight background portfolio solve.
-struct Background {
-    cancel: CancelToken,
-    version: u64,
-    handle: JoinHandle<Option<(Mapping, f64)>>,
-}
-
 /// The online serving loop. See the crate docs.
 pub struct Service {
-    spec: CellSpec,
-    opts: ServiceOptions,
-    live: Option<Live>,
+    pub(crate) spec: CellSpec,
+    pub(crate) opts: ServiceOptions,
+    pub(crate) live: Option<Live>,
     /// Stable handle of each live application, parallel to the
     /// workload's positional app list.
     handles: Vec<AppId>,
     next_handle: usize,
     /// Bumped on every workload change; stale background results are
     /// discarded by comparing against it.
-    version: u64,
+    pub(crate) version: u64,
     queue: VecDeque<Queued>,
-    background: Option<Background>,
-    /// Delta of the most recent background adoption, surfaced by
-    /// [`Service::poll_background`].
-    last_adoption_delta: MappingDelta,
+    pub(crate) background: Option<Background>,
+    /// Seat changes of a background adoption no report has surfaced
+    /// yet; the next report takes them.
+    pub(crate) adoption_delta: Option<MappingDelta>,
     /// Live per-PE health, mirrored into `repair_opts.avail` so every
     /// replan plans against real capacity ([`Service::fail_pe`]).
-    avail: Availability,
+    pub(crate) avail: Availability,
     /// Replanner configuration derived from `opts` once at construction.
     repair_opts: RepairOptions,
     /// Reusable carry-over scratch — one seat per task, cleared and
@@ -535,6 +183,34 @@ pub struct Service {
     metrics: Arc<ServeMetrics>,
 }
 
+/// One event's label and verdict, as a burst reports it.
+type Outcome = (EventLabel, Verdict);
+
+/// Canonical application order within a burst: faults report reality,
+/// which precedes requests; then the order that frees capacity before
+/// asking for more.
+fn rank(ev: &Event) -> u8 {
+    match ev {
+        Event::PeFailed(_) | Event::PeRestored(_) | Event::CostDrift(..) => 0,
+        Event::Retire(_) => 1,
+        Event::Reweight(..) => 2,
+        Event::Admit(..) => 3,
+    }
+}
+
+/// Seat changes from one incumbent to the next; either side may be idle.
+fn delta_between(prev: Option<&Live>, next: Option<&Live>) -> MappingDelta {
+    let names = |l: &Live| l.workload.graph().tasks().iter().map(|t| t.name.clone()).collect();
+    match (prev, next) {
+        (Some(p), Some(n)) => {
+            MappingDelta::between(p.workload.graph(), &p.mapping, n.workload.graph(), &n.mapping)
+        }
+        (Some(p), None) => MappingDelta { dropped: names(p), ..MappingDelta::default() },
+        (None, Some(n)) => MappingDelta { placed: names(n), ..MappingDelta::default() },
+        (None, None) => MappingDelta::default(),
+    }
+}
+
 impl Service {
     /// A service on the given platform with default options.
     pub fn new(spec: CellSpec) -> Self {
@@ -544,11 +220,7 @@ impl Service {
     /// A service with explicit options.
     pub fn with_options(spec: CellSpec, opts: ServiceOptions) -> Self {
         assert!(spec.n_ppe() >= 1, "the serving loop needs a PPE to evict to");
-        let repair_opts = RepairOptions {
-            refine: opts.repair.clone(),
-            probe_threads: opts.probe_threads.max(1),
-            ..RepairOptions::default()
-        };
+        let repair_opts = RepairOptions { refine: opts.repair.clone(), avail: None };
         let avail = Availability::full(&spec);
         let metrics = Arc::new(ServeMetrics::new(opts.telemetry));
         Service {
@@ -560,7 +232,7 @@ impl Service {
             version: 0,
             queue: VecDeque::new(),
             background: None,
-            last_adoption_delta: MappingDelta::default(),
+            adoption_delta: None,
             avail,
             repair_opts,
             scratch_partial: Vec::new(),
@@ -716,9 +388,14 @@ impl Service {
 
     /// Stamp the retry-queue view onto a finished report (its
     /// `queue_depth` / `queue_backoff` fields) and hand it to the
-    /// metric cells: every public per-event operation returns through
-    /// here, so telemetry sees exactly one entry per event.
-    fn finish(&self, mut r: ServeReport) -> ServeReport {
+    /// metric cells with the verdicts of the events it covers: every
+    /// group step and background poll returns through here, so
+    /// telemetry sees each event exactly once.
+    pub(crate) fn finish<'a>(
+        &self,
+        mut r: ServeReport,
+        verdicts: impl Iterator<Item = &'a Verdict>,
+    ) -> ServeReport {
         r.queue_depth = self.queue.len();
         r.queue_backoff = self
             .queue
@@ -729,8 +406,35 @@ impl Service {
                 cooldown: q.cooldown,
             })
             .collect();
-        self.metrics.note_report(&r, self.shed_out.len());
+        self.metrics.note_report(&r, verdicts, self.shed_out.len());
         r
+    }
+
+    /// The one report constructor: `headline` and what the step changed,
+    /// over the state it left behind.
+    pub(crate) fn report(
+        &self,
+        (event, verdict): Outcome,
+        started: Instant,
+        delta: MappingDelta,
+        recovery: Option<RecoveryReport>,
+    ) -> ServeReport {
+        let mut per_app = Vec::new();
+        self.current_per_app_into(&mut per_app);
+        ServeReport {
+            event,
+            verdict,
+            replan: started.elapsed(),
+            delta,
+            period: self.period(),
+            per_app,
+            background_adopted: false,
+            background_delta: MappingDelta::default(),
+            drained: Vec::new(),
+            recovery,
+            queue_depth: 0,
+            queue_backoff: Vec::new(),
+        }
     }
 
     /// Per-application reports of the incumbent (empty while idle).
@@ -754,63 +458,80 @@ impl Service {
         }
     }
 
-    /// Process one event. Refused admissions come back as
+    /// Process one event: [`process_batch`](Self::process_batch) for a
+    /// burst of one, reported in full. Refused admissions come back as
     /// [`Verdict::Rejected`]/[`Verdict::Queued`] reports; only malformed
-    /// events (unknown handles) are errors.
+    /// events (unknown handles, unfailable PEs) are errors.
     pub fn process(&mut self, ev: Event) -> Result<ServeReport, ServeError> {
-        let res = match ev {
-            Event::Admit(g, w) => Ok(self.admit(&g, w)),
-            Event::Retire(id) => self.retire(id),
-            Event::Reweight(id, w) => self.reweight(id, w),
-            Event::PeFailed(pe) => self.fail_pe(pe),
-            Event::PeRestored(pe) => self.restore_pe(pe),
-            Event::CostDrift(id, f) => self.cost_drift(id, f),
-        };
-        #[cfg(feature = "debug_invariants")]
-        self.check_invariants("process");
-        res
+        let (mut reports, _) = self.run(std::slice::from_ref(&ev))?;
+        Ok(reports.pop().expect("one event is one group")) // check:allow(hot-path-panic): a burst of one always cuts into exactly one group
     }
 
-    /// Process a burst of events as **one replan**. Events apply in
-    /// canonical *retire → reweight → admit* order (stable within each
-    /// class) — the order that frees capacity before asking for more —
-    /// and the final state matches processing them one at a time in
-    /// that order: same composed workload, and the repair planner sees
-    /// the same retained seats either way, because new tasks always
-    /// start unseated and surviving tasks keep their current seat. The
-    /// burst pays one workload recomposition, one carry-over and one
-    /// repair instead of one of each per event; that fusion is the
-    /// serving hot path's throughput.
+    /// Process a burst of events. The burst is validated upfront against
+    /// its canonical order — an unknown handle (including a reweight of
+    /// a handle the same burst retires) or an unfailable PE fails the
+    /// whole burst before anything applies — then sorted *faults →
+    /// retires → reweights → admits* (stable within each class: reality
+    /// precedes requests, and capacity is freed before more is asked
+    /// for) and **cut** into groups, each of which is one replan:
     ///
-    /// With a per-instance guarantee configured
-    /// ([`ServiceOptions::max_period`]), admission control needs a
-    /// candidate replan per admission to refuse selectively, so the
-    /// burst degrades to sequential processing — same canonical order,
-    /// same outcome, no fusion speedup.
+    /// * a fault ([`Event::PeFailed`] / [`Event::PeRestored`] /
+    ///   [`Event::CostDrift`]) is a group of its own — recovery can shed
+    ///   applications, which does not fuse;
+    /// * with a per-instance guarantee configured
+    ///   ([`ServiceOptions::max_period`]) every event is a group of its
+    ///   own — admission control needs a candidate replan per request
+    ///   to refuse selectively;
+    /// * everything else is **one** group: one workload recomposition,
+    ///   one carry-over and one repair for the whole burst instead of
+    ///   one of each per event — that fusion is the serving hot path's
+    ///   throughput. Should the fused candidate be infeasible, the
+    ///   group is re-run one event at a time so the refusal lands on
+    ///   the request that caused it.
     ///
-    /// Handles are validated upfront against the canonical order before
-    /// anything applies: an unknown handle — including a reweight of a
-    /// handle the same burst retires, which the canonical order
-    /// resolves as retire-first — fails the whole burst with
-    /// [`ServeError::UnknownApp`].
-    ///
-    /// Fault events ([`Event::PeFailed`] / [`Event::PeRestored`] /
-    /// [`Event::CostDrift`]) rank *first* — they report reality, which
-    /// precedes requests — and force the sequential path: recovery can
-    /// shed applications mid-burst, which does not fuse.
+    /// The final application set matches processing the events one at a
+    /// time in canonical order. Per-event verdicts come back in
+    /// **request order**; an event whose handle a fault earlier in the
+    /// same burst shed is reported [`Verdict::NoChange`].
     pub fn process_batch(&mut self, events: &[Event]) -> Result<BatchReport, ServeError> {
-        // canonical application order: faults, retires, reweights, admits
-        let rank = |ev: &Event| match ev {
-            Event::PeFailed(_) | Event::PeRestored(_) | Event::CostDrift(..) => 0u8,
-            Event::Retire(_) => 1,
-            Event::Reweight(..) => 2,
-            Event::Admit(..) => 3,
+        let started = Instant::now();
+        let (reports, outcomes) = self.run(events)?;
+        let mut batch = BatchReport {
+            events: outcomes,
+            replan: started.elapsed(),
+            delta: MappingDelta::default(),
+            period: self.period(),
+            per_app: Vec::new(),
+            background_adopted: false,
+            background_delta: MappingDelta::default(),
+            drained: Vec::new(),
         };
+        if reports.is_empty() {
+            self.current_per_app_into(&mut batch.per_app);
+        }
+        for mut r in reports {
+            batch.delta.moved.append(&mut r.delta.moved);
+            batch.delta.placed.append(&mut r.delta.placed);
+            batch.delta.dropped.append(&mut r.delta.dropped);
+            batch.delta.migration_bytes += r.delta.migration_bytes;
+            if r.background_adopted {
+                batch.background_adopted = true;
+                batch.background_delta = r.background_delta;
+            }
+            batch.drained.append(&mut r.drained);
+            batch.per_app = r.per_app; // the last group's describes the final state
+        }
+        self.metrics.note_batch(events.len());
+        Ok(batch)
+    }
+
+    /// Validate, sort, cut and run a burst: one report per group, plus
+    /// every event's label and verdict in request order.
+    fn run(&mut self, events: &[Event]) -> Result<(Vec<ServeReport>, Vec<Outcome>), ServeError> {
         let mut order: Vec<usize> = (0..events.len()).collect();
         order.sort_by_key(|&i| rank(&events[i]));
 
         // upfront validation: the whole burst applies or none of it does
-        let mut faults = false;
         let mut sim = self.handles.clone();
         for &i in &order {
             match &events[i] {
@@ -819,252 +540,330 @@ impl Service {
                         sim.iter().position(|h| h == id).ok_or(ServeError::UnknownApp(*id))?;
                     sim.remove(pos);
                 }
-                Event::Reweight(id, _) => {
+                Event::Reweight(id, _) | Event::CostDrift(id, _) => {
                     if !sim.contains(id) {
                         return Err(ServeError::UnknownApp(*id));
                     }
                 }
                 Event::Admit(..) => {}
-                Event::PeFailed(pe) => {
-                    if pe.index() >= self.spec.n_pes() || !self.spec.is_spe(*pe) {
+                // the serving loop itself runs on the PPE: a dead PPE is
+                // a dead node, the cluster layer's event
+                Event::PeFailed(pe) | Event::PeRestored(pe) => {
+                    let fails = matches!(events[i], Event::PeFailed(_));
+                    if pe.index() >= self.spec.n_pes() || (fails && !self.spec.is_spe(*pe)) {
                         return Err(ServeError::InvalidPe(*pe));
                     }
-                    faults = true;
-                }
-                Event::PeRestored(pe) => {
-                    if pe.index() >= self.spec.n_pes() {
-                        return Err(ServeError::InvalidPe(*pe));
-                    }
-                    faults = true;
-                }
-                Event::CostDrift(id, _) => {
-                    if !sim.contains(id) {
-                        return Err(ServeError::UnknownApp(*id));
-                    }
-                    faults = true;
                 }
             }
         }
 
-        if self.opts.max_period.is_some() || faults {
-            return self.process_batch_sequential(events, &order);
+        let mut outcomes: Vec<Outcome> =
+            events.iter().map(|ev| (ev.label(), Verdict::NoChange)).collect();
+        let mut reports = Vec::new();
+        // a new event cancels the improver; whatever it adopted on the
+        // way out rides on the first group's report
+        let _ = self.reap_background(true);
+        // the cut rule (faults sort first, so what follows the last
+        // of them is all requests)
+        let selective = self.opts.max_period.is_some();
+        let mut rest = order.as_slice();
+        while let Some(&first) = rest.first() {
+            let n = match selective || rank(&events[first]) == 0 {
+                true => 1,
+                false => rest.len(),
+            };
+            let (group, tail) = rest.split_at(n);
+            rest = tail;
+            self.step(events, group, &mut outcomes, &mut reports);
         }
+        // respawn even after a refusal: the (unchanged) workload still
+        // deserves its improver
+        self.spawn_background();
+        Ok((reports, outcomes))
+    }
 
-        let adopted = self.interrupt_background();
+    /// One group, start to finish: the replan, the retry-queue drain if
+    /// the group may have freed capacity, the metrics. A fused group
+    /// the platform cannot carry is re-run one event at a time.
+    fn step(
+        &mut self,
+        events: &[Event],
+        group: &[usize],
+        outcomes: &mut [Outcome],
+        reports: &mut Vec<ServeReport>,
+    ) {
+        let may_queue = self.opts.queue_rejected;
+        let Some(mut report) = self.replan_group(events, group, outcomes, may_queue) else {
+            for i in group {
+                self.step(events, std::slice::from_ref(i), outcomes, reports);
+            }
+            return;
+        };
+        if let Some(delta) = self.adoption_delta.take() {
+            report.background_adopted = true;
+            report.background_delta = delta;
+        }
+        // restored capacity and applied retires/reweights are exactly
+        // what parked admissions wait for
+        let freed = group.iter().any(|&i| {
+            matches!(
+                (&events[i], &outcomes[i].1),
+                (Event::Retire(_) | Event::Reweight(..), Verdict::Applied)
+                    | (Event::PeRestored(_), _)
+            )
+        });
+        if freed {
+            self.drain_queue_into(&mut report.drained);
+            if !report.drained.is_empty() {
+                // the report describes the *post-event* state, drained
+                // admissions included
+                report.period = self.period();
+                self.current_per_app_into(&mut report.per_app);
+            }
+        }
+        reports.push(self.finish(report, group.iter().map(|&i| &outcomes[i].1)));
+        #[cfg(feature = "debug_invariants")]
+        self.check_invariants("group step");
+    }
+
+    /// The one replan path. Compose the group's candidate workload
+    /// through one mutation guard, replan it warm from the incumbent,
+    /// and apply the commit rule: a *request* the platform cannot carry
+    /// within feasibility and guarantees is **refused** (the incumbent
+    /// stands; an admission parks in the retry queue when `may_queue`),
+    /// a *fault* it cannot carry **sheds** lowest-weight applications
+    /// until the survivors fit — reality cannot be refused. Verdicts
+    /// land in `outcomes` at the events' request slots.
+    ///
+    /// `None` only for a fused group (more than one event) whose
+    /// candidate was refused: nothing was touched, and the caller
+    /// re-runs the events one by one.
+    fn replan_group(
+        &mut self,
+        events: &[Event],
+        group: &[usize],
+        outcomes: &mut [Outcome],
+        may_queue: bool,
+    ) -> Option<ServeReport> {
         let started = Instant::now();
         let prev = self.live.take();
-        let mut handles = std::mem::take(&mut self.handles);
         let mut work = prev.as_ref().map(|l| l.workload.clone());
+        let mut handles = self.handles.clone();
         let mut next = self.next_handle;
-        let mut outcomes: Vec<(EventLabel, Verdict)> = Vec::with_capacity(events.len());
-        let mut applied = 0usize;
+        let mut recovery = None;
+        // events that took effect, and whether one of them can be refused
+        let (mut applied, mut refusable) = (0usize, false);
+        let index_of = |handles: &[AppId], id: &AppId| handles.iter().position(|h| h == id);
 
-        match work.as_mut() {
-            Some(w) => {
-                // one mutation guard over the whole burst: the composed
-                // graph is rebuilt once, at commit
-                let mut b = w.batch();
-                for &i in &order {
-                    match &events[i] {
-                        Event::Retire(id) => {
-                            let pos =
-                                handles.iter().position(|h| h == id).expect("validated upfront"); // check:allow(hot-path-panic): handle membership validated before the batch formed
-                            b.retire(AppId(pos)).expect("position in range"); // check:allow(hot-path-panic): position comes from the handle table just searched
-                            handles.remove(pos);
-                            outcomes.push((EventLabel::retire(*id), Verdict::Applied));
-                            applied += 1;
-                        }
-                        Event::Reweight(id, weight) => {
-                            if !(weight.is_finite() && *weight > 0.0) {
-                                outcomes.push((
-                                    EventLabel::reweight(*id, *weight),
-                                    Verdict::Rejected(RejectReason::InvalidWeight(*weight)),
-                                ));
-                                continue;
+        // reality first. A fault is alone in its group; it changes the
+        // platform or the declared costs, never the application set
+        if let [i] = *group {
+            match events[i] {
+                // idempotent on an already-dead PE
+                Event::PeFailed(pe) => {
+                    let mut rec = RecoveryReport::default();
+                    if !self.avail.is_dead(pe) {
+                        rec.evacuated_seats = prev.as_ref().map_or(0, |l| l.mapping.count_on(pe));
+                        self.avail.fail(pe);
+                        self.sync_avail();
+                        applied = 1;
+                    }
+                    recovery = Some(rec);
+                    outcomes[i].1 = Verdict::Applied;
+                }
+                // idempotent on a healthy PE (the queue is still retried)
+                Event::PeRestored(pe) => {
+                    if self.avail.factor(pe) != 1.0 {
+                        self.avail.restore(pe);
+                        self.sync_avail();
+                        applied = 1;
+                    }
+                    recovery = Some(RecoveryReport::default());
+                    outcomes[i].1 = Verdict::Applied;
+                }
+                // the correction sticks across every later recomposition;
+                // a handle shed earlier in the same burst is a no-op
+                Event::CostDrift(id, factor) => {
+                    if let (Some(pos), Some(w)) = (index_of(&handles, &id), work.as_mut()) {
+                        outcomes[i].1 = match w.rescale_costs(AppId(pos), factor) {
+                            Ok(()) => {
+                                applied = 1;
+                                recovery = Some(RecoveryReport::default());
+                                Verdict::Applied
                             }
-                            let pos =
-                                handles.iter().position(|h| h == id).expect("validated upfront"); // check:allow(hot-path-panic): handle membership validated before the batch formed
-                            b.reweight(AppId(pos), *weight).expect("weight pre-validated"); // check:allow(hot-path-panic): weight was validated at submission
-                            outcomes.push((EventLabel::reweight(*id, *weight), Verdict::Applied));
-                            applied += 1;
+                            Err(_) => Verdict::Rejected(RejectReason::InvalidFactor(factor)),
+                        };
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        // requests: the whole group through one mutation guard, which
+        // recomposes the candidate once as it drops (an idle service
+        // collects its admissions in a builder — a workload is never
+        // empty)
+        let mut seed = Workload::builder("served");
+        let mut batch = work.as_mut().map(Workload::batch);
+        for &i in group {
+            let verdict = match &events[i] {
+                Event::Retire(id) => match (index_of(&handles, id), batch.as_mut()) {
+                    (Some(pos), Some(b)) => {
+                        b.retire(AppId(pos)).expect("handles parallel the sources"); // check:allow(hot-path-panic): the position comes from the handle table, parallel to the source list
+                        handles.remove(pos);
+                        Verdict::Applied
+                    }
+                    _ => Verdict::NoChange,
+                },
+                Event::Reweight(id, weight) => match (index_of(&handles, id), batch.as_mut()) {
+                    (Some(pos), Some(b)) => match b.reweight(AppId(pos), *weight) {
+                        Ok(()) => {
+                            refusable = true;
+                            Verdict::Applied
                         }
-                        Event::Admit(g, weight) => {
-                            if !(weight.is_finite() && *weight > 0.0) {
-                                outcomes.push((
-                                    EventLabel::admit(*weight),
-                                    Verdict::Rejected(RejectReason::InvalidWeight(*weight)),
-                                ));
-                                continue;
-                            }
-                            // unique name: a second "video" becomes
-                            // "video#<handle>"
-                            let unique = match b.contains(g.name()) {
-                                true => g.renamed(format!("{}#{next}", g.name())),
-                                false => g.clone(),
-                            };
-                            b.add(&unique, *weight).expect("weight validated, name uniquified"); // check:allow(hot-path-panic): weight validated and the name uniquified at admission
+                        Err(_) => Verdict::Rejected(RejectReason::InvalidWeight(*weight)),
+                    },
+                    _ => Verdict::NoChange,
+                },
+                Event::Admit(g, weight) => {
+                    // unique name: a second "video" becomes
+                    // "video#<handle>"
+                    let taken = match &batch {
+                        Some(b) => b.contains(g.name()),
+                        None => seed.contains(g.name()),
+                    };
+                    let unique = match taken {
+                        true => Cow::Owned(g.renamed(format!("{}#{next}", g.name()))),
+                        false => Cow::Borrowed(g),
+                    };
+                    let added = match batch.as_mut() {
+                        Some(b) => b.add(&unique, *weight),
+                        None => seed.push(&unique, *weight),
+                    };
+                    // the name is fresh, so a refusal is the weight's:
+                    // malformed, not capacity-bound — never queued
+                    match added {
+                        Ok(_) => {
                             let handle = AppId(next);
                             next += 1;
                             handles.push(handle);
-                            outcomes.push((
-                                EventLabel::admit(*weight).with_app(handle),
-                                Verdict::Admitted(handle),
-                            ));
-                            applied += 1;
+                            refusable = true;
+                            outcomes[i].0 = outcomes[i].0.with_app(handle);
+                            Verdict::Admitted(handle)
                         }
-                        Event::PeFailed(_) | Event::PeRestored(_) | Event::CostDrift(..) => {
-                            unreachable!("fault events take the sequential path")
-                        }
+                        Err(_) => Verdict::Rejected(RejectReason::InvalidWeight(*weight)),
                     }
                 }
-                // the burst's one recomposition; an emptied workload is
-                // dropped below (handles decide)
-                if b.n_apps() > 0 {
-                    b.commit().expect("non-empty batches recompose"); // check:allow(hot-path-panic): a non-empty batch always recomposes
-                }
-            }
-            None => {
-                // idle service: validation left only admits in the burst
-                let mut b = Workload::builder("served");
-                for &i in &order {
-                    let Event::Admit(g, weight) = &events[i] else {
-                        unreachable!("an idle service has no handles to retire or reweight")
-                    };
-                    if !(weight.is_finite() && *weight > 0.0) {
-                        outcomes.push((
-                            EventLabel::admit(*weight),
-                            Verdict::Rejected(RejectReason::InvalidWeight(*weight)),
-                        ));
-                        continue;
-                    }
-                    let unique = match b.contains(g.name()) {
-                        true => g.renamed(format!("{}#{next}", g.name())),
-                        false => g.clone(),
-                    };
-                    b.push(&unique, *weight).expect("weight validated, name uniquified"); // check:allow(hot-path-panic): weight validated and the name uniquified at admission
-                    let handle = AppId(next);
-                    next += 1;
-                    handles.push(handle);
-                    outcomes.push((
-                        EventLabel::admit(*weight).with_app(handle),
-                        Verdict::Admitted(handle),
-                    ));
-                    applied += 1;
-                }
-                if applied > 0 {
-                    // check:allow(hot-path-panic): each admitted workload was validated on entry
-                    work = Some(b.build().expect("admitted workloads compose"));
-                }
-            }
+                _ => continue, // the fault above
+            };
+            applied += usize::from(matches!(verdict, Verdict::Applied | Verdict::Admitted(_)));
+            outcomes[i].1 = verdict;
         }
-        let work = match handles.is_empty() {
-            true => None, // the burst emptied (or never populated) the service
-            false => work,
+        drop(batch);
+        let headline = |outcomes: &[Outcome]| match *group {
+            [i] => outcomes[i].clone(),
+            _ => (EventLabel::batch(), Verdict::Applied),
         };
 
-        // the burst's one replan (skipped when nothing applied or the
-        // burst emptied the service)
-        let mut report = match work {
-            Some(workload) if applied > 0 => {
-                let (mapping, period) = match prev.as_ref() {
-                    Some(p) => self.replan(p.workload.graph(), &p.mapping, workload.graph()),
-                    None => {
-                        let mut partial = std::mem::take(&mut self.scratch_partial);
-                        partial.clear();
-                        partial.resize(workload.graph().n_tasks(), None);
-                        let out =
-                            repair_with(workload.graph(), &self.spec, &partial, &self.repair_opts);
-                        self.scratch_partial = partial;
-                        out
+        if applied == 0 {
+            // nothing to replan: the incumbent stands
+            self.live = prev;
+            return Some(self.report(
+                headline(outcomes),
+                started,
+                MappingDelta::default(),
+                recovery,
+            ));
+        }
+        if work.is_none() && !handles.is_empty() {
+            // check:allow(hot-path-panic): every handle here is an admission the builder accepted
+            work = Some(seed.build().expect("admitted workloads compose"));
+        }
+
+        // the group's one replan (skipped when it emptied the service)
+        let mut next_live = None;
+        if let Some(mut workload) = work.filter(|_| !handles.is_empty()) {
+            let from = prev.as_ref().map(|l| (l.workload.graph(), &l.mapping));
+            let (mut mapping, mut period) = self.replan(from, workload.graph());
+            let broken = |svc: &Service, w: &Workload, period: f64| match period.is_finite() {
+                // repair evicts until the §3.2 constraints hold, so an
+                // infinite period means no PPE fallback existed
+                false => Some(RejectReason::Infeasible),
+                true => svc.guarantee_violation(w, period),
+            };
+            if let Some(rec) = recovery.as_mut() {
+                // shed: graceful degradation instead of serving a
+                // §3.2-violating plan
+                while broken(self, &workload, period).is_some() {
+                    let idx = workload
+                        .apps()
+                        .iter()
+                        .enumerate()
+                        .min_by(|a, b| a.1.weight.total_cmp(&b.1.weight))
+                        .map(|(i, _)| i)
+                        .expect("a live workload has applications"); // check:allow(hot-path-panic): live workloads are non-empty by construction
+                    let weight = workload.apps()[idx].weight;
+                    // the *unscaled* source graph (drift corrections
+                    // included): what re-admission at the same weight
+                    // wants
+                    let graph = workload.source_graph(AppId(idx));
+                    rec.shed.push(graph.name().to_owned());
+                    // with queueing off (cluster agents: the coordinator
+                    // owns retry policy fleet-wide) the shed app leaves
+                    // the node entirely — the caller re-homes it via
+                    // `take_shed`
+                    match self.opts.queue_rejected {
+                        true => {
+                            self.queue.push_back(Queued { graph, weight, attempts: 0, cooldown: 0 })
+                        }
+                        false => self.shed_out.push((graph, weight)),
                     }
-                };
-                let delta = match prev.as_ref() {
-                    Some(p) => MappingDelta::between(
-                        p.workload.graph(),
-                        &p.mapping,
-                        workload.graph(),
-                        &mapping,
-                    ),
-                    None => MappingDelta {
-                        placed: workload.graph().tasks().iter().map(|t| t.name.clone()).collect(),
-                        ..MappingDelta::default()
-                    },
-                };
-                self.version += 1;
-                let per_app = self.per_app(&workload, &mapping);
-                self.live = Some(Live { workload, mapping, period });
-                let period = self.period();
-                BatchReport {
-                    events: outcomes,
-                    replan: started.elapsed(),
-                    delta,
-                    period,
-                    per_app,
-                    background_adopted: adopted,
-                    background_delta: MappingDelta::default(),
-                    drained: Vec::new(),
+                    handles.remove(idx);
+                    if handles.is_empty() {
+                        break; // everything shed: the service goes idle
+                    }
+                    let seated = workload.graph().clone();
+                    workload.retire(AppId(idx)).expect("index enumerated from the live app list"); // check:allow(hot-path-panic): the index was just enumerated against this workload
+                    (mapping, period) = self.replan(Some((&seated, &mapping)), workload.graph());
                 }
-            }
-            Some(workload) => {
-                // nothing applied: restore the incumbent untouched
-                debug_assert!(prev.is_some(), "an unchanged workload implies an incumbent");
+            } else if let Some(reason) = broken(self, &workload, period).filter(|_| refusable) {
+                // refuse: the incumbent stands
                 self.live = prev;
-                drop(workload);
-                BatchReport {
-                    events: outcomes,
-                    replan: started.elapsed(),
-                    delta: MappingDelta::default(),
-                    period: self.period(),
-                    per_app: self.app_reports(),
-                    background_adopted: adopted,
-                    background_delta: MappingDelta::default(),
-                    drained: Vec::new(),
-                }
-            }
-            None => {
-                // the burst emptied the service
-                let delta = match prev.as_ref() {
-                    Some(p) => MappingDelta {
-                        dropped: p
-                            .workload
-                            .graph()
-                            .tasks()
-                            .iter()
-                            .map(|t| t.name.clone())
-                            .collect(),
-                        ..MappingDelta::default()
-                    },
-                    None => MappingDelta::default(),
+                let [i] = *group else { return None };
+                outcomes[i] = match &events[i] {
+                    Event::Admit(g, weight) if may_queue => {
+                        self.queue.push_back(Queued {
+                            graph: g.clone(),
+                            weight: *weight,
+                            attempts: 0,
+                            cooldown: 0,
+                        });
+                        (events[i].label(), Verdict::Queued)
+                    }
+                    ev => (ev.label(), Verdict::Rejected(reason)),
                 };
-                if applied > 0 {
-                    self.version += 1;
-                }
-                BatchReport {
-                    events: outcomes,
-                    replan: started.elapsed(),
-                    delta,
-                    period: f64::INFINITY,
-                    per_app: Vec::new(),
-                    background_adopted: adopted,
-                    background_delta: MappingDelta::default(),
-                    drained: Vec::new(),
-                }
+                return Some(self.report(
+                    outcomes[i].clone(),
+                    started,
+                    MappingDelta::default(),
+                    None,
+                ));
             }
-        };
+            if !handles.is_empty() {
+                next_live = Some(Live { workload, mapping, period });
+            }
+        }
+
+        // commit
+        let delta = delta_between(prev.as_ref(), next_live.as_ref());
+        if let Some(rec) = recovery.as_mut() {
+            rec.migration_bytes = delta.migration_bytes;
+        }
+        self.live = next_live;
         self.handles = handles;
         self.next_handle = next;
-        report.background_delta = self.take_adoption_delta(adopted);
-
-        self.drain_queue_into(&mut report.drained);
-        if !report.drained.is_empty() {
-            report.period = self.period();
-            self.current_per_app_into(&mut report.per_app);
-        }
-        self.spawn_background();
-        self.metrics.note_batch(&report, self.queue.len(), self.shed_out.len(), true);
-        #[cfg(feature = "debug_invariants")]
-        self.check_invariants("process_batch");
-        Ok(report)
+        self.version += 1;
+        Some(self.report(headline(outcomes), started, delta, recovery))
     }
 
     /// Deep audit (`debug_invariants` feature): the service's
@@ -1143,218 +942,22 @@ impl Service {
         }
     }
 
-    /// The guarantee-gated fallback: process the burst one event at a
-    /// time in canonical order and fold the per-event reports into one
-    /// [`BatchReport`] whose delta diffs the pre-burst incumbent
-    /// against the final one (so background adoptions and drains are
-    /// folded in).
-    fn process_batch_sequential(
-        &mut self,
-        events: &[Event],
-        order: &[usize],
-    ) -> Result<BatchReport, ServeError> {
-        let started = Instant::now();
-        let prev = self.live.as_ref().map(|l| (l.workload.graph().clone(), l.mapping.clone()));
-        let mut outcomes = Vec::with_capacity(events.len());
-        let mut adopted = false;
-        let mut drained = Vec::new();
-        for &i in order {
-            let mut r = match self.process(events[i].clone()) {
-                Ok(r) => r,
-                // upfront validation saw this handle alive, so the only
-                // way it is gone now is a fault earlier in this burst
-                // shedding the application — record a no-op, don't
-                // abort a half-applied burst
-                Err(ServeError::UnknownApp(_)) => {
-                    outcomes.push((events[i].label(), Verdict::NoChange));
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            adopted |= r.background_adopted;
-            outcomes.push((r.event, r.verdict.clone()));
-            drained.append(&mut r.drained);
-        }
-        let delta = match (prev.as_ref(), self.live.as_ref()) {
-            (Some((pg, pm)), Some(l)) => {
-                MappingDelta::between(pg, pm, l.workload.graph(), &l.mapping)
-            }
-            (Some((pg, _)), None) => MappingDelta {
-                dropped: pg.tasks().iter().map(|t| t.name.clone()).collect(),
-                ..MappingDelta::default()
-            },
-            (None, Some(l)) => MappingDelta {
-                placed: l.workload.graph().tasks().iter().map(|t| t.name.clone()).collect(),
-                ..MappingDelta::default()
-            },
-            (None, None) => MappingDelta::default(),
-        };
-        let mut per_app = Vec::new();
-        self.current_per_app_into(&mut per_app);
-        let report = BatchReport {
-            events: outcomes,
-            replan: started.elapsed(),
-            delta,
-            period: self.period(),
-            per_app,
-            background_adopted: adopted,
-            background_delta: MappingDelta::default(),
-            drained,
-        };
-        // the per-event reports above already fed the cells; this call
-        // records only the batch-shape histograms (`fused: false`)
-        self.metrics.note_batch(&report, self.queue.len(), self.shed_out.len(), false);
-        Ok(report)
-    }
-
     /// Admit an application (see [`Event::Admit`]).
     pub fn admit(&mut self, g: &StreamGraph, weight: f64) -> ServeReport {
-        let adopted = self.interrupt_background();
-        let mut report = self.try_admit(g, weight, self.opts.queue_rejected);
-        report.background_adopted = adopted;
-        report.background_delta = self.take_adoption_delta(adopted);
-        // respawn even after a refusal: the interrupt cancelled the
-        // previous solve, and the (unchanged) workload still deserves
-        // its improver
-        self.spawn_background();
-        self.finish(report)
+        // check:allow(hot-path-panic): only unknown handles and unfailable PEs fail validation, and an admission carries neither
+        self.process(Event::Admit(g.clone(), weight)).expect("admissions name no handle or PE")
     }
 
     /// Retire an application by handle (see [`Event::Retire`]).
     pub fn retire(&mut self, id: AppId) -> Result<ServeReport, ServeError> {
-        let idx = self.index_of(id)?;
-        let adopted = self.interrupt_background();
-        let started = Instant::now();
-        let live = self.live.take().expect("index_of implies live"); // check:allow(hot-path-panic): index_of returned Some, so a live incumbent exists
-
-        let mut report = if live.workload.n_apps() == 1 {
-            // last application out: the service goes idle
-            let delta = MappingDelta {
-                dropped: live.workload.graph().tasks().iter().map(|t| t.name.clone()).collect(),
-                ..MappingDelta::default()
-            };
-            self.handles.clear();
-            self.version += 1;
-            ServeReport {
-                event: EventLabel::retire(id),
-                verdict: Verdict::Applied,
-                replan: started.elapsed(),
-                delta,
-                period: f64::INFINITY,
-                per_app: Vec::new(),
-                background_adopted: adopted,
-                background_delta: MappingDelta::default(),
-                drained: Vec::new(),
-                recovery: None,
-                queue_depth: 0,
-                queue_backoff: Vec::new(),
-            }
-        } else {
-            let mut workload = live.workload.clone();
-            workload.retire(AppId(idx)).expect("index checked"); // check:allow(hot-path-panic): the index was just resolved against the live workload
-            let (mapping, period) =
-                self.replan(live.workload.graph(), &live.mapping, workload.graph());
-            let delta = MappingDelta::between(
-                live.workload.graph(),
-                &live.mapping,
-                workload.graph(),
-                &mapping,
-            );
-            self.handles.remove(idx);
-            self.version += 1;
-            let per_app = self.per_app(&workload, &mapping);
-            self.live = Some(Live { workload, mapping, period });
-            ServeReport {
-                event: EventLabel::retire(id),
-                verdict: Verdict::Applied,
-                replan: started.elapsed(),
-                delta,
-                period,
-                per_app,
-                background_adopted: adopted,
-                background_delta: MappingDelta::default(),
-                drained: Vec::new(),
-                recovery: None,
-                queue_depth: 0,
-                queue_backoff: Vec::new(),
-            }
-        };
-        report.background_delta = self.take_adoption_delta(adopted);
-
-        self.drain_queue_into(&mut report.drained);
-        if !report.drained.is_empty() {
-            // drained admissions re-populated the service: the report
-            // must describe the *post-event* state, not the momentary
-            // idle/pre-drain one
-            report.period = self.period();
-            self.current_per_app_into(&mut report.per_app);
-        }
-        self.spawn_background();
-        Ok(self.finish(report))
+        self.process(Event::Retire(id))
     }
 
     /// Change an application's throughput weight (see
     /// [`Event::Reweight`]). Guarantee-breaking reweights are refused
     /// with [`Verdict::Rejected`] and leave the incumbent untouched.
     pub fn reweight(&mut self, id: AppId, weight: f64) -> Result<ServeReport, ServeError> {
-        let idx = self.index_of(id)?;
-        let adopted = self.interrupt_background();
-        let started = Instant::now();
-        let mut incumbent = self.live.take().expect("index_of implies live"); // check:allow(hot-path-panic): index_of returned Some, so a live incumbent exists
-
-        let mut verdict = Verdict::Applied;
-        let mut delta = MappingDelta::default();
-        if !(weight.is_finite() && weight > 0.0) {
-            verdict = Verdict::Rejected(RejectReason::InvalidWeight(weight));
-        } else {
-            let mut workload = incumbent.workload.clone();
-            workload.reweight(AppId(idx), weight).expect("index and weight pre-validated"); // check:allow(hot-path-panic): index and weight were validated by the caller
-            let (mapping, period) =
-                self.replan(incumbent.workload.graph(), &incumbent.mapping, workload.graph());
-            match self.guarantee_violation(&workload, period) {
-                Some(reason) => verdict = Verdict::Rejected(reason),
-                None => {
-                    delta = MappingDelta::between(
-                        incumbent.workload.graph(),
-                        &incumbent.mapping,
-                        workload.graph(),
-                        &mapping,
-                    );
-                    self.version += 1;
-                    incumbent = Live { workload, mapping, period };
-                }
-            }
-        }
-
-        let per_app = self.per_app(&incumbent.workload, &incumbent.mapping);
-        let period = incumbent.period;
-        self.live = Some(incumbent);
-        let mut report = ServeReport {
-            event: EventLabel::reweight(id, weight),
-            verdict,
-            replan: started.elapsed(),
-            delta,
-            period,
-            per_app,
-            background_adopted: adopted,
-            background_delta: MappingDelta::default(),
-            drained: Vec::new(),
-            recovery: None,
-            queue_depth: 0,
-            queue_backoff: Vec::new(),
-        };
-        report.background_delta = self.take_adoption_delta(adopted);
-        if report.applied() {
-            self.drain_queue_into(&mut report.drained);
-            if !report.drained.is_empty() {
-                report.period = self.period();
-                self.current_per_app_into(&mut report.per_app);
-            }
-        }
-        // respawn even after a refusal (the interrupt above cancelled
-        // the previous solve)
-        self.spawn_background();
-        Ok(self.finish(report))
+        self.process(Event::Reweight(id, weight))
     }
 
     /// An SPE dies (see [`Event::PeFailed`]): mark it dead, evacuate
@@ -1367,37 +970,7 @@ impl Service {
     /// itself runs — or an out-of-range id is [`ServeError::InvalidPe`]:
     /// a dead PPE is a dead *node*, the cluster layer's event.
     pub fn fail_pe(&mut self, pe: PeId) -> Result<ServeReport, ServeError> {
-        if pe.index() >= self.spec.n_pes() || !self.spec.is_spe(pe) {
-            return Err(ServeError::InvalidPe(pe));
-        }
-        let adopted = self.interrupt_background();
-        let started = Instant::now();
-        let mut recovery = RecoveryReport::default();
-        let (delta, period) = if self.avail.is_dead(pe) {
-            (MappingDelta::default(), self.period())
-        } else {
-            self.avail.fail(pe);
-            self.sync_avail();
-            self.recover_incumbent(Some(pe), &mut recovery)
-        };
-        let mut report = ServeReport {
-            event: EventLabel::pe_failed(pe),
-            verdict: Verdict::Applied,
-            replan: started.elapsed(),
-            delta,
-            period,
-            per_app: Vec::new(),
-            background_adopted: adopted,
-            background_delta: MappingDelta::default(),
-            drained: Vec::new(),
-            recovery: Some(recovery),
-            queue_depth: 0,
-            queue_backoff: Vec::new(),
-        };
-        self.current_per_app_into(&mut report.per_app);
-        report.background_delta = self.take_adoption_delta(adopted);
-        self.spawn_background();
-        Ok(self.finish(report))
+        self.process(Event::PeFailed(pe))
     }
 
     /// A failed or degraded PE returns to nominal health (see
@@ -1405,145 +978,88 @@ impl Service {
     /// capacity and retry parked admissions — shed applications re-enter
     /// here. Idempotent on a healthy PE (the queue is still retried).
     pub fn restore_pe(&mut self, pe: PeId) -> Result<ServeReport, ServeError> {
-        if pe.index() >= self.spec.n_pes() {
-            return Err(ServeError::InvalidPe(pe));
-        }
-        let adopted = self.interrupt_background();
-        let started = Instant::now();
-        let mut recovery = RecoveryReport::default();
-        let (delta, period) = if self.avail.factor(pe) == 1.0 {
-            (MappingDelta::default(), self.period())
-        } else {
-            self.avail.restore(pe);
-            self.sync_avail();
-            self.recover_incumbent(None, &mut recovery)
-        };
-        let mut report = ServeReport {
-            event: EventLabel::pe_restored(pe),
-            verdict: Verdict::Applied,
-            replan: started.elapsed(),
-            delta,
-            period,
-            per_app: Vec::new(),
-            background_adopted: adopted,
-            background_delta: MappingDelta::default(),
-            drained: Vec::new(),
-            recovery: Some(recovery),
-            queue_depth: 0,
-            queue_backoff: Vec::new(),
-        };
-        report.background_delta = self.take_adoption_delta(adopted);
-        // restored capacity is exactly what parked admissions wait for
-        self.drain_queue_into(&mut report.drained);
-        if !report.drained.is_empty() {
-            report.period = self.period();
-        }
-        self.current_per_app_into(&mut report.per_app);
-        self.spawn_background();
-        Ok(self.finish(report))
+        self.process(Event::PeRestored(pe))
     }
 
     /// An application's declared compute costs turn out wrong by
     /// `factor` (see [`Event::CostDrift`]): correct the declared costs
-    /// in place — the correction sticks across every later
-    /// recomposition — and re-validate the incumbent under them,
-    /// shedding lowest-weight applications if reality no longer fits.
-    /// Drift is a *measurement*, not a request: it cannot be refused,
-    /// only absorbed (malformed factors are rejected, though).
+    /// — the correction sticks across every later recomposition — and
+    /// re-validate the incumbent under them, shedding lowest-weight
+    /// applications if reality no longer fits. Drift is a
+    /// *measurement*, not a request: it cannot be refused, only
+    /// absorbed (malformed factors are rejected, though).
     pub fn cost_drift(&mut self, id: AppId, factor: f64) -> Result<ServeReport, ServeError> {
-        let idx = self.index_of(id)?;
-        let adopted = self.interrupt_background();
-        let started = Instant::now();
-        let label = EventLabel::cost_drift(id, factor);
-        if !(factor.is_finite() && factor > 0.0) {
-            let mut report = ServeReport {
-                event: label,
-                verdict: Verdict::Rejected(RejectReason::InvalidFactor(factor)),
-                replan: started.elapsed(),
-                delta: MappingDelta::default(),
-                period: self.period(),
-                per_app: Vec::new(),
-                background_adopted: adopted,
-                background_delta: MappingDelta::default(),
-                drained: Vec::new(),
-                recovery: None,
-                queue_depth: 0,
-                queue_backoff: Vec::new(),
+        self.process(Event::CostDrift(id, factor))
+    }
+
+    /// Resolve one name-addressed event into a handle-addressed
+    /// [`Event`] against the live incumbent. `None`: no resident
+    /// application has that name, or the event addresses another fleet
+    /// node — a single node is fleet index 0, and whole-node loss is
+    /// the cluster's event. The trace is data, not a contract: such an
+    /// event means nothing here and is dropped, never an error.
+    pub fn resolve(&self, ev: TraceEvent) -> Option<Event> {
+        Some(match ev {
+            TraceEvent::Admit { graph, weight } => Event::Admit(graph, weight),
+            TraceEvent::Retire { app } => Event::Retire(self.handle_of(&app)?),
+            TraceEvent::Reweight { app, weight } => Event::Reweight(self.handle_of(&app)?, weight),
+            TraceEvent::CostDrift { app, factor } => {
+                Event::CostDrift(self.handle_of(&app)?, factor)
+            }
+            TraceEvent::PeFailed { node: 0, pe } => Event::PeFailed(pe),
+            TraceEvent::PeRestored { node: 0, pe } => Event::PeRestored(pe),
+            _ => return None,
+        })
+    }
+
+    /// [`resolve`](Self::resolve) the next fusable run of events, taken
+    /// off the front of `pending` — `events` is cleared and refilled
+    /// with at most `max` of them, ready for
+    /// [`process_batch`](Self::process_batch). The run ends where a
+    /// client holding only names must wait for a commit: a fault
+    /// travels alone (it can shed applications, which would invalidate
+    /// handles resolved around it), and an event naming an application
+    /// an earlier event of the run touched stays behind — that handle
+    /// exists only once the run commits.
+    ///
+    /// Returns one flag per event taken: `true` — it resolved and is in
+    /// `events`, in order — or `false`: it was dropped.
+    pub fn resolve_run(
+        &self,
+        pending: &mut VecDeque<TraceEvent>,
+        max: usize,
+        events: &mut Vec<Event>,
+    ) -> Vec<bool> {
+        events.clear();
+        let mut known = Vec::new();
+        let mut touched: Vec<String> = Vec::new();
+        while events.len() < max {
+            let Some(front) = pending.front() else { break };
+            let fault = front.is_fault();
+            let name = match front {
+                TraceEvent::Admit { graph, .. } => Some(graph.name()),
+                TraceEvent::Retire { app } | TraceEvent::Reweight { app, .. } => Some(app.as_str()),
+                _ => None,
             };
-            self.current_per_app_into(&mut report.per_app);
-            report.background_delta = self.take_adoption_delta(adopted);
-            self.spawn_background();
-            return Ok(self.finish(report));
+            if name.is_some_and(|n| touched.iter().any(|t| t == n)) || (fault && !events.is_empty())
+            {
+                break;
+            }
+            let name = name.map(str::to_owned);
+            let resolved = pending.pop_front().and_then(|ev| self.resolve(ev));
+            if resolved.is_some() {
+                touched.extend(name);
+            }
+            known.push(resolved.is_some());
+            events.extend(resolved);
+            if fault {
+                break;
+            }
         }
-        self.live
-            .as_mut()
-            .expect("index_of implies live") // check:allow(hot-path-panic): index_of returned Ok, so a live incumbent exists
-            .workload
-            .rescale_costs(AppId(idx), factor)
-            .expect("index resolved and factor validated"); // check:allow(hot-path-panic): the index came from the handle table and the factor was just validated
-        let mut recovery = RecoveryReport::default();
-        let (delta, period) = self.recover_incumbent(None, &mut recovery);
-        let mut report = ServeReport {
-            event: label,
-            verdict: Verdict::Applied,
-            replan: started.elapsed(),
-            delta,
-            period,
-            per_app: Vec::new(),
-            background_adopted: adopted,
-            background_delta: MappingDelta::default(),
-            drained: Vec::new(),
-            recovery: Some(recovery),
-            queue_depth: 0,
-            queue_backoff: Vec::new(),
-        };
-        self.current_per_app_into(&mut report.per_app);
-        report.background_delta = self.take_adoption_delta(adopted);
-        self.spawn_background();
-        Ok(self.finish(report))
-    }
-
-    /// Conclude a finished background solve, if any: adopt it when it
-    /// beats the incumbent including migration cost. Returns `None`
-    /// while the solve is still running (it is *not* interrupted) or
-    /// when none was started.
-    pub fn poll_background(&mut self) -> Option<ServeReport> {
-        if self.background.as_ref().is_some_and(|bg| !bg.handle.is_finished()) {
-            return None;
-        }
-        let started = Instant::now();
-        let adopted = self.reap_background(false)?;
-        let delta = self.take_adoption_delta(adopted);
-        let mut per_app = Vec::new();
-        self.current_per_app_into(&mut per_app);
-        Some(self.finish(ServeReport {
-            event: EventLabel::background(),
-            verdict: if adopted { Verdict::Adopted } else { Verdict::NoChange },
-            replan: started.elapsed(),
-            delta,
-            period: self.period(),
-            per_app,
-            background_adopted: adopted,
-            background_delta: MappingDelta::default(),
-            drained: Vec::new(),
-            recovery: None,
-            queue_depth: 0,
-            queue_backoff: Vec::new(),
-        }))
-    }
-
-    /// Cancel and discard any in-flight background solve (used on
-    /// shutdown; events do this implicitly).
-    pub fn shutdown(&mut self) {
-        let _ = self.interrupt_background();
+        known
     }
 
     // ---- internals --------------------------------------------------------
-
-    /// Workload index of a stable handle.
-    fn index_of(&self, id: AppId) -> Result<usize, ServeError> {
-        self.handles.iter().position(|&h| h == id).ok_or(ServeError::UnknownApp(id))
-    }
 
     /// Mirror the health mask into the replanner options. A fully
     /// healthy platform plans with `avail: None` — the zero-overhead
@@ -1553,234 +1069,6 @@ impl Service {
             true => None,
             false => Some(self.avail.clone()),
         };
-    }
-
-    /// The fault-recovery replan: re-repair the incumbent against live
-    /// capacity, then shed lowest-weight applications into the retry
-    /// queue until the survivors are feasible and meet their guarantees
-    /// — graceful degradation instead of serving a §3.2-violating plan.
-    /// Returns the seat delta versus the pre-fault incumbent and the
-    /// recovered period; `recovery` accumulates what recovery cost.
-    fn recover_incumbent(
-        &mut self,
-        evac_pe: Option<PeId>,
-        recovery: &mut RecoveryReport,
-    ) -> (MappingDelta, f64) {
-        let Some(live) = self.live.take() else {
-            return (MappingDelta::default(), f64::INFINITY);
-        };
-        if let Some(pe) = evac_pe {
-            recovery.evacuated_seats =
-                live.mapping.assignment().iter().filter(|&&s| s == pe).count();
-        }
-        let pre_graph = live.workload.graph().clone();
-        let pre_mapping = live.mapping.clone();
-        let mut workload = live.workload;
-        let (mut mapping, mut period) = self.replan(&pre_graph, &pre_mapping, workload.graph());
-        while !period.is_finite() || self.guarantee_violation(&workload, period).is_some() {
-            let idx = workload
-                .apps()
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.weight.total_cmp(&b.1.weight))
-                .map(|(i, _)| i)
-                .expect("a live workload has applications"); // check:allow(hot-path-panic): live workloads are non-empty by construction
-            let weight = workload.apps()[idx].weight;
-            // the *unscaled* source graph (drift corrections included):
-            // what re-admission at the same weight wants
-            let shed_graph = workload.source_graph(AppId(idx));
-            recovery.shed.push(shed_graph.name().to_owned());
-            // with queueing off (cluster agents: the coordinator owns
-            // retry policy fleet-wide) the shed app leaves the node
-            // entirely — the caller re-homes it via `take_shed`
-            if self.opts.queue_rejected {
-                self.queue.push_back(Queued {
-                    graph: shed_graph,
-                    weight,
-                    attempts: 0,
-                    cooldown: 0,
-                });
-            } else {
-                self.shed_out.push((shed_graph, weight));
-            }
-            self.handles.remove(idx);
-            if workload.n_apps() == 1 {
-                // everything shed: the service goes idle, dropping the
-                // whole pre-fault placement
-                let delta = MappingDelta {
-                    dropped: pre_graph.tasks().iter().map(|t| t.name.clone()).collect(),
-                    ..MappingDelta::default()
-                };
-                self.version += 1;
-                return (delta, f64::INFINITY);
-            }
-            let old_graph = workload.graph().clone();
-            let old_mapping = mapping.clone();
-            workload.retire(AppId(idx)).expect("index enumerated from the live app list"); // check:allow(hot-path-panic): the index was just enumerated against this workload
-            let (m, p) = self.replan(&old_graph, &old_mapping, workload.graph());
-            mapping = m;
-            period = p;
-        }
-        let delta = MappingDelta::between(&pre_graph, &pre_mapping, workload.graph(), &mapping);
-        recovery.migration_bytes = delta.migration_bytes;
-        self.version += 1;
-        self.live = Some(Live { workload, mapping, period });
-        (delta, period)
-    }
-
-    /// Hand over the most recent adoption's delta (empty when nothing
-    /// was adopted), clearing the stash so it is reported exactly once.
-    fn take_adoption_delta(&mut self, adopted: bool) -> MappingDelta {
-        if adopted {
-            std::mem::take(&mut self.last_adoption_delta)
-        } else {
-            MappingDelta::default()
-        }
-    }
-
-    /// The admission pipeline: candidate compose → repair → feasibility
-    /// and guarantee probes → commit or refuse. Does not touch the
-    /// background solver (callers do). `queue_on_refuse` parks refused
-    /// applications for retry; it is off during queue drains so a failed
-    /// retry does not re-enqueue through this path.
-    fn try_admit(&mut self, g: &StreamGraph, weight: f64, queue_on_refuse: bool) -> ServeReport {
-        let started = Instant::now();
-        let label = EventLabel::admit(weight);
-        if !(weight.is_finite() && weight > 0.0) {
-            // malformed, not capacity-bound: never queued
-            return self.refuse(
-                label,
-                started,
-                RejectReason::InvalidWeight(weight),
-                g,
-                weight,
-                false,
-            );
-        }
-
-        // unique name: a second "video" becomes "video#<handle>"
-        let unique = match self.live.as_ref().is_some_and(|l| l.workload.app_id(g.name()).is_some())
-        {
-            true => g.renamed(format!("{}#{}", g.name(), self.next_handle)),
-            false => g.clone(),
-        };
-
-        // candidate workload
-        let workload = match self.live.as_ref() {
-            None => {
-                let mut b = Workload::builder("served");
-                b.push(&unique, weight).expect("weight validated, name fresh"); // check:allow(hot-path-panic): weight validated and the name is fresh
-                b.build().expect("single-app workloads compose") // check:allow(hot-path-panic): a single freshly validated app always composes
-            }
-            Some(live) => {
-                let mut w = live.workload.clone();
-                w.add(&unique, weight).expect("weight validated, name uniquified"); // check:allow(hot-path-panic): weight validated and the name is uniquified
-                w
-            }
-        };
-        // repaired candidate mapping, seats carried through the scratch
-        let mut partial = std::mem::take(&mut self.scratch_partial);
-        match self.live.as_ref() {
-            None => {
-                partial.clear();
-                partial.resize(workload.graph().n_tasks(), None);
-            }
-            Some(live) => carry_over_into(
-                live.workload.graph(),
-                &live.mapping,
-                workload.graph(),
-                &self.spec,
-                &mut partial,
-            ),
-        }
-        let (mapping, period) =
-            repair_with(workload.graph(), &self.spec, &partial, &self.repair_opts);
-        self.scratch_partial = partial;
-
-        // admission control: feasibility (repair evicts until the §3.2
-        // constraints hold, so an infinite period means no PPE fallback
-        // existed) and every application's period guarantee
-        if !period.is_finite() {
-            return self.refuse(
-                label,
-                started,
-                RejectReason::Infeasible,
-                g,
-                weight,
-                queue_on_refuse,
-            );
-        }
-        if let Some(reason) = self.guarantee_violation(&workload, period) {
-            return self.refuse(label, started, reason, g, weight, queue_on_refuse);
-        }
-
-        // commit
-        let delta = match self.live.as_ref() {
-            Some(live) => MappingDelta::between(
-                live.workload.graph(),
-                &live.mapping,
-                workload.graph(),
-                &mapping,
-            ),
-            None => MappingDelta {
-                placed: workload.graph().tasks().iter().map(|t| t.name.clone()).collect(),
-                ..MappingDelta::default()
-            },
-        };
-        let handle = AppId(self.next_handle);
-        self.next_handle += 1;
-        self.handles.push(handle);
-        self.version += 1;
-        let per_app = self.per_app(&workload, &mapping);
-        self.live = Some(Live { workload, mapping, period });
-        ServeReport {
-            event: label.with_app(handle),
-            verdict: Verdict::Admitted(handle),
-            replan: started.elapsed(),
-            delta,
-            period,
-            per_app,
-            background_adopted: false,
-            background_delta: MappingDelta::default(),
-            drained: Vec::new(),
-            recovery: None,
-            queue_depth: 0,
-            queue_backoff: Vec::new(),
-        }
-    }
-
-    /// Build a refusal report, queueing the application when asked.
-    fn refuse(
-        &mut self,
-        event: EventLabel,
-        started: Instant,
-        reason: RejectReason,
-        g: &StreamGraph,
-        weight: f64,
-        queue: bool,
-    ) -> ServeReport {
-        let verdict = if queue {
-            self.queue.push_back(Queued { graph: g.clone(), weight, attempts: 0, cooldown: 0 });
-            Verdict::Queued
-        } else {
-            Verdict::Rejected(reason)
-        };
-        let mut per_app = Vec::new();
-        self.current_per_app_into(&mut per_app);
-        ServeReport {
-            event,
-            verdict,
-            replan: started.elapsed(),
-            delta: MappingDelta::default(),
-            period: self.period(),
-            per_app,
-            background_adopted: false,
-            background_delta: MappingDelta::default(),
-            drained: Vec::new(),
-            recovery: None,
-            queue_depth: 0,
-            queue_backoff: Vec::new(),
-        }
     }
 
     /// The first application whose per-instance period guarantee the
@@ -1801,13 +1089,15 @@ impl Service {
     }
 
     /// Retry queued admissions after capacity freed up: one rotation
-    /// over the queue in FIFO order. An entry still cooling down from
-    /// its exponential backoff sits the pass out; a retry that fails
-    /// again deepens the backoff and re-queues — so one unadmittable
-    /// application no longer blocks everything behind it — until the
-    /// entry exhausts [`ServiceOptions::queue_max_attempts`] and expires
-    /// with a visible [`RejectReason::Expired`] report. Reports (both
-    /// admissions and expiries) land in the caller's buffer.
+    /// over the queue in FIFO order, each retry a group step of its own
+    /// (never re-queued from inside — this loop owns the bookkeeping).
+    /// An entry still cooling down from its exponential backoff sits
+    /// the pass out; a retry that fails again deepens the backoff and
+    /// re-queues — so one unadmittable application no longer blocks
+    /// everything behind it — until the entry exhausts
+    /// [`ServiceOptions::queue_max_attempts`] and expires with a visible
+    /// [`RejectReason::Expired`] report. Reports (both admissions and
+    /// expiries) land in the caller's buffer.
     fn drain_queue_into(&mut self, out: &mut Vec<ServeReport>) {
         let mut pass = self.queue.len();
         while pass > 0 {
@@ -1818,18 +1108,19 @@ impl Service {
                 self.queue.push_back(q);
                 continue;
             }
-            let mut report = self.try_admit(&q.graph, q.weight, false);
-            if report.applied() {
-                out.push(report);
-            } else {
-                q.attempts += 1;
-                if q.attempts >= self.opts.queue_max_attempts {
+            let retry = [Event::Admit(q.graph.clone(), q.weight)];
+            let mut outcome = [(retry[0].label(), Verdict::NoChange)];
+            match self.replan_group(&retry, &[0], &mut outcome, false) {
+                Some(report) if report.applied() => out.push(report),
+                Some(mut report) if q.attempts + 1 >= self.opts.queue_max_attempts => {
                     report.verdict = Verdict::Rejected(RejectReason::Expired {
                         app: q.graph.name().to_owned(),
-                        attempts: q.attempts,
+                        attempts: q.attempts + 1,
                     });
                     out.push(report);
-                } else {
+                }
+                _ => {
+                    q.attempts += 1;
                     q.cooldown = 1u32 << q.attempts.min(6);
                     self.queue.push_back(q);
                 }
@@ -1837,32 +1128,27 @@ impl Service {
         }
     }
 
-    /// One warm-started replan: carry the incumbent's seats over into
-    /// the reusable scratch vector and repair. Reuses the same
-    /// carry-over allocation across every event the service processes.
+    /// One warm-started replan: carry the seats of `from` (an incumbent
+    /// or an earlier candidate; nothing is seated when the service was
+    /// idle) over into the reusable scratch vector and repair. Reuses
+    /// the same carry-over allocation across every event the service
+    /// processes.
     fn replan(
         &mut self,
-        old_g: &StreamGraph,
-        old_m: &Mapping,
+        from: Option<(&StreamGraph, &Mapping)>,
         new_g: &StreamGraph,
     ) -> (Mapping, f64) {
         let mut partial = std::mem::take(&mut self.scratch_partial);
-        carry_over_into(old_g, old_m, new_g, &self.spec, &mut partial);
+        match from {
+            Some((old_g, old_m)) => carry_over_into(old_g, old_m, new_g, &self.spec, &mut partial),
+            None => {
+                partial.clear();
+                partial.resize(new_g.n_tasks(), None);
+            }
+        }
         let out = repair_with(new_g, &self.spec, &partial, &self.repair_opts);
         self.scratch_partial = partial;
         out
-    }
-
-    /// Per-application reports of a candidate plan, gated by
-    /// [`ServiceOptions::per_app_reports`].
-    fn per_app(&self, w: &Workload, m: &Mapping) -> Vec<AppReport> {
-        if !self.opts.per_app_reports {
-            return Vec::new();
-        }
-        evaluate_workload_with(w, &self.spec, &self.avail, m)
-            // check:allow(hot-path-panic): repair returns mappings valid by construction
-            .expect("repair returns valid mappings")
-            .per_app
     }
 
     /// Per-application reports of the incumbent into `out`, gated by
@@ -1874,88 +1160,6 @@ impl Service {
             out.clear();
         }
     }
-
-    // ---- background improver ----------------------------------------------
-
-    /// Launch the asynchronous full-portfolio re-solve for the current
-    /// workload (no-op when disabled or idle). Any previous solve must
-    /// already be reaped.
-    fn spawn_background(&mut self) {
-        let Some(budget) = self.opts.background else { return };
-        let Some(live) = self.live.as_ref() else { return };
-        debug_assert!(self.background.is_none(), "reap before spawn");
-        let cancel = CancelToken::new();
-        let ctx = PlanContext {
-            seeds: vec![live.mapping.clone()],
-            budget: Some(budget),
-            cancel: cancel.clone(),
-            ..Default::default()
-        };
-        let g = live.workload.graph().clone();
-        let spec = self.spec.clone();
-        let handle = std::thread::spawn(move || {
-            Portfolio::standard().run_with(&g, &spec, &ctx).ok().map(|o| {
-                let period = o.best.period();
-                (o.best.mapping, period)
-            })
-        });
-        self.background = Some(Background { cancel, version: self.version, handle });
-    }
-
-    /// Cancel any in-flight background solve, join it, and adopt its
-    /// result if it is current and worth the migration. Returns whether
-    /// adoption happened.
-    fn interrupt_background(&mut self) -> bool {
-        self.reap_background(true).unwrap_or(false)
-    }
-
-    /// Join the background solve (cancelling first when `abort`) and
-    /// apply the adoption rule. `None` when no solve was in flight.
-    fn reap_background(&mut self, abort: bool) -> Option<bool> {
-        let bg = self.background.take()?;
-        if abort {
-            bg.cancel.cancel();
-        }
-        let result = bg.handle.join().ok().flatten();
-        self.last_adoption_delta = MappingDelta::default();
-        let (mapping, mut period) = result?;
-        if bg.version != self.version {
-            return Some(false); // stale: the workload changed meanwhile
-        }
-        let Some(live) = self.live.as_ref() else {
-            return Some(false);
-        };
-        // the portfolio plans against the nominal platform; on an
-        // impaired one its candidate must be re-scored (and possibly
-        // refused) against live capacity before adoption
-        if !self.avail.all_healthy() {
-            match evaluate_with(live.workload.graph(), &self.spec, &self.avail, &mapping) {
-                Ok(rep) if rep.is_feasible() => period = rep.period,
-                _ => return Some(false),
-            }
-        }
-        let live = self.live.as_mut().expect("checked above"); // check:allow(hot-path-panic): the incumbent was just observed present
-
-        let gain = live.period - period;
-        if gain <= 0.0 {
-            return Some(false);
-        }
-        let delta = MappingDelta::between(
-            live.workload.graph(),
-            &live.mapping,
-            live.workload.graph(),
-            &mapping,
-        );
-        // migration-aware adoption: the one-off EIB transfer must pay
-        // for itself within the amortisation horizon
-        if gain * self.opts.migration_horizon <= delta.migration_time(&self.spec) {
-            return Some(false);
-        }
-        live.mapping = mapping;
-        live.period = period;
-        self.last_adoption_delta = delta;
-        Some(true)
-    }
 }
 
 impl Drop for Service {
@@ -1964,62 +1168,25 @@ impl Drop for Service {
     }
 }
 
+/// A service is a fleet of one.
 impl OnlineSystem for Service {
     fn apply_event(&mut self, ev: &TraceEvent) -> EventOutcome {
-        let report = match ev {
-            TraceEvent::Admit { graph, weight } => Some(self.admit(graph, *weight)),
-            TraceEvent::Retire { app } => {
-                // check:allow(hot-path-panic): handle_of returned a live handle
-                self.handle_of(app).map(|id| self.retire(id).expect("live handle"))
-            }
-            TraceEvent::Reweight { app, weight } => {
-                // check:allow(hot-path-panic): handle_of returned a live handle
-                self.handle_of(app).map(|id| self.reweight(id, *weight).expect("live handle"))
-            }
-            // a single-node service is fleet index 0; impairments aimed
-            // at other nodes (and whole-node loss, which is the
-            // cluster's event) degrade to "nothing happened"
-            TraceEvent::PeFailed { node: 0, pe } => self.fail_pe(*pe).ok(),
-            TraceEvent::PeRestored { node: 0, pe } => self.restore_pe(*pe).ok(),
-            TraceEvent::CostDrift { app, factor } => {
-                // check:allow(hot-path-panic): handle_of returned a live handle
-                self.handle_of(app).map(|id| self.cost_drift(id, *factor).expect("live handle"))
-            }
-            TraceEvent::PeFailed { .. }
-            | TraceEvent::PeRestored { .. }
-            | TraceEvent::NodeFailed { .. }
-            | TraceEvent::NodeRestored { .. } => None,
-        };
-        match report {
-            Some(r) => EventOutcome {
-                at: 0.0,
-                label: ev.label(),
-                applied: r.applied() || r.drained.iter().any(|d| d.applied()),
-                queued: matches!(r.verdict, Verdict::Queued),
-                replan: r.replan,
-                migration_bytes: r.migration_bytes(),
-                period: self.period(),
-            },
-            // unknown application: the trace is data, not a contract —
-            // report "nothing happened" instead of panicking
-            None => EventOutcome {
-                at: 0.0,
-                label: ev.label(),
-                applied: false,
-                queued: false,
-                replan: Duration::ZERO,
-                migration_bytes: 0.0,
-                period: self.period(),
-            },
+        // a name that does not resolve: nothing happened
+        let report = self.resolve(ev.clone()).and_then(|e| self.process(e).ok());
+        let r = report.as_ref();
+        EventOutcome {
+            at: 0.0,
+            label: ev.label(),
+            applied: r.is_some_and(|r| r.applied() || r.drained.iter().any(|d| d.applied())),
+            queued: r.is_some_and(|r| matches!(r.verdict, Verdict::Queued)),
+            replan: r.map_or(Duration::ZERO, |r| r.replan),
+            migration_bytes: r.map_or(0.0, ServeReport::migration_bytes),
+            period: self.period(),
         }
     }
 
-    fn current(&self) -> Option<(&Workload, &Mapping)> {
-        self.live.as_ref().map(|l| (&l.workload, &l.mapping))
-    }
-
-    fn spec(&self) -> &CellSpec {
-        &self.spec
+    fn incumbents(&self) -> Vec<(&Workload, &Mapping, &CellSpec)> {
+        self.live.iter().map(|l| (&l.workload, &l.mapping, &self.spec)).collect()
     }
 }
 
@@ -2357,6 +1524,44 @@ mod tests {
     }
 
     #[test]
+    fn a_burst_that_applies_nothing_honours_per_app_reports_off() {
+        let opts = ServiceOptions { per_app_reports: false, ..Default::default() };
+        let mut svc = Service::with_options(CellSpec::ps3(), opts);
+        let a = svc.admit(&app("a", 4), 1.0).admitted().unwrap();
+        let r = svc
+            .process_batch(&[Event::Reweight(a, f64::NAN), Event::Admit(app("b", 3), 0.0)])
+            .unwrap();
+        assert_eq!(r.applied(), 0, "both weights are malformed");
+        assert!(r.per_app.is_empty(), "per_app_reports is off: {:?}", r.per_app);
+        assert!(r.delta.is_empty());
+        assert_eq!(svc.n_apps(), 1);
+    }
+
+    #[test]
+    fn batch_verdicts_come_back_in_request_order() {
+        let mut svc = Service::new(CellSpec::ps3());
+        let a = svc.admit(&app("a", 4), 1.0).admitted().unwrap();
+        let b = svc.admit(&app("b", 3), 1.0).admitted().unwrap();
+        // canonical order applies the fault, then the retire, then the
+        // reweight, then the admit; the report lists them as requested
+        let r = svc
+            .process_batch(&[
+                Event::Admit(app("c", 3), 2.0),
+                Event::Reweight(b, 2.0),
+                Event::Retire(a),
+                Event::PeFailed(PeId(3)),
+            ])
+            .unwrap();
+        let kinds: Vec<&str> = r.events.iter().map(|(label, _)| label.kind).collect();
+        assert_eq!(kinds, ["admit", "reweight", "retire", "pe failed"]);
+        assert!(matches!(r.events[0].1, Verdict::Admitted(_)));
+        assert_eq!(r.applied(), 4);
+        let names: Vec<&str> = svc.apps().map(|(_, n)| n).collect();
+        assert_eq!(names, ["b", "c"]);
+        incumbent_feasible_live(&svc);
+    }
+
+    #[test]
     fn batch_validates_handles_upfront() {
         let mut svc = Service::new(CellSpec::ps3());
         let a = svc.admit(&app("a", 4), 1.0).admitted().unwrap();
@@ -2377,7 +1582,7 @@ mod tests {
     }
 
     #[test]
-    fn guarantee_gated_batches_fall_back_to_sequential() {
+    fn guarantee_gated_batches_refuse_selectively() {
         let spec = CellSpecBuilder::default()
             .spes(1)
             .local_store(ByteSize::kib(96))
@@ -2388,7 +1593,7 @@ mod tests {
         let mut svc = Service::with_options(spec, opts);
         let a = svc.admit(&fat_app("a", 64.0), 1.0).admitted().expect("fits");
         // b fits next to a, c breaks the guarantee and is refused —
-        // selective admission needs per-event replans
+        // under a guarantee every request is a group of its own
         let r = svc
             .process_batch(&[
                 Event::Admit(fat_app("b", 64.0), 1.0),

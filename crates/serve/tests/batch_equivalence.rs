@@ -1,15 +1,21 @@
-//! Property test: `Service::process_batch` and one-at-a-time
-//! `Service::process` (in the canonical retire → reweight → admit
-//! order) agree on the **final service state** for random bursts over
-//! random workloads — same surviving applications under the same
-//! handles, names and weights, identically composed workload, both
-//! incumbents feasible. The *mappings* may differ (one fused repair and
-//! per-event repairs descend from different warm starts), so the period
-//! is held to a 2× quality band rather than equality.
+//! Property tests: `Service::process_batch` against one-at-a-time
+//! `Service::process`.
+//!
+//! * A burst of **one** is `process`: for every event kind — faults,
+//!   malformed operands, and guarantee + retry-queue mode included —
+//!   the two agree *exactly*: verdict, drained admissions, handles,
+//!   mapping, period bits, migration-bytes bits.
+//! * For **n ≥ 2** they agree (in the canonical retire → reweight →
+//!   admit order) on the final service state — same surviving
+//!   applications under the same handles, names and weights,
+//!   identically composed workload, both incumbents feasible. The
+//!   *mappings* may differ (one fused repair and per-event repairs
+//!   descend from different warm starts), so the period is held to a 2×
+//!   quality band rather than equality.
 
 use cellstream_graph::{AppId, StreamGraph, TaskSpec};
 use cellstream_platform::CellSpec;
-use cellstream_serve::{Event, Service};
+use cellstream_serve::{Event, Service, ServiceOptions, Verdict};
 use proptest::prelude::*;
 
 fn pipeline(name: &str, n: usize, cost_scale: u8) -> StreamGraph {
@@ -99,6 +105,101 @@ fn assert_feasible(svc: &Service) {
         let report =
             cellstream_core::evaluate(w.graph(), svc.spec(), m).expect("structurally valid");
         assert!(report.is_feasible(), "infeasible incumbent: {:?}", report.violations);
+    }
+}
+
+/// One scripted single event, operands resolved against the live
+/// listing at replay time (see `serve/tests/invariants.rs`).
+#[derive(Debug, Clone)]
+enum Step {
+    /// Admit a pipeline: (tasks, cost scale, weight, reuse the first
+    /// name ever admitted — the uniquify path).
+    Admit(usize, u8, f64, bool),
+    Retire(usize),
+    Reweight(usize, f64),
+    PeFail(usize),
+    PeRestore(usize),
+    /// A zero weight stands in for an invalid factor.
+    Drift(usize, f64),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    (0u8..9, (2usize..=6, 0u8..4, arb_weight(), any::<bool>()), 0usize..8).prop_map(
+        |(sel, (t, c, w, dup), k)| match sel {
+            0..=2 => Step::Admit(t, c, w, dup),
+            3 => Step::Retire(k),
+            4 | 5 => Step::Reweight(k, w),
+            6 => Step::PeFail(k),
+            7 => Step::PeRestore(k),
+            _ => Step::Drift(k, if w == 0.0 { 0.0 } else { 0.25 + w }),
+        },
+    )
+}
+
+/// Everything two services can disagree on after an event.
+fn fingerprint(svc: &Service) -> (Vec<(AppId, String)>, Vec<usize>, u64, usize) {
+    (
+        svc.apps().map(|(h, n)| (h, n.to_owned())).collect(),
+        svc.mapping().map_or(Vec::new(), |m| m.assignment().iter().map(|pe| pe.index()).collect()),
+        svc.period().to_bits(),
+        svc.queued(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn a_burst_of_one_is_process_exactly(
+        steps in collection::vec(arb_step(), 1..=14),
+        guarded in any::<bool>(),
+    ) {
+        let spec = CellSpec::ps3();
+        // tight enough that a few pipelines in, admissions queue, faults
+        // shed and retires drain
+        let opts = match guarded {
+            true => ServiceOptions {
+                max_period: Some(5e-6),
+                queue_rejected: true,
+                queue_max_attempts: 3,
+                ..Default::default()
+            },
+            false => ServiceOptions::default(),
+        };
+        let mut single = Service::with_options(spec.clone(), opts.clone());
+        let mut batched = Service::with_options(spec.clone(), opts);
+        for (n, step) in steps.into_iter().enumerate() {
+            let live: Vec<AppId> = single.apps().map(|(h, _)| h).collect();
+            let pick = |k: usize| live.get(k % live.len().max(1)).copied();
+            let spe = |k: usize| spec.pe(spec.n_ppe() + k % spec.n_spe());
+            let ev = match step {
+                Step::Admit(t, c, w, dup) => {
+                    let name = if dup { "app0".to_owned() } else { format!("app{n}") };
+                    Some(Event::Admit(pipeline(&name, t, c), w))
+                }
+                Step::Retire(k) => pick(k).map(Event::Retire),
+                Step::Reweight(k, w) => pick(k).map(|h| Event::Reweight(h, w)),
+                Step::PeFail(k) => Some(Event::PeFailed(spe(k))),
+                Step::PeRestore(k) => Some(Event::PeRestored(spe(k))),
+                Step::Drift(k, f) => pick(k).map(|h| Event::CostDrift(h, f)),
+            };
+            let Some(ev) = ev else { continue };
+
+            let one = single.process(ev.clone()).expect("live operands");
+            let burst = batched.process_batch(&[ev]).expect("live operands");
+
+            prop_assert_eq!(&burst.events, &vec![(one.event, one.verdict.clone())]);
+            let drained = |rs: &[cellstream_serve::ServeReport]| -> Vec<Verdict> {
+                rs.iter().map(|r| r.verdict.clone()).collect()
+            };
+            prop_assert_eq!(drained(&burst.drained), drained(&one.drained));
+            prop_assert_eq!(&burst.delta, &one.delta);
+            prop_assert_eq!(burst.migration_bytes().to_bits(), one.migration_bytes().to_bits());
+            prop_assert_eq!(burst.period.to_bits(), one.period.to_bits());
+            prop_assert_eq!(&burst.per_app, &one.per_app);
+            prop_assert_eq!(fingerprint(&batched), fingerprint(&single));
+            prop_assert_eq!(batched.workload(), single.workload());
+        }
     }
 }
 

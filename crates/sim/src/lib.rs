@@ -40,8 +40,8 @@ pub mod trace;
 
 pub use engine::{simulate, SimConfig, SimError};
 pub use online::{
-    replay, replay_concurrent, replay_fleet, AppServed, EventOutcome, EventTrace, FleetSystem,
-    IntakeReport, IntakeSystem, OnlineReport, OnlineSystem, TimedEvent, TraceEvent,
+    replay, replay_concurrent, AppServed, EventOutcome, EventTrace, IntakeReport, IntakeSystem,
+    OnlineReport, OnlineSystem, TimedEvent, TraceEvent,
 };
 pub use scenario::{Arrivals, Impairment, Scenario};
 pub use trace::RunTrace;

@@ -320,17 +320,17 @@ pub struct EventOutcome {
 }
 
 /// A system that can be driven by an [`EventTrace`]: apply one event,
-/// expose the incumbent workload + mapping for measurement.
+/// expose every incumbent workload + mapping for measurement. A
+/// single-node service is a fleet of one; the `cellstream-cluster`
+/// crate's in-process `Cluster` is a fleet of many.
 pub trait OnlineSystem {
-    /// Apply one event and report what happened.
+    /// Apply one event and report what happened, system-wide.
     fn apply_event(&mut self, ev: &TraceEvent) -> EventOutcome;
 
-    /// The currently served workload and its incumbent mapping (`None`
-    /// while nothing is admitted).
-    fn current(&self) -> Option<(&Workload, &Mapping)>;
-
-    /// The platform everything runs on.
-    fn spec(&self) -> &CellSpec;
+    /// Every node's incumbent `(workload, mapping, platform)` triple,
+    /// idle nodes omitted. Application names are unique system-wide,
+    /// so the per-node tallies merge into one account.
+    fn incumbents(&self) -> Vec<(&Workload, &Mapping, &CellSpec)>;
 }
 
 /// Per-application delivery tally of one replay.
@@ -399,100 +399,14 @@ impl OnlineReport {
 /// Replay a trace against a serving system.
 ///
 /// Between consecutive events (and from the last event to the trace
-/// horizon) the system's incumbent mapping is simulated for
+/// horizon) **every** node's incumbent mapping is simulated for
 /// `instances_per_measure` instances under the **ideal** config (the
 /// model-faithful limit, same convention as the co-scheduling bench) and
-/// each resident application is credited its measured steady-state
-/// throughput × interval length. Replan latencies and migration bytes
+/// each resident application is credited, on whichever node hosts it,
+/// its measured steady-state throughput × interval length. Replan
+/// latencies and migration bytes
 /// come from the system's own per-event reports.
 pub fn replay<S: OnlineSystem>(
-    sys: &mut S,
-    trace: &EventTrace,
-    instances_per_measure: u64,
-) -> OnlineReport {
-    let mut report = OnlineReport {
-        events: Vec::with_capacity(trace.len()),
-        served: Vec::new(),
-        rejected: 0,
-        total_migration_bytes: 0.0,
-    };
-    for (i, te) in trace.events().iter().enumerate() {
-        let mut outcome = sys.apply_event(&te.event);
-        outcome.at = te.at;
-        if !outcome.applied {
-            report.rejected += 1;
-        }
-        report.total_migration_bytes += outcome.migration_bytes;
-        report.events.push(outcome);
-
-        let until = trace.events().get(i + 1).map_or(trace.horizon, |n| n.at);
-        let interval = (until - te.at).max(0.0);
-        if interval > 0.0 {
-            credit_interval(sys, interval, instances_per_measure, &mut report.served);
-        }
-    }
-    report
-}
-
-/// Simulate the incumbent and credit every resident application its
-/// delivered share of one inter-event interval.
-fn credit_interval<S: OnlineSystem>(
-    sys: &S,
-    interval: f64,
-    instances: u64,
-    served: &mut Vec<AppServed>,
-) {
-    let Some((w, m)) = sys.current() else {
-        return; // idle: nothing served
-    };
-    credit_node(w, m, sys.spec(), interval, instances, served);
-}
-
-/// Credit one node's resident applications for one interval.
-fn credit_node(
-    w: &Workload,
-    m: &Mapping,
-    spec: &CellSpec,
-    interval: f64,
-    instances: u64,
-    served: &mut Vec<AppServed>,
-) {
-    let per_app = match simulate(w.graph(), spec, m, &SimConfig::ideal(), instances) {
-        Ok(trace) => trace.per_app_throughput(w),
-        Err(_) => vec![0.0; w.n_apps()],
-    };
-    for (info, thr) in w.apps().iter().zip(per_app) {
-        let entry = match served.iter_mut().find(|a| a.app == info.name) {
-            Some(e) => e,
-            None => {
-                served.push(AppServed { app: info.name.clone(), seconds: 0.0, instances: 0.0 });
-                served.last_mut().expect("just pushed")
-            }
-        };
-        entry.seconds += interval;
-        entry.instances += thr * interval;
-    }
-}
-
-/// A *sharded* serving system driven by an [`EventTrace`]: one
-/// coordinator routing events across many nodes, each with its own
-/// platform and incumbent mapping (the `cellstream-cluster` crate's
-/// in-process `Cluster` implements it).
-pub trait FleetSystem {
-    /// Apply one event and report what happened cluster-wide.
-    fn apply_event(&mut self, ev: &TraceEvent) -> EventOutcome;
-
-    /// Every node's incumbent `(workload, mapping, platform)` triple,
-    /// idle nodes omitted. Application names are cluster-unique, so the
-    /// per-node tallies merge into one cluster-wide account.
-    fn incumbents(&self) -> Vec<(&Workload, &Mapping, &CellSpec)>;
-}
-
-/// [`replay`] for a fleet: identical trace semantics, but between events
-/// **every** node's incumbent is simulated and each resident application
-/// is credited on whichever node hosts it, yielding cluster-wide
-/// aggregate delivered throughput.
-pub fn replay_fleet<S: FleetSystem>(
     sys: &mut S,
     trace: &EventTrace,
     instances_per_measure: u64,
@@ -521,6 +435,32 @@ pub fn replay_fleet<S: FleetSystem>(
         }
     }
     report
+}
+
+/// Credit one node's resident applications for one interval.
+fn credit_node(
+    w: &Workload,
+    m: &Mapping,
+    spec: &CellSpec,
+    interval: f64,
+    instances: u64,
+    served: &mut Vec<AppServed>,
+) {
+    let per_app = match simulate(w.graph(), spec, m, &SimConfig::ideal(), instances) {
+        Ok(trace) => trace.per_app_throughput(w),
+        Err(_) => vec![0.0; w.n_apps()],
+    };
+    for (info, thr) in w.apps().iter().zip(per_app) {
+        let entry = match served.iter_mut().find(|a| a.app == info.name) {
+            Some(e) => e,
+            None => {
+                served.push(AppServed { app: info.name.clone(), seconds: 0.0, instances: 0.0 });
+                served.last_mut().expect("just pushed")
+            }
+        };
+        entry.seconds += interval;
+        entry.instances += thr * interval;
+    }
 }
 
 /// A serving system with a **concurrent intake**: events submitted on
@@ -682,12 +622,8 @@ mod tests {
             }
         }
 
-        fn current(&self) -> Option<(&Workload, &Mapping)> {
-            self.state.as_ref().map(|(w, m)| (w, m))
-        }
-
-        fn spec(&self) -> &CellSpec {
-            &self.spec
+        fn incumbents(&self) -> Vec<(&Workload, &Mapping, &CellSpec)> {
+            self.state.iter().map(|(w, m)| (w, m, &self.spec)).collect()
         }
     }
 
@@ -792,14 +728,14 @@ mod tests {
     }
 
     /// Two independent [`PpeServer`]s behind a modulo router: enough of
-    /// a fleet to pin `replay_fleet`'s cluster-wide crediting.
+    /// a fleet to pin `replay`'s cluster-wide crediting.
     struct TwoNode {
         nodes: [PpeServer; 2],
         next: usize,
         homes: Vec<(String, usize)>,
     }
 
-    impl FleetSystem for TwoNode {
+    impl OnlineSystem for TwoNode {
         fn apply_event(&mut self, ev: &TraceEvent) -> EventOutcome {
             let node = match ev {
                 TraceEvent::Admit { graph, .. } => {
@@ -822,7 +758,7 @@ mod tests {
         }
 
         fn incumbents(&self) -> Vec<(&Workload, &Mapping, &CellSpec)> {
-            self.nodes.iter().filter_map(|n| n.current().map(|(w, m)| (w, m, n.spec()))).collect()
+            self.nodes.iter().flat_map(PpeServer::incumbents).collect()
         }
     }
 
@@ -833,7 +769,7 @@ mod tests {
         let trace = EventTrace::new(1.0)
             .at(0.0, TraceEvent::Admit { graph: tiny_app("a"), weight: 1.0 })
             .at(0.0, TraceEvent::Admit { graph: tiny_app("b"), weight: 1.0 });
-        let report = replay_fleet(&mut fleet, &trace, 400);
+        let report = replay(&mut fleet, &trace, 400);
         assert_eq!(report.rejected, 0);
         // both apps run the whole horizon, one per node, each at the
         // full single-node ppe-chain rate — the fleet doubles delivery

@@ -9,9 +9,9 @@
 //! through the admitted population, and overlays a deterministic
 //! schedule of [`Impairment`]s: SPE outages, whole-node loss and
 //! return, and cost drift. The output is an ordinary [`EventTrace`]:
-//! [`replay`](crate::replay) and [`replay_fleet`](crate::replay_fleet)
-//! run it unchanged, so every serving-loop and cluster driver can face
-//! the same adversary.
+//! [`replay`](crate::replay) runs it unchanged against a single service
+//! or a fleet, so every serving-loop and cluster driver can face the
+//! same adversary.
 //!
 //! Generation is deterministic: the same builder inputs and seed yield
 //! the identical trace (an inline LCG — this crate takes no RNG
