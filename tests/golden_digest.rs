@@ -13,7 +13,13 @@
 //!   (every op replans alone there, in canonical order);
 //! * `process_batch` in ≤ 16-event chunks with admission control off:
 //!   one fused replan per chunk;
-//! * a 4-node `Cluster` through `process_burst`, 16 events a burst.
+//! * a 4-node `Cluster` through `process_burst`, 16 events a burst;
+//! * a 4-node `Cluster` with the period guarantee on, one event per
+//!   coordinator call, with a node-fail / node-restore / drain /
+//!   undrain / rebalance cycle spliced in at fixed indices. Recorded at
+//!   the commit before the coordinator was rewritten around one group
+//!   step (ISSUE 15). Refusal prose and event labels are not hashed
+//!   here — the burst run above pins the prose.
 //!
 //! The chunked runs cut where a client holding names must: a fault
 //! travels alone, and a name an earlier event of the chunk touched
@@ -21,7 +27,9 @@
 //! verdicts are digested as a sorted set, so the digest does not depend
 //! on the order `BatchReport::events` lists them in.
 
-use cellstream::cluster::{Cluster, ClusterOptions};
+use cellstream::cluster::{
+    Cluster, ClusterError, ClusterOptions, ClusterReport, ClusterVerdict, NodeId,
+};
 use cellstream::daggen::{chain, fork_join, CostParams};
 use cellstream::platform::{CellSpec, PeId};
 use cellstream::serve::{Event, Service, ServiceOptions};
@@ -33,10 +41,15 @@ const CHUNK: usize = 16;
 /// that most of it is served.
 const MAX_PERIOD: f64 = 90e-6;
 
+/// Tight enough on four PS3s that the sequential fleet run refuses
+/// admissions, walks the fallback order and fills the stranded ledger.
+const FLEET_MAX_PERIOD: f64 = 35e-6;
+
 const GOLDEN_PROCESS: u64 = 0x5840_ffb5_a55e_92b8;
 const GOLDEN_CHUNKED_GUARANTEE: u64 = 0xa812_266f_b90f_df3a;
 const GOLDEN_CHUNKED_FUSED: u64 = 0x1486_f873_3338_f3a0;
 const GOLDEN_CLUSTER: u64 = 0xa2d7_cefd_d1ca_77a5;
+const GOLDEN_CLUSTER_SEQUENTIAL: u64 = 0x985b_9304_a808_e13c;
 
 struct Fnv(u64);
 
@@ -227,6 +240,119 @@ fn run_cluster(trace: &EventTrace) -> (u64, String) {
     (h.0, format!("{applied} applied over {batches} node batches, {} placed", fleet.n_apps()))
 }
 
+/// A fleet-only operation spliced between two storm events.
+enum NodeOp {
+    Fail(NodeId),
+    Restore(NodeId),
+    Drain(NodeId),
+    Undrain(NodeId),
+    Rebalance,
+}
+
+/// `(storm index, operation)`: run before that event.
+const CYCLE: [(usize, NodeOp); 5] = [
+    (20, NodeOp::Fail(NodeId(3))),
+    (34, NodeOp::Restore(NodeId(3))),
+    (48, NodeOp::Drain(NodeId(1))),
+    (60, NodeOp::Undrain(NodeId(1))),
+    (72, NodeOp::Rebalance),
+];
+
+/// One storm event through the coordinator's own entry point for it.
+fn apply(fleet: &mut Cluster, ev: &TraceEvent) -> Result<ClusterReport, ClusterError> {
+    match ev {
+        TraceEvent::Admit { graph, weight } => Ok(fleet.admit(graph, *weight)),
+        TraceEvent::Retire { app } => fleet.retire(app),
+        TraceEvent::Reweight { app, weight } => fleet.reweight(app, *weight),
+        TraceEvent::PeFailed { node, pe } => fleet.pe_failed(NodeId(*node), *pe),
+        TraceEvent::PeRestored { node, pe } => fleet.pe_restored(NodeId(*node), *pe),
+        TraceEvent::CostDrift { app, factor } => fleet.cost_drift(app, *factor),
+        TraceEvent::NodeFailed { node } => fleet.node_failed(NodeId(*node)),
+        TraceEvent::NodeRestored { node } => fleet.node_restored(NodeId(*node)),
+    }
+}
+
+/// A verdict's variant and numeric fields — never its prose.
+fn digest_verdict(h: &mut Fnv, v: &ClusterVerdict) {
+    let (name, fields): (&str, [usize; 2]) = match v {
+        ClusterVerdict::Admitted(node) => ("admitted", [node.index(), 0]),
+        ClusterVerdict::Rejected(_) => ("rejected", [0, 0]),
+        ClusterVerdict::Applied => ("applied", [0, 0]),
+        ClusterVerdict::Drained { moved, stranded } => ("drained", [*moved, *stranded]),
+        ClusterVerdict::Rebalanced { moved } => ("rebalanced", [*moved, 0]),
+        ClusterVerdict::Recovered { rehomed, stranded } => ("recovered", [*rehomed, *stranded]),
+        ClusterVerdict::NodeLost { rehomed, stranded } => ("node-lost", [*rehomed, *stranded]),
+        ClusterVerdict::NodeReturned { readmitted } => ("node-returned", [*readmitted, 0]),
+    };
+    h.text(&format!("{name} {fields:?}"));
+}
+
+fn run_cluster_sequential(trace: &EventTrace) -> (u64, String) {
+    let service = ServiceOptions { max_period: Some(FLEET_MAX_PERIOD), ..Default::default() };
+    let opts = ClusterOptions { service, ..ClusterOptions::default() };
+    let mut fleet = Cluster::homogeneous(4, &CellSpec::ps3(), opts);
+    let mut h = Fnv::new();
+    let mut tracked: Vec<String> = Vec::new();
+    let (mut rejected, mut unknown, mut moves, mut stranded_peak) = (0, 0, 0, 0);
+    let mut cycle = CYCLE.iter().peekable();
+    for (i, te) in trace.events().iter().enumerate() {
+        let mut results = Vec::new();
+        while let Some((_, op)) = cycle.next_if(|(at, _)| *at == i) {
+            results.push(match op {
+                NodeOp::Fail(n) => fleet.node_failed(*n),
+                NodeOp::Restore(n) => fleet.node_restored(*n),
+                NodeOp::Drain(n) => fleet.drain(*n),
+                NodeOp::Rebalance => Ok(fleet.rebalance()),
+                NodeOp::Undrain(n) => {
+                    fleet.undrain(*n).expect("the cycle names real nodes");
+                    h.text("undrained");
+                    continue;
+                }
+            });
+        }
+        results.push(apply(&mut fleet, &te.event));
+        for result in results {
+            match result {
+                Ok(r) => {
+                    digest_verdict(&mut h, &r.verdict);
+                    h.bits(r.local_migration_bytes);
+                    h.bits(r.max_period);
+                    for m in &r.migrations {
+                        h.text(&format!("{} {}>{}", m.app, m.from, m.to));
+                        h.bits(m.bytes);
+                        h.bits(m.seconds);
+                    }
+                    tracked.extend(r.app.filter(|_| r.verdict.admitted().is_some()));
+                    rejected += usize::from(matches!(r.verdict, ClusterVerdict::Rejected(_)));
+                    moves += r.migrations.len();
+                }
+                Err(ClusterError::UnknownApp(_)) => {
+                    h.text("unknown app");
+                    unknown += 1;
+                }
+                Err(ClusterError::UnknownNode(n)) => h.text(&format!("unknown node {n}")),
+            }
+            for name in &tracked {
+                h.text(&format!("{name}@{:?}", fleet.node_of(name)));
+            }
+            let mut stranded = fleet.status().stranded;
+            stranded.sort();
+            h.text(&format!("stranded {stranded:?}"));
+            stranded_peak = stranded_peak.max(stranded.len());
+            for agent in fleet.agents() {
+                digest_state(&mut h, agent.service());
+            }
+        }
+    }
+    assert!(cycle.next().is_none(), "the storm is long enough to hold the whole cycle");
+    let shape = format!(
+        "{rejected} rejected, {unknown} unknown, {moves} migrations, {stranded_peak} stranded at \
+         peak, {} placed",
+        fleet.n_apps()
+    );
+    (h.0, shape)
+}
+
 #[test]
 fn the_storm_replays_to_the_recorded_digests() {
     let trace = storm();
@@ -235,6 +361,7 @@ fn the_storm_replays_to_the_recorded_digests() {
         ("chunked, guarantee", run_chunked(&trace, guarded()), GOLDEN_CHUNKED_GUARANTEE),
         ("chunked, fused", run_chunked(&trace, ServiceOptions::default()), GOLDEN_CHUNKED_FUSED),
         ("cluster", run_cluster(&trace), GOLDEN_CLUSTER),
+        ("cluster, sequential", run_cluster_sequential(&trace), GOLDEN_CLUSTER_SEQUENTIAL),
     ];
     for (name, (digest, shape), _) in &runs {
         println!("{name}: {digest:#018x} ({shape})");
