@@ -37,7 +37,7 @@ use cellstream_bench::{quick_mode, write_results};
 use cellstream_graph::{StreamGraph, TaskSpec};
 use cellstream_platform::CellSpec;
 use cellstream_serve::{Event, PipelineOptions, ServePipeline, Service, ServiceOptions};
-use cellstream_sim::online::{replay_concurrent, EventTrace, TraceEvent};
+use cellstream_sim::online::{EventTrace, TraceEvent};
 use cellstream_telemetry::Histogram;
 use std::time::{Duration, Instant};
 
@@ -219,7 +219,7 @@ fn run_pipelined(fill: &[StreamGraph], bursts: &[Vec<TraceEvent>]) -> (Run, Serv
     }
     let pipe = ServePipeline::launch(svc, PipelineOptions { capacity: 256, max_batch: 32 });
     let started = Instant::now();
-    let intake = replay_concurrent(&pipe, &trace);
+    let intake = pipe.replay(&trace);
     let (svc, stats) = pipe.finish();
     let wall = started.elapsed();
     assert_eq!(stats.events, intake.submitted as u64, "nothing lost in the ring");

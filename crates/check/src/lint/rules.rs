@@ -12,9 +12,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/",
     "crates/heuristics/src/repair.rs",
     "crates/rt/src/ring.rs",
-    "crates/cluster/src/coordinator.rs",
-    "crates/cluster/src/agent.rs",
-    "crates/cluster/src/metrics.rs",
+    "crates/cluster/src/",
     "crates/telemetry/src/metrics.rs",
     "crates/telemetry/src/recorder.rs",
 ];

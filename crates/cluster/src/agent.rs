@@ -2,9 +2,9 @@
 //! protocol.
 //!
 //! An agent is deliberately thin — all scheduling intelligence stays in
-//! the serving loop it wraps. Its job is to translate [`ClusterMsg`]
-//! requests into `Service` calls, translate the verdicts back into
-//! [`AgentOutcome`]s, and stamp every reply with a fresh
+//! the serving loop it wraps. Its job is to resolve the [`TraceEvent`]s
+//! a [`ClusterMsg`] carries into `Service` calls, translate the
+//! verdicts back into [`AgentOutcome`]s, and stamp every reply with a fresh
 //! [`NodeSummary`] so the coordinator's capacity view tracks reality.
 
 use crate::msg::{AgentMsg, AgentOutcome, ClusterMsg, NodeId, NodeSummary};
@@ -21,7 +21,7 @@ use std::time::Duration;
 pub struct Agent {
     node: NodeId,
     service: Service,
-    /// Kept so a [`ClusterMsg::NodeFailed`] crash-wipe can rebuild the
+    /// Kept so a [`TraceEvent::NodeFailed`] crash-wipe can rebuild the
     /// serving loop from scratch.
     spec: CellSpec,
     opts: ServiceOptions,
@@ -63,47 +63,35 @@ impl Agent {
         &self.service
     }
 
-    /// Handle one coordinator request. The receiving node is fleet
-    /// index 0 of its own serving loop.
+    /// Handle one coordinator request.
     pub fn handle(&mut self, msg: ClusterMsg) -> AgentMsg {
         match msg {
-            ClusterMsg::Admit { graph, weight } => self.apply(TraceEvent::Admit { graph, weight }),
-            ClusterMsg::Retire { app } => self.apply(TraceEvent::Retire { app }),
-            ClusterMsg::Reweight { app, weight } => {
-                self.apply(TraceEvent::Reweight { app, weight })
-            }
-            ClusterMsg::PeFailed { pe } => self.apply(TraceEvent::PeFailed { node: 0, pe }),
-            ClusterMsg::PeRestored { pe } => self.apply(TraceEvent::PeRestored { node: 0, pe }),
-            ClusterMsg::CostDrift { app, factor } => {
-                self.apply(TraceEvent::CostDrift { app, factor })
-            }
-            ClusterMsg::Batch { ops } => self.handle_batch(ops),
-            ClusterMsg::Status => self.reply(AgentOutcome::Status, Duration::ZERO, 0.0, 0.0),
             // the crash stand-in: resident applications and their buffer
             // state are lost with the process — rebuild an empty serving
             // loop so the restored node rejoins cold
-            ClusterMsg::NodeFailed => {
+            ClusterMsg::Op(TraceEvent::NodeFailed { .. }) => {
                 self.service = Service::with_options(self.spec.clone(), self.opts.clone());
                 self.reply(AgentOutcome::Applied, Duration::ZERO, 0.0, 0.0)
             }
             // state was already wiped at failure; rejoining is a no-op
             // beyond handing the coordinator a fresh (idle) summary
-            ClusterMsg::NodeRestored => self.reply(AgentOutcome::Applied, Duration::ZERO, 0.0, 0.0),
+            ClusterMsg::Op(TraceEvent::NodeRestored { .. }) => {
+                self.reply(AgentOutcome::Applied, Duration::ZERO, 0.0, 0.0)
+            }
+            ClusterMsg::Op(op) => self.apply(op),
+            ClusterMsg::Batch { ops } => self.handle_batch(ops),
+            ClusterMsg::Status => self.reply(AgentOutcome::Status, Duration::ZERO, 0.0, 0.0),
         }
     }
 
-    /// One name-addressed operation through the serving loop. An
-    /// absorbed fault that displaced anyone replies
-    /// [`AgentOutcome::Recovered`] carrying the shed applications. The
-    /// reply sizes the working set of the application a request named:
-    /// before a retire (it is what the departing state transfer would
-    /// cost), after anything else.
+    /// One name-addressed operation through the serving loop, which
+    /// serves fleet index 0. An absorbed fault that displaced anyone
+    /// replies [`AgentOutcome::Recovered`] carrying the shed
+    /// applications. The reply sizes the working set of the application
+    /// the operation named: before a retire (it is what the departing
+    /// state transfer would cost), after anything else.
     fn apply(&mut self, ev: TraceEvent) -> AgentMsg {
-        let app = match &ev {
-            TraceEvent::Admit { graph, .. } => Some(graph.name().to_owned()),
-            TraceEvent::Retire { app } | TraceEvent::Reweight { app, .. } => Some(app.clone()),
-            _ => None,
-        };
+        let app = ev.app().map(str::to_owned);
         let retiring = matches!(ev, TraceEvent::Retire { .. });
         let leaving = app.as_deref().filter(|_| retiring).map(|app| self.working_set(app));
         let Some(event) = self.service.resolve(ev) else {
@@ -230,6 +218,12 @@ mod tests {
         Agent::new(NodeId(3), CellSpec::ps3(), ServiceOptions::default())
     }
 
+    /// A three-task chain admitted at weight 1.
+    fn admit(name: &str, seed: u64) -> ClusterMsg {
+        let graph = chain(name, 3, &CostParams::default(), seed);
+        ClusterMsg::Op(TraceEvent::Admit { graph, weight: 1.0 })
+    }
+
     #[test]
     fn admit_retire_round_trip_updates_the_summary() {
         let mut a = agent();
@@ -239,7 +233,7 @@ mod tests {
         assert!(idle.summary.period.is_infinite());
 
         let g = chain("app", 4, &CostParams::default(), 11);
-        let admitted = a.handle(ClusterMsg::Admit { graph: g, weight: 2.0 });
+        let admitted = a.handle(ClusterMsg::Op(TraceEvent::Admit { graph: g, weight: 2.0 }));
         assert_eq!(admitted.outcome, AgentOutcome::Admitted);
         assert_eq!(admitted.node, NodeId(3));
         assert_eq!(admitted.summary.n_apps, 1);
@@ -248,46 +242,40 @@ mod tests {
         assert_eq!(admitted.summary.min_weight, 2.0);
         assert!(admitted.working_set_bytes > 0.0, "a chain has buffers to move");
 
-        let gone = a.handle(ClusterMsg::Retire { app: "app".to_owned() });
+        let gone = a.handle(ClusterMsg::Op(TraceEvent::Retire { app: "app".to_owned() }));
         assert_eq!(gone.outcome, AgentOutcome::Applied);
         assert!(gone.working_set_bytes > 0.0, "sized before the retire");
         assert_eq!(gone.summary.n_apps, 0);
         assert!(gone.summary.period.is_infinite());
 
-        let ghost = a.handle(ClusterMsg::Retire { app: "app".to_owned() });
+        let ghost = a.handle(ClusterMsg::Op(TraceEvent::Retire { app: "app".to_owned() }));
         assert_eq!(ghost.outcome, AgentOutcome::UnknownApp);
     }
 
     #[test]
     fn reweight_routes_by_name_and_rejects_nonsense() {
         let mut a = agent();
-        a.handle(ClusterMsg::Admit {
-            graph: chain("app", 3, &CostParams::default(), 5),
-            weight: 1.0,
-        });
-        let ok = a.handle(ClusterMsg::Reweight { app: "app".to_owned(), weight: 2.5 });
+        a.handle(admit("app", 5));
+        let ok =
+            a.handle(ClusterMsg::Op(TraceEvent::Reweight { app: "app".to_owned(), weight: 2.5 }));
         assert_eq!(ok.outcome, AgentOutcome::Applied);
         assert_eq!(ok.summary.apps[0].1, 2.5);
 
-        let bad = a.handle(ClusterMsg::Reweight { app: "app".to_owned(), weight: -1.0 });
+        let bad =
+            a.handle(ClusterMsg::Op(TraceEvent::Reweight { app: "app".to_owned(), weight: -1.0 }));
         assert!(matches!(bad.outcome, AgentOutcome::Rejected(_)));
         assert_eq!(bad.summary.apps[0].1, 2.5, "refused reweight rolls back");
 
-        let ghost = a.handle(ClusterMsg::Reweight { app: "ghost".to_owned(), weight: 1.0 });
+        let ghost =
+            a.handle(ClusterMsg::Op(TraceEvent::Reweight { app: "ghost".to_owned(), weight: 1.0 }));
         assert_eq!(ghost.outcome, AgentOutcome::UnknownApp);
     }
 
     #[test]
     fn batch_fuses_ops_and_reports_outcomes_in_request_order() {
         let mut a = agent();
-        a.handle(ClusterMsg::Admit {
-            graph: chain("x", 3, &CostParams::default(), 1),
-            weight: 1.0,
-        });
-        a.handle(ClusterMsg::Admit {
-            graph: chain("y", 3, &CostParams::default(), 2),
-            weight: 1.0,
-        });
+        a.handle(admit("x", 1));
+        a.handle(admit("y", 2));
 
         let reply = a.handle(ClusterMsg::Batch {
             ops: vec![
@@ -316,10 +304,7 @@ mod tests {
     #[test]
     fn a_fault_inside_a_batch_is_refused_and_changes_nothing() {
         let mut a = agent();
-        a.handle(ClusterMsg::Admit {
-            graph: chain("x", 3, &CostParams::default(), 1),
-            weight: 1.0,
-        });
+        a.handle(admit("x", 1));
         let reply = a.handle(ClusterMsg::Batch {
             ops: vec![
                 TraceEvent::PeFailed { node: 0, pe: cellstream_platform::PeId(2) },

@@ -1,19 +1,26 @@
-//! The coordinator: cluster state, event routing, drain and rebalance.
+//! The coordinator: cluster state, operation routing, drain and
+//! rebalance.
 //!
 //! One coordinator owns the fleet-wide picture — per-node capacity
 //! summaries (refreshed by every agent reply), the application → node
 //! assignment, and the cached source graphs it needs to move an
-//! application later. Admissions walk the placement policy's preference
-//! order until a node's own admission control accepts; retires and
-//! reweights route by name. [`Coordinator::drain`] evacuates a node
-//! make-before-break (admit on the target, then retire on the source),
-//! and [`Coordinator::rebalance`] migrates applications off the hottest
+//! application later. Every operation is a [`TraceEvent`] and takes one
+//! path, the **group step**: [`route`](Coordinator::route) answers it
+//! from the coordinator's own books or names its node,
+//! [`exchange`](Coordinator::exchange) carries it there and absorbs the
+//! reply, and [`settle`](Coordinator::settle) turns the agent's outcome
+//! into routing-table updates, recovery and a [`ClusterVerdict`].
+//! [`Coordinator::process`] runs that step over a group of one,
+//! [`Coordinator::process_burst`] over as many groups as the burst cuts
+//! into. [`Coordinator::drain`] evacuates a node make-before-break
+//! (admit on the target, then retire on the source), and
+//! [`Coordinator::rebalance`] migrates applications off the hottest
 //! node while the predicted period gain, amortised over the migration
 //! horizon, outweighs the network transfer cost. Every cross-node move
 //! is priced by the [`NetworkModel`] and reported as a [`Migration`].
 
 use crate::metrics::ClusterMetrics;
-use crate::msg::{AgentMsg, AgentOutcome, ClusterMsg, NodeId, NodeSummary};
+use crate::msg::{AgentOutcome, ClusterMsg, NodeId, NodeSummary};
 use crate::net::NetworkModel;
 use crate::placer::{AppDemand, LoadAffinity, PlacePolicy};
 use crate::transport::{InProcessTransport, Transport};
@@ -24,56 +31,9 @@ use cellstream_platform::{CellSpec, PeId};
 use cellstream_serve::ServiceOptions;
 use cellstream_sim::online::{EventOutcome, OnlineSystem, TraceEvent};
 use cellstream_telemetry::Snapshot;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::{Duration, Instant};
-
-/// One fleet-level operation.
-#[derive(Debug, Clone)]
-pub enum ClusterEvent {
-    /// An application arrives, asking for the given throughput weight.
-    Admit(StreamGraph, f64),
-    /// The named application departs.
-    Retire(String),
-    /// The named application changes its throughput weight.
-    Reweight(String, f64),
-    /// Evacuate every application from a node and stop placing onto it.
-    DrainNode(NodeId),
-    /// Migrate applications off the hottest nodes while the period gain
-    /// amortises the network cost.
-    Rebalance,
-    /// One SPE on a node failed; the node sheds what no longer fits and
-    /// the coordinator re-homes the shed applications.
-    PeFailed(NodeId, PeId),
-    /// A failed SPE came back; stranded applications get a retry.
-    PeRestored(NodeId, PeId),
-    /// The named application's measured compute drifted by this factor.
-    CostDrift(String, f64),
-    /// A whole node died: its resident applications are lost on the
-    /// node and re-homed from the coordinator's cache.
-    NodeFailed(NodeId),
-    /// A dead node came back empty; stranded applications get a retry
-    /// and rebalance sees it as the coldest target.
-    NodeRestored(NodeId),
-}
-
-impl ClusterEvent {
-    /// Compact human label.
-    pub fn label(&self) -> String {
-        match self {
-            ClusterEvent::Admit(g, w) => format!("admit {} w={w}", g.name()),
-            ClusterEvent::Retire(app) => format!("retire {app}"),
-            ClusterEvent::Reweight(app, w) => format!("reweight {app} w={w}"),
-            ClusterEvent::DrainNode(n) => format!("drain {n}"),
-            ClusterEvent::Rebalance => "rebalance".to_owned(),
-            ClusterEvent::PeFailed(n, pe) => format!("fail {n} {pe}"),
-            ClusterEvent::PeRestored(n, pe) => format!("restore {n} {pe}"),
-            ClusterEvent::CostDrift(app, f) => format!("drift {app} x{f}"),
-            ClusterEvent::NodeFailed(n) => format!("node-fail {n}"),
-            ClusterEvent::NodeRestored(n) => format!("node-restore {n}"),
-        }
-    }
-}
 
 /// Malformed fleet operations (a refused admission is a
 /// [`ClusterVerdict`], not an error).
@@ -151,6 +111,22 @@ impl ClusterVerdict {
             _ => None,
         }
     }
+
+    /// `true` when the operation changed what some node serves.
+    pub fn applied(&self) -> bool {
+        match self {
+            ClusterVerdict::Admitted(_) | ClusterVerdict::Applied => true,
+            ClusterVerdict::Rejected(_) => false,
+            ClusterVerdict::Drained { moved, .. } | ClusterVerdict::Rebalanced { moved } => {
+                *moved > 0
+            }
+            // impairments always change fleet state (health masks,
+            // routing, the ledger), even when nothing could be re-homed
+            ClusterVerdict::Recovered { .. }
+            | ClusterVerdict::NodeLost { .. }
+            | ClusterVerdict::NodeReturned { .. } => true,
+        }
+    }
 }
 
 /// One cross-node application move, priced by the network model.
@@ -196,18 +172,7 @@ pub struct ClusterReport {
 impl ClusterReport {
     /// `true` when the operation changed what some node serves.
     pub fn applied(&self) -> bool {
-        match &self.verdict {
-            ClusterVerdict::Admitted(_) | ClusterVerdict::Applied => true,
-            ClusterVerdict::Rejected(_) => false,
-            ClusterVerdict::Drained { moved, .. } | ClusterVerdict::Rebalanced { moved } => {
-                *moved > 0
-            }
-            // impairments always change fleet state (health masks,
-            // routing, the ledger), even when nothing could be re-homed
-            ClusterVerdict::Recovered { .. }
-            | ClusterVerdict::NodeLost { .. }
-            | ClusterVerdict::NodeReturned { .. } => true,
-        }
+        self.verdict.applied()
     }
 
     /// Total bytes this operation pushed across the network.
@@ -241,7 +206,7 @@ pub struct BurstReport {
 }
 
 impl BurstReport {
-    /// Events that changed what some node serves.
+    /// Churn events that changed what some node serves.
     pub fn applied(&self) -> usize {
         self.events
             .iter()
@@ -321,6 +286,30 @@ struct Stranded {
     cooldown: u32,
 }
 
+/// Where [`Coordinator::route`] sends one operation.
+enum Route {
+    /// Answered from the coordinator's own books — no exchange.
+    Done(ClusterVerdict),
+    /// Carried to this node.
+    To(NodeId),
+}
+
+/// What a group step cost beyond its verdicts.
+#[derive(Default)]
+struct Cost {
+    /// EIB traffic of the intra-node replans it triggered (bytes).
+    local_bytes: f64,
+    /// Cross-node moves it performed.
+    migrations: Vec<Migration>,
+}
+
+impl Cost {
+    fn absorb(&mut self, part: Cost) {
+        self.local_bytes += part.local_bytes;
+        self.migrations.extend(part.migrations);
+    }
+}
+
 /// The fleet's control plane. Generic in the [`Transport`] so tests can
 /// interpose; [`Cluster`] is the ready-to-use in-process alias.
 pub struct Coordinator<T: Transport> {
@@ -330,7 +319,7 @@ pub struct Coordinator<T: Transport> {
     migration_horizon: f64,
     summaries: Vec<NodeSummary>,
     draining: Vec<bool>,
-    /// Nodes that died ([`ClusterEvent::NodeFailed`]) and have not been
+    /// Nodes that died ([`TraceEvent::NodeFailed`]) and have not been
     /// restored — excluded from placement, routing, and rebalance.
     dead: Vec<bool>,
     // BTreeMap: drains and rebalances iterate this — keep the order
@@ -340,8 +329,8 @@ pub struct Coordinator<T: Transport> {
     /// passes iterate this — keep the order deterministic).
     stranded: BTreeMap<String, Stranded>,
     next_unique: u64,
-    /// The fleet metric cells and flight recorder; every
-    /// [`ClusterReport`] is recorded once, by [`Coordinator::report`].
+    /// The fleet metric cells and flight recorder; every public call
+    /// is recorded once ([`ClusterMetrics::note`]).
     metrics: ClusterMetrics,
 }
 
@@ -417,25 +406,6 @@ impl<T: Transport> Coordinator<T> {
         }
     }
 
-    /// Route one fleet-level operation.
-    pub fn process(&mut self, ev: ClusterEvent) -> Result<ClusterReport, ClusterError> {
-        let res = match ev {
-            ClusterEvent::Admit(g, w) => Ok(self.admit(&g, w)),
-            ClusterEvent::Retire(app) => self.retire(&app),
-            ClusterEvent::Reweight(app, w) => self.reweight(&app, w),
-            ClusterEvent::DrainNode(n) => self.drain(n),
-            ClusterEvent::Rebalance => Ok(self.rebalance()),
-            ClusterEvent::PeFailed(n, pe) => self.pe_failed(n, pe),
-            ClusterEvent::PeRestored(n, pe) => self.pe_restored(n, pe),
-            ClusterEvent::CostDrift(app, f) => self.cost_drift(&app, f),
-            ClusterEvent::NodeFailed(n) => self.node_failed(n),
-            ClusterEvent::NodeRestored(n) => self.node_restored(n),
-        };
-        #[cfg(feature = "debug_invariants")]
-        self.check_invariants("process");
-        res
-    }
-
     /// Deep audit (`debug_invariants` feature): the control plane's
     /// view must agree with what the nodes last reported — the routing
     /// table places every application on an in-range node, per-node
@@ -495,343 +465,379 @@ impl<T: Transport> Coordinator<T> {
         }
     }
 
-    /// Route a burst of fleet-level operations through per-node
-    /// [`ClusterMsg::Batch`] messages: one agent exchange (and on the
-    /// agent, one composed replan per run of independent ops) instead
-    /// of one exchange per event.
+    /// Route one fleet-level operation: the group step over a group of
+    /// one, reported in full.
     ///
-    /// The burst is split into groups that touch each application name
-    /// at most once — a repeated name cuts the group, so in-order
-    /// semantics hold across the cut — and each group's ops are
-    /// bucketed by target node: retires and reweights route to the
-    /// app's home node, admissions to the placement policy's
-    /// top-ranked node against the summaries as of the group start. An
-    /// admission the pre-ranked node refuses falls back to the
-    /// sequential preference walk ([`admit`](Self::admit)) with the
-    /// refusal's fresh summaries. Unknown applications get a
-    /// [`ClusterVerdict::Rejected`] verdict — the trace is data, not a
-    /// contract.
+    /// * **Routing.** An admission is given a fleet-unique name
+    ///   (`"name#k"` for a duplicate — routing is by name) and goes to
+    ///   the placement policy's top-ranked schedulable node. A retire,
+    ///   reweight or cost drift goes to the application's home node; for
+    ///   a stranded application it is answered from the retry ledger
+    ///   instead (the retire removes the entry, a valid new weight or
+    ///   drift factor corrects it). A PE or node fault goes to the node
+    ///   it names, unless that node is already dead — then only
+    ///   [`TraceEvent::NodeRestored`] does anything.
+    /// * **Fallback.** An admission its pre-ranked node refuses walks
+    ///   the rest of the preference order, re-ranked against the
+    ///   refusal's fresh summaries, until some node's own admission
+    ///   control accepts; the last refusal is quoted if none does.
+    /// * **Recovery.** Applications a fault sheds are re-homed on other
+    ///   nodes (drift-corrected source graphs travel with them) or
+    ///   parked in the stranded ledger — never dropped — and every
+    ///   restore offers the ledger to the fleet again.
+    ///
+    /// A refused operation is a [`ClusterVerdict::Rejected`] report;
+    /// only an unknown application or node is an error.
+    pub fn process(&mut self, ev: &TraceEvent) -> Result<ClusterReport, ClusterError> {
+        let started = Instant::now();
+        let mut cost = Cost::default();
+        let (op, verdict) = self
+            .group(std::slice::from_ref(ev), &mut cost, &mut 0)
+            .pop()
+            .expect("one event is one group"); // check:allow(hot-path-panic): a group takes at least its first event
+        let app = match &op {
+            TraceEvent::Admit { graph, .. } => Some(graph.name().to_owned()),
+            _ => None,
+        };
+        Ok(self.report(op.label(), op.kind(), verdict?, app, started, cost))
+    }
+
+    /// Route a burst of fleet-level operations: one agent exchange per
+    /// group and node (and on the agent, one composed replan per run of
+    /// independent ops) instead of one exchange per event.
+    ///
+    /// The burst is **cut** into groups, each one group step — the step
+    /// [`process`](Self::process) runs for a single event: a fault is a
+    /// group of its own (it can shed arbitrary applications, so it runs
+    /// in trace order against the summaries the churn before it left
+    /// behind), and an event naming an application an earlier event of
+    /// the group touched starts the next group, so in-order semantics
+    /// hold across the cut. Within a group every op is routed against
+    /// the summaries as of the group start and each node gets its ops
+    /// as one [`ClusterMsg::Batch`]. An unknown application or node
+    /// gets a [`ClusterVerdict::Rejected`] verdict — the trace is data,
+    /// not a contract.
     pub fn process_burst(&mut self, events: &[TraceEvent]) -> BurstReport {
         let started = Instant::now();
-        let mut labels: Vec<String> = events.iter().map(TraceEvent::label).collect();
-        let mut verdicts: Vec<Option<ClusterVerdict>> = vec![None; events.len()];
-        let mut local_bytes = 0.0;
+        let mut done = Vec::with_capacity(events.len());
+        let mut cost = Cost::default();
         let mut batches = 0;
-        let mut i = 0;
-        while i < events.len() {
-            let mut touched: Vec<String> = Vec::new();
-            let mut per_node: BTreeMap<NodeId, Vec<(usize, TraceEvent)>> = BTreeMap::new();
-            while i < events.len() {
-                // impairments are burst barriers: flush the batched
-                // churn first, then run the fault sequentially below
-                if events[i].is_fault() {
-                    break;
-                }
-                let raw_name = match &events[i] {
-                    TraceEvent::Admit { graph, .. } => graph.name(),
-                    TraceEvent::Retire { app } | TraceEvent::Reweight { app, .. } => app.as_str(),
-                    // check:allow(hot-path-panic): is_fault() gated above
-                    _ => unreachable!("fault events never reach the churn path"),
-                };
-                if touched.iter().any(|t| t == raw_name) {
-                    break;
-                }
-                match &events[i] {
-                    TraceEvent::Admit { graph, weight } => {
-                        // fleet-unique name, exactly as single admissions
-                        let g = if self.apps.contains_key(graph.name()) {
-                            let unique = format!("{}#{}", graph.name(), self.next_unique);
-                            self.next_unique += 1;
-                            graph.renamed(unique)
-                        } else {
-                            graph.clone()
-                        };
-                        labels[i] = format!("admit {} w={weight}", g.name());
-                        touched.push(g.name().to_owned());
-                        let demand = AppDemand::of(&g, *weight);
-                        let candidates: Vec<NodeSummary> = self
-                            .summaries
-                            .iter()
-                            .filter(|s| self.schedulable(s.node))
-                            .cloned()
-                            .collect();
-                        match self.policy.rank(&candidates, &demand).first() {
-                            Some(&node) => per_node
-                                .entry(node)
-                                .or_default()
-                                .push((i, TraceEvent::Admit { graph: g, weight: *weight })),
-                            None => {
-                                verdicts[i] =
-                                    Some(ClusterVerdict::Rejected("no schedulable node".to_owned()))
-                            }
-                        }
-                    }
-                    TraceEvent::Retire { app } => {
-                        touched.push(app.clone());
-                        match self.node_of(app) {
-                            Some(node) => {
-                                per_node.entry(node).or_default().push((i, events[i].clone()))
-                            }
-                            // a stranded app retires out of the ledger
-                            None => {
-                                verdicts[i] = Some(if self.stranded.remove(app).is_some() {
-                                    ClusterVerdict::Applied
-                                } else {
-                                    unknown_app(app)
-                                })
-                            }
-                        }
-                    }
-                    TraceEvent::Reweight { app, weight } => {
-                        touched.push(app.clone());
-                        match self.node_of(app) {
-                            Some(node) => {
-                                per_node.entry(node).or_default().push((i, events[i].clone()))
-                            }
-                            // a stranded app carries the new weight
-                            // into its next retry
-                            None => {
-                                verdicts[i] = Some(match self.stranded.get_mut(app) {
-                                    Some(e) => {
-                                        e.weight = *weight;
-                                        ClusterVerdict::Applied
-                                    }
-                                    None => unknown_app(app),
-                                })
-                            }
-                        }
-                    }
-                    // check:allow(hot-path-panic): is_fault() gated at
-                    // the top of the loop
-                    _ => unreachable!("fault events never reach the churn path"),
-                }
-                i += 1;
-            }
-            // dispatch one batch per node, in node order (deterministic)
-            for (node, ops) in per_node {
-                batches += 1;
-                let msg_ops: Vec<TraceEvent> = ops.iter().map(|(_, op)| op.clone()).collect();
-                let reply = self.transport.send(node, ClusterMsg::Batch { ops: msg_ops });
-                self.absorb(&reply);
-                local_bytes += reply.local_migration_bytes;
-                let AgentOutcome::Batch(outs) = &reply.outcome else {
-                    for (idx, _) in &ops {
-                        verdicts[*idx] = Some(ClusterVerdict::Rejected(format!(
-                            "{node}: unexpected reply {:?}",
-                            reply.outcome
-                        )));
-                    }
-                    continue;
-                };
-                for ((idx, op), out) in ops.iter().zip(outs.iter()) {
-                    let v = match (op, out) {
-                        (TraceEvent::Admit { graph, weight }, AgentOutcome::Admitted) => {
-                            self.apps.insert(
-                                graph.name().to_owned(),
-                                Placed { graph: graph.clone(), weight: *weight, node },
-                            );
-                            ClusterVerdict::Admitted(node)
-                        }
-                        // the pre-ranked node refused: fall back to the
-                        // sequential preference walk with the refusal's
-                        // fresh summaries
-                        (TraceEvent::Admit { graph, weight }, AgentOutcome::Rejected(_)) => {
-                            let r = self.admit(graph, *weight);
-                            local_bytes += r.local_migration_bytes;
-                            r.verdict
-                        }
-                        (TraceEvent::Retire { app }, AgentOutcome::Applied) => {
-                            self.apps.remove(app);
-                            ClusterVerdict::Applied
-                        }
-                        (TraceEvent::Reweight { app, weight }, AgentOutcome::Applied) => {
-                            // check:allow(hot-path-panic): routed via node_of
-                            self.apps.get_mut(app).expect("routed via node_of").weight = *weight;
-                            ClusterVerdict::Applied
-                        }
-                        (_, AgentOutcome::Rejected(r)) => {
-                            ClusterVerdict::Rejected(format!("{node}: {r}"))
-                        }
-                        // assignment said the app lives there but the
-                        // agent disagrees — surface the drift
-                        (_, AgentOutcome::UnknownApp) => ClusterVerdict::Rejected(format!(
-                            "{node}: assignment drift — node does not host this application"
-                        )),
-                        (_, other) => {
-                            ClusterVerdict::Rejected(format!("{node}: unexpected reply {other:?}"))
-                        }
-                    };
-                    verdicts[*idx] = Some(v);
-                }
-            }
-            // a fault at the cut point runs sequentially, in trace
-            // order, against the summaries the batches left behind —
-            // it can shed arbitrary applications, so it never fuses
-            // with the churn around it
-            if i < events.len() && events[i].is_fault() {
-                let res = match &events[i] {
-                    TraceEvent::PeFailed { node, pe } => self.pe_failed(NodeId(*node), *pe),
-                    TraceEvent::PeRestored { node, pe } => self.pe_restored(NodeId(*node), *pe),
-                    TraceEvent::CostDrift { app, factor } => self.cost_drift(app, *factor),
-                    TraceEvent::NodeFailed { node } => self.node_failed(NodeId(*node)),
-                    TraceEvent::NodeRestored { node } => self.node_restored(NodeId(*node)),
-                    // check:allow(hot-path-panic): is_fault() gated above
-                    _ => unreachable!("only fault events reach the barrier"),
-                };
-                verdicts[i] = Some(match res {
-                    Ok(r) => {
-                        local_bytes += r.local_migration_bytes;
-                        r.verdict
-                    }
-                    Err(e) => ClusterVerdict::Rejected(e.to_string()),
-                });
-                i += 1;
-            }
+        while done.len() < events.len() {
+            done.extend(self.group(&events[done.len()..], &mut cost, &mut batches));
         }
-        let events = labels
-            .into_iter()
-            // check:allow(hot-path-panic): the dispatch loop above fills every slot
-            .zip(verdicts.into_iter().map(|v| v.expect("every event got a verdict")))
-            .collect();
-        #[cfg(feature = "debug_invariants")]
-        self.check_invariants("process_burst");
-        BurstReport {
-            events,
+        let verdicts = done.into_iter().map(|(op, res)| {
+            (op.label(), res.unwrap_or_else(|e| ClusterVerdict::Rejected(e.to_string())))
+        });
+        let report = BurstReport {
+            events: verdicts.collect(),
             latency: started.elapsed(),
             batches,
-            local_migration_bytes: local_bytes,
+            local_migration_bytes: cost.local_bytes,
             max_period: self.max_period(),
-        }
+        };
+        #[cfg(feature = "debug_invariants")]
+        self.check_invariants("process_burst");
+        self.metrics.note(
+            "burst",
+            events.iter().map(TraceEvent::kind).zip(report.events.iter().map(|(_, v)| v)),
+            report.latency,
+            cost.local_bytes,
+            &cost.migrations,
+            self.stranded.len(),
+        );
+        report
     }
 
-    /// Admit an application somewhere in the fleet: rank the
-    /// non-draining nodes, try each in order until one's admission
-    /// control accepts. Duplicate names are uniquified (`"name#k"`) —
-    /// routing is by name, so names must be fleet-unique.
-    pub fn admit(&mut self, g: &StreamGraph, weight: f64) -> ClusterReport {
-        let started = Instant::now();
-        let g = if self.apps.contains_key(g.name()) {
-            let unique = format!("{}#{}", g.name(), self.next_unique);
-            self.next_unique += 1;
-            g.renamed(unique)
-        } else {
-            g.clone()
-        };
-        let name = g.name().to_owned();
-        let label = format!("admit {name} w={weight}");
-
-        let demand = AppDemand::of(&g, weight);
-        let candidates: Vec<NodeSummary> =
-            self.summaries.iter().filter(|s| self.schedulable(s.node)).cloned().collect();
-        let order = self.policy.rank(&candidates, &demand);
-        let mut local_bytes = 0.0;
-        let mut last_refusal = "no schedulable node".to_owned();
-        for node in order {
-            let reply = self.transport.send(node, ClusterMsg::Admit { graph: g.clone(), weight });
-            self.absorb(&reply);
-            local_bytes += reply.local_migration_bytes;
-            match reply.outcome {
-                AgentOutcome::Admitted => {
-                    #[cfg(feature = "debug_invariants")]
-                    assert!(!self.draining[node.index()], "admission landed on draining {node}");
-                    self.apps.insert(name.clone(), Placed { graph: g, weight, node });
-                    return self.report(
-                        label,
-                        ClusterVerdict::Admitted(node),
-                        Some(name),
-                        started,
-                        Vec::new(),
-                        local_bytes,
-                    );
+    /// The group step: take the longest prefix of `events` that forms
+    /// one group (see [`process_burst`](Self::process_burst) for the cut
+    /// rule), route every op of it, carry each node's ops there in one
+    /// exchange, and settle the outcomes. Returns the group's ops in
+    /// their fleet-level form (admissions under their unique names),
+    /// each with its verdict, in request order.
+    fn group(
+        &mut self,
+        events: &[TraceEvent],
+        cost: &mut Cost,
+        batches: &mut usize,
+    ) -> Vec<(TraceEvent, Result<ClusterVerdict, ClusterError>)> {
+        let mut done: Vec<(TraceEvent, Result<ClusterVerdict, ClusterError>)> = Vec::new();
+        let mut per_node: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        for ev in events {
+            let touched = |name| done.iter().any(|(op, _)| op.app() == Some(name));
+            if !done.is_empty() && (ev.is_fault() || ev.app().is_some_and(touched)) {
+                break;
+            }
+            // until its node answers, an op's verdict is that nothing did
+            let silent = || ClusterVerdict::Rejected("the node reported no verdict".to_owned());
+            done.push(match self.route(ev) {
+                Ok((op, Route::To(node))) => {
+                    per_node.entry(node).or_default().push(done.len());
+                    (op, Ok(silent()))
                 }
-                AgentOutcome::Rejected(reason) => last_refusal = format!("{node}: {reason}"),
-                other => last_refusal = format!("{node}: unexpected reply {other:?}"),
+                Ok((op, Route::Done(verdict))) => (op, Ok(verdict)),
+                Err(e) => (ev.clone(), Err(e)),
+            });
+            if ev.is_fault() {
+                break;
             }
         }
-        self.report(
-            label,
-            ClusterVerdict::Rejected(last_refusal),
-            Some(name),
-            started,
-            Vec::new(),
-            local_bytes,
-        )
-    }
-
-    /// Retire an application wherever it lives — a stranded one
-    /// retires straight out of the ledger.
-    pub fn retire(&mut self, app: &str) -> Result<ClusterReport, ClusterError> {
-        let started = Instant::now();
-        let Some(node) = self.node_of(app) else {
-            if self.stranded.remove(app).is_some() {
-                let label = format!("retire {app}");
-                return Ok(self.report(
-                    label,
-                    ClusterVerdict::Applied,
-                    None,
-                    started,
-                    Vec::new(),
-                    0.0,
-                ));
+        // one exchange per node, in node order (deterministic)
+        for (node, slots) in per_node {
+            // each op's recovery sums on its own before joining the
+            // group's total, so a byte total has the same bits however
+            // the ops around it were grouped
+            let mut own = Cost::default();
+            let outcomes = match &done[slots[0]].0 {
+                fault if fault.is_fault() => {
+                    vec![self.exchange(node, ClusterMsg::Op(on_the_wire(fault)), &mut own).0]
+                }
+                _ => {
+                    *batches += 1;
+                    let ops = slots.iter().map(|&i| done[i].0.clone()).collect();
+                    match self.exchange(node, ClusterMsg::Batch { ops }, cost).0 {
+                        AgentOutcome::Batch(outcomes) => outcomes,
+                        other => {
+                            let refused = ClusterVerdict::Rejected(refusal(node, &other));
+                            slots.iter().for_each(|&i| done[i].1 = Ok(refused.clone()));
+                            continue;
+                        }
+                    }
+                }
+            };
+            for (i, outcome) in slots.into_iter().zip(outcomes) {
+                done[i].1 = Ok(self.settle(node, &done[i].0, outcome, &mut own));
+                cost.absorb(std::mem::take(&mut own));
             }
-            return Err(ClusterError::UnknownApp(app.to_owned()));
-        };
-        let reply = self.transport.send(node, ClusterMsg::Retire { app: app.to_owned() });
-        self.absorb(&reply);
-        if reply.outcome != AgentOutcome::Applied {
-            // assignment said the app lives there but the agent disagrees
-            // — surface the drift instead of pretending it was retired
-            return Err(ClusterError::UnknownApp(app.to_owned()));
         }
-        self.apps.remove(app);
-        Ok(self.report(
-            format!("retire {app}"),
-            ClusterVerdict::Applied,
-            None,
-            started,
-            Vec::new(),
-            reply.local_migration_bytes,
-        ))
+        done
     }
 
-    /// Change an application's throughput weight wherever it lives — a
-    /// stranded one carries the new weight into its next retry.
-    pub fn reweight(&mut self, app: &str, weight: f64) -> Result<ClusterReport, ClusterError> {
-        let started = Instant::now();
-        let Some(node) = self.node_of(app) else {
-            if let Some(e) = self.stranded.get_mut(app) {
-                e.weight = weight;
-                let label = format!("reweight {app} w={weight}");
-                return Ok(self.report(
-                    label,
-                    ClusterVerdict::Applied,
-                    None,
-                    started,
-                    Vec::new(),
-                    0.0,
-                ));
+    /// Answer `ev` from the coordinator's own books or name the node
+    /// that must: returns the op in its fleet-level form — an admission
+    /// under its fleet-unique name — and where it goes. Routing reads
+    /// the summaries as they stand; it talks to no node.
+    fn route(&mut self, ev: &TraceEvent) -> Result<(TraceEvent, Route), ClusterError> {
+        let unknown = |app: &str| ClusterError::UnknownApp(app.to_owned());
+        let route = match ev {
+            TraceEvent::Admit { graph, weight } => {
+                // routing is by name, so names must be fleet-unique
+                let graph = match self.apps.contains_key(graph.name()) {
+                    true => {
+                        self.next_unique += 1;
+                        graph.renamed(format!("{}#{}", graph.name(), self.next_unique - 1))
+                    }
+                    false => graph.clone(),
+                };
+                let order = self.ranked(&AppDemand::of(&graph, *weight), None, None);
+                let route = match order.first() {
+                    Some(&node) => Route::To(node),
+                    None => Route::Done(ClusterVerdict::Rejected("no schedulable node".to_owned())),
+                };
+                return Ok((TraceEvent::Admit { graph, weight: *weight }, route));
             }
-            return Err(ClusterError::UnknownApp(app.to_owned()));
+            TraceEvent::Retire { app } => match self.node_of(app) {
+                Some(node) => Route::To(node),
+                // a stranded application retires straight out of the ledger
+                None => {
+                    self.stranded.remove(app).ok_or_else(|| unknown(app))?;
+                    Route::Done(ClusterVerdict::Applied)
+                }
+            },
+            TraceEvent::Reweight { app, weight: x } | TraceEvent::CostDrift { app, factor: x } => {
+                match self.node_of(app) {
+                    Some(node) => Route::To(node),
+                    // both reach a stranded application's ledger copy, so
+                    // its eventual re-admission asks for the new weight at
+                    // the real costs — and neither may poison that copy
+                    None => {
+                        let entry = self.stranded.get_mut(app).ok_or_else(|| unknown(app))?;
+                        if !(x.is_finite() && *x > 0.0) {
+                            let refusal = format!("invalid {}", ev.label());
+                            Route::Done(ClusterVerdict::Rejected(refusal))
+                        } else {
+                            match ev {
+                                TraceEvent::Reweight { .. } => entry.weight = *x,
+                                _ => entry.graph = entry.graph.rescale_costs(*x),
+                            }
+                            Route::Done(ClusterVerdict::Applied)
+                        }
+                    }
+                }
+            }
+            TraceEvent::PeFailed { node, .. }
+            | TraceEvent::PeRestored { node, .. }
+            | TraceEvent::NodeFailed { node }
+            | TraceEvent::NodeRestored { node } => {
+                let node = NodeId(*node);
+                self.check_node(node)?;
+                let dead = &mut self.dead[node.index()];
+                match (ev, *dead) {
+                    // the whole node is gone: a PE fault on it is a
+                    // no-op, and only a node restore brings it back
+                    (TraceEvent::PeFailed { .. }, true) => {
+                        Route::Done(ClusterVerdict::Recovered { rehomed: 0, stranded: 0 })
+                    }
+                    (TraceEvent::PeRestored { .. }, true) => {
+                        let refusal = format!("{node} is down — restore the node, not its PEs");
+                        Route::Done(ClusterVerdict::Rejected(refusal))
+                    }
+                    // a second node failure, or restoring a live node, is
+                    // an idempotent no-op
+                    (TraceEvent::NodeFailed { .. }, true) => {
+                        Route::Done(ClusterVerdict::NodeLost { rehomed: 0, stranded: 0 })
+                    }
+                    (TraceEvent::NodeRestored { .. }, false) => {
+                        Route::Done(ClusterVerdict::NodeReturned { readmitted: 0 })
+                    }
+                    // a PE fault on a live node leaves it live; a node
+                    // fault flips it
+                    _ => {
+                        *dead = matches!(ev, TraceEvent::NodeFailed { .. });
+                        Route::To(node)
+                    }
+                }
+            }
         };
-        let reply = self.transport.send(node, ClusterMsg::Reweight { app: app.to_owned(), weight });
-        self.absorb(&reply);
-        let verdict = match reply.outcome {
-            AgentOutcome::Applied => {
-                // check:allow(hot-path-panic): routed via node_of
-                self.apps.get_mut(app).expect("routed via node_of").weight = weight;
+        Ok((ev.clone(), route))
+    }
+
+    /// Deliver one request and block on the reply: absorb the node's
+    /// fresh summary, add the replan's EIB traffic to `cost`, and hand
+    /// back the outcome with the working set it sized.
+    fn exchange(&mut self, node: NodeId, msg: ClusterMsg, cost: &mut Cost) -> (AgentOutcome, f64) {
+        let reply = self.transport.send(node, msg);
+        cost.local_bytes += reply.local_migration_bytes;
+        self.summaries[reply.node.index()] = reply.summary;
+        (reply.outcome, reply.working_set_bytes)
+    }
+
+    /// The one `(op, outcome)` table: turn the answer of `op`'s node
+    /// into routing-table updates, recovery and a verdict.
+    fn settle(
+        &mut self,
+        node: NodeId,
+        op: &TraceEvent,
+        outcome: AgentOutcome,
+        cost: &mut Cost,
+    ) -> ClusterVerdict {
+        let shed = |(rehomed, stranded)| ClusterVerdict::Recovered { rehomed, stranded };
+        match (op, outcome) {
+            (TraceEvent::Admit { graph, weight }, AgentOutcome::Admitted) => {
+                self.place(graph, *weight, node)
+            }
+            // the pre-ranked node refused: walk the rest of the order,
+            // re-ranked against the refusal's fresh summaries
+            (TraceEvent::Admit { graph, weight }, refused @ AgentOutcome::Rejected(_)) => {
+                let order = self.ranked(&AppDemand::of(graph, *weight), Some(node), None);
+                match self.walk(graph, *weight, order, cost) {
+                    Ok((to, _)) => self.place(graph, *weight, to),
+                    Err(last) => {
+                        ClusterVerdict::Rejected(last.unwrap_or_else(|| refusal(node, &refused)))
+                    }
+                }
+            }
+            (TraceEvent::Retire { app }, AgentOutcome::Applied) => {
+                self.apps.remove(app);
                 ClusterVerdict::Applied
             }
-            AgentOutcome::Rejected(reason) => ClusterVerdict::Rejected(reason),
-            _ => return Err(ClusterError::UnknownApp(app.to_owned())),
-        };
-        Ok(self.report(
-            format!("reweight {app} w={weight}"),
-            verdict,
-            None,
-            started,
-            Vec::new(),
-            reply.local_migration_bytes,
-        ))
+            (TraceEvent::Reweight { app, weight }, AgentOutcome::Applied) => {
+                if let Some(placed) = self.apps.get_mut(app) {
+                    placed.weight = *weight;
+                }
+                ClusterVerdict::Applied
+            }
+            // the node rescaled the source costs and replanned, possibly
+            // shedding applications (the drifted one included): mirror
+            // the correction into the cached graph so later migrations
+            // admit the app at its real size — for shed applications
+            // the agent's corrected source graph is authoritative and
+            // overwrites the cache on re-homing
+            (
+                TraceEvent::CostDrift { app, factor },
+                answer @ (AgentOutcome::Applied | AgentOutcome::Recovered { .. }),
+            ) => {
+                if let Some(placed) = self.apps.get_mut(app) {
+                    placed.graph = placed.graph.rescale_costs(*factor);
+                }
+                match answer {
+                    AgentOutcome::Recovered { shed: lost } => shed(self.rehome(lost, node, cost)),
+                    _ => ClusterVerdict::Applied,
+                }
+            }
+            // the node replanned around the dead PE; what no longer fits
+            // comes back for re-homing
+            (TraceEvent::PeFailed { .. }, AgentOutcome::Applied) => shed((0, 0)),
+            (TraceEvent::PeFailed { .. }, AgentOutcome::Recovered { shed: lost }) => {
+                shed(self.rehome(lost, node, cost))
+            }
+            // capacity only grows on a restore — agents never shed here —
+            // so the stranded ledger gets a retry
+            (
+                TraceEvent::PeRestored { .. },
+                AgentOutcome::Applied | AgentOutcome::Recovered { .. },
+            )
+            | (TraceEvent::NodeRestored { .. }, _) => {
+                ClusterVerdict::NodeReturned { readmitted: self.retry_stranded(cost) }
+            }
+            // the crash lost the node's state: its residents re-home
+            // from the coordinator's cache, whose source graphs are
+            // exactly what a cold re-admission needs
+            (TraceEvent::NodeFailed { .. }, _) => {
+                let lost = self.apps.values().filter(|p| p.node == node);
+                let lost = lost.map(|p| (p.graph.clone(), p.weight)).collect();
+                let (rehomed, stranded) = self.rehome(lost, node, cost);
+                ClusterVerdict::NodeLost { rehomed, stranded }
+            }
+            (_, other) => ClusterVerdict::Rejected(refusal(node, &other)),
+        }
+    }
+
+    /// Record an accepted admission in the routing table.
+    fn place(&mut self, graph: &StreamGraph, weight: f64, node: NodeId) -> ClusterVerdict {
+        #[cfg(feature = "debug_invariants")]
+        assert!(self.schedulable(node), "admission landed on unschedulable {node}");
+        self.apps.insert(graph.name().to_owned(), Placed { graph: graph.clone(), weight, node });
+        ClusterVerdict::Admitted(node)
+    }
+
+    /// The placement policy's preference order for `demand` over the
+    /// schedulable nodes — without `exclude`, and only `only` when set.
+    fn ranked(
+        &mut self,
+        demand: &AppDemand,
+        exclude: Option<NodeId>,
+        only: Option<NodeId>,
+    ) -> Vec<NodeId> {
+        let candidates: Vec<NodeSummary> = self
+            .summaries
+            .iter()
+            .filter(|s| self.schedulable(s.node) && Some(s.node) != exclude)
+            .filter(|s| only.is_none_or(|t| s.node == t))
+            .cloned()
+            .collect();
+        self.policy.rank(&candidates, demand)
+    }
+
+    /// Offer an application to the nodes of `order` in turn. The first
+    /// whose admission control accepts hosts it: `Ok` with that node
+    /// and the working set it sized, else the last refusal (`None` for
+    /// an empty order).
+    fn walk(
+        &mut self,
+        graph: &StreamGraph,
+        weight: f64,
+        order: Vec<NodeId>,
+        cost: &mut Cost,
+    ) -> Result<(NodeId, f64), Option<String>> {
+        let mut last = None;
+        for to in order {
+            let admit = TraceEvent::Admit { graph: graph.clone(), weight };
+            match self.exchange(to, ClusterMsg::Op(admit), cost) {
+                (AgentOutcome::Admitted, working_set) => return Ok((to, working_set)),
+                (refused, _) => last = Some(refusal(to, &refused)),
+            }
+        }
+        Err(last)
     }
 
     /// Evacuate every application from `node` and exclude it from
@@ -842,9 +848,7 @@ impl<T: Transport> Coordinator<T> {
     /// take stay put and are counted as stranded.
     pub fn drain(&mut self, node: NodeId) -> Result<ClusterReport, ClusterError> {
         let started = Instant::now();
-        if node.index() >= self.summaries.len() {
-            return Err(ClusterError::UnknownNode(node));
-        }
+        self.check_node(node)?;
         self.draining[node.index()] = true;
         let resident: Vec<String> = self
             .apps
@@ -852,343 +856,154 @@ impl<T: Transport> Coordinator<T> {
             .filter(|(_, p)| p.node == node)
             .map(|(name, _)| name.clone())
             .collect();
-        let mut migrations = Vec::new();
-        let mut local_bytes = 0.0;
-        let mut stranded = 0;
-        for app in resident {
-            match self.migrate(&app, None, &mut local_bytes) {
-                Some(m) => migrations.push(m),
-                None => stranded += 1,
-            }
+        let mut cost = Cost::default();
+        for app in &resident {
+            self.migrate(app, None, &mut cost);
         }
-        let moved = migrations.len();
-        Ok(self.report(
-            format!("drain {node}"),
-            ClusterVerdict::Drained { moved, stranded },
-            None,
-            started,
-            migrations,
-            local_bytes,
-        ))
+        let moved = cost.migrations.len();
+        let verdict = ClusterVerdict::Drained { moved, stranded: resident.len() - moved };
+        Ok(self.report(format!("drain {node}"), "drain", verdict, None, started, cost))
     }
 
     /// Put a drained node back into placement rotation.
     pub fn undrain(&mut self, node: NodeId) -> Result<(), ClusterError> {
-        if node.index() >= self.draining.len() {
-            return Err(ClusterError::UnknownNode(node));
-        }
+        self.check_node(node)?;
         self.draining[node.index()] = false;
         Ok(())
     }
 
-    /// One SPE on a node failed. The node replans around the dead PE
-    /// and sheds what no longer fits; the coordinator re-homes the
-    /// shed applications (drift-corrected source graphs travel with
-    /// them) or strands them in the retry ledger. A PE fault on an
-    /// already-dead node is a no-op — the whole node is gone, and only
-    /// [`node_restored`](Self::node_restored) brings it back.
+    /// Admit an application somewhere in the fleet
+    /// ([`process`](Self::process) of a [`TraceEvent::Admit`]).
+    pub fn admit(&mut self, g: &StreamGraph, weight: f64) -> ClusterReport {
+        self.process(&TraceEvent::Admit { graph: g.clone(), weight })
+            .expect("admissions name no application or node") // check:allow(hot-path-panic): routing an admission never errors
+    }
+
+    /// Retire an application wherever it lives
+    /// ([`process`](Self::process) of a [`TraceEvent::Retire`]).
+    pub fn retire(&mut self, app: &str) -> Result<ClusterReport, ClusterError> {
+        self.process(&TraceEvent::Retire { app: app.to_owned() })
+    }
+
+    /// Change an application's throughput weight wherever it lives
+    /// ([`process`](Self::process) of a [`TraceEvent::Reweight`]).
+    pub fn reweight(&mut self, app: &str, weight: f64) -> Result<ClusterReport, ClusterError> {
+        self.process(&TraceEvent::Reweight { app: app.to_owned(), weight })
+    }
+
+    /// One SPE on a node failed ([`process`](Self::process) of a
+    /// [`TraceEvent::PeFailed`]).
     pub fn pe_failed(&mut self, node: NodeId, pe: PeId) -> Result<ClusterReport, ClusterError> {
-        let started = Instant::now();
-        self.check_node(node)?;
-        let label = format!("fail {node} {pe}");
-        if self.dead[node.index()] {
-            let v = ClusterVerdict::Recovered { rehomed: 0, stranded: 0 };
-            return Ok(self.report(label, v, None, started, Vec::new(), 0.0));
-        }
-        let reply = self.transport.send(node, ClusterMsg::PeFailed { pe });
-        self.absorb(&reply);
-        let mut local_bytes = reply.local_migration_bytes;
-        let verdict_and_moves = match reply.outcome {
-            AgentOutcome::Applied => {
-                (ClusterVerdict::Recovered { rehomed: 0, stranded: 0 }, Vec::new())
-            }
-            AgentOutcome::Recovered { shed } => {
-                let (migrations, stranded) = self.rehome(shed, node, &mut local_bytes);
-                (ClusterVerdict::Recovered { rehomed: migrations.len(), stranded }, migrations)
-            }
-            AgentOutcome::Rejected(r) => {
-                (ClusterVerdict::Rejected(format!("{node}: {r}")), Vec::new())
-            }
-            other => (
-                ClusterVerdict::Rejected(format!("{node}: unexpected reply {other:?}")),
-                Vec::new(),
-            ),
-        };
-        let (verdict, migrations) = verdict_and_moves;
-        Ok(self.report(label, verdict, None, started, migrations, local_bytes))
+        self.process(&TraceEvent::PeFailed { node: node.index(), pe })
     }
 
-    /// A failed SPE came back. The node replans onto the recovered
-    /// silicon, then a retry pass offers stranded applications to the
-    /// fleet again. Restoring a PE on a dead node is refused — the
-    /// node itself is down.
+    /// A failed SPE came back ([`process`](Self::process) of a
+    /// [`TraceEvent::PeRestored`]).
     pub fn pe_restored(&mut self, node: NodeId, pe: PeId) -> Result<ClusterReport, ClusterError> {
-        let started = Instant::now();
-        self.check_node(node)?;
-        let label = format!("restore {node} {pe}");
-        if self.dead[node.index()] {
-            let v =
-                ClusterVerdict::Rejected(format!("{node} is down — restore the node, not its PEs"));
-            return Ok(self.report(label, v, None, started, Vec::new(), 0.0));
-        }
-        let reply = self.transport.send(node, ClusterMsg::PeRestored { pe });
-        self.absorb(&reply);
-        let mut local_bytes = reply.local_migration_bytes;
-        match reply.outcome {
-            // capacity only grows on a restore: agents never shed here
-            AgentOutcome::Applied | AgentOutcome::Recovered { .. } => {}
-            AgentOutcome::Rejected(r) => {
-                let v = ClusterVerdict::Rejected(format!("{node}: {r}"));
-                return Ok(self.report(label, v, None, started, Vec::new(), local_bytes));
-            }
-            other => {
-                let v = ClusterVerdict::Rejected(format!("{node}: unexpected reply {other:?}"));
-                return Ok(self.report(label, v, None, started, Vec::new(), local_bytes));
-            }
-        }
-        let migrations = self.retry_stranded(&mut local_bytes);
-        let readmitted = migrations.len();
-        Ok(self.report(
-            label,
-            ClusterVerdict::NodeReturned { readmitted },
-            None,
-            started,
-            migrations,
-            local_bytes,
-        ))
+        self.process(&TraceEvent::PeRestored { node: node.index(), pe })
     }
 
-    /// The named application's measured compute drifted by `factor`.
-    /// Routed to its home node: the agent rescales the source costs
-    /// and replans, possibly shedding applications (the drifted one
-    /// included). The coordinator mirrors the correction into its
-    /// cached graph so later migrations admit the app at its real
-    /// size; for shed applications the agent's corrected source graph
-    /// is authoritative and overwrites the cache on re-homing.
+    /// The named application's measured compute drifted by `factor`
+    /// ([`process`](Self::process) of a [`TraceEvent::CostDrift`]).
     pub fn cost_drift(&mut self, app: &str, factor: f64) -> Result<ClusterReport, ClusterError> {
-        let started = Instant::now();
-        let label = format!("drift {app} x{factor}");
-        let Some(node) = self.node_of(app) else {
-            // drift reaches stranded applications too: correct the
-            // ledger copy so the eventual re-admission uses real costs
-            let verdict = match self.stranded.get_mut(app) {
-                None => return Err(ClusterError::UnknownApp(app.to_owned())),
-                Some(e) if factor.is_finite() && factor > 0.0 => {
-                    e.graph = e.graph.rescale_costs(factor);
-                    ClusterVerdict::Applied
-                }
-                Some(_) => ClusterVerdict::Rejected(format!("invalid drift factor {factor}")),
-            };
-            return Ok(self.report(label, verdict, None, started, Vec::new(), 0.0));
-        };
-        let reply =
-            self.transport.send(node, ClusterMsg::CostDrift { app: app.to_owned(), factor });
-        self.absorb(&reply);
-        let mut local_bytes = reply.local_migration_bytes;
-        if matches!(reply.outcome, AgentOutcome::Applied | AgentOutcome::Recovered { .. }) {
-            if let Some(p) = self.apps.get_mut(app) {
-                p.graph = p.graph.rescale_costs(factor);
-            }
-        }
-        let (verdict, migrations) = match reply.outcome {
-            AgentOutcome::Applied => (ClusterVerdict::Applied, Vec::new()),
-            AgentOutcome::Recovered { shed } => {
-                let (migrations, stranded) = self.rehome(shed, node, &mut local_bytes);
-                (ClusterVerdict::Recovered { rehomed: migrations.len(), stranded }, migrations)
-            }
-            AgentOutcome::Rejected(r) => {
-                (ClusterVerdict::Rejected(format!("{node}: {r}")), Vec::new())
-            }
-            // assignment said the app lives there but the agent
-            // disagrees — surface the drift
-            AgentOutcome::UnknownApp => {
-                return Err(ClusterError::UnknownApp(app.to_owned()));
-            }
-            other => (
-                ClusterVerdict::Rejected(format!("{node}: unexpected reply {other:?}")),
-                Vec::new(),
-            ),
-        };
-        Ok(self.report(label, verdict, None, started, migrations, local_bytes))
+        self.process(&TraceEvent::CostDrift { app: app.to_owned(), factor })
     }
 
-    /// A whole node died. The agent stand-in wipes its serving state —
-    /// resident buffer state is *lost*, not migrated — and the
-    /// coordinator marks the node dead, absorbs the idle summary, and
-    /// re-homes every resident from its own cache (the cached source
-    /// graphs are exactly what a cold re-admission needs). Residents
-    /// no surviving node admits go to the stranded ledger.
+    /// A whole node died ([`process`](Self::process) of a
+    /// [`TraceEvent::NodeFailed`]): its residents' buffer state is
+    /// *lost*, not migrated.
     pub fn node_failed(&mut self, node: NodeId) -> Result<ClusterReport, ClusterError> {
-        let started = Instant::now();
-        self.check_node(node)?;
-        let label = format!("node-fail {node}");
-        if self.dead[node.index()] {
-            let v = ClusterVerdict::NodeLost { rehomed: 0, stranded: 0 };
-            return Ok(self.report(label, v, None, started, Vec::new(), 0.0));
-        }
-        self.dead[node.index()] = true;
-        let reply = self.transport.send(node, ClusterMsg::NodeFailed);
-        self.absorb(&reply);
-        let mut local_bytes = reply.local_migration_bytes;
-        let shed: Vec<(StreamGraph, f64)> = self
-            .apps
-            .values()
-            .filter(|p| p.node == node)
-            .map(|p| (p.graph.clone(), p.weight))
-            .collect();
-        let (migrations, stranded) = self.rehome(shed, node, &mut local_bytes);
-        let rehomed = migrations.len();
-        Ok(self.report(
-            label,
-            ClusterVerdict::NodeLost { rehomed, stranded },
-            None,
-            started,
-            migrations,
-            local_bytes,
-        ))
+        self.process(&TraceEvent::NodeFailed { node: node.index() })
     }
 
-    /// A dead node came back — empty: the crash lost its state, so it
-    /// rejoins as cold capacity. The retry pass offers stranded
-    /// applications to the whole fleet (the restored node included),
-    /// and [`rebalance`](Self::rebalance) naturally reads the idle
-    /// node (infinite period ⇒ load 0) as the coldest target for
-    /// later moves. Restoring a live node is an idempotent no-op.
+    /// A dead node came back — empty, as cold capacity
+    /// ([`process`](Self::process) of a [`TraceEvent::NodeRestored`]);
+    /// [`rebalance`](Self::rebalance) reads the idle node (infinite
+    /// period ⇒ load 0) as the coldest target for later moves.
     pub fn node_restored(&mut self, node: NodeId) -> Result<ClusterReport, ClusterError> {
-        let started = Instant::now();
-        self.check_node(node)?;
-        let label = format!("node-restore {node}");
-        if !self.dead[node.index()] {
-            let v = ClusterVerdict::NodeReturned { readmitted: 0 };
-            return Ok(self.report(label, v, None, started, Vec::new(), 0.0));
-        }
-        self.dead[node.index()] = false;
-        let reply = self.transport.send(node, ClusterMsg::NodeRestored);
-        self.absorb(&reply);
-        let mut local_bytes = reply.local_migration_bytes;
-        let migrations = self.retry_stranded(&mut local_bytes);
-        let readmitted = migrations.len();
-        Ok(self.report(
-            label,
-            ClusterVerdict::NodeReturned { readmitted },
-            None,
-            started,
-            migrations,
-            local_bytes,
-        ))
+        self.process(&TraceEvent::NodeRestored { node: node.index() })
     }
 
     fn check_node(&self, node: NodeId) -> Result<(), ClusterError> {
-        if node.index() >= self.summaries.len() {
-            return Err(ClusterError::UnknownNode(node));
+        match node.index() < self.summaries.len() {
+            true => Ok(()),
+            false => Err(ClusterError::UnknownNode(node)),
         }
-        Ok(())
     }
 
-    /// Admission-only placement walk for an application the fleet no
-    /// longer hosts (shed or lost): rank the schedulable nodes
-    /// (optionally excluding one), admit on the first that accepts,
-    /// record the placement, and price the move from `from`. There is
-    /// no retire leg — the source already lost the application.
-    fn place_from_cache(
+    /// Admission-only placement of an application the fleet no longer
+    /// hosts (shed or lost): walk the schedulable nodes (optionally
+    /// excluding one), record the placement, and price the move from
+    /// `from`. There is no retire leg — the source already lost the
+    /// application.
+    fn rehouse(
         &mut self,
-        app: &str,
         graph: &StreamGraph,
         weight: f64,
         from: NodeId,
         exclude: Option<NodeId>,
-        local_bytes: &mut f64,
-    ) -> Option<Migration> {
-        let demand = AppDemand::of(graph, weight);
-        let candidates: Vec<NodeSummary> = self
-            .summaries
-            .iter()
-            .filter(|s| self.schedulable(s.node))
-            .filter(|s| exclude.is_none_or(|x| s.node != x))
-            .cloned()
-            .collect();
-        for to in self.policy.rank(&candidates, &demand) {
-            let reply = self.transport.send(to, ClusterMsg::Admit { graph: graph.clone(), weight });
-            self.absorb(&reply);
-            *local_bytes += reply.local_migration_bytes;
-            if reply.outcome != AgentOutcome::Admitted {
-                continue;
-            }
-            let bytes = reply.working_set_bytes;
-            self.apps.insert(app.to_owned(), Placed { graph: graph.clone(), weight, node: to });
-            return Some(Migration {
-                app: app.to_owned(),
-                from,
-                to,
-                bytes,
-                seconds: self.network.transfer_time(from, to, bytes),
-            });
-        }
-        None
+        cost: &mut Cost,
+    ) -> bool {
+        let order = self.ranked(&AppDemand::of(graph, weight), exclude, None);
+        let Ok((to, bytes)) = self.walk(graph, weight, order, cost) else { return false };
+        self.place(graph, weight, to);
+        cost.migrations.push(self.migration(graph.name(), from, to, bytes));
+        true
     }
 
-    /// Re-home applications a node shed or lost. The shed list carries
-    /// drift-corrected source graphs — they overwrite the cache on
-    /// placement. Whatever no surviving node admits goes to the
-    /// stranded ledger: shed applications are never silently dropped.
+    /// A cross-node move of `bytes`, priced by the network model.
+    fn migration(&self, app: &str, from: NodeId, to: NodeId, bytes: f64) -> Migration {
+        let seconds = self.network.transfer_time(from, to, bytes);
+        Migration { app: app.to_owned(), from, to, bytes, seconds }
+    }
+
+    /// Re-home applications a node shed or lost: `(rehomed, stranded)`.
+    /// The shed list carries drift-corrected source graphs — they
+    /// overwrite the cache on placement. Whatever no surviving node
+    /// admits goes to the stranded ledger: shed applications are never
+    /// silently dropped.
     fn rehome(
         &mut self,
         shed: Vec<(StreamGraph, f64)>,
         from: NodeId,
-        local_bytes: &mut f64,
-    ) -> (Vec<Migration>, usize) {
-        let mut migrations = Vec::new();
-        let mut stranded = 0;
+        cost: &mut Cost,
+    ) -> (usize, usize) {
+        let (mut rehomed, mut stranded) = (0, 0);
         for (graph, weight) in shed {
-            let name = graph.name().to_owned();
-            self.apps.remove(&name);
-            match self.place_from_cache(&name, &graph, weight, from, Some(from), local_bytes) {
-                Some(m) => migrations.push(m),
-                None => {
-                    stranded += 1;
-                    self.stranded
-                        .insert(name, Stranded { graph, weight, from, attempts: 0, cooldown: 0 });
-                }
+            self.apps.remove(graph.name());
+            if self.rehouse(&graph, weight, from, Some(from), cost) {
+                rehomed += 1;
+            } else {
+                stranded += 1;
+                let name = graph.name().to_owned();
+                self.stranded
+                    .insert(name, Stranded { graph, weight, from, attempts: 0, cooldown: 0 });
             }
         }
-        (migrations, stranded)
+        (rehomed, stranded)
     }
 
-    /// One retry pass over the stranded ledger. Entries whose cooldown
-    /// has not elapsed skip this pass (and tick down); the rest walk
-    /// the fleet again. A failed attempt doubles the cooldown
-    /// (`1 << attempts`, capped at 64 passes) — the entry stays in the
-    /// ledger until some node finally admits it.
-    fn retry_stranded(&mut self, local_bytes: &mut f64) -> Vec<Migration> {
-        let mut migrations = Vec::new();
-        let entries: Vec<(String, Stranded)> =
-            self.stranded.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        for (name, mut entry) in entries {
+    /// One retry pass over the stranded ledger; returns how many
+    /// entries re-entered service. Entries whose cooldown has not
+    /// elapsed skip this pass (and tick down); the rest walk the fleet
+    /// again. A failed attempt doubles the cooldown (`1 << attempts`,
+    /// capped at 64 passes) — the entry stays in the ledger until some
+    /// node finally admits it.
+    fn retry_stranded(&mut self, cost: &mut Cost) -> usize {
+        let mut readmitted = 0;
+        for (name, mut entry) in std::mem::take(&mut self.stranded) {
             if entry.cooldown > 0 {
                 entry.cooldown -= 1;
-                self.stranded.insert(name, entry);
+            } else if self.rehouse(&entry.graph, entry.weight, entry.from, None, cost) {
+                readmitted += 1;
                 continue;
+            } else {
+                entry.attempts += 1;
+                entry.cooldown = 1u32 << entry.attempts.min(6);
             }
-            match self.place_from_cache(
-                &name,
-                &entry.graph,
-                entry.weight,
-                entry.from,
-                None,
-                local_bytes,
-            ) {
-                Some(m) => {
-                    migrations.push(m);
-                    self.stranded.remove(&name);
-                }
-                None => {
-                    entry.attempts += 1;
-                    entry.cooldown = 1u32 << entry.attempts.min(6);
-                    self.stranded.insert(name, entry);
-                }
-            }
+            self.stranded.insert(name, entry);
         }
-        migrations
+        readmitted
     }
 
     /// Migrate applications off the hottest node onto the coolest while
@@ -1201,32 +1016,20 @@ impl<T: Transport> Coordinator<T> {
     /// near-tied nodes until the loop bound runs out.
     pub fn rebalance(&mut self) -> ClusterReport {
         let started = Instant::now();
-        let mut migrations: Vec<Migration> = Vec::new();
-        let mut local_bytes = 0.0;
-        let mut moved_apps: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+        let mut cost = Cost::default();
+        let mut moved_apps: BTreeSet<String> = BTreeSet::new();
         for _ in 0..self.apps.len() {
-            let Some(mv) = self.best_rebalance_move(&moved_apps) else { break };
-            let (app, to) = mv;
-            match self.migrate(&app, Some(to), &mut local_bytes) {
-                Some(m) => {
-                    moved_apps.insert(m.app.clone());
-                    migrations.push(m);
-                }
-                // the estimate said yes but the target's admission
-                // control said no: stop rather than loop on a move that
-                // will keep failing
-                None => break,
+            let Some((app, to)) = self.best_rebalance_move(&moved_apps) else { break };
+            // the estimate said yes but the target's admission control
+            // said no: stop rather than loop on a move that will keep
+            // failing
+            if !self.migrate(&app, Some(to), &mut cost) {
+                break;
             }
+            moved_apps.insert(app);
         }
-        let moved = migrations.len();
-        self.report(
-            "rebalance".to_owned(),
-            ClusterVerdict::Rebalanced { moved },
-            None,
-            started,
-            migrations,
-            local_bytes,
-        )
+        let verdict = ClusterVerdict::Rebalanced { moved: cost.migrations.len() };
+        self.report("rebalance".to_owned(), "rebalance", verdict, None, started, cost)
     }
 
     /// The most profitable single migration right now, if any passes
@@ -1235,7 +1038,7 @@ impl<T: Transport> Coordinator<T> {
     /// are off the table for this rebalance pass.
     fn best_rebalance_move(
         &mut self,
-        already_moved: &std::collections::BTreeSet<String>,
+        already_moved: &BTreeSet<String>,
     ) -> Option<(String, NodeId)> {
         let schedulable = |s: &&NodeSummary| self.schedulable(s.node);
         let hot = self
@@ -1283,74 +1086,51 @@ impl<T: Transport> Coordinator<T> {
 
     /// Make-before-break move of one application: admit on the target
     /// (the ranked best, or `force_to`), then retire from the source.
-    /// Returns the priced migration, or `None` when no target admits
-    /// it (the application stays where it is).
-    fn migrate(
-        &mut self,
-        app: &str,
-        force_to: Option<NodeId>,
-        local_bytes: &mut f64,
-    ) -> Option<Migration> {
-        let placed = self.apps.get(app)?.clone();
+    /// `false` when no target admits it (the application stays where it
+    /// is).
+    fn migrate(&mut self, app: &str, force_to: Option<NodeId>, cost: &mut Cost) -> bool {
+        let Some(placed) = self.apps.get(app).cloned() else { return false };
         let demand = AppDemand::of(&placed.graph, placed.weight);
-        let candidates: Vec<NodeSummary> = self
-            .summaries
-            .iter()
-            .filter(|s| s.node != placed.node && self.schedulable(s.node))
-            .filter(|s| force_to.is_none_or(|t| s.node == t))
-            .cloned()
-            .collect();
-        for to in self.policy.rank(&candidates, &demand) {
-            let reply = self
-                .transport
-                .send(to, ClusterMsg::Admit { graph: placed.graph.clone(), weight: placed.weight });
-            self.absorb(&reply);
-            *local_bytes += reply.local_migration_bytes;
-            if reply.outcome != AgentOutcome::Admitted {
-                continue;
-            }
-            let bytes = reply.working_set_bytes;
-            let bye = self.transport.send(placed.node, ClusterMsg::Retire { app: app.to_owned() });
-            self.absorb(&bye);
-            *local_bytes += bye.local_migration_bytes;
-            #[cfg(feature = "debug_invariants")]
-            assert!(!self.draining[to.index()], "migration landed on draining {to}");
-            // check:allow(hot-path-panic): inserted above, still placed
-            self.apps.get_mut(app).expect("still placed").node = to;
-            return Some(Migration {
-                app: app.to_owned(),
-                from: placed.node,
-                to,
-                bytes,
-                seconds: self.network.transfer_time(placed.node, to, bytes),
-            });
-        }
-        None
+        let order = self.ranked(&demand, Some(placed.node), force_to);
+        let Ok((to, bytes)) = self.walk(&placed.graph, placed.weight, order, cost) else {
+            return false;
+        };
+        let retire = TraceEvent::Retire { app: app.to_owned() };
+        self.exchange(placed.node, ClusterMsg::Op(retire), cost);
+        self.place(&placed.graph, placed.weight, to);
+        cost.migrations.push(self.migration(app, placed.node, to, bytes));
+        true
     }
 
-    fn absorb(&mut self, msg: &AgentMsg) {
-        self.summaries[msg.node.index()] = msg.summary.clone();
-    }
-
+    /// Wrap one operation's outcome up and record it.
     fn report(
         &self,
         event: String,
+        kind: &'static str,
         verdict: ClusterVerdict,
         app: Option<String>,
         started: Instant,
-        migrations: Vec<Migration>,
-        local_migration_bytes: f64,
+        cost: Cost,
     ) -> ClusterReport {
+        #[cfg(feature = "debug_invariants")]
+        self.check_invariants(&event);
         let r = ClusterReport {
             event,
             verdict,
             app,
             latency: started.elapsed(),
-            migrations,
-            local_migration_bytes,
+            migrations: cost.migrations,
+            local_migration_bytes: cost.local_bytes,
             max_period: self.max_period(),
         };
-        self.metrics.note_report(&r, self.stranded.len());
+        self.metrics.note(
+            kind,
+            std::iter::once((kind, &r.verdict)),
+            r.latency,
+            r.local_migration_bytes,
+            &r.migrations,
+            self.stranded.len(),
+        );
         r
     }
 
@@ -1423,9 +1203,29 @@ impl<T: Transport> Coordinator<T> {
     }
 }
 
-/// The burst-path verdict for an application no node hosts.
-fn unknown_app(app: &str) -> ClusterVerdict {
-    ClusterVerdict::Rejected(format!("no application named '{app}' in the fleet"))
+/// A non-accepting reply as refusal prose, the replying node named.
+fn refusal(node: NodeId, outcome: &AgentOutcome) -> String {
+    match outcome {
+        AgentOutcome::Rejected(reason) => format!("{node}: {reason}"),
+        // assignment said the app lives there but the agent disagrees —
+        // surface the drift
+        AgentOutcome::UnknownApp => {
+            format!("{node}: assignment drift — node does not host this application")
+        }
+        other => format!("{node}: unexpected reply {other:?}"),
+    }
+}
+
+/// `op` as its node sees it: every node is fleet index 0 of its own
+/// serving loop.
+fn on_the_wire(op: &TraceEvent) -> TraceEvent {
+    match op {
+        TraceEvent::PeFailed { pe, .. } => TraceEvent::PeFailed { node: 0, pe: *pe },
+        TraceEvent::PeRestored { pe, .. } => TraceEvent::PeRestored { node: 0, pe: *pe },
+        TraceEvent::NodeFailed { .. } => TraceEvent::NodeFailed { node: 0 },
+        TraceEvent::NodeRestored { .. } => TraceEvent::NodeRestored { node: 0 },
+        named => named.clone(),
+    }
 }
 
 /// The ready-to-use fleet: a [`Coordinator`] over the in-process
@@ -1460,37 +1260,19 @@ impl Cluster {
 
 impl OnlineSystem for Cluster {
     fn apply_event(&mut self, ev: &TraceEvent) -> EventOutcome {
-        let report = match ev {
-            TraceEvent::Admit { graph, weight } => Some(self.admit(graph, *weight)),
-            TraceEvent::Retire { app } => self.retire(app).ok(),
-            TraceEvent::Reweight { app, weight } => self.reweight(app, *weight).ok(),
-            TraceEvent::PeFailed { node, pe } => self.pe_failed(NodeId(*node), *pe).ok(),
-            TraceEvent::PeRestored { node, pe } => self.pe_restored(NodeId(*node), *pe).ok(),
-            TraceEvent::CostDrift { app, factor } => self.cost_drift(app, *factor).ok(),
-            TraceEvent::NodeFailed { node } => self.node_failed(NodeId(*node)).ok(),
-            TraceEvent::NodeRestored { node } => self.node_restored(NodeId(*node)).ok(),
+        // an unknown application or node: the trace is data, not a
+        // contract
+        let (label, applied, replan, migration_bytes) = match self.process(ev) {
+            Ok(r) => (
+                r.event.clone(),
+                r.applied(),
+                r.latency,
+                r.local_migration_bytes + r.network_bytes(),
+            ),
+            Err(_) => (ev.label(), false, Duration::ZERO, 0.0),
         };
-        match report {
-            Some(r) => EventOutcome {
-                at: 0.0,
-                label: r.event.clone(),
-                applied: r.applied(),
-                queued: false,
-                replan: r.latency,
-                migration_bytes: r.local_migration_bytes + r.network_bytes(),
-                period: r.max_period,
-            },
-            // unknown application: the trace is data, not a contract
-            None => EventOutcome {
-                at: 0.0,
-                label: ev.label(),
-                applied: false,
-                queued: false,
-                replan: Duration::ZERO,
-                migration_bytes: 0.0,
-                period: self.max_period(),
-            },
-        }
+        let period = self.max_period();
+        EventOutcome { at: 0.0, label, applied, queued: false, replan, migration_bytes, period }
     }
 
     fn incumbents(&self) -> Vec<(&Workload, &Mapping, &CellSpec)> {
@@ -1747,50 +1529,46 @@ mod tests {
     }
 
     #[test]
-    fn process_routes_every_event_kind() {
-        let mut fleet =
-            Cluster::homogeneous(2, &CellSpec::ps3(), opts_with(Box::<RoundRobin>::default()));
-        let r = fleet.process(ClusterEvent::Admit(app("a", 3, 1), 1.0)).unwrap();
-        assert!(matches!(r.verdict, ClusterVerdict::Admitted(_)));
-        let r = fleet.process(ClusterEvent::Reweight("a".into(), 2.0)).unwrap();
-        assert_eq!(r.verdict, ClusterVerdict::Applied);
-        let r = fleet.process(ClusterEvent::Rebalance).unwrap();
-        assert!(matches!(r.verdict, ClusterVerdict::Rebalanced { .. }));
-        let r = fleet.process(ClusterEvent::DrainNode(fleet.node_of("a").unwrap())).unwrap();
-        assert!(matches!(r.verdict, ClusterVerdict::Drained { .. }));
-        let r = fleet.process(ClusterEvent::Retire("a".into())).unwrap();
-        assert_eq!(r.verdict, ClusterVerdict::Applied);
-        assert_eq!(fleet.n_apps(), 0);
-        assert!(fleet.max_period().is_infinite(), "empty fleet is idle");
-    }
-
-    #[test]
-    fn process_routes_every_fault_event_kind() {
+    fn process_routes_every_event_kind_and_labels_its_report() {
         let spec = CellSpec::ps3();
         let spe = spec.pe(spec.n_ppe()); // first SPE
         let mut fleet = Cluster::homogeneous(2, &spec, opts_with(Box::<RoundRobin>::default()));
-        assert!(fleet.admit(&app("a", 3, 1), 1.0).applied());
-        let home = fleet.node_of("a").unwrap();
-        let other = NodeId((home.index() + 1) % 2);
+        let r = fleet.process(&TraceEvent::Admit { graph: app("a", 3, 1), weight: 1.0 }).unwrap();
+        assert!(matches!(r.verdict, ClusterVerdict::Admitted(_)));
+        assert_eq!((r.event.as_str(), r.app.as_deref()), ("admit a w=1", Some("a")));
+        let home = fleet.node_of("a").unwrap().index();
+        let other = (home + 1) % 2;
 
-        let r = fleet.process(ClusterEvent::PeFailed(home, spe)).unwrap();
+        let r = fleet.process(&TraceEvent::Reweight { app: "a".into(), weight: 2.0 }).unwrap();
+        assert_eq!((r.verdict, r.app), (ClusterVerdict::Applied, None));
+        let r = fleet.process(&TraceEvent::PeFailed { node: home, pe: spe }).unwrap();
         assert!(matches!(r.verdict, ClusterVerdict::Recovered { .. }), "{:?}", r.verdict);
-        let r = fleet.process(ClusterEvent::PeRestored(home, spe)).unwrap();
+        assert_eq!(r.event, format!("fail n{home} {spe}"), "the fleet-level label, not the wire's");
+        let r = fleet.process(&TraceEvent::PeRestored { node: home, pe: spe }).unwrap();
         assert!(matches!(r.verdict, ClusterVerdict::NodeReturned { .. }), "{:?}", r.verdict);
-        let r = fleet.process(ClusterEvent::CostDrift("a".into(), 1.25)).unwrap();
+        let r = fleet.process(&TraceEvent::CostDrift { app: "a".into(), factor: 1.25 }).unwrap();
         assert!(r.applied(), "{:?}", r.verdict);
-        let r = fleet.process(ClusterEvent::NodeFailed(other)).unwrap();
+        let r = fleet.process(&TraceEvent::NodeFailed { node: other }).unwrap();
         assert!(matches!(r.verdict, ClusterVerdict::NodeLost { rehomed: 0, stranded: 0 }));
-        let r = fleet.process(ClusterEvent::NodeRestored(other)).unwrap();
+        let r = fleet.process(&TraceEvent::NodeRestored { node: other }).unwrap();
         assert!(matches!(r.verdict, ClusterVerdict::NodeReturned { readmitted: 0 }));
         assert!(matches!(
-            fleet.process(ClusterEvent::NodeFailed(NodeId(9))),
+            fleet.process(&TraceEvent::NodeFailed { node: 9 }),
             Err(ClusterError::UnknownNode(_))
         ));
         assert!(matches!(
-            fleet.process(ClusterEvent::CostDrift("ghost".into(), 2.0)),
+            fleet.process(&TraceEvent::CostDrift { app: "ghost".into(), factor: 2.0 }),
             Err(ClusterError::UnknownApp(_))
         ));
+
+        // the fleet-only operations stay plain methods
+        assert!(matches!(fleet.rebalance().verdict, ClusterVerdict::Rebalanced { .. }));
+        let r = fleet.drain(fleet.node_of("a").unwrap()).unwrap();
+        assert!(matches!(r.verdict, ClusterVerdict::Drained { .. }));
+        let r = fleet.process(&TraceEvent::Retire { app: "a".into() }).unwrap();
+        assert_eq!(r.verdict, ClusterVerdict::Applied);
+        assert_eq!(fleet.n_apps(), 0);
+        assert!(fleet.max_period().is_infinite(), "empty fleet is idle");
     }
 
     #[test]

@@ -55,10 +55,10 @@ pub mod transport;
 
 pub use agent::Agent;
 pub use coordinator::{
-    BurstReport, Cluster, ClusterError, ClusterEvent, ClusterOptions, ClusterReport, ClusterStatus,
+    BurstReport, Cluster, ClusterError, ClusterOptions, ClusterReport, ClusterStatus,
     ClusterVerdict, Coordinator, Migration,
 };
-pub use metrics::{cluster_verdict_name, event_kind, ClusterMetrics};
+pub use metrics::{cluster_verdict_name, ClusterMetrics};
 pub use msg::{AgentMsg, AgentOutcome, ClusterMsg, NodeId, NodeSummary};
 pub use net::NetworkModel;
 pub use placer::{

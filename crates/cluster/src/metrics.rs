@@ -1,10 +1,11 @@
 //! Fleet-level telemetry: the coordinator's metric cells and flight
 //! recorder.
 //!
-//! Every [`ClusterReport`] the coordinator constructs passes through
-//! [`ClusterMetrics::note_report`] exactly once, so the cells and the
-//! flight recorder see one entry per fleet operation. The recorded
-//! `migration_bytes` is the *same* expression the trace-replay
+//! Every coordinator call — one operation or one burst — passes through
+//! [`ClusterMetrics::note`] exactly once: the counters see each
+//! operation it carried, the latency histogram, the byte totals and the
+//! flight recorder see the call. The recorded `migration_bytes` is the
+//! *same* expression the trace-replay
 //! [`EventOutcome`](cellstream_sim::online::EventOutcome) carries
 //! (`local_migration_bytes + network_bytes()`), in the same order — the
 //! faults bench checks the drained flight log's totals against the
@@ -13,8 +14,9 @@
 //! This module is part of the coordinator hot path and is covered by
 //! the `hot-path-panic` and `no-alloc` lint scopes.
 
-use crate::coordinator::{ClusterReport, ClusterVerdict};
+use crate::coordinator::{ClusterVerdict, Migration};
 use cellstream_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Histogram};
+use std::time::Duration;
 
 /// A [`ClusterVerdict`] as a static exposition label.
 pub fn cluster_verdict_name(v: &ClusterVerdict) -> &'static str {
@@ -30,36 +32,6 @@ pub fn cluster_verdict_name(v: &ClusterVerdict) -> &'static str {
     }
 }
 
-/// The event kinds [`event_kind`] recognises, in match order. Longer
-/// kinds come before their prefixes (`node-fail` before `fail`), and a
-/// match must end at a word boundary, so `fail 3 spe1` is `fail` while
-/// `node-fail 3` is `node-fail`.
-const EVENT_KINDS: [&str; 10] = [
-    "node-fail",
-    "node-restore",
-    "admit",
-    "retire",
-    "reweight",
-    "drain",
-    "rebalance",
-    "fail",
-    "restore",
-    "drift",
-];
-
-/// The static event kind of a [`ClusterEvent::label`] string.
-///
-/// [`ClusterEvent::label`]: crate::ClusterEvent::label
-// check: no-alloc
-pub fn event_kind(label: &str) -> &'static str {
-    for k in EVENT_KINDS {
-        if label.starts_with(k) && matches!(label.as_bytes().get(k.len()), None | Some(b' ')) {
-            return k;
-        }
-    }
-    "other"
-}
-
 /// Every metric cell the coordinator maintains. Field docs double as
 /// the metric catalogue (see DESIGN.md "Observability").
 #[derive(Debug)]
@@ -67,7 +39,7 @@ pub struct ClusterMetrics {
     /// Fleet operations processed.
     pub events_total: Counter,
     /// Operations that changed what some node serves
-    /// ([`ClusterReport::applied`]).
+    /// ([`ClusterVerdict::applied`]).
     pub applied_total: Counter,
     /// Operations ending [`ClusterVerdict::Rejected`].
     pub rejected_total: Counter,
@@ -107,48 +79,63 @@ impl ClusterMetrics {
         }
     }
 
-    /// Record one fleet operation: counters, the latency histogram and
-    /// one flight-recorder entry. `stranded` is the retry-ledger size
-    /// after the operation.
+    /// Record one coordinator call: per-operation counters for the
+    /// `(kind, verdict)` pairs it carried (one for a single operation,
+    /// several for a burst), then the call's latency, byte totals and one
+    /// flight-recorder entry of kind `kind`. `stranded` is the
+    /// retry-ledger size after the call.
     // check: no-alloc
-    pub fn note_report(&self, r: &ClusterReport, stranded: usize) {
-        self.events_total.inc();
-        match (&r.verdict, r.applied()) {
-            (ClusterVerdict::Rejected(_), _) => self.rejected_total.inc(),
-            (_, true) => self.applied_total.inc(),
-            (_, false) => {}
-        }
-        self.latency_ns.record_duration(r.latency);
-        self.local_migration_bytes_total.add(r.local_migration_bytes as u64);
-        self.network_migrations_total.add(r.migrations.len() as u64);
-        let network_bytes = r.network_bytes();
-        self.network_bytes_total.add(network_bytes as u64);
-        self.stranded.set_usize(stranded);
-        if let ClusterVerdict::Admitted(node) = &r.verdict {
-            if let Some(c) = self.placed_total.get(node.index()) {
-                c.inc();
+    pub fn note<'a>(
+        &self,
+        kind: &'static str,
+        ops: impl Iterator<Item = (&'static str, &'a ClusterVerdict)>,
+        latency: Duration,
+        local_bytes: f64,
+        migrations: &[Migration],
+        stranded: usize,
+    ) {
+        let (mut verdict, mut shed, mut mask_delta) = ("burst", 0, 0);
+        for (n, (op, v)) in ops.enumerate() {
+            self.events_total.inc();
+            match v {
+                ClusterVerdict::Rejected(_) => self.rejected_total.inc(),
+                v if v.applied() => self.applied_total.inc(),
+                _ => {}
             }
-        }
-        let kind = event_kind(&r.event);
-        let shed = match &r.verdict {
-            ClusterVerdict::Recovered { rehomed, stranded }
-            | ClusterVerdict::NodeLost { rehomed, stranded } => (rehomed + stranded) as u32,
-            _ => 0,
-        };
-        self.recorder.record(FlightEvent {
-            seq: 0,
-            kind,
-            verdict: cluster_verdict_name(&r.verdict),
-            replan_ns: u64::try_from(r.latency.as_nanos()).unwrap_or(u64::MAX),
-            migration_bytes: r.local_migration_bytes + network_bytes,
-            shed,
-            stranded: stranded as u32,
-            queued: 0,
-            mask_delta: match kind {
+            if let ClusterVerdict::Admitted(node) = v {
+                if let Some(c) = self.placed_total.get(node.index()) {
+                    c.inc();
+                }
+            }
+            if let ClusterVerdict::Recovered { rehomed, stranded }
+            | ClusterVerdict::NodeLost { rehomed, stranded } = v
+            {
+                shed += (rehomed + stranded) as u32;
+            }
+            mask_delta += match op {
                 "fail" | "node-fail" => -1,
                 "restore" | "node-restore" => 1,
                 _ => 0,
-            },
+            };
+            // a lone operation's entry names its verdict
+            verdict = if n == 0 { cluster_verdict_name(v) } else { "burst" };
+        }
+        self.latency_ns.record_duration(latency);
+        self.local_migration_bytes_total.add(local_bytes as u64);
+        self.network_migrations_total.add(migrations.len() as u64);
+        let network_bytes: f64 = migrations.iter().map(|m| m.bytes).sum();
+        self.network_bytes_total.add(network_bytes as u64);
+        self.stranded.set_usize(stranded);
+        self.recorder.record(FlightEvent {
+            seq: 0,
+            kind,
+            verdict,
+            replan_ns: u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX),
+            migration_bytes: local_bytes + network_bytes,
+            shed,
+            stranded: stranded as u32,
+            queued: 0,
+            mask_delta,
         });
     }
 }

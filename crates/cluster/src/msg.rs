@@ -11,7 +11,7 @@
 //! there is no separate heartbeat path to race against.
 
 use cellstream_graph::StreamGraph;
-use cellstream_platform::{CellSpec, PeId};
+use cellstream_platform::CellSpec;
 use cellstream_sim::online::TraceEvent;
 use std::fmt;
 use std::time::Duration;
@@ -33,75 +33,40 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A coordinator → agent request.
+/// A coordinator → agent request. Operations travel as the
+/// [`TraceEvent`]s the coordinator holds — there is no second spelling
+/// of them on the wire.
 #[derive(Debug, Clone)]
 pub enum ClusterMsg {
-    /// Place this application on the receiving node.
-    Admit {
-        /// The application's graph (its name identifies it fleet-wide).
-        graph: StreamGraph,
-        /// Relative throughput target.
-        weight: f64,
-    },
-    /// Retire the named application from the receiving node.
-    Retire {
-        /// Application (graph) name.
-        app: String,
-    },
-    /// Change the named application's throughput weight.
-    Reweight {
-        /// Application (graph) name.
-        app: String,
-        /// New weight.
-        weight: f64,
-    },
-    /// Apply a burst of churn in one exchange: the admit / retire /
+    /// Apply one operation to the receiving node, which is fleet index 0
+    /// of its own serving loop (the coordinator rewrites the node index).
+    /// A placement walk's admission and a migration's retire travel this
+    /// way, and the reply sizes the named application's working set; so
+    /// does every fault. A PE failure or a cost drift replies
+    /// [`AgentOutcome::Recovered`] with any applications the node had to
+    /// shed — the coordinator owns their re-placement — or
+    /// [`AgentOutcome::Applied`] when everyone still fits.
+    /// [`TraceEvent::NodeFailed`] is the in-process stand-in for process
+    /// death: the agent wipes its serving state, resident applications
+    /// and their buffer state are *lost*, not migrated, and the
+    /// coordinator re-homes them from its own cache;
+    /// [`TraceEvent::NodeRestored`] rejoins the fleet empty and cold.
+    Op(TraceEvent),
+    /// Apply a group of churn in one exchange: the admit / retire /
     /// reweight [`TraceEvent`]s the coordinator routed here, as it holds
     /// them. The agent fuses as many consecutive ops as touch distinct
     /// application names into single `Service::process_batch` calls
     /// (one compose + one repair per run), and replies with
     /// [`AgentOutcome::Batch`] — one outcome per op, in request order.
-    /// Faults travel as their own messages: a fault variant inside a
-    /// batch is answered [`AgentOutcome::Rejected`] and changes nothing.
-    /// Batch replies do not size working sets: coordinator bursts never
-    /// migrate.
+    /// Faults travel alone: a fault variant inside a batch is answered
+    /// [`AgentOutcome::Rejected`] and changes nothing. Batch replies do
+    /// not size working sets: group steps never migrate.
     Batch {
         /// The operations, applied in order.
         ops: Vec<TraceEvent>,
     },
     /// No-op: reply with a fresh capacity summary.
     Status,
-    /// One of the receiving node's SPEs failed: evacuate its seats and
-    /// recover. The agent replies [`AgentOutcome::Recovered`] with any
-    /// applications the shrunken node had to shed (the coordinator owns
-    /// their re-placement), or [`AgentOutcome::Applied`] when everyone
-    /// still fits.
-    PeFailed {
-        /// The failed PE on the receiving node's platform.
-        pe: PeId,
-    },
-    /// A previously failed PE on the receiving node returned to service:
-    /// rebalance onto the restored capacity.
-    PeRestored {
-        /// The restored PE.
-        pe: PeId,
-    },
-    /// The named application's declared compute costs were misestimated:
-    /// rescale them by `factor` and re-validate. Like a PE failure this
-    /// can force the node to shed applications.
-    CostDrift {
-        /// Application (graph) name.
-        app: String,
-        /// Multiplicative cost correction (validated by the agent).
-        factor: f64,
-    },
-    /// The receiving node crashed (an in-process stand-in for process
-    /// death): the agent wipes its serving state — resident applications
-    /// and their buffer state are *lost*, not migrated. The coordinator
-    /// re-homes them from its own cache.
-    NodeFailed,
-    /// The crashed node rejoins the fleet, empty and cold.
-    NodeRestored,
 }
 
 /// What an agent did with a request.
@@ -207,46 +172,20 @@ impl NodeSummary {
 
 // Requests are data: everything crossing `Transport::send` is owned
 // values a socket transport could serialise wholesale. They render as
-// tagged objects ({"type": "admit", ...}), the same dialect as the
-// sim's trace events; the unit-enum macro cannot express
-// payload-carrying variants, so the impls are spelled out.
+// tagged objects ({"type": "op", ...}) around the sim's trace-event
+// dialect; the unit-enum macro cannot express payload-carrying
+// variants, so the impls are spelled out.
 impl serde::Serialize for ClusterMsg {
     fn to_value(&self) -> serde::Value {
         use serde::Value;
-        let obj = |pairs: Vec<(&str, Value)>| {
-            Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        let tagged = |tag: &str, payload: Option<(&str, Value)>| {
+            let pairs = [("type", Value::Str(tag.into()))].into_iter().chain(payload);
+            Value::Obj(pairs.map(|(k, v)| (k.to_owned(), v)).collect())
         };
         match self {
-            ClusterMsg::Admit { graph, weight } => obj(vec![
-                ("type", Value::Str("admit".into())),
-                ("graph", graph.to_value()),
-                ("weight", Value::Num(*weight)),
-            ]),
-            ClusterMsg::Retire { app } => {
-                obj(vec![("type", Value::Str("retire".into())), ("app", Value::Str(app.clone()))])
-            }
-            ClusterMsg::Reweight { app, weight } => obj(vec![
-                ("type", Value::Str("reweight".into())),
-                ("app", Value::Str(app.clone())),
-                ("weight", Value::Num(*weight)),
-            ]),
-            ClusterMsg::Batch { ops } => {
-                obj(vec![("type", Value::Str("batch".into())), ("ops", ops.to_value())])
-            }
-            ClusterMsg::Status => obj(vec![("type", Value::Str("status".into()))]),
-            ClusterMsg::PeFailed { pe } => {
-                obj(vec![("type", Value::Str("pe_failed".into())), ("pe", pe.to_value())])
-            }
-            ClusterMsg::PeRestored { pe } => {
-                obj(vec![("type", Value::Str("pe_restored".into())), ("pe", pe.to_value())])
-            }
-            ClusterMsg::CostDrift { app, factor } => obj(vec![
-                ("type", Value::Str("cost_drift".into())),
-                ("app", Value::Str(app.clone())),
-                ("factor", Value::Num(*factor)),
-            ]),
-            ClusterMsg::NodeFailed => obj(vec![("type", Value::Str("node_failed".into()))]),
-            ClusterMsg::NodeRestored => obj(vec![("type", Value::Str("node_restored".into()))]),
+            ClusterMsg::Op(op) => tagged("op", Some(("op", op.to_value()))),
+            ClusterMsg::Batch { ops } => tagged("batch", Some(("ops", ops.to_value()))),
+            ClusterMsg::Status => tagged("status", None),
         }
     }
 }
@@ -254,25 +193,9 @@ impl serde::Serialize for ClusterMsg {
 impl serde::Deserialize for ClusterMsg {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         match v.field("type")?.as_str()? {
-            "admit" => Ok(ClusterMsg::Admit {
-                graph: StreamGraph::from_value(v.field("graph")?)?,
-                weight: v.field("weight")?.as_f64()?,
-            }),
-            "retire" => Ok(ClusterMsg::Retire { app: v.field("app")?.as_str()?.to_owned() }),
-            "reweight" => Ok(ClusterMsg::Reweight {
-                app: v.field("app")?.as_str()?.to_owned(),
-                weight: v.field("weight")?.as_f64()?,
-            }),
+            "op" => Ok(ClusterMsg::Op(TraceEvent::from_value(v.field("op")?)?)),
             "batch" => Ok(ClusterMsg::Batch { ops: Vec::from_value(v.field("ops")?)? }),
             "status" => Ok(ClusterMsg::Status),
-            "pe_failed" => Ok(ClusterMsg::PeFailed { pe: PeId::from_value(v.field("pe")?)? }),
-            "pe_restored" => Ok(ClusterMsg::PeRestored { pe: PeId::from_value(v.field("pe")?)? }),
-            "cost_drift" => Ok(ClusterMsg::CostDrift {
-                app: v.field("app")?.as_str()?.to_owned(),
-                factor: v.field("factor")?.as_f64()?,
-            }),
-            "node_failed" => Ok(ClusterMsg::NodeFailed),
-            "node_restored" => Ok(ClusterMsg::NodeRestored),
             other => Err(serde::Error::new(format!("unknown ClusterMsg type `{other}`"))),
         }
     }
@@ -301,6 +224,7 @@ impl fmt::Display for NodeSummary {
 mod tests {
     use super::*;
     use cellstream_graph::TaskSpec;
+    use cellstream_platform::PeId;
 
     fn tiny(name: &str) -> StreamGraph {
         let mut b = StreamGraph::builder(name);
@@ -316,50 +240,37 @@ mod tests {
     }
 
     #[test]
-    fn cluster_msgs_round_trip_through_json() {
-        match round_trip(&ClusterMsg::Admit { graph: tiny("a"), weight: 1.5 }) {
-            ClusterMsg::Admit { graph, weight } => {
+    fn ops_round_trip_through_json() {
+        match round_trip(&ClusterMsg::Op(TraceEvent::Admit { graph: tiny("a"), weight: 1.5 })) {
+            ClusterMsg::Op(TraceEvent::Admit { graph, weight }) => {
                 assert_eq!(graph.name(), "a");
                 assert_eq!(graph.n_tasks(), 2);
                 assert_eq!(weight, 1.5);
             }
             other => panic!("expected admit, got {other:?}"),
         }
-        match round_trip(&ClusterMsg::Retire { app: "x".into() }) {
-            ClusterMsg::Retire { app } => assert_eq!(app, "x"),
-            other => panic!("expected retire, got {other:?}"),
-        }
-        match round_trip(&ClusterMsg::Reweight { app: "x".into(), weight: 2.0 }) {
-            ClusterMsg::Reweight { app, weight } => {
-                assert_eq!(app, "x");
-                assert_eq!(weight, 2.0);
+        // every operation is a trace event, so one label comparison
+        // covers the churn and the fault variants alike
+        for op in [
+            TraceEvent::Retire { app: "x".into() },
+            TraceEvent::Reweight { app: "x".into(), weight: 2.0 },
+            TraceEvent::PeFailed { node: 0, pe: PeId(4) },
+            TraceEvent::PeRestored { node: 0, pe: PeId(4) },
+            TraceEvent::CostDrift { app: "x".into(), factor: 1.75 },
+            TraceEvent::NodeFailed { node: 0 },
+            TraceEvent::NodeRestored { node: 0 },
+        ] {
+            match round_trip(&ClusterMsg::Op(op.clone())) {
+                ClusterMsg::Op(back) => assert_eq!(back.label(), op.label()),
+                other => panic!("expected {}, got {other:?}", op.label()),
             }
-            other => panic!("expected reweight, got {other:?}"),
         }
         assert!(matches!(round_trip(&ClusterMsg::Status), ClusterMsg::Status));
-    }
-
-    #[test]
-    fn fault_msgs_round_trip_through_json() {
-        match round_trip(&ClusterMsg::PeFailed { pe: PeId(4) }) {
-            ClusterMsg::PeFailed { pe } => assert_eq!(pe, PeId(4)),
-            other => panic!("expected pe_failed, got {other:?}"),
-        }
-        match round_trip(&ClusterMsg::PeRestored { pe: PeId(4) }) {
-            ClusterMsg::PeRestored { pe } => assert_eq!(pe, PeId(4)),
-            other => panic!("expected pe_restored, got {other:?}"),
-        }
-        match round_trip(&ClusterMsg::CostDrift { app: "x".into(), factor: 1.75 }) {
-            ClusterMsg::CostDrift { app, factor } => {
-                assert_eq!(app, "x");
-                assert_eq!(factor, 1.75);
-            }
-            other => panic!("expected cost_drift, got {other:?}"),
-        }
-        assert!(matches!(round_trip(&ClusterMsg::NodeFailed), ClusterMsg::NodeFailed));
-        assert!(matches!(round_trip(&ClusterMsg::NodeRestored), ClusterMsg::NodeRestored));
         // a bogus tag is rejected, not misparsed
         assert!(serde_json::from_str::<ClusterMsg>(r#"{"type": "explode"}"#).is_err());
+        assert!(
+            serde_json::from_str::<ClusterMsg>(r#"{"type": "op", "op": {"type": "x"}}"#).is_err()
+        );
     }
 
     #[test]

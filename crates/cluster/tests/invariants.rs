@@ -1,8 +1,9 @@
 //! `debug_invariants` replay harness for the fleet control plane:
 //! random sequences of admissions, retirements, reweights, drains,
-//! undrains, rebalances and injected faults (SPE failure/restore,
-//! whole-node loss/return, cost drift) against an in-process cluster,
-//! with the coordinator's deep audit (routing table ↔ node summaries,
+//! undrains, rebalances, injected faults (SPE failure/restore,
+//! whole-node loss/return, cost drift) and bursts of churn around a
+//! fault against an in-process cluster, with the coordinator's deep
+//! audit (routing table ↔ node summaries,
 //! drain- and dead-sets honoured at every placement, stranded ledger
 //! disjoint from the routing table) running after every operation.
 //!
@@ -10,9 +11,10 @@
 //! `cargo test -p cellstream-cluster --features debug_invariants`.
 #![cfg(feature = "debug_invariants")]
 
-use cellstream_cluster::{Cluster, ClusterEvent, ClusterOptions, NodeId};
+use cellstream_cluster::{Cluster, ClusterOptions, ClusterVerdict, NodeId};
 use cellstream_graph::{StreamGraph, TaskSpec};
 use cellstream_platform::CellSpec;
+use cellstream_sim::online::TraceEvent;
 use proptest::prelude::*;
 
 fn pipeline(name: &str, n: usize, cost_scale: u8) -> StreamGraph {
@@ -55,6 +57,11 @@ enum Step {
     NodeRestore(usize),
     /// Drift the `k % placed`-th tracked application's costs.
     Drift(usize, f64),
+    /// One `process_burst` of 2–6 churn ops — `(selector, operand)`
+    /// pairs: admit a fresh pipeline, retire or reweight the
+    /// `operand % placed`-th tracked application — with an SPE failure
+    /// on node `at % n_nodes` spliced in before op `at % len` when set.
+    Burst(Vec<(u8, usize)>, Option<usize>),
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
@@ -62,8 +69,9 @@ fn arb_step() -> impl Strategy<Value = Step> {
     // operands plus a selector and pick in a map (admissions and churn
     // weighted heavier than drains and faults so fleets actually fill
     // up)
-    (0u8..16, (2usize..=5, 0u8..4, 0.25f64..4.0), 0usize..24).prop_map(|(sel, (t, c, w), k)| {
-        match sel {
+    let burst = (collection::vec((0u8..4, 0usize..24), 2..=6), 0usize..48);
+    (0u8..19, (2usize..=5, 0u8..4, 0.25f64..4.0), 0usize..24, burst).prop_map(
+        |(sel, (t, c, w), k, (ops, fault))| match sel {
             0..=2 => Step::Admit(t, c, w),
             3 | 4 => Step::Retire(k),
             5 | 6 => Step::Reweight(k, w),
@@ -75,9 +83,10 @@ fn arb_step() -> impl Strategy<Value = Step> {
             12 => Step::PeRestore(k),
             13 => Step::NodeFail(k),
             14 => Step::NodeRestore(k),
-            _ => Step::Drift(k, 0.5 + w),
-        }
-    })
+            15 => Step::Drift(k, 0.5 + w),
+            _ => Step::Burst(ops, (fault % 2 == 0).then_some(fault / 2)),
+        },
+    )
 }
 
 proptest! {
@@ -97,9 +106,7 @@ proptest! {
                 Step::Admit(t, c, w) => {
                     let g = pipeline(&format!("app{fresh}"), t, c);
                     fresh += 1;
-                    let report = fleet
-                        .process(ClusterEvent::Admit(g, w))
-                        .expect("admissions never error");
+                    let report = fleet.admit(&g, w);
                     if report.verdict.admitted().is_some() {
                         placed.push(report.app.clone().expect("admissions carry a name"));
                     }
@@ -109,54 +116,45 @@ proptest! {
                         continue;
                     }
                     let name = placed.remove(k % placed.len());
-                    fleet.process(ClusterEvent::Retire(name)).expect("placed apps retire");
+                    fleet.retire(&name).expect("placed apps retire");
                 }
                 Step::Reweight(k, w) => {
                     if placed.is_empty() {
                         continue;
                     }
                     let name = placed[k % placed.len()].clone();
-                    fleet.process(ClusterEvent::Reweight(name, w)).expect("placed apps reweight");
+                    fleet.reweight(&name, w).expect("placed apps reweight");
                 }
                 Step::RetireUnknown => {
-                    let res = fleet.process(ClusterEvent::Retire("never-admitted".into()));
-                    prop_assert!(res.is_err());
+                    prop_assert!(fleet.retire("never-admitted").is_err());
                 }
                 Step::Drain(k) => {
-                    fleet
-                        .process(ClusterEvent::DrainNode(NodeId(k % nodes)))
-                        .expect("in-range drains succeed");
+                    fleet.drain(NodeId(k % nodes)).expect("in-range drains succeed");
                 }
                 Step::Undrain(k) => {
                     fleet.undrain(NodeId(k % nodes)).expect("in-range undrains succeed");
-                    // undrain bypasses process(); audit it explicitly
-                    fleet.check_invariants("after undrain");
                 }
                 Step::Rebalance => {
-                    fleet.process(ClusterEvent::Rebalance).expect("rebalance never errors");
+                    fleet.rebalance();
                 }
                 Step::PeFail(k) => {
                     let pe = spec.pe(spec.n_ppe() + k % spec.n_spe());
-                    fleet
-                        .process(ClusterEvent::PeFailed(NodeId(k % nodes), pe))
-                        .expect("in-range PE faults never error");
+                    fleet.pe_failed(NodeId(k % nodes), pe).expect("in-range PE faults never error");
                 }
                 Step::PeRestore(k) => {
                     let pe = spec.pe(spec.n_ppe() + k % spec.n_spe());
                     // restoring a PE on a dead node yields a Rejected
                     // verdict, not an error
                     fleet
-                        .process(ClusterEvent::PeRestored(NodeId(k % nodes), pe))
+                        .pe_restored(NodeId(k % nodes), pe)
                         .expect("in-range PE restores never error");
                 }
                 Step::NodeFail(k) => {
-                    fleet
-                        .process(ClusterEvent::NodeFailed(NodeId(k % nodes)))
-                        .expect("in-range node faults never error");
+                    fleet.node_failed(NodeId(k % nodes)).expect("in-range node faults never error");
                 }
                 Step::NodeRestore(k) => {
                     fleet
-                        .process(ClusterEvent::NodeRestored(NodeId(k % nodes)))
+                        .node_restored(NodeId(k % nodes))
                         .expect("in-range node restores never error");
                 }
                 Step::Drift(k, f) => {
@@ -166,11 +164,52 @@ proptest! {
                     // the target may be serving or stranded: drift
                     // reaches both (the ledger copy stays corrected)
                     let name = placed[k % placed.len()].clone();
-                    fleet.process(ClusterEvent::CostDrift(name, f)).expect("tracked apps drift");
+                    fleet.cost_drift(&name, f).expect("tracked apps drift");
+                }
+                Step::Burst(ops, fault) => {
+                    let mut burst: Vec<TraceEvent> = Vec::new();
+                    for (sel, k) in ops {
+                        burst.push(match (sel, placed.is_empty()) {
+                            (0 | 1, _) | (_, true) => {
+                                fresh += 1;
+                                let graph = pipeline(&format!("app{}", fresh - 1), 2 + k % 4, 1);
+                                TraceEvent::Admit { graph, weight: 1.0 + (k % 3) as f64 }
+                            }
+                            // a name may repeat inside the burst (retired
+                            // twice, reweighted after its retire): the
+                            // second op then sees an unknown application
+                            (2, false) => TraceEvent::Retire { app: placed[k % placed.len()].clone() },
+                            (_, false) => TraceEvent::Reweight {
+                                app: placed[k % placed.len()].clone(),
+                                weight: 0.5 + (k % 5) as f64,
+                            },
+                        });
+                    }
+                    if let Some(at) = fault {
+                        let pe = spec.pe(spec.n_ppe() + at % spec.n_spe());
+                        let fail = TraceEvent::PeFailed { node: at % nodes, pe };
+                        burst.insert(at % burst.len(), fail);
+                    }
+                    let report = fleet.process_burst(&burst);
+                    prop_assert_eq!(report.events.len(), burst.len());
+                    for (ev, (_, verdict)) in burst.iter().zip(&report.events) {
+                        match (ev, verdict) {
+                            // fresh names are never uniquified
+                            (TraceEvent::Admit { graph, .. }, ClusterVerdict::Admitted(_)) => {
+                                placed.push(graph.name().to_owned());
+                            }
+                            (TraceEvent::Retire { app }, ClusterVerdict::Applied) => {
+                                placed.retain(|name| name != app);
+                            }
+                            _ => {}
+                        }
+                    }
                 }
             }
-            // process() audits itself under the feature; keep a sweep
-            // here too so the harness pins the between-steps state
+            // every operation audits itself under the feature; keep a
+            // sweep here too — it covers undrain, the one step that
+            // reports nothing — so the harness pins the between-steps
+            // state
             fleet.check_invariants("harness sweep");
             let stranded = fleet.status().stranded.len();
             prop_assert_eq!(

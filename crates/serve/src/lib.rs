@@ -89,7 +89,7 @@ mod report;
 mod service;
 
 pub use metrics::{verdict_name, ServeMetrics};
-pub use pipeline::{PipelineOptions, PipelineStats, ServePipeline};
+pub use pipeline::{IntakeReport, PipelineOptions, PipelineStats, ServePipeline};
 pub use report::{
     BatchReport, EventLabel, QueueBackoff, RecoveryReport, RejectReason, ServeError, ServeReport,
     Verdict,

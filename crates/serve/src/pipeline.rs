@@ -19,21 +19,19 @@
 //! batch must commit before the second one's names make sense — and a
 //! fault commits alone.
 //!
-//! The pipeline implements [`IntakeSystem`], so
-//! [`cellstream_sim::online::replay_concurrent`] can drive it straight
-//! from an [`EventTrace`](cellstream_sim::online::EventTrace).
+//! [`ServePipeline::replay`] drives it straight from an [`EventTrace`].
 
 use crate::metrics::ServeMetrics;
 use crate::report::Verdict;
 use crate::service::{Event, Service};
 use cellstream_rt::SpscRing;
-use cellstream_sim::online::{IntakeSystem, TraceEvent};
+use cellstream_sim::online::{EventTrace, TraceEvent};
 use cellstream_telemetry::percentile_sorted;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tunables of one [`ServePipeline`].
 #[derive(Debug, Clone)]
@@ -84,6 +82,22 @@ impl PipelineStats {
             self.events as f64 / self.batches as f64
         }
     }
+}
+
+/// What [`ServePipeline::replay`] measured on the intake side.
+/// Planner-side outcomes (batch sizes, replan latency, final incumbent)
+/// come back from [`ServePipeline::finish`].
+#[derive(Debug, Clone)]
+pub struct IntakeReport {
+    /// Events submitted (== the trace length).
+    pub submitted: usize,
+    /// Events the ring pushed back on at least once before accepting.
+    pub backpressured: usize,
+    /// Largest backlog observed right after a submission.
+    pub peak_backlog: usize,
+    /// Wall-clock time to hand the whole trace over (planning continues
+    /// after this on the planner thread).
+    pub wall: Duration,
 }
 
 /// A [`Service`] behind a lock-free intake ring and a planner thread.
@@ -156,6 +170,26 @@ impl ServePipeline {
         self.ring.len()
     }
 
+    /// Submit a whole trace **as fast as backpressure allows**, ignoring
+    /// its timestamps: the trace supplies ordering, the ring supplies
+    /// pacing. This is the saturation mode the hot-path bench measures;
+    /// wall-clock per event here is pure queue handoff, while replanning
+    /// proceeds concurrently on the planner thread.
+    pub fn replay(&self, trace: &EventTrace) -> IntakeReport {
+        let started = Instant::now();
+        let (mut backpressured, mut peak_backlog) = (0, 0);
+        for te in trace.events() {
+            backpressured += usize::from(self.submit(te.event.clone()));
+            peak_backlog = peak_backlog.max(self.backlog());
+        }
+        IntakeReport {
+            submitted: trace.len(),
+            backpressured,
+            peak_backlog,
+            wall: started.elapsed(),
+        }
+    }
+
     /// Close the intake, drain the ring, join the planner, and return
     /// the service (with its final incumbent) and the batching stats.
     pub fn finish(mut self) -> (Service, PipelineStats) {
@@ -171,16 +205,6 @@ impl Drop for ServePipeline {
             self.done.store(true, Ordering::Release);
             let _ = handle.join();
         }
-    }
-}
-
-impl IntakeSystem for ServePipeline {
-    fn submit(&self, ev: TraceEvent) -> bool {
-        ServePipeline::submit(self, ev)
-    }
-
-    fn backlog(&self) -> usize {
-        ServePipeline::backlog(self)
     }
 }
 
@@ -261,7 +285,6 @@ mod tests {
     use crate::service::ServiceOptions;
     use cellstream_apps::{audio, cipher, dsp, video};
     use cellstream_platform::{CellSpec, PeId};
-    use cellstream_sim::online::{replay_concurrent, EventTrace};
 
     fn churn_trace() -> EventTrace {
         let audio = audio::graph().unwrap();
@@ -312,7 +335,7 @@ mod tests {
         replay_sequential(&mut seq, &trace);
 
         let pipe = ServePipeline::launch(Service::new(spec), PipelineOptions::default());
-        let intake = replay_concurrent(&pipe, &trace);
+        let intake = pipe.replay(&trace);
         let (svc, stats) = pipe.finish();
 
         assert_eq!(intake.submitted, trace.len());
@@ -339,10 +362,11 @@ mod tests {
             Service::new(CellSpec::ps3()),
             PipelineOptions { capacity: 2, max_batch: 4 },
         );
-        let intake = replay_concurrent(&pipe, &trace);
+        let intake = pipe.replay(&trace);
         let (svc, stats) = pipe.finish();
         assert_eq!(intake.submitted, trace.len());
         assert!(intake.peak_backlog <= 2);
+        assert!(intake.backpressured <= intake.submitted);
         assert_eq!(stats.events + stats.skipped, trace.len() as u64);
         assert_eq!(stats.skipped, 0);
         assert_eq!(svc.n_apps(), 3, "audio-2, cipher and video-2 survive");
@@ -411,7 +435,7 @@ mod tests {
             .at(0.04, TraceEvent::Admit { graph: g.clone(), weight: 2.0 })
             .at(0.06, TraceEvent::Reweight { app: g.name().into(), weight: 3.0 });
         let pipe = ServePipeline::launch(Service::new(CellSpec::ps3()), PipelineOptions::default());
-        replay_concurrent(&pipe, &trace);
+        pipe.replay(&trace);
         let (svc, stats) = pipe.finish();
         assert_eq!(stats.skipped, 0);
         assert_eq!(svc.n_apps(), 1);
@@ -430,7 +454,7 @@ mod tests {
         );
         let trace = EventTrace::new(0.02)
             .at(0.00, TraceEvent::Admit { graph: video::graph().unwrap(), weight: 1.0 });
-        replay_concurrent(&pipe, &trace);
+        pipe.replay(&trace);
         let (svc, stats) = pipe.finish();
         assert_eq!(svc.n_apps(), 0, "an impossible guarantee admits nothing");
         assert_eq!(stats.rejected, 1);

@@ -1036,16 +1036,10 @@ impl Service {
         while events.len() < max {
             let Some(front) = pending.front() else { break };
             let fault = front.is_fault();
-            let name = match front {
-                TraceEvent::Admit { graph, .. } => Some(graph.name()),
-                TraceEvent::Retire { app } | TraceEvent::Reweight { app, .. } => Some(app.as_str()),
-                _ => None,
-            };
-            if name.is_some_and(|n| touched.iter().any(|t| t == n)) || (fault && !events.is_empty())
-            {
+            let name = front.app().map(str::to_owned);
+            if name.as_ref().is_some_and(|n| touched.contains(n)) || (fault && !events.is_empty()) {
                 break;
             }
-            let name = name.map(str::to_owned);
             let resolved = pending.pop_front().and_then(|ev| self.resolve(ev));
             if resolved.is_some() {
                 touched.extend(name);

@@ -40,8 +40,7 @@ pub mod trace;
 
 pub use engine::{simulate, SimConfig, SimError};
 pub use online::{
-    replay, replay_concurrent, AppServed, EventOutcome, EventTrace, IntakeReport, IntakeSystem,
-    OnlineReport, OnlineSystem, TimedEvent, TraceEvent,
+    replay, AppServed, EventOutcome, EventTrace, OnlineReport, OnlineSystem, TimedEvent, TraceEvent,
 };
 pub use scenario::{Arrivals, Impairment, Scenario};
 pub use trace::RunTrace;

@@ -26,7 +26,7 @@ use crate::engine::{simulate, SimConfig};
 use cellstream_core::Mapping;
 use cellstream_graph::{StreamGraph, Workload};
 use cellstream_platform::{CellSpec, PeId};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One workload-churn event, application named by graph name.
 #[derive(Debug, Clone)]
@@ -101,6 +101,32 @@ impl TraceEvent {
             TraceEvent::CostDrift { app, factor } => format!("drift {app} x{factor}"),
             TraceEvent::NodeFailed { node } => format!("node-fail n{node}"),
             TraceEvent::NodeRestored { node } => format!("node-restore n{node}"),
+        }
+    }
+
+    /// The event's static kind — the label's first word, as telemetry
+    /// keys on it.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            TraceEvent::Admit { .. } => "admit",
+            TraceEvent::Retire { .. } => "retire",
+            TraceEvent::Reweight { .. } => "reweight",
+            TraceEvent::PeFailed { .. } => "fail",
+            TraceEvent::PeRestored { .. } => "restore",
+            TraceEvent::CostDrift { .. } => "drift",
+            TraceEvent::NodeFailed { .. } => "node-fail",
+            TraceEvent::NodeRestored { .. } => "node-restore",
+        }
+    }
+
+    /// The application the event names, if it names one.
+    pub fn app(&self) -> Option<&str> {
+        match self {
+            TraceEvent::Admit { graph, .. } => Some(graph.name()),
+            TraceEvent::Retire { app }
+            | TraceEvent::Reweight { app, .. }
+            | TraceEvent::CostDrift { app, .. } => Some(app),
+            _ => None,
         }
     }
 
@@ -463,62 +489,6 @@ fn credit_node(
     }
 }
 
-/// A serving system with a **concurrent intake**: events submitted on
-/// the trace-driving thread land in a bounded queue and are applied
-/// asynchronously by a planner thread (the `cellstream-serve` crate's
-/// `ServePipeline` implements it over an SPSC ring). Submission order is
-/// the application order — the planner may *batch* adjacent events into
-/// one replan but never reorders across a dependency.
-pub trait IntakeSystem {
-    /// Submit one event, blocking (spinning/yielding) until the intake
-    /// queue accepts it. Returns `true` if the queue refused the event
-    /// at least once first — the backpressure signal.
-    fn submit(&self, ev: TraceEvent) -> bool;
-
-    /// Events accepted but not yet applied by the planner.
-    fn backlog(&self) -> usize;
-}
-
-/// What [`replay_concurrent`] measured on the intake side. Planner-side
-/// outcomes (batch sizes, replan latency, final incumbent) belong to the
-/// concrete [`IntakeSystem`] — harvest them when the pipeline is joined.
-#[derive(Debug, Clone)]
-pub struct IntakeReport {
-    /// Events submitted (== the trace length).
-    pub submitted: usize,
-    /// Events the queue pushed back on at least once before accepting.
-    pub backpressured: usize,
-    /// Largest backlog observed right after a submission.
-    pub peak_backlog: usize,
-    /// Wall-clock time to hand the whole trace over (planning continues
-    /// after this on the planner thread).
-    pub wall: Duration,
-}
-
-/// Drive an [`IntakeSystem`] through a trace **as fast as backpressure
-/// allows**, ignoring the trace timestamps: the trace supplies ordering,
-/// the ring supplies pacing. This is the saturation mode the hot-path
-/// bench measures; wall-clock per event on the intake side is pure queue
-/// handoff, while replanning proceeds concurrently on the planner
-/// thread.
-pub fn replay_concurrent<S: IntakeSystem + ?Sized>(sys: &S, trace: &EventTrace) -> IntakeReport {
-    let started = Instant::now();
-    let mut backpressured = 0;
-    let mut peak = 0;
-    for te in trace.events() {
-        if sys.submit(te.event.clone()) {
-            backpressured += 1;
-        }
-        peak = peak.max(sys.backlog());
-    }
-    IntakeReport {
-        submitted: trace.len(),
-        backpressured,
-        peak_backlog: peak,
-        wall: started.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,6 +678,7 @@ mod tests {
             assert_eq!(orig.at, re.at);
             assert_eq!(orig.event.label(), re.event.label());
             assert_eq!(orig.event.is_fault(), re.event.is_fault());
+            assert_eq!(re.event.label().split(' ').next(), Some(re.event.kind()));
         }
         match &back.events()[1].event {
             TraceEvent::PeFailed { node, pe } => {
@@ -724,6 +695,8 @@ mod tests {
             other => panic!("expected cost_drift, got {}", other.label()),
         }
         assert!(back.events()[1].event.is_fault());
+        let names: Vec<_> = back.events().iter().map(|e| e.event.app()).collect();
+        assert_eq!(names, [Some("a"), None, Some("a"), None, None, None]);
         assert!(!back.events()[0].event.is_fault());
     }
 
@@ -789,58 +762,5 @@ mod tests {
         let report = replay(&mut sys, &trace, 100);
         assert!(report.served.is_empty());
         assert_eq!(report.rejected, 1);
-    }
-
-    /// A bounded toy intake: accepts up to `cap` outstanding events,
-    /// "plans" by summing labels. Checks the driver's ordering and
-    /// backpressure accounting without a real planner thread.
-    struct ToyIntake {
-        cap: usize,
-        queue: std::sync::Mutex<std::collections::VecDeque<TraceEvent>>,
-        applied: std::sync::Mutex<Vec<String>>,
-    }
-
-    impl IntakeSystem for ToyIntake {
-        fn submit(&self, ev: TraceEvent) -> bool {
-            // single-threaded toy: a full queue drains itself instead of
-            // waiting on a planner thread
-            let mut q = self.queue.lock().unwrap();
-            let pushed_back = q.len() == self.cap;
-            if pushed_back {
-                let mut done = self.applied.lock().unwrap();
-                done.extend(q.drain(..).map(|e| e.label()));
-            }
-            q.push_back(ev);
-            pushed_back
-        }
-
-        fn backlog(&self) -> usize {
-            self.queue.lock().unwrap().len()
-        }
-    }
-
-    #[test]
-    fn concurrent_replay_preserves_order_under_backpressure() {
-        let sys = ToyIntake {
-            cap: 2,
-            queue: std::sync::Mutex::new(std::collections::VecDeque::new()),
-            applied: std::sync::Mutex::new(Vec::new()),
-        };
-        let mut trace = EventTrace::new(1.0);
-        for i in 0..7 {
-            trace.push(
-                i as f64 * 0.1,
-                TraceEvent::Admit { graph: tiny_app(&format!("g{i}")), weight: 1.0 },
-            );
-        }
-        let report = replay_concurrent(&sys, &trace);
-        assert_eq!(report.submitted, 7);
-        assert_eq!(report.backpressured, 3, "a 2-slot queue under 7 pushes refuses thrice");
-        assert!(report.peak_backlog <= 2);
-        // drain the tail, then check arrival order == submission order
-        let mut done = sys.applied.lock().unwrap().clone();
-        done.extend(sys.queue.lock().unwrap().iter().map(|e| e.label()));
-        let expect: Vec<String> = (0..7).map(|i| format!("admit g{i} w=1")).collect();
-        assert_eq!(done, expect);
     }
 }

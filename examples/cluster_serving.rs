@@ -59,7 +59,7 @@ fn main() {
     // a move happens only when the predicted period gain amortises the
     // network transfer over the migration horizon
     fleet.undrain(NodeId(0)).expect("node 0 exists");
-    describe(&fleet.process(ClusterEvent::Rebalance).expect("rebalance never errors"));
+    describe(&fleet.rebalance());
 
     let status = fleet.status();
     println!("\nfleet of {} nodes, {} applications:", status.nodes.len(), status.n_apps);

@@ -74,8 +74,7 @@ pub use session::{PlannedSession, ScheduledSession, Session};
 pub mod prelude {
     pub use crate::session::{PlannedSession, ScheduledSession, Session};
     pub use cellstream_cluster::{
-        Cluster, ClusterEvent, ClusterOptions, ClusterReport, ClusterVerdict, NetworkModel, NodeId,
-        PlacePolicy,
+        Cluster, ClusterOptions, ClusterReport, ClusterVerdict, NetworkModel, NodeId, PlacePolicy,
     };
     pub use cellstream_core::scheduler::CancelToken;
     pub use cellstream_core::{
