@@ -5,17 +5,15 @@
 //! This binary reports the same quantities for the in-repo solver on
 //! every evaluation graph at the CCR extremes, plus the formulation
 //! sparsity — the honest comparison point for the CPLEX substitution
-//! discussed in EXPERIMENTS.md. Since the sparse revised simplex with
-//! dual-simplex warm starts replaced the dense tableau, it also measures
-//! **branch-and-bound node throughput** (nodes/second at a zero gap, so
-//! both engines must genuinely branch) against the retained dense
-//! from-scratch oracle, per graph.
+//! discussed in EXPERIMENTS.md. It also measures **branch-and-bound
+//! node throughput** per graph: nodes/second at a forced zero gap, so
+//! the search must genuinely branch instead of stopping at the root.
 //!
 //! Output:
 //! * a table on stdout + `crates/bench/results/tab_lp.csv`;
 //! * machine-readable `crates/bench/results/BENCH_milp.json` (wall,
 //!   nodes, simplex iterations, gap at stop, warm-start hit rate, and
-//!   the node-throughput speedup vs the dense path);
+//!   the zero-gap node throughput);
 //! * the graph-1 portfolio leaderboard, so the budget breakdown of the
 //!   full workflow (heuristics + seeded MILP) is visible in CI logs.
 //!
@@ -38,21 +36,20 @@ use cellstream_core::{solve, Formulation, FormulationConfig, SolveOptions};
 use cellstream_daggen::paper;
 use cellstream_graph::ccr::{rescale_to_ccr, DEFAULT_BW};
 use cellstream_milp::bb::MipOptions;
-use cellstream_milp::model::{LpAlgo, LpOptions};
+use cellstream_milp::model::LpOptions;
 use cellstream_platform::CellSpec;
 use std::time::Duration;
 
 /// Options for the node-throughput probe: zero gap so the search cannot
-/// stop early, a node cap, and a wall budget — identical for both
-/// engines, so nodes/second is an apples-to-apples rate.
-fn probe_options(algo: LpAlgo) -> MipOptions {
+/// stop early, a node cap, and a wall budget.
+fn probe_options() -> MipOptions {
     let (nodes, secs, iters) = if quick_mode() { (80, 6, 8_000) } else { (300, 30, 60_000) };
     MipOptions {
         rel_gap: 0.0,
         abs_gap: 0.0,
         max_nodes: nodes,
         time_limit: Duration::from_secs(secs),
-        lp: LpOptions { max_iterations: iters, algo, ..Default::default() },
+        lp: LpOptions { max_iterations: iters, ..Default::default() },
         ..Default::default()
     }
 }
@@ -69,16 +66,14 @@ struct GraphBench {
     simplex: u64,
     warm_rate: f64,
     status: String,
-    sparse_nps: f64,
-    dense_nps: f64,
-    speedup: f64,
+    nodes_per_s: f64,
 }
 
 fn main() {
     let spec = CellSpec::qs22();
     println!("# MILP solve statistics (gap target 5%, budget {:?})", mip_options().time_limit);
     println!(
-        "{:<18} {:>6} {:>6} {:>6} {:>7} {:>8} {:>6} {:>6} {:>8} {:>6} {:>9} {:>9}",
+        "{:<18} {:>6} {:>6} {:>6} {:>7} {:>8} {:>6} {:>6} {:>8} {:>6} {:>9}",
         "graph",
         "CCR",
         "vars",
@@ -89,8 +84,7 @@ fn main() {
         "gap%",
         "simplex",
         "warm%",
-        "nodes/s",
-        "vs dense"
+        "nodes/s"
     );
     let mut rows = Vec::new();
     let mut benches: Vec<GraphBench> = Vec::new();
@@ -111,39 +105,29 @@ fn main() {
             )
             .expect("solve runs");
 
-            // ---- node-throughput probe: sparse vs dense, base CCR only -
+            // ---- node-throughput probe, base CCR only ------------------
             // (None at the high-CCR point: the probe is skipped there)
-            let probe_rates: Option<(f64, f64)> = (ccr < 1.0).then(|| {
-                let mut rates = [0.0f64; 2];
-                for (slot, algo) in [LpAlgo::Revised, LpAlgo::Dense].into_iter().enumerate() {
-                    let t0 = std::time::Instant::now();
-                    let probe = solve(
-                        &g,
-                        &spec,
-                        &SolveOptions {
-                            seeds: seeds.clone(),
-                            mip: probe_options(algo),
-                            ..Default::default()
-                        },
-                    )
-                    .expect("probe runs");
-                    let wall = t0.elapsed().as_secs_f64().max(1e-6);
-                    rates[slot] = probe.nodes as f64 / wall;
-                }
-                (rates[0], rates[1])
+            let nodes_per_s: Option<f64> = (ccr < 1.0).then(|| {
+                let t0 = std::time::Instant::now();
+                let probe = solve(
+                    &g,
+                    &spec,
+                    &SolveOptions {
+                        seeds: seeds.clone(),
+                        mip: probe_options(),
+                        ..Default::default()
+                    },
+                )
+                .expect("probe runs");
+                probe.nodes as f64 / t0.elapsed().as_secs_f64().max(1e-6)
             });
 
-            let (nps_col, speedup_col, nps_csv, dense_csv) = match probe_rates {
-                Some((s, d)) => (
-                    format!("{s:.1}"),
-                    format!("{:.1}x", s / d),
-                    format!("{s:.2}"),
-                    format!("{d:.2}"),
-                ),
-                None => ("-".to_owned(), "-".to_owned(), String::new(), String::new()),
+            let (nps_col, nps_csv) = match nodes_per_s {
+                Some(r) => (format!("{r:.1}"), format!("{r:.2}")),
+                None => ("-".to_owned(), String::new()),
             };
             println!(
-                "{:<18} {:>6.3} {:>6} {:>6} {:>7} {:>8.1} {:>6} {:>6.1} {:>8} {:>6.0} {:>9} {:>9}",
+                "{:<18} {:>6.3} {:>6} {:>6} {:>7} {:>8.1} {:>6} {:>6.1} {:>8} {:>6.0} {:>9}",
                 g.name(),
                 ccr,
                 nvars,
@@ -155,10 +139,9 @@ fn main() {
                 outcome.lp_iterations,
                 outcome.warm_start_rate() * 100.0,
                 nps_col,
-                speedup_col,
             );
             rows.push(format!(
-                "{},{ccr},{nvars},{nrows},{nnz},{:.2},{},{:.4},{},{:.4},{:?},{nps_csv},{dense_csv}",
+                "{},{ccr},{nvars},{nrows},{nnz},{:.2},{},{:.4},{},{:.4},{:?},{nps_csv}",
                 g.name(),
                 outcome.wall.as_secs_f64(),
                 outcome.nodes,
@@ -167,8 +150,7 @@ fn main() {
                 outcome.warm_start_rate(),
                 outcome.status,
             ));
-            if let Some((sparse_nps, dense_nps)) = probe_rates {
-                let speedup = sparse_nps / dense_nps;
+            if let Some(nodes_per_s) = nodes_per_s {
                 benches.push(GraphBench {
                     graph: g.name().to_owned(),
                     ccr,
@@ -181,9 +163,7 @@ fn main() {
                     simplex: outcome.lp_iterations,
                     warm_rate: outcome.warm_start_rate(),
                     status: format!("{:?}", outcome.status),
-                    sparse_nps,
-                    dense_nps,
-                    speedup,
+                    nodes_per_s,
                 });
             }
 
@@ -217,8 +197,7 @@ fn main() {
 
     write_csv(
         "tab_lp.csv",
-        "graph,ccr,vars,rows,nnz,wall_s,nodes,gap,simplex_iters,warm_start_rate,status,\
-         sparse_nodes_per_s,dense_nodes_per_s",
+        "graph,ccr,vars,rows,nnz,wall_s,nodes,gap,simplex_iters,warm_start_rate,status,nodes_per_s",
         &rows,
     );
     let body: Vec<String> = benches
@@ -227,9 +206,7 @@ fn main() {
             format!(
                 "    {{\"graph\": \"{}\", \"ccr\": {}, \"vars\": {}, \"rows\": {}, \"nnz\": {}, \
                  \"wall_s\": {:.3}, \"nodes\": {}, \"simplex_iters\": {}, \"gap_at_stop\": {:.5}, \
-                 \"warm_start_rate\": {:.4}, \"status\": \"{}\", \
-                 \"sparse_nodes_per_s\": {:.2}, \"dense_nodes_per_s\": {:.2}, \
-                 \"node_throughput_speedup\": {:.2}}}",
+                 \"warm_start_rate\": {:.4}, \"status\": \"{}\", \"nodes_per_s\": {:.2}}}",
                 b.graph,
                 b.ccr,
                 b.vars,
@@ -241,9 +218,7 @@ fn main() {
                 b.gap,
                 b.warm_rate,
                 b.status,
-                b.sparse_nps,
-                b.dense_nps,
-                b.speedup,
+                b.nodes_per_s,
             )
         })
         .collect();

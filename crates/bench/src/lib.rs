@@ -1,6 +1,6 @@
 //! Shared harness for the figure-regeneration binaries
-//! (`fig6`, `fig7`, `fig8`, `tab_lp`, `ablations`) and the Criterion
-//! micro-benchmarks.
+//! (`fig6`, `fig7`, `fig8`, `tab_lp`, `ablations`) and the serving
+//! bench binaries.
 //!
 //! Conventions:
 //!

@@ -30,12 +30,9 @@
 //!   provide an **integral completion** callback that rounds a fractional
 //!   relaxation to a feasible point; both often let the search terminate at
 //!   the root node.
-//! * With [`LpOptions::algo`] set to [`LpAlgo::Dense`] every node re-solves
-//!   from scratch on the dense tableau — the reference oracle the
-//!   differential suite and the solver benchmarks compare against.
 
-use crate::model::{LpAlgo, LpOptions, LpStatus, Model, SolveError, VarId};
-use crate::revised::{Basis, SparseLp};
+use crate::model::{LpOptions, LpStatus, Model, SolveError, VarId};
+use crate::revised::{Basis, SparseLp, SparseSolution};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -72,9 +69,8 @@ pub struct MipOptions {
     pub max_nodes: u64,
     /// Wall-clock budget.
     pub time_limit: Duration,
-    /// LP sub-solver options. `algo` selects the engine for the whole
-    /// search: `Revised` (default) keeps one sparse instance alive and
-    /// warm-starts children, `Dense` re-solves every node from scratch.
+    /// LP sub-solver options, applied to the root solve and to every
+    /// node re-solve.
     pub lp: LpOptions,
     /// Tolerance for considering a relaxed binary integral.
     pub int_tol: f64,
@@ -140,7 +136,7 @@ struct Node {
     bound: f64,
     fixings: Vec<(VarId, bool)>,
     /// Optimal basis of the parent LP (shared between siblings).
-    basis: Option<Rc<Basis>>,
+    basis: Rc<Basis>,
     /// `(binary index, branched up, parent objective, parent fractional
     /// part)` — for pseudo-cost updates once this node's LP is solved.
     branched: Option<(usize, bool, f64, f64)>,
@@ -210,106 +206,36 @@ impl PseudoCosts {
     }
 }
 
-/// One node LP result, engine-independent.
-struct NodeSol {
-    status: LpStatus,
-    objective: f64,
-    x: Vec<f64>,
-    iterations: u64,
-    basis: Option<Rc<Basis>>,
-}
-
-/// The per-search LP engine: either a single long-lived sparse instance
-/// (bounds edited in place, children warm-started) or the dense oracle
-/// (every node re-solved from a model clone).
-enum Engine<'m> {
-    Sparse(Box<SparseLp>),
-    Dense(&'m Model),
-}
-
-impl Engine<'_> {
-    fn solve_root(&self, opts: &LpOptions) -> Result<NodeSol, SolveError> {
-        match self {
-            Engine::Sparse(lp) => {
-                let s = lp.solve_primal(opts)?;
-                Ok(NodeSol {
-                    status: s.status,
-                    objective: s.objective,
-                    x: s.x,
-                    iterations: s.iterations,
-                    basis: Some(Rc::new(s.basis)),
-                })
-            }
-            Engine::Dense(model) => {
-                let s = model.solve_lp(opts)?;
-                Ok(NodeSol {
-                    status: s.status,
-                    objective: s.objective,
-                    x: s.x,
-                    iterations: s.iterations,
-                    basis: None,
-                })
-            }
-        }
+/// Solve one child node on the search's long-lived [`SparseLp`]: apply
+/// the fixings as bound edits, re-solve with the dual simplex from the
+/// parent basis (a fresh primal solve on any numerical trouble), and
+/// restore the bounds. `warm` is `(attempted, hit)` accounting. `None`
+/// means contradictory fixings: an infeasible subtree.
+fn solve_node(
+    lp: &mut SparseLp,
+    model: &Model,
+    fixings: &[(VarId, bool)],
+    parent_basis: &Basis,
+    opts: &LpOptions,
+    warm: &mut (u64, u64),
+) -> Option<SparseSolution> {
+    for &(v, val) in fixings {
+        let b = if val { 1.0 } else { 0.0 };
+        lp.set_bounds(v.0, b, b);
     }
-
-    /// Solve one child node. `warm` is `(attempted, hit)` accounting.
-    fn solve_node(
-        &mut self,
-        model: &Model,
-        fixings: &[(VarId, bool)],
-        parent_basis: Option<&Rc<Basis>>,
-        opts: &LpOptions,
-        warm: &mut (u64, u64),
-    ) -> Option<NodeSol> {
-        match self {
-            Engine::Sparse(lp) => {
-                for &(v, val) in fixings {
-                    let b = if val { 1.0 } else { 0.0 };
-                    lp.set_bounds(v.0, b, b);
-                }
-                let mut sol = None;
-                if let Some(basis) = parent_basis {
-                    warm.0 += 1;
-                    if let Ok(s) = lp.solve_dual_from(basis, opts) {
-                        warm.1 += 1;
-                        sol = Some(s);
-                    }
-                }
-                let sol = match sol {
-                    Some(s) => Ok(s),
-                    None => lp.solve_primal(opts),
-                };
-                for &(v, _) in fixings {
-                    let (lo, hi) = model.bounds(v);
-                    lp.set_bounds(v.0, lo, hi);
-                }
-                let s = sol.ok()?; // contradictory fixings: infeasible subtree
-                Some(NodeSol {
-                    status: s.status,
-                    objective: s.objective,
-                    x: s.x,
-                    iterations: s.iterations,
-                    basis: Some(Rc::new(s.basis)),
-                })
-            }
-            Engine::Dense(model) => {
-                let mut child = (*model).clone();
-                for &(v, val) in fixings {
-                    let b = if val { 1.0 } else { 0.0 };
-                    child.set_bounds(v, b, b);
-                }
-                let s = child.solve_lp(opts).ok()?;
-                Some(NodeSol {
-                    status: s.status,
-                    objective: s.objective,
-                    x: s.x,
-                    iterations: s.iterations,
-                    basis: None,
-                })
-            }
+    warm.0 += 1;
+    let sol = match lp.solve_dual_from(parent_basis, opts) {
+        Ok(s) => {
+            warm.1 += 1;
+            Ok(s)
         }
+        Err(_) => lp.solve_primal(opts),
+    };
+    for &(v, _) in fixings {
+        let (lo, hi) = model.bounds(v);
+        lp.set_bounds(v.0, lo, hi);
     }
+    sol.ok()
 }
 
 /// A callback that attempts to complete a fractional relaxation into a
@@ -354,10 +280,7 @@ pub fn solve_mip(
         opts.stop.as_ref().is_some_and(|s| s.load(std::sync::atomic::Ordering::Relaxed))
     };
 
-    let mut engine = match opts.lp.algo {
-        LpAlgo::Revised => Engine::Sparse(Box::new(SparseLp::from_model(model)?)),
-        LpAlgo::Dense => Engine::Dense(model),
-    };
+    let mut lp = SparseLp::from_model(model)?;
 
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     let feas_tol = 1e-6;
@@ -371,7 +294,7 @@ pub fn solve_mip(
     }
 
     // Root relaxation.
-    let root = engine.solve_root(&lp_opts)?;
+    let root = lp.solve_primal(&lp_opts)?;
     lp_iterations += root.iterations;
     nodes_done += 1;
     match root.status {
@@ -420,7 +343,7 @@ pub fn solve_mip(
         &mut incumbent,
         &mut heap,
         Vec::new(),
-        root.basis.clone(),
+        Rc::new(root.basis),
     );
 
     let gap_of = |inc: &Option<(f64, Vec<f64>)>, bound: f64| -> f64 {
@@ -485,12 +408,9 @@ pub fn solve_mip(
             break;
         }
 
-        // Solve the node LP with its fixings applied, warm-started from
-        // the parent basis when the engine supports it.
-        let Some(sol) =
-            engine.solve_node(model, &node.fixings, node.basis.as_ref(), &lp_opts, &mut warm)
+        let Some(sol) = solve_node(&mut lp, model, &node.fixings, &node.basis, &lp_opts, &mut warm)
         else {
-            continue; // contradictory fixings: infeasible subtree
+            continue;
         };
         lp_iterations += sol.iterations;
         nodes_done += 1;
@@ -530,7 +450,7 @@ pub fn solve_mip(
             &mut incumbent,
             &mut heap,
             node.fixings,
-            sol.basis.clone(),
+            Rc::new(sol.basis),
         );
     }
 
@@ -562,7 +482,7 @@ fn process_solution(
     incumbent: &mut Option<(f64, Vec<f64>)>,
     heap: &mut BinaryHeap<Node>,
     fixings: Vec<(VarId, bool)>,
-    basis: Option<Rc<Basis>>,
+    basis: Rc<Basis>,
 ) {
     // pseudo-cost (product rule) branching among the fractional binaries
     let mut branch_var: Option<(VarId, f64)> = None;

@@ -4,7 +4,7 @@
 //! CPLEX, stopped as soon as the incumbent is within 5 % of optimal. This
 //! crate is the in-repo substitute:
 //!
-//! * [`revised`] — the production engine: a **sparse revised simplex**
+//! * [`revised`] — the one LP engine: a **sparse revised simplex**
 //!   over compressed sparse columns ([`sparse`]), with an LU-factorized
 //!   basis updated in product form ([`factor`]), Devex pricing with a
 //!   Bland anti-cycling fallback ([`pricing`]), a Harris two-pass ratio
@@ -14,9 +14,6 @@
 //!   are handled natively by the pivoting rules rather than as extra
 //!   rows, which keeps the mapping LPs at a few thousand rows instead
 //!   of tens of thousands.
-//! * [`simplex`] — the original dense, two-phase tableau, retained as
-//!   the reference **oracle**: the differential test-suite requires the
-//!   two engines to agree on every random and formulation-derived LP.
 //! * [`bb`] — branch-and-bound over the binary variables with best-first
 //!   node selection, pseudo-cost branching, **dual-simplex warm starts**
 //!   from the parent basis (a branch only tightens one binary's bounds,
@@ -27,8 +24,12 @@
 //! * [`model`] — the tiny modelling layer shared by all of it.
 //!
 //! The solver is deliberately general: nothing in this crate knows about
-//! streaming or the Cell. Correctness is established against brute-force
-//! vertex enumeration and exhaustive binary search in the test-suite.
+//! streaming or the Cell. Correctness is established against two
+//! exhaustive oracles that share no pivoting code with the engine:
+//! vertex enumeration for LPs and exhaustive binary search for MIPs
+//! (`src/tests.rs`); the formulation-derived instances are refereed by
+//! `cellstream-core`'s brute-force mapper (`tests/milp_differential.rs`
+//! at the workspace root).
 //!
 //! # Example
 //!
@@ -53,11 +54,10 @@ pub mod model;
 pub mod presolve;
 pub mod pricing;
 pub mod revised;
-pub mod simplex;
 pub mod sparse;
 
 pub use bb::{MipOptions, MipResult, MipStatus};
-pub use model::{Cmp, LpAlgo, LpOptions, LpSolution, LpStatus, Model, SolveError, VarId, VarKind};
+pub use model::{Cmp, LpOptions, LpSolution, LpStatus, Model, SolveError, VarId, VarKind};
 pub use revised::{Basis, SparseLp, SparseSolution};
 pub use sparse::ColMatrix;
 

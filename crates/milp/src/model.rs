@@ -3,8 +3,8 @@
 //! Kept intentionally small — just enough structure for the steady-state
 //! mapping formulations and for the solver test-suite. Only minimisation
 //! is supported (maximise by negating the objective); every variable needs
-//! a finite lower bound (the standardiser shifts variables so bounds
-//! become `0 ≤ x ≤ u`, which is all the simplex core understands).
+//! a finite lower bound (a nonbasic column rests at one of its bounds, and
+//! the all-logical starting basis rests every structural at its lower one).
 
 use std::fmt;
 
@@ -118,20 +118,6 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Which LP engine to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpAlgo {
-    /// The sparse revised simplex (`crate::revised`): LU-factorized
-    /// basis with eta updates, Devex pricing, Harris ratio test, and a
-    /// light presolve. The production default.
-    #[default]
-    Revised,
-    /// The dense two-phase tableau (`crate::simplex`), kept as the
-    /// reference oracle for differential testing and as the
-    /// from-scratch baseline in solver benchmarks.
-    Dense,
-}
-
 /// Options for a plain LP solve.
 #[derive(Debug, Clone)]
 pub struct LpOptions {
@@ -139,28 +125,18 @@ pub struct LpOptions {
     pub max_iterations: u64,
     /// Feasibility / pricing tolerance.
     pub tolerance: f64,
-    /// Engine selection (sparse revised simplex by default).
-    pub algo: LpAlgo,
     /// Optional wall-clock deadline checked *inside* the pivot loop, so
     /// one long LP cannot overshoot a branch-and-bound budget.
     pub deadline: Option<std::time::Instant>,
     /// Optional cooperative cancellation flag, checked alongside the
-    /// deadline in the revised-simplex pivot loops: raising it stops the
-    /// solve with [`LpStatus::TimeLimit`] within a few pivots. The dense
-    /// oracle ignores it (it exists for differential testing, not for
-    /// serving).
+    /// deadline in the pivot loops: raising it stops the solve with
+    /// [`LpStatus::TimeLimit`] within a few pivots.
     pub stop: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
 
 impl Default for LpOptions {
     fn default() -> Self {
-        LpOptions {
-            max_iterations: 200_000,
-            tolerance: 1e-8,
-            algo: LpAlgo::default(),
-            deadline: None,
-            stop: None,
-        }
+        LpOptions { max_iterations: 200_000, tolerance: 1e-8, deadline: None, stop: None }
     }
 }
 
@@ -271,11 +247,16 @@ impl Model {
         worst
     }
 
-    /// Validate variable entries the way every engine requires: finite
-    /// lower bound, non-crossed bounds, finite objective. Shared by the
-    /// dense path, the revised path and `SparseLp::from_model` so the
-    /// engines always report identical [`SolveError`]s.
-    pub(crate) fn validate_vars(&self) -> Result<(), SolveError> {
+    /// Reject what the solver cannot take: every variable needs a finite
+    /// lower bound, non-crossed bounds and a finite objective
+    /// coefficient; every row needs finite coefficients and a finite
+    /// right-hand side. [`Model::solve_lp`] calls it *before* presolve —
+    /// which would otherwise fold a `NaN` singleton row into a bound, or
+    /// a `NaN` coefficient on a fixed column into a right-hand side, and
+    /// lose the evidence — and `SparseLp::from_model` calls it for
+    /// branch-and-bound, so both entry points report the same
+    /// [`SolveError`]s.
+    pub(crate) fn validate(&self) -> Result<(), SolveError> {
         for (i, v) in self.vars.iter().enumerate() {
             // NaN upper bounds must error too: every comparison below
             // is false for NaN, which would silently fix the variable
@@ -287,6 +268,11 @@ impl Model {
                 return Err(SolveError::EmptyDomain(VarId(i)));
             }
             if !v.obj.is_finite() {
+                return Err(SolveError::BadCoefficient);
+            }
+        }
+        for con in &self.cons {
+            if !con.rhs.is_finite() || con.terms.iter().any(|&(_, a)| !a.is_finite()) {
                 return Err(SolveError::BadCoefficient);
             }
         }
@@ -304,20 +290,13 @@ impl Model {
     }
 
     /// Solve the continuous relaxation (binaries relaxed to `[0,1]`,
-    /// which their bounds already encode) with the engine selected by
-    /// `opts.algo`: the sparse revised simplex behind a light presolve
-    /// by default, or the dense tableau oracle.
+    /// which their bounds already encode): a light presolve, then the
+    /// sparse revised simplex from the all-logical basis.
     pub fn solve_lp(&self, opts: &LpOptions) -> Result<LpSolution, SolveError> {
-        match opts.algo {
-            LpAlgo::Dense => crate::simplex::solve(self, opts),
-            LpAlgo::Revised => self.solve_lp_revised(opts),
-        }
-    }
-
-    fn solve_lp_revised(&self, opts: &LpOptions) -> Result<LpSolution, SolveError> {
-        // validation must run before presolve so an EmptyDomain surfaces
-        // as an error (matching the dense path), not an Infeasible verdict
-        self.validate_vars()?;
+        // validation must run before presolve: an EmptyDomain surfaces
+        // as an error rather than an Infeasible verdict, and a
+        // non-finite row is still there to be found
+        self.validate()?;
         let pre = crate::presolve::presolve(self);
         if pre.verdict == Some(LpStatus::Infeasible) {
             return Ok(LpSolution {

@@ -1,14 +1,11 @@
-//! Sparse revised simplex with bounded variables — the production LP
-//! engine behind [`Model::solve_lp`] and branch-and-bound.
-//!
-//! Differences from the dense oracle (`crate::simplex`):
+//! Sparse revised simplex with bounded variables — the LP engine behind
+//! [`Model::solve_lp`] and branch-and-bound.
 //!
 //! * the constraint matrix lives in compressed sparse columns
 //!   ([`crate::sparse::ColMatrix`]) built straight from the model's row
 //!   triplets — no densification;
 //! * the basis is LU-factorized with product-form eta updates and
-//!   periodic refactorization ([`crate::factor`]) instead of a
-//!   Gauss-Jordan tableau;
+//!   periodic refactorization ([`crate::factor`]);
 //! * pricing is Devex ([`crate::pricing`]) with a Bland fallback after
 //!   degenerate runs;
 //! * the primal ratio test is a Harris-style two-pass (relaxed bound
@@ -107,27 +104,18 @@ const REFRESH_EVERY: u64 = 256;
 const DEADLINE_EVERY: u64 = 32;
 
 impl SparseLp {
-    /// Standardise `model`. Validates bounds and coefficients exactly
-    /// like the dense path.
+    /// Standardise `model`; errors are exactly those of the model's own
+    /// validation (bad bound, empty domain, non-finite coefficient).
     pub fn from_model(model: &Model) -> Result<SparseLp, SolveError> {
         let n = model.vars.len();
         let m = model.cons.len();
-        model.validate_vars()?;
+        model.validate()?;
         // row equilibration: scale every row to unit max coefficient
         // magnitude (cmp-direction preserved: scales are positive)
         let mut scale = vec![1.0f64; m];
         let mut rhs = vec![0.0f64; m];
         for (i, con) in model.cons.iter().enumerate() {
-            let mut maxmag = con.rhs.abs();
-            for &(_, a) in &con.terms {
-                if !a.is_finite() {
-                    return Err(SolveError::BadCoefficient);
-                }
-                maxmag = maxmag.max(a.abs());
-            }
-            if !con.rhs.is_finite() {
-                return Err(SolveError::BadCoefficient);
-            }
+            let maxmag = con.terms.iter().fold(con.rhs.abs(), |acc, &(_, a)| acc.max(a.abs()));
             if maxmag > 0.0 {
                 scale[i] = 1.0 / maxmag;
             }

@@ -1,8 +1,11 @@
-//! Cross-validation of the LP/MIP solver against brute force, and the
-//! dense-oracle differential suite for the sparse revised simplex.
+//! Cross-validation of the LP/MIP solver against two exhaustive oracles
+//! that share no pivoting code with it: vertex enumeration for LPs
+//! ([`brute_force_lp`]) and exhaustive search over the binaries for MIPs
+//! ([`brute_force_binary`]); plus the closed-form regression models the
+//! dense tableau used to carry.
 
 use crate::bb::{solve_mip, MipOptions, MipStatus};
-use crate::model::{Cmp, LpAlgo, LpOptions, LpStatus, Model, VarKind};
+use crate::model::{Cmp, LpOptions, LpSolution, LpStatus, Model, SolveError, VarId, VarKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,14 +14,21 @@ use rand::{Rng, SeedableRng};
 // LP vs. brute-force vertex enumeration
 // ---------------------------------------------------------------------------
 
-/// Brute-force LP optimum for a model with only `≤` constraints and boxed
-/// variables, by enumerating all vertices: every choice of n active
-/// constraints among (rows + bounds) — feasible intersections only.
-/// Exponential; used for n ≤ 3.
-fn brute_force_lp(model: &Model) -> Option<f64> {
+/// What enumeration can say about an LP.
+#[derive(Debug)]
+enum Brute {
+    Optimal(f64),
+    Infeasible,
+    Unbounded,
+}
+
+/// Smallest objective over the vertices of the feasible region, `None`
+/// when it has none: every choice of n planes among the rows (taken as
+/// equalities) and the finite bounds, intersected by Gaussian
+/// elimination and kept when feasible. Exponential; used for n ≤ 6.
+fn best_vertex(model: &Model) -> Option<f64> {
     let n = model.n_vars();
-    assert!(n <= 3, "brute force only for tiny LPs");
-    // planes: rows (as a·x = b) + bound planes
+    assert!(n <= 6, "vertex enumeration only for tiny LPs");
     let mut planes: Vec<(Vec<f64>, f64)> = Vec::new();
     for c in &model.cons {
         let mut a = vec![0.0; n];
@@ -28,28 +38,60 @@ fn brute_force_lp(model: &Model) -> Option<f64> {
         planes.push((a, c.rhs));
     }
     for j in 0..n {
-        let (lo, hi) = model.bounds(crate::model::VarId(j));
+        let (lo, hi) = model.bounds(VarId(j));
         let mut a = vec![0.0; n];
         a[j] = 1.0;
         planes.push((a.clone(), lo));
-        if hi.is_finite() {
+        if hi.is_finite() && hi > lo {
             planes.push((a, hi));
         }
     }
     let mut best: Option<f64> = None;
     let idx: Vec<usize> = (0..planes.len()).collect();
-    let combos = choose(&idx, n);
-    for combo in combos {
+    for combo in choose(&idx, n) {
         let a: Vec<Vec<f64>> = combo.iter().map(|&i| planes[i].0.clone()).collect();
         let b: Vec<f64> = combo.iter().map(|&i| planes[i].1).collect();
         if let Some(x) = solve_dense(&a, &b) {
-            if model.max_violation(&x) <= 1e-7 {
+            if model.max_violation(&x) <= 1e-9 {
                 let obj = model.objective_of(&x);
                 best = Some(best.map_or(obj, |b: f64| b.min(obj)));
             }
         }
     }
     best
+}
+
+/// The verdict of vertex enumeration on any model the solver accepts
+/// (`≤`/`≥`/`=` rows, negative lower bounds, free-above variables).
+///
+/// Every variable has a finite lower bound, so the feasible region
+/// contains no line: it is empty or has a vertex, and a bounded optimum
+/// sits on one. `Unbounded` needs a polytope to enumerate, so the
+/// free-above variables are boxed — not `x` at some big M, whose size
+/// would be one more tolerance to tune, but the *direction*: the
+/// recession cone `{d ≥ 0 : A d {≤,=,≥} 0, d_j = 0 for boxed j}` cut at
+/// `d ≤ 1`. The LP is unbounded exactly when it is feasible and that
+/// polytope holds a `d` with `c·d < 0`.
+fn brute_force_lp(model: &Model) -> Brute {
+    let Some(best) = best_vertex(model) else {
+        return Brute::Infeasible;
+    };
+    let mut cone = Model::new("recession");
+    let mut dir = vec![None; model.n_vars()];
+    for (j, v) in model.vars.iter().enumerate() {
+        if v.hi.is_infinite() {
+            dir[j] = Some(cone.add_var(format!("d{j}"), 0.0, 1.0, v.obj, VarKind::Continuous));
+        }
+    }
+    for c in &model.cons {
+        let terms = c.terms.iter().filter_map(|&(j, a)| dir[j].map(|d| (d, a))).collect();
+        cone.add_con(terms, c.cmp, 0.0);
+    }
+    if best_vertex(&cone).expect("d = 0 is a vertex of the cone") < -1e-9 {
+        Brute::Unbounded
+    } else {
+        Brute::Optimal(best)
+    }
 }
 
 fn choose(items: &[usize], k: usize) -> Vec<Vec<usize>> {
@@ -135,8 +177,10 @@ proptest! {
     fn prop_simplex_matches_vertex_enumeration(m in arb_tiny_lp()) {
         let sol = m.solve_lp(&LpOptions::default()).unwrap();
         prop_assert_eq!(sol.status, LpStatus::Optimal);
-        let brute = brute_force_lp(&m).expect("origin is feasible");
-        // brute force enumerates vertices; optimum of a bounded LP is at one
+        // the origin is feasible and every variable boxed
+        let Brute::Optimal(brute) = brute_force_lp(&m) else {
+            panic!("boxed LP with a feasible origin must have an optimum");
+        };
         prop_assert!((sol.objective - brute).abs() <= 1e-6 * (1.0 + brute.abs()),
             "simplex {} vs brute {}", sol.objective, brute);
         prop_assert!(m.max_violation(&sol.x) <= 1e-7);
@@ -154,18 +198,40 @@ proptest! {
 // MIP vs. exhaustive enumeration
 // ---------------------------------------------------------------------------
 
-/// Exhaustive optimum over all binary assignments (continuous vars must be
-/// absent). None if infeasible.
+/// Exhaustive optimum over all binary assignments, `None` if infeasible.
+/// Continuous variables are left to the other oracle: each assignment is
+/// substituted into the rows and what remains goes to [`brute_force_lp`].
 fn brute_force_binary(model: &Model) -> Option<f64> {
     let bins = model.binary_vars();
-    assert_eq!(bins.len(), model.n_vars());
+    let mut rest = Model::new("continuous-part");
+    let mut cont = vec![None; model.n_vars()];
+    for (j, v) in model.vars.iter().enumerate() {
+        if v.kind == VarKind::Continuous {
+            cont[j] = Some(rest.add_var(v.name.clone(), v.lo, v.hi, v.obj, v.kind));
+        }
+    }
     let mut best: Option<f64> = None;
     for mask in 0u32..(1 << bins.len()) {
-        let x: Vec<f64> =
-            (0..bins.len()).map(|i| if mask & (1 << i) != 0 { 1.0 } else { 0.0 }).collect();
-        if model.max_violation(&x) <= 1e-9 {
-            let obj = model.objective_of(&x);
-            best = Some(best.map_or(obj, |b: f64| b.min(obj)));
+        let mut x = vec![0.0; model.n_vars()];
+        for (i, b) in bins.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                x[b.0] = 1.0;
+            }
+        }
+        let mut sub = rest.clone();
+        for c in &model.cons {
+            let terms = c.terms.iter().filter_map(|&(j, a)| cont[j].map(|v| (v, a))).collect();
+            let fixed: f64 =
+                c.terms.iter().filter(|&&(j, _)| cont[j].is_none()).map(|&(j, a)| a * x[j]).sum();
+            sub.add_con(terms, c.cmp, c.rhs - fixed);
+        }
+        match brute_force_lp(&sub) {
+            Brute::Optimal(rest_obj) => {
+                let obj = model.objective_of(&x) + rest_obj;
+                best = Some(best.map_or(obj, |b: f64| b.min(obj)));
+            }
+            Brute::Infeasible => {}
+            Brute::Unbounded => panic!("the MIP oracle needs a bounded continuous part"),
         }
     }
     best
@@ -476,16 +542,12 @@ fn binary_fixing_via_bounds_like_branch_and_bound() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential suite: sparse revised simplex vs the dense oracle
+// Differential suite: the engine vs the exhaustive oracles, full surface
 // ---------------------------------------------------------------------------
 
-fn dense_opts() -> LpOptions {
-    LpOptions { algo: LpAlgo::Dense, ..LpOptions::default() }
-}
-
 /// Random bounded LP with mixed `≤`/`≥`/`=` rows, negative lower
-/// bounds, boxed and free-above variables — the full surface both
-/// engines must agree on.
+/// bounds, boxed and free-above variables — the full surface the
+/// engine and vertex enumeration must agree on.
 fn arb_bounded_lp() -> impl Strategy<Value = Model> {
     (2usize..=6, 1usize..=6, any::<u64>()).prop_map(|(n, mcount, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -535,29 +597,30 @@ fn arb_bounded_lp() -> impl Strategy<Value = Model> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Both engines must agree on status, and on the objective within
-    /// 1e-7 when optimal. This is the contract that lets the revised
-    /// simplex replace the tableau everywhere.
+    /// The engine and vertex enumeration must agree on the verdict
+    /// (optimal / infeasible / unbounded), and on the objective within
+    /// 1e-7 when optimal.
     #[test]
-    fn prop_sparse_matches_dense_oracle(m in arb_bounded_lp()) {
-        let dense = m.solve_lp(&dense_opts()).unwrap();
-        let sparse = m.solve_lp(&LpOptions::default()).unwrap();
-        prop_assert_eq!(sparse.status, dense.status,
-            "sparse {:?} vs dense {:?} on {}", sparse.status, dense.status, m.name());
-        if dense.status == LpStatus::Optimal {
-            let scale = 1.0 + dense.objective.abs();
-            prop_assert!((sparse.objective - dense.objective).abs() <= 1e-7 * scale,
-                "sparse {} vs dense {}", sparse.objective, dense.objective);
-            prop_assert!(m.max_violation(&sparse.x) <= 1e-6,
-                "sparse point violates by {}", m.max_violation(&sparse.x));
+    fn prop_lp_matches_vertex_enumeration_on_the_full_surface(m in arb_bounded_lp()) {
+        let sol = m.solve_lp(&LpOptions::default()).unwrap();
+        match brute_force_lp(&m) {
+            Brute::Optimal(brute) => {
+                prop_assert_eq!(sol.status, LpStatus::Optimal);
+                prop_assert!((sol.objective - brute).abs() <= 1e-7 * (1.0 + brute.abs()),
+                    "simplex {} vs brute {}", sol.objective, brute);
+                prop_assert!(m.max_violation(&sol.x) <= 1e-6,
+                    "point violates by {}", m.max_violation(&sol.x));
+            }
+            Brute::Infeasible => prop_assert_eq!(sol.status, LpStatus::Infeasible),
+            Brute::Unbounded => prop_assert_eq!(sol.status, LpStatus::Unbounded),
         }
     }
 
-    /// End-to-end B&B differential: the warm-started sparse search and
-    /// the dense from-scratch search must land on incumbents of equal
-    /// objective (both run to proven optimality).
+    /// End-to-end B&B with a continuous variable in every row: the
+    /// warm-started search, run to proven optimality, must land on the
+    /// exhaustive optimum.
     #[test]
-    fn prop_solve_mip_incumbents_match_dense(seed in any::<u64>()) {
+    fn prop_solve_mip_with_a_continuous_variable_matches_exhaustive(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.gen_range(3..=8usize);
         let mut m = Model::new("mip-diff");
@@ -570,19 +633,12 @@ proptest! {
             terms.push((t, -1.0));
             m.add_con(terms, Cmp::Le, rng.gen_range(0.0..8.0));
         }
-        let exact = MipOptions { rel_gap: 0.0, abs_gap: 1e-9, ..Default::default() };
-        let dense = solve_mip(
-            &m, &MipOptions { lp: dense_opts(), ..exact.clone() }, &[], None,
-        ).unwrap();
-        let sparse = solve_mip(&m, &exact, &[], None).unwrap();
-        match (&dense.incumbent, &sparse.incumbent) {
-            (Some((od, _)), Some((os, _))) => prop_assert!(
-                (od - os).abs() <= 1e-6 * (1.0 + od.abs()),
-                "dense {} vs sparse {}", od, os
-            ),
-            (None, None) => {}
-            _ => prop_assert!(false, "one engine found an incumbent, the other did not"),
-        }
+        let brute = brute_force_binary(&m).expect("T absorbs every row");
+        let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+        let (obj, x) = res.incumbent.expect("feasible");
+        prop_assert!(m.max_violation(&x) <= 1e-6);
+        prop_assert!((obj - brute).abs() <= 1e-6 * (1.0 + brute.abs()),
+            "bb {} vs brute {}", obj, brute);
     }
 }
 
@@ -611,13 +667,10 @@ fn degenerate_beale_terminates_under_bland_fallback() {
     assert_eq!(sol.status, LpStatus::Optimal, "Bland fallback must break the cycle");
     assert!(sol.iterations < cap, "finished at the cap ({cap}): suspicious of cycling");
     assert!((sol.objective + 0.05).abs() < 1e-6, "{}", sol.objective);
-    // and the dense oracle agrees
-    let dense = m.solve_lp(&dense_opts()).unwrap();
-    assert!((sol.objective - dense.objective).abs() < 1e-8);
 }
 
 /// A deliberately microscopic iteration cap must surface as IterLimit,
-/// proving the cap is enforced inside both engines' pivot loops.
+/// proving the cap is enforced inside the pivot loop.
 #[test]
 fn iteration_cap_is_enforced() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -631,11 +684,9 @@ fn iteration_cap_is_enforced() {
         let terms: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(0.1..2.0f64))).collect();
         m.add_con(terms, Cmp::Le, rng.gen_range(1.0..4.0));
     }
-    for algo in [LpAlgo::Revised, LpAlgo::Dense] {
-        let sol = m.solve_lp(&LpOptions { max_iterations: 3, algo, ..Default::default() }).unwrap();
-        assert_eq!(sol.status, LpStatus::IterLimit, "{algo:?}");
-        assert!(sol.iterations <= 3, "{algo:?}: {}", sol.iterations);
-    }
+    let sol = m.solve_lp(&LpOptions { max_iterations: 3, ..Default::default() }).unwrap();
+    assert_eq!(sol.status, LpStatus::IterLimit);
+    assert!(sol.iterations <= 3, "{}", sol.iterations);
 }
 
 // ---------------------------------------------------------------------------
@@ -748,6 +799,197 @@ proptest! {
                     "bb {} vs brute {}", obj, opt);
             }
             None => prop_assert_eq!(res.status, MipStatus::Infeasible),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form LP regressions (inherited from the dense tableau's own suite)
+// ---------------------------------------------------------------------------
+
+/// `(terms, cmp, rhs)`.
+type Row<'a> = (&'a [(usize, f64)], Cmp, f64);
+
+/// `min Σ obj·x` over `(lo, hi, obj)` variables and `rows`.
+fn lp(vars: &[(f64, f64, f64)], rows: &[Row<'_>]) -> Model {
+    let mut m = Model::new("closed-form");
+    for (j, &(lo, hi, obj)) in vars.iter().enumerate() {
+        m.add_var(format!("x{j}"), lo, hi, obj, VarKind::Continuous);
+    }
+    for &(terms, cmp, rhs) in rows {
+        m.add_con(terms.iter().map(|&(j, a)| (VarId(j), a)).collect(), cmp, rhs);
+    }
+    m
+}
+
+/// Solve through the public entry point (presolve + revised simplex) and
+/// require `status`.
+fn solved(m: &Model, status: LpStatus) -> LpSolution {
+    let s = m.solve_lp(&LpOptions::default()).expect("valid model");
+    assert_eq!(s.status, status);
+    s
+}
+
+fn assert_near(got: f64, want: f64) {
+    assert!((got - want).abs() < 1e-8, "{got} vs {want}");
+}
+
+const INF: f64 = f64::INFINITY;
+
+#[test]
+fn bounds_alone_decide_a_rowless_lp() {
+    // min x over [1, 5]; max x over [0, 5] by negation
+    assert_near(solved(&lp(&[(1.0, 5.0, 1.0)], &[]), LpStatus::Optimal).objective, 1.0);
+    assert_near(solved(&lp(&[(0.0, 5.0, -1.0)], &[]), LpStatus::Optimal).x[0], 5.0);
+}
+
+#[test]
+fn dantzig_textbook_2d() {
+    // min -3x - 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6), -36
+    let m = lp(
+        &[(0.0, INF, -3.0), (0.0, INF, -5.0)],
+        &[
+            (&[(0, 1.0)], Cmp::Le, 4.0),
+            (&[(1, 2.0)], Cmp::Le, 12.0),
+            (&[(0, 3.0), (1, 2.0)], Cmp::Le, 18.0),
+        ],
+    );
+    let s = solved(&m, LpStatus::Optimal);
+    assert_near(s.objective, -36.0);
+    assert_near(s.x[0], 2.0);
+    assert_near(s.x[1], 6.0);
+}
+
+#[test]
+fn equality_rows_pin_the_point() {
+    // x + y = 10, x - y = 4 -> (7, 3)
+    let m = lp(
+        &[(0.0, INF, 1.0), (0.0, INF, 1.0)],
+        &[(&[(0, 1.0), (1, 1.0)], Cmp::Eq, 10.0), (&[(0, 1.0), (1, -1.0)], Cmp::Eq, 4.0)],
+    );
+    let s = solved(&m, LpStatus::Optimal);
+    assert_near(s.x[0], 7.0);
+    assert_near(s.x[1], 3.0);
+}
+
+#[test]
+fn ge_rows_need_a_phase_1() {
+    // min 2x + 3y st x + y >= 10, x >= 2: the origin is infeasible;
+    // optimum (10, 0), 20
+    let m = lp(
+        &[(0.0, INF, 2.0), (0.0, INF, 3.0)],
+        &[(&[(0, 1.0), (1, 1.0)], Cmp::Ge, 10.0), (&[(0, 1.0)], Cmp::Ge, 2.0)],
+    );
+    assert_near(solved(&m, LpStatus::Optimal).objective, 20.0);
+}
+
+#[test]
+fn infeasible_and_unbounded_verdicts() {
+    // x <= 1 by its bound, x >= 2 by a row (a singleton: presolve's verdict)
+    solved(&lp(&[(0.0, 1.0, 1.0)], &[(&[(0, 1.0)], Cmp::Ge, 2.0)]), LpStatus::Infeasible);
+    // the same contradiction across two variables (the simplex's verdict)
+    let m = lp(&[(0.0, 1.0, 1.0), (0.0, 1.0, 1.0)], &[(&[(0, 1.0), (1, 1.0)], Cmp::Ge, 3.0)]);
+    solved(&m, LpStatus::Infeasible);
+    // min -x st x - y <= 1: the ray (1, 1) improves forever
+    let m = lp(&[(0.0, INF, -1.0), (0.0, INF, 0.0)], &[(&[(0, 1.0), (1, -1.0)], Cmp::Le, 1.0)]);
+    let s = solved(&m, LpStatus::Unbounded);
+    assert_eq!(s.objective, f64::NEG_INFINITY);
+}
+
+#[test]
+fn upper_bounds_act_without_rows() {
+    // max x + y + z st x + y + z <= 10, boxes 2, 3, 4: all at their bounds
+    let m = lp(
+        &[(0.0, 2.0, -1.0), (0.0, 3.0, -1.0), (0.0, 4.0, -1.0)],
+        &[(&[(0, 1.0), (1, 1.0), (2, 1.0)], Cmp::Le, 10.0)],
+    );
+    assert_near(solved(&m, LpStatus::Optimal).objective, -9.0);
+    // max 2x + y st x + y <= 3, boxes 2, 2: the row binds, (2, 1)
+    let m = lp(&[(0.0, 2.0, -2.0), (0.0, 2.0, -1.0)], &[(&[(0, 1.0), (1, 1.0)], Cmp::Le, 3.0)]);
+    let s = solved(&m, LpStatus::Optimal);
+    assert_near(s.objective, -5.0);
+    assert_near(s.x[0], 2.0);
+    assert_near(s.x[1], 1.0);
+}
+
+#[test]
+fn negative_lower_bounds_are_native() {
+    // min x + y, x >= -5, y in [0, 3], x + y >= 0: the row is the bound
+    let m = lp(&[(-5.0, INF, 1.0), (0.0, 3.0, 1.0)], &[(&[(0, 1.0), (1, 1.0)], Cmp::Ge, 0.0)]);
+    assert_near(solved(&m, LpStatus::Optimal).objective, 0.0);
+}
+
+#[test]
+fn empty_domain_is_an_error_not_a_verdict() {
+    let m = lp(&[(2.0, 1.0, 1.0)], &[]);
+    assert_eq!(m.solve_lp(&LpOptions::default()).unwrap_err(), SolveError::EmptyDomain(VarId(0)));
+}
+
+#[test]
+fn a_variable_fixed_by_equal_bounds_is_substituted() {
+    // x = 2.5, x + y >= 4 -> y = 1.5
+    let m = lp(&[(2.5, 2.5, 1.0), (0.0, 10.0, 1.0)], &[(&[(0, 1.0), (1, 1.0)], Cmp::Ge, 4.0)]);
+    let s = solved(&m, LpStatus::Optimal);
+    assert_near(s.x[0], 2.5);
+    assert_near(s.x[1], 1.5);
+}
+
+#[test]
+fn redundant_equalities_are_harmless() {
+    // x + y = 4 stated twice (once doubled): a rank-deficient row set
+    let m = lp(
+        &[(0.0, INF, 1.0), (0.0, INF, 2.0)],
+        &[(&[(0, 1.0), (1, 1.0)], Cmp::Eq, 4.0), (&[(0, 2.0), (1, 2.0)], Cmp::Eq, 8.0)],
+    );
+    assert_near(solved(&m, LpStatus::Optimal).objective, 4.0); // (4, 0)
+}
+
+#[test]
+fn duplicate_terms_are_summed() {
+    // x + x >= 6 -> x = 3
+    let m = lp(&[(0.0, 10.0, 1.0)], &[(&[(0, 1.0), (0, 1.0)], Cmp::Ge, 6.0)]);
+    assert_near(solved(&m, LpStatus::Optimal).x[0], 3.0);
+}
+
+#[test]
+fn badly_scaled_rows_survive_equilibration() {
+    // coefficients spread over 16 orders of magnitude between the rows
+    let m = lp(
+        &[(0.0, INF, 1.0), (0.0, INF, 1.0)],
+        &[(&[(0, 2.5e10), (1, 1e10)], Cmp::Ge, 5e10), (&[(0, 1e-6), (1, 3e-6)], Cmp::Ge, 4e-6)],
+    );
+    let s = solved(&m, LpStatus::Optimal);
+    // feasibility at a tolerance scaled to each row's magnitude
+    assert!(2.5e10 * s.x[0] + 1e10 * s.x[1] >= 5e10 * (1.0 - 1e-7));
+    assert!(1e-6 * s.x[0] + 3e-6 * s.x[1] >= 4e-6 * (1.0 - 1e-7));
+    // the two rows meet at (22, 10) / 13, where x + y is smallest
+    assert!((s.objective - 32.0 / 13.0).abs() < 1e-6, "{}", s.objective);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input
+// ---------------------------------------------------------------------------
+
+/// A non-finite coefficient or right-hand side is an error at both entry
+/// points, wherever it sits. Presolve used to run first and eat the
+/// evidence: a singleton row folds into a bound (every comparison with
+/// `NaN` is false, so nothing tightens) and a fixed column's coefficient
+/// folds into the right-hand side of a row that then looks empty.
+#[test]
+fn non_finite_rows_are_rejected_before_presolve() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let x = (0.0, 4.0, -1.0);
+        let models = [
+            lp(&[x], &[(&[(0, bad)], Cmp::Le, 2.0)]), // singleton coefficient
+            lp(&[x], &[(&[(0, 1.0)], Cmp::Le, bad)]), // singleton rhs
+            lp(&[x, (1.0, 1.0, 0.0)], &[(&[(0, 1.0), (1, bad)], Cmp::Le, 9.0)]), // fixed column
+            lp(&[x, x], &[(&[(0, bad), (1, 1.0)], Cmp::Le, 2.0)]), // two live terms
+        ];
+        for (case, m) in models.iter().enumerate() {
+            let got = m.solve_lp(&LpOptions::default()).map(|s| (s.status, s.objective));
+            assert_eq!(got, Err(SolveError::BadCoefficient), "solve_lp, case {case}, {bad}");
+            let got = solve_mip(m, &exact_opts(), &[], None).map(|r| r.status);
+            assert_eq!(got, Err(SolveError::BadCoefficient), "solve_mip, case {case}, {bad}");
         }
     }
 }

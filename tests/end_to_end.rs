@@ -8,6 +8,16 @@ use cellstream::rt::{ChecksumKernel, Kernel};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// MILP options that stop the search on a node count, never on the
+/// clock: in the unoptimised test profile the default 60 s limit ends
+/// every search here, so what a test asserted on would depend on the
+/// host's speed — and the file would take minutes.
+fn node_capped() -> SolveOptions {
+    let mut opts = SolveOptions::default();
+    opts.mip.max_nodes = 150;
+    opts
+}
+
 fn medium_graph(seed: u64) -> cellstream::graph::StreamGraph {
     generate(
         "e2e",
@@ -32,6 +42,7 @@ fn generate_plan_schedule_simulate_execute() {
     // 1. plan: the standard portfolio (greedies + multi-start + seeded MILP)
     let planned = Session::new(&g, &spec)
         .budget(Duration::from_secs(60))
+        .solve_options(node_capped())
         .plan()
         .expect("portfolio always finds the PPE-only fallback");
     let plan = planned.plan().clone();
@@ -65,7 +76,7 @@ fn generate_plan_schedule_simulate_execute() {
 fn milp_beats_or_matches_heuristics_end_to_end() {
     let g = medium_graph(77);
     let spec = CellSpec::qs22();
-    let planned = Session::new(&g, &spec).plan().unwrap();
+    let planned = Session::new(&g, &spec).solve_options(node_capped()).plan().unwrap();
     // The seeded MILP member must itself succeed, be feasible, and match
     // or beat every feasible heuristic member — the §6 guarantee the old
     // hand-wired solve(seeds) pipeline enforced. (A winner-vs-members
@@ -106,7 +117,8 @@ fn speedup_grows_with_spes_like_figure7() {
     let mut carry: Option<Mapping> = None;
     for spes in [0usize, 2, 4, 6] {
         let spec = CellSpec::with_spes(spes);
-        let mut session = Session::new(&g, &spec).budget(Duration::from_secs(30));
+        let mut session =
+            Session::new(&g, &spec).budget(Duration::from_secs(30)).solve_options(node_capped());
         if let Some(m) = carry.take() {
             session = session.seed(m);
         }
@@ -207,7 +219,7 @@ fn solve_wrapper_stays_compatible() {
     // Scheduler-based MILP path.
     let g = medium_graph(3);
     let spec = CellSpec::ps3();
-    let outcome = solve(&g, &spec, &SolveOptions::default()).unwrap();
+    let outcome = solve(&g, &spec, &node_capped()).unwrap();
     assert!(outcome.throughput > 0.0);
     let report = evaluate(&g, &spec, &outcome.mapping).unwrap();
     assert!(report.is_feasible());

@@ -1,23 +1,24 @@
-//! Differential suite on *formulation-derived* LPs/MILPs: the sparse
-//! revised simplex (production engine, warm-started B&B) against the
-//! dense tableau oracle (from-scratch B&B), on real Linear Program (1)
-//! instances in both encodings.
+//! Differential suite on *formulation-derived* LPs/MILPs: the solver
+//! against the two referees `cellstream-core` already owns and that
+//! share no code with it — the analytic evaluator (`evaluate`, the
+//! paper's §3.2 period of one mapping) and exhaustive search over all
+//! `n^K` mappings (`brute::optimal_mapping`) — on real Linear
+//! Program (1) instances in both encodings.
 //!
-//! The random-model differential lives in `cellstream-milp`'s own test
-//! suite; this one pins the instances that actually matter — the
-//! paper's mapping formulations with their assignment rows, bandwidth
-//! coupling and DMA-queue structure.
+//! The random-model differential (vertex enumeration, exhaustive binary
+//! search) lives in `cellstream-milp`'s own test suite; this one pins the
+//! instances that actually matter — the paper's mapping formulations
+//! with their assignment rows, bandwidth coupling and DMA-queue
+//! structure.
 
-use cellstream_core::{Formulation, FormulationConfig, SolveOptions};
+use cellstream_core::brute::optimal_mapping;
+use cellstream_core::{evaluate, FormKind, Formulation, FormulationConfig, Mapping, SolveOptions};
 use cellstream_daggen::{chain, fork_join, CostParams};
-use cellstream_graph::StreamGraph;
+use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_milp::bb::{solve_mip, MipOptions};
-use cellstream_milp::model::{LpAlgo, LpOptions, LpStatus};
-use cellstream_platform::CellSpec;
-
-fn dense_lp() -> LpOptions {
-    LpOptions { algo: LpAlgo::Dense, ..LpOptions::default() }
-}
+use cellstream_milp::model::{LpOptions, LpStatus};
+use cellstream_milp::SparseLp;
+use cellstream_platform::{CellSpec, PeId};
 
 fn small_graphs() -> Vec<StreamGraph> {
     vec![
@@ -29,93 +30,137 @@ fn small_graphs() -> Vec<StreamGraph> {
 }
 
 fn kinds() -> [FormulationConfig; 2] {
-    use cellstream_core::FormKind;
     [
         FormulationConfig { kind: FormKind::Compact, dma_constraints: true },
         FormulationConfig { kind: FormKind::Paper, dma_constraints: true },
     ]
 }
 
-/// LP relaxations of Linear Program (1): both engines must agree on
-/// status and on the objective within 1e-7, for both encodings.
+fn close(a: f64, b: f64, rel: f64) -> bool {
+    (a - b).abs() <= rel * (1.0 + b.abs())
+}
+
+/// LP relaxations of Linear Program (1), both encodings. Relaxed, the
+/// optimum is a lower bound on every mapping's period, the brute-force
+/// optimum included. With every α fixed to a mapping the LP has nothing
+/// left to choose but `T` and the cut indicators, so its optimum *is*
+/// that mapping's period as the evaluator computes it — through presolve
+/// (`solve_lp`, which eliminates the fixed columns) and without it
+/// (`SparseLp`, the branch-and-bound root path) alike.
 #[test]
-fn lp_relaxations_agree_between_engines() {
+fn lp_relaxations_agree_with_the_evaluator() {
     let spec = CellSpec::with_spes(2);
     for g in small_graphs() {
+        let (best, best_period) = optimal_mapping(&g, &spec).expect("the PPE takes anything");
+        let round_robin: Vec<PeId> = (0..g.n_tasks()).map(|k| PeId(k % spec.n_pes())).collect();
+        let mappings = [
+            best,
+            Mapping::all_on(&g, PeId(0)),
+            Mapping::all_on(&g, PeId(1)),
+            Mapping::new(&g, &spec, round_robin).unwrap(),
+        ];
         for config in kinds() {
+            let what = format!("{} {:?}", g.name(), config.kind);
             let form = Formulation::build(&g, &spec, &config);
-            let dense = form.model.solve_lp(&dense_lp()).unwrap();
-            let sparse = form.model.solve_lp(&LpOptions::default()).unwrap();
-            assert_eq!(
-                sparse.status,
-                dense.status,
-                "{} {:?}: sparse {:?} vs dense {:?}",
-                g.name(),
-                config.kind,
-                sparse.status,
-                dense.status
-            );
-            assert_eq!(dense.status, LpStatus::Optimal, "{} relaxation must solve", g.name());
-            let scale = 1.0 + dense.objective.abs();
+            let t0 = form.time_scale();
+
+            let relaxed = form.model.solve_lp(&LpOptions::default()).unwrap();
+            assert_eq!(relaxed.status, LpStatus::Optimal, "{what}: relaxation must solve");
+            assert!(form.model.max_violation(&relaxed.x) <= 1e-6, "{what}");
             assert!(
-                (sparse.objective - dense.objective).abs() <= 1e-7 * scale,
-                "{} {:?}: sparse {} vs dense {}",
-                g.name(),
-                config.kind,
-                sparse.objective,
-                dense.objective
+                relaxed.objective * t0 <= best_period * (1.0 + 1e-7),
+                "{what}: relaxation {} above the optimum {best_period}",
+                relaxed.objective * t0
             );
-            assert!(form.model.max_violation(&sparse.x) <= 1e-6);
+            // presolve must not move the optimum: the B&B root path skips it
+            let root = SparseLp::from_model(&form.model).unwrap();
+            let root = root.solve_primal(&LpOptions::default()).unwrap();
+            assert!(close(root.objective, relaxed.objective, 1e-7), "{what}: root vs solve_lp");
+
+            for m in &mappings {
+                let report = evaluate(&g, &spec, m).unwrap();
+                let mut fixed = form.model.clone();
+                for k in 0..g.n_tasks() {
+                    for pe in spec.pes() {
+                        let v = if m.pe_of(TaskId(k)) == pe { 1.0 } else { 0.0 };
+                        fixed.set_bounds(form.alpha(TaskId(k), pe), v, v);
+                    }
+                }
+                let presolved = fixed.solve_lp(&LpOptions::default()).unwrap();
+                let lp = SparseLp::from_model(&fixed).unwrap();
+                let raw = lp.solve_primal(&LpOptions::default()).unwrap();
+                assert_eq!(presolved.status, raw.status, "{what}: {m:?}");
+                if !report.is_feasible() {
+                    // (1i)-(1k) are rows of the LP too
+                    assert_eq!(raw.status, LpStatus::Infeasible, "{what}: {m:?}");
+                    continue;
+                }
+                assert_eq!(raw.status, LpStatus::Optimal, "{what}: {m:?}");
+                for (path, objective) in
+                    [("solve_lp", presolved.objective), ("SparseLp", raw.objective)]
+                {
+                    assert!(
+                        close(objective, report.period / t0, 1e-7),
+                        "{what} via {path}: LP {objective} vs evaluator {}",
+                        report.period / t0
+                    );
+                }
+                assert!(fixed.max_violation(&presolved.x) <= 1e-6, "{what}");
+            }
         }
     }
 }
 
-/// End-to-end `solve_mip` on the formulations, run to proven
-/// optimality: the warm-started sparse search and the dense
-/// from-scratch search must find incumbents of equal objective.
+/// `solve_mip` on the bare formulations (no seeds, no completion), run to
+/// proven optimality: the warm-started search must land on the period of
+/// the exhaustive optimum, in both encodings.
 #[test]
-fn mip_incumbents_agree_between_engines() {
+fn mip_incumbents_agree_with_brute_force() {
     let spec = CellSpec::with_spes(2);
     let exact =
         MipOptions { rel_gap: 0.0, abs_gap: 1e-9, max_nodes: 50_000, ..MipOptions::default() };
-    for g in small_graphs().into_iter().take(2) {
-        let form = Formulation::build(&g, &spec, &FormulationConfig::default());
-        let sparse = solve_mip(&form.model, &exact, &[], None).unwrap();
-        let dense =
-            solve_mip(&form.model, &MipOptions { lp: dense_lp(), ..exact.clone() }, &[], None)
-                .unwrap();
-        let (os, _) = sparse.incumbent.as_ref().expect("sparse finds a mapping");
-        let (od, _) = dense.incumbent.as_ref().expect("dense finds a mapping");
-        assert!(
-            (os - od).abs() <= 1e-6 * (1.0 + od.abs()),
-            "{}: sparse {} vs dense {}",
-            g.name(),
-            os,
-            od
-        );
-        assert!(sparse.warm_starts > 0 || sparse.nodes <= 2, "warm starts exercised");
+    for g in small_graphs() {
+        let (_, best_period) = optimal_mapping(&g, &spec).unwrap();
+        for config in kinds() {
+            let form = Formulation::build(&g, &spec, &config);
+            let res = solve_mip(&form.model, &exact, &[], None).unwrap();
+            let (obj, x) = res.incumbent.as_ref().expect("the search finds a mapping");
+            assert!(
+                close(obj * form.time_scale(), best_period, 1e-6),
+                "{} {:?}: B&B {} vs brute force {best_period}",
+                g.name(),
+                config.kind,
+                obj * form.time_scale()
+            );
+            // and the incumbent decodes to a mapping that really has it
+            let m = Mapping::new(&g, &spec, form.decode(x)).unwrap();
+            assert!(close(evaluate(&g, &spec, &m).unwrap().period, best_period, 1e-6));
+            assert!(res.warm_starts > 0 || res.nodes <= 2, "warm starts exercised");
+        }
     }
 }
 
-/// The full `solve()` driver (seeds + rounding completion) lands on the
-/// same period through either engine.
+/// The full `solve()` driver (seeds + rounding completion) at zero gap
+/// returns a mapping of exactly the brute-force period.
 #[test]
-fn solve_driver_periods_agree_between_engines() {
+fn solve_driver_periods_agree_with_brute_force() {
     let spec = CellSpec::with_spes(2);
-    let g = chain("driver", 6, &CostParams::default(), 7);
-    let mut exact = SolveOptions::default();
-    exact.mip.rel_gap = 0.0;
-    exact.mip.abs_gap = 1e-12;
-    let sparse = cellstream_core::solve(&g, &spec, &exact).unwrap();
-    let mut dense_opts = exact.clone();
-    dense_opts.mip.lp.algo = LpAlgo::Dense;
-    let dense = cellstream_core::solve(&g, &spec, &dense_opts).unwrap();
-    assert!(
-        (sparse.period - dense.period).abs() <= 1e-9 * (1.0 + dense.period.abs()),
-        "sparse {} vs dense {}",
-        sparse.period,
-        dense.period
-    );
+    for g in small_graphs() {
+        let (_, best_period) = optimal_mapping(&g, &spec).unwrap();
+        for formulation in kinds() {
+            let mut exact = SolveOptions { formulation, ..SolveOptions::default() };
+            exact.mip.rel_gap = 0.0;
+            exact.mip.abs_gap = 1e-12;
+            let out = cellstream_core::solve(&g, &spec, &exact).unwrap();
+            assert!(
+                close(out.period, best_period, 1e-9),
+                "{} {:?}: solve() {} vs brute force {best_period}",
+                g.name(),
+                formulation.kind,
+                out.period
+            );
+        }
+    }
 }
 
 /// The sparse-column export is consistent with the model for both
@@ -132,7 +177,7 @@ fn sparse_columns_match_model_for_both_formkinds() {
         let (rows, ncols, nnz) = form.sparsity();
         assert_eq!((rows, ncols, nnz), (cols.nrows(), cols.ncols(), cols.nnz()));
         assert!(nnz > 0);
-        // CSC must be dramatically sparser than the dense tableau
+        // CSC must be dramatically sparser than a dense matrix
         assert!(nnz < rows * ncols / 4, "{:?}: nnz {nnz} of {}", config.kind, rows * ncols);
     }
 }
