@@ -15,17 +15,25 @@
 //!
 //! * the immutable per-graph data (buffer plan, per-task costs and
 //!   traffic, adjacency) is computed **once** at construction;
-//! * [`apply`](EvalState::apply) updates only the accumulator entries a
-//!   move actually touches — O(degree(task)) work, zero allocation in
-//!   steady state (the undo log reuses its buffers);
-//! * [`undo`](EvalState::undo) restores the exact previous values from
-//!   the log (bitwise, not by re-subtracting), so a probe leaves the
-//!   state untouched;
+//! * [`apply`](EvalState::apply) updates only the rows of the per-PE
+//!   table a move actually touches — O(degree(task)) work — remembers
+//!   *which* PEs those were, and refreshes their cached occupancy
+//!   `max(compute, in/bw, out/bw)`;
+//! * [`undo`](EvalState::undo) copies the touched rows back from the
+//!   committed **base copy** of the table (bitwise, not by
+//!   re-subtracting), so a probe leaves the state untouched and costs
+//!   what its move touched — there is no per-write log;
 //! * [`score_move`](EvalState::score_move) = apply → verdict → undo.
 //!
-//! The period and feasibility verdicts come from the same formulas as the
-//! full evaluator, read off the live accumulators with an O(n_PEs) scan
-//! (n ≤ 9 on real Cell configurations). Committed moves accumulate the
+//! Every table is sized at construction: no call after
+//! [`new_with`](EvalState::new_with) allocates or grows anything.
+//!
+//! The feasibility verdict comes from the same formulas as the full
+//! evaluator, read off the live rows of every PE; the period is the
+//! maximum over the cached occupancies, each of which is the evaluator's
+//! own expression on the same operands (and `f64::max` selects one of its
+//! arguments exactly), so it is bit-identical to rescanning and
+//! re-dividing the raw tables. Committed moves accumulate the
 //! usual floating-point drift of add/subtract sequences; callers that
 //! publish a final period re-derive it with one full `evaluate` (see the
 //! search heuristics), and the property suite pins the drift below 1e-9
@@ -57,30 +65,33 @@ pub enum Move {
     },
 }
 
-// Accumulator tags for the undo log.
-const F_COMPUTE: u8 = 0;
-const F_IN: u8 = 1;
-const F_OUT: u8 = 2;
-const F_MEM: u8 = 3;
-const U_DMA_IN: u8 = 0;
-const U_DMA_PPE: u8 = 1;
-const U_SEATED: u8 = 2;
-
-/// Saved pre-move values of every accumulator entry a move touched.
-/// Restored in reverse order, so repeated writes to the same entry undo
-/// exactly (no re-subtraction, no drift inside an apply/undo pair).
-#[derive(Debug, Default, Clone)]
-struct UndoFrame {
-    assigns: Vec<(usize, PeId)>,
-    floats: Vec<(u8, u32, f64)>,
-    ints: Vec<(u8, u32, u32)>,
+/// One PE's row of the §3.2 occupation table: the seven accumulators
+/// the verifier keeps per PE, plus the occupancy derived from them.
+/// `Copy`, so committing or restoring a PE is one row copy.
+#[derive(Debug, Clone, Copy, Default)]
+struct PeRow {
+    compute: f64,
+    in_bytes: f64,
+    out_bytes: f64,
+    memory_bytes: f64,
+    /// Cached `max(compute, in_bytes / bw, out_bytes / bw)` — see
+    /// [`PeRow::occupancy`]. Current whenever no `relocate` is in
+    /// flight: `apply` refreshes it for the PEs it touched, `undo`
+    /// restores it with the rest of the row.
+    occ: f64,
+    dma_in: u32,
+    dma_ppe: u32,
+    /// Seated-task count (feeds the dead-PE feasibility check in O(1)
+    /// and the eviction loop's victim scan).
+    seated: u32,
 }
 
-impl UndoFrame {
-    fn clear(&mut self) {
-        self.assigns.clear();
-        self.floats.clear();
-        self.ints.clear();
+impl PeRow {
+    /// The §3.2 per-PE term whose maximum over PEs is the period —
+    /// the one place the expression is spelled (the cache is filled
+    /// from it, the audits recompute it).
+    fn occupancy(&self, bw: f64) -> f64 {
+        self.compute.max(self.in_bytes / bw).max(self.out_bytes / bw)
     }
 }
 
@@ -89,9 +100,10 @@ impl UndoFrame {
 /// recomputed. See the module docs for the contract.
 ///
 /// Undo depth is **one**: [`apply`](Self::apply) commits any previously
-/// applied move (its log is discarded) and starts a fresh log, so
-/// [`undo`](Self::undo) reverts only the most recent `apply`. That is
-/// exactly the propose/accept/reject shape every search heuristic needs.
+/// applied move (its rows are copied into the base table) and opens a
+/// fresh frame, so [`undo`](Self::undo) reverts only the most recent
+/// `apply`. That is exactly the propose/accept/reject shape every search
+/// heuristic needs.
 ///
 /// ```
 /// use cellstream_core::eval::incremental::{EvalState, Move};
@@ -144,17 +156,23 @@ pub struct EvalState<'a> {
     dead: Vec<bool>,
     // ---- live accumulators ------------------------------------------------
     assignment: Vec<PeId>,
-    compute: Vec<f64>,
-    in_bytes: Vec<f64>,
-    out_bytes: Vec<f64>,
-    memory_bytes: Vec<f64>,
-    dma_in: Vec<u32>,
-    dma_ppe: Vec<u32>,
-    /// Per-PE seated-task counts (feeds the dead-PE feasibility check
-    /// in O(1) and the eviction loop's victim scan).
-    seated: Vec<u32>,
+    /// The per-PE table under the current assignment, pending move
+    /// included.
+    live: Vec<PeRow>,
     // ---- undo -------------------------------------------------------------
-    frame: UndoFrame,
+    /// The committed copy of `live`: equal to it on every PE outside the
+    /// pending frame's touched set (on all PEs when no frame is pending).
+    base: Vec<PeRow>,
+    /// PEs whose `live` row the pending frame wrote: the first
+    /// `n_touched` entries, each PE at most once (`is_touched` is the
+    /// membership flag), so `n_pes` slots always suffice.
+    touched: Vec<u32>,
+    n_touched: usize,
+    is_touched: Vec<bool>,
+    /// Previous seats of the tasks the pending frame moved (a swap moves
+    /// two).
+    moved: [(usize, PeId); 2],
+    n_moved: usize,
     has_frame: bool,
 }
 
@@ -213,14 +231,13 @@ impl<'a> EvalState<'a> {
             slowdown: spec.pes().map(|pe| avail.slowdown(pe)).collect(),
             dead: spec.pes().map(|pe| avail.is_dead(pe)).collect(),
             assignment: mapping.assignment().to_vec(),
-            compute: vec![0.0; n],
-            in_bytes: vec![0.0; n],
-            out_bytes: vec![0.0; n],
-            memory_bytes: vec![0.0; n],
-            dma_in: vec![0; n],
-            dma_ppe: vec![0; n],
-            seated: vec![0; n],
-            frame: UndoFrame::default(),
+            live: vec![PeRow::default(); n],
+            base: vec![PeRow::default(); n],
+            touched: vec![0; n],
+            n_touched: 0,
+            is_touched: vec![false; n],
+            moved: [(0, PeId(0)); 2],
+            n_moved: 0,
             has_frame: false,
         };
         s.recompute();
@@ -238,44 +255,46 @@ impl<'a> EvalState<'a> {
         Ok(())
     }
 
-    /// Rebuild the accumulators from the current assignment (the same
-    /// loops as the full evaluator, minus the plan construction).
+    /// Rebuild the table from the current assignment (the same loops as
+    /// the full evaluator, minus the plan construction), refill the
+    /// occupancy cache and commit: base = live, no pending frame.
+    // check: no-alloc
     fn recompute(&mut self) {
-        for v in
-            [&mut self.compute, &mut self.in_bytes, &mut self.out_bytes, &mut self.memory_bytes]
-        {
-            v.iter_mut().for_each(|x| *x = 0.0);
-        }
-        self.dma_in.iter_mut().for_each(|x| *x = 0);
-        self.dma_ppe.iter_mut().for_each(|x| *x = 0);
-        self.seated.iter_mut().for_each(|x| *x = 0);
+        self.live.fill(PeRow::default());
         for k in 0..self.assignment.len() {
             let i = self.assignment[k].index();
             let spe = i >= self.n_ppe;
-            let base = if spe { self.cost_spe[k] } else { self.cost_ppe[k] };
-            self.compute[i] += base * self.slowdown[i];
-            self.in_bytes[i] += self.read_bytes[k];
-            self.out_bytes[i] += self.write_bytes[k];
-            self.seated[i] += 1;
+            let cost = if spe { self.cost_spe[k] } else { self.cost_ppe[k] };
+            let row = &mut self.live[i];
+            row.compute += cost * self.slowdown[i];
+            row.in_bytes += self.read_bytes[k];
+            row.out_bytes += self.write_bytes[k];
+            row.seated += 1;
             if spe {
-                self.memory_bytes[i] += self.task_buf[k];
+                row.memory_bytes += self.task_buf[k];
             }
         }
         for e in self.g.edges() {
             let src = self.assignment[e.src.index()];
             let dst = self.assignment[e.dst.index()];
             if src != dst {
-                self.out_bytes[src.index()] += e.data_bytes;
-                self.in_bytes[dst.index()] += e.data_bytes;
+                self.live[src.index()].out_bytes += e.data_bytes;
+                self.live[dst.index()].in_bytes += e.data_bytes;
                 if dst.index() >= self.n_ppe {
-                    self.dma_in[dst.index()] += 1;
+                    self.live[dst.index()].dma_in += 1;
                 }
                 if src.index() >= self.n_ppe && dst.index() < self.n_ppe {
-                    self.dma_ppe[src.index()] += 1;
+                    self.live[src.index()].dma_ppe += 1;
                 }
             }
         }
-        self.frame.clear();
+        for row in &mut self.live {
+            row.occ = row.occupancy(self.bw);
+        }
+        self.base.copy_from_slice(&self.live);
+        self.is_touched.fill(false);
+        self.n_touched = 0;
+        self.n_moved = 0;
         self.has_frame = false;
     }
 
@@ -287,7 +306,7 @@ impl<'a> EvalState<'a> {
     /// states travel together, like mappings and graphs.
     // check: no-alloc
     pub fn reseat(&mut self, seats: impl IntoIterator<Item = PeId>) {
-        let n_pes = self.compute.len();
+        let n_pes = self.live.len();
         let mut k = 0;
         for pe in seats {
             assert!(k < self.assignment.len(), "reseat: more seats than tasks");
@@ -303,8 +322,8 @@ impl<'a> EvalState<'a> {
     /// the floating-point drift committed moves accumulate (each
     /// apply/undo pair restores exactly, but *committed* deltas are
     /// add/subtract sequences). Equivalent to rebuilding the state from
-    /// [`mapping`](Self::mapping) — O(V + E), allocation-free, clears
-    /// the undo log.
+    /// [`mapping`](Self::mapping) — O(V + E), allocation-free, commits
+    /// any pending move.
     // check: no-alloc
     pub fn rebase(&mut self) {
         self.recompute();
@@ -343,11 +362,12 @@ impl<'a> EvalState<'a> {
     /// counterpart of scanning [`report`](Self::report)'s violation
     /// list, for eviction loops. O(n_SPEs).
     pub fn first_violated_spe(&self) -> Option<PeId> {
-        for i in self.n_ppe..self.compute.len() {
-            if self.memory_bytes[i] > self.ls_budget + 1e-9
-                || self.dma_in[i] > self.dma_in_limit
-                || self.dma_ppe[i] > self.dma_ppe_limit
-                || (self.dead[i] && self.seated[i] > 0)
+        for i in self.n_ppe..self.live.len() {
+            let row = &self.live[i];
+            if row.memory_bytes > self.ls_budget + 1e-9
+                || row.dma_in > self.dma_in_limit
+                || row.dma_ppe > self.dma_ppe_limit
+                || (self.dead[i] && row.seated > 0)
             {
                 return Some(PeId(i));
             }
@@ -362,7 +382,7 @@ impl<'a> EvalState<'a> {
 
     /// Tasks currently seated on one PE. O(1).
     pub fn seated_on(&self, pe: PeId) -> u32 {
-        self.seated[pe.index()]
+        self.live[pe.index()].seated
     }
 
     /// The availability overlay this state plans against.
@@ -378,25 +398,19 @@ impl<'a> EvalState<'a> {
     }
 
     /// Steady-state period of the current mapping: the §3.2 maximum over
-    /// per-PE compute and interface occupations. O(n_PEs).
+    /// per-PE compute and interface occupations, read off the cached
+    /// per-PE occupancies. O(n_PEs), no division.
     pub fn period(&self) -> f64 {
-        let mut p = 0.0f64;
-        for i in 0..self.compute.len() {
-            p = p
-                .max(self.compute[i])
-                .max(self.in_bytes[i] / self.bw)
-                .max(self.out_bytes[i] / self.bw);
-        }
-        p
+        self.live.iter().fold(0.0f64, |p, row| p.max(row.occ))
     }
 
     /// One PE's occupation: `max(compute, in/bw, out/bw)` — the §3.2
-    /// per-PE term whose maximum over PEs is the period. O(1). Search
-    /// heuristics use it to break period plateaus toward better load
-    /// balance (two co-bottlenecked PEs stall pure steepest descent).
+    /// per-PE term whose maximum over PEs is the period. An O(1) read of
+    /// the cache. Search heuristics use it to break period plateaus
+    /// toward better load balance (two co-bottlenecked PEs stall pure
+    /// steepest descent).
     pub fn occupancy(&self, pe: PeId) -> f64 {
-        let i = pe.index();
-        self.compute[i].max(self.in_bytes[i] / self.bw).max(self.out_bytes[i] / self.bw)
+        self.live[pe.index()].occ
     }
 
     /// The resource that sets the period (same scan order and tie-break
@@ -404,17 +418,17 @@ impl<'a> EvalState<'a> {
     pub fn bottleneck(&self) -> Bottleneck {
         let mut period = 0.0f64;
         let mut bottleneck = Bottleneck::Compute(PeId(0));
-        for i in 0..self.compute.len() {
-            if self.compute[i] > period {
-                period = self.compute[i];
+        for (i, row) in self.live.iter().enumerate() {
+            if row.compute > period {
+                period = row.compute;
                 bottleneck = Bottleneck::Compute(PeId(i));
             }
-            if self.in_bytes[i] / self.bw > period {
-                period = self.in_bytes[i] / self.bw;
+            if row.in_bytes / self.bw > period {
+                period = row.in_bytes / self.bw;
                 bottleneck = Bottleneck::IncomingBw(PeId(i));
             }
-            if self.out_bytes[i] / self.bw > period {
-                period = self.out_bytes[i] / self.bw;
+            if row.out_bytes / self.bw > period {
+                period = row.out_bytes / self.bw;
                 bottleneck = Bottleneck::OutgoingBw(PeId(i));
             }
         }
@@ -424,15 +438,15 @@ impl<'a> EvalState<'a> {
     /// `true` iff constraints (1i)–(1k) all hold right now *and* no
     /// task is seated on a dead PE. O(n_PEs).
     pub fn is_feasible(&self) -> bool {
-        for i in 0..self.compute.len() {
-            if self.dead[i] && self.seated[i] > 0 {
+        for (i, row) in self.live.iter().enumerate() {
+            if self.dead[i] && row.seated > 0 {
                 return false;
             }
         }
-        for i in self.n_ppe..self.compute.len() {
-            if self.memory_bytes[i] > self.ls_budget + 1e-9
-                || self.dma_in[i] > self.dma_in_limit
-                || self.dma_ppe[i] > self.dma_ppe_limit
+        for row in &self.live[self.n_ppe..] {
+            if row.memory_bytes > self.ls_budget + 1e-9
+                || row.dma_in > self.dma_in_limit
+                || row.dma_ppe > self.dma_ppe_limit
             {
                 return false;
             }
@@ -450,11 +464,10 @@ impl<'a> EvalState<'a> {
     }
 
     /// Score a move without disturbing the state: apply, read the
-    /// verdict, undo (exact restore). O(degree + n_PEs), zero allocation
-    /// once the undo log has warmed up.
+    /// verdict, undo (exact restore). O(degree + n_PEs), allocation-free.
     ///
-    /// Discards any pending undo log — a move applied before this call
-    /// can no longer be undone (it was committed).
+    /// Commits any pending move — one applied before this call can no
+    /// longer be undone.
     pub fn score_move(&mut self, mv: Move) -> f64 {
         self.apply(mv);
         let s = self.score();
@@ -467,7 +480,7 @@ impl<'a> EvalState<'a> {
     /// moves and states travel together, like mappings and graphs.
     // check: no-alloc
     pub fn apply(&mut self, mv: Move) {
-        self.frame.clear();
+        self.commit();
         self.has_frame = true;
         match mv {
             Move::Relocate { task, to } => self.relocate(task, to),
@@ -477,39 +490,45 @@ impl<'a> EvalState<'a> {
                 self.relocate(b, pa);
             }
         }
+        for &i in &self.touched[..self.n_touched] {
+            let row = &mut self.live[i as usize];
+            row.occ = row.occupancy(self.bw);
+        }
     }
 
     /// Revert the most recent [`apply`](Self::apply), restoring every
-    /// touched accumulator entry to its exact previous value. Returns
-    /// `false` (and does nothing) when there is nothing to undo.
+    /// touched row — accumulators and cached occupancy — to its exact
+    /// previous value. Returns `false` (and does nothing) when there is
+    /// nothing to undo.
     // check: no-alloc
     pub fn undo(&mut self) -> bool {
         if !self.has_frame {
             return false;
         }
-        for &(tag, pe, old) in self.frame.floats.iter().rev() {
-            let v = match tag {
-                F_COMPUTE => &mut self.compute,
-                F_IN => &mut self.in_bytes,
-                F_OUT => &mut self.out_bytes,
-                _ => &mut self.memory_bytes,
-            };
-            v[pe as usize] = old;
+        for &i in &self.touched[..self.n_touched] {
+            self.live[i as usize] = self.base[i as usize];
+            self.is_touched[i as usize] = false;
         }
-        for &(tag, pe, old) in self.frame.ints.iter().rev() {
-            let v = match tag {
-                U_DMA_IN => &mut self.dma_in,
-                U_DMA_PPE => &mut self.dma_ppe,
-                _ => &mut self.seated,
-            };
-            v[pe as usize] = old;
-        }
-        for &(k, pe) in self.frame.assigns.iter().rev() {
+        self.n_touched = 0;
+        for &(k, pe) in self.moved[..self.n_moved].iter().rev() {
             self.assignment[k] = pe;
         }
-        self.frame.clear();
+        self.n_moved = 0;
         self.has_frame = false;
         true
+    }
+
+    /// Make the pending move (if any) permanent: copy the rows it
+    /// touched into the base table and close the frame.
+    // check: no-alloc
+    fn commit(&mut self) {
+        for &i in &self.touched[..self.n_touched] {
+            self.base[i as usize] = self.live[i as usize];
+            self.is_touched[i as usize] = false;
+        }
+        self.n_touched = 0;
+        self.n_moved = 0;
+        self.has_frame = false;
     }
 
     /// Extract a full [`MappingReport`] for the current mapping — the
@@ -522,30 +541,30 @@ impl<'a> EvalState<'a> {
         // `assert_matches_full` can compare violation lists exactly
         for pe in self.spec.pes() {
             let i = pe.index();
-            if self.dead[i] && self.seated[i] > 0 {
-                violations.push(Violation::DeadPe { pe, tasks: self.seated[i] as usize });
+            if self.dead[i] && self.live[i].seated > 0 {
+                violations.push(Violation::DeadPe { pe, tasks: self.live[i].seated as usize });
             }
         }
         for pe in self.spec.spes() {
-            let i = pe.index();
-            if self.memory_bytes[i] > self.ls_budget + 1e-9 {
+            let row = &self.live[pe.index()];
+            if row.memory_bytes > self.ls_budget + 1e-9 {
                 violations.push(Violation::LocalStore {
                     pe,
-                    used: self.memory_bytes[i],
+                    used: row.memory_bytes,
                     budget: self.ls_budget,
                 });
             }
-            if self.dma_in[i] > self.dma_in_limit {
+            if row.dma_in > self.dma_in_limit {
                 violations.push(Violation::DmaIn {
                     pe,
-                    used: self.dma_in[i],
+                    used: row.dma_in,
                     limit: self.dma_in_limit,
                 });
             }
-            if self.dma_ppe[i] > self.dma_ppe_limit {
+            if row.dma_ppe > self.dma_ppe_limit {
                 violations.push(Violation::DmaPpe {
                     pe,
-                    used: self.dma_ppe[i],
+                    used: row.dma_ppe,
                     limit: self.dma_ppe_limit,
                 });
             }
@@ -553,12 +572,12 @@ impl<'a> EvalState<'a> {
         MappingReport {
             period,
             throughput: throughput_of(period),
-            compute_load: self.compute.clone(),
-            in_bytes: self.in_bytes.clone(),
-            out_bytes: self.out_bytes.clone(),
-            memory_bytes: self.memory_bytes.clone(),
-            dma_in: self.dma_in.clone(),
-            dma_ppe: self.dma_ppe.clone(),
+            compute_load: self.live.iter().map(|r| r.compute).collect(),
+            in_bytes: self.live.iter().map(|r| r.in_bytes).collect(),
+            out_bytes: self.live.iter().map(|r| r.out_bytes).collect(),
+            memory_bytes: self.live.iter().map(|r| r.memory_bytes).collect(),
+            dma_in: self.live.iter().map(|r| r.dma_in).collect(),
+            dma_ppe: self.live.iter().map(|r| r.dma_ppe).collect(),
             bottleneck: self.bottleneck(),
             violations,
         }
@@ -566,30 +585,24 @@ impl<'a> EvalState<'a> {
 
     // ---- delta plumbing ---------------------------------------------------
 
-    fn addf(&mut self, tag: u8, pe: usize, delta: f64) {
-        let v = match tag {
-            F_COMPUTE => &mut self.compute,
-            F_IN => &mut self.in_bytes,
-            F_OUT => &mut self.out_bytes,
-            _ => &mut self.memory_bytes,
-        };
-        let old = v[pe];
-        v[pe] = old + delta;
-        self.frame.floats.push((tag, pe as u32, old));
+    /// The live row of `pe`, recorded in the pending frame's touched set
+    /// on first use — every write of [`relocate`](Self::relocate) goes
+    /// through here, which is all `undo`/`commit` need to know.
+    #[inline]
+    fn row_mut(&mut self, pe: usize) -> &mut PeRow {
+        if !self.is_touched[pe] {
+            self.is_touched[pe] = true;
+            self.touched[self.n_touched] = pe as u32;
+            self.n_touched += 1;
+        }
+        &mut self.live[pe]
     }
 
-    fn addu(&mut self, tag: u8, pe: usize, delta: i32) {
-        let v = match tag {
-            U_DMA_IN => &mut self.dma_in,
-            U_DMA_PPE => &mut self.dma_ppe,
-            _ => &mut self.seated,
-        };
-        let old = v[pe];
-        v[pe] = (old as i64 + delta as i64) as u32;
-        self.frame.ints.push((tag, pe as u32, old));
-    }
-
-    /// Move `t` to `to`, logging every touched entry. O(degree(t)).
+    /// Move `t` to `to`, marking every PE whose row it writes.
+    /// O(degree(t)). The order of the float additions is part of the
+    /// contract: `(x − d) + d` on an edge whose peer sits on a third PE
+    /// is not `x` bitwise, and the golden digests pin the result.
+    // check: no-alloc
     fn relocate(&mut self, t: TaskId, to: PeId) {
         let k = t.index();
         let from = self.assignment[k];
@@ -597,33 +610,42 @@ impl<'a> EvalState<'a> {
             return;
         }
         let (fi, ti) = (from.index(), to.index());
-        assert!(ti < self.compute.len(), "{to} out of range");
-        self.frame.assigns.push((k, from));
+        assert!(ti < self.live.len(), "{to} out of range");
+        self.moved[self.n_moved] = (k, from);
+        self.n_moved += 1;
         self.assignment[k] = to;
 
         let from_spe = fi >= self.n_ppe;
         let to_spe = ti >= self.n_ppe;
 
         // task-attached terms: compute, memory traffic, local-store buffers
-        let base_from = if from_spe { self.cost_spe[k] } else { self.cost_ppe[k] };
-        let base_to = if to_spe { self.cost_spe[k] } else { self.cost_ppe[k] };
-        self.addf(F_COMPUTE, fi, -base_from * self.slowdown[fi]);
-        self.addf(F_COMPUTE, ti, base_to * self.slowdown[ti]);
-        self.addu(U_SEATED, fi, -1);
-        self.addu(U_SEATED, ti, 1);
-        if self.read_bytes[k] != 0.0 {
-            self.addf(F_IN, fi, -self.read_bytes[k]);
-            self.addf(F_IN, ti, self.read_bytes[k]);
+        let cost_from = if from_spe { self.cost_spe[k] } else { self.cost_ppe[k] };
+        let cost_to = if to_spe { self.cost_spe[k] } else { self.cost_ppe[k] };
+        let (read, write, buf) = (self.read_bytes[k], self.write_bytes[k], self.task_buf[k]);
+        let (slow_from, slow_to) = (self.slowdown[fi], self.slowdown[ti]);
+        let row = self.row_mut(fi);
+        row.compute -= cost_from * slow_from;
+        row.seated -= 1;
+        if read != 0.0 {
+            row.in_bytes -= read;
         }
-        if self.write_bytes[k] != 0.0 {
-            self.addf(F_OUT, fi, -self.write_bytes[k]);
-            self.addf(F_OUT, ti, self.write_bytes[k]);
+        if write != 0.0 {
+            row.out_bytes -= write;
         }
         if from_spe {
-            self.addf(F_MEM, fi, -self.task_buf[k]);
+            row.memory_bytes -= buf;
+        }
+        let row = self.row_mut(ti);
+        row.compute += cost_to * slow_to;
+        row.seated += 1;
+        if read != 0.0 {
+            row.in_bytes += read;
+        }
+        if write != 0.0 {
+            row.out_bytes += write;
         }
         if to_spe {
-            self.addf(F_MEM, ti, self.task_buf[k]);
+            row.memory_bytes += buf;
         }
 
         // incident edges: retract the old cut contributions, add the new
@@ -634,23 +656,27 @@ impl<'a> EvalState<'a> {
             let (si, d) = (ps.index(), edge.data_bytes);
             let src_spe = si >= self.n_ppe;
             if ps != from {
-                self.addf(F_OUT, si, -d);
-                self.addf(F_IN, fi, -d);
-                if from_spe {
-                    self.addu(U_DMA_IN, fi, -1);
-                }
+                let src = self.row_mut(si);
+                src.out_bytes -= d;
                 if src_spe && !from_spe {
-                    self.addu(U_DMA_PPE, si, -1);
+                    src.dma_ppe -= 1;
+                }
+                let row = &mut self.live[fi];
+                row.in_bytes -= d;
+                if from_spe {
+                    row.dma_in -= 1;
                 }
             }
             if ps != to {
-                self.addf(F_OUT, si, d);
-                self.addf(F_IN, ti, d);
-                if to_spe {
-                    self.addu(U_DMA_IN, ti, 1);
-                }
+                let src = self.row_mut(si);
+                src.out_bytes += d;
                 if src_spe && !to_spe {
-                    self.addu(U_DMA_PPE, si, 1);
+                    src.dma_ppe += 1;
+                }
+                let row = &mut self.live[ti];
+                row.in_bytes += d;
+                if to_spe {
+                    row.dma_in += 1;
                 }
             }
         }
@@ -660,23 +686,27 @@ impl<'a> EvalState<'a> {
             let (di, d) = (pd.index(), edge.data_bytes);
             let dst_spe = di >= self.n_ppe;
             if pd != from {
-                self.addf(F_OUT, fi, -d);
-                self.addf(F_IN, di, -d);
+                let dst = self.row_mut(di);
+                dst.in_bytes -= d;
                 if dst_spe {
-                    self.addu(U_DMA_IN, di, -1);
+                    dst.dma_in -= 1;
                 }
+                let row = &mut self.live[fi];
+                row.out_bytes -= d;
                 if from_spe && !dst_spe {
-                    self.addu(U_DMA_PPE, fi, -1);
+                    row.dma_ppe -= 1;
                 }
             }
             if pd != to {
-                self.addf(F_OUT, ti, d);
-                self.addf(F_IN, di, d);
+                let dst = self.row_mut(di);
+                dst.in_bytes += d;
                 if dst_spe {
-                    self.addu(U_DMA_IN, di, 1);
+                    dst.dma_in += 1;
                 }
+                let row = &mut self.live[ti];
+                row.out_bytes += d;
                 if to_spe && !dst_spe {
-                    self.addu(U_DMA_PPE, ti, 1);
+                    row.dma_ppe += 1;
                 }
             }
         }
@@ -700,9 +730,26 @@ impl EvalState<'_> {
 /// must agree with a from-scratch `evaluate()` of its current mapping —
 /// period and loads within 1e-9 relative (committed deltas accumulate
 /// IEEE drift), the verdicts, bottleneck, DMA counters and violation
-/// list exactly.
+/// list exactly. The engine's own bookkeeping is audited bitwise: every
+/// cached occupancy equals the expression recomputed from its row, and
+/// the base table equals the live one on every PE outside the pending
+/// frame's touched set (on every PE when no frame is pending).
 #[cfg(any(test, feature = "debug_invariants"))]
 pub(crate) fn assert_matches_full(state: &EvalState<'_>, ctx: &str) {
+    let touched = &state.touched[..state.n_touched];
+    assert!(state.has_frame || touched.is_empty(), "{ctx}: touched PEs without a pending frame");
+    for (i, (live, base)) in state.live.iter().zip(&state.base).enumerate() {
+        assert_eq!(
+            live.occ.to_bits(),
+            live.occupancy(state.bw).to_bits(),
+            "{ctx}: cached occupancy of PE{i} is stale"
+        );
+        let in_frame = touched.contains(&(i as u32));
+        assert_eq!(state.is_touched[i], in_frame, "{ctx}: touched flag/list disagree on PE{i}");
+        if !in_frame {
+            assert!(rows_bitwise_equal(live, base), "{ctx}: base != live on untouched PE{i}");
+        }
+    }
     let full =
         crate::eval::evaluate_with(state.graph(), state.spec(), &state.avail, &state.mapping())
             .unwrap();
@@ -725,6 +772,15 @@ pub(crate) fn assert_matches_full(state: &EvalState<'_>, ctx: &str) {
         assert!((rep.memory_bytes[i] - full.memory_bytes[i]).abs() <= 1e-6, "{ctx}: mem[{i}]");
     }
     assert_eq!(rep.violations, full.violations, "{ctx}: violations");
+}
+
+/// Every field of two rows agrees bit for bit (float `==` would call
+/// `0.0` and `-0.0` equal).
+#[cfg(any(test, feature = "debug_invariants"))]
+fn rows_bitwise_equal(a: &PeRow, b: &PeRow) -> bool {
+    let floats = |r: &PeRow| [r.compute, r.in_bytes, r.out_bytes, r.memory_bytes, r.occ];
+    floats(a).map(f64::to_bits) == floats(b).map(f64::to_bits)
+        && (a.dma_in, a.dma_ppe, a.seated) == (b.dma_in, b.dma_ppe, b.seated)
 }
 
 #[cfg(test)]
@@ -774,32 +830,57 @@ mod tests {
         }
     }
 
+    /// The live table — all seven accumulators and the cached occupancy
+    /// of every PE — and the assignment agree bit for bit.
+    fn assert_same_bits(a: &EvalState<'_>, b: &EvalState<'_>, ctx: &str) {
+        assert_eq!(a.assignment, b.assignment, "{ctx}: assignment");
+        for (i, (x, y)) in a.live.iter().zip(&b.live).enumerate() {
+            assert!(rows_bitwise_equal(x, y), "{ctx}: PE{i} {x:?} vs {y:?}");
+        }
+    }
+
     #[test]
     fn undo_restores_exactly() {
-        let g = chain("c", 8, &CostParams::default(), 9);
+        let g = fork_join("fj", 5, &CostParams::default(), 9);
         let spec = CellSpec::with_spes(4);
-        let m = Mapping::new(
-            &g,
-            &spec,
-            (0..g.n_tasks()).map(|k| PeId((k * 2) % spec.n_pes())).collect(),
-        )
-        .unwrap();
-        let mut state = EvalState::new(&g, &spec, &m).unwrap();
-        let before = state.clone();
-        for k in 0..g.n_tasks() {
-            state.apply(Move::Relocate { task: TaskId(k), to: PeId((k + 1) % spec.n_pes()) });
-            assert!(state.undo());
-            // bitwise identical, not merely close
-            assert_eq!(state.compute, before.compute);
-            assert_eq!(state.in_bytes, before.in_bytes);
-            assert_eq!(state.out_bytes, before.out_bytes);
-            assert_eq!(state.memory_bytes, before.memory_bytes);
-            assert_eq!(state.dma_in, before.dma_in);
-            assert_eq!(state.dma_ppe, before.dma_ppe);
-            assert_eq!(state.seated, before.seated);
-            assert_eq!(state.assignment, before.assignment);
+        let n = spec.n_pes();
+        let k_tasks = g.n_tasks();
+        let m = Mapping::new(&g, &spec, (0..k_tasks).map(|k| PeId((k * 2) % n)).collect()).unwrap();
+        let mut dead = Availability::full(&spec);
+        dead.fail(PeId(2));
+        let mut slow = Availability::full(&spec);
+        slow.set_factor(PeId(3), 0.5);
+        for (overlay, avail) in
+            [("healthy", Availability::full(&spec)), ("dead", dead), ("slow", slow)]
+        {
+            let mut state = EvalState::new_with(&g, &spec, &avail, &m).unwrap();
+            for k in 0..k_tasks {
+                let (t, u) = (TaskId(k), TaskId((k + 1) % k_tasks));
+                let relocate = Move::Relocate { task: t, to: PeId((k + 1) % n) };
+                let swap = Move::Swap { a: t, b: u };
+                // consecutive moves share a task, so the second writes rows
+                // the first one changed
+                for (m1, m2) in [(relocate, swap), (swap, relocate)] {
+                    let ctx = format!("{overlay}, T{k}, {m1:?} then {m2:?}");
+                    // one level: bitwise identical, not merely close
+                    let before = state.clone();
+                    state.apply(m1);
+                    assert!(state.undo());
+                    assert_same_bits(&state, &before, &ctx);
+                    assert!(!state.undo(), "{ctx}: nothing left to undo");
+                    // a second apply commits its predecessor: undoing it
+                    // must land on the post-`m1` state, not the pre-`m1`
+                    // one a missed commit would restore
+                    state.apply(m1);
+                    let after_m1 = state.clone();
+                    state.apply(m2);
+                    assert!(state.undo());
+                    assert_same_bits(&state, &after_m1, &ctx);
+                    assert_matches_full(&state, &ctx);
+                    assert!(!state.undo(), "{ctx}: single-level undo");
+                }
+            }
         }
-        assert!(!state.undo(), "nothing left to undo");
     }
 
     #[test]
@@ -856,7 +937,7 @@ mod tests {
         state.reseat(seats.iter().copied());
         assert_eq!(state.assignment(), &seats);
         assert_matches_full(&state, "after reseat");
-        assert!(!state.undo(), "reseat clears the undo log");
+        assert!(!state.undo(), "reseat leaves nothing to undo");
         let mut short = state.clone();
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             short.reseat(seats.iter().copied().take(3));
@@ -953,8 +1034,9 @@ mod tests {
         // half-speed PE doubles the compute occupation it accumulates
         let healthy = EvalState::new(&g, &spec, &state.mapping()).unwrap();
         let i = PeId(2).index();
+        let (slow, nominal) = (state.live[i].compute, healthy.live[i].compute);
         assert!(
-            (state.compute[i] - 2.0 * healthy.compute[i]).abs() <= 1e-9 * healthy.compute[i].abs(),
+            (slow - 2.0 * nominal).abs() <= 1e-9 * nominal.abs(),
             "slowdown 2 doubles compute on PE2"
         );
     }
@@ -969,7 +1051,7 @@ mod tests {
         state.reset(&other).unwrap();
         assert_eq!(state.mapping(), other);
         assert_matches_full(&state, "after reset");
-        assert!(!state.undo(), "reset clears the undo log");
+        assert!(!state.undo(), "reset leaves nothing to undo");
         // and reset validates
         let wrong = Mapping::all_on(&chain("c2", 3, &CostParams::default(), 1), PeId(0));
         assert!(state.reset(&wrong).is_err());

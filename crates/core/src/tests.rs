@@ -272,14 +272,16 @@ proptest! {
     fn prop_incremental_matches_full_after_every_step(
         seed in 0u64..5000,
         n in 4usize..16,
-        spes in 1usize..4,
+        // one case in four runs on a platform wider than a machine word:
+        // the touched-PE set must not be a 64-bit mask
+        spes in (0usize..4).prop_map(|s| if s == 0 { 70 } else { s }),
         ops in collection::vec((any::<u32>(), any::<u32>(), 0u32..100), 1..50),
     ) {
         use crate::{EvalState, Move};
         use cellstream_graph::TaskId;
 
         let g = tiny_graph(seed, n);
-        let spec = CellSpec::with_spes(spes);
+        let spec = cellstream_platform::CellSpecBuilder::default().spes(spes).build().unwrap();
         let mut state = EvalState::new(&g, &spec, &Mapping::all_on(&g, PeId(0))).unwrap();
         let mut can_undo = false;
         for (i, &(x, y, kind)) in ops.iter().enumerate() {

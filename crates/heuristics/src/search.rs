@@ -79,11 +79,16 @@ impl Default for LocalSearchOptions {
     }
 }
 
-/// The plateau tie-break potential: `Σ_PE occupancy²` (finite iff the
-/// state is feasible is *not* implied — occupancies are always finite;
-/// feasibility is handled by the primary score).
+/// The plateau tie-break potential: `Σ_PE occupancy²`, summed in PE
+/// order. Always finite, feasible state or not — occupancies are sums of
+/// finite loads; feasibility is the primary score's business.
 fn balance_potential(state: &EvalState<'_>, spec: &CellSpec) -> f64 {
-    spec.pes().map(|pe| state.occupancy(pe) * state.occupancy(pe)).sum()
+    spec.pes()
+        .map(|pe| {
+            let occ = state.occupancy(pe);
+            occ * occ
+        })
+        .sum()
 }
 
 /// Refine `start` by steepest descent. Returns the refined mapping and
