@@ -161,7 +161,22 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
     if opts.sweep {
         // first-improvement sweeps: apply each task's best accepted move
         // on the spot — many moves per O(K·n) pass, no full rescan per
-        // applied move
+        // applied move.
+        //
+        // Clean-cycle termination: `undo` restores bitwise and the
+        // verdict of a probe depends on nothing but the state and
+        // `(current, current_pot)`, so a move rejected against the state
+        // it is probed in again is rejected again. Count the relocation
+        // tasks and the swap pairs (same-PE skips included) gone by since
+        // the last *applied* move: once all K tasks, or all K(K−1)/2
+        // pairs, have been clean in a row — across round boundaries —
+        // the rest of that scan can only repeat rejections and is left.
+        // Rounds, `changed` and the accepted moves are exactly those of
+        // the loop that re-probes everything (the referee proptest in
+        // `tests/refine_referee.rs` is that loop).
+        let n_tasks = g.n_tasks();
+        let n_pairs = n_tasks * n_tasks.saturating_sub(1) / 2;
+        let (mut clean_tasks, mut clean_pairs) = (0usize, 0usize);
         'sweeps: for _ in 0..opts.max_rounds {
             let mut changed = false;
             for t in g.task_ids() {
@@ -180,30 +195,42 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
                         best = Some((mv, p, pot));
                     }
                 }
-                if let Some((mv, p, pot)) = best {
-                    if accepts(p, pot, current, current_pot) {
+                match best {
+                    Some((mv, p, pot)) if accepts(p, pot, current, current_pot) => {
                         state.apply(mv);
                         (current, current_pot) = (p.min(current), pot);
                         changed = true;
+                        (clean_tasks, clean_pairs) = (0, 0);
+                    }
+                    _ => {
+                        clean_tasks += 1;
+                        if clean_tasks >= n_tasks {
+                            break; // every task is clean against this state
+                        }
                     }
                 }
             }
             // swaps only when a whole relocation sweep came up dry
             if !changed && opts.swaps {
-                for a in g.task_ids() {
+                'scan: for a in g.task_ids() {
                     if cancelled() {
                         break 'sweeps;
                     }
                     for b in g.task_ids().skip(a.index() + 1) {
-                        if state.pe_of(a) == state.pe_of(b) {
-                            continue;
+                        if state.pe_of(a) != state.pe_of(b) {
+                            let mv = Move::Swap { a, b };
+                            let (p, pot) = probe(state, spec, mv, opts.plateau);
+                            if accepts(p, pot, current, current_pot) {
+                                state.apply(mv);
+                                (current, current_pot) = (p.min(current), pot);
+                                changed = true;
+                                (clean_tasks, clean_pairs) = (0, 0);
+                                continue;
+                            }
                         }
-                        let mv = Move::Swap { a, b };
-                        let (p, pot) = probe(state, spec, mv, opts.plateau);
-                        if accepts(p, pot, current, current_pot) {
-                            state.apply(mv);
-                            (current, current_pot) = (p.min(current), pot);
-                            changed = true;
+                        clean_pairs += 1;
+                        if clean_pairs >= n_pairs {
+                            break 'scan; // every pair is clean against this state
                         }
                     }
                 }
