@@ -11,7 +11,7 @@
 //! table on stdout. `CELLSTREAM_QUICK=1` shrinks the probe counts ~10x.
 
 use cellstream_bench::{quick_mode, write_results};
-use cellstream_core::{evaluate, EvalState, Move};
+use cellstream_core::{evaluate, EvalState, Mapping, Move};
 use cellstream_daggen::paper;
 use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_heuristics::greedy_cpu;
@@ -20,16 +20,24 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// A deterministic probe sequence: (task, target PE) pairs.
+/// A deterministic probe sequence: (task, target PE) pairs, the target
+/// drawn uniformly from the PEs *other than* the task's seat in `start`
+/// — both arms probe from `start`, and a relocation onto the current
+/// seat moves nothing (`EvalState` returns before touching a row).
 fn probe_sequence(
-    g: &StreamGraph,
+    start: &Mapping,
     spec: &CellSpec,
     count: usize,
     seed: u64,
 ) -> Vec<(TaskId, PeId)> {
     let mut rng = StdRng::seed_from_u64(seed);
+    let seats = start.assignment();
     (0..count)
-        .map(|_| (TaskId(rng.gen_range(0..g.n_tasks())), PeId(rng.gen_range(0..spec.n_pes()))))
+        .map(|_| {
+            let t = rng.gen_range(0..seats.len());
+            let other = rng.gen_range(0..spec.n_pes() - 1);
+            (TaskId(t), PeId(if other >= seats[t].index() { other + 1 } else { other }))
+        })
         .collect()
 }
 
@@ -46,7 +54,7 @@ fn bench_graph(g: &StreamGraph, spec: &CellSpec, full_n: usize, incr_n: usize) -
     let mut sink = 0.0f64;
 
     // full: clone-and-evaluate per probe (the pre-engine hot path)
-    let probes = probe_sequence(g, spec, 1024, 0xBE7C4);
+    let probes = probe_sequence(&start, spec, 1024, 0xBE7C4);
     let t0 = Instant::now();
     for i in 0..full_n {
         let (t, pe) = probes[i % probes.len()];

@@ -255,11 +255,12 @@ impl<'a> EvalState<'a> {
         Ok(())
     }
 
-    /// Rebuild the table from the current assignment (the same loops as
-    /// the full evaluator, minus the plan construction), refill the
-    /// occupancy cache and commit: base = live, no pending frame.
+    /// Close any pending frame, rebuild the table from the current
+    /// assignment (the same loops as the full evaluator, minus the plan
+    /// construction), refill the occupancy cache and make it the base.
     // check: no-alloc
     fn recompute(&mut self) {
+        self.commit();
         self.live.fill(PeRow::default());
         for k in 0..self.assignment.len() {
             let i = self.assignment[k].index();
@@ -292,10 +293,6 @@ impl<'a> EvalState<'a> {
             row.occ = row.occupancy(self.bw);
         }
         self.base.copy_from_slice(&self.live);
-        self.is_touched.fill(false);
-        self.n_touched = 0;
-        self.n_moved = 0;
-        self.has_frame = false;
     }
 
     /// Re-seat the state from raw per-task seats (task id order) of the

@@ -99,10 +99,10 @@ pub fn repair_with(
 /// The allocation-free core of [`repair`]: re-seat a caller-owned
 /// [`EvalState`] on `partial` (unplaced tasks fall back to the PPE),
 /// place the delta, evict until feasible and refine — committing the
-/// result into the state and returning its incremental score. With a
-/// warmed-up state this performs **zero heap allocations** (the
-/// counting-allocator suite pins it); the serving layer leans on that to
-/// keep steady-state replans off the allocator entirely.
+/// result into the state and returning its incremental score. This
+/// performs **zero heap allocations**, the first call on a fresh state
+/// included: every table of the state is sized at construction (the
+/// counting-allocator suite pins it).
 // check: no-alloc
 pub fn repair_in_place(
     state: &mut EvalState<'_>,
@@ -151,6 +151,7 @@ fn seat_better(best: &Option<(PeId, f64, bool, f64)>, p: f64, feasible: bool, oc
 
 /// Place the delta tasks: topological order so producers
 /// sit before consumers, each onto the best seat per [`seat_better`].
+// check: no-alloc
 fn place_delta(state: &mut EvalState<'_>, partial: &[Option<PeId>]) {
     let g = state.graph();
     let spec = state.spec();

@@ -21,6 +21,22 @@
 //! improvement opens up. Descent stays monotone in the lexicographic
 //! objective (period, potential), so it still terminates and still never
 //! worsens the start.
+//!
+//! **Sweeps and clean-cycle termination.** With
+//! [`LocalSearchOptions::sweep`] (what every `Service` repairs with) a
+//! round walks the tasks once and applies each task's best acceptable
+//! relocation on the spot, and only a round whose relocation sweep came
+//! up dry scans the O(K²) swap pairs. A probe is apply → verdict → undo,
+//! the undo is bitwise, and acceptance reads nothing but the probed
+//! state and the current (period, potential) — so a move rejected
+//! against some state is rejected again for as long as no move is
+//! applied. The sweep therefore counts the tasks, and the pairs, gone by
+//! since the last applied move, and leaves a scan as soon as all K tasks
+//! (all K(K−1)/2 pairs) have been clean in a row, across round
+//! boundaries: what it skips is exactly the re-probing of rejected moves
+//! against a bit-identical state, so rounds, accepted moves and the
+//! final seats are those of the loop that re-probes everything
+//! (`tests/refine_referee.rs` keeps that loop and compares).
 
 use cellstream_core::scheduler::CancelToken;
 use cellstream_core::{evaluate, evaluate_with, Availability, EvalState, Mapping, Move};
@@ -115,11 +131,12 @@ pub fn local_search(
 /// state's current seats, committing accepted moves into the state, and
 /// return the incremental score reached (`+∞` only from an infeasible
 /// state no move can fix). The hot-path entry point — no `EvalState`
-/// construction, no `Mapping` clone, no final full [`evaluate`]: given a
-/// warmed-up state this performs **zero heap allocations** (the
-/// counting-allocator suite pins it). Callers that publish a period
-/// re-derive it at their boundary; the incremental drift stays below
-/// 1e-9 relative (see the `EvalState` docs).
+/// construction, no `Mapping` clone, no final full [`evaluate`]: it
+/// performs **zero heap allocations**, the first call on a fresh state
+/// included (the counting-allocator suite pins it). Callers that publish
+/// a period re-derive it at their boundary; the incremental drift stays
+/// below 1e-9 relative (see the `EvalState` docs).
+// check: no-alloc
 pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> f64 {
     let g = state.graph();
     let spec = state.spec();
@@ -163,17 +180,12 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
         // on the spot — many moves per O(K·n) pass, no full rescan per
         // applied move.
         //
-        // Clean-cycle termination: `undo` restores bitwise and the
-        // verdict of a probe depends on nothing but the state and
-        // `(current, current_pot)`, so a move rejected against the state
-        // it is probed in again is rejected again. Count the relocation
-        // tasks and the swap pairs (same-PE skips included) gone by since
-        // the last *applied* move: once all K tasks, or all K(K−1)/2
-        // pairs, have been clean in a row — across round boundaries —
-        // the rest of that scan can only repeat rejections and is left.
-        // Rounds, `changed` and the accepted moves are exactly those of
-        // the loop that re-probes everything (the referee proptest in
-        // `tests/refine_referee.rs` is that loop).
+        // Clean-cycle termination (see the module docs): tasks and pairs
+        // (same-PE skips included) gone by since the last *applied*
+        // move. Both counts reset on any accept and carry over round
+        // boundaries; `changed`, the round counter, cancellation and the
+        // deadline keep their meaning, so capped runs reproduce move for
+        // move.
         let n_tasks = g.n_tasks();
         let n_pairs = n_tasks * n_tasks.saturating_sub(1) / 2;
         let (mut clean_tasks, mut clean_pairs) = (0usize, 0usize);

@@ -1,11 +1,12 @@
-//! Counting-allocator suite: the **steady-state repair replan path is
-//! allocation-free** (the hot-path guarantee the serving layer builds
-//! on). A churn round — carry the incumbent's seats over, drop one
-//! application's seats, `repair_in_place` — touches only buffers that
-//! already exist: the `EvalState` accumulators, its undo frame, and the
-//! caller's partial-assignment scratch. After a warm-up that grows every
-//! scratch buffer to its steady capacity, repeated churn rounds must hit
-//! the global allocator **zero** times.
+//! Counting-allocator suite: **`repair_in_place` is allocation-free**
+//! (the hot-path guarantee the serving layer builds on). A churn round —
+//! carry the incumbent's seats over, drop one application's seats,
+//! `repair_in_place` — touches only what already exists: the
+//! `EvalState`'s per-PE tables, base copy and touched set, all sized at
+//! construction, and the caller's partial-assignment scratch. So there
+//! is no warm-up: from the very first call on a fresh state, churn
+//! rounds must hit the global allocator **zero** times — under classic
+//! steepest descent and under the configuration every `Service` runs.
 //!
 //! Lives in `tests/` (a separate crate) because the library forbids
 //! `unsafe`, and wrapping the global allocator needs it.
@@ -16,47 +17,42 @@ use cellstream_heuristics::{repair, repair_in_place, LocalSearchOptions};
 use cellstream_platform::{CellSpec, PeId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Passes through to [`System`], counting every allocation the **armed
-/// thread** makes. Arming is thread-local: the libtest harness keeps
-/// service threads of its own alive during the measurement, and their
-/// incidental allocations must not pollute the count. Deallocations are
-/// free to happen (dropping a buffer is not a hot-path cost); `alloc`,
-/// `alloc_zeroed` and growth `realloc`s count.
+/// thread** makes. Arming and the count are thread-local: the libtest
+/// harness keeps service threads of its own alive during the
+/// measurement and runs the two arms below side by side, and neither
+/// may pollute the other's count. Deallocations are free to happen
+/// (dropping a buffer is not a hot-path cost); `alloc`, `alloc_zeroed`
+/// and growth `realloc`s count.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    // const-init Cell<bool>: no lazy initialisation and no destructor,
-    // so reading it inside the allocator never allocates or re-enters
+    // const-init Cells: no lazy initialisation and no destructor, so
+    // touching them inside the allocator never allocates or re-enters
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn armed() -> bool {
-    ARMED.try_with(Cell::get).unwrap_or(false)
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -70,11 +66,11 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations the closure performed on this thread.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
     ARMED.with(|a| a.set(true));
     f();
     ARMED.with(|a| a.set(false));
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 fn pipeline(name: &str, n: usize) -> StreamGraph {
@@ -102,8 +98,9 @@ fn churn(state: &EvalState<'_>, apps: &[AppInfo], partial: &mut [Option<PeId>], 
     }
 }
 
-#[test]
-fn steady_state_repair_replans_without_allocating() {
+/// Churn rounds under `opts` on a state nothing has run on yet: the
+/// measurement starts at the first `repair_in_place`.
+fn assert_repair_never_allocates(opts: &LocalSearchOptions) {
     let spec = CellSpec::qs22();
     let mut b = Workload::builder("mix");
     b.push(&pipeline("a", 4), 1.0).unwrap();
@@ -113,28 +110,37 @@ fn steady_state_repair_replans_without_allocating() {
     let g = w.graph();
     let n_apps = w.apps().len();
 
-    let opts = LocalSearchOptions { max_rounds: 4, ..LocalSearchOptions::default() };
-
     // from-scratch seed, then a long-lived state: the serving loop's
     // steady-state posture
     let mut partial: Vec<Option<PeId>> = vec![None; g.n_tasks()];
-    let (seed, _) = repair(g, &spec, &partial, &opts);
+    let (seed, _) = repair(g, &spec, &partial, opts);
     let mut state = EvalState::new(g, &spec, &seed).expect("seed is structurally valid");
-
-    // warm-up: grow the undo frame and every scratch buffer to steady
-    // capacity, visiting every churn shape the measured loop replays
-    for round in 0..2 * n_apps {
-        churn(&state, w.apps(), &mut partial, round % n_apps);
-        repair_in_place(&mut state, &partial, &opts);
-    }
 
     let allocs = count_allocs(|| {
         for round in 0..3 * n_apps {
             churn(&state, w.apps(), &mut partial, round % n_apps);
-            let period = repair_in_place(&mut state, &partial, &opts);
+            let period = repair_in_place(&mut state, &partial, opts);
             assert!(period.is_finite());
         }
     });
-    assert_eq!(allocs, 0, "steady-state repair hit the allocator {allocs} times");
+    assert_eq!(allocs, 0, "repair hit the allocator {allocs} times");
     assert!(state.is_feasible(), "churn rounds end feasible");
+}
+
+#[test]
+fn steepest_descent_repair_replans_without_allocating() {
+    assert_repair_never_allocates(&LocalSearchOptions {
+        max_rounds: 4,
+        ..LocalSearchOptions::default()
+    });
+}
+
+/// The configuration `ServiceOptions::default()` repairs with:
+/// first-improvement sweeps, 64 rounds.
+#[test]
+fn serving_configuration_repair_replans_without_allocating() {
+    assert_repair_never_allocates(&LocalSearchOptions {
+        sweep: true,
+        ..LocalSearchOptions::default()
+    });
 }
