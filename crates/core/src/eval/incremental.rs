@@ -404,8 +404,8 @@ impl<'a> EvalState<'a> {
     /// One PE's occupation: `max(compute, in/bw, out/bw)` — the §3.2
     /// per-PE term whose maximum over PEs is the period. An O(1) read of
     /// the cache. Search heuristics use it to break period plateaus
-    /// toward better load balance (two co-bottlenecked PEs stall pure
-    /// steepest descent).
+    /// toward better load balance (two co-bottlenecked PEs stall a
+    /// descent on the period alone).
     pub fn occupancy(&self, pe: PeId) -> f64 {
         self.live[pe.index()].occ
     }

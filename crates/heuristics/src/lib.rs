@@ -15,14 +15,14 @@
 //! ("design involved mapping heuristics which approach the optimal
 //! throughput"):
 //!
-//! * [`local_search`] — steepest-descent task-move/swap refinement of any
-//!   starting mapping;
+//! * [`local_search`] — first-improvement task-move/swap descent from
+//!   any starting mapping;
 //! * [`comm_aware_greedy`] — one-pass greedy that relocates each task off
 //!   the PPE-only baseline to the PE minimising the *whole mapping's*
 //!   period (so communication, memory traffic and DMA pressure count),
 //!   not just memory or compute;
 //! * [`anneal`] — simulated annealing over single-task moves, for
-//!   escaping the local optima where steepest descent stops.
+//!   escaping the local optima where the descent stops.
 //!
 //! All three iterative heuristics run on the **incremental evaluator**
 //! ([`cellstream_core::EvalState`]): probing a neighbour is an O(degree)

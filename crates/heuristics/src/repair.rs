@@ -224,13 +224,7 @@ impl Scheduler for RepairScheduler {
                 Some(m) => m.assignment().iter().map(|&pe| Some(pe)).collect(),
                 None => vec![None; g.n_tasks()],
             };
-        let mut opts = self.opts.clone();
-        if opts.budget.is_none() {
-            opts.budget = ctx.budget;
-        }
-        if opts.cancel.is_none() {
-            opts.cancel = Some(ctx.cancel.clone());
-        }
+        let opts = crate::schedulers::search_opts_for(&self.opts, ctx);
         let (mapping, _) = repair(g, spec, &partial, &opts);
         Plan::from_mapping(
             self.name(),
@@ -363,7 +357,7 @@ mod tests {
         // scratch repair of the same partial
         let g = fork_join("fj", 5, &CostParams::default(), 11);
         let spec = CellSpec::ps3();
-        let opts = LocalSearchOptions { sweep: true, ..LocalSearchOptions::default() };
+        let opts = LocalSearchOptions::default();
         let seed = Mapping::all_on(&g, PeId(0));
         let mut state = EvalState::new(&g, &spec, &seed).unwrap();
         for round in 0..4 {

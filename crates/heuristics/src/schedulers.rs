@@ -86,7 +86,7 @@ impl Scheduler for CommAwareScheduler {
 /// planning context, so a [`Portfolio`](crate::Portfolio) wall-clock
 /// budget actually bounds the iterative members and a context-level
 /// cancel aborts them (explicit option values win).
-fn search_opts_for(base: &LocalSearchOptions, ctx: &PlanContext) -> LocalSearchOptions {
+pub(crate) fn search_opts_for(base: &LocalSearchOptions, ctx: &PlanContext) -> LocalSearchOptions {
     let mut opts = base.clone();
     if opts.budget.is_none() {
         opts.budget = ctx.budget;
@@ -97,7 +97,7 @@ fn search_opts_for(base: &LocalSearchOptions, ctx: &PlanContext) -> LocalSearchO
     opts
 }
 
-/// Steepest-descent local search as a [`Scheduler`]: refines the first
+/// Local search as a [`Scheduler`]: refines the first
 /// feasible seed from the context, falling back to *GreedyCpu*. Honours
 /// `ctx.budget` unless the options carry their own.
 #[derive(Debug, Clone, Default)]
@@ -200,13 +200,10 @@ impl Scheduler for MultiStartScheduler {
         ];
         starts.extend(ctx.seeds.iter().cloned());
         let n_starts = starts.len() as u64;
-        // the per-start budget splits the context budget across starts
-        let mut opts = self.opts.clone();
-        if opts.budget.is_none() {
-            opts.budget = ctx.budget.map(|b| b / starts.len().max(1) as u32);
-        }
-        if opts.cancel.is_none() {
-            opts.cancel = Some(ctx.cancel.clone());
+        let mut opts = search_opts_for(&self.opts, ctx);
+        if self.opts.budget.is_none() {
+            // the per-start budget splits the context budget across starts
+            opts.budget = ctx.budget.map(|b| b / starts.len() as u32);
         }
         let (mapping, _) = multi_start(g, spec, &starts, &opts);
         Plan::from_mapping(

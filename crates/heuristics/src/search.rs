@@ -1,10 +1,9 @@
 //! Local search over mappings (extension heuristic, paper §7 future work).
 //!
-//! Steepest-descent on the **incremental** evaluator
-//! ([`EvalState`](cellstream_core::EvalState)): repeatedly probe moving
-//! any single task to any other PE (and, by default, swapping any two
-//! tasks on different PEs), keep the best improving neighbour, stop at a
-//! local optimum. Every probe is an O(degree) `score_move` — no mapping
+//! First-improvement descent on the **incremental** evaluator
+//! ([`EvalState`](cellstream_core::EvalState)) over one neighbourhood:
+//! move any single task to any other PE, or swap any two tasks on
+//! different PEs. Every probe is an O(degree) `score_move` — no mapping
 //! clones, no re-validation, no buffer-plan rebuilds — which is what
 //! makes the O(K²) swap neighbourhood affordable on paper-scale graphs
 //! (graph 2's 94 tasks on a QS22) and lets a wall-clock budget buy
@@ -13,8 +12,8 @@
 //! stays feasible. Deterministic given a deterministic start.
 //!
 //! **Plateau descent.** The period is a *maximum* over per-PE
-//! occupations, so two co-bottlenecked PEs stall pure steepest descent:
-//! no single move lowers both, every neighbour ties. With
+//! occupations, so two co-bottlenecked PEs stall a descent on the period
+//! alone: no single move lowers both, every neighbour ties. With
 //! [`LocalSearchOptions::plateau`] (the default) the search also accepts
 //! period-preserving moves that strictly reduce the load-balance
 //! potential `Σ_PE occupancy²`, walking along the plateau until a strict
@@ -22,17 +21,16 @@
 //! objective (period, potential), so it still terminates and still never
 //! worsens the start.
 //!
-//! **Sweeps and clean-cycle termination.** With
-//! [`LocalSearchOptions::sweep`] (what every `Service` repairs with) a
-//! round walks the tasks once and applies each task's best acceptable
-//! relocation on the spot, and only a round whose relocation sweep came
-//! up dry scans the O(K²) swap pairs. A probe is apply → verdict → undo,
-//! the undo is bitwise, and acceptance reads nothing but the probed
-//! state and the current (period, potential) — so a move rejected
-//! against some state is rejected again for as long as no move is
-//! applied. The sweep therefore counts the tasks, and the pairs, gone by
-//! since the last applied move, and leaves a scan as soon as all K tasks
-//! (all K(K−1)/2 pairs) have been clean in a row, across round
+//! **Sweeps and clean-cycle termination.** A round walks the tasks once
+//! and applies each task's best acceptable relocation on the spot, and
+//! only a round whose relocation sweep came up dry scans the O(K²) swap
+//! pairs, applying every acceptable swap as it is met. A probe is apply
+//! → verdict → undo, the undo is bitwise, and acceptance reads nothing
+//! but the probed state and the current (period, potential) — so a move
+//! rejected against some state is rejected again for as long as no move
+//! is applied. The sweep therefore counts the tasks, and the pairs, gone
+//! by since the last applied move, and leaves a scan as soon as all K
+//! tasks (all K(K−1)/2 pairs) have been clean in a row, across round
 //! boundaries: what it skips is exactly the re-probing of rejected moves
 //! against a bit-identical state, so rounds, accepted moves and the
 //! final seats are those of the loop that re-probes everything
@@ -47,13 +45,9 @@ use std::time::{Duration, Instant};
 /// Options for [`local_search`].
 #[derive(Debug, Clone)]
 pub struct LocalSearchOptions {
-    /// Maximum improving rounds (each round scans all neighbours).
+    /// Maximum rounds: a round is one relocation sweep over the tasks
+    /// plus, if that sweep applied nothing, one scan of the swap pairs.
     pub max_rounds: usize,
-    /// Also consider swapping pairs of tasks (O(K²) extra probes per
-    /// round; the default since the incremental engine made them cheap).
-    pub swaps: bool,
-    /// Minimum relative improvement to accept a move.
-    pub min_gain: f64,
     /// Wall-clock budget: stop after the first round that ends past it.
     /// `None` (the default) runs all `max_rounds`.
     pub budget: Option<Duration>,
@@ -67,31 +61,14 @@ pub struct LocalSearchOptions {
     pub cancel: Option<CancelToken>,
     /// Escape period plateaus by accepting equal-period moves that
     /// strictly reduce the `Σ occupancy²` balance potential (see the
-    /// module docs). On by default; disable to reproduce pure steepest
-    /// descent.
+    /// module docs). On by default; off, only strict period gains are
+    /// accepted.
     pub plateau: bool,
-    /// First-improvement sweeps instead of steepest descent: walk the
-    /// tasks in id order and apply each task's best accepted move
-    /// immediately, instead of rescanning the whole neighbourhood per
-    /// applied move. `max_rounds` then counts sweeps. Reaches a local
-    /// optimum of the same neighbourhood several times faster (many
-    /// moves per scan) at slightly different — occasionally worse,
-    /// occasionally better — final quality; the online serving layer's
-    /// repair path uses it to bound replan latency. Off by default.
-    pub sweep: bool,
 }
 
 impl Default for LocalSearchOptions {
     fn default() -> Self {
-        LocalSearchOptions {
-            max_rounds: 64,
-            swaps: true,
-            min_gain: 1e-9,
-            budget: None,
-            cancel: None,
-            plateau: true,
-            sweep: false,
-        }
+        LocalSearchOptions { max_rounds: 64, budget: None, cancel: None, plateau: true }
     }
 }
 
@@ -107,7 +84,7 @@ fn balance_potential(state: &EvalState<'_>, spec: &CellSpec) -> f64 {
         .sum()
 }
 
-/// Refine `start` by steepest descent. Returns the refined mapping and
+/// Refine `start` by [`refine_in_place`]. Returns the refined mapping and
 /// its period (re-derived with one full [`evaluate`] so the published
 /// number is exactly the verifier's, free of incremental drift).
 pub fn local_search(
@@ -154,12 +131,11 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
         state.undo();
         (s, pot)
     }
-    // lexicographic (period, potential): the primary comparison is
-    // *exact* — with plateau off this reproduces classic steepest
-    // descent move-for-move (ulp-level accumulator differences used to
-    // pick winners, and a tolerance here silently rewrites those
-    // trajectories); plateau ties are bitwise-equal periods, which
-    // moves off non-critical PEs produce naturally
+    // a task's best relocation, lexicographic in (period, potential):
+    // the primary comparison is *exact* (ulp-level accumulator
+    // differences pick winners, and a tolerance here silently rewrites
+    // trajectories); plateau ties are bitwise-equal periods, which moves
+    // off non-critical PEs produce naturally
     fn dominates(p: f64, pot: f64, bp: f64, bpot: f64) -> bool {
         if p < bp {
             return true;
@@ -171,143 +147,81 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
     // period improvement, or (with `plateau`) an equal-period move that
     // strictly improves balance.
     let accepts = |p: f64, pot: f64, current: f64, current_pot: f64| -> bool {
-        p < current * (1.0 - opts.min_gain)
+        p < current * (1.0 - 1e-9)
             || (opts.plateau && p <= current * (1.0 + 1e-12) && pot < current_pot * (1.0 - 1e-9))
     };
 
-    if opts.sweep {
-        // first-improvement sweeps: apply each task's best accepted move
-        // on the spot — many moves per O(K·n) pass, no full rescan per
-        // applied move.
-        //
-        // Clean-cycle termination (see the module docs): tasks and pairs
-        // (same-PE skips included) gone by since the last *applied*
-        // move. Both counts reset on any accept and carry over round
-        // boundaries; `changed`, the round counter, cancellation and the
-        // deadline keep their meaning, so capped runs reproduce move for
-        // move.
-        let n_tasks = g.n_tasks();
-        let n_pairs = n_tasks * n_tasks.saturating_sub(1) / 2;
-        let (mut clean_tasks, mut clean_pairs) = (0usize, 0usize);
-        'sweeps: for _ in 0..opts.max_rounds {
-            let mut changed = false;
-            for t in g.task_ids() {
-                if cancelled() {
-                    break 'sweeps;
-                }
-                let from = state.pe_of(t);
-                let mut best: Option<(Move, f64, f64)> = None;
-                for to in spec.pes() {
-                    if to == from {
-                        continue;
-                    }
-                    let mv = Move::Relocate { task: t, to };
-                    let (p, pot) = probe(state, spec, mv, opts.plateau);
-                    if best.as_ref().is_none_or(|&(_, bp, bpot)| dominates(p, pot, bp, bpot)) {
-                        best = Some((mv, p, pot));
-                    }
-                }
-                match best {
-                    Some((mv, p, pot)) if accepts(p, pot, current, current_pot) => {
-                        state.apply(mv);
-                        (current, current_pot) = (p.min(current), pot);
-                        changed = true;
-                        (clean_tasks, clean_pairs) = (0, 0);
-                    }
-                    _ => {
-                        clean_tasks += 1;
-                        if clean_tasks >= n_tasks {
-                            break; // every task is clean against this state
-                        }
-                    }
-                }
+    // Clean-cycle termination (see the module docs): tasks and pairs
+    // (same-PE skips included) gone by since the last *applied* move.
+    // Both counts reset on any accept and carry over round boundaries;
+    // `changed`, the round counter, cancellation and the deadline keep
+    // their meaning, so capped runs reproduce move for move.
+    let n_tasks = g.n_tasks();
+    let n_pairs = n_tasks * n_tasks.saturating_sub(1) / 2;
+    let (mut clean_tasks, mut clean_pairs) = (0usize, 0usize);
+    'sweeps: for _ in 0..opts.max_rounds {
+        let mut changed = false;
+        for t in g.task_ids() {
+            if cancelled() {
+                break 'sweeps;
             }
-            // swaps only when a whole relocation sweep came up dry
-            if !changed && opts.swaps {
-                'scan: for a in g.task_ids() {
-                    if cancelled() {
-                        break 'sweeps;
-                    }
-                    for b in g.task_ids().skip(a.index() + 1) {
-                        if state.pe_of(a) != state.pe_of(b) {
-                            let mv = Move::Swap { a, b };
-                            let (p, pot) = probe(state, spec, mv, opts.plateau);
-                            if accepts(p, pot, current, current_pot) {
-                                state.apply(mv);
-                                (current, current_pot) = (p.min(current), pot);
-                                changed = true;
-                                (clean_tasks, clean_pairs) = (0, 0);
-                                continue;
-                            }
-                        }
-                        clean_pairs += 1;
-                        if clean_pairs >= n_pairs {
-                            break 'scan; // every pair is clean against this state
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break; // local optimum of the full neighbourhood
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                break;
-            }
-        }
-    } else {
-        'rounds: for _ in 0..opts.max_rounds {
+            let from = state.pe_of(t);
             let mut best: Option<(Move, f64, f64)> = None;
-
-            // single-task moves
-            for t in g.task_ids() {
-                if cancelled() {
-                    break 'rounds;
+            for to in spec.pes() {
+                if to == from {
+                    continue;
                 }
-                let from = state.pe_of(t);
-                for to in spec.pes() {
-                    if to == from {
-                        continue;
-                    }
-                    let mv = Move::Relocate { task: t, to };
-                    let (p, pot) = probe(state, spec, mv, opts.plateau);
-                    if best.as_ref().is_none_or(|&(_, bp, bpot)| dominates(p, pot, bp, bpot)) {
-                        best = Some((mv, p, pot));
-                    }
+                let mv = Move::Relocate { task: t, to };
+                let (p, pot) = probe(state, spec, mv, opts.plateau);
+                if best.as_ref().is_none_or(|&(_, bp, bpot)| dominates(p, pot, bp, bpot)) {
+                    best = Some((mv, p, pot));
                 }
             }
-
-            // pairwise swaps: steepest descent scans the full
-            // neighbourhood every round — relocation-first staging lives
-            // in sweep mode only (skipping the swap scan mid-descent
-            // measurably degrades the classic search's final quality)
-            if opts.swaps {
-                for a in g.task_ids() {
-                    if cancelled() {
-                        break 'rounds;
-                    }
-                    for b in g.task_ids().skip(a.index() + 1) {
-                        if state.pe_of(a) == state.pe_of(b) {
-                            continue;
-                        }
-                        let mv = Move::Swap { a, b };
-                        let (p, pot) = probe(state, spec, mv, opts.plateau);
-                        if best.as_ref().is_none_or(|&(_, bp, bpot)| dominates(p, pot, bp, bpot)) {
-                            best = Some((mv, p, pot));
-                        }
-                    }
-                }
-            }
-
             match best {
                 Some((mv, p, pot)) if accepts(p, pot, current, current_pot) => {
                     state.apply(mv);
                     (current, current_pot) = (p.min(current), pot);
+                    changed = true;
+                    (clean_tasks, clean_pairs) = (0, 0);
                 }
-                _ => break, // local optimum (in period *and* balance)
+                _ => {
+                    clean_tasks += 1;
+                    if clean_tasks >= n_tasks {
+                        break; // every task is clean against this state
+                    }
+                }
             }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                break;
+        }
+        // swaps only when a whole relocation sweep came up dry
+        if !changed {
+            'scan: for a in g.task_ids() {
+                if cancelled() {
+                    break 'sweeps;
+                }
+                for b in g.task_ids().skip(a.index() + 1) {
+                    if state.pe_of(a) != state.pe_of(b) {
+                        let mv = Move::Swap { a, b };
+                        let (p, pot) = probe(state, spec, mv, opts.plateau);
+                        if accepts(p, pot, current, current_pot) {
+                            state.apply(mv);
+                            (current, current_pot) = (p.min(current), pot);
+                            changed = true;
+                            (clean_tasks, clean_pairs) = (0, 0);
+                            continue;
+                        }
+                    }
+                    clean_pairs += 1;
+                    if clean_pairs >= n_pairs {
+                        break 'scan; // every pair is clean against this state
+                    }
+                }
             }
+        }
+        if !changed {
+            break; // local optimum of the full neighbourhood
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            break;
         }
     }
     state.score()
@@ -381,22 +295,6 @@ mod tests {
             period < ppe_period,
             "local search should offload something: {period} vs {ppe_period}"
         );
-    }
-
-    #[test]
-    fn swaps_are_the_default_and_extend_the_neighbourhood() {
-        assert!(LocalSearchOptions::default().swaps, "swaps are the default neighbourhood");
-        let g = chain("c", 8, &CostParams::default(), 31);
-        let spec = CellSpec::with_spes(2);
-        let start = Mapping::all_on(&g, PeId(0));
-        let (_, no_swap) = local_search(
-            &g,
-            &spec,
-            &start,
-            &LocalSearchOptions { swaps: false, ..Default::default() },
-        );
-        let (_, with_swap) = local_search(&g, &spec, &start, &LocalSearchOptions::default());
-        assert!(with_swap <= no_swap + 1e-15);
     }
 
     #[test]

@@ -24,16 +24,14 @@ fn any_graph(seed: u64, n: usize) -> cellstream_graph::StreamGraph {
 
 #[test]
 fn paper_scale_graph2_refines_with_swaps_in_tier1() {
-    // The incremental engine's headline unlock: steepest descent with the
-    // full O(K²) swap neighbourhood on the paper's 94-task graph 2 and a
+    // The incremental engine's headline unlock: a descent over the full
+    // O(K²) swap neighbourhood on the paper's 94-task graph 2 and a
     // QS22, fast enough for the tier-1 suite.
     let g = cellstream_daggen::paper::graph2();
     let spec = CellSpec::qs22();
     let start = greedy_cpu(&g, &spec);
     let start_p = evaluate(&g, &spec, &start).unwrap().period;
-    let opts = LocalSearchOptions::default();
-    assert!(opts.swaps, "swaps are the default neighbourhood");
-    let (m, p) = local_search(&g, &spec, &start, &opts);
+    let (m, p) = local_search(&g, &spec, &start, &LocalSearchOptions::default());
     assert!(p <= start_p + 1e-15, "search never worsens: {p} vs {start_p}");
     let r = evaluate(&g, &spec, &m).unwrap();
     assert!(r.is_feasible());

@@ -5,8 +5,8 @@
 //! `EvalState`'s per-PE tables, base copy and touched set, all sized at
 //! construction, and the caller's partial-assignment scratch. So there
 //! is no warm-up: from the very first call on a fresh state, churn
-//! rounds must hit the global allocator **zero** times — under classic
-//! steepest descent and under the configuration every `Service` runs.
+//! rounds must hit the global allocator **zero** times — under the
+//! options every `Service` and planner runs, and under a round cap.
 //!
 //! Lives in `tests/` (a separate crate) because the library forbids
 //! `unsafe`, and wrapping the global allocator needs it.
@@ -21,8 +21,7 @@ use std::cell::Cell;
 /// Passes through to [`System`], counting every allocation the **armed
 /// thread** makes. Arming and the count are thread-local: the libtest
 /// harness keeps service threads of its own alive during the
-/// measurement and runs the two arms below side by side, and neither
-/// may pollute the other's count. Deallocations are free to happen
+/// measurement, and they may not pollute the count. Deallocations are free to happen
 /// (dropping a buffer is not a hot-path cost); `alloc`, `alloc_zeroed`
 /// and growth `realloc`s count.
 struct CountingAlloc;
@@ -127,20 +126,13 @@ fn assert_repair_never_allocates(opts: &LocalSearchOptions) {
     assert!(state.is_feasible(), "churn rounds end feasible");
 }
 
+/// What `ServiceOptions::default()` repairs with (64 rounds), then the
+/// same descent cut short by a round cap.
 #[test]
-fn steepest_descent_repair_replans_without_allocating() {
+fn repair_replans_without_allocating() {
+    assert_repair_never_allocates(&LocalSearchOptions::default());
     assert_repair_never_allocates(&LocalSearchOptions {
         max_rounds: 4,
-        ..LocalSearchOptions::default()
-    });
-}
-
-/// The configuration `ServiceOptions::default()` repairs with:
-/// first-improvement sweeps, 64 rounds.
-#[test]
-fn serving_configuration_repair_replans_without_allocating() {
-    assert_repair_never_allocates(&LocalSearchOptions {
-        sweep: true,
         ..LocalSearchOptions::default()
     });
 }

@@ -1,17 +1,19 @@
-//! A referee for the sweep: `refine_in_place` in sweep mode leaves a
-//! scan early once every move of it is known to be rejected against the
-//! current state (clean-cycle termination), and reads period and balance
+//! A referee for the descent: `refine_in_place` leaves a scan early
+//! once every move of it is known to be rejected against the current
+//! state (clean-cycle termination), and reads period and balance
 //! potential off the evaluator's occupancy cache. Neither may change a
 //! single decision, so this suite keeps the loop they replaced —
 //! [`reference_refine`]: every move re-probed every cycle, period and
 //! potential recomputed from the report's raw per-PE tables with the
 //! divisions spelled out — and requires the shipped search to land on
-//! the same seats and the same score, bit for bit.
+//! the same seats and the same score, bit for bit: warm, from the
+//! partial seats a serving replan hands `repair_in_place`, and cold,
+//! from the planners' starts on a paper-scale graph.
 
-use cellstream_core::{Availability, EvalState, Move};
+use cellstream_core::{Availability, EvalState, Mapping, Move};
 use cellstream_daggen::{chain, fork_join, CostParams};
 use cellstream_graph::Workload;
-use cellstream_heuristics::{repair_in_place, LocalSearchOptions};
+use cellstream_heuristics::{greedy_cpu, refine_in_place, repair_in_place, LocalSearchOptions};
 use cellstream_platform::{CellSpec, PeId};
 use proptest::prelude::*;
 
@@ -32,10 +34,10 @@ fn raw_verdict(state: &EvalState<'_>, plateau: bool) -> (f64, f64) {
     (score, pot)
 }
 
-/// The sweep branch of `refine_in_place` as it stood before the
-/// clean-cycle rule, kept verbatim but for the verdict source: a round
-/// is a full relocation sweep, then (if it came up dry) a full swap scan,
-/// until a round changes nothing or `max_rounds` is spent.
+/// `refine_in_place` as it stood before the clean-cycle rule, kept
+/// verbatim but for the verdict source: a round is a full relocation
+/// sweep, then (if it came up dry) a full swap scan, until a round
+/// changes nothing or `max_rounds` is spent.
 fn reference_refine(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> f64 {
     let g = state.graph();
     let spec = state.spec();
@@ -54,7 +56,7 @@ fn reference_refine(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> f64
         p == bp && pot < bpot * (1.0 - 1e-12)
     }
     let accepts = |p: f64, pot: f64, current: f64, current_pot: f64| -> bool {
-        p < current * (1.0 - opts.min_gain)
+        p < current * (1.0 - 1e-9)
             || (opts.plateau && p <= current * (1.0 + 1e-12) && pot < current_pot * (1.0 - 1e-9))
     };
 
@@ -81,7 +83,7 @@ fn reference_refine(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> f64
                 }
             }
         }
-        if !changed && opts.swaps {
+        if !changed {
             for a in g.task_ids() {
                 for b in g.task_ids().skip(a.index() + 1) {
                     if state.pe_of(a) == state.pe_of(b) {
@@ -139,9 +141,9 @@ fn the_last_pair_of_a_swap_scan_is_probed() {
     let g = b.build().unwrap();
     let spec = CellSpec::with_spes(1);
     let seats = [Some(spec.pe(0)), Some(spec.pe(0)), Some(spec.pe(1))];
-    let opts = LocalSearchOptions { sweep: true, plateau: false, ..LocalSearchOptions::default() };
+    let opts = LocalSearchOptions { plateau: false, ..LocalSearchOptions::default() };
 
-    let start = cellstream_core::Mapping::all_on(&g, spec.pe(0));
+    let start = Mapping::all_on(&g, spec.pe(0));
     let mut shipped = EvalState::new(&g, &spec, &start).unwrap();
     let score = repair_in_place(&mut shipped, &seats, &opts);
     assert_eq!(shipped.assignment(), &[spec.pe(0), spec.pe(1), spec.pe(0)], "the swap was found");
@@ -151,6 +153,31 @@ fn the_last_pair_of_a_swap_scan_is_probed() {
     repair_in_place(&mut reference, &seats, &LocalSearchOptions { max_rounds: 0, ..opts.clone() });
     assert_eq!(reference_refine(&mut reference, &opts).to_bits(), score.to_bits());
     assert_eq!(shipped.assignment(), reference.assignment());
+}
+
+/// The planners' posture: cold starts — everything on the PPE, and
+/// *GreedyCpu*'s seats — on the paper's 94-task graph 2 and a QS22,
+/// through `refine_in_place` directly: the long descents, over 4371
+/// swap pairs, that the serving-sized cases below never draw.
+#[test]
+fn cold_starts_on_paper_graph2_match_the_reference() {
+    let g = cellstream_daggen::paper::graph2();
+    let spec = CellSpec::qs22();
+    let starts =
+        [("all-on-PPE", Mapping::all_on(&g, spec.pe(0))), ("greedy_cpu", greedy_cpu(&g, &spec))];
+    for (name, start) in &starts {
+        for plateau in [true, false] {
+            let opts = LocalSearchOptions { plateau, ..LocalSearchOptions::default() };
+            let mut shipped = EvalState::new(&g, &spec, start).unwrap();
+            let shipped_score = refine_in_place(&mut shipped, &opts);
+            let mut reference = EvalState::new(&g, &spec, start).unwrap();
+            let reference_score = reference_refine(&mut reference, &opts);
+            let ctx = format!("{name}, plateau {plateau}");
+            assert_eq!(shipped.assignment(), reference.assignment(), "{ctx}: seats");
+            assert_eq!(shipped_score.to_bits(), reference_score.to_bits(), "{ctx}: score");
+            assert_ne!(shipped.assignment(), start.assignment(), "{ctx}: the descent moved");
+        }
+    }
 }
 
 proptest! {
@@ -163,7 +190,7 @@ proptest! {
         spes in 1usize..9,
         // per task: keep a random seat (3 in 4) or leave it to placement
         seats in collection::vec((0u32..4, any::<u32>()), 64..65),
-        (plateau, swaps) in (any::<bool>(), any::<bool>()),
+        plateau in any::<bool>(),
         rounds in 0usize..3,
         // 0 healthy, 1 one dead SPE, 2 one half-speed SPE
         (health, which_spe) in (0u32..3, any::<u32>()),
@@ -185,20 +212,18 @@ proptest! {
             })
             .collect();
         let opts = LocalSearchOptions {
-            sweep: true,
             plateau,
-            swaps,
             max_rounds: [1, 4, 64][rounds],
             ..LocalSearchOptions::default()
         };
         let ctx = format!(
             "seed {seed}, {} tasks, {spes} SPEs, health {health}, plateau {plateau}, \
-             swaps {swaps}, max_rounds {}",
+             max_rounds {}",
             g.n_tasks(),
             opts.max_rounds
         );
 
-        let start = cellstream_core::Mapping::all_on(g, spec.pe(0));
+        let start = Mapping::all_on(g, spec.pe(0));
         let mut shipped = EvalState::new_with(g, &spec, &avail, &start).unwrap();
         let shipped_score = repair_in_place(&mut shipped, &partial, &opts);
 

@@ -71,11 +71,10 @@ impl Event {
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
     /// Local-search refinement applied by the repair replanner on every
-    /// event. The default runs first-improvement *sweeps*
-    /// ([`LocalSearchOptions::sweep`]) — warm-started repairs apply the
-    /// whole delta's worth of moves in a few O(K·n) passes instead of
-    /// paying a full neighbourhood rescan per move, which is what keeps
-    /// replan latency an order of magnitude under a from-scratch solve.
+    /// event: first-improvement sweeps, so a warm-started repair applies
+    /// the whole delta's worth of moves in a few O(K·n) passes — which
+    /// is what keeps replan latency an order of magnitude under a
+    /// from-scratch solve.
     pub repair: LocalSearchOptions,
     /// Uniform per-instance period guarantee: an admission (or reweight)
     /// is refused if any application's per-instance period `T / w_i`
@@ -118,7 +117,7 @@ pub struct ServiceOptions {
 impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
-            repair: LocalSearchOptions { sweep: true, ..Default::default() },
+            repair: LocalSearchOptions::default(),
             max_period: None,
             queue_rejected: false,
             queue_max_attempts: 8,

@@ -48,7 +48,7 @@ fn optimised_mapping_beats_paper_greedies() {
         &g,
         &spec,
         &[greedy_mem(&g, &spec), greedy_cpu(&g, &spec), Mapping::all_on(&g, PeId(0))],
-        &search::LocalSearchOptions { swaps: false, ..Default::default() },
+        &search::LocalSearchOptions::default(),
     );
     let lp_like = measure(&best) / ppe;
     assert!(
