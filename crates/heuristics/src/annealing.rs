@@ -79,7 +79,8 @@ pub fn anneal(
 
     let mut temperature = current_p * opts.t0_fraction;
     let cool_every = (opts.steps / 100).max(1);
-    let deadline = opts.budget.map(|b| Instant::now() + b);
+    // a budget too long to add to the clock is no deadline
+    let deadline = opts.budget.and_then(|b| Instant::now().checked_add(b));
     let cancel = opts.cancel.clone().unwrap_or_default();
 
     for step in 0..opts.steps {
@@ -224,6 +225,18 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(2));
         let r = evaluate(&g, &spec, &m).unwrap();
         assert!((r.period - p).abs() < 1e-15);
+    }
+
+    #[test]
+    fn an_unrepresentable_deadline_is_no_deadline() {
+        let g = chain("a", 9, &CostParams::default(), 5);
+        let spec = CellSpec::ps3();
+        let start = Mapping::all_on(&g, PeId(0));
+        let unlimited = AnnealingOptions { budget: Some(Duration::MAX), ..Default::default() };
+        assert_eq!(
+            anneal(&g, &spec, &start, &unlimited),
+            anneal(&g, &spec, &start, &AnnealingOptions::default())
+        );
     }
 
     #[test]

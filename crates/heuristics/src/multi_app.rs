@@ -157,7 +157,8 @@ pub fn best_partition(
         hi - lo
     };
     allocs.sort_by_key(|a| imbalance(a));
-    let deadline = ctx.budget.map(|b| std::time::Instant::now() + b);
+    // a budget too long to add to the clock is no deadline
+    let deadline = ctx.budget.and_then(|b| std::time::Instant::now().checked_add(b));
     let mut best: Option<(Mapping, Vec<usize>, WorkloadReport)> = None;
     for alloc in allocs {
         if best.is_some() && deadline.is_some_and(|d| std::time::Instant::now() >= d) {
@@ -247,6 +248,17 @@ mod tests {
         let (_, alloc, report) = best_partition(&w, &spec, &ctx).unwrap();
         assert!(report.is_feasible());
         assert_eq!(alloc, vec![2, 2]);
+    }
+
+    #[test]
+    fn an_unrepresentable_deadline_is_no_deadline() {
+        let w = pair_workload();
+        let spec = CellSpec::with_spes(4);
+        let ctx = PlanContext::with_budget(std::time::Duration::MAX);
+        let (mapping, alloc, _) = best_partition(&w, &spec, &ctx).unwrap();
+        let (unbudgeted, unbudgeted_alloc, _) =
+            best_partition(&w, &spec, &PlanContext::default()).unwrap();
+        assert_eq!((mapping, alloc), (unbudgeted, unbudgeted_alloc));
     }
 
     #[test]

@@ -117,7 +117,8 @@ pub fn local_search(
 pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> f64 {
     let g = state.graph();
     let spec = state.spec();
-    let deadline = opts.budget.map(|b| Instant::now() + b);
+    // a budget too long to add to the clock is no deadline
+    let deadline = opts.budget.and_then(|b| Instant::now().checked_add(b));
     // poll through the Option: materialising a default token allocates
     let cancelled = || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled());
     let mut current = state.score();
@@ -337,6 +338,18 @@ mod tests {
         // still does (at most) one full round, and never worsens
         assert!(p <= exact_period(&g, &spec, &start));
         assert_eq!(exact_period(&g, &spec, &m), p);
+    }
+
+    #[test]
+    fn an_unrepresentable_deadline_is_no_deadline() {
+        let g = chain("c", 12, &CostParams::default(), 8);
+        let spec = CellSpec::qs22();
+        let start = Mapping::all_on(&g, PeId(0));
+        let unlimited = LocalSearchOptions { budget: Some(Duration::MAX), ..Default::default() };
+        assert_eq!(
+            local_search(&g, &spec, &start, &unlimited),
+            local_search(&g, &spec, &start, &LocalSearchOptions::default())
+        );
     }
 
     #[test]
