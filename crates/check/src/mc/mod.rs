@@ -330,22 +330,23 @@ fn run_schedule(cfg: &CheckConfig, prefix: Vec<usize>) -> (Vec<(usize, usize)>, 
 
     let outcome = catch_unwind(AssertUnwindSafe(|| drive(&ring, &env, cfg)));
     let mut st = env.0.borrow_mut();
-    let violation = match outcome {
+    let downstream = match outcome {
+        Ok(Ok(())) => None,
         Ok(Err(driver_violation)) => Some(driver_violation),
-        Ok(Ok(())) => st.violation.take(),
         Err(payload) => {
-            // prefer the simulation's own diagnosis (e.g. slot reuse)
-            // over the downstream panic it provoked
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "ring code panicked".to_string());
-            Some(st.violation.take().unwrap_or_else(|| format!("panic in ring code: {msg}")))
+            Some(format!("panic in ring code: {msg}"))
         }
     };
-    // a simulation-level flag outranks a clean driver result
-    let violation = violation.or_else(|| st.violation.take());
+    // root cause over symptom: the simulation's own diagnosis (e.g. slot
+    // reuse) outranks the driver check or the panic it provoked
+    // downstream — whichever of the two the build profile lets fire —
+    // and a clean driver result
+    let violation = st.violation.take().or(downstream);
     (std::mem::take(&mut st.taken), violation)
 }
 
