@@ -138,10 +138,7 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
     // trajectories); plateau ties are bitwise-equal periods, which moves
     // off non-critical PEs produce naturally
     fn dominates(p: f64, pot: f64, bp: f64, bpot: f64) -> bool {
-        if p < bp {
-            return true;
-        }
-        p == bp && pot < bpot * (1.0 - 1e-12)
+        p < bp || (p == bp && pot < bpot * (1.0 - 1e-12))
     }
 
     // `(p, pot)` is acceptable from `(current, current_pot)`: a strict
