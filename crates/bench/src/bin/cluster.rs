@@ -20,23 +20,22 @@
 //! quick mode):
 //!
 //! * scoring placer aggregate throughput ≥ random **and** ≥ round-robin;
-//! * median admission latency ≤ 50 ms (bounded under churn);
 //! * drain strands nothing and violates no capacity invariant.
+//!
+//! What a fleet operation costs is `benchmark/`'s `fleet_churn`.
 //!
 //! Emits `crates/bench/results/BENCH_cluster.json`, plus the surviving
 //! scoring fleet's merged telemetry snapshot as
 //! `FLEET_SNAPSHOT.prom`/`FLEET_SNAPSHOT.json` (CI uploads both).
 
-use cellstream_bench::{quick_mode, write_results};
+use cellstream_bench::{gates, quick_mode, write_results};
 use cellstream_cluster::{policy_by_name, Cluster, ClusterOptions, ClusterVerdict, NetworkModel};
 use cellstream_daggen::{chain, CostParams};
 use cellstream_platform::CellSpec;
 use cellstream_sim::online::{replay, EventTrace, OnlineReport, TraceEvent};
-use cellstream_telemetry::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 const NODES: usize = 8;
 const APPS: usize = 64;
@@ -109,8 +108,6 @@ struct PolicyRun {
     policy: &'static str,
     instances: f64,
     rejected: usize,
-    median_admit: Duration,
-    p99_admit: Duration,
     max_period: f64,
     migration_bytes: f64,
 }
@@ -135,22 +132,11 @@ fn run_policy(policy: &'static str, trace: &EventTrace, instances: u64) -> (Poli
             );
         }
     }
-    // admit latencies go through a telemetry histogram (the same cells
-    // the snapshots expose), not a sorted Vec
-    let admits = Histogram::new();
-    for e in report.events.iter().filter(|e| e.applied && e.label.starts_with("admit")) {
-        admits.record_duration(e.replan);
-    }
-    let admits = admits.snapshot();
-    let median_admit = admits.quantile_duration(50.0);
-    let p99_admit = admits.quantile_duration(99.0);
     (
         PolicyRun {
             policy,
             instances: report.total_instances(),
             rejected: report.rejected,
-            median_admit,
-            p99_admit,
             max_period: fleet.max_period(),
             migration_bytes: report.total_migration_bytes,
         },
@@ -201,8 +187,8 @@ fn drain_demo(fleet: &mut Cluster) -> (usize, usize, f64, f64) {
 /// (`Coordinator::process_burst` → `Service::process_batch` on each
 /// agent): retire a handful of residents, admit replacements, reweight
 /// survivors — all in one coordinator call. Returns
-/// `(events, node_batches, applied, latency_ms)`.
-fn burst_demo(fleet: &mut Cluster) -> (usize, usize, usize, f64) {
+/// `(events, node_batches, applied)`.
+fn burst_demo(fleet: &mut Cluster) -> (usize, usize, usize) {
     let resident: Vec<String> = fleet
         .status()
         .nodes
@@ -236,7 +222,7 @@ fn burst_demo(fleet: &mut Cluster) -> (usize, usize, usize, f64) {
             assert!(r.is_feasible(), "burst violated capacity on {}: {:?}", a.node(), r.violations);
         }
     }
-    (burst.len(), report.batches, report.applied(), report.latency.as_secs_f64() * 1e3)
+    (burst.len(), report.batches, report.applied())
 }
 
 fn main() {
@@ -260,17 +246,15 @@ fn main() {
     }
 
     println!(
-        "\n{:<14} {:>14} {:>9} {:>14} {:>14} {:>12} {:>12}",
-        "policy", "instances", "rejected", "med admit ms", "p99 admit ms", "period us", "migr KiB"
+        "\n{:<14} {:>14} {:>9} {:>12} {:>12}",
+        "policy", "instances", "rejected", "period us", "migr KiB"
     );
     for r in &runs {
         println!(
-            "{:<14} {:>14.0} {:>9} {:>14.3} {:>14.3} {:>12.3} {:>12.1}",
+            "{:<14} {:>14.0} {:>9} {:>12.3} {:>12.1}",
             r.policy,
             r.instances,
             r.rejected,
-            r.median_admit.as_secs_f64() * 1e3,
-            r.p99_admit.as_secs_f64() * 1e3,
             r.max_period * 1e6,
             r.migration_bytes / 1024.0,
         );
@@ -285,10 +269,10 @@ fn main() {
         net_seconds * 1e3,
     );
 
-    let (burst_events, burst_batches, burst_applied, burst_ms) = burst_demo(&mut fleet);
+    let (burst_events, burst_batches, burst_applied) = burst_demo(&mut fleet);
     println!(
         "burst demo: {burst_applied}/{burst_events} events applied through {burst_batches} \
-         node batches in {burst_ms:.3} ms",
+         node batches",
     );
 
     // the merged fleet snapshot of the surviving scoring fleet, in both
@@ -308,15 +292,8 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"policy\": \"{}\", \"instances\": {:.0}, \"rejected\": {}, \
-                 \"median_admit_ms\": {:.4}, \"p99_admit_ms\": {:.4}, \
                  \"max_period_s\": {:.9e}, \"migration_bytes\": {:.1}}}",
-                r.policy,
-                r.instances,
-                r.rejected,
-                r.median_admit.as_secs_f64() * 1e3,
-                r.p99_admit.as_secs_f64() * 1e3,
-                r.max_period,
-                r.migration_bytes,
+                r.policy, r.instances, r.rejected, r.max_period, r.migration_bytes,
             )
         })
         .collect();
@@ -326,7 +303,7 @@ fn main() {
          \"drain\": {{\"moved\": {moved}, \"stranded\": {stranded}, \
          \"network_bytes\": {net_bytes:.1}, \"network_seconds\": {net_seconds:.6}}},\n  \
          \"burst\": {{\"events\": {burst_events}, \"node_batches\": {burst_batches}, \
-         \"applied\": {burst_applied}, \"latency_ms\": {burst_ms:.4}}}\n}}\n",
+         \"applied\": {burst_applied}}}\n}}\n",
         quick_mode(),
         trace.events().len(),
         policy_rows.join(",\n"),
@@ -334,41 +311,14 @@ fn main() {
     write_results("BENCH_cluster.json", &json);
 
     // ---- CI gates ---------------------------------------------------------
-    let by = |name: &str| runs.iter().find(|r| r.policy == name).unwrap();
-    let scoring = by("load_affinity");
-    let rr = by("round_robin");
-    let rnd = by("random");
-    assert!(
-        scoring.instances >= rr.instances,
-        "GATE: scoring placer delivered {:.0} < round-robin {:.0}",
-        scoring.instances,
-        rr.instances
-    );
-    assert!(
-        scoring.instances >= rnd.instances,
-        "GATE: scoring placer delivered {:.0} < random {:.0}",
-        scoring.instances,
-        rnd.instances
-    );
-    assert!(
-        scoring.median_admit <= Duration::from_millis(50),
-        "GATE: median admission latency {:?} exceeds 50 ms",
-        scoring.median_admit
-    );
-    assert!(
-        scoring.p99_admit <= Duration::from_millis(250),
-        "GATE: p99 admission latency {:?} exceeds 250 ms",
-        scoring.p99_admit
-    );
-    assert_eq!(stranded, 0, "GATE: drain stranded {stranded} apps");
+    let delivered = |name: &str| runs.iter().find(|r| r.policy == name).unwrap().instances;
+    let (scoring, rr, rnd) =
+        (delivered("load_affinity"), delivered("round_robin"), delivered("random"));
+    gates::placer_ordering(scoring, &[("round-robin", rr), ("random", rnd)])
+        .expect("placer ordering");
+    gates::drain_strands_nothing(stranded).expect("drain");
     println!(
-        "gates passed: scoring {:.0} >= round-robin {:.0} and random {:.0}; \
-         median admit {:.3} ms <= 50 ms; p99 admit {:.3} ms <= 250 ms; drain stranded 0; \
-         burst applied {burst_applied}/{burst_events}",
-        scoring.instances,
-        rr.instances,
-        rnd.instances,
-        scoring.median_admit.as_secs_f64() * 1e3,
-        scoring.p99_admit.as_secs_f64() * 1e3,
+        "gates passed: scoring {scoring:.0} >= round-robin {rr:.0} and random {rnd:.0}; \
+         drain stranded 0; burst applied {burst_applied}/{burst_events}",
     );
 }

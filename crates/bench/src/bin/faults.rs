@@ -3,8 +3,9 @@
 //!
 //! Two demos, both CI-gated:
 //!
-//! **Single-node recovery.** A qs22 serving loop carries a population
-//! of chain applications; one SPE dies. The recovery replan
+//! **Single-node recovery.** A 16-SPE serving loop carries a population
+//! of chain applications; the SPE holding the most seats dies (so the
+//! fault always evacuates something). The recovery replan
 //! (carry-over repair around the dead PE, shed-and-queue for whatever
 //! no longer fits) must bring the aggregate guaranteed rate back to
 //! ≥ 90 % of its pre-fault value within a bounded number of
@@ -32,7 +33,7 @@
 //!
 //! Emits `crates/bench/results/BENCH_faults.json`.
 
-use cellstream_bench::{quick_mode, write_results};
+use cellstream_bench::{gates, quick_mode, write_results};
 use cellstream_cluster::{Cluster, ClusterOptions};
 use cellstream_daggen::{chain, CostParams};
 use cellstream_platform::CellSpec;
@@ -62,6 +63,8 @@ struct RecoveryRun {
     pre_rate: f64,
     post_fault_rate: f64,
     recovered_rate: f64,
+    /// Seats the fault stranded on the failed SPE (`RecoveryReport`).
+    evacuated_seats: usize,
     shed: usize,
     events_to_recover: usize,
     /// Flight-recorder reconciliation: entries drained, shed total
@@ -71,8 +74,8 @@ struct RecoveryRun {
     flight_recoveries: usize,
 }
 
-/// Kill one SPE under a serving population and measure how fast the
-/// recovery replan restores the aggregate guaranteed rate.
+/// Kill the busiest SPE under a serving population and measure how
+/// fast the recovery replan restores the aggregate guaranteed rate.
 fn recovery_demo() -> RecoveryRun {
     // a dual-Cell blade (16 SPEs): one SPE is 1/16 of the vector
     // capacity, so a single failure leaves ≥ 90 % of the guaranteed
@@ -82,8 +85,9 @@ fn recovery_demo() -> RecoveryRun {
     let opts = ServiceOptions { queue_rejected: true, ..Default::default() };
     let mut svc = Service::with_options(spec.clone(), opts);
     let costs = CostParams::default();
-    let apps = if quick_mode() { 10 } else { 24 };
-    for i in 0..apps {
+    // 24 apps in both modes: under 10 the SPEs have slack, the evacuated
+    // seats re-seat at an unchanged period and the rate gate cannot fail
+    for i in 0..24 {
         let g = chain(&format!("app{i:02}"), 2 + i % 4, &costs, 4200 + i as u64);
         svc.admit(&g, 1.0 + (i % 3) as f64);
     }
@@ -92,9 +96,11 @@ fn recovery_demo() -> RecoveryRun {
     let pre_rate = agg_rate(&svc);
     assert_feasible(&svc, "before the fault");
 
-    let spe = spec.pe(spec.n_ppe()); // first SPE
+    let seats = svc.mapping().expect("a placed population has an incumbent");
+    let spe = spec.spes().max_by_key(|&pe| seats.count_on(pe)).expect("the platform has SPEs");
     let report = svc.fail_pe(spe).expect("a failing SPE is absorbed, not an error");
-    let shed = report.recovery.as_ref().map_or(0, |r| r.shed.len());
+    let (evacuated_seats, shed) =
+        report.recovery.as_ref().map_or((0, 0), |r| (r.evacuated_seats, r.shed.len()));
     let post_fault_rate = agg_rate(&svc);
     assert_feasible(&svc, "right after the fault");
 
@@ -122,6 +128,7 @@ fn recovery_demo() -> RecoveryRun {
         pre_rate,
         post_fault_rate,
         recovered_rate: agg_rate(&svc),
+        evacuated_seats,
         shed,
         events_to_recover,
         flight_events: flights.len(),
@@ -235,9 +242,10 @@ fn main() {
 
     let rec = recovery_demo();
     println!(
-        "recovery demo: {} apps, rate {:.0}/s -> {:.0}/s at the fault -> {:.0}/s after {} \
-         event(s), {} shed",
+        "recovery demo: {} apps, {} seat(s) evacuated, rate {:.0}/s -> {:.0}/s at the fault -> \
+         {:.0}/s after {} event(s), {} shed",
         rec.apps,
+        rec.evacuated_seats,
         rec.pre_rate,
         rec.post_fault_rate,
         rec.recovered_rate,
@@ -266,7 +274,8 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"faults\",\n  \"spec\": \"qs22\",\n  \"quick\": {},\n  \
          \"recovery\": {{\"apps\": {}, \"pre_rate\": {:.1}, \"post_fault_rate\": {:.1}, \
-         \"recovered_rate\": {:.1}, \"recovery_ratio\": {:.4}, \"shed\": {}, \
+         \"recovered_rate\": {:.1}, \"recovery_ratio\": {:.4}, \"evacuated_seats\": {}, \
+         \"shed\": {}, \
          \"events_to_recover\": {}, \"event_bound\": {RECOVERY_EVENT_BOUND}, \
          \"flight_events\": {}, \"flight_shed\": {}, \"flight_recoveries\": {}}},\n  \
          \"scenario\": {{\"nodes\": {NODES}, \"events\": {}, \"faults\": {}, \"applied\": {}, \
@@ -280,6 +289,7 @@ fn main() {
         rec.post_fault_rate,
         rec.recovered_rate,
         rec.recovered_rate / rec.pre_rate,
+        rec.evacuated_seats,
         rec.shed,
         rec.events_to_recover,
         rec.flight_events,
@@ -302,17 +312,14 @@ fn main() {
     write_results("BENCH_faults.json", &json);
 
     // ---- CI gates ---------------------------------------------------------
-    assert!(
-        rec.recovered_rate >= 0.9 * rec.pre_rate,
-        "GATE: rate recovered to {:.0}/s, below 90% of pre-fault {:.0}/s within {} events",
-        rec.recovered_rate,
+    gates::recovery(
+        rec.evacuated_seats,
         rec.pre_rate,
+        rec.recovered_rate,
+        rec.events_to_recover,
         RECOVERY_EVENT_BOUND,
-    );
-    assert!(
-        rec.events_to_recover < RECOVERY_EVENT_BOUND,
-        "GATE: recovery needed the whole event bound"
-    );
+    )
+    .expect("recovery");
     assert!(run.faults >= 5, "GATE: the scenario injected {} < 5 fault events", run.faults);
     assert_eq!(run.dead, 0, "GATE: the crashed node never returned");
 
@@ -343,9 +350,10 @@ fn main() {
         run.flight_shed,
     );
     println!(
-        "gates passed: recovery {:.1}% >= 90% within {}/{} events; {} faults absorbed with \
-         zero capacity violations; all nodes back up; flight log reconciled (shed {}, stranded \
-         {}, migration bytes bitwise-equal)",
+        "gates passed: {} seat(s) evacuated, recovery {:.1}% >= 90% within {}/{} events; {} \
+         faults absorbed with zero capacity violations; all nodes back up; flight log reconciled \
+         (shed {}, stranded {}, migration bytes bitwise-equal)",
+        rec.evacuated_seats,
         100.0 * rec.recovered_rate / rec.pre_rate,
         rec.events_to_recover,
         RECOVERY_EVENT_BOUND,

@@ -1,6 +1,9 @@
-//! Shared harness for the figure-regeneration binaries
-//! (`fig6`, `fig7`, `fig8`, `tab_lp`, `ablations`) and the serving
-//! bench binaries.
+//! Shared harness for the figure-regeneration binaries (`fig6`,
+//! `fig7`, `fig8`, `tab_lp`, `multi_app`, `ablations`), the probe-rate
+//! report `eval_bench`, and the serving binaries `online`, `cluster`
+//! and `faults`, whose [`gates`] compare counts and model periods.
+//! No binary here gates or quotes a wall-clock number: what the
+//! serving stack costs is measured by `benchmark/` alone.
 //!
 //! Conventions:
 //!
@@ -21,6 +24,8 @@
 //!   runs; the recorded EXPERIMENTS.md numbers use full mode.
 
 #![forbid(unsafe_code)]
+
+pub mod gates;
 
 use cellstream_core::scheduler::{Plan, PlanContext, PlanStats};
 use cellstream_core::{evaluate, Mapping, SolveOptions};

@@ -39,6 +39,8 @@ pub enum RtError {
     Mapping(String),
     /// Kernel table does not cover every task.
     MissingKernel(TaskId),
+    /// `RtConfig::n_instances` is zero: there is no stream to run.
+    NoInstances,
 }
 
 impl std::fmt::Display for RtError {
@@ -47,6 +49,7 @@ impl std::fmt::Display for RtError {
             RtError::Allocation(pe, e) => write!(f, "{pe}: {e}"),
             RtError::Mapping(m) => write!(f, "{m}"),
             RtError::MissingKernel(t) => write!(f, "no kernel for {t}"),
+            RtError::NoInstances => write!(f, "run at least one instance"),
         }
     }
 }
@@ -83,7 +86,9 @@ pub fn run(
         return Err(RtError::MissingKernel(TaskId(kernels.len().min(g.n_tasks()))));
     }
     let n = config.n_instances;
-    assert!(n > 0, "run at least one instance");
+    if n == 0 {
+        return Err(RtError::NoInstances);
+    }
 
     // ---- static allocation pass (the paper's initialisation phase) -------
     let plan = BufferPlan::new(g);

@@ -209,6 +209,17 @@ fn kernel_table_must_cover_all_tasks() {
 }
 
 #[test]
+fn an_empty_stream_is_an_error_not_a_panic() {
+    let g = chain("c", 3, &CostParams::default(), 1);
+    let spec = CellSpec::ps3();
+    let m = Mapping::all_on(&g, PeId(0));
+    let cfg = RtConfig { n_instances: 0, ..Default::default() };
+    let err = run(&g, &spec, &m, &checksum_kernels(3), &cfg).unwrap_err();
+    assert_eq!(err, RtError::NoInstances);
+    assert_eq!(err.to_string(), "run at least one instance");
+}
+
+#[test]
 fn zero_byte_edges_work() {
     // the NP-reduction graphs have data = 0: rings of 0-byte slots
     let mut b = StreamGraph::builder("zero");

@@ -26,12 +26,10 @@ use crate::report::Verdict;
 use crate::service::{Event, Service};
 use cellstream_rt::SpscRing;
 use cellstream_sim::online::{EventTrace, TraceEvent};
-use cellstream_telemetry::percentile_sorted;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Tunables of one [`ServePipeline`].
 #[derive(Debug, Clone)]
@@ -62,18 +60,9 @@ pub struct PipelineStats {
     pub rejected: u64,
     /// Most events ever fused into one replan.
     pub largest_batch: usize,
-    /// Per-batch replan wall-clock, in completion order.
-    pub replans: Vec<Duration>,
 }
 
 impl PipelineStats {
-    /// The `p`-th percentile (0.0 ..= 1.0) of per-batch replan latency.
-    pub fn replan_percentile(&self, p: f64) -> Duration {
-        let mut sorted = self.replans.clone();
-        sorted.sort();
-        percentile_sorted(&sorted, p.clamp(0.0, 1.0) * 100.0)
-    }
-
     /// Mean events per replan — the batching win over one-at-a-time.
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
@@ -85,8 +74,9 @@ impl PipelineStats {
 }
 
 /// What [`ServePipeline::replay`] measured on the intake side.
-/// Planner-side outcomes (batch sizes, replan latency, final incumbent)
-/// come back from [`ServePipeline::finish`].
+/// Planner-side outcomes (batch sizes, final incumbent) come back from
+/// [`ServePipeline::finish`]; replan latency is the service's own
+/// `replan_ns` histogram ([`ServePipeline::metrics`]).
 #[derive(Debug, Clone)]
 pub struct IntakeReport {
     /// Events submitted (== the trace length).
@@ -95,9 +85,6 @@ pub struct IntakeReport {
     pub backpressured: usize,
     /// Largest backlog observed right after a submission.
     pub peak_backlog: usize,
-    /// Wall-clock time to hand the whole trace over (planning continues
-    /// after this on the planner thread).
-    pub wall: Duration,
 }
 
 /// A [`Service`] behind a lock-free intake ring and a planner thread.
@@ -172,22 +159,15 @@ impl ServePipeline {
 
     /// Submit a whole trace **as fast as backpressure allows**, ignoring
     /// its timestamps: the trace supplies ordering, the ring supplies
-    /// pacing. This is the saturation mode the hot-path bench measures;
-    /// wall-clock per event here is pure queue handoff, while replanning
-    /// proceeds concurrently on the planner thread.
+    /// pacing — the saturation mode: submission is pure queue handoff,
+    /// while replanning proceeds concurrently on the planner thread.
     pub fn replay(&self, trace: &EventTrace) -> IntakeReport {
-        let started = Instant::now();
         let (mut backpressured, mut peak_backlog) = (0, 0);
         for te in trace.events() {
             backpressured += usize::from(self.submit(te.event.clone()));
             peak_backlog = peak_backlog.max(self.backlog());
         }
-        IntakeReport {
-            submitted: trace.len(),
-            backpressured,
-            peak_backlog,
-            wall: started.elapsed(),
-        }
+        IntakeReport { submitted: trace.len(), backpressured, peak_backlog }
     }
 
     /// Close the intake, drain the ring, join the planner, and return
@@ -256,7 +236,6 @@ fn planner_loop(
                 stats.rejected +=
                     report.events.iter().filter(|(_, v)| matches!(v, Verdict::Rejected(_))).count()
                         as u64;
-                stats.replans.push(report.replan);
             }
             // every handle was resolved against the live incumbent on
             // this same thread, so batch validation cannot fail — but if
@@ -265,10 +244,9 @@ fn planner_loop(
             Err(_) => {
                 for ev in events.drain(..) {
                     match service.process(ev) {
-                        Ok(report) => {
+                        Ok(_) => {
                             stats.events += 1;
                             stats.batches += 1;
-                            stats.replans.push(report.replan);
                         }
                         Err(_) => stats.skipped += 1,
                     }
@@ -342,7 +320,6 @@ mod tests {
         assert_eq!(stats.skipped, 0, "every name resolves in submission order");
         assert_eq!(stats.events, trace.len() as u64);
         assert!(stats.batches as usize <= trace.len());
-        assert_eq!(stats.replans.len() as u64, stats.batches);
 
         // same surviving applications under the same names and weights
         let names = |s: &Service| -> Vec<String> { s.apps().map(|(_, n)| n.to_owned()).collect() };

@@ -110,7 +110,7 @@ pub struct ServiceOptions {
     pub per_app_reports: bool,
     /// Maintain the telemetry cells and the replan flight recorder
     /// (default). Off, every record call early-returns — the baseline
-    /// of the serve-hot-path overhead comparison.
+    /// of the benchmark's `telemetry.record_overhead_share`.
     pub telemetry: bool,
 }
 

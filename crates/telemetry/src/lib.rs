@@ -33,7 +33,7 @@ mod metrics;
 mod recorder;
 mod snapshot;
 
-pub use metrics::{percentile_sorted, Counter, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use recorder::{FlightEvent, FlightRecorder};
 pub use snapshot::{Sample, SnapValue, Snapshot};
 

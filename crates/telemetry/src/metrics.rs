@@ -207,11 +207,6 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// [`Self::quantile`] as a [`Duration`] (samples were nanoseconds).
-    pub fn quantile_duration(&self, p: f64) -> Duration {
-        Duration::from_nanos(self.quantile(p))
-    }
-
     /// Mean recorded value (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -226,15 +221,4 @@ impl HistogramSnapshot {
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (bucket_floor(i), c))
     }
-}
-
-/// Nearest-rank percentile over an **already sorted** slice of
-/// durations (`p` in 0..=100) — the one shared quantile helper for code
-/// that still holds exact samples. Returns zero on an empty slice.
-pub fn percentile_sorted(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }

@@ -1,7 +1,7 @@
 //! Unit tests: bucket geometry, quantile accuracy, recorder window
 //! semantics, exposition shape.
 
-use crate::{percentile_sorted, Counter, FlightEvent, FlightRecorder, Gauge, Histogram, Snapshot};
+use crate::{Counter, FlightEvent, FlightRecorder, Gauge, Histogram, Snapshot};
 use std::time::Duration;
 
 #[test]
@@ -59,15 +59,6 @@ fn histogram_records_durations_as_nanos() {
     let s = h.snapshot();
     assert_eq!(s.count, 1);
     assert_eq!(s.max, 10_000);
-}
-
-#[test]
-fn percentile_sorted_nearest_rank() {
-    let v: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-    assert_eq!(percentile_sorted(&v, 0.0), Duration::from_millis(1));
-    assert_eq!(percentile_sorted(&v, 100.0), Duration::from_millis(100));
-    assert_eq!(percentile_sorted(&v, 50.0), Duration::from_millis(51));
-    assert_eq!(percentile_sorted(&[], 50.0), Duration::ZERO);
 }
 
 #[test]
