@@ -44,6 +44,22 @@ fn milp_matches_brute_force_on_tiny_instances() {
     }
 }
 
+/// `MipOptions::time_limit` is added to the clock inside `solve_mip`;
+/// a budget too long to add must mean "no deadline", not a panic.
+#[test]
+fn an_unrepresentable_time_limit_is_no_time_limit() {
+    let g = tiny_graph(1, 5);
+    let spec = CellSpec::with_spes(2);
+    let mut unlimited = exact_opts(FormKind::Compact);
+    unlimited.mip.time_limit = std::time::Duration::MAX;
+    let out = solve(&g, &spec, &unlimited).unwrap();
+    let reference = solve(&g, &spec, &exact_opts(FormKind::Compact)).unwrap();
+    assert_eq!(
+        (out.status, out.nodes, out.lp_iterations, out.period.to_bits()),
+        (reference.status, reference.nodes, reference.lp_iterations, reference.period.to_bits())
+    );
+}
+
 #[test]
 fn paper_and_compact_formulations_agree() {
     for seed in [4, 5] {

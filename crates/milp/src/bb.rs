@@ -32,7 +32,7 @@
 //!   the root node.
 
 use crate::model::{LpOptions, LpStatus, Model, SolveError, VarId};
-use crate::revised::{Basis, SparseLp, SparseSolution};
+use crate::revised::{Basis, SparseLp, SparseSolution, Workspace};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -206,13 +206,15 @@ impl PseudoCosts {
     }
 }
 
-/// Solve one child node on the search's long-lived [`SparseLp`]: apply
-/// the fixings as bound edits, re-solve with the dual simplex from the
-/// parent basis (a fresh primal solve on any numerical trouble), and
-/// restore the bounds. `warm` is `(attempted, hit)` accounting. `None`
-/// means contradictory fixings: an infeasible subtree.
+/// Solve one child node on the search's long-lived [`SparseLp`], in
+/// the search's one [`Workspace`]: apply the fixings as bound edits,
+/// re-solve with the dual simplex from the parent basis (a fresh primal
+/// solve on any numerical trouble), and restore the bounds. `warm` is
+/// `(attempted, hit)` accounting. `None` means contradictory fixings:
+/// an infeasible subtree.
 fn solve_node(
     lp: &mut SparseLp,
+    ws: &mut Workspace,
     model: &Model,
     fixings: &[(VarId, bool)],
     parent_basis: &Basis,
@@ -224,12 +226,12 @@ fn solve_node(
         lp.set_bounds(v.0, b, b);
     }
     warm.0 += 1;
-    let sol = match lp.solve_dual_from(parent_basis, opts) {
+    let sol = match lp.solve_dual_in(ws, parent_basis, opts) {
         Ok(s) => {
             warm.1 += 1;
             Ok(s)
         }
-        Err(_) => lp.solve_primal(opts),
+        Err(_) => lp.solve_primal_in(ws, opts),
     };
     for &(v, _) in fixings {
         let (lo, hi) = model.bounds(v);
@@ -267,10 +269,11 @@ pub fn solve_mip(
     let mut warm = (0u64, 0u64);
 
     // thread the MIP deadline and the cancellation flag into every LP
-    // pivot loop
-    let deadline = start + opts.time_limit;
+    // pivot loop; a budget too long to add to the clock is no deadline
     let mut lp_opts = opts.lp.clone();
-    lp_opts.deadline = Some(lp_opts.deadline.map_or(deadline, |d| d.min(deadline)));
+    if let Some(deadline) = start.checked_add(opts.time_limit) {
+        lp_opts.deadline = Some(lp_opts.deadline.map_or(deadline, |d| d.min(deadline)));
+    }
     if lp_opts.stop.is_none() {
         lp_opts.stop = opts.stop.clone();
     }
@@ -281,6 +284,7 @@ pub fn solve_mip(
     };
 
     let mut lp = SparseLp::from_model(model)?;
+    let mut ws = Workspace::new(&lp);
 
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     let feas_tol = 1e-6;
@@ -294,7 +298,7 @@ pub fn solve_mip(
     }
 
     // Root relaxation.
-    let root = lp.solve_primal(&lp_opts)?;
+    let root = lp.solve_primal_in(&mut ws, &lp_opts)?;
     lp_iterations += root.iterations;
     nodes_done += 1;
     match root.status {
@@ -408,7 +412,8 @@ pub fn solve_mip(
             break;
         }
 
-        let Some(sol) = solve_node(&mut lp, model, &node.fixings, &node.basis, &lp_opts, &mut warm)
+        let Some(sol) =
+            solve_node(&mut lp, &mut ws, model, &node.fixings, &node.basis, &lp_opts, &mut warm)
         else {
             continue;
         };

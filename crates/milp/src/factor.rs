@@ -11,16 +11,21 @@
 //! between refactorizations. The eta file is bounded
 //! ([`Factorization::should_refactor`]); the simplex refactors when it
 //! fills up or when a pivot looks numerically unsafe.
+//!
+//! Every kernel costs what it touches. Most basis columns of the
+//! mapping LPs are slack singletons, whose `L` and `U` columns are
+//! empty: the elimination's L-solve visits only the steps whose pivot
+//! row is (or becomes) non-zero, FTRAN/BTRAN walk skip lists of the
+//! non-empty columns, and `L`, `U` and the eta file live in three flat
+//! [`ColStack`]s that are cleared, never freed. What stays dense are
+//! the length-`m` work vectors themselves. The visiting order — and so
+//! every floating-point sum — is that of the plain loops over all `m`
+//! steps, which the test suite keeps as the oracle
+//! (`src/kernel_tests.rs`).
 
-/// One product-form update: basis position `r` was replaced, `w` is the
-/// FTRAN'd entering column (its nonzeros), `pivot = w[r]`.
-#[derive(Debug, Clone)]
-struct Eta {
-    r: usize,
-    pivot: f64,
-    /// `(row, w[row])` for rows ≠ `r` with `w[row] != 0`.
-    entries: Vec<(usize, f64)>,
-}
+use crate::sparse::ColStack;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Errors from [`Factorization::refactor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +36,7 @@ pub enum FactorError {
 
 /// An LU factorization of the current basis plus the eta file of
 /// updates applied since the last refactorization.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Factorization {
     m: usize,
     /// Elimination order: step `k` eliminated basis position `order[k]`.
@@ -39,21 +44,45 @@ pub struct Factorization {
     /// `pivrow[k]` = row chosen as pivot at step `k`.
     pivrow: Vec<usize>,
     /// `L` column per step: `(row, multiplier)` below the pivot.
-    lcols: Vec<Vec<(usize, f64)>>,
-    /// `U` column per step: `(earlier step, value)` above the diagonal.
-    ucols: Vec<Vec<(usize, f64)>>,
+    l: ColStack,
+    /// `U` column per step: `(pivot row of an earlier step, value)`
+    /// above the diagonal, earliest step first.
+    u: ColStack,
+    /// Steps whose `L` / `U` column is non-empty, increasing.
+    l_steps: Vec<usize>,
+    u_steps: Vec<usize>,
     /// Diagonal of `U` per step.
     upiv: Vec<f64>,
-    etas: Vec<Eta>,
+    /// One product-form update per column: basis position `eta_r[e]`
+    /// was replaced, the column holds `(row, w[row])` for rows ≠ `r`
+    /// with `w[row] != 0` of the FTRAN'd entering column `w`, and
+    /// `eta_pivot[e] = w[r]`.
+    etas: ColStack,
+    eta_r: Vec<usize>,
+    eta_pivot: Vec<f64>,
     /// Scratch: dense accumulator reused across columns; zero between
     /// refactorizations.
     work: Vec<f64>,
     /// Scratch reused by FTRAN/BTRAN (no cleanliness invariant).
     scratch: Vec<f64>,
+    /// Refactorization scratch: elimination order of the positions and
+    /// its counting-sort buckets, `step_of_row[r]` = step whose pivot
+    /// row is `r`, the rows the current column touched, and the steps
+    /// its L-solve still has to visit (`queued` marks the heap's
+    /// members).
+    positions: Vec<usize>,
+    buckets: Vec<usize>,
+    step_of_row: Vec<usize>,
+    touched: Vec<usize>,
+    pending: BinaryHeap<Reverse<usize>>,
+    queued: Vec<bool>,
 }
 
 /// Absolute floor under which a pivot candidate is considered zero.
-const PIVOT_ZERO: f64 = 1e-11;
+pub(crate) const PIVOT_ZERO: f64 = 1e-11;
+
+/// Longest eta file before a refactorization is due.
+const MAX_ETAS: usize = 64;
 
 impl Factorization {
     /// Empty factorization for an `m`-row basis.
@@ -62,12 +91,26 @@ impl Factorization {
             m,
             order: Vec::with_capacity(m),
             pivrow: Vec::with_capacity(m),
-            lcols: Vec::with_capacity(m),
-            ucols: Vec::with_capacity(m),
+            l: ColStack::with_capacity(m, m),
+            u: ColStack::with_capacity(m, m),
+            l_steps: Vec::new(),
+            u_steps: Vec::new(),
             upiv: Vec::with_capacity(m),
-            etas: Vec::new(),
+            // a full file of full columns, reserved but not touched:
+            // pages become resident only as far as a file really
+            // grows, and no pivot between two refactorizations ever
+            // reaches the allocator
+            etas: ColStack::with_capacity(MAX_ETAS, MAX_ETAS * m),
+            eta_r: Vec::with_capacity(MAX_ETAS),
+            eta_pivot: Vec::with_capacity(MAX_ETAS),
             work: vec![0.0; m],
             scratch: vec![0.0; m],
+            positions: vec![0; m],
+            buckets: Vec::new(),
+            step_of_row: vec![usize::MAX; m],
+            touched: Vec::new(),
+            pending: BinaryHeap::new(),
+            queued: vec![false; m],
         }
     }
 
@@ -79,7 +122,7 @@ impl Factorization {
     /// `true` once the eta file is long enough that a refactorization
     /// is cheaper than dragging it along.
     pub fn should_refactor(&self) -> bool {
-        self.etas.len() >= 64.min(self.m.max(8))
+        self.etas.len() >= MAX_ETAS.min(self.m.max(8))
     }
 
     /// Factor the basis whose position `p` holds the column given by
@@ -92,71 +135,109 @@ impl Factorization {
         let m = self.m;
         self.order.clear();
         self.pivrow.clear();
-        self.lcols.clear();
-        self.ucols.clear();
+        self.l.clear();
+        self.u.clear();
+        self.l_steps.clear();
+        self.u_steps.clear();
         self.upiv.clear();
         self.etas.clear();
+        self.eta_r.clear();
+        self.eta_pivot.clear();
 
         // cheap Markowitz stand-in: eliminate sparsest columns first
-        let mut positions: Vec<usize> = (0..m).collect();
-        positions.sort_by_key(|&p| basis_cols(p).0.len());
+        // (a stable counting sort on the column lengths)
+        let len = |p: usize| basis_cols(p).0.len();
+        let longest = (0..m).map(len).max().unwrap_or(0);
+        self.buckets.clear();
+        self.buckets.resize(longest + 2, 0);
+        for p in 0..m {
+            self.buckets[len(p) + 1] += 1;
+        }
+        for b in 0..=longest {
+            self.buckets[b + 1] += self.buckets[b];
+        }
+        for p in 0..m {
+            let slot = &mut self.buckets[len(p)];
+            self.positions[*slot] = p;
+            *slot += 1;
+        }
 
-        // step_of_row[r] = elimination step whose pivot row is r
-        let mut step_of_row = vec![usize::MAX; m];
-        let work = &mut self.work;
+        self.step_of_row.fill(usize::MAX);
+        let Factorization { step_of_row, work, touched, pending, queued, .. } = self;
         debug_assert!(work.iter().all(|&v| v == 0.0));
+        debug_assert!(pending.is_empty() && queued.iter().all(|&q| !q));
 
-        for &p in &positions {
-            let k = self.order.len();
+        for k in 0..m {
+            let p = self.positions[k];
             let (rows, vals) = basis_cols(p);
-            let mut touched: Vec<usize> = Vec::with_capacity(rows.len() * 2);
+            touched.clear();
             for (&r, &v) in rows.iter().zip(vals) {
                 work[r] = v;
                 touched.push(r);
+                let t = step_of_row[r];
+                if t != usize::MAX {
+                    queued[t] = true;
+                    pending.push(Reverse(t));
+                }
             }
-            // L-solve against all earlier steps, in elimination order.
-            let mut ucol: Vec<(usize, f64)> = Vec::new();
-            for t in 0..k {
+            // L-solve against the earlier steps, in elimination order.
+            // Step `t` matters only while its pivot row holds a
+            // non-zero, and its `L` column feeds only rows that pivot
+            // later: popping the smallest pending step visits exactly
+            // the steps the loop over all `0..k` would act on, in the
+            // same order.
+            while let Some(Reverse(t)) = pending.pop() {
+                queued[t] = false;
                 let x = work[self.pivrow[t]];
-                if x != 0.0 {
-                    ucol.push((t, x));
-                    for &(r, l) in &self.lcols[t] {
-                        if work[r] == 0.0 {
-                            touched.push(r);
-                        }
-                        work[r] -= l * x;
+                if x == 0.0 {
+                    continue; // cancelled since it was queued
+                }
+                self.u.push(self.pivrow[t], x);
+                let (lrows, lvals) = self.l.col(t);
+                for (&r, &l) in lrows.iter().zip(lvals) {
+                    if work[r] == 0.0 {
+                        touched.push(r);
+                    }
+                    work[r] -= l * x;
+                    let s = step_of_row[r];
+                    if s != usize::MAX && !queued[s] {
+                        queued[s] = true;
+                        pending.push(Reverse(s));
                     }
                 }
             }
             // partial pivoting among rows not yet used as pivots
             let mut prow = usize::MAX;
             let mut pval = 0.0f64;
-            for &r in &touched {
+            for &r in touched.iter() {
                 if step_of_row[r] == usize::MAX && work[r].abs() > pval.abs() {
                     prow = r;
                     pval = work[r];
                 }
             }
             if prow == usize::MAX || pval.abs() <= PIVOT_ZERO {
-                for &r in &touched {
+                for &r in touched.iter() {
                     work[r] = 0.0;
                 }
                 return Err(FactorError::Singular);
             }
-            let mut lcol: Vec<(usize, f64)> = Vec::new();
-            for &r in &touched {
+            for &r in touched.iter() {
                 let v = work[r];
                 work[r] = 0.0;
                 if r != prow && step_of_row[r] == usize::MAX && v != 0.0 {
-                    lcol.push((r, v / pval));
+                    self.l.push(r, v / pval);
                 }
             }
             step_of_row[prow] = k;
             self.order.push(p);
             self.pivrow.push(prow);
-            self.lcols.push(lcol);
-            self.ucols.push(ucol);
             self.upiv.push(pval);
+            if self.l.close() > 0 {
+                self.l_steps.push(k);
+            }
+            if self.u.close() > 0 {
+                self.u_steps.push(k);
+            }
         }
         Ok(())
     }
@@ -164,98 +245,112 @@ impl Factorization {
     /// Solve `B x = v` in place: on return `v[p]` is the value of the
     /// basis variable at position `p`.
     pub fn ftran(&mut self, v: &mut [f64]) {
-        let m = self.m;
-        debug_assert_eq!(v.len(), m);
-        // L y = v (in elimination order), y indexed by step
-        let y = &mut self.scratch;
-        for k in 0..m {
+        debug_assert_eq!(v.len(), self.m);
+        // L y = v in elimination order; y stays in row coordinates
+        // (step k's component sits in v[pivrow[k]])
+        for &k in &self.l_steps {
             let x = v[self.pivrow[k]];
-            y[k] = x;
             if x != 0.0 {
-                for &(r, l) in &self.lcols[k] {
+                let (rows, ls) = self.l.col(k);
+                for (&r, &l) in rows.iter().zip(ls) {
                     v[r] -= l * x;
                 }
             }
         }
-        // U z = y, column-oriented backward substitution
-        for t in (0..m).rev() {
-            let z = y[t] / self.upiv[t];
-            y[t] = z;
+        // U z = y, column-oriented backward substitution. A step's
+        // quotient is final once the later columns are through; it is
+        // stored by the pass below, which divides every step alike.
+        for &t in self.u_steps.iter().rev() {
+            let z = v[self.pivrow[t]] / self.upiv[t];
             if z != 0.0 {
-                for &(s, u) in &self.ucols[t] {
-                    y[s] -= u * z;
+                let (rows, us) = self.u.col(t);
+                for (&r, &u) in rows.iter().zip(us) {
+                    v[r] -= u * z;
                 }
             }
         }
-        // permute back to basis positions
-        for k in 0..m {
-            v[self.order[k]] = y[k];
+        // divide by the diagonal and permute to basis positions
+        let z = &mut self.scratch;
+        for k in 0..self.m {
+            z[self.order[k]] = v[self.pivrow[k]] / self.upiv[k];
         }
+        v.copy_from_slice(z);
         // eta updates, oldest first
-        for eta in &self.etas {
-            let t = v[eta.r] / eta.pivot;
+        for e in 0..self.etas.len() {
+            let r = self.eta_r[e];
+            let t = v[r] / self.eta_pivot[e];
             if t != 0.0 {
-                for &(i, w) in &eta.entries {
+                let (rows, ws) = self.etas.col(e);
+                for (&i, &w) in rows.iter().zip(ws) {
                     v[i] -= w * t;
                 }
             }
-            v[eta.r] = t;
+            v[r] = t;
         }
     }
 
     /// Solve `Bᵀ y = c` in place: on entry `c[p]` is indexed by basis
     /// position, on return `c[row]` is indexed by row.
     pub fn btran(&mut self, c: &mut [f64]) {
-        let m = self.m;
-        debug_assert_eq!(c.len(), m);
+        debug_assert_eq!(c.len(), self.m);
         // eta transposes, newest first
-        for eta in self.etas.iter().rev() {
-            let mut acc = c[eta.r];
-            for &(i, w) in &eta.entries {
+        for e in (0..self.etas.len()).rev() {
+            let r = self.eta_r[e];
+            let mut acc = c[r];
+            let (rows, ws) = self.etas.col(e);
+            for (&i, &w) in rows.iter().zip(ws) {
                 acc -= w * c[i];
             }
-            c[eta.r] = acc / eta.pivot;
+            c[r] = acc / self.eta_pivot[e];
         }
-        // Uᵀ w = c' with c'_k = c[order[k]], forward in steps
-        let wv = &mut self.scratch;
-        for k in 0..m {
+        // Uᵀ w = c' with c'_k = c[order[k]], forward in steps, w in
+        // row coordinates: a step with an empty U column is its own
+        // quotient, the others are redone once their predecessors are
+        let w = &mut self.scratch;
+        for k in 0..self.m {
+            w[self.pivrow[k]] = c[self.order[k]] / self.upiv[k];
+        }
+        for &k in &self.u_steps {
             let mut acc = c[self.order[k]];
-            for &(s, u) in &self.ucols[k] {
-                acc -= u * wv[s];
+            let (rows, us) = self.u.col(k);
+            for (&r, &u) in rows.iter().zip(us) {
+                acc -= u * w[r];
             }
-            wv[k] = acc / self.upiv[k];
+            w[self.pivrow[k]] = acc / self.upiv[k];
         }
-        // Lᵀ y = w, descending steps, y in row coordinates
-        for v in c.iter_mut() {
-            *v = 0.0;
-        }
-        for k in (0..m).rev() {
-            let mut acc = wv[k];
-            for &(r, l) in &self.lcols[k] {
-                acc -= l * c[r];
+        // Lᵀ y = w, descending steps; a step with an empty L column
+        // passes its component through
+        for &k in self.l_steps.iter().rev() {
+            let mut acc = w[self.pivrow[k]];
+            let (rows, ls) = self.l.col(k);
+            for (&r, &l) in rows.iter().zip(ls) {
+                acc -= l * w[r];
             }
-            c[self.pivrow[k]] = acc;
+            w[self.pivrow[k]] = acc;
         }
+        c.copy_from_slice(w);
     }
 
     /// Append the eta for a pivot that put the FTRAN'd column `w`
-    /// (dense, length `m`) into basis position `r`. Returns `false`
-    /// when the pivot element is too small to be trusted — the caller
-    /// must refactor instead.
+    /// (dense, length `m`, its non-zero positions listed in `nz` in
+    /// increasing order) into basis position `r`. Returns `false` when
+    /// the pivot element is too small to be trusted — the caller must
+    /// refactor instead.
     #[must_use]
-    pub fn update(&mut self, w: &[f64], r: usize) -> bool {
+    pub fn update(&mut self, w: &[f64], nz: &[usize], r: usize) -> bool {
         let pivot = w[r];
-        let wmax = w.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+        let wmax = nz.iter().fold(0.0f64, |a, &i| a.max(w[i].abs()));
         if pivot.abs() <= PIVOT_ZERO || pivot.abs() < 1e-9 * wmax {
             return false;
         }
-        let entries: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.etas.push(Eta { r, pivot, entries });
+        for &i in nz {
+            if i != r {
+                self.etas.push(i, w[i]);
+            }
+        }
+        self.etas.close();
+        self.eta_r.push(r);
+        self.eta_pivot.push(pivot);
         true
     }
 }
@@ -309,7 +404,7 @@ mod tests {
         // replace basis position 1 with column a = [1, 1, 1]
         let mut w = vec![1.0, 1.0, 1.0];
         f.ftran(&mut w);
-        assert!(f.update(&w, 1));
+        assert!(f.update(&w, &[0, 1, 2], 1));
         // B_new columns: col0, a, col2 (in position order)
         // B_new = [2 1 1; 0 1 1; 4 1 0] (rows) — solve against dense ref
         // pick x = [1, 1, 1] -> b = [4, 2, 5]
@@ -342,6 +437,6 @@ mod tests {
         let mut f = Factorization::new(3);
         f.refactor(|p| m.col(p)).unwrap();
         let w = vec![1.0, 1e-14, 1.0];
-        assert!(!f.update(&w, 1));
+        assert!(!f.update(&w, &[0, 1, 2], 1));
     }
 }

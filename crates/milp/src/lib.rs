@@ -62,4 +62,6 @@ pub use revised::{Basis, SparseLp, SparseSolution};
 pub use sparse::ColMatrix;
 
 #[cfg(test)]
+mod kernel_tests;
+#[cfg(test)]
 mod tests;

@@ -3,7 +3,9 @@
 //!
 //! * the constraint matrix lives in compressed sparse columns
 //!   ([`crate::sparse::ColMatrix`]) built straight from the model's row
-//!   triplets — no densification;
+//!   triplets, with a row-wise copy beside them for the pivot row — the
+//!   matrix is never densified; the entering column, the pivot-row
+//!   multipliers and the duals are dense length-`m` vectors;
 //! * the basis is LU-factorized with product-form eta updates and
 //!   periodic refactorization ([`crate::factor`]);
 //! * pricing is Devex ([`crate::pricing`]) with a Bland fallback after
@@ -24,7 +26,7 @@
 use crate::factor::Factorization;
 use crate::model::{Cmp, LpOptions, LpStatus, Model, SolveError, VarId};
 use crate::pricing::Devex;
-use crate::sparse::ColMatrix;
+use crate::sparse::{ColMatrix, SparseAcc};
 
 /// Where a column currently rests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,15 +81,19 @@ pub enum WarmStartError {
 }
 
 /// A model standardised for the revised simplex: CSC columns
-/// (structural + one logical per row), native bounds, equilibrated
-/// rows. Bounds are mutable ([`SparseLp::set_bounds`]) so
-/// branch-and-bound can fix binaries without rebuilding anything.
+/// (structural + one logical per row) with a row-wise copy beside them,
+/// native bounds, equilibrated rows. Bounds are mutable
+/// ([`SparseLp::set_bounds`]) so branch-and-bound can fix binaries
+/// without rebuilding anything.
 #[derive(Debug, Clone)]
 pub struct SparseLp {
     m: usize,
     n: usize,
     /// `n + m` columns: structural, then logical `j = n + row`.
     mat: ColMatrix,
+    /// `mat` transposed — column `i` is row `i`, entries in increasing
+    /// column order: what the pivot-row kernel walks.
+    rows: ColMatrix,
     lower: Vec<f64>,
     upper: Vec<f64>,
     /// Phase-2 costs (zero on logicals).
@@ -138,6 +144,7 @@ impl SparseLp {
             })
             .collect();
         let mat = ColMatrix::from_rows(m, n + m, || scaled.iter().map(|r| r.as_slice()));
+        let rows = mat.transpose();
 
         let mut lower = Vec::with_capacity(n + m);
         let mut upper = Vec::with_capacity(n + m);
@@ -156,7 +163,7 @@ impl SparseLp {
             lower.push(lo);
             upper.push(hi);
         }
-        Ok(SparseLp { m, n, mat, lower, upper, cost, rhs })
+        Ok(SparseLp { m, n, mat, rows, lower, upper, cost, rhs })
     }
 
     /// Number of rows.
@@ -190,37 +197,29 @@ impl SparseLp {
     /// Solve from scratch: composite phase 1 from the all-logical
     /// basis, then Devex phase 2.
     pub fn solve_primal(&self, opts: &LpOptions) -> Result<SparseSolution, SolveError> {
+        self.solve_primal_in(&mut Workspace::new(self), opts)
+    }
+
+    /// [`SparseLp::solve_primal`] in the caller's buffers.
+    pub(crate) fn solve_primal_in(
+        &self,
+        ws: &mut Workspace,
+        opts: &LpOptions,
+    ) -> Result<SparseSolution, SolveError> {
         if let Some(bad) = self.empty_domain() {
             return Err(SolveError::EmptyDomain(VarId(bad.min(self.n))));
         }
-        let mut s = Simplex::new(self, opts);
+        let mut s = Simplex::new(self, opts, ws);
         s.init_logical_basis();
         if s.refactor_full().is_err() {
             // the all-logical basis is the identity; this cannot happen
             return Ok(s.finish(LpStatus::Infeasible));
         }
-        let trace = std::env::var("CELLSTREAM_LP_TRACE").is_ok();
         let status = s.phase1();
-        if trace {
-            eprintln!(
-                "phase1: {:?} after {} iters, infeas {}",
-                status,
-                s.iterations,
-                s.infeasibility()
-            );
-        }
         if status != LpStatus::Optimal {
             return Ok(s.finish(status));
         }
         let status = s.phase2();
-        if trace {
-            eprintln!(
-                "phase2: {:?} after {} iters, infeas {}",
-                status,
-                s.iterations,
-                s.infeasibility()
-            );
-        }
         Ok(s.finish(status))
     }
 
@@ -234,10 +233,20 @@ impl SparseLp {
         basis: &Basis,
         opts: &LpOptions,
     ) -> Result<SparseSolution, WarmStartError> {
+        self.solve_dual_in(&mut Workspace::new(self), basis, opts)
+    }
+
+    /// [`SparseLp::solve_dual_from`] in the caller's buffers.
+    pub(crate) fn solve_dual_in(
+        &self,
+        ws: &mut Workspace,
+        basis: &Basis,
+        opts: &LpOptions,
+    ) -> Result<SparseSolution, WarmStartError> {
         if self.empty_domain().is_some() {
             return Err(WarmStartError::Mismatch);
         }
-        let mut s = Simplex::new(self, opts);
+        let mut s = Simplex::new(self, opts, ws);
         s.init_from_basis(basis)?;
         let status = s.dual();
         Ok(s.finish(status))
@@ -252,10 +261,13 @@ impl SparseLp {
     }
 }
 
-/// The solver state shared by phase 1, phase 2 and the dual simplex.
-struct Simplex<'a> {
-    lp: &'a SparseLp,
-    opts: &'a LpOptions,
+/// The buffers a solve works in, sized for one [`SparseLp`]. A solve
+/// initialises everything it reads, so a workspace can be handed from
+/// solve to solve — branch-and-bound keeps one for the whole search —
+/// and the pivot loop allocates nothing once the factorization's
+/// stacks have reached their working size.
+#[derive(Debug)]
+pub(crate) struct Workspace {
     factor: Factorization,
     pricer: Devex,
     /// `basis[position] = column`.
@@ -265,6 +277,54 @@ struct Simplex<'a> {
     beta: Vec<f64>,
     /// Reduced costs (phase-2 maintenance; phase 1 recomputes).
     dvec: Vec<f64>,
+    /// Bounds of the basic column at each position.
+    basic_lo: Vec<f64>,
+    basic_hi: Vec<f64>,
+    /// Columns whose bounds coincide in this solve.
+    fixed: Vec<bool>,
+    /// Dense length-`m` buffers: entering column / pivot row / duals
+    /// and right-hand side / basic costs.
+    wbuf: Vec<f64>,
+    rbuf: Vec<f64>,
+    ybuf: Vec<f64>,
+    cbuf: Vec<f64>,
+    /// Non-zero positions of the entering column, increasing.
+    wnz: Vec<usize>,
+    /// The pivot row: accumulator over all columns, then the entries
+    /// that count as `(column, α_rj)`.
+    acc: SparseAcc,
+    alpha_row: Vec<(usize, f64)>,
+}
+
+impl Workspace {
+    pub(crate) fn new(lp: &SparseLp) -> Workspace {
+        let (m, ncols) = (lp.m, lp.ncols());
+        Workspace {
+            factor: Factorization::new(m),
+            pricer: Devex::new(ncols),
+            basis: Vec::with_capacity(m),
+            state: vec![VState::AtLower; ncols],
+            beta: vec![0.0; m],
+            dvec: vec![0.0; ncols],
+            basic_lo: vec![0.0; m],
+            basic_hi: vec![0.0; m],
+            fixed: vec![false; ncols],
+            wbuf: vec![0.0; m],
+            rbuf: vec![0.0; m],
+            ybuf: vec![0.0; m],
+            cbuf: vec![0.0; m],
+            wnz: Vec::with_capacity(m),
+            acc: SparseAcc::new(ncols),
+            alpha_row: Vec::with_capacity(ncols),
+        }
+    }
+}
+
+/// The solver state shared by phase 1, phase 2 and the dual simplex.
+struct Simplex<'a> {
+    lp: &'a SparseLp,
+    opts: &'a LpOptions,
+    ws: &'a mut Workspace,
     iterations: u64,
     degenerate_run: u32,
     /// Consecutive numerical restarts (refactor-and-retry).
@@ -272,12 +332,6 @@ struct Simplex<'a> {
     /// Set when a mid-pivot refactorization found a singular basis —
     /// the factorization is unusable and the solve must stop.
     broken: bool,
-    /// Reusable dense buffers (entering column / pivot row / duals) so
-    /// the pivot loop allocates nothing in steady state.
-    wbuf: Vec<f64>,
-    rbuf: Vec<f64>,
-    ybuf: Vec<f64>,
-    cbuf: Vec<f64>,
 }
 
 enum Step {
@@ -288,29 +342,18 @@ enum Step {
 }
 
 impl<'a> Simplex<'a> {
-    fn new(lp: &'a SparseLp, opts: &'a LpOptions) -> Simplex<'a> {
-        Simplex {
-            lp,
-            opts,
-            factor: Factorization::new(lp.m),
-            pricer: Devex::new(lp.ncols()),
-            basis: Vec::new(),
-            state: vec![VState::AtLower; lp.ncols()],
-            beta: vec![0.0; lp.m],
-            dvec: vec![0.0; lp.ncols()],
-            iterations: 0,
-            degenerate_run: 0,
-            restarts: 0,
-            broken: false,
-            wbuf: vec![0.0; lp.m],
-            rbuf: vec![0.0; lp.m],
-            ybuf: vec![0.0; lp.m],
-            cbuf: vec![0.0; lp.m],
+    fn new(lp: &'a SparseLp, opts: &'a LpOptions, ws: &'a mut Workspace) -> Simplex<'a> {
+        debug_assert_eq!((ws.beta.len(), ws.dvec.len()), (lp.m, lp.ncols()));
+        ws.pricer.reset();
+        ws.pricer.set_bland(false);
+        for (j, fixed) in ws.fixed.iter_mut().enumerate() {
+            *fixed = lp.upper[j] - lp.lower[j] <= 0.0;
         }
+        Simplex { lp, opts, ws, iterations: 0, degenerate_run: 0, restarts: 0, broken: false }
     }
 
     /// Take a dense length-`m` zeroed buffer out of the named slot
-    /// (returned via the matching `put_*`). Avoids per-pivot allocs.
+    /// (put back by the caller). Avoids per-pivot allocs.
     fn take_zeroed(slot: &mut Vec<f64>, m: usize) -> Vec<f64> {
         let mut v = std::mem::take(slot);
         v.clear();
@@ -322,11 +365,12 @@ impl<'a> Simplex<'a> {
 
     fn init_logical_basis(&mut self) {
         let (n, m) = (self.lp.n, self.lp.m);
-        self.basis = (n..n + m).collect();
+        self.ws.basis.clear();
+        self.ws.basis.extend(n..n + m);
         for j in 0..n {
             // rest at the finite bound closer to zero (both exist is the
             // common case: binaries); lower is always finite per model
-            self.state[j] = if self.lp.upper[j].is_finite()
+            self.ws.state[j] = if self.lp.upper[j].is_finite()
                 && self.lp.upper[j].abs() < self.lp.lower[j].abs()
             {
                 VState::AtUpper
@@ -335,8 +379,9 @@ impl<'a> Simplex<'a> {
             };
         }
         for (pos, j) in (n..n + m).enumerate() {
-            self.state[j] = VState::Basic(pos);
+            self.ws.state[j] = VState::Basic(pos);
         }
+        self.cache_basic_bounds();
     }
 
     fn init_from_basis(&mut self, warm: &Basis) -> Result<(), WarmStartError> {
@@ -344,26 +389,28 @@ impl<'a> Simplex<'a> {
         if warm.cols.len() != m || warm.state.len() != ncols {
             return Err(WarmStartError::Mismatch);
         }
-        self.basis = warm.cols.clone();
-        self.state.copy_from_slice(&warm.state);
-        for (pos, &j) in self.basis.iter().enumerate() {
-            if j >= ncols || self.state[j] != VState::Basic(pos) {
+        self.ws.basis.clear();
+        self.ws.basis.extend_from_slice(&warm.cols);
+        self.ws.state.copy_from_slice(&warm.state);
+        for (pos, &j) in self.ws.basis.iter().enumerate() {
+            if j >= ncols || self.ws.state[j] != VState::Basic(pos) {
                 return Err(WarmStartError::Mismatch);
             }
         }
+        self.cache_basic_bounds();
         // nonbasic columns must rest on a finite bound
         for j in 0..ncols {
-            match self.state[j] {
+            match self.ws.state[j] {
                 VState::AtLower if !self.lp.lower[j].is_finite() => {
                     if self.lp.upper[j].is_finite() {
-                        self.state[j] = VState::AtUpper;
+                        self.ws.state[j] = VState::AtUpper;
                     } else {
                         return Err(WarmStartError::Mismatch);
                     }
                 }
                 VState::AtUpper if !self.lp.upper[j].is_finite() => {
                     if self.lp.lower[j].is_finite() {
-                        self.state[j] = VState::AtLower;
+                        self.ws.state[j] = VState::AtLower;
                     } else {
                         return Err(WarmStartError::Mismatch);
                     }
@@ -378,21 +425,21 @@ impl<'a> Simplex<'a> {
         // restore dual feasibility by bound flips where possible
         let mut flipped = false;
         for j in 0..ncols {
-            if self.is_fixed(j) {
+            if self.ws.fixed[j] {
                 continue;
             }
-            match self.state[j] {
-                VState::AtLower if self.dvec[j] < -1e-6 => {
+            match self.ws.state[j] {
+                VState::AtLower if self.ws.dvec[j] < -1e-6 => {
                     if self.lp.upper[j].is_finite() {
-                        self.state[j] = VState::AtUpper;
+                        self.ws.state[j] = VState::AtUpper;
                         flipped = true;
                     } else {
                         return Err(WarmStartError::DualInfeasible);
                     }
                 }
-                VState::AtUpper if self.dvec[j] > 1e-6 => {
+                VState::AtUpper if self.ws.dvec[j] > 1e-6 => {
                     if self.lp.lower[j].is_finite() {
-                        self.state[j] = VState::AtLower;
+                        self.ws.state[j] = VState::AtLower;
                         flipped = true;
                     } else {
                         return Err(WarmStartError::DualInfeasible);
@@ -409,13 +456,17 @@ impl<'a> Simplex<'a> {
 
     // ---- shared helpers ---------------------------------------------------
 
-    fn is_fixed(&self, j: usize) -> bool {
-        self.lp.upper[j] - self.lp.lower[j] <= 0.0
+    /// Refill the per-position bound caches from the current basis.
+    fn cache_basic_bounds(&mut self) {
+        for (pos, &j) in self.ws.basis.iter().enumerate() {
+            self.ws.basic_lo[pos] = self.lp.lower[j];
+            self.ws.basic_hi[pos] = self.lp.upper[j];
+        }
     }
 
     fn value_of(&self, j: usize) -> f64 {
-        match self.state[j] {
-            VState::Basic(pos) => self.beta[pos],
+        match self.ws.state[j] {
+            VState::Basic(pos) => self.ws.beta[pos],
             VState::AtLower => self.lp.lower[j],
             VState::AtUpper => self.lp.upper[j],
         }
@@ -423,17 +474,19 @@ impl<'a> Simplex<'a> {
 
     /// Refactor the basis and recompute `beta` from scratch.
     fn refactor_full(&mut self) -> Result<(), crate::factor::FactorError> {
-        let basis = &self.basis;
+        let basis = &self.ws.basis;
         let mat = &self.lp.mat;
-        self.factor.refactor(|p| mat.col(basis[p]))?;
+        self.ws.factor.refactor(|p| mat.col(basis[p]))?;
         self.compute_beta();
         Ok(())
     }
 
     fn compute_beta(&mut self) {
-        let mut r = self.lp.rhs.clone();
+        let mut r = std::mem::take(&mut self.ws.ybuf);
+        r.clear();
+        r.extend_from_slice(&self.lp.rhs);
         for j in 0..self.lp.ncols() {
-            if matches!(self.state[j], VState::Basic(_)) {
+            if matches!(self.ws.state[j], VState::Basic(_)) {
                 continue;
             }
             let v = self.value_of(j);
@@ -441,19 +494,21 @@ impl<'a> Simplex<'a> {
                 self.lp.mat.col_axpy(j, -v, &mut r);
             }
         }
-        self.factor.ftran(&mut r);
-        self.beta.copy_from_slice(&r);
+        self.ws.factor.ftran(&mut r);
+        self.ws.beta.copy_from_slice(&r);
+        self.ws.ybuf = r;
     }
 
     /// Recompute reduced costs from the basic-cost vector `cb` (indexed
     /// by basis position). Column costs are the phase-2 objective when
     /// `phase2_costs`, zero otherwise (phase 1).
     fn compute_duals_from(&mut self, cb: &[f64], phase2_costs: bool) {
-        let mut y = Self::take_zeroed(&mut self.ybuf, self.lp.m);
-        y.copy_from_slice(cb);
-        self.factor.btran(&mut y);
+        let mut y = std::mem::take(&mut self.ws.ybuf);
+        y.clear();
+        y.extend_from_slice(cb);
+        self.ws.factor.btran(&mut y);
         for j in 0..self.lp.ncols() {
-            self.dvec[j] = match self.state[j] {
+            self.ws.dvec[j] = match self.ws.state[j] {
                 VState::Basic(_) => 0.0,
                 _ => {
                     let c = if phase2_costs { self.lp.cost[j] } else { 0.0 };
@@ -461,16 +516,51 @@ impl<'a> Simplex<'a> {
                 }
             };
         }
-        self.ybuf = y;
+        self.ws.ybuf = y;
     }
 
     fn compute_duals_phase2(&mut self) {
-        let mut cb = Self::take_zeroed(&mut self.cbuf, self.lp.m);
-        for (pos, slot) in cb.iter_mut().enumerate() {
-            *slot = self.lp.cost[self.basis[pos]];
-        }
+        let mut cb = std::mem::take(&mut self.ws.cbuf);
+        cb.clear();
+        cb.extend(self.ws.basis.iter().map(|&j| self.lp.cost[j]));
         self.compute_duals_from(&cb, true);
-        self.cbuf = cb;
+        self.ws.cbuf = cb;
+    }
+
+    /// FTRAN column `q` into the entering-column buffer and list its
+    /// non-zero positions; both are handed back with
+    /// [`Simplex::put_entering`].
+    fn take_entering(&mut self, q: usize) -> (Vec<f64>, Vec<usize>) {
+        let mut w = Self::take_zeroed(&mut self.ws.wbuf, self.lp.m);
+        self.lp.mat.col_axpy(q, 1.0, &mut w);
+        self.ws.factor.ftran(&mut w);
+        let mut nz = std::mem::take(&mut self.ws.wnz);
+        nz.clear();
+        nz.extend(w.iter().enumerate().filter(|&(_, &v)| v != 0.0).map(|(pos, _)| pos));
+        (w, nz)
+    }
+
+    fn put_entering(&mut self, w: Vec<f64>, nz: Vec<usize>) {
+        self.ws.wbuf = w;
+        self.ws.wnz = nz;
+    }
+
+    /// Row `r` of `B⁻¹A` into `alpha_row`: the entries above `tol` in
+    /// magnitude of the nonbasic columns `keep(column, fixed)` lets
+    /// through, in increasing column order.
+    fn pivot_row(&mut self, r: usize, tol: f64, keep: impl Fn(usize, bool) -> bool) {
+        let mut rho = Self::take_zeroed(&mut self.ws.rbuf, self.lp.m);
+        rho[r] = 1.0;
+        self.ws.factor.btran(&mut rho);
+        self.lp.rows.combine(&rho, &mut self.ws.acc);
+        self.ws.rbuf = rho;
+        let Workspace { acc, alpha_row, state, fixed, .. } = &mut *self.ws;
+        alpha_row.clear();
+        acc.drain(|j, a| {
+            if !matches!(state[j], VState::Basic(_)) && keep(j, fixed[j]) && a.abs() > tol {
+                alpha_row.push((j, a));
+            }
+        });
     }
 
     fn deadline_hit(&self) -> bool {
@@ -489,40 +579,42 @@ impl<'a> Simplex<'a> {
         if t.abs() <= 1e-9 {
             self.degenerate_run += 1;
             if self.degenerate_run >= DEGENERATE_RUN_FOR_BLAND {
-                self.pricer.set_bland(true);
+                self.ws.pricer.set_bland(true);
             }
         } else {
             self.degenerate_run = 0;
-            self.pricer.set_bland(false);
+            self.ws.pricer.set_bland(false);
         }
     }
 
-    /// Commit a pivot: column `q` (FTRAN'd to `w`) replaces basis
-    /// position `r`; the leaving column rests at `leave_state`. `t` is
-    /// the primal step along `sigma`. Returns `false` when the eta
-    /// update was rejected and a refactor was performed (values are
-    /// recomputed; reduced costs must be refreshed by the caller).
+    /// Commit a pivot: column `q` (FTRAN'd to `w`, non-zero at `nz`)
+    /// replaces basis position `r`; the leaving column rests at
+    /// `leave_state`. `sigma_t` is the signed primal step. Returns
+    /// `false` when the eta update was rejected and a refactor was
+    /// performed (values are recomputed; reduced costs must be
+    /// refreshed by the caller).
     #[allow(clippy::too_many_arguments)]
     fn commit_pivot(
         &mut self,
         q: usize,
         w: &[f64],
+        nz: &[usize],
         r: usize,
         leave_state: VState,
         entering_value: f64,
         sigma_t: f64,
     ) -> bool {
-        for (pos, &wi) in w.iter().enumerate() {
-            if wi != 0.0 {
-                self.beta[pos] -= sigma_t * wi;
-            }
+        for &pos in nz {
+            self.ws.beta[pos] -= sigma_t * w[pos];
         }
-        let jout = self.basis[r];
-        self.state[jout] = leave_state;
-        self.basis[r] = q;
-        self.state[q] = VState::Basic(r);
-        self.beta[r] = entering_value;
-        if !self.factor.update(w, r) || self.factor.should_refactor() {
+        let jout = self.ws.basis[r];
+        self.ws.state[jout] = leave_state;
+        self.ws.basis[r] = q;
+        self.ws.state[q] = VState::Basic(r);
+        self.ws.beta[r] = entering_value;
+        self.ws.basic_lo[r] = self.lp.lower[q];
+        self.ws.basic_hi[r] = self.lp.upper[q];
+        if !self.ws.factor.update(w, nz, r) || self.ws.factor.should_refactor() {
             // refactor with the *new* basis (recomputes beta); a
             // singular result poisons the solve and stops it
             if self.refactor_full().is_err() {
@@ -538,9 +630,8 @@ impl<'a> Simplex<'a> {
     /// Total primal infeasibility of the current basic solution.
     fn infeasibility(&self) -> f64 {
         let mut total = 0.0;
-        for (pos, &b) in self.beta.iter().enumerate() {
-            let j = self.basis[pos];
-            total += (self.lp.lower[j] - b).max(0.0) + (b - self.lp.upper[j]).max(0.0);
+        for (pos, &b) in self.ws.beta.iter().enumerate() {
+            total += (self.ws.basic_lo[pos] - b).max(0.0) + (b - self.ws.basic_hi[pos]).max(0.0);
         }
         total
     }
@@ -562,12 +653,11 @@ impl<'a> Simplex<'a> {
             // infeasibility costs of the current iterate, into the
             // reusable basic-cost buffer (no per-pivot allocation)
             let mut any_infeasible = false;
-            let mut cb = Self::take_zeroed(&mut self.cbuf, self.lp.m);
+            let mut cb = Self::take_zeroed(&mut self.ws.cbuf, self.lp.m);
             for (pos, slot) in cb.iter_mut().enumerate() {
-                let j = self.basis[pos];
-                *slot = if self.beta[pos] < self.lp.lower[j] - FEAS_TOL {
+                *slot = if self.ws.beta[pos] < self.ws.basic_lo[pos] - FEAS_TOL {
                     -1.0
-                } else if self.beta[pos] > self.lp.upper[j] + FEAS_TOL {
+                } else if self.ws.beta[pos] > self.ws.basic_hi[pos] + FEAS_TOL {
                     1.0
                 } else {
                     0.0
@@ -575,24 +665,21 @@ impl<'a> Simplex<'a> {
                 any_infeasible |= *slot != 0.0;
             }
             if !any_infeasible {
-                self.cbuf = cb;
+                self.ws.cbuf = cb;
                 return LpStatus::Optimal; // primal feasible: phase 1 done
             }
             self.compute_duals_from(&cb, false);
-            self.cbuf = cb;
+            self.ws.cbuf = cb;
 
             // price
             let Some(q) = self.price() else {
                 // no improving direction but still infeasible: proven
                 return LpStatus::Infeasible;
             };
-            let sigma: f64 = if self.state[q] == VState::AtLower { 1.0 } else { -1.0 };
-            let mut w = Self::take_zeroed(&mut self.wbuf, self.lp.m);
-            self.lp.mat.col_axpy(q, 1.0, &mut w);
-            self.factor.ftran(&mut w);
-
-            let step = self.phase1_step(q, sigma, &w);
-            self.wbuf = w;
+            let sigma: f64 = if self.ws.state[q] == VState::AtLower { 1.0 } else { -1.0 };
+            let (w, nz) = self.take_entering(q);
+            let step = self.phase1_step(q, sigma, &w, &nz);
+            self.put_entering(w, nz);
             match step {
                 Step::Unbounded | Step::Retry => {
                     // a feasibility objective bounded below by zero can
@@ -611,17 +698,17 @@ impl<'a> Simplex<'a> {
     /// First-breakpoint phase-1 ratio test + pivot. Infeasible basics
     /// moving **toward** their violated bound block when they reach it;
     /// feasible basics block at the nearest bound in their direction.
-    fn phase1_step(&mut self, q: usize, sigma: f64, w: &[f64]) -> Step {
+    fn phase1_step(&mut self, q: usize, sigma: f64, w: &[f64], nz: &[usize]) -> Step {
         let mut t_best = f64::INFINITY;
         let mut leave: Option<(usize, VState)> = None;
         let mut best_mag = 0.0f64;
-        for (pos, &wi) in w.iter().enumerate() {
+        for &pos in nz {
+            let wi = w[pos];
             if wi.abs() <= PIVOT_TOL {
                 continue;
             }
             let rate = -sigma * wi;
-            let j = self.basis[pos];
-            let (l, u, v) = (self.lp.lower[j], self.lp.upper[j], self.beta[pos]);
+            let (l, u, v) = (self.ws.basic_lo[pos], self.ws.basic_hi[pos], self.ws.beta[pos]);
             let (limit, st) = if v < l - FEAS_TOL {
                 if rate > 0.0 {
                     ((l - v) / rate, VState::AtLower)
@@ -646,8 +733,8 @@ impl<'a> Simplex<'a> {
                 // Bland needs lowest-index ties; otherwise stability
                 // prefers the largest pivot magnitude
                 Some((rp, _)) => {
-                    if self.pricer.bland() {
-                        self.basis[pos] < self.basis[rp]
+                    if self.ws.pricer.bland() {
+                        self.ws.basis[pos] < self.ws.basis[rp]
                     } else {
                         wi.abs() > best_mag
                     }
@@ -665,7 +752,7 @@ impl<'a> Simplex<'a> {
             return Step::Unbounded;
         }
         if t_flip <= t_best {
-            self.flip_bound(q, sigma, t_flip, w);
+            self.flip_bound(q, sigma, t_flip, w, nz);
             self.track_degeneracy(t_flip);
             return Step::Progress;
         }
@@ -676,17 +763,15 @@ impl<'a> Simplex<'a> {
         self.track_degeneracy(t_best);
         let entering =
             if sigma > 0.0 { self.lp.lower[q] + t_best } else { self.lp.upper[q] - t_best };
-        self.commit_pivot(q, w, r, leave_state, entering, sigma * t_best);
+        self.commit_pivot(q, w, nz, r, leave_state, entering, sigma * t_best);
         Step::Progress
     }
 
-    fn flip_bound(&mut self, q: usize, sigma: f64, t_flip: f64, w: &[f64]) {
-        for (pos, &wi) in w.iter().enumerate() {
-            if wi != 0.0 {
-                self.beta[pos] -= sigma * t_flip * wi;
-            }
+    fn flip_bound(&mut self, q: usize, sigma: f64, t_flip: f64, w: &[f64], nz: &[usize]) {
+        for &pos in nz {
+            self.ws.beta[pos] -= sigma * t_flip * w[pos];
         }
-        self.state[q] = if sigma > 0.0 { VState::AtUpper } else { VState::AtLower };
+        self.ws.state[q] = if sigma > 0.0 { VState::AtUpper } else { VState::AtLower };
     }
 
     /// Refactor + recompute and allow a bounded number of retries.
@@ -702,19 +787,19 @@ impl<'a> Simplex<'a> {
     /// feasible. Candidates are produced in index order (Bland safe).
     fn price(&self) -> Option<usize> {
         let tol = self.opts.tolerance.max(1e-9);
-        let dvec = &self.dvec;
-        let candidates = (0..self.lp.ncols()).filter_map(move |j| {
-            if self.is_fixed(j) {
-                return None;
-            }
-            let viol = match self.state[j] {
-                VState::Basic(_) => return None,
-                VState::AtLower => -dvec[j],
-                VState::AtUpper => dvec[j],
+        let Workspace { dvec, state, fixed, pricer, .. } = &*self.ws;
+        // one rarely-taken branch per column: a basic or fixed column
+        // prices at zero, which no tolerance lets through
+        let candidates = (0..self.lp.ncols()).filter_map(|j| {
+            let sign = match state[j] {
+                VState::Basic(_) => 0.0,
+                VState::AtLower => -1.0,
+                VState::AtUpper => 1.0,
             };
+            let viol = if fixed[j] { 0.0 } else { sign * dvec[j] };
             (viol > tol).then_some((j, viol))
         });
-        self.pricer.select(candidates)
+        pricer.select(candidates)
     }
 
     // ---- phase 2: Devex primal with Harris ratio test ---------------------
@@ -740,13 +825,6 @@ impl<'a> Simplex<'a> {
             // the tolerance meaningfully (rare, degenerate models)
             let Some(q) = self.price() else {
                 if self.infeasibility() > 1e-5 {
-                    if std::env::var("CELLSTREAM_LP_TRACE").is_ok() {
-                        eprintln!(
-                            "phase2 -> phase1 bounce at iter {} (infeas {})",
-                            self.iterations,
-                            self.infeasibility()
-                        );
-                    }
                     let st = self.phase1();
                     if st != LpStatus::Optimal {
                         return st;
@@ -756,13 +834,10 @@ impl<'a> Simplex<'a> {
                 }
                 return LpStatus::Optimal;
             };
-            let sigma: f64 = if self.state[q] == VState::AtLower { 1.0 } else { -1.0 };
-            let mut w = Self::take_zeroed(&mut self.wbuf, self.lp.m);
-            self.lp.mat.col_axpy(q, 1.0, &mut w);
-            self.factor.ftran(&mut w);
-
-            let step = self.phase2_step(q, sigma, &w);
-            self.wbuf = w;
+            let sigma: f64 = if self.ws.state[q] == VState::AtLower { 1.0 } else { -1.0 };
+            let (w, nz) = self.take_entering(q);
+            let step = self.phase2_step(q, sigma, &w, &nz);
+            self.put_entering(w, nz);
             match step {
                 Step::Unbounded => return LpStatus::Unbounded,
                 Step::Retry => {
@@ -777,20 +852,20 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    fn phase2_step(&mut self, q: usize, sigma: f64, w: &[f64]) -> Step {
+    fn phase2_step(&mut self, q: usize, sigma: f64, w: &[f64], nz: &[usize]) -> Step {
         // Harris pass 1: relaxed step bound
         let mut t_relaxed = f64::INFINITY;
-        for (pos, &wi) in w.iter().enumerate() {
+        for &pos in nz {
+            let wi = w[pos];
             if wi.abs() <= PIVOT_TOL {
                 continue;
             }
             let rate = -sigma * wi;
-            let j = self.basis[pos];
-            let v = self.beta[pos];
-            let limit = if rate < 0.0 && self.lp.lower[j].is_finite() {
-                (v - self.lp.lower[j] + HARRIS_DELTA) / -rate
-            } else if rate > 0.0 && self.lp.upper[j].is_finite() {
-                (self.lp.upper[j] - v + HARRIS_DELTA) / rate
+            let (l, u, v) = (self.ws.basic_lo[pos], self.ws.basic_hi[pos], self.ws.beta[pos]);
+            let limit = if rate < 0.0 && l.is_finite() {
+                (v - l + HARRIS_DELTA) / -rate
+            } else if rate > 0.0 && u.is_finite() {
+                (u - v + HARRIS_DELTA) / rate
             } else {
                 continue;
             };
@@ -811,20 +886,20 @@ impl<'a> Simplex<'a> {
         // limit, ties by smallest basis column index — because Bland's
         // anti-cycling guarantee needs lowest-index tie-breaking on
         // BOTH the entering and the leaving side.
-        let bland = self.pricer.bland();
+        let bland = self.ws.pricer.bland();
         let mut choice: Option<(usize, VState, f64)> = None;
         let mut best_mag = 0.0f64;
-        for (pos, &wi) in w.iter().enumerate() {
+        for &pos in nz {
+            let wi = w[pos];
             if wi.abs() <= PIVOT_TOL {
                 continue;
             }
             let rate = -sigma * wi;
-            let j = self.basis[pos];
-            let v = self.beta[pos];
-            let (limit, st) = if rate < 0.0 && self.lp.lower[j].is_finite() {
-                (((v - self.lp.lower[j]).max(0.0)) / -rate, VState::AtLower)
-            } else if rate > 0.0 && self.lp.upper[j].is_finite() {
-                (((self.lp.upper[j] - v).max(0.0)) / rate, VState::AtUpper)
+            let (l, u, v) = (self.ws.basic_lo[pos], self.ws.basic_hi[pos], self.ws.beta[pos]);
+            let (limit, st) = if rate < 0.0 && l.is_finite() {
+                (((v - l).max(0.0)) / -rate, VState::AtLower)
+            } else if rate > 0.0 && u.is_finite() {
+                (((u - v).max(0.0)) / rate, VState::AtUpper)
             } else {
                 continue;
             };
@@ -836,7 +911,7 @@ impl<'a> Simplex<'a> {
                 Some((rc, _, tc)) => {
                     if bland {
                         limit < tc - 1e-12
-                            || (limit <= tc + 1e-12 && self.basis[pos] < self.basis[rc])
+                            || (limit <= tc + 1e-12 && self.ws.basis[pos] < self.ws.basis[rc])
                     } else {
                         wi.abs() > best_mag
                     }
@@ -852,7 +927,7 @@ impl<'a> Simplex<'a> {
             if !t_flip.is_finite() {
                 return Step::Unbounded;
             }
-            self.flip_bound(q, sigma, t_flip, w);
+            self.flip_bound(q, sigma, t_flip, w, nz);
             self.track_degeneracy(t_flip);
             return Step::Progress;
         }
@@ -863,32 +938,19 @@ impl<'a> Simplex<'a> {
         self.track_degeneracy(t);
 
         // pivot row for reduced-cost + Devex maintenance (on B_old)
-        let mut rho = Self::take_zeroed(&mut self.rbuf, self.lp.m);
-        rho[r] = 1.0;
-        self.factor.btran(&mut rho);
-        let mut alpha_row: Vec<(usize, f64)> = Vec::new();
-        for j in 0..self.lp.ncols() {
-            if matches!(self.state[j], VState::Basic(_)) || j == q {
-                continue;
-            }
-            let a = self.lp.mat.col_dot(j, &rho);
-            if a.abs() > 1e-12 {
-                alpha_row.push((j, a));
-            }
-        }
-        self.rbuf = rho;
+        self.pivot_row(r, 1e-12, |j, _| j != q);
         let pivot = w[r];
-        let theta = self.dvec[q] / pivot;
-        let jout = self.basis[r];
-        for &(j, a) in &alpha_row {
-            self.dvec[j] -= theta * a;
+        let theta = self.ws.dvec[q] / pivot;
+        let jout = self.ws.basis[r];
+        for &(j, a) in &self.ws.alpha_row {
+            self.ws.dvec[j] -= theta * a;
         }
-        self.dvec[jout] = -theta;
-        self.dvec[q] = 0.0;
-        self.pricer.update(q, pivot, jout, &alpha_row);
+        self.ws.dvec[jout] = -theta;
+        self.ws.dvec[q] = 0.0;
+        self.ws.pricer.update(q, pivot, jout, &self.ws.alpha_row);
 
         let entering = if sigma > 0.0 { self.lp.lower[q] + t } else { self.lp.upper[q] - t };
-        if !self.commit_pivot(q, w, r, leave_state, entering, sigma * t) {
+        if !self.commit_pivot(q, w, nz, r, leave_state, entering, sigma * t) {
             self.compute_duals_phase2();
         }
         Step::Progress
@@ -916,10 +978,9 @@ impl<'a> Simplex<'a> {
             let mut r = usize::MAX;
             let mut worst = FEAS_TOL;
             let mut below = false;
-            for (pos, &b) in self.beta.iter().enumerate() {
-                let j = self.basis[pos];
-                let d_lo = self.lp.lower[j] - b;
-                let d_hi = b - self.lp.upper[j];
+            for (pos, &b) in self.ws.beta.iter().enumerate() {
+                let d_lo = self.ws.basic_lo[pos] - b;
+                let d_hi = b - self.ws.basic_hi[pos];
                 if d_lo > worst {
                     worst = d_lo;
                     r = pos;
@@ -935,26 +996,13 @@ impl<'a> Simplex<'a> {
                 return LpStatus::Optimal; // primal feasible + dual feasible
             }
 
-            // pivot row
-            let mut rho = Self::take_zeroed(&mut self.rbuf, self.lp.m);
-            rho[r] = 1.0;
-            self.factor.btran(&mut rho);
-            let mut alpha_row: Vec<(usize, f64)> = Vec::new();
-            for j in 0..self.lp.ncols() {
-                if matches!(self.state[j], VState::Basic(_)) || self.is_fixed(j) {
-                    continue;
-                }
-                let a = self.lp.mat.col_dot(j, &rho);
-                if a.abs() > PIVOT_TOL {
-                    alpha_row.push((j, a));
-                }
-            }
-            self.rbuf = rho;
+            self.pivot_row(r, PIVOT_TOL, |_, fixed| !fixed);
 
             // dual ratio test (two-pass Harris flavour): eligibility
             // keeps theta's sign so reduced costs stay dual feasible
+            let Workspace { alpha_row, state, dvec, pricer, .. } = &*self.ws;
             let eligible = |j: usize, a: f64| -> bool {
-                match self.state[j] {
+                match state[j] {
                     VState::AtLower => {
                         if below {
                             a < 0.0
@@ -974,19 +1022,19 @@ impl<'a> Simplex<'a> {
             };
             let dtol = self.opts.tolerance.max(1e-9);
             let mut relaxed = f64::INFINITY;
-            for &(j, a) in &alpha_row {
+            for &(j, a) in alpha_row {
                 if eligible(j, a) {
-                    relaxed = relaxed.min((self.dvec[j].abs() + dtol) / a.abs());
+                    relaxed = relaxed.min((dvec[j].abs() + dtol) / a.abs());
                 }
             }
             if relaxed.is_infinite() {
                 return LpStatus::Infeasible; // dual unbounded
             }
-            let bland = self.pricer.bland();
+            let bland = pricer.bland();
             let mut q = usize::MAX;
             let mut alpha_rq = 0.0f64;
-            for &(j, a) in &alpha_row {
-                if eligible(j, a) && self.dvec[j].abs() / a.abs() <= relaxed {
+            for &(j, a) in alpha_row {
+                if eligible(j, a) && dvec[j].abs() / a.abs() <= relaxed {
                     // Bland mode: first (lowest-index) qualifying column
                     if q != usize::MAX && (bland || a.abs() <= alpha_rq.abs()) {
                         continue;
@@ -1000,11 +1048,9 @@ impl<'a> Simplex<'a> {
             }
 
             // entering column
-            let mut w = Self::take_zeroed(&mut self.wbuf, self.lp.m);
-            self.lp.mat.col_axpy(q, 1.0, &mut w);
-            self.factor.ftran(&mut w);
+            let (w, nz) = self.take_entering(q);
             if (w[r] - alpha_rq).abs() > 1e-6 * (1.0 + alpha_rq.abs()) || w[r].abs() <= PIVOT_TOL {
-                self.wbuf = w;
+                self.put_entering(w, nz);
                 if self.restart() {
                     self.compute_duals_phase2();
                     continue;
@@ -1012,30 +1058,30 @@ impl<'a> Simplex<'a> {
                 return LpStatus::IterLimit;
             }
 
-            let j_leave = self.basis[r];
             let (target, leave_state) = if below {
-                (self.lp.lower[j_leave], VState::AtLower)
+                (self.ws.basic_lo[r], VState::AtLower)
             } else {
-                (self.lp.upper[j_leave], VState::AtUpper)
+                (self.ws.basic_hi[r], VState::AtUpper)
             };
-            let delta_beta_r = target - self.beta[r];
+            let delta_beta_r = target - self.ws.beta[r];
             let delta_xq = -delta_beta_r / w[r];
             let entering_value = self.value_of(q) + delta_xq;
 
             // reduced costs: theta = d_q / alpha_rq
-            let theta = self.dvec[q] / w[r];
-            for &(j, a) in &alpha_row {
+            let j_leave = self.ws.basis[r];
+            let theta = self.ws.dvec[q] / w[r];
+            for &(j, a) in &self.ws.alpha_row {
                 if j != q {
-                    self.dvec[j] -= theta * a;
+                    self.ws.dvec[j] -= theta * a;
                 }
             }
-            self.dvec[j_leave] = -theta;
-            self.dvec[q] = 0.0;
+            self.ws.dvec[j_leave] = -theta;
+            self.ws.dvec[q] = 0.0;
 
             self.track_degeneracy(delta_xq);
             // beta update: beta -= delta_xq * w, then overwrite position r
-            let clean = self.commit_pivot(q, &w, r, leave_state, entering_value, delta_xq);
-            self.wbuf = w;
+            let clean = self.commit_pivot(q, &w, &nz, r, leave_state, entering_value, delta_xq);
+            self.put_entering(w, nz);
             if !clean {
                 self.compute_duals_phase2();
             }
@@ -1066,7 +1112,7 @@ impl<'a> Simplex<'a> {
             objective,
             x,
             iterations: self.iterations,
-            basis: Basis { cols: self.basis.clone(), state: self.state.clone() },
+            basis: Basis { cols: self.ws.basis.clone(), state: self.ws.state.clone() },
         }
     }
 }

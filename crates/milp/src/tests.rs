@@ -770,6 +770,20 @@ fn time_limit_cannot_be_overshot_by_one_long_lp() {
     );
 }
 
+/// The deadline is `start + time_limit`; `Duration::MAX` cannot be
+/// added to an `Instant` and must read as "no deadline", not panic.
+#[test]
+fn unrepresentable_time_limit_means_no_deadline() {
+    let mut m = Model::new("one");
+    let x = m.add_var("x", 0.0, 1.0, -1.0, VarKind::Binary);
+    m.add_con(vec![(x, 2.0)], Cmp::Le, 1.0);
+    let opts = MipOptions { time_limit: std::time::Duration::MAX, ..exact_opts() };
+    let res = solve_mip(&m, &opts, &[], None).unwrap();
+    assert_eq!(res.status, MipStatus::Optimal);
+    let (obj, x) = res.incumbent.expect("x = 0 is feasible");
+    assert_eq!((obj, x), (0.0, vec![0.0]));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
