@@ -16,14 +16,15 @@
 //! mapping LPs are slack singletons, whose `L` and `U` columns are
 //! empty: the elimination's L-solve visits only the steps whose pivot
 //! row is (or becomes) non-zero, FTRAN/BTRAN walk skip lists of the
-//! non-empty columns, and `L`, `U` and the eta file live in three flat
-//! [`ColStack`]s that are cleared, never freed. What stays dense are
-//! the length-`m` work vectors themselves. The visiting order — and so
-//! every floating-point sum — is that of the plain loops over all `m`
-//! steps, which the test suite keeps as the oracle
-//! (`src/kernel_tests.rs`).
+//! non-empty columns, `L` and `U` live in two flat [`ColStack`]s that
+//! are cleared, never freed, and the eta file in a [`SegStack`] that
+//! takes a segment when a window needs one and gives back the ones the
+//! last window left empty. What stays dense are the length-`m` work
+//! vectors themselves. The visiting order — and so every floating-point
+//! sum — is that of the plain loops over all `m` steps, which the test
+//! suite keeps as the oracle (`src/kernel_tests.rs`).
 
-use crate::sparse::ColStack;
+use crate::sparse::{ColStack, SegStack};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -53,13 +54,11 @@ pub struct Factorization {
     u_steps: Vec<usize>,
     /// Diagonal of `U` per step.
     upiv: Vec<f64>,
-    /// One product-form update per column: basis position `eta_r[e]`
-    /// was replaced, the column holds `(row, w[row])` for rows ≠ `r`
-    /// with `w[row] != 0` of the FTRAN'd entering column `w`, and
-    /// `eta_pivot[e] = w[r]`.
-    etas: ColStack,
-    eta_r: Vec<usize>,
-    eta_pivot: Vec<f64>,
+    /// One product-form update per column: its head is `(r, w[r])`,
+    /// the basis position that was replaced and the pivot, followed by
+    /// `(row, w[row])` for rows ≠ `r` with `w[row] != 0` of the FTRAN'd
+    /// entering column `w`.
+    etas: SegStack,
     /// Scratch: dense accumulator reused across columns; zero between
     /// refactorizations.
     work: Vec<f64>,
@@ -85,31 +84,29 @@ pub(crate) const PIVOT_ZERO: f64 = 1e-11;
 const MAX_ETAS: usize = 64;
 
 impl Factorization {
-    /// Empty factorization for an `m`-row basis.
+    /// Empty factorization for an `m`-row basis. Everything but the eta
+    /// file is reserved here — `L` and `U` at four entries a row, which
+    /// most bases of the mapping LPs stay under (they hold one to three)
+    /// — because a vector that regrows in mid-solve leaves its old block
+    /// behind as a hole in the heap.
     pub fn new(m: usize) -> Factorization {
         Factorization {
             m,
             order: Vec::with_capacity(m),
             pivrow: Vec::with_capacity(m),
-            l: ColStack::with_capacity(m, m),
-            u: ColStack::with_capacity(m, m),
-            l_steps: Vec::new(),
-            u_steps: Vec::new(),
+            l: ColStack::with_capacity(m, 4 * m),
+            u: ColStack::with_capacity(m, 4 * m),
+            l_steps: Vec::with_capacity(m),
+            u_steps: Vec::with_capacity(m),
             upiv: Vec::with_capacity(m),
-            // a full file of full columns, reserved but not touched:
-            // pages become resident only as far as a file really
-            // grows, and no pivot between two refactorizations ever
-            // reaches the allocator
-            etas: ColStack::with_capacity(MAX_ETAS, MAX_ETAS * m),
-            eta_r: Vec::with_capacity(MAX_ETAS),
-            eta_pivot: Vec::with_capacity(MAX_ETAS),
+            etas: SegStack::new(MAX_ETAS, m + 1),
             work: vec![0.0; m],
             scratch: vec![0.0; m],
             positions: vec![0; m],
-            buckets: Vec::new(),
+            buckets: Vec::with_capacity(m + 2),
             step_of_row: vec![usize::MAX; m],
-            touched: Vec::new(),
-            pending: BinaryHeap::new(),
+            touched: Vec::with_capacity(m),
+            pending: BinaryHeap::with_capacity(m),
             queued: vec![false; m],
         }
     }
@@ -141,8 +138,6 @@ impl Factorization {
         self.u_steps.clear();
         self.upiv.clear();
         self.etas.clear();
-        self.eta_r.clear();
-        self.eta_pivot.clear();
 
         // cheap Markowitz stand-in: eliminate sparsest columns first
         // (a stable counting sort on the column lengths)
@@ -195,6 +190,7 @@ impl Factorization {
                 self.u.push(self.pivrow[t], x);
                 let (lrows, lvals) = self.l.col(t);
                 for (&r, &l) in lrows.iter().zip(lvals) {
+                    let r = r as usize;
                     if work[r] == 0.0 {
                         touched.push(r);
                     }
@@ -253,7 +249,7 @@ impl Factorization {
             if x != 0.0 {
                 let (rows, ls) = self.l.col(k);
                 for (&r, &l) in rows.iter().zip(ls) {
-                    v[r] -= l * x;
+                    v[r as usize] -= l * x;
                 }
             }
         }
@@ -265,7 +261,7 @@ impl Factorization {
             if z != 0.0 {
                 let (rows, us) = self.u.col(t);
                 for (&r, &u) in rows.iter().zip(us) {
-                    v[r] -= u * z;
+                    v[r as usize] -= u * z;
                 }
             }
         }
@@ -276,13 +272,12 @@ impl Factorization {
         }
         v.copy_from_slice(z);
         // eta updates, oldest first
-        for e in 0..self.etas.len() {
-            let r = self.eta_r[e];
-            let t = v[r] / self.eta_pivot[e];
+        for (rows, ws) in self.etas.cols() {
+            let (r, pivot) = (rows[0] as usize, ws[0]);
+            let t = v[r] / pivot;
             if t != 0.0 {
-                let (rows, ws) = self.etas.col(e);
-                for (&i, &w) in rows.iter().zip(ws) {
-                    v[i] -= w * t;
+                for (&i, &w) in rows[1..].iter().zip(&ws[1..]) {
+                    v[i as usize] -= w * t;
                 }
             }
             v[r] = t;
@@ -294,14 +289,13 @@ impl Factorization {
     pub fn btran(&mut self, c: &mut [f64]) {
         debug_assert_eq!(c.len(), self.m);
         // eta transposes, newest first
-        for e in (0..self.etas.len()).rev() {
-            let r = self.eta_r[e];
+        for (rows, ws) in self.etas.cols().rev() {
+            let (r, pivot) = (rows[0] as usize, ws[0]);
             let mut acc = c[r];
-            let (rows, ws) = self.etas.col(e);
-            for (&i, &w) in rows.iter().zip(ws) {
-                acc -= w * c[i];
+            for (&i, &w) in rows[1..].iter().zip(&ws[1..]) {
+                acc -= w * c[i as usize];
             }
-            c[r] = acc / self.eta_pivot[e];
+            c[r] = acc / pivot;
         }
         // Uᵀ w = c' with c'_k = c[order[k]], forward in steps, w in
         // row coordinates: a step with an empty U column is its own
@@ -314,7 +308,7 @@ impl Factorization {
             let mut acc = c[self.order[k]];
             let (rows, us) = self.u.col(k);
             for (&r, &u) in rows.iter().zip(us) {
-                acc -= u * w[r];
+                acc -= u * w[r as usize];
             }
             w[self.pivrow[k]] = acc / self.upiv[k];
         }
@@ -324,7 +318,7 @@ impl Factorization {
             let mut acc = w[self.pivrow[k]];
             let (rows, ls) = self.l.col(k);
             for (&r, &l) in rows.iter().zip(ls) {
-                acc -= l * w[r];
+                acc -= l * w[r as usize];
             }
             w[self.pivrow[k]] = acc;
         }
@@ -343,14 +337,14 @@ impl Factorization {
         if pivot.abs() <= PIVOT_ZERO || pivot.abs() < 1e-9 * wmax {
             return false;
         }
-        for &i in nz {
-            if i != r {
-                self.etas.push(i, w[i]);
+        self.etas.push_col(nz.len() + 1, |col| {
+            col.push(r, pivot);
+            for &i in nz {
+                if i != r {
+                    col.push(i, w[i]);
+                }
             }
-        }
-        self.etas.close();
-        self.eta_r.push(r);
-        self.eta_pivot.push(pivot);
+        });
         true
     }
 }

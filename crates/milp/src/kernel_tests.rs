@@ -334,6 +334,39 @@ proptest! {
     }
 }
 
+/// An eta file of dense columns longer than one segment, then a short
+/// one on the segments it leaves, then a long one again after the
+/// spares were given back: FTRAN and BTRAN walk the segments in the
+/// dense loops' order each time.
+#[test]
+fn eta_file_spanning_segments_matches_the_dense_loops() {
+    let mut rng = StdRng::seed_from_u64(0xE7A5);
+    let m = 600;
+    let basis = slack_majority_basis(&mut rng, m);
+    let mut f = Factorization::new(m);
+    let mut d = DenseFactorization::new(m);
+    // 8 192 entries a segment: 40 columns of ~600 entries fill three
+    for (window, updates) in [40, 3, 2, 40].into_iter().enumerate() {
+        assert_eq!(f.refactor(|p| basis.col(p)), Ok(()));
+        assert_eq!(d.refactor(|p| basis.col(p)), Ok(()));
+        let mut entries = 0;
+        for _ in 0..updates {
+            let a = sparse_vec(&mut rng, m, 1.0);
+            let (mut w, mut w_dense) = (a.clone(), a);
+            f.ftran(&mut w);
+            d.ftran(&mut w_dense);
+            assert_same(&w, &w_dense, "entering column");
+            let nz = nonzeros(&w);
+            entries += nz.len();
+            let r = nz[rng.gen_range(0..nz.len())];
+            assert_eq!(f.update(&w, &nz, r), d.update(&w_dense, r));
+        }
+        assert_eq!(f.n_etas(), d.etas.len());
+        assert!(f.n_etas() < 4 || entries > 2 * 8192, "window {window}: {entries} entries");
+        solves_agree(&mut f, &d, &mut rng, &format!("behind eta file {window}"));
+    }
+}
+
 /// Two columns on one row: both sides call the basis singular, and the
 /// shipped scratch is clean enough afterwards to factor a regular one.
 #[test]

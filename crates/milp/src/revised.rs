@@ -264,8 +264,8 @@ impl SparseLp {
 /// The buffers a solve works in, sized for one [`SparseLp`]. A solve
 /// initialises everything it reads, so a workspace can be handed from
 /// solve to solve — branch-and-bound keeps one for the whole search —
-/// and the pivot loop allocates nothing once the factorization's
-/// stacks have reached their working size.
+/// and the pivot loop allocates nothing but the segments of an eta
+/// file that outgrows the one before it.
 #[derive(Debug)]
 pub(crate) struct Workspace {
     factor: Factorization,

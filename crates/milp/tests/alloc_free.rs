@@ -1,12 +1,14 @@
 //! Counting-allocator suite: **the simplex pivot loop is
 //! allocation-free** between two refactorizations. A solve pays for its
 //! workspace and its answer; a pivot pays nothing — the entering
-//! column, the pivot row, the ratio tests and the eta append all work
-//! in buffers sized at set-up (the eta file reserves a full window up
-//! front). So a root solve cut off after 40 pivots and the same solve
-//! cut off after 60 — both inside the first 64-eta window, no
-//! refactorization between them — must hit the global allocator the
-//! **same number of times**.
+//! column, the pivot row and the ratio tests work in buffers sized at
+//! set-up, and the eta append writes into the file's current segment
+//! (8 192 entries; a file takes a new one from the allocator only when
+//! that is full, and the windows of the two LPs below — 64 columns of
+//! under a hundred entries — never fill the first). So a root solve cut
+//! off after 40 pivots and the same solve cut off after 60 — both
+//! inside the first 64-eta window, no refactorization between them —
+//! must hit the global allocator the **same number of times**.
 //!
 //! Lives in `tests/` (a separate crate) because the library forbids
 //! `unsafe`, and wrapping the global allocator needs it.
