@@ -42,9 +42,7 @@ fn audio_pipeline_executes_on_the_runtime() {
     let spec = CellSpec::ps3();
     let m = plan_with("greedy_cpu", &g, &spec);
     assert_eq!(m, greedy_cpu(&g, &spec), "registry must dispatch to the same heuristic");
-    let stats =
-        run(&g, &spec, &m, &audio::kernels(), &RtConfig { n_instances: 60, ..Default::default() })
-            .unwrap();
+    let stats = run(&g, &spec, &m, &audio::kernels(), &RtConfig { n_instances: 60 }).unwrap();
     assert!(stats.processed.iter().all(|&c| c == 60), "{:?}", stats.processed);
 }
 
@@ -72,14 +70,8 @@ fn cipher_end_to_end_encrypts_correctly() {
     let key = [9u8; 32];
     let nonce = [4u8; 12];
     let m = plan_with("greedy_cpu", &g, &spec);
-    let stats = run(
-        &g,
-        &spec,
-        &m,
-        &cipher::kernels(key, nonce),
-        &RtConfig { n_instances: 120, ..Default::default() },
-    )
-    .unwrap();
+    let stats =
+        run(&g, &spec, &m, &cipher::kernels(key, nonce), &RtConfig { n_instances: 120 }).unwrap();
     assert!(stats.processed.iter().all(|&c| c == 120));
 }
 
@@ -88,9 +80,7 @@ fn video_pipeline_executes_with_peek2() {
     let g = video::graph().unwrap();
     let spec = CellSpec::ps3();
     let m = plan_with("greedy_cpu", &g, &spec);
-    let stats =
-        run(&g, &spec, &m, &video::kernels(), &RtConfig { n_instances: 80, ..Default::default() })
-            .unwrap();
+    let stats = run(&g, &spec, &m, &video::kernels(), &RtConfig { n_instances: 80 }).unwrap();
     assert!(stats.processed.iter().all(|&c| c == 80), "{:?}", stats.processed);
 }
 

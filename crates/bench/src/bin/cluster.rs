@@ -119,19 +119,6 @@ fn run_policy(policy: &'static str, trace: &EventTrace, instances: u64) -> (Poli
     };
     let mut fleet = Cluster::homogeneous(NODES, &CellSpec::qs22(), opts);
     let report: OnlineReport = replay(&mut fleet, trace, instances);
-    if std::env::var("CLUSTER_DEBUG").is_ok() {
-        for n in fleet.status().nodes {
-            let w: f64 = n.apps.iter().map(|(_, w)| w).sum();
-            eprintln!(
-                "  [{policy}] {} apps={} period={:.1}us W={:.1} rate={:.0}/s",
-                n.node,
-                n.n_apps,
-                n.period * 1e6,
-                w,
-                if n.period.is_finite() { w / n.period } else { 0.0 }
-            );
-        }
-    }
     (
         PolicyRun {
             policy,

@@ -1,16 +1,37 @@
 //! The multithreaded execution engine: one OS thread per processing
 //! element, each running the paper's Figure 4 scheduler loop.
+//!
+//! # The hand-off
+//!
+//! A PE thread loops *select a runnable task → process → signal*.
+//! Processing is in place: the kernel reads its peek windows straight
+//! from the input rings' slots and writes its outputs straight into the
+//! output rings' next free slots (zero-filled first), all of them locked
+//! for the length of the call; then the outputs are published and the
+//! oldest input instance is released. Nothing is copied and nothing is
+//! allocated per instance beyond the kernel's argument lists.
+//!
+//! Signalling is per PE and exact. After an execution the thread unparks
+//! only the PE threads at the far end of the task's cross-PE edges — the
+//! consumers it produced for and the producers it freed a slot for —
+//! because no other task can have become runnable; on its own PE the
+//! next scan sees the change. A thread that finds nothing runnable
+//! yields its CPU once and re-scans before it parks: when PE threads
+//! share a CPU, the peer then fills or drains the rings in one go, so the
+//! threads trade the CPU once per ring fill instead of once per
+//! instance. `park` has no timeout and needs none: an unpark that lands
+//! between a scan and the park leaves a token that makes the park
+//! return at once, so a wake-up is never lost.
 
 use crate::kernels::{Kernel, KernelCtx, Window};
 use crate::local_store::{LocalStore, StoreError};
-use crate::ring::EdgeRing;
+use crate::ring::{EdgeRing, Slot};
 use cellstream_core::steady::buffers::BufferPlan;
 use cellstream_core::Mapping;
 use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_platform::{CellSpec, PeId};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Engine options.
@@ -18,14 +39,11 @@ use std::time::{Duration, Instant};
 pub struct RtConfig {
     /// Stream length to execute.
     pub n_instances: u64,
-    /// How long an idle PE thread parks before re-polling (it is also
-    /// woken eagerly whenever any data is produced or released).
-    pub park_timeout: Duration,
 }
 
 impl Default for RtConfig {
     fn default() -> Self {
-        RtConfig { n_instances: 1000, park_timeout: Duration::from_micros(200) }
+        RtConfig { n_instances: 1000 }
     }
 }
 
@@ -111,171 +129,174 @@ pub fn run(
     }
 
     // ---- shared state ------------------------------------------------------
-    let rings: Vec<EdgeRing> = g
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(ei, e)| EdgeRing::new(plan.edge_slots[ei].max(1), e.data_bytes.ceil() as usize))
-        .collect();
-    let processed: Vec<AtomicU64> = (0..g.n_tasks()).map(|_| AtomicU64::new(0)).collect();
-    let progress = (Mutex::new(0u64), Condvar::new());
-
-    let pe_tasks: Vec<Vec<usize>> = {
-        let mut v = vec![Vec::new(); spec.n_pes()];
-        for &t in g.topo_order() {
-            v[mapping.pe_of(t).index()].push(t.index());
+    // one thread per PE that hosts a task, each with its tasks in
+    // topological order
+    let mut pe_tasks: Vec<Vec<usize>> = vec![Vec::new(); spec.n_pes()];
+    for &t in g.topo_order() {
+        pe_tasks[mapping.pe_of(t).index()].push(t.index());
+    }
+    pe_tasks.retain(|tasks| !tasks.is_empty());
+    let mut thread_of = vec![0; g.n_tasks()];
+    for (w, tasks) in pe_tasks.iter().enumerate() {
+        for &k in tasks {
+            thread_of[k] = w;
         }
-        v
+    }
+    let wake = g
+        .task_ids()
+        .map(|t| {
+            let far_ends = g.out_edges(t).iter().map(|&e| g.edge(e).dst);
+            let far_ends = far_ends.chain(g.in_edges(t).iter().map(|&e| g.edge(e).src));
+            let mut threads: Vec<usize> = far_ends
+                .map(|u| thread_of[u.index()])
+                .filter(|&w| w != thread_of[t.index()])
+                .collect();
+            threads.sort_unstable();
+            threads.dedup();
+            threads
+        })
+        .collect();
+    let shared = Shared {
+        g,
+        kernels,
+        rings: g
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(ei, e)| EdgeRing::new(plan.edge_slots[ei].max(1), e.data_bytes.ceil() as usize))
+            .collect(),
+        first_period: plan.first_period,
+        n,
+        wake,
+        threads: OnceLock::new(),
     };
-    let fp = &plan.first_period;
 
     let started = Instant::now();
-    std::thread::scope(|scope| {
-        for pe in spec.pes() {
-            let my_tasks = pe_tasks[pe.index()].clone();
-            if my_tasks.is_empty() {
-                continue;
-            }
-            let rings = &rings;
-            let processed = &processed;
-            let progress = &progress;
-            let kernels = &kernels;
-            let g2 = g;
-            scope.spawn(move || {
-                pe_loop(g2, &my_tasks, rings, processed, progress, kernels, fp, n, config);
-            });
-        }
+    let counts: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let shared = &shared;
+        let handles: Vec<_> =
+            pe_tasks.iter().map(|tasks| scope.spawn(move || shared.pe_loop(tasks))).collect();
+        let _ = shared.threads.set(handles.iter().map(|h| h.thread().clone()).collect());
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
     let wall = started.elapsed();
 
-    let done: Vec<u64> = processed.iter().map(|c| c.load(Ordering::Acquire)).collect();
-    Ok(RunStats { wall, throughput: n as f64 / wall.as_secs_f64(), processed: done, store_used })
+    let mut processed = vec![0u64; g.n_tasks()];
+    for next in counts {
+        for (done, k) in processed.iter_mut().zip(next) {
+            *done += k;
+        }
+    }
+    Ok(RunStats { wall, throughput: n as f64 / wall.as_secs_f64(), processed, store_used })
 }
 
-/// The Figure 4 state machine, one instance per iteration:
-/// *select a runnable task → process → signal*. The communication phase
-/// of the emulator is the ring bookkeeping itself; when nothing is
-/// runnable the thread parks on the progress condvar.
-#[allow(clippy::too_many_arguments)]
-fn pe_loop(
-    g: &StreamGraph,
-    my_tasks: &[usize],
-    rings: &[EdgeRing],
-    processed: &[AtomicU64],
-    progress: &(Mutex<u64>, Condvar),
-    kernels: &[Arc<dyn Kernel>],
-    fp: &[u64],
+/// What the PE threads of one run share.
+struct Shared<'a> {
+    g: &'a StreamGraph,
+    kernels: &'a [Arc<dyn Kernel>],
+    /// One ring per edge.
+    rings: Vec<EdgeRing>,
+    /// `firstPeriod` per task: the static schedule's priority.
+    first_period: Vec<u64>,
+    /// Stream length.
     n: u64,
-    config: &RtConfig,
-) {
-    let mut next: Vec<u64> = vec![0; g.n_tasks()];
-    loop {
-        // -------- computation phase: select a runnable task ---------------
-        let mut candidate: Option<(u64, usize, usize)> = None; // (slot, rank, task)
-        let mut all_done = true;
-        for (rank, &k) in my_tasks.iter().enumerate() {
-            let i = next[k];
-            if i >= n {
-                continue;
-            }
-            all_done = false;
-            if task_ready(g, k, i, n, rings) {
-                let key = (fp[k] + i, rank, k);
-                if candidate.is_none_or(|c| (key.0, key.1) < (c.0, c.1)) {
-                    candidate = Some(key);
-                }
-            }
-        }
-        if all_done {
-            return;
-        }
+    /// Per task: the threads at the far end of its cross-PE edges, the
+    /// only ones its execution can make runnable.
+    wake: Vec<Vec<usize>>,
+    /// The PE threads, set once all are spawned.
+    threads: OnceLock<Vec<Thread>>,
+}
 
-        match candidate {
-            Some((_, _, k)) => {
+impl Shared<'_> {
+    /// The Figure 4 state machine, one instance per iteration: *select a
+    /// runnable task → process → signal*; when nothing is runnable, yield
+    /// once, then park until a peer signals. Returns the instances each
+    /// task processed (0 for the other threads' tasks).
+    fn pe_loop(&self, my_tasks: &[usize]) -> Vec<u64> {
+        let threads = self.threads.wait();
+        let mut next = vec![0u64; self.g.n_tasks()];
+        let mut yielded = false;
+        loop {
+            // -------- computation phase: select a runnable task ---------------
+            let mut candidate: Option<(u64, usize)> = None; // (period, task)
+            let mut all_done = true;
+            for &k in my_tasks {
                 let i = next[k];
-                process_instance(g, k, i, n, rings, kernels);
-                next[k] = i + 1;
-                processed[k].fetch_add(1, Ordering::AcqRel);
-                // signal new data
-                let (lock, cv) = progress;
-                let mut epoch = lock.lock();
-                *epoch += 1;
-                cv.notify_all();
-            }
-            None => {
-                // -------- communication phase / wait for resources --------
-                let (lock, cv) = progress;
-                let mut epoch = lock.lock();
-                // re-check under the lock to avoid missed wakeups
-                let ready_now =
-                    my_tasks.iter().any(|&k| next[k] < n && task_ready(g, k, next[k], n, rings));
-                if !ready_now {
-                    let _ = cv.wait_for(&mut epoch, config.park_timeout);
+                if i >= self.n {
+                    continue;
+                }
+                all_done = false;
+                // the earliest period of the static schedule, ties to the
+                // topologically first task
+                let period = self.first_period[k] + i;
+                if candidate.is_none_or(|(p, _)| period < p) && self.ready(k, i) {
+                    candidate = Some((period, k));
                 }
             }
+            if all_done {
+                return next;
+            }
+
+            match candidate {
+                Some((_, k)) => {
+                    self.execute(k, next[k]);
+                    next[k] += 1;
+                    // signal new data and freed slots across PEs
+                    for &w in &self.wake[k] {
+                        threads[w].unpark();
+                    }
+                    yielded = false;
+                }
+                // -------- wait for resources: yield once, then park --------
+                None if !yielded => {
+                    std::thread::yield_now();
+                    yielded = true;
+                }
+                None => std::thread::park(),
+            }
         }
     }
-}
 
-fn task_ready(g: &StreamGraph, k: usize, i: u64, n: u64, rings: &[EdgeRing]) -> bool {
-    let peek = g.task(TaskId(k)).peek as u64;
-    let last_needed = (i + peek).min(n - 1);
-    for &e in g.in_edges(TaskId(k)) {
-        if !rings[e.index()].window_ready(last_needed) {
-            return false;
+    /// `true` when task `k` may process instance `i`: every peek window
+    /// is published and every output ring has a free slot.
+    fn ready(&self, k: usize, i: u64) -> bool {
+        let t = TaskId(k);
+        let last = (i + self.g.task(t).peek as u64).min(self.n - 1);
+        self.g.in_edges(t).iter().all(|&e| self.rings[e.index()].window_ready(last))
+            && self.g.out_edges(t).iter().all(|&e| self.rings[e.index()].can_produce())
+    }
+
+    /// Run task `k` on instance `i` in place: lock its peek windows and
+    /// its output slots, call the kernel, then publish the outputs and
+    /// release the oldest input instance.
+    fn execute(&self, k: usize, i: u64) {
+        let task = self.g.task(TaskId(k));
+        let last = (i + task.peek as u64).min(self.n - 1);
+        let in_edges = self.g.in_edges(TaskId(k));
+        let out_edges = self.g.out_edges(TaskId(k));
+        {
+            let held: Vec<Slot<'_>> = in_edges
+                .iter()
+                .flat_map(|&e| (i..=last).map(move |j| self.rings[e.index()].read(j)))
+                .collect();
+            let windows: Vec<Window<'_>> = held
+                .chunks((last - i + 1) as usize)
+                .map(|window| Window { instances: window.iter().map(|s| &**s).collect() })
+                .collect();
+            let mut slots: Vec<Slot<'_>> =
+                out_edges.iter().map(|&e| self.rings[e.index()].write_next()).collect();
+            let mut outputs: Vec<&mut [u8]> = slots.iter_mut().map(|s| &mut **s).collect();
+            let ctx = KernelCtx { instance: i, task_name: &task.name, peek: task.peek };
+            self.kernels[k].process(&ctx, &windows, &mut outputs);
+        } // every slot unlocks here, before its counter moves
+        for &e in out_edges {
+            self.rings[e.index()].publish();
         }
-    }
-    for &e in g.out_edges(TaskId(k)) {
-        if !rings[e.index()].can_produce() {
-            return false;
+        for &e in in_edges {
+            self.rings[e.index()].release(i);
         }
-    }
-    true
-}
-
-fn process_instance(
-    g: &StreamGraph,
-    k: usize,
-    i: u64,
-    n: u64,
-    rings: &[EdgeRing],
-    kernels: &[Arc<dyn Kernel>],
-) {
-    let task = g.task(TaskId(k));
-    let peek = task.peek as u64;
-    let last_needed = (i + peek).min(n - 1);
-    let in_edges = g.in_edges(TaskId(k));
-    let out_edges = g.out_edges(TaskId(k));
-
-    // Collect input windows; the nested closure dance keeps all ring
-    // guards alive across the kernel call without unsafe.
-    let mut input_data: Vec<Vec<Vec<u8>>> = Vec::with_capacity(in_edges.len());
-    for &e in in_edges {
-        let ring = &rings[e.index()];
-        let window = ring.with_window(i, last_needed, |slices| {
-            slices.iter().map(|s| s.to_vec()).collect::<Vec<_>>()
-        });
-        input_data.push(window);
-    }
-    let windows: Vec<Window<'_>> = input_data
-        .iter()
-        .map(|w| Window { instances: w.iter().map(|v| v.as_slice()).collect() })
-        .collect();
-
-    // Produce outputs in place.
-    let mut out_bufs: Vec<Vec<u8>> =
-        out_edges.iter().map(|&e| vec![0u8; g.edge(e).data_bytes.ceil() as usize]).collect();
-    {
-        let mut out_slices: Vec<&mut [u8]> =
-            out_bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-        let ctx = KernelCtx { instance: i, task_name: &task.name, peek: task.peek };
-        kernels[k].process(&ctx, &windows, &mut out_slices);
-    }
-    for (&e, buf) in out_edges.iter().zip(&out_bufs) {
-        rings[e.index()].produce(|slot| slot.copy_from_slice(buf));
-    }
-    // release the oldest input instance on every in-edge
-    for &e in in_edges {
-        rings[e.index()].release(i);
     }
 }

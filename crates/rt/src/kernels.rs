@@ -81,13 +81,9 @@ pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 
 impl Kernel for ChecksumKernel {
     fn process(&self, ctx: &KernelCtx<'_>, inputs: &[Window<'_>], outputs: &mut [&mut [u8]]) {
-        let mut acc = ctx.instance.to_le_bytes().to_vec();
-        for w in inputs {
-            for slice in &w.instances {
-                acc.extend_from_slice(slice);
-            }
-        }
-        let h = fnv1a(acc).to_le_bytes();
+        let visible =
+            inputs.iter().flat_map(|w| w.instances.iter().flat_map(|s| s.iter().copied()));
+        let h = fnv1a(ctx.instance.to_le_bytes().into_iter().chain(visible)).to_le_bytes();
         for out in outputs.iter_mut() {
             for (i, b) in out.iter_mut().enumerate() {
                 *b = h[i % 8];

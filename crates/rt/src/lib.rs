@@ -9,10 +9,15 @@
 //! * every PE thread runs the Figure 4 state machine: *select a runnable
 //!   task → wait for resources → process → signal new data*, alternating
 //!   with a communication phase (which, local-store emulation aside,
-//!   reduces to ring-buffer bookkeeping in shared memory);
-//! * every edge owns a lock-free single-producer/single-consumer ring of
-//!   `firstPeriod(dst) − firstPeriod(src)` slots (§4.2 buffer sizing) —
-//!   the *peek* window reads `peek+1` consecutive slots;
+//!   reduces to ring-buffer bookkeeping in shared memory); a thread with
+//!   nothing runnable yields once, then parks until a PE it shares an
+//!   edge with signals it (see [`engine`]);
+//! * every edge owns a single-producer/single-consumer ring of
+//!   `firstPeriod(dst) − firstPeriod(src)` slots (§4.2 buffer sizing):
+//!   atomic produced/consumed counters carry the synchronisation, and each
+//!   slot sits behind an uncontended mutex instead of `unsafe`; kernels
+//!   read and write the slots in place, and the *peek* window is
+//!   `peek+1` consecutive slots;
 //! * each SPE's buffers are carved out of a [`LocalStore`] arena of
 //!   `256 kB − code` bytes; a mapping whose buffers do not fit is
 //!   rejected at initialisation, exactly like the real framework's static
@@ -40,7 +45,7 @@ pub use kernels::{
     ChecksumKernel, ClosureKernel, Kernel, KernelCtx, SpinKernel, VerifyKernel, Window,
 };
 pub use local_store::{LocalStore, StoreError};
-pub use ring::{AtomicCounter, EdgeRing, MutexSlot, RingSlot, SpscRing};
+pub use ring::{AtomicCounter, EdgeRing, MutexSlot, RingSlot, Slot, SpscRing};
 pub use synthetic::{synthetic_kernels, synthetic_kernels_for_mapping};
 
 #[cfg(test)]

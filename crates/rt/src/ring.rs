@@ -1,12 +1,12 @@
 //! Single-producer / single-consumer instance rings with peek windows.
 //!
 //! One ring per edge, `firstPeriod(dst) − firstPeriod(src)` slots of
-//! `data_bytes` each (§4.2). The producer thread writes instance `i` into
-//! slot `i mod S`; the consumer of a task with peek `p` reads slots
-//! `i ..= i+p` at once and releases slot `i` afterwards. Slot reuse is
-//! prevented by the produced/consumed counters, so each `Mutex` is
-//! uncontended in steady state — it exists to keep the crate free of
-//! `unsafe`.
+//! `data_bytes` each (§4.2). The producer thread writes instance `i` in
+//! place into slot `i mod S`; the consumer of a task with peek `p` locks
+//! slots `i ..= i+p` at once, reads them in place and releases slot `i`
+//! afterwards. Slot reuse is prevented by the produced/consumed
+//! counters, so each `Mutex` is uncontended in steady state — it exists
+//! to keep the crate free of `unsafe`.
 //!
 //! # Memory-ordering contract
 //!
@@ -37,7 +37,8 @@
 //! interleavings of this exact source; normal builds monomorphise to
 //! [`AtomicU64`]/[`MutexSlot`] with zero overhead.
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The counter operations the rings need, abstracted so a model checker
@@ -100,13 +101,41 @@ impl<T> RingSlot<T> for MutexSlot<T> {
     }
 }
 
-/// A fixed-capacity SPSC ring of byte slots.
+/// A fixed-capacity SPSC ring of byte slots, read and written in place:
+/// the producer locks the next free slot ([`write_next`]), fills it and
+/// [`publish`]es it; the consumer locks published slots ([`read`]) for
+/// as long as it needs them and [`release`]s them. No byte is copied in
+/// or out of the ring.
+///
+/// [`write_next`]: Self::write_next
+/// [`publish`]: Self::publish
+/// [`read`]: Self::read
+/// [`release`]: Self::release
 #[derive(Debug)]
 pub struct EdgeRing<C = AtomicU64> {
-    slots: Vec<Mutex<Vec<u8>>>,
+    slots: Vec<Mutex<Box<[u8]>>>,
     produced: C,
     consumed: C,
     capacity: u64,
+}
+
+/// One locked slot of an [`EdgeRing`]: the bytes of one instance. The
+/// lock is held until the guard drops; the counters already keep the
+/// producer and the consumer off each other's slots, so it is never
+/// contended.
+pub struct Slot<'a>(MutexGuard<'a, Box<[u8]>>);
+
+impl Deref for Slot<'_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl DerefMut for Slot<'_> {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.0
+    }
 }
 
 impl EdgeRing {
@@ -114,7 +143,7 @@ impl EdgeRing {
     pub fn new(capacity: u64, slot_bytes: usize) -> Self {
         assert!(capacity >= 1, "a ring needs at least one slot");
         EdgeRing {
-            slots: (0..capacity).map(|_| Mutex::new(vec![0u8; slot_bytes])).collect(),
+            slots: (0..capacity).map(|_| Mutex::new(vec![0u8; slot_bytes].into())).collect(),
             produced: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
             capacity,
@@ -145,43 +174,52 @@ impl<C: AtomicCounter> EdgeRing<C> {
         self.produced() - self.consumed() < self.capacity
     }
 
-    /// Write the next instance through `fill` and publish it.
-    /// Caller must be the unique producer and must have checked
-    /// [`can_produce`](Self::can_produce).
+    /// Lock the slot the next instance goes to, **zero-filled**: a writer
+    /// sees the bytes a fresh buffer would hold, never the instance the
+    /// slot carried last time round. Caller must be the unique producer,
+    /// must have checked [`can_produce`](Self::can_produce), and makes
+    /// the instance visible with [`publish`](Self::publish) — after
+    /// dropping the slot, or the consumer's [`read`](Self::read) waits
+    /// for the lock.
     // check: no-alloc
-    pub fn produce(&self, fill: impl FnOnce(&mut [u8])) {
+    pub fn write_next(&self) -> Slot<'_> {
         // own counter, sole writer — no ordering needed
         // check:allow(atomic-ordering): producer reads its own counter
         let i = self.produced.load(Ordering::Relaxed);
         assert!(
             i - self.consumed() < self.capacity,
-            "produce() without a free slot — back-pressure violated"
+            "write_next() without a free slot — back-pressure violated"
         );
-        {
-            let mut slot = self.slots[(i % self.capacity) as usize].lock();
-            fill(&mut slot);
-        }
+        let mut slot = Slot(self.slots[(i % self.capacity) as usize].lock());
+        slot.fill(0);
+        slot
+    }
+
+    /// Publish the instance written through [`write_next`](Self::write_next).
+    // check: no-alloc
+    pub fn publish(&self) {
+        // own counter, sole writer — no ordering needed
+        // check:allow(atomic-ordering): producer reads its own counter
+        let i = self.produced.load(Ordering::Relaxed);
         // publish pair (producer side): the Release orders the slot
-        // write above before the visible count
+        // write (program-order earlier) before the visible count
         self.produced.store(i + 1, Ordering::Release);
     }
 
-    /// `true` when instances `i ..= i_last` are all available to read.
+    /// `true` when instances up to `i_last` are all available to read.
     pub fn window_ready(&self, i_last: u64) -> bool {
         self.produced() > i_last
     }
 
-    /// Read instances `first ..= last` (the peek window) through `read`.
-    /// The slices appear in instance order.
-    pub fn with_window<R>(&self, first: u64, last: u64, read: impl FnOnce(&[&[u8]]) -> R) -> R {
-        assert!(last >= first);
-        assert!(last - first < self.capacity, "peek window larger than the ring");
-        assert!(self.window_ready(last), "window not ready");
-        assert!(first >= self.consumed(), "window already released");
-        let guards: Vec<_> =
-            (first..=last).map(|i| self.slots[(i % self.capacity) as usize].lock()).collect();
-        let slices: Vec<&[u8]> = guards.iter().map(|g| g.as_slice()).collect();
-        read(&slices)
+    /// Lock the slot holding instance `i`, which must be published and
+    /// not yet released. A peek window `i ..= i+p` is `p + 1` such reads;
+    /// they never alias, since the published, unreleased instances
+    /// number at most the capacity.
+    // check: no-alloc
+    pub fn read(&self, i: u64) -> Slot<'_> {
+        assert!(self.window_ready(i), "window not ready");
+        assert!(i >= self.consumed(), "window already released");
+        Slot(self.slots[(i % self.capacity) as usize].lock())
     }
 
     /// Release instance `i` (and everything before it), freeing its slot
@@ -319,15 +357,25 @@ impl<T, C: AtomicCounter, S: RingSlot<T>> SpscRing<T, C, S> {
 mod tests {
     use super::*;
 
+    /// Write `v` as the next instance and publish it.
+    fn put(ring: &EdgeRing, v: u64) {
+        ring.write_next()[..8].copy_from_slice(&v.to_le_bytes());
+        ring.publish();
+    }
+
+    /// The value instance `i` carries.
+    fn get(ring: &EdgeRing, i: u64) -> u64 {
+        u64::from_le_bytes(ring.read(i)[..8].try_into().unwrap())
+    }
+
     #[test]
     fn produce_consume_round_trip() {
         let ring = EdgeRing::new(3, 8);
         assert!(ring.can_produce());
-        ring.produce(|s| s.copy_from_slice(&7u64.to_le_bytes()));
+        put(&ring, 7);
         assert_eq!(ring.produced(), 1);
         assert!(ring.window_ready(0));
-        let v = ring.with_window(0, 0, |w| u64::from_le_bytes(w[0].try_into().unwrap()));
-        assert_eq!(v, 7);
+        assert_eq!(get(&ring, 0), 7);
         ring.release(0);
         assert_eq!(ring.consumed(), 1);
     }
@@ -335,8 +383,8 @@ mod tests {
     #[test]
     fn backpressure_blocks_producer() {
         let ring = EdgeRing::new(2, 4);
-        ring.produce(|_| {});
-        ring.produce(|_| {});
+        ring.publish();
+        ring.publish();
         assert!(!ring.can_produce(), "ring is full");
         ring.release(0);
         assert!(ring.can_produce(), "released slot is reusable");
@@ -346,36 +394,45 @@ mod tests {
     fn peek_window_sees_consecutive_instances() {
         let ring = EdgeRing::new(4, 8);
         for i in 0u64..3 {
-            ring.produce(|s| s.copy_from_slice(&i.to_le_bytes()));
+            put(&ring, i);
         }
         assert!(ring.window_ready(2));
-        ring.with_window(0, 2, |w| {
-            for (k, slice) in w.iter().enumerate() {
-                assert_eq!(u64::from_le_bytes((*slice).try_into().unwrap()), k as u64);
-            }
-        });
+        // the whole window locked at once, as the engine holds it
+        let window: Vec<Slot<'_>> = (0..3).map(|i| ring.read(i)).collect();
+        for (k, slot) in window.iter().enumerate() {
+            assert_eq!(u64::from_le_bytes(slot[..].try_into().unwrap()), k as u64);
+        }
+    }
+
+    #[test]
+    fn a_reused_slot_comes_back_zeroed() {
+        let ring = EdgeRing::new(1, 4);
+        ring.write_next().copy_from_slice(&[9; 4]);
+        ring.publish();
+        ring.release(0);
+        assert_eq!(*ring.write_next(), [0; 4], "the last instance's bytes leaked");
     }
 
     #[test]
     #[should_panic(expected = "back-pressure violated")]
     fn producing_into_full_ring_panics() {
         let ring = EdgeRing::new(1, 1);
-        ring.produce(|_| {});
-        ring.produce(|_| {});
+        ring.publish();
+        ring.write_next();
     }
 
     #[test]
     #[should_panic(expected = "window not ready")]
     fn early_window_panics() {
         let ring = EdgeRing::new(2, 1);
-        ring.with_window(0, 0, |_| ());
+        ring.read(0);
     }
 
     #[test]
     #[should_panic(expected = "already released")]
     fn double_release_panics() {
         let ring = EdgeRing::new(2, 1);
-        ring.produce(|_| {});
+        ring.publish();
         ring.release(0);
         ring.release(0);
     }
@@ -388,11 +445,10 @@ mod tests {
         let ring = EdgeRing::new(1, 8);
         for i in 0u64..5 {
             assert!(ring.can_produce(), "instance {i}: empty ring accepts");
-            ring.produce(|s| s.copy_from_slice(&i.to_le_bytes()));
+            put(&ring, i);
             assert!(!ring.can_produce(), "instance {i}: full after one produce");
             assert!(ring.window_ready(i));
-            let v = ring.with_window(i, i, |w| u64::from_le_bytes(w[0].try_into().unwrap()));
-            assert_eq!(v, i, "instance {i} read back from the reused slot");
+            assert_eq!(get(&ring, i), i, "instance {i} read back from the reused slot");
             ring.release(i);
             assert!(ring.can_produce(), "instance {i}: empty again after release");
         }
@@ -406,14 +462,13 @@ mod tests {
         // instances 2 and 3 of a 3-slot ring live in slots 2 and 0
         let ring = EdgeRing::new(3, 8);
         for i in 0u64..3 {
-            ring.produce(|s| s.copy_from_slice(&i.to_le_bytes()));
+            put(&ring, i);
         }
         ring.release(0); // frees slot 0 for instance 3
-        ring.produce(|s| s.copy_from_slice(&3u64.to_le_bytes()));
-        ring.with_window(2, 3, |w| {
-            assert_eq!(u64::from_le_bytes(w[0].try_into().unwrap()), 2, "slot 2");
-            assert_eq!(u64::from_le_bytes(w[1].try_into().unwrap()), 3, "slot 0, wrapped");
-        });
+        put(&ring, 3);
+        let (older, newer) = (ring.read(2), ring.read(3));
+        assert_eq!(u64::from_le_bytes(older[..].try_into().unwrap()), 2, "slot 2");
+        assert_eq!(u64::from_le_bytes(newer[..].try_into().unwrap()), 3, "slot 0, wrapped");
     }
 
     #[test]
@@ -503,7 +558,7 @@ mod tests {
                 let mut i = 0u64;
                 while i < n {
                     if ring.can_produce() {
-                        ring.produce(|s| s.copy_from_slice(&i.to_le_bytes()));
+                        put(&ring, i);
                         i += 1;
                     } else {
                         std::hint::spin_loop();
@@ -515,9 +570,7 @@ mod tests {
                     while !ring.window_ready(i) {
                         std::hint::spin_loop();
                     }
-                    let v =
-                        ring.with_window(i, i, |w| u64::from_le_bytes(w[0].try_into().unwrap()));
-                    assert_eq!(v, i, "FIFO order violated");
+                    assert_eq!(get(&ring, i), i, "FIFO order violated");
                     ring.release(i);
                 }
             });

@@ -96,9 +96,7 @@ mod tests {
         let m = Mapping::new(&g, &spec, vec![PeId(0), PeId(1)]).unwrap();
         let kernels = synthetic_kernels_for_mapping(&g, &spec, &m, 100.0); // 1 ms/instance
         let n = 20;
-        let stats =
-            run(&g, &spec, &m, &kernels, &RtConfig { n_instances: n, ..Default::default() })
-                .unwrap();
+        let stats = run(&g, &spec, &m, &kernels, &RtConfig { n_instances: n }).unwrap();
         assert!(stats.processed.iter().all(|&c| c == n));
         // 20 instances x 1ms >= 20 ms of busy work on the bottleneck PE
         assert!(stats.wall.as_secs_f64() >= 0.018, "wall {:?}", stats.wall);

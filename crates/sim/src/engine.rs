@@ -623,37 +623,6 @@ impl<'a> Sim<'a> {
         while let Some(ev) = self.events.pop() {
             self.events_processed += 1;
             if self.events_processed > self.config.max_events {
-                if std::env::var("SIM_DEBUG").is_ok() {
-                    eprintln!(
-                        "DEBUG t={} gen={} flows_active={} heap={}",
-                        self.now,
-                        self.gen,
-                        self.active_flow_ids.len(),
-                        self.events.len()
-                    );
-                    for &fid in self.active_flow_ids.iter().take(10) {
-                        let f = &self.flows[fid];
-                        eprintln!(
-                            "  flow {fid}: {:?} {:?} bytes_left={} rate={}",
-                            f.kind, f.state, f.bytes_left, f.rate
-                        );
-                    }
-                    for (k, t) in self.tasks.iter().enumerate() {
-                        eprintln!("  task {k}: next={} reads_done={} reads_inflight={} writes_inflight={}", t.next, t.reads_done, t.reads_inflight, t.writes_inflight);
-                    }
-                    for (ei, e) in self.edges.iter().enumerate() {
-                        eprintln!(
-                            "  edge {ei}: prod={} sent={} arr={} tdone={} inflight={} cap={} co={}",
-                            e.produced,
-                            e.next_send,
-                            e.arrived,
-                            e.transfers_done,
-                            e.inflight,
-                            e.capacity,
-                            e.co_mapped
-                        );
-                    }
-                }
                 return Err(SimError::EventBudget);
             }
             self.now = ev.at.max(last_t);

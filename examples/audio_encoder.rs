@@ -45,7 +45,7 @@ fn main() {
         .expect("winner is feasible");
     println!("winner: {}", scheduled.plan());
     let stats = scheduled
-        .execute(&audio::kernels(), &RtConfig { n_instances: 2000, ..RtConfig::default() })
+        .execute(&audio::kernels(), &RtConfig { n_instances: 2000 })
         .expect("mapping fits the local stores");
     println!(
         "processed {} frames in {:.2?} -> {:.0} frames/s wall-clock",

@@ -33,7 +33,7 @@ fn main() {
     let stats = planned
         .schedule()
         .expect("feasible plan")
-        .execute(&cipher::kernels(key, nonce), &RtConfig { n_instances: n, ..RtConfig::default() })
+        .execute(&cipher::kernels(key, nonce), &RtConfig { n_instances: n })
         .expect("mapping fits");
     println!(
         "encrypted {} blocks ({:.1} MiB) in {:.2?} -> {:.1} MiB/s wall-clock",

@@ -67,8 +67,7 @@ fn generate_plan_schedule_simulate_execute() {
     // 4. the same mapping executes for real
     let kernels: Vec<Arc<dyn Kernel>> =
         (0..g.n_tasks()).map(|_| Arc::new(ChecksumKernel) as Arc<dyn Kernel>).collect();
-    let stats =
-        scheduled.execute(&kernels, &RtConfig { n_instances: 200, ..RtConfig::default() }).unwrap();
+    let stats = scheduled.execute(&kernels, &RtConfig { n_instances: 200 }).unwrap();
     assert!(stats.processed.iter().all(|&c| c == 200));
 }
 
