@@ -15,9 +15,13 @@
 //!   with the **dual simplex** from its parent's basis. A branch tightens
 //!   one binary's bounds, which preserves dual feasibility exactly, so a
 //!   child typically needs a handful of pivots instead of a full
-//!   two-phase solve. Fallback on any numerical trouble is a fresh primal
+//!   two-phase solve. The root takes the same path from the all-slack
+//!   basis, which is dual feasible whenever no cost pulls a column off
+//!   its resting bound — every cost of Linear Program (1) is ≥ 0. When
+//!   the dual start is refused (a singular basis, or reduced costs no
+//!   bound flip repairs) the node falls back to a fresh two-phase primal
 //!   solve; [`MipResult::warm_starts`]/[`MipResult::warm_start_hits`]
-//!   report how often the fast path held.
+//!   report how often the fast path held at the child nodes.
 //! * **Pseudo-cost branching**: per-binary average objective degradations
 //!   (up and down) learned from every solved child pick the branching
 //!   variable by the product rule, replacing most-fractional.
@@ -206,38 +210,34 @@ impl PseudoCosts {
     }
 }
 
-/// Solve one child node on the search's long-lived [`SparseLp`], in
-/// the search's one [`Workspace`]: apply the fixings as bound edits,
-/// re-solve with the dual simplex from the parent basis (a fresh primal
-/// solve on any numerical trouble), and restore the bounds. `warm` is
-/// `(attempted, hit)` accounting. `None` means contradictory fixings:
-/// an infeasible subtree.
+/// Solve one node on the search's long-lived [`SparseLp`], in the
+/// search's one [`Workspace`]: apply the fixings as bound edits, solve
+/// with the dual simplex from `basis` — the parent's optimal basis, or
+/// the slack basis at the root — and restore the bounds. A fresh primal
+/// solve is the fallback when the dual start is refused (singular, or
+/// not dual feasible). The flag says whether the dual path held. An
+/// error at a child means contradictory fixings: an infeasible subtree.
 fn solve_node(
     lp: &mut SparseLp,
     ws: &mut Workspace,
     model: &Model,
     fixings: &[(VarId, bool)],
-    parent_basis: &Basis,
+    basis: &Basis,
     opts: &LpOptions,
-    warm: &mut (u64, u64),
-) -> Option<SparseSolution> {
+) -> (Result<SparseSolution, SolveError>, bool) {
     for &(v, val) in fixings {
         let b = if val { 1.0 } else { 0.0 };
         lp.set_bounds(v.0, b, b);
     }
-    warm.0 += 1;
-    let sol = match lp.solve_dual_in(ws, parent_basis, opts) {
-        Ok(s) => {
-            warm.1 += 1;
-            Ok(s)
-        }
-        Err(_) => lp.solve_primal_in(ws, opts),
+    let sol = match lp.solve_dual_in(ws, basis, opts) {
+        Ok(s) => (Ok(s), true),
+        Err(_) => (lp.solve_primal_in(ws, opts), false),
     };
     for &(v, _) in fixings {
         let (lo, hi) = model.bounds(v);
         lp.set_bounds(v.0, lo, hi);
     }
-    sol.ok()
+    sol
 }
 
 /// A callback that attempts to complete a fractional relaxation into a
@@ -297,8 +297,10 @@ pub fn solve_mip(
         }
     }
 
-    // Root relaxation.
-    let root = lp.solve_primal_in(&mut ws, &lp_opts)?;
+    // Root relaxation: the same dual path as every node, from the slack
+    // basis (not counted as a warm start — there is no parent to reuse).
+    let slack = lp.slack_basis();
+    let root = solve_node(&mut lp, &mut ws, model, &[], &slack, &lp_opts).0?;
     lp_iterations += root.iterations;
     nodes_done += 1;
     match root.status {
@@ -412,9 +414,10 @@ pub fn solve_mip(
             break;
         }
 
-        let Some(sol) =
-            solve_node(&mut lp, &mut ws, model, &node.fixings, &node.basis, &lp_opts, &mut warm)
-        else {
+        let (sol, held) = solve_node(&mut lp, &mut ws, model, &node.fixings, &node.basis, &lp_opts);
+        warm.0 += 1;
+        warm.1 += u64::from(held);
+        let Ok(sol) = sol else {
             continue;
         };
         lp_iterations += sol.iterations;

@@ -252,6 +252,39 @@ impl SparseLp {
         Ok(s.finish(status))
     }
 
+    /// The all-slack basis: every logical basic in its own row, every
+    /// structural resting at its bound nearest zero. Its reduced costs
+    /// are the costs themselves, so a dual start from it
+    /// ([`SparseLp::solve_dual_from`]) holds whenever every column its
+    /// cost pulls off that bound has a finite bound to flip to — always
+    /// when no cost is negative, as in Linear Program (1), whose
+    /// branch-and-bound root starts here.
+    pub fn slack_basis(&self) -> Basis {
+        let mut basis =
+            Basis { cols: Vec::with_capacity(self.m), state: vec![VState::AtLower; self.ncols()] };
+        self.fill_slack_basis(&mut basis.cols, &mut basis.state);
+        basis
+    }
+
+    /// Write the all-slack basis into `cols` and `state`.
+    fn fill_slack_basis(&self, cols: &mut Vec<usize>, state: &mut [VState]) {
+        let (n, m) = (self.n, self.m);
+        cols.clear();
+        cols.extend(n..n + m);
+        for ((s, &lo), &hi) in state[..n].iter_mut().zip(&self.lower).zip(&self.upper) {
+            // rest at the finite bound closer to zero (both exist is the
+            // common case: binaries); lower is always finite per model
+            *s = if hi.is_finite() && hi.abs() < lo.abs() {
+                VState::AtUpper
+            } else {
+                VState::AtLower
+            };
+        }
+        for (pos, j) in (n..n + m).enumerate() {
+            state[j] = VState::Basic(pos);
+        }
+    }
+
     fn empty_domain(&self) -> Option<usize> {
         (0..self.n + self.m).find(|&j| self.lower[j] > self.upper[j] + 1e-12)
     }
@@ -364,23 +397,7 @@ impl<'a> Simplex<'a> {
     // ---- setup ------------------------------------------------------------
 
     fn init_logical_basis(&mut self) {
-        let (n, m) = (self.lp.n, self.lp.m);
-        self.ws.basis.clear();
-        self.ws.basis.extend(n..n + m);
-        for j in 0..n {
-            // rest at the finite bound closer to zero (both exist is the
-            // common case: binaries); lower is always finite per model
-            self.ws.state[j] = if self.lp.upper[j].is_finite()
-                && self.lp.upper[j].abs() < self.lp.lower[j].abs()
-            {
-                VState::AtUpper
-            } else {
-                VState::AtLower
-            };
-        }
-        for (pos, j) in (n..n + m).enumerate() {
-            self.ws.state[j] = VState::Basic(pos);
-        }
+        self.lp.fill_slack_basis(&mut self.ws.basis, &mut self.ws.state);
         self.cache_basic_bounds();
     }
 
@@ -592,7 +609,9 @@ impl<'a> Simplex<'a> {
     /// `leave_state`. `sigma_t` is the signed primal step. Returns
     /// `false` when the eta update was rejected and a refactor was
     /// performed (values are recomputed; reduced costs must be
-    /// refreshed by the caller).
+    /// refreshed by the caller — unless the refactor found the new
+    /// basis singular and set `broken`, when nothing may read the
+    /// factorization again).
     #[allow(clippy::too_many_arguments)]
     fn commit_pivot(
         &mut self,
@@ -950,7 +969,8 @@ impl<'a> Simplex<'a> {
         self.ws.pricer.update(q, pivot, jout, &self.ws.alpha_row);
 
         let entering = if sigma > 0.0 { self.lp.lower[q] + t } else { self.lp.upper[q] - t };
-        if !self.commit_pivot(q, w, nz, r, leave_state, entering, sigma * t) {
+        // a broken factorization cannot price: the loop head ends the solve
+        if !self.commit_pivot(q, w, nz, r, leave_state, entering, sigma * t) && !self.broken {
             self.compute_duals_phase2();
         }
         Step::Progress
@@ -1082,7 +1102,7 @@ impl<'a> Simplex<'a> {
             // beta update: beta -= delta_xq * w, then overwrite position r
             let clean = self.commit_pivot(q, &w, &nz, r, leave_state, entering_value, delta_xq);
             self.put_entering(w, nz);
-            if !clean {
+            if !clean && !self.broken {
                 self.compute_duals_phase2();
             }
         }
@@ -1265,6 +1285,32 @@ mod tests {
         lp.set_bounds(1, 1.0, 1.0);
         let warm = lp.solve_dual_from(&root.basis, &LpOptions::default()).unwrap();
         assert_eq!(warm.status, LpStatus::Infeasible);
+    }
+
+    /// A pivot whose eta update is refused and whose refactorization
+    /// then finds the new basis singular must stop the solve, not price
+    /// on the half-built factorization. The entering column handed to the
+    /// ratio test claims a tiny pivot in row 0, where column `x0` really
+    /// has none: the update refuses it (1e-9 against a 10 elsewhere) and
+    /// the refactor sees a basis with an empty row 0.
+    #[test]
+    fn a_singular_refactorization_ends_the_solve() {
+        let mut m = Model::new("singular");
+        let x0 = m.add_var("x0", 0.0, 1.0, 0.0, VarKind::Continuous);
+        let x1 = m.add_var("x1", 0.0, 1.0, 0.0, VarKind::Continuous);
+        m.add_con(vec![(x1, 1.0)], Cmp::Le, 0.0);
+        m.add_con(vec![(x0, 1.0), (x1, 1.0)], Cmp::Ge, -5.0);
+        let lp = SparseLp::from_model(&m).unwrap();
+        let opts = LpOptions::default();
+        let mut ws = Workspace::new(&lp);
+        let mut s = Simplex::new(&lp, &opts, &mut ws);
+        s.init_logical_basis();
+        s.refactor_full().unwrap();
+        s.compute_duals_phase2();
+        let step = s.phase2_step(0, 1.0, &[1e-9, 10.0], &[0, 1]);
+        assert!(matches!(step, Step::Progress));
+        assert!(s.broken, "x0 in row 0's position leaves row 0 empty");
+        assert_eq!(s.dual(), LpStatus::IterLimit);
     }
 
     #[test]

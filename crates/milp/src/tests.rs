@@ -6,6 +6,7 @@
 
 use crate::bb::{solve_mip, MipOptions, MipStatus};
 use crate::model::{Cmp, LpOptions, LpSolution, LpStatus, Model, SolveError, VarId, VarKind};
+use crate::revised::{SparseLp, WarmStartError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -717,6 +718,42 @@ fn warm_starts_are_attempted_and_mostly_hit() {
         res.warm_start_hits,
         res.warm_starts
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fallback Linear Program (1) never takes: a column with a
+    /// negative cost and no upper bound leaves the slack basis dual
+    /// infeasible with no bound flip to repair it, so the root falls
+    /// back to the two-phase primal. The search must still land on the
+    /// exhaustive optimum.
+    #[test]
+    fn prop_primal_root_fallback_matches_exhaustive(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(3..=7usize);
+        let mut m = Model::new("dual-infeasible-root");
+        let vars: Vec<_> = (0..n)
+            .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, rng.gen_range(-5.0..5.0f64), VarKind::Binary))
+            .collect();
+        let y = m.add_var("y", 0.0, f64::INFINITY, -1.0, VarKind::Continuous);
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let mut terms: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(-2.0..4.0f64))).collect();
+            terms.push((y, rng.gen_range(0.5..2.0f64)));
+            m.add_con(terms, Cmp::Le, rng.gen_range(2.0..10.0)); // zero vector feasible
+        }
+        let lp = SparseLp::from_model(&m).unwrap();
+        prop_assert_eq!(
+            lp.solve_dual_from(&lp.slack_basis(), &LpOptions::default()).unwrap_err(),
+            WarmStartError::DualInfeasible
+        );
+        let brute = brute_force_binary(&m).expect("zero vector feasible, y bounded by every row");
+        let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+        let (obj, x) = res.incumbent.expect("feasible");
+        prop_assert!(m.max_violation(&x) <= 1e-6);
+        prop_assert!((obj - brute).abs() <= 1e-6 * (1.0 + brute.abs()),
+            "bb {} vs brute {}", obj, brute);
+    }
 }
 
 /// The MIP deadline is threaded into `solve_lp` itself: even when a

@@ -1,5 +1,7 @@
-//! Counting-allocator suite: **the simplex pivot loop is
-//! allocation-free** between two refactorizations. A solve pays for its
+//! Counting-allocator suite: **the simplex pivot loops are
+//! allocation-free** between two refactorizations — the two-phase
+//! primal's, and the dual simplex's that branch-and-bound runs at every
+//! node, the root included. A solve pays for its
 //! workspace and its answer; a pivot pays nothing — the entering
 //! column, the pivot row and the ratio tests work in buffers sized at
 //! set-up, and the eta append writes into the file's current segment
@@ -8,7 +10,8 @@
 //! under a hundred entries — never fill the first). So a root solve cut
 //! off after 40 pivots and the same solve cut off after 60 — both
 //! inside the first 64-eta window, no refactorization between them —
-//! must hit the global allocator the **same number of times**.
+//! must hit the global allocator the **same number of times**, whether
+//! it is the primal from scratch or the dual from the slack basis.
 //!
 //! Lives in `tests/` (a separate crate) because the library forbids
 //! `unsafe`, and wrapping the global allocator needs it.
@@ -124,12 +127,20 @@ fn packing_lp() -> Model {
     m
 }
 
-/// Allocations of one root solve stopped after `pivots` iterations.
-fn allocs_of_a_capped_solve(lp: &SparseLp, pivots: u64) -> u64 {
+/// Allocations of one root solve stopped after `pivots` iterations: the
+/// dual simplex from the slack basis when `dual`, else the primal.
+fn allocs_of_a_capped_solve(lp: &SparseLp, dual: bool, pivots: u64) -> u64 {
     let opts = LpOptions { max_iterations: pivots, ..LpOptions::default() };
+    let slack = lp.slack_basis();
     let mut outcome = None;
-    let allocs = count_allocs(|| outcome = Some(lp.solve_primal(&opts)));
-    let sol = outcome.expect("the closure ran").expect("valid model");
+    let allocs = count_allocs(|| {
+        outcome = Some(if dual {
+            lp.solve_dual_from(&slack, &opts).expect("the slack basis is dual feasible")
+        } else {
+            lp.solve_primal(&opts).expect("valid model")
+        })
+    });
+    let sol = outcome.expect("the closure ran");
     assert_eq!(
         (sol.status, sol.iterations),
         (LpStatus::IterLimit, pivots),
@@ -143,14 +154,16 @@ fn pivots_inside_one_eta_window_never_allocate() {
     for model in [assignment_lp(), packing_lp()] {
         let lp = SparseLp::from_model(&model).expect("valid model");
         assert!(lp.n_rows() >= 64, "{}: the eta window must be the full 64", model.name());
-        let at_40 = allocs_of_a_capped_solve(&lp, 40);
-        let at_60 = allocs_of_a_capped_solve(&lp, 60);
-        assert_eq!(
-            at_40,
-            at_60,
-            "{}: twenty more pivots cost {} more allocations",
-            model.name(),
-            at_60 as i64 - at_40 as i64
-        );
+        for dual in [false, true] {
+            let at_40 = allocs_of_a_capped_solve(&lp, dual, 40);
+            let at_60 = allocs_of_a_capped_solve(&lp, dual, 60);
+            assert_eq!(
+                at_40,
+                at_60,
+                "{} (dual: {dual}): twenty more pivots cost {} more allocations",
+                model.name(),
+                at_60 as i64 - at_40 as i64
+            );
+        }
     }
 }
