@@ -4,8 +4,13 @@
 //! completions are predicted from the current max-min rate allocation and
 //! re-predicted (with a generation counter invalidating stale events)
 //! whenever the active-flow set changes.
+//!
+//! The flow table is bounded by the transfers in flight: a finished
+//! flow's id goes on a free list and the next transfer reuses it, and
+//! the per-event buffers (streaming set, max-min workspace, drained
+//! list) belong to the run, so a steady-state event allocates nothing.
 
-use crate::fair::{max_min_rates, FlowPorts};
+use crate::fair::{FlowPorts, MaxMin};
 use cellstream_core::steady::buffers::BufferPlan;
 use cellstream_core::Mapping;
 use cellstream_graph::{StreamGraph, TaskId};
@@ -220,7 +225,11 @@ struct Sim<'a> {
 
     tasks: Vec<TaskState>,
     edges: Vec<EdgeState>,
+    /// Flow table, indexed by flow id; the ids of finished flows wait
+    /// in `free_flows` for the next transfer.
     flows: Vec<Flow>,
+    free_flows: Vec<usize>,
+    /// Flows in flight, in the order they were opened.
     active_flow_ids: Vec<usize>,
     pe_busy: Vec<bool>,
     /// CPU time owed by each PE for DMA issue/watch interruptions,
@@ -243,6 +252,16 @@ struct Sim<'a> {
     /// bytes that fully entered each PE's incoming interface
     bytes_in: Vec<f64>,
     events_processed: u64,
+
+    /// Buffers `reallocate` refills on every call: the streaming flows,
+    /// their ports, the max-min workspace and, for the debug
+    /// conservation check, the load on each link.
+    streaming: Vec<usize>,
+    streaming_ports: Vec<FlowPorts>,
+    fair: MaxMin,
+    link_load: Vec<f64>,
+    /// Flows a `TransferDone` event completes.
+    drained: Vec<usize>,
 }
 
 impl<'a> Sim<'a> {
@@ -299,6 +318,12 @@ impl<'a> Sim<'a> {
             pe_tasks[mapping.pe_of(t).index()].push(t.index());
         }
         let sink_ids: Vec<usize> = g.sinks().map(|t| t.index()).collect();
+        // every sink records one time per instance, each behind at least
+        // one event: reserve what the run can record, never more
+        let mut sink_times = vec![Vec::new(); g.n_tasks()];
+        for &s in &sink_ids {
+            sink_times[s] = Vec::with_capacity(n_instances.min(config.max_events) as usize);
+        }
         Ok(Sim {
             g,
             spec,
@@ -311,18 +336,24 @@ impl<'a> Sim<'a> {
             tasks,
             edges,
             flows: Vec::new(),
+            free_flows: Vec::new(),
             active_flow_ids: Vec::new(),
             pe_busy: vec![false; spec.n_pes()],
             pending_interrupt: vec![0.0; spec.n_pes()],
             spe_queue_used: vec![0; spec.n_pes()],
             proxy_used: vec![0; spec.n_pes()],
             pe_tasks,
-            sink_times: vec![Vec::new(); g.n_tasks()],
+            sink_times,
             sink_ids,
             write_owner: Vec::new(),
             bytes_out: vec![0.0; spec.n_pes()],
             bytes_in: vec![0.0; spec.n_pes()],
             events_processed: 0,
+            streaming: Vec::new(),
+            streaming_ports: Vec::new(),
+            fair: MaxMin::default(),
+            link_load: Vec::new(),
+            drained: Vec::new(),
         })
     }
 
@@ -371,25 +402,28 @@ impl<'a> Sim<'a> {
     /// Recompute max-min rates and schedule the next completion event.
     fn reallocate(&mut self) {
         self.gen += 1;
-        let streaming: Vec<usize> = self
-            .active_flow_ids
-            .iter()
-            .copied()
-            .filter(|&fid| self.flows[fid].state == FlowState::Streaming)
-            .collect();
-        let ports: Vec<FlowPorts> = streaming.iter().map(|&fid| self.flows[fid].ports).collect();
-        let rates =
-            max_min_rates(&ports, 2 * self.spec.n_pes(), self.spec.interface_bw().as_bytes_per_s());
+        let flows = &self.flows;
+        self.streaming.clear();
+        self.streaming.extend(
+            self.active_flow_ids
+                .iter()
+                .copied()
+                .filter(|&fid| flows[fid].state == FlowState::Streaming),
+        );
+        self.streaming_ports.clear();
+        self.streaming_ports.extend(self.streaming.iter().map(|&fid| flows[fid].ports));
+        let n_links = 2 * self.spec.n_pes();
+        let bw = self.spec.interface_bw().as_bytes_per_s();
+        let rates = self.fair.rates(&self.streaming_ports, n_links, bw);
         if cfg!(debug_assertions) {
             // conservation check: no link may be over-allocated
-            let bw = self.spec.interface_bw().as_bytes_per_s();
-            let mut load = vec![0.0f64; 2 * self.spec.n_pes()];
-            for (&fid, &rate) in streaming.iter().zip(&rates) {
-                let f = &self.flows[fid];
-                for l in [f.ports.src_link, f.ports.dst_link].into_iter().flatten() {
+            let load = &mut self.link_load;
+            load.clear();
+            load.resize(n_links, 0.0);
+            for (ports, &rate) in self.streaming_ports.iter().zip(rates) {
+                for l in [ports.src_link, ports.dst_link].into_iter().flatten() {
                     load[l] += rate;
                 }
-                let _ = fid;
             }
             for (l, &ld) in load.iter().enumerate() {
                 debug_assert!(
@@ -400,7 +434,7 @@ impl<'a> Sim<'a> {
             }
         }
         let mut next_done: Option<f64> = None;
-        for (&fid, &rate) in streaming.iter().zip(&rates) {
+        for (&fid, &rate) in self.streaming.iter().zip(rates) {
             let f = &mut self.flows[fid];
             f.rate = rate;
             let eta = if rate.is_infinite() { 0.0 } else { f.bytes_left / rate };
@@ -412,6 +446,22 @@ impl<'a> Sim<'a> {
         if let Some(at) = next_done {
             self.push(at, Ev::TransferDone { gen: self.gen });
         }
+    }
+
+    /// Put `flow` in flight under a recycled id when one is free.
+    fn open_flow(&mut self, flow: Flow) -> usize {
+        let fid = match self.free_flows.pop() {
+            Some(fid) => {
+                self.flows[fid] = flow;
+                fid
+            }
+            None => {
+                self.flows.push(flow);
+                self.flows.len() - 1
+            }
+        };
+        self.active_flow_ids.push(fid);
+        fid
     }
 
     /// Try to admit pending work everywhere: edge transfers, memory reads,
@@ -458,8 +508,7 @@ impl<'a> Sim<'a> {
                     self.proxy_used[src_pe] += 1;
                 }
                 let n = self.spec.n_pes();
-                let fid = self.flows.len();
-                self.flows.push(Flow {
+                let fid = self.open_flow(Flow {
                     kind: FlowKind::Edge { edge: ei },
                     state: if self.config.dma_latency > 0.0 {
                         FlowState::Latency
@@ -473,7 +522,6 @@ impl<'a> Sim<'a> {
                     spe_queue: needs_spe_queue.then_some(dst_pe),
                     proxy_queue: needs_proxy.then_some(src_pe),
                 });
-                self.active_flow_ids.push(fid);
                 if self.config.dma_latency > 0.0 {
                     self.push(self.now + self.config.dma_latency, Ev::TransferStart { id: fid });
                 } else {
@@ -507,8 +555,7 @@ impl<'a> Sim<'a> {
                     self.spe_queue_used[pe] += 1;
                 }
                 let n = self.spec.n_pes();
-                let fid = self.flows.len();
-                self.flows.push(Flow {
+                let fid = self.open_flow(Flow {
                     kind: FlowKind::Read { task: k },
                     state: if self.config.dma_latency > 0.0 {
                         FlowState::Latency
@@ -522,7 +569,6 @@ impl<'a> Sim<'a> {
                     spe_queue: self.is_spe(pe).then_some(pe),
                     proxy_queue: None,
                 });
-                self.active_flow_ids.push(fid);
                 if self.config.dma_latency > 0.0 {
                     self.push(self.now + self.config.dma_latency, Ev::TransferStart { id: fid });
                 } else {
@@ -656,8 +702,7 @@ impl<'a> Sim<'a> {
                         if holds_slot {
                             self.spe_queue_used[pe] += 1;
                         }
-                        let fid = self.flows.len();
-                        self.flows.push(Flow {
+                        let fid = self.open_flow(Flow {
                             kind: FlowKind::Write,
                             state: FlowState::Streaming,
                             bytes_left: wb,
@@ -667,7 +712,6 @@ impl<'a> Sim<'a> {
                             spe_queue: holds_slot.then_some(pe),
                             proxy_queue: None,
                         });
-                        self.active_flow_ids.push(fid);
                         self.write_owner.push((fid, task));
                         flows_changed = true;
                     }
@@ -692,15 +736,18 @@ impl<'a> Sim<'a> {
                     }
                     // complete every streaming flow that has (numerically)
                     // drained; at least one must have
-                    let drained: Vec<usize> = self
-                        .active_flow_ids
-                        .iter()
-                        .copied()
-                        .filter(|&fid| self.is_drained(&self.flows[fid]))
-                        .collect();
-                    for fid in drained {
+                    let mut drained = std::mem::take(&mut self.drained);
+                    drained.clear();
+                    drained.extend(
+                        self.active_flow_ids
+                            .iter()
+                            .copied()
+                            .filter(|&fid| self.is_drained(&self.flows[fid])),
+                    );
+                    for &fid in &drained {
                         self.complete_flow(fid);
                     }
+                    self.drained = drained;
                     flows_changed = true;
                 }
             }
@@ -753,6 +800,7 @@ impl<'a> Sim<'a> {
             }
         }
         self.active_flow_ids.retain(|&id| id != fid);
+        self.free_flows.push(fid);
         let _ = self.pump();
     }
 

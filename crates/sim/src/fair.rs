@@ -19,54 +19,76 @@ pub struct FlowPorts {
     pub dst_link: Option<usize>,
 }
 
-/// Compute max-min fair rates for `flows` over `n_links` links of uniform
-/// `capacity`. Returns one rate per flow. Flows with neither endpoint
-/// constrained get `f64::INFINITY` (treated by callers as "instantaneous").
-pub fn max_min_rates(flows: &[FlowPorts], n_links: usize, capacity: f64) -> Vec<f64> {
-    assert!(capacity > 0.0);
-    let mut rates = vec![f64::INFINITY; flows.len()];
-    if flows.is_empty() {
-        return rates;
-    }
-    let mut remaining_cap = vec![capacity; n_links];
-    let mut link_flows: Vec<Vec<usize>> = vec![Vec::new(); n_links];
-    for (fi, f) in flows.iter().enumerate() {
-        for l in [f.src_link, f.dst_link].into_iter().flatten() {
-            assert!(l < n_links, "link index out of range");
-            link_flows[l].push(fi);
-        }
-    }
-    let mut frozen = vec![false; flows.len()];
-    let mut unfrozen_count: Vec<usize> = link_flows.iter().map(|v| v.len()).collect();
+/// The buffers of a max-min allocation, kept between calls: a
+/// simulation re-shares its links every time a flow starts or finishes,
+/// and after the first few calls none of these has to grow.
+#[derive(Debug, Default)]
+pub struct MaxMin {
+    rates: Vec<f64>,
+    remaining_cap: Vec<f64>,
+    /// Flows on each link, in flow order.
+    link_flows: Vec<Vec<usize>>,
+    frozen: Vec<bool>,
+    unfrozen_count: Vec<usize>,
+}
 
-    loop {
-        // most contended link = smallest fair share among links with
-        // unfrozen flows
-        let mut best: Option<(usize, f64)> = None;
-        for l in 0..n_links {
-            if unfrozen_count[l] == 0 {
-                continue;
-            }
-            let share = remaining_cap[l] / unfrozen_count[l] as f64;
-            if best.is_none_or(|(_, s)| share < s) {
-                best = Some((l, share));
+impl MaxMin {
+    /// Compute max-min fair rates for `flows` over `n_links` links of
+    /// uniform `capacity`. Returns one rate per flow. Flows with neither
+    /// endpoint constrained get `f64::INFINITY` (treated by callers as
+    /// "instantaneous").
+    pub fn rates(&mut self, flows: &[FlowPorts], n_links: usize, capacity: f64) -> &[f64] {
+        assert!(capacity > 0.0);
+        let MaxMin { rates, remaining_cap, link_flows, frozen, unfrozen_count } = self;
+        rates.clear();
+        rates.resize(flows.len(), f64::INFINITY);
+        if flows.is_empty() {
+            return rates;
+        }
+        remaining_cap.clear();
+        remaining_cap.resize(n_links, capacity);
+        link_flows.resize_with(n_links, Vec::new);
+        link_flows.iter_mut().for_each(Vec::clear);
+        for (fi, f) in flows.iter().enumerate() {
+            for l in [f.src_link, f.dst_link].into_iter().flatten() {
+                assert!(l < n_links, "link index out of range");
+                link_flows[l].push(fi);
             }
         }
-        let Some((l, share)) = best else { break };
-        // freeze that link's unfrozen flows at the fair share
-        for &fi in &link_flows[l] {
-            if frozen[fi] {
-                continue;
+        frozen.clear();
+        frozen.resize(flows.len(), false);
+        unfrozen_count.clear();
+        unfrozen_count.extend(link_flows.iter().map(Vec::len));
+
+        loop {
+            // most contended link = smallest fair share among links with
+            // unfrozen flows
+            let mut best: Option<(usize, f64)> = None;
+            for l in 0..n_links {
+                if unfrozen_count[l] == 0 {
+                    continue;
+                }
+                let share = remaining_cap[l] / unfrozen_count[l] as f64;
+                if best.is_none_or(|(_, s)| share < s) {
+                    best = Some((l, share));
+                }
             }
-            frozen[fi] = true;
-            rates[fi] = share;
-            for other in [flows[fi].src_link, flows[fi].dst_link].into_iter().flatten() {
-                remaining_cap[other] = (remaining_cap[other] - share).max(0.0);
-                unfrozen_count[other] -= 1;
+            let Some((l, share)) = best else { break };
+            // freeze that link's unfrozen flows at the fair share
+            for &fi in &link_flows[l] {
+                if frozen[fi] {
+                    continue;
+                }
+                frozen[fi] = true;
+                rates[fi] = share;
+                for other in [flows[fi].src_link, flows[fi].dst_link].into_iter().flatten() {
+                    remaining_cap[other] = (remaining_cap[other] - share).max(0.0);
+                    unfrozen_count[other] -= 1;
+                }
             }
         }
+        rates
     }
-    rates
 }
 
 #[cfg(test)]
@@ -74,6 +96,10 @@ mod tests {
     use super::*;
 
     const BW: f64 = 100.0;
+
+    fn max_min_rates(flows: &[FlowPorts], n_links: usize, capacity: f64) -> Vec<f64> {
+        MaxMin::default().rates(flows, n_links, capacity).to_vec()
+    }
 
     fn ports(src: Option<usize>, dst: Option<usize>) -> FlowPorts {
         FlowPorts { src_link: src, dst_link: dst }
@@ -135,6 +161,23 @@ mod tests {
     #[test]
     fn no_flows_no_rates() {
         assert!(max_min_rates(&[], 3, BW).is_empty());
+    }
+
+    #[test]
+    fn a_reused_workspace_answers_like_a_fresh_one() {
+        // what one call leaves behind (longer link lists, more links,
+        // frozen flags) must not leak into the next
+        let calls: [(&[FlowPorts], usize); 4] = [
+            (&[ports(Some(0), Some(3)), ports(Some(0), Some(4)), ports(Some(1), Some(3))], 6),
+            (&[ports(None, Some(1))], 2),
+            (&[], 3),
+            (&[ports(Some(0), Some(1)), ports(Some(0), Some(2)), ports(Some(3), Some(1))], 4),
+        ];
+        let mut reused = MaxMin::default();
+        for (flows, n_links) in calls {
+            let fresh = max_min_rates(flows, n_links, BW);
+            assert_eq!(reused.rates(flows, n_links, BW), fresh.as_slice());
+        }
     }
 
     #[test]
