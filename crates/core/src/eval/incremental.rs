@@ -29,7 +29,14 @@
 //! [`new_with`](EvalState::new_with) allocates or grows anything.
 //!
 //! The feasibility verdict comes from the same formulas as the full
-//! evaluator, read off the live rows of every PE; the period is the
+//! evaluator. The state keeps one flag, refreshed whenever a frame is
+//! committed or the table rebuilt: whether the committed table is
+//! feasible. While it is, [`is_feasible`](EvalState::is_feasible) (and so
+//! [`score`](EvalState::score)) reads only the pending frame's touched
+//! rows — every other row *is* a committed one; otherwise it reads every
+//! PE. [`overfills`](EvalState::overfills) answers the local-store and
+//! dead-PE half of that verdict for a move *before* it is applied, with
+//! the float operations `apply` would perform. The period is the
 //! maximum over the cached occupancies, each of which is the evaluator's
 //! own expression on the same operands (and `f64::max` selects one of its
 //! arguments exactly), so it is bit-identical to rescanning and
@@ -174,6 +181,10 @@ pub struct EvalState<'a> {
     moved: [(usize, PeId); 2],
     n_moved: usize,
     has_frame: bool,
+    /// Every row of `base` passes the §3.2 per-PE checks. Refreshed by
+    /// `commit` and `recompute`; while it holds, feasibility under a
+    /// pending frame is decided by the touched rows alone.
+    base_feasible: bool,
 }
 
 impl<'a> EvalState<'a> {
@@ -239,6 +250,7 @@ impl<'a> EvalState<'a> {
             moved: [(0, PeId(0)); 2],
             n_moved: 0,
             has_frame: false,
+            base_feasible: false,
         };
         s.recompute();
         Ok(s)
@@ -293,6 +305,7 @@ impl<'a> EvalState<'a> {
             row.occ = row.occupancy(self.bw);
         }
         self.base.copy_from_slice(&self.live);
+        self.base_feasible = (0..self.base.len()).all(|i| self.row_ok(i, &self.base[i]));
     }
 
     /// Re-seat the state from raw per-task seats (task id order) of the
@@ -359,17 +372,20 @@ impl<'a> EvalState<'a> {
     /// counterpart of scanning [`report`](Self::report)'s violation
     /// list, for eviction loops. O(n_SPEs).
     pub fn first_violated_spe(&self) -> Option<PeId> {
-        for i in self.n_ppe..self.live.len() {
-            let row = &self.live[i];
-            if row.memory_bytes > self.ls_budget + 1e-9
-                || row.dma_in > self.dma_in_limit
-                || row.dma_ppe > self.dma_ppe_limit
-                || (self.dead[i] && row.seated > 0)
-            {
-                return Some(PeId(i));
-            }
-        }
-        None
+        (self.n_ppe..self.live.len()).find(|&i| !self.row_ok(i, &self.live[i])).map(PeId)
+    }
+
+    /// One row of PE `i` passes the per-PE §3.2 checks: no seat on a
+    /// dead PE and, on an SPE, (1i) local store and (1j)/(1k) DMA slots.
+    /// Every yes/no verdict of the state reads this; `report` spells the
+    /// same checks out once more to name each violation.
+    #[inline]
+    fn row_ok(&self, i: usize, row: &PeRow) -> bool {
+        !(self.dead[i] && row.seated > 0)
+            && (i < self.n_ppe
+                || !(row.memory_bytes > self.ls_budget + 1e-9
+                    || row.dma_in > self.dma_in_limit
+                    || row.dma_ppe > self.dma_ppe_limit))
     }
 
     /// `true` when the availability overlay marks this PE dead.
@@ -433,25 +449,60 @@ impl<'a> EvalState<'a> {
     }
 
     /// `true` iff constraints (1i)–(1k) all hold right now *and* no
-    /// task is seated on a dead PE. O(n_PEs).
+    /// task is seated on a dead PE. When the committed table is feasible
+    /// only the pending frame's touched rows are read (every other row
+    /// equals its committed, feasible copy): O(PEs the move touched).
+    /// Otherwise O(n_PEs).
     pub fn is_feasible(&self) -> bool {
-        for (i, row) in self.live.iter().enumerate() {
-            if self.dead[i] && row.seated > 0 {
-                return false;
+        if self.base_feasible {
+            let touched = &self.touched[..self.n_touched];
+            touched.iter().all(|&i| self.row_ok(i as usize, &self.live[i as usize]))
+        } else {
+            (0..self.live.len()).all(|i| self.row_ok(i, &self.live[i]))
+        }
+    }
+
+    /// `true` when [`apply`](Self::apply)`(mv)` would leave a task seated
+    /// on a dead PE, or an SPE the move adds buffers to over its
+    /// local-store budget (1i) — a move whose [`score`](Self::score)
+    /// would be `+∞`, told without applying it. O(1).
+    ///
+    /// It reads the live rows `apply` starts from (a pending frame is
+    /// part of them: `apply` commits it without changing a row), so call
+    /// it between probes, not inside one. A relocation's verdict is
+    /// `mem[to] + buf[t]`; a swap of `a` on `x` with `b` on `y` computes
+    /// `(mem[x] − buf[a]) + buf[b]` and `(mem[y] + buf[a]) − buf[b]`,
+    /// each only on an SPE side — the operations `relocate` performs, in
+    /// its order, so the verdict is the applied state's bit for bit. The
+    /// PE a task leaves only sheds buffers, so from a feasible state
+    /// `overfills` is true exactly when the applied move leaves a
+    /// local-store or dead-PE violation; a same-PE move is never
+    /// screened. DMA slots (1j)/(1k) are not checked.
+    // check: no-alloc
+    pub fn overfills(&self, mv: Move) -> bool {
+        let over = |i: usize, mem: f64| i >= self.n_ppe && mem > self.ls_budget + 1e-9;
+        match mv {
+            Move::Relocate { task, to } => {
+                let (k, ti) = (task.index(), to.index());
+                ti != self.assignment[k].index()
+                    && (self.dead[ti] || over(ti, self.live[ti].memory_bytes + self.task_buf[k]))
+            }
+            Move::Swap { a, b } => {
+                let (x, y) =
+                    (self.assignment[a.index()].index(), self.assignment[b.index()].index());
+                let (buf_a, buf_b) = (self.task_buf[a.index()], self.task_buf[b.index()]);
+                x != y
+                    && (self.dead[x]
+                        || self.dead[y]
+                        || over(x, (self.live[x].memory_bytes - buf_a) + buf_b)
+                        || over(y, (self.live[y].memory_bytes + buf_a) - buf_b))
             }
         }
-        for row in &self.live[self.n_ppe..] {
-            if row.memory_bytes > self.ls_budget + 1e-9
-                || row.dma_in > self.dma_in_limit
-                || row.dma_ppe > self.dma_ppe_limit
-            {
-                return false;
-            }
-        }
-        true
     }
 
     /// The search objective: the period when feasible, `+∞` otherwise.
+    /// Feasibility is [`is_feasible`](Self::is_feasible)'s, so a probe
+    /// from a feasible state reads only the rows its move touched.
     pub fn score(&self) -> f64 {
         if self.is_feasible() {
             self.period()
@@ -515,10 +566,14 @@ impl<'a> EvalState<'a> {
         true
     }
 
-    /// Make the pending move (if any) permanent: copy the rows it
-    /// touched into the base table and close the frame.
+    /// Make the pending move (if any) permanent: refresh the committed
+    /// feasibility flag, copy the rows it touched into the base table and
+    /// close the frame.
     // check: no-alloc
     fn commit(&mut self) {
+        if self.has_frame {
+            self.base_feasible = self.is_feasible();
+        }
         for &i in &self.touched[..self.n_touched] {
             self.base[i as usize] = self.live[i as usize];
             self.is_touched[i as usize] = false;
@@ -747,6 +802,8 @@ pub(crate) fn assert_matches_full(state: &EvalState<'_>, ctx: &str) {
             assert!(rows_bitwise_equal(live, base), "{ctx}: base != live on untouched PE{i}");
         }
     }
+    let base_ok = state.base.iter().enumerate().all(|(i, row)| state.row_ok(i, row));
+    assert_eq!(state.base_feasible, base_ok, "{ctx}: stale committed-feasibility flag");
     let full =
         crate::eval::evaluate_with(state.graph(), state.spec(), &state.avail, &state.mapping())
             .unwrap();
@@ -759,6 +816,7 @@ pub(crate) fn assert_matches_full(state: &EvalState<'_>, ctx: &str) {
         full.period
     );
     assert_eq!(rep.is_feasible(), full.is_feasible(), "{ctx}: feasibility");
+    assert_eq!(state.is_feasible(), full.is_feasible(), "{ctx}: touched-row feasibility");
     assert_eq!(rep.bottleneck, full.bottleneck, "{ctx}: bottleneck");
     assert_eq!(rep.dma_in, full.dma_in, "{ctx}: dma_in");
     assert_eq!(rep.dma_ppe, full.dma_ppe, "{ctx}: dma_ppe");
@@ -980,6 +1038,73 @@ mod tests {
         for t in g.task_ids() {
             assert_eq!(state.task_buffer_bytes(t), plan.task_bytes[t.index()]);
         }
+    }
+
+    /// Task `k` seated on PE `seats[k]` with local-store buffers of
+    /// exactly `bufs[k]` bytes: a private 0-peek edge (span 2) of
+    /// `bufs[k] / 2` bytes to a partner task on the PPE.
+    fn buffered_state(spec: &CellSpec, bufs: &[f64], seats: &[usize]) -> (StreamGraph, Mapping) {
+        let mut b = StreamGraph::builder("bufs");
+        let tasks: Vec<_> = (0..bufs.len())
+            .map(|k| {
+                b.add_task(cellstream_graph::TaskSpec::new(format!("t{k}")).uniform_cost(1e-6))
+            })
+            .collect();
+        for (k, &t) in tasks.iter().enumerate() {
+            let partner =
+                b.add_task(cellstream_graph::TaskSpec::new(format!("p{k}")).uniform_cost(1e-6));
+            b.add_edge(t, partner, bufs[k] / 2.0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let mut seats_all = seats.iter().map(|&s| PeId(s)).collect::<Vec<_>>();
+        seats_all.resize(g.n_tasks(), PeId(0));
+        let m = Mapping::new(&g, spec, seats_all).unwrap();
+        (g, m)
+    }
+
+    #[test]
+    fn overfills_follows_relocates_float_order_on_a_swap() {
+        // SPE 1 holds t0 and t1, SPE 2 holds t2; swapping t1 and t2 leaves
+        // SPE 1 at (mem − buf₁) + buf₂, which rounds one ulp above the
+        // (1i) threshold — and (mem + buf₂) − buf₁ would round onto it
+        let spec = CellSpec::with_spes(2);
+        let bufs = [78433.23665985755, 76525.36381530865, 118174.76334014347];
+        let (g, m) = buffered_state(&spec, &bufs, &[1, 1, 2]);
+        let mut state = EvalState::new(&g, &spec, &m).unwrap();
+        assert!(state.is_feasible());
+        let threshold = state.ls_budget + 1e-9;
+        let mem = state.live[1].memory_bytes;
+        let shipped_order = (mem - bufs[1]) + bufs[2];
+        assert!(shipped_order > threshold && (mem + bufs[2]) - bufs[1] <= threshold);
+
+        let swap = Move::Swap { a: TaskId(1), b: TaskId(2) };
+        assert!(state.overfills(swap), "the screen computes relocate's order");
+        state.apply(swap);
+        assert_eq!(state.live[1].memory_bytes.to_bits(), shipped_order.to_bits());
+        assert!(matches!(
+            state.report().violations[..],
+            [Violation::LocalStore { pe: PeId(1), .. }]
+        ));
+        assert!(state.score().is_infinite());
+    }
+
+    #[test]
+    fn overfills_admits_a_load_exactly_at_the_threshold() {
+        // a buffer of exactly budget + 1e-9 bytes fits an empty SPE: (1i)
+        // is a strict `>`, so the screen must not fire either
+        let spec = CellSpec::with_spes(1);
+        let threshold = spec.local_store_budget() as f64 + 1e-9;
+        let (g, m) = buffered_state(&spec, &[threshold], &[0]);
+        let mut state = EvalState::new(&g, &spec, &m).unwrap();
+        let mv = Move::Relocate { task: TaskId(0), to: PeId(1) };
+        assert!(!state.overfills(mv));
+        state.apply(mv);
+        assert_eq!(state.live[1].memory_bytes, threshold);
+        assert!(state.is_feasible());
+        // one byte more overfills, and the screen says so
+        let (g, m) = buffered_state(&spec, &[threshold + 1.0], &[0]);
+        let state = EvalState::new(&g, &spec, &m).unwrap();
+        assert!(state.overfills(mv));
     }
 
     #[test]

@@ -364,6 +364,106 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The capacity screen is the applied move's verdict, both ways: from
+    /// a feasible state on a tight local store, `overfills(mv)` holds
+    /// exactly when `apply(mv)` leaves a local-store or dead-PE violation
+    /// (untouched rows are the feasible committed ones, so any violation
+    /// sits on a PE the move touched) — with dead and half-speed SPEs in
+    /// the family, and at least a fifth of the drawn moves screened.
+    #[test]
+    fn prop_overfills_is_the_applied_moves_capacity_verdict(
+        seed in 0u64..5000,
+        n in 8usize..16,
+        spes in 2usize..6,
+        // local-store budget in eighths of the median task buffer
+        eighths in 3u64..10,
+        // 0 healthy, 1 one dead SPE, 2 one half-speed SPE, 3 both
+        (health, which) in (0u32..4, any::<u32>()),
+        walk in collection::vec((any::<u32>(), any::<u32>()), 48..49),
+        moves in collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 64..65),
+    ) {
+        use crate::avail::Availability;
+        use crate::eval::Violation;
+        use crate::steady::buffers::BufferPlan;
+        use crate::{EvalState, Move};
+        use cellstream_graph::TaskId;
+        use cellstream_platform::{ByteSize, CellSpecBuilder};
+
+        let g = tiny_graph(seed, n);
+        let mut bufs = BufferPlan::new(&g).task_bytes;
+        bufs.sort_by(f64::total_cmp);
+        let budget = (bufs[bufs.len() / 2] * eighths as f64 / 8.0).ceil().max(1.0) as u64;
+        let code = ByteSize::kib(64);
+        let spec = CellSpecBuilder::default()
+            .spes(spes)
+            .code_size(code)
+            .local_store(ByteSize::bytes_exact(code.bytes() + budget))
+            .build()
+            .unwrap();
+        let mut avail = Availability::full(&spec);
+        let spe = |k: u32| PeId(1 + (which as usize + k as usize) % spes);
+        if health & 1 == 1 {
+            avail.fail(spe(0));
+        }
+        if health & 2 == 2 {
+            avail.set_factor(spe(1), 0.5);
+        }
+
+        // a random feasible state: relocations from all-on-PPE, each
+        // kept only if the state stays feasible; the last one kept may
+        // still be pending, which the screen must see through
+        let mut state =
+            EvalState::new_with(&g, &spec, &avail, &Mapping::all_on(&g, PeId(0))).unwrap();
+        for &(x, y) in &walk {
+            state.apply(Move::Relocate {
+                task: TaskId(x as usize % g.n_tasks()),
+                to: PeId(y as usize % spec.n_pes()),
+            });
+            if !state.is_feasible() {
+                state.undo();
+            }
+        }
+        prop_assert!(state.is_feasible());
+
+        let mut screened = 0;
+        for (i, &(x, y, swap)) in moves.iter().enumerate() {
+            // a move that changes no seat is never screened: draw the
+            // next target or partner that changes one
+            let (k, n_pes) = (g.n_tasks(), spec.n_pes());
+            let t = TaskId(x as usize % k);
+            let mv = if swap {
+                let b = (0..k)
+                    .map(|j| TaskId((y as usize + j) % k))
+                    .find(|&b| state.pe_of(b) != state.pe_of(t))
+                    .unwrap_or(t);
+                Move::Swap { a: t, b }
+            } else {
+                let to = PeId(y as usize % n_pes);
+                let to = if to == state.pe_of(t) { PeId((to.index() + 1) % n_pes) } else { to };
+                Move::Relocate { task: t, to }
+            };
+            let verdict = state.overfills(mv);
+            state.apply(mv);
+            let violated = state.report().violations.iter().any(|v| {
+                matches!(v, Violation::LocalStore { .. } | Violation::DeadPe { .. })
+            });
+            prop_assert_eq!(verdict, violated, "seed {}, move {} {:?}", seed, i, mv);
+            state.undo();
+            screened += usize::from(verdict);
+        }
+        prop_assert!(
+            screened * 5 >= moves.len(),
+            "seed {}: only {} of {} moves screened",
+            seed,
+            screened,
+            moves.len()
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Multi-application workloads on the incremental engine
 // ---------------------------------------------------------------------------

@@ -46,7 +46,9 @@ pub struct RepairOptions {
     /// degraded PEs and reads any seat on a dead PE as a §3.2
     /// violation, so placement avoids dead PEs and the evict pass
     /// evacuates seats stranded on them — fault recovery reuses the
-    /// ordinary repair machinery unchanged.
+    /// ordinary repair machinery unchanged. Eviction moves work onto the
+    /// PPE (`PeId(0)`); when that PE is dead, seats it cannot take may be
+    /// left on dead or overfull PEs and the published period is `+∞`.
     pub avail: Option<Availability>,
 }
 
@@ -54,7 +56,8 @@ pub struct RepairOptions {
 /// it. `partial[k]` is the retained PE of task `k` (`None` for tasks
 /// that need placing — newly admitted work). Returns the mapping and its
 /// exact verifier period (`+∞` only if even all-PPE is infeasible, which
-/// cannot happen on platforms with a PPE).
+/// cannot happen on a platform whose PPE is alive — see
+/// [`RepairOptions::avail`]).
 ///
 /// Panics if `partial` and the graph disagree on length, or a retained
 /// PE does not exist on `spec` — partial assignments and graphs travel
@@ -121,7 +124,9 @@ pub fn repair_in_place(
     // broke it — move the largest working set off each violated SPE to
     // the PPE until the verifier is satisfied
     evict_until_feasible(state, spec);
-    debug_assert!(state.is_feasible(), "eviction ends feasible");
+    // eviction targets the PPE: with it dead, seats may stay infeasible
+    // and the answer is +∞ (see `RepairOptions::avail`)
+    debug_assert!(state.is_feasible() || state.is_dead(ppe), "eviction ends feasible");
 
     // drop the drift the committed placement/eviction moves accumulated
     // before refining, so the descent trajectory matches a fresh start
@@ -401,6 +406,25 @@ mod tests {
         let (m2, p2) = repair_with(&g, &spec, &vec![None; g.n_tasks()], &opts);
         assert!(p2.is_finite());
         assert!(m2.assignment().iter().all(|pe| *pe != dead));
+    }
+
+    #[test]
+    fn a_dead_ppe_leaves_eviction_nowhere_to_go_and_repair_answers_infinity() {
+        // both SPEs' seats overflow and the only PPE is dead: eviction can
+        // only move work onto the dead PPE, so no mapping is feasible and
+        // repair reports +∞ instead of tripping its own assertion
+        let fat = CostParams { data_min: 40e3, data_max: 60e3, ..CostParams::default() };
+        let g = chain("c", 6, &fat, 5);
+        let spec = CellSpec::with_spes(2);
+        let mut avail = Availability::full(&spec);
+        avail.fail(PeId(0));
+        let partial: Vec<_> = (0..g.n_tasks()).map(|k| Some(PeId(1 + k % 2))).collect();
+        let seats = Mapping::new(&g, &spec, partial.iter().map(|p| p.unwrap()).collect()).unwrap();
+        let before = cellstream_core::evaluate_with(&g, &spec, &avail, &seats).unwrap();
+        assert!(!before.is_feasible(), "the retained seats overflow, so eviction runs");
+        let opts = RepairOptions { avail: Some(avail), ..RepairOptions::default() };
+        let (_, p) = repair_with(&g, &spec, &partial, &opts);
+        assert_eq!(p, f64::INFINITY);
     }
 
     #[test]

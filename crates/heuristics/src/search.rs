@@ -35,6 +35,33 @@
 //! against a bit-identical state, so rounds, accepted moves and the
 //! final seats are those of the loop that re-probes everything
 //! (`tests/refine_referee.rs` keeps that loop and compares).
+//!
+//! **A probe pays for what can decide.** Two shortcuts, both exact:
+//!
+//! * *Capacity screen.* While the current score is finite, a move for
+//!   which [`EvalState::overfills`] fires — it would push an SPE's
+//!   buffers over the local store (1i) or seat a task on a dead PE — is
+//!   not probed at all. Its probe would score `+∞`, and from a finite
+//!   current score `+∞` is never accepted: in a relocation sweep it
+//!   never beats a finite best and every finite probe beats it, so the
+//!   task's best acceptable move is the same with or without it, and a
+//!   skipped swap counts as a rejected pair. At a current score of `+∞`
+//!   nothing is screened, because there an infinite-score move that
+//!   lowers the potential is an acceptable plateau move. The screen
+//!   reads the rows `apply` would start from, with `apply`'s own float
+//!   operations, so its verdict is the probe's bit for bit;
+//!   `debug_invariants` builds re-probe every screened move and assert
+//!   the `+∞`.
+//! * *Lazy potential.* A probe sums `Σ occupancy²` only when its period
+//!   is at most `current·(1+1e-12)`. Above that the move is not
+//!   acceptable, and every acceptable move of the same sweep beats it on
+//!   period alone before the potential is compared, so the value it
+//!   would have had decides nothing.
+//!
+//! Both keep every round, every accepted move and the final seats of the
+//! loop that probes everything; feasibility of a probe from a feasible
+//! state is read off the rows its move touched (see
+//! [`EvalState::is_feasible`]).
 
 use cellstream_core::scheduler::CancelToken;
 use cellstream_core::{evaluate, evaluate_with, Availability, EvalState, Mapping, Move};
@@ -124,13 +151,38 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
     let mut current = state.score();
     let mut current_pot = balance_potential(state, spec);
 
-    // probe = apply → (score, potential) → exact undo
-    fn probe(state: &mut EvalState<'_>, spec: &CellSpec, mv: Move, plateau: bool) -> (f64, f64) {
+    // probe = apply → (score, potential) → exact undo; the potential is
+    // summed only for a period `accepts` could take (module docs)
+    fn probe(
+        state: &mut EvalState<'_>,
+        spec: &CellSpec,
+        mv: Move,
+        plateau: bool,
+        current: f64,
+    ) -> (f64, f64) {
         state.apply(mv);
         let s = state.score();
-        let pot = if plateau { balance_potential(state, spec) } else { 0.0 };
+        let pot = match plateau {
+            true if s <= current * (1.0 + 1e-12) => balance_potential(state, spec),
+            true => f64::INFINITY,
+            false => 0.0,
+        };
         state.undo();
         (s, pot)
+    }
+    // the capacity screen (module docs): with `current` finite, a move
+    // that overfills a local store or seats a dead PE would score +∞ and
+    // can never be accepted, so it is not probed
+    fn screened(state: &mut EvalState<'_>, mv: Move, current: f64) -> bool {
+        let skip = current.is_finite() && state.overfills(mv);
+        #[cfg(feature = "debug_invariants")]
+        if skip {
+            state.apply(mv);
+            let s = state.score();
+            state.undo();
+            assert!(s.is_infinite(), "screened {mv:?} scores {s}");
+        }
+        skip
     }
     // a task's best relocation, lexicographic in (period, potential):
     // the primary comparison is *exact* (ulp-level accumulator
@@ -170,7 +222,10 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
                     continue;
                 }
                 let mv = Move::Relocate { task: t, to };
-                let (p, pot) = probe(state, spec, mv, opts.plateau);
+                if screened(state, mv, current) {
+                    continue;
+                }
+                let (p, pot) = probe(state, spec, mv, opts.plateau, current);
                 if best.as_ref().is_none_or(|&(_, bp, bpot)| dominates(p, pot, bp, bpot)) {
                     best = Some((mv, p, pot));
                 }
@@ -197,9 +252,9 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
                     break 'sweeps;
                 }
                 for b in g.task_ids().skip(a.index() + 1) {
-                    if state.pe_of(a) != state.pe_of(b) {
-                        let mv = Move::Swap { a, b };
-                        let (p, pot) = probe(state, spec, mv, opts.plateau);
+                    let mv = Move::Swap { a, b };
+                    if state.pe_of(a) != state.pe_of(b) && !screened(state, mv, current) {
+                        let (p, pot) = probe(state, spec, mv, opts.plateau, current);
                         if accepts(p, pot, current, current_pot) {
                             state.apply(mv);
                             (current, current_pot) = (p.min(current), pot);

@@ -10,11 +10,12 @@
 //! partial seats a serving replan hands `repair_in_place`, and cold,
 //! from the planners' starts on a paper-scale graph.
 
+use cellstream_core::steady::buffers::BufferPlan;
 use cellstream_core::{Availability, EvalState, Mapping, Move};
 use cellstream_daggen::{chain, fork_join, CostParams};
-use cellstream_graph::Workload;
+use cellstream_graph::{StreamGraph, Workload};
 use cellstream_heuristics::{greedy_cpu, refine_in_place, repair_in_place, LocalSearchOptions};
-use cellstream_platform::{CellSpec, PeId};
+use cellstream_platform::{ByteSize, CellSpec, CellSpecBuilder, PeId};
 use proptest::prelude::*;
 
 /// `(score, potential)` of the state's current seats from the raw §3.2
@@ -180,6 +181,77 @@ fn cold_starts_on_paper_graph2_match_the_reference() {
     }
 }
 
+/// `spes` SPEs whose local store holds `eighths / 8` of the median task
+/// buffer of `g`: most tasks fit an SPE alone and few fit one together,
+/// so the capacity screen fires on a large share of the probes.
+fn tight_local_store(g: &StreamGraph, spes: usize, eighths: u64) -> CellSpec {
+    let mut bufs = BufferPlan::new(g).task_bytes;
+    bufs.sort_by(f64::total_cmp);
+    let budget = (bufs[bufs.len() / 2] * eighths as f64 / 8.0).ceil().max(1.0) as u64;
+    let code = ByteSize::kib(64);
+    CellSpecBuilder::default()
+        .spes(spes)
+        .code_size(code)
+        .local_store(ByteSize::bytes_exact(code.bytes() + budget))
+        .build()
+        .unwrap()
+}
+
+/// The live platform a case draws: healthy (0), one dead SPE (1) or one
+/// half-speed SPE (2).
+fn overlay(spec: &CellSpec, health: u32, which_spe: u32) -> Availability {
+    let mut avail = Availability::full(spec);
+    let spe = spec.pe(1 + which_spe as usize % spec.n_spe());
+    match health {
+        1 => avail.fail(spe),
+        2 => avail.set_factor(spe, 0.5),
+        _ => {}
+    }
+    avail
+}
+
+/// Per task: a random seat kept (3 in 4) or left to placement.
+fn partial_seats(g: &StreamGraph, spec: &CellSpec, seats: &[(u32, u32)]) -> Vec<Option<PeId>> {
+    (0..g.n_tasks())
+        .map(|k| {
+            let (keep, pe) = seats[k % seats.len()];
+            (keep != 0).then(|| spec.pe(pe as usize % spec.n_pes()))
+        })
+        .collect()
+}
+
+/// One referee case: the shipped search and the reference descend from
+/// the same seats and must end on the same seats and score bits. The
+/// seats are `partial` after `repair_in_place`'s placement, eviction and
+/// rebase or, with `raw`, `partial` itself (unplaced tasks on the PPE,
+/// nothing evicted — often infeasible, so the descent starts at `+∞`).
+fn referee_case(
+    g: &StreamGraph,
+    spec: &CellSpec,
+    avail: &Availability,
+    partial: &[Option<PeId>],
+    opts: &LocalSearchOptions,
+    raw: bool,
+    ctx: &str,
+) {
+    let start = Mapping::all_on(g, spec.pe(0));
+    let mut shipped = EvalState::new_with(g, spec, avail, &start).unwrap();
+    let mut reference = EvalState::new_with(g, spec, avail, &start).unwrap();
+    let (shipped_score, reference_score) = if raw {
+        let seats = || partial.iter().map(|p| p.unwrap_or(spec.pe(0)));
+        shipped.reseat(seats());
+        reference.reseat(seats());
+        (refine_in_place(&mut shipped, opts), reference_refine(&mut reference, opts))
+    } else {
+        let shipped_score = repair_in_place(&mut shipped, partial, opts);
+        let no_refine = LocalSearchOptions { max_rounds: 0, ..opts.clone() };
+        repair_in_place(&mut reference, partial, &no_refine);
+        (shipped_score, reference_refine(&mut reference, opts))
+    };
+    assert_eq!(shipped.assignment(), reference.assignment(), "{ctx}: seats");
+    assert_eq!(shipped_score.to_bits(), reference_score.to_bits(), "{ctx}: score");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -198,19 +270,6 @@ proptest! {
         let w = workload(seed, target);
         let g = w.graph();
         let spec = CellSpec::with_spes(spes);
-        let mut avail = Availability::full(&spec);
-        let spe = spec.pe(1 + which_spe as usize % spes);
-        match health {
-            1 => avail.fail(spe),
-            2 => avail.set_factor(spe, 0.5),
-            _ => {}
-        }
-        let partial: Vec<Option<PeId>> = (0..g.n_tasks())
-            .map(|k| {
-                let (keep, pe) = seats[k % seats.len()];
-                (keep != 0).then(|| spec.pe(pe as usize % spec.n_pes()))
-            })
-            .collect();
         let opts = LocalSearchOptions {
             plateau,
             max_rounds: [1, 4, 64][rounds],
@@ -222,18 +281,41 @@ proptest! {
             g.n_tasks(),
             opts.max_rounds
         );
+        let avail = overlay(&spec, health, which_spe);
+        referee_case(g, &spec, &avail, &partial_seats(g, &spec, &seats), &opts, false, &ctx);
+    }
 
-        let start = Mapping::all_on(g, spec.pe(0));
-        let mut shipped = EvalState::new_with(g, &spec, &avail, &start).unwrap();
-        let shipped_score = repair_in_place(&mut shipped, &partial, &opts);
-
-        // the same placement, eviction and rebase, then the referee's descent
-        let mut reference = EvalState::new_with(g, &spec, &avail, &start).unwrap();
-        let no_refine = LocalSearchOptions { max_rounds: 0, ..opts.clone() };
-        repair_in_place(&mut reference, &partial, &no_refine);
-        let reference_score = reference_refine(&mut reference, &opts);
-
-        prop_assert_eq!(shipped.assignment(), reference.assignment(), "{}: seats", ctx);
-        prop_assert_eq!(shipped_score.to_bits(), reference_score.to_bits(), "{}: score", ctx);
+    /// The same comparison on local stores tight enough that the capacity
+    /// screen skips a large share of the probes, and from raw seats whose
+    /// descent starts at `+∞`, where nothing may be screened.
+    #[test]
+    fn screened_sweep_matches_the_reference_on_tight_local_stores(
+        seed in 0u64..1_000_000,
+        target in 10usize..55,
+        spes in 1usize..9,
+        seats in collection::vec((0u32..4, any::<u32>()), 64..65),
+        plateau in any::<bool>(),
+        rounds in 0usize..3,
+        (health, which_spe) in (0u32..3, any::<u32>()),
+        // local-store budget in eighths of the median task buffer
+        eighths in 4u64..12,
+        raw in any::<bool>(),
+    ) {
+        let w = workload(seed, target);
+        let g = w.graph();
+        let spec = tight_local_store(g, spes, eighths);
+        let opts = LocalSearchOptions {
+            plateau,
+            max_rounds: [1, 4, 64][rounds],
+            ..LocalSearchOptions::default()
+        };
+        let ctx = format!(
+            "seed {seed}, {} tasks, {spes} SPEs, local store {eighths}/8 of the median \
+             buffer, health {health}, plateau {plateau}, max_rounds {}, raw {raw}",
+            g.n_tasks(),
+            opts.max_rounds
+        );
+        let avail = overlay(&spec, health, which_spe);
+        referee_case(g, &spec, &avail, &partial_seats(g, &spec, &seats), &opts, raw, &ctx);
     }
 }
