@@ -360,7 +360,8 @@ struct Simplex<'a> {
     ws: &'a mut Workspace,
     iterations: u64,
     degenerate_run: u32,
-    /// Consecutive numerical restarts (refactor-and-retry).
+    /// Consecutive numerical restarts (refactor-and-retry); every
+    /// committed pivot resets it.
     restarts: u32,
     /// Set when a mid-pivot refactorization found a singular basis —
     /// the factorization is unusable and the solve must stop.
@@ -623,6 +624,7 @@ impl<'a> Simplex<'a> {
         entering_value: f64,
         sigma_t: f64,
     ) -> bool {
+        self.restarts = 0;
         for &pos in nz {
             self.ws.beta[pos] -= sigma_t * w[pos];
         }
@@ -1311,6 +1313,37 @@ mod tests {
         assert!(matches!(step, Step::Progress));
         assert!(s.broken, "x0 in row 0's position leaves row 0 empty");
         assert_eq!(s.dual(), LpStatus::IterLimit);
+    }
+
+    /// Retries are capped only when they come one after another: nine
+    /// spread over a solve, each after a committed pivot, still let it
+    /// finish, while nine in a row stop it.
+    #[test]
+    fn only_consecutive_retries_stop_a_solve() {
+        // twelve covering rows x_i >= 1: twelve dual pivots from the
+        // slack basis, one per row
+        let mut m = Model::new("cover");
+        for i in 0..12 {
+            let x = m.add_var(format!("x{i}"), 0.0, 10.0, 1.0 + i as f64, VarKind::Continuous);
+            m.add_con(vec![(x, 1.0)], Cmp::Ge, 1.0);
+        }
+        let lp = SparseLp::from_model(&m).unwrap();
+        let one_more: Vec<LpOptions> =
+            (1..=9).map(|k| LpOptions { max_iterations: k, ..LpOptions::default() }).collect();
+        let uncapped = LpOptions::default();
+        let mut ws = Workspace::new(&lp);
+        let mut s = Simplex::new(&lp, &uncapped, &mut ws);
+        s.init_from_basis(&lp.slack_basis()).unwrap();
+        for (k, cap) in one_more.iter().enumerate() {
+            assert!(s.restart(), "retry {} follows a committed pivot", k + 1);
+            s.compute_duals_phase2();
+            s.opts = cap;
+            assert_eq!((s.dual(), s.iterations), (LpStatus::IterLimit, k as u64 + 1));
+        }
+        s.opts = &uncapped;
+        assert_eq!(s.dual(), LpStatus::Optimal);
+        let in_a_row: Vec<bool> = (0..9).map(|_| s.restart()).collect();
+        assert_eq!(in_a_row, [true, true, true, true, true, true, true, true, false]);
     }
 
     #[test]
