@@ -1,5 +1,6 @@
-//! Kernel referee: the sparse kernels of [`crate::factor`] and the
-//! pivot-row product of [`crate::sparse`] against the plain loops they
+//! Kernel referee: the sparse kernels of [`crate::factor`], the
+//! pivot-row product of [`crate::sparse`] and the dual simplex's
+//! leaving-row choice ([`InfeasibleSet`]) against the plain loops they
 //! replaced.
 //!
 //! [`DenseFactorization`] is the factorization as it was before the
@@ -13,6 +14,7 @@
 //! decision reads that sign).
 
 use crate::factor::{FactorError, Factorization, PIVOT_ZERO};
+use crate::revised::{InfeasibleSet, FEAS_TOL};
 use crate::sparse::{ColMatrix, SparseAcc};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -331,6 +333,97 @@ proptest! {
             let want: Vec<f64> = (0..n).map(|j| mat.col_dot(j, &rho)).collect();
             assert_same(&got, &want, "pivot row");
         }
+    }
+
+    /// The dual's leaving row read from the maintained infeasibility
+    /// set against the scan over all positions it replaced, after every
+    /// step of a random run of pivots (values move at a random set of
+    /// positions, the pivot position also takes new bounds), bound
+    /// flips (values move, bounds stay) and rebuilds. Values and bounds
+    /// come from a coarse grid, so equal violations — the tie-break —
+    /// are common.
+    #[test]
+    fn prop_infeasibility_set_picks_the_dense_scans_leaving_row(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = rng.gen_range(1..=40usize);
+        let (mut beta, mut lo, mut hi) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+        for pos in 0..m {
+            (lo[pos], hi[pos]) = random_bounds(&mut rng);
+            beta[pos] = random_value(&mut rng);
+        }
+        let mut set = InfeasibleSet::new(m);
+        set.rebuild(&beta, &lo, &hi);
+        for step in 0..rng.gen_range(1..=60usize) {
+            let moved: Vec<usize> = (0..m).filter(|_| rng.gen_bool(0.2)).collect();
+            for &pos in &moved {
+                beta[pos] = random_value(&mut rng);
+            }
+            match rng.gen_range(0..10) {
+                0 => set.rebuild(&beta, &lo, &hi),
+                1..=5 => {
+                    let r = rng.gen_range(0..m);
+                    (lo[r], hi[r]) = random_bounds(&mut rng);
+                    beta[r] = random_value(&mut rng);
+                    for &pos in moved.iter().chain([&r]) {
+                        set.refresh(pos, &beta, &lo, &hi);
+                    }
+                }
+                _ => {
+                    for &pos in &moved {
+                        set.refresh(pos, &beta, &lo, &hi);
+                    }
+                }
+            }
+            prop_assert_eq!(set.leaving(), dense_leaving(&beta, &lo, &hi), "step {}", step);
+        }
+    }
+}
+
+/// The scan over all `m` positions the dual simplex took its leaving row
+/// from: the largest violation beyond `FEAS_TOL`, the first (lowest)
+/// position on ties, and whether it lies below its bound.
+fn dense_leaving(beta: &[f64], lo: &[f64], hi: &[f64]) -> Option<(usize, bool)> {
+    let mut r = usize::MAX;
+    let mut worst = FEAS_TOL;
+    let mut below = false;
+    for (pos, &b) in beta.iter().enumerate() {
+        let d_lo = lo[pos] - b;
+        let d_hi = b - hi[pos];
+        if d_lo > worst {
+            worst = d_lo;
+            r = pos;
+            below = true;
+        }
+        if d_hi > worst {
+            worst = d_hi;
+            r = pos;
+            below = false;
+        }
+    }
+    (r != usize::MAX).then_some((r, below))
+}
+
+/// A value on a grid of quarters, now and then just past the tolerance
+/// of a grid bound.
+fn random_value(rng: &mut StdRng) -> f64 {
+    let v = rng.gen_range(-8..=8i32) as f64 / 4.0;
+    match rng.gen_range(0..8) {
+        0 => v + FEAS_TOL,
+        1 => v - 2.0 * FEAS_TOL,
+        _ => v,
+    }
+}
+
+/// Bounds as the mapping LPs have them: boxes, one-sided rays, fixed
+/// values and free columns.
+fn random_bounds(rng: &mut StdRng) -> (f64, f64) {
+    let a = rng.gen_range(-4..=4i32) as f64 / 4.0;
+    let b = a + rng.gen_range(0..=4i32) as f64 / 4.0;
+    match rng.gen_range(0..5) {
+        0 => (f64::NEG_INFINITY, b),
+        1 => (a, f64::INFINITY),
+        2 => (f64::NEG_INFINITY, f64::INFINITY),
+        _ => (a, b),
     }
 }
 

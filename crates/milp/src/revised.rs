@@ -102,7 +102,7 @@ pub struct SparseLp {
     rhs: Vec<f64>,
 }
 
-const FEAS_TOL: f64 = 1e-7;
+pub(crate) const FEAS_TOL: f64 = 1e-7;
 const PIVOT_TOL: f64 = 1e-10;
 const HARRIS_DELTA: f64 = 1e-7;
 const DEGENERATE_RUN_FOR_BLAND: u32 = 48;
@@ -327,6 +327,84 @@ pub(crate) struct Workspace {
     /// that count as `(column, α_rj)`.
     acc: SparseAcc,
     alpha_row: Vec<(usize, f64)>,
+    /// The basis positions outside their bounds.
+    infeasible: InfeasibleSet,
+}
+
+/// The basis positions whose value violates a bound by more than
+/// `FEAS_TOL`, each with its violation — where the dual simplex takes its
+/// leaving row. A pivot or a bound flip moves only the values at the
+/// entering column's non-zero positions (and the bounds at the pivot
+/// position), so the set is refreshed there and rebuilt only when every
+/// value is recomputed; the leaving row is then read from the violated
+/// positions instead of a scan over all `m`.
+#[derive(Debug)]
+pub(crate) struct InfeasibleSet {
+    /// `(position, violation, below its lower bound)`, in no particular
+    /// order.
+    members: Vec<(usize, f64, bool)>,
+    /// `slot[pos]`: index of `pos` in `members`, `usize::MAX` if absent.
+    slot: Vec<usize>,
+}
+
+impl InfeasibleSet {
+    pub(crate) fn new(m: usize) -> InfeasibleSet {
+        InfeasibleSet { members: Vec::with_capacity(m), slot: vec![usize::MAX; m] }
+    }
+
+    /// Recompute every position.
+    pub(crate) fn rebuild(&mut self, beta: &[f64], lo: &[f64], hi: &[f64]) {
+        for &(pos, ..) in &self.members {
+            self.slot[pos] = usize::MAX;
+        }
+        self.members.clear();
+        for pos in 0..beta.len() {
+            self.refresh(pos, beta, lo, hi);
+        }
+    }
+
+    /// Re-read position `pos` after its value or bounds moved: the test
+    /// the dense scan made there.
+    pub(crate) fn refresh(&mut self, pos: usize, beta: &[f64], lo: &[f64], hi: &[f64]) {
+        let (d_lo, d_hi) = (lo[pos] - beta[pos], beta[pos] - hi[pos]);
+        let violation = if d_lo > FEAS_TOL {
+            Some((d_lo, true))
+        } else if d_hi > FEAS_TOL {
+            Some((d_hi, false))
+        } else {
+            None
+        };
+        let at = self.slot[pos];
+        match violation {
+            Some((v, below)) if at == usize::MAX => {
+                self.slot[pos] = self.members.len();
+                self.members.push((pos, v, below));
+            }
+            Some((v, below)) => self.members[at] = (pos, v, below),
+            None if at != usize::MAX => {
+                self.members.swap_remove(at);
+                if let Some(&(moved, ..)) = self.members.get(at) {
+                    self.slot[moved] = at;
+                }
+                self.slot[pos] = usize::MAX;
+            }
+            None => {}
+        }
+    }
+
+    /// The most violated position and whether it lies below its bound —
+    /// the lowest such position on ties, as a scan in position order
+    /// keeping strict improvements finds it — or `None` when every
+    /// value is within its bounds.
+    pub(crate) fn leaving(&self) -> Option<(usize, bool)> {
+        let mut best: Option<(usize, f64, bool)> = None;
+        for &(pos, v, below) in &self.members {
+            if best.is_none_or(|(bp, bv, _)| v > bv || (v == bv && pos < bp)) {
+                best = Some((pos, v, below));
+            }
+        }
+        best.map(|(pos, _, below)| (pos, below))
+    }
 }
 
 impl Workspace {
@@ -349,6 +427,7 @@ impl Workspace {
             wnz: Vec::with_capacity(m),
             acc: SparseAcc::new(ncols),
             alpha_row: Vec::with_capacity(ncols),
+            infeasible: InfeasibleSet::new(m),
         }
     }
 }
@@ -515,6 +594,16 @@ impl<'a> Simplex<'a> {
         self.ws.factor.ftran(&mut r);
         self.ws.beta.copy_from_slice(&r);
         self.ws.ybuf = r;
+        let Workspace { infeasible, beta, basic_lo, basic_hi, .. } = &mut *self.ws;
+        infeasible.rebuild(beta, basic_lo, basic_hi);
+    }
+
+    /// Re-read the bound violation at the positions whose value moved.
+    fn refresh_infeasible(&mut self, positions: impl IntoIterator<Item = usize>) {
+        let Workspace { infeasible, beta, basic_lo, basic_hi, .. } = &mut *self.ws;
+        for pos in positions {
+            infeasible.refresh(pos, beta, basic_lo, basic_hi);
+        }
     }
 
     /// Recompute reduced costs from the basic-cost vector `cb` (indexed
@@ -635,6 +724,7 @@ impl<'a> Simplex<'a> {
         self.ws.beta[r] = entering_value;
         self.ws.basic_lo[r] = self.lp.lower[q];
         self.ws.basic_hi[r] = self.lp.upper[q];
+        self.refresh_infeasible(nz.iter().copied().chain([r]));
         if !self.ws.factor.update(w, nz, r) || self.ws.factor.should_refactor() {
             // refactor with the *new* basis (recomputes beta); a
             // singular result poisons the solve and stops it
@@ -792,6 +882,7 @@ impl<'a> Simplex<'a> {
         for &pos in nz {
             self.ws.beta[pos] -= sigma * t_flip * w[pos];
         }
+        self.refresh_infeasible(nz.iter().copied());
         self.ws.state[q] = if sigma > 0.0 { VState::AtUpper } else { VState::AtLower };
     }
 
@@ -997,26 +1088,9 @@ impl<'a> Simplex<'a> {
             }
 
             // leaving: the most bound-violating basic variable
-            let mut r = usize::MAX;
-            let mut worst = FEAS_TOL;
-            let mut below = false;
-            for (pos, &b) in self.ws.beta.iter().enumerate() {
-                let d_lo = self.ws.basic_lo[pos] - b;
-                let d_hi = b - self.ws.basic_hi[pos];
-                if d_lo > worst {
-                    worst = d_lo;
-                    r = pos;
-                    below = true;
-                }
-                if d_hi > worst {
-                    worst = d_hi;
-                    r = pos;
-                    below = false;
-                }
-            }
-            if r == usize::MAX {
+            let Some((r, below)) = self.ws.infeasible.leaving() else {
                 return LpStatus::Optimal; // primal feasible + dual feasible
-            }
+            };
 
             self.pivot_row(r, PIVOT_TOL, |_, fixed| !fixed);
 
