@@ -6,7 +6,7 @@
 //!   triplets, with a row-wise copy beside them for the pivot row — the
 //!   matrix is never densified; the entering column, the pivot-row
 //!   multipliers and the duals are dense length-`m` vectors;
-//! * the basis is LU-factorized with product-form eta updates and
+//! * the basis is LU-factorized with Forrest–Tomlin updates and
 //!   periodic refactorization ([`crate::factor`]);
 //! * pricing is Devex ([`crate::pricing`]) with a Bland fallback after
 //!   degenerate runs;
@@ -297,8 +297,7 @@ impl SparseLp {
 /// The buffers a solve works in, sized for one [`SparseLp`]. A solve
 /// initialises everything it reads, so a workspace can be handed from
 /// solve to solve — branch-and-bound keeps one for the whole search —
-/// and the pivot loop allocates nothing but the segments of an eta
-/// file that outgrows the one before it.
+/// and the pivot loop allocates nothing.
 #[derive(Debug)]
 pub(crate) struct Workspace {
     factor: Factorization,
@@ -321,7 +320,8 @@ pub(crate) struct Workspace {
     rbuf: Vec<f64>,
     ybuf: Vec<f64>,
     cbuf: Vec<f64>,
-    /// Non-zero positions of the entering column, increasing.
+    /// Non-zero positions of the entering column, increasing. Between
+    /// pivots `wbuf` is zero everywhere else and `rbuf` everywhere.
     wnz: Vec<usize>,
     /// The pivot row: accumulator over all columns, then the entries
     /// that count as `(column, α_rj)`.
@@ -341,54 +341,52 @@ pub(crate) struct Workspace {
 #[derive(Debug)]
 pub(crate) struct InfeasibleSet {
     /// `(position, violation, below its lower bound)`, in no particular
-    /// order.
+    /// order, behind a placeholder at index 0.
     members: Vec<(usize, f64, bool)>,
-    /// `slot[pos]`: index of `pos` in `members`, `usize::MAX` if absent.
+    /// `slot[pos]`: index of `pos` in `members`, 0 if absent — so that
+    /// the common refresh, a position that stays what it was, is one
+    /// unconditional store (into the placeholder when absent).
     slot: Vec<usize>,
 }
 
 impl InfeasibleSet {
     pub(crate) fn new(m: usize) -> InfeasibleSet {
-        InfeasibleSet { members: Vec::with_capacity(m), slot: vec![usize::MAX; m] }
+        let mut members = Vec::with_capacity(m + 1);
+        members.push((usize::MAX, 0.0, false));
+        InfeasibleSet { members, slot: vec![0; m] }
     }
 
     /// Recompute every position.
     pub(crate) fn rebuild(&mut self, beta: &[f64], lo: &[f64], hi: &[f64]) {
-        for &(pos, ..) in &self.members {
-            self.slot[pos] = usize::MAX;
+        for &(pos, ..) in &self.members[1..] {
+            self.slot[pos] = 0;
         }
-        self.members.clear();
+        self.members.truncate(1);
         for pos in 0..beta.len() {
             self.refresh(pos, beta, lo, hi);
         }
     }
 
     /// Re-read position `pos` after its value or bounds moved: the test
-    /// the dense scan made there.
+    /// the dense scan made there (a value cannot lie both below `lo` and
+    /// above `hi` by more than the tolerance).
     pub(crate) fn refresh(&mut self, pos: usize, beta: &[f64], lo: &[f64], hi: &[f64]) {
         let (d_lo, d_hi) = (lo[pos] - beta[pos], beta[pos] - hi[pos]);
-        let violation = if d_lo > FEAS_TOL {
-            Some((d_lo, true))
-        } else if d_hi > FEAS_TOL {
-            Some((d_hi, false))
-        } else {
-            None
-        };
+        let below = d_lo > FEAS_TOL;
+        let v = if below { d_lo } else { d_hi };
+        let violated = v > FEAS_TOL;
         let at = self.slot[pos];
-        match violation {
-            Some((v, below)) if at == usize::MAX => {
-                self.slot[pos] = self.members.len();
-                self.members.push((pos, v, below));
+        if violated == (at != 0) {
+            self.members[at] = (pos, v, below);
+        } else if violated {
+            self.slot[pos] = self.members.len();
+            self.members.push((pos, v, below));
+        } else {
+            self.members.swap_remove(at);
+            if let Some(&(moved, ..)) = self.members.get(at) {
+                self.slot[moved] = at;
             }
-            Some((v, below)) => self.members[at] = (pos, v, below),
-            None if at != usize::MAX => {
-                self.members.swap_remove(at);
-                if let Some(&(moved, ..)) = self.members.get(at) {
-                    self.slot[moved] = at;
-                }
-                self.slot[pos] = usize::MAX;
-            }
-            None => {}
+            self.slot[pos] = 0;
         }
     }
 
@@ -398,7 +396,7 @@ impl InfeasibleSet {
     /// value is within its bounds.
     pub(crate) fn leaving(&self) -> Option<(usize, bool)> {
         let mut best: Option<(usize, f64, bool)> = None;
-        for &(pos, v, below) in &self.members {
+        for &(pos, v, below) in &self.members[1..] {
             if best.is_none_or(|(bp, bv, _)| v > bv || (v == bv && pos < bp)) {
                 best = Some((pos, v, below));
             }
@@ -598,10 +596,12 @@ impl<'a> Simplex<'a> {
         infeasible.rebuild(beta, basic_lo, basic_hi);
     }
 
-    /// Re-read the bound violation at the positions whose value moved.
-    fn refresh_infeasible(&mut self, positions: impl IntoIterator<Item = usize>) {
+    /// Move the basic values a step `t` along the entering column `w`
+    /// (non-zero at `nz`), and re-read their bound violations.
+    fn step_values(&mut self, w: &[f64], nz: &[usize], t: f64) {
         let Workspace { infeasible, beta, basic_lo, basic_hi, .. } = &mut *self.ws;
-        for pos in positions {
+        for &pos in nz {
+            beta[pos] -= t * w[pos];
             infeasible.refresh(pos, beta, basic_lo, basic_hi);
         }
     }
@@ -638,12 +638,15 @@ impl<'a> Simplex<'a> {
     /// non-zero positions; both are handed back with
     /// [`Simplex::put_entering`].
     fn take_entering(&mut self, q: usize) -> (Vec<f64>, Vec<usize>) {
-        let mut w = Self::take_zeroed(&mut self.ws.wbuf, self.lp.m);
-        self.lp.mat.col_axpy(q, 1.0, &mut w);
-        self.ws.factor.ftran(&mut w);
+        let mut w = std::mem::take(&mut self.ws.wbuf);
         let mut nz = std::mem::take(&mut self.ws.wnz);
-        nz.clear();
-        nz.extend(w.iter().enumerate().filter(|&(_, &v)| v != 0.0).map(|(pos, _)| pos));
+        // the buffer holds the last entering column, non-zero at `nz`
+        for &pos in &nz {
+            w[pos] = 0.0;
+        }
+        debug_assert!(w.iter().all(|&v| v == 0.0));
+        self.lp.mat.col_axpy(q, 1.0, &mut w);
+        self.ws.factor.ftran_entering(&mut w, self.lp.mat.col(q).0, &mut nz);
         (w, nz)
     }
 
@@ -656,10 +659,12 @@ impl<'a> Simplex<'a> {
     /// magnitude of the nonbasic columns `keep(column, fixed)` lets
     /// through, in increasing column order.
     fn pivot_row(&mut self, r: usize, tol: f64, keep: impl Fn(usize, bool) -> bool) {
-        let mut rho = Self::take_zeroed(&mut self.ws.rbuf, self.lp.m);
+        // the buffer is all zero: the last `combine` cleared it
+        let mut rho = std::mem::take(&mut self.ws.rbuf);
+        debug_assert!(rho.iter().all(|&v| v == 0.0));
         rho[r] = 1.0;
         self.ws.factor.btran(&mut rho);
-        self.lp.rows.combine(&rho, &mut self.ws.acc);
+        self.lp.rows.combine(&mut rho, &mut self.ws.acc);
         self.ws.rbuf = rho;
         let Workspace { acc, alpha_row, state, fixed, .. } = &mut *self.ws;
         alpha_row.clear();
@@ -697,7 +702,7 @@ impl<'a> Simplex<'a> {
     /// Commit a pivot: column `q` (FTRAN'd to `w`, non-zero at `nz`)
     /// replaces basis position `r`; the leaving column rests at
     /// `leave_state`. `sigma_t` is the signed primal step. Returns
-    /// `false` when the eta update was rejected and a refactor was
+    /// `false` when the update was refused and a refactor was
     /// performed (values are recomputed; reduced costs must be
     /// refreshed by the caller — unless the refactor found the new
     /// basis singular and set `broken`, when nothing may read the
@@ -714,9 +719,7 @@ impl<'a> Simplex<'a> {
         sigma_t: f64,
     ) -> bool {
         self.restarts = 0;
-        for &pos in nz {
-            self.ws.beta[pos] -= sigma_t * w[pos];
-        }
+        self.step_values(w, nz, sigma_t);
         let jout = self.ws.basis[r];
         self.ws.state[jout] = leave_state;
         self.ws.basis[r] = q;
@@ -724,7 +727,8 @@ impl<'a> Simplex<'a> {
         self.ws.beta[r] = entering_value;
         self.ws.basic_lo[r] = self.lp.lower[q];
         self.ws.basic_hi[r] = self.lp.upper[q];
-        self.refresh_infeasible(nz.iter().copied().chain([r]));
+        let Workspace { infeasible, beta, basic_lo, basic_hi, .. } = &mut *self.ws;
+        infeasible.refresh(r, beta, basic_lo, basic_hi);
         if !self.ws.factor.update(w, nz, r) || self.ws.factor.should_refactor() {
             // refactor with the *new* basis (recomputes beta); a
             // singular result poisons the solve and stops it
@@ -879,10 +883,7 @@ impl<'a> Simplex<'a> {
     }
 
     fn flip_bound(&mut self, q: usize, sigma: f64, t_flip: f64, w: &[f64], nz: &[usize]) {
-        for &pos in nz {
-            self.ws.beta[pos] -= sigma * t_flip * w[pos];
-        }
-        self.refresh_infeasible(nz.iter().copied());
+        self.step_values(w, nz, sigma * t_flip);
         self.ws.state[q] = if sigma > 0.0 { VState::AtUpper } else { VState::AtLower };
     }
 
@@ -1363,7 +1364,7 @@ mod tests {
         assert_eq!(warm.status, LpStatus::Infeasible);
     }
 
-    /// A pivot whose eta update is refused and whose refactorization
+    /// A pivot whose update is refused and whose refactorization
     /// then finds the new basis singular must stop the solve, not price
     /// on the half-built factorization. The entering column handed to the
     /// ratio test claims a tiny pivot in row 0, where column `x0` really

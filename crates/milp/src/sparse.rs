@@ -1,6 +1,6 @@
 //! Sparse storage for the revised simplex: the constraint matrix as
 //! compressed sparse columns (CSC), the growable column stack the
-//! factorization keeps `L`, `U` and its eta file in, and the sparse
+//! factorization keeps `L`, `U` and its row etas in, and the sparse
 //! accumulator the pivot row is summed into.
 //!
 //! The mapping formulations are extremely sparse — a typical row of
@@ -117,12 +117,13 @@ impl ColMatrix {
     }
 
     /// The combination `Σ_j x_j · col_j` summed into `acc`, over the
-    /// non-zero `x_j` in increasing `j`. On the transposed copy this is
-    /// a row of multipliers times the matrix: slot `c` receives the
-    /// additions of `col_dot(c, x)` on the original, in its order, minus
-    /// the terms that are zero.
-    pub(crate) fn combine(&self, x: &[f64], acc: &mut SparseAcc) {
-        for (j, &xj) in x.iter().enumerate() {
+    /// non-zero `x_j` in increasing `j`; `x` is left all zero. On the
+    /// transposed copy this is a row of multipliers times the matrix:
+    /// slot `c` receives the additions of `col_dot(c, x)` on the
+    /// original, in its order, minus the terms that are zero.
+    pub(crate) fn combine(&self, x: &mut [f64], acc: &mut SparseAcc) {
+        for (j, slot) in x.iter_mut().enumerate() {
+            let xj = std::mem::take(slot);
             if xj != 0.0 {
                 let (rows, vals) = self.col(j);
                 for (&r, &v) in rows.iter().zip(vals) {
@@ -142,9 +143,9 @@ impl ColMatrix {
 }
 
 /// Sparse columns appended one at a time into flat arrays — the
-/// storage of the factorization's `L` and `U` and of the eta file's
-/// segments. Clearing keeps the capacity, so a stack that has reached
-/// its working size is rebuilt without touching the allocator.
+/// storage of the factorization's `L`, `U` and row etas. Clearing keeps
+/// the capacity, so a stack that has reached its working size is
+/// rebuilt without touching the allocator.
 #[derive(Debug)]
 pub(crate) struct ColStack {
     /// `ptr[c]..ptr[c + 1]` indexes column `c`; entries past the last
@@ -171,16 +172,6 @@ impl ColStack {
         self.val.clear();
     }
 
-    /// Closed columns.
-    pub fn len(&self) -> usize {
-        self.ptr.len() - 1
-    }
-
-    /// Entries pushed so far, the open column's included.
-    pub fn entries(&self) -> usize {
-        self.idx.len()
-    }
-
     /// Append an entry to the open column.
     pub fn push(&mut self, i: usize, v: f64) {
         debug_assert!(u32::try_from(i).is_ok());
@@ -200,77 +191,37 @@ impl ColStack {
         let (a, b) = (self.ptr[c], self.ptr[c + 1]);
         (&self.idx[a..b], &self.val[a..b])
     }
-}
 
-/// Entries per segment of a [`SegStack`]: a 32 KiB and a 64 KiB array,
-/// ordinary heap blocks to any allocator (glibc maps blocks of 128 KiB
-/// and more on their own and moves its thresholds when they are freed).
-const SEGMENT_ENTRIES: usize = 8192;
-
-/// Sparse columns appended one at a time into fixed-size segments — the
-/// storage of the eta file, whose size is known only once it has
-/// filled: 64 columns of up to `m` entries, nearly all of them in some
-/// windows of the mapping LPs and a tenth in others. A segment is
-/// allocated when the one before it is full and written front to back,
-/// so what is reserved and what is touched differ by less than a
-/// segment; a column never straddles two. Clearing keeps the segments
-/// the cleared file used and frees the spares of a longer one before
-/// it: the stack holds what the last file needed, not the longest ever.
-#[derive(Debug)]
-pub(crate) struct SegStack {
-    /// `segs[..used]` hold the columns, in order; the rest are spares
-    /// of the file before this one.
-    segs: Vec<ColStack>,
-    used: usize,
-    cols: usize,
-    max_cols: usize,
-    seg_entries: usize,
-}
-
-impl SegStack {
-    /// Empty stack for at most `max_cols` columns of at most `longest`
-    /// entries each. Allocates nothing.
-    pub fn new(max_cols: usize, longest: usize) -> SegStack {
-        let seg_entries = SEGMENT_ENTRIES.max(longest);
-        SegStack { segs: Vec::new(), used: 0, cols: 0, max_cols, seg_entries }
+    /// Where closed column `c`'s entries sit, for [`ColStack::entry`]
+    /// and [`ColStack::zero`].
+    pub fn range(&self, c: usize) -> std::ops::Range<usize> {
+        self.ptr[c]..self.ptr[c + 1]
     }
 
-    /// Drop every column; keep the segments they filled (one at
-    /// least), free the others.
-    pub fn clear(&mut self) {
-        for seg in &mut self.segs[..self.used] {
-            seg.clear();
-        }
-        self.segs.truncate(self.used.max(1));
-        self.used = 0;
-        self.cols = 0;
+    /// The entry at `at`, as `(index, value)`.
+    pub fn entry(&self, at: usize) -> (usize, f64) {
+        (self.idx[at] as usize, self.val[at])
     }
 
-    /// Columns.
-    pub fn len(&self) -> usize {
-        self.cols
+    /// Set the value of the entry at `at` to zero, keeping its place.
+    pub fn zero(&mut self, at: usize) {
+        self.val[at] = 0.0;
     }
 
-    /// Append the column that `fill` pushes, of at most `room` entries.
-    pub fn push_col(&mut self, room: usize, fill: impl FnOnce(&mut ColStack)) {
-        debug_assert!(room <= self.seg_entries && self.cols < self.max_cols);
-        if self.used == 0 || self.segs[self.used - 1].entries() + room > self.seg_entries {
-            if self.used == self.segs.len() {
-                self.segs.push(ColStack::with_capacity(self.max_cols, self.seg_entries));
-            }
-            self.used += 1;
-        }
-        let seg = &mut self.segs[self.used - 1];
-        fill(seg);
-        seg.close();
-        debug_assert!(seg.entries() <= self.seg_entries);
-        self.cols += 1;
+    /// Whether `cols` more columns of `entries` entries in all fit
+    /// without reallocating.
+    pub fn fits(&self, cols: usize, entries: usize) -> bool {
+        let spare = |len: usize, cap: usize| cap - len;
+        spare(self.ptr.len(), self.ptr.capacity()) >= cols
+            && spare(self.idx.len(), self.idx.capacity()) >= entries
+            && spare(self.val.len(), self.val.capacity()) >= entries
     }
 
-    /// The columns, oldest first, as parallel `(indices, values)`
-    /// slices.
-    pub fn cols(&self) -> impl DoubleEndedIterator<Item = (&[u32], &[f64])> {
-        self.segs[..self.used].iter().flat_map(|s| (0..s.len()).map(move |c| s.col(c)))
+    /// Make sure `cols` more columns of `entries` entries in all fit.
+    pub fn reserve(&mut self, cols: usize, entries: usize) {
+        self.ptr.reserve(cols);
+        self.idx.reserve(entries);
+        self.val.reserve(entries);
     }
 }
 
@@ -365,49 +316,10 @@ mod tests {
             s.push(1, -2.0);
             assert_eq!(s.close(), 2);
             assert_eq!(s.close(), 0);
-            assert_eq!(s.len(), 2);
+            assert_eq!(s.ptr.len(), 3, "two closed columns");
             assert_eq!(s.col(0), (&[4u32, 1][..], &[1.5, -2.0][..]));
             assert_eq!(s.col(1).0.len(), 0);
         }
-    }
-
-    #[test]
-    fn seg_stack_opens_a_segment_when_a_column_might_not_fit() {
-        let longest = SEGMENT_ENTRIES / 2;
-        let mut s = SegStack::new(8, longest);
-        assert!(s.segs.is_empty(), "an empty file owns no segment");
-        for round in 0..2 {
-            s.clear();
-            assert_eq!((s.len(), s.cols().count()), (0, 0));
-            // two columns fit a segment, the third might not: it opens
-            // the next one although it turns out short
-            for c in 0..5usize {
-                s.push_col(longest, |seg| {
-                    for i in 0..if c == 2 { 1 } else { longest } {
-                        seg.push(i + c, c as f64);
-                    }
-                });
-            }
-            assert_eq!((s.len(), s.used, s.segs.len()), (5, 3, 3), "round {round}");
-            let heads: Vec<(u32, f64, usize)> =
-                s.cols().map(|(i, v)| (i[0], v[0], i.len())).collect();
-            let len = |c: usize| if c == 2 { 1 } else { longest };
-            assert_eq!(heads, (0..5).map(|c| (c as u32, c as f64, len(c))).collect::<Vec<_>>());
-            let back: Vec<u32> = s.cols().rev().map(|(i, _)| i[0]).collect();
-            assert_eq!(back, vec![4, 3, 2, 1, 0]);
-            // no segment ever grew past its reservation
-            assert!(s.segs.iter().all(|g| g.idx.capacity() == SEGMENT_ENTRIES));
-        }
-        // a shorter file still finds the spare segments; the file after
-        // it does not
-        s.clear();
-        s.push_col(1, |seg| seg.push(7, 1.0));
-        assert_eq!((s.len(), s.used, s.segs.len()), (1, 1, 3));
-        assert_eq!(s.cols().next(), Some((&[7u32][..], &[1.0][..])));
-        s.clear();
-        assert_eq!((s.len(), s.used, s.segs.len()), (0, 0, 1));
-        s.clear();
-        assert_eq!(s.segs.len(), 1, "an empty file keeps one segment");
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Counting-allocator suite: **the simplex pivot loops are
 //! allocation-free** between two refactorizations — the two-phase
 //! primal's, and the dual simplex's that branch-and-bound runs at every
-//! node, the root included. A solve pays for its
-//! workspace and its answer; a pivot pays nothing — the entering
-//! column, the pivot row and the ratio tests work in buffers sized at
-//! set-up, and the eta append writes into the file's current segment
-//! (8 192 entries; a file takes a new one from the allocator only when
-//! that is full, and the windows of the two LPs below — 64 columns of
-//! under a hundred entries — never fill the first). So a root solve cut
-//! off after 40 pivots and the same solve cut off after 60 — both
-//! inside the first 64-eta window, no refactorization between them —
-//! must hit the global allocator the **same number of times**, whether
-//! it is the primal from scratch or the dual from the slack basis.
+//! node, the root included. A solve pays for its workspace and its
+//! answer; a pivot pays nothing. The entering column, the pivot row and
+//! the ratio tests work in buffers sized at set-up, and the
+//! Forrest–Tomlin update writes its spike into `U` and its row eta into
+//! the row-eta stack, both reserved by `Factorization::new` with the
+//! room of a window (4 entries a row, at least 8 192, which 64 updates
+//! of a basis up to 128 rows cannot outgrow; the LPs below have 94 and
+//! 80). An update that would not fit is refused, and only the
+//! refactorization after it reserves more. So a root solve cut off after
+//! 40 pivots and the same solve cut off after 60 — both inside the first
+//! 64-update window, no refactorization between them — must hit the
+//! global allocator the **same number of times**, whether it is the
+//! primal from scratch or the dual from the slack basis.
 //!
 //! Lives in `tests/` (a separate crate) because the library forbids
 //! `unsafe`, and wrapping the global allocator needs it.
@@ -81,8 +83,8 @@ fn uniform(state: &mut u64) -> f64 {
 
 /// Min-makespan assignment, relaxed: 90 tasks on 4 machines, one
 /// equality per task and one load row per machine — 94 rows, so the
-/// eta window is the full 64, and phase 1 alone needs more pivots than
-/// that to seat every task.
+/// update window is the full 64, and phase 1 alone needs more pivots
+/// than that to seat every task.
 fn assignment_lp() -> Model {
     let mut stream = 0x5EED_2010u64;
     let mut m = Model::new("assignment");
@@ -150,10 +152,10 @@ fn allocs_of_a_capped_solve(lp: &SparseLp, dual: bool, pivots: u64) -> u64 {
 }
 
 #[test]
-fn pivots_inside_one_eta_window_never_allocate() {
+fn pivots_inside_one_update_window_never_allocate() {
     for model in [assignment_lp(), packing_lp()] {
         let lp = SparseLp::from_model(&model).expect("valid model");
-        assert!(lp.n_rows() >= 64, "{}: the eta window must be the full 64", model.name());
+        assert!(lp.n_rows() >= 64, "{}: the update window must be the full 64", model.name());
         for dual in [false, true] {
             let at_40 = allocs_of_a_capped_solve(&lp, dual, 40);
             let at_60 = allocs_of_a_capped_solve(&lp, dual, 60);
