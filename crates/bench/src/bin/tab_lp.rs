@@ -12,8 +12,10 @@
 //! Output:
 //! * a table on stdout + `crates/bench/results/tab_lp.csv`;
 //! * machine-readable `crates/bench/results/BENCH_milp.json` (wall,
-//!   nodes, simplex iterations, gap at stop, warm-start hit rate, and
-//!   the zero-gap node throughput);
+//!   nodes, simplex iterations, gap at stop, warm-start hit rate, the
+//!   zero-gap node throughput, and the cost of a pivot: microseconds
+//!   per simplex iteration of the root LP alone and of the zero-gap
+//!   search);
 //! * the graph-1 portfolio leaderboard, so the budget breakdown of the
 //!   full workflow (heuristics + seeded MILP) is visible in CI logs.
 //!
@@ -37,8 +39,9 @@ use cellstream_daggen::paper;
 use cellstream_graph::ccr::{rescale_to_ccr, DEFAULT_BW};
 use cellstream_milp::bb::MipOptions;
 use cellstream_milp::model::LpOptions;
+use cellstream_milp::SparseLp;
 use cellstream_platform::CellSpec;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Options for the node-throughput probe: zero gap so the search cannot
 /// stop early, a node cap, and a wall budget.
@@ -67,6 +70,15 @@ struct GraphBench {
     warm_rate: f64,
     status: String,
     nodes_per_s: f64,
+    root_iters: u64,
+    root_us_per_iter: f64,
+    search_iters: u64,
+    search_us_per_iter: f64,
+}
+
+/// Microseconds per simplex iteration.
+fn us_per_iter(wall: Duration, iters: u64) -> f64 {
+    wall.as_secs_f64() * 1e6 / iters.max(1) as f64
 }
 
 fn main() {
@@ -107,8 +119,8 @@ fn main() {
 
             // ---- node-throughput probe, base CCR only ------------------
             // (None at the high-CCR point: the probe is skipped there)
-            let nodes_per_s: Option<f64> = (ccr < 1.0).then(|| {
-                let t0 = std::time::Instant::now();
+            let probe: Option<(f64, u64, f64)> = (ccr < 1.0).then(|| {
+                let t0 = Instant::now();
                 let probe = solve(
                     &g,
                     &spec,
@@ -119,8 +131,11 @@ fn main() {
                     },
                 )
                 .expect("probe runs");
-                probe.nodes as f64 / t0.elapsed().as_secs_f64().max(1e-6)
+                let wall = t0.elapsed();
+                let nodes_per_s = probe.nodes as f64 / wall.as_secs_f64().max(1e-6);
+                (nodes_per_s, probe.lp_iterations, us_per_iter(wall, probe.lp_iterations))
             });
+            let nodes_per_s = probe.map(|(n, ..)| n);
 
             let (nps_col, nps_csv) = match nodes_per_s {
                 Some(r) => (format!("{r:.1}"), format!("{r:.2}")),
@@ -150,7 +165,21 @@ fn main() {
                 outcome.warm_start_rate(),
                 outcome.status,
             ));
-            if let Some(nodes_per_s) = nodes_per_s {
+            if let Some((nodes_per_s, search_iters, search_us_per_iter)) = probe {
+                // the root LP alone: the branch-and-bound root's dual
+                // simplex from the slack basis, without the search
+                let lp = SparseLp::from_model(&form.model).expect("Linear Program (1) is valid");
+                let t0 = Instant::now();
+                let root = lp
+                    .solve_dual_from(&lp.slack_basis(), &LpOptions::default())
+                    .expect("the slack basis of Linear Program (1) is dual feasible");
+                let root_us_per_iter = us_per_iter(t0.elapsed(), root.iterations);
+                println!(
+                    "{:<18} root LP {} iterations, {root_us_per_iter:.1} us/iter; \
+                     zero-gap search {search_iters} iterations, {search_us_per_iter:.1} us/iter",
+                    g.name(),
+                    root.iterations
+                );
                 benches.push(GraphBench {
                     graph: g.name().to_owned(),
                     ccr,
@@ -164,6 +193,10 @@ fn main() {
                     warm_rate: outcome.warm_start_rate(),
                     status: format!("{:?}", outcome.status),
                     nodes_per_s,
+                    root_iters: root.iterations,
+                    root_us_per_iter,
+                    search_iters,
+                    search_us_per_iter,
                 });
             }
 
@@ -206,7 +239,9 @@ fn main() {
             format!(
                 "    {{\"graph\": \"{}\", \"ccr\": {}, \"vars\": {}, \"rows\": {}, \"nnz\": {}, \
                  \"wall_s\": {:.3}, \"nodes\": {}, \"simplex_iters\": {}, \"gap_at_stop\": {:.5}, \
-                 \"warm_start_rate\": {:.4}, \"status\": \"{}\", \"nodes_per_s\": {:.2}}}",
+                 \"warm_start_rate\": {:.4}, \"status\": \"{}\", \"nodes_per_s\": {:.2}, \
+                 \"root_iters\": {}, \"root_us_per_iter\": {:.2}, \"search_iters\": {}, \
+                 \"search_us_per_iter\": {:.2}}}",
                 b.graph,
                 b.ccr,
                 b.vars,
@@ -219,6 +254,10 @@ fn main() {
                 b.warm_rate,
                 b.status,
                 b.nodes_per_s,
+                b.root_iters,
+                b.root_us_per_iter,
+                b.search_iters,
+                b.search_us_per_iter,
             )
         })
         .collect();
