@@ -423,9 +423,8 @@ impl Factorization {
         // quotient is final once the later columns are through; it is
         // stored by the pass below, which divides every slot alike.
         for &t in self.u_steps.iter().rev() {
-            let x = v[self.pivrow[t]];
-            if x != 0.0 {
-                let z = x / self.upiv[t];
+            let z = v[self.pivrow[t]] / self.upiv[t];
+            if z != 0.0 {
                 let (rows, us) = self.u.col(t);
                 for (&r, &u) in rows.iter().zip(us) {
                     v[r as usize] -= u * z;
@@ -434,11 +433,12 @@ impl Factorization {
         }
         // divide by the diagonal and permute to basis positions
         let z = &mut self.scratch;
-        let quotients =
-            self.row_of_pos.iter().zip(&self.diag_of_pos).enumerate().map(|(p, (&i, &d))| {
-                let x = v[i];
-                (p, if x == 0.0 { 0.0 } else { x / d })
-            });
+        let quotients = self
+            .row_of_pos
+            .iter()
+            .zip(&self.diag_of_pos)
+            .enumerate()
+            .map(|(p, (&i, &d))| (p, v[i] / d));
         match entering {
             Some((_, nz)) => {
                 nz.clear();
