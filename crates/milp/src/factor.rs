@@ -18,9 +18,9 @@
 //! triangular system in the later columns, and sets the new diagonal
 //! `s_ρ − η·s`. So `B = L·R⁻¹·U` with `R = R_k ⋯ R_1`: FTRAN is the
 //! L-solve, the row etas oldest first, then the U-solve; BTRAN is the
-//! reverse. An update costs the spike (a handful of non-zeros in the
-//! mapping LPs, where `B⁻¹a_q` has hundreds) and one pass over the later
-//! columns of `U`. It is refused — the caller refactors — when the pivot
+//! reverse. An update costs the spike (a few dozen non-zeros in the
+//! mapping LPs, where `B⁻¹a_q` has hundreds) and a triangular solve
+//! over the part of the later columns of `U` that row `ρ` reaches. It is refused — the caller refactors — when the pivot
 //! is too small; when the new diagonal is (nearly) zero, cancels terms a
 //! thousand times its size, or disagrees with what the pivot predicts
 //! (`diag_new = w_r · diag_old`); when the window is full
