@@ -9,11 +9,14 @@
 //!   in every crate root, allocation-free `// check: no-alloc` functions,
 //!   and justified `Ordering::Relaxed`/`SeqCst` sites. Run it as
 //!   `cargo run -p cellstream-check -- --deny`.
-//! * [`mc`] — an exhaustive interleaving model checker for the SPSC
-//!   rings in `cellstream-rt`. It substitutes simulated weakly-ordered
-//!   counters and slots into the *shipped* generic `SpscRing` code and
-//!   enumerates every producer/consumer schedule, including store-buffer
-//!   reordering of non-`Release` stores. Its suite runs under
+//! * [`mc`] — an exhaustive interleaving model checker for
+//!   `cellstream-rt`'s SPSC `Ring`. It substitutes simulated
+//!   weakly-ordered counters and slots into the *shipped* generic ring
+//!   code and enumerates every producer/consumer schedule of two
+//!   consumer programs — the queue's pop-one `try_pop` and the engine's
+//!   peek window — including store-buffer reordering of non-`Release`
+//!   stores. Capacities 1–2 and the negative proofs run from the
+//!   workspace root's `tests/ring_model.rs`, capacity 3 under
 //!   `cargo test -p cellstream-check`.
 //!
 //! The third layer of the tooling, the `debug_invariants` cargo feature,

@@ -1,10 +1,11 @@
-//! Exhaustive interleaving model checker for `cellstream_rt::SpscRing`.
+//! Exhaustive interleaving model checker for `cellstream_rt::Ring`.
 //!
 //! The ring's counters and slots are generic ([`AtomicCounter`],
-//! [`RingSlot`]), so this module injects **simulated** implementations
-//! into the exact `try_push`/`try_pop` source that ships and enumerates
-//! every producer/consumer schedule under a weakly-ordered operational
-//! memory model:
+//! [`SlotLock`]), so this module injects **simulated** implementations
+//! into the exact `can_produce`/`write_next`/`publish` and
+//! `window_ready`/`read`/`release` source that ships and enumerates every
+//! producer/consumer schedule under a weakly-ordered operational memory
+//! model:
 //!
 //! * every store lands in the storing side's **store buffer** and
 //!   becomes visible to the other side only when it *drains* to shared
@@ -22,18 +23,27 @@
 //!   discipline, which is where this protocol's correctness lives (see
 //!   DESIGN.md for scope and limits).
 //!
+//! The producer runs `try_push` (`can_produce`, `write_next`, `publish`)
+//! in both programs. The consumer runs one of two: the **pop-one**
+//! program is the queue's `try_pop`, which takes each item out of its
+//! slot; the **window** program holds `read(i ..= i+peek)` and then
+//! releases `i`, as `rt`'s engine executes a task with peek `peek`.
+//!
 //! Scheduling choices are: which side attempts its next operation, and,
-//! before each cross-thread load, which (if any) of the other side's
-//! drainable entries commit first. The driver enumerates all schedules
+//! at each cross-thread load, which of the other side's buffered stores
+//! to the location (if any) it reads — that store then drains with
+//! exactly the stores it must follow. The driver enumerates all schedules
 //! by stateless depth-first replay and asserts, per schedule: no slot
-//! reuse (a publish never overwrites an untaken item), no lost publish
-//! (every successfully pushed item is popped, exactly once), FIFO
-//! order, and `try_push` backpressure that never admits an item into a
-//! full ring (conservative refusals are allowed — a refusal only means
-//! a freed slot was not visible *yet*).
+//! reuse (a write never lands over a slot store still in flight), no
+//! lost publish (every successfully pushed item is consumed, exactly
+//! once), FIFO order and window contents, and `try_push` backpressure
+//! that never admits an item into a full ring (conservative refusals
+//! are allowed — a refusal only means a freed slot was not visible
+//! *yet*).
 
-use cellstream_rt::{AtomicCounter, RingSlot, SpscRing};
+use cellstream_rt::{AtomicCounter, Ring, SlotLock};
 use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
@@ -41,8 +51,6 @@ use std::sync::atomic::Ordering;
 const LOC_PRODUCED: usize = 0;
 const LOC_CONSUMED: usize = 1;
 const SLOT_BASE: usize = 2;
-/// Slot encoding: 0 = empty, `v + 1` = `Some(v)`.
-const EMPTY: u64 = 0;
 
 const PRODUCER: usize = 0;
 const CONSUMER: usize = 1;
@@ -66,8 +74,13 @@ pub struct CheckConfig {
     pub capacity: usize,
     /// `try_push` attempts the producer makes (values 0, 1, 2, …).
     pub push_attempts: usize,
-    /// `try_pop` attempts the consumer makes during the race phase.
+    /// Consumer attempts during the race phase.
     pub pop_attempts: usize,
+    /// The consumer program: 0 is the pop-one program (`try_pop`); `p`
+    /// is the window program, holding instances `i ..= i+p` — capped at
+    /// `capacity − 1`, the deepest window a ring that size holds (the
+    /// engine's §4.2 sizing always gives at least `p + 1` slots).
+    pub peek: usize,
     /// Ordering weakening under test.
     pub weaken: Weaken,
 }
@@ -148,53 +161,52 @@ impl SimState {
         }
     }
 
-    /// Indices into the *other* side's buffer that may drain now:
-    /// nothing older targets the same location, and a `Release` entry
-    /// must be the oldest of its buffer.
-    fn drainable(&self) -> Vec<usize> {
-        let other = 1 - self.current;
-        let buf = &self.buffers[other];
-        (0..buf.len())
-            .filter(|&i| {
-                let e = &buf[i];
-                let coherent = buf[..i].iter().all(|p| p.loc != e.loc);
-                let ordered = !e.release || i == 0;
-                coherent && ordered
-            })
-            .collect()
-    }
-
-    fn drain(&mut self, side: usize, idx: usize) {
-        let e = self.buffers[side].remove(idx);
-        self.shared[e.loc] = e.value;
+    /// Drain entry `idx` of `side`'s buffer to shared memory together
+    /// with every entry that must drain before it, oldest first: older
+    /// entries for the same location (coherence) and, before a `Release`
+    /// entry, everything older.
+    fn land(&mut self, side: usize, idx: usize) {
+        let buf = &self.buffers[side];
+        let mut due = vec![false; idx + 1];
+        due[idx] = true;
+        for j in (0..=idx).rev() {
+            for i in 0..j {
+                due[i] |= due[j] && (buf[j].release || buf[i].loc == buf[j].loc);
+            }
+        }
+        for (landed, i) in (0..=idx).filter(|&i| due[i]).enumerate() {
+            let e = self.buffers[side].remove(i - landed);
+            self.shared[e.loc] = e.value;
+        }
     }
 
     /// Commit everything, oldest-first per buffer (always legal).
     fn drain_all(&mut self) {
         for side in [PRODUCER, CONSUMER] {
             while !self.buffers[side].is_empty() {
-                self.drain(side, 0);
+                self.land(side, 0);
             }
         }
     }
 
-    /// A load as the ring code sees it: during the race phase a
-    /// cross-thread load is a choice point — any subset of the other
-    /// side's drainable entries may commit first, one at a time —
-    /// then the value is the loader's own newest buffered store for
-    /// the location (forwarding) or shared memory.
+    /// A load as the ring code sees it. During the race phase a
+    /// cross-thread load is a choice point: the value may come from
+    /// shared memory or from any of the other side's buffered stores to
+    /// the location, which then drains with exactly the stores that must
+    /// drain before it. Draining only what a load reads reaches every
+    /// value sequence that draining any subset at every load reaches,
+    /// and leaves each store in flight as long as possible. Then the
+    /// value is the loader's own newest buffered store for the location
+    /// (forwarding) or shared memory.
     fn load(&mut self, loc: usize) -> u64 {
         if self.interleaving && Self::owner(loc) != Some(self.current) {
-            loop {
-                let opts = self.drainable();
-                if opts.is_empty() {
-                    break;
-                }
-                let k = self.choose(1 + opts.len());
-                if k == 0 {
-                    break;
-                }
-                self.drain(1 - self.current, opts[k - 1]);
+            let other = 1 - self.current;
+            let stores: Vec<usize> = (0..self.buffers[other].len())
+                .filter(|&i| self.buffers[other][i].loc == loc)
+                .collect();
+            let k = self.choose(1 + stores.len());
+            if k > 0 {
+                self.land(other, stores[k - 1]);
             }
         }
         let own = self.buffers[self.current].iter().rev().find(|e| e.loc == loc);
@@ -239,46 +251,68 @@ impl AtomicCounter for SimCounter {
     }
 }
 
-/// A [`RingSlot`] backed by simulated memory; detects slot reuse at
-/// `put` time (an untaken item anywhere in coherence order).
+/// A [`SlotLock`] backed by simulated memory: locking loads the slot,
+/// and a guard that was written through stores it back when it drops.
+/// Slot encoding: 0 = `None`, `v + 1` = `Some(v)`.
 #[derive(Debug, Clone)]
 struct SimSlot {
     env: Env,
     loc: usize,
 }
 
-impl RingSlot<u64> for SimSlot {
-    fn put(&self, item: u64) {
-        let mut st = self.env.0.borrow_mut();
-        if st.interleaving {
-            let pending = st.buffers.iter().any(|b| b.iter().any(|e| e.loc == self.loc));
-            if pending || st.shared[self.loc] != EMPTY {
-                st.flag(format!(
-                    "slot reuse: publishing item {item} over a slot still holding an \
-                     untaken or un-drained value"
-                ));
-            }
-        }
-        let loc = self.loc;
-        st.store(loc, item + 1, false);
-    }
+/// A locked [`SimSlot`].
+struct SimGuard<'a> {
+    slot: &'a SimSlot,
+    value: Option<u64>,
+    written: bool,
+}
 
-    fn take(&self) -> Option<u64> {
-        let mut st = self.env.0.borrow_mut();
-        let v = st.load(self.loc);
-        let loc = self.loc;
-        st.store(loc, EMPTY, false);
-        if v == EMPTY {
-            None
-        } else {
-            Some(v - 1)
-        }
+impl SlotLock<Option<u64>> for SimSlot {
+    fn lock(&self) -> impl DerefMut<Target = Option<u64>> + '_ {
+        let raw = self.env.0.borrow_mut().load(self.loc);
+        SimGuard { slot: self, value: raw.checked_sub(1), written: false }
     }
 }
 
+impl Deref for SimGuard<'_> {
+    type Target = Option<u64>;
+    fn deref(&self) -> &Option<u64> {
+        &self.value
+    }
+}
+
+impl DerefMut for SimGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Option<u64> {
+        self.written = true;
+        &mut self.value
+    }
+}
+
+impl Drop for SimGuard<'_> {
+    /// Store a written slot back. A store to the slot still in flight
+    /// at that point is a producer overwriting an item the consumer may
+    /// not have taken (slot reuse), or the consumer taking from a slot
+    /// its item has not reached (lost publish).
+    fn drop(&mut self) {
+        if !self.written {
+            return;
+        }
+        let mut st = self.slot.env.0.borrow_mut();
+        let loc = self.slot.loc;
+        if st.interleaving && st.buffers.iter().flatten().any(|e| e.loc == loc) {
+            let what =
+                if st.current == PRODUCER { "slot reuse: writing" } else { "lost publish: taking" };
+            st.flag(format!("{what} {:?} while a store to its slot is in flight", self.value));
+        }
+        st.store(loc, self.value.map_or(0, |v| v + 1), false);
+    }
+}
+
+type SimRing = Ring<Option<u64>, SimCounter, SimSlot>;
+
 /// Exhaustively check one scenario. `Ok` means every schedule upheld
 /// every invariant; `Err` carries the first violating schedule.
-pub fn check_spsc(cfg: &CheckConfig) -> Result<CheckOutcome, Violation> {
+pub fn check_ring(cfg: &CheckConfig) -> Result<CheckOutcome, Violation> {
     let mut prefix: Vec<usize> = Vec::new();
     let mut executions = 0u64;
     loop {
@@ -315,18 +349,13 @@ fn run_schedule(cfg: &CheckConfig, prefix: Vec<usize>) -> (Vec<(usize, usize)>, 
     let env = Env(Rc::new(RefCell::new(SimState::new(cfg.capacity, prefix))));
     let slots: Vec<SimSlot> =
         (0..cfg.capacity).map(|k| SimSlot { env: env.clone(), loc: SLOT_BASE + k }).collect();
-    let produced = SimCounter {
-        env: env.clone(),
-        loc: LOC_PRODUCED,
-        weaken: cfg.weaken == Weaken::ProducedRelease,
-    };
-    let consumed = SimCounter {
-        env: env.clone(),
-        loc: LOC_CONSUMED,
-        weaken: cfg.weaken == Weaken::ConsumedRelease,
-    };
-    // the system under test: the exact SpscRing source that ships
-    let ring: SpscRing<u64, SimCounter, SimSlot> = SpscRing::from_parts(slots, produced, consumed);
+    let counter = |loc, weaken| SimCounter { env: env.clone(), loc, weaken: cfg.weaken == weaken };
+    // the system under test: the exact Ring source that ships
+    let ring: SimRing = Ring::from_parts(
+        slots,
+        counter(LOC_PRODUCED, Weaken::ProducedRelease),
+        counter(LOC_CONSUMED, Weaken::ConsumedRelease),
+    );
 
     let outcome = catch_unwind(AssertUnwindSafe(|| drive(&ring, &env, cfg)));
     let mut st = env.0.borrow_mut();
@@ -350,20 +379,38 @@ fn run_schedule(cfg: &CheckConfig, prefix: Vec<usize>) -> (Vec<(usize, usize)>, 
     (std::mem::take(&mut st.taken), violation)
 }
 
+/// One consumer attempt on instance `i`, whose window ends at `last`:
+/// `Ok(false)` when it is not ready yet.
+fn consume(ring: &SimRing, cfg: &CheckConfig, i: u64, last: u64) -> Result<bool, String> {
+    if cfg.peek == 0 {
+        return match ring.try_pop() {
+            None => Ok(false),
+            Some(v) if v == i => Ok(true),
+            Some(v) => Err(format!("FIFO breach: popped {v}, expected {i}")),
+        };
+    }
+    if !ring.window_ready(last) {
+        return Ok(false);
+    }
+    // the whole window locked at once, then the oldest instance
+    // released, as the engine executes a task
+    let window: Vec<_> = (i..=last).map(|j| ring.read(j)).collect();
+    if let Some((j, slot)) = (i..).zip(&window).find(|(j, slot)| ***slot != Some(*j)) {
+        return Err(format!("window breach: instance {j} read as {:?}", **slot));
+    }
+    drop(window);
+    ring.release(i);
+    Ok(true)
+}
+
 /// The two bounded thread programs, interleaved by scheduler choices.
-/// Ground truth (`pushed`/`popped`) is exact because the driver itself
+/// Ground truth (`pushed`/`consumed`) is exact because the driver itself
 /// is sequential — only the simulated memory reorders.
-fn drive(
-    ring: &SpscRing<u64, SimCounter, SimSlot>,
-    env: &Env,
-    cfg: &CheckConfig,
-) -> Result<(), String> {
+fn drive(ring: &SimRing, env: &Env, cfg: &CheckConfig) -> Result<(), String> {
     let cap = cfg.capacity as u64;
+    let peek = (cfg.peek as u64).min(cap - 1);
     let (mut push_left, mut pop_left) = (cfg.push_attempts, cfg.pop_attempts);
-    let mut next_push = 0u64;
-    let mut pushed = 0u64;
-    let mut popped = 0u64;
-    let mut expect = 0u64;
+    let (mut pushed, mut consumed) = (0u64, 0u64);
 
     while push_left > 0 || pop_left > 0 {
         let side = if push_left == 0 {
@@ -373,65 +420,49 @@ fn drive(
         } else {
             CONSUMER
         };
+        env.0.borrow_mut().current = side;
         if side == PRODUCER {
-            env.0.borrow_mut().current = PRODUCER;
-            let was_full = pushed - popped == cap;
-            match ring.try_push(next_push) {
-                Ok(()) => {
-                    if was_full {
-                        return Err(format!(
-                            "backpressure breach: try_push({next_push}) succeeded on a \
-                             full ring ({pushed} pushed, {popped} popped, capacity {cap})"
-                        ));
-                    }
-                    pushed += 1;
-                    next_push += 1;
+            let was_full = pushed - consumed == cap;
+            match ring.try_push(pushed) {
+                Ok(()) if was_full => {
+                    return Err(format!(
+                        "backpressure breach: try_push({pushed}) succeeded on a full ring \
+                         ({consumed} consumed, capacity {cap})"
+                    ))
                 }
-                Err(back) => {
-                    if back != next_push {
-                        return Err(format!(
-                            "refused push returned {back}, not the offered {next_push}"
-                        ));
-                    }
-                    // refusing a non-full ring is allowed: the freed
-                    // slot may simply not have drained into view yet
+                Ok(()) => pushed += 1,
+                Err(back) if back != pushed => {
+                    return Err(format!("refused push returned {back}, not the offered {pushed}"))
                 }
+                // refusing a non-full ring is allowed: the freed slot
+                // may simply not have drained into view yet
+                Err(_) => {}
             }
             push_left -= 1;
         } else {
-            env.0.borrow_mut().current = CONSUMER;
-            if let Some(v) = ring.try_pop() {
-                if v != expect {
-                    return Err(format!("FIFO breach: popped {v}, expected {expect}"));
-                }
-                expect += 1;
-                popped += 1;
-            }
+            consumed += u64::from(consume(ring, cfg, consumed, consumed + peek)?);
             pop_left -= 1;
         }
     }
 
-    // race phase over: commit every pending store and recover the rest
+    // race phase over: commit every pending store and consume the rest,
+    // the windows clamped at the stream's end as the engine clamps them
     {
         let mut st = env.0.borrow_mut();
         st.interleaving = false;
         st.drain_all();
         st.current = CONSUMER;
     }
-    while let Some(v) = ring.try_pop() {
-        if v != expect {
-            return Err(format!("FIFO breach in drain-down: popped {v}, expected {expect}"));
+    while consumed < pushed {
+        if !consume(ring, cfg, consumed, (consumed + peek).min(pushed - 1))? {
+            return Err(format!(
+                "lost publish: {pushed} pushes succeeded but only {consumed} items were consumed"
+            ));
         }
-        expect += 1;
-        popped += 1;
-        if popped > pushed {
-            return Err(format!("phantom item: popped {popped} of {pushed} pushed"));
-        }
+        consumed += 1;
     }
-    if popped != pushed {
-        return Err(format!(
-            "lost publish: {pushed} pushes succeeded but only {popped} items were popped"
-        ));
+    if ring.window_ready(pushed) {
+        return Err(format!("phantom item: the ring published more than the {pushed} pushed"));
     }
     Ok(())
 }

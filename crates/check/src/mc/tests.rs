@@ -1,81 +1,31 @@
-//! Model-checker pins: the shipped ordering discipline must survive
-//! every schedule, and each deliberately weakened ordering must be
-//! caught — otherwise the checker proves nothing.
+//! Model-checker pins at capacity 3 and on degenerate programs. The
+//! capacity-1 and capacity-2 proofs and every negative proof run from
+//! the workspace root's `tests/ring_model.rs`, in tier-1; these take
+//! longer and run under `cargo test -p cellstream-check`.
 
-use super::{check_spsc, CheckConfig, Weaken};
+use super::{check_ring, CheckConfig, Weaken};
 
-fn cfg(capacity: usize, push_attempts: usize, pop_attempts: usize, weaken: Weaken) -> CheckConfig {
-    CheckConfig { capacity, push_attempts, pop_attempts, weaken }
-}
-
-#[test]
-fn shipped_orderings_survive_capacity_1() {
-    let out = check_spsc(&cfg(1, 4, 4, Weaken::Nothing))
-        .unwrap_or_else(|v| panic!("violation `{}` under schedule {:?}", v.message, v.schedule));
-    // exhaustiveness sanity: this is a real state-space walk, not a
-    // handful of smoke schedules
-    assert!(out.executions > 1_000, "only {} schedules explored", out.executions);
-}
-
-#[test]
-fn shipped_orderings_survive_capacity_2() {
-    let out = check_spsc(&cfg(2, 3, 3, Weaken::Nothing))
-        .unwrap_or_else(|v| panic!("violation `{}` under schedule {:?}", v.message, v.schedule));
-    assert!(out.executions > 1_000, "only {} schedules explored", out.executions);
+fn cfg(capacity: usize, push_attempts: usize, pop_attempts: usize, peek: usize) -> CheckConfig {
+    CheckConfig { capacity, push_attempts, pop_attempts, peek, weaken: Weaken::Nothing }
 }
 
 #[test]
 fn shipped_orderings_survive_capacity_3() {
-    let out = check_spsc(&cfg(3, 4, 4, Weaken::Nothing))
-        .unwrap_or_else(|v| panic!("violation `{}` under schedule {:?}", v.message, v.schedule));
-    assert!(out.executions > 1_000, "only {} schedules explored", out.executions);
-}
-
-#[test]
-fn weakened_publish_ordering_is_caught() {
-    // producer's `produced.store(.., Release)` demoted to relaxed: the
-    // counter increment may drain before the slot value, so the
-    // consumer can observe a published-but-empty slot
-    let v = check_spsc(&cfg(1, 3, 3, Weaken::ProducedRelease))
-        .expect_err("a relaxed publish store must be caught");
-    assert!(
-        v.message.contains("panic in ring code")
-            || v.message.contains("lost publish")
-            || v.message.contains("FIFO"),
-        "unexpected violation kind: {}",
-        v.message
-    );
-}
-
-#[test]
-fn weakened_recycle_ordering_is_caught() {
-    // consumer's `consumed.store(.., Release)` demoted to relaxed: the
-    // free-slot signal may drain before the slot is actually cleared,
-    // so the producer can overwrite an untaken item
-    let v = check_spsc(&cfg(1, 3, 3, Weaken::ConsumedRelease))
-        .expect_err("a relaxed recycle store must be caught");
-    assert!(
-        v.message.contains("slot reuse") || v.message.contains("FIFO"),
-        "unexpected violation kind: {}",
-        v.message
-    );
-}
-
-#[test]
-fn weakened_recycle_ordering_is_caught_at_capacity_2() {
-    check_spsc(&cfg(2, 4, 4, Weaken::ConsumedRelease))
-        .expect_err("a relaxed recycle store must be caught at capacity 2 too");
+    for (program, peek) in [("pop-one", 0), ("peek-2", 2)] {
+        let out = check_ring(&cfg(3, 5, 5, peek)).unwrap_or_else(|v| {
+            panic!("{program}: violation `{}` under schedule {:?}", v.message, v.schedule)
+        });
+        assert!(out.executions > 1_000, "{program}: only {} schedules explored", out.executions);
+    }
 }
 
 #[test]
 fn trivial_scenarios_terminate() {
     // no ops at all, and one-sided programs: nothing to race on
-    for c in [
-        cfg(1, 0, 0, Weaken::Nothing),
-        cfg(2, 3, 0, Weaken::Nothing),
-        cfg(2, 0, 3, Weaken::Nothing),
-    ] {
-        let out = check_spsc(&c).expect("one-sided scenarios are trivially safe");
-        assert!(out.executions >= 1);
+    for peek in [0, 2] {
+        for c in [cfg(1, 0, 0, peek), cfg(2, 3, 0, peek), cfg(2, 0, 3, peek)] {
+            let out = check_ring(&c).expect("one-sided scenarios are trivially safe");
+            assert!(out.executions >= 1);
+        }
     }
 }

@@ -1292,11 +1292,27 @@ impl OnlineSystem for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placer::{FirstFit, RoundRobin};
+    use crate::placer::RoundRobin;
     use cellstream_daggen::{chain, CostParams};
 
     fn app(name: &str, n: usize, seed: u64) -> StreamGraph {
         chain(name, n, &CostParams::default(), seed)
+    }
+
+    /// Lowest node id first, whatever the load: piles every admission
+    /// onto node 0 while it accepts.
+    struct IdOrder;
+
+    impl PlacePolicy for IdOrder {
+        fn name(&self) -> &'static str {
+            "id_order"
+        }
+
+        fn rank(&mut self, nodes: &[NodeSummary], _demand: &AppDemand) -> Vec<NodeId> {
+            let mut ids: Vec<NodeId> = nodes.iter().map(|n| n.node).collect();
+            ids.sort();
+            ids
+        }
     }
 
     fn opts_with(policy: Box<dyn PlacePolicy>) -> ClusterOptions {
@@ -1418,17 +1434,15 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_unpiles_a_first_fit_cluster() {
-        // first-fit piles everything onto node 0 while it fits
-        let mut fleet =
-            Cluster::homogeneous(3, &CellSpec::ps3(), opts_with(Box::<FirstFit>::default()));
+    fn rebalance_unpiles_a_piled_cluster() {
+        let mut fleet = Cluster::homogeneous(3, &CellSpec::ps3(), opts_with(Box::new(IdOrder)));
         for i in 0..6 {
             assert!(fleet.admit(&app(&format!("a{i}"), 4, 70 + i), 1.0).applied());
         }
         let piled = fleet.max_period();
         let hosts: std::collections::BTreeSet<NodeId> =
             (0..6).map(|i| fleet.node_of(&format!("a{i}")).unwrap()).collect();
-        assert_eq!(hosts.len(), 1, "first-fit piled every app on one node");
+        assert_eq!(hosts.len(), 1, "id order piled every app on one node");
 
         let report = fleet.rebalance();
         let ClusterVerdict::Rebalanced { moved } = report.verdict else {

@@ -13,8 +13,8 @@
 //!   [`NodeSummary`]s (refreshed by every agent reply), the
 //!   application → node assignment, and the in-flight migrations. It
 //!   routes Admit/Retire/Reweight, picks target nodes via a pluggable
-//!   [`PlacePolicy`] (first-fit, best-fit, load/affinity scoring, plus
-//!   round-robin and random baselines), and handles fleet-only
+//!   [`PlacePolicy`] (load/affinity scoring, plus round-robin and
+//!   random baselines), and handles fleet-only
 //!   operations: [`drain`](Coordinator::drain) a node for maintenance
 //!   and [`rebalance`](Coordinator::rebalance) the load.
 //!
@@ -62,7 +62,6 @@ pub use metrics::{cluster_verdict_name, ClusterMetrics};
 pub use msg::{AgentMsg, AgentOutcome, ClusterMsg, NodeId, NodeSummary};
 pub use net::NetworkModel;
 pub use placer::{
-    policy_by_name, AppDemand, BestFit, FirstFit, LoadAffinity, PlacePolicy, RandomPlace,
-    RoundRobin, PLACER_NAMES,
+    policy_by_name, AppDemand, LoadAffinity, PlacePolicy, RandomPlace, RoundRobin, PLACER_NAMES,
 };
 pub use transport::{InProcessTransport, Transport};

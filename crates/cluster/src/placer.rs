@@ -3,12 +3,10 @@
 //!
 //! The per-node `Service` is the authority on feasibility — a placer
 //! only produces a *preference order*, and the coordinator walks it
-//! until some node admits. Policies range from classic bin-packing
-//! (first-fit/best-fit on predicted SPE occupancy) to the default
-//! [`LoadAffinity`] scorer, with [`RoundRobin`] and [`RandomPlace`] as
-//! the baselines every bench compares against. All of them are
-//! deterministic (the random one in its seed) and NaN-safe
-//! (`total_cmp` throughout).
+//! until some node admits. The default is the [`LoadAffinity`] scorer;
+//! [`RoundRobin`] and [`RandomPlace`] are the baselines every bench
+//! compares it against. All three are deterministic (the random one in
+//! its seed) and NaN-safe (`total_cmp` throughout).
 
 use crate::msg::{NodeId, NodeSummary};
 use cellstream_core::steady::buffers::BufferPlan;
@@ -129,70 +127,6 @@ pub trait PlacePolicy {
     fn rank(&mut self, nodes: &[NodeSummary], demand: &AppDemand) -> Vec<NodeId>;
 }
 
-/// Sort ids by a score, descending; ties broken by node id for
-/// determinism. NaN scores sink to the end (`total_cmp`).
-fn by_score_desc(mut scored: Vec<(f64, NodeId)>) -> Vec<NodeId> {
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    scored.into_iter().map(|(_, n)| n).collect()
-}
-
-/// Classic first-fit bin-packing: lowest-numbered node predicted to
-/// honour the period cap; nodes predicted to overflow go last (the
-/// authoritative per-node admission control may still save them).
-#[derive(Debug, Clone, Default)]
-pub struct FirstFit {
-    /// Per-instance period cap the fit test packs against (usually the
-    /// fleet's `ServiceOptions::max_period`). `None`: everything fits,
-    /// so every admission piles onto the first node that accepts.
-    pub cap: Option<f64>,
-}
-
-impl PlacePolicy for FirstFit {
-    fn name(&self) -> &'static str {
-        "first_fit"
-    }
-
-    fn rank(&mut self, nodes: &[NodeSummary], demand: &AppDemand) -> Vec<NodeId> {
-        by_score_desc(
-            nodes
-                .iter()
-                .map(|n| (if demand.fits(n, self.cap) { 1.0 } else { 0.0 }, n.node))
-                .collect(),
-        )
-    }
-}
-
-/// Best-fit bin-packing: the *most loaded* node that still fits, to
-/// leave big holes open for big arrivals; overflowing nodes trail,
-/// least-loaded first.
-#[derive(Debug, Clone, Default)]
-pub struct BestFit {
-    /// Per-instance period cap the fit test packs against.
-    pub cap: Option<f64>,
-}
-
-impl PlacePolicy for BestFit {
-    fn name(&self) -> &'static str {
-        "best_fit"
-    }
-
-    fn rank(&mut self, nodes: &[NodeSummary], demand: &AppDemand) -> Vec<NodeId> {
-        let mut fitting: Vec<(f64, NodeId)> = Vec::new();
-        let mut overflow: Vec<(f64, NodeId)> = Vec::new();
-        for n in nodes {
-            let t = demand.predicted_period(n);
-            if demand.fits(n, self.cap) {
-                fitting.push((t, n.node)); // tightest fit first
-            } else {
-                overflow.push((-t, n.node)); // then least overloaded
-            }
-        }
-        let mut order = by_score_desc(fitting);
-        order.extend(by_score_desc(overflow));
-        order
-    }
-}
-
 /// Load-oblivious rotation: node `k`, then `k+1`, ... — the classic
 /// count-balancing baseline.
 #[derive(Debug, Clone, Default)]
@@ -301,16 +235,13 @@ impl PlacePolicy for LoadAffinity {
 }
 
 /// Registry names of every placement policy, sorted.
-pub const PLACER_NAMES: [&str; 5] =
-    ["best_fit", "first_fit", "load_affinity", "random", "round_robin"];
+pub const PLACER_NAMES: [&str; 3] = ["load_affinity", "random", "round_robin"];
 
 /// Look up a placement policy by registry name; `None` for unknown
-/// names. `cap` feeds the fit tests of the packing/scoring policies;
+/// names. `cap` feeds the scoring policy's guarantee penalty;
 /// `seed` only matters for `"random"`.
 pub fn policy_by_name(name: &str, cap: Option<f64>, seed: u64) -> Option<Box<dyn PlacePolicy>> {
     match name {
-        "best_fit" => Some(Box::new(BestFit { cap })),
-        "first_fit" => Some(Box::new(FirstFit { cap })),
         "load_affinity" => Some(Box::new(LoadAffinity { cap })),
         "random" => Some(Box::new(RandomPlace::seeded(seed))),
         "round_robin" => Some(Box::new(RoundRobin::new())),
@@ -358,27 +289,6 @@ mod tests {
         let order = LoadAffinity::default()
             .rank(&[summary(0, 5e-6, 2), summary(1, 5e-6, 2)], &demand(1e-6, 64.0));
         assert_eq!(order[0], NodeId(0), "full tie: lowest id wins");
-    }
-
-    #[test]
-    fn first_fit_packs_lowest_id_until_the_cap_binds() {
-        let cap = Some(4e-6);
-        let nodes = [summary(0, 3.9e-6, 2), summary(1, 1e-6, 1)];
-        // absorbing ~0.25us on 8 SPEs breaks node 0's cap, not node 1's
-        let order = FirstFit { cap }.rank(&nodes, &demand(1e-6, 64.0));
-        assert_eq!(order, vec![NodeId(1), NodeId(0)]);
-        // without a cap everything "fits": pure id order
-        let order = FirstFit::default().rank(&nodes, &demand(1e-6, 64.0));
-        assert_eq!(order, vec![NodeId(0), NodeId(1)]);
-    }
-
-    #[test]
-    fn best_fit_prefers_the_fullest_fitting_node() {
-        let cap = Some(10e-6);
-        let nodes = [summary(0, 1e-6, 1), summary(1, 8e-6, 3), summary(2, f64::INFINITY, 0)];
-        let order = BestFit { cap }.rank(&nodes, &demand(1e-6, 64.0));
-        assert_eq!(order[0], NodeId(1), "tightest fit first");
-        assert_eq!(*order.last().unwrap(), NodeId(2), "idle node kept open");
     }
 
     #[test]

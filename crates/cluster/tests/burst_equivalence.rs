@@ -8,7 +8,8 @@
 //! reweight poisoning the stranded ledger — are pinned here too.
 
 use cellstream_cluster::{
-    Cluster, ClusterError, ClusterOptions, ClusterVerdict, FirstFit, NodeId, PlacePolicy,
+    AppDemand, Cluster, ClusterError, ClusterOptions, ClusterVerdict, NodeId, NodeSummary,
+    PlacePolicy,
 };
 use cellstream_daggen::{chain, CostParams};
 use cellstream_graph::{StreamGraph, TaskSpec};
@@ -30,6 +31,22 @@ fn lean_app(name: &str) -> StreamGraph {
     b.build().unwrap()
 }
 
+/// Lowest node id first, whatever the load: packs node 0 while it
+/// accepts.
+struct IdOrder;
+
+impl PlacePolicy for IdOrder {
+    fn name(&self) -> &'static str {
+        "id_order"
+    }
+
+    fn rank(&mut self, nodes: &[NodeSummary], _demand: &AppDemand) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = nodes.iter().map(|n| n.node).collect();
+        ids.sort();
+        ids
+    }
+}
+
 /// One-SPE nodes under a 30 us per-instance guarantee. PPE-only,
 /// heavy (w=2) and light (w=1) make a 60 us round — light's 60 us per
 /// instance breaches the cap — so failing the SPE sheds light, and a
@@ -42,8 +59,8 @@ fn lean_fleet(nodes: usize) -> (Cluster, PeId) {
         .build()
         .unwrap();
     let service = ServiceOptions { max_period: Some(30e-6), ..Default::default() };
-    // first-fit packs node 0, so both applications share the SPE that fails
-    let policy: Box<dyn PlacePolicy> = Box::<FirstFit>::default();
+    // id order packs node 0, so both applications share the SPE that fails
+    let policy: Box<dyn PlacePolicy> = Box::new(IdOrder);
     let opts = ClusterOptions { service, policy, ..ClusterOptions::default() };
     (Cluster::homogeneous(nodes, &spec, opts), PeId(1))
 }

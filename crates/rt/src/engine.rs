@@ -25,7 +25,7 @@
 
 use crate::kernels::{Kernel, KernelCtx, Window};
 use crate::local_store::{LocalStore, StoreError};
-use crate::ring::{EdgeRing, Slot};
+use crate::ring::Ring;
 use cellstream_core::steady::buffers::BufferPlan;
 use cellstream_core::Mapping;
 use cellstream_graph::{StreamGraph, TaskId};
@@ -163,7 +163,10 @@ pub fn run(
             .edges()
             .iter()
             .enumerate()
-            .map(|(ei, e)| EdgeRing::new(plan.edge_slots[ei].max(1), e.data_bytes.ceil() as usize))
+            .map(|(ei, e)| {
+                let bytes = e.data_bytes.ceil() as usize;
+                Ring::new(plan.edge_slots[ei].max(1), || vec![0u8; bytes].into())
+            })
             .collect(),
         first_period: plan.first_period,
         n,
@@ -197,8 +200,8 @@ pub fn run(
 struct Shared<'a> {
     g: &'a StreamGraph,
     kernels: &'a [Arc<dyn Kernel>],
-    /// One ring per edge.
-    rings: Vec<EdgeRing>,
+    /// One ring of instance buffers per edge.
+    rings: Vec<Ring<Box<[u8]>>>,
     /// `firstPeriod` per task: the static schedule's priority.
     first_period: Vec<u64>,
     /// Stream length.
@@ -278,17 +281,20 @@ impl Shared<'_> {
         let in_edges = self.g.in_edges(TaskId(k));
         let out_edges = self.g.out_edges(TaskId(k));
         {
-            let held: Vec<Slot<'_>> = in_edges
+            let held: Vec<_> = in_edges
                 .iter()
                 .flat_map(|&e| (i..=last).map(move |j| self.rings[e.index()].read(j)))
                 .collect();
             let windows: Vec<Window<'_>> = held
                 .chunks((last - i + 1) as usize)
-                .map(|window| Window { instances: window.iter().map(|s| &**s).collect() })
+                .map(|window| Window { instances: window.iter().map(|s| &s[..]).collect() })
                 .collect();
-            let mut slots: Vec<Slot<'_>> =
+            let mut slots: Vec<_> =
                 out_edges.iter().map(|&e| self.rings[e.index()].write_next()).collect();
-            let mut outputs: Vec<&mut [u8]> = slots.iter_mut().map(|s| &mut **s).collect();
+            let mut outputs: Vec<&mut [u8]> = slots.iter_mut().map(|s| &mut s[..]).collect();
+            // the kernel contract: an output reads as a fresh buffer would,
+            // never as the instance its slot carried last time round
+            outputs.iter_mut().for_each(|out| out.fill(0));
             let ctx = KernelCtx { instance: i, task_name: &task.name, peek: task.peek };
             self.kernels[k].process(&ctx, &windows, &mut outputs);
         } // every slot unlocks here, before its counter moves

@@ -12,12 +12,14 @@
 //!   reduces to ring-buffer bookkeeping in shared memory); a thread with
 //!   nothing runnable yields once, then parks until a PE it shares an
 //!   edge with signals it (see [`engine`]);
-//! * every edge owns a single-producer/single-consumer ring of
-//!   `firstPeriod(dst) − firstPeriod(src)` slots (§4.2 buffer sizing):
-//!   atomic produced/consumed counters carry the synchronisation, and each
-//!   slot sits behind an uncontended mutex instead of `unsafe`; kernels
-//!   read and write the slots in place, and the *peek* window is
-//!   `peek+1` consecutive slots;
+//! * every edge owns a single-producer/single-consumer [`Ring`] of
+//!   `firstPeriod(dst) − firstPeriod(src)` byte slots (§4.2 buffer
+//!   sizing): atomic produced/consumed counters carry the
+//!   synchronisation, and each slot sits behind an uncontended mutex
+//!   instead of `unsafe`; kernels read and write the slots in place
+//!   (outputs zero-filled first), and the *peek* window is `peek+1`
+//!   consecutive slots. The same ring over `Option<T>` slots
+//!   ([`SpscRing`]) is the serving layer's intake queue;
 //! * each SPE's buffers are carved out of a [`LocalStore`] arena of
 //!   `256 kB − code` bytes; a mapping whose buffers do not fit is
 //!   rejected at initialisation, exactly like the real framework's static
@@ -45,7 +47,7 @@ pub use kernels::{
     ChecksumKernel, ClosureKernel, Kernel, KernelCtx, SpinKernel, VerifyKernel, Window,
 };
 pub use local_store::{LocalStore, StoreError};
-pub use ring::{AtomicCounter, EdgeRing, MutexSlot, RingSlot, Slot, SpscRing};
+pub use ring::{AtomicCounter, Ring, SlotLock, SpscRing};
 pub use synthetic::{synthetic_kernels, synthetic_kernels_for_mapping};
 
 #[cfg(test)]

@@ -256,7 +256,7 @@ fn kernels_write_into_zeroed_slots_however_often_a_slot_is_reused() {
 /// fan-out `run` signals across), a peek-2 consumer whose window is 3
 /// of its ring's 4 slots, chains alternating between two PEs so that
 /// every ring is at the smallest capacity `run` builds (2 slots — the
-/// §4.2 recurrence never spans fewer periods; `EdgeRing`'s own tests
+/// §4.2 recurrence never spans fewer periods; `Ring`'s own tests
 /// cover capacity 1), and the same chain on 0-byte edges.
 #[test]
 fn no_wake_up_is_ever_lost() {

@@ -17,7 +17,7 @@
 //!   [`FlightEvent`]s (event label, verdict, replan duration, migration
 //!   bytes, shed/stranded counts, availability-mask changes). It reuses
 //!   the single-writer publish discipline of the model-checked
-//!   `rt::ring` (own-counter `Relaxed` read, `Release` publish) with
+//!   `rt::Ring` (own-counter `Relaxed` read, `Release` publish) with
 //!   mutexed slots so the crate stays `unsafe`-free. Drain it after a
 //!   fault storm to reconstruct exactly what the scheduler did.
 //! * [`Snapshot`] — point-in-time exposition with per-app and per-node

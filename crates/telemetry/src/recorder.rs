@@ -1,14 +1,16 @@
 //! The flight recorder: a bounded ring of structured replan events.
 //!
 //! Built on the single-writer publish discipline of the model-checked
-//! `rt::ring` design — the writer reads its own head counter with
-//! `Relaxed` (nobody else advances it) and publishes with `Release`;
-//! readers acquire the head before touching slots. The slots themselves
-//! are mutexes rather than `UnsafeCell`s, exactly like `rt::ring`'s
-//! `MutexSlot`, which keeps the crate `unsafe`-free: the lock is
-//! uncontended in the single-writer steady state, and a poisoned slot
-//! (a panicking reader mid-copy) degrades to taking the inner value —
-//! the record path can never panic or allocate.
+//! `rt::Ring` — the writer reads its own head counter with `Relaxed`
+//! (nobody else advances it) and publishes with `Release`; readers
+//! acquire the head before touching slots. The slots themselves are
+//! mutexes rather than `UnsafeCell`s, exactly like `rt::Ring`'s, which
+//! keeps the crate `unsafe`-free: the lock is uncontended in the
+//! single-writer steady state, and a poisoned slot (a panicking reader
+//! mid-copy) degrades to taking the inner value — the record path can
+//! never panic or allocate. It is not an `rt::Ring`: a log that
+//! overwrites its oldest entry is not a queue between two threads, and
+//! this crate stays free of dependencies.
 //!
 //! The ring **overwrites oldest** when full: after a fault storm the
 //! recorder holds the last `capacity` events and an exact count of how
