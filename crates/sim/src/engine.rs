@@ -8,7 +8,15 @@
 //! The flow table is bounded by the transfers in flight: a finished
 //! flow's id goes on a free list and the next transfer reuses it, and
 //! the per-event buffers (streaming set, max-min workspace, drained
-//! list) belong to the run, so a steady-state event allocates nothing.
+//! list, dirty sets) belong to the run, so a steady-state event
+//! allocates nothing.
+//!
+//! The pump that admits transfers and starts computations visits only
+//! the edges, memory reads and PEs that an event since the last pump
+//! could have unblocked (see `Dirty`), in the ascending order a full
+//! scan would visit them, so admissions, interrupts and event sequence
+//! numbers are those of the full scan. In debug builds every pump is
+//! followed by that full scan, which must find nothing left to admit.
 
 use crate::fair::{FlowPorts, MaxMin};
 use cellstream_core::steady::buffers::BufferPlan;
@@ -34,7 +42,7 @@ pub struct SimConfig {
     /// producer half of one (signal + unlock). This cost is what makes
     /// scattered mappings collapse on the real machine while the
     /// analytic model (which ignores it, like the paper's) barely
-    /// notices; see EXPERIMENTS.md §Figure 7.
+    /// notices; see DESIGN.md §6.4.
     pub comm_interrupt: f64,
     /// Memory-read prefetch window in instances.
     pub read_ahead: u64,
@@ -59,7 +67,8 @@ impl SimConfig {
 
     /// Calibrated to the paper's observation that the real framework
     /// achieves ≈ 95 % of the predicted throughput on the MILP mappings
-    /// (§6.4.1). The calibration procedure is recorded in EXPERIMENTS.md.
+    /// (§6.4.1). Not every mapping lands there: DESIGN.md §6.4 records
+    /// how far the benchmark's mappings fall short (79 % at worst).
     pub fn calibrated() -> Self {
         SimConfig {
             task_overhead: 0.01e-6,
@@ -91,6 +100,8 @@ pub enum SimError {
     EventBudget,
     /// The mapping failed structural validation.
     BadMapping(String),
+    /// Zero instances were asked for: there is no trace to return.
+    NoInstances,
 }
 
 impl std::fmt::Display for SimError {
@@ -101,6 +112,7 @@ impl std::fmt::Display for SimError {
             }
             SimError::EventBudget => write!(f, "event budget exhausted"),
             SimError::BadMapping(m) => write!(f, "bad mapping: {m}"),
+            SimError::NoInstances => write!(f, "zero instances requested"),
         }
     }
 }
@@ -147,7 +159,7 @@ impl Ord for Event {
 enum FlowKind {
     Edge { edge: usize },
     Read { task: usize },
-    Write,
+    Write { task: usize },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,11 +183,18 @@ struct Flow {
 }
 
 struct EdgeState {
-    src: usize,
     dst: usize,
+    /// PEs of the two endpoints.
+    src_pe: usize,
+    dst_pe: usize,
     bytes: f64,
     capacity: u64,
     co_mapped: bool,
+    /// A transfer takes a slot of the consumer's incoming DMA queue (the
+    /// consumer is an SPE) ...
+    needs_spe_queue: bool,
+    /// ... and of the producer's proxy queue (an SPE sending to the PPE).
+    needs_proxy: bool,
     /// instances fully produced by the source task
     produced: u64,
     /// next instance to admit to DMA (cut edges only)
@@ -198,10 +217,74 @@ struct TaskState {
     priority: u64, // firstPeriod
     topo_rank: usize,
     is_sink: bool,
+    /// The graph's lookahead depth and memory bytes per instance, and the
+    /// task's compute time on its PE.
+    peek: u64,
+    read_bytes: f64,
+    write_bytes: f64,
+    cost: f64,
+}
+
+/// Indices marked for the next pump, a bit each; the pump takes them in
+/// increasing order.
+struct Marks {
+    words: Vec<u64>,
+}
+
+impl Marks {
+    fn new(n: usize) -> Marks {
+        Marks { words: vec![0; n.div_ceil(64)] }
+    }
+
+    fn mark(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn mark_all(&mut self, is: &[usize]) {
+        for &i in is {
+            self.mark(i);
+        }
+    }
+
+    /// Unmark and return the lowest marked index.
+    fn pop(&mut self) -> Option<usize> {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            if *word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                return Some(64 * w + bit);
+            }
+        }
+        None
+    }
+}
+
+/// The work an event may have unblocked. A pump visits only marked
+/// edges, memory reads and PEs; whatever it visits it leaves blocked,
+/// and nothing it does unblocks anything (an admission only fills
+/// queues and buffers, a start only makes a PE busy), so everything
+/// stays unmarked until an event changes one of the quantities its
+/// admission test reads:
+/// * `ComputeDone(k on p)` marks `p`, `k`'s reads and `k`'s in- and
+///   out-edges (production, the consumer's buffer, the read window);
+/// * a freed SPE DMA slot marks every cut edge into that PE and every
+///   reading task on it; a freed proxy slot every cut edge out of it;
+/// * a finished edge transfer marks the edge and both endpoints' PEs;
+///   a finished read its task's PE; a finished write its owner's PE.
+struct Dirty {
+    edges: Marks,
+    reads: Marks,
+    pes: Marks,
+    /// Per PE: cut edges into it, cut edges out of it, tasks on it that
+    /// read memory.
+    cut_in: Vec<Vec<usize>>,
+    cut_out: Vec<Vec<usize>>,
+    readers: Vec<Vec<usize>>,
 }
 
 /// Run the mapped application for `n_instances` stream instances and
-/// return the trace of sink completions.
+/// return the trace of sink completions. Zero instances is
+/// [`SimError::NoInstances`].
 pub fn simulate(
     g: &StreamGraph,
     spec: &CellSpec,
@@ -241,12 +324,11 @@ struct Sim<'a> {
     proxy_used: Vec<u32>,
     /// per-PE task list in topo order
     pe_tasks: Vec<Vec<usize>>,
+    dirty: Dirty,
 
     /// completion time of each instance per sink task
     sink_times: Vec<Vec<f64>>,
     sink_ids: Vec<usize>,
-    /// (flow id, owning task) for in-flight memory writes
-    write_owner: Vec<(usize, usize)>,
     /// bytes that fully left each PE's outgoing interface
     bytes_out: Vec<f64>,
     /// bytes that fully entered each PE's incoming interface
@@ -272,7 +354,9 @@ impl<'a> Sim<'a> {
         config: &SimConfig,
         n_instances: u64,
     ) -> Result<Self, SimError> {
-        assert!(n_instances > 0, "simulate at least one instance");
+        if n_instances == 0 {
+            return Err(SimError::NoInstances);
+        }
         Mapping::new(g, spec, mapping.assignment().to_vec())
             .map_err(|e| SimError::BadMapping(e.to_string()))?;
         let plan = BufferPlan::new(g);
@@ -285,37 +369,76 @@ impl<'a> Sim<'a> {
         };
         let tasks: Vec<TaskState> = g
             .task_ids()
-            .map(|t| TaskState {
-                pe: mapping.pe_of(t).index(),
-                next: 0,
-                reads_done: 0,
-                reads_inflight: 0,
-                writes_inflight: 0,
-                priority: plan.first_period[t.index()],
-                topo_rank: topo_rank[t.index()],
-                is_sink: g.out_edges(t).is_empty(),
+            .map(|t| {
+                let task = g.task(t);
+                let pe = mapping.pe_of(t);
+                TaskState {
+                    pe: pe.index(),
+                    next: 0,
+                    reads_done: 0,
+                    reads_inflight: 0,
+                    writes_inflight: 0,
+                    priority: plan.first_period[t.index()],
+                    topo_rank: topo_rank[t.index()],
+                    is_sink: g.out_edges(t).is_empty(),
+                    peek: u64::from(task.peek),
+                    read_bytes: task.read_bytes,
+                    write_bytes: task.write_bytes,
+                    cost: task.cost_on(spec.kind_of(pe)),
+                }
             })
             .collect();
         let edges: Vec<EdgeState> = g
             .edges()
             .iter()
             .enumerate()
-            .map(|(ei, e)| EdgeState {
-                src: e.src.index(),
-                dst: e.dst.index(),
-                bytes: e.data_bytes,
-                capacity: plan.edge_slots[ei].max(1),
-                co_mapped: mapping.pe_of(e.src) == mapping.pe_of(e.dst),
-                produced: 0,
-                next_send: 0,
-                arrived: 0,
-                transfers_done: 0,
-                inflight: 0,
+            .map(|(ei, e)| {
+                let (src_pe, dst_pe) = (mapping.pe_of(e.src), mapping.pe_of(e.dst));
+                EdgeState {
+                    dst: e.dst.index(),
+                    src_pe: src_pe.index(),
+                    dst_pe: dst_pe.index(),
+                    bytes: e.data_bytes,
+                    capacity: plan.edge_slots[ei].max(1),
+                    co_mapped: src_pe == dst_pe,
+                    needs_spe_queue: spec.is_spe(dst_pe),
+                    needs_proxy: spec.is_spe(src_pe) && spec.kind_of(dst_pe) == PeKind::Ppe,
+                    produced: 0,
+                    next_send: 0,
+                    arrived: 0,
+                    transfers_done: 0,
+                    inflight: 0,
+                }
             })
             .collect();
         let mut pe_tasks: Vec<Vec<usize>> = vec![Vec::new(); spec.n_pes()];
         for &t in g.topo_order() {
             pe_tasks[mapping.pe_of(t).index()].push(t.index());
+        }
+        // everything starts dirty
+        let mut dirty = Dirty {
+            edges: Marks::new(edges.len()),
+            reads: Marks::new(tasks.len()),
+            pes: Marks::new(spec.n_pes()),
+            cut_in: vec![Vec::new(); spec.n_pes()],
+            cut_out: vec![Vec::new(); spec.n_pes()],
+            readers: vec![Vec::new(); spec.n_pes()],
+        };
+        for (ei, e) in edges.iter().enumerate() {
+            if !e.co_mapped {
+                dirty.cut_in[e.dst_pe].push(ei);
+                dirty.cut_out[e.src_pe].push(ei);
+                dirty.edges.mark(ei);
+            }
+        }
+        for (k, t) in tasks.iter().enumerate() {
+            if t.read_bytes > 0.0 {
+                dirty.readers[t.pe].push(k);
+                dirty.reads.mark(k);
+            }
+        }
+        for pe in 0..spec.n_pes() {
+            dirty.pes.mark(pe);
         }
         let sink_ids: Vec<usize> = g.sinks().map(|t| t.index()).collect();
         // every sink records one time per instance, each behind at least
@@ -343,9 +466,9 @@ impl<'a> Sim<'a> {
             spe_queue_used: vec![0; spec.n_pes()],
             proxy_used: vec![0; spec.n_pes()],
             pe_tasks,
+            dirty,
             sink_times,
             sink_ids,
-            write_owner: Vec::new(),
             bytes_out: vec![0.0; spec.n_pes()],
             bytes_in: vec![0.0; spec.n_pes()],
             events_processed: 0,
@@ -391,12 +514,25 @@ impl<'a> Sim<'a> {
         if dt <= 0.0 {
             return;
         }
-        for &fid in &self.active_flow_ids {
+        for &fid in &self.streaming {
             let f = &mut self.flows[fid];
-            if f.state == FlowState::Streaming && f.rate.is_finite() {
+            if f.rate.is_finite() {
                 f.bytes_left = (f.bytes_left - f.rate * dt).max(0.0);
             }
         }
+    }
+
+    /// Whether `streaming` lists the flows in flight that stream, in
+    /// the order they were opened. Every event that starts or finishes a
+    /// stream reallocates, which rebuilds the list, so this holds between
+    /// events: `advance` and `TransferDone` read the list instead of
+    /// filtering the flow table.
+    fn streaming_is_current(&self) -> bool {
+        let flows = &self.flows;
+        self.active_flow_ids
+            .iter()
+            .filter(|&&fid| flows[fid].state == FlowState::Streaming)
+            .eq(self.streaming.iter())
     }
 
     /// Recompute max-min rates and schedule the next completion event.
@@ -464,134 +600,150 @@ impl<'a> Sim<'a> {
         fid
     }
 
-    /// Try to admit pending work everywhere: edge transfers, memory reads,
-    /// and idle-PE activations. Returns whether anything changed the flow
-    /// set (then the caller reallocates).
+    /// Admit the pending work the dirty sets mark: edge transfers, then
+    /// memory reads, then idle-PE activations, each in increasing index
+    /// order. Returns whether anything changed the flow set (then the
+    /// caller reallocates).
     fn pump(&mut self) -> bool {
         let mut flows_changed = false;
-
-        // --- admit edge transfers -----------------------------------------
-        for ei in 0..self.edges.len() {
-            loop {
-                let e = &self.edges[ei];
-                if e.co_mapped || e.next_send >= e.produced {
-                    break;
-                }
-                // consumer-side in-buffer reservation
-                let consumer_done = self.tasks[e.dst].next;
-                let reserved = (e.arrived - consumer_done.min(e.arrived)) + e.inflight;
-                if reserved >= e.capacity {
-                    break;
-                }
-                let (src_pe, dst_pe) = (self.tasks[e.src].pe, self.tasks[e.dst].pe);
-                // DMA queue limits
-                let needs_spe_queue = self.is_spe(dst_pe);
-                let needs_proxy =
-                    self.is_spe(src_pe) && self.spec.kind_of(PeId(dst_pe)) == PeKind::Ppe;
-                if needs_spe_queue && self.spe_queue_used[dst_pe] >= self.spec.dma_in_limit() {
-                    break;
-                }
-                if needs_proxy && self.proxy_used[src_pe] >= self.spec.dma_ppe_limit() {
-                    break;
-                }
-                // admit; the endpoints pay the scheduler interruption
-                self.pending_interrupt[dst_pe] += self.config.comm_interrupt;
-                self.pending_interrupt[src_pe] += 0.5 * self.config.comm_interrupt;
-                let e = &mut self.edges[ei];
-                e.next_send += 1;
-                e.inflight += 1;
-                let bytes = e.bytes;
-                if needs_spe_queue {
-                    self.spe_queue_used[dst_pe] += 1;
-                }
-                if needs_proxy {
-                    self.proxy_used[src_pe] += 1;
-                }
-                let n = self.spec.n_pes();
-                let fid = self.open_flow(Flow {
-                    kind: FlowKind::Edge { edge: ei },
-                    state: if self.config.dma_latency > 0.0 {
-                        FlowState::Latency
-                    } else {
-                        FlowState::Streaming
-                    },
-                    bytes_left: bytes,
-                    total_bytes: bytes,
-                    rate: 0.0,
-                    ports: FlowPorts { src_link: Some(src_pe), dst_link: Some(n + dst_pe) },
-                    spe_queue: needs_spe_queue.then_some(dst_pe),
-                    proxy_queue: needs_proxy.then_some(src_pe),
-                });
-                if self.config.dma_latency > 0.0 {
-                    self.push(self.now + self.config.dma_latency, Ev::TransferStart { id: fid });
-                } else {
-                    flows_changed = true;
-                }
+        while let Some(ei) = self.dirty.edges.pop() {
+            while self.edge_admissible(ei) {
+                flows_changed |= self.admit_edge(ei);
             }
         }
-
-        // --- issue memory reads (prefetch window) ---------------------------
-        for k in 0..self.tasks.len() {
-            let read_bytes = self.g.task(TaskId(k)).read_bytes;
-            if read_bytes <= 0.0 {
-                continue;
-            }
-            loop {
-                let t = &self.tasks[k];
-                let issued = t.reads_done + t.reads_inflight;
-                if issued >= self.n_instances + self.g.task(TaskId(k)).peek as u64 {
-                    break; // no need to read past the stream end
-                }
-                if issued >= t.next + self.config.read_ahead {
-                    break;
-                }
-                let pe = t.pe;
-                if self.is_spe(pe) && self.spe_queue_used[pe] >= self.spec.dma_in_limit() {
-                    break;
-                }
-                self.tasks[k].reads_inflight += 1;
-                self.pending_interrupt[pe] += self.config.comm_interrupt;
-                if self.is_spe(pe) {
-                    self.spe_queue_used[pe] += 1;
-                }
-                let n = self.spec.n_pes();
-                let fid = self.open_flow(Flow {
-                    kind: FlowKind::Read { task: k },
-                    state: if self.config.dma_latency > 0.0 {
-                        FlowState::Latency
-                    } else {
-                        FlowState::Streaming
-                    },
-                    bytes_left: read_bytes,
-                    total_bytes: read_bytes,
-                    rate: 0.0,
-                    ports: FlowPorts { src_link: None, dst_link: Some(n + pe) },
-                    spe_queue: self.is_spe(pe).then_some(pe),
-                    proxy_queue: None,
-                });
-                if self.config.dma_latency > 0.0 {
-                    self.push(self.now + self.config.dma_latency, Ev::TransferStart { id: fid });
-                } else {
-                    flows_changed = true;
-                }
+        while let Some(k) = self.dirty.reads.pop() {
+            while self.read_admissible(k) {
+                flows_changed |= self.issue_read(k);
             }
         }
-
-        // --- wake idle PEs ---------------------------------------------------
-        for pe in 0..self.spec.n_pes() {
+        while let Some(pe) = self.dirty.pes.pop() {
             if !self.pe_busy[pe] {
                 if let Some(k) = self.pick_task(pe) {
                     self.start_compute(pe, k);
                 }
             }
         }
+        debug_assert_eq!(self.missed_work(), None, "the pump left work behind at t={}", self.now);
         flows_changed
+    }
+
+    /// The dirty rule's oracle: what a scan over every edge, read and PE
+    /// would still admit or start — nothing, right after a pump.
+    fn missed_work(&self) -> Option<(&'static str, usize)> {
+        if let Some(ei) = (0..self.edges.len()).find(|&ei| self.edge_admissible(ei)) {
+            return Some(("edge", ei));
+        }
+        if let Some(k) = (0..self.tasks.len()).find(|&k| self.read_admissible(k)) {
+            return Some(("read", k));
+        }
+        (0..self.pe_busy.len())
+            .find(|&pe| !self.pe_busy[pe] && self.pick_task(pe).is_some())
+            .map(|pe| ("pe", pe))
+    }
+
+    /// Whether cut edge `ei` can admit its next transfer: one is
+    /// produced, the consumer's in-buffer has a free slot, and the DMA
+    /// queues it needs have one too.
+    fn edge_admissible(&self, ei: usize) -> bool {
+        let e = &self.edges[ei];
+        if e.co_mapped || e.next_send >= e.produced {
+            return false;
+        }
+        // consumer-side in-buffer reservation
+        let consumer_done = self.tasks[e.dst].next;
+        let reserved = (e.arrived - consumer_done.min(e.arrived)) + e.inflight;
+        if reserved >= e.capacity {
+            return false;
+        }
+        // DMA queue limits
+        !(e.needs_spe_queue && self.spe_queue_used[e.dst_pe] >= self.spec.dma_in_limit()
+            || e.needs_proxy && self.proxy_used[e.src_pe] >= self.spec.dma_ppe_limit())
+    }
+
+    fn admit_edge(&mut self, ei: usize) -> bool {
+        let e = &mut self.edges[ei];
+        let (src_pe, dst_pe) = (e.src_pe, e.dst_pe);
+        let (needs_spe_queue, needs_proxy) = (e.needs_spe_queue, e.needs_proxy);
+        e.next_send += 1;
+        e.inflight += 1;
+        let bytes = e.bytes;
+        // the endpoints pay the scheduler interruption
+        self.pending_interrupt[dst_pe] += self.config.comm_interrupt;
+        self.pending_interrupt[src_pe] += 0.5 * self.config.comm_interrupt;
+        if needs_spe_queue {
+            self.spe_queue_used[dst_pe] += 1;
+        }
+        if needs_proxy {
+            self.proxy_used[src_pe] += 1;
+        }
+        let n = self.spec.n_pes();
+        self.open_transfer(Flow {
+            kind: FlowKind::Edge { edge: ei },
+            state: FlowState::Latency,
+            bytes_left: bytes,
+            total_bytes: bytes,
+            rate: 0.0,
+            ports: FlowPorts { src_link: Some(src_pe), dst_link: Some(n + dst_pe) },
+            spe_queue: needs_spe_queue.then_some(dst_pe),
+            proxy_queue: needs_proxy.then_some(src_pe),
+        })
+    }
+
+    /// Whether task `k` can issue its next memory read: it reads memory,
+    /// the stream (plus its peek) is not read to the end, the prefetch
+    /// window is open and an SPE has a DMA slot.
+    fn read_admissible(&self, k: usize) -> bool {
+        let t = &self.tasks[k];
+        let issued = t.reads_done + t.reads_inflight;
+        t.read_bytes > 0.0
+            // no need to read past the stream end
+            && issued < self.n_instances + t.peek
+            && issued < t.next + self.config.read_ahead
+            && !(self.is_spe(t.pe) && self.spe_queue_used[t.pe] >= self.spec.dma_in_limit())
+    }
+
+    fn issue_read(&mut self, k: usize) -> bool {
+        let t = &mut self.tasks[k];
+        t.reads_inflight += 1;
+        let (pe, bytes) = (t.pe, t.read_bytes);
+        self.pending_interrupt[pe] += self.config.comm_interrupt;
+        let spe = self.is_spe(pe);
+        if spe {
+            self.spe_queue_used[pe] += 1;
+        }
+        let n = self.spec.n_pes();
+        self.open_transfer(Flow {
+            kind: FlowKind::Read { task: k },
+            state: FlowState::Latency,
+            bytes_left: bytes,
+            total_bytes: bytes,
+            rate: 0.0,
+            ports: FlowPorts { src_link: None, dst_link: Some(n + pe) },
+            spe_queue: spe.then_some(pe),
+            proxy_queue: None,
+        })
+    }
+
+    /// Open a DMA transfer: it streams after `dma_latency`, or at once
+    /// (returns `true`: the flow set changed) when there is none.
+    fn open_transfer(&mut self, mut flow: Flow) -> bool {
+        let latency = self.config.dma_latency;
+        let delayed = latency > 0.0;
+        if !delayed {
+            flow.state = FlowState::Streaming;
+        }
+        let fid = self.open_flow(flow);
+        if delayed {
+            self.push(self.now + latency, Ev::TransferStart { id: fid });
+        }
+        !delayed
     }
 
     /// The Figure 4 "select a runnable task" step: among this PE's tasks
     /// whose next instance has all inputs, reads and output space, pick
     /// the one whose periodic-schedule slot (firstPeriod + instance) is
-    /// oldest, breaking ties by topological rank.
+    /// oldest, breaking ties by topological rank. Readiness, the costly
+    /// test, is checked only for a task that would beat the best so far.
     fn pick_task(&self, pe: usize) -> Option<usize> {
         let mut best: Option<(u64, usize, usize)> = None;
         for &k in &self.pe_tasks[pe] {
@@ -599,11 +751,8 @@ impl<'a> Sim<'a> {
             if t.next >= self.n_instances {
                 continue;
             }
-            if !self.ready(k) {
-                continue;
-            }
             let key = (t.priority + t.next, t.topo_rank, k);
-            if best.is_none_or(|b| (key.0, key.1) < (b.0, b.1)) {
+            if best.is_none_or(|b| (key.0, key.1) < (b.0, b.1)) && self.ready(k) {
                 best = Some(key);
             }
         }
@@ -613,20 +762,18 @@ impl<'a> Sim<'a> {
     fn ready(&self, k: usize) -> bool {
         let t = &self.tasks[k];
         let i = t.next;
-        let task = self.g.task(TaskId(k));
-        // inputs: instances i..=i+peek arrived on every in-edge
-        let need = i + task.peek as u64 + 1;
+        // inputs: instances i..=i+peek arrived on every in-edge; near the
+        // end of the stream the peek window shrinks
+        let need = (i + t.peek + 1).min(self.n_instances);
         for e in self.g.in_edges(TaskId(k)) {
             let es = &self.edges[e.index()];
             let avail = if es.co_mapped { es.produced } else { es.arrived };
-            // near the end of the stream the peek window shrinks
-            let need_here = need.min(self.n_instances);
-            if avail < need_here {
+            if avail < need {
                 return false;
             }
         }
         // memory reads done
-        if task.read_bytes > 0.0 && t.reads_done < i + 1 {
+        if t.read_bytes > 0.0 && t.reads_done < i + 1 {
             return false;
         }
         // output space on every out-edge
@@ -642,17 +789,13 @@ impl<'a> Sim<'a> {
             }
         }
         // write window
-        if task.write_bytes > 0.0 && t.writes_inflight >= self.config.write_window {
-            return false;
-        }
-        true
+        !(t.write_bytes > 0.0 && t.writes_inflight >= self.config.write_window)
     }
 
     fn start_compute(&mut self, pe: usize, k: usize) {
         debug_assert!(!self.pe_busy[pe]);
-        let w = self.g.task(TaskId(k)).cost_on(self.spec.kind_of(PeId(pe)));
         let owed = std::mem::take(&mut self.pending_interrupt[pe]);
-        let dur = w + self.config.task_overhead + owed;
+        let dur = self.tasks[k].cost + self.config.task_overhead + owed;
         self.pe_busy[pe] = true;
         self.push(self.now + dur, Ev::ComputeDone { pe, task: k });
     }
@@ -672,25 +815,35 @@ impl<'a> Sim<'a> {
                 return Err(SimError::EventBudget);
             }
             self.now = ev.at.max(last_t);
+            debug_assert!(self.streaming_is_current());
             self.advance(self.now - last_t);
             last_t = self.now;
 
             let mut flows_changed = false;
             match ev.kind {
                 Ev::ComputeDone { pe, task } => {
-                    let i = self.tasks[task].next;
-                    self.tasks[task].next = i + 1;
+                    let t = &mut self.tasks[task];
+                    t.next += 1;
+                    let (wb, reads) = (t.write_bytes, t.read_bytes > 0.0);
                     self.pe_busy[pe] = false;
-                    // production on out-edges
+                    self.dirty.pes.mark(pe);
+                    if reads {
+                        self.dirty.reads.mark(task);
+                    }
+                    // production on out-edges; the consumer freed a slot
+                    // on every in-edge
                     for e in self.g.out_edges(TaskId(task)) {
                         let es = &mut self.edges[e.index()];
                         es.produced += 1;
                         if es.co_mapped {
                             es.arrived += 1;
                         }
+                        self.dirty.edges.mark(e.index());
+                    }
+                    for e in self.g.in_edges(TaskId(task)) {
+                        self.dirty.edges.mark(e.index());
                     }
                     // memory write
-                    let wb = self.g.task(TaskId(task)).write_bytes;
                     if wb > 0.0 {
                         self.tasks[task].writes_inflight += 1;
                         self.pending_interrupt[pe] += self.config.comm_interrupt;
@@ -702,8 +855,8 @@ impl<'a> Sim<'a> {
                         if holds_slot {
                             self.spe_queue_used[pe] += 1;
                         }
-                        let fid = self.open_flow(Flow {
-                            kind: FlowKind::Write,
+                        self.open_flow(Flow {
+                            kind: FlowKind::Write { task },
                             state: FlowState::Streaming,
                             bytes_left: wb,
                             total_bytes: wb,
@@ -712,7 +865,6 @@ impl<'a> Sim<'a> {
                             spe_queue: holds_slot.then_some(pe),
                             proxy_queue: None,
                         });
-                        self.write_owner.push((fid, task));
                         flows_changed = true;
                     }
                     // sink bookkeeping
@@ -739,7 +891,7 @@ impl<'a> Sim<'a> {
                     let mut drained = std::mem::take(&mut self.drained);
                     drained.clear();
                     drained.extend(
-                        self.active_flow_ids
+                        self.streaming
                             .iter()
                             .copied()
                             .filter(|&fid| self.is_drained(&self.flows[fid])),
@@ -775,11 +927,15 @@ impl<'a> Sim<'a> {
         if let Some(dst) = f.ports.dst_link {
             self.bytes_in[dst - n] += f.total_bytes;
         }
+        let dirty = &mut self.dirty;
         if let Some(pe) = f.spe_queue.take() {
             self.spe_queue_used[pe] -= 1;
+            dirty.edges.mark_all(&dirty.cut_in[pe]);
+            dirty.reads.mark_all(&dirty.readers[pe]);
         }
         if let Some(pe) = f.proxy_queue.take() {
             self.proxy_used[pe] -= 1;
+            dirty.edges.mark_all(&dirty.cut_out[pe]);
         }
         match f.kind {
             FlowKind::Edge { edge } => {
@@ -787,16 +943,20 @@ impl<'a> Sim<'a> {
                 es.inflight -= 1;
                 es.arrived += 1;
                 es.transfers_done += 1;
+                dirty.edges.mark(edge);
+                dirty.pes.mark(es.src_pe);
+                dirty.pes.mark(es.dst_pe);
             }
             FlowKind::Read { task } => {
-                self.tasks[task].reads_inflight -= 1;
-                self.tasks[task].reads_done += 1;
+                let t = &mut self.tasks[task];
+                t.reads_inflight -= 1;
+                t.reads_done += 1;
+                dirty.pes.mark(t.pe);
             }
-            FlowKind::Write => {
-                if let Some(pos) = self.write_owner.iter().position(|&(id, _)| id == fid) {
-                    let (_, task) = self.write_owner.swap_remove(pos);
-                    self.tasks[task].writes_inflight -= 1;
-                }
+            FlowKind::Write { task } => {
+                let t = &mut self.tasks[task];
+                t.writes_inflight -= 1;
+                dirty.pes.mark(t.pe);
             }
         }
         self.active_flow_ids.retain(|&id| id != fid);

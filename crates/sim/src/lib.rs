@@ -22,8 +22,9 @@
 //! * configurable overheads ([`SimConfig`]) model the scheduling
 //!   framework: a per-activation cost and a per-DMA initiation latency.
 //!   With both at zero the simulated steady-state throughput converges to
-//!   the model prediction `ρ = 1/T`; with the calibrated defaults it
-//!   lands at ≈ 95 % of it, matching §6.4.1.
+//!   the model prediction `ρ = 1/T`; the calibrated defaults aim at the
+//!   ≈ 95 % of it that §6.4.1 reports, and the worst of the benchmark's
+//!   twelve `plan_paper` mappings lands at 79 % (DESIGN.md §6.4).
 //!
 //! The output is a [`trace::RunTrace`]: per-instance completion times at
 //! the sinks, from which the Figure 6 ramp-up curve and the steady-state

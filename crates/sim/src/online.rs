@@ -429,9 +429,10 @@ impl OnlineReport {
 /// `instances_per_measure` instances under the **ideal** config (the
 /// model-faithful limit, same convention as the co-scheduling bench) and
 /// each resident application is credited, on whichever node hosts it,
-/// its measured steady-state throughput × interval length. Replan
-/// latencies and migration bytes
-/// come from the system's own per-event reports.
+/// its measured steady-state throughput × interval length; a node whose
+/// simulation fails (zero `instances_per_measure`, a stall) credits its
+/// applications the interval and no instances. Replan latencies and
+/// migration bytes come from the system's own per-event reports.
 pub fn replay<S: OnlineSystem>(
     sys: &mut S,
     trace: &EventTrace,
@@ -633,6 +634,19 @@ mod tests {
         assert!(report.app("b").is_none());
         assert_eq!(report.total_migration_bytes, 64.0 * 2.0);
         assert!(report.median_replan() > Duration::ZERO);
+    }
+
+    #[test]
+    fn replay_measuring_zero_instances_credits_residency_but_no_instances() {
+        let mut sys = PpeServer { spec: CellSpec::ps3(), state: None, cap: 1 };
+        let trace = EventTrace::new(1.0)
+            .at(0.0, TraceEvent::Admit { graph: tiny_app("a"), weight: 1.0 })
+            .at(0.6, TraceEvent::Retire { app: "a".into() });
+        let report = replay(&mut sys, &trace, 0);
+        let a = report.app("a").expect("a was resident");
+        assert!((a.seconds - 0.6).abs() < 1e-12);
+        assert_eq!(a.instances, 0.0, "no simulation, no instances");
+        assert_eq!(report.total_instances(), 0.0);
     }
 
     #[test]

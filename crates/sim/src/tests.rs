@@ -337,6 +337,16 @@ fn stalled_mid_stream_reports_progress() {
 }
 
 #[test]
+fn zero_instances_is_an_error_not_a_panic() {
+    let g = chain("c", 3, &CostParams::default(), 1);
+    let spec = CellSpec::ps3();
+    let err =
+        simulate(&g, &spec, &Mapping::all_on(&g, PeId(0)), &SimConfig::ideal(), 0).unwrap_err();
+    assert_eq!(err, SimError::NoInstances);
+    assert_eq!(err.to_string(), "zero instances requested");
+}
+
+#[test]
 fn event_budget_exhaustion_is_an_error_not_a_hang() {
     let g = chain("c", 6, &CostParams::default(), 3);
     let spec = CellSpec::ps3();
