@@ -327,6 +327,9 @@ pub(crate) struct Workspace {
     /// that count as `(column, α_rj)`.
     acc: SparseAcc,
     alpha_row: Vec<(usize, f64)>,
+    /// The dual ratio test's eligible entries of the pivot row:
+    /// `(column, α_rj, |d_j| / |α_rj|)`.
+    candidates: Vec<(usize, f64, f64)>,
     /// The basis positions outside their bounds.
     infeasible: InfeasibleSet,
 }
@@ -425,6 +428,7 @@ impl Workspace {
             wnz: Vec::with_capacity(m),
             acc: SparseAcc::new(ncols),
             alpha_row: Vec::with_capacity(ncols),
+            candidates: Vec::with_capacity(ncols),
             infeasible: InfeasibleSet::new(m),
         }
     }
@@ -1095,33 +1099,26 @@ impl<'a> Simplex<'a> {
 
             self.pivot_row(r, PIVOT_TOL, |_, fixed| !fixed);
 
-            // dual ratio test (two-pass Harris flavour): eligibility
-            // keeps theta's sign so reduced costs stay dual feasible
-            let Workspace { alpha_row, state, dvec, pricer, .. } = &*self.ws;
-            let eligible = |j: usize, a: f64| -> bool {
-                match state[j] {
-                    VState::AtLower => {
-                        if below {
-                            a < 0.0
-                        } else {
-                            a > 0.0
-                        }
-                    }
-                    VState::AtUpper => {
-                        if below {
-                            a > 0.0
-                        } else {
-                            a < 0.0
-                        }
-                    }
-                    VState::Basic(_) => false,
-                }
-            };
+            // dual ratio test (Harris flavour): eligibility keeps theta's
+            // sign so reduced costs stay dual feasible. One pass over the
+            // pivot row finds the relaxed bound and keeps the eligible
+            // entries with their ratios; the choice walks only those.
+            let Workspace { alpha_row, candidates, state, dvec, pricer, .. } = &mut *self.ws;
             let dtol = self.opts.tolerance.max(1e-9);
             let mut relaxed = f64::INFINITY;
-            for &(j, a) in alpha_row {
-                if eligible(j, a) {
-                    relaxed = relaxed.min((dvec[j].abs() + dtol) / a.abs());
+            candidates.clear();
+            for &(j, a) in alpha_row.iter() {
+                let eligible = match state[j] {
+                    VState::AtLower if below => a < 0.0,
+                    VState::AtLower => a > 0.0,
+                    VState::AtUpper if below => a > 0.0,
+                    VState::AtUpper => a < 0.0,
+                    VState::Basic(_) => false,
+                };
+                if eligible {
+                    let d = dvec[j].abs();
+                    relaxed = relaxed.min((d + dtol) / a.abs());
+                    candidates.push((j, a, d / a.abs()));
                 }
             }
             if relaxed.is_infinite() {
@@ -1130,8 +1127,8 @@ impl<'a> Simplex<'a> {
             let bland = pricer.bland();
             let mut q = usize::MAX;
             let mut alpha_rq = 0.0f64;
-            for &(j, a) in alpha_row {
-                if eligible(j, a) && dvec[j].abs() / a.abs() <= relaxed {
+            for &(j, a, ratio) in candidates.iter() {
+                if ratio <= relaxed {
                     // Bland mode: first (lowest-index) qualifying column
                     if q != usize::MAX && (bland || a.abs() <= alpha_rq.abs()) {
                         continue;
