@@ -5,7 +5,7 @@
 //! This binary reports the same quantities for the in-repo solver on
 //! every evaluation graph at the CCR extremes, plus the formulation
 //! sparsity — the honest comparison point for the CPLEX substitution
-//! discussed in EXPERIMENTS.md. It also measures **branch-and-bound
+//! (DESIGN.md, deviation 1). It also measures **branch-and-bound
 //! node throughput** per graph: nodes/second at a forced zero gap, so
 //! the search must genuinely branch instead of stopping at the root.
 //!

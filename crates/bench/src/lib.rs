@@ -18,10 +18,10 @@
 //!   standard scheduler [`Portfolio`] (both §6.3 greedies, the
 //!   comm-aware greedy, multi-start local search, and the MILP
 //!   warm-started with all of their mappings) with the paper's 5 % gap —
-//!   see EXPERIMENTS.md for why the seeds matter when the in-repo B&B
-//!   replaces CPLEX.
+//!   DESIGN.md's deviation 1 says why the seeds matter when the in-repo
+//!   B&B replaces CPLEX.
 //! * `CELLSTREAM_QUICK=1` shrinks sweeps and budgets by ~10x for smoke
-//!   runs; the recorded EXPERIMENTS.md numbers use full mode.
+//!   runs; figures meant to be compared with the paper's use full mode.
 
 #![forbid(unsafe_code)]
 

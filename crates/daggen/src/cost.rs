@@ -6,7 +6,8 @@ use rand::Rng;
 
 /// Distributions from which task costs, peeks and payloads are drawn.
 ///
-/// The defaults are calibrated (see EXPERIMENTS.md) so that the paper's
+/// The defaults are chosen (DESIGN.md §6.2; the graphs they draw are
+/// pinned by `tests/paper_claims.rs`) so that the paper's
 /// CCR sweep interacts with all four resource classes of the Cell model
 /// at once — compute, interface bandwidth, local-store capacity and DMA
 /// slots — which is the regime the paper's §6.4 figures live in:

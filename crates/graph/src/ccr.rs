@@ -22,8 +22,9 @@
 //! [`DEFAULT_BW`] `= 4 B × 10 G/s = 40 GB/s`: a graph at CCR `c` moves
 //! `c · 40 GB` per aggregate compute-second. `CCR < 1` is
 //! computation-dominated, `CCR > 1` communication-dominated, exactly the
-//! reading the paper gives its 0.775–4.6 sweep. The calibration trail
-//! for this convention is in EXPERIMENTS.md.
+//! reading the paper gives its 0.775–4.6 sweep. DESIGN.md §2.2 places
+//! the convention; `tests/paper_claims.rs` pins the Figure 8 trend it
+//! yields (speed-up falling from CCR 0.775 to 4.6).
 //!
 //! "Bytes moved" counts both inter-task data (`data_{k,l}`) and
 //! main-memory traffic (`read_k`, `write_k`) since both occupy the same

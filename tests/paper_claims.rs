@@ -85,7 +85,8 @@ fn speedup_declines_with_ccr() {
 }
 
 /// The three frozen paper graphs stay frozen (any change would silently
-/// invalidate EXPERIMENTS.md).
+/// move every figure `cellstream-bench` regenerates, the golden tables
+/// and the benchmark's `plan_paper` instances).
 #[test]
 fn paper_workloads_are_pinned() {
     let g1 = paper::graph1();
