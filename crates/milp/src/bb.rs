@@ -4,7 +4,8 @@
 //! CPLEX to stop its computation as soon as its solution is within 5 % of
 //! the optimal solution"* — [`MipOptions::rel_gap`] defaults to `0.05`
 //! and the search stops as soon as
-//! `(incumbent − best_bound) / incumbent ≤ rel_gap`.
+//! `(incumbent − best_bound) / |incumbent| ≤ rel_gap` or
+//! `incumbent − best_bound ≤ abs_gap`.
 //!
 //! Design notes:
 //!
@@ -14,14 +15,15 @@
 //!   whole search; a node only edits two floats per fixing and re-solves
 //!   with the **dual simplex** from its parent's basis. A branch tightens
 //!   one binary's bounds, which preserves dual feasibility exactly, so a
-//!   child typically needs a handful of pivots instead of a full
-//!   two-phase solve. The root takes the same path from the all-slack
-//!   basis, which is dual feasible whenever no cost pulls a column off
-//!   its resting bound — every cost of Linear Program (1) is ≥ 0. When
-//!   the dual start is refused (a singular basis, or reduced costs no
-//!   bound flip repairs) the node falls back to a fresh two-phase primal
-//!   solve; [`MipResult::warm_starts`]/[`MipResult::warm_start_hits`]
-//!   report how often the fast path held at the child nodes.
+//!   child typically needs a handful of pivots instead of a solve from
+//!   scratch. The root takes the same path from the all-slack basis,
+//!   which is dual feasible for every model the solver accepts (no
+//!   negative cost without a finite upper bound — every cost of Linear
+//!   Program (1) is ≥ 0). When a parent's basis is refused (a singular
+//!   basis, or reduced costs no bound flip repairs) the node re-solves
+//!   from the slack basis instead;
+//!   [`MipResult::warm_starts`]/[`MipResult::warm_start_hits`] report
+//!   how often the parent's basis held at the child nodes.
 //! * **Pseudo-cost branching**: per-binary average objective degradations
 //!   (up and down) learned from every solved child pick the branching
 //!   variable by the product rule, replacing most-fractional.
@@ -58,8 +60,6 @@ pub enum MipStatus {
     Cancelled,
     /// No feasible integral point exists.
     Infeasible,
-    /// The LP relaxation is unbounded.
-    Unbounded,
 }
 
 /// Options for [`solve_mip`].
@@ -67,7 +67,7 @@ pub enum MipStatus {
 pub struct MipOptions {
     /// Relative optimality gap at which to stop (paper: 0.05).
     pub rel_gap: f64,
-    /// Absolute gap at which to stop.
+    /// Absolute gap `incumbent − best_bound` at which to stop.
     pub abs_gap: f64,
     /// Maximum number of explored nodes.
     pub max_nodes: u64,
@@ -119,8 +119,8 @@ pub struct MipResult {
     pub lp_iterations: u64,
     /// Child re-solves attempted from the parent basis (dual simplex).
     pub warm_starts: u64,
-    /// Warm starts that completed without falling back to a fresh
-    /// primal solve.
+    /// Warm starts whose parent basis held (the rest re-solved from the
+    /// slack basis).
     pub warm_start_hits: u64,
 }
 
@@ -213,10 +213,11 @@ impl PseudoCosts {
 /// Solve one node on the search's long-lived [`SparseLp`], in the
 /// search's one [`Workspace`]: apply the fixings as bound edits, solve
 /// with the dual simplex from `basis` — the parent's optimal basis, or
-/// the slack basis at the root — and restore the bounds. A fresh primal
-/// solve is the fallback when the dual start is refused (singular, or
-/// not dual feasible). The flag says whether the dual path held. An
-/// error at a child means contradictory fixings: an infeasible subtree.
+/// the slack basis at the root — and restore the bounds. When `basis` is
+/// refused (singular, or not dual feasible) the node re-solves from the
+/// slack basis, which the model's validation makes a dual start. The
+/// flag says whether `basis` held. `None` means contradictory fixings —
+/// a domain the fixings emptied — so an infeasible subtree.
 fn solve_node(
     lp: &mut SparseLp,
     ws: &mut Workspace,
@@ -224,14 +225,14 @@ fn solve_node(
     fixings: &[(VarId, bool)],
     basis: &Basis,
     opts: &LpOptions,
-) -> (Result<SparseSolution, SolveError>, bool) {
+) -> (Option<SparseSolution>, bool) {
     for &(v, val) in fixings {
         let b = if val { 1.0 } else { 0.0 };
         lp.set_bounds(v.0, b, b);
     }
     let sol = match lp.solve_dual_in(ws, basis, opts) {
-        Ok(s) => (Ok(s), true),
-        Err(_) => (lp.solve_primal_in(ws, opts), false),
+        Ok(s) => (Some(s), true),
+        Err(_) => (lp.solve_dual_in(ws, &lp.slack_basis(), opts).ok(), false),
     };
     for &(v, _) in fixings {
         let (lo, hi) = model.bounds(v);
@@ -299,36 +300,23 @@ pub fn solve_mip(
 
     // Root relaxation: the same dual path as every node, from the slack
     // basis (not counted as a warm start — there is no parent to reuse).
+    // Validation ruled out an empty domain, so the slack start holds.
     let slack = lp.slack_basis();
-    let root = solve_node(&mut lp, &mut ws, model, &[], &slack, &lp_opts).0?;
+    let root = solve_node(&mut lp, &mut ws, model, &[], &slack, &lp_opts).0;
+    let root = root.expect("the slack basis of a validated model is a dual start");
     lp_iterations += root.iterations;
     nodes_done += 1;
-    match root.status {
-        LpStatus::Infeasible => {
-            return Ok(MipResult {
-                status: MipStatus::Infeasible,
-                incumbent: None,
-                best_bound: f64::INFINITY,
-                gap: f64::INFINITY,
-                nodes: nodes_done,
-                lp_iterations,
-                warm_starts: 0,
-                warm_start_hits: 0,
-            });
-        }
-        LpStatus::Unbounded => {
-            return Ok(MipResult {
-                status: MipStatus::Unbounded,
-                incumbent,
-                best_bound: f64::NEG_INFINITY,
-                gap: f64::INFINITY,
-                nodes: nodes_done,
-                lp_iterations,
-                warm_starts: 0,
-                warm_start_hits: 0,
-            });
-        }
-        LpStatus::Optimal | LpStatus::IterLimit | LpStatus::TimeLimit => {}
+    if root.status == LpStatus::Infeasible {
+        return Ok(MipResult {
+            status: MipStatus::Infeasible,
+            incumbent: None,
+            best_bound: f64::INFINITY,
+            gap: f64::INFINITY,
+            nodes: nodes_done,
+            lp_iterations,
+            warm_starts: 0,
+            warm_start_hits: 0,
+        });
     }
 
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
@@ -376,8 +364,9 @@ pub fn solve_mip(
             (None, None) => global_bound,
         };
         let gap = gap_of(&incumbent, global_bound);
-        if incumbent.is_some() && (gap <= opts.rel_gap || gap <= opts.abs_gap) {
-            status = if heap.is_empty() || gap <= opts.abs_gap {
+        let abs_gap = incumbent.as_ref().map_or(f64::INFINITY, |(inc, _)| inc - global_bound);
+        if incumbent.is_some() && (gap <= opts.rel_gap || abs_gap <= opts.abs_gap) {
+            status = if heap.is_empty() || abs_gap <= opts.abs_gap {
                 MipStatus::Optimal
             } else {
                 MipStatus::GapReached
@@ -417,18 +406,13 @@ pub fn solve_mip(
         let (sol, held) = solve_node(&mut lp, &mut ws, model, &node.fixings, &node.basis, &lp_opts);
         warm.0 += 1;
         warm.1 += u64::from(held);
-        let Ok(sol) = sol else {
+        let Some(sol) = sol else {
             continue;
         };
         lp_iterations += sol.iterations;
         nodes_done += 1;
-        match sol.status {
-            LpStatus::Infeasible => continue,
-            LpStatus::Unbounded => {
-                // Cannot happen if the root is bounded, but be safe.
-                continue;
-            }
-            LpStatus::Optimal | LpStatus::IterLimit | LpStatus::TimeLimit => {}
+        if sol.status == LpStatus::Infeasible {
+            continue;
         }
         let node_bound = if sol.status == LpStatus::Optimal { sol.objective } else { node.bound };
         // pseudo-cost learning: objective degradation per unit of
@@ -545,6 +529,44 @@ fn process_solution(
                     branched: Some((bin_of[v.0], val, objective, frac)),
                 });
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{Cmp, VarKind};
+    use crate::revised::VState;
+
+    /// A basis the dual simplex refuses — of the wrong shape, or not dual
+    /// feasible — is re-solved from the slack basis: the node still
+    /// reaches the optimum, and reports that its basis did not hold.
+    #[test]
+    fn a_refused_basis_re_solves_from_the_slack_basis() {
+        // min 2x + y  s.t.  x + y ≥ 1: the optimum is y = 1, objective 1
+        let mut m = Model::new("refused");
+        let x = m.add_var("x", 0.0, f64::INFINITY, 2.0, VarKind::Continuous);
+        let y = m.add_var("y", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+        m.add_con(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 1.0);
+        let mut lp = SparseLp::from_model(&m).unwrap();
+        let mut ws = Workspace::new(&lp);
+        let opts = LpOptions::default();
+        let wrong_shape = Basis { cols: Vec::new(), state: Vec::new() };
+        // x basic in the row prices y at 1 − 2 < 0, with no upper bound
+        // to flip y to
+        let x_basic = Basis {
+            cols: vec![0],
+            state: vec![VState::Basic(0), VState::AtLower, VState::AtUpper],
+        };
+        for (what, basis) in [("wrong shape", wrong_shape), ("not dual feasible", x_basic)] {
+            assert!(lp.solve_dual_from(&basis, &opts).is_err(), "{what}: must be refused");
+            let (sol, held) = solve_node(&mut lp, &mut ws, &m, &[], &basis, &opts);
+            let sol = sol.expect("the slack basis is a dual start");
+            assert!(!held, "{what}: the refused basis cannot count as held");
+            assert_eq!(sol.status, LpStatus::Optimal, "{what}");
+            assert!((sol.objective - 1.0).abs() < 1e-12, "{what}: {}", sol.objective);
+            assert_eq!(m.certify(&sol.x, &sol.duals, 1e-9), Ok(()), "{what}");
         }
     }
 }

@@ -4,16 +4,20 @@
 //! CPLEX, stopped as soon as the incumbent is within 5 % of optimal. This
 //! crate is the in-repo substitute:
 //!
-//! * [`revised`] — the one LP engine: a **sparse revised simplex**
-//!   over compressed sparse columns ([`sparse`]), with an LU-factorized
-//!   basis updated in product form ([`factor`]), Devex pricing with a
-//!   Bland anti-cycling fallback ([`pricing`]), a Harris two-pass ratio
-//!   test, a light presolve ([`presolve`]), and a bounded-variable
-//!   **dual simplex** for warm-started re-solves. Variable bounds
-//!   (`l ≤ x ≤ u`, including the `{0,1}` boxes of the relaxed binaries)
-//!   are handled natively by the pivoting rules rather than as extra
-//!   rows, which keeps the mapping LPs at a few thousand rows instead
-//!   of tens of thousands.
+//! * [`revised`] — the one LP engine: a bounded-variable **dual
+//!   simplex** over compressed sparse columns ([`sparse`]), with an
+//!   LU-factorized basis kept current by Forrest–Tomlin updates
+//!   ([`factor`]), the leaving row read from the set of bound-violating
+//!   basic positions, and a one-pass Harris ratio test with a Bland
+//!   rule after degenerate runs. Variable bounds (`l ≤ x ≤ u`,
+//!   including the `{0,1}` boxes of the relaxed binaries) are handled
+//!   natively by the pivoting rules rather than as extra rows, which
+//!   keeps the mapping LPs at a few thousand rows instead of tens of
+//!   thousands. Every solve starts from a dual feasible basis: the
+//!   all-slack one, which [`SparseLp::from_model`] guarantees by
+//!   refusing a negative cost on a column with no finite upper bound
+//!   ([`SolveError::NegativeCostUncapped`]; every cost of Linear
+//!   Program (1) is ≥ 0), or a parent node's optimal one.
 //! * [`bb`] — branch-and-bound over the binary variables with best-first
 //!   node selection, pseudo-cost branching, **dual-simplex warm starts**
 //!   from the parent basis (a branch only tightens one binary's bounds,
@@ -21,15 +25,19 @@
 //!   (the greedy heuristics of §6.3 make excellent warm starts), an
 //!   *integral-completion* callback that turns fractional relaxations into
 //!   feasible mappings, and the paper's relative-gap early stop.
-//! * [`model`] — the tiny modelling layer shared by all of it.
+//! * [`model`] — the tiny modelling layer shared by all of it, and
+//!   [`Model::certify`], which checks an optimal answer and its row
+//!   duals against the model's own rows.
 //!
 //! The solver is deliberately general: nothing in this crate knows about
-//! streaming or the Cell. Correctness is established against two
-//! exhaustive oracles that share no pivoting code with the engine:
-//! vertex enumeration for LPs and exhaustive binary search for MIPs
-//! (`src/tests.rs`); the formulation-derived instances are refereed by
-//! `cellstream-core`'s brute-force mapper (`tests/milp_differential.rs`
-//! at the workspace root).
+//! streaming or the Cell. Correctness is established against referees
+//! that share no pivoting code with the engine: the optimality
+//! certificate ([`Model::certify`]: primal and dual feasibility,
+//! complementary slackness, a zero duality gap), vertex enumeration for
+//! LPs and exhaustive binary search for MIPs (`src/tests.rs`); the
+//! formulation-derived instances are refereed by `cellstream-core`'s
+//! brute-force mapper and evaluator (`tests/milp_differential.rs` at the
+//! workspace root).
 //!
 //! # Example
 //!
@@ -51,13 +59,11 @@
 pub mod bb;
 pub mod factor;
 pub mod model;
-pub mod presolve;
-pub mod pricing;
 pub mod revised;
 pub mod sparse;
 
 pub use bb::{MipOptions, MipResult, MipStatus};
-pub use model::{Cmp, LpOptions, LpSolution, LpStatus, Model, SolveError, VarId, VarKind};
+pub use model::{Cmp, LpOptions, LpStatus, Model, SolveError, Uncertified, VarId, VarKind};
 pub use revised::{Basis, SparseLp, SparseSolution};
 pub use sparse::ColMatrix;
 

@@ -2,10 +2,16 @@
 //!
 //! Kept intentionally small — just enough structure for the steady-state
 //! mapping formulations and for the solver test-suite. Only minimisation
-//! is supported (maximise by negating the objective); every variable needs
-//! a finite lower bound (a nonbasic column rests at one of its bounds, and
-//! the all-logical starting basis rests every structural at its lower one).
+//! is supported (maximise by negating the objective). Every variable needs
+//! a finite lower bound, and a variable with a negative cost a finite
+//! upper bound too: then the all-slack basis, which rests every
+//! structural on a bound, is dual feasible, and the dual simplex starts
+//! from it with no phase 1. Every cost of Linear Program (1) is ≥ 0.
+//!
+//! [`Model::certify`] is the solver's referee: it checks an answer and
+//! its row duals against the model's own rows, with no factorization.
 
+use crate::revised::{SparseLp, SparseSolution};
 use std::fmt;
 
 /// Identifier of a model variable (dense index).
@@ -65,6 +71,14 @@ pub(crate) struct Constraint {
     pub rhs: f64,
 }
 
+impl Constraint {
+    /// The row's magnitude `max(|rhs|, max |coefficient|)`: the scale
+    /// the solver equilibrates it to and the certificate measures it in.
+    pub(crate) fn magnitude(&self) -> f64 {
+        self.terms.iter().fold(self.rhs.abs(), |acc, &(_, a)| acc.max(a.abs()))
+    }
+}
+
 /// Termination status of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpStatus {
@@ -72,26 +86,10 @@ pub enum LpStatus {
     Optimal,
     /// No feasible point exists.
     Infeasible,
-    /// The objective is unbounded below.
-    Unbounded,
     /// Iteration limit hit before convergence.
     IterLimit,
     /// The [`LpOptions::deadline`] passed before convergence.
     TimeLimit,
-}
-
-/// Result of an LP solve.
-#[derive(Debug, Clone)]
-pub struct LpSolution {
-    /// Why the solve stopped.
-    pub status: LpStatus,
-    /// Objective value (meaningful for `Optimal`; best point found for
-    /// `IterLimit`).
-    pub objective: f64,
-    /// Primal values in model-variable order.
-    pub x: Vec<f64>,
-    /// Simplex iterations used (both phases).
-    pub iterations: u64,
 }
 
 /// Errors raised before the solver even starts.
@@ -104,6 +102,10 @@ pub enum SolveError {
     BadBound(VarId),
     /// A coefficient or rhs is NaN/infinite.
     BadCoefficient,
+    /// A variable has a negative cost and no finite upper bound: its
+    /// column would leave the slack basis dual infeasible (and may make
+    /// the LP unbounded).
+    NegativeCostUncapped(VarId),
 }
 
 impl fmt::Display for SolveError {
@@ -112,6 +114,9 @@ impl fmt::Display for SolveError {
             SolveError::EmptyDomain(v) => write!(f, "variable {v} has an empty domain"),
             SolveError::BadBound(v) => write!(f, "variable {v} needs a finite lower bound"),
             SolveError::BadCoefficient => write!(f, "non-finite coefficient in model"),
+            SolveError::NegativeCostUncapped(v) => {
+                write!(f, "variable {v} has a negative cost and no finite upper bound")
+            }
         }
     }
 }
@@ -121,10 +126,8 @@ impl std::error::Error for SolveError {}
 /// Options for a plain LP solve.
 #[derive(Debug, Clone)]
 pub struct LpOptions {
-    /// Hard cap on simplex iterations across both phases.
+    /// Hard cap on simplex iterations.
     pub max_iterations: u64,
-    /// Feasibility / pricing tolerance.
-    pub tolerance: f64,
     /// Optional wall-clock deadline checked *inside* the pivot loop, so
     /// one long LP cannot overshoot a branch-and-bound budget.
     pub deadline: Option<std::time::Instant>,
@@ -136,7 +139,7 @@ pub struct LpOptions {
 
 impl Default for LpOptions {
     fn default() -> Self {
-        LpOptions { max_iterations: 200_000, tolerance: 1e-8, deadline: None, stop: None }
+        LpOptions { max_iterations: 200_000, deadline: None, stop: None }
     }
 }
 
@@ -248,14 +251,11 @@ impl Model {
     }
 
     /// Reject what the solver cannot take: every variable needs a finite
-    /// lower bound, non-crossed bounds and a finite objective
-    /// coefficient; every row needs finite coefficients and a finite
-    /// right-hand side. [`Model::solve_lp`] calls it *before* presolve —
-    /// which would otherwise fold a `NaN` singleton row into a bound, or
-    /// a `NaN` coefficient on a fixed column into a right-hand side, and
-    /// lose the evidence — and `SparseLp::from_model` calls it for
-    /// branch-and-bound, so both entry points report the same
-    /// [`SolveError`]s.
+    /// lower bound, non-crossed bounds, a finite objective coefficient
+    /// and, when that coefficient is negative, a finite upper bound;
+    /// every row needs finite coefficients and a finite right-hand side.
+    /// `SparseLp::from_model` calls it, so [`Model::solve_lp`] and
+    /// branch-and-bound report the same [`SolveError`]s.
     pub(crate) fn validate(&self) -> Result<(), SolveError> {
         for (i, v) in self.vars.iter().enumerate() {
             // NaN upper bounds must error too: every comparison below
@@ -269,6 +269,9 @@ impl Model {
             }
             if !v.obj.is_finite() {
                 return Err(SolveError::BadCoefficient);
+            }
+            if v.obj < 0.0 && v.hi.is_infinite() {
+                return Err(SolveError::NegativeCostUncapped(VarId(i)));
             }
         }
         for con in &self.cons {
@@ -290,30 +293,143 @@ impl Model {
     }
 
     /// Solve the continuous relaxation (binaries relaxed to `[0,1]`,
-    /// which their bounds already encode): a light presolve, then the
-    /// sparse revised simplex from the all-logical basis.
-    pub fn solve_lp(&self, opts: &LpOptions) -> Result<LpSolution, SolveError> {
-        // validation must run before presolve: an EmptyDomain surfaces
-        // as an error rather than an Infeasible verdict, and a
-        // non-finite row is still there to be found
-        self.validate()?;
-        let pre = crate::presolve::presolve(self);
-        if pre.verdict == Some(LpStatus::Infeasible) {
-            return Ok(LpSolution {
-                status: LpStatus::Infeasible,
-                objective: f64::INFINITY,
-                x: vec![0.0; self.n_vars()],
-                iterations: 0,
-            });
+    /// which their bounds already encode) with the dual simplex from the
+    /// all-slack basis.
+    pub fn solve_lp(&self, opts: &LpOptions) -> Result<SparseSolution, SolveError> {
+        let lp = SparseLp::from_model(self)?;
+        let sol = lp.solve_dual_from(&lp.slack_basis(), opts);
+        // validation admitted only models whose slack basis is dual
+        // feasible, and a fresh model has no emptied domain
+        Ok(sol.expect("the slack basis of a validated model is a dual start"))
+    }
+
+    /// Check that `x` is an optimal point of the continuous relaxation
+    /// and `y` (one dual per row, [`SparseSolution::duals`]) proves it,
+    /// using only the model's own rows — no basis, no factorization.
+    /// Each row is measured in its own scale `s_i = max(|b_i|, max_j
+    /// |a_ij|)` (1 when both are zero), and `tol` is relative:
+    ///
+    /// * **primal feasibility**: `x` within its bounds by
+    ///   `tol·(1 + |bound|)`, each row within `tol·s_i`;
+    /// * **reduced costs** `d_j = c_j − Σ_i y_i a_ij`, measured against
+    ///   `1 + |c_j| + Σ_i |y_i a_ij|`: a variable resting at its lower
+    ///   bound may have `d_j ≥ 0` only, at its upper bound `d_j ≤ 0`
+    ///   only, strictly between them `d_j = 0`;
+    /// * **row-dual signs** by [`Cmp`], on `y_i·s_i`: `≤` rows need
+    ///   `y_i ≤ 0`, `≥` rows `y_i ≥ 0`, `=` rows either;
+    /// * **complementary slackness**: `|y_i|·|a_i·x − b_i| ≤ tol·(1 + |c·x|)`;
+    /// * **the duality gap**: `c·x` minus the dual objective `b·y +
+    ///   Σ_j d_j·(the bound of x_j that d_j's sign prices)` at most
+    ///   `tol·(1 + |c·x|)` in magnitude.
+    ///
+    /// Feasible `x`, sign-correct `y` and a zero gap make `x` optimal by
+    /// weak duality; the other two checks name where a gap comes from.
+    pub fn certify(&self, x: &[f64], y: &[f64], tol: f64) -> Result<(), Uncertified> {
+        if x.len() != self.vars.len() || y.len() != self.cons.len() {
+            return Err(Uncertified::Shape);
         }
-        let lp = crate::revised::SparseLp::from_model(&pre.model)?;
-        let sol = lp.solve_primal(opts)?;
-        let x = pre.postsolve(&sol.x);
-        let objective = match sol.status {
-            LpStatus::Infeasible => f64::INFINITY,
-            LpStatus::Unbounded => f64::NEG_INFINITY,
-            _ => self.objective_of(&x),
-        };
-        Ok(LpSolution { status: sol.status, objective, x, iterations: sol.iterations })
+        // an infinite bound is never near: `∞ ≤ ∞` would say it is
+        let near = |a: f64, b: f64| b.is_finite() && (a - b).abs() <= tol * (1.0 + b.abs());
+        for (j, (v, &xj)) in self.vars.iter().zip(x).enumerate() {
+            if xj < v.lo - tol * (1.0 + v.lo.abs()) || xj > v.hi + tol * (1.0 + v.hi.abs()) {
+                return Err(Uncertified::Bound(VarId(j)));
+            }
+        }
+        // reduced costs, with the magnitude each one is measured against
+        let mut d: Vec<f64> = self.vars.iter().map(|v| v.obj).collect();
+        let mut size: Vec<f64> = self.vars.iter().map(|v| 1.0 + v.obj.abs()).collect();
+        let primal = self.objective_of(x);
+        let mut dual = 0.0;
+        for (i, (con, &yi)) in self.cons.iter().zip(y).enumerate() {
+            let scale = match con.magnitude() {
+                s if s > 0.0 => s,
+                _ => 1.0,
+            };
+            let residual: f64 = con.terms.iter().map(|&(c, a)| a * x[c]).sum::<f64>() - con.rhs;
+            let broken = match con.cmp {
+                Cmp::Le => residual,
+                Cmp::Ge => -residual,
+                Cmp::Eq => residual.abs(),
+            };
+            if broken > tol * scale {
+                return Err(Uncertified::Row(i));
+            }
+            let wrong_sign = match con.cmp {
+                Cmp::Le => yi * scale,
+                Cmp::Ge => -yi * scale,
+                Cmp::Eq => 0.0,
+            };
+            if wrong_sign > tol {
+                return Err(Uncertified::DualSign(i));
+            }
+            if (yi * residual).abs() > tol * (1.0 + primal.abs()) {
+                return Err(Uncertified::Slackness(i));
+            }
+            for &(c, a) in &con.terms {
+                d[c] -= yi * a;
+                size[c] += (yi * a).abs();
+            }
+            dual += yi * con.rhs;
+        }
+        for (j, (v, &xj)) in self.vars.iter().zip(x).enumerate() {
+            let (at_lo, at_hi) = (near(xj, v.lo), near(xj, v.hi));
+            let dj = d[j] / size[j];
+            let priced = (dj < -tol && !at_hi) || (dj > tol && !at_lo);
+            if priced {
+                return Err(Uncertified::ReducedCost(VarId(j)));
+            }
+            // the bound a reduced cost prices: lower for d_j ≥ 0, upper
+            // for d_j < 0 — lower again for a d_j < 0 within the
+            // tolerance and no upper bound (beyond it, the check above
+            // refused it)
+            dual += d[j] * if d[j] < 0.0 && v.hi.is_finite() { v.hi } else { v.lo };
+        }
+        if !near(dual, primal) {
+            return Err(Uncertified::Gap { primal, dual });
+        }
+        Ok(())
     }
 }
+
+/// The first check [`Model::certify`] found failing.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Uncertified {
+    /// `x` or `y` has the wrong length.
+    Shape,
+    /// `x` lies outside this variable's bounds.
+    Bound(VarId),
+    /// `x` breaks this row.
+    Row(usize),
+    /// This variable's reduced cost would improve the objective by
+    /// moving it off where it rests.
+    ReducedCost(VarId),
+    /// This row's dual has the wrong sign for its [`Cmp`].
+    DualSign(usize),
+    /// This row is slack, yet its dual is not zero.
+    Slackness(usize),
+    /// The primal and dual objectives differ.
+    Gap {
+        /// `c·x`.
+        primal: f64,
+        /// The dual objective of `y`.
+        dual: f64,
+    },
+}
+
+impl fmt::Display for Uncertified {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Uncertified::Shape => write!(f, "x or y has the wrong length"),
+            Uncertified::Bound(v) => write!(f, "{v} is out of its bounds"),
+            Uncertified::Row(i) => write!(f, "row {i} is violated"),
+            Uncertified::ReducedCost(v) => write!(f, "{v} has a reduced cost of the wrong sign"),
+            Uncertified::DualSign(i) => write!(f, "row {i} has a dual of the wrong sign"),
+            Uncertified::Slackness(i) => write!(f, "row {i} is slack with a non-zero dual"),
+            Uncertified::Gap { primal, dual } => {
+                write!(f, "duality gap: primal {primal:e}, dual {dual:e}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for Uncertified {}

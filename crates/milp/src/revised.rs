@@ -1,5 +1,7 @@
 //! Sparse revised simplex with bounded variables — the LP engine behind
-//! [`Model::solve_lp`] and branch-and-bound.
+//! [`Model::solve_lp`] and branch-and-bound. It is a **dual simplex**
+//! only ([`SparseLp::solve_dual_from`]): from the all-slack basis at a
+//! root, from the parent's basis at a branch-and-bound child.
 //!
 //! * the constraint matrix lives in compressed sparse columns
 //!   ([`crate::sparse::ColMatrix`]) built straight from the model's row
@@ -8,24 +10,24 @@
 //!   multipliers and the duals are dense length-`m` vectors;
 //! * the basis is LU-factorized with Forrest–Tomlin updates and
 //!   periodic refactorization ([`crate::factor`]);
-//! * pricing is Devex ([`crate::pricing`]) with a Bland fallback after
-//!   degenerate runs;
-//! * the primal ratio test is a Harris-style two-pass (relaxed bound
-//!   pass for the step length, second pass for the largest pivot);
+//! * the leaving row is the most bound-violating basic variable, read
+//!   from the set of violated positions ([`InfeasibleSet`]); the ratio
+//!   test is a one-pass Harris test over the pivot row, with a Bland
+//!   rule (lowest column index) after a run of degenerate pivots;
 //! * variables keep their **native bounds** `l ≤ x ≤ u` (no shift), so
 //!   a branch-and-bound bound tightening is a two-float edit and the
-//!   parent basis stays meaningful — which is what the bounded-variable
-//!   **dual simplex** ([`SparseLp::solve_dual_from`]) exploits to
-//!   re-solve child nodes in a handful of pivots.
+//!   parent basis stays meaningful: a branch keeps the parent's basis
+//!   dual feasible, so a child re-solves in a handful of pivots.
 //!
-//! Feasibility is reached by a composite (artificial-free) phase 1:
-//! the all-logical basis is always available, out-of-bound basic
-//! variables get ±1 costs, and the ratio test stops at the first bound
-//! breakpoint. No artificial columns ever enter the problem.
+//! The slack basis is dual feasible for every model
+//! [`SparseLp::from_model`] accepts: a negative cost needs a finite
+//! upper bound to rest its column on, and every lower bound is finite.
+//! So there is no phase 1 and no primal simplex; an optimal answer
+//! carries row duals ([`SparseSolution::duals`]) that
+//! [`Model::certify`] checks against the model's own rows.
 
 use crate::factor::Factorization;
-use crate::model::{Cmp, LpOptions, LpStatus, Model, SolveError, VarId};
-use crate::pricing::Devex;
+use crate::model::{Cmp, LpOptions, LpStatus, Model, SolveError};
 use crate::sparse::{ColMatrix, SparseAcc};
 
 /// Where a column currently rests.
@@ -50,24 +52,28 @@ pub struct Basis {
     pub state: Vec<VState>,
 }
 
-/// Result of a sparse LP solve: an [`crate::model::LpSolution`] plus
-/// the final basis for warm starts.
+/// Result of an LP solve, with the final basis for warm starts.
 #[derive(Debug, Clone)]
 pub struct SparseSolution {
     /// Termination status.
     pub status: LpStatus,
-    /// Objective value (`∞` when infeasible, `−∞` when unbounded).
+    /// Objective value (`∞` when infeasible).
     pub objective: f64,
     /// Structural variable values, model order.
     pub x: Vec<f64>,
+    /// Row duals `y` in model-row order, for `Optimal` only (empty
+    /// otherwise): `c_B B⁻¹` unscaled back to the model's rows, so the
+    /// reduced cost of variable `j` is `c_j − Σ_i y_i a_ij` —
+    /// [`Model::certify`] checks them.
+    pub duals: Vec<f64>,
     /// Simplex iterations used.
     pub iterations: u64,
     /// Final basis (meaningful for `Optimal`/`IterLimit`).
     pub basis: Basis,
 }
 
-/// Why a dual warm start was abandoned (the caller falls back to a
-/// fresh primal solve).
+/// Why a dual start was refused (branch-and-bound then re-solves from
+/// the slack basis).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WarmStartError {
     /// The supplied basis does not match this problem's dimensions.
@@ -76,8 +82,6 @@ pub enum WarmStartError {
     Singular,
     /// Reduced costs are not dual-feasible and no bound flip fixes them.
     DualInfeasible,
-    /// Numerical trouble mid-flight (pivot consistency check failed).
-    Numerical,
 }
 
 /// A model standardised for the revised simplex: CSC columns
@@ -100,18 +104,23 @@ pub struct SparseLp {
     cost: Vec<f64>,
     /// Row right-hand sides (equilibrated).
     rhs: Vec<f64>,
+    /// The equilibration factor of every row: model row `i` times
+    /// `scale[i]` is row `i` here.
+    scale: Vec<f64>,
 }
 
 pub(crate) const FEAS_TOL: f64 = 1e-7;
 const PIVOT_TOL: f64 = 1e-10;
-const HARRIS_DELTA: f64 = 1e-7;
+/// Dual feasibility tolerance: the Harris ratio test's relaxation.
+const DUAL_TOL: f64 = 1e-8;
 const DEGENERATE_RUN_FOR_BLAND: u32 = 48;
 const REFRESH_EVERY: u64 = 256;
 const DEADLINE_EVERY: u64 = 32;
 
 impl SparseLp {
     /// Standardise `model`; errors are exactly those of the model's own
-    /// validation (bad bound, empty domain, non-finite coefficient).
+    /// validation (bad bound, empty domain, non-finite coefficient, a
+    /// negative cost on a column with no finite upper bound).
     pub fn from_model(model: &Model) -> Result<SparseLp, SolveError> {
         let n = model.vars.len();
         let m = model.cons.len();
@@ -121,7 +130,7 @@ impl SparseLp {
         let mut scale = vec![1.0f64; m];
         let mut rhs = vec![0.0f64; m];
         for (i, con) in model.cons.iter().enumerate() {
-            let maxmag = con.terms.iter().fold(con.rhs.abs(), |acc, &(_, a)| acc.max(a.abs()));
+            let maxmag = con.magnitude();
             if maxmag > 0.0 {
                 scale[i] = 1.0 / maxmag;
             }
@@ -163,7 +172,7 @@ impl SparseLp {
             lower.push(lo);
             upper.push(hi);
         }
-        Ok(SparseLp { m, n, mat, rows, lower, upper, cost, rhs })
+        Ok(SparseLp { m, n, mat, rows, lower, upper, cost, rhs, scale })
     }
 
     /// Number of rows.
@@ -194,40 +203,12 @@ impl SparseLp {
         self.upper[j] = hi;
     }
 
-    /// Solve from scratch: composite phase 1 from the all-logical
-    /// basis, then Devex phase 2.
-    pub fn solve_primal(&self, opts: &LpOptions) -> Result<SparseSolution, SolveError> {
-        self.solve_primal_in(&mut Workspace::new(self), opts)
-    }
-
-    /// [`SparseLp::solve_primal`] in the caller's buffers.
-    pub(crate) fn solve_primal_in(
-        &self,
-        ws: &mut Workspace,
-        opts: &LpOptions,
-    ) -> Result<SparseSolution, SolveError> {
-        if let Some(bad) = self.empty_domain() {
-            return Err(SolveError::EmptyDomain(VarId(bad.min(self.n))));
-        }
-        let mut s = Simplex::new(self, opts, ws);
-        s.init_logical_basis();
-        if s.refactor_full().is_err() {
-            // the all-logical basis is the identity; this cannot happen
-            return Ok(s.finish(LpStatus::Infeasible));
-        }
-        let status = s.phase1();
-        if status != LpStatus::Optimal {
-            return Ok(s.finish(status));
-        }
-        let status = s.phase2();
-        Ok(s.finish(status))
-    }
-
-    /// Warm-started re-solve: start from `basis` (typically the parent
-    /// node's optimal basis) and run the bounded-variable dual simplex.
-    /// Fast exactly when only bounds changed since `basis` was optimal
-    /// — the branch-and-bound case. Falls back with a
-    /// [`WarmStartError`] instead of guessing on numerical trouble.
+    /// Run the bounded-variable dual simplex from `basis`: the slack
+    /// basis ([`SparseLp::slack_basis`]) for a solve from scratch, or the
+    /// parent node's optimal basis, which makes a re-solve fast when only
+    /// bounds changed since it was optimal — the branch-and-bound case.
+    /// Refuses with a [`WarmStartError`] a basis it cannot start from
+    /// instead of guessing.
     pub fn solve_dual_from(
         &self,
         basis: &Basis,
@@ -243,7 +224,7 @@ impl SparseLp {
         basis: &Basis,
         opts: &LpOptions,
     ) -> Result<SparseSolution, WarmStartError> {
-        if self.empty_domain().is_some() {
+        if self.empty_domain() {
             return Err(WarmStartError::Mismatch);
         }
         let mut s = Simplex::new(self, opts, ws);
@@ -256,21 +237,12 @@ impl SparseLp {
     /// structural resting at its bound nearest zero. Its reduced costs
     /// are the costs themselves, so a dual start from it
     /// ([`SparseLp::solve_dual_from`]) holds whenever every column its
-    /// cost pulls off that bound has a finite bound to flip to — always
-    /// when no cost is negative, as in Linear Program (1), whose
-    /// branch-and-bound root starts here.
+    /// cost pulls off that bound has a finite bound to flip to — for
+    /// every model [`SparseLp::from_model`] accepts, as long as no bound
+    /// edit has emptied a domain.
     pub fn slack_basis(&self) -> Basis {
-        let mut basis =
-            Basis { cols: Vec::with_capacity(self.m), state: vec![VState::AtLower; self.ncols()] };
-        self.fill_slack_basis(&mut basis.cols, &mut basis.state);
-        basis
-    }
-
-    /// Write the all-slack basis into `cols` and `state`.
-    fn fill_slack_basis(&self, cols: &mut Vec<usize>, state: &mut [VState]) {
         let (n, m) = (self.n, self.m);
-        cols.clear();
-        cols.extend(n..n + m);
+        let mut state = vec![VState::AtLower; n + m];
         for ((s, &lo), &hi) in state[..n].iter_mut().zip(&self.lower).zip(&self.upper) {
             // rest at the finite bound closer to zero (both exist is the
             // common case: binaries); lower is always finite per model
@@ -283,10 +255,11 @@ impl SparseLp {
         for (pos, j) in (n..n + m).enumerate() {
             state[j] = VState::Basic(pos);
         }
+        Basis { cols: (n..n + m).collect(), state }
     }
 
-    fn empty_domain(&self) -> Option<usize> {
-        (0..self.n + self.m).find(|&j| self.lower[j] > self.upper[j] + 1e-12)
+    fn empty_domain(&self) -> bool {
+        (0..self.n + self.m).any(|j| self.lower[j] > self.upper[j] + 1e-12)
     }
 
     fn ncols(&self) -> usize {
@@ -301,13 +274,12 @@ impl SparseLp {
 #[derive(Debug)]
 pub(crate) struct Workspace {
     factor: Factorization,
-    pricer: Devex,
     /// `basis[position] = column`.
     basis: Vec<usize>,
     state: Vec<VState>,
     /// Values of the basic variables by position.
     beta: Vec<f64>,
-    /// Reduced costs (phase-2 maintenance; phase 1 recomputes).
+    /// Reduced costs, updated from the pivot row.
     dvec: Vec<f64>,
     /// Bounds of the basic column at each position.
     basic_lo: Vec<f64>,
@@ -315,11 +287,10 @@ pub(crate) struct Workspace {
     /// Columns whose bounds coincide in this solve.
     fixed: Vec<bool>,
     /// Dense length-`m` buffers: entering column / pivot row / duals
-    /// and right-hand side / basic costs.
+    /// and right-hand side.
     wbuf: Vec<f64>,
     rbuf: Vec<f64>,
     ybuf: Vec<f64>,
-    cbuf: Vec<f64>,
     /// Non-zero positions of the entering column, increasing. Between
     /// pivots `wbuf` is zero everywhere else and `rbuf` everywhere.
     wnz: Vec<usize>,
@@ -413,7 +384,6 @@ impl Workspace {
         let (m, ncols) = (lp.m, lp.ncols());
         Workspace {
             factor: Factorization::new(m),
-            pricer: Devex::new(ncols),
             basis: Vec::with_capacity(m),
             state: vec![VState::AtLower; ncols],
             beta: vec![0.0; m],
@@ -424,7 +394,6 @@ impl Workspace {
             wbuf: vec![0.0; m],
             rbuf: vec![0.0; m],
             ybuf: vec![0.0; m],
-            cbuf: vec![0.0; m],
             wnz: Vec::with_capacity(m),
             acc: SparseAcc::new(ncols),
             alpha_row: Vec::with_capacity(ncols),
@@ -434,13 +403,16 @@ impl Workspace {
     }
 }
 
-/// The solver state shared by phase 1, phase 2 and the dual simplex.
+/// The state of one dual simplex solve.
 struct Simplex<'a> {
     lp: &'a SparseLp,
     opts: &'a LpOptions,
     ws: &'a mut Workspace,
     iterations: u64,
     degenerate_run: u32,
+    /// Bland's rule is in force in the ratio test: set after a run of
+    /// degenerate pivots, cleared by the next pivot that moves.
+    bland: bool,
     /// Consecutive numerical restarts (refactor-and-retry); every
     /// committed pivot resets it.
     restarts: u32,
@@ -449,39 +421,25 @@ struct Simplex<'a> {
     broken: bool,
 }
 
-enum Step {
-    Unbounded,
-    Progress,
-    /// Numerical trouble: refactor and retry the iteration.
-    Retry,
-}
-
 impl<'a> Simplex<'a> {
     fn new(lp: &'a SparseLp, opts: &'a LpOptions, ws: &'a mut Workspace) -> Simplex<'a> {
         debug_assert_eq!((ws.beta.len(), ws.dvec.len()), (lp.m, lp.ncols()));
-        ws.pricer.reset();
-        ws.pricer.set_bland(false);
         for (j, fixed) in ws.fixed.iter_mut().enumerate() {
             *fixed = lp.upper[j] - lp.lower[j] <= 0.0;
         }
-        Simplex { lp, opts, ws, iterations: 0, degenerate_run: 0, restarts: 0, broken: false }
-    }
-
-    /// Take a dense length-`m` zeroed buffer out of the named slot
-    /// (put back by the caller). Avoids per-pivot allocs.
-    fn take_zeroed(slot: &mut Vec<f64>, m: usize) -> Vec<f64> {
-        let mut v = std::mem::take(slot);
-        v.clear();
-        v.resize(m, 0.0);
-        v
+        Simplex {
+            lp,
+            opts,
+            ws,
+            iterations: 0,
+            degenerate_run: 0,
+            bland: false,
+            restarts: 0,
+            broken: false,
+        }
     }
 
     // ---- setup ------------------------------------------------------------
-
-    fn init_logical_basis(&mut self) {
-        self.lp.fill_slack_basis(&mut self.ws.basis, &mut self.ws.state);
-        self.cache_basic_bounds();
-    }
 
     fn init_from_basis(&mut self, warm: &Basis) -> Result<(), WarmStartError> {
         let (m, ncols) = (self.lp.m, self.lp.ncols());
@@ -520,7 +478,7 @@ impl<'a> Simplex<'a> {
         if self.refactor_full().is_err() {
             return Err(WarmStartError::Singular);
         }
-        self.compute_duals_phase2();
+        self.compute_duals();
         // restore dual feasibility by bound flips where possible
         let mut flipped = false;
         for j in 0..ncols {
@@ -610,32 +568,24 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Recompute reduced costs from the basic-cost vector `cb` (indexed
-    /// by basis position). Column costs are the phase-2 objective when
-    /// `phase2_costs`, zero otherwise (phase 1).
-    fn compute_duals_from(&mut self, cb: &[f64], phase2_costs: bool) {
-        let mut y = std::mem::take(&mut self.ws.ybuf);
+    /// `y = c_B B⁻¹` into `y`: one BTRAN of the basic costs.
+    fn btran_costs(&mut self, y: &mut Vec<f64>) {
         y.clear();
-        y.extend_from_slice(cb);
-        self.ws.factor.btran(&mut y);
+        y.extend(self.ws.basis.iter().map(|&j| self.lp.cost[j]));
+        self.ws.factor.btran(y);
+    }
+
+    /// Recompute every reduced cost `d_j = c_j − y·a_j` from scratch.
+    fn compute_duals(&mut self) {
+        let mut y = std::mem::take(&mut self.ws.ybuf);
+        self.btran_costs(&mut y);
         for j in 0..self.lp.ncols() {
             self.ws.dvec[j] = match self.ws.state[j] {
                 VState::Basic(_) => 0.0,
-                _ => {
-                    let c = if phase2_costs { self.lp.cost[j] } else { 0.0 };
-                    c - self.lp.mat.col_dot(j, &y)
-                }
+                _ => self.lp.cost[j] - self.lp.mat.col_dot(j, &y),
             };
         }
         self.ws.ybuf = y;
-    }
-
-    fn compute_duals_phase2(&mut self) {
-        let mut cb = std::mem::take(&mut self.ws.cbuf);
-        cb.clear();
-        cb.extend(self.ws.basis.iter().map(|&j| self.lp.cost[j]));
-        self.compute_duals_from(&cb, true);
-        self.ws.cbuf = cb;
     }
 
     /// FTRAN column `q` into the entering-column buffer and list its
@@ -659,10 +609,10 @@ impl<'a> Simplex<'a> {
         self.ws.wnz = nz;
     }
 
-    /// Row `r` of `B⁻¹A` into `alpha_row`: the entries above `tol` in
-    /// magnitude of the nonbasic columns `keep(column, fixed)` lets
-    /// through, in increasing column order.
-    fn pivot_row(&mut self, r: usize, tol: f64, keep: impl Fn(usize, bool) -> bool) {
+    /// Row `r` of `B⁻¹A` into `alpha_row`: the entries above
+    /// `PIVOT_TOL` in magnitude of the nonbasic columns that are not
+    /// fixed, in increasing column order.
+    fn pivot_row(&mut self, r: usize) {
         // the buffer is all zero: the last `combine` cleared it
         let mut rho = std::mem::take(&mut self.ws.rbuf);
         debug_assert!(rho.iter().all(|&v| v == 0.0));
@@ -673,7 +623,7 @@ impl<'a> Simplex<'a> {
         let Workspace { acc, alpha_row, state, fixed, .. } = &mut *self.ws;
         alpha_row.clear();
         acc.drain(|j, a| {
-            if !matches!(state[j], VState::Basic(_)) && keep(j, fixed[j]) && a.abs() > tol {
+            if !matches!(state[j], VState::Basic(_)) && !fixed[j] && a.abs() > PIVOT_TOL {
                 alpha_row.push((j, a));
             }
         });
@@ -695,11 +645,11 @@ impl<'a> Simplex<'a> {
         if t.abs() <= 1e-9 {
             self.degenerate_run += 1;
             if self.degenerate_run >= DEGENERATE_RUN_FOR_BLAND {
-                self.ws.pricer.set_bland(true);
+                self.bland = true;
             }
         } else {
             self.degenerate_run = 0;
-            self.ws.pricer.set_bland(false);
+            self.bland = false;
         }
     }
 
@@ -744,153 +694,6 @@ impl<'a> Simplex<'a> {
         true
     }
 
-    // ---- phase 1: composite (artificial-free) -----------------------------
-
-    /// Total primal infeasibility of the current basic solution.
-    fn infeasibility(&self) -> f64 {
-        let mut total = 0.0;
-        for (pos, &b) in self.ws.beta.iter().enumerate() {
-            total += (self.ws.basic_lo[pos] - b).max(0.0) + (b - self.ws.basic_hi[pos]).max(0.0);
-        }
-        total
-    }
-
-    fn phase1(&mut self) -> LpStatus {
-        loop {
-            if self.broken || self.iterations >= self.opts.max_iterations {
-                return LpStatus::IterLimit;
-            }
-            if self.deadline_hit() {
-                return LpStatus::TimeLimit;
-            }
-            self.iterations += 1;
-            if self.iterations.is_multiple_of(REFRESH_EVERY) && self.refactor_full().is_err() {
-                // numerical failure, not proven infeasibility
-                return LpStatus::IterLimit;
-            }
-
-            // infeasibility costs of the current iterate, into the
-            // reusable basic-cost buffer (no per-pivot allocation)
-            let mut any_infeasible = false;
-            let mut cb = Self::take_zeroed(&mut self.ws.cbuf, self.lp.m);
-            for (pos, slot) in cb.iter_mut().enumerate() {
-                *slot = if self.ws.beta[pos] < self.ws.basic_lo[pos] - FEAS_TOL {
-                    -1.0
-                } else if self.ws.beta[pos] > self.ws.basic_hi[pos] + FEAS_TOL {
-                    1.0
-                } else {
-                    0.0
-                };
-                any_infeasible |= *slot != 0.0;
-            }
-            if !any_infeasible {
-                self.ws.cbuf = cb;
-                return LpStatus::Optimal; // primal feasible: phase 1 done
-            }
-            self.compute_duals_from(&cb, false);
-            self.ws.cbuf = cb;
-
-            // price
-            let Some(q) = self.price() else {
-                // no improving direction but still infeasible: proven
-                return LpStatus::Infeasible;
-            };
-            let sigma: f64 = if self.ws.state[q] == VState::AtLower { 1.0 } else { -1.0 };
-            let (w, nz) = self.take_entering(q);
-            let step = self.phase1_step(q, sigma, &w, &nz);
-            self.put_entering(w, nz);
-            match step {
-                Step::Unbounded | Step::Retry => {
-                    // a feasibility objective bounded below by zero can
-                    // only look unbounded through numerical noise; both
-                    // cases are numerical trouble, never a verdict
-                    if self.restart() {
-                        continue;
-                    }
-                    return LpStatus::IterLimit;
-                }
-                Step::Progress => {}
-            }
-        }
-    }
-
-    /// First-breakpoint phase-1 ratio test + pivot. Infeasible basics
-    /// moving **toward** their violated bound block when they reach it;
-    /// feasible basics block at the nearest bound in their direction.
-    fn phase1_step(&mut self, q: usize, sigma: f64, w: &[f64], nz: &[usize]) -> Step {
-        let mut t_best = f64::INFINITY;
-        let mut leave: Option<(usize, VState)> = None;
-        let mut best_mag = 0.0f64;
-        for &pos in nz {
-            let wi = w[pos];
-            if wi.abs() <= PIVOT_TOL {
-                continue;
-            }
-            let rate = -sigma * wi;
-            let (l, u, v) = (self.ws.basic_lo[pos], self.ws.basic_hi[pos], self.ws.beta[pos]);
-            let (limit, st) = if v < l - FEAS_TOL {
-                if rate > 0.0 {
-                    ((l - v) / rate, VState::AtLower)
-                } else {
-                    continue;
-                }
-            } else if v > u + FEAS_TOL {
-                if rate < 0.0 {
-                    ((v - u) / -rate, VState::AtUpper)
-                } else {
-                    continue;
-                }
-            } else if rate < 0.0 && l.is_finite() {
-                (((v - l).max(0.0)) / -rate, VState::AtLower)
-            } else if rate > 0.0 && u.is_finite() {
-                (((u - v).max(0.0)) / rate, VState::AtUpper)
-            } else {
-                continue;
-            };
-            let tie_break = match leave {
-                None => true,
-                // Bland needs lowest-index ties; otherwise stability
-                // prefers the largest pivot magnitude
-                Some((rp, _)) => {
-                    if self.ws.pricer.bland() {
-                        self.ws.basis[pos] < self.ws.basis[rp]
-                    } else {
-                        wi.abs() > best_mag
-                    }
-                }
-            };
-            let better = limit < t_best - 1e-12 || (limit <= t_best + 1e-12 && tie_break);
-            if better {
-                t_best = t_best.min(limit);
-                leave = Some((pos, st));
-                best_mag = wi.abs();
-            }
-        }
-        let t_flip = self.lp.upper[q] - self.lp.lower[q];
-        if t_best.is_infinite() && !t_flip.is_finite() {
-            return Step::Unbounded;
-        }
-        if t_flip <= t_best {
-            self.flip_bound(q, sigma, t_flip, w, nz);
-            self.track_degeneracy(t_flip);
-            return Step::Progress;
-        }
-        let (r, leave_state) = leave.expect("finite step has a leaving row");
-        if w[r].abs() <= PIVOT_TOL {
-            return Step::Retry;
-        }
-        self.track_degeneracy(t_best);
-        let entering =
-            if sigma > 0.0 { self.lp.lower[q] + t_best } else { self.lp.upper[q] - t_best };
-        self.commit_pivot(q, w, nz, r, leave_state, entering, sigma * t_best);
-        Step::Progress
-    }
-
-    fn flip_bound(&mut self, q: usize, sigma: f64, t_flip: f64, w: &[f64], nz: &[usize]) {
-        self.step_values(w, nz, sigma * t_flip);
-        self.ws.state[q] = if sigma > 0.0 { VState::AtUpper } else { VState::AtLower };
-    }
-
     /// Refactor + recompute and allow a bounded number of retries.
     fn restart(&mut self) -> bool {
         self.restarts += 1;
@@ -898,180 +701,6 @@ impl<'a> Simplex<'a> {
             return false;
         }
         self.refactor_full().is_ok()
-    }
-
-    /// Entering candidate by current pricing mode, `None` if dual
-    /// feasible. Candidates are produced in index order (Bland safe).
-    fn price(&self) -> Option<usize> {
-        let tol = self.opts.tolerance.max(1e-9);
-        let Workspace { dvec, state, fixed, pricer, .. } = &*self.ws;
-        // one rarely-taken branch per column: a basic or fixed column
-        // prices at zero, which no tolerance lets through
-        let candidates = (0..self.lp.ncols()).filter_map(|j| {
-            let sign = match state[j] {
-                VState::Basic(_) => 0.0,
-                VState::AtLower => -1.0,
-                VState::AtUpper => 1.0,
-            };
-            let viol = if fixed[j] { 0.0 } else { sign * dvec[j] };
-            (viol > tol).then_some((j, viol))
-        });
-        pricer.select(candidates)
-    }
-
-    // ---- phase 2: Devex primal with Harris ratio test ---------------------
-
-    fn phase2(&mut self) -> LpStatus {
-        self.compute_duals_phase2();
-        loop {
-            if self.broken || self.iterations >= self.opts.max_iterations {
-                return LpStatus::IterLimit;
-            }
-            if self.deadline_hit() {
-                return LpStatus::TimeLimit;
-            }
-            self.iterations += 1;
-            if self.iterations.is_multiple_of(REFRESH_EVERY) {
-                if self.refactor_full().is_err() {
-                    return LpStatus::IterLimit;
-                }
-                self.compute_duals_phase2();
-            }
-            // a committed pivot can drift an almost-tight basic value
-            // past its bound; fall back to phase 1 if it ever exceeds
-            // the tolerance meaningfully (rare, degenerate models)
-            let Some(q) = self.price() else {
-                if self.infeasibility() > 1e-5 {
-                    let st = self.phase1();
-                    if st != LpStatus::Optimal {
-                        return st;
-                    }
-                    self.compute_duals_phase2();
-                    continue;
-                }
-                return LpStatus::Optimal;
-            };
-            let sigma: f64 = if self.ws.state[q] == VState::AtLower { 1.0 } else { -1.0 };
-            let (w, nz) = self.take_entering(q);
-            let step = self.phase2_step(q, sigma, &w, &nz);
-            self.put_entering(w, nz);
-            match step {
-                Step::Unbounded => return LpStatus::Unbounded,
-                Step::Retry => {
-                    if self.restart() {
-                        self.compute_duals_phase2();
-                        continue;
-                    }
-                    return LpStatus::IterLimit;
-                }
-                Step::Progress => {}
-            }
-        }
-    }
-
-    fn phase2_step(&mut self, q: usize, sigma: f64, w: &[f64], nz: &[usize]) -> Step {
-        // Harris pass 1: relaxed step bound
-        let mut t_relaxed = f64::INFINITY;
-        for &pos in nz {
-            let wi = w[pos];
-            if wi.abs() <= PIVOT_TOL {
-                continue;
-            }
-            let rate = -sigma * wi;
-            let (l, u, v) = (self.ws.basic_lo[pos], self.ws.basic_hi[pos], self.ws.beta[pos]);
-            let limit = if rate < 0.0 && l.is_finite() {
-                (v - l + HARRIS_DELTA) / -rate
-            } else if rate > 0.0 && u.is_finite() {
-                (u - v + HARRIS_DELTA) / rate
-            } else {
-                continue;
-            };
-            t_relaxed = t_relaxed.min(limit);
-        }
-        // a basic value drifted past its bound by more than the Harris
-        // delta would make t_relaxed negative and pass 2 reject every
-        // blocking row — clamp so the drifted row wins a degenerate
-        // pivot that pulls it back onto its bound instead
-        t_relaxed = t_relaxed.max(0.0);
-        let t_flip = self.lp.upper[q] - self.lp.lower[q];
-        if t_relaxed.is_infinite() && !t_flip.is_finite() {
-            return Step::Unbounded;
-        }
-        // Harris pass 2: among rows whose strict limit fits under the
-        // relaxed bound, take the largest pivot magnitude. In Bland
-        // mode the classic rule applies instead — smallest strict
-        // limit, ties by smallest basis column index — because Bland's
-        // anti-cycling guarantee needs lowest-index tie-breaking on
-        // BOTH the entering and the leaving side.
-        let bland = self.ws.pricer.bland();
-        let mut choice: Option<(usize, VState, f64)> = None;
-        let mut best_mag = 0.0f64;
-        for &pos in nz {
-            let wi = w[pos];
-            if wi.abs() <= PIVOT_TOL {
-                continue;
-            }
-            let rate = -sigma * wi;
-            let (l, u, v) = (self.ws.basic_lo[pos], self.ws.basic_hi[pos], self.ws.beta[pos]);
-            let (limit, st) = if rate < 0.0 && l.is_finite() {
-                (((v - l).max(0.0)) / -rate, VState::AtLower)
-            } else if rate > 0.0 && u.is_finite() {
-                (((u - v).max(0.0)) / rate, VState::AtUpper)
-            } else {
-                continue;
-            };
-            if limit > t_relaxed {
-                continue;
-            }
-            let better = match choice {
-                None => true,
-                Some((rc, _, tc)) => {
-                    if bland {
-                        limit < tc - 1e-12
-                            || (limit <= tc + 1e-12 && self.ws.basis[pos] < self.ws.basis[rc])
-                    } else {
-                        wi.abs() > best_mag
-                    }
-                }
-            };
-            if better {
-                choice = Some((pos, st, limit));
-                best_mag = wi.abs();
-            }
-        }
-        let t_rows = choice.map_or(f64::INFINITY, |(_, _, t)| t);
-        if t_flip <= t_rows {
-            if !t_flip.is_finite() {
-                return Step::Unbounded;
-            }
-            self.flip_bound(q, sigma, t_flip, w, nz);
-            self.track_degeneracy(t_flip);
-            return Step::Progress;
-        }
-        let (r, leave_state, t) = choice.expect("t_rows finite implies a blocking row");
-        if w[r].abs() <= PIVOT_TOL {
-            return Step::Retry;
-        }
-        self.track_degeneracy(t);
-
-        // pivot row for reduced-cost + Devex maintenance (on B_old)
-        self.pivot_row(r, 1e-12, |j, _| j != q);
-        let pivot = w[r];
-        let theta = self.ws.dvec[q] / pivot;
-        let jout = self.ws.basis[r];
-        for &(j, a) in &self.ws.alpha_row {
-            self.ws.dvec[j] -= theta * a;
-        }
-        self.ws.dvec[jout] = -theta;
-        self.ws.dvec[q] = 0.0;
-        self.ws.pricer.update(q, pivot, jout, &self.ws.alpha_row);
-
-        let entering = if sigma > 0.0 { self.lp.lower[q] + t } else { self.lp.upper[q] - t };
-        // a broken factorization cannot price: the loop head ends the solve
-        if !self.commit_pivot(q, w, nz, r, leave_state, entering, sigma * t) && !self.broken {
-            self.compute_duals_phase2();
-        }
-        Step::Progress
     }
 
     // ---- dual simplex -----------------------------------------------------
@@ -1089,7 +718,7 @@ impl<'a> Simplex<'a> {
                 if self.refactor_full().is_err() {
                     return LpStatus::IterLimit;
                 }
-                self.compute_duals_phase2();
+                self.compute_duals();
             }
 
             // leaving: the most bound-violating basic variable
@@ -1097,14 +726,13 @@ impl<'a> Simplex<'a> {
                 return LpStatus::Optimal; // primal feasible + dual feasible
             };
 
-            self.pivot_row(r, PIVOT_TOL, |_, fixed| !fixed);
+            self.pivot_row(r);
 
             // dual ratio test (Harris flavour): eligibility keeps theta's
             // sign so reduced costs stay dual feasible. One pass over the
             // pivot row finds the relaxed bound and keeps the eligible
             // entries with their ratios; the choice walks only those.
-            let Workspace { alpha_row, candidates, state, dvec, pricer, .. } = &mut *self.ws;
-            let dtol = self.opts.tolerance.max(1e-9);
+            let Workspace { alpha_row, candidates, state, dvec, .. } = &mut *self.ws;
             let mut relaxed = f64::INFINITY;
             candidates.clear();
             for &(j, a) in alpha_row.iter() {
@@ -1117,14 +745,14 @@ impl<'a> Simplex<'a> {
                 };
                 if eligible {
                     let d = dvec[j].abs();
-                    relaxed = relaxed.min((d + dtol) / a.abs());
+                    relaxed = relaxed.min((d + DUAL_TOL) / a.abs());
                     candidates.push((j, a, d / a.abs()));
                 }
             }
             if relaxed.is_infinite() {
                 return LpStatus::Infeasible; // dual unbounded
             }
-            let bland = pricer.bland();
+            let bland = self.bland;
             let mut q = usize::MAX;
             let mut alpha_rq = 0.0f64;
             for &(j, a, ratio) in candidates.iter() {
@@ -1146,7 +774,7 @@ impl<'a> Simplex<'a> {
             if (w[r] - alpha_rq).abs() > 1e-6 * (1.0 + alpha_rq.abs()) || w[r].abs() <= PIVOT_TOL {
                 self.put_entering(w, nz);
                 if self.restart() {
-                    self.compute_duals_phase2();
+                    self.compute_duals();
                     continue;
                 }
                 return LpStatus::IterLimit;
@@ -1177,14 +805,14 @@ impl<'a> Simplex<'a> {
             let clean = self.commit_pivot(q, &w, &nz, r, leave_state, entering_value, delta_xq);
             self.put_entering(w, nz);
             if !clean && !self.broken {
-                self.compute_duals_phase2();
+                self.compute_duals();
             }
         }
     }
 
     // ---- extraction -------------------------------------------------------
 
-    fn finish(&self, status: LpStatus) -> SparseSolution {
+    fn finish(&mut self, status: LpStatus) -> SparseSolution {
         let n = self.lp.n;
         let mut x = vec![0.0; n];
         if status != LpStatus::Infeasible {
@@ -1198,13 +826,20 @@ impl<'a> Simplex<'a> {
         }
         let objective = match status {
             LpStatus::Infeasible => f64::INFINITY,
-            LpStatus::Unbounded => f64::NEG_INFINITY,
             _ => x.iter().zip(&self.lp.cost).map(|(xi, ci)| xi * ci).sum(),
         };
+        let mut duals = Vec::new();
+        if status == LpStatus::Optimal {
+            self.btran_costs(&mut duals);
+            for (y, s) in duals.iter_mut().zip(&self.lp.scale) {
+                *y *= s;
+            }
+        }
         SparseSolution {
             status,
             objective,
             x,
+            duals,
             iterations: self.iterations,
             basis: Basis { cols: self.ws.basis.clone(), state: self.ws.state.clone() },
         }
@@ -1216,110 +851,6 @@ mod tests {
     use super::*;
     use crate::model::{Cmp, LpOptions, LpStatus, Model, VarKind};
 
-    fn solve(m: &Model) -> SparseSolution {
-        let lp = SparseLp::from_model(m).expect("valid model");
-        lp.solve_primal(&LpOptions::default()).expect("solvable")
-    }
-
-    #[test]
-    fn trivial_bounds_only() {
-        let mut m = Model::new("t");
-        m.add_var("x", 1.0, 5.0, 1.0, VarKind::Continuous);
-        let s = solve(&m);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!((s.objective - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn textbook_2d() {
-        let mut m = Model::new("dantzig");
-        let x = m.add_var("x", 0.0, f64::INFINITY, -3.0, VarKind::Continuous);
-        let y = m.add_var("y", 0.0, f64::INFINITY, -5.0, VarKind::Continuous);
-        m.add_con(vec![(x, 1.0)], Cmp::Le, 4.0);
-        m.add_con(vec![(y, 2.0)], Cmp::Le, 12.0);
-        m.add_con(vec![(x, 3.0), (y, 2.0)], Cmp::Le, 18.0);
-        let s = solve(&m);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!((s.objective + 36.0).abs() < 1e-8, "{}", s.objective);
-        assert!((s.x[0] - 2.0).abs() < 1e-8);
-        assert!((s.x[1] - 6.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn equalities_and_ge_need_phase1() {
-        let mut m = Model::new("eq");
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
-        m.add_con(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 10.0);
-        m.add_con(vec![(x, 1.0), (y, -1.0)], Cmp::Eq, 4.0);
-        let s = solve(&m);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!((s.x[0] - 7.0).abs() < 1e-8, "{:?}", s.x);
-        assert!((s.x[1] - 3.0).abs() < 1e-8);
-
-        let mut m = Model::new("ge");
-        let x = m.add_var("x", 0.0, f64::INFINITY, 2.0, VarKind::Continuous);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 3.0, VarKind::Continuous);
-        m.add_con(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 10.0);
-        m.add_con(vec![(x, 1.0)], Cmp::Ge, 2.0);
-        let s = solve(&m);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!((s.objective - 20.0).abs() < 1e-8, "{}", s.objective);
-    }
-
-    #[test]
-    fn infeasible_and_unbounded_detected() {
-        let mut m = Model::new("inf");
-        let x = m.add_var("x", 0.0, 1.0, 1.0, VarKind::Continuous);
-        m.add_con(vec![(x, 1.0)], Cmp::Ge, 2.0);
-        assert_eq!(solve(&m).status, LpStatus::Infeasible);
-
-        let mut m = Model::new("unb");
-        let x = m.add_var("x", 0.0, f64::INFINITY, -1.0, VarKind::Continuous);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 0.0, VarKind::Continuous);
-        m.add_con(vec![(x, 1.0), (y, -1.0)], Cmp::Le, 1.0);
-        assert_eq!(solve(&m).status, LpStatus::Unbounded);
-    }
-
-    #[test]
-    fn bound_flips_on_boxed_vars() {
-        let mut m = Model::new("ub");
-        let x = m.add_var("x", 0.0, 2.0, -1.0, VarKind::Continuous);
-        let y = m.add_var("y", 0.0, 3.0, -1.0, VarKind::Continuous);
-        let z = m.add_var("z", 0.0, 4.0, -1.0, VarKind::Continuous);
-        m.add_con(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Le, 10.0);
-        let s = solve(&m);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!((s.objective + 9.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn negative_lower_bounds_native() {
-        // min x + y, x >= -5, x + y >= 0, y in [0,3] -> objective 0
-        let mut m = Model::new("shift");
-        let x = m.add_var("x", -5.0, f64::INFINITY, 1.0, VarKind::Continuous);
-        let y = m.add_var("y", 0.0, 3.0, 1.0, VarKind::Continuous);
-        m.add_con(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 0.0);
-        let s = solve(&m);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!(s.objective.abs() < 1e-8, "{}", s.objective);
-    }
-
-    #[test]
-    fn degenerate_beale_terminates() {
-        let mut m = Model::new("beale");
-        let x1 = m.add_var("x1", 0.0, f64::INFINITY, -0.75, VarKind::Continuous);
-        let x2 = m.add_var("x2", 0.0, f64::INFINITY, 150.0, VarKind::Continuous);
-        let x3 = m.add_var("x3", 0.0, f64::INFINITY, -0.02, VarKind::Continuous);
-        let x4 = m.add_var("x4", 0.0, f64::INFINITY, 6.0, VarKind::Continuous);
-        m.add_con(vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)], Cmp::Le, 0.0);
-        m.add_con(vec![(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)], Cmp::Le, 0.0);
-        m.add_con(vec![(x3, 1.0)], Cmp::Le, 1.0);
-        let s = solve(&m);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!((s.objective + 0.05).abs() < 1e-6, "{}", s.objective);
-    }
-
     #[test]
     fn dual_resolve_after_fixing_matches_fresh_solve() {
         // knapsack LP: fix one variable, warm-start the re-solve
@@ -1329,13 +860,14 @@ mod tests {
         let c = m.add_var("c", 0.0, 1.0, -7.0, VarKind::Binary);
         m.add_con(vec![(a, 3.0), (b, 4.0), (c, 2.0)], Cmp::Le, 6.0);
         let mut lp = SparseLp::from_model(&m).unwrap();
-        let root = lp.solve_primal(&LpOptions::default()).unwrap();
+        let opts = LpOptions::default();
+        let root = lp.solve_dual_from(&lp.slack_basis(), &opts).unwrap();
         assert_eq!(root.status, LpStatus::Optimal);
 
         for (var, fix) in [(0usize, 0.0), (0, 1.0), (1, 0.0), (2, 1.0)] {
             lp.set_bounds(var, fix, fix);
-            let warm = lp.solve_dual_from(&root.basis, &LpOptions::default()).unwrap();
-            let fresh = lp.solve_primal(&LpOptions::default()).unwrap();
+            let warm = lp.solve_dual_from(&root.basis, &opts).unwrap();
+            let fresh = lp.solve_dual_from(&lp.slack_basis(), &opts).unwrap();
             assert_eq!(warm.status, fresh.status, "fix x{var}={fix}");
             assert!(
                 (warm.objective - fresh.objective).abs() < 1e-7,
@@ -1354,7 +886,7 @@ mod tests {
         let b = m.add_var("b", 0.0, 1.0, 1.0, VarKind::Binary);
         m.add_con(vec![(a, 1.0), (b, 1.0)], Cmp::Le, 1.0);
         let mut lp = SparseLp::from_model(&m).unwrap();
-        let root = lp.solve_primal(&LpOptions::default()).unwrap();
+        let root = lp.solve_dual_from(&lp.slack_basis(), &LpOptions::default()).unwrap();
         lp.set_bounds(0, 1.0, 1.0);
         lp.set_bounds(1, 1.0, 1.0);
         let warm = lp.solve_dual_from(&root.basis, &LpOptions::default()).unwrap();
@@ -1363,8 +895,8 @@ mod tests {
 
     /// A pivot whose update is refused and whose refactorization
     /// then finds the new basis singular must stop the solve, not price
-    /// on the half-built factorization. The entering column handed to the
-    /// ratio test claims a tiny pivot in row 0, where column `x0` really
+    /// on the half-built factorization. The entering column handed to
+    /// the pivot claims a tiny pivot in row 0, where column `x0` really
     /// has none: the update refuses it (1e-9 against a 10 elsewhere) and
     /// the refactor sees a basis with an empty row 0.
     #[test]
@@ -1378,11 +910,9 @@ mod tests {
         let opts = LpOptions::default();
         let mut ws = Workspace::new(&lp);
         let mut s = Simplex::new(&lp, &opts, &mut ws);
-        s.init_logical_basis();
-        s.refactor_full().unwrap();
-        s.compute_duals_phase2();
-        let step = s.phase2_step(0, 1.0, &[1e-9, 10.0], &[0, 1]);
-        assert!(matches!(step, Step::Progress));
+        s.init_from_basis(&lp.slack_basis()).unwrap();
+        let clean = s.commit_pivot(0, &[1e-9, 10.0], &[0, 1], 0, VState::AtLower, 0.0, 0.0);
+        assert!(!clean, "the update must be refused");
         assert!(s.broken, "x0 in row 0's position leaves row 0 empty");
         assert_eq!(s.dual(), LpStatus::IterLimit);
     }
@@ -1408,7 +938,7 @@ mod tests {
         s.init_from_basis(&lp.slack_basis()).unwrap();
         for (k, cap) in one_more.iter().enumerate() {
             assert!(s.restart(), "retry {} follows a committed pivot", k + 1);
-            s.compute_duals_phase2();
+            s.compute_duals();
             s.opts = cap;
             assert_eq!((s.dual(), s.iterations), (LpStatus::IterLimit, k as u64 + 1));
         }
@@ -1416,28 +946,5 @@ mod tests {
         assert_eq!(s.dual(), LpStatus::Optimal);
         let in_a_row: Vec<bool> = (0..9).map(|_| s.restart()).collect();
         assert_eq!(in_a_row, [true, true, true, true, true, true, true, true, false]);
-    }
-
-    #[test]
-    fn badly_scaled_rows_survive_equilibration() {
-        let mut m = Model::new("scale");
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
-        m.add_con(vec![(x, 2.5e10), (y, 1e10)], Cmp::Ge, 5e10);
-        m.add_con(vec![(x, 1e-6), (y, 3e-6)], Cmp::Ge, 4e-6);
-        let s = solve(&m);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!(2.5e10 * s.x[0] + 1e10 * s.x[1] >= 5e10 * (1.0 - 1e-7));
-        assert!(1e-6 * s.x[0] + 3e-6 * s.x[1] >= 4e-6 * (1.0 - 1e-7));
-    }
-
-    #[test]
-    fn no_constraint_model_handled() {
-        let mut m = Model::new("empty");
-        m.add_var("x", 0.0, 2.0, -1.0, VarKind::Continuous);
-        m.add_var("y", -1.0, f64::INFINITY, 1.0, VarKind::Continuous);
-        let s = solve(&m);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!((s.objective + 3.0).abs() < 1e-9, "{}", s.objective);
     }
 }

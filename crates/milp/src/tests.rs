@@ -1,12 +1,12 @@
-//! Cross-validation of the LP/MIP solver against two exhaustive oracles
-//! that share no pivoting code with it: vertex enumeration for LPs
-//! ([`brute_force_lp`]) and exhaustive search over the binaries for MIPs
-//! ([`brute_force_binary`]); plus the closed-form regression models the
-//! dense tableau used to carry.
+//! Cross-validation of the LP/MIP solver against referees that share no
+//! pivoting code with it: vertex enumeration for LPs ([`brute_force_lp`]),
+//! exhaustive search over the binaries for MIPs ([`brute_force_binary`])
+//! and the optimality certificate ([`Model::certify`]); plus the
+//! closed-form regression models the dense tableau used to carry.
 
 use crate::bb::{solve_mip, MipOptions, MipStatus};
-use crate::model::{Cmp, LpOptions, LpSolution, LpStatus, Model, SolveError, VarId, VarKind};
-use crate::revised::{SparseLp, WarmStartError};
+use crate::model::{Cmp, LpOptions, LpStatus, Model, SolveError, Uncertified, VarId, VarKind};
+use crate::revised::{SparseLp, SparseSolution};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -185,6 +185,7 @@ proptest! {
         prop_assert!((sol.objective - brute).abs() <= 1e-6 * (1.0 + brute.abs()),
             "simplex {} vs brute {}", sol.objective, brute);
         prop_assert!(m.max_violation(&sol.x) <= 1e-7);
+        prop_assert_eq!(m.certify(&sol.x, &sol.duals, CERT_TOL), Ok(()));
     }
 
     #[test]
@@ -240,6 +241,68 @@ fn brute_force_binary(model: &Model) -> Option<f64> {
 
 fn exact_opts() -> MipOptions {
     MipOptions { rel_gap: 0.0, abs_gap: 1e-9, ..Default::default() }
+}
+
+/// The relative tolerance every optimal answer here is certified at.
+const CERT_TOL: f64 = 1e-9;
+
+/// `abs_gap` bounds the *absolute* gap `incumbent − bound`. Next to an
+/// objective of −1e9 the relative gap of the seed's −1e9 to the root
+/// bound (−1e9 − 0.525) is 5e-10, under the 1e-9 meant as an absolute
+/// gap, and the search used to stop there one item short.
+#[test]
+fn the_absolute_gap_is_compared_as_an_absolute_gap() {
+    let mut m = Model::new("abs-gap");
+    let a = m.add_var("a", 0.0, 1.0, -1e9, VarKind::Binary);
+    let b = m.add_var("b", 0.0, 1.0, -0.4, VarKind::Binary);
+    let c = m.add_var("c", 0.0, 1.0, -0.5, VarKind::Binary);
+    m.add_con(vec![(a, 1.0), (b, 1.0), (c, 2.0)], Cmp::Le, 2.5);
+    let brute = brute_force_binary(&m).expect("the zero vector is feasible");
+    let res = solve_mip(&m, &exact_opts(), &[vec![1.0, 0.0, 0.0]], None).unwrap();
+    let (obj, x) = res.incumbent.expect("the seed is feasible");
+    assert_eq!(res.status, MipStatus::Optimal);
+    assert!((obj - brute).abs() < 1e-6, "bb {obj} vs brute {brute}: {x:?}");
+}
+
+/// The certificate refuses what is not an optimum: a feasible but
+/// suboptimal point, duals of the wrong sign, and an optimal point with
+/// duals that do not close the gap.
+#[test]
+fn the_certificate_refuses_a_wrong_answer() {
+    // max x + 2y  s.t.  x + y ≤ 4, x ≤ 3, y ≤ 2: (2, 2), y = −1
+    let mut m = Model::new("certify");
+    let x = m.add_var("x", 0.0, 3.0, -1.0, VarKind::Continuous);
+    let y = m.add_var("y", 0.0, 2.0, -2.0, VarKind::Continuous);
+    m.add_con(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+    let sol = m.solve_lp(&LpOptions::default()).unwrap();
+    assert_eq!(
+        (sol.x.as_slice(), sol.duals.as_slice()),
+        ([2.0, 2.0].as_slice(), [-1.0].as_slice())
+    );
+    assert_eq!(m.certify(&sol.x, &sol.duals, CERT_TOL), Ok(()));
+    assert_eq!(m.certify(&[1.0, 2.0], &[-1.0], CERT_TOL), Err(Uncertified::Slackness(0)));
+    assert_eq!(m.certify(&[2.0, 2.0], &[1.0], CERT_TOL), Err(Uncertified::DualSign(0)));
+    assert_eq!(m.certify(&[2.0, 2.0], &[-2.0], CERT_TOL), Err(Uncertified::ReducedCost(x)));
+    assert_eq!(m.certify(&[2.0, 2.5], &[-1.0], CERT_TOL), Err(Uncertified::Bound(y)));
+    assert_eq!(m.certify(&[3.0, 2.0], &[-1.0], CERT_TOL), Err(Uncertified::Row(0)));
+    assert_eq!(m.certify(&[2.0, 2.0], &[], CERT_TOL), Err(Uncertified::Shape));
+    // min a  s.t.  a ≥ 0, a free above: a dual of 2 prices a at 1 − 2 < 0
+    // at its lower bound, and no upper bound is near a = 0 — the gap
+    // alone would pass, pricing the missing upper bound at the lower one
+    let mut m = Model::new("uncapped");
+    let a = m.add_var("a", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+    m.add_con(vec![(a, 1.0)], Cmp::Ge, 0.0);
+    assert_eq!(m.certify(&[0.0], &[2.0], CERT_TOL), Err(Uncertified::ReducedCost(a)));
+    assert_eq!(m.certify(&[0.0], &[1.0], CERT_TOL), Ok(()));
+    // min 1e6·x  s.t.  x ≥ 5, x in [0, 10]: a dual 1.5e-3 short of 1e6
+    // leaves a reduced cost inside its tolerance (scaled by 2e6) at an
+    // x off its bounds, but a gap of 7.5e-3 — over 1e-9 of 5e6
+    let mut m = Model::new("gap");
+    let x = m.add_var("x", 0.0, 10.0, 1e6, VarKind::Continuous);
+    m.add_con(vec![(x, 1.0)], Cmp::Ge, 5.0);
+    let got = m.certify(&[5.0], &[1e6 - 1.5e-3], CERT_TOL);
+    assert!(matches!(got, Err(Uncertified::Gap { .. })), "{got:?}");
+    assert_eq!(m.certify(&[5.0], &[1e6], CERT_TOL), Ok(()));
 }
 
 #[test]
@@ -598,22 +661,31 @@ fn arb_bounded_lp() -> impl Strategy<Value = Model> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The engine and vertex enumeration must agree on the verdict
-    /// (optimal / infeasible / unbounded), and on the objective within
-    /// 1e-7 when optimal.
+    /// The solver refuses exactly the models with a negative cost on a
+    /// column with no upper bound, naming the first such column. On every
+    /// other model it and vertex enumeration must agree on the verdict
+    /// (optimal / infeasible — such a model is never unbounded), and on
+    /// the objective within 1e-7 when optimal, where the certificate must
+    /// also hold.
     #[test]
     fn prop_lp_matches_vertex_enumeration_on_the_full_surface(m in arb_bounded_lp()) {
-        let sol = m.solve_lp(&LpOptions::default()).unwrap();
-        match brute_force_lp(&m) {
+        let uncapped = m.vars.iter().position(|v| v.obj < 0.0 && v.hi.is_infinite());
+        let sol = m.solve_lp(&LpOptions::default());
+        match (sol, uncapped.map(VarId)) {
+            (Err(e), Some(v)) => prop_assert_eq!(e, SolveError::NegativeCostUncapped(v)),
+            (Ok(sol), None) => match brute_force_lp(&m) {
             Brute::Optimal(brute) => {
                 prop_assert_eq!(sol.status, LpStatus::Optimal);
                 prop_assert!((sol.objective - brute).abs() <= 1e-7 * (1.0 + brute.abs()),
                     "simplex {} vs brute {}", sol.objective, brute);
                 prop_assert!(m.max_violation(&sol.x) <= 1e-6,
                     "point violates by {}", m.max_violation(&sol.x));
+                prop_assert_eq!(m.certify(&sol.x, &sol.duals, CERT_TOL), Ok(()));
             }
             Brute::Infeasible => prop_assert_eq!(sol.status, LpStatus::Infeasible),
-            Brute::Unbounded => prop_assert_eq!(sol.status, LpStatus::Unbounded),
+            Brute::Unbounded => panic!("no negative cost is uncapped: bounded below"),
+            },
+            (got, v) => panic!("uncapped {v:?}, solve_lp {:?}", got.map(|s| s.status)),
         }
     }
 
@@ -648,15 +720,17 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Beale's classic cycling LP: naive Dantzig pricing with exact
-/// tie-breaking cycles forever on it. The revised simplex must
-/// terminate via the Bland fallback well inside the iteration cap —
-/// i.e. with `Optimal`, never `IterLimit`.
+/// tie-breaking cycles forever on it. Its negative costs get upper
+/// bounds that do not bind at the optimum (`x1 = 1/25`, `x3 = 1`), so
+/// the dual simplex starts from the slack basis; it must terminate well
+/// inside the iteration cap — with `Optimal`, never `IterLimit`, and
+/// certified.
 #[test]
 fn degenerate_beale_terminates_under_bland_fallback() {
     let mut m = Model::new("beale");
-    let x1 = m.add_var("x1", 0.0, f64::INFINITY, -0.75, VarKind::Continuous);
+    let x1 = m.add_var("x1", 0.0, 1.0, -0.75, VarKind::Continuous);
     let x2 = m.add_var("x2", 0.0, f64::INFINITY, 150.0, VarKind::Continuous);
-    let x3 = m.add_var("x3", 0.0, f64::INFINITY, -0.02, VarKind::Continuous);
+    let x3 = m.add_var("x3", 0.0, 2.0, -0.02, VarKind::Continuous);
     let x4 = m.add_var("x4", 0.0, f64::INFINITY, 6.0, VarKind::Continuous);
     m.add_con(vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)], Cmp::Le, 0.0);
     m.add_con(vec![(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)], Cmp::Le, 0.0);
@@ -668,6 +742,7 @@ fn degenerate_beale_terminates_under_bland_fallback() {
     assert_eq!(sol.status, LpStatus::Optimal, "Bland fallback must break the cycle");
     assert!(sol.iterations < cap, "finished at the cap ({cap}): suspicious of cycling");
     assert!((sol.objective + 0.05).abs() < 1e-6, "{}", sol.objective);
+    assert_eq!(m.certify(&sol.x, &sol.duals, CERT_TOL), Ok(()));
 }
 
 /// A deliberately microscopic iteration cap must surface as IterLimit,
@@ -723,13 +798,13 @@ fn warm_starts_are_attempted_and_mostly_hit() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The fallback Linear Program (1) never takes: a column with a
-    /// negative cost and no upper bound leaves the slack basis dual
-    /// infeasible with no bound flip to repair it, so the root falls
-    /// back to the two-phase primal. The search must still land on the
-    /// exhaustive optimum.
+    /// A column with a negative cost and no upper bound would leave the
+    /// slack basis dual infeasible with no bound flip to repair it, and
+    /// Linear Program (1) has none. Both entry points refuse such a model
+    /// with the typed error naming the column, before anything runs: the
+    /// model is untouched and the completion callback never called.
     #[test]
-    fn prop_primal_root_fallback_matches_exhaustive(seed in any::<u64>()) {
+    fn prop_an_uncapped_negative_cost_is_refused(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.gen_range(3..=7usize);
         let mut m = Model::new("dual-infeasible-root");
@@ -742,17 +817,20 @@ proptest! {
             terms.push((y, rng.gen_range(0.5..2.0f64)));
             m.add_con(terms, Cmp::Le, rng.gen_range(2.0..10.0)); // zero vector feasible
         }
-        let lp = SparseLp::from_model(&m).unwrap();
-        prop_assert_eq!(
-            lp.solve_dual_from(&lp.slack_basis(), &LpOptions::default()).unwrap_err(),
-            WarmStartError::DualInfeasible
-        );
-        let brute = brute_force_binary(&m).expect("zero vector feasible, y bounded by every row");
-        let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
-        let (obj, x) = res.incumbent.expect("feasible");
-        prop_assert!(m.max_violation(&x) <= 1e-6);
-        prop_assert!((obj - brute).abs() <= 1e-6 * (1.0 + brute.abs()),
-            "bb {} vs brute {}", obj, brute);
+        let before = format!("{m:?}");
+        let refused = Err(SolveError::NegativeCostUncapped(y));
+        prop_assert_eq!(SparseLp::from_model(&m).map(|_| ()), refused.clone());
+        prop_assert_eq!(m.solve_lp(&LpOptions::default()).map(|_| ()), refused.clone());
+        let called = std::cell::Cell::new(false);
+        let completion = |_: &[f64]| {
+            called.set(true);
+            None
+        };
+        let seeds = [vec![0.0; n + 1]];
+        let got = solve_mip(&m, &exact_opts(), &seeds, Some(&completion)).map(|_| ());
+        prop_assert_eq!(got, refused);
+        prop_assert!(!called.get(), "a refused model reached the search");
+        prop_assert_eq!(format!("{m:?}"), before);
     }
 }
 
@@ -873,11 +951,14 @@ fn lp(vars: &[(f64, f64, f64)], rows: &[Row<'_>]) -> Model {
     m
 }
 
-/// Solve through the public entry point (presolve + revised simplex) and
-/// require `status`.
-fn solved(m: &Model, status: LpStatus) -> LpSolution {
+/// Solve through the public entry point and require `status`; an
+/// optimum must also pass the certificate.
+fn solved(m: &Model, status: LpStatus) -> SparseSolution {
     let s = m.solve_lp(&LpOptions::default()).expect("valid model");
     assert_eq!(s.status, status);
+    if status == LpStatus::Optimal {
+        assert_eq!(m.certify(&s.x, &s.duals, CERT_TOL), Ok(()));
+    }
     s
 }
 
@@ -892,13 +973,17 @@ fn bounds_alone_decide_a_rowless_lp() {
     // min x over [1, 5]; max x over [0, 5] by negation
     assert_near(solved(&lp(&[(1.0, 5.0, 1.0)], &[]), LpStatus::Optimal).objective, 1.0);
     assert_near(solved(&lp(&[(0.0, 5.0, -1.0)], &[]), LpStatus::Optimal).x[0], 5.0);
+    // a box and a column free above, one cost of each sign: (2, -1), -3
+    let m = lp(&[(0.0, 2.0, -1.0), (-1.0, INF, 1.0)], &[]);
+    assert_near(solved(&m, LpStatus::Optimal).objective, -3.0);
 }
 
 #[test]
 fn dantzig_textbook_2d() {
-    // min -3x - 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6), -36
+    // min -3x - 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6), -36;
+    // the negative costs need upper bounds (10: not binding)
     let m = lp(
-        &[(0.0, INF, -3.0), (0.0, INF, -5.0)],
+        &[(0.0, 10.0, -3.0), (0.0, 10.0, -5.0)],
         &[
             (&[(0, 1.0)], Cmp::Le, 4.0),
             (&[(1, 2.0)], Cmp::Le, 12.0),
@@ -924,7 +1009,7 @@ fn equality_rows_pin_the_point() {
 }
 
 #[test]
-fn ge_rows_need_a_phase_1() {
+fn ge_rows_cut_off_the_origin() {
     // min 2x + 3y st x + y >= 10, x >= 2: the origin is infeasible;
     // optimum (10, 0), 20
     let m = lp(
@@ -935,16 +1020,25 @@ fn ge_rows_need_a_phase_1() {
 }
 
 #[test]
-fn infeasible_and_unbounded_verdicts() {
-    // x <= 1 by its bound, x >= 2 by a row (a singleton: presolve's verdict)
+fn infeasible_verdicts_and_the_unbounded_refusal() {
+    // x <= 1 by its bound, x >= 2 by a row
     solved(&lp(&[(0.0, 1.0, 1.0)], &[(&[(0, 1.0)], Cmp::Ge, 2.0)]), LpStatus::Infeasible);
-    // the same contradiction across two variables (the simplex's verdict)
+    // the same contradiction across two variables
     let m = lp(&[(0.0, 1.0, 1.0), (0.0, 1.0, 1.0)], &[(&[(0, 1.0), (1, 1.0)], Cmp::Ge, 3.0)]);
     solved(&m, LpStatus::Infeasible);
-    // min -x st x - y <= 1: the ray (1, 1) improves forever
+    // a row whose only coefficient is zero: 0 >= 1 has no point, 0 <= 1
+    // binds nothing
+    let zero: &[(usize, f64)] = &[(0, 0.0)];
+    solved(&lp(&[(0.0, 1.0, 1.0)], &[(zero, Cmp::Ge, 1.0)]), LpStatus::Infeasible);
+    assert_near(
+        solved(&lp(&[(0.0, 1.0, -1.0)], &[(zero, Cmp::Le, 1.0)]), LpStatus::Optimal).x[0],
+        1.0,
+    );
+    // min -x st x - y <= 1: the ray (1, 1) improves forever, and the
+    // uncapped negative cost that makes it is refused up front
     let m = lp(&[(0.0, INF, -1.0), (0.0, INF, 0.0)], &[(&[(0, 1.0), (1, -1.0)], Cmp::Le, 1.0)]);
-    let s = solved(&m, LpStatus::Unbounded);
-    assert_eq!(s.objective, f64::NEG_INFINITY);
+    let got = m.solve_lp(&LpOptions::default()).map(|s| s.status);
+    assert_eq!(got, Err(SolveError::NegativeCostUncapped(VarId(0))));
 }
 
 #[test]
@@ -977,7 +1071,7 @@ fn empty_domain_is_an_error_not_a_verdict() {
 }
 
 #[test]
-fn a_variable_fixed_by_equal_bounds_is_substituted() {
+fn a_variable_fixed_by_equal_bounds_keeps_its_value() {
     // x = 2.5, x + y >= 4 -> y = 1.5
     let m = lp(&[(2.5, 2.5, 1.0), (0.0, 10.0, 1.0)], &[(&[(0, 1.0), (1, 1.0)], Cmp::Ge, 4.0)]);
     let s = solved(&m, LpStatus::Optimal);
@@ -1022,12 +1116,10 @@ fn badly_scaled_rows_survive_equilibration() {
 // ---------------------------------------------------------------------------
 
 /// A non-finite coefficient or right-hand side is an error at both entry
-/// points, wherever it sits. Presolve used to run first and eat the
-/// evidence: a singleton row folds into a bound (every comparison with
-/// `NaN` is false, so nothing tightens) and a fixed column's coefficient
-/// folds into the right-hand side of a row that then looks empty.
+/// points, wherever it sits: a singleton row, a fixed column, a row with
+/// two live terms.
 #[test]
-fn non_finite_rows_are_rejected_before_presolve() {
+fn non_finite_rows_are_rejected_at_both_entry_points() {
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         let x = (0.0, 4.0, -1.0);
         let models = [

@@ -1,7 +1,7 @@
-//! Counting-allocator suite: **the simplex pivot loops are
-//! allocation-free** between two refactorizations — the two-phase
-//! primal's, and the dual simplex's that branch-and-bound runs at every
-//! node, the root included. A solve pays for its workspace and its
+//! Counting-allocator suite: **the dual simplex's pivot loop is
+//! allocation-free** between two refactorizations — the loop
+//! branch-and-bound runs at every node, the root included, and that
+//! `Model::solve_lp` runs from the slack basis. A solve pays for its workspace and its
 //! answer; a pivot pays nothing. The entering column, the pivot row and
 //! the ratio tests work in buffers sized at set-up, and the
 //! Forrest–Tomlin update writes its spike into `U` and its row eta into
@@ -12,8 +12,7 @@
 //! refactorization after it reserves more. So a root solve cut off after
 //! 40 pivots and the same solve cut off after 60 — both inside the first
 //! 64-update window, no refactorization between them — must hit the
-//! global allocator the **same number of times**, whether it is the
-//! primal from scratch or the dual from the slack basis.
+//! global allocator the **same number of times**.
 //!
 //! Lives in `tests/` (a separate crate) because the library forbids
 //! `unsafe`, and wrapping the global allocator needs it.
@@ -83,8 +82,8 @@ fn uniform(state: &mut u64) -> f64 {
 
 /// Min-makespan assignment, relaxed: 90 tasks on 4 machines, one
 /// equality per task and one load row per machine — 94 rows, so the
-/// update window is the full 64, and phase 1 alone needs more pivots
-/// than that to seat every task.
+/// update window is the full 64, and the dual needs more pivots than
+/// that to seat every task.
 fn assignment_lp() -> Model {
     let mut stream = 0x5EED_2010u64;
     let mut m = Model::new("assignment");
@@ -105,9 +104,9 @@ fn assignment_lp() -> Model {
     m
 }
 
-/// A packing LP whose slack basis is feasible: 80 knapsack rows over
-/// 160 boxed columns, every column worth taking — all of its pivots are
-/// phase-2 pivots (pivot row, Devex update, Harris ratio test).
+/// A packing LP: 80 knapsack rows over 160 boxed columns, every column
+/// worth taking — the slack basis rests them all at their upper bounds,
+/// and the dual pivots the overfilled rows back to feasibility.
 fn packing_lp() -> Model {
     let mut stream = 0xCE11u64;
     let mut m = Model::new("packing");
@@ -129,18 +128,14 @@ fn packing_lp() -> Model {
     m
 }
 
-/// Allocations of one root solve stopped after `pivots` iterations: the
-/// dual simplex from the slack basis when `dual`, else the primal.
-fn allocs_of_a_capped_solve(lp: &SparseLp, dual: bool, pivots: u64) -> u64 {
+/// Allocations of one root solve, the dual simplex from the slack
+/// basis, stopped after `pivots` iterations.
+fn allocs_of_a_capped_solve(lp: &SparseLp, pivots: u64) -> u64 {
     let opts = LpOptions { max_iterations: pivots, ..LpOptions::default() };
     let slack = lp.slack_basis();
     let mut outcome = None;
     let allocs = count_allocs(|| {
-        outcome = Some(if dual {
-            lp.solve_dual_from(&slack, &opts).expect("the slack basis is dual feasible")
-        } else {
-            lp.solve_primal(&opts).expect("valid model")
-        })
+        outcome = Some(lp.solve_dual_from(&slack, &opts).expect("the slack basis is dual feasible"))
     });
     let sol = outcome.expect("the closure ran");
     assert_eq!(
@@ -156,16 +151,14 @@ fn pivots_inside_one_update_window_never_allocate() {
     for model in [assignment_lp(), packing_lp()] {
         let lp = SparseLp::from_model(&model).expect("valid model");
         assert!(lp.n_rows() >= 64, "{}: the update window must be the full 64", model.name());
-        for dual in [false, true] {
-            let at_40 = allocs_of_a_capped_solve(&lp, dual, 40);
-            let at_60 = allocs_of_a_capped_solve(&lp, dual, 60);
-            assert_eq!(
-                at_40,
-                at_60,
-                "{} (dual: {dual}): twenty more pivots cost {} more allocations",
-                model.name(),
-                at_60 as i64 - at_40 as i64
-            );
-        }
+        let at_40 = allocs_of_a_capped_solve(&lp, 40);
+        let at_60 = allocs_of_a_capped_solve(&lp, 60);
+        assert_eq!(
+            at_40,
+            at_60,
+            "{}: twenty more pivots cost {} more allocations",
+            model.name(),
+            at_60 as i64 - at_40 as i64
+        );
     }
 }

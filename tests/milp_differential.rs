@@ -9,15 +9,17 @@
 //! search) lives in `cellstream-milp`'s own test suite; this one pins the
 //! instances that actually matter — the paper's mapping formulations
 //! with their assignment rows, bandwidth coupling and DMA-queue
-//! structure.
+//! structure. Every optimal LP answer is also held to its certificate
+//! (`Model::certify`: the point and its row duals against the model's
+//! own rows).
 
 use cellstream_core::brute::optimal_mapping;
 use cellstream_core::{evaluate, FormKind, Formulation, FormulationConfig, Mapping, SolveOptions};
 use cellstream_daggen::{chain, fork_join, CostParams};
 use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_milp::bb::{solve_mip, MipOptions};
-use cellstream_milp::model::{LpOptions, LpStatus};
-use cellstream_milp::SparseLp;
+use cellstream_milp::model::{LpOptions, LpStatus, Model};
+use cellstream_milp::SparseSolution;
 use cellstream_platform::{CellSpec, PeId};
 
 fn small_graphs() -> Vec<StreamGraph> {
@@ -40,13 +42,25 @@ fn close(a: f64, b: f64, rel: f64) -> bool {
     (a - b).abs() <= rel * (1.0 + b.abs())
 }
 
+/// Relative tolerance of the certificate.
+const CERT_TOL: f64 = 1e-9;
+
+/// Solve `model`'s relaxation; an optimum must pass its certificate.
+fn solve_certified(model: &Model, what: &str) -> SparseSolution {
+    let sol = model.solve_lp(&LpOptions::default()).expect("Linear Program (1) is valid");
+    if sol.status == LpStatus::Optimal {
+        if let Err(e) = model.certify(&sol.x, &sol.duals, CERT_TOL) {
+            panic!("{what}: LP optimum {} not certified: {e}", sol.objective);
+        }
+    }
+    sol
+}
+
 /// LP relaxations of Linear Program (1), both encodings. Relaxed, the
 /// optimum is a lower bound on every mapping's period, the brute-force
 /// optimum included. With every α fixed to a mapping the LP has nothing
 /// left to choose but `T` and the cut indicators, so its optimum *is*
-/// that mapping's period as the evaluator computes it — through presolve
-/// (`solve_lp`, which eliminates the fixed columns) and without it
-/// (`SparseLp`, the branch-and-bound root path) alike.
+/// that mapping's period as the evaluator computes it.
 #[test]
 fn lp_relaxations_agree_with_the_evaluator() {
     let spec = CellSpec::with_spes(2);
@@ -64,7 +78,7 @@ fn lp_relaxations_agree_with_the_evaluator() {
             let form = Formulation::build(&g, &spec, &config);
             let t0 = form.time_scale();
 
-            let relaxed = form.model.solve_lp(&LpOptions::default()).unwrap();
+            let relaxed = solve_certified(&form.model, &what);
             assert_eq!(relaxed.status, LpStatus::Optimal, "{what}: relaxation must solve");
             assert!(form.model.max_violation(&relaxed.x) <= 1e-6, "{what}");
             assert!(
@@ -72,10 +86,6 @@ fn lp_relaxations_agree_with_the_evaluator() {
                 "{what}: relaxation {} above the optimum {best_period}",
                 relaxed.objective * t0
             );
-            // presolve must not move the optimum: the B&B root path skips it
-            let root = SparseLp::from_model(&form.model).unwrap();
-            let root = root.solve_primal(&LpOptions::default()).unwrap();
-            assert!(close(root.objective, relaxed.objective, 1e-7), "{what}: root vs solve_lp");
 
             for m in &mappings {
                 let report = evaluate(&g, &spec, m).unwrap();
@@ -86,26 +96,20 @@ fn lp_relaxations_agree_with_the_evaluator() {
                         fixed.set_bounds(form.alpha(TaskId(k), pe), v, v);
                     }
                 }
-                let presolved = fixed.solve_lp(&LpOptions::default()).unwrap();
-                let lp = SparseLp::from_model(&fixed).unwrap();
-                let raw = lp.solve_primal(&LpOptions::default()).unwrap();
-                assert_eq!(presolved.status, raw.status, "{what}: {m:?}");
+                let sol = solve_certified(&fixed, &format!("{what}: {m:?}"));
                 if !report.is_feasible() {
                     // (1i)-(1k) are rows of the LP too
-                    assert_eq!(raw.status, LpStatus::Infeasible, "{what}: {m:?}");
+                    assert_eq!(sol.status, LpStatus::Infeasible, "{what}: {m:?}");
                     continue;
                 }
-                assert_eq!(raw.status, LpStatus::Optimal, "{what}: {m:?}");
-                for (path, objective) in
-                    [("solve_lp", presolved.objective), ("SparseLp", raw.objective)]
-                {
-                    assert!(
-                        close(objective, report.period / t0, 1e-7),
-                        "{what} via {path}: LP {objective} vs evaluator {}",
-                        report.period / t0
-                    );
-                }
-                assert!(fixed.max_violation(&presolved.x) <= 1e-6, "{what}");
+                assert_eq!(sol.status, LpStatus::Optimal, "{what}: {m:?}");
+                assert!(
+                    close(sol.objective, report.period / t0, 1e-7),
+                    "{what}: LP {} vs evaluator {}",
+                    sol.objective,
+                    report.period / t0
+                );
+                assert!(fixed.max_violation(&sol.x) <= 1e-6, "{what}");
             }
         }
     }

@@ -1,13 +1,16 @@
 //! The optimum any pivot path must reach: the root relaxation of Linear
 //! Program (1) solved by the dual simplex from the slack basis (the
-//! branch-and-bound root path) against the two-phase primal from
-//! scratch, on the instances `milp_golden.rs` pins — the paper's graphs
-//! 1 and 3 at CCR 0.775 and 3.07 on a QS22. `milp_golden.rs` pins *how*
-//! the solver gets there (iteration counts and bound bits move with any
-//! change to the update, pricing or summation order); this file pins
-//! *where* it gets to, so a change that is meant to move the path is
-//! still held to the same optimum. The two paths share no pivot and end
-//! on different vertices, so they agree to round-off, not bit for bit.
+//! branch-and-bound root path), on the instances `milp_golden.rs` pins —
+//! the paper's graphs 1 and 3 at CCR 0.775 and 3.07 on a QS22 — and
+//! proven optimal by its certificate: `Model::certify` checks the point
+//! and the row duals the solve returns against the formulation's own
+//! rows, with no factorization (primal and dual feasibility,
+//! complementary slackness, a zero duality gap). `milp_golden.rs` pins
+//! *how* the solver gets there (iteration counts and bound bits move
+//! with any change to the update, pricing or summation order); this file
+//! pins *where* it gets to — the optimum of the primal LP, with the dual
+//! solution that proves it — so a change that is meant to move the path
+//! is still held to an optimum.
 
 use cellstream::core::{Formulation, FormulationConfig};
 use cellstream::daggen::paper;
@@ -18,8 +21,8 @@ use cellstream::platform::CellSpec;
 /// the same two `milp_golden.rs` pins.
 const CCR_POINTS: [usize; 2] = [0, 3];
 
-/// Relative distance allowed between the two optima.
-const REL_TOL: f64 = 1e-9;
+/// Relative tolerance of the certificate.
+const CERT_TOL: f64 = 1e-9;
 
 #[test]
 fn the_dual_root_reaches_the_primal_optimum() {
@@ -34,24 +37,12 @@ fn the_dual_root_reaches_the_primal_optimum() {
             let dual = lp.solve_dual_from(&lp.slack_basis(), &opts).expect(
                 "every cost of Linear Program (1) is >= 0: the slack basis is dual feasible",
             );
-            let primal = lp.solve_primal(&opts).expect("valid model");
             let name = format!("graph {label} @ CCR {ccr:.3}");
-            assert_eq!(
-                (dual.status, primal.status),
-                (LpStatus::Optimal, LpStatus::Optimal),
-                "{name}"
-            );
-            let rel = (dual.objective - primal.objective).abs() / primal.objective.abs();
-            println!(
-                "{name}: dual {:e} in {} pivots, primal {:e} in {}, relative distance {rel:e}",
-                dual.objective, dual.iterations, primal.objective, primal.iterations
-            );
-            assert!(
-                rel <= REL_TOL,
-                "{name}: the dual root stops at {:e}, the primal at {:e} ({rel:e} apart)",
-                dual.objective,
-                primal.objective
-            );
+            assert_eq!(dual.status, LpStatus::Optimal, "{name}");
+            println!("{name}: dual {:e} in {} pivots", dual.objective, dual.iterations);
+            if let Err(e) = form.model.certify(&dual.x, &dual.duals, CERT_TOL) {
+                panic!("{name}: the dual root at {:e} is not certified: {e}", dual.objective);
+            }
         }
     }
 }
