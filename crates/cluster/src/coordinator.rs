@@ -620,13 +620,16 @@ impl<T: Transport> Coordinator<T> {
         let unknown = |app: &str| ClusterError::UnknownApp(app.to_owned());
         let route = match ev {
             TraceEvent::Admit { graph, weight } => {
-                // routing is by name, so names must be fleet-unique
-                let graph = match self.apps.contains_key(graph.name()) {
-                    true => {
-                        self.next_unique += 1;
-                        graph.renamed(format!("{}#{}", graph.name(), self.next_unique - 1))
-                    }
-                    false => graph.clone(),
+                // routing is by name, so names must be fleet-unique: free
+                // of every placed and every stranded application
+                let mut name = graph.name().to_owned();
+                while self.apps.contains_key(&name) || self.stranded.contains_key(&name) {
+                    name = format!("{}#{}", graph.name(), self.next_unique);
+                    self.next_unique += 1;
+                }
+                let graph = match name == graph.name() {
+                    true => graph.clone(),
+                    false => graph.renamed(name),
                 };
                 let order = self.ranked(&AppDemand::of(&graph, *weight), None, None);
                 let route = match order.first() {
@@ -1352,6 +1355,53 @@ mod tests {
         assert!(second.applied());
         assert_eq!(fleet.n_apps(), 2);
         assert!(fleet.node_of("dup#1").is_some());
+    }
+
+    /// The coordinator's app set matches what the nodes serve, by name.
+    fn served_names(fleet: &Cluster) -> BTreeSet<String> {
+        let nodes = fleet.status().nodes;
+        nodes.iter().flat_map(|s| s.apps.iter().map(|(n, _)| n.clone())).collect()
+    }
+
+    #[test]
+    fn admitted_names_skip_the_stranded_ledger() {
+        let spec = CellSpec::ps3();
+        let service = ServiceOptions { max_period: Some(1e-6), ..Default::default() };
+        let mut fleet =
+            Cluster::homogeneous(1, &spec, ClusterOptions { service, ..Default::default() });
+        assert!(fleet.admit(&app("x", 6, 2), 1.0).applied());
+        for pe in spec.spes() {
+            fleet.pe_failed(NodeId(0), pe).unwrap();
+        }
+        assert_eq!(fleet.status().stranded, vec!["x".to_owned()]);
+
+        let late = fleet.admit(&app("x", 1, 4), 1.0);
+        assert!(late.applied(), "{:?}", late.verdict);
+        let late = late.app.unwrap();
+        assert_ne!(late, "x", "the stranded x still owns its name");
+        for pe in spec.spes() {
+            fleet.pe_restored(NodeId(0), pe).unwrap();
+        }
+        assert!(fleet.status().stranded.is_empty(), "the restores re-admitted x");
+        assert_eq!(fleet.n_apps(), 2);
+        let tracked: BTreeSet<String> = ["x".to_owned(), late.clone()].into();
+        assert_eq!(served_names(&fleet), tracked, "the nodes serve what the coordinator routes");
+
+        fleet.retire("x").unwrap();
+        fleet.retire(&late).unwrap();
+        assert_eq!(fleet.n_apps(), 0);
+        assert!(served_names(&fleet).is_empty(), "every retire reached its app");
+    }
+
+    #[test]
+    fn admitted_names_skip_names_already_suffixed() {
+        let mut fleet = Cluster::homogeneous(2, &CellSpec::ps3(), ClusterOptions::default());
+        for (name, seed) in [("x", 1), ("x#1", 2), ("x", 3)] {
+            assert!(fleet.admit(&app(name, 3, seed), 1.0).applied());
+        }
+        assert_eq!(fleet.n_apps(), 3);
+        let tracked: BTreeSet<String> = ["x", "x#1", "x#2"].map(str::to_owned).into();
+        assert_eq!(served_names(&fleet), tracked);
     }
 
     #[test]
