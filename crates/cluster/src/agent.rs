@@ -1,23 +1,133 @@
-//! The per-node agent: one `Service` incumbent behind the message
-//! protocol.
+//! The per-node agent: one `Service` incumbent the coordinator calls.
 //!
 //! An agent is deliberately thin — all scheduling intelligence stays in
 //! the serving loop it wraps. Its job is to resolve the [`TraceEvent`]s
-//! a [`ClusterMsg`] carries into `Service` calls, translate the
-//! verdicts back into [`AgentOutcome`]s, and stamp every reply with a fresh
-//! [`NodeSummary`] so the coordinator's capacity view tracks reality.
+//! the coordinator hands it into `Service` calls, translate the
+//! verdicts back into [`AgentOutcome`]s, and size the working sets a
+//! cross-node migration would move. Its [`summary`](Agent::summary) is
+//! the node's capacity as the coordinator's placer scores it.
 
-use crate::msg::{AgentMsg, AgentOutcome, ClusterMsg, NodeId, NodeSummary};
 use cellstream_core::evaluate;
 use cellstream_core::steady::buffers::BufferPlan;
-use cellstream_graph::TaskId;
+use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_platform::CellSpec;
 use cellstream_serve::{Service, ServiceOptions, Verdict};
 use cellstream_sim::online::TraceEvent;
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::fmt;
 
-/// One node's control loop: a local [`Service`] plus the protocol glue.
+/// Identifies one Cell node (one agent) in the fleet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NodeId(pub usize);
+
+impl NodeId {
+    /// The raw index (agents are numbered `0..n_nodes`).
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+impl fmt::Display for NodeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "N{}", self.0)
+    }
+}
+
+/// What an agent did with one operation.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AgentOutcome {
+    /// The admission entered service on this node.
+    Admitted,
+    /// The node's admission control refused (reason text is the local
+    /// `RejectReason` rendered — the coordinator treats it as opaque).
+    Rejected(String),
+    /// A retire/reweight took effect.
+    Applied,
+    /// The named application does not live on this node.
+    UnknownApp,
+    /// A fault was absorbed but the node had to shed applications to
+    /// stay feasible: their drift-corrected source graphs and weights,
+    /// in shed order. The coordinator owns their re-placement — a shed
+    /// application no longer lives on this node.
+    Recovered {
+        /// `(source graph, weight)` of each shed application.
+        shed: Vec<(StreamGraph, f64)>,
+    },
+}
+
+/// One node's capacity summary: everything the inter-node placer scores
+/// on. The coordinator refreshes its copy after every call to the node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeSummary {
+    /// The summarised node.
+    pub node: NodeId,
+    /// SPE count of the node's platform.
+    pub n_spe: usize,
+    /// Applications resident on the node.
+    pub n_apps: usize,
+    /// Composed tasks resident on the node.
+    pub n_tasks: usize,
+    /// Composed round period of the node's incumbent (`+∞` when idle).
+    pub period: f64,
+    /// Mean SPE compute occupation per round (seconds).
+    pub spe_load: f64,
+    /// PPE compute occupation per round (seconds).
+    pub ppe_load: f64,
+    /// Stream-buffer bytes resident in SPE local stores, summed.
+    pub store_used: f64,
+    /// Total local-store budget across the node's SPEs (bytes).
+    pub store_budget: f64,
+    /// Smallest resident throughput weight (`+∞` when idle) — the
+    /// binding application for a per-instance period guarantee.
+    pub min_weight: f64,
+    /// Resident `(application, weight)` pairs, in workload order.
+    pub apps: Vec<(String, f64)>,
+}
+
+impl NodeSummary {
+    /// The summary of a node serving nothing.
+    pub fn idle(node: NodeId, spec: &CellSpec) -> NodeSummary {
+        NodeSummary {
+            node,
+            n_spe: spec.n_spe(),
+            n_apps: 0,
+            n_tasks: 0,
+            period: f64::INFINITY,
+            spe_load: 0.0,
+            ppe_load: 0.0,
+            store_used: 0.0,
+            store_budget: (spec.n_spe() as u64 * spec.local_store_budget()) as f64,
+            min_weight: f64::INFINITY,
+            apps: Vec::new(),
+        }
+    }
+
+    /// Local-store headroom (bytes) across the node's SPEs.
+    pub fn store_free(&self) -> f64 {
+        (self.store_budget - self.store_used).max(0.0)
+    }
+}
+
+impl fmt::Display for NodeSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.period.is_finite() {
+            write!(
+                f,
+                "{}: {} apps / {} tasks, T={:.2} us, store {:.0}/{:.0} KiB",
+                self.node,
+                self.n_apps,
+                self.n_tasks,
+                self.period * 1e6,
+                self.store_used / 1024.0,
+                self.store_budget / 1024.0
+            )
+        } else {
+            write!(f, "{}: idle", self.node)
+        }
+    }
+}
+
+/// One node's control loop: a local [`Service`] the coordinator calls.
 pub struct Agent {
     node: NodeId,
     service: Service,
@@ -27,10 +137,10 @@ pub struct Agent {
     opts: ServiceOptions,
 }
 
-/// A serving-loop verdict in protocol terms. Queueing is disabled in
+/// A serving-loop verdict as an agent outcome. Queueing is disabled in
 /// [`Agent::new`] and nothing a request triggers ends
-/// `Adopted`/`NoChange` — any such protocol drift is a refusal rather
-/// than a crash.
+/// `Adopted`/`NoChange` — any such drift is a refusal rather than a
+/// crash.
 fn outcome_of(verdict: &Verdict) -> AgentOutcome {
     match verdict {
         Verdict::Admitted(_) => AgentOutcome::Admitted,
@@ -58,50 +168,44 @@ impl Agent {
         self.node
     }
 
-    /// The wrapped serving loop (read-only; mutate via [`handle`](Self::handle)).
+    /// The wrapped serving loop (read-only; mutate via
+    /// [`apply`](Self::apply) and [`apply_batch`](Self::apply_batch)).
     pub fn service(&self) -> &Service {
         &self.service
     }
 
-    /// Handle one coordinator request.
-    pub fn handle(&mut self, msg: ClusterMsg) -> AgentMsg {
-        match msg {
-            // the crash stand-in: resident applications and their buffer
-            // state are lost with the process — rebuild an empty serving
-            // loop so the restored node rejoins cold
-            ClusterMsg::Op(TraceEvent::NodeFailed { .. }) => {
-                self.service = Service::with_options(self.spec.clone(), self.opts.clone());
-                self.reply(AgentOutcome::Applied, Duration::ZERO, 0.0, 0.0)
-            }
-            // state was already wiped at failure; rejoining is a no-op
-            // beyond handing the coordinator a fresh (idle) summary
-            ClusterMsg::Op(TraceEvent::NodeRestored { .. }) => {
-                self.reply(AgentOutcome::Applied, Duration::ZERO, 0.0, 0.0)
-            }
-            ClusterMsg::Op(op) => self.apply(op),
-            ClusterMsg::Batch { ops } => self.handle_batch(ops),
-            ClusterMsg::Status => self.reply(AgentOutcome::Status, Duration::ZERO, 0.0, 0.0),
-        }
-    }
-
     /// One name-addressed operation through the serving loop, which
-    /// serves fleet index 0. An absorbed fault that displaced anyone
-    /// replies [`AgentOutcome::Recovered`] carrying the shed
-    /// applications. The reply sizes the working set of the application
-    /// the operation named: before a retire (it is what the departing
-    /// state transfer would cost), after anything else.
-    fn apply(&mut self, ev: TraceEvent) -> AgentMsg {
-        let app = ev.app().map(str::to_owned);
+    /// serves fleet index 0: `(outcome, local_bytes, working_set)`.
+    ///
+    /// `local_bytes` is the EIB traffic of the node's replan (tasks the
+    /// repair planner shuffled *within* the node). `working_set` sizes
+    /// the buffers of the application the operation named — what a
+    /// cross-node migration of it pushes over the network: before a
+    /// retire (the departing state), after anything else (an admission
+    /// on the node's new composed graph). An absorbed fault that
+    /// displaced anyone answers [`AgentOutcome::Recovered`] with the
+    /// shed applications. [`TraceEvent::NodeFailed`] is the in-process
+    /// stand-in for process death: the serving state is wiped, resident
+    /// applications and their buffer state are *lost*, not migrated;
+    /// [`TraceEvent::NodeRestored`] is then a no-op — the node rejoins
+    /// empty and cold.
+    pub fn apply(&mut self, ev: TraceEvent) -> (AgentOutcome, f64, f64) {
+        let app = match ev {
+            TraceEvent::NodeFailed { .. } => {
+                self.service = Service::with_options(self.spec.clone(), self.opts.clone());
+                return (AgentOutcome::Applied, 0.0, 0.0);
+            }
+            TraceEvent::NodeRestored { .. } => return (AgentOutcome::Applied, 0.0, 0.0),
+            _ => ev.app().map(str::to_owned),
+        };
         let retiring = matches!(ev, TraceEvent::Retire { .. });
         let leaving = app.as_deref().filter(|_| retiring).map(|app| self.working_set(app));
         let Some(event) = self.service.resolve(ev) else {
-            return self.reply(AgentOutcome::UnknownApp, Duration::ZERO, 0.0, 0.0);
+            return (AgentOutcome::UnknownApp, 0.0, 0.0);
         };
         let report = match self.service.process(event) {
             Ok(report) => report,
-            Err(e) => {
-                return self.reply(AgentOutcome::Rejected(e.to_string()), Duration::ZERO, 0.0, 0.0)
-            }
+            Err(e) => return (AgentOutcome::Rejected(e.to_string()), 0.0, 0.0),
         };
         let shed = self.service.take_shed();
         let outcome = match shed.is_empty() {
@@ -109,18 +213,22 @@ impl Agent {
             false => AgentOutcome::Recovered { shed },
         };
         let ws = leaving.unwrap_or_else(|| app.map_or(0.0, |app| self.working_set(&app)));
-        self.reply(outcome, report.replan, report.migration_bytes(), ws)
+        (outcome, report.migration_bytes(), ws)
     }
 
-    /// Apply a coordinator burst through `Service::process_batch`: one
-    /// composed replan per run [`Service::resolve_run`] cuts — a
-    /// repeated name ends a run, so in-order semantics hold across the
-    /// cut. Unresolved retires/reweights get [`AgentOutcome::UnknownApp`]
-    /// without poisoning the rest of the burst; a fault is refused in
-    /// place (faults travel as their own messages, never batched).
-    fn handle_batch(&mut self, ops: Vec<TraceEvent>) -> AgentMsg {
+    /// A group of churn in one call: `(one outcome per op in request
+    /// order, local_bytes)`. Runs of consecutive ops touching distinct
+    /// names ([`Service::resolve_run`] cuts at a repeated one, so
+    /// in-order semantics hold across the cut) fuse into single
+    /// `Service::process_batch` calls — one compose and one repair per
+    /// run. An unresolved retire/reweight is
+    /// [`AgentOutcome::UnknownApp`] without poisoning the rest; a fault
+    /// is refused in place and changes nothing (faults go through
+    /// [`apply`](Self::apply) alone). Batches size no working sets:
+    /// group steps never migrate.
+    pub fn apply_batch(&mut self, ops: Vec<TraceEvent>) -> (Vec<AgentOutcome>, f64) {
         let mut outcomes = Vec::with_capacity(ops.len());
-        let (mut replan, mut local_bytes) = (Duration::ZERO, 0.0);
+        let mut local_bytes = 0.0;
         let mut pending = VecDeque::from(ops);
         let mut events = Vec::new();
         while let Some(front) = pending.front() {
@@ -135,7 +243,6 @@ impl Agent {
             if !events.is_empty() {
                 verdicts = match self.service.process_batch(&events) {
                     Ok(report) => {
-                        replan += report.replan;
                         local_bytes += report.migration_bytes();
                         report.events.iter().map(|(_, verdict)| outcome_of(verdict)).collect()
                     }
@@ -155,7 +262,7 @@ impl Agent {
                 false => AgentOutcome::UnknownApp,
             }));
         }
-        self.reply(AgentOutcome::Batch(outcomes), replan, local_bytes, 0.0)
+        (outcomes, local_bytes)
     }
 
     /// Buffer working set (bytes) of one resident application on the
@@ -190,23 +297,6 @@ impl Agent {
         s.apps = w.apps().iter().map(|a| (a.name.clone(), a.weight)).collect();
         s
     }
-
-    fn reply(
-        &self,
-        outcome: AgentOutcome,
-        replan: Duration,
-        local_migration_bytes: f64,
-        working_set_bytes: f64,
-    ) -> AgentMsg {
-        AgentMsg {
-            node: self.node,
-            outcome,
-            replan,
-            local_migration_bytes,
-            working_set_bytes,
-            summary: self.summary(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -219,107 +309,101 @@ mod tests {
     }
 
     /// A three-task chain admitted at weight 1.
-    fn admit(name: &str, seed: u64) -> ClusterMsg {
+    fn admit(name: &str, seed: u64) -> TraceEvent {
         let graph = chain(name, 3, &CostParams::default(), seed);
-        ClusterMsg::Op(TraceEvent::Admit { graph, weight: 1.0 })
+        TraceEvent::Admit { graph, weight: 1.0 }
     }
 
     #[test]
     fn admit_retire_round_trip_updates_the_summary() {
         let mut a = agent();
-        let idle = a.handle(ClusterMsg::Status);
-        assert_eq!(idle.outcome, AgentOutcome::Status);
-        assert_eq!(idle.summary.n_apps, 0);
-        assert!(idle.summary.period.is_infinite());
+        let idle = a.summary();
+        assert_eq!(idle.n_apps, 0);
+        assert!(idle.period.is_infinite());
 
         let g = chain("app", 4, &CostParams::default(), 11);
-        let admitted = a.handle(ClusterMsg::Op(TraceEvent::Admit { graph: g, weight: 2.0 }));
-        assert_eq!(admitted.outcome, AgentOutcome::Admitted);
+        let (outcome, _, working_set) = a.apply(TraceEvent::Admit { graph: g, weight: 2.0 });
+        assert_eq!(outcome, AgentOutcome::Admitted);
+        let admitted = a.summary();
         assert_eq!(admitted.node, NodeId(3));
-        assert_eq!(admitted.summary.n_apps, 1);
-        assert_eq!(admitted.summary.apps, vec![("app".to_owned(), 2.0)]);
-        assert!(admitted.summary.period.is_finite());
-        assert_eq!(admitted.summary.min_weight, 2.0);
-        assert!(admitted.working_set_bytes > 0.0, "a chain has buffers to move");
+        assert_eq!(admitted.n_apps, 1);
+        assert_eq!(admitted.apps, vec![("app".to_owned(), 2.0)]);
+        assert!(admitted.period.is_finite());
+        assert_eq!(admitted.min_weight, 2.0);
+        assert!(working_set > 0.0, "a chain has buffers to move");
 
-        let gone = a.handle(ClusterMsg::Op(TraceEvent::Retire { app: "app".to_owned() }));
-        assert_eq!(gone.outcome, AgentOutcome::Applied);
-        assert!(gone.working_set_bytes > 0.0, "sized before the retire");
-        assert_eq!(gone.summary.n_apps, 0);
-        assert!(gone.summary.period.is_infinite());
+        let (outcome, _, working_set) = a.apply(TraceEvent::Retire { app: "app".to_owned() });
+        assert_eq!(outcome, AgentOutcome::Applied);
+        assert!(working_set > 0.0, "sized before the retire");
+        let gone = a.summary();
+        assert_eq!(gone.n_apps, 0);
+        assert!(gone.period.is_infinite());
 
-        let ghost = a.handle(ClusterMsg::Op(TraceEvent::Retire { app: "app".to_owned() }));
-        assert_eq!(ghost.outcome, AgentOutcome::UnknownApp);
+        let (ghost, _, _) = a.apply(TraceEvent::Retire { app: "app".to_owned() });
+        assert_eq!(ghost, AgentOutcome::UnknownApp);
     }
 
     #[test]
     fn reweight_routes_by_name_and_rejects_nonsense() {
         let mut a = agent();
-        a.handle(admit("app", 5));
-        let ok =
-            a.handle(ClusterMsg::Op(TraceEvent::Reweight { app: "app".to_owned(), weight: 2.5 }));
-        assert_eq!(ok.outcome, AgentOutcome::Applied);
-        assert_eq!(ok.summary.apps[0].1, 2.5);
+        a.apply(admit("app", 5));
+        let (ok, _, _) = a.apply(TraceEvent::Reweight { app: "app".to_owned(), weight: 2.5 });
+        assert_eq!(ok, AgentOutcome::Applied);
+        assert_eq!(a.summary().apps[0].1, 2.5);
 
-        let bad =
-            a.handle(ClusterMsg::Op(TraceEvent::Reweight { app: "app".to_owned(), weight: -1.0 }));
-        assert!(matches!(bad.outcome, AgentOutcome::Rejected(_)));
-        assert_eq!(bad.summary.apps[0].1, 2.5, "refused reweight rolls back");
+        let (bad, _, _) = a.apply(TraceEvent::Reweight { app: "app".to_owned(), weight: -1.0 });
+        assert!(matches!(bad, AgentOutcome::Rejected(_)));
+        assert_eq!(a.summary().apps[0].1, 2.5, "refused reweight rolls back");
 
-        let ghost =
-            a.handle(ClusterMsg::Op(TraceEvent::Reweight { app: "ghost".to_owned(), weight: 1.0 }));
-        assert_eq!(ghost.outcome, AgentOutcome::UnknownApp);
+        let (ghost, _, _) = a.apply(TraceEvent::Reweight { app: "ghost".to_owned(), weight: 1.0 });
+        assert_eq!(ghost, AgentOutcome::UnknownApp);
     }
 
     #[test]
     fn batch_fuses_ops_and_reports_outcomes_in_request_order() {
         let mut a = agent();
-        a.handle(admit("x", 1));
-        a.handle(admit("y", 2));
+        a.apply(admit("x", 1));
+        a.apply(admit("y", 2));
 
-        let reply = a.handle(ClusterMsg::Batch {
-            ops: vec![
-                TraceEvent::Reweight { app: "x".to_owned(), weight: 2.0 },
-                TraceEvent::Retire { app: "ghost".to_owned() },
-                TraceEvent::Admit { graph: chain("z", 3, &CostParams::default(), 3), weight: 1.5 },
-                TraceEvent::Retire { app: "y".to_owned() },
-            ],
-        });
+        let (outcomes, _) = a.apply_batch(vec![
+            TraceEvent::Reweight { app: "x".to_owned(), weight: 2.0 },
+            TraceEvent::Retire { app: "ghost".to_owned() },
+            TraceEvent::Admit { graph: chain("z", 3, &CostParams::default(), 3), weight: 1.5 },
+            TraceEvent::Retire { app: "y".to_owned() },
+        ]);
         assert_eq!(
-            reply.outcome,
-            AgentOutcome::Batch(vec![
+            outcomes,
+            vec![
                 AgentOutcome::Applied,
                 AgentOutcome::UnknownApp,
                 AgentOutcome::Admitted,
                 AgentOutcome::Applied,
-            ]),
+            ],
             "one outcome per op, in request order"
         );
-        assert_eq!(reply.summary.n_apps, 2, "x reweighted, y retired, z admitted");
-        let names: Vec<&str> = reply.summary.apps.iter().map(|(n, _)| n.as_str()).collect();
+        let summary = a.summary();
+        assert_eq!(summary.n_apps, 2, "x reweighted, y retired, z admitted");
+        let names: Vec<&str> = summary.apps.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["x", "z"]);
-        assert_eq!(reply.summary.apps[0].1, 2.0, "the reweight landed");
+        assert_eq!(summary.apps[0].1, 2.0, "the reweight landed");
     }
 
     #[test]
     fn a_fault_inside_a_batch_is_refused_and_changes_nothing() {
         let mut a = agent();
-        a.handle(admit("x", 1));
-        let reply = a.handle(ClusterMsg::Batch {
-            ops: vec![
-                TraceEvent::PeFailed { node: 0, pe: cellstream_platform::PeId(2) },
-                TraceEvent::Reweight { app: "x".to_owned(), weight: 2.0 },
-                TraceEvent::CostDrift { app: "x".to_owned(), factor: 3.0 },
-                TraceEvent::NodeFailed { node: 0 },
-            ],
-        });
-        let AgentOutcome::Batch(outs) = reply.outcome else { panic!("batch reply") };
+        a.apply(admit("x", 1));
+        let (outs, _) = a.apply_batch(vec![
+            TraceEvent::PeFailed { node: 0, pe: cellstream_platform::PeId(2) },
+            TraceEvent::Reweight { app: "x".to_owned(), weight: 2.0 },
+            TraceEvent::CostDrift { app: "x".to_owned(), factor: 3.0 },
+            TraceEvent::NodeFailed { node: 0 },
+        ]);
         assert!(matches!(outs[0], AgentOutcome::Rejected(_)), "{:?}", outs[0]);
         assert_eq!(outs[1], AgentOutcome::Applied, "the churn around the faults still lands");
         assert!(matches!(outs[2], AgentOutcome::Rejected(_)), "{:?}", outs[2]);
         assert!(matches!(outs[3], AgentOutcome::Rejected(_)), "{:?}", outs[3]);
         assert!(a.service().availability().all_healthy(), "no PE was failed");
-        assert_eq!(reply.summary.apps, vec![("x".to_owned(), 2.0)], "x stays, reweighted");
+        assert_eq!(a.summary().apps, vec![("x".to_owned(), 2.0)], "x stays, reweighted");
     }
 
     #[test]
@@ -328,31 +412,20 @@ mod tests {
         // admit then retire the same name in one burst: the second op
         // cannot resolve until the first commits, so the agent splits
         // the run and both land
-        let reply = a.handle(ClusterMsg::Batch {
-            ops: vec![
-                TraceEvent::Admit { graph: chain("w", 3, &CostParams::default(), 9), weight: 1.0 },
-                TraceEvent::Retire { app: "w".to_owned() },
-            ],
-        });
-        assert_eq!(
-            reply.outcome,
-            AgentOutcome::Batch(vec![AgentOutcome::Admitted, AgentOutcome::Applied])
-        );
-        assert_eq!(reply.summary.n_apps, 0, "the burst admitted and retired the same app");
+        let (outcomes, _) = a.apply_batch(vec![
+            TraceEvent::Admit { graph: chain("w", 3, &CostParams::default(), 9), weight: 1.0 },
+            TraceEvent::Retire { app: "w".to_owned() },
+        ]);
+        assert_eq!(outcomes, vec![AgentOutcome::Admitted, AgentOutcome::Applied]);
+        assert_eq!(a.summary().n_apps, 0, "the burst admitted and retired the same app");
 
         // an invalid weight inside a batch is refused per-op, not per-burst
-        let reply = a.handle(ClusterMsg::Batch {
-            ops: vec![
-                TraceEvent::Admit { graph: chain("ok", 3, &CostParams::default(), 4), weight: 1.0 },
-                TraceEvent::Admit {
-                    graph: chain("bad", 3, &CostParams::default(), 5),
-                    weight: 0.0,
-                },
-            ],
-        });
-        let AgentOutcome::Batch(outs) = reply.outcome else { panic!("batch reply") };
+        let (outs, _) = a.apply_batch(vec![
+            TraceEvent::Admit { graph: chain("ok", 3, &CostParams::default(), 4), weight: 1.0 },
+            TraceEvent::Admit { graph: chain("bad", 3, &CostParams::default(), 5), weight: 0.0 },
+        ]);
         assert_eq!(outs[0], AgentOutcome::Admitted);
         assert!(matches!(outs[1], AgentOutcome::Rejected(_)));
-        assert_eq!(reply.summary.n_apps, 1);
+        assert_eq!(a.summary().n_apps, 1);
     }
 }

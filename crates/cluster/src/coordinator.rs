@@ -1,29 +1,28 @@
 //! The coordinator: cluster state, operation routing, drain and
 //! rebalance.
 //!
-//! One coordinator owns the fleet-wide picture — per-node capacity
-//! summaries (refreshed by every agent reply), the application → node
-//! assignment, and the cached source graphs it needs to move an
-//! application later. Every operation is a [`TraceEvent`] and takes one
-//! path, the **group step**: [`route`](Coordinator::route) answers it
-//! from the coordinator's own books or names its node,
-//! [`exchange`](Coordinator::exchange) carries it there and absorbs the
-//! reply, and [`settle`](Coordinator::settle) turns the agent's outcome
-//! into routing-table updates, recovery and a [`ClusterVerdict`].
-//! [`Coordinator::process`] runs that step over a group of one,
-//! [`Coordinator::process_burst`] over as many groups as the burst cuts
-//! into. [`Coordinator::drain`] evacuates a node make-before-break
+//! One [`Cluster`] owns the fleet's agents and the fleet-wide picture —
+//! per-node capacity summaries (refreshed from the agent after every
+//! call to it), the application → node assignment, and the cached
+//! source graphs it needs to move an application later. Every operation
+//! is a [`TraceEvent`] and takes one path, the **group step**:
+//! [`route`](Cluster::route) answers it from the coordinator's own books
+//! or names its node, [`exchange`](Cluster::exchange) calls that node's
+//! agent and refreshes its summary, and [`settle`](Cluster::settle)
+//! turns the agent's outcome into routing-table updates, recovery and a
+//! [`ClusterVerdict`]. [`Cluster::process`] runs that step over a group
+//! of one, [`Cluster::process_burst`] over as many groups as the burst
+//! cuts into. [`Cluster::drain`] evacuates a node make-before-break
 //! (admit on the target, then retire on the source), and
-//! [`Coordinator::rebalance`] migrates applications off the hottest
+//! [`Cluster::rebalance`] migrates applications off the hottest
 //! node while the predicted period gain, amortised over the migration
 //! horizon, outweighs the network transfer cost. Every cross-node move
 //! is priced by the [`NetworkModel`] and reported as a [`Migration`].
 
+use crate::agent::{Agent, AgentOutcome, NodeId, NodeSummary};
 use crate::metrics::ClusterMetrics;
-use crate::msg::{AgentOutcome, ClusterMsg, NodeId, NodeSummary};
 use crate::net::NetworkModel;
 use crate::placer::{AppDemand, LoadAffinity, PlacePolicy};
-use crate::transport::{InProcessTransport, Transport};
 use cellstream_core::Mapping;
 use cellstream_graph::{StreamGraph, Workload};
 use cellstream_heuristics::scheduler_names;
@@ -188,7 +187,7 @@ impl ClusterReport {
 
 /// What one fleet-level burst did: per-event verdicts in request order
 /// plus the aggregate cost of the node batches that carried it — see
-/// [`Coordinator::process_burst`].
+/// [`Cluster::process_burst`].
 #[derive(Debug, Clone)]
 pub struct BurstReport {
     /// Per-event `(label, verdict)` pairs, in request order.
@@ -196,7 +195,7 @@ pub struct BurstReport {
     /// Wall-clock latency of the whole burst, every agent exchange
     /// included.
     pub latency: Duration,
-    /// Node-level batch messages the burst was carried by.
+    /// Node batches the burst was carried by (one agent call each).
     pub batches: usize,
     /// EIB traffic of the intra-node replans the burst triggered
     /// (bytes, summed across nodes).
@@ -235,7 +234,7 @@ pub struct ClusterStatus {
     pub schedulers: Vec<&'static str>,
 }
 
-/// Tunables of one [`Coordinator`].
+/// Tunables of one [`Cluster`].
 pub struct ClusterOptions {
     /// Inter-node placement policy (default: [`LoadAffinity`]).
     pub policy: Box<dyn PlacePolicy>,
@@ -286,7 +285,7 @@ struct Stranded {
     cooldown: u32,
 }
 
-/// Where [`Coordinator::route`] sends one operation.
+/// Where [`Cluster::route`] sends one operation.
 enum Route {
     /// Answered from the coordinator's own books — no exchange.
     Done(ClusterVerdict),
@@ -310,10 +309,10 @@ impl Cost {
     }
 }
 
-/// The fleet's control plane. Generic in the [`Transport`] so tests can
-/// interpose; [`Cluster`] is the ready-to-use in-process alias.
-pub struct Coordinator<T: Transport> {
-    transport: T,
+/// The fleet: its agents (agent `i` is `NodeId(i)`) and the control
+/// plane that calls them.
+pub struct Cluster {
+    agents: Vec<Agent>,
     policy: Box<dyn PlacePolicy>,
     network: NetworkModel,
     migration_horizon: f64,
@@ -334,20 +333,19 @@ pub struct Coordinator<T: Transport> {
     metrics: ClusterMetrics,
 }
 
-impl<T: Transport> Coordinator<T> {
-    /// Wire a coordinator to its fleet and probe every node's initial
-    /// capacity summary.
-    pub fn new(mut transport: T, opts: ClusterOptions) -> Coordinator<T> {
-        let n = transport.n_nodes();
+impl Cluster {
+    /// A homogeneous fleet: `n` nodes of platform `spec`, each serving
+    /// with `opts.service`.
+    pub fn homogeneous(n: usize, spec: &CellSpec, opts: ClusterOptions) -> Cluster {
         assert!(n > 0, "a cluster needs at least one node");
-        let summaries =
-            (0..n).map(|i| transport.send(NodeId(i), ClusterMsg::Status).summary).collect();
-        Coordinator {
-            transport,
+        let agents: Vec<Agent> =
+            (0..n).map(|i| Agent::new(NodeId(i), spec.clone(), opts.service.clone())).collect();
+        Cluster {
+            summaries: agents.iter().map(Agent::summary).collect(),
+            agents,
             policy: opts.policy,
             network: opts.network,
             migration_horizon: opts.migration_horizon,
-            summaries,
             draining: vec![false; n],
             dead: vec![false; n],
             apps: BTreeMap::new(),
@@ -407,11 +405,11 @@ impl<T: Transport> Coordinator<T> {
     }
 
     /// Deep audit (`debug_invariants` feature): the control plane's
-    /// view must agree with what the nodes last reported — the routing
-    /// table places every application on an in-range node, per-node
-    /// placement counts and app lists (names *and* weights) match the
-    /// node summaries absorbed from the latest replies, and the
-    /// bookkeeping vectors stay parallel. Panics with `ctx` on any
+    /// view must agree with the nodes — every cached summary equals a
+    /// fresh one from its agent, the routing table places every
+    /// application on an in-range node, per-node placement counts and
+    /// app lists (names *and* weights) match the node summaries, and
+    /// the bookkeeping vectors stay parallel. Panics with `ctx` on any
     /// breach. Call it only between operations: mid-operation the
     /// summaries are intentionally ahead of the routing table.
     #[cfg(feature = "debug_invariants")]
@@ -426,8 +424,9 @@ impl<T: Transport> Coordinator<T> {
             self.dead.len(),
             "{ctx}: summaries and dead flags out of step"
         );
-        for (i, s) in self.summaries.iter().enumerate() {
+        for (i, (s, agent)) in self.summaries.iter().zip(&self.agents).enumerate() {
             assert_eq!(s.node.index(), i, "{ctx}: summary {i} reports node {}", s.node);
+            assert_eq!(*s, agent.summary(), "{ctx}: node {i}'s cached summary is stale");
         }
         for (name, p) in &self.apps {
             assert!(
@@ -514,7 +513,7 @@ impl<T: Transport> Coordinator<T> {
     /// the group touched starts the next group, so in-order semantics
     /// hold across the cut. Within a group every op is routed against
     /// the summaries as of the group start and each node gets its ops
-    /// as one [`ClusterMsg::Batch`]. An unknown application or node
+    /// in one [`Agent::apply_batch`] call. An unknown application or node
     /// gets a [`ClusterVerdict::Rejected`] verdict — the trace is data,
     /// not a contract.
     pub fn process_burst(&mut self, events: &[TraceEvent]) -> BurstReport {
@@ -550,8 +549,8 @@ impl<T: Transport> Coordinator<T> {
 
     /// The group step: take the longest prefix of `events` that forms
     /// one group (see [`process_burst`](Self::process_burst) for the cut
-    /// rule), route every op of it, carry each node's ops there in one
-    /// exchange, and settle the outcomes. Returns the group's ops in
+    /// rule), route every op of it, hand each node's ops to its agent in
+    /// one call, and settle the outcomes. Returns the group's ops in
     /// their fleet-level form (admissions under their unique names),
     /// each with its verdict, in request order.
     fn group(
@@ -581,7 +580,7 @@ impl<T: Transport> Coordinator<T> {
                 break;
             }
         }
-        // one exchange per node, in node order (deterministic)
+        // one agent call per node, in node order (deterministic)
         for (node, slots) in per_node {
             // each op's recovery sums on its own before joining the
             // group's total, so a byte total has the same bits however
@@ -589,19 +588,15 @@ impl<T: Transport> Coordinator<T> {
             let mut own = Cost::default();
             let outcomes = match &done[slots[0]].0 {
                 fault if fault.is_fault() => {
-                    vec![self.exchange(node, ClusterMsg::Op(on_the_wire(fault)), &mut own).0]
+                    vec![self.exchange(node, node_local(fault), &mut own).0]
                 }
                 _ => {
                     *batches += 1;
                     let ops = slots.iter().map(|&i| done[i].0.clone()).collect();
-                    match self.exchange(node, ClusterMsg::Batch { ops }, cost).0 {
-                        AgentOutcome::Batch(outcomes) => outcomes,
-                        other => {
-                            let refused = ClusterVerdict::Rejected(refusal(node, &other));
-                            slots.iter().for_each(|&i| done[i].1 = Ok(refused.clone()));
-                            continue;
-                        }
-                    }
+                    let (outcomes, local_bytes) = self.agents[node.index()].apply_batch(ops);
+                    cost.local_bytes += local_bytes;
+                    self.refresh(node);
+                    outcomes
                 }
             };
             for (i, outcome) in slots.into_iter().zip(outcomes) {
@@ -704,14 +699,20 @@ impl<T: Transport> Coordinator<T> {
         Ok((ev.clone(), route))
     }
 
-    /// Deliver one request and block on the reply: absorb the node's
-    /// fresh summary, add the replan's EIB traffic to `cost`, and hand
-    /// back the outcome with the working set it sized.
-    fn exchange(&mut self, node: NodeId, msg: ClusterMsg, cost: &mut Cost) -> (AgentOutcome, f64) {
-        let reply = self.transport.send(node, msg);
-        cost.local_bytes += reply.local_migration_bytes;
-        self.summaries[reply.node.index()] = reply.summary;
-        (reply.outcome, reply.working_set_bytes)
+    /// Apply one operation on `node`: add the replan's EIB traffic to
+    /// `cost`, refresh the node's summary, and hand back the outcome
+    /// with the working set the agent sized.
+    fn exchange(&mut self, node: NodeId, op: TraceEvent, cost: &mut Cost) -> (AgentOutcome, f64) {
+        let (outcome, local_bytes, working_set) = self.agents[node.index()].apply(op);
+        cost.local_bytes += local_bytes;
+        self.refresh(node);
+        (outcome, working_set)
+    }
+
+    /// Re-read `node`'s summary from its agent: the coordinator's view
+    /// of a node is exactly as stale as its last call to it.
+    fn refresh(&mut self, node: NodeId) {
+        self.summaries[node.index()] = self.agents[node.index()].summary();
     }
 
     /// The one `(op, outcome)` table: turn the answer of `op`'s node
@@ -835,7 +836,7 @@ impl<T: Transport> Coordinator<T> {
         let mut last = None;
         for to in order {
             let admit = TraceEvent::Admit { graph: graph.clone(), weight };
-            match self.exchange(to, ClusterMsg::Op(admit), cost) {
+            match self.exchange(to, admit, cost) {
                 (AgentOutcome::Admitted, working_set) => return Ok((to, working_set)),
                 (refused, _) => last = Some(refusal(to, &refused)),
             }
@@ -1099,7 +1100,7 @@ impl<T: Transport> Coordinator<T> {
             return false;
         };
         let retire = TraceEvent::Retire { app: app.to_owned() };
-        self.exchange(placed.node, ClusterMsg::Op(retire), cost);
+        self.exchange(placed.node, retire, cost);
         self.place(&placed.graph, placed.weight, to);
         cost.migrations.push(self.migration(app, placed.node, to, bytes));
         true
@@ -1146,7 +1147,7 @@ impl<T: Transport> Coordinator<T> {
     /// cells, fleet gauges from the coordinator's own bookkeeping
     /// (`placed`, `stranded` and their conservation sum `tracked`), and
     /// per-node load digests from the last-known [`NodeSummary`]s. Node
-    /// *internals* are not here — [`Cluster::snapshot`] merges each
+    /// *internals* are not here — [`snapshot`](Self::snapshot) merges each
     /// agent's serving-loop snapshot on top.
     pub fn telemetry_snapshot(&self) -> Snapshot {
         let m = &self.metrics;
@@ -1204,9 +1205,27 @@ impl<T: Transport> Coordinator<T> {
         }
         s
     }
+
+    /// The per-node agents (read-only).
+    pub fn agents(&self) -> &[Agent] {
+        &self.agents
+    }
+
+    /// The whole fleet's exposition snapshot: the coordinator's
+    /// [`telemetry_snapshot`](Self::telemetry_snapshot) plus every
+    /// node's serving-loop snapshot stamped with its `node="<id>"`
+    /// label. The conservation tests check that the fleet totals equal
+    /// the per-node sums on this merged view.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut s = self.telemetry_snapshot();
+        for (i, agent) in self.agents.iter().enumerate() {
+            s.merge(agent.service().telemetry_snapshot(), "node", &i.to_string());
+        }
+        s
+    }
 }
 
-/// A non-accepting reply as refusal prose, the replying node named.
+/// A non-accepting answer as refusal prose, the answering node named.
 fn refusal(node: NodeId, outcome: &AgentOutcome) -> String {
     match outcome {
         AgentOutcome::Rejected(reason) => format!("{node}: {reason}"),
@@ -1215,49 +1234,19 @@ fn refusal(node: NodeId, outcome: &AgentOutcome) -> String {
         AgentOutcome::UnknownApp => {
             format!("{node}: assignment drift — node does not host this application")
         }
-        other => format!("{node}: unexpected reply {other:?}"),
+        other => format!("{node}: unexpected answer {other:?}"),
     }
 }
 
 /// `op` as its node sees it: every node is fleet index 0 of its own
 /// serving loop.
-fn on_the_wire(op: &TraceEvent) -> TraceEvent {
+fn node_local(op: &TraceEvent) -> TraceEvent {
     match op {
         TraceEvent::PeFailed { pe, .. } => TraceEvent::PeFailed { node: 0, pe: *pe },
         TraceEvent::PeRestored { pe, .. } => TraceEvent::PeRestored { node: 0, pe: *pe },
         TraceEvent::NodeFailed { .. } => TraceEvent::NodeFailed { node: 0 },
         TraceEvent::NodeRestored { .. } => TraceEvent::NodeRestored { node: 0 },
         named => named.clone(),
-    }
-}
-
-/// The ready-to-use fleet: a [`Coordinator`] over the in-process
-/// transport.
-pub type Cluster = Coordinator<InProcessTransport>;
-
-impl Cluster {
-    /// A homogeneous in-process fleet: `n` nodes of platform `spec`.
-    pub fn homogeneous(n: usize, spec: &CellSpec, opts: ClusterOptions) -> Cluster {
-        let transport = InProcessTransport::homogeneous(n, spec, &opts.service);
-        Coordinator::new(transport, opts)
-    }
-
-    /// The per-node agents (read-only).
-    pub fn agents(&self) -> &[crate::agent::Agent] {
-        self.transport.agents()
-    }
-
-    /// The whole fleet's exposition snapshot: the coordinator's
-    /// [`telemetry_snapshot`](Coordinator::telemetry_snapshot) plus
-    /// every node's serving-loop snapshot stamped with its
-    /// `node="<id>"` label. The conservation tests check that the
-    /// fleet totals equal the per-node sums on this merged view.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut s = self.telemetry_snapshot();
-        for (i, agent) in self.agents().iter().enumerate() {
-            s.merge(agent.service().telemetry_snapshot(), "node", &i.to_string());
-        }
-        s
     }
 }
 
@@ -1279,7 +1268,7 @@ impl OnlineSystem for Cluster {
     }
 
     fn incumbents(&self) -> Vec<(&Workload, &Mapping, &CellSpec)> {
-        self.agents()
+        self.agents
             .iter()
             .filter_map(|a| {
                 let s = a.service();
@@ -1607,7 +1596,11 @@ mod tests {
         assert_eq!((r.verdict, r.app), (ClusterVerdict::Applied, None));
         let r = fleet.process(&TraceEvent::PeFailed { node: home, pe: spe }).unwrap();
         assert!(matches!(r.verdict, ClusterVerdict::Recovered { .. }), "{:?}", r.verdict);
-        assert_eq!(r.event, format!("fail n{home} {spe}"), "the fleet-level label, not the wire's");
+        assert_eq!(
+            r.event,
+            format!("fail n{home} {spe}"),
+            "the fleet-level label, not the node-local one"
+        );
         let r = fleet.process(&TraceEvent::PeRestored { node: home, pe: spe }).unwrap();
         assert!(matches!(r.verdict, ClusterVerdict::NodeReturned { .. }), "{:?}", r.verdict);
         let r = fleet.process(&TraceEvent::CostDrift { app: "a".into(), factor: 1.25 }).unwrap();

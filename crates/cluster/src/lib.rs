@@ -9,23 +9,21 @@
 //! - each node runs a thin [`Agent`] wrapping its own local `Service` —
 //!   the node keeps full authority over its admission control and
 //!   repair replanning;
-//! - one [`Coordinator`] owns the cluster state: per-node capacity
-//!   [`NodeSummary`]s (refreshed by every agent reply), the
-//!   application → node assignment, and the in-flight migrations. It
-//!   routes Admit/Retire/Reweight, picks target nodes via a pluggable
-//!   [`PlacePolicy`] (load/affinity scoring, plus round-robin and
-//!   random baselines), and handles fleet-only
-//!   operations: [`drain`](Coordinator::drain) a node for maintenance
-//!   and [`rebalance`](Coordinator::rebalance) the load.
+//! - one [`Cluster`] owns the agents and the cluster state: per-node
+//!   capacity [`NodeSummary`]s (refreshed from the agent after every
+//!   call to it), the application → node assignment, and the in-flight
+//!   migrations. It routes Admit/Retire/Reweight, picks target nodes
+//!   via a pluggable [`PlacePolicy`] (load/affinity scoring, plus
+//!   round-robin and random baselines), and handles fleet-only
+//!   operations: [`drain`](Cluster::drain) a node for maintenance and
+//!   [`rebalance`](Cluster::rebalance) the load.
 //!
-//! Coordinator and agents talk typed [`ClusterMsg`]/[`AgentMsg`]
-//! request/reply pairs behind a [`Transport`] trait;
-//! [`InProcessTransport`] is the deterministic, socket-free reference
-//! implementation. Cross-node migrations move the application's buffer
-//! working set over a [`NetworkModel`] (per-link bandwidth + latency)
-//! instead of the on-chip EIB, and every move is make-before-break:
-//! the target admits before the source retires, so capacity
-//! invariants hold at each step.
+//! The coordinator calls its agents directly, one synchronous call per
+//! node and group of operations, so the control plane is deterministic.
+//! Cross-node migrations move the application's buffer working set over
+//! a [`NetworkModel`] (per-link bandwidth + latency) instead of the
+//! on-chip EIB, and every move is make-before-break: the target admits
+//! before the source retires, so capacity invariants hold at each step.
 //!
 //! ```
 //! use cellstream_cluster::{Cluster, ClusterOptions, NodeId};
@@ -48,20 +46,16 @@
 pub mod agent;
 pub mod coordinator;
 pub mod metrics;
-pub mod msg;
 pub mod net;
 pub mod placer;
-pub mod transport;
 
-pub use agent::Agent;
+pub use agent::{Agent, AgentOutcome, NodeId, NodeSummary};
 pub use coordinator::{
     BurstReport, Cluster, ClusterError, ClusterOptions, ClusterReport, ClusterStatus,
-    ClusterVerdict, Coordinator, Migration,
+    ClusterVerdict, Migration,
 };
 pub use metrics::{cluster_verdict_name, ClusterMetrics};
-pub use msg::{AgentMsg, AgentOutcome, ClusterMsg, NodeId, NodeSummary};
 pub use net::NetworkModel;
 pub use placer::{
     policy_by_name, AppDemand, LoadAffinity, PlacePolicy, RandomPlace, RoundRobin, PLACER_NAMES,
 };
-pub use transport::{InProcessTransport, Transport};

@@ -8,7 +8,7 @@
 //! asymmetric topology (same-chassis vs cross-rack) can be expressed
 //! without a full matrix.
 
-use crate::msg::NodeId;
+use crate::agent::NodeId;
 use cellstream_core::MappingDelta;
 
 /// Per-link bandwidth + latency, with a uniform default.

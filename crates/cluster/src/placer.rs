@@ -8,7 +8,7 @@
 //! compares it against. All three are deterministic (the random one in
 //! its seed) and NaN-safe (`total_cmp` throughout).
 
-use crate::msg::{NodeId, NodeSummary};
+use crate::agent::{NodeId, NodeSummary};
 use cellstream_core::steady::buffers::BufferPlan;
 use cellstream_graph::{StreamGraph, TaskId};
 use rand::rngs::StdRng;
