@@ -27,7 +27,7 @@ use cellstream_core::Mapping;
 use cellstream_graph::{StreamGraph, Workload};
 use cellstream_heuristics::scheduler_names;
 use cellstream_platform::{CellSpec, PeId};
-use cellstream_serve::ServiceOptions;
+use cellstream_serve::{ServiceOptions, MIGRATION_HORIZON};
 use cellstream_sim::online::{EventOutcome, OnlineSystem, TraceEvent};
 use cellstream_telemetry::Snapshot;
 use std::collections::{BTreeMap, BTreeSet};
@@ -243,9 +243,6 @@ pub struct ClusterOptions {
     /// Per-node serving options (the coordinator forces
     /// `queue_rejected` off — it owns retry policy fleet-wide).
     pub service: ServiceOptions,
-    /// Amortisation horizon (composed rounds) for rebalance moves:
-    /// migrate iff `period_gain × horizon > network_transfer_time`.
-    pub migration_horizon: f64,
 }
 
 impl Default for ClusterOptions {
@@ -254,7 +251,6 @@ impl Default for ClusterOptions {
             policy: Box::new(LoadAffinity::default()),
             network: NetworkModel::default(),
             service: ServiceOptions::default(),
-            migration_horizon: 1e6,
         }
     }
 }
@@ -315,7 +311,6 @@ pub struct Cluster {
     agents: Vec<Agent>,
     policy: Box<dyn PlacePolicy>,
     network: NetworkModel,
-    migration_horizon: f64,
     summaries: Vec<NodeSummary>,
     draining: Vec<bool>,
     /// Nodes that died ([`TraceEvent::NodeFailed`]) and have not been
@@ -345,7 +340,6 @@ impl Cluster {
             agents,
             policy: opts.policy,
             network: opts.network,
-            migration_horizon: opts.migration_horizon,
             draining: vec![false; n],
             dead: vec![false; n],
             apps: BTreeMap::new(),
@@ -1012,7 +1006,7 @@ impl Cluster {
 
     /// Migrate applications off the hottest node onto the coolest while
     /// it pays: a move happens iff the *predicted* fleet-period gain,
-    /// amortised over the migration horizon, exceeds the network
+    /// amortised over [`MIGRATION_HORIZON`] rounds, exceeds the network
     /// transfer cost — the fleet-level twin of the serving loop's
     /// background-adoption rule. Each application moves at most once
     /// per call: the gain estimate shifts after every migration, and
@@ -1078,7 +1072,7 @@ impl Cluster {
             let new_cool = cool_base + demand.spe_work / cool.n_spe.max(1) as f64;
             let gain = hot.period - new_hot.max(new_cool);
             let cost = self.network.transfer_time(hot.node, cool.node, demand.buffer_bytes);
-            if gain > 0.0 && gain * self.migration_horizon > cost {
+            if gain > 0.0 && gain * MIGRATION_HORIZON > cost {
                 match &best {
                     Some((_, g)) if *g >= gain => {}
                     _ => best = Some((name.clone(), gain)),

@@ -3,7 +3,7 @@
 //! when it pays for its own migration.
 
 use crate::report::{EventLabel, ServeReport, Verdict};
-use crate::service::Service;
+use crate::service::{Service, MIGRATION_HORIZON};
 use cellstream_core::scheduler::{CancelToken, PlanContext};
 use cellstream_core::{evaluate_with, Mapping, MappingDelta};
 use cellstream_heuristics::Portfolio;
@@ -107,7 +107,7 @@ impl Service {
         );
         // migration-aware adoption: the one-off EIB transfer must pay
         // for itself within the amortisation horizon
-        if gain * self.opts.migration_horizon <= delta.migration_time(&self.spec) {
+        if gain * MIGRATION_HORIZON <= delta.migration_time(&self.spec) {
             return Some(false);
         }
         live.mapping = mapping;

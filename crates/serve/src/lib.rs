@@ -51,7 +51,7 @@
 //! tasks moved, and how many bytes of task state + stream buffers their
 //! moves push across the EIB ([`ServeReport::migration_bytes`]). The
 //! background improver's adoption rule charges that one-off cost against
-//! the per-round gain over [`ServiceOptions::migration_horizon`] rounds.
+//! the per-round gain over [`MIGRATION_HORIZON`] rounds.
 //!
 //! ```
 //! use cellstream_serve::{Event, Service};
@@ -94,4 +94,4 @@ pub use report::{
     BatchReport, EventLabel, QueueBackoff, RecoveryReport, RejectReason, ServeError, ServeReport,
     Verdict,
 };
-pub use service::{Event, Service, ServiceOptions};
+pub use service::{Event, Service, ServiceOptions, MIGRATION_HORIZON};

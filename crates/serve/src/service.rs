@@ -67,6 +67,13 @@ impl Event {
     }
 }
 
+/// Amortisation horizon (in composed rounds) for a plan change that
+/// migrates state: adopt it iff
+/// `(T_incumbent − T_candidate) · MIGRATION_HORIZON > migration_time`.
+/// 10⁶ rounds — a streaming pipeline runs many millions. The background
+/// improver's adoption rule and the fleet's rebalance both read it.
+pub const MIGRATION_HORIZON: f64 = 1e6;
+
 /// Tunables of one [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
@@ -97,12 +104,6 @@ pub struct ServiceOptions {
     /// every adopted replan. `None` (default) disables background
     /// improvement.
     pub background: Option<Duration>,
-    /// Amortisation horizon (in composed rounds) for adopting a
-    /// background plan: adopt iff
-    /// `(T_incumbent − T_candidate) · migration_horizon >
-    /// migration_time`. Defaults to 10⁶ rounds (a streaming pipeline
-    /// runs many millions).
-    pub migration_horizon: f64,
     /// Attach per-application reports to every [`ServeReport`]
     /// (default). Off, reports carry an empty `per_app` and the hot
     /// path skips a full workload evaluation per event — query
@@ -122,7 +123,6 @@ impl Default for ServiceOptions {
             queue_rejected: false,
             queue_max_attempts: 8,
             background: None,
-            migration_horizon: 1e6,
             per_app_reports: true,
             telemetry: true,
         }
