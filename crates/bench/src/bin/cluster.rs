@@ -170,9 +170,9 @@ fn drain_demo(fleet: &mut Cluster) -> (usize, usize, f64, f64) {
     (moved, stranded, report.network_bytes(), report.network_seconds())
 }
 
-/// Route one churn burst through per-node batch messages
-/// (`Coordinator::process_burst` → `Service::process_batch` on each
-/// agent): retire a handful of residents, admit replacements, reweight
+/// Route one churn burst through per-node batches
+/// (`Cluster::process_burst` → `Agent::apply_batch` →
+/// `Service::process_batch` on each node): retire a handful of residents, admit replacements, reweight
 /// survivors — all in one coordinator call. Returns
 /// `(events, node_batches, applied)`.
 fn burst_demo(fleet: &mut Cluster) -> (usize, usize, usize) {

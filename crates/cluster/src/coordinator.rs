@@ -5,18 +5,17 @@
 //! per-node capacity summaries (refreshed from the agent after every
 //! call to it), the application → node assignment, and the cached
 //! source graphs it needs to move an application later. Every operation
-//! is a [`TraceEvent`] and takes one path, the **group step**:
-//! [`route`](Cluster::route) answers it from the coordinator's own books
-//! or names its node, [`exchange`](Cluster::exchange) calls that node's
-//! agent and refreshes its summary, and [`settle`](Cluster::settle)
-//! turns the agent's outcome into routing-table updates, recovery and a
-//! [`ClusterVerdict`]. [`Cluster::process`] runs that step over a group
-//! of one, [`Cluster::process_burst`] over as many groups as the burst
-//! cuts into. [`Cluster::drain`] evacuates a node make-before-break
-//! (admit on the target, then retire on the source), and
-//! [`Cluster::rebalance`] migrates applications off the hottest
-//! node while the predicted period gain, amortised over the migration
-//! horizon, outweighs the network transfer cost. Every cross-node move
+//! is a [`TraceEvent`] and takes one path, the **group step**: `route`
+//! answers it from the coordinator's own books or names its node,
+//! `exchange` calls that node's agent and refreshes its summary, and
+//! `settle` turns the agent's outcome into routing-table updates,
+//! recovery and a [`ClusterVerdict`]. [`Cluster::process`] runs that
+//! step over a group of one, [`Cluster::process_burst`] over as many
+//! groups as the burst cuts into. [`Cluster::drain`] evacuates a node
+//! make-before-break (admit on the target, then retire on the source),
+//! and [`Cluster::rebalance`] migrates applications off the hottest
+//! node while the predicted period gain, amortised over
+//! [`MIGRATION_HORIZON`] rounds, outweighs the network transfer cost. Every cross-node move
 //! is priced by the [`NetworkModel`] and reported as a [`Migration`].
 
 use crate::agent::{Agent, AgentOutcome, NodeId, NodeSummary};

@@ -18,12 +18,13 @@
 //!   operations: [`drain`](Cluster::drain) a node for maintenance and
 //!   [`rebalance`](Cluster::rebalance) the load.
 //!
-//! The coordinator calls its agents directly, one synchronous call per
-//! node and group of operations, so the control plane is deterministic.
-//! Cross-node migrations move the application's buffer working set over
-//! a [`NetworkModel`] (per-link bandwidth + latency) instead of the
-//! on-chip EIB, and every move is make-before-break: the target admits
-//! before the source retires, so capacity invariants hold at each step.
+//! The coordinator calls its agents directly and synchronously, so the
+//! control plane is deterministic: the same operations in the same
+//! order give the same placements. Cross-node migrations move the
+//! application's buffer working set over a [`NetworkModel`] (per-link
+//! bandwidth + latency) instead of the on-chip EIB, and every move is
+//! make-before-break: the target admits before the source retires, so
+//! capacity invariants hold at each step.
 //!
 //! ```
 //! use cellstream_cluster::{Cluster, ClusterOptions, NodeId};

@@ -1,4 +1,4 @@
-//! `Coordinator::process` is a burst of one — exactly. Twin fleets take
+//! `Cluster::process` is a burst of one — exactly. Twin fleets take
 //! the same operations, one through `process`, the other through
 //! `process_burst(&[op])`, and must agree on everything a caller can
 //! observe: verdicts, the routing table, the node summaries, the

@@ -2,7 +2,7 @@
 //! rendered as Prometheus-style text or JSON.
 //!
 //! A [`Snapshot`] is built by whoever owns the metrics (the `Service`,
-//! the `Coordinator`), so this module knows nothing about the serving
+//! the fleet's `Cluster`), so this module knows nothing about the serving
 //! stack — it only knows names, labels and values. Histograms are
 //! exposed in the Prometheus *summary* shape (`quantile="0.5"` /
 //! `"0.9"` / `"0.99"` plus `_sum`, `_count` and `_max`), which keeps

@@ -10,9 +10,9 @@ use cellstream::daggen::{chain, CostParams};
 use cellstream::prelude::*;
 
 fn main() {
-    // four QS22 blades behind one coordinator, wired by the in-process
-    // transport; the scoring placer and a 10 GbE-class network model
-    // are the defaults
+    // four QS22 blades behind one coordinator that owns their agents
+    // and calls them directly; the scoring placer and a 10 GbE-class
+    // network model are the defaults
     let mut fleet = Cluster::homogeneous(4, &CellSpec::qs22(), ClusterOptions::default());
 
     println!("{:<22} {:>12} {:>12} {:>10}", "event", "verdict", "period(us)", "ms");
