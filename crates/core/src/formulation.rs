@@ -15,8 +15,14 @@
 //!   outgoing-bandwidth rows (1h) directly in terms of γ and α. For any
 //!   *integral* α the optimal cut indicators coincide with the β-sums of
 //!   the paper's encoding, so both MILPs have the same integral optima
-//!   (`tests::formulations_agree`); the compact one is `O(|E|·n)` and is
-//!   the default for the ≥50-task evaluation graphs.
+//!   (`tests::paper_and_compact_formulations_agree`); the compact one is
+//!   `O(|E|·n)` and is the default for the ≥50-task evaluation graphs.
+//!   Its ε rows — the McCormick linearisation of (1k), one per edge and
+//!   SPE — are *lazy* ([`Model::add_lazy_con`]): rows of the model like
+//!   any other, which branch and bound keeps out of its LP until a
+//!   node's optimum breaks one that raising its ε cannot repair. They
+//!   bind only where the SPE→PPE DMA queue is tight, and on the paper's
+//!   graphs it never is.
 //!
 //! Two printing conventions of the paper are normalised here (flagged in
 //! DESIGN.md): constraints (1g)/(1h) are read with the evident summation
@@ -216,13 +222,15 @@ impl Formulation {
                         );
                     }
                     if config.dma_constraints {
-                        // ε ≥ α^k_spe + Σ_{PPE j} α^l_j − 1
+                        // ε ≥ α^k_spe + Σ_{PPE j} α^l_j − 1, lazy: ε is
+                        // its one zero-cost continuous column, so a broken
+                        // row is usually repaired by raising ε alone
                         for (si, pe) in spec.spes().enumerate() {
                             let mut terms = vec![(eps[ei][si], 1.0), (a(k, pe.index()), -1.0)];
                             for j in spec.ppes() {
                                 terms.push((a(l, j.index()), -1.0));
                             }
-                            model.add_con(terms, Cmp::Ge, -1.0);
+                            model.add_lazy_con(terms, Cmp::Ge, -1.0);
                         }
                     }
                 }

@@ -69,6 +69,9 @@ pub struct SolveOutcome {
     pub warm_starts: u64,
     /// Warm starts that held (no fallback to a from-scratch solve).
     pub warm_start_hits: u64,
+    /// Lazy rows of the formulation (the (1k) linearisation) the search
+    /// had to add to its LP ([`cellstream_milp::MipResult::lazy_rows`]).
+    pub lazy_rows: u64,
     /// Wall-clock solve time.
     pub wall: Duration,
 }
@@ -142,6 +145,7 @@ pub fn solve(
         lp_iterations: res.lp_iterations,
         warm_starts: res.warm_starts,
         warm_start_hits: res.warm_start_hits,
+        lazy_rows: res.lazy_rows,
         wall: started.elapsed(),
         mapping,
     })
@@ -171,6 +175,7 @@ pub fn ppe_only_outcome(g: &StreamGraph, spec: &CellSpec) -> SolveOutcome {
         lp_iterations: 0,
         warm_starts: 0,
         warm_start_hits: 0,
+        lazy_rows: 0,
         wall: Duration::ZERO,
         mapping,
     }

@@ -32,13 +32,29 @@
 //!   [`MipOptions::time_limit`].
 //! * Nodes fix binaries by *bound tightening* (`lo = hi ∈ {0,1}`), which the
 //!   bounded-variable simplex absorbs with zero extra rows.
+//! * **Lazy rows** ([`Model::add_lazy_con`]) start outside the search's
+//!   LP. After each node's optimum, the root's included, every inactive
+//!   lazy row is tested in its own scale at the solver's feasibility
+//!   tolerance. A broken row with exactly one zero-cost continuous
+//!   column is *lifted*: that column moves within its bounds until the
+//!   row holds, and if the lifted point satisfies every model row it is
+//!   the node's solution — same objective, so optimal for the LP with
+//!   every row in. Otherwise the broken rows are *activated*: appended to
+//!   the LP in activation order (so the logical of LP row `p` stays
+//!   column `n + p`), and the node re-solves from its optimal basis
+//!   extended by their logicals, basic — still dual feasible, since their
+//!   duals are 0. A heap node's basis that predates an activation is
+//!   extended the same way when the node is popped. Every node's value is
+//!   thus its LP's with every row in, and the search stays exact;
+//!   [`MipResult::lazy_rows`] counts the activated rows, and
+//!   [`MipResult::lp_iterations`] includes the re-solves.
 //! * Callers may **seed incumbents** (e.g. greedy heuristic mappings) and
 //!   provide an **integral completion** callback that rounds a fractional
 //!   relaxation to a feasible point; both often let the search terminate at
 //!   the root node.
 
-use crate::model::{LpOptions, LpStatus, Model, SolveError, VarId};
-use crate::revised::{Basis, SparseLp, SparseSolution, Workspace};
+use crate::model::{LpOptions, LpStatus, Model, SolveError, VarId, VarKind};
+use crate::revised::{Basis, SparseLp, SparseSolution, VState, Workspace, FEAS_TOL};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -122,6 +138,9 @@ pub struct MipResult {
     /// Warm starts whose parent basis held (the rest re-solved from the
     /// slack basis).
     pub warm_start_hits: u64,
+    /// Lazy rows ([`Model::add_lazy_con`]) added to the search's LP
+    /// because a node's optimum broke them and no lift repaired it.
+    pub lazy_rows: u64,
 }
 
 impl MipResult {
@@ -241,6 +260,123 @@ fn solve_node(
     sol
 }
 
+/// The search's one LP and [`Workspace`]: over the model's eager rows,
+/// then the lazy rows activated so far, in activation order — so the
+/// logical of LP row `p` is column `n + p` for the whole search.
+struct NodeLp {
+    lp: SparseLp,
+    ws: Workspace,
+    /// The model row behind each LP row.
+    active: Vec<usize>,
+    /// Lazy rows still outside the LP.
+    inactive: Vec<usize>,
+    /// Lazy rows activated so far ([`MipResult::lazy_rows`]).
+    activated: u64,
+}
+
+impl NodeLp {
+    fn new(model: &Model) -> Result<NodeLp, SolveError> {
+        let (inactive, active): (Vec<usize>, Vec<usize>) =
+            (0..model.n_cons()).partition(|&i| model.cons[i].lazy);
+        let lp = SparseLp::from_model_rows(model, &active)?;
+        let ws = Workspace::new(&lp);
+        Ok(NodeLp { lp, ws, active, inactive, activated: 0 })
+    }
+
+    /// [`solve_node`] on this LP, then the node's value with every model
+    /// row in: while the optimum breaks inactive lazy rows (each in its
+    /// own scale, at `FEAS_TOL`), [`lift`] repairs them or they are
+    /// appended to the LP and the node re-solves from its optimal basis,
+    /// whose new logicals start basic (their duals are 0, so the basis
+    /// stays dual feasible). The solution counts the iterations of every
+    /// re-solve; the flag says whether `basis` held.
+    fn solve(
+        &mut self,
+        model: &Model,
+        fixings: &[(VarId, bool)],
+        basis: &Basis,
+        opts: &LpOptions,
+    ) -> (Option<SparseSolution>, bool) {
+        let (mut sol, held) = self.solve_from(model, fixings, basis, opts);
+        while let Some(s) = sol.as_mut().filter(|s| s.status == LpStatus::Optimal) {
+            let broken: Vec<usize> = self
+                .inactive
+                .iter()
+                .copied()
+                .filter(|&i| model.cons[i].scaled_violation(&s.x) > FEAS_TOL)
+                .collect();
+            if broken.is_empty() {
+                break;
+            }
+            if let Some(x) = lift(model, &s.x, &broken) {
+                debug_assert_eq!(model.objective_of(&x), s.objective, "a lift moves no cost");
+                s.x = x;
+                break;
+            }
+            self.activated += broken.len() as u64;
+            self.inactive.retain(|i| !broken.contains(i));
+            self.active.extend(&broken);
+            self.lp = SparseLp::from_model_rows(model, &self.active)
+                .expect("the model validated when the search began");
+            self.ws = Workspace::new(&self.lp);
+            let spent = s.iterations;
+            sol = self.solve_from(model, fixings, &s.basis, opts).0;
+            if let Some(s) = sol.as_mut() {
+                s.iterations += spent;
+            }
+        }
+        (sol, held)
+    }
+
+    /// [`solve_node`] from `basis`, first extended by the logicals of
+    /// the rows activated since it was optimal, each basic in its row.
+    fn solve_from(
+        &mut self,
+        model: &Model,
+        fixings: &[(VarId, bool)],
+        basis: &Basis,
+        opts: &LpOptions,
+    ) -> (Option<SparseSolution>, bool) {
+        let (n, m) = (self.lp.n_structural(), self.lp.n_rows());
+        let mut extended;
+        let basis = if basis.cols.len() == m {
+            basis
+        } else {
+            extended = basis.clone();
+            for pos in basis.cols.len()..m {
+                extended.cols.push(n + pos);
+                extended.state.push(VState::Basic(pos));
+            }
+            &extended
+        };
+        solve_node(&mut self.lp, &mut self.ws, model, fixings, basis, opts)
+    }
+}
+
+/// Repair the broken lazy rows without the LP: in each, move its one
+/// zero-cost continuous column (a row with none or several cannot be
+/// lifted) within its bounds until the row holds. The lifted point is
+/// returned only if it satisfies every model row (a lifted column sits in
+/// other rows too) — then it has `x`'s objective and is optimal for the
+/// LP with every row in.
+fn lift(model: &Model, x: &[f64], broken: &[usize]) -> Option<Vec<f64>> {
+    let mut lifted = x.to_vec();
+    for &i in broken {
+        let con = &model.cons[i];
+        let mut free = con.terms.iter().filter(|&&(c, _)| {
+            let v = &model.vars[c];
+            v.kind == VarKind::Continuous && v.obj == 0.0
+        });
+        let (Some(&(c, a)), None) = (free.next(), free.next()) else {
+            return None;
+        };
+        let lhs: f64 = con.terms.iter().map(|&(j, aj)| aj * lifted[j]).sum();
+        let v = &model.vars[c];
+        lifted[c] = (lifted[c] + (con.rhs - lhs) / a).max(v.lo).min(v.hi);
+    }
+    model.cons.iter().all(|con| con.scaled_violation(&lifted) <= FEAS_TOL).then_some(lifted)
+}
+
 /// A callback that attempts to complete a fractional relaxation into a
 /// feasible integral point. Returns `(objective, full x)` on success. The
 /// solver re-checks feasibility, so a buggy completion can never corrupt
@@ -284,8 +420,7 @@ pub fn solve_mip(
         opts.stop.as_ref().is_some_and(|s| s.load(std::sync::atomic::Ordering::Relaxed))
     };
 
-    let mut lp = SparseLp::from_model(model)?;
-    let mut ws = Workspace::new(&lp);
+    let mut node_lp = NodeLp::new(model)?;
 
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     let feas_tol = 1e-6;
@@ -301,8 +436,8 @@ pub fn solve_mip(
     // Root relaxation: the same dual path as every node, from the slack
     // basis (not counted as a warm start — there is no parent to reuse).
     // Validation ruled out an empty domain, so the slack start holds.
-    let slack = lp.slack_basis();
-    let root = solve_node(&mut lp, &mut ws, model, &[], &slack, &lp_opts).0;
+    let slack = node_lp.lp.slack_basis();
+    let root = node_lp.solve(model, &[], &slack, &lp_opts).0;
     let root = root.expect("the slack basis of a validated model is a dual start");
     lp_iterations += root.iterations;
     nodes_done += 1;
@@ -316,6 +451,7 @@ pub fn solve_mip(
             lp_iterations,
             warm_starts: 0,
             warm_start_hits: 0,
+            lazy_rows: node_lp.activated,
         });
     }
 
@@ -403,7 +539,7 @@ pub fn solve_mip(
             break;
         }
 
-        let (sol, held) = solve_node(&mut lp, &mut ws, model, &node.fixings, &node.basis, &lp_opts);
+        let (sol, held) = node_lp.solve(model, &node.fixings, &node.basis, &lp_opts);
         warm.0 += 1;
         warm.1 += u64::from(held);
         let Some(sol) = sol else {
@@ -456,6 +592,7 @@ pub fn solve_mip(
         lp_iterations,
         warm_starts: warm.0,
         warm_start_hits: warm.1,
+        lazy_rows: node_lp.activated,
     })
 }
 
@@ -536,8 +673,7 @@ fn process_solution(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Cmp, VarKind};
-    use crate::revised::VState;
+    use crate::model::Cmp;
 
     /// A basis the dual simplex refuses — of the wrong shape, or not dual
     /// feasible — is re-solved from the slack basis: the node still
@@ -568,5 +704,112 @@ mod tests {
             assert!((sol.objective - 1.0).abs() < 1e-12, "{what}: {}", sol.objective);
             assert_eq!(m.certify(&sol.x, &sol.duals, 1e-9), Ok(()), "{what}");
         }
+    }
+
+    fn exact() -> MipOptions {
+        MipOptions { rel_gap: 0.0, abs_gap: 1e-9, ..MipOptions::default() }
+    }
+
+    /// `min −3a − 2b − 4c  s.t.  a + b + c ≤ 2` over binaries, with
+    /// `a + c ≤ 1` added lazily or not: the relaxation without it takes
+    /// `a = c = 1` (−7), with it `b = c = 1` (−6).
+    fn knapsack(lazy: bool) -> Model {
+        let mut m = Model::new("knapsack");
+        let a = m.add_var("a", 0.0, 1.0, -3.0, VarKind::Binary);
+        let b = m.add_var("b", 0.0, 1.0, -2.0, VarKind::Binary);
+        let c = m.add_var("c", 0.0, 1.0, -4.0, VarKind::Binary);
+        m.add_con(vec![(a, 1.0), (b, 1.0), (c, 1.0)], Cmp::Le, 2.0);
+        let row = vec![(a, 1.0), (c, 1.0)];
+        if lazy {
+            m.add_lazy_con(row, Cmp::Le, 1.0);
+        } else {
+            m.add_con(row, Cmp::Le, 1.0);
+        }
+        m
+    }
+
+    /// `min −a − b` over binaries with a zero-cost indicator
+    /// `e ≥ a + b − 1` added lazily, and `cap` on `e` as an eager row —
+    /// the shape of (1k)'s McCormick row and its DMA-slot sum.
+    fn indicator(cap: f64) -> Model {
+        let mut m = Model::new("indicator");
+        let a = m.add_var("a", 0.0, 1.0, -1.0, VarKind::Binary);
+        let b = m.add_var("b", 0.0, 1.0, -1.0, VarKind::Binary);
+        let e = m.add_var("e", 0.0, 1.0, 0.0, VarKind::Continuous);
+        m.add_con(vec![(e, 1.0)], Cmp::Le, cap);
+        m.add_lazy_con(vec![(e, 1.0), (a, -1.0), (b, -1.0)], Cmp::Ge, -1.0);
+        m
+    }
+
+    /// A lazy row the optimum needs has no column to lift, so it is
+    /// activated, and the search answers what the eager model answers.
+    #[test]
+    fn a_binding_lazy_row_is_activated_and_matches_the_eager_model() {
+        let lazy = solve_mip(&knapsack(true), &exact(), &[], None).unwrap();
+        let eager = solve_mip(&knapsack(false), &exact(), &[], None).unwrap();
+        assert_eq!((lazy.status, eager.status), (MipStatus::Optimal, MipStatus::Optimal));
+        assert_eq!(lazy.incumbent, eager.incumbent);
+        assert_eq!(lazy.incumbent.map(|(obj, _)| obj), Some(-6.0));
+        assert_eq!((lazy.lazy_rows, eager.lazy_rows), (1, 0));
+    }
+
+    /// A broken lazy row whose indicator can rise is repaired by the
+    /// lift: the LP never carries the row, and the answer satisfies it.
+    #[test]
+    fn a_lift_repairs_a_broken_lazy_row_without_activating_it() {
+        let m = indicator(1.0);
+        let res = solve_mip(&m, &exact(), &[], None).unwrap();
+        assert_eq!(res.status, MipStatus::Optimal);
+        assert_eq!(res.lazy_rows, 0);
+        assert_eq!(res.nodes, 1, "the lifted root is integral");
+        let (obj, x) = res.incumbent.unwrap();
+        assert_eq!((obj, x), (-2.0, vec![1.0, 1.0, 1.0]));
+    }
+
+    /// A lift that breaks another row (the indicator's cap) is refused:
+    /// the lazy row is activated, and the optimum drops to one binary.
+    #[test]
+    fn a_lift_that_breaks_another_row_activates_the_row() {
+        let m = indicator(0.5);
+        let res = solve_mip(&m, &exact(), &[], None).unwrap();
+        assert_eq!(res.status, MipStatus::Optimal);
+        assert_eq!(res.lazy_rows, 1);
+        let (obj, x) = res.incumbent.unwrap();
+        assert_eq!(obj, -1.0);
+        assert!(m.max_violation(&x) <= 1e-9, "{x:?}");
+    }
+
+    /// A node whose stored basis predates an activation re-solves from
+    /// that basis extended by the new logicals: the basis holds, and the
+    /// answer is the full model's, certified with 0 for every row the LP
+    /// does not carry.
+    #[test]
+    fn a_basis_from_before_an_activation_is_extended() {
+        let m = knapsack(true);
+        let opts = LpOptions::default();
+        let mut lp = NodeLp::new(&m).unwrap();
+        let slack = lp.lp.slack_basis();
+        // the root's basis, on the eager row alone
+        let root = lp.solve_from(&m, &[], &slack, &opts).0.unwrap();
+        assert_eq!(root.basis.cols.len(), 1);
+        // b = 0 breaks a + c ≤ 1: activated
+        let (child, held) = lp.solve(&m, &[(VarId(1), false)], &root.basis, &opts);
+        assert!(held);
+        assert_eq!((lp.activated, lp.lp.n_rows()), (1, 2));
+        assert_eq!(child.unwrap().objective, -4.0);
+        // its sibling b = 1, from the one-row root basis
+        let (sibling, held) = lp.solve(&m, &[(VarId(1), true)], &root.basis, &opts);
+        assert!(held, "the extended basis must be a dual start");
+        assert_eq!(lp.activated, 1, "the sibling activates nothing more");
+        let sibling = sibling.unwrap();
+        assert_eq!(sibling.status, LpStatus::Optimal);
+        assert_eq!(sibling.objective, -6.0);
+        let mut fixed = m.clone();
+        fixed.set_bounds(VarId(1), 1.0, 1.0);
+        let mut y = vec![0.0; m.n_cons()];
+        for (&row, &dual) in lp.active.iter().zip(&sibling.duals) {
+            y[row] = dual;
+        }
+        assert_eq!(fixed.certify(&sibling.x, &y, 1e-9), Ok(()));
     }
 }

@@ -24,7 +24,10 @@
 //!   which is the dual simplex's home turf), seedable incumbents
 //!   (the greedy heuristics of §6.3 make excellent warm starts), an
 //!   *integral-completion* callback that turns fractional relaxations into
-//!   feasible mappings, and the paper's relative-gap early stop.
+//!   feasible mappings, the paper's relative-gap early stop, and *lazy
+//!   rows* ([`Model::add_lazy_con`]) that stay out of the LP until a
+//!   node's optimum breaks one that moving its one zero-cost continuous
+//!   column cannot repair.
 //! * [`model`] — the tiny modelling layer shared by all of it, and
 //!   [`Model::certify`], which checks an optimal answer and its row
 //!   duals against the model's own rows.

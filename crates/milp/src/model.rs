@@ -69,6 +69,9 @@ pub(crate) struct Constraint {
     pub terms: Vec<(usize, f64)>,
     pub cmp: Cmp,
     pub rhs: f64,
+    /// Added by [`Model::add_lazy_con`]: branch-and-bound leaves the row
+    /// out of its LP until a node's optimum breaks it.
+    pub lazy: bool,
 }
 
 impl Constraint {
@@ -76,6 +79,32 @@ impl Constraint {
     /// the solver equilibrates it to and the certificate measures it in.
     pub(crate) fn magnitude(&self) -> f64 {
         self.terms.iter().fold(self.rhs.abs(), |acc, &(_, a)| acc.max(a.abs()))
+    }
+
+    /// How far `x` breaks the row (0 when it holds); a non-finite
+    /// activity breaks it infinitely, so no NaN slips through a `max`.
+    pub(crate) fn violation(&self, x: &[f64]) -> f64 {
+        let lhs: f64 = self.terms.iter().map(|&(c, a)| a * x[c]).sum();
+        let viol = match self.cmp {
+            Cmp::Le => lhs - self.rhs,
+            Cmp::Ge => self.rhs - lhs,
+            Cmp::Eq => (lhs - self.rhs).abs(),
+        };
+        if lhs.is_finite() && !viol.is_nan() {
+            viol.max(0.0)
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// [`Constraint::violation`] in the row's own scale
+    /// ([`Constraint::magnitude`], 1 for an all-zero row): the measure
+    /// of the solver's feasibility tolerance.
+    pub(crate) fn scaled_violation(&self, x: &[f64]) -> f64 {
+        match self.magnitude() {
+            s if s > 0.0 => self.violation(x) / s,
+            _ => self.violation(x),
+        }
     }
 }
 
@@ -180,6 +209,20 @@ impl Model {
     /// Add a constraint `Σ coef·var  cmp  rhs`. Duplicate variables in
     /// `terms` are summed.
     pub fn add_con(&mut self, terms: Vec<(VarId, f64)>, cmp: Cmp, rhs: f64) {
+        self.push_con(terms, cmp, rhs, false);
+    }
+
+    /// Add a constraint like [`Model::add_con`], marked *lazy*: a row
+    /// expected to hold at most optima without being imposed. It is a row
+    /// of the model like any other — [`Model::max_violation`],
+    /// [`Model::certify`], [`Model::columns`] and [`Model::solve_lp`]
+    /// all see it — and only [`crate::bb::solve_mip`] defers it, adding
+    /// it to its LP when a node's optimum breaks it.
+    pub fn add_lazy_con(&mut self, terms: Vec<(VarId, f64)>, cmp: Cmp, rhs: f64) {
+        self.push_con(terms, cmp, rhs, true);
+    }
+
+    fn push_con(&mut self, terms: Vec<(VarId, f64)>, cmp: Cmp, rhs: f64, lazy: bool) {
         let mut row: Vec<(usize, f64)> = terms.into_iter().map(|(v, c)| (v.0, c)).collect();
         row.sort_unstable_by_key(|&(c, _)| c);
         let mut dedup: Vec<(usize, f64)> = Vec::with_capacity(row.len());
@@ -190,7 +233,7 @@ impl Model {
             }
         }
         dedup.retain(|&(_, v)| v != 0.0);
-        self.cons.push(Constraint { terms: dedup, cmp, rhs });
+        self.cons.push(Constraint { terms: dedup, cmp, rhs, lazy });
     }
 
     /// Number of variables.
@@ -231,23 +274,18 @@ impl Model {
     }
 
     /// Maximum constraint violation of a point, for feasibility checks in
-    /// tests and incumbent validation. Bound violations included.
+    /// tests and incumbent validation. Bound violations included, lazy
+    /// rows too. A non-finite entry or row activity is an infinite
+    /// violation: a NaN point is never feasible.
     pub fn max_violation(&self, x: &[f64]) -> f64 {
         let mut worst = 0.0f64;
-        for v in self.vars.iter().zip(x.iter().enumerate()) {
-            let (var, (_, &xi)) = v;
+        for (var, &xi) in self.vars.iter().zip(x) {
+            if !xi.is_finite() {
+                return f64::INFINITY;
+            }
             worst = worst.max(var.lo - xi).max(xi - var.hi);
         }
-        for con in &self.cons {
-            let lhs: f64 = con.terms.iter().map(|&(c, a)| a * x[c]).sum();
-            let viol = match con.cmp {
-                Cmp::Le => lhs - con.rhs,
-                Cmp::Ge => con.rhs - lhs,
-                Cmp::Eq => (lhs - con.rhs).abs(),
-            };
-            worst = worst.max(viol);
-        }
-        worst
+        self.cons.iter().fold(worst, |worst, con| worst.max(con.violation(x)))
     }
 
     /// Reject what the solver cannot take: every variable needs a finite

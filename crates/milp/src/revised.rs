@@ -61,7 +61,8 @@ pub struct SparseSolution {
     pub objective: f64,
     /// Structural variable values, model order.
     pub x: Vec<f64>,
-    /// Row duals `y` in model-row order, for `Optimal` only (empty
+    /// Row duals `y` in the LP's row order (the model's for
+    /// [`SparseLp::from_model`]), for `Optimal` only (empty
     /// otherwise): `c_B B⁻¹` unscaled back to the model's rows, so the
     /// reduced cost of variable `j` is `c_j − Σ_i y_i a_ij` —
     /// [`Model::certify`] checks them.
@@ -122,14 +123,26 @@ impl SparseLp {
     /// validation (bad bound, empty domain, non-finite coefficient, a
     /// negative cost on a column with no finite upper bound).
     pub fn from_model(model: &Model) -> Result<SparseLp, SolveError> {
+        let all: Vec<usize> = (0..model.cons.len()).collect();
+        SparseLp::from_model_rows(model, &all)
+    }
+
+    /// [`SparseLp::from_model`] over the model rows `rows` only, in that
+    /// order: row `p` here (and its logical, column `n + p`) is model row
+    /// `rows[p]`, and so are the solution's duals. Appending rows keeps
+    /// every earlier logical's index, which is what lets
+    /// branch-and-bound extend an optimal basis with the slacks of rows
+    /// it activates. The whole model is validated, lazy rows included.
+    pub(crate) fn from_model_rows(model: &Model, rows: &[usize]) -> Result<SparseLp, SolveError> {
         let n = model.vars.len();
-        let m = model.cons.len();
+        let m = rows.len();
         model.validate()?;
         // row equilibration: scale every row to unit max coefficient
         // magnitude (cmp-direction preserved: scales are positive)
         let mut scale = vec![1.0f64; m];
         let mut rhs = vec![0.0f64; m];
-        for (i, con) in model.cons.iter().enumerate() {
+        for (i, &r) in rows.iter().enumerate() {
+            let con = &model.cons[r];
             let maxmag = con.magnitude();
             if maxmag > 0.0 {
                 scale[i] = 1.0 / maxmag;
@@ -138,13 +151,12 @@ impl SparseLp {
         }
         // columns: structural from the (scaled) row triplets, then one
         // logical per row with coefficient +1 and sign bounds by cmp
-        let scaled: Vec<Vec<(usize, f64)>> = model
-            .cons
+        let scaled: Vec<Vec<(usize, f64)>> = rows
             .iter()
             .enumerate()
-            .map(|(i, con)| {
+            .map(|(i, &r)| {
                 let mut row: Vec<(usize, f64)> =
-                    con.terms.iter().map(|&(c, a)| (c, a * scale[i])).collect();
+                    model.cons[r].terms.iter().map(|&(c, a)| (c, a * scale[i])).collect();
                 // logical coefficient stays +1: the scaled slack just
                 // absorbs the row scale, and its sign bounds are
                 // invariant under positive scaling
@@ -153,7 +165,7 @@ impl SparseLp {
             })
             .collect();
         let mat = ColMatrix::from_rows(m, n + m, || scaled.iter().map(|r| r.as_slice()));
-        let rows = mat.transpose();
+        let rows_t = mat.transpose();
 
         let mut lower = Vec::with_capacity(n + m);
         let mut upper = Vec::with_capacity(n + m);
@@ -163,8 +175,8 @@ impl SparseLp {
             upper.push(v.hi.max(v.lo));
             cost[j] = v.obj;
         }
-        for con in &model.cons {
-            let (lo, hi) = match con.cmp {
+        for &r in rows {
+            let (lo, hi) = match model.cons[r].cmp {
                 Cmp::Le => (0.0, f64::INFINITY),
                 Cmp::Ge => (f64::NEG_INFINITY, 0.0),
                 Cmp::Eq => (0.0, 0.0),
@@ -172,7 +184,7 @@ impl SparseLp {
             lower.push(lo);
             upper.push(hi);
         }
-        Ok(SparseLp { m, n, mat, rows, lower, upper, cost, rhs, scale })
+        Ok(SparseLp { m, n, mat, rows: rows_t, lower, upper, cost, rhs, scale })
     }
 
     /// Number of rows.

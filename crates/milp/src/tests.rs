@@ -357,6 +357,58 @@ fn seeds_are_validated_not_trusted() {
     assert!(obj.abs() < 1e-9);
 }
 
+/// `min x + y  s.t.  2x + 2y ≥ 1` over binaries: the relaxation is
+/// fractional at ½, the optimum is 1.
+fn cover_of_two() -> Model {
+    let mut m = Model::new("cover");
+    let x = m.add_var("x", 0.0, 1.0, 1.0, VarKind::Binary);
+    let y = m.add_var("y", 0.0, 1.0, 1.0, VarKind::Binary);
+    m.add_con(vec![(x, 2.0), (y, 2.0)], Cmp::Ge, 1.0);
+    m
+}
+
+/// A NaN point breaks every row infinitely: `f64::max` drops a NaN, so
+/// a violation folded with `max` must not be where a NaN goes to hide.
+#[test]
+fn a_non_finite_point_is_infinitely_infeasible() {
+    let m = cover_of_two();
+    assert_eq!(m.max_violation(&[f64::NAN, f64::NAN]), f64::INFINITY);
+    assert_eq!(m.max_violation(&[1.0, f64::NAN]), f64::INFINITY);
+    assert_eq!(m.max_violation(&[f64::INFINITY, 0.0]), f64::INFINITY);
+    assert_eq!(m.max_violation(&[1.0, 0.0]), 0.0);
+}
+
+/// A NaN seed is refused like any infeasible one: it must not become
+/// the incumbent, and so cannot block the real optimum.
+#[test]
+fn a_nan_seed_is_refused() {
+    let m = cover_of_two();
+    let res = solve_mip(&m, &exact_opts(), &[vec![f64::NAN, f64::NAN]], None).unwrap();
+    assert_eq!(res.status, MipStatus::Optimal);
+    let (obj, x) = res.incumbent.expect("the search finds the cover");
+    assert_eq!((obj, res.best_bound), (1.0, 1.0));
+    assert_eq!(m.max_violation(&x), 0.0);
+}
+
+/// A completion that answers NaN cannot corrupt the incumbent either:
+/// the root relaxation is fractional, so the completion runs before the
+/// search reaches the optimum.
+#[test]
+fn a_nan_completion_is_refused() {
+    let m = cover_of_two();
+    let called = std::cell::Cell::new(0);
+    let completion = |x: &[f64]| -> Option<(f64, Vec<f64>)> {
+        called.set(called.get() + 1);
+        Some((f64::NAN, vec![f64::NAN; x.len()]))
+    };
+    let res = solve_mip(&m, &exact_opts(), &[], Some(&completion)).unwrap();
+    assert!(called.get() > 0, "the root is fractional");
+    assert_eq!(res.status, MipStatus::Optimal);
+    let (obj, x) = res.incumbent.expect("the search finds the cover");
+    assert_eq!((obj, res.best_bound), (1.0, 1.0));
+    assert_eq!(m.max_violation(&x), 0.0);
+}
+
 #[test]
 fn good_seed_short_circuits_search() {
     // With rel_gap = 0.05 and an optimal seed, zero branching is needed if
@@ -710,6 +762,50 @@ proptest! {
         let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
         let (obj, x) = res.incumbent.expect("feasible");
         prop_assert!(m.max_violation(&x) <= 1e-6);
+        prop_assert!((obj - brute).abs() <= 1e-6 * (1.0 + brute.abs()),
+            "bb {} vs brute {}", obj, brute);
+    }
+
+    /// Lazy rows change what the search's LP carries, never its answer.
+    /// A random MIP shaped like Linear Program (1) — a period `T` every
+    /// load row charges, zero-cost indicators `e ≥ a + b − 1` that a load
+    /// row charges and a capacity row caps, plus pure-binary rows — with
+    /// a random subset of its rows lazy lands on the exhaustive optimum
+    /// of the whole model, and its incumbent satisfies every row.
+    #[test]
+    fn prop_lazy_rows_leave_the_optimum_unchanged(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(3..=6usize);
+        let mut m = Model::new("lazy-diff");
+        let bins: Vec<_> = (0..n)
+            .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, -rng.gen_range(0.0..4.0f64), VarKind::Binary))
+            .collect();
+        let t = m.add_var("T", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+        let eps: Vec<_> = (0..2)
+            .map(|i| m.add_var(format!("e{i}"), 0.0, 1.0, 0.0, VarKind::Continuous))
+            .collect();
+        let add = |m: &mut Model, terms, cmp, rhs, lazy: bool| {
+            if lazy { m.add_lazy_con(terms, cmp, rhs) } else { m.add_con(terms, cmp, rhs) }
+        };
+        for &e in &eps {
+            let (a, b) = (bins[rng.gen_range(0..n)], bins[rng.gen_range(0..n)]);
+            add(&mut m, vec![(e, 1.0), (a, -1.0), (b, -1.0)], Cmp::Ge, -1.0, rng.gen_bool(0.8));
+        }
+        let cap = rng.gen_range(0.0..2.0f64);
+        add(&mut m, eps.iter().map(|&e| (e, 1.0)).collect(), Cmp::Le, cap, rng.gen_bool(0.3));
+        for _ in 0..rng.gen_range(1..=2usize) {
+            let mut terms: Vec<_> = bins.iter().map(|&v| (v, rng.gen_range(0.0..3.0f64))).collect();
+            terms.extend(eps.iter().map(|&e| (e, rng.gen_range(0.0..3.0f64))));
+            terms.push((t, -1.0));
+            add(&mut m, terms, Cmp::Le, 0.0, rng.gen_bool(0.3));
+        }
+        let (a, b) = (bins[rng.gen_range(0..n)], bins[rng.gen_range(0..n)]);
+        add(&mut m, vec![(a, 1.0), (b, 1.0)], Cmp::Le, 1.0, rng.gen_bool(0.5));
+        let brute = brute_force_binary(&m).expect("all-zero is feasible");
+        let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+        prop_assert_eq!(res.status, MipStatus::Optimal);
+        let (obj, x) = res.incumbent.expect("feasible");
+        prop_assert!(m.max_violation(&x) <= 1e-6, "incumbent breaks a row by {}", m.max_violation(&x));
         prop_assert!((obj - brute).abs() <= 1e-6 * (1.0 + brute.abs()),
             "bb {} vs brute {}", obj, brute);
     }

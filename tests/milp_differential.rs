@@ -185,3 +185,69 @@ fn sparse_columns_match_model_for_both_formkinds() {
         assert!(nnz < rows * ncols / 4, "{:?}: nnz {nnz} of {}", config.kind, rows * ncols);
     }
 }
+
+/// A Cell whose DMA queues bind: two SPEs, two incoming DMA slots each
+/// and one slot toward the PPE, so (1k)'s linearisation — the compact
+/// encoding's lazy rows — must enter the search's LP, not just be
+/// lifted.
+fn dma_tight() -> CellSpec {
+    CellSpec::builder().spes(2).dma_in_limit(2).dma_ppe_limit(1).build().unwrap()
+}
+
+/// The lazy-row referee: on a DMA-tight Cell, with the compact
+/// encoding, on fork-joins of widths 2–5 and on `small_graphs()`:
+/// * the search's root bound (one node) is the certified optimum of the
+///   relaxation with every row in — a lazy row may wait outside the LP,
+///   but never change a node's value;
+/// * `solve_mip` on the bare formulation and the full `solve()` driver,
+///   both at zero gap, land on the brute-force optimum;
+/// * most solves actually activate lazy rows (`lazy_rows > 0`), so the
+///   activation path is what is refereed.
+#[test]
+fn lazy_dma_rows_agree_with_brute_force_on_a_dma_tight_cell() {
+    let spec = dma_tight();
+    let config = FormulationConfig { kind: FormKind::Compact, dma_constraints: true };
+    let exact =
+        MipOptions { rel_gap: 0.0, abs_gap: 1e-9, max_nodes: 50_000, ..MipOptions::default() };
+    let root_only = MipOptions { max_nodes: 1, ..exact.clone() };
+    let mut graphs: Vec<StreamGraph> = (2..=5)
+        .map(|w| fork_join(&format!("tight-fj{w}"), w, &CostParams::default(), w as u64))
+        .collect();
+    graphs.extend(small_graphs());
+    let (mut solves, mut activated) = (0, 0);
+    for g in &graphs {
+        let (_, best_period) = optimal_mapping(g, &spec).expect("the PPE takes anything");
+        let form = Formulation::build(g, &spec, &config);
+        let relaxed = solve_certified(&form.model, g.name());
+        let root = solve_mip(&form.model, &root_only, &[], None).unwrap();
+        assert!(
+            close(root.best_bound, relaxed.objective, 1e-9),
+            "{}: root bound {} vs the full relaxation {}",
+            g.name(),
+            root.best_bound,
+            relaxed.objective
+        );
+        let res = solve_mip(&form.model, &exact, &[], None).unwrap();
+        let (obj, x) = res.incumbent.as_ref().expect("the search finds a mapping");
+        assert!(form.model.max_violation(x) <= 1e-6, "{}: incumbent breaks a row", g.name());
+        assert!(
+            close(obj * form.time_scale(), best_period, 1e-6),
+            "{}: B&B {} vs brute force {best_period}",
+            g.name(),
+            obj * form.time_scale()
+        );
+        let mut driver = SolveOptions { formulation: config, ..SolveOptions::default() };
+        driver.mip.rel_gap = 0.0;
+        driver.mip.abs_gap = 1e-12;
+        let out = cellstream_core::solve(g, &spec, &driver).unwrap();
+        assert!(
+            close(out.period, best_period, 1e-9),
+            "{}: solve() {} vs brute force {best_period}",
+            g.name(),
+            out.period
+        );
+        solves += 2;
+        activated += usize::from(res.lazy_rows > 0) + usize::from(out.lazy_rows > 0);
+    }
+    assert!(2 * activated > solves, "only {activated} of {solves} solves activated a lazy row");
+}
