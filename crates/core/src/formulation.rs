@@ -17,12 +17,14 @@
 //!   the paper's encoding, so both MILPs have the same integral optima
 //!   (`tests::paper_and_compact_formulations_agree`); the compact one is
 //!   `O(|E|·n)` and is the default for the ≥50-task evaluation graphs.
-//!   Its ε rows — the McCormick linearisation of (1k), one per edge and
-//!   SPE — are *lazy* ([`Model::add_lazy_con`]): rows of the model like
-//!   any other, which branch and bound keeps out of its LP until a
-//!   node's optimum breaks one that raising its ε cannot repair. They
-//!   bind only where the SPE→PPE DMA queue is tight, and on the paper's
-//!   graphs it never is.
+//!   Its γ rows (one per edge and PE) and its ε rows (the McCormick
+//!   linearisation of (1k), one per edge and SPE) are *lazy*
+//!   ([`Model::add_lazy_con`]): rows of the model like any other, which
+//!   branch and bound keeps out of its LP until a node's optimum breaks
+//!   one that raising its γ or ε cannot repair. An ε row binds only
+//!   where the SPE→PPE DMA queue is tight, and on the paper's graphs it
+//!   never is; a γ row is refused only when raising its γ would break a
+//!   bandwidth row (1g)/(1h) or a DMA row (1j).
 //!
 //! Two printing conventions of the paper are normalised here (flagged in
 //! DESIGN.md): constraints (1g)/(1h) are read with the evident summation
@@ -215,7 +217,8 @@ impl Formulation {
                         // γ ≥ α^l_i − α^k_i : edge enters PE i. The
                         // outgoing indicator is γ + α^k_i − α^l_i (exact
                         // identity), so no δ variable or row is needed.
-                        model.add_con(
+                        // Lazy: γ is its one zero-cost continuous column.
+                        model.add_lazy_con(
                             vec![(gamma[ei][i], 1.0), (a(l, i), -1.0), (a(k, i), 1.0)],
                             Cmp::Ge,
                             0.0,

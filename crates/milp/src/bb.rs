@@ -39,15 +39,19 @@
 //!   column is *lifted*: that column moves within its bounds until the
 //!   row holds, and if the lifted point satisfies every model row it is
 //!   the node's solution — same objective, so optimal for the LP with
-//!   every row in. Otherwise the broken rows are *activated*: appended to
-//!   the LP in activation order (so the logical of LP row `p` stays
-//!   column `n + p`), and the node re-solves from its optimal basis
-//!   extended by their logicals, basic — still dual feasible, since their
-//!   duals are 0. A heap node's basis that predates an activation is
-//!   extended the same way when the node is popped. Every node's value is
-//!   thus its LP's with every row in, and the search stays exact;
-//!   [`MipResult::lazy_rows`] counts the activated rows, and
-//!   [`MipResult::lp_iterations`] includes the re-solves.
+//!   every row in. Otherwise only the *refused* rows are *activated*:
+//!   the broken rows with no such column, and those whose lifted column
+//!   sits in a row the lifted point breaks. The rest wait, and are tested
+//!   again at the re-solved optimum. Activated rows are appended to the
+//!   LP in activation order (so the logical of LP row `p` stays column
+//!   `n + p`), and the node re-solves from its optimal basis extended by
+//!   their logicals, basic — still dual feasible, since their duals are
+//!   0. A heap node's basis that predates an activation is extended the
+//!   same way when the node is popped. A point is accepted only when
+//!   every model row holds, so every node's value is its LP's with every
+//!   row in, and the search stays exact; [`MipResult::lazy_rows`] counts
+//!   the activated rows, and [`MipResult::lp_iterations`] includes the
+//!   re-solves.
 //! * Callers may **seed incumbents** (e.g. greedy heuristic mappings) and
 //!   provide an **integral completion** callback that rounds a fractional
 //!   relaxation to a feasible point; both often let the search terminate at
@@ -139,7 +143,7 @@ pub struct MipResult {
     /// slack basis).
     pub warm_start_hits: u64,
     /// Lazy rows ([`Model::add_lazy_con`]) added to the search's LP
-    /// because a node's optimum broke them and no lift repaired it.
+    /// because a node's optimum broke them and the lift refused them.
     pub lazy_rows: u64,
 }
 
@@ -285,11 +289,11 @@ impl NodeLp {
 
     /// [`solve_node`] on this LP, then the node's value with every model
     /// row in: while the optimum breaks inactive lazy rows (each in its
-    /// own scale, at `FEAS_TOL`), [`lift`] repairs them or they are
-    /// appended to the LP and the node re-solves from its optimal basis,
-    /// whose new logicals start basic (their duals are 0, so the basis
-    /// stays dual feasible). The solution counts the iterations of every
-    /// re-solve; the flag says whether `basis` held.
+    /// own scale, at `FEAS_TOL`), [`lift`] repairs them, or the rows it
+    /// refuses are appended to the LP and the node re-solves from its
+    /// optimal basis, whose new logicals start basic (their duals are 0,
+    /// so the basis stays dual feasible). The solution counts the
+    /// iterations of every re-solve; the flag says whether `basis` held.
     fn solve(
         &mut self,
         model: &Model,
@@ -308,14 +312,17 @@ impl NodeLp {
             if broken.is_empty() {
                 break;
             }
-            if let Some(x) = lift(model, &s.x, &broken) {
-                debug_assert_eq!(model.objective_of(&x), s.objective, "a lift moves no cost");
-                s.x = x;
-                break;
-            }
-            self.activated += broken.len() as u64;
-            self.inactive.retain(|i| !broken.contains(i));
-            self.active.extend(&broken);
+            let refused = match lift(model, &s.x, &broken) {
+                Ok(x) => {
+                    debug_assert_eq!(model.objective_of(&x), s.objective, "a lift moves no cost");
+                    s.x = x;
+                    break;
+                }
+                Err(refused) => refused,
+            };
+            self.activated += refused.len() as u64;
+            self.inactive.retain(|i| !refused.contains(i));
+            self.active.extend(&refused);
             self.lp = SparseLp::from_model_rows(model, &self.active)
                 .expect("the model validated when the search began");
             self.ws = Workspace::new(&self.lp);
@@ -354,13 +361,19 @@ impl NodeLp {
 }
 
 /// Repair the broken lazy rows without the LP: in each, move its one
-/// zero-cost continuous column (a row with none or several cannot be
-/// lifted) within its bounds until the row holds. The lifted point is
-/// returned only if it satisfies every model row (a lifted column sits in
-/// other rows too) — then it has `x`'s objective and is optimal for the
-/// LP with every row in.
-fn lift(model: &Model, x: &[f64], broken: &[usize]) -> Option<Vec<f64>> {
+/// zero-cost continuous column within its bounds until the row holds.
+/// The lifted point is returned only if it satisfies every model row (a
+/// lifted column sits in other rows too) — then it has `x`'s objective
+/// and is optimal for the LP with every row in. Otherwise the refused
+/// rows are returned, for the LP to take: every broken row with no
+/// single zero-cost continuous column, and every broken row whose
+/// lifted column sits in a row the lifted point breaks. The set is never
+/// empty: a row the lifted point breaks either held at `x`, so it holds
+/// a lifted column, or it is a broken row with no column to lift.
+fn lift(model: &Model, x: &[f64], broken: &[usize]) -> Result<Vec<f64>, Vec<usize>> {
     let mut lifted = x.to_vec();
+    let mut refused = Vec::new();
+    let mut moved = Vec::with_capacity(broken.len());
     for &i in broken {
         let con = &model.cons[i];
         let mut free = con.terms.iter().filter(|&&(c, _)| {
@@ -368,13 +381,29 @@ fn lift(model: &Model, x: &[f64], broken: &[usize]) -> Option<Vec<f64>> {
             v.kind == VarKind::Continuous && v.obj == 0.0
         });
         let (Some(&(c, a)), None) = (free.next(), free.next()) else {
-            return None;
+            refused.push(i);
+            continue;
         };
         let lhs: f64 = con.terms.iter().map(|&(j, aj)| aj * lifted[j]).sum();
         let v = &model.vars[c];
         lifted[c] = (lifted[c] + (con.rhs - lhs) / a).max(v.lo).min(v.hi);
+        moved.push((i, c));
     }
-    model.cons.iter().all(|con| con.scaled_violation(&lifted) <= FEAS_TOL).then_some(lifted)
+    let still: Vec<_> =
+        model.cons.iter().filter(|con| con.scaled_violation(&lifted) > FEAS_TOL).collect();
+    if still.is_empty() {
+        return Ok(lifted);
+    }
+    let in_still =
+        |c: usize| still.iter().any(|con| con.terms.binary_search_by_key(&c, |t| t.0).is_ok());
+    refused.extend(moved.iter().filter(|&&(_, c)| in_still(c)).map(|&(i, _)| i));
+    debug_assert!(!refused.is_empty(), "a lift that fails must refuse a row");
+    if refused.is_empty() {
+        // unreachable by the argument above; a release build still
+        // activates rows rather than re-solve the same LP forever
+        refused.extend_from_slice(broken);
+    }
+    Err(refused)
 }
 
 /// A callback that attempts to complete a fractional relaxation into a
@@ -777,6 +806,41 @@ mod tests {
         let (obj, x) = res.incumbent.unwrap();
         assert_eq!(obj, -1.0);
         assert!(m.max_violation(&x) <= 1e-9, "{x:?}");
+    }
+
+    /// `min −a − b − c` over binaries with zero-cost `e, f ∈ [0, 1]`,
+    /// `e ≤ ½`, and `e ≥ a + b − 1`, `f ≥ b + c − 1` lazy or not.
+    fn two_indicators(lazy: bool) -> Model {
+        let mut m = Model::new("two-indicators");
+        let a = m.add_var("a", 0.0, 1.0, -1.0, VarKind::Binary);
+        let b = m.add_var("b", 0.0, 1.0, -1.0, VarKind::Binary);
+        let c = m.add_var("c", 0.0, 1.0, -1.0, VarKind::Binary);
+        let e = m.add_var("e", 0.0, 1.0, 0.0, VarKind::Continuous);
+        let f = m.add_var("f", 0.0, 1.0, 0.0, VarKind::Continuous);
+        m.add_con(vec![(e, 1.0)], Cmp::Le, 0.5);
+        for (ind, x, y) in [(e, a, b), (f, b, c)] {
+            let row = vec![(ind, 1.0), (x, -1.0), (y, -1.0)];
+            if lazy {
+                m.add_lazy_con(row, Cmp::Ge, -1.0);
+            } else {
+                m.add_con(row, Cmp::Ge, -1.0);
+            }
+        }
+        m
+    }
+
+    /// The root breaks both lazy rows; lifting `e` breaks its cap, lifting
+    /// `f` breaks nothing. Only `e`'s row is refused and activated, and
+    /// the answer is the eager model's.
+    #[test]
+    fn a_lift_refused_in_one_row_activates_only_that_row() {
+        let lazy = solve_mip(&two_indicators(true), &exact(), &[], None).unwrap();
+        let eager = solve_mip(&two_indicators(false), &exact(), &[], None).unwrap();
+        assert_eq!((lazy.status, eager.status), (MipStatus::Optimal, MipStatus::Optimal));
+        assert_eq!(lazy.lazy_rows, 1);
+        let objective = |r: &MipResult| r.incumbent.as_ref().map(|(obj, _)| *obj);
+        assert_eq!(objective(&lazy), Some(-2.0));
+        assert_eq!(objective(&lazy), objective(&eager));
     }
 
     /// A node whose stored basis predates an activation re-solves from

@@ -27,7 +27,7 @@
 //!   feasible mappings, the paper's relative-gap early stop, and *lazy
 //!   rows* ([`Model::add_lazy_con`]) that stay out of the LP until a
 //!   node's optimum breaks one that moving its one zero-cost continuous
-//!   column cannot repair.
+//!   column cannot repair; only those rows are added, the rest wait.
 //! * [`model`] — the tiny modelling layer shared by all of it, and
 //!   [`Model::certify`], which checks an optimal answer and its row
 //!   duals against the model's own rows.

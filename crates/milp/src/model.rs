@@ -275,9 +275,13 @@ impl Model {
 
     /// Maximum constraint violation of a point, for feasibility checks in
     /// tests and incumbent validation. Bound violations included, lazy
-    /// rows too. A non-finite entry or row activity is an infinite
-    /// violation: a NaN point is never feasible.
+    /// rows too. A point of the wrong length, a non-finite entry or a
+    /// non-finite row activity is an infinite violation: a NaN point is
+    /// never feasible.
     pub fn max_violation(&self, x: &[f64]) -> f64 {
+        if x.len() != self.n_vars() {
+            return f64::INFINITY;
+        }
         let mut worst = 0.0f64;
         for (var, &xi) in self.vars.iter().zip(x) {
             if !xi.is_finite() {

@@ -378,6 +378,20 @@ fn a_non_finite_point_is_infinitely_infeasible() {
     assert_eq!(m.max_violation(&[1.0, 0.0]), 0.0);
 }
 
+/// A point shorter than the model is not a point of it: infinitely
+/// infeasible, not an index out of bounds.
+#[test]
+fn a_short_point_is_infinitely_infeasible() {
+    assert_eq!(cover_of_two().max_violation(&[1.0]), f64::INFINITY);
+}
+
+/// A point longer than the model is not a point of it either: its tail
+/// — here a NaN — must not be zipped away.
+#[test]
+fn a_long_point_is_infinitely_infeasible() {
+    assert_eq!(cover_of_two().max_violation(&[1.0, 0.0, f64::NAN]), f64::INFINITY);
+}
+
 /// A NaN seed is refused like any infeasible one: it must not become
 /// the incumbent, and so cannot block the real optimum.
 #[test]
