@@ -24,12 +24,14 @@
 //! every graph whose relaxation admits it (graph 2 — the bound sits
 //! within 5 % of the seeded incumbent as soon as the root LP solves),
 //! and the remaining graphs stay under their regression ceilings.
-//! Graph 1 at CCR 0.775 has a measured **~15 % integrality gap**: the
-//! bound plateaus at ≈3.35 µs against a 3.932 µs optimum-by-all-
-//! heuristics incumbent, so no cut-less branch-and-bound can certify
-//! 5 % there — CPLEX's cutting planes are what made the paper's figure
-//! possible (recorded as known deviation #1 in DESIGN.md). The ceiling
-//! pins today's reachable gap so the solver cannot silently regress.
+//! Graph 1 at CCR 0.775 stops on the quick 4 000-node cap at a 5.7 %
+//! gap (bound ≈3.42 µs against the 3.626 µs incumbent every heuristic
+//! reaches), and graph 3 at 9.9 %. Without the quick budget the cut-less
+//! search does close graph 1: full mode proves it optimal at 3.431 µs.
+//! Graph 3 is where CPLEX's cutting planes would still be needed
+//! (known deviation #1 in DESIGN.md). The ceilings — 10 % for graph 1,
+//! 20 % for graph 3 — pin today's reachable gaps so the solver cannot
+//! silently regress.
 
 use cellstream_bench::{
     mip_options, portfolio_outcome, quick_mode, seed_stack, write_csv, write_results,
@@ -201,12 +203,13 @@ fn main() {
             }
 
             // ---- CI gate (base CCR): graph 2 carries the paper's 5%
-            // contract; graphs 1/3 get regression ceilings above their
-            // measured integrality gaps (see module docs)
+            // contract; graphs 1/3 get regression ceilings above the
+            // gaps the quick budget reaches (see module docs)
             if ccr < 1.0 {
                 let ceiling = match gi {
+                    0 => 0.10, // graph 1: quick-budget regression ceiling
                     1 => 0.05, // graph 2: the 5% contract proper
-                    _ => 0.20, // graphs 1/3: integrality-gap regression ceiling
+                    _ => 0.20, // graph 3: integrality-gap regression ceiling
                 };
                 if outcome.gap > ceiling + 1e-9 {
                     gate_failed = Some(format!(
