@@ -399,8 +399,9 @@ fn lift(model: &Model, x: &[f64], broken: &[usize]) -> Result<Vec<f64>, Vec<usiz
     refused.extend(moved.iter().filter(|&&(_, c)| in_still(c)).map(|&(i, _)| i));
     debug_assert!(!refused.is_empty(), "a lift that fails must refuse a row");
     if refused.is_empty() {
-        // unreachable by the argument above; a release build still
-        // activates rows rather than re-solve the same LP forever
+        // only if rounding puts an eager row the LP holds just past
+        // FEAS_TOL here; activating every broken row still makes
+        // progress, where an empty set would re-solve the same LP forever
         refused.extend_from_slice(broken);
     }
     Err(refused)
