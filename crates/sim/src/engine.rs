@@ -11,6 +11,13 @@
 //! list, dirty sets) belong to the run, so a steady-state event
 //! allocates nothing.
 //!
+//! A flow that starts or finishes streaming marks its links, and a
+//! re-share fills again only the components of the flow–link graph that
+//! a mark reaches (see `fair`), about half of the streaming flows on the
+//! paper graphs' mappings. The others keep their rates, which a full
+//! re-share would reproduce bit for bit; in debug builds every re-share
+//! is followed by that full one.
+//!
 //! The pump that admits transfers and starts computations visits only
 //! the edges, memory reads and PEs that an event since the last pump
 //! could have unblocked (see `Dirty`), in the ascending order a full
@@ -77,6 +84,20 @@ impl SimConfig {
             ..Self::ideal()
         }
     }
+
+    /// The first overhead that is negative or not finite, as
+    /// [`SimError::BadConfig`].
+    fn check(&self) -> Result<(), SimError> {
+        let overheads = [
+            ("task_overhead", self.task_overhead),
+            ("dma_latency", self.dma_latency),
+            ("comm_interrupt", self.comm_interrupt),
+        ];
+        match overheads.into_iter().find(|&(_, value)| !(value.is_finite() && value >= 0.0)) {
+            Some((field, value)) => Err(SimError::BadConfig { field, value }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl Default for SimConfig {
@@ -102,6 +123,14 @@ pub enum SimError {
     BadMapping(String),
     /// Zero instances were asked for: there is no trace to return.
     NoInstances,
+    /// A [`SimConfig`] overhead is negative or not finite: it would run
+    /// as no overhead, a negative one or an endless one.
+    BadConfig {
+        /// The field's name.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -113,6 +142,9 @@ impl std::fmt::Display for SimError {
             SimError::EventBudget => write!(f, "event budget exhausted"),
             SimError::BadMapping(m) => write!(f, "bad mapping: {m}"),
             SimError::NoInstances => write!(f, "zero instances requested"),
+            SimError::BadConfig { field, value } => {
+                write!(f, "bad config: {field} = {value} is not a finite non-negative time")
+            }
         }
     }
 }
@@ -335,11 +367,11 @@ struct Sim<'a> {
     bytes_in: Vec<f64>,
     events_processed: u64,
 
-    /// Buffers `reallocate` refills on every call: the streaming flows,
-    /// their ports, the max-min workspace and, for the debug
-    /// conservation check, the load on each link.
+    /// The streaming flows in the order they were opened, which
+    /// `reallocate` rebuilds on every call; the same flows by id with the
+    /// links whose flows changed since the last re-share; and, for the
+    /// debug conservation check, the load on each link.
     streaming: Vec<usize>,
-    streaming_ports: Vec<FlowPorts>,
     fair: MaxMin,
     link_load: Vec<f64>,
     /// Flows a `TransferDone` event completes.
@@ -354,6 +386,7 @@ impl<'a> Sim<'a> {
         config: &SimConfig,
         n_instances: u64,
     ) -> Result<Self, SimError> {
+        config.check()?;
         if n_instances == 0 {
             return Err(SimError::NoInstances);
         }
@@ -473,8 +506,7 @@ impl<'a> Sim<'a> {
             bytes_in: vec![0.0; spec.n_pes()],
             events_processed: 0,
             streaming: Vec::new(),
-            streaming_ports: Vec::new(),
-            fair: MaxMin::default(),
+            fair: MaxMin::new(2 * spec.n_pes()),
             link_load: Vec::new(),
             drained: Vec::new(),
         })
@@ -535,30 +567,45 @@ impl<'a> Sim<'a> {
             .eq(self.streaming.iter())
     }
 
-    /// Recompute max-min rates and schedule the next completion event.
+    /// Re-share the links among the streaming flows and schedule the next
+    /// completion event. Only the components of the flow–link graph that
+    /// hold a link whose flows changed since the last call are filled
+    /// again (see `fair`); every other flow keeps its rate. In debug
+    /// builds a full re-share follows, which must give every streaming
+    /// flow the rate it holds, bit for bit.
     fn reallocate(&mut self) {
         self.gen += 1;
-        let flows = &self.flows;
-        self.streaming.clear();
-        self.streaming.extend(
-            self.active_flow_ids
-                .iter()
-                .copied()
-                .filter(|&fid| flows[fid].state == FlowState::Streaming),
-        );
-        self.streaming_ports.clear();
-        self.streaming_ports.extend(self.streaming.iter().map(|&fid| flows[fid].ports));
-        let n_links = 2 * self.spec.n_pes();
         let bw = self.spec.interface_bw().as_bytes_per_s();
-        let rates = self.fair.rates(&self.streaming_ports, n_links, bw);
+        let Sim { flows, fair, .. } = self;
+        for (fid, rate) in fair.reshare(bw) {
+            flows[fid].rate = rate;
+        }
+        // the streaming list and the next completion, in one pass
+        let Sim { flows, active_flow_ids, streaming, now, .. } = self;
+        streaming.clear();
+        let mut next_done: Option<f64> = None;
+        for &fid in active_flow_ids.iter() {
+            let f = &flows[fid];
+            if f.state != FlowState::Streaming {
+                continue;
+            }
+            streaming.push(fid);
+            let eta = if f.rate.is_infinite() { 0.0 } else { f.bytes_left / f.rate };
+            // never predict beyond-horizon completions for already-drained
+            // residue: fire immediately instead
+            let done_at = *now + eta;
+            next_done = Some(next_done.map_or(done_at, |d: f64| d.min(done_at)));
+        }
+        debug_assert_eq!(self.missed_rate(bw), None, "a re-share missed a rate at t={}", self.now);
         if cfg!(debug_assertions) {
             // conservation check: no link may be over-allocated
             let load = &mut self.link_load;
             load.clear();
-            load.resize(n_links, 0.0);
-            for (ports, &rate) in self.streaming_ports.iter().zip(rates) {
-                for l in [ports.src_link, ports.dst_link].into_iter().flatten() {
-                    load[l] += rate;
+            load.resize(2 * self.spec.n_pes(), 0.0);
+            for &fid in &self.streaming {
+                let f = &self.flows[fid];
+                for l in [f.ports.src_link, f.ports.dst_link].into_iter().flatten() {
+                    load[l] += f.rate;
                 }
             }
             for (l, &ld) in load.iter().enumerate() {
@@ -569,19 +616,29 @@ impl<'a> Sim<'a> {
                 );
             }
         }
-        let mut next_done: Option<f64> = None;
-        for (&fid, &rate) in self.streaming.iter().zip(rates) {
-            let f = &mut self.flows[fid];
-            f.rate = rate;
-            let eta = if rate.is_infinite() { 0.0 } else { f.bytes_left / rate };
-            // never predict beyond-horizon completions for already-drained
-            // residue: fire immediately instead
-            let done_at = self.now + eta;
-            next_done = Some(next_done.map_or(done_at, |d: f64| d.min(done_at)));
-        }
         if let Some(at) = next_done {
             self.push(at, Ev::TransferDone { gen: self.gen });
         }
+    }
+
+    /// The component rule's oracle: the first flow whose rate a full
+    /// re-share changes, with the rate it holds and the full one's — none,
+    /// right after a re-share. The full re-share must reach exactly the
+    /// streaming flows.
+    fn missed_rate(&mut self, bw: f64) -> Option<(usize, f64, f64)> {
+        let Sim { flows, streaming, fair, .. } = self;
+        fair.mark_all();
+        let mut reached = 0;
+        for (fid, rate) in fair.reshare(bw) {
+            let f = &flows[fid];
+            assert_eq!(f.state, FlowState::Streaming, "flow {fid} is shared but not streaming");
+            reached += 1;
+            if f.rate.to_bits() != rate.to_bits() {
+                return Some((fid, f.rate, rate));
+            }
+        }
+        assert_eq!(reached, streaming.len(), "a full re-share missed a streaming flow");
+        None
     }
 
     /// Put `flow` in flight under a recycled id when one is free.
@@ -732,9 +789,12 @@ impl<'a> Sim<'a> {
         if !delayed {
             flow.state = FlowState::Streaming;
         }
+        let ports = flow.ports;
         let fid = self.open_flow(flow);
         if delayed {
             self.push(self.now + latency, Ev::TransferStart { id: fid });
+        } else {
+            self.fair.start(fid, ports);
         }
         !delayed
     }
@@ -855,16 +915,18 @@ impl<'a> Sim<'a> {
                         if holds_slot {
                             self.spe_queue_used[pe] += 1;
                         }
-                        self.open_flow(Flow {
+                        let ports = FlowPorts { src_link: Some(pe), dst_link: None };
+                        let fid = self.open_flow(Flow {
                             kind: FlowKind::Write { task },
                             state: FlowState::Streaming,
                             bytes_left: wb,
                             total_bytes: wb,
                             rate: 0.0,
-                            ports: FlowPorts { src_link: Some(pe), dst_link: None },
+                            ports,
                             spe_queue: holds_slot.then_some(pe),
                             proxy_queue: None,
                         });
+                        self.fair.start(fid, ports);
                         flows_changed = true;
                     }
                     // sink bookkeeping
@@ -877,8 +939,10 @@ impl<'a> Sim<'a> {
                     }
                 }
                 Ev::TransferStart { id } => {
-                    if self.flows[id].state == FlowState::Latency {
-                        self.flows[id].state = FlowState::Streaming;
+                    let f = &mut self.flows[id];
+                    if f.state == FlowState::Latency {
+                        f.state = FlowState::Streaming;
+                        self.fair.start(id, f.ports);
                         flows_changed = true;
                     }
                 }
@@ -920,6 +984,7 @@ impl<'a> Sim<'a> {
         let f = &mut self.flows[fid];
         f.state = FlowState::Done;
         f.bytes_left = 0.0;
+        self.fair.finish(fid);
         let n = self.spec.n_pes();
         if let Some(src) = f.ports.src_link {
             self.bytes_out[src] += f.total_bytes;

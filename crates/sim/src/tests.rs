@@ -356,6 +356,58 @@ fn event_budget_exhaustion_is_an_error_not_a_hang() {
     assert_eq!(err.to_string(), "event budget exhausted");
 }
 
+/// `simulate` on paper-sized work with one overhead of the default
+/// config set to `value`.
+fn simulate_with(field: &str, value: f64) -> Result<crate::RunTrace, SimError> {
+    let g = chain("c", 6, &CostParams::default(), 3);
+    let spec = CellSpec::ps3();
+    let mut cfg = SimConfig::default();
+    match field {
+        "task_overhead" => cfg.task_overhead = value,
+        "dma_latency" => cfg.dma_latency = value,
+        "comm_interrupt" => cfg.comm_interrupt = value,
+        _ => unreachable!("{field}"),
+    }
+    let mut assignment = vec![PeId(0); g.n_tasks()];
+    for (i, t) in g.task_ids().enumerate() {
+        assignment[t.index()] = spec.pe(i % spec.n_pes());
+    }
+    let m = Mapping::new(&g, &spec, assignment).unwrap();
+    simulate(&g, &spec, &m, &cfg, 50)
+}
+
+fn assert_bad_config(field: &'static str) {
+    assert!(simulate_with(field, 0.0).is_ok(), "zero is a valid {field}");
+    for value in [f64::NAN, -1e-6, f64::INFINITY, f64::NEG_INFINITY] {
+        match simulate_with(field, value) {
+            Err(SimError::BadConfig { field: f, value: v }) => {
+                assert_eq!(f, field);
+                assert_eq!(v.to_bits(), value.to_bits());
+            }
+            other => panic!("{field} = {value}: expected BadConfig, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_bad_task_overhead_is_refused() {
+    assert_bad_config("task_overhead");
+    assert_eq!(
+        simulate_with("task_overhead", -1e-3).unwrap_err().to_string(),
+        "bad config: task_overhead = -0.001 is not a finite non-negative time"
+    );
+}
+
+#[test]
+fn a_bad_dma_latency_is_refused() {
+    assert_bad_config("dma_latency");
+}
+
+#[test]
+fn a_bad_comm_interrupt_is_refused() {
+    assert_bad_config("comm_interrupt");
+}
+
 // ---------------------------------------------------------------------------
 // Per-application attribution on composed workloads
 // ---------------------------------------------------------------------------
