@@ -90,9 +90,9 @@ pub struct MaxMin {
     rem: Vec<f64>,
     cnt: Vec<u32>,
     /// The flows on each link and on the memory slot: word
-    /// `w * rem.len() + l` holds flows `64 w ..` on link `l`. The flows
-    /// with no link, and all flows.
+    /// `w * rem.len() + l` holds flows `64 w ..` on link `l`.
     link_flows: Vec<u64>,
+    /// The flows with no link, and every flow.
     unlinked: Vec<u64>,
     flows: Vec<u64>,
     /// Per flow id: its link ends, and its rate from the last filling
@@ -110,12 +110,6 @@ pub struct MaxMin {
     filled: Vec<u64>,
     unfrozen: Vec<u64>,
     took: Vec<u64>,
-}
-
-impl Default for MaxMin {
-    fn default() -> MaxMin {
-        MaxMin::new(0)
-    }
 }
 
 impl MaxMin {
@@ -316,20 +310,6 @@ impl MaxMin {
         let (filled, rates): (&[u64], &[f64]) = (filled, rates);
         ones(filled).map(move |i| (i, rates[i]))
     }
-
-    /// Compute max-min fair rates for `flows` over `n_links` links of
-    /// uniform `capacity`: one full re-share of a fresh workspace.
-    /// Returns one rate per flow. Flows with neither endpoint constrained
-    /// get `f64::INFINITY`.
-    pub fn rates(flows: &[FlowPorts], n_links: usize, capacity: f64) -> Vec<f64> {
-        let mut fair = MaxMin::new(n_links);
-        for (id, &f) in flows.iter().enumerate() {
-            fair.start(id, f);
-        }
-        let mut rates = vec![f64::NAN; flows.len()];
-        fair.reshare(capacity).for_each(|(id, r)| rates[id] = r);
-        rates
-    }
 }
 
 #[cfg(test)]
@@ -339,8 +319,16 @@ mod tests {
 
     const BW: f64 = 100.0;
 
+    /// One full re-share of `flows` over `n_links` links, flow `i` under
+    /// id `i`.
     fn max_min_rates(flows: &[FlowPorts], n_links: usize, capacity: f64) -> Vec<f64> {
-        MaxMin::rates(flows, n_links, capacity)
+        let mut fair = MaxMin::new(n_links);
+        for (id, &f) in flows.iter().enumerate() {
+            fair.start(id, f);
+        }
+        let mut rates = vec![f64::NAN; flows.len()];
+        fair.reshare(capacity).for_each(|(id, r)| rates[id] = r);
+        rates
     }
 
     /// The progressive filling [`MaxMin`] replaced, kept as the
