@@ -356,8 +356,8 @@ fn event_budget_exhaustion_is_an_error_not_a_hang() {
     assert_eq!(err.to_string(), "event budget exhausted");
 }
 
-/// `simulate` on paper-sized work with one overhead of the default
-/// config set to `value`.
+/// `simulate` of a six-task chain spread over a PS3, with one overhead
+/// of the default config set to `value`.
 fn simulate_with(field: &str, value: f64) -> Result<crate::RunTrace, SimError> {
     let g = chain("c", 6, &CostParams::default(), 3);
     let spec = CellSpec::ps3();
