@@ -25,6 +25,7 @@
 //! numbers are those of the full scan. In debug builds every pump is
 //! followed by that full scan, which must find nothing left to admit.
 
+use crate::bits;
 use crate::fair::{FlowPorts, MaxMin};
 use cellstream_core::steady::buffers::BufferPlan;
 use cellstream_core::Mapping;
@@ -269,7 +270,7 @@ impl Marks {
     }
 
     fn mark(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
+        bits::set(&mut self.words, i);
     }
 
     fn mark_all(&mut self, is: &[usize]) {
@@ -280,14 +281,9 @@ impl Marks {
 
     /// Unmark and return the lowest marked index.
     fn pop(&mut self) -> Option<usize> {
-        for (w, word) in self.words.iter_mut().enumerate() {
-            if *word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                *word &= *word - 1;
-                return Some(64 * w + bit);
-            }
-        }
-        None
+        let i = bits::ones(&self.words).next()?;
+        bits::clear(&mut self.words, i);
+        Some(i)
     }
 }
 

@@ -29,6 +29,8 @@
 //! links the closure reached and freezes that link's flows with one
 //! word operation per 64 flows.
 
+use crate::bits;
+
 /// A flow's link endpoints: indices into the link table, or `None` for a
 /// memory endpoint (unconstrained).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,42 +39,6 @@ pub struct FlowPorts {
     pub src_link: Option<usize>,
     /// Incoming interface of the destination PE (link index), if constrained.
     pub dst_link: Option<usize>,
-}
-
-fn set(bits: &mut [u64], i: usize) {
-    bits[i / 64] |= 1 << (i % 64);
-}
-
-/// Bit `i` of `bits`, as 0 or 1.
-fn bit(bits: &[u64], i: usize) -> u64 {
-    (bits[i / 64] >> (i % 64)) & 1
-}
-
-/// The set bits of `bits`, in increasing order.
-fn ones(bits: &[u64]) -> Ones<'_> {
-    Ones { words: bits, w: 0, word: bits.first().copied().unwrap_or(0) }
-}
-
-/// Iterator of [`ones`].
-struct Ones<'a> {
-    words: &'a [u64],
-    /// The word being scanned and its bits not yet yielded.
-    w: usize,
-    word: u64,
-}
-
-impl Iterator for Ones<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.word == 0 {
-            self.w += 1;
-            self.word = *self.words.get(self.w)?;
-        }
-        let bit = self.word.trailing_zeros() as usize;
-        self.word &= self.word - 1;
-        Some(64 * self.w + bit)
-    }
 }
 
 /// The flows sharing the links, by id, and the buffers of their max-min
@@ -153,7 +119,7 @@ impl MaxMin {
     fn mark(&mut self, [a, b]: [u32; 2]) {
         for l in [a as usize, b as usize] {
             if l != self.n_links() {
-                set(&mut self.marked, l);
+                bits::set(&mut self.marked, l);
             }
         }
     }
@@ -235,7 +201,7 @@ impl MaxMin {
         // the flows on the links reached last, then reach their other ends
         frontier.copy_from_slice(marked);
         loop {
-            for l in ones(frontier) {
+            for l in bits::ones(frontier) {
                 for w in 0..words {
                     let on = link_flows[w * slots + l] & !filled[w];
                     filled[w] |= on;
@@ -244,12 +210,12 @@ impl MaxMin {
             }
             frontier.fill(0);
             let mut grew = false;
-            for i in ones(took) {
+            for i in bits::ones(took) {
                 for l in ends[i] {
                     let l = l as usize;
-                    if l != memory && bit(marked, l) == 0 {
-                        set(marked, l);
-                        set(frontier, l);
+                    if l != memory && !bits::test(marked, l) {
+                        bits::set(marked, l);
+                        bits::set(frontier, l);
                         grew = true;
                     }
                 }
@@ -261,7 +227,7 @@ impl MaxMin {
         }
 
         unfrozen.clone_from(filled);
-        for i in ones(filled) {
+        for i in bits::ones(filled) {
             rates[i] = f64::INFINITY;
             for l in ends[i] {
                 rem[l as usize] = capacity;
@@ -273,13 +239,9 @@ impl MaxMin {
             // unfrozen flows
             let mut best: Option<(usize, f64)> = None;
             for (w, word) in marked.iter_mut().enumerate() {
-                let mut scan = *word;
-                while scan != 0 {
-                    let b = scan.trailing_zeros();
-                    scan &= scan - 1;
-                    let l = 64 * w + b as usize;
+                for l in bits::word_ones(w, *word) {
                     if cnt[l] == 0 {
-                        *word &= !(1 << b);
+                        *word &= !(1 << (l % 64));
                         continue;
                     }
                     let share = rem[l] / f64::from(cnt[l]);
@@ -291,11 +253,9 @@ impl MaxMin {
             let Some((l, share)) = best else { break };
             // freeze that link's unfrozen flows at the fair share
             for (w, word) in unfrozen.iter_mut().enumerate() {
-                let mut freeze = *word & link_flows[w * slots + l];
+                let freeze = *word & link_flows[w * slots + l];
                 *word &= !freeze;
-                while freeze != 0 {
-                    let fi = 64 * w + freeze.trailing_zeros() as usize;
-                    freeze &= freeze - 1;
+                for fi in bits::word_ones(w, freeze) {
                     rates[fi] = share;
                     for other in ends[fi] {
                         let other = other as usize;
@@ -308,7 +268,7 @@ impl MaxMin {
         // flows with no link never leave the memory slot
         cnt[memory] = 0;
         let (filled, rates): (&[u64], &[f64]) = (filled, rates);
-        ones(filled).map(move |i| (i, rates[i]))
+        bits::ones(filled).map(move |i| (i, rates[i]))
     }
 }
 
@@ -500,6 +460,33 @@ mod tests {
         fair.reshare(BW).for_each(drop);
         fair.finish(69);
         assert_eq!(fair.reshare(BW).count(), 69, "the chain is one component");
+    }
+
+    #[test]
+    fn a_reused_workspace_answers_like_a_fresh_one() {
+        // what one re-share leaves behind (longer link sets, frozen
+        // flows, residual capacities, an empty flow set in between) must
+        // not leak into the next: each set's flows replace every flow of
+        // the one before under the same ids
+        let calls: [(&[FlowPorts], usize); 5] = [
+            (&[ports(Some(0), Some(3)), ports(Some(0), Some(4)), ports(Some(1), Some(3))], 6),
+            (&[ports(None, Some(1)), ports(None, None)], 2),
+            (&[], 3),
+            (&[ports(Some(0), Some(1)), ports(Some(0), Some(2)), ports(Some(3), Some(1))], 4),
+            (&[ports(Some(5), Some(4)), ports(None, None)], 6),
+        ];
+        let mut reused = MaxMin::new(6);
+        let mut streaming = 0;
+        for (flows, n_links) in calls {
+            (0..streaming).for_each(|id| reused.finish(id));
+            for (id, &f) in flows.iter().enumerate() {
+                reused.start(id, f);
+            }
+            streaming = flows.len();
+            let (ids, got): (Vec<usize>, Vec<f64>) = reused.reshare(BW).unzip();
+            assert_eq!(ids, (0..flows.len()).collect::<Vec<_>>(), "only the new flows");
+            assert_eq!(bits(&got), bits(&max_min_rates(flows, n_links, BW)), "{flows:?}");
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bits;
 pub mod engine;
 pub mod fair;
 pub mod online;
