@@ -28,7 +28,7 @@
 //! tasks ("we let this optimization for future work"). That is what makes
 //! the buffer sizes constants of the graph, and constraint (1i) linear.
 //! The co-mapping optimisation the paper defers is implemented as an
-//! opt-in ablation in `cellstream-bench` (see DESIGN.md).
+//! opt-in ablation in the `ablations` example (see DESIGN.md).
 
 use cellstream_graph::StreamGraph;
 

@@ -6,8 +6,8 @@
 //! same task counts, matching width/branching character, matching peek
 //! ranges (0–1 for graph 1, 0–2 for graph 2) and the stateless/stateful
 //! mix visible in the figure labels. Seeds are fixed once and recorded
-//! here; the figures regenerated by `cellstream-bench` always use these
-//! graphs.
+//! here; the paper-figure examples (`fig6`, `fig7`, `fig8`, `tab_lp`,
+//! `ablations`) always use these graphs.
 
 use crate::cost::CostParams;
 use crate::{generate, shapes, DagGenParams};

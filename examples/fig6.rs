@@ -6,23 +6,27 @@
 //! ~1000 instances, and the experimental plateau sits at ≈95 % of the
 //! LP-predicted throughput.
 //!
-//! Output: the series on stdout + `crates/bench/results/fig6.csv`.
+//! ```sh
+//! cargo run --release --example fig6
+//! ```
 
-use cellstream_bench::{lp_plan, milp_stats, sim_instances, write_csv};
-use cellstream_daggen::paper;
-use cellstream_platform::CellSpec;
-use cellstream_sim::{simulate, SimConfig};
+mod paper;
+
+use cellstream::daggen::paper as graphs;
+use cellstream::platform::CellSpec;
+use cellstream::sim::{simulate, SimConfig};
+use paper::{lp_plan, milp_stats, SIM_INSTANCES};
 
 fn main() {
-    let g = paper::at_base_ccr(&paper::graph1());
+    let g = graphs::at_base_ccr(&graphs::graph1());
     let spec = CellSpec::qs22();
-    eprintln!("fig6: {} tasks, {} edges, CCR 0.775, {spec}", g.n_tasks(), g.n_edges());
+    println!("# fig6: {} tasks, {} edges, CCR 0.775, {spec}", g.n_tasks(), g.n_edges());
 
     let plan = lp_plan(&g, &spec);
     let theoretical = plan.throughput();
     match milp_stats(&plan) {
-        Some((gap, nodes, _, warm_rate)) => eprintln!(
-            "LP plan (`{}`): period {:.3} us, gap {:.1}%, {} nodes, warm starts {:.0}%, {:.1}s",
+        Some((gap, nodes, _, warm_rate, _)) => println!(
+            "# LP plan (`{}`): period {:.3} us, gap {:.1}%, {} nodes, warm starts {:.0}%, {:.1}s",
             plan.scheduler,
             plan.period() * 1e6,
             gap * 100.0,
@@ -30,25 +34,22 @@ fn main() {
             warm_rate * 100.0,
             plan.wall.as_secs_f64()
         ),
-        None => eprintln!(
-            "LP plan (`{}`, non-MILP fallback): period {:.3} us, {:.1}s",
+        None => println!(
+            "# LP plan (`{}`, non-MILP fallback): period {:.3} us, {:.1}s",
             plan.scheduler,
             plan.period() * 1e6,
             plan.wall.as_secs_f64()
         ),
     }
 
-    let n = sim_instances();
-    let trace = simulate(&g, &spec, &plan.mapping, &SimConfig::calibrated(), n)
+    let trace = simulate(&g, &spec, &plan.mapping, &SimConfig::calibrated(), SIM_INSTANCES)
         .expect("LP mapping is feasible");
 
     println!("# Figure 6: throughput vs processed instances");
     println!("# theoretical throughput: {theoretical:.1} instances/s");
     println!("{:>10} {:>18} {:>18}", "instances", "experimental(/s)", "theoretical(/s)");
-    let mut rows = Vec::new();
     for (count, rho) in trace.throughput_curve(40) {
         println!("{count:>10} {rho:>18.1} {theoretical:>18.1}");
-        rows.push(format!("{count},{rho:.3},{theoretical:.3}"));
     }
     let steady = trace.steady_state_throughput();
     let ratio = steady / theoretical;
@@ -59,8 +60,4 @@ fn main() {
     let cum = trace.cumulative_throughput();
     let knee = cum.iter().position(|&r| r >= 0.9 * steady).unwrap_or(0) + 1;
     println!("steady state reached after ~{knee} instances (paper: ~1000)");
-
-    rows.push(format!("# steady_ratio,{ratio:.4}"));
-    rows.push(format!("# knee_instances,{knee}"));
-    write_csv("fig6.csv", "instances,experimental,theoretical", &rows);
 }

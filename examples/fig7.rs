@@ -6,23 +6,26 @@
 //! Paper's shape to reproduce: the MILP curve scales to ~2–3x at 8 SPEs;
 //! the greedies saturate around 1.3 and do not scale.
 //!
-//! Output: three tables on stdout + `crates/bench/results/fig7_graph{1,2,3}.csv`.
+//! ```sh
+//! cargo run --release --example fig7
+//! ```
 
-use cellstream_bench::{lp_plan, measured_throughput, ppe_only_throughput, quick_mode, write_csv};
-use cellstream_core::scheduler::PlanContext;
-use cellstream_daggen::paper;
-use cellstream_heuristics::scheduler_by_name;
-use cellstream_platform::CellSpec;
+mod paper;
+
+use cellstream::core::scheduler::PlanContext;
+use cellstream::core::Mapping;
+use cellstream::daggen::paper as graphs;
+use cellstream::heuristics::scheduler_by_name;
+use cellstream::platform::CellSpec;
+use paper::{lp_plan, measured_throughput, ppe_only_throughput};
 
 /// The heuristic columns, by registry name ("lp" is handled separately
 /// because it draws on the whole seeded portfolio).
 const HEURISTICS: [&str; 2] = ["greedy_mem", "greedy_cpu"];
 
 fn main() {
-    let spe_counts: Vec<usize> = if quick_mode() { vec![0, 2, 4, 8] } else { (0..=8).collect() };
-
-    for (gi, base) in paper::all_graphs().into_iter().enumerate() {
-        let g = paper::at_base_ccr(&base);
+    for (gi, base) in graphs::all_graphs().into_iter().enumerate() {
+        let g = graphs::at_base_ccr(&base);
         println!(
             "\n# Figure 7({}): {} — speed-up vs number of SPEs",
             (b'a' + gi as u8) as char,
@@ -33,32 +36,24 @@ fn main() {
             print!(" {name:>12}");
         }
         println!(" {:>12}", "LP");
-        let mut rows = Vec::new();
         // one PPE-only reference per graph (nS-independent)
         let ppe_rho = ppe_only_throughput(&g, &CellSpec::with_spes(0));
-        for &spes in &spe_counts {
+        for spes in 0..=8 {
             let spec = CellSpec::with_spes(spes);
-            let su = |m: &cellstream_core::Mapping| -> f64 {
+            let su = |m: &Mapping| -> f64 {
                 measured_throughput(&g, &spec, m).map_or(f64::NAN, |r| r / ppe_rho)
             };
             print!("{spes:>6}");
-            let mut cells = vec![format!("{spes}")];
             for name in HEURISTICS {
                 let plan = scheduler_by_name(name)
                     .expect("registered")
                     .plan(&g, &spec, &PlanContext::default())
                     .expect("greedy heuristics always plan");
-                let s = su(&plan.mapping);
-                print!(" {s:>12.2}");
-                cells.push(format!("{s:.4}"));
+                print!(" {:>12.2}", su(&plan.mapping));
             }
             let s_lp = if spes == 0 { 1.0 } else { su(&lp_plan(&g, &spec).mapping) };
             println!(" {s_lp:>12.2}");
-            cells.push(format!("{s_lp:.4}"));
-            rows.push(cells.join(","));
         }
-        let header = format!("spes,{},lp", HEURISTICS.join(","));
-        write_csv(&format!("fig7_graph{}.csv", gi + 1), &header, &rows);
     }
     println!("\npaper shape check: LP at 8 SPEs should sit between ~2 and ~3,");
     println!("greedies should flatten out near ~1.3 (graph-dependent).");

@@ -6,32 +6,31 @@
 //! noise) as the CCR rises from 0.775 to 4.6, approaching 1 — "eventually,
 //! the best policy is to map all tasks to the PPE".
 //!
-//! Output: a table on stdout + `crates/bench/results/fig8.csv`.
+//! ```sh
+//! cargo run --release --example fig8
+//! ```
 
-use cellstream_bench::{lp_plan, measured_throughput, ppe_only_throughput, quick_mode, write_csv};
-use cellstream_daggen::paper;
-use cellstream_graph::ccr::paper_ccr_sweep;
-use cellstream_platform::CellSpec;
+mod paper;
+
+use cellstream::daggen::paper as graphs;
+use cellstream::graph::ccr::paper_ccr_sweep;
+use cellstream::platform::CellSpec;
+use paper::{lp_plan, measured_throughput, ppe_only_throughput};
 
 fn main() {
     let spec = CellSpec::qs22();
-    let ccrs: Vec<f64> =
-        if quick_mode() { vec![0.775, 2.3, 4.6] } else { paper_ccr_sweep().to_vec() };
-
-    let graphs = paper::all_graphs();
+    let bases = graphs::all_graphs();
     println!("# Figure 8: speed-up vs CCR (8 SPEs, portfolio LP mappings)");
     print!("{:>8}", "CCR");
-    for g in &graphs {
+    for g in &bases {
         print!(" {:>16}", g.name());
     }
     println!();
 
-    let mut rows = Vec::new();
-    for &target in &ccrs {
+    for target in paper_ccr_sweep() {
         print!("{target:>8.3}");
-        let mut cells = vec![format!("{target:.3}")];
-        for base in &graphs {
-            let variants = paper::ccr_variants(base);
+        for base in &bases {
+            let variants = graphs::ccr_variants(base);
             let (_, g) = variants
                 .iter()
                 .min_by(|a, b| (a.0 - target).abs().total_cmp(&(b.0 - target).abs()))
@@ -40,11 +39,8 @@ fn main() {
             let ppe_rho = ppe_only_throughput(g, &spec);
             let su = measured_throughput(g, &spec, &plan.mapping).map_or(f64::NAN, |r| r / ppe_rho);
             print!(" {su:>16.2}");
-            cells.push(format!("{su:.4}"));
         }
         println!();
-        rows.push(cells.join(","));
     }
-    write_csv("fig8.csv", "ccr,graph1,graph2,graph3", &rows);
     println!("\npaper shape check: every column should trend downward toward ~1.");
 }

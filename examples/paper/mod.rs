@@ -1,0 +1,130 @@
+//! Shared harness of the paper-figure examples (`fig6`, `fig7`, `fig8`,
+//! `tab_lp`, `ablations`) and of `tests/milp_gap.rs`, which includes
+//! this file so that the figure portfolio is spelled once.
+//!
+//! Conventions:
+//!
+//! * **Measured throughput** always comes from the calibrated
+//!   discrete-event simulator ([`SimConfig::calibrated`]) — the
+//!   reproduction's analogue of the paper's QS22 runs — while
+//!   **predicted throughput** comes from the analytic evaluator, exactly
+//!   as the paper contrasts its LP predictions with hardware runs.
+//! * **Speed-ups** are normalised to the *measured* PPE-only throughput
+//!   (§6.4.2).
+//! * The "LP" mapping of every figure comes from [`lp_plan`]: the MILP
+//!   member of [`figure_portfolio`] (both §6.3 greedies, the comm-aware
+//!   greedy and multi-start local search run first, and the MILP is
+//!   warm-started with all of their mappings) with the paper's 5 % gap —
+//!   DESIGN.md's deviation 1 says why the seeds matter when the in-repo
+//!   B&B replaces CPLEX.
+
+// each example uses a different subset of the harness
+#![allow(dead_code)]
+
+use cellstream::core::scheduler::{Plan, PlanContext, PlanStats};
+use cellstream::core::{Mapping, SolveOptions};
+use cellstream::graph::StreamGraph;
+use cellstream::heuristics::{Portfolio, PortfolioOutcome};
+use cellstream::milp::{LpOptions, MipOptions, MipStatus};
+use cellstream::platform::{CellSpec, PeId};
+use cellstream::sim::{simulate, SimConfig, SimError};
+use std::time::Duration;
+
+/// Instances to simulate per measurement.
+pub const SIM_INSTANCES: u64 = 10_000;
+
+/// The figures' MILP budget per solve: the paper's 5 % gap, a node cap,
+/// and a wall-clock limit enforced inside the LP pivot loops.
+pub fn mip_options() -> MipOptions {
+    MipOptions {
+        rel_gap: 0.05,
+        time_limit: Duration::from_secs(120),
+        max_nodes: 50_000,
+        lp: LpOptions { max_iterations: 60_000, ..Default::default() },
+        ..Default::default()
+    }
+}
+
+/// The figure portfolio: the PPE-only baseline, both §6.3 greedies, the
+/// comm-aware greedy and multi-start local search in the first wave, and
+/// the MILP, seeded with every first-wave mapping, in the second.
+pub fn figure_portfolio() -> Portfolio {
+    Portfolio::new()
+        .with_named("ppe_only")
+        .with_named("greedy_mem")
+        .with_named("greedy_cpu")
+        .with_named("comm_aware")
+        .with_named("multi_start")
+        .with_named("milp")
+}
+
+/// Run the figure portfolio on one instance; `solve` configures its
+/// MILP member (formulation and budget; the seeds come from wave 1).
+pub fn portfolio_outcome(
+    g: &StreamGraph,
+    spec: &CellSpec,
+    solve: SolveOptions,
+) -> PortfolioOutcome {
+    let ctx = PlanContext { solve, ..Default::default() };
+    figure_portfolio()
+        .run_with(g, spec, &ctx)
+        .expect("the ppe_only member guarantees a feasible plan")
+}
+
+/// The MILP member's plan under `solve`, feasible or not: a formulation
+/// with constraints ablated away may return a mapping the evaluator
+/// flags.
+pub fn milp_plan(g: &StreamGraph, spec: &CellSpec, solve: SolveOptions) -> Plan {
+    let outcome = portfolio_outcome(g, spec, solve);
+    let member = outcome.member("milp").expect("milp is a member");
+    member.result.as_ref().expect("the seeded MILP always returns an incumbent").clone()
+}
+
+/// The figures' "LP" plan: the MILP member at the figures' budget,
+/// falling back to the portfolio winner if it failed. The fallback is
+/// loudly reported on stderr — a figure's "LP" column should never
+/// silently contain heuristic numbers.
+pub fn lp_plan(g: &StreamGraph, spec: &CellSpec) -> Plan {
+    let outcome =
+        portfolio_outcome(g, spec, SolveOptions { mip: mip_options(), ..Default::default() });
+    match outcome.member("milp").and_then(|m| m.feasible_plan().cloned()) {
+        Some(plan) => plan,
+        None => {
+            eprintln!(
+                "warning: MILP member failed on {}; substituting portfolio winner `{}`",
+                g.name(),
+                outcome.best.scheduler
+            );
+            outcome.best
+        }
+    }
+}
+
+/// MILP statistics of a plan (`None` for non-MILP plans):
+/// `(gap, nodes, lp_iterations, warm_start_rate, status)`.
+pub fn milp_stats(plan: &Plan) -> Option<(f64, u64, u64, f64, MipStatus)> {
+    match plan.stats {
+        PlanStats::Milp { gap, nodes, lp_iterations, warm_start_rate, status, .. } => {
+            Some((gap, nodes, lp_iterations, warm_start_rate, status))
+        }
+        _ => None,
+    }
+}
+
+/// Measured steady-state throughput of a mapping on the calibrated
+/// simulator; `None` for infeasible/stalled runs.
+pub fn measured_throughput(g: &StreamGraph, spec: &CellSpec, m: &Mapping) -> Option<f64> {
+    match simulate(g, spec, m, &SimConfig::calibrated(), SIM_INSTANCES) {
+        Ok(trace) => Some(trace.steady_state_throughput()),
+        Err(SimError::BadMapping(_)) => None,
+        Err(e) => {
+            eprintln!("warning: simulation failed: {e}");
+            None
+        }
+    }
+}
+
+/// Measured PPE-only throughput (the speed-up denominator of §6.4.2).
+pub fn ppe_only_throughput(g: &StreamGraph, spec: &CellSpec) -> f64 {
+    measured_throughput(g, spec, &Mapping::all_on(g, PeId(0))).expect("PPE-only always simulates")
+}

@@ -1,9 +1,10 @@
 //! Multi-application co-scheduling end-to-end: the acceptance tests for
 //! the `Workload` subsystem.
 //!
-//! * Co-scheduling audio + cipher on the QS22 via `Session` returns a
-//!   feasible plan whose max weighted per-application period is never
-//!   worse than the best disjoint-SPE-partition baseline.
+//! * Co-scheduling audio + cipher and video + dsp on the QS22 via
+//!   `Session` returns a feasible plan whose max weighted
+//!   per-application period is never worse than the best
+//!   disjoint-SPE-partition baseline.
 //! * The per-application simulated throughput (ideal config) matches
 //!   the per-application model prediction within 1%.
 //! * All of it goes through the unchanged scheduler stack — the
@@ -19,16 +20,17 @@ fn audio_cipher() -> Workload {
     Workload::compose("audio+cipher", &[&a, &c]).unwrap()
 }
 
-#[test]
-fn co_scheduling_audio_cipher_beats_or_ties_the_best_partition() {
-    let w = audio_cipher();
+/// Co-schedule `w` on the QS22 with the heuristic portfolio seeded with
+/// the best disjoint-SPE partition, then simulate the plan (ideal
+/// config) and hold every application to its max-min fair prediction.
+fn assert_co_scheduling_beats_the_best_partition(w: &Workload) {
     let spec = CellSpec::qs22();
     let (baseline, alloc, base_report) =
-        best_partition(&w, &spec, &PlanContext::default()).expect("a feasible partition exists");
+        best_partition(w, &spec, &PlanContext::default()).expect("a feasible partition exists");
     assert!(base_report.is_feasible());
     assert_eq!(alloc.iter().sum::<usize>(), spec.n_spe(), "all SPEs handed out");
 
-    let planned = Session::for_workload(&w, &spec)
+    let planned = Session::for_workload(w, &spec)
         .portfolio(Portfolio::heuristics_only())
         .seed(baseline)
         .plan()
@@ -50,6 +52,37 @@ fn co_scheduling_audio_cipher_beats_or_ties_the_best_partition() {
         assert!((app.weighted_period - plan.period()).abs() < 1e-15);
         assert!(app.isolated_period <= app.period + 1e-15);
     }
+
+    // every app matches its max-min fair prediction within 1%, between
+    // the round guarantee `w_i / T` and the isolated bound (apps whose
+    // binding resources are private reclaim the slack between the two)
+    let scheduled = planned.schedule().expect("feasible plans schedule");
+    let (_, measured) =
+        scheduled.simulate_per_app(&SimConfig::ideal(), 1500).expect("simulation runs");
+    for (app, &sim) in per_app.iter().zip(&measured) {
+        let predicted = app.fair_throughput;
+        assert!(
+            (sim - predicted).abs() / predicted < 0.01,
+            "{}: sim {sim} vs {predicted}",
+            app.app
+        );
+        assert!(sim >= app.throughput * 0.99, "{}: below the round guarantee", app.app);
+        assert!(sim <= 1.0 / app.isolated_period * 1.01, "{}: above the isolated bound", app.app);
+    }
+}
+
+#[test]
+fn co_scheduling_audio_cipher_beats_or_ties_the_best_partition() {
+    assert_co_scheduling_beats_the_best_partition(&audio_cipher());
+}
+
+#[test]
+fn co_scheduling_video_dsp_beats_or_ties_the_best_partition() {
+    let v = video::graph().unwrap();
+    let d = dsp::graph().unwrap();
+    assert_co_scheduling_beats_the_best_partition(
+        &Workload::compose("video+dsp", &[&v, &d]).unwrap(),
+    );
 }
 
 #[test]

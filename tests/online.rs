@@ -4,14 +4,15 @@
 //! * Admission control **never** admits an application whose mapping
 //!   would violate SPE local-store capacity: after every event in a
 //!   churn sequence the incumbent passes the §3.2 verifier.
-//! * Warm-started repair replanning stays within a few percent of a
-//!   from-scratch portfolio re-solve on the same workload (the full
-//!   95%/10× gates run in `bench/bin/online.rs`; here a cheap sanity
-//!   band keeps the property in tier-1).
+//! * Warm-started repair replanning keeps ≥ 95 % of a from-scratch
+//!   portfolio re-solve's throughput (geometric mean over a 12-event
+//!   churn of the four real applications), and stays within 10 % of it
+//!   on a single three-app workload.
 //! * The trace driver (`sim::online::replay`) measures per-app
 //!   throughput, replan latency, migration bytes and rejections.
 
 use cellstream::apps::{audio, cipher, dsp, video};
+use cellstream::graph::StreamGraph;
 use cellstream::platform::{ByteSize, CellSpecBuilder};
 use cellstream::prelude::*;
 use cellstream::serve::{RejectReason, ServiceOptions, Verdict};
@@ -76,13 +77,117 @@ fn repair_stays_close_to_from_scratch_portfolio() {
     let scratch = Portfolio::heuristics_only()
         .run_workload(w, &spec, &PlanContext::default())
         .expect("portfolio always plans");
-    // cheap tier-1 band; the bench gates the real 95% criterion
+    // one point, outside the churn below: a single event may sit well
+    // under the churn's 95% geometric mean (its minimum is 87.9%), so the
+    // band here is 10%
     assert!(
         svc.period() <= scratch.best.period() * 1.10 + 1e-12,
         "repair period {} drifted >10% from from-scratch {}",
         svc.period(),
         scratch.best.period()
     );
+}
+
+/// The churn trace: arrivals, rate changes and departures of the four
+/// real applications (duplicates renamed — application names key the
+/// workload).
+fn churn_events() -> Vec<(f64, TraceEvent)> {
+    let audio = audio::graph().unwrap();
+    let video = video::graph().unwrap();
+    let cipher = cipher::graph().unwrap();
+    let dsp = dsp::graph().unwrap();
+    let ev = |g: &StreamGraph, w: f64| TraceEvent::Admit { graph: g.clone(), weight: w };
+    vec![
+        (0.00, ev(&audio, 1.0)),
+        (0.02, ev(&video, 1.0)),
+        (0.04, ev(&cipher, 2.0)),
+        (0.06, TraceEvent::Reweight { app: audio.name().to_owned(), weight: 2.0 }),
+        (0.08, ev(&dsp, 1.0)),
+        (0.10, TraceEvent::Retire { app: video.name().to_owned() }),
+        (0.12, ev(&video.renamed("video-2"), 1.0)),
+        (0.14, TraceEvent::Reweight { app: cipher.name().to_owned(), weight: 1.0 }),
+        (0.16, ev(&cipher.renamed("cipher-2"), 1.0)),
+        (0.18, TraceEvent::Retire { app: audio.name().to_owned() }),
+        (0.20, ev(&audio.renamed("audio-2"), 2.0)),
+        (0.22, TraceEvent::Retire { app: dsp.name().to_owned() }),
+    ]
+}
+
+/// Repair quality of one event, `T_scratch / T_repair`: the repaired
+/// throughput as a fraction of the from-scratch one. A repair left
+/// without a plan (an infinite period) scores 0.
+fn quality(scratch_period: f64, repair_period: f64) -> f64 {
+    if repair_period.is_finite() {
+        scratch_period / repair_period
+    } else {
+        0.0
+    }
+}
+
+/// The churn gate: repair keeps ≥ 95 % of from-scratch throughput
+/// (geometric mean of [`quality`] over the churn's events).
+fn repair_quality(geo_quality: f64) -> Result<(), String> {
+    if geo_quality >= 0.95 {
+        Ok(())
+    } else {
+        Err(format!(
+            "GATE: repair quality {:.1}% fell below 95% of from-scratch",
+            geo_quality * 100.0
+        ))
+    }
+}
+
+/// Every churn event applies, and the repaired incumbent keeps ≥ 95 %
+/// of a from-scratch heuristic portfolio's throughput, event by event
+/// (geometric mean; model periods, no clock). The same trace replayed
+/// through a fresh service rejects nothing and ends feasible.
+#[test]
+fn repair_keeps_95_percent_of_from_scratch_over_the_churn() {
+    let spec = CellSpec::qs22();
+    let events = churn_events();
+
+    let mut svc = Service::new(spec.clone());
+    let mut qualities = Vec::new();
+    for (_, ev) in &events {
+        let ev = svc.resolve(ev.clone()).expect("the trace names live apps");
+        let report = svc.process(ev).expect("live handles");
+        assert!(report.applied(), "{} did not apply: {:?}", report.event, report.verdict);
+        let w = svc.workload().expect("the churn never empties the service");
+        let scratch = Portfolio::heuristics_only()
+            .run_workload(w, &spec, &PlanContext::default())
+            .expect("the ppe_only member guarantees a plan");
+        qualities.push(quality(scratch.best.period(), report.period));
+    }
+    let geo_quality =
+        (qualities.iter().map(|q| q.ln()).sum::<f64>() / qualities.len() as f64).exp();
+    let min_quality = qualities.iter().copied().fold(f64::INFINITY, f64::min);
+    eprintln!(
+        "quality: geomean {:.1}% (min {:.1}%) over {} events",
+        geo_quality * 100.0,
+        min_quality * 100.0,
+        qualities.len()
+    );
+    repair_quality(geo_quality).unwrap_or_else(|refusal| panic!("{refusal}"));
+
+    let mut replay_svc = Service::new(spec);
+    let mut trace = EventTrace::new(0.25);
+    for (t, ev) in events {
+        trace.push(t, ev);
+    }
+    let online = replay(&mut replay_svc, &trace, 800);
+    assert_eq!(online.rejected, 0, "the whole trace fits on a QS22");
+    assert_incumbent_feasible(&replay_svc);
+}
+
+#[test]
+fn repair_quality_refuses_a_run_below_the_floor_or_a_nan() {
+    assert_eq!(repair_quality(0.95), Ok(()));
+    let refusal = repair_quality(0.949).unwrap_err();
+    assert!(refusal.contains("94.9% fell below 95%"), "{refusal}");
+    assert!(repair_quality(f64::NAN).is_err());
+    // a repair left without a plan drags the geometric mean to 0
+    assert_eq!(quality(2e-6, f64::INFINITY), 0.0);
+    assert!(repair_quality(quality(2e-6, f64::INFINITY)).is_err());
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Tests pinning the paper's *qualitative* claims on reduced instances,
-//! so the full figure regeneration (cellstream-bench) is backed by CI.
+//! so the full-size figure examples (`fig6`, `fig7`, `fig8`) are backed
+//! by tier-1.
 
 use cellstream::core::{evaluate, Mapping};
 use cellstream::daggen::paper;
@@ -85,7 +86,7 @@ fn speedup_declines_with_ccr() {
 }
 
 /// The three frozen paper graphs stay frozen (any change would silently
-/// move every figure `cellstream-bench` regenerates, the golden tables
+/// move every figure the paper examples regenerate, the golden tables
 /// and the benchmark's `plan_paper` instances).
 #[test]
 fn paper_workloads_are_pinned() {
