@@ -117,68 +117,32 @@ impl Formulation {
 
         // ---- variables ----------------------------------------------------
         // (1a): α, β binary; T rational
-        let t_var = model.add_var("T", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
-        let mut alpha = Vec::with_capacity(k_tasks * n);
-        for k in 0..k_tasks {
-            for i in 0..n {
-                alpha.push(model.add_var(format!("a[{k},{i}]"), 0.0, 1.0, 0.0, VarKind::Binary));
-            }
-        }
+        let t_var = model.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+        let alpha: Vec<_> =
+            (0..k_tasks * n).map(|_| model.add_var(0.0, 1.0, 0.0, VarKind::Binary)).collect();
         let a = |k: usize, i: usize| alpha[k * n + i];
         let edges: Vec<(usize, usize, f64)> =
             g.edges().iter().map(|e| (e.src.index(), e.dst.index(), e.data_bytes)).collect();
 
         let aux = match config.kind {
-            FormKind::Paper => {
-                let mut beta = Vec::with_capacity(edges.len());
-                for (ei, _) in edges.iter().enumerate() {
-                    let mut b_e = Vec::with_capacity(n * n);
-                    for i in 0..n {
-                        for j in 0..n {
-                            b_e.push(model.add_var(
-                                format!("b[{ei},{i},{j}]"),
-                                0.0,
-                                1.0,
-                                0.0,
-                                VarKind::Binary,
-                            ));
-                        }
-                    }
-                    beta.push(b_e);
-                }
-                AuxVars::Paper(beta)
-            }
+            FormKind::Paper => AuxVars::Paper(
+                edges
+                    .iter()
+                    .map(|_| {
+                        (0..n * n).map(|_| model.add_var(0.0, 1.0, 0.0, VarKind::Binary)).collect()
+                    })
+                    .collect(),
+            ),
             FormKind::Compact => {
                 let mut gamma = Vec::with_capacity(edges.len());
                 let mut eps = Vec::with_capacity(edges.len());
-                for (ei, _) in edges.iter().enumerate() {
-                    gamma.push(
-                        (0..n)
-                            .map(|i| {
-                                model.add_var(
-                                    format!("g[{ei},{i}]"),
-                                    0.0,
-                                    // γ caps at 1 even fractionally
-                                    1.0,
-                                    0.0,
-                                    VarKind::Continuous,
-                                )
-                            })
-                            .collect::<Vec<_>>(),
-                    );
-                    eps.push(
-                        spec.spes()
-                            .map(|pe| {
-                                model.add_var(
-                                    format!("e[{ei},{}]", pe.index()),
-                                    0.0,
-                                    1.0,
-                                    0.0,
-                                    VarKind::Continuous,
-                                )
-                            })
-                            .collect::<Vec<_>>(),
-                    );
+                let mut continuous = |count: usize| -> Vec<_> {
+                    // γ and ε cap at 1 even fractionally
+                    (0..count).map(|_| model.add_var(0.0, 1.0, 0.0, VarKind::Continuous)).collect()
+                };
+                for _ in &edges {
+                    gamma.push(continuous(n));
+                    eps.push(continuous(spec.spes().count()));
                 }
                 AuxVars::Compact(gamma, eps)
             }

@@ -42,15 +42,23 @@
 //!   every row in. Otherwise only the *refused* rows are *activated*:
 //!   the broken rows with no such column, and those whose lifted column
 //!   sits in a row the lifted point breaks. The rest wait, and are tested
-//!   again at the re-solved optimum. Activated rows are appended to the
-//!   LP in activation order (so the logical of LP row `p` stays column
-//!   `n + p`), and the node re-solves from its optimal basis extended by
-//!   their logicals, basic — still dual feasible, since their duals are
-//!   0. A heap node's basis that predates an activation is extended the
-//!   same way when the node is popped. A point is accepted only when
-//!   every model row holds, so every node's value is its LP's with every
-//!   row in, and the search stays exact; [`MipResult::lazy_rows`] counts
-//!   the activated rows, and [`MipResult::lp_iterations`] includes the
+//!   again at the re-solved optimum. After a lift only the rows it can
+//!   have broken are re-checked: the LP's rows, the broken rows, and the
+//!   rows outside the LP that hold a column it moved — any other row
+//!   has the activity it had at the optimum, where it held. (Debug
+//!   builds hold that verdict to a check of every model row.) Activated
+//!   rows are appended to the search's LP in place, in activation order
+//!   (so the logical of LP row `p` stays column `n + p`): the model is
+//!   validated once, when the search builds its LP, and debug builds
+//!   hold the grown LP to one built from scratch over the same rows,
+//!   field for field. Only the [`Workspace`] is built again, for the new
+//!   size. The node re-solves from its optimal basis extended by the new
+//!   logicals, basic — still dual feasible, since their duals are 0. A
+//!   heap node's basis that predates an activation is extended the same
+//!   way when the node is popped. A point is accepted only when every
+//!   model row holds, so every node's value is its LP's with every row
+//!   in, and the search stays exact; [`MipResult::lazy_rows`] counts the
+//!   activated rows, and [`MipResult::lp_iterations`] includes the
 //!   re-solves.
 //! * Callers may **seed incumbents** (e.g. greedy heuristic mappings) and
 //!   provide an **integral completion** callback that rounds a fractional
@@ -265,8 +273,8 @@ fn solve_node(
 }
 
 /// The search's one LP and [`Workspace`]: over the model's eager rows,
-/// then the lazy rows activated so far, in activation order — so the
-/// logical of LP row `p` is column `n + p` for the whole search.
+/// then the lazy rows activated so far, appended in activation order —
+/// so the logical of LP row `p` is column `n + p` for the whole search.
 struct NodeLp {
     lp: SparseLp,
     ws: Workspace,
@@ -290,10 +298,11 @@ impl NodeLp {
     /// [`solve_node`] on this LP, then the node's value with every model
     /// row in: while the optimum breaks inactive lazy rows (each in its
     /// own scale, at `FEAS_TOL`), [`lift`] repairs them, or the rows it
-    /// refuses are appended to the LP and the node re-solves from its
-    /// optimal basis, whose new logicals start basic (their duals are 0,
-    /// so the basis stays dual feasible). The solution counts the
-    /// iterations of every re-solve; the flag says whether `basis` held.
+    /// refuses are appended to the LP in place and the node re-solves
+    /// from its optimal basis, whose new logicals start basic (their
+    /// duals are 0, so the basis stays dual feasible). The solution
+    /// counts the iterations of every re-solve; the flag says whether
+    /// `basis` held.
     fn solve(
         &mut self,
         model: &Model,
@@ -312,7 +321,7 @@ impl NodeLp {
             if broken.is_empty() {
                 break;
             }
-            let refused = match lift(model, &s.x, &broken) {
+            let refused = match lift(model, &s.x, &broken, &self.active, &self.inactive) {
                 Ok(x) => {
                     debug_assert_eq!(model.objective_of(&x), s.objective, "a lift moves no cost");
                     s.x = x;
@@ -323,8 +332,11 @@ impl NodeLp {
             self.activated += refused.len() as u64;
             self.inactive.retain(|i| !refused.contains(i));
             self.active.extend(&refused);
-            self.lp = SparseLp::from_model_rows(model, &self.active)
-                .expect("the model validated when the search began");
+            self.lp.append_rows(model, &refused);
+            debug_assert!(
+                SparseLp::from_model_rows(model, &self.active).is_ok_and(|fresh| fresh == self.lp),
+                "the LP grown in place differs from one built over its rows"
+            );
             self.ws = Workspace::new(&self.lp);
             let spent = s.iterations;
             sol = self.solve_from(model, fixings, &s.basis, opts).0;
@@ -370,7 +382,19 @@ impl NodeLp {
 /// lifted column sits in a row the lifted point breaks. The set is never
 /// empty: a row the lifted point breaks either held at `x`, so it holds
 /// a lifted column, or it is a broken row with no column to lift.
-fn lift(model: &Model, x: &[f64], broken: &[usize]) -> Result<Vec<f64>, Vec<usize>> {
+///
+/// `broken` lists, in increasing order, the rows of `inactive` (the
+/// model rows outside the LP, increasing) that `x` breaks; `lp_rows` are
+/// the LP's. Only the rows the lift can have broken are checked (see
+/// [`rechecked_rows`]); debug builds hold the verdict to a check of
+/// every model row.
+fn lift(
+    model: &Model,
+    x: &[f64],
+    broken: &[usize],
+    lp_rows: &[usize],
+    inactive: &[usize],
+) -> Result<Vec<f64>, Vec<usize>> {
     let mut lifted = x.to_vec();
     let mut refused = Vec::new();
     let mut moved = Vec::with_capacity(broken.len());
@@ -389,13 +413,62 @@ fn lift(model: &Model, x: &[f64], broken: &[usize]) -> Result<Vec<f64>, Vec<usiz
         lifted[c] = (lifted[c] + (con.rhs - lhs) / a).max(v.lo).min(v.hi);
         moved.push((i, c));
     }
-    let still: Vec<_> =
-        model.cons.iter().filter(|con| con.scaled_violation(&lifted) > FEAS_TOL).collect();
+    let rows = rechecked_rows(model, x, &lifted, broken, lp_rows, inactive);
+    let verdict = post_lift_refusals(model, &lifted, broken, &refused, &moved, rows);
+    debug_assert_eq!(
+        verdict,
+        post_lift_refusals(model, &lifted, broken, &refused, &moved, 0..model.n_cons()),
+        "the restricted post-lift check disagrees with a check of every row"
+    );
+    match verdict {
+        None => Ok(lifted),
+        Some(refused) => Err(refused),
+    }
+}
+
+/// The rows a lift from `x` to `lifted` can have broken, in the order
+/// [`lift`] checks them: the LP's rows (`x` holds them only to the
+/// LP's tolerance, not necessarily to `FEAS_TOL` in their own scale),
+/// then the rows of `inactive` that `x` broke or that hold a column the
+/// lift moved. Any other row holds no moved column, so its activity at
+/// `lifted` is its activity at `x` bit for bit, where it held.
+fn rechecked_rows<'a>(
+    model: &'a Model,
+    x: &'a [f64],
+    lifted: &'a [f64],
+    broken: &'a [usize],
+    lp_rows: &'a [usize],
+    inactive: &'a [usize],
+) -> impl Iterator<Item = usize> + 'a {
+    let moves =
+        |i: usize| model.cons[i].terms.iter().any(|&(c, _)| lifted[c].to_bits() != x[c].to_bits());
+    let outside =
+        inactive.iter().copied().filter(move |&i| broken.binary_search(&i).is_ok() || moves(i));
+    lp_rows.iter().copied().chain(outside)
+}
+
+/// Whether the lifted point breaks one of `rows`: `None` if it holds
+/// them all, else the rows the LP must take — `refused` (the broken rows
+/// with no column to lift) and every row of `moved` whose lifted column
+/// sits in a row the lifted point breaks.
+fn post_lift_refusals(
+    model: &Model,
+    lifted: &[f64],
+    broken: &[usize],
+    refused: &[usize],
+    moved: &[(usize, usize)],
+    rows: impl Iterator<Item = usize>,
+) -> Option<Vec<usize>> {
+    let still: Vec<_> = rows
+        .map(|i| &model.cons[i])
+        .filter(|con| con.scaled_violation(lifted) > FEAS_TOL)
+        .collect();
     if still.is_empty() {
-        return Ok(lifted);
+        return None;
     }
     let in_still =
         |c: usize| still.iter().any(|con| con.terms.binary_search_by_key(&c, |t| t.0).is_ok());
+    let mut refused = refused.to_vec();
     refused.extend(moved.iter().filter(|&&(_, c)| in_still(c)).map(|&(i, _)| i));
     debug_assert!(!refused.is_empty(), "a lift that fails must refuse a row");
     if refused.is_empty() {
@@ -404,7 +477,7 @@ fn lift(model: &Model, x: &[f64], broken: &[usize]) -> Result<Vec<f64>, Vec<usiz
         // progress, where an empty set would re-solve the same LP forever
         refused.extend_from_slice(broken);
     }
-    Err(refused)
+    Some(refused)
 }
 
 /// A callback that attempts to complete a fractional relaxation into a
@@ -712,8 +785,8 @@ mod tests {
     fn a_refused_basis_re_solves_from_the_slack_basis() {
         // min 2x + y  s.t.  x + y ≥ 1: the optimum is y = 1, objective 1
         let mut m = Model::new("refused");
-        let x = m.add_var("x", 0.0, f64::INFINITY, 2.0, VarKind::Continuous);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+        let x = m.add_var(0.0, f64::INFINITY, 2.0, VarKind::Continuous);
+        let y = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
         m.add_con(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 1.0);
         let mut lp = SparseLp::from_model(&m).unwrap();
         let mut ws = Workspace::new(&lp);
@@ -745,9 +818,9 @@ mod tests {
     /// `a = c = 1` (−7), with it `b = c = 1` (−6).
     fn knapsack(lazy: bool) -> Model {
         let mut m = Model::new("knapsack");
-        let a = m.add_var("a", 0.0, 1.0, -3.0, VarKind::Binary);
-        let b = m.add_var("b", 0.0, 1.0, -2.0, VarKind::Binary);
-        let c = m.add_var("c", 0.0, 1.0, -4.0, VarKind::Binary);
+        let a = m.add_var(0.0, 1.0, -3.0, VarKind::Binary);
+        let b = m.add_var(0.0, 1.0, -2.0, VarKind::Binary);
+        let c = m.add_var(0.0, 1.0, -4.0, VarKind::Binary);
         m.add_con(vec![(a, 1.0), (b, 1.0), (c, 1.0)], Cmp::Le, 2.0);
         let row = vec![(a, 1.0), (c, 1.0)];
         if lazy {
@@ -763,9 +836,9 @@ mod tests {
     /// the shape of (1k)'s McCormick row and its DMA-slot sum.
     fn indicator(cap: f64) -> Model {
         let mut m = Model::new("indicator");
-        let a = m.add_var("a", 0.0, 1.0, -1.0, VarKind::Binary);
-        let b = m.add_var("b", 0.0, 1.0, -1.0, VarKind::Binary);
-        let e = m.add_var("e", 0.0, 1.0, 0.0, VarKind::Continuous);
+        let a = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+        let b = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+        let e = m.add_var(0.0, 1.0, 0.0, VarKind::Continuous);
         m.add_con(vec![(e, 1.0)], Cmp::Le, cap);
         m.add_lazy_con(vec![(e, 1.0), (a, -1.0), (b, -1.0)], Cmp::Ge, -1.0);
         m
@@ -813,11 +886,11 @@ mod tests {
     /// `e ≤ ½`, and `e ≥ a + b − 1`, `f ≥ b + c − 1` lazy or not.
     fn two_indicators(lazy: bool) -> Model {
         let mut m = Model::new("two-indicators");
-        let a = m.add_var("a", 0.0, 1.0, -1.0, VarKind::Binary);
-        let b = m.add_var("b", 0.0, 1.0, -1.0, VarKind::Binary);
-        let c = m.add_var("c", 0.0, 1.0, -1.0, VarKind::Binary);
-        let e = m.add_var("e", 0.0, 1.0, 0.0, VarKind::Continuous);
-        let f = m.add_var("f", 0.0, 1.0, 0.0, VarKind::Continuous);
+        let a = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+        let b = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+        let c = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+        let e = m.add_var(0.0, 1.0, 0.0, VarKind::Continuous);
+        let f = m.add_var(0.0, 1.0, 0.0, VarKind::Continuous);
         m.add_con(vec![(e, 1.0)], Cmp::Le, 0.5);
         for (ind, x, y) in [(e, a, b), (f, b, c)] {
             let row = vec![(ind, 1.0), (x, -1.0), (y, -1.0)];
@@ -842,6 +915,35 @@ mod tests {
         let objective = |r: &MipResult| r.incumbent.as_ref().map(|(obj, _)| *obj);
         assert_eq!(objective(&lazy), Some(-2.0));
         assert_eq!(objective(&lazy), objective(&eager));
+    }
+
+    /// A lifted column that also sits in a second inactive lazy row, one
+    /// the optimum did not break: the restricted post-lift check reaches
+    /// that row through the column and returns the verdict of a check of
+    /// every model row. Checking the broken rows alone would accept the
+    /// lifted point.
+    #[test]
+    fn a_lifted_column_in_a_second_inactive_row_is_rechecked() {
+        // e ≥ a + b − 1 and e ≤ ½, both lazy: at a = b = 1, e = 0 only
+        // the first is broken, and lifting e to 1 breaks the second
+        let mut m = Model::new("second-row");
+        let a = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+        let b = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+        let e = m.add_var(0.0, 1.0, 0.0, VarKind::Continuous);
+        m.add_lazy_con(vec![(e, 1.0), (a, -1.0), (b, -1.0)], Cmp::Ge, -1.0);
+        m.add_lazy_con(vec![(e, 1.0)], Cmp::Le, 0.5);
+        let (x, lifted) = ([1.0, 1.0, 0.0], [1.0, 1.0, 1.0]);
+        let (broken, inactive, moved) = ([0], [0, 1], [(0, 2)]);
+        let rows: Vec<usize> = rechecked_rows(&m, &x, &lifted, &broken, &[], &inactive).collect();
+        assert_eq!(rows, [0, 1], "row 1 holds the lifted e");
+        let verdict = |rows: &[usize]| {
+            post_lift_refusals(&m, &lifted, &broken, &[], &moved, rows.iter().copied())
+        };
+        let full: Vec<usize> = (0..m.n_cons()).collect();
+        assert_eq!(verdict(&full), Some(vec![0]));
+        assert_eq!(verdict(&rows), verdict(&full));
+        assert_eq!(verdict(&broken), None, "the broken row alone holds after the lift");
+        assert_eq!(lift(&m, &x, &broken, &[], &inactive), Err(vec![0]));
     }
 
     /// A node whose stored basis predates an activation re-solves from

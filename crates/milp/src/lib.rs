@@ -49,8 +49,8 @@
 //!
 //! // maximize x + 2y  s.t. x + y <= 4, x <= 3, y <= 2   (as minimize -x-2y)
 //! let mut m = Model::new("demo");
-//! let x = m.add_var("x", 0.0, 3.0, -1.0, VarKind::Continuous);
-//! let y = m.add_var("y", 0.0, 2.0, -2.0, VarKind::Continuous);
+//! let x = m.add_var(0.0, 3.0, -1.0, VarKind::Continuous);
+//! let y = m.add_var(0.0, 2.0, -2.0, VarKind::Continuous);
 //! m.add_con(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
 //! let sol = m.solve_lp(&Default::default()).unwrap();
 //! assert!((sol.objective - (-6.0)).abs() < 1e-8); // x=2, y=2

@@ -54,9 +54,6 @@ pub enum Cmp {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Variable {
-    /// Kept for debugging dumps; not read on the solve path.
-    #[allow(dead_code)]
-    pub name: String,
     pub lo: f64,
     pub hi: f64,
     pub obj: f64,
@@ -193,16 +190,9 @@ impl Model {
 
     /// Add a variable with bounds `[lo, hi]` (use `f64::INFINITY` for a
     /// free upper bound), objective coefficient `obj` and kind.
-    pub fn add_var(
-        &mut self,
-        name: impl Into<String>,
-        lo: f64,
-        hi: f64,
-        obj: f64,
-        kind: VarKind,
-    ) -> VarId {
+    pub fn add_var(&mut self, lo: f64, hi: f64, obj: f64, kind: VarKind) -> VarId {
         let id = VarId(self.vars.len());
-        self.vars.push(Variable { name: name.into(), lo, hi, obj, kind });
+        self.vars.push(Variable { lo, hi, obj, kind });
         id
     }
 

@@ -27,7 +27,7 @@
 //! [`Model::certify`] checks against the model's own rows.
 
 use crate::factor::Factorization;
-use crate::model::{Cmp, LpOptions, LpStatus, Model, SolveError};
+use crate::model::{Cmp, Constraint, LpOptions, LpStatus, Model, SolveError};
 use crate::sparse::{ColMatrix, SparseAcc};
 
 /// Where a column currently rests.
@@ -89,8 +89,9 @@ pub enum WarmStartError {
 /// (structural + one logical per row) with a row-wise copy beside them,
 /// native bounds, equilibrated rows. Bounds are mutable
 /// ([`SparseLp::set_bounds`]) so branch-and-bound can fix binaries
-/// without rebuilding anything.
-#[derive(Debug, Clone)]
+/// without rebuilding anything, and branch-and-bound appends the rows
+/// it activates in place.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseLp {
     m: usize,
     n: usize,
@@ -137,30 +138,15 @@ impl SparseLp {
         let n = model.vars.len();
         let m = rows.len();
         model.validate()?;
-        // row equilibration: scale every row to unit max coefficient
-        // magnitude (cmp-direction preserved: scales are positive)
-        let mut scale = vec![1.0f64; m];
-        let mut rhs = vec![0.0f64; m];
-        for (i, &r) in rows.iter().enumerate() {
-            let con = &model.cons[r];
-            let maxmag = con.magnitude();
-            if maxmag > 0.0 {
-                scale[i] = 1.0 / maxmag;
-            }
-            rhs[i] = con.rhs * scale[i];
-        }
-        // columns: structural from the (scaled) row triplets, then one
-        // logical per row with coefficient +1 and sign bounds by cmp
+        let (mut scale, mut rhs) = (Vec::with_capacity(m), Vec::with_capacity(m));
         let scaled: Vec<Vec<(usize, f64)>> = rows
             .iter()
             .enumerate()
-            .map(|(i, &r)| {
-                let mut row: Vec<(usize, f64)> =
-                    model.cons[r].terms.iter().map(|&(c, a)| (c, a * scale[i])).collect();
-                // logical coefficient stays +1: the scaled slack just
-                // absorbs the row scale, and its sign bounds are
-                // invariant under positive scaling
-                row.push((n + i, 1.0));
+            .map(|(p, &r)| {
+                let con = &model.cons[r];
+                let (s, row) = scaled_row(con, n + p);
+                scale.push(s);
+                rhs.push(con.rhs * s);
                 row
             })
             .collect();
@@ -176,15 +162,39 @@ impl SparseLp {
             cost[j] = v.obj;
         }
         for &r in rows {
-            let (lo, hi) = match model.cons[r].cmp {
-                Cmp::Le => (0.0, f64::INFINITY),
-                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
-                Cmp::Eq => (0.0, 0.0),
-            };
+            let (lo, hi) = logical_bounds(model.cons[r].cmp);
             lower.push(lo);
             upper.push(hi);
         }
         Ok(SparseLp { m, n, mat, rows: rows_t, lower, upper, cost, rhs, scale })
+    }
+
+    /// Append the model rows `rows` after this LP's, in place, with no
+    /// second validation of the model: the LP is then
+    /// [`SparseLp::from_model_rows`] over its old rows followed by
+    /// `rows`, field for field, and every earlier logical keeps its
+    /// column. Structural bounds must be the model's (no fixing in
+    /// force).
+    pub(crate) fn append_rows(&mut self, model: &Model, rows: &[usize]) {
+        let (n, m) = (self.n, self.m);
+        let scaled: Vec<Vec<(usize, f64)>> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| {
+                let con = &model.cons[r];
+                let (s, row) = scaled_row(con, n + m + i);
+                let (lo, hi) = logical_bounds(con.cmp);
+                self.scale.push(s);
+                self.rhs.push(con.rhs * s);
+                self.lower.push(lo);
+                self.upper.push(hi);
+                self.cost.push(0.0);
+                row
+            })
+            .collect();
+        self.m += rows.len();
+        self.mat.append_rows(n + self.m, &scaled);
+        self.rows.append_cols(n + self.m, &scaled);
     }
 
     /// Number of rows.
@@ -276,6 +286,32 @@ impl SparseLp {
 
     fn ncols(&self) -> usize {
         self.n + self.m
+    }
+}
+
+/// Row equilibration of model row `con` as the LP row whose logical is
+/// column `logical`: its factor, scaling the row to unit max
+/// coefficient magnitude (positive, so the comparison keeps its
+/// direction), and its scaled terms followed by the logical. The
+/// logical's coefficient stays +1: the scaled slack just absorbs the row
+/// scale, and its sign bounds are invariant under positive scaling.
+fn scaled_row(con: &Constraint, logical: usize) -> (f64, Vec<(usize, f64)>) {
+    let scale = match con.magnitude() {
+        mag if mag > 0.0 => 1.0 / mag,
+        _ => 1.0,
+    };
+    let mut row = Vec::with_capacity(con.terms.len() + 1);
+    row.extend(con.terms.iter().map(|&(c, a)| (c, a * scale)));
+    row.push((logical, 1.0));
+    (scale, row)
+}
+
+/// The bounds of a row's logical: its sign by the row's comparison.
+fn logical_bounds(cmp: Cmp) -> (f64, f64) {
+    match cmp {
+        Cmp::Le => (0.0, f64::INFINITY),
+        Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+        Cmp::Eq => (0.0, 0.0),
     }
 }
 
@@ -867,9 +903,9 @@ mod tests {
     fn dual_resolve_after_fixing_matches_fresh_solve() {
         // knapsack LP: fix one variable, warm-start the re-solve
         let mut m = Model::new("warm");
-        let a = m.add_var("a", 0.0, 1.0, -10.0, VarKind::Binary);
-        let b = m.add_var("b", 0.0, 1.0, -13.0, VarKind::Binary);
-        let c = m.add_var("c", 0.0, 1.0, -7.0, VarKind::Binary);
+        let a = m.add_var(0.0, 1.0, -10.0, VarKind::Binary);
+        let b = m.add_var(0.0, 1.0, -13.0, VarKind::Binary);
+        let c = m.add_var(0.0, 1.0, -7.0, VarKind::Binary);
         m.add_con(vec![(a, 3.0), (b, 4.0), (c, 2.0)], Cmp::Le, 6.0);
         let mut lp = SparseLp::from_model(&m).unwrap();
         let opts = LpOptions::default();
@@ -894,8 +930,8 @@ mod tests {
     #[test]
     fn dual_detects_infeasible_child() {
         let mut m = Model::new("inf-child");
-        let a = m.add_var("a", 0.0, 1.0, 1.0, VarKind::Binary);
-        let b = m.add_var("b", 0.0, 1.0, 1.0, VarKind::Binary);
+        let a = m.add_var(0.0, 1.0, 1.0, VarKind::Binary);
+        let b = m.add_var(0.0, 1.0, 1.0, VarKind::Binary);
         m.add_con(vec![(a, 1.0), (b, 1.0)], Cmp::Le, 1.0);
         let mut lp = SparseLp::from_model(&m).unwrap();
         let root = lp.solve_dual_from(&lp.slack_basis(), &LpOptions::default()).unwrap();
@@ -914,8 +950,8 @@ mod tests {
     #[test]
     fn a_singular_refactorization_ends_the_solve() {
         let mut m = Model::new("singular");
-        let x0 = m.add_var("x0", 0.0, 1.0, 0.0, VarKind::Continuous);
-        let x1 = m.add_var("x1", 0.0, 1.0, 0.0, VarKind::Continuous);
+        let x0 = m.add_var(0.0, 1.0, 0.0, VarKind::Continuous);
+        let x1 = m.add_var(0.0, 1.0, 0.0, VarKind::Continuous);
         m.add_con(vec![(x1, 1.0)], Cmp::Le, 0.0);
         m.add_con(vec![(x0, 1.0), (x1, 1.0)], Cmp::Ge, -5.0);
         let lp = SparseLp::from_model(&m).unwrap();
@@ -938,7 +974,7 @@ mod tests {
         // slack basis, one per row
         let mut m = Model::new("cover");
         for i in 0..12 {
-            let x = m.add_var(format!("x{i}"), 0.0, 10.0, 1.0 + i as f64, VarKind::Continuous);
+            let x = m.add_var(0.0, 10.0, 1.0 + i as f64, VarKind::Continuous);
             m.add_con(vec![(x, 1.0)], Cmp::Ge, 1.0);
         }
         let lp = SparseLp::from_model(&m).unwrap();

@@ -11,9 +11,10 @@
 //! counting-sort pass; its transpose is the row-wise copy
 //! the pivot-row kernel walks.
 
-/// A compressed-sparse-column matrix: `nrows × ncols`, immutable once
-/// built.
-#[derive(Debug, Clone, Default)]
+/// A compressed-sparse-column matrix: `nrows × ncols`. Inside the
+/// crate it grows at its end only: rows after the last, or columns
+/// after the last.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColMatrix {
     nrows: usize,
     /// `col_ptr[j]..col_ptr[j+1]` indexes column `j`'s entries.
@@ -82,6 +83,57 @@ impl ColMatrix {
             }
         }
         ColMatrix { nrows: self.ncols(), col_ptr, row_idx, values }
+    }
+
+    /// Append `rows` as rows `nrows..` and widen to `ncols` columns, in
+    /// place: each column's new entries follow its old ones in row
+    /// order, where [`ColMatrix::from_rows`] over every row would put
+    /// them.
+    pub(crate) fn append_rows(&mut self, ncols: usize, rows: &[Vec<(usize, f64)>]) {
+        debug_assert!(ncols >= self.ncols());
+        // per column, its new entries; then where they are written
+        let mut cursor = vec![0usize; ncols];
+        for &(c, _) in rows.iter().flatten() {
+            cursor[c] += 1;
+        }
+        let nnz = self.nnz();
+        let added = rows.iter().map(Vec::len).sum::<usize>();
+        self.col_ptr.resize(ncols + 1, nnz);
+        self.row_idx.resize(nnz + added, 0);
+        self.values.resize(nnz + added, 0.0);
+        // move the old entries back, last column first, leaving room
+        // after each column for its new entries
+        let (mut old_end, mut new_end) = (nnz, nnz + added);
+        for j in (0..ncols).rev() {
+            let old_start = self.col_ptr[j];
+            let len = old_end - old_start;
+            let new_start = new_end - cursor[j] - len;
+            self.row_idx.copy_within(old_start..old_end, new_start);
+            self.values.copy_within(old_start..old_end, new_start);
+            self.col_ptr[j + 1] = new_end;
+            cursor[j] = new_start + len;
+            (old_end, new_end) = (old_start, new_start);
+        }
+        for (i, row) in rows.iter().enumerate() {
+            for &(c, v) in row {
+                self.row_idx[cursor[c]] = self.nrows + i;
+                self.values[cursor[c]] = v;
+                cursor[c] += 1;
+            }
+        }
+        self.nrows += rows.len();
+    }
+
+    /// Append `cols` as columns `ncols()..`, each's entries in
+    /// increasing row order, and grow to `nrows` rows.
+    pub(crate) fn append_cols(&mut self, nrows: usize, cols: &[Vec<(usize, f64)>]) {
+        debug_assert!(nrows >= self.nrows);
+        for col in cols {
+            self.row_idx.extend(col.iter().map(|&(r, _)| r));
+            self.values.extend(col.iter().map(|&(_, v)| v));
+            self.col_ptr.push(self.values.len());
+        }
+        self.nrows = nrows;
     }
 
     /// Number of rows.
@@ -334,6 +386,31 @@ mod tests {
         assert_eq!(seen, vec![(3, 2.5), (64, 0.0), (129, 1.0)]);
         acc.drain(|j, _| panic!("slot {j} left behind"));
         assert!(acc.val.iter().all(|&v| v == 0.0));
+    }
+
+    /// Rows appended in place, and their transpose's columns, give the
+    /// matrices built from every row at once.
+    #[test]
+    fn appended_rows_and_columns_match_a_fresh_build() {
+        let rows: Vec<Vec<(usize, f64)>> = vec![
+            vec![(0, 2.0), (2, 1.0)],
+            vec![(1, -1.0), (3, 5.0)],
+            vec![],
+            vec![(0, 3.0), (1, 4.0), (4, -2.0)],
+        ];
+        let fresh = |k: usize, ncols: usize| {
+            ColMatrix::from_rows(k, ncols, || rows[..k].iter().map(|r| r.as_slice()))
+        };
+        let mut grown = fresh(1, 3);
+        let mut grown_t = grown.transpose();
+        grown.append_rows(4, &rows[1..3]);
+        grown_t.append_cols(4, &rows[1..3]);
+        assert_eq!(grown, fresh(3, 4));
+        assert_eq!(grown_t, fresh(3, 4).transpose());
+        grown.append_rows(5, &rows[3..]);
+        grown_t.append_cols(5, &rows[3..]);
+        assert_eq!(grown, fresh(4, 5));
+        assert_eq!(grown_t, fresh(4, 5).transpose());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::bb::{solve_mip, MipOptions, MipStatus};
 use crate::model::{Cmp, LpOptions, LpStatus, Model, SolveError, Uncertified, VarId, VarKind};
-use crate::revised::{SparseLp, SparseSolution};
+use crate::revised::{SparseLp, SparseSolution, VState, Workspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,7 +81,7 @@ fn brute_force_lp(model: &Model) -> Brute {
     let mut dir = vec![None; model.n_vars()];
     for (j, v) in model.vars.iter().enumerate() {
         if v.hi.is_infinite() {
-            dir[j] = Some(cone.add_var(format!("d{j}"), 0.0, 1.0, v.obj, VarKind::Continuous));
+            dir[j] = Some(cone.add_var(0.0, 1.0, v.obj, VarKind::Continuous));
         }
     }
     for c in &model.cons {
@@ -154,10 +154,10 @@ fn arb_tiny_lp() -> impl Strategy<Value = Model> {
     (2usize..=3, 1usize..=4, any::<u64>()).prop_map(|(n, mcount, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut m = Model::new("prop");
-        for j in 0..n {
+        for _ in 0..n {
             let hi = rng.gen_range(1.0..8.0);
             let obj = rng.gen_range(-5.0..5.0f64);
-            m.add_var(format!("x{j}"), 0.0, hi, obj, VarKind::Continuous);
+            m.add_var(0.0, hi, obj, VarKind::Continuous);
         }
         for _ in 0..mcount {
             let terms: Vec<_> =
@@ -209,7 +209,7 @@ fn brute_force_binary(model: &Model) -> Option<f64> {
     let mut cont = vec![None; model.n_vars()];
     for (j, v) in model.vars.iter().enumerate() {
         if v.kind == VarKind::Continuous {
-            cont[j] = Some(rest.add_var(v.name.clone(), v.lo, v.hi, v.obj, v.kind));
+            cont[j] = Some(rest.add_var(v.lo, v.hi, v.obj, v.kind));
         }
     }
     let mut best: Option<f64> = None;
@@ -253,9 +253,9 @@ const CERT_TOL: f64 = 1e-9;
 #[test]
 fn the_absolute_gap_is_compared_as_an_absolute_gap() {
     let mut m = Model::new("abs-gap");
-    let a = m.add_var("a", 0.0, 1.0, -1e9, VarKind::Binary);
-    let b = m.add_var("b", 0.0, 1.0, -0.4, VarKind::Binary);
-    let c = m.add_var("c", 0.0, 1.0, -0.5, VarKind::Binary);
+    let a = m.add_var(0.0, 1.0, -1e9, VarKind::Binary);
+    let b = m.add_var(0.0, 1.0, -0.4, VarKind::Binary);
+    let c = m.add_var(0.0, 1.0, -0.5, VarKind::Binary);
     m.add_con(vec![(a, 1.0), (b, 1.0), (c, 2.0)], Cmp::Le, 2.5);
     let brute = brute_force_binary(&m).expect("the zero vector is feasible");
     let res = solve_mip(&m, &exact_opts(), &[vec![1.0, 0.0, 0.0]], None).unwrap();
@@ -271,8 +271,8 @@ fn the_absolute_gap_is_compared_as_an_absolute_gap() {
 fn the_certificate_refuses_a_wrong_answer() {
     // max x + 2y  s.t.  x + y ≤ 4, x ≤ 3, y ≤ 2: (2, 2), y = −1
     let mut m = Model::new("certify");
-    let x = m.add_var("x", 0.0, 3.0, -1.0, VarKind::Continuous);
-    let y = m.add_var("y", 0.0, 2.0, -2.0, VarKind::Continuous);
+    let x = m.add_var(0.0, 3.0, -1.0, VarKind::Continuous);
+    let y = m.add_var(0.0, 2.0, -2.0, VarKind::Continuous);
     m.add_con(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
     let sol = m.solve_lp(&LpOptions::default()).unwrap();
     assert_eq!(
@@ -290,7 +290,7 @@ fn the_certificate_refuses_a_wrong_answer() {
     // at its lower bound, and no upper bound is near a = 0 — the gap
     // alone would pass, pricing the missing upper bound at the lower one
     let mut m = Model::new("uncapped");
-    let a = m.add_var("a", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+    let a = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
     m.add_con(vec![(a, 1.0)], Cmp::Ge, 0.0);
     assert_eq!(m.certify(&[0.0], &[2.0], CERT_TOL), Err(Uncertified::ReducedCost(a)));
     assert_eq!(m.certify(&[0.0], &[1.0], CERT_TOL), Ok(()));
@@ -298,7 +298,7 @@ fn the_certificate_refuses_a_wrong_answer() {
     // leaves a reduced cost inside its tolerance (scaled by 2e6) at an
     // x off its bounds, but a gap of 7.5e-3 — over 1e-9 of 5e6
     let mut m = Model::new("gap");
-    let x = m.add_var("x", 0.0, 10.0, 1e6, VarKind::Continuous);
+    let x = m.add_var(0.0, 10.0, 1e6, VarKind::Continuous);
     m.add_con(vec![(x, 1.0)], Cmp::Ge, 5.0);
     let got = m.certify(&[5.0], &[1e6 - 1.5e-3], CERT_TOL);
     assert!(matches!(got, Err(Uncertified::Gap { .. })), "{got:?}");
@@ -309,9 +309,9 @@ fn the_certificate_refuses_a_wrong_answer() {
 fn knapsack_small() {
     // max 10a + 13b + 7c st 3a + 4b + 2c <= 6  -> a+c (17) vs b+c (20) -> 20
     let mut m = Model::new("knap");
-    let a = m.add_var("a", 0.0, 1.0, -10.0, VarKind::Binary);
-    let b = m.add_var("b", 0.0, 1.0, -13.0, VarKind::Binary);
-    let c = m.add_var("c", 0.0, 1.0, -7.0, VarKind::Binary);
+    let a = m.add_var(0.0, 1.0, -10.0, VarKind::Binary);
+    let b = m.add_var(0.0, 1.0, -13.0, VarKind::Binary);
+    let c = m.add_var(0.0, 1.0, -7.0, VarKind::Binary);
     m.add_con(vec![(a, 3.0), (b, 4.0), (c, 2.0)], Cmp::Le, 6.0);
     let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
     let (obj, x) = res.incumbent.expect("feasible");
@@ -323,8 +323,8 @@ fn knapsack_small() {
 #[test]
 fn infeasible_mip() {
     let mut m = Model::new("inf");
-    let a = m.add_var("a", 0.0, 1.0, 1.0, VarKind::Binary);
-    let b = m.add_var("b", 0.0, 1.0, 1.0, VarKind::Binary);
+    let a = m.add_var(0.0, 1.0, 1.0, VarKind::Binary);
+    let b = m.add_var(0.0, 1.0, 1.0, VarKind::Binary);
     m.add_con(vec![(a, 1.0), (b, 1.0)], Cmp::Ge, 3.0);
     let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
     assert_eq!(res.status, MipStatus::Infeasible);
@@ -335,8 +335,8 @@ fn infeasible_mip() {
 fn lp_relaxation_fractional_but_mip_integral() {
     // max a + b st 2a + 2b <= 3: LP gives 1.5, MIP gives 1
     let mut m = Model::new("frac");
-    let a = m.add_var("a", 0.0, 1.0, -1.0, VarKind::Binary);
-    let b = m.add_var("b", 0.0, 1.0, -1.0, VarKind::Binary);
+    let a = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+    let b = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
     m.add_con(vec![(a, 2.0), (b, 2.0)], Cmp::Le, 3.0);
     let lp = m.solve_lp(&LpOptions::default()).unwrap();
     assert!((lp.objective + 1.5).abs() < 1e-8);
@@ -348,7 +348,7 @@ fn lp_relaxation_fractional_but_mip_integral() {
 #[test]
 fn seeds_are_validated_not_trusted() {
     let mut m = Model::new("seed");
-    let a = m.add_var("a", 0.0, 1.0, -1.0, VarKind::Binary);
+    let a = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
     m.add_con(vec![(a, 1.0)], Cmp::Le, 0.0); // forces a = 0
                                              // seed claims a=1 (infeasible) — must be rejected
     let res = solve_mip(&m, &exact_opts(), &[vec![1.0]], None).unwrap();
@@ -361,8 +361,8 @@ fn seeds_are_validated_not_trusted() {
 /// fractional at ½, the optimum is 1.
 fn cover_of_two() -> Model {
     let mut m = Model::new("cover");
-    let x = m.add_var("x", 0.0, 1.0, 1.0, VarKind::Binary);
-    let y = m.add_var("y", 0.0, 1.0, 1.0, VarKind::Binary);
+    let x = m.add_var(0.0, 1.0, 1.0, VarKind::Binary);
+    let y = m.add_var(0.0, 1.0, 1.0, VarKind::Binary);
     m.add_con(vec![(x, 2.0), (y, 2.0)], Cmp::Ge, 1.0);
     m
 }
@@ -428,9 +428,8 @@ fn good_seed_short_circuits_search() {
     // With rel_gap = 0.05 and an optimal seed, zero branching is needed if
     // the root relaxation is within 5%.
     let mut m = Model::new("warm");
-    let vars: Vec<_> = (0..6)
-        .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, -(1.0 + i as f64), VarKind::Binary))
-        .collect();
+    let vars: Vec<_> =
+        (0..6).map(|i| m.add_var(0.0, 1.0, -(1.0 + i as f64), VarKind::Binary)).collect();
     let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
     m.add_con(terms, Cmp::Le, 6.0); // all fit: optimum takes everything
     let seed = vec![1.0; 6];
@@ -444,8 +443,8 @@ fn good_seed_short_circuits_search() {
 fn completion_callback_harvests_incumbents() {
     // Completion rounds everything up if feasible.
     let mut m = Model::new("cb");
-    let a = m.add_var("a", 0.0, 1.0, -3.0, VarKind::Binary);
-    let b = m.add_var("b", 0.0, 1.0, -2.0, VarKind::Binary);
+    let a = m.add_var(0.0, 1.0, -3.0, VarKind::Binary);
+    let b = m.add_var(0.0, 1.0, -2.0, VarKind::Binary);
     m.add_con(vec![(a, 2.0), (b, 2.0)], Cmp::Le, 3.0);
     let completion = |x: &[f64]| -> Option<(f64, Vec<f64>)> {
         // keep the largest coordinate only
@@ -466,9 +465,7 @@ fn gap_mode_stops_early_but_reports_gap() {
     let mut m = Model::new("gap");
     let n = 14;
     let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..20.0)).collect();
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, -weights[i], VarKind::Binary))
-        .collect();
+    let vars: Vec<_> = (0..n).map(|i| m.add_var(0.0, 1.0, -weights[i], VarKind::Binary)).collect();
     let cap: f64 = weights.iter().sum::<f64>() * 0.5;
     m.add_con(
         vars.iter().map(|&v| (v, 1.0_f64)).zip(weights.iter()).map(|((v, _), &w)| (v, w)).collect(),
@@ -488,8 +485,8 @@ fn mixed_integer_continuous() {
     // a=1 -> T=4 vs T=0 -> max 4; a=0 -> max(1,4)=4; fractional would do
     // better but a is binary: both give 4.
     let mut m = Model::new("mix");
-    let t = m.add_var("T", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
-    let a = m.add_var("a", 0.0, 1.0, 0.0, VarKind::Binary);
+    let t = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+    let a = m.add_var(0.0, 1.0, 0.0, VarKind::Binary);
     m.add_con(vec![(t, 1.0), (a, -3.0)], Cmp::Ge, 1.0);
     m.add_con(vec![(t, 1.0), (a, 4.0)], Cmp::Ge, 4.0);
     let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
@@ -502,9 +499,8 @@ fn node_limit_respected() {
     let mut rng = StdRng::seed_from_u64(99);
     let mut m = Model::new("nl");
     let n = 16;
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, -rng.gen_range(1.0..9.0f64), VarKind::Binary))
-        .collect();
+    let vars: Vec<_> =
+        (0..n).map(|_| m.add_var(0.0, 1.0, -rng.gen_range(1.0..9.0f64), VarKind::Binary)).collect();
     let terms: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(1.0..9.0f64))).collect();
     m.add_con(terms, Cmp::Le, 20.0);
     let res =
@@ -522,7 +518,7 @@ proptest! {
         let n = rng.gen_range(3..=8usize);
         let mut m = Model::new("prop-mip");
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, rng.gen_range(-9.0..9.0f64), VarKind::Binary))
+            .map(|_| m.add_var(0.0, 1.0, rng.gen_range(-9.0..9.0f64), VarKind::Binary))
             .collect();
         for _ in 0..rng.gen_range(1..=3usize) {
             let terms: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(-4.0..6.0f64))).collect();
@@ -546,7 +542,7 @@ proptest! {
         let n = rng.gen_range(4..=8usize);
         let mut m = Model::new("prop-gap");
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, -rng.gen_range(0.5..9.0f64), VarKind::Binary))
+            .map(|_| m.add_var(0.0, 1.0, -rng.gen_range(0.5..9.0f64), VarKind::Binary))
             .collect();
         let terms: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(0.5..6.0f64))).collect();
         let rhs = rng.gen_range(2.0..10.0);
@@ -578,11 +574,8 @@ fn assignment_mip_matches_hungarian_style_brute_force() {
     let costs = [[4.0, 2.0, 8.0], [3.0, 7.0, 5.0], [9.0, 1.0, 6.0], [2.0, 2.0, 2.0]];
     let mut m = Model::new("assign");
     let mut x = Vec::new();
-    for (t, row) in costs.iter().enumerate() {
-        let mut r = Vec::new();
-        for (j, &c) in row.iter().enumerate() {
-            r.push(m.add_var(format!("x{t}{j}"), 0.0, 1.0, c, VarKind::Binary));
-        }
+    for row in costs {
+        let r: Vec<_> = row.iter().map(|&c| m.add_var(0.0, 1.0, c, VarKind::Binary)).collect();
         m.add_con(r.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
         x.push(r);
     }
@@ -601,9 +594,8 @@ fn large_lp_with_many_bounded_variables_stays_sane() {
     let mut rng = StdRng::seed_from_u64(2024);
     let mut m = Model::new("large");
     let vars: Vec<_> = (0..400)
-        .map(|i| {
+        .map(|_| {
             m.add_var(
-                format!("x{i}"),
                 0.0,
                 rng.gen_range(0.5..2.0f64),
                 -rng.gen_range(0.1..1.0f64),
@@ -641,9 +633,9 @@ fn mixed_eq_le_ge_system() {
     // min x+y+z st x+y+z = 6, x >= 1, y <= 2, x - z <= 0
     // objective fixed at 6; check a consistent vertex is returned
     let mut m = Model::new("mix3");
-    let x = m.add_var("x", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
-    let y = m.add_var("y", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
-    let z = m.add_var("z", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+    let x = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+    let y = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+    let z = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
     m.add_con(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Eq, 6.0);
     m.add_con(vec![(x, 1.0)], Cmp::Ge, 1.0);
     m.add_con(vec![(y, 1.0)], Cmp::Le, 2.0);
@@ -658,8 +650,8 @@ fn mixed_eq_le_ge_system() {
 fn binary_fixing_via_bounds_like_branch_and_bound() {
     // fixing binaries through set_bounds must behave like substitution
     let mut m = Model::new("fix");
-    let a = m.add_var("a", 0.0, 1.0, -5.0, VarKind::Binary);
-    let b = m.add_var("b", 0.0, 1.0, -3.0, VarKind::Binary);
+    let a = m.add_var(0.0, 1.0, -5.0, VarKind::Binary);
+    let b = m.add_var(0.0, 1.0, -3.0, VarKind::Binary);
     m.add_con(vec![(a, 1.0), (b, 1.0)], Cmp::Le, 1.0);
     // free: take a (obj -5)
     let free = solve_mip(&m, &exact_opts(), &[], None).unwrap();
@@ -682,11 +674,11 @@ fn arb_bounded_lp() -> impl Strategy<Value = Model> {
     (2usize..=6, 1usize..=6, any::<u64>()).prop_map(|(n, mcount, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut m = Model::new("diff");
-        for j in 0..n {
+        for _ in 0..n {
             let lo = if rng.gen_bool(0.3) { -rng.gen_range(0.0..4.0f64) } else { 0.0 };
             let hi = if rng.gen_bool(0.2) { f64::INFINITY } else { lo + rng.gen_range(0.5..8.0) };
             let obj = rng.gen_range(-5.0..5.0f64);
-            m.add_var(format!("x{j}"), lo, hi, obj, VarKind::Continuous);
+            m.add_var(lo, hi, obj, VarKind::Continuous);
         }
         for _ in 0..mcount {
             let mut terms = Vec::new();
@@ -764,9 +756,9 @@ proptest! {
         let n = rng.gen_range(3..=8usize);
         let mut m = Model::new("mip-diff");
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, rng.gen_range(-9.0..9.0f64), VarKind::Binary))
+            .map(|_| m.add_var(0.0, 1.0, rng.gen_range(-9.0..9.0f64), VarKind::Binary))
             .collect();
-        let t = m.add_var("T", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+        let t = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
         for _ in 0..rng.gen_range(1..=3usize) {
             let mut terms: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(-4.0..6.0f64))).collect();
             terms.push((t, -1.0));
@@ -792,11 +784,11 @@ proptest! {
         let n = rng.gen_range(3..=6usize);
         let mut m = Model::new("lazy-diff");
         let bins: Vec<_> = (0..n)
-            .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, -rng.gen_range(0.0..4.0f64), VarKind::Binary))
+            .map(|_| m.add_var(0.0, 1.0, -rng.gen_range(0.0..4.0f64), VarKind::Binary))
             .collect();
-        let t = m.add_var("T", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+        let t = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
         let eps: Vec<_> = (0..2)
-            .map(|i| m.add_var(format!("e{i}"), 0.0, 1.0, 0.0, VarKind::Continuous))
+            .map(|_| m.add_var(0.0, 1.0, 0.0, VarKind::Continuous))
             .collect();
         let add = |m: &mut Model, terms, cmp, rhs, lazy: bool| {
             if lazy { m.add_lazy_con(terms, cmp, rhs) } else { m.add_con(terms, cmp, rhs) }
@@ -826,6 +818,96 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// An LP grown in place
+// ---------------------------------------------------------------------------
+
+/// A random model whose rows branch-and-bound would take in batches:
+/// binaries and boxed or half-bounded continuous columns (a negative
+/// cost only with a finite upper bound), rows of every comparison with
+/// coefficients over six orders of magnitude (so the equilibration
+/// factors differ row to row), and about half of them lazy.
+fn arb_lazy_model(rng: &mut StdRng) -> Model {
+    let n = rng.gen_range(2..=7usize);
+    let mut m = Model::new("grown");
+    let vars: Vec<_> = (0..n)
+        .map(|_| {
+            let obj = rng.gen_range(-4.0..4.0f64);
+            if rng.gen_bool(0.5) {
+                m.add_var(0.0, 1.0, obj, VarKind::Binary)
+            } else {
+                let lo = if rng.gen_bool(0.3) { -rng.gen_range(0.0..3.0f64) } else { 0.0 };
+                let capped = obj < 0.0 || rng.gen_bool(0.5);
+                let hi = if capped { lo + rng.gen_range(0.5..6.0) } else { f64::INFINITY };
+                m.add_var(lo, hi, obj, VarKind::Continuous)
+            }
+        })
+        .collect();
+    for _ in 0..rng.gen_range(2..=10usize) {
+        let magnitude = 10f64.powi(rng.gen_range(-3..=3));
+        let mut terms = Vec::new();
+        for &v in &vars {
+            if rng.gen_bool(0.6) {
+                terms.push((v, magnitude * rng.gen_range(-3.0..3.0f64)));
+            }
+        }
+        let cmp = [Cmp::Le, Cmp::Ge, Cmp::Eq][rng.gen_range(0..3usize)];
+        let rhs = magnitude * rng.gen_range(-2.0..4.0f64);
+        if rng.gen_bool(0.5) {
+            m.add_lazy_con(terms, cmp, rhs);
+        } else {
+            m.add_con(terms, cmp, rhs);
+        }
+    }
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Branch-and-bound appends the lazy rows it activates to its LP in
+    /// place. After every random batch the grown LP equals one built from
+    /// scratch over the same rows, bit for bit, and the dual simplex from
+    /// the same basis — the last solve's, extended by the new logicals,
+    /// basic — takes the same pivots on both: the same status, objective
+    /// bits and iteration count.
+    #[test]
+    fn prop_rows_appended_in_place_build_the_same_lp(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = arb_lazy_model(&mut rng);
+        let (mut lazy, mut rows): (Vec<usize>, Vec<usize>) =
+            (0..m.n_cons()).partition(|&i| m.cons[i].lazy);
+        let mut grown = SparseLp::from_model_rows(&m, &rows).unwrap();
+        let opts = LpOptions::default();
+        let mut basis = grown.slack_basis();
+        while !lazy.is_empty() {
+            let batch: Vec<usize> = (0..rng.gen_range(1..=lazy.len().min(3)))
+                .map(|_| lazy.remove(rng.gen_range(0..lazy.len())))
+                .collect();
+            grown.append_rows(&m, &batch);
+            rows.extend(&batch);
+            let fresh = SparseLp::from_model_rows(&m, &rows).unwrap();
+            prop_assert_eq!(format!("{grown:?}"), format!("{fresh:?}"));
+            prop_assert!(grown == fresh);
+            let n = grown.n_structural();
+            for pos in basis.cols.len()..grown.n_rows() {
+                basis.cols.push(n + pos);
+                basis.state.push(VState::Basic(pos));
+            }
+            let solve = |lp: &SparseLp| lp.solve_dual_in(&mut Workspace::new(lp), &basis, &opts);
+            match (solve(&grown), solve(&fresh)) {
+                (Ok(g), Ok(f)) => {
+                    prop_assert_eq!(g.status, f.status);
+                    prop_assert_eq!(g.objective.to_bits(), f.objective.to_bits());
+                    prop_assert_eq!(g.iterations, f.iterations);
+                    basis = g.basis;
+                }
+                (g, f) => prop_assert_eq!(g.err(), f.err(), "one side refused the basis"),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Anti-cycling and budget regressions
 // ---------------------------------------------------------------------------
 
@@ -838,10 +920,10 @@ proptest! {
 #[test]
 fn degenerate_beale_terminates_under_bland_fallback() {
     let mut m = Model::new("beale");
-    let x1 = m.add_var("x1", 0.0, 1.0, -0.75, VarKind::Continuous);
-    let x2 = m.add_var("x2", 0.0, f64::INFINITY, 150.0, VarKind::Continuous);
-    let x3 = m.add_var("x3", 0.0, 2.0, -0.02, VarKind::Continuous);
-    let x4 = m.add_var("x4", 0.0, f64::INFINITY, 6.0, VarKind::Continuous);
+    let x1 = m.add_var(0.0, 1.0, -0.75, VarKind::Continuous);
+    let x2 = m.add_var(0.0, f64::INFINITY, 150.0, VarKind::Continuous);
+    let x3 = m.add_var(0.0, 2.0, -0.02, VarKind::Continuous);
+    let x4 = m.add_var(0.0, f64::INFINITY, 6.0, VarKind::Continuous);
     m.add_con(vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)], Cmp::Le, 0.0);
     m.add_con(vec![(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)], Cmp::Le, 0.0);
     m.add_con(vec![(x3, 1.0)], Cmp::Le, 1.0);
@@ -862,9 +944,7 @@ fn iteration_cap_is_enforced() {
     let mut rng = StdRng::seed_from_u64(11);
     let mut m = Model::new("cap");
     let vars: Vec<_> = (0..40)
-        .map(|i| {
-            m.add_var(format!("x{i}"), 0.0, rng.gen_range(1.0..3.0), -1.0, VarKind::Continuous)
-        })
+        .map(|_| m.add_var(0.0, rng.gen_range(1.0..3.0), -1.0, VarKind::Continuous))
         .collect();
     for _ in 0..30 {
         let terms: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(0.1..2.0f64))).collect();
@@ -888,9 +968,7 @@ fn warm_starts_are_attempted_and_mostly_hit() {
     let n = 14;
     let mut m = Model::new("warm-rate");
     let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..20.0)).collect();
-    let vars: Vec<_> = (0..n)
-        .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, -weights[i], VarKind::Binary))
-        .collect();
+    let vars: Vec<_> = (0..n).map(|i| m.add_var(0.0, 1.0, -weights[i], VarKind::Binary)).collect();
     let cap: f64 = weights.iter().sum::<f64>() * 0.37;
     m.add_con(vars.iter().zip(&weights).map(|(&v, &w)| (v, w)).collect(), Cmp::Le, cap);
     let res = solve_mip(&m, &MipOptions { rel_gap: 0.0, ..Default::default() }, &[], None).unwrap();
@@ -919,9 +997,9 @@ proptest! {
         let n = rng.gen_range(3..=7usize);
         let mut m = Model::new("dual-infeasible-root");
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, rng.gen_range(-5.0..5.0f64), VarKind::Binary))
+            .map(|_| m.add_var(0.0, 1.0, rng.gen_range(-5.0..5.0f64), VarKind::Binary))
             .collect();
-        let y = m.add_var("y", 0.0, f64::INFINITY, -1.0, VarKind::Continuous);
+        let y = m.add_var(0.0, f64::INFINITY, -1.0, VarKind::Continuous);
         for _ in 0..rng.gen_range(1..=3usize) {
             let mut terms: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(-2.0..4.0f64))).collect();
             terms.push((y, rng.gen_range(0.5..2.0f64)));
@@ -955,14 +1033,8 @@ fn time_limit_cannot_be_overshot_by_one_long_lp() {
     let n = 220;
     let mut m = Model::new("slow");
     let vars: Vec<_> = (0..n)
-        .map(|i| {
-            m.add_var(
-                format!("x{i}"),
-                0.0,
-                rng.gen_range(0.5..2.0),
-                -rng.gen_range(0.1..1.0f64),
-                VarKind::Binary,
-            )
+        .map(|_| {
+            m.add_var(0.0, rng.gen_range(0.5..2.0), -rng.gen_range(0.1..1.0f64), VarKind::Binary)
         })
         .collect();
     for _ in 0..160 {
@@ -1000,7 +1072,7 @@ fn time_limit_cannot_be_overshot_by_one_long_lp() {
 #[test]
 fn unrepresentable_time_limit_means_no_deadline() {
     let mut m = Model::new("one");
-    let x = m.add_var("x", 0.0, 1.0, -1.0, VarKind::Binary);
+    let x = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
     m.add_con(vec![(x, 2.0)], Cmp::Le, 1.0);
     let opts = MipOptions { time_limit: std::time::Duration::MAX, ..exact_opts() };
     let res = solve_mip(&m, &opts, &[], None).unwrap();
@@ -1020,7 +1092,7 @@ proptest! {
         let k = rng.gen_range(1..=n / 2) as f64;
         let mut m = Model::new("prop-eq");
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_var(format!("v{i}"), 0.0, 1.0, rng.gen_range(-5.0..5.0f64), VarKind::Binary))
+            .map(|_| m.add_var(0.0, 1.0, rng.gen_range(-5.0..5.0f64), VarKind::Binary))
             .collect();
         m.add_con(vars.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, k);
         let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..3.0)).collect();
@@ -1052,8 +1124,8 @@ type Row<'a> = (&'a [(usize, f64)], Cmp, f64);
 /// `min Σ obj·x` over `(lo, hi, obj)` variables and `rows`.
 fn lp(vars: &[(f64, f64, f64)], rows: &[Row<'_>]) -> Model {
     let mut m = Model::new("closed-form");
-    for (j, &(lo, hi, obj)) in vars.iter().enumerate() {
-        m.add_var(format!("x{j}"), lo, hi, obj, VarKind::Continuous);
+    for &(lo, hi, obj) in vars {
+        m.add_var(lo, hi, obj, VarKind::Continuous);
     }
     for &(terms, cmp, rhs) in rows {
         m.add_con(terms.iter().map(|&(j, a)| (VarId(j), a)).collect(), cmp, rhs);

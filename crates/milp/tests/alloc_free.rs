@@ -87,12 +87,12 @@ fn uniform(state: &mut u64) -> f64 {
 fn assignment_lp() -> Model {
     let mut stream = 0x5EED_2010u64;
     let mut m = Model::new("assignment");
-    let t = m.add_var("T", 0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+    let t = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
     let mut loads: Vec<Vec<_>> = vec![vec![(t, -1.0)]; 4];
-    for k in 0..90 {
+    for _ in 0..90 {
         let mut row = Vec::new();
-        for (i, load) in loads.iter_mut().enumerate() {
-            let a = m.add_var(format!("a{k}_{i}"), 0.0, 1.0, 0.0, VarKind::Continuous);
+        for load in loads.iter_mut() {
+            let a = m.add_var(0.0, 1.0, 0.0, VarKind::Continuous);
             row.push((a, 1.0));
             load.push((a, 1.0 + 9.0 * uniform(&mut stream)));
         }
@@ -111,9 +111,9 @@ fn packing_lp() -> Model {
     let mut stream = 0xCE11u64;
     let mut m = Model::new("packing");
     let vars: Vec<_> = (0..160)
-        .map(|j| {
+        .map(|_| {
             let worth = 1.0 + uniform(&mut stream);
-            m.add_var(format!("x{j}"), 0.0, 1.0, -worth, VarKind::Continuous)
+            m.add_var(0.0, 1.0, -worth, VarKind::Continuous)
         })
         .collect();
     for _ in 0..80 {

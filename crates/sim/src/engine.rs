@@ -19,11 +19,34 @@
 //! is followed by that full one.
 //!
 //! The pump that admits transfers and starts computations visits only
-//! the edges, memory reads and PEs that an event since the last pump
-//! could have unblocked (see `Dirty`), in the ascending order a full
-//! scan would visit them, so admissions, interrupts and event sequence
-//! numbers are those of the full scan. In debug builds every pump is
-//! followed by that full scan, which must find nothing left to admit.
+//! the edges, memory reads, tasks and PEs that an event since the last
+//! pump could have unblocked (see `Dirty`), in the ascending order a
+//! full scan would visit them, so admissions, interrupts and event
+//! sequence numbers are those of the full scan. In debug builds every
+//! pump is followed by that full scan, which must find nothing left to
+//! admit.
+//!
+//! Each PE keeps its ready tasks in a queue ordered by the Figure 4
+//! priority `(firstPeriod + next, topo rank)`, so picking a task is a
+//! pop. A task is tested with `ready` once, when an event marks it, and
+//! only the events that can turn its test from false to true mark it:
+//!
+//! | event                                   | marks                          |
+//! |-----------------------------------------|--------------------------------|
+//! | `ComputeDone(k)`                        | `k` (its next instance)        |
+//! | `ComputeDone(k)`, co-mapped edge `k→c`  | `c` (an input arrived)         |
+//! | `ComputeDone(k)`, co-mapped edge `p→k`  | `p` (an output slot freed)     |
+//! | edge transfer `p→c` finishes            | `c` (arrived), `p` (slot freed)|
+//! | read or write of `k` finishes           | `k` (read done, window opened) |
+//!
+//! A queued task stays ready until its PE starts it: what `ready` reads
+//! of other tasks and edges only grows (arrivals, consumed instances,
+//! finished transfers and reads), and what can shrink it — its own
+//! `next`, its production and its writes in flight — moves only at its
+//! own `ComputeDone`. So only a task's own start takes it out of its
+//! queue, a running task is never queued, and its `ComputeDone` marks it
+//! for the next test. In debug builds every pick is held to the full
+//! scan over the PE's tasks (`pick_task`).
 
 use crate::bits;
 use crate::fair::{FlowPorts, MaxMin};
@@ -31,7 +54,7 @@ use cellstream_core::steady::buffers::BufferPlan;
 use cellstream_core::Mapping;
 use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_platform::{CellSpec, PeId, PeKind};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Tunables of the simulated scheduling framework.
@@ -216,6 +239,7 @@ struct Flow {
 }
 
 struct EdgeState {
+    src: usize,
     dst: usize,
     /// PEs of the two endpoints.
     src_pe: usize,
@@ -256,6 +280,8 @@ struct TaskState {
     read_bytes: f64,
     write_bytes: f64,
     cost: f64,
+    /// In its PE's ready queue.
+    queued: bool,
 }
 
 /// Indices marked for the next pump, a bit each; the pump takes them in
@@ -288,20 +314,23 @@ impl Marks {
 }
 
 /// The work an event may have unblocked. A pump visits only marked
-/// edges, memory reads and PEs; whatever it visits it leaves blocked,
-/// and nothing it does unblocks anything (an admission only fills
-/// queues and buffers, a start only makes a PE busy), so everything
-/// stays unmarked until an event changes one of the quantities its
-/// admission test reads:
+/// edges, memory reads, tasks and PEs; whatever it visits it leaves
+/// blocked, and nothing it does unblocks anything (an admission only
+/// fills queues and buffers, a start only makes a PE busy), so
+/// everything stays unmarked until an event changes one of the
+/// quantities its admission test reads:
 /// * `ComputeDone(k on p)` marks `p`, `k`'s reads and `k`'s in- and
-///   out-edges (production, the consumer's buffer, the read window);
+///   out-edges (production, the consumer's buffer, the read window),
+///   and the tasks of the module docs' table;
 /// * a freed SPE DMA slot marks every cut edge into that PE and every
 ///   reading task on it; a freed proxy slot every cut edge out of it;
-/// * a finished edge transfer marks the edge and both endpoints' PEs;
-///   a finished read its task's PE; a finished write its owner's PE.
+/// * a finished edge transfer marks the edge and both endpoint tasks;
+///   a finished read or write its task;
+/// * a task that enters its ready queue marks its PE.
 struct Dirty {
     edges: Marks,
     reads: Marks,
+    tasks: Marks,
     pes: Marks,
     /// Per PE: cut edges into it, cut edges out of it, tasks on it that
     /// read memory.
@@ -342,7 +371,8 @@ struct Sim<'a> {
     free_flows: Vec<usize>,
     /// Flows in flight, in the order they were opened.
     active_flow_ids: Vec<usize>,
-    pe_busy: Vec<bool>,
+    /// The task each PE is computing.
+    running: Vec<Option<usize>>,
     /// CPU time owed by each PE for DMA issue/watch interruptions,
     /// drained into its next compute slot.
     pending_interrupt: Vec<f64>,
@@ -352,6 +382,10 @@ struct Sim<'a> {
     proxy_used: Vec<u32>,
     /// per-PE task list in topo order
     pe_tasks: Vec<Vec<usize>>,
+    /// Per PE, its ready tasks that are not running, as `(firstPeriod +
+    /// next, topo rank, task)`, smallest first; room for every task of
+    /// the PE is reserved at set-up.
+    ready_queue: Vec<BinaryHeap<Reverse<(u64, usize, usize)>>>,
     dirty: Dirty,
 
     /// completion time of each instance per sink task
@@ -414,6 +448,7 @@ impl<'a> Sim<'a> {
                     read_bytes: task.read_bytes,
                     write_bytes: task.write_bytes,
                     cost: task.cost_on(spec.kind_of(pe)),
+                    queued: false,
                 }
             })
             .collect();
@@ -424,6 +459,7 @@ impl<'a> Sim<'a> {
             .map(|(ei, e)| {
                 let (src_pe, dst_pe) = (mapping.pe_of(e.src), mapping.pe_of(e.dst));
                 EdgeState {
+                    src: e.src.index(),
                     dst: e.dst.index(),
                     src_pe: src_pe.index(),
                     dst_pe: dst_pe.index(),
@@ -444,10 +480,12 @@ impl<'a> Sim<'a> {
         for &t in g.topo_order() {
             pe_tasks[mapping.pe_of(t).index()].push(t.index());
         }
+        let ready_queue = pe_tasks.iter().map(|ts| BinaryHeap::with_capacity(ts.len())).collect();
         // everything starts dirty
         let mut dirty = Dirty {
             edges: Marks::new(edges.len()),
             reads: Marks::new(tasks.len()),
+            tasks: Marks::new(tasks.len()),
             pes: Marks::new(spec.n_pes()),
             cut_in: vec![Vec::new(); spec.n_pes()],
             cut_out: vec![Vec::new(); spec.n_pes()],
@@ -461,6 +499,7 @@ impl<'a> Sim<'a> {
             }
         }
         for (k, t) in tasks.iter().enumerate() {
+            dirty.tasks.mark(k);
             if t.read_bytes > 0.0 {
                 dirty.readers[t.pe].push(k);
                 dirty.reads.mark(k);
@@ -490,11 +529,12 @@ impl<'a> Sim<'a> {
             flows: Vec::new(),
             free_flows: Vec::new(),
             active_flow_ids: Vec::new(),
-            pe_busy: vec![false; spec.n_pes()],
+            running: vec![None; spec.n_pes()],
             pending_interrupt: vec![0.0; spec.n_pes()],
             spe_queue_used: vec![0; spec.n_pes()],
             proxy_used: vec![0; spec.n_pes()],
             pe_tasks,
+            ready_queue,
             dirty,
             sink_times,
             sink_ids,
@@ -654,7 +694,8 @@ impl<'a> Sim<'a> {
     }
 
     /// Admit the pending work the dirty sets mark: edge transfers, then
-    /// memory reads, then idle-PE activations, each in increasing index
+    /// memory reads, then the marked tasks that became ready into their
+    /// PEs' queues, then idle-PE activations, each in increasing index
     /// order. Returns whether anything changed the flow set (then the
     /// caller reallocates).
     fn pump(&mut self) -> bool {
@@ -669,11 +710,27 @@ impl<'a> Sim<'a> {
                 flows_changed |= self.issue_read(k);
             }
         }
+        while let Some(k) = self.dirty.tasks.pop() {
+            let t = &self.tasks[k];
+            if t.queued || self.running[t.pe] == Some(k) || t.next >= self.n_instances {
+                continue;
+            }
+            if self.ready(k) {
+                let t = &mut self.tasks[k];
+                t.queued = true;
+                self.ready_queue[t.pe].push(Reverse((t.priority + t.next, t.topo_rank, k)));
+                self.dirty.pes.mark(t.pe);
+            }
+        }
         while let Some(pe) = self.dirty.pes.pop() {
-            if !self.pe_busy[pe] {
-                if let Some(k) = self.pick_task(pe) {
-                    self.start_compute(pe, k);
-                }
+            if self.running[pe].is_some() {
+                continue;
+            }
+            let picked = self.ready_queue[pe].pop().map(|Reverse((_, _, k))| k);
+            debug_assert_eq!(picked, self.pick_task(pe), "PE {pe}'s queue at t={}", self.now);
+            if let Some(k) = picked {
+                self.tasks[k].queued = false;
+                self.start_compute(pe, k);
             }
         }
         debug_assert_eq!(self.missed_work(), None, "the pump left work behind at t={}", self.now);
@@ -689,8 +746,8 @@ impl<'a> Sim<'a> {
         if let Some(k) = (0..self.tasks.len()).find(|&k| self.read_admissible(k)) {
             return Some(("read", k));
         }
-        (0..self.pe_busy.len())
-            .find(|&pe| !self.pe_busy[pe] && self.pick_task(pe).is_some())
+        (0..self.running.len())
+            .find(|&pe| self.running[pe].is_none() && self.pick_task(pe).is_some())
             .map(|pe| ("pe", pe))
     }
 
@@ -795,11 +852,12 @@ impl<'a> Sim<'a> {
         !delayed
     }
 
-    /// The Figure 4 "select a runnable task" step: among this PE's tasks
-    /// whose next instance has all inputs, reads and output space, pick
-    /// the one whose periodic-schedule slot (firstPeriod + instance) is
-    /// oldest, breaking ties by topological rank. Readiness, the costly
-    /// test, is checked only for a task that would beat the best so far.
+    /// The Figure 4 "select a runnable task" step by a full scan, the
+    /// oracle of the ready queues: among this PE's tasks whose next
+    /// instance has all inputs, reads and output space, the one whose
+    /// periodic-schedule slot (firstPeriod + instance) is oldest, ties
+    /// broken by topological rank. Readiness, the costly test, is
+    /// checked only for a task that would beat the best so far.
     fn pick_task(&self, pe: usize) -> Option<usize> {
         let mut best: Option<(u64, usize, usize)> = None;
         for &k in &self.pe_tasks[pe] {
@@ -849,10 +907,10 @@ impl<'a> Sim<'a> {
     }
 
     fn start_compute(&mut self, pe: usize, k: usize) {
-        debug_assert!(!self.pe_busy[pe]);
+        debug_assert!(self.running[pe].is_none());
         let owed = std::mem::take(&mut self.pending_interrupt[pe]);
         let dur = self.tasks[k].cost + self.config.task_overhead + owed;
-        self.pe_busy[pe] = true;
+        self.running[pe] = Some(k);
         self.push(self.now + dur, Ev::ComputeDone { pe, task: k });
     }
 
@@ -881,22 +939,29 @@ impl<'a> Sim<'a> {
                     let t = &mut self.tasks[task];
                     t.next += 1;
                     let (wb, reads) = (t.write_bytes, t.read_bytes > 0.0);
-                    self.pe_busy[pe] = false;
+                    self.running[pe] = None;
                     self.dirty.pes.mark(pe);
+                    self.dirty.tasks.mark(task);
                     if reads {
                         self.dirty.reads.mark(task);
                     }
-                    // production on out-edges; the consumer freed a slot
-                    // on every in-edge
+                    // production on out-edges, an input for a co-mapped
+                    // consumer; the consumer freed a slot on every
+                    // in-edge, an output slot for a co-mapped producer
                     for e in self.g.out_edges(TaskId(task)) {
                         let es = &mut self.edges[e.index()];
                         es.produced += 1;
                         if es.co_mapped {
                             es.arrived += 1;
+                            self.dirty.tasks.mark(es.dst);
                         }
                         self.dirty.edges.mark(e.index());
                     }
                     for e in self.g.in_edges(TaskId(task)) {
+                        let es = &self.edges[e.index()];
+                        if es.co_mapped {
+                            self.dirty.tasks.mark(es.src);
+                        }
                         self.dirty.edges.mark(e.index());
                     }
                     // memory write
@@ -1005,19 +1070,18 @@ impl<'a> Sim<'a> {
                 es.arrived += 1;
                 es.transfers_done += 1;
                 dirty.edges.mark(edge);
-                dirty.pes.mark(es.src_pe);
-                dirty.pes.mark(es.dst_pe);
+                dirty.tasks.mark(es.src);
+                dirty.tasks.mark(es.dst);
             }
             FlowKind::Read { task } => {
                 let t = &mut self.tasks[task];
                 t.reads_inflight -= 1;
                 t.reads_done += 1;
-                dirty.pes.mark(t.pe);
+                dirty.tasks.mark(task);
             }
             FlowKind::Write { task } => {
-                let t = &mut self.tasks[task];
-                t.writes_inflight -= 1;
-                dirty.pes.mark(t.pe);
+                self.tasks[task].writes_inflight -= 1;
+                dirty.tasks.mark(task);
             }
         }
         self.active_flow_ids.retain(|&id| id != fid);
