@@ -480,16 +480,26 @@ fn post_lift_refusals(
     Some(refused)
 }
 
+/// Whether a seed or a completion point may become the incumbent: a
+/// point of the model (one entry a variable) that breaks no row or bound
+/// by more than `1e-6`, with every binary within `int_tol` of 0 or 1.
+fn acceptable(model: &Model, x: &[f64], binaries: &[VarId], int_tol: f64) -> bool {
+    x.len() == model.n_vars()
+        && model.max_violation(x) <= 1e-6
+        && binaries.iter().all(|v| x[v.0].abs() <= int_tol || (x[v.0] - 1.0).abs() <= int_tol)
+}
+
 /// A callback that attempts to complete a fractional relaxation into a
 /// feasible integral point. Returns `(objective, full x)` on success. The
-/// solver re-checks feasibility, so a buggy completion can never corrupt
+/// solver re-checks feasibility and integrality, so a buggy completion can never corrupt
 /// the incumbent.
 pub type Completion<'a> = dyn Fn(&[f64]) -> Option<(f64, Vec<f64>)> + 'a;
 
 /// Solve `model` to integral optimality (within the configured gap).
 ///
-/// `seeds` are known-feasible integral points (objective is recomputed and
-/// feasibility verified). `completion` is invoked on every node's
+/// `seeds` are known-feasible integral points (objective is recomputed,
+/// feasibility and integrality verified: a point with a fractional
+/// binary is refused, like one that breaks a row). `completion` is invoked on every node's
 /// fractional solution to harvest early incumbents.
 pub fn solve_mip(
     model: &Model,
@@ -526,9 +536,8 @@ pub fn solve_mip(
     let mut node_lp = NodeLp::new(model)?;
 
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
-    let feas_tol = 1e-6;
     for seed in seeds {
-        if seed.len() == model.n_vars() && model.max_violation(seed) <= feas_tol {
+        if acceptable(model, seed, &binaries, opts.int_tol) {
             let obj = model.objective_of(seed);
             if incumbent.as_ref().is_none_or(|(best, _)| obj < *best) {
                 incumbent = Some((obj, seed.clone()));
@@ -749,7 +758,7 @@ fn process_solution(
         Some((v, frac)) => {
             if let Some(complete) = completion {
                 if let Some((_, full)) = complete(x) {
-                    if full.len() == model.n_vars() && model.max_violation(&full) <= 1e-6 {
+                    if acceptable(model, &full, binaries, opts.int_tol) {
                         let obj = model.objective_of(&full);
                         if incumbent.as_ref().is_none_or(|(best, _)| obj < *best) {
                             *incumbent = Some((obj, full));

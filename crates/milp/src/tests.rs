@@ -345,6 +345,31 @@ fn lp_relaxation_fractional_but_mip_integral() {
     assert!((obj + 1.0).abs() < 1e-9, "{obj}");
 }
 
+/// A point that holds every row but has a fractional binary is not an
+/// incumbent, whether a seed or a completion hands it over: `(1, ½)`
+/// reaches the relaxation's −1.5, which would close the gap at the root
+/// and return a fractional "optimum"; the integral optimum is −1.
+#[test]
+fn a_fractional_seed_or_completion_is_refused() {
+    let mut m = Model::new("frac-seed");
+    let a = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+    let b = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+    m.add_con(vec![(a, 2.0), (b, 2.0)], Cmp::Le, 3.0);
+    let half = vec![1.0, 0.5];
+    assert_eq!(m.max_violation(&half), 0.0, "the point holds every row");
+    let completion = |_: &[f64]| -> Option<(f64, Vec<f64>)> { Some((-1.5, half.clone())) };
+    for (what, seeds, complete) in [
+        ("seed", vec![half.clone()], None),
+        ("completion", Vec::new(), Some(&completion as &crate::bb::Completion<'_>)),
+    ] {
+        let res = solve_mip(&m, &exact_opts(), &seeds, complete).unwrap();
+        assert_eq!(res.status, MipStatus::Optimal, "{what}");
+        let (obj, x) = res.incumbent.expect("the search finds an integral point");
+        assert_eq!(obj, -1.0, "{what}: {x:?}");
+        assert!(x.iter().all(|&v| v == 0.0 || v == 1.0), "{what}: {x:?}");
+    }
+}
+
 #[test]
 fn seeds_are_validated_not_trusted() {
     let mut m = Model::new("seed");
