@@ -215,29 +215,36 @@ impl PseudoCosts {
         slot.1 += 1;
     }
 
-    /// Estimated degradation per unit for one direction: the observed
-    /// average, else the global average over all binaries, else 1
-    /// (which makes the product rule collapse to most-fractional).
-    fn estimate(&self, bi: usize, up: bool) -> f64 {
-        let side = if up { &self.up } else { &self.down };
-        let (sum, cnt) = side[bi];
-        if cnt > 0 {
-            return sum / cnt as f64;
-        }
-        let (gsum, gcnt) = side.iter().fold((0.0, 0u64), |(s, c), &(si, ci)| (s + si, c + ci));
-        if gcnt > 0 {
-            gsum / gcnt as f64
-        } else {
-            1.0
-        }
+    /// The estimate of a binary with no history, `(down, up)`: the
+    /// average over all binaries, else 1 (which makes the product rule
+    /// collapse to most-fractional). It changes only when a child is
+    /// recorded, so a scan over the binaries computes it once.
+    fn global(&self) -> (f64, f64) {
+        let average = |side: &[(f64, u64)]| {
+            let (sum, cnt) = side.iter().fold((0.0, 0u64), |(s, c), &(si, ci)| (s + si, c + ci));
+            if cnt > 0 {
+                sum / cnt as f64
+            } else {
+                1.0
+            }
+        };
+        (average(&self.down), average(&self.up))
     }
 
     /// Product-rule branching score of binary `bi` at fractional part
-    /// `frac` (larger = better branching candidate).
-    fn score(&self, bi: usize, frac: f64) -> f64 {
+    /// `frac` (larger = better branching candidate): each direction's
+    /// observed average degradation per unit, else `global`'s.
+    fn score(&self, bi: usize, frac: f64, global: (f64, f64)) -> f64 {
+        let estimate = |(sum, cnt): (f64, u64), fallback: f64| {
+            if cnt > 0 {
+                sum / cnt as f64
+            } else {
+                fallback
+            }
+        };
         let eps = 1e-6;
-        (self.estimate(bi, false) * frac).max(eps)
-            * (self.estimate(bi, true) * (1.0 - frac)).max(eps)
+        (estimate(self.down[bi], global.0) * frac).max(eps)
+            * (estimate(self.up[bi], global.1) * (1.0 - frac)).max(eps)
     }
 }
 
@@ -728,13 +735,14 @@ fn process_solution(
     // pseudo-cost (product rule) branching among the fractional binaries
     let mut branch_var: Option<(VarId, f64)> = None;
     let mut best_score = f64::NEG_INFINITY;
+    let global = pseudo.global();
     for &v in binaries {
         let frac = x[v.0] - x[v.0].floor();
         let dist = frac.min(1.0 - frac);
         if dist <= opts.int_tol {
             continue;
         }
-        let score = pseudo.score(bin_of[v.0], frac);
+        let score = pseudo.score(bin_of[v.0], frac, global);
         if score > best_score {
             best_score = score;
             branch_var = Some((v, frac));
