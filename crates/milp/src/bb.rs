@@ -65,7 +65,7 @@
 //!   relaxation to a feasible point; both often let the search terminate at
 //!   the root node.
 
-use crate::model::{LpOptions, LpStatus, Model, SolveError, VarId, VarKind};
+use crate::model::{Constraint, LpOptions, LpStatus, Model, SolveError, VarId, VarKind};
 use crate::revised::{Basis, SparseLp, SparseSolution, VState, Workspace, FEAS_TOL};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -289,6 +289,8 @@ struct NodeLp {
     active: Vec<usize>,
     /// Lazy rows still outside the LP.
     inactive: Vec<usize>,
+    /// [`Constraint::scale`] of every model row, for [`breaks`].
+    scales: Vec<f64>,
     /// Lazy rows activated so far ([`MipResult::lazy_rows`]).
     activated: u64,
 }
@@ -299,7 +301,8 @@ impl NodeLp {
             (0..model.n_cons()).partition(|&i| model.cons[i].lazy);
         let lp = SparseLp::from_model_rows(model, &active)?;
         let ws = Workspace::new(&lp);
-        Ok(NodeLp { lp, ws, active, inactive, activated: 0 })
+        let scales = model.cons.iter().map(Constraint::scale).collect();
+        Ok(NodeLp { lp, ws, active, inactive, scales, activated: 0 })
     }
 
     /// [`solve_node`] on this LP, then the node's value with every model
@@ -323,19 +326,24 @@ impl NodeLp {
                 .inactive
                 .iter()
                 .copied()
-                .filter(|&i| model.cons[i].scaled_violation(&s.x) > FEAS_TOL)
+                .filter(|&i| breaks(model, &self.scales, i, &s.x))
                 .collect();
             if broken.is_empty() {
                 break;
             }
-            let refused = match lift(model, &s.x, &broken, &self.active, &self.inactive) {
-                Ok(x) => {
-                    debug_assert_eq!(model.objective_of(&x), s.objective, "a lift moves no cost");
-                    s.x = x;
-                    break;
-                }
-                Err(refused) => refused,
-            };
+            let refused =
+                match lift(model, &self.scales, &s.x, &broken, &self.active, &self.inactive) {
+                    Ok(x) => {
+                        debug_assert_eq!(
+                            model.objective_of(&x),
+                            s.objective,
+                            "a lift moves no cost"
+                        );
+                        s.x = x;
+                        break;
+                    }
+                    Err(refused) => refused,
+                };
             self.activated += refused.len() as u64;
             self.inactive.retain(|i| !refused.contains(i));
             self.active.extend(&refused);
@@ -379,6 +387,12 @@ impl NodeLp {
     }
 }
 
+/// Whether `x` breaks model row `i` in its own scale (`scales[i]`, its
+/// [`Constraint::scale`]) by more than `FEAS_TOL`.
+fn breaks(model: &Model, scales: &[f64], i: usize, x: &[f64]) -> bool {
+    model.cons[i].violation(x) / scales[i] > FEAS_TOL
+}
+
 /// Repair the broken lazy rows without the LP: in each, move its one
 /// zero-cost continuous column within its bounds until the row holds.
 /// The lifted point is returned only if it satisfies every model row (a
@@ -392,11 +406,12 @@ impl NodeLp {
 ///
 /// `broken` lists, in increasing order, the rows of `inactive` (the
 /// model rows outside the LP, increasing) that `x` breaks; `lp_rows` are
-/// the LP's. Only the rows the lift can have broken are checked (see
+/// the LP's, and `scales` every row's [`Constraint::scale`]. Only the rows the lift can have broken are checked (see
 /// [`rechecked_rows`]); debug builds hold the verdict to a check of
 /// every model row.
 fn lift(
     model: &Model,
+    scales: &[f64],
     x: &[f64],
     broken: &[usize],
     lp_rows: &[usize],
@@ -421,10 +436,10 @@ fn lift(
         moved.push((i, c));
     }
     let rows = rechecked_rows(model, x, &lifted, broken, lp_rows, inactive);
-    let verdict = post_lift_refusals(model, &lifted, broken, &refused, &moved, rows);
+    let verdict = post_lift_refusals(model, scales, &lifted, broken, &refused, &moved, rows);
     debug_assert_eq!(
         verdict,
-        post_lift_refusals(model, &lifted, broken, &refused, &moved, 0..model.n_cons()),
+        post_lift_refusals(model, scales, &lifted, broken, &refused, &moved, 0..model.n_cons()),
         "the restricted post-lift check disagrees with a check of every row"
     );
     match verdict {
@@ -460,16 +475,15 @@ fn rechecked_rows<'a>(
 /// sits in a row the lifted point breaks.
 fn post_lift_refusals(
     model: &Model,
+    scales: &[f64],
     lifted: &[f64],
     broken: &[usize],
     refused: &[usize],
     moved: &[(usize, usize)],
     rows: impl Iterator<Item = usize>,
 ) -> Option<Vec<usize>> {
-    let still: Vec<_> = rows
-        .map(|i| &model.cons[i])
-        .filter(|con| con.scaled_violation(lifted) > FEAS_TOL)
-        .collect();
+    let still: Vec<_> =
+        rows.filter(|&i| breaks(model, scales, i, lifted)).map(|i| &model.cons[i]).collect();
     if still.is_empty() {
         return None;
     }
@@ -951,16 +965,17 @@ mod tests {
         m.add_lazy_con(vec![(e, 1.0)], Cmp::Le, 0.5);
         let (x, lifted) = ([1.0, 1.0, 0.0], [1.0, 1.0, 1.0]);
         let (broken, inactive, moved) = ([0], [0, 1], [(0, 2)]);
+        let scales: Vec<f64> = m.cons.iter().map(Constraint::scale).collect();
         let rows: Vec<usize> = rechecked_rows(&m, &x, &lifted, &broken, &[], &inactive).collect();
         assert_eq!(rows, [0, 1], "row 1 holds the lifted e");
         let verdict = |rows: &[usize]| {
-            post_lift_refusals(&m, &lifted, &broken, &[], &moved, rows.iter().copied())
+            post_lift_refusals(&m, &scales, &lifted, &broken, &[], &moved, rows.iter().copied())
         };
         let full: Vec<usize> = (0..m.n_cons()).collect();
         assert_eq!(verdict(&full), Some(vec![0]));
         assert_eq!(verdict(&rows), verdict(&full));
         assert_eq!(verdict(&broken), None, "the broken row alone holds after the lift");
-        assert_eq!(lift(&m, &x, &broken, &[], &inactive), Err(vec![0]));
+        assert_eq!(lift(&m, &scales, &x, &broken, &[], &inactive), Err(vec![0]));
     }
 
     /// A node whose stored basis predates an activation re-solves from

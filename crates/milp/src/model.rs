@@ -94,13 +94,13 @@ impl Constraint {
         }
     }
 
-    /// [`Constraint::violation`] in the row's own scale
-    /// ([`Constraint::magnitude`], 1 for an all-zero row): the measure
-    /// of the solver's feasibility tolerance.
-    pub(crate) fn scaled_violation(&self, x: &[f64]) -> f64 {
+    /// The row's own scale: [`Constraint::magnitude`], 1 for an all-zero
+    /// row. [`Constraint::violation`] over it is the measure of the
+    /// solver's feasibility tolerance.
+    pub(crate) fn scale(&self) -> f64 {
         match self.magnitude() {
-            s if s > 0.0 => self.violation(x) / s,
-            _ => self.violation(x),
+            s if s > 0.0 => s,
+            _ => 1.0,
         }
     }
 }
@@ -373,10 +373,7 @@ impl Model {
         let primal = self.objective_of(x);
         let mut dual = 0.0;
         for (i, (con, &yi)) in self.cons.iter().zip(y).enumerate() {
-            let scale = match con.magnitude() {
-                s if s > 0.0 => s,
-                _ => 1.0,
-            };
+            let scale = con.scale();
             let residual: f64 = con.terms.iter().map(|&(c, a)| a * x[c]).sum::<f64>() - con.rhs;
             let broken = match con.cmp {
                 Cmp::Le => residual,
