@@ -280,6 +280,36 @@ impl SparseLp {
         Basis { cols: (n..n + m).collect(), state }
     }
 
+    /// The slack basis with the columns of a known point `x` (one entry
+    /// per structural) made basic: in column order, each zero-cost
+    /// column with bounds `[0, 1]` that `x` holds at 1 enters the first
+    /// equality row that holds it and whose logical is still basic, and
+    /// that logical leaves at its fixed bound. Every basic cost is then
+    /// 0, so the duals are 0 and the reduced costs the costs: the basis
+    /// is exactly as dual feasible as the slack basis. On Linear Program
+    /// (1) that puts each task's α at 1 basic in its (1b) row. Nothing
+    /// here checks the pick; a singular one is refused by the solve like
+    /// any other basis.
+    pub fn seeded_basis(&self, x: &[f64]) -> Basis {
+        let n = self.n;
+        let mut basis = self.slack_basis();
+        for (j, &xj) in x.iter().enumerate().take(n) {
+            if xj != 1.0 || self.cost[j] != 0.0 || (self.lower[j], self.upper[j]) != (0.0, 1.0) {
+                continue;
+            }
+            let equality_slack = |r: usize| {
+                (self.lower[n + r], self.upper[n + r]) == (0.0, 0.0)
+                    && basis.state[n + r] == VState::Basic(r)
+            };
+            if let Some(r) = self.mat.col(j).0.iter().copied().find(|&r| equality_slack(r)) {
+                basis.cols[r] = j;
+                basis.state[j] = VState::Basic(r);
+                basis.state[n + r] = VState::AtLower;
+            }
+        }
+        basis
+    }
+
     fn empty_domain(&self) -> bool {
         (0..self.n + self.m).any(|j| self.lower[j] > self.upper[j] + 1e-12)
     }
