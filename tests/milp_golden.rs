@@ -25,10 +25,10 @@ const CCR_POINTS: [usize; 2] = [0, 3];
 /// `(nodes, lp_iterations, period bits, period-bound bits)`: graph 1 at
 /// both CCRs, then graph 3.
 const GOLDEN: [(u64, u64, u64, u64); 4] = [
-    (12, 563, 0x3ef7792ebc071dd0, 0x3ecbef08d2b6dfa6), // graph 1 @ 0.775: 22.3859 us, bound 3.3300 us
-    (12, 806, 0x3ef7792ebc071dd0, 0x3eebbce9ee59f064), // graph 1 @ 3.070: 22.3859 us, bound 13.2265 us
-    (12, 744, 0x3ef40aa0fd4efefc, 0x3ec1cc6762684af3), // graph 3 @ 0.775: 19.1131 us, bound 2.1217 us
-    (12, 438, 0x3ef40aa0fd4efefc, 0x3ee61381f596b36e), // graph 3 @ 3.070: 19.1131 us, bound 10.5268 us
+    (12, 390, 0x3ef7792ebc071dd0, 0x3ecbef08d2b6dfa3), // graph 1 @ 0.775: 22.3859 us, bound 3.3300 us
+    (12, 588, 0x3ef7792ebc071dd0, 0x3eebbce9ee59f062), // graph 1 @ 3.070: 22.3859 us, bound 13.2265 us
+    (12, 590, 0x3ef40aa0fd4efefc, 0x3ec1cc6762684af2), // graph 3 @ 0.775: 19.1131 us, bound 2.1217 us
+    (12, 502, 0x3ef40aa0fd4efefc, 0x3ee61381f596b36a), // graph 3 @ 3.070: 19.1131 us, bound 10.5268 us
 ];
 
 #[test]
