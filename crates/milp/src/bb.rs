@@ -819,6 +819,7 @@ fn process_solution(
 mod tests {
     use super::*;
     use crate::model::Cmp;
+    use crate::revised::WarmStartError;
 
     /// A basis the dual simplex refuses — of the wrong shape, or not dual
     /// feasible — is re-solved from the slack basis: the node still
@@ -849,6 +850,42 @@ mod tests {
             assert!((sol.objective - 1.0).abs() < 1e-12, "{what}: {}", sol.objective);
             assert_eq!(m.certify(&sol.x, &sol.duals, 1e-9), Ok(()), "{what}");
         }
+    }
+
+    /// A seed whose two columns share the same two equality rows: the
+    /// first enters the first row, the second the other, and the rows
+    /// are proportional, so the seeded basis is singular. The root falls
+    /// back to the slack basis and reaches the slack root's optimum, and
+    /// the seeded search answers like the unseeded one.
+    #[test]
+    fn a_singular_seeded_basis_falls_back_to_the_slack_basis() {
+        // a + b = 2, 2a + 2b = 4, and min −c s.t. a + b + c ≤ 2.5 over
+        // binaries: the relaxation takes c = ½, the search c = 0
+        let mut m = Model::new("singular-seed");
+        let a = m.add_var(0.0, 1.0, 0.0, VarKind::Binary);
+        let b = m.add_var(0.0, 1.0, 0.0, VarKind::Binary);
+        let c = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
+        m.add_con(vec![(a, 1.0), (b, 1.0)], Cmp::Eq, 2.0);
+        m.add_con(vec![(a, 2.0), (b, 2.0)], Cmp::Eq, 4.0);
+        m.add_con(vec![(a, 1.0), (b, 1.0), (c, 1.0)], Cmp::Le, 2.5);
+        let seed = vec![1.0, 1.0, 0.0];
+        let opts = LpOptions::default();
+        let mut lp = SparseLp::from_model(&m).unwrap();
+        let seeded = lp.seeded_basis(&seed);
+        assert_eq!(seeded.cols, [0, 1, 5], "a enters row 0, b row 1");
+        assert_eq!(lp.solve_dual_from(&seeded, &opts).err(), Some(WarmStartError::Singular));
+        let slack = lp.solve_dual_from(&lp.slack_basis(), &opts).unwrap();
+        let mut ws = Workspace::new(&lp);
+        let (root, held) = solve_node(&mut lp, &mut ws, &m, &[], &seeded, &opts);
+        let root = root.expect("the slack basis is a dual start");
+        assert!(!held, "a singular basis cannot count as held");
+        assert_eq!((root.status, root.objective), (LpStatus::Optimal, slack.objective));
+        assert!((root.objective + 0.5).abs() < 1e-12, "{}", root.objective);
+        let with_seed = solve_mip(&m, &exact(), &[seed], None).unwrap();
+        let without = solve_mip(&m, &exact(), &[], None).unwrap();
+        assert_eq!((with_seed.status, without.status), (MipStatus::Optimal, MipStatus::Optimal));
+        assert_eq!(with_seed.incumbent, without.incumbent);
+        assert_eq!(with_seed.incumbent.map(|(obj, _)| obj), Some(0.0));
     }
 
     fn exact() -> MipOptions {

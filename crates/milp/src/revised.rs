@@ -927,7 +927,9 @@ impl<'a> Simplex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Cmp, LpOptions, LpStatus, Model, VarKind};
+    use crate::model::{Cmp, LpOptions, LpStatus, Model, VarId, VarKind};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn dual_resolve_after_fixing_matches_fresh_solve() {
@@ -993,6 +995,90 @@ mod tests {
         assert!(!clean, "the update must be refused");
         assert!(s.broken, "x0 in row 0's position leaves row 0 empty");
         assert_eq!(s.dual(), LpStatus::IterLimit);
+    }
+
+    /// A random model with equality rows, and a 0/1 point `x` that holds
+    /// every row: binaries (half of them zero-cost, the rest priced
+    /// either way), one continuous column, one to three equality rows
+    /// over random columns and up to two inequality rows, each row's
+    /// right-hand side read off `x`.
+    fn model_with_equalities(rng: &mut StdRng) -> (Model, Vec<f64>) {
+        let mut m = Model::new("seeded");
+        let n = rng.gen_range(2..=6usize);
+        let mut x = Vec::with_capacity(n + 1);
+        for _ in 0..n {
+            let cost = if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(-3.0..3.0) };
+            m.add_var(0.0, 1.0, cost, VarKind::Binary);
+            x.push(if rng.gen_bool(0.6) { 1.0 } else { 0.0 });
+        }
+        m.add_var(0.0, 10.0, rng.gen_range(0.0..2.0), VarKind::Continuous);
+        x.push(rng.gen_range(0.0..10.0));
+        let eq_rows = rng.gen_range(1..=3);
+        for row in 0..eq_rows + rng.gen_range(0..=2) {
+            let mut terms: Vec<(VarId, f64)> = Vec::new();
+            for j in 0..=n {
+                if rng.gen_bool(0.6) {
+                    let a: f64 = rng.gen_range(0.5..3.0);
+                    terms.push((VarId(j), if rng.gen_bool(0.3) { -a } else { a }));
+                }
+            }
+            if terms.is_empty() {
+                terms.push((VarId(rng.gen_range(0..n)), 1.0));
+            }
+            let lhs: f64 = terms.iter().map(|&(v, a)| a * x[v.0]).sum();
+            match row < eq_rows {
+                true => m.add_con(terms, Cmp::Eq, lhs),
+                false if rng.gen_bool(0.5) => {
+                    m.add_con(terms, Cmp::Le, lhs + rng.gen_range(0.0..2.0))
+                }
+                false => m.add_con(terms, Cmp::Ge, lhs - rng.gen_range(0.0..2.0)),
+            }
+        }
+        (m, x)
+    }
+
+    /// The seeded basis puts only zero-cost columns into the basis, so
+    /// its duals are 0 and every reduced cost is the column's cost, bit
+    /// for bit; the dual simplex accepts it and reaches the slack root's
+    /// optimum, certified.
+    #[test]
+    fn the_seeded_basis_prices_like_the_slack_basis() {
+        let opts = LpOptions::default();
+        let mut seeded_some = 0;
+        for seed in 0..256 {
+            let (m, x) = model_with_equalities(&mut StdRng::seed_from_u64(seed));
+            let lp = SparseLp::from_model(&m).unwrap();
+            let basis = lp.seeded_basis(&x);
+            let entered: Vec<usize> = basis.cols.iter().copied().filter(|&j| j < lp.n).collect();
+            for &j in &entered {
+                assert_eq!((lp.cost[j], x[j], lp.bounds(j)), (0.0, 1.0, (0.0, 1.0)), "seed {seed}");
+            }
+            seeded_some += usize::from(!entered.is_empty());
+            let mut ws = Workspace::new(&lp);
+            let mut s = Simplex::new(&lp, &opts, &mut ws);
+            s.init_from_basis(&basis).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+            for j in 0..lp.ncols() {
+                if !matches!(s.ws.state[j], VState::Basic(_)) {
+                    assert_eq!(
+                        s.ws.dvec[j].to_bits(),
+                        lp.cost[j].to_bits(),
+                        "seed {seed}, column {j}"
+                    );
+                }
+            }
+            let slack = lp.solve_dual_from(&lp.slack_basis(), &opts).unwrap();
+            let seeded = lp.solve_dual_from(&basis, &opts).unwrap();
+            assert_eq!((slack.status, seeded.status), (LpStatus::Optimal, LpStatus::Optimal));
+            let tol = 1e-9 * (1.0 + slack.objective.abs());
+            assert!(
+                (seeded.objective - slack.objective).abs() <= tol,
+                "seed {seed}: {} vs {}",
+                seeded.objective,
+                slack.objective
+            );
+            assert_eq!(m.certify(&seeded.x, &seeded.duals, 1e-9), Ok(()), "seed {seed}");
+        }
+        assert!(seeded_some >= 128, "only {seeded_some} of 256 seeded bases moved a column");
     }
 
     /// Retries are capped only when they come one after another: nine

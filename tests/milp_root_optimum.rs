@@ -1,48 +1,110 @@
 //! The optimum any pivot path must reach: the root relaxation of Linear
-//! Program (1) solved by the dual simplex from the slack basis (the
-//! branch-and-bound root path), on the instances `milp_golden.rs` pins —
-//! the paper's graphs 1 and 3 at CCR 0.775 and 3.07 on a QS22 — and
-//! proven optimal by its certificate: `Model::certify` checks the point
-//! and the row duals the solve returns against the formulation's own
-//! rows, with no factorization (primal and dual feasibility,
-//! complementary slackness, a zero duality gap). `milp_golden.rs` pins
-//! *how* the solver gets there (iteration counts and bound bits move
-//! with any change to the update, pricing or summation order); this file
-//! pins *where* it gets to — the optimum of the primal LP, with the dual
-//! solution that proves it — so a change that is meant to move the path
-//! is still held to an optimum.
+//! Program (1) solved by the dual simplex, on the instances
+//! `milp_golden.rs` pins — the paper's graphs 1 and 3 at CCR 0.775 and
+//! 3.07 on a QS22 — and proven optimal by its certificate:
+//! `Model::certify` checks the point and the row duals the solve returns
+//! against the formulation's own rows, with no factorization (primal and
+//! dual feasibility, complementary slackness, a zero duality gap). Two
+//! starts are held to it: the slack basis, and the basis branch and
+//! bound roots its search at, `SparseLp::seeded_basis` of a seed — here
+//! the best greedy mapping — whose objective must also equal the slack
+//! root's. `milp_golden.rs` pins *how* the solver gets there (iteration
+//! counts and bound bits move with any change to the update, pricing or
+//! summation order); this file pins *where* it gets to — the optimum of
+//! the primal LP, with the dual solution that proves it — so a change
+//! that is meant to move the path is still held to an optimum.
 
-use cellstream::core::{Formulation, FormulationConfig};
+use cellstream::core::{evaluate, Formulation, FormulationConfig};
 use cellstream::daggen::paper;
-use cellstream::milp::{LpOptions, LpStatus, SparseLp};
+use cellstream::graph::StreamGraph;
+use cellstream::heuristics::{comm_aware_greedy, greedy_cpu, greedy_mem};
+use cellstream::milp::{Basis, LpOptions, LpStatus, SparseLp, SparseSolution};
 use cellstream::platform::CellSpec;
 
 /// Index into `paper::ccr_variants` of the two CCRs checked per graph,
 /// the same two `milp_golden.rs` pins.
 const CCR_POINTS: [usize; 2] = [0, 3];
 
-/// Relative tolerance of the certificate.
+/// Relative tolerance of the certificate, and of the seeded root's
+/// objective against the slack root's.
 const CERT_TOL: f64 = 1e-9;
 
-#[test]
-fn the_dual_root_reaches_the_primal_optimum() {
-    let spec = CellSpec::qs22();
-    let opts = LpOptions::default();
+/// Every pinned instance: its name, graph and formulation.
+fn instances(spec: &CellSpec) -> Vec<(String, StreamGraph, Formulation)> {
+    let mut out = Vec::new();
     for (label, base) in [(1, paper::graph1()), (3, paper::graph3())] {
         let variants = paper::ccr_variants(&base);
         for &point in &CCR_POINTS {
             let (ccr, g) = &variants[point];
-            let form = Formulation::build(g, &spec, &FormulationConfig::default());
-            let lp = SparseLp::from_model(&form.model).expect("Linear Program (1) is valid");
-            let dual = lp.solve_dual_from(&lp.slack_basis(), &opts).expect(
-                "every cost of Linear Program (1) is >= 0: the slack basis is dual feasible",
-            );
-            let name = format!("graph {label} @ CCR {ccr:.3}");
-            assert_eq!(dual.status, LpStatus::Optimal, "{name}");
-            println!("{name}: dual {:e} in {} pivots", dual.objective, dual.iterations);
-            if let Err(e) = form.model.certify(&dual.x, &dual.duals, CERT_TOL) {
-                panic!("{name}: the dual root at {:e} is not certified: {e}", dual.objective);
-            }
+            let form = Formulation::build(g, spec, &FormulationConfig::default());
+            out.push((format!("graph {label} @ CCR {ccr:.3}"), g.clone(), form));
         }
+    }
+    out
+}
+
+/// Solve the root relaxation of `form` from `start(lp)`, and check the
+/// answer is optimal and certified.
+fn certified_root(
+    name: &str,
+    form: &Formulation,
+    start: impl Fn(&SparseLp) -> Basis,
+) -> SparseSolution {
+    let lp = SparseLp::from_model(&form.model).expect("Linear Program (1) is valid");
+    let root = lp
+        .solve_dual_from(&start(&lp), &LpOptions::default())
+        .unwrap_or_else(|e| panic!("{name}: the start was refused ({e:?})"));
+    assert_eq!(root.status, LpStatus::Optimal, "{name}");
+    if let Err(e) = form.model.certify(&root.x, &root.duals, CERT_TOL) {
+        panic!("{name}: the root at {:e} is not certified: {e}", root.objective);
+    }
+    root
+}
+
+#[test]
+fn the_dual_root_reaches_the_primal_optimum() {
+    let spec = CellSpec::qs22();
+    for (name, _, form) in instances(&spec) {
+        // every cost of Linear Program (1) is >= 0: the slack basis is
+        // dual feasible
+        let root = certified_root(&name, &form, SparseLp::slack_basis);
+        println!("{name}: dual {:e} in {} pivots", root.objective, root.iterations);
+    }
+}
+
+/// The start branch and bound uses when a seed survives: the slack basis
+/// with the seed's α columns basic in their (1b) rows. It must be
+/// accepted as a dual start (a refusal falls back to the slack basis in
+/// the search, which would hide a wrong pick here) and reach the slack
+/// root's optimum.
+#[test]
+fn the_seeded_root_reaches_the_same_optimum() {
+    let spec = CellSpec::qs22();
+    for (name, g, form) in instances(&spec) {
+        let (period, seed) =
+            [greedy_mem(&g, &spec), greedy_cpu(&g, &spec), comm_aware_greedy(&g, &spec)]
+                .into_iter()
+                .filter_map(|m| {
+                    evaluate(&g, &spec, &m).ok().filter(|r| r.is_feasible()).map(|r| (r.period, m))
+                })
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("a greedy mapping is feasible");
+        let x = form.encode(&spec, &seed, period);
+        let lp = SparseLp::from_model(&form.model).expect("Linear Program (1) is valid");
+        let n = lp.n_structural();
+        let entered = lp.seeded_basis(&x).cols.iter().filter(|&&j| j < n).count();
+        assert_eq!(entered, g.n_tasks(), "{name}: every task's α enters its (1b) row");
+        let slack = certified_root(&name, &form, SparseLp::slack_basis);
+        let seeded = certified_root(&name, &form, |lp| lp.seeded_basis(&x));
+        assert!(
+            (seeded.objective - slack.objective).abs() <= CERT_TOL * slack.objective.abs(),
+            "{name}: seeded root {:e}, slack root {:e}",
+            seeded.objective,
+            slack.objective
+        );
+        println!(
+            "{name}: seeded {:e} in {} pivots, slack {:e} in {}",
+            seeded.objective, seeded.iterations, slack.objective, slack.iterations
+        );
     }
 }
