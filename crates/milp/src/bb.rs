@@ -23,11 +23,10 @@
 //!   all-slack basis when no seed survived validation. Both are dual
 //!   feasible for every model the solver accepts (no negative cost
 //!   without a finite upper bound — every cost of Linear Program (1) is
-//!   ≥ 0), since every basic cost is 0 in both. On `plan_paper`'s twelve
-//!   solves the seeded roots take 4 201 iterations against the slack
-//!   roots' 5 645. When a basis is refused (a singular basis — a seeded
-//!   pick can be one — or reduced costs no bound flip repairs) the node
-//!   re-solves from the slack basis instead;
+//!   ≥ 0), since every basic cost is 0 in both. When a basis is refused
+//!   (a singular basis — a seeded pick can be one — or reduced costs no
+//!   bound flip repairs) the node re-solves from the slack basis
+//!   instead;
 //!   [`MipResult::warm_starts`]/[`MipResult::warm_start_hits`] report
 //!   how often the parent's basis held at the child nodes.
 //! * **Pseudo-cost branching**: per-binary average objective degradations
@@ -412,9 +411,9 @@ fn breaks(model: &Model, scales: &[f64], i: usize, x: &[f64]) -> bool {
 ///
 /// `broken` lists, in increasing order, the rows of `inactive` (the
 /// model rows outside the LP, increasing) that `x` breaks; `lp_rows` are
-/// the LP's, and `scales` every row's [`Constraint::scale`]. Only the rows the lift can have broken are checked (see
-/// [`rechecked_rows`]); debug builds hold the verdict to a check of
-/// every model row.
+/// the LP's, and `scales` every row's [`Constraint::scale`]. Only the
+/// rows the lift can have broken are checked (see [`rechecked_rows`]);
+/// debug builds hold the verdict to a check of every model row.
 fn lift(
     model: &Model,
     scales: &[f64],
@@ -508,26 +507,27 @@ fn post_lift_refusals(
 }
 
 /// Whether a seed or a completion point may become the incumbent: a
-/// point of the model (one entry a variable) that breaks no row or bound
-/// by more than `1e-6`, with every binary within `int_tol` of 0 or 1.
+/// point of the model that breaks no row or bound by more than `1e-6`
+/// (a point of the wrong length breaks them infinitely), with every
+/// binary within `int_tol` of 0 or 1.
 fn acceptable(model: &Model, x: &[f64], binaries: &[VarId], int_tol: f64) -> bool {
-    x.len() == model.n_vars()
-        && model.max_violation(x) <= 1e-6
+    model.max_violation(x) <= 1e-6
         && binaries.iter().all(|v| x[v.0].abs() <= int_tol || (x[v.0] - 1.0).abs() <= int_tol)
 }
 
 /// A callback that attempts to complete a fractional relaxation into a
 /// feasible integral point. Returns `(objective, full x)` on success. The
-/// solver re-checks feasibility and integrality, so a buggy completion can never corrupt
-/// the incumbent.
+/// solver re-checks feasibility and integrality, so a buggy completion
+/// can never corrupt the incumbent.
 pub type Completion<'a> = dyn Fn(&[f64]) -> Option<(f64, Vec<f64>)> + 'a;
 
 /// Solve `model` to integral optimality (within the configured gap).
 ///
 /// `seeds` are known-feasible integral points (objective is recomputed,
 /// feasibility and integrality verified: a point with a fractional
-/// binary is refused, like one that breaks a row). `completion` is invoked on every node's
-/// fractional solution to harvest early incumbents.
+/// binary is refused, like one that breaks a row); the root starts from
+/// the best one's [`SparseLp::seeded_basis`]. `completion` is invoked on
+/// every node's fractional solution to harvest early incumbents.
 pub fn solve_mip(
     model: &Model,
     opts: &MipOptions,

@@ -17,7 +17,9 @@
 //!   all-slack one, which [`SparseLp::from_model`] guarantees by
 //!   refusing a negative cost on a column with no finite upper bound
 //!   ([`SolveError::NegativeCostUncapped`]; every cost of Linear
-//!   Program (1) is ≥ 0), or a parent node's optimal one.
+//!   Program (1) is ≥ 0), the same with a seed's zero-cost columns made
+//!   basic in its equality rows ([`SparseLp::seeded_basis`], where
+//!   branch-and-bound roots), or a parent node's optimal one.
 //! * [`bb`] — branch-and-bound over the binary variables with best-first
 //!   node selection, pseudo-cost branching, **dual-simplex warm starts**
 //!   from the parent basis (a branch only tightens one binary's bounds,

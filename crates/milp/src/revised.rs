@@ -1,7 +1,8 @@
 //! Sparse revised simplex with bounded variables — the LP engine behind
 //! [`Model::solve_lp`] and branch-and-bound. It is a **dual simplex**
-//! only ([`SparseLp::solve_dual_from`]): from the all-slack basis at a
-//! root, from the parent's basis at a branch-and-bound child.
+//! only ([`SparseLp::solve_dual_from`]): from the all-slack basis or a
+//! seed's ([`SparseLp::seeded_basis`]) at a root, from the parent's
+//! basis at a branch-and-bound child.
 //!
 //! * the constraint matrix lives in compressed sparse columns
 //!   ([`crate::sparse::ColMatrix`]) built straight from the model's row
