@@ -83,8 +83,10 @@ fn main() {
                 &spec,
                 SolveOptions { mip: mip_options(), ..Default::default() },
             );
-            let member = |name: &str| outcome.member(name).and_then(|m| m.result.as_ref().ok());
-            let plan = member("milp").expect("the seeded MILP always returns an incumbent");
+            let plan = outcome
+                .member("milp")
+                .and_then(|m| m.result.as_ref().ok())
+                .expect("the seeded MILP always returns an incumbent");
             let (gap, nodes, lp_iterations, warm_rate, _) = milp_stats(plan).expect("a MILP plan");
 
             // ---- node-throughput probe, base CCR only --------------------
