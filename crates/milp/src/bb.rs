@@ -29,6 +29,23 @@
 //!   instead;
 //!   [`MipResult::warm_starts`]/[`MipResult::warm_start_hits`] report
 //!   how often the parent's basis held at the child nodes.
+//! * **The root starts with its period bounded below.** When the
+//!   objective prices exactly one column `t` (cost `c > 0`, lower bound
+//!   `lo`) and a seed survived, the root solves with `t`'s lower bound
+//!   raised halfway to the best seed's value, `lo + ½·(z/c − lo)` for
+//!   its objective `z` — on Linear Program (1), `T ≥ ½·T_seed`. Every
+//!   row that bounds a PE's load by `T` then starts violated only by
+//!   what the seed's load exceeds `½·T_seed` by, instead of by the whole
+//!   load, and the dual simplex spends fewer of its (mostly degenerate)
+//!   pivots rebalancing load before `T` can enter. The model's bound is
+//!   restored at the root's optimum: with `t` basic strictly above the
+//!   raised bound the basis is already optimal without it (a bound on a
+//!   basic column moves neither its primal values nor its reduced
+//!   costs); with `t` at the raised bound the root re-solves from its
+//!   own basis, still dual feasible since only `t`'s resting value
+//!   moves; an infeasible shifted root re-solves unshifted, since a
+//!   raised bound proves nothing. The shift is skipped when it would
+//!   empty `t`'s domain, and no node ever sees it.
 //! * **Pseudo-cost branching**: per-binary average objective degradations
 //!   (up and down) learned from every solved child pick the branching
 //!   variable by the product rule, replacing most-fractional.
@@ -298,6 +315,9 @@ struct NodeLp {
     scales: Vec<f64>,
     /// Lazy rows activated so far ([`MipResult::lazy_rows`]).
     activated: u64,
+    /// The root's raised lower bound `(column, bound)` while it is in
+    /// force ([`NodeLp::solve_root`]).
+    shift: Option<(usize, f64)>,
 }
 
 impl NodeLp {
@@ -307,7 +327,7 @@ impl NodeLp {
         let lp = SparseLp::from_model_rows(model, &active)?;
         let ws = Workspace::new(&lp);
         let scales = model.cons.iter().map(Constraint::scale).collect();
-        Ok(NodeLp { lp, ws, active, inactive, scales, activated: 0 })
+        Ok(NodeLp { lp, ws, active, inactive, scales, activated: 0, shift: None })
     }
 
     /// [`solve_node`] on this LP, then the node's value with every model
@@ -354,7 +374,12 @@ impl NodeLp {
             self.active.extend(&refused);
             self.lp.append_rows(model, &refused);
             debug_assert!(
-                SparseLp::from_model_rows(model, &self.active).is_ok_and(|fresh| fresh == self.lp),
+                SparseLp::from_model_rows(model, &self.active).is_ok_and(|mut fresh| {
+                    if let Some((t, raised)) = self.shift {
+                        fresh.set_bounds(t, raised, fresh.bounds(t).1);
+                    }
+                    fresh == self.lp
+                }),
                 "the LP grown in place differs from one built over its rows"
             );
             self.ws = Workspace::new(&self.lp);
@@ -365,6 +390,51 @@ impl NodeLp {
             }
         }
         (sol, held)
+    }
+
+    /// The root: [`NodeLp::solve`] from `basis` under `shift`, the raised
+    /// lower bound `(t, raised)` of [`root_shift`], then with the model's
+    /// bound restored. An optimum with `t` basic more than `FEAS_TOL`
+    /// above `raised` is the unshifted LP's optimum too: the basis keeps
+    /// its primal values, feasible under the looser bound, and its
+    /// reduced costs. Any other optimum re-solves from its own basis,
+    /// still dual feasible since only `t`'s resting value moves; an
+    /// infeasible shifted LP re-solves from `basis` unshifted, since a
+    /// raised bound proves nothing; a solve stopped on a limit is
+    /// returned as it stopped. The solution counts every solve's
+    /// iterations.
+    fn solve_root(
+        &mut self,
+        model: &Model,
+        basis: &Basis,
+        shift: Option<(usize, f64)>,
+        opts: &LpOptions,
+    ) -> Option<SparseSolution> {
+        let Some((t, raised)) = shift else {
+            return self.solve(model, &[], basis, opts).0;
+        };
+        let (lo, hi) = model.bounds(VarId(t));
+        self.lp.set_bounds(t, raised, hi);
+        self.shift = shift;
+        let shifted = self.solve(model, &[], basis, opts).0;
+        self.lp.set_bounds(t, lo, hi);
+        self.shift = None;
+        let (spent, from) = match &shifted {
+            Some(s) if s.status == LpStatus::Optimal => {
+                if matches!(s.basis.state[t], VState::Basic(_)) && s.x[t] - raised > FEAS_TOL {
+                    return shifted;
+                }
+                (s.iterations, &s.basis)
+            }
+            Some(s) if s.status != LpStatus::Infeasible => return shifted,
+            Some(s) => (s.iterations, basis),
+            None => (0, basis),
+        };
+        let mut sol = self.solve(model, &[], from, opts).0;
+        if let Some(s) = sol.as_mut() {
+            s.iterations += spent;
+        }
+        sol
     }
 
     /// [`solve_node`] from `basis`, first extended by the logicals of
@@ -390,6 +460,21 @@ impl NodeLp {
         };
         solve_node(&mut self.lp, &mut self.ws, model, fixings, basis, opts)
     }
+}
+
+/// The root's raised lower bound `(t, raised)` ([`NodeLp::solve_root`])
+/// when the objective prices exactly one column `t`, at a cost `c > 0`:
+/// halfway from `t`'s lower bound `lo` to the value the incumbent's
+/// objective `z` gives it, `lo + ½·(z/c − lo)`. `None` for an objective
+/// that prices no column or several, and when the raised bound would not
+/// lie strictly above `lo` and within `t`'s upper bound.
+fn root_shift(model: &Model, incumbent: f64) -> Option<(usize, f64)> {
+    let mut priced = model.vars.iter().enumerate().filter(|(_, v)| v.obj != 0.0);
+    let (Some((t, v)), None) = (priced.next(), priced.next()) else {
+        return None;
+    };
+    let raised = v.lo + 0.5 * (incumbent / v.obj - v.lo);
+    (v.obj > 0.0 && raised > v.lo && raised <= v.hi && raised.is_finite()).then_some((t, raised))
 }
 
 /// Whether `x` breaks model row `i` in its own scale (`scales[i]`, its
@@ -576,12 +661,16 @@ pub fn solve_mip(
     // warm start — there is no parent to reuse), from the best seed's
     // basis when a seed survived, else from the slack basis. A refused
     // seeded basis re-solves from the slack basis, and validation ruled
-    // out an empty domain, so that start holds.
-    let start_basis = match &incumbent {
-        Some((_, x)) => node_lp.lp.seeded_basis(x),
-        None => node_lp.lp.slack_basis(),
+    // out an empty domain, so that start holds. With a seed, an objective
+    // that prices one column solves with that column bounded below by
+    // half the seed's value (`root_shift`; on Linear Program (1)
+    // `T ≥ ½·T_seed`), released at the optimum (`NodeLp::solve_root`):
+    // the root's bound is the unshifted LP's, and no node sees the shift.
+    let (start_basis, shift) = match &incumbent {
+        Some((z, x)) => (node_lp.lp.seeded_basis(x), root_shift(model, *z)),
+        None => (node_lp.lp.slack_basis(), None),
     };
-    let root = node_lp.solve(model, &[], &start_basis, &lp_opts).0;
+    let root = node_lp.solve_root(model, &start_basis, shift, &lp_opts);
     let root = root.expect("the slack basis of a validated model is a dual start");
     lp_iterations += root.iterations;
     nodes_done += 1;
@@ -820,6 +909,8 @@ mod tests {
     use super::*;
     use crate::model::Cmp;
     use crate::revised::WarmStartError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A basis the dual simplex refuses — of the wrong shape, or not dual
     /// feasible — is re-solved from the slack basis: the node still
@@ -1058,5 +1149,191 @@ mod tests {
             y[row] = dual;
         }
         assert_eq!(fixed.certify(&sibling.x, &y, 1e-9), Ok(()));
+    }
+
+    /// A random model of Linear Program (1)'s shape, whose objective
+    /// prices one column, `t ≥ 0` at cost 1: each of `k` tasks on one of
+    /// `p` PEs (`Σ_i a_ki = 1`), each PE's load at most `t`, and each
+    /// PE's task count capped by a lazy row. PE 0 is the fastest, so the
+    /// relaxation crowds it and breaks its cap, which no column can lift.
+    /// Returned with a seed: a round-robin assignment at `t` = its
+    /// largest load, within every cap.
+    fn one_priced_column(rng: &mut StdRng) -> (Model, Vec<f64>) {
+        let (k, p) = (rng.gen_range(2..=5usize), rng.gen_range(2..=3usize));
+        let mut m = Model::new("one-priced");
+        let t = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+        let a: Vec<Vec<VarId>> = (0..k)
+            .map(|_| (0..p).map(|_| m.add_var(0.0, 1.0, 0.0, VarKind::Binary)).collect())
+            .collect();
+        for row in &a {
+            m.add_con(row.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
+        }
+        let w: Vec<Vec<f64>> = (0..k)
+            .map(|_| (0..p).map(|i| rng.gen_range(1.0..4.0) * (1 + 2 * i) as f64).collect())
+            .collect();
+        let cap = k.div_ceil(p) as f64;
+        for i in 0..p {
+            let mut load: Vec<(VarId, f64)> = (0..k).map(|kk| (a[kk][i], w[kk][i])).collect();
+            load.push((t, -1.0));
+            m.add_con(load, Cmp::Le, 0.0);
+            m.add_lazy_con((0..k).map(|kk| (a[kk][i], 1.0)).collect(), Cmp::Le, cap);
+        }
+        let offset = rng.gen_range(0..p);
+        let mut x = vec![0.0; m.n_vars()];
+        let mut loads = vec![0.0; p];
+        for (kk, row) in a.iter().enumerate() {
+            let i = (kk + offset) % p;
+            x[row[i].0] = 1.0;
+            loads[i] += w[kk][i];
+        }
+        x[t.0] = loads.iter().fold(0.0, |acc: f64, &l| acc.max(l));
+        (m, x)
+    }
+
+    /// `solve_root` on a fresh search LP from `x`'s seeded basis.
+    fn root_of(m: &Model, x: &[f64], shift: Option<(usize, f64)>) -> (SparseSolution, NodeLp) {
+        let mut lp = NodeLp::new(m).unwrap();
+        let basis = lp.lp.seeded_basis(x);
+        let root = lp.solve_root(m, &basis, shift, &LpOptions::default());
+        (root.expect("the slack basis is a dual start"), lp)
+    }
+
+    /// `root`'s duals on every model row: 0 on the rows its LP lacks.
+    fn model_duals(m: &Model, lp: &NodeLp, root: &SparseSolution) -> Vec<f64> {
+        let mut y = vec![0.0; m.n_cons()];
+        for (&row, &dual) in lp.active.iter().zip(&root.duals) {
+            y[row] = dual;
+        }
+        y
+    }
+
+    /// On random models whose objective prices one column, the root
+    /// solved with that column bounded below by half the seed's value
+    /// and released reaches the unshifted root's objective, certified
+    /// against every model row — lazy rows activated under the shift
+    /// included, which the debug build also holds to an LP built from
+    /// scratch with the same raised bound. The seeded search ends at the
+    /// unseeded one's optimum.
+    #[test]
+    fn the_shifted_root_reaches_the_unshifted_root() {
+        let mut activated = 0;
+        for seed in 0..128 {
+            let (m, x) = one_priced_column(&mut StdRng::seed_from_u64(seed));
+            let z = m.objective_of(&x);
+            assert_eq!(root_shift(&m, z), Some((0, 0.5 * x[0])), "seed {seed}");
+            let (shifted, lp) = root_of(&m, &x, root_shift(&m, z));
+            let (plain, _) = root_of(&m, &x, None);
+            assert_eq!((shifted.status, plain.status), (LpStatus::Optimal, LpStatus::Optimal));
+            let tol = 1e-9 * plain.objective.abs().max(1.0);
+            assert!(
+                (shifted.objective - plain.objective).abs() <= tol,
+                "seed {seed}: shifted {} against {}",
+                shifted.objective,
+                plain.objective
+            );
+            let y = model_duals(&m, &lp, &shifted);
+            assert_eq!(m.certify(&shifted.x, &y, 1e-9), Ok(()), "seed {seed}");
+            activated += lp.activated;
+            let seeded = solve_mip(&m, &exact(), &[x], None).unwrap();
+            let unseeded = solve_mip(&m, &exact(), &[], None).unwrap();
+            assert_eq!((seeded.status, unseeded.status), (MipStatus::Optimal, MipStatus::Optimal));
+            let objective = |r: &MipResult| r.incumbent.as_ref().map(|(obj, _)| *obj);
+            let (with, without) = (objective(&seeded).unwrap(), objective(&unseeded).unwrap());
+            assert!((with - without).abs() <= 1e-9 * without, "seed {seed}: {with} vs {without}");
+        }
+        assert!(activated > 0, "no shifted root activated a lazy row");
+    }
+
+    /// Three unit tasks on three identical PEs: the relaxation's optimum
+    /// is `t = 1`. A seed with every task on one PE (`t = 3`) raises the
+    /// bound to 1.5, above it: the shifted LP rests `t` at 1.5, and the
+    /// root releases it and re-solves to 1, certified; so does the
+    /// search.
+    #[test]
+    fn a_poor_seed_takes_the_release_path_to_the_optimum() {
+        let mut m = Model::new("poor-seed");
+        let t = m.add_var(0.0, f64::INFINITY, 1.0, VarKind::Continuous);
+        let a: Vec<Vec<VarId>> = (0..3)
+            .map(|_| (0..3).map(|_| m.add_var(0.0, 1.0, 0.0, VarKind::Binary)).collect())
+            .collect();
+        for row in &a {
+            m.add_con(row.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
+        }
+        for i in 0..3 {
+            let mut load: Vec<(VarId, f64)> = a.iter().map(|row| (row[i], 1.0)).collect();
+            load.push((t, -1.0));
+            m.add_con(load, Cmp::Le, 0.0);
+        }
+        let mut x = vec![0.0; m.n_vars()];
+        x[t.0] = 3.0;
+        for row in &a {
+            x[row[0].0] = 1.0;
+        }
+        let shift = root_shift(&m, m.objective_of(&x));
+        assert_eq!(shift, Some((0, 1.5)));
+        let mut lp = SparseLp::from_model(&m).unwrap();
+        lp.set_bounds(0, 1.5, f64::INFINITY);
+        let held = lp.solve_dual_from(&lp.seeded_basis(&x), &LpOptions::default()).unwrap();
+        assert_eq!((held.status, held.objective), (LpStatus::Optimal, 1.5));
+        assert_eq!(held.basis.state[0], VState::AtLower, "t rests at the raised bound");
+        let (root, lp) = root_of(&m, &x, shift);
+        assert_eq!(root.status, LpStatus::Optimal);
+        assert!((root.objective - 1.0).abs() < 1e-12, "{}", root.objective);
+        assert!(root.iterations > held.iterations, "the release re-solve is counted");
+        assert_eq!(m.certify(&root.x, &model_duals(&m, &lp, &root), 1e-9), Ok(()));
+        let res = solve_mip(&m, &exact(), &[x], None).unwrap();
+        assert_eq!(res.status, MipStatus::Optimal);
+        assert_eq!(res.incumbent.map(|(obj, _)| obj), Some(1.0));
+    }
+
+    /// A priced column with a finite upper bound, 8, and a row that holds
+    /// it to 5: an incumbent objective of 12 raises its lower bound to 6,
+    /// inside its domain but past the row, so the shifted LP is
+    /// infeasible. The root re-solves unshifted and reports the true
+    /// optimum, `t = 2.5`.
+    #[test]
+    fn a_shift_that_empties_the_lp_re_solves_unshifted() {
+        let mut m = Model::new("infeasible-shift");
+        let t = m.add_var(0.0, 8.0, 1.0, VarKind::Continuous);
+        let a = m.add_var(0.0, 1.0, 0.0, VarKind::Binary);
+        let b = m.add_var(0.0, 1.0, 0.0, VarKind::Binary);
+        m.add_con(vec![(a, 1.0), (b, 1.0)], Cmp::Eq, 1.0);
+        m.add_con(vec![(t, 1.0), (a, -5.0)], Cmp::Ge, 0.0);
+        m.add_con(vec![(t, 1.0), (b, -5.0)], Cmp::Ge, 0.0);
+        m.add_con(vec![(t, 1.0)], Cmp::Le, 5.0);
+        let shift = root_shift(&m, 12.0);
+        assert_eq!(shift, Some((0, 6.0)));
+        let mut lp = SparseLp::from_model(&m).unwrap();
+        lp.set_bounds(0, 6.0, 8.0);
+        let shifted = lp.solve_dual_from(&lp.slack_basis(), &LpOptions::default()).unwrap();
+        assert_eq!(shifted.status, LpStatus::Infeasible);
+        let x = [5.0, 1.0, 0.0];
+        let (root, lp) = root_of(&m, &x, shift);
+        assert_eq!(root.status, LpStatus::Optimal);
+        assert!((root.objective - 2.5).abs() < 1e-12, "{}", root.objective);
+        assert_eq!(m.certify(&root.x, &model_duals(&m, &lp, &root), 1e-9), Ok(()));
+    }
+
+    /// Only an objective that prices exactly one column, at a positive
+    /// cost, is shifted, and only to a bound strictly above the column's
+    /// own and within its domain.
+    #[test]
+    fn only_one_positively_priced_column_is_shifted() {
+        let model = |costs: &[f64], lo: f64, hi: f64| {
+            let mut m = Model::new("priced");
+            for &c in costs {
+                m.add_var(lo, hi, c, VarKind::Continuous);
+            }
+            m
+        };
+        let inf = f64::INFINITY;
+        assert_eq!(root_shift(&model(&[0.0, 2.0, 0.0], 1.0, inf), 10.0), Some((1, 3.0)));
+        assert_eq!(root_shift(&model(&[0.0, 0.0], 1.0, inf), 10.0), None, "no priced column");
+        assert_eq!(root_shift(&model(&[2.0, 1.0], 1.0, inf), 10.0), None, "two priced columns");
+        assert_eq!(root_shift(&model(&[-2.0], 1.0, 9.0), -10.0), None, "a negative cost");
+        assert_eq!(root_shift(&model(&[2.0], 1.0, 2.5), 10.0), None, "past the upper bound");
+        assert_eq!(root_shift(&model(&[2.0], 1.0, 3.0), 10.0), Some((0, 3.0)), "at it");
+        assert_eq!(root_shift(&model(&[2.0], 1.0, inf), 2.0), None, "no raise");
+        assert_eq!(root_shift(&model(&[1e-300], 1.0, inf), 1e300), None, "an infinite bound");
     }
 }

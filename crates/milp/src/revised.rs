@@ -175,7 +175,10 @@ impl SparseLp {
     /// [`SparseLp::from_model_rows`] over its old rows followed by
     /// `rows`, field for field, and every earlier logical keeps its
     /// column. Structural bounds must be the model's (no fixing in
-    /// force).
+    /// force), but for branch-and-bound's root shift, the raised lower
+    /// bound on the priced column it solves its root with: a caller that
+    /// compares this LP with one built over the same rows applies the
+    /// same raised bound to that one first.
     pub(crate) fn append_rows(&mut self, model: &Model, rows: &[usize]) {
         let (n, m) = (self.n, self.m);
         let scaled: Vec<Vec<(usize, f64)>> = rows
