@@ -73,7 +73,8 @@
 //!   (so the logical of LP row `p` stays column `n + p`): the model is
 //!   validated once, when the search builds its LP, and debug builds
 //!   hold the grown LP to one built from scratch over the same rows,
-//!   field for field. Only the [`Workspace`] is built again, for the new
+//!   field for field (given the root's raised bound while it is in
+//!   force). Only the [`Workspace`] is built again, for the new
 //!   size. The node re-solves from its optimal basis extended by the new
 //!   logicals, basic — still dual feasible, since their duals are 0. A
 //!   heap node's basis that predates an activation is extended the same
@@ -419,20 +420,21 @@ impl NodeLp {
         let shifted = self.solve(model, &[], basis, opts).0;
         self.lp.set_bounds(t, lo, hi);
         self.shift = None;
-        let (spent, from) = match &shifted {
-            Some(s) if s.status == LpStatus::Optimal => {
-                if matches!(s.basis.state[t], VState::Basic(_)) && s.x[t] - raised > FEAS_TOL {
-                    return shifted;
-                }
-                (s.iterations, &s.basis)
+        let shifted = shifted?;
+        let from = match shifted.status {
+            LpStatus::Optimal
+                if matches!(shifted.basis.state[t], VState::Basic(_))
+                    && shifted.x[t] - raised > FEAS_TOL =>
+            {
+                return Some(shifted);
             }
-            Some(s) if s.status != LpStatus::Infeasible => return shifted,
-            Some(s) => (s.iterations, basis),
-            None => (0, basis),
+            LpStatus::Optimal => &shifted.basis,
+            LpStatus::Infeasible => basis,
+            LpStatus::IterLimit | LpStatus::TimeLimit => return Some(shifted),
         };
         let mut sol = self.solve(model, &[], from, opts).0;
         if let Some(s) = sol.as_mut() {
-            s.iterations += spent;
+            s.iterations += shifted.iterations;
         }
         sol
     }
