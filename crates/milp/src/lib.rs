@@ -24,7 +24,10 @@
 //!   node selection, pseudo-cost branching, **dual-simplex warm starts**
 //!   from the parent basis (a branch only tightens one binary's bounds,
 //!   which is the dual simplex's home turf), seedable incumbents
-//!   (the greedy heuristics of §6.3 make excellent warm starts), an
+//!   (the greedy heuristics of §6.3 make excellent warm starts, and a
+//!   root whose objective prices one column starts with that column
+//!   bounded below by half the best seed's value, released at its
+//!   optimum), an
 //!   *integral-completion* callback that turns fractional relaxations into
 //!   feasible mappings, the paper's relative-gap early stop, and *lazy
 //!   rows* ([`Model::add_lazy_con`]) that stay out of the LP until a
