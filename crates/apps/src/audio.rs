@@ -31,11 +31,11 @@ pub const LANES: usize = 4;
 /// Bytes of one PCM frame (`f32` samples).
 pub const FRAME_BYTES: f64 = (FRAME_SAMPLES * 4) as f64;
 /// Bytes of one lane's subband block.
-pub const LANE_BYTES: f64 = FRAME_BYTES / LANES as f64;
+const LANE_BYTES: f64 = FRAME_BYTES / LANES as f64;
 /// Bytes of the spectral envelope the psycho model emits.
-pub const SPECTRUM_BYTES: f64 = 512.0;
+const SPECTRUM_BYTES: f64 = 512.0;
 /// Bytes of the per-lane bit-allocation table.
-pub const ALLOC_BYTES: f64 = 64.0;
+const ALLOC_BYTES: f64 = 64.0;
 
 /// Build the encoder graph. Costs are microsecond-scale with the
 /// unrelated-machine mix described in the module docs.

@@ -39,7 +39,7 @@ fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
 /// The ChaCha20 block function (RFC 7539 §2.3): 20 rounds over the state
 /// built from `key`, `counter` and `nonce`; returns the 64-byte keystream
 /// block.
-pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
+fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
     let mut state = [0u32; 16];
     state[0] = 0x61707865;
     state[1] = 0x3320646e;

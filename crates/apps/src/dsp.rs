@@ -28,7 +28,7 @@ pub const FRAME_SAMPLES: usize = 2048;
 /// Bytes of one acquired frame (`f32` samples).
 pub const FRAME_BYTES: f64 = (FRAME_SAMPLES * 4) as f64;
 /// Parallel FFT lanes.
-pub const FFT_LANES: usize = 2;
+const FFT_LANES: usize = 2;
 
 /// Build the spectrum-analyzer graph. Costs are microsecond-scale with
 /// the unrelated-machine mix described in the module docs.
@@ -67,7 +67,7 @@ pub fn graph() -> Result<StreamGraph, GraphError> {
 
 /// In-place iterative radix-2 Cooley–Tukey FFT over interleaved
 /// `(re, im)` pairs. `data.len()` must be a power of two.
-pub fn fft_radix2(re: &mut [f32], im: &mut [f32]) {
+fn fft_radix2(re: &mut [f32], im: &mut [f32]) {
     let n = re.len();
     assert_eq!(n, im.len());
     assert!(n.is_power_of_two(), "FFT size must be a power of two");
@@ -148,18 +148,11 @@ pub fn polyphase_analyze(input: &[f32], bands: usize, out: &mut [f32]) {
     }
 }
 
-/// Uniform mid-tread quantiser with `bits` bits, returning the code and
-/// enabling exact reconstruction in tests.
+/// Uniform mid-tread quantiser with `bits` bits, returning the code.
 pub fn quantize(x: f32, scale: f32, bits: u32) -> i32 {
     let levels = (1i64 << bits.min(24)) as f32;
     let q = (x / scale * (levels / 2.0)).round();
     q.clamp(-levels / 2.0, levels / 2.0 - 1.0) as i32
-}
-
-/// Inverse of [`quantize`].
-pub fn dequantize(code: i32, scale: f32, bits: u32) -> f32 {
-    let levels = (1i64 << bits.min(24)) as f32;
-    code as f32 * scale / (levels / 2.0)
 }
 
 #[cfg(test)]
@@ -220,19 +213,6 @@ mod tests {
         let mut out = vec![0.0f32; 128];
         polyphase_analyze(&input, 4, &mut out);
         assert!(out.iter().any(|&v| v != 0.0));
-    }
-
-    #[test]
-    fn quantize_round_trips_within_step() {
-        for bits in [4u32, 8, 12] {
-            let scale = 2.0f32;
-            let step = scale / (1i64 << (bits - 1)) as f32;
-            for &x in &[-1.9f32, -0.3, 0.0, 0.7, 1.5] {
-                let code = quantize(x, scale, bits);
-                let back = dequantize(code, scale, bits);
-                assert!((back - x).abs() <= step * 0.5 + 1e-6, "bits={bits} x={x} back={back}");
-            }
-        }
     }
 
     #[test]

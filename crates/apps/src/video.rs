@@ -18,9 +18,9 @@ use cellstream_rt::{ClosureKernel, Kernel, KernelCtx, Window};
 use std::sync::Arc;
 
 /// Tile edge length in pixels.
-pub const TILE: usize = 64;
+const TILE: usize = 64;
 /// Bytes per tile (1 byte per pixel).
-pub const TILE_BYTES: f64 = (TILE * TILE) as f64;
+const TILE_BYTES: f64 = (TILE * TILE) as f64;
 
 /// Build the pipeline graph.
 pub fn graph() -> Result<StreamGraph, GraphError> {

@@ -7,7 +7,8 @@
 //!   repo-specific conventions the compiler cannot: `total_cmp`-only
 //!   float orderings, panic-free serving hot paths, `forbid(unsafe_code)`
 //!   in every crate root, allocation-free `// check: no-alloc` functions,
-//!   and justified `Ordering::Relaxed`/`SeqCst` sites. Run it as
+//!   justified `Ordering::Relaxed`/`SeqCst` sites, and no public
+//!   function, constant or static that no other file names. Run it as
 //!   `cargo run -p cellstream-check -- --deny`.
 //! * [`mc`] — an exhaustive interleaving model checker for
 //!   `cellstream-rt`'s SPSC `Ring`. It substitutes simulated

@@ -1,6 +1,9 @@
-//! The workspace lint engine: walk `crates/*/src`, lex each file
-//! ([`source`]), apply the repo rules ([`rules`]), and report findings
-//! with `file:line` + rule id, optionally as machine-readable JSON.
+//! The workspace lint engine: walk the library sources (`crates/*/src`
+//! and the facade crate's `src/`), lex each file ([`source`]), apply the
+//! per-file repo rules ([`rules`]) to each, run the workspace pass
+//! ([`rules::unused_pub`]) over every file that can name a library item,
+//! and report findings with `file:line` + rule id, optionally as
+//! machine-readable JSON.
 
 pub mod rules;
 pub mod source;
@@ -84,34 +87,28 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Lint every `.rs` file under `<root>/crates/*/src`.
-pub fn run(root: &Path) -> io::Result<Report> {
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut members: Vec<PathBuf> = fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    members.sort();
-    for member in members {
-        collect_rs(&member.join("src"), &mut files)?;
-    }
-    files.sort();
+/// The directories whose `.rs` files can name a library item; the
+/// `unused-pub` pass reads them all (`vendor/` is not one).
+const REFERENCE_ROOTS: &[&str] = &["crates", "src", "tests", "examples", "benchmark/src"];
 
-    let mut findings = Vec::new();
-    let mut scanned = 0usize;
-    for path in &files {
+/// Lint the workspace at `root`: the per-file rules over every `.rs`
+/// file under `crates/*/src` and `src/`, the `unused-pub` pass over
+/// every file under `crates/`, `src/`, `tests/`, `examples/` and
+/// `benchmark/src`.
+pub fn run(root: &Path) -> io::Result<Report> {
+    let mut paths = Vec::new();
+    for dir in REFERENCE_ROOTS {
+        collect_rs(&root.join(dir), &mut paths)?;
+    }
+    paths.sort();
+    let mut files = Vec::with_capacity(paths.len());
+    for path in &paths {
         let text = fs::read_to_string(path)?;
         let rel = path.strip_prefix(root).unwrap_or(path);
-        let rel = rel.to_string_lossy().replace('\\', "/");
-        let sf = SourceFile::lex(&rel, &text);
-        rules::apply_all(&sf, &mut findings);
-        scanned += 1;
+        files.push(SourceFile::lex(&rel.to_string_lossy().replace('\\', "/"), &text));
     }
-    findings
-        .sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)).then(a.rule.cmp(&b.rule)));
-    Ok(Report { root: root.to_string_lossy().into_owned(), files_scanned: scanned, findings })
+    let (files_scanned, findings) = lint_files(&files);
+    Ok(Report { root: root.to_string_lossy().into_owned(), files_scanned, findings })
 }
 
 /// Lint a single in-memory file — the entry point the rule tests use to
@@ -121,6 +118,28 @@ pub fn check_source(path: &str, text: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     rules::apply_all(&sf, &mut findings);
     findings
+}
+
+/// Lint an in-memory workspace of `(path, text)` files exactly as
+/// [`run`] lints the real one, the `unused-pub` pass included.
+pub fn check_sources(files: &[(&str, &str)]) -> Vec<Finding> {
+    let files: Vec<SourceFile> = files.iter().map(|(p, t)| SourceFile::lex(p, t)).collect();
+    lint_files(&files).1
+}
+
+/// The per-file rules over the library files, then the workspace pass;
+/// returns the number of library files and the sorted findings.
+fn lint_files(files: &[SourceFile]) -> (usize, Vec<Finding>) {
+    let mut findings = Vec::new();
+    let mut scanned = 0usize;
+    for sf in files.iter().filter(|f| rules::is_library(&f.path)) {
+        rules::apply_all(sf, &mut findings);
+        scanned += 1;
+    }
+    rules::unused_pub(files, &mut findings);
+    findings
+        .sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)).then(a.rule.cmp(&b.rule)));
+    (scanned, findings)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -1,14 +1,16 @@
 //! The repo-specific rules. Each rule walks the code channel of a
 //! [`SourceFile`] and reports [`Finding`]s; `check:allow(rule)`
-//! suppressions are honoured uniformly here.
+//! suppressions are honoured uniformly here. All but one are per-file;
+//! [`unused_pub`] reads the whole workspace at once.
 
 use super::source::SourceFile;
 use super::Finding;
+use std::collections::HashMap;
 
 /// The serving hot-path modules where panicking operators are banned.
 /// An entry ending in `/` scopes a whole directory, so a file added
 /// there cannot silently fall out of the rule.
-pub const HOT_PATH_FILES: &[&str] = &[
+const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/",
     "crates/heuristics/src/repair.rs",
     "crates/rt/src/ring.rs",
@@ -27,6 +29,8 @@ pub const FORBID_UNSAFE: &str = "forbid-unsafe";
 pub const NO_ALLOC: &str = "no-alloc";
 /// Rule id: `Ordering::Relaxed`/`SeqCst` need a justification comment.
 pub const ATOMIC_ORDERING: &str = "atomic-ordering";
+/// Rule id: a `pub fn`, `pub const` or `pub static` no other file names.
+pub const UNUSED_PUB: &str = "unused-pub";
 
 /// Run every per-line rule over one file.
 pub fn apply_all(f: &SourceFile, findings: &mut Vec<Finding>) {
@@ -233,6 +237,101 @@ fn forbid_unsafe(f: &SourceFile, findings: &mut Vec<Finding>) {
             FORBID_UNSAFE,
             "crate root lacks #![forbid(unsafe_code)]",
         ));
+    }
+}
+
+/// `true` for a library source: a file under the facade crate's `src/`
+/// or under a member crate's `src/`.
+pub fn is_library(path: &str) -> bool {
+    path.starts_with("src/")
+        || (path.starts_with("crates/") && path.split('/').nth(2) == Some("src"))
+}
+
+/// The identifiers of one line of code; numeric literals are skipped.
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// The name `code` declares when it opens a `pub fn`, `pub const` or
+/// `pub static` item (`pub(crate)` and the like are not public).
+fn pub_item(code: &str) -> Option<&str> {
+    let rest = code.trim_start().strip_prefix("pub")?;
+    if !rest.starts_with(char::is_whitespace) {
+        return None;
+    }
+    let mut words = idents(rest).peekable();
+    let fn_next = |w: Option<&&str>| matches!(w, Some(&("fn" | "unsafe" | "async" | "extern")));
+    match words.next()? {
+        "fn" => words.next(),
+        "const" | "static" if !fn_next(words.peek()) => words.find(|&w| w != "mut"),
+        "const" | "unsafe" | "async" | "extern" => {
+            words.find(|&w| w == "fn")?;
+            words.next()
+        }
+        _ => None,
+    }
+    .filter(|&name| name != "_")
+}
+
+/// `true` when `code` opens a `pub use` (or `pub(..) use`) re-export.
+fn opens_reexport(code: &str) -> bool {
+    let Some(rest) = code.trim_start().strip_prefix("pub") else { return false };
+    let rest = match rest.strip_prefix('(') {
+        Some(scoped) => scoped.split_once(')').map_or("", |(_, r)| r),
+        None => rest,
+    };
+    rest.trim_start().starts_with("use ")
+}
+
+/// The workspace pass: every `pub fn`, `pub const` or `pub static` in a
+/// library file, outside test code, must be named in the code channel
+/// of some other file. Comments, string literals and `pub use`
+/// re-exports are not uses, and the item's own file does not count.
+/// Types are exempt: a public signature or field can reach a type that
+/// no other file spells. Files named `tests.rs` or `*_tests.rs` are test
+/// modules and declare nothing public.
+pub fn unused_pub(files: &[SourceFile], findings: &mut Vec<Finding>) {
+    // identifier → the files whose code names it, ascending
+    let mut named_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (i, f) in files.iter().enumerate() {
+        let mut in_reexport = false;
+        for line in &f.lines {
+            in_reexport |= opens_reexport(&line.code);
+            if in_reexport {
+                in_reexport = !line.code.contains(';');
+                continue;
+            }
+            for w in idents(&line.code) {
+                let seen = named_in.entry(w).or_default();
+                if seen.last() != Some(&i) {
+                    seen.push(i);
+                }
+            }
+        }
+    }
+    let test_module = |p: &str| p.ends_with("/tests.rs") || p.ends_with("_tests.rs");
+    for (i, f) in files.iter().enumerate() {
+        if !is_library(&f.path) || test_module(&f.path) {
+            continue;
+        }
+        for (l, line) in f.lines.iter().enumerate() {
+            if line.in_test || f.is_allowed(UNUSED_PUB, l) {
+                continue;
+            }
+            let Some(name) = pub_item(&line.code) else { continue };
+            if !named_in.get(name).is_some_and(|seen| seen.iter().any(|&j| j != i)) {
+                findings.push(Finding::new(
+                    f,
+                    l,
+                    UNUSED_PUB,
+                    &format!(
+                        "public `{name}` is named in no other file — delete it, make it \
+                         private, or justify with check:allow(unused-pub)"
+                    ),
+                ));
+            }
+        }
     }
 }
 

@@ -49,16 +49,6 @@ impl SourceFile {
     pub fn is_allowed(&self, rule: &str, line0: usize) -> bool {
         self.allowed.contains(&(line0, rule.to_string()))
     }
-
-    /// The whole code channel joined with newlines (for extent matching).
-    pub fn flat_code(&self) -> String {
-        let mut s = String::new();
-        for l in &self.lines {
-            s.push_str(&l.code);
-            s.push('\n');
-        }
-        s
-    }
 }
 
 /// Pass 1: split the text into per-line code and comment channels.

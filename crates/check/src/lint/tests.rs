@@ -1,10 +1,9 @@
 //! Rule pins: seeding any single banned pattern must produce a finding,
-//! suppressions must silence it, and — the acceptance gate — the real
-//! workspace must scan clean.
+//! and suppressions must silence it. The gate that the real workspace
+//! scans clean is the root package's `tests/lint_gate.rs`.
 
 use super::rules;
-use super::{check_source, run};
-use std::path::Path;
+use super::{check_source, check_sources};
 
 fn rules_fired(path: &str, src: &str) -> Vec<String> {
     check_source(path, src).into_iter().map(|f| f.rule).collect()
@@ -157,21 +156,72 @@ fn atomic_ordering_exempts_test_code() {
     assert!(rules_fired("crates/x/src/tests.rs", tests_file).is_empty());
 }
 
-// ---- the acceptance gate -------------------------------------------------
+// ---- unused-pub ----------------------------------------------------------
+
+const LIB: &str = "crates/x/src/a.rs";
+
+/// `file:line` of every `unused-pub` finding over an in-memory workspace.
+fn unused_pub(files: &[(&str, &str)]) -> Vec<String> {
+    check_sources(files)
+        .into_iter()
+        .filter(|f| f.rule == rules::UNUSED_PUB)
+        .map(|f| format!("{}:{}", f.file, f.line))
+        .collect()
+}
 
 #[test]
-fn workspace_scans_clean() {
-    // `cargo run -p cellstream-check -- --deny` exiting clean on the
-    // whole workspace is an ISSUE acceptance criterion; this test pins
-    // it from the suite so a regression fails `cargo test` too.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = run(&root).expect("workspace scan succeeds");
-    assert!(report.files_scanned > 50, "scanned only {} files", report.files_scanned);
-    assert!(
-        report.findings.is_empty(),
-        "workspace must lint clean, found:\n{}",
-        report.findings.iter().map(|f| format!("  {f}")).collect::<Vec<_>>().join("\n")
-    );
+fn unused_pub_flags_lone_fns_consts_and_statics() {
+    let src = "pub fn lonely() {}\npub const LONE: u32 = 1;\npub const fn k() -> u32 { 0 }\n\
+               pub static S: u32 = 0;\npub fn own() {}\nfn caller() { own(); }\n";
+    let want: Vec<String> = (1..=5).map(|l| format!("{LIB}:{l}")).collect();
+    assert_eq!(unused_pub(&[(LIB, src)]), want, "a use in the item's own file does not count");
+}
+
+#[test]
+fn unused_pub_accepts_a_use_from_another_file() {
+    let src = "pub fn helper() {}\npub fn lonely() {}\n";
+    for user in [
+        "crates/y/src/b.rs",
+        "crates/x/tests/t.rs",
+        "tests/t.rs",
+        "examples/e.rs",
+        "benchmark/src/main.rs",
+    ] {
+        let fired = unused_pub(&[(LIB, src), (user, "fn main() { x::helper(); }\n")]);
+        assert_eq!(fired, [format!("{LIB}:2")], "a call from {user} is a use");
+    }
+}
+
+#[test]
+fn unused_pub_ignores_comments_strings_and_reexports() {
+    let src = "pub fn helper() {}\n";
+    for mention in [
+        "// helper, in prose\n",
+        "fn f() -> &'static str { \"helper\" }\n",
+        "pub use x::helper;\n",
+        "pub use x::{\n    helper,\n};\n",
+    ] {
+        let fired = unused_pub(&[(LIB, src), ("crates/y/src/b.rs", mention)]);
+        assert_eq!(fired, [format!("{LIB}:1")], "{mention:?} is not a use");
+    }
+}
+
+#[test]
+fn unused_pub_honours_allows() {
+    let src = "// check:allow(unused-pub): the oracle the tests compare against\n\
+               pub fn oracle() {}\npub fn lonely() {}\n";
+    assert_eq!(unused_pub(&[(LIB, src)]), [format!("{LIB}:3")]);
+}
+
+#[test]
+fn unused_pub_exempts_types_non_public_and_test_items() {
+    let src = "pub struct Lonely;\npub enum E {\n    A,\n}\npub type Alias = u32;\n\
+               pub(crate) fn inner() {}\nfn private() {}\n#[cfg(test)]\nmod tests {\n    \
+               pub fn helper() {}\n}\npub fn lonely() {}\n";
+    let outside = "pub fn in_a_test_file() {}\n";
+    let fired =
+        unused_pub(&[(LIB, src), ("tests/t.rs", outside), ("crates/x/src/tests.rs", outside)]);
+    assert_eq!(fired, [format!("{LIB}:12")], "only the lone fn of the library file fires");
 }
 
 #[test]

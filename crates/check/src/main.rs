@@ -4,7 +4,9 @@
 //! cargo run -p cellstream-check -- [--deny] [--json PATH] [--root PATH]
 //! ```
 //!
-//! Walks `<root>/crates/*/src`, applies the repo rules (see
+//! Walks `<root>/crates/*/src` and `<root>/src`, applies the per-file
+//! repo rules to each file there and the workspace-wide `unused-pub`
+//! pass over every file that can name their items (see
 //! `cellstream_check::lint::rules`), prints findings as
 //! `file:line: [rule] message`, optionally writes a JSON report, and —
 //! under `--deny` — exits non-zero when anything fired.

@@ -177,11 +177,6 @@ impl ClusterReport {
     pub fn network_bytes(&self) -> f64 {
         self.migrations.iter().map(|m| m.bytes).sum()
     }
-
-    /// Total seconds of priced network transfer time.
-    pub fn network_seconds(&self) -> f64 {
-        self.migrations.iter().map(|m| m.seconds).sum()
-    }
 }
 
 /// What one fleet-level burst did: per-event verdicts in request order
@@ -237,8 +232,6 @@ pub struct ClusterStatus {
 pub struct ClusterOptions {
     /// Inter-node placement policy (default: [`LoadAffinity`]).
     pub policy: Box<dyn PlacePolicy>,
-    /// Network cost model for cross-node migrations.
-    pub network: NetworkModel,
     /// Per-node serving options (the coordinator forces
     /// `queue_rejected` off — it owns retry policy fleet-wide).
     pub service: ServiceOptions,
@@ -248,7 +241,6 @@ impl Default for ClusterOptions {
     fn default() -> ClusterOptions {
         ClusterOptions {
             policy: Box::new(LoadAffinity::default()),
-            network: NetworkModel::default(),
             service: ServiceOptions::default(),
         }
     }
@@ -338,7 +330,7 @@ impl Cluster {
             summaries: agents.iter().map(Agent::summary).collect(),
             agents,
             policy: opts.policy,
-            network: opts.network,
+            network: NetworkModel::default(),
             draining: vec![false; n],
             dead: vec![false; n],
             apps: BTreeMap::new(),
@@ -950,7 +942,7 @@ impl Cluster {
 
     /// A cross-node move of `bytes`, priced by the network model.
     fn migration(&self, app: &str, from: NodeId, to: NodeId, bytes: f64) -> Migration {
-        let seconds = self.network.transfer_time(from, to, bytes);
+        let seconds = self.network.transfer_time(bytes);
         Migration { app: app.to_owned(), from, to, bytes, seconds }
     }
 
@@ -1070,7 +1062,7 @@ impl Cluster {
             let new_hot = (hot.period - share).max(0.0);
             let new_cool = cool_base + demand.spe_work / cool.n_spe.max(1) as f64;
             let gain = hot.period - new_hot.max(new_cool);
-            let cost = self.network.transfer_time(hot.node, cool.node, demand.buffer_bytes);
+            let cost = self.network.transfer_time(demand.buffer_bytes);
             if gain > 0.0 && gain * MIGRATION_HORIZON > cost {
                 match &best {
                     Some((_, g)) if *g >= gain => {}
@@ -1418,7 +1410,7 @@ mod tests {
             assert_eq!(m.from, victim);
             assert_ne!(m.to, victim);
             assert!(m.bytes > 0.0, "a chain's working set is never empty");
-            let expect = net.transfer_time(m.from, m.to, m.bytes);
+            let expect = net.transfer_time(m.bytes);
             assert!((m.seconds - expect).abs() < 1e-12, "priced by the network model");
             assert_eq!(fleet.node_of(&m.app), Some(m.to), "assignment tracked the move");
         }

@@ -21,8 +21,8 @@
 //! The coordinator calls its agents directly and synchronously, so the
 //! control plane is deterministic: the same operations in the same
 //! order give the same placements. Cross-node migrations move the
-//! application's buffer working set over a [`NetworkModel`] (per-link
-//! bandwidth + latency) instead of the on-chip EIB, and every move is
+//! application's buffer working set over a [`NetworkModel`] (a uniform
+//! fabric: one bandwidth and one latency) instead of the on-chip EIB, and every move is
 //! make-before-break: the target admits before the source retires, so
 //! capacity invariants hold at each step.
 //!
@@ -55,8 +55,6 @@ pub use coordinator::{
     BurstReport, Cluster, ClusterError, ClusterOptions, ClusterReport, ClusterStatus,
     ClusterVerdict, Migration,
 };
-pub use metrics::{cluster_verdict_name, ClusterMetrics};
+pub use metrics::ClusterMetrics;
 pub use net::NetworkModel;
-pub use placer::{
-    policy_by_name, AppDemand, LoadAffinity, PlacePolicy, RandomPlace, RoundRobin, PLACER_NAMES,
-};
+pub use placer::{policy_by_name, AppDemand, LoadAffinity, PlacePolicy, RandomPlace, RoundRobin};

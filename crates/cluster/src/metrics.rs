@@ -19,7 +19,7 @@ use cellstream_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Histogra
 use std::time::Duration;
 
 /// A [`ClusterVerdict`] as a static exposition label.
-pub fn cluster_verdict_name(v: &ClusterVerdict) -> &'static str {
+fn cluster_verdict_name(v: &ClusterVerdict) -> &'static str {
     match v {
         ClusterVerdict::Admitted(_) => "admitted",
         ClusterVerdict::Rejected(_) => "rejected",

@@ -53,7 +53,7 @@ impl AppDemand {
     /// its SPEs. An idle (`+∞` period) node starts from zero; a NaN
     /// period propagates, so corrupt summaries sink in every ranking
     /// instead of winning it.
-    pub fn predicted_period(&self, node: &NodeSummary) -> f64 {
+    fn predicted_period(&self, node: &NodeSummary) -> f64 {
         let base = if node.period == f64::INFINITY { 0.0 } else { node.period };
         base + self.spe_work / node.n_spe.max(1) as f64
     }
@@ -88,7 +88,7 @@ impl AppDemand {
     /// repair sweep removes, and a consistent model cancels its own
     /// systematic error when two nodes are compared. NaN summaries
     /// return NaN (and sink in rankings).
-    pub fn throughput_gain(&self, node: &NodeSummary) -> f64 {
+    fn throughput_gain(&self, node: &NodeSummary) -> f64 {
         if node.period.is_nan() || !node.spe_load.is_finite() || !node.ppe_load.is_finite() {
             return f64::NAN;
         }
@@ -191,7 +191,7 @@ impl PlacePolicy for RandomPlace {
 /// graph size, so count balance is what keeps every node's realised
 /// period close to its modelled one. Among equally-populated nodes the
 /// scorer then prefers the highest predicted marginal
-/// aggregate-throughput gain ([`AppDemand::throughput_gain`]): the
+/// aggregate-throughput gain (`AppDemand::throughput_gain`): the
 /// affinity half, steering each arrival to the node where its delivered
 /// instances cost the residents least. Nodes whose local stores cannot
 /// hold the application's working set are demoted a class, predicted
@@ -233,9 +233,6 @@ impl PlacePolicy for LoadAffinity {
         scored.into_iter().map(|(_, _, _, n)| n).collect()
     }
 }
-
-/// Registry names of every placement policy, sorted.
-pub const PLACER_NAMES: [&str; 3] = ["load_affinity", "random", "round_robin"];
 
 /// Look up a placement policy by registry name; `None` for unknown
 /// names. `cap` feeds the scoring policy's guarantee penalty;
@@ -319,6 +316,9 @@ mod tests {
         let order = LoadAffinity::default().rank(&nodes, &demand(1e-6, 64.0));
         assert_eq!(order, vec![NodeId(1), NodeId(0)]);
     }
+
+    /// Registry names of every placement policy, sorted.
+    const PLACER_NAMES: [&str; 3] = ["load_affinity", "random", "round_robin"];
 
     #[test]
     fn policy_registry_is_closed_and_sorted() {

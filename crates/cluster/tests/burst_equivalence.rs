@@ -61,7 +61,7 @@ fn lean_fleet(nodes: usize) -> (Cluster, PeId) {
     let service = ServiceOptions { max_period: Some(30e-6), ..Default::default() };
     // id order packs node 0, so both applications share the SPE that fails
     let policy: Box<dyn PlacePolicy> = Box::new(IdOrder);
-    let opts = ClusterOptions { service, policy, ..ClusterOptions::default() };
+    let opts = ClusterOptions { service, policy };
     (Cluster::homogeneous(nodes, &spec, opts), PeId(1))
 }
 

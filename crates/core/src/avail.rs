@@ -23,7 +23,7 @@
 //! Failing a PPE is rejected at the serving layer: the PPE runs the
 //! control thread and is the eviction target of last resort, so a
 //! platform without a live PPE cannot replan at all (the same reason
-//! [`CellSpec`](cellstream_platform::CellSpec) refuses to build with
+//! [`cellstream_platform::CellSpec`] refuses to build with
 //! zero PPEs).
 
 use cellstream_platform::{CellSpec, PeId};
@@ -42,11 +42,6 @@ impl Availability {
     /// Every PE healthy — the nominal platform the paper assumes.
     pub fn full(spec: &CellSpec) -> Availability {
         Availability { factors: vec![1.0; spec.n_pes()] }
-    }
-
-    /// Every PE healthy, by PE count (for callers without a spec).
-    pub fn full_n(n_pes: usize) -> Availability {
-        Availability { factors: vec![1.0; n_pes] }
     }
 
     /// Number of PEs the overlay covers.

@@ -70,32 +70,6 @@ impl MappingDelta {
         new_g: &StreamGraph,
         new_m: &Mapping,
     ) -> MappingDelta {
-        Self::diff(old_g, old_m, new_g, new_m, false)
-    }
-
-    /// Diff two mappings that live on **different platform instances**
-    /// (the cluster-migration case): every name-matched survivor pays
-    /// its buffer working set, even when its [`PeId`] happens to
-    /// coincide on both nodes — the state still crosses a network link,
-    /// not the EIB. Price the result with
-    /// [`transfer_time`](Self::transfer_time) instead of
-    /// [`migration_time`](Self::migration_time).
-    pub fn between_nodes(
-        old_g: &StreamGraph,
-        old_m: &Mapping,
-        new_g: &StreamGraph,
-        new_m: &Mapping,
-    ) -> MappingDelta {
-        Self::diff(old_g, old_m, new_g, new_m, true)
-    }
-
-    fn diff(
-        old_g: &StreamGraph,
-        old_m: &Mapping,
-        new_g: &StreamGraph,
-        new_m: &Mapping,
-        cross_node: bool,
-    ) -> MappingDelta {
         assert_eq!(old_m.assignment().len(), old_g.n_tasks(), "old mapping/graph mismatch");
         assert_eq!(new_m.assignment().len(), new_g.n_tasks(), "new mapping/graph mismatch");
         let old_by_name: HashMap<&str, TaskId> =
@@ -110,7 +84,7 @@ impl MappingDelta {
                 Some(&old_id) => {
                     survived[old_id.index()] = true;
                     let (from, to) = (old_m.pe_of(old_id), new_m.pe_of(new_id));
-                    if cross_node || from != to {
+                    if from != to {
                         let bytes = plan.for_task(new_id);
                         delta.migration_bytes += bytes;
                         delta.moved.push(TaskMove {
@@ -151,18 +125,6 @@ impl MappingDelta {
             return 0.0;
         }
         self.migration_bytes / spec.eib_bw().as_bytes_per_s()
-    }
-
-    /// Seconds the migration traffic occupies a generic link of
-    /// `bytes_per_s` bandwidth with `latency` seconds of setup cost —
-    /// the cluster-layer analogue of [`migration_time`](Self::migration_time)
-    /// for state that crosses a **network** link between nodes rather
-    /// than the EIB. An empty delta costs nothing, latency included.
-    pub fn transfer_time(&self, bytes_per_s: f64, latency: f64) -> f64 {
-        if self.migration_bytes == 0.0 {
-            return 0.0;
-        }
-        latency + self.migration_bytes / bytes_per_s
     }
 }
 
@@ -282,7 +244,7 @@ mod tests {
     #[test]
     fn zero_byte_working_set_migrates_for_free() {
         // a zero-byte edge is legal and yields an empty working set:
-        // the move is recorded but costs nothing on EIB or network
+        // the move is recorded but costs nothing on the EIB
         let g = two_stage("a", 0.0);
         let spec = CellSpec::ps3();
         let old = Mapping::all_on(&g, PeId(0));
@@ -292,28 +254,6 @@ mod tests {
         assert_eq!(d.moved[0].bytes, 0.0);
         assert_eq!(d.migration_bytes, 0.0);
         assert_eq!(d.migration_time(&spec), 0.0);
-        assert_eq!(d.transfer_time(1e9, 50e-6), 0.0, "no bytes, no latency either");
-    }
-
-    #[test]
-    fn cross_node_diff_charges_unmoved_survivors() {
-        // same PeId on both nodes, but the state still crosses the
-        // network: between_nodes must price every survivor
-        let g = two_stage("a", 256.0);
-        let m = Mapping::all_on(&g, PeId(0));
-        let same = MappingDelta::between(&g, &m, &g, &m);
-        assert_eq!(same.migration_bytes, 0.0, "EIB diff sees no movement");
-
-        let cross = MappingDelta::between_nodes(&g, &m, &g, &m);
-        assert_eq!(cross.n_moved(), 2, "every survivor pays across nodes");
-        let plan = BufferPlan::new(&g);
-        let want = plan.for_task(TaskId(0)) + plan.for_task(TaskId(1));
-        assert_eq!(cross.migration_bytes, want);
-
-        // transfer_time = latency + bytes/bw once there is traffic
-        let (bw, lat) = (1e9, 50e-6);
-        let t = cross.transfer_time(bw, lat);
-        assert!((t - (lat + want / bw)).abs() < 1e-15, "{t}");
     }
 
     #[test]

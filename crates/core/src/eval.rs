@@ -53,7 +53,7 @@ pub enum Violation {
         /// The proxy queue depth.
         limit: u32,
     },
-    /// A task is seated on a PE the [`Availability`] overlay marks
+    /// A task is seated on a PE the [`Availability`](crate::Availability) overlay marks
     /// dead — live capacity is zero there, so the mapping cannot run.
     DeadPe {
         /// The dead PE.
@@ -122,12 +122,6 @@ impl MappingReport {
     /// `true` iff constraints (1i)–(1k) all hold.
     pub fn is_feasible(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Speed-up of this mapping relative to a reference period (usually
-    /// the PPE-only period, as in §6.4.2).
-    pub fn speedup_vs(&self, reference_period: f64) -> f64 {
-        reference_period / self.period
     }
 }
 
@@ -393,17 +387,6 @@ mod tests {
         let r2 = evaluate(&g, &spec, &m2).unwrap();
         assert!(r2.dma_ppe.iter().all(|&c| c == 0));
         assert_eq!(r2.dma_in[2], 9);
-    }
-
-    #[test]
-    fn speedup_is_relative_to_reference() {
-        let g = pair(100.0, 0.0, 0.0);
-        let spec = spec2();
-        let ppe = evaluate(&g, &spec, &Mapping::all_on(&g, PeId(0))).unwrap();
-        let split =
-            evaluate(&g, &spec, &Mapping::new(&g, &spec, vec![PeId(1), PeId(2)]).unwrap()).unwrap();
-        let s = split.speedup_vs(ppe.period);
-        assert!((s - 5.0).abs() < 1e-9, "10us / 2us = 5, got {s}");
     }
 
     #[test]

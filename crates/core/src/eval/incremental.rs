@@ -393,11 +393,6 @@ impl<'a> EvalState<'a> {
         self.dead[pe.index()]
     }
 
-    /// Tasks currently seated on one PE. O(1).
-    pub fn seated_on(&self, pe: PeId) -> u32 {
-        self.live[pe.index()].seated
-    }
-
     /// The availability overlay this state plans against.
     pub fn availability(&self) -> &Availability {
         &self.avail
@@ -1117,13 +1112,11 @@ mod tests {
         let mut state = EvalState::new_with(&g, &spec, &avail, &m).unwrap();
         assert!(state.is_feasible(), "nothing seated on the dead PE yet");
         assert!(state.is_dead(PeId(3)));
-        assert_eq!(state.seated_on(PeId(0)), g.n_tasks() as u32);
         assert_matches_full(&state, "healthy seats, dead PE idle");
 
         state.apply(Move::Relocate { task: TaskId(1), to: PeId(3) });
         assert!(!state.is_feasible(), "a seat on a dead PE violates capacity");
         assert_eq!(state.first_violated_spe(), Some(PeId(3)));
-        assert_eq!(state.seated_on(PeId(3)), 1);
         assert!(state.score().is_infinite());
         assert_matches_full(&state, "seated on dead PE");
         let dead = state
@@ -1135,7 +1128,6 @@ mod tests {
 
         assert!(state.undo());
         assert!(state.is_feasible());
-        assert_eq!(state.seated_on(PeId(3)), 0);
         assert_matches_full(&state, "after undo");
     }
 

@@ -44,7 +44,6 @@
 pub mod avail;
 pub mod brute;
 pub mod delta;
-pub mod display;
 pub mod eval;
 pub mod formulation;
 pub mod mapping;

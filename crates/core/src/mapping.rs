@@ -2,7 +2,7 @@
 //!
 //! The paper restricts itself to *single-assignment* mappings: all
 //! instances of a task run on the same PE. (General, replicated mappings
-//! are possible in steady-state scheduling [4] but need complex flow
+//! are possible in steady-state scheduling \[4\] but need complex flow
 //! control and larger buffers — unaffordable with 256 kB local stores.)
 
 use cellstream_graph::{StreamGraph, TaskId};
@@ -105,7 +105,7 @@ impl Mapping {
 
     /// `true` if the edge crosses between two different PEs (and hence
     /// costs bandwidth and a DMA slot).
-    pub fn is_cut(&self, g: &StreamGraph, e: cellstream_graph::EdgeId) -> bool {
+    fn is_cut(&self, g: &StreamGraph, e: cellstream_graph::EdgeId) -> bool {
         let edge = g.edge(e);
         self.pe_of(edge.src) != self.pe_of(edge.dst)
     }
@@ -121,14 +121,6 @@ impl Mapping {
         let mut next = self.clone();
         next.assignment[t.index()] = pe;
         next
-    }
-
-    /// Set of PEs actually used.
-    pub fn pes_used(&self) -> Vec<PeId> {
-        let mut pes: Vec<PeId> = self.assignment.clone();
-        pes.sort_unstable();
-        pes.dedup();
-        pes
     }
 }
 
@@ -172,7 +164,6 @@ mod tests {
         let m = Mapping::new(&g, &spec, vec![PeId(0), PeId(1), PeId(1), PeId(2)]).unwrap();
         assert_eq!(m.count_on(PeId(1)), 2);
         assert_eq!(m.tasks_on(PeId(1)).collect::<Vec<_>>(), vec![TaskId(1), TaskId(2)]);
-        assert_eq!(m.pes_used(), vec![PeId(0), PeId(1), PeId(2)]);
     }
 
     #[test]

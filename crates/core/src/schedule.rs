@@ -74,13 +74,13 @@ impl PeriodicSchedule {
     }
 
     /// Absolute start time of instance `i` of a task.
-    pub fn instance_start(&self, t: TaskId, instance: u64) -> f64 {
+    fn instance_start(&self, t: TaskId, instance: u64) -> f64 {
         let slot = &self.slots[t.index()];
         (self.first_period[t.index()] + instance) as f64 * self.period + slot.offset
     }
 
     /// Absolute completion time of instance `i` of a task.
-    pub fn instance_end(&self, t: TaskId, instance: u64) -> f64 {
+    fn instance_end(&self, t: TaskId, instance: u64) -> f64 {
         self.instance_start(t, instance) + self.slots[t.index()].duration
     }
 

@@ -103,7 +103,7 @@ impl PlanContext {
 
     /// The MILP time limit implied by this context: the configured limit,
     /// clamped to the remaining budget when one is set.
-    pub fn milp_time_limit(&self) -> Duration {
+    fn milp_time_limit(&self) -> Duration {
         match self.budget {
             Some(b) => self.solve.mip.time_limit.min(b),
             None => self.solve.mip.time_limit,

@@ -151,15 +151,6 @@ pub fn solve(
     })
 }
 
-/// Convenience: solve with the paper-default options and a set of seeds.
-pub fn solve_with_seeds(
-    g: &StreamGraph,
-    spec: &CellSpec,
-    seeds: Vec<Mapping>,
-) -> Result<SolveOutcome, SolveError> {
-    solve(g, spec, &SolveOptions { seeds, ..SolveOptions::default() })
-}
-
 /// The PPE-only reference outcome used as the speed-up denominator in
 /// §6.4.2 (no MILP involved).
 pub fn ppe_only_outcome(g: &StreamGraph, spec: &CellSpec) -> SolveOutcome {

@@ -119,7 +119,7 @@ pub fn per_app_reports(
 /// compute occupation is scaled by the seating PE's
 /// [`Availability::slowdown`], matching [`evaluate_with`]. With a fully
 /// healthy overlay this is exactly `per_app_reports`.
-pub fn per_app_reports_with(
+fn per_app_reports_with(
     w: &Workload,
     spec: &CellSpec,
     avail: &Availability,
@@ -245,7 +245,7 @@ fn max_min_round_rates(occ: &[Vec<f64>]) -> Vec<f64> {
 
 /// Evaluate a mapping of the composed workload graph: the aggregate
 /// verifier verdict plus the per-application split. Errors only on
-/// structurally invalid mappings, exactly like [`evaluate`].
+/// structurally invalid mappings, exactly like [`evaluate`](crate::evaluate).
 pub fn evaluate_workload(
     w: &Workload,
     spec: &CellSpec,

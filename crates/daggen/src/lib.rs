@@ -1,7 +1,7 @@
 //! Random streaming-task-graph generation.
 //!
 //! The paper evaluates on *"three random task graphs, obtained with the
-//! DagGen generator"* (F. Suter, §6.2 [19]) plus a 50-task chain, each in
+//! DagGen generator"* (F. Suter, §6.2 \[19\]) plus a 50-task chain, each in
 //! six communication-to-computation (CCR) variants. DagGen itself is a C
 //! program; this crate reimplements its layer-based construction with the
 //! same parameter vocabulary:

@@ -15,11 +15,11 @@ use cellstream_graph::ccr::{paper_ccr_sweep, rescale_to_ccr, DEFAULT_BW};
 use cellstream_graph::StreamGraph;
 
 /// Seed for random graph 1 (fixed once, never tuned per-experiment).
-pub const GRAPH1_SEED: u64 = 0x5EED_0001;
+const GRAPH1_SEED: u64 = 0x5EED_0001;
 /// Seed for random graph 2.
-pub const GRAPH2_SEED: u64 = 0x5EED_0002;
+const GRAPH2_SEED: u64 = 0x5EED_0002;
 /// Seed for random graph 3 (the 50-task chain).
-pub const GRAPH3_SEED: u64 = 0x5EED_0003;
+const GRAPH3_SEED: u64 = 0x5EED_0003;
 
 fn graph1_costs() -> CostParams {
     // Figure 5(a): peeks only 0/1.

@@ -54,46 +54,6 @@ pub fn critical_path_hops(g: &StreamGraph) -> usize {
     depths(g).into_iter().max().unwrap_or(0)
 }
 
-/// Critical path weighted by the *best-case* cost of each task
-/// (`min(wPPE, wSPE)`): a lower bound on the makespan of one instance,
-/// hence `1 / critical_path_seconds` upper-bounds per-instance latency
-/// throughput but NOT the pipelined steady-state throughput (the whole
-/// point of steady-state scheduling is to overlap instances).
-pub fn critical_path_seconds(g: &StreamGraph) -> f64 {
-    let mut best = vec![0.0f64; g.n_tasks()];
-    let mut max_all = 0.0f64;
-    for &t in g.topo_order() {
-        let own = g.task(t).w_ppe.min(g.task(t).w_spe);
-        let pred_best = g.predecessors(t).map(|p| best[p.0]).fold(0.0f64, f64::max);
-        best[t.0] = pred_best + own;
-        max_all = max_all.max(best[t.0]);
-    }
-    max_all
-}
-
-/// `true` iff there is a directed path from `from` to `to` (inclusive of
-/// `from == to`).
-pub fn reachable(g: &StreamGraph, from: TaskId, to: TaskId) -> bool {
-    if from == to {
-        return true;
-    }
-    let mut seen = vec![false; g.n_tasks()];
-    let mut stack = vec![from];
-    seen[from.0] = true;
-    while let Some(t) = stack.pop() {
-        for s in g.successors(t) {
-            if s == to {
-                return true;
-            }
-            if !seen[s.0] {
-                seen[s.0] = true;
-                stack.push(s);
-            }
-        }
-    }
-    false
-}
-
 /// Number of weakly-connected components.
 pub fn n_components(g: &StreamGraph) -> usize {
     let n = g.n_tasks();
@@ -140,7 +100,6 @@ mod tests {
         let g = chain(1);
         assert_eq!(critical_path_hops(&g), 0);
         assert_eq!(n_components(&g), 1);
-        assert!((critical_path_seconds(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -158,9 +117,6 @@ mod tests {
         b.add_edge(r, z, 1.0).unwrap();
         let g = b.build().unwrap();
         assert_eq!(depths(&g)[z.0], 3);
-        assert!(reachable(&g, a, z));
-        assert!(!reachable(&g, z, a));
-        assert!(!reachable(&g, l1, r));
         assert_eq!(n_components(&g), 1);
     }
 
@@ -175,15 +131,5 @@ mod tests {
         b.add_edge(c, d, 1.0).unwrap();
         let g = b.build().unwrap();
         assert_eq!(n_components(&g), 2);
-    }
-
-    #[test]
-    fn critical_path_uses_min_cost() {
-        let mut b = StreamGraph::builder("g");
-        let a = b.add_task(TaskSpec::new("a").ppe_cost(10.0).spe_cost(2.0));
-        let c = b.add_task(TaskSpec::new("c").ppe_cost(1.0).spe_cost(4.0));
-        b.add_edge(a, c, 1.0).unwrap();
-        let g = b.build().unwrap();
-        assert!((critical_path_seconds(&g) - 3.0).abs() < 1e-12);
     }
 }

@@ -58,7 +58,7 @@ pub struct CcrReport {
 }
 
 /// Measure the CCR of a graph against a given interface bandwidth.
-pub fn ccr_with(g: &StreamGraph, bandwidth: f64) -> CcrReport {
+fn ccr_with(g: &StreamGraph, bandwidth: f64) -> CcrReport {
     assert!(bandwidth > 0.0, "bandwidth must be positive");
     let edge_bytes = g.total_edge_bytes();
     let memory_bytes = g.total_memory_bytes();

@@ -35,13 +35,6 @@ pub struct Edge {
     pub data_bytes: f64,
 }
 
-impl Edge {
-    /// `true` if this edge connects `a` to `b` in either direction.
-    pub fn touches(&self, t: TaskId) -> bool {
-        self.src == t || self.dst == t
-    }
-}
-
 serde::impl_json_struct!(Edge { src, dst, data_bytes });
 
 impl fmt::Display for Edge {

@@ -15,8 +15,8 @@
 //!   peek, `i+1 .. i+peek_l`) of every incoming datum.
 //!
 //! The crate also provides the **communication-to-computation ratio**
-//! (CCR) tooling used by the paper's §6.2 workload sweep, a Graphviz
-//! exporter, topological utilities, and serde round-tripping.
+//! (CCR) tooling used by the paper's §6.2 workload sweep, topological
+//! utilities, and serde round-tripping.
 //!
 //! # Example
 //!
@@ -38,7 +38,6 @@
 
 pub mod algo;
 pub mod ccr;
-pub mod dot;
 pub mod edge;
 pub mod graph;
 pub mod task;

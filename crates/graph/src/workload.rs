@@ -311,13 +311,6 @@ impl Workload {
         self.app_of[t.index()]
     }
 
-    /// Translate an application-local task id into the composed graph.
-    pub fn composed_task(&self, a: AppId, local: TaskId) -> TaskId {
-        let r = &self.apps[a.index()].tasks;
-        assert!(local.index() < r.len(), "{local} out of range for {a}");
-        TaskId(r.start + local.index())
-    }
-
     /// Composed task ids of one application, in local id order.
     pub fn tasks_of(&self, a: AppId) -> impl Iterator<Item = TaskId> + '_ {
         self.apps[a.index()].tasks.clone().map(TaskId)
@@ -640,7 +633,6 @@ mod tests {
         assert_eq!(w.graph().n_edges(), 3);
         assert_eq!(w.app_of(TaskId(0)), AppId(0));
         assert_eq!(w.app_of(TaskId(4)), AppId(1));
-        assert_eq!(w.composed_task(AppId(1), TaskId(0)), TaskId(3));
         assert!(w.graph().find("a/t0").is_some());
         assert!(w.graph().find("b/t1").is_some());
         // edges never cross applications

@@ -3,7 +3,7 @@
 //! heuristics which approach the optimal throughput").
 //!
 //! Standard Metropolis scheme on the **incremental** evaluator
-//! ([`EvalState`](cellstream_core::EvalState)): random single-task
+//! ([`cellstream_core::EvalState`]): random single-task
 //! moves are probed with an O(degree) `score_move`, accepted moves are
 //! re-applied in place — no mapping clones, no full re-evaluations
 //! inside the walk. Improvements are always accepted, regressions with
@@ -20,16 +20,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
+/// Initial temperature as a fraction of the starting period
+/// (temperature is in period units).
+const T0_FRACTION: f64 = 0.2;
+/// Geometric cooling factor applied every `steps/100` steps.
+const COOLING: f64 = 0.93;
+
 /// Annealing parameters.
 #[derive(Debug, Clone)]
 pub struct AnnealingOptions {
     /// Monte-Carlo steps.
     pub steps: u32,
-    /// Initial temperature as a fraction of the starting period
-    /// (temperature is in period units).
-    pub t0_fraction: f64,
-    /// Geometric cooling factor applied every `steps/100` steps.
-    pub cooling: f64,
     /// RNG seed.
     pub seed: u64,
     /// Wall-clock budget: the walk stops early once it is exhausted
@@ -43,14 +44,7 @@ pub struct AnnealingOptions {
 
 impl Default for AnnealingOptions {
     fn default() -> Self {
-        AnnealingOptions {
-            steps: 4000,
-            t0_fraction: 0.2,
-            cooling: 0.93,
-            seed: 0xA11EA1,
-            budget: None,
-            cancel: None,
-        }
+        AnnealingOptions { steps: 4000, seed: 0xA11EA1, budget: None, cancel: None }
     }
 }
 
@@ -77,7 +71,7 @@ pub fn anneal(
     let mut current_p = state.period();
     let (mut best, mut best_p) = (state.mapping(), current_p);
 
-    let mut temperature = current_p * opts.t0_fraction;
+    let mut temperature = current_p * T0_FRACTION;
     let cool_every = (opts.steps / 100).max(1);
     // a budget too long to add to the clock is no deadline
     let deadline = opts.budget.and_then(|b| Instant::now().checked_add(b));
@@ -116,7 +110,7 @@ pub fn anneal(
             }
         }
         if step % cool_every == cool_every - 1 {
-            temperature *= opts.cooling;
+            temperature *= COOLING;
         }
     }
     // publish the exact verifier period of the best mapping seen

@@ -3,7 +3,7 @@
 //! The paper's greedies fail because they ignore data transfers. This
 //! variant keeps their one-pass, no-backtracking shape but scores every
 //! candidate placement with the **incremental evaluator**
-//! ([`EvalState`](cellstream_core::EvalState)): all tasks start on the
+//! ([`cellstream_core::EvalState`]): all tasks start on the
 //! PPE (the always-feasible baseline), then each task is visited once in
 //! topological order and relocated to the PE that minimises the *full
 //! mapping's* period — interface bandwidth, memory reads/writes, compute

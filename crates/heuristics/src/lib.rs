@@ -50,11 +50,10 @@ pub mod search;
 pub use annealing::{anneal, AnnealingOptions};
 pub use comm_aware::comm_aware_greedy;
 pub use greedy::{greedy_cpu, greedy_mem};
-pub use multi_app::{best_partition, partition_mapping};
+pub use multi_app::best_partition;
 pub use portfolio::{MemberResult, Portfolio, PortfolioOutcome};
 pub use repair::{
-    carry_over, carry_over_into, repair, repair_in_place, repair_with, RepairOptions,
-    RepairScheduler,
+    carry_over_into, repair, repair_in_place, repair_with, RepairOptions, RepairScheduler,
 };
 pub use schedulers::{
     all_schedulers, scheduler_by_name, scheduler_names, AnnealScheduler, CommAwareScheduler,

@@ -8,7 +8,7 @@
 //! jointly on the composed graph, free to share every PE) can be
 //! compared against it:
 //!
-//! * [`partition_mapping`] — plan each application alone on a reduced
+//! * `partition_mapping` — plan each application alone on a reduced
 //!   platform with its allotted SPE count, then translate the pieces
 //!   back onto the full platform's disjoint SPE ranges;
 //! * [`best_partition`] — sweep every SPE allocation and keep the one
@@ -53,11 +53,7 @@ fn reduced_spec(spec: &CellSpec, n_spe: usize) -> CellSpec {
 ///
 /// Errors when `alloc` does not match the application count or
 /// over-commits the machine's SPEs.
-pub fn partition_mapping(
-    w: &Workload,
-    spec: &CellSpec,
-    alloc: &[usize],
-) -> Result<Mapping, PlanError> {
+fn partition_mapping(w: &Workload, spec: &CellSpec, alloc: &[usize]) -> Result<Mapping, PlanError> {
     if alloc.len() != w.n_apps() {
         return Err(PlanError::Unsupported(format!(
             "partition allocates {} slices for {} applications",

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 /// portfolio run may overshoot its budget — a **fixed** floor, not a
 /// fraction of the budget (the old `budget / 20` top-up let a run exceed
 /// a large budget by 5%).
-pub const SECOND_WAVE_FLOOR: Duration = Duration::from_millis(100);
+const SECOND_WAVE_FLOOR: Duration = Duration::from_millis(100);
 
 /// The second wave's budget: whatever the first wave left, but at least
 /// [`SECOND_WAVE_FLOOR`]. Total portfolio wall time is therefore capped
@@ -148,7 +148,6 @@ impl PortfolioOutcome {
 pub struct Portfolio {
     members: Vec<Box<dyn Scheduler>>,
     budget: Option<Duration>,
-    seed_milp: bool,
 }
 
 impl Default for Portfolio {
@@ -161,7 +160,7 @@ impl Portfolio {
     /// An empty portfolio; add members with [`with`](Self::with) /
     /// [`with_named`](Self::with_named).
     pub fn new() -> Self {
-        Portfolio { members: Vec::new(), budget: None, seed_milp: true }
+        Portfolio { members: Vec::new(), budget: None }
     }
 
     /// The paper's §6 line-up: the PPE-only baseline (§6.4.2), both
@@ -208,13 +207,6 @@ impl Portfolio {
     /// to whatever remains when they start.
     pub fn budget(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Disable feeding first-wave mappings into second-wave members as
-    /// warm starts (enabled by default).
-    pub fn no_milp_seeding(mut self) -> Self {
-        self.seed_milp = false;
         self
     }
 
@@ -286,11 +278,9 @@ impl Portfolio {
         // ---- wave 2: warm-start members (MILP and friends), seeded --------
         if !second_wave.is_empty() {
             let mut milp_ctx = base_ctx.clone();
-            if self.seed_milp {
-                milp_ctx.seeds.extend(
-                    leaderboard.iter().filter_map(|m| m.feasible_plan()).map(|p| p.mapping.clone()),
-                );
-            }
+            milp_ctx.seeds.extend(
+                leaderboard.iter().filter_map(|m| m.feasible_plan()).map(|p| p.mapping.clone()),
+            );
             if let Some(budget) = base_ctx.budget {
                 milp_ctx.budget = Some(second_wave_budget(budget, started.elapsed()));
             }

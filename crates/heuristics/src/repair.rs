@@ -19,7 +19,7 @@
 //!    violated SPEs onto the PPE, largest working set first, until the
 //!    §3.2 constraints hold again (the PPE accepts every task, so this
 //!    always terminates feasible);
-//! 4. **refine** — a budgeted [`local_search`] polishes the result from
+//! 4. **refine** — a budgeted [`local_search`](crate::local_search) polishes the result from
 //!    the repaired seats.
 //!
 //! Steps 2–3 are O(K·n_PEs) probes on [`EvalState`]; step 4 is bounded
@@ -246,20 +246,8 @@ impl Scheduler for RepairScheduler {
 /// mapping of one graph over to another version of it: tasks are matched
 /// by name (stable across `Workload` recompositions), tasks without a
 /// namesake — or whose retained PE no longer exists — come back `None`.
-pub fn carry_over(
-    old_g: &StreamGraph,
-    old_m: &Mapping,
-    new_g: &StreamGraph,
-    spec: &CellSpec,
-) -> Vec<Option<PeId>> {
-    let mut out = Vec::with_capacity(new_g.n_tasks());
-    carry_over_into(old_g, old_m, new_g, spec, &mut out);
-    out
-}
-
-/// [`carry_over`] into a caller-owned buffer: `out` is cleared and
-/// refilled, so an event loop reuses one seat vector across replans
-/// instead of allocating a fresh one per event.
+/// `out` is cleared and refilled, so an event loop reuses one seat
+/// vector across replans instead of allocating a fresh one per event.
 pub fn carry_over_into(
     old_g: &StreamGraph,
     old_m: &Mapping,
@@ -344,7 +332,8 @@ mod tests {
         let old_m = Mapping::new(old_w.graph(), &spec, vec![PeId(1), PeId(2), PeId(0)]).unwrap();
         let mut new_w = old_w.clone();
         new_w.add(&b, 1.0).unwrap();
-        let partial = carry_over(old_w.graph(), &old_m, new_w.graph(), &spec);
+        let mut partial = Vec::new();
+        carry_over_into(old_w.graph(), &old_m, new_w.graph(), &spec, &mut partial);
         assert_eq!(
             partial,
             vec![Some(PeId(1)), Some(PeId(2)), Some(PeId(0)), None, None],

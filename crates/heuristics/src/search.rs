@@ -1,7 +1,7 @@
 //! Local search over mappings (extension heuristic, paper §7 future work).
 //!
 //! First-improvement descent on the **incremental** evaluator
-//! ([`EvalState`](cellstream_core::EvalState)) over one neighbourhood:
+//! ([`cellstream_core::EvalState`]) over one neighbourhood:
 //! move any single task to any other PE, or swap any two tasks on
 //! different PEs. Every probe is an O(degree) `score_move` — no mapping
 //! clones, no re-validation, no buffer-plan rebuilds — which is what

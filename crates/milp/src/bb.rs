@@ -74,7 +74,7 @@
 //!   validated once, when the search builds its LP, and debug builds
 //!   hold the grown LP to one built from scratch over the same rows,
 //!   field for field (given the root's raised bound while it is in
-//!   force). Only the [`Workspace`] is built again, for the new
+//!   force). Only the LP workspace is built again, for the new
 //!   size. The node re-solves from its optimal basis extended by the new
 //!   logicals, basic — still dual feasible, since their duals are 0. A
 //!   heap node's basis that predates an activation is extended the same
@@ -113,6 +113,9 @@ pub enum MipStatus {
     Infeasible,
 }
 
+/// Tolerance for considering a relaxed binary integral.
+const INT_TOL: f64 = 1e-6;
+
 /// Options for [`solve_mip`].
 #[derive(Debug, Clone)]
 pub struct MipOptions {
@@ -127,8 +130,6 @@ pub struct MipOptions {
     /// LP sub-solver options, applied to the root solve and to every
     /// node re-solve.
     pub lp: LpOptions,
-    /// Tolerance for considering a relaxed binary integral.
-    pub int_tol: f64,
     /// Cooperative cancellation flag, shared with the caller: checked at
     /// every node *and* threaded into the LP pivot loops
     /// ([`LpOptions::stop`]), so raising it aborts the search within a
@@ -146,7 +147,6 @@ impl Default for MipOptions {
             max_nodes: 10_000,
             time_limit: Duration::from_secs(60),
             lp: LpOptions::default(),
-            int_tol: 1e-6,
             stop: None,
         }
     }
@@ -596,10 +596,10 @@ fn post_lift_refusals(
 /// Whether a seed or a completion point may become the incumbent: a
 /// point of the model that breaks no row or bound by more than `1e-6`
 /// (a point of the wrong length breaks them infinitely), with every
-/// binary within `int_tol` of 0 or 1.
-fn acceptable(model: &Model, x: &[f64], binaries: &[VarId], int_tol: f64) -> bool {
+/// binary within [`INT_TOL`] of 0 or 1.
+fn acceptable(model: &Model, x: &[f64], binaries: &[VarId]) -> bool {
     model.max_violation(x) <= 1e-6
-        && binaries.iter().all(|v| x[v.0].abs() <= int_tol || (x[v.0] - 1.0).abs() <= int_tol)
+        && binaries.iter().all(|v| x[v.0].abs() <= INT_TOL || (x[v.0] - 1.0).abs() <= INT_TOL)
 }
 
 /// A callback that attempts to complete a fractional relaxation into a
@@ -651,7 +651,7 @@ pub fn solve_mip(
 
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     for seed in seeds {
-        if acceptable(model, seed, &binaries, opts.int_tol) {
+        if acceptable(model, seed, &binaries) {
             let obj = model.objective_of(seed);
             if incumbent.as_ref().is_none_or(|(best, _)| obj < *best) {
                 incumbent = Some((obj, seed.clone()));
@@ -703,7 +703,6 @@ pub fn solve_mip(
         &binaries,
         &bin_of,
         &pseudo,
-        opts,
         completion,
         &mut incumbent,
         &mut heap,
@@ -791,7 +790,7 @@ pub fn solve_mip(
         if sol.status == LpStatus::Optimal {
             if let Some((bi, went_up, parent_obj, parent_frac)) = node.branched {
                 let dist = if went_up { 1.0 - parent_frac } else { parent_frac };
-                if dist > opts.int_tol && parent_obj.is_finite() {
+                if dist > INT_TOL && parent_obj.is_finite() {
                     pseudo.record(bi, went_up, (sol.objective - parent_obj) / dist);
                 }
             }
@@ -808,7 +807,6 @@ pub fn solve_mip(
             &binaries,
             &bin_of,
             &pseudo,
-            opts,
             completion,
             &mut incumbent,
             &mut heap,
@@ -841,7 +839,6 @@ fn process_solution(
     binaries: &[VarId],
     bin_of: &[usize],
     pseudo: &PseudoCosts,
-    opts: &MipOptions,
     completion: Option<&Completion<'_>>,
     incumbent: &mut Option<(f64, Vec<f64>)>,
     heap: &mut BinaryHeap<Node>,
@@ -855,7 +852,7 @@ fn process_solution(
     for &v in binaries {
         let frac = x[v.0] - x[v.0].floor();
         let dist = frac.min(1.0 - frac);
-        if dist <= opts.int_tol {
+        if dist <= INT_TOL {
             continue;
         }
         let score = pseudo.score(bin_of[v.0], frac, global);
@@ -882,7 +879,7 @@ fn process_solution(
         Some((v, frac)) => {
             if let Some(complete) = completion {
                 if let Some((_, full)) = complete(x) {
-                    if acceptable(model, &full, binaries, opts.int_tol) {
+                    if acceptable(model, &full, binaries) {
                         let obj = model.objective_of(&full);
                         if incumbent.as_ref().is_none_or(|(best, _)| obj < *best) {
                             *incumbent = Some((obj, full));

@@ -33,7 +33,7 @@
 //! row is (or becomes) non-zero, FTRAN walks skip lists of the
 //! non-empty columns, and BTRAN and the row etas' triangular solve walk
 //! a row-wise index of the refactorization's `U` from the rows that are
-//! non-zero. `L`, `U` and the row etas live in flat [`ColStack`]s that
+//! non-zero. `L`, `U` and the row etas live in flat column stacks that
 //! are reserved up front, cleared, never freed, and never regrown
 //! between two refactorizations. What stays dense are the length-`m`
 //! work vectors and one pass over them per solve, which divides by the
@@ -152,7 +152,7 @@ impl Factorization {
     /// a window for spikes in `U` and for the row etas — because a vector
     /// that regrows in mid-solve leaves its old block behind as a hole in
     /// the heap. The room is `4 m` entries, and never less than
-    /// [`MIN_ROOM`], which a full window of a basis up to 128 rows
+    /// `MIN_ROOM`, which a full window of a basis up to 128 rows
     /// cannot outgrow; a window of the paper graphs' LPs adds under
     /// `2.5 m` row-eta entries. An update that would not fit is refused
     /// and doubles the room the next refactorization reserves.

@@ -12,7 +12,7 @@
 //! * the basis is LU-factorized with Forrest–Tomlin updates and
 //!   periodic refactorization ([`crate::factor`]);
 //! * the leaving row is the most bound-violating basic variable, read
-//!   from the set of violated positions ([`InfeasibleSet`]); the ratio
+//!   from the set of violated positions (`InfeasibleSet`); the ratio
 //!   test is a one-pass Harris test over the pivot row, with a Bland
 //!   rule (lowest column index) after a run of degenerate pivots;
 //! * variables keep their **native bounds** `l ≤ x ≤ u` (no shift), so

@@ -157,11 +157,6 @@ impl ColMatrix {
         (&self.row_idx[a..b], &self.values[a..b])
     }
 
-    /// Entries in column `j`.
-    pub fn col_nnz(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
-    }
-
     /// Sparse dot product of column `j` with a dense vector.
     pub fn col_dot(&self, j: usize, dense: &[f64]) -> f64 {
         let (rows, vals) = self.col(j);
@@ -411,13 +406,5 @@ mod tests {
         grown_t.append_cols(5, &rows[3..]);
         assert_eq!(grown, fresh(4, 5));
         assert_eq!(grown_t, fresh(4, 5).transpose());
-    }
-
-    #[test]
-    fn empty_columns_are_fine() {
-        let rows: Vec<Vec<(usize, f64)>> = vec![vec![(3, 1.0)]];
-        let m = ColMatrix::from_rows(1, 5, || rows.iter().map(|r| r.as_slice()));
-        assert_eq!(m.col_nnz(0), 0);
-        assert_eq!(m.col_nnz(3), 1);
     }
 }

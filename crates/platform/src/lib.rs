@@ -42,7 +42,7 @@ pub mod spec;
 pub mod units;
 
 pub use spec::{CellSpec, CellSpecBuilder, PeId, PeKind, SpecError};
-pub use units::{Bandwidth, ByteSize, GIBIBYTE, KIBIBYTE, MEBIBYTE};
+pub use units::{Bandwidth, ByteSize};
 
 #[cfg(test)]
 mod tests;

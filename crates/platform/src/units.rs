@@ -8,11 +8,11 @@
 use std::fmt;
 
 /// One kibibyte (1024 bytes).
-pub const KIBIBYTE: u64 = 1024;
+const KIBIBYTE: u64 = 1024;
 /// One mebibyte (1024^2 bytes).
-pub const MEBIBYTE: u64 = 1024 * 1024;
+const MEBIBYTE: u64 = 1024 * 1024;
 /// One gibibyte (1024^3 bytes).
-pub const GIBIBYTE: u64 = 1024 * 1024 * 1024;
+const GIBIBYTE: u64 = 1024 * 1024 * 1024;
 
 /// A memory capacity in bytes with human-readable formatting.
 ///
@@ -35,11 +35,6 @@ impl ByteSize {
     /// Construct from kibibytes.
     pub const fn kib(k: u64) -> Self {
         ByteSize(k * KIBIBYTE)
-    }
-
-    /// Construct from mebibytes.
-    pub const fn mib(m: u64) -> Self {
-        ByteSize(m * MEBIBYTE)
     }
 
     /// The raw byte count.
@@ -96,12 +91,6 @@ impl Bandwidth {
         Bandwidth(g * 1e9)
     }
 
-    /// Construct from raw bytes per second.
-    pub fn bytes_per_s(b: f64) -> Self {
-        assert!(b.is_finite() && b > 0.0, "bandwidth must be positive");
-        Bandwidth(b)
-    }
-
     /// Bytes per second.
     pub fn as_bytes_per_s(self) -> f64 {
         self.0
@@ -126,15 +115,14 @@ mod unit_tests {
     #[test]
     fn byte_size_constructors_agree() {
         assert_eq!(ByteSize::kib(1), ByteSize::bytes_exact(1024));
-        assert_eq!(ByteSize::mib(1), ByteSize::kib(1024));
-        assert_eq!(ByteSize::mib(1).bytes(), MEBIBYTE);
+        assert_eq!(ByteSize::kib(1024).bytes(), MEBIBYTE);
     }
 
     #[test]
     fn byte_size_display_picks_unit() {
         assert_eq!(format!("{}", ByteSize::bytes_exact(12)), "12 B");
         assert_eq!(format!("{}", ByteSize::kib(256)), "256.0 KiB");
-        assert_eq!(format!("{}", ByteSize::mib(3)), "3.0 MiB");
+        assert_eq!(format!("{}", ByteSize::kib(3 * 1024)), "3.0 MiB");
         assert_eq!(format!("{}", ByteSize::bytes_exact(GIBIBYTE)), "1.0 GiB");
     }
 

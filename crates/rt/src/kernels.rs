@@ -114,7 +114,7 @@ pub struct VerifyKernel {
 }
 
 /// Predicate deciding whether an instance's input windows are correct.
-pub type VerifyPredicate = Box<dyn Fn(u64, &[Window<'_>]) -> bool + Send + Sync>;
+type VerifyPredicate = Box<dyn Fn(u64, &[Window<'_>]) -> bool + Send + Sync>;
 
 impl Kernel for VerifyKernel {
     fn process(&self, ctx: &KernelCtx<'_>, inputs: &[Window<'_>], outputs: &mut [&mut [u8]]) {

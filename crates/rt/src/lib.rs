@@ -48,7 +48,7 @@ pub use kernels::{
 };
 pub use local_store::{LocalStore, StoreError};
 pub use ring::{AtomicCounter, Ring, SlotLock, SpscRing};
-pub use synthetic::{synthetic_kernels, synthetic_kernels_for_mapping};
+pub use synthetic::synthetic_kernels_for_mapping;
 
 #[cfg(test)]
 mod tests;

@@ -8,7 +8,7 @@
 //! every cost by the same factor preserves all ratios (and therefore all
 //! scheduling behaviour) while keeping the emulation measurable.
 
-use crate::kernels::{Kernel, KernelCtx, SpinKernel, Window};
+use crate::kernels::{Kernel, SpinKernel};
 use cellstream_graph::StreamGraph;
 use cellstream_platform::PeKind;
 use std::sync::Arc;
@@ -18,11 +18,7 @@ use std::sync::Arc;
 /// The host kind must be decided per task up front (kernels are pinned
 /// to the mapping's PE kind): pass the mapping-derived kind for each
 /// task.
-pub fn synthetic_kernels(
-    g: &StreamGraph,
-    host_kind: &[PeKind],
-    scale: f64,
-) -> Vec<Arc<dyn Kernel>> {
+fn synthetic_kernels(g: &StreamGraph, host_kind: &[PeKind], scale: f64) -> Vec<Arc<dyn Kernel>> {
     assert_eq!(host_kind.len(), g.n_tasks(), "one host kind per task");
     assert!(scale > 0.0 && scale.is_finite());
     g.task_ids()
@@ -42,29 +38,6 @@ pub fn synthetic_kernels_for_mapping(
 ) -> Vec<Arc<dyn Kernel>> {
     let kinds: Vec<PeKind> = g.task_ids().map(|t| spec.kind_of(mapping.pe_of(t))).collect();
     synthetic_kernels(g, &kinds, scale)
-}
-
-/// A kernel that counts its invocations (wrap any kernel for tests).
-pub struct CountingKernel<K> {
-    inner: K,
-    /// Number of `process` calls so far.
-    pub calls: std::sync::atomic::AtomicU64,
-}
-
-impl<K> CountingKernel<K> {
-    /// Wrap `inner`.
-    pub fn new(inner: K) -> Self {
-        CountingKernel { inner, calls: std::sync::atomic::AtomicU64::new(0) }
-    }
-}
-
-impl<K: Kernel> Kernel for CountingKernel<K> {
-    fn process(&self, ctx: &KernelCtx<'_>, inputs: &[Window<'_>], outputs: &mut [&mut [u8]]) {
-        // check:allow(atomic-ordering): monotone statistics counter, read
-        // only after the engine joins its threads
-        self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.inner.process(ctx, inputs, outputs);
-    }
 }
 
 #[cfg(test)]
@@ -100,16 +73,6 @@ mod tests {
         assert!(stats.processed.iter().all(|&c| c == n));
         // 20 instances x 1ms >= 20 ms of busy work on the bottleneck PE
         assert!(stats.wall.as_secs_f64() >= 0.018, "wall {:?}", stats.wall);
-    }
-
-    #[test]
-    fn counting_kernel_counts() {
-        use std::sync::atomic::Ordering;
-        let k = CountingKernel::new(SpinKernel::new(0.0));
-        let ctx = KernelCtx { instance: 0, task_name: "t", peek: 0 };
-        k.process(&ctx, &[], &mut []);
-        k.process(&ctx, &[], &mut []);
-        assert_eq!(k.calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]

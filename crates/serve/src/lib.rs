@@ -34,7 +34,7 @@
 //! faults or a guarantee fuses into a single replan.
 //!
 //! **Incremental replanning.** Each event goes through
-//! [`cellstream_heuristics::repair`]: retained applications keep their
+//! [`cellstream_heuristics::repair()`]: retained applications keep their
 //! seats, only the delta is placed/evicted, and a budgeted local search
 //! polishes from the incumbent — orders of magnitude cheaper than a
 //! from-scratch portfolio run at within a few percent of its quality
@@ -88,7 +88,7 @@ mod pipeline;
 mod report;
 mod service;
 
-pub use metrics::{verdict_name, ServeMetrics};
+pub use metrics::ServeMetrics;
 pub use pipeline::{IntakeReport, PipelineOptions, PipelineStats, ServePipeline};
 pub use report::{
     BatchReport, EventLabel, QueueBackoff, RecoveryReport, RejectReason, ServeError, ServeReport,

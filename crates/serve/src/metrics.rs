@@ -15,7 +15,7 @@ use crate::report::{RejectReason, ServeReport, Verdict};
 use cellstream_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Histogram};
 
 /// A [`Verdict`] as a static exposition label.
-pub fn verdict_name(v: &Verdict) -> &'static str {
+fn verdict_name(v: &Verdict) -> &'static str {
     match v {
         Verdict::Admitted(_) => "admitted",
         Verdict::Queued => "queued",

@@ -126,16 +126,6 @@ impl ServePipeline {
         &self.metrics
     }
 
-    /// Try to submit one event; a full ring hands it back as `Err`.
-    ///
-    /// The event rides in the `Err` by value so the caller can retry
-    /// without ever heap-allocating on the intake path; boxing it to
-    /// shrink the variant would defeat that.
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, ev: TraceEvent) -> Result<(), TraceEvent> {
-        self.ring.try_push(ev)
-    }
-
     /// Submit one event, yielding until the ring accepts it. Returns
     /// `true` if the ring refused it at least once first.
     pub fn submit(&self, mut ev: TraceEvent) -> bool {
@@ -153,7 +143,7 @@ impl ServePipeline {
     }
 
     /// Events accepted but not yet popped by the planner.
-    pub fn backlog(&self) -> usize {
+    fn backlog(&self) -> usize {
         self.ring.len()
     }
 

@@ -42,8 +42,7 @@ pub enum Event {
     /// carry everyone ([`Service::fail_pe`]).
     PeFailed(PeId),
     /// A failed or degraded PE returns to nominal health; the service
-    /// rebalances onto it and retries parked admissions
-    /// ([`Service::restore_pe`]).
+    /// rebalances onto it and retries parked admissions.
     PeRestored(PeId),
     /// The application's declared compute costs turn out wrong by this
     /// factor (`> 1` underestimated). The service corrects the declared
@@ -446,7 +445,7 @@ impl Service {
     /// [`app_reports`](Self::app_reports) into a caller-owned buffer:
     /// `out` is cleared and refilled, so a monitoring loop reuses one
     /// allocation across polls.
-    pub fn app_reports_into(&self, out: &mut Vec<AppReport>) {
+    fn app_reports_into(&self, out: &mut Vec<AppReport>) {
         out.clear();
         if let Some(l) = &self.live {
             out.extend(
@@ -970,14 +969,6 @@ impl Service {
     /// a dead PPE is a dead *node*, the cluster layer's event.
     pub fn fail_pe(&mut self, pe: PeId) -> Result<ServeReport, ServeError> {
         self.process(Event::PeFailed(pe))
-    }
-
-    /// A failed or degraded PE returns to nominal health (see
-    /// [`Event::PeRestored`]): rebalance the incumbent onto the restored
-    /// capacity and retry parked admissions — shed applications re-enter
-    /// here. Idempotent on a healthy PE (the queue is still retried).
-    pub fn restore_pe(&mut self, pe: PeId) -> Result<ServeReport, ServeError> {
-        self.process(Event::PeRestored(pe))
     }
 
     /// An application's declared compute costs turn out wrong by
@@ -1682,7 +1673,7 @@ mod tests {
 
         // restore: capacity returns, period never worsens
         let failed_period = svc.period();
-        let r3 = svc.restore_pe(dead).unwrap();
+        let r3 = svc.process(Event::PeRestored(dead)).unwrap();
         assert!(r3.recovery.is_some());
         assert!(svc.period() <= failed_period + 1e-15);
         incumbent_feasible_live(&svc);
@@ -1730,7 +1721,7 @@ mod tests {
         incumbent_feasible_live(&svc);
 
         // restoring the SPE re-admits the shed app
-        let r2 = svc.restore_pe(PeId(1)).unwrap();
+        let r2 = svc.process(Event::PeRestored(PeId(1))).unwrap();
         assert_eq!(r2.drained.len(), 1, "shed app re-enters on restore");
         assert!(r2.drained[0].admitted().is_some());
         assert_eq!(svc.n_apps(), 2);

@@ -9,7 +9,7 @@
 //! multi-application workload can attribute measured throughput to each
 //! application from its own sinks ([`RunTrace::per_app_throughput`]).
 
-use cellstream_graph::{AppId, TaskId, Workload};
+use cellstream_graph::{TaskId, Workload};
 
 /// The result of a simulation run.
 #[derive(Debug, Clone)]
@@ -75,13 +75,6 @@ impl RunTrace {
         (hi - lo) as f64 / dt
     }
 
-    /// Instantaneous period averaged over the last `window` instances.
-    pub fn tail_period(&self, window: usize) -> f64 {
-        let n = self.completions.len();
-        assert!(window >= 1 && window < n);
-        (self.completions[n - 1] - self.completions[n - 1 - window]) / window as f64
-    }
-
     /// Completion times of one sink task, when recorded.
     pub fn sink_times(&self, t: TaskId) -> Option<&[f64]> {
         self.sink_completions.iter().find(|(s, _)| *s == t).map(|(_, ts)| ts.as_slice())
@@ -95,7 +88,7 @@ impl RunTrace {
     /// whose window has zero width) report `0.0`, mirroring the
     /// evaluator's `throughput_of` guard. Panics only on a sink id that
     /// was never recorded (a cross-graph mix-up).
-    pub fn sink_group_throughput(&self, sinks: &[TaskId]) -> f64 {
+    fn sink_group_throughput(&self, sinks: &[TaskId]) -> f64 {
         assert!(!sinks.is_empty(), "need at least one sink");
         let times: Vec<&[f64]> = sinks
             .iter()
@@ -129,12 +122,6 @@ impl RunTrace {
     /// The trace must come from simulating `w.graph()`.
     pub fn per_app_throughput(&self, w: &Workload) -> Vec<f64> {
         w.app_ids().map(|a| self.sink_group_throughput(w.sinks_of(a)) * w.app(a).weight).collect()
-    }
-
-    /// Like [`per_app_throughput`](Self::per_app_throughput), indexed
-    /// lookup for one application.
-    pub fn app_throughput(&self, w: &Workload, a: AppId) -> f64 {
-        self.sink_group_throughput(w.sinks_of(a)) * w.app(a).weight
     }
 
     /// Average utilisation of each PE's incoming interface over the run
@@ -171,7 +158,6 @@ mod tests {
         let tr = linear_trace(0.01, 0.5, 1000);
         let rho = tr.steady_state_throughput();
         assert!((rho - 100.0).abs() < 1e-6, "{rho}");
-        assert!((tr.tail_period(100) - 0.01).abs() < 1e-12);
     }
 
     #[test]

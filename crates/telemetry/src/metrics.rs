@@ -71,7 +71,7 @@ impl Gauge {
 /// Bucket count: values 0–3 get exact buckets, every octave
 /// `[2^k, 2^(k+1))` for `k = 2..=63` is split into 4 linear
 /// sub-buckets — 252 cells, quantile error bounded by a quarter octave.
-pub const HISTOGRAM_BUCKETS: usize = 252;
+const HISTOGRAM_BUCKETS: usize = 252;
 
 /// Bucket index for a recorded value.
 fn bucket_index(v: u64) -> usize {

@@ -83,8 +83,8 @@ pub mod prelude {
     };
     pub use cellstream_graph::{AppId, StreamGraph, TaskId, TaskSpec, Workload};
     pub use cellstream_heuristics::{
-        all_schedulers, best_partition, multi_start, partition_mapping, scheduler_by_name,
-        scheduler_names, Portfolio, PortfolioOutcome, SCHEDULER_NAMES,
+        all_schedulers, best_partition, multi_start, scheduler_by_name, scheduler_names, Portfolio,
+        PortfolioOutcome, SCHEDULER_NAMES,
     };
     pub use cellstream_platform::{CellSpec, PeId, PeKind};
     pub use cellstream_rt::{RtConfig, RunStats};

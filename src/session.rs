@@ -33,7 +33,7 @@ use cellstream_core::{Mapping, SolveOptions};
 use cellstream_graph::{StreamGraph, Workload};
 use cellstream_heuristics::{scheduler_by_name, MemberResult, Portfolio};
 use cellstream_platform::CellSpec;
-use cellstream_rt::{run, synthetic_kernels_for_mapping, Kernel, RtConfig, RtError, RunStats};
+use cellstream_rt::{run, Kernel, RtConfig, RtError, RunStats};
 use cellstream_sim::{simulate, RunTrace, SimConfig, SimError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -286,14 +286,5 @@ impl<'a> ScheduledSession<'a> {
         cfg: &RtConfig,
     ) -> Result<RunStats, RtError> {
         run(self.g, self.spec, &self.plan.mapping, kernels, cfg)
-    }
-
-    /// Execute with synthetic spin kernels calibrated to each task's
-    /// modelled cost on its host PE, scaled by `scale` (1.0 = real time;
-    /// smaller values fast-forward). Useful when no real kernels exist
-    /// for the graph.
-    pub fn execute_synthetic(&self, cfg: &RtConfig, scale: f64) -> Result<RunStats, RtError> {
-        let kernels = synthetic_kernels_for_mapping(self.g, self.spec, &self.plan.mapping, scale);
-        run(self.g, self.spec, &self.plan.mapping, &kernels, cfg)
     }
 }

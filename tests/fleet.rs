@@ -148,7 +148,7 @@ fn drain_busiest(fleet: &mut Cluster) {
     let net = NetworkModel::default();
     for m in &report.migrations {
         assert_eq!(m.from, victim);
-        let expect = net.transfer_time(m.from, m.to, m.bytes);
+        let expect = net.transfer_time(m.bytes);
         assert!(
             (m.seconds - expect).abs() < 1e-12,
             "migration of {} not network-priced: {} vs {}",
