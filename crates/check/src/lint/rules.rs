@@ -284,16 +284,58 @@ fn opens_reexport(code: &str) -> bool {
     rest.trim_start().starts_with("use ")
 }
 
+/// `true` when `w`, an identifier sliced from `code`, is written right
+/// after `.` or `::`: a method call, a field, or a path's last segment.
+fn after_dot_or_path(code: &str, w: &str) -> bool {
+    let before = code[..w.as_ptr() as usize - code.as_ptr() as usize].trim_end();
+    before.ends_with('.') || before.ends_with("::")
+}
+
+/// Per line, `true` when the line starts inside the braces of an `impl`
+/// block (an item there is an associated item).
+fn impl_lines(f: &SourceFile) -> Vec<bool> {
+    // per open brace: does it open an impl block?
+    let mut open: Vec<bool> = Vec::new();
+    let mut impl_header = false;
+    f.lines
+        .iter()
+        .map(|line| {
+            let inside = open.last() == Some(&true);
+            impl_header |= idents(&line.code).find(|&w| w != "unsafe") == Some("impl");
+            for c in line.code.chars() {
+                match c {
+                    '{' => open.push(std::mem::take(&mut impl_header)),
+                    '}' => _ = open.pop(),
+                    ';' => impl_header = false,
+                    _ => {}
+                }
+            }
+            inside
+        })
+        .collect()
+}
+
 /// The workspace pass: every `pub fn`, `pub const` or `pub static` in a
 /// library file, outside test code, must be named in the code channel
-/// of some other file. Comments, string literals and `pub use`
-/// re-exports are not uses, and the item's own file does not count.
-/// Types are exempt: a public signature or field can reach a type that
-/// no other file spells. Files named `tests.rs` or `*_tests.rs` are test
-/// modules and declare nothing public.
+/// of some other file. An item inside an `impl` block is named only
+/// where another file writes `.name` or `::name`, so a local variable,
+/// parameter or free fn of the same name does not hide a dead method;
+/// any other item is named by its bare identifier. Comments, string
+/// literals and `pub use` re-exports are not uses, and the item's own
+/// file does not count. Types are exempt: a public signature or field
+/// can reach a type that no other file spells. Files named `tests.rs`
+/// or `*_tests.rs` are test modules and declare nothing public.
 pub fn unused_pub(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    // identifier → the files whose code names it, ascending
+    // identifier → the files whose code names it, ascending: anywhere,
+    // and right after `.` or `::`
     let mut named_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut dotted_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    fn note<'a>(map: &mut HashMap<&'a str, Vec<usize>>, w: &'a str, i: usize) {
+        let seen = map.entry(w).or_default();
+        if seen.last() != Some(&i) {
+            seen.push(i);
+        }
+    }
     for (i, f) in files.iter().enumerate() {
         let mut in_reexport = false;
         for line in &f.lines {
@@ -303,9 +345,9 @@ pub fn unused_pub(files: &[SourceFile], findings: &mut Vec<Finding>) {
                 continue;
             }
             for w in idents(&line.code) {
-                let seen = named_in.entry(w).or_default();
-                if seen.last() != Some(&i) {
-                    seen.push(i);
+                note(&mut named_in, w, i);
+                if after_dot_or_path(&line.code, w) {
+                    note(&mut dotted_in, w, i);
                 }
             }
         }
@@ -315,12 +357,14 @@ pub fn unused_pub(files: &[SourceFile], findings: &mut Vec<Finding>) {
         if !is_library(&f.path) || test_module(&f.path) {
             continue;
         }
+        let in_impl = impl_lines(f);
         for (l, line) in f.lines.iter().enumerate() {
             if line.in_test || f.is_allowed(UNUSED_PUB, l) {
                 continue;
             }
             let Some(name) = pub_item(&line.code) else { continue };
-            if !named_in.get(name).is_some_and(|seen| seen.iter().any(|&j| j != i)) {
+            let uses = if in_impl[l] { &dotted_in } else { &named_in };
+            if !uses.get(name).is_some_and(|seen| seen.iter().any(|&j| j != i)) {
                 findings.push(Finding::new(
                     f,
                     l,

@@ -225,6 +225,40 @@ fn unused_pub_exempts_types_non_public_and_test_items() {
 }
 
 #[test]
+fn unused_pub_is_not_fooled_by_a_parameter_named_like_a_method() {
+    let src = "pub struct Bw;\nimpl Bw {\n    pub fn bytes_per_s(&self) -> f64 {\n        1.0\n    }\n}\n";
+    let user = "pub fn transfer_time(bytes_per_s: f64) -> f64 {\n    1.0 / bytes_per_s\n}\n";
+    let fired = unused_pub(&[
+        (LIB, src),
+        ("crates/y/src/b.rs", user),
+        ("tests/t.rs", "fn main() { y::transfer_time(1.0); }\n"),
+    ]);
+    assert_eq!(fired, [format!("{LIB}:3")], "a parameter is not a method call");
+}
+
+#[test]
+fn unused_pub_accepts_a_method_called_or_pathed_from_another_file() {
+    let src = "pub struct Bw;\nimpl<T> Bw<T>\nwhere\n    T: Copy,\n{\n    pub fn rate(&self) -> f64 {\n        1.0\n    }\n}\n";
+    for user in [
+        "fn f(b: &Bw) -> f64 { b.rate() }\n",
+        "fn f(b: &Bw) -> f64 {\n    b\n        .rate()\n}\n",
+        "fn f() { let _ = [Bw].iter().map(Bw::rate); }\n",
+    ] {
+        assert!(
+            unused_pub(&[(LIB, src), ("crates/y/src/b.rs", user)]).is_empty(),
+            "{user:?} is a use"
+        );
+    }
+}
+
+#[test]
+fn unused_pub_accepts_a_free_fn_passed_by_value() {
+    let src = "pub fn helper(x: u32) -> u32 {\n    x\n}\n";
+    let user = "use x::helper;\nfn f() -> Vec<u32> {\n    [1u32].iter().copied().map(helper).collect()\n}\n";
+    assert!(unused_pub(&[(LIB, src), ("crates/y/src/b.rs", user)]).is_empty());
+}
+
+#[test]
 fn json_report_is_well_formed() {
     let src = "fn f(xs: &mut Vec<f64>) {\n    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
     let findings = check_source("crates/x/src/a.rs", src);

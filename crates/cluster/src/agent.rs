@@ -268,7 +268,7 @@ impl Agent {
     /// Buffer working set (bytes) of one resident application on the
     /// current composed graph — the state a cross-node migration of it
     /// would push over the network. 0 for unknown applications.
-    pub fn working_set(&self, app: &str) -> f64 {
+    fn working_set(&self, app: &str) -> f64 {
         let Some(w) = self.service.workload() else { return 0.0 };
         let Some(a) = w.app_id(app) else { return 0.0 };
         let g = w.graph();

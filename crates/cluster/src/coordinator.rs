@@ -24,7 +24,6 @@ use crate::net::NetworkModel;
 use crate::placer::{AppDemand, LoadAffinity, PlacePolicy};
 use cellstream_core::Mapping;
 use cellstream_graph::{StreamGraph, Workload};
-use cellstream_heuristics::scheduler_names;
 use cellstream_platform::{CellSpec, PeId};
 use cellstream_serve::{ServiceOptions, MIGRATION_HORIZON};
 use cellstream_sim::online::{EventOutcome, OnlineSystem, TraceEvent};
@@ -222,10 +221,6 @@ pub struct ClusterStatus {
     pub stranded: Vec<String>,
     /// Applications placed fleet-wide.
     pub n_apps: usize,
-    /// The per-node scheduler registry, sorted
-    /// ([`cellstream_heuristics::scheduler_names`]) — reproducible
-    /// order, suitable for diffing two status reports.
-    pub schedulers: Vec<&'static str>,
 }
 
 /// Tunables of one [`Cluster`].
@@ -385,7 +380,6 @@ impl Cluster {
             dead: (0..self.dead.len()).filter(|&i| self.dead[i]).map(NodeId).collect(),
             stranded: self.stranded.keys().cloned().collect(),
             n_apps: self.apps.len(),
-            schedulers: scheduler_names().to_vec(),
         }
     }
 

@@ -164,7 +164,7 @@ pub struct RandomPlace {
 
 impl RandomPlace {
     /// A placer with its own deterministic stream.
-    pub fn seeded(seed: u64) -> RandomPlace {
+    fn seeded(seed: u64) -> RandomPlace {
         RandomPlace { rng: StdRng::seed_from_u64(seed) }
     }
 }

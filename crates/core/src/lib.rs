@@ -55,6 +55,7 @@ pub mod steady;
 pub mod workload;
 
 pub use avail::Availability;
+pub use cellstream_milp::Stop;
 pub use delta::{MappingDelta, TaskMove};
 pub use eval::incremental::{EvalState, Move};
 pub use eval::{evaluate, evaluate_with, MappingReport, Violation};

@@ -73,24 +73,6 @@ impl PeriodicSchedule {
         }
     }
 
-    /// Absolute start time of instance `i` of a task.
-    fn instance_start(&self, t: TaskId, instance: u64) -> f64 {
-        let slot = &self.slots[t.index()];
-        (self.first_period[t.index()] + instance) as f64 * self.period + slot.offset
-    }
-
-    /// Absolute completion time of instance `i` of a task.
-    fn instance_end(&self, t: TaskId, instance: u64) -> f64 {
-        self.instance_start(t, instance) + self.slots[t.index()].duration
-    }
-
-    /// Time at which the last of `n` instances leaves the pipeline
-    /// (maximum completion over sink tasks), in the idealised model.
-    pub fn makespan(&self, g: &StreamGraph, n_instances: u64) -> f64 {
-        assert!(n_instances > 0);
-        g.sinks().map(|t| self.instance_end(t, n_instances - 1)).fold(0.0, f64::max)
-    }
-
     /// Utilisation of a PE: busy fraction of the period.
     pub fn utilisation(&self, pe: PeId) -> f64 {
         let busy: f64 = self.slots.iter().filter(|s| s.pe == pe).map(|s| s.duration).sum();
@@ -104,6 +86,12 @@ mod tests {
     use crate::eval::evaluate;
     use cellstream_daggen::{chain, CostParams};
     use cellstream_platform::CellSpec;
+
+    /// Absolute start time of instance `i` of a task.
+    fn instance_start(sched: &PeriodicSchedule, t: TaskId, instance: u64) -> f64 {
+        let slot = &sched.slots[t.index()];
+        (sched.first_period[t.index()] + instance) as f64 * sched.period + slot.offset
+    }
 
     fn setup() -> (cellstream_graph::StreamGraph, CellSpec, Mapping, PeriodicSchedule) {
         let g = chain("c", 4, &CostParams::default(), 5);
@@ -135,7 +123,7 @@ mod tests {
     fn instance_times_step_by_period() {
         let (_, _, _, sched) = setup();
         let t = TaskId(2);
-        let d = sched.instance_start(t, 5) - sched.instance_start(t, 4);
+        let d = instance_start(&sched, t, 5) - instance_start(&sched, t, 4);
         assert!((d - sched.period).abs() < 1e-12);
     }
 
@@ -147,9 +135,10 @@ mod tests {
         for e in g.edges() {
             let peek = g.task(e.dst).peek as u64;
             for i in 0..3 {
-                let consumer_start = sched.instance_start(e.dst, i);
+                let consumer_start = instance_start(&sched, e.dst, i);
                 // needs instances i..=i+peek of the producer
-                let latest_needed = sched.instance_end(e.src, i + peek);
+                let latest_needed =
+                    instance_start(&sched, e.src, i + peek) + sched.slots[e.src.index()].duration;
                 assert!(
                     consumer_start >= latest_needed - 1e-12,
                     "edge {} instance {i}: consumer starts {consumer_start}, needs {latest_needed}",
@@ -165,14 +154,6 @@ mod tests {
         let max_fp = *sched.first_period.iter().max().unwrap();
         assert_eq!(sched.warmup_periods, max_fp + 1);
         let _ = g;
-    }
-
-    #[test]
-    fn makespan_grows_linearly_in_steady_state() {
-        let (g, _, _, sched) = setup();
-        let m1 = sched.makespan(&g, 1000);
-        let m2 = sched.makespan(&g, 2000);
-        assert!(((m2 - m1) - 1000.0 * sched.period).abs() < 1e-9);
     }
 
     #[test]

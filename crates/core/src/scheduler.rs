@@ -11,8 +11,9 @@
 //!   [`Plan`];
 //! * [`Plan`] — a mapping plus its full [`MappingReport`], per-algorithm
 //!   [`PlanStats`], and the wall-clock time spent planning;
-//! * [`PlanContext`] — cross-algorithm inputs: warm-start seeds, a
-//!   wall-clock budget hint, and the MILP configuration.
+//! * [`PlanContext`] — cross-algorithm inputs: warm-start seeds, the
+//!   [`Stop`] every iterative scheduler polls, and the MILP
+//!   configuration.
 //!
 //! Core implements the trait for the MILP driver ([`MilpScheduler`]),
 //! the exhaustive optimum ([`BruteScheduler`]) and the PPE-only baseline
@@ -26,51 +27,10 @@ use crate::solve::{solve, SolveOptions};
 use cellstream_graph::{StreamGraph, Workload};
 use cellstream_milp::bb::MipStatus;
 use cellstream_milp::model::SolveError;
+use cellstream_milp::Stop;
 use cellstream_platform::{CellSpec, PeId};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A shared cooperative-cancellation flag.
-///
-/// Cloning shares the flag: every scheduler running under the same
-/// [`PlanContext`] (all portfolio members, the B&B's LP pivot loops)
-/// sees one [`cancel`](Self::cancel) call. Iterative schedulers check it
-/// between search steps and return their best-so-far result — which is
-/// how an online serving layer aborts a background re-solve the moment a
-/// new event arrives instead of waiting out the budget.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Raise the flag. Idempotent; there is no way to lower it again —
-    /// start a new token for the next run.
-    pub fn cancel(&self) {
-        // check:allow(atomic-ordering): lone cancellation flag, no data
-        // published alongside it
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// `true` once [`cancel`](Self::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
-        // check:allow(atomic-ordering): lone cancellation flag, no data
-        // published alongside it
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// The raw shared flag, for layers below `core` (the MILP's
-    /// `MipOptions::stop` / `LpOptions::stop` take the bare atomic so
-    /// the solver crate does not depend on this type).
-    pub fn flag(&self) -> Arc<AtomicBool> {
-        self.0.clone()
-    }
-}
 
 /// Inputs shared by every [`Scheduler`].
 #[derive(Debug, Clone, Default)]
@@ -78,36 +38,27 @@ pub struct PlanContext {
     /// Warm-start mappings (heuristic outputs, previous plans). Seed-aware
     /// schedulers fold them in; others may ignore them.
     pub seeds: Vec<Mapping>,
-    /// Wall-clock budget hint. Iterative schedulers (MILP, annealing)
-    /// stop early when it runs out; constructive ones ignore it.
-    pub budget: Option<Duration>,
-    /// Cooperative cancellation: iterative schedulers poll this between
-    /// search steps / B&B nodes and return early with their best-so-far
-    /// answer once it fires. Cloned contexts share the flag.
-    pub cancel: CancelToken,
+    /// When to give up: iterative schedulers (MILP, local search,
+    /// annealing, the partition sweep) poll it between search steps /
+    /// B&B nodes and return their best-so-far answer once it fires;
+    /// constructive ones ignore it. Cloned contexts share its flag.
+    pub stop: Stop,
     /// MILP configuration used by [`MilpScheduler`].
     pub solve: SolveOptions,
 }
 
 impl PlanContext {
-    /// Context with a wall-clock budget.
+    /// Context with a wall-clock budget. The clock starts here, when the
+    /// context is built, not when each scheduler starts: every planner
+    /// handed this context shares one deadline.
     pub fn with_budget(budget: Duration) -> Self {
-        PlanContext { budget: Some(budget), ..PlanContext::default() }
+        PlanContext { stop: Stop::after(budget), ..PlanContext::default() }
     }
 
     /// Add a warm-start seed.
     pub fn seed(mut self, m: Mapping) -> Self {
         self.seeds.push(m);
         self
-    }
-
-    /// The MILP time limit implied by this context: the configured limit,
-    /// clamped to the remaining budget when one is set.
-    fn milp_time_limit(&self) -> Duration {
-        match self.budget {
-            Some(b) => self.solve.mip.time_limit.min(b),
-            None => self.solve.mip.time_limit,
-        }
     }
 }
 
@@ -294,7 +245,8 @@ pub trait Scheduler: Send + Sync {
     /// `true` for schedulers that profit from running *after* fast
     /// constructive members, with their mappings as warm starts. A
     /// portfolio runs such members in its second wave, seeded with every
-    /// feasible first-wave mapping and clamped to the remaining budget.
+    /// feasible first-wave mapping, under the context's stop with a
+    /// floor of time granted even when the budget is spent.
     fn wants_warm_starts(&self) -> bool {
         false
     }
@@ -307,8 +259,8 @@ pub trait Scheduler: Send + Sync {
 /// The optimal-mapping MILP driver of paper §5 as a [`Scheduler`].
 ///
 /// Uses `ctx.solve` for the formulation and branch-and-bound parameters,
-/// folds `ctx.seeds` into the warm starts, and clamps the time limit to
-/// `ctx.budget` when one is set.
+/// folds `ctx.seeds` into the warm starts, and stops on `ctx.stop` or
+/// the configured time limit, whichever fires first.
 #[derive(Debug, Clone, Default)]
 pub struct MilpScheduler;
 
@@ -324,12 +276,7 @@ impl Scheduler for MilpScheduler {
     fn plan(&self, g: &StreamGraph, spec: &CellSpec, ctx: &PlanContext) -> Result<Plan, PlanError> {
         let mut opts = ctx.solve.clone();
         opts.seeds.extend(ctx.seeds.iter().cloned());
-        opts.mip.time_limit = ctx.milp_time_limit();
-        // fill-if-none, like every other scheduler's cancel plumbing:
-        // an explicit caller-provided stop flag wins over the context
-        if opts.mip.stop.is_none() {
-            opts.mip.stop = Some(ctx.cancel.flag());
-        }
+        opts.mip.stop = ctx.stop.clone();
         let outcome = solve(g, spec, &opts)?;
         let warm_start_rate = outcome.warm_start_rate();
         let report = evaluate(g, spec, &outcome.mapping)?;
@@ -467,12 +414,25 @@ mod tests {
         assert_eq!(plan.mapping, Mapping::all_on(&g, PeId(0)));
     }
 
+    /// A stop that fires inside the root LP ends the search with its
+    /// own status and proves no bound, though the root's point is the
+    /// integral PPE-only seed.
     #[test]
-    fn context_budget_clamps_milp_time_limit() {
-        let ctx = PlanContext::with_budget(Duration::from_secs(2));
-        assert_eq!(ctx.milp_time_limit(), Duration::from_secs(2));
-        let ctx = PlanContext::default();
-        assert_eq!(ctx.milp_time_limit(), SolveOptions::default().mip.time_limit);
+    fn the_milp_stops_on_the_context_stop() {
+        let g = chain("c", 5, &CostParams::default(), 3);
+        let spec = CellSpec::with_spes(2);
+        let cancelled = PlanContext { stop: Stop::new(), ..PlanContext::default() };
+        cancelled.stop.cancel();
+        for (ctx, want) in [
+            (PlanContext::with_budget(Duration::ZERO), MipStatus::TimeLimit),
+            (cancelled, MipStatus::Cancelled),
+        ] {
+            let plan = MilpScheduler.plan(&g, &spec, &ctx).unwrap();
+            assert!(plan.is_feasible());
+            let PlanStats::Milp { status, period_bound, .. } = plan.stats else { panic!() };
+            assert_eq!(status, want);
+            assert!(period_bound < plan.report.period, "no bound is proven");
+        }
     }
 
     #[test]

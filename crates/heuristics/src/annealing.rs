@@ -10,15 +10,15 @@
 //! probability `exp(-Δ/temperature)`, geometric cooling. Infeasible
 //! neighbours are rejected outright (the feasible region is connected
 //! through the PPE, which accepts every task, so rejection cannot strand
-//! the walk). Deterministic under a fixed seed.
+//! the walk). Deterministic under a fixed seed. The walk polls the
+//! flag of its [`Stop`] every step and its deadline every 128 steps,
+//! and returns the best mapping seen when either fires.
 
-use cellstream_core::scheduler::CancelToken;
-use cellstream_core::{evaluate, EvalState, Mapping, Move};
+use cellstream_core::{evaluate, EvalState, Mapping, Move, Stop};
 use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_platform::CellSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
 
 /// Initial temperature as a fraction of the starting period
 /// (temperature is in period units).
@@ -33,18 +33,15 @@ pub struct AnnealingOptions {
     pub steps: u32,
     /// RNG seed.
     pub seed: u64,
-    /// Wall-clock budget: the walk stops early once it is exhausted
-    /// (checked every 128 steps). `None` (the default) runs all `steps`.
-    pub budget: Option<Duration>,
-    /// Cooperative cancellation, polled every Monte-Carlo step: raising
-    /// it ends the walk at once, returning the best mapping seen.
-    /// `None` lets the scheduler layer fill in the `PlanContext` token.
-    pub cancel: Option<CancelToken>,
+    /// When to give up early: a raised flag ends the walk at the next
+    /// step, a passed deadline within 128 steps. The default never
+    /// stops, so all `steps` run.
+    pub stop: Stop,
 }
 
 impl Default for AnnealingOptions {
     fn default() -> Self {
-        AnnealingOptions { steps: 4000, seed: 0xA11EA1, budget: None, cancel: None }
+        AnnealingOptions { steps: 4000, seed: 0xA11EA1, stop: Stop::default() }
     }
 }
 
@@ -73,15 +70,9 @@ pub fn anneal(
 
     let mut temperature = current_p * T0_FRACTION;
     let cool_every = (opts.steps / 100).max(1);
-    // a budget too long to add to the clock is no deadline
-    let deadline = opts.budget.and_then(|b| Instant::now().checked_add(b));
-    let cancel = opts.cancel.clone().unwrap_or_default();
 
     for step in 0..opts.steps {
-        if cancel.is_cancelled() {
-            break;
-        }
-        if step % 128 == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+        if opts.stop.cancelled() || (step % 128 == 0 && opts.stop.hit()) {
             break;
         }
         // neighbour: move one random task to one random other PE
@@ -123,6 +114,7 @@ mod tests {
     use super::*;
     use cellstream_daggen::{chain, generate, CostParams, DagGenParams};
     use cellstream_platform::PeId;
+    use std::time::Duration;
 
     #[test]
     fn anneal_never_returns_worse_than_start() {
@@ -202,15 +194,14 @@ mod tests {
 
     #[test]
     fn pre_cancelled_anneal_returns_the_start() {
-        use cellstream_core::scheduler::CancelToken;
         let g = chain("a", 12, &CostParams::default(), 3);
         let spec = CellSpec::ps3();
         let start = Mapping::all_on(&g, PeId(0));
-        let token = CancelToken::new();
-        token.cancel();
+        let stop = Stop::new();
+        stop.cancel();
         let opts = AnnealingOptions {
             steps: 50_000_000, // would take minutes uncancelled
-            cancel: Some(token),
+            stop,
             ..Default::default()
         };
         let started = std::time::Instant::now();
@@ -226,7 +217,7 @@ mod tests {
         let g = chain("a", 9, &CostParams::default(), 5);
         let spec = CellSpec::ps3();
         let start = Mapping::all_on(&g, PeId(0));
-        let unlimited = AnnealingOptions { budget: Some(Duration::MAX), ..Default::default() };
+        let unlimited = AnnealingOptions { stop: Stop::after(Duration::MAX), ..Default::default() };
         assert_eq!(
             anneal(&g, &spec, &start, &unlimited),
             anneal(&g, &spec, &start, &AnnealingOptions::default())
@@ -238,7 +229,7 @@ mod tests {
         let g = chain("a", 9, &CostParams::default(), 5);
         let spec = CellSpec::ps3();
         let start = Mapping::all_on(&g, PeId(0));
-        let opts = AnnealingOptions { budget: Some(Duration::ZERO), ..Default::default() };
+        let opts = AnnealingOptions { stop: Stop::after(Duration::ZERO), ..Default::default() };
         let (m, p) = anneal(&g, &spec, &start, &opts);
         let r = evaluate(&g, &spec, &m).unwrap();
         assert!(r.is_feasible());

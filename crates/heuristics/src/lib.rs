@@ -56,9 +56,8 @@ pub use repair::{
     carry_over_into, repair, repair_in_place, repair_with, RepairOptions, RepairScheduler,
 };
 pub use schedulers::{
-    all_schedulers, scheduler_by_name, scheduler_names, AnnealScheduler, CommAwareScheduler,
-    GreedyCpuScheduler, GreedyMemScheduler, LocalSearchScheduler, MultiStartScheduler,
-    SCHEDULER_NAMES,
+    all_schedulers, scheduler_by_name, AnnealScheduler, CommAwareScheduler, GreedyCpuScheduler,
+    GreedyMemScheduler, LocalSearchScheduler, MultiStartScheduler, SCHEDULER_NAMES,
 };
 pub use search::{local_search, multi_start, refine_in_place, LocalSearchOptions};
 

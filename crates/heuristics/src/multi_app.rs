@@ -14,7 +14,8 @@
 //! * [`best_partition`] — sweep every SPE allocation and keep the one
 //!   whose *composed* evaluation (all applications' PPE loads summed,
 //!   exactly as the machine would see them) has the smallest maximum
-//!   weighted per-application period.
+//!   weighted per-application period, until the context's
+//!   [`Stop`](cellstream_core::Stop) fires.
 //!
 //! Co-scheduling searches a strict superset of the partitioned
 //! placements — every partition mapping is a valid mapping of the
@@ -128,10 +129,10 @@ fn allocations(total: usize, parts: usize) -> Vec<Vec<usize>> {
 /// The sweep enumerates `C(n_spe + N − 1, N − 1)` allocations; it
 /// refuses workloads where that exceeds 10 000 (at QS22 scale that is
 /// ≥ 6 concurrent applications — partition baselines stop being
-/// interesting well before that). `ctx.budget` is honoured as a soft
-/// deadline *between* allocations: balanced splits are tried first, at
-/// least one allocation is always evaluated, and the sweep stops early
-/// once the budget is spent (each slice plan itself uses the default
+/// interesting well before that). `ctx.stop` is checked *between*
+/// allocations: balanced splits are tried first, at least one feasible
+/// allocation is always kept, and the sweep stops early once the stop
+/// fires, flag or deadline (each slice plan itself uses the default
 /// multi-start options).
 pub fn best_partition(
     w: &Workload,
@@ -153,11 +154,9 @@ pub fn best_partition(
         hi - lo
     };
     allocs.sort_by_key(|a| imbalance(a));
-    // a budget too long to add to the clock is no deadline
-    let deadline = ctx.budget.and_then(|b| std::time::Instant::now().checked_add(b));
     let mut best: Option<(Mapping, Vec<usize>, WorkloadReport)> = None;
     for alloc in allocs {
-        if best.is_some() && deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+        if best.is_some() && ctx.stop.hit() {
             break;
         }
         let mapping = partition_mapping(w, spec, &alloc)?;
@@ -181,6 +180,7 @@ pub fn best_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cellstream_core::Stop;
     use cellstream_daggen::{chain, CostParams};
     use cellstream_graph::TaskId;
 
@@ -244,6 +244,23 @@ mod tests {
         let (_, alloc, report) = best_partition(&w, &spec, &ctx).unwrap();
         assert!(report.is_feasible());
         assert_eq!(alloc, vec![2, 2]);
+    }
+
+    #[test]
+    fn a_cancelled_context_stops_the_sweep_after_the_first_feasible_allocation() {
+        // a long chain beside a short one: the full sweep hands the long
+        // chain every SPE ([4, 0]), not the even split it tries first
+        let a = chain("a", 9, &CostParams::default(), 3);
+        let b = chain("b", 2, &CostParams::default(), 11);
+        let w = Workload::compose("lopsided", &[&a, &b]).unwrap();
+        let spec = CellSpec::with_spes(4);
+        let (_, swept, _) = best_partition(&w, &spec, &PlanContext::default()).unwrap();
+        let ctx = PlanContext { stop: Stop::new(), ..PlanContext::default() };
+        ctx.stop.cancel();
+        let (_, alloc, report) = best_partition(&w, &spec, &ctx).unwrap();
+        assert!(report.is_feasible());
+        assert_eq!(alloc, vec![2, 2]);
+        assert_ne!(swept, alloc);
     }
 
     #[test]

@@ -4,15 +4,22 @@
 //! on every instance and compares; its conclusion asks for "involved
 //! mapping heuristics which approach the optimal throughput". A
 //! [`Portfolio`] packages that workflow: run any set of [`Scheduler`]s
-//! concurrently on OS threads, honour a wall-clock budget, feed every
+//! concurrently on OS threads under one [`Stop`], feed every
 //! feasible heuristic mapping into the MILP stage as warm-start
 //! incumbents (exactly how §6's CPLEX runs were seeded), and return the
 //! best feasible plan together with a full leaderboard.
 //!
 //! Execution model: members run in two waves. Every non-MILP member
 //! starts immediately on its own thread; MILP members run afterwards so
-//! their warm starts can include the first wave's mappings, with their
-//! time limit clamped to whatever remains of the budget.
+//! their warm starts can include the first wave's mappings. Both waves
+//! share the context's stop, its flag and its deadline, except that the
+//! second wave's deadline is pushed to at least a fixed floor
+//! from its start ([`Stop::at_least`]). A budget is a
+//! `PlanContext::with_budget` context, whose clock starts when it is
+//! built.
+//!
+//! [`Stop`]: cellstream_core::Stop
+//! [`Stop::at_least`]: cellstream_core::Stop::at_least
 
 use crate::schedulers::scheduler_by_name;
 use cellstream_core::scheduler::{Plan, PlanContext, PlanError, Scheduler};
@@ -20,21 +27,15 @@ use cellstream_graph::{StreamGraph, Workload};
 use cellstream_platform::CellSpec;
 use std::time::{Duration, Instant};
 
-/// Minimum wall-clock budget the second (warm-start) wave receives even
+/// Minimum wall-clock time the second (warm-start) wave receives even
 /// when the first wave consumed the whole portfolio budget: enough for
 /// the MILP's root LP + rounding pass, which is what guarantees
 /// best-of-members behaviour. This is the only amount by which a
-/// portfolio run may overshoot its budget — a **fixed** floor, not a
+/// portfolio run may overshoot its deadline — a **fixed** floor, not a
 /// fraction of the budget (the old `budget / 20` top-up let a run exceed
-/// a large budget by 5%).
+/// a large budget by 5%). Total wall time is therefore capped at the
+/// deadline plus this floor (plus scheduling noise).
 const SECOND_WAVE_FLOOR: Duration = Duration::from_millis(100);
-
-/// The second wave's budget: whatever the first wave left, but at least
-/// [`SECOND_WAVE_FLOOR`]. Total portfolio wall time is therefore capped
-/// at `budget + SECOND_WAVE_FLOOR` (plus scheduling noise).
-fn second_wave_budget(budget: Duration, elapsed: Duration) -> Duration {
-    budget.saturating_sub(elapsed).max(SECOND_WAVE_FLOOR)
-}
 
 /// One member's result in the [`PortfolioOutcome`] leaderboard.
 #[derive(Debug, Clone)]
@@ -132,22 +133,20 @@ impl PortfolioOutcome {
 /// execution model.
 ///
 /// ```
+/// use cellstream_core::PlanContext;
 /// use cellstream_daggen::{chain, CostParams};
 /// use cellstream_heuristics::Portfolio;
 /// use cellstream_platform::CellSpec;
 /// use std::time::Duration;
 ///
 /// let g = chain("pipe", 6, &CostParams::default(), 1);
-/// let outcome = Portfolio::standard()
-///     .budget(Duration::from_secs(10))
-///     .run(&g, &CellSpec::ps3())
-///     .unwrap();
+/// let ctx = PlanContext::with_budget(Duration::from_secs(10));
+/// let outcome = Portfolio::standard().run_with(&g, &CellSpec::ps3(), &ctx).unwrap();
 /// assert!(outcome.best.is_feasible());
 /// assert!(outcome.leaderboard.len() >= 5);
 /// ```
 pub struct Portfolio {
     members: Vec<Box<dyn Scheduler>>,
-    budget: Option<Duration>,
 }
 
 impl Default for Portfolio {
@@ -160,7 +159,7 @@ impl Portfolio {
     /// An empty portfolio; add members with [`with`](Self::with) /
     /// [`with_named`](Self::with_named).
     pub fn new() -> Self {
-        Portfolio { members: Vec::new(), budget: None }
+        Portfolio { members: Vec::new() }
     }
 
     /// The paper's §6 line-up: the PPE-only baseline (§6.4.2), both
@@ -175,7 +174,7 @@ impl Portfolio {
     /// The heuristic-only line-up (no MILP): fast and budget-friendly,
     /// with the same PPE-only feasibility guarantee. The iterative
     /// members (multi-start search, annealing) run on the incremental
-    /// evaluator and honour the portfolio budget, so a bigger budget
+    /// evaluator and stop on the context's stop, so a bigger budget
     /// directly buys more probed moves.
     pub fn heuristics_only() -> Self {
         Portfolio::new()
@@ -199,14 +198,6 @@ impl Portfolio {
         let s = scheduler_by_name(name)
             .unwrap_or_else(|| panic!("unknown scheduler `{name}`; see SCHEDULER_NAMES"));
         self.members.push(s);
-        self
-    }
-
-    /// Cap the wall-clock time of the whole run. Heuristic members get
-    /// the budget as a hint; MILP members have their time limit clamped
-    /// to whatever remains when they start.
-    pub fn budget(mut self, budget: Duration) -> Self {
-        self.budget = Some(budget);
         self
     }
 
@@ -240,8 +231,8 @@ impl Portfolio {
         self.run_with(w.graph(), spec, ctx)
     }
 
-    /// Like [`run`](Self::run), with caller-supplied seeds/MILP options.
-    /// `ctx.budget`, when unset, is filled from the portfolio's budget.
+    /// Like [`run`](Self::run), with caller-supplied seeds, MILP options
+    /// and stop.
     pub fn run_with(
         &self,
         g: &StreamGraph,
@@ -252,10 +243,6 @@ impl Portfolio {
             return Err(PlanError::Unsupported("empty portfolio".to_owned()));
         }
         let started = Instant::now();
-        let mut base_ctx = ctx.clone();
-        if base_ctx.budget.is_none() {
-            base_ctx.budget = self.budget;
-        }
 
         let (second_wave, first_wave): (Vec<_>, Vec<_>) =
             self.members.iter().partition(|s| s.wants_warm_starts());
@@ -265,7 +252,6 @@ impl Portfolio {
             let handles: Vec<_> = first_wave
                 .iter()
                 .map(|member| {
-                    let ctx = &base_ctx;
                     scope.spawn(move || MemberResult {
                         scheduler: member.name().to_owned(),
                         result: member.plan(g, spec, ctx),
@@ -277,13 +263,11 @@ impl Portfolio {
 
         // ---- wave 2: warm-start members (MILP and friends), seeded --------
         if !second_wave.is_empty() {
-            let mut milp_ctx = base_ctx.clone();
+            let mut milp_ctx = ctx.clone();
             milp_ctx.seeds.extend(
                 leaderboard.iter().filter_map(|m| m.feasible_plan()).map(|p| p.mapping.clone()),
             );
-            if let Some(budget) = base_ctx.budget {
-                milp_ctx.budget = Some(second_wave_budget(budget, started.elapsed()));
-            }
+            milp_ctx.stop = ctx.stop.at_least(SECOND_WAVE_FLOOR);
             let results: Vec<MemberResult> = std::thread::scope(|scope| {
                 let handles: Vec<_> = second_wave
                     .iter()
@@ -340,7 +324,8 @@ mod tests {
     fn portfolio_never_worse_than_any_member() {
         let g = fork_join("fj", 3, &CostParams::default(), 5);
         let spec = CellSpec::ps3();
-        let outcome = Portfolio::standard().budget(Duration::from_secs(20)).run(&g, &spec).unwrap();
+        let ctx = PlanContext::with_budget(Duration::from_secs(20));
+        let outcome = Portfolio::standard().run_with(&g, &spec, &ctx).unwrap();
         for member in &outcome.leaderboard {
             if let Some(plan) = member.feasible_plan() {
                 assert!(
@@ -377,8 +362,8 @@ mod tests {
         // MILP must still return at least the best heuristic mapping.
         let g = fork_join("fj", 4, &CostParams::default(), 2);
         let spec = CellSpec::ps3();
-        let outcome =
-            Portfolio::standard().budget(Duration::from_millis(400)).run(&g, &spec).unwrap();
+        let ctx = PlanContext::with_budget(Duration::from_millis(400));
+        let outcome = Portfolio::standard().run_with(&g, &spec, &ctx).unwrap();
         let milp = outcome.member("milp").expect("milp is a member");
         let multi = outcome.member("multi_start").expect("multi_start is a member");
         // both must be feasible unconditionally: the heuristics always
@@ -397,7 +382,8 @@ mod tests {
     fn leaderboard_renders_milp_budget_breakdown() {
         let g = chain("c", 5, &CostParams::default(), 3);
         let spec = CellSpec::with_spes(2);
-        let outcome = Portfolio::standard().budget(Duration::from_secs(5)).run(&g, &spec).unwrap();
+        let ctx = PlanContext::with_budget(Duration::from_secs(5));
+        let outcome = Portfolio::standard().run_with(&g, &spec, &ctx).unwrap();
         let text = outcome.render_leaderboard();
         // every member appears
         for m in &outcome.leaderboard {
@@ -457,26 +443,12 @@ mod tests {
     }
 
     #[test]
-    fn second_wave_budget_is_remaining_plus_fixed_floor_only() {
-        // the old clamp was remaining.max(budget / 20): with the whole
-        // budget consumed by the first wave the MILP still got 5% of the
-        // budget *on top*, unbounded in absolute terms. The fix caps the
-        // overshoot at the fixed SECOND_WAVE_FLOOR regardless of budget.
-        let budget = Duration::from_secs(600);
-        assert_eq!(second_wave_budget(budget, budget), SECOND_WAVE_FLOOR);
-        assert_eq!(second_wave_budget(budget, budget * 2), SECOND_WAVE_FLOOR);
-        // plenty left: the second wave gets exactly the remainder
-        assert_eq!(second_wave_budget(budget, Duration::from_secs(1)), Duration::from_secs(599));
-        // the floor only kicks in below itself
-        assert_eq!(second_wave_budget(budget, budget - SECOND_WAVE_FLOOR / 2), SECOND_WAVE_FLOOR);
-    }
-
-    #[test]
     fn portfolio_wall_respects_budget_plus_floor() {
         let g = fork_join("fj", 3, &CostParams::default(), 7);
         let spec = CellSpec::ps3();
         let budget = Duration::from_millis(600);
-        let outcome = Portfolio::standard().budget(budget).run(&g, &spec).unwrap();
+        let ctx = PlanContext::with_budget(budget);
+        let outcome = Portfolio::standard().run_with(&g, &spec, &ctx).unwrap();
         // documented cap: budget + SECOND_WAVE_FLOOR, plus generous slack
         // for thread scheduling and the B&B's per-node limit check
         let cap = budget + SECOND_WAVE_FLOOR + Duration::from_millis(750);
@@ -487,7 +459,7 @@ mod tests {
     fn cancel_aborts_a_running_portfolio_within_a_step() {
         use crate::schedulers::{AnnealScheduler, LocalSearchScheduler, MultiStartScheduler};
         use crate::{AnnealingOptions, LocalSearchOptions};
-        use cellstream_core::scheduler::CancelToken;
+        use cellstream_core::Stop;
         // iterative members sized to run for minutes if uncancelled
         let huge_search = LocalSearchOptions { max_rounds: usize::MAX, ..Default::default() };
         let p = Portfolio::new()
@@ -499,11 +471,11 @@ mod tests {
             });
         let g = chain("c", 40, &CostParams::default(), 17);
         let spec = CellSpec::qs22();
-        let ctx = PlanContext::default();
-        let token: CancelToken = ctx.cancel.clone();
+        let ctx = PlanContext { stop: Stop::new(), ..PlanContext::default() };
+        let stop = ctx.stop.clone();
         let canceller = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
-            token.cancel();
+            stop.cancel();
         });
         let started = Instant::now();
         let outcome = p.run_with(&g, &spec, &ctx).unwrap();

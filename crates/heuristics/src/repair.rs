@@ -209,8 +209,9 @@ fn evict_until_feasible(state: &mut EvalState<'_>, spec: &CellSpec) {
 /// graph, so the partial assignment is derived from the first seed:
 /// every task keeps its seed PE, and with no seed at all every task is
 /// "new" — repair degrades to its one-pass placement + refinement, a
-/// self-contained constructive heuristic. The serving layer calls
-/// [`repair`] directly with a name-matched partial instead.
+/// self-contained constructive heuristic. The refinement stops on
+/// `ctx.stop`. The serving layer calls [`repair`] directly with a
+/// name-matched partial instead.
 #[derive(Debug, Clone, Default)]
 pub struct RepairScheduler {
     /// Refinement parameters (step 4).
@@ -229,7 +230,7 @@ impl Scheduler for RepairScheduler {
                 Some(m) => m.assignment().iter().map(|&pe| Some(pe)).collect(),
                 None => vec![None; g.n_tasks()],
             };
-        let opts = crate::schedulers::search_opts_for(&self.opts, ctx);
+        let opts = LocalSearchOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
         let (mapping, _) = repair(g, spec, &partial, &opts);
         Plan::from_mapping(
             self.name(),

@@ -82,24 +82,9 @@ impl Scheduler for CommAwareScheduler {
     }
 }
 
-/// Fill an unset per-options budget and cancellation token from the
-/// planning context, so a [`Portfolio`](crate::Portfolio) wall-clock
-/// budget actually bounds the iterative members and a context-level
-/// cancel aborts them (explicit option values win).
-pub(crate) fn search_opts_for(base: &LocalSearchOptions, ctx: &PlanContext) -> LocalSearchOptions {
-    let mut opts = base.clone();
-    if opts.budget.is_none() {
-        opts.budget = ctx.budget;
-    }
-    if opts.cancel.is_none() {
-        opts.cancel = Some(ctx.cancel.clone());
-    }
-    opts
-}
-
 /// Local search as a [`Scheduler`]: refines the first
-/// feasible seed from the context, falling back to *GreedyCpu*. Honours
-/// `ctx.budget` unless the options carry their own.
+/// feasible seed from the context, falling back to *GreedyCpu*. Stops on
+/// `ctx.stop`; the stop in its options is not read.
 #[derive(Debug, Clone, Default)]
 pub struct LocalSearchScheduler {
     /// Search parameters.
@@ -119,7 +104,8 @@ impl Scheduler for LocalSearchScheduler {
             .find(|m| evaluate(g, spec, m).map(|r| r.is_feasible()).unwrap_or(false))
             .cloned()
             .unwrap_or_else(|| greedy_cpu(g, spec));
-        let (mapping, _) = local_search(g, spec, &start, &search_opts_for(&self.opts, ctx));
+        let opts = LocalSearchOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
+        let (mapping, _) = local_search(g, spec, &start, &opts);
         // local_search does not report how many rounds it actually ran,
         // so follow the PlanStats contract: 0 when untracked.
         Plan::from_mapping(
@@ -135,8 +121,8 @@ impl Scheduler for LocalSearchScheduler {
 
 /// Simulated annealing as a [`Scheduler`]: walks from the first feasible
 /// seed (falling back to *GreedyCpu*; infeasible starts are handled by
-/// [`anneal`] itself, which restarts from PPE-only). Honours
-/// `ctx.budget` unless the options carry their own.
+/// [`anneal`] itself, which restarts from PPE-only). Stops on
+/// `ctx.stop`; the stop in its options is not read.
 #[derive(Debug, Clone, Default)]
 pub struct AnnealScheduler {
     /// Annealing parameters.
@@ -156,13 +142,7 @@ impl Scheduler for AnnealScheduler {
             .find(|m| evaluate(g, spec, m).map(|r| r.is_feasible()).unwrap_or(false))
             .cloned()
             .unwrap_or_else(|| greedy_cpu(g, spec));
-        let mut opts = self.opts.clone();
-        if opts.budget.is_none() {
-            opts.budget = ctx.budget;
-        }
-        if opts.cancel.is_none() {
-            opts.cancel = Some(ctx.cancel.clone());
-        }
+        let opts = AnnealingOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
         let (mapping, _) = anneal(g, spec, &start, &opts);
         Plan::from_mapping(
             self.name(),
@@ -178,7 +158,7 @@ impl Scheduler for AnnealScheduler {
 /// Multi-start local search as a [`Scheduler`]: refines both §6.3
 /// greedies, the comm-aware greedy, the PPE-only baseline, and every
 /// context seed, keeping the best result — "the best heuristic answer
-/// without the MILP".
+/// without the MILP". Every start runs under `ctx.stop`.
 #[derive(Debug, Clone, Default)]
 pub struct MultiStartScheduler {
     /// Search parameters applied to every start.
@@ -200,11 +180,7 @@ impl Scheduler for MultiStartScheduler {
         ];
         starts.extend(ctx.seeds.iter().cloned());
         let n_starts = starts.len() as u64;
-        let mut opts = search_opts_for(&self.opts, ctx);
-        if self.opts.budget.is_none() {
-            // the per-start budget splits the context budget across starts
-            opts.budget = ctx.budget.map(|b| b / starts.len() as u32);
-        }
+        let opts = LocalSearchOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
         let (mapping, _) = multi_start(g, spec, &starts, &opts);
         Plan::from_mapping(
             self.name(),
@@ -230,21 +206,6 @@ pub const SCHEDULER_NAMES: [&str; 10] = [
     "milp",
     "brute",
 ];
-
-/// The registry's keys, **sorted alphabetically** — what CLI/bench
-/// binaries and the serving layers enumerate instead of hard-coding the
-/// family. The cluster coordinator surfaces this list in status
-/// reports, so its order must be reproducible across builds rather than
-/// whatever presentation order [`SCHEDULER_NAMES`] happens to use.
-/// Every name resolves through [`scheduler_by_name`].
-pub fn scheduler_names() -> &'static [&'static str] {
-    static SORTED: std::sync::OnceLock<Vec<&'static str>> = std::sync::OnceLock::new();
-    SORTED.get_or_init(|| {
-        let mut names = SCHEDULER_NAMES.to_vec();
-        names.sort_unstable();
-        names
-    })
-}
 
 /// Look up a scheduler by its registry name; `None` for unknown names.
 ///
@@ -288,21 +249,6 @@ mod tests {
         }
         assert!(scheduler_by_name("nope").is_none());
         assert_eq!(all_schedulers().len(), SCHEDULER_NAMES.len());
-    }
-
-    #[test]
-    fn scheduler_names_is_the_sorted_registry() {
-        let names = scheduler_names();
-        let mut sorted = SCHEDULER_NAMES.to_vec();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted.as_slice(), "sorted view of the registry");
-        assert!(names.windows(2).all(|w| w[0] < w[1]), "strictly sorted, no duplicates");
-        // parity: same key set as the registry, every key resolves
-        for name in names {
-            assert!(SCHEDULER_NAMES.contains(name));
-            assert_eq!(scheduler_by_name(name).expect(name).name(), *name);
-        }
-        assert_eq!(names.len(), SCHEDULER_NAMES.len());
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! (graph 2's 94 tasks on a QS22) and lets a wall-clock budget buy
 //! orders of magnitude more moves. Infeasible neighbours score `+∞` and
 //! are never selected, so starting from a feasible mapping the result
-//! stays feasible. Deterministic given a deterministic start.
+//! stays feasible. Deterministic given a deterministic start. It gives
+//! up early on [`LocalSearchOptions::stop`]: its flag is polled before
+//! every single task's scan (a flag read, never the clock: serving's
+//! repair runs this loop), its deadline once a round.
 //!
 //! **Plateau descent.** The period is a *maximum* over per-PE
 //! occupations, so two co-bottlenecked PEs stall a descent on the period
@@ -63,11 +66,9 @@
 //! state is read off the rows its move touched (see
 //! [`EvalState::is_feasible`]).
 
-use cellstream_core::scheduler::CancelToken;
-use cellstream_core::{evaluate, evaluate_with, Availability, EvalState, Mapping, Move};
+use cellstream_core::{evaluate, evaluate_with, Availability, EvalState, Mapping, Move, Stop};
 use cellstream_graph::StreamGraph;
 use cellstream_platform::CellSpec;
-use std::time::{Duration, Instant};
 
 /// Options for [`local_search`].
 #[derive(Debug, Clone)]
@@ -75,17 +76,12 @@ pub struct LocalSearchOptions {
     /// Maximum rounds: a round is one relocation sweep over the tasks
     /// plus, if that sweep applied nothing, one scan of the swap pairs.
     pub max_rounds: usize,
-    /// Wall-clock budget: stop after the first round that ends past it.
-    /// `None` (the default) runs all `max_rounds`.
-    pub budget: Option<Duration>,
-    /// Cooperative cancellation, polled between neighbourhood scans of
-    /// single tasks — raising it makes the search return its best
-    /// mapping so far within one such step. `None` (the default) lets
-    /// the scheduler layer fill in the [`PlanContext`] token; see
-    /// [`cellstream_core::scheduler::PlanContext::cancel`].
-    ///
-    /// [`PlanContext`]: cellstream_core::scheduler::PlanContext
-    pub cancel: Option<CancelToken>,
+    /// When to give up early. Its flag is polled before each single
+    /// task's neighbourhood scan (raising it returns the best mapping so
+    /// far within one such step); its deadline once per round (the
+    /// search stops after the first round that ends past it). The
+    /// default never stops, so all `max_rounds` run.
+    pub stop: Stop,
     /// Escape period plateaus by accepting equal-period moves that
     /// strictly reduce the `Σ occupancy²` balance potential (see the
     /// module docs). On by default; off, only strict period gains are
@@ -95,7 +91,7 @@ pub struct LocalSearchOptions {
 
 impl Default for LocalSearchOptions {
     fn default() -> Self {
-        LocalSearchOptions { max_rounds: 64, budget: None, cancel: None, plateau: true }
+        LocalSearchOptions { max_rounds: 64, stop: Stop::default(), plateau: true }
     }
 }
 
@@ -144,10 +140,6 @@ pub fn local_search(
 pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> f64 {
     let g = state.graph();
     let spec = state.spec();
-    // a budget too long to add to the clock is no deadline
-    let deadline = opts.budget.and_then(|b| Instant::now().checked_add(b));
-    // poll through the Option: materialising a default token allocates
-    let cancelled = || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled());
     let mut current = state.score();
     let mut current_pot = balance_potential(state, spec);
 
@@ -212,7 +204,7 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
     'sweeps: for _ in 0..opts.max_rounds {
         let mut changed = false;
         for t in g.task_ids() {
-            if cancelled() {
+            if opts.stop.cancelled() {
                 break 'sweeps;
             }
             let from = state.pe_of(t);
@@ -248,7 +240,7 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
         // swaps only when a whole relocation sweep came up dry
         if !changed {
             'scan: for a in g.task_ids() {
-                if cancelled() {
+                if opts.stop.cancelled() {
                     break 'sweeps;
                 }
                 for b in g.task_ids().skip(a.index() + 1) {
@@ -273,7 +265,7 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
         if !changed {
             break; // local optimum of the full neighbourhood
         }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+        if opts.stop.hit() {
             break;
         }
     }
@@ -304,7 +296,8 @@ pub(crate) fn exact_period_with(
 
 /// Run local search from several starts (e.g. both greedies and PPE-only)
 /// and keep the best. The usual entry point for "the best heuristic
-/// answer without the MILP". A budget in `opts` applies per start.
+/// answer without the MILP". Every start runs under the one `opts.stop`:
+/// once its deadline has passed, each remaining start does one round.
 pub fn multi_start(
     g: &StreamGraph,
     spec: &CellSpec,
@@ -324,6 +317,7 @@ mod tests {
     use super::*;
     use cellstream_daggen::{chain, CostParams};
     use cellstream_platform::PeId;
+    use std::time::Duration;
 
     #[test]
     fn search_never_worsens() {
@@ -385,7 +379,8 @@ mod tests {
         let g = chain("c", 12, &CostParams::default(), 8);
         let spec = CellSpec::qs22();
         let start = Mapping::all_on(&g, PeId(0));
-        let budgeted = LocalSearchOptions { budget: Some(Duration::ZERO), ..Default::default() };
+        let budgeted =
+            LocalSearchOptions { stop: Stop::after(Duration::ZERO), ..Default::default() };
         let (m, p) = local_search(&g, &spec, &start, &budgeted);
         // still does (at most) one full round, and never worsens
         assert!(p <= exact_period(&g, &spec, &start));
@@ -397,7 +392,8 @@ mod tests {
         let g = chain("c", 12, &CostParams::default(), 8);
         let spec = CellSpec::qs22();
         let start = Mapping::all_on(&g, PeId(0));
-        let unlimited = LocalSearchOptions { budget: Some(Duration::MAX), ..Default::default() };
+        let unlimited =
+            LocalSearchOptions { stop: Stop::after(Duration::MAX), ..Default::default() };
         assert_eq!(
             local_search(&g, &spec, &start, &unlimited),
             local_search(&g, &spec, &start, &LocalSearchOptions::default())
@@ -406,15 +402,14 @@ mod tests {
 
     #[test]
     fn pre_cancelled_search_returns_the_start_within_one_step() {
-        use cellstream_core::scheduler::CancelToken;
         // a graph big enough that one full round is ~10^4 probes: if the
         // cancel flag were only polled per round this would do real work
         let g = chain("c", 48, &CostParams::default(), 7);
         let spec = CellSpec::qs22();
         let start = Mapping::all_on(&g, PeId(0));
-        let token = CancelToken::new();
-        token.cancel();
-        let opts = LocalSearchOptions { cancel: Some(token), ..Default::default() };
+        let stop = Stop::new();
+        stop.cancel();
+        let opts = LocalSearchOptions { stop, ..Default::default() };
         let started = std::time::Instant::now();
         let (m, p) = local_search(&g, &spec, &start, &opts);
         // cancelled before the first single-task scan: no move applied
@@ -426,15 +421,14 @@ mod tests {
 
     #[test]
     fn cancelling_mid_search_keeps_the_best_so_far() {
-        use cellstream_core::scheduler::CancelToken;
         let g = chain("c", 20, &CostParams::default(), 13);
         let spec = CellSpec::qs22();
         let start = Mapping::all_on(&g, PeId(0));
-        let token = CancelToken::new();
-        let opts = LocalSearchOptions { cancel: Some(token.clone()), ..Default::default() };
+        let stop = Stop::new();
+        let opts = LocalSearchOptions { stop: stop.clone(), ..Default::default() };
         let canceller = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
-            token.cancel();
+            stop.cancel();
         });
         let (m, p) = local_search(&g, &spec, &start, &opts);
         canceller.join().unwrap();

@@ -6,17 +6,19 @@
 //! construction, and the caller's partial-assignment scratch. So there
 //! is no warm-up: from the very first call on a fresh state, churn
 //! rounds must hit the global allocator **zero** times — under the
-//! options every `Service` and planner runs, and under a round cap.
+//! options every `Service` and planner runs, under a round cap, and
+//! under a `Stop` that carries a flag and a deadline.
 //!
 //! Lives in `tests/` (a separate crate) because the library forbids
 //! `unsafe`, and wrapping the global allocator needs it.
 
-use cellstream_core::EvalState;
+use cellstream_core::{EvalState, Stop};
 use cellstream_graph::{AppInfo, StreamGraph, TaskSpec, Workload};
 use cellstream_heuristics::{repair, repair_in_place, LocalSearchOptions};
 use cellstream_platform::{CellSpec, PeId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::time::Duration;
 
 /// Passes through to [`System`], counting every allocation the **armed
 /// thread** makes. Arming and the count are thread-local: the libtest
@@ -135,4 +137,13 @@ fn repair_replans_without_allocating() {
         max_rounds: 4,
         ..LocalSearchOptions::default()
     });
+}
+
+/// A stop that can fire: the descent polls its flag before every
+/// single-task scan and its deadline once a round, neither of which may
+/// allocate (the stop itself is built before the measurement).
+#[test]
+fn repair_under_a_flag_and_a_deadline_allocates_nothing() {
+    let stop = Stop::new().within(Duration::from_secs(3600));
+    assert_repair_never_allocates(&LocalSearchOptions { stop, ..LocalSearchOptions::default() });
 }

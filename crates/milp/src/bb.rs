@@ -49,9 +49,9 @@
 //! * **Pseudo-cost branching**: per-binary average objective degradations
 //!   (up and down) learned from every solved child pick the branching
 //!   variable by the product rule, replacing most-fractional.
-//! * The wall-clock deadline is threaded *into* the LP pivot loops
-//!   ([`LpOptions::deadline`]), so a single long node LP cannot overshoot
-//!   [`MipOptions::time_limit`].
+//! * The search's [`Stop`] is threaded *into* the LP pivot loops
+//!   ([`LpOptions::stop`]), so a single long node LP cannot overshoot
+//!   [`MipOptions::time_limit`] or a raised flag.
 //! * Nodes fix binaries by *bound tightening* (`lo = hi ∈ {0,1}`), which the
 //!   bounded-variable simplex absorbs with zero extra rows.
 //! * **Lazy rows** ([`Model::add_lazy_con`]) start outside the search's
@@ -90,10 +90,11 @@
 
 use crate::model::{Constraint, LpOptions, LpStatus, Model, SolveError, VarId, VarKind};
 use crate::revised::{Basis, SparseLp, SparseSolution, VState, Workspace, FEAS_TOL};
+use crate::stop::Stop;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How a MIP solve terminated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,8 +107,8 @@ pub enum MipStatus {
     NodeLimit,
     /// Stopped on the time limit; incumbent may be sub-optimal.
     TimeLimit,
-    /// Stopped because [`MipOptions::stop`] was raised; incumbent may be
-    /// sub-optimal.
+    /// Stopped because the flag of [`MipOptions::stop`] was raised;
+    /// incumbent may be sub-optimal.
     Cancelled,
     /// No feasible integral point exists.
     Infeasible,
@@ -125,18 +126,18 @@ pub struct MipOptions {
     pub abs_gap: f64,
     /// Maximum number of explored nodes.
     pub max_nodes: u64,
-    /// Wall-clock budget.
+    /// Wall-clock budget, counted from the start of the solve and
+    /// combined with [`stop`](Self::stop) by [`Stop::within`].
     pub time_limit: Duration,
     /// LP sub-solver options, applied to the root solve and to every
-    /// node re-solve.
+    /// node re-solve. The search replaces their `stop` with its own.
     pub lp: LpOptions,
-    /// Cooperative cancellation flag, shared with the caller: checked at
-    /// every node *and* threaded into the LP pivot loops
-    /// ([`LpOptions::stop`]), so raising it aborts the search within a
-    /// handful of pivots, returning the incumbent with
-    /// [`MipStatus::Cancelled`]. The bare atomic (rather than a richer
-    /// token type) keeps this crate free of upward dependencies.
-    pub stop: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
+    /// Checked at every node *and* threaded into the LP pivot loops
+    /// ([`LpOptions::stop`]), so a passed deadline ends the search with
+    /// [`MipStatus::TimeLimit`] and a raised flag, within a handful of
+    /// pivots, with [`MipStatus::Cancelled`]; either returns the
+    /// incumbent.
+    pub stop: Stop,
 }
 
 impl Default for MipOptions {
@@ -147,7 +148,7 @@ impl Default for MipOptions {
             max_nodes: 10_000,
             time_limit: Duration::from_secs(60),
             lp: LpOptions::default(),
-            stop: None,
+            stop: Stop::default(),
         }
     }
 }
@@ -621,7 +622,7 @@ pub fn solve_mip(
     seeds: &[Vec<f64>],
     completion: Option<&Completion<'_>>,
 ) -> Result<MipResult, SolveError> {
-    let start = Instant::now();
+    let stop = opts.stop.within(opts.time_limit);
     let binaries = model.binary_vars();
     let mut bin_of = vec![usize::MAX; model.n_vars()];
     for (i, v) in binaries.iter().enumerate() {
@@ -632,20 +633,8 @@ pub fn solve_mip(
     let mut lp_iterations: u64 = 0;
     let mut warm = (0u64, 0u64);
 
-    // thread the MIP deadline and the cancellation flag into every LP
-    // pivot loop; a budget too long to add to the clock is no deadline
-    let mut lp_opts = opts.lp.clone();
-    if let Some(deadline) = start.checked_add(opts.time_limit) {
-        lp_opts.deadline = Some(lp_opts.deadline.map_or(deadline, |d| d.min(deadline)));
-    }
-    if lp_opts.stop.is_none() {
-        lp_opts.stop = opts.stop.clone();
-    }
-    let cancelled = || {
-        // check:allow(atomic-ordering): lone cancellation flag, no data
-        // published alongside it
-        opts.stop.as_ref().is_some_and(|s| s.load(std::sync::atomic::Ordering::Relaxed))
-    };
+    // the search's stop reaches every LP pivot loop
+    let lp_opts = LpOptions { stop: stop.clone(), ..opts.lp.clone() };
 
     let mut node_lp = NodeLp::new(model)?;
 
@@ -696,19 +685,26 @@ pub fn solve_mip(
     let root_bound =
         if root.status == LpStatus::Optimal { root.objective } else { f64::NEG_INFINITY };
     let mut global_bound = root_bound;
-    process_solution(
-        model,
-        &root.x,
-        root_bound,
-        &binaries,
-        &bin_of,
-        &pseudo,
-        completion,
-        &mut incumbent,
-        &mut heap,
-        Vec::new(),
-        Rc::new(root.basis),
-    );
+    if root.status == LpStatus::TimeLimit {
+        // a stopped LP proves nothing, an integral point included: its
+        // node stays open, and the node loop ends the search on the stop
+        let basis = Rc::new(root.basis);
+        heap.push(Node { bound: root_bound, fixings: Vec::new(), basis, branched: None });
+    } else {
+        process_solution(
+            model,
+            &root.x,
+            root_bound,
+            &binaries,
+            &bin_of,
+            &pseudo,
+            completion,
+            &mut incumbent,
+            &mut heap,
+            Vec::new(),
+            Rc::new(root.basis),
+        );
+    }
 
     let gap_of = |inc: &Option<(f64, Vec<f64>)>, bound: f64| -> f64 {
         match inc {
@@ -762,13 +758,8 @@ pub fn solve_mip(
             global_bound = node.bound;
             break;
         }
-        if start.elapsed() > opts.time_limit {
-            status = MipStatus::TimeLimit;
-            global_bound = node.bound;
-            break;
-        }
-        if cancelled() {
-            status = MipStatus::Cancelled;
+        if stop.hit() {
+            status = if stop.cancelled() { MipStatus::Cancelled } else { MipStatus::TimeLimit };
             global_bound = node.bound;
             break;
         }
@@ -782,6 +773,10 @@ pub fn solve_mip(
         lp_iterations += sol.iterations;
         nodes_done += 1;
         if sol.status == LpStatus::Infeasible {
+            continue;
+        }
+        if sol.status == LpStatus::TimeLimit {
+            heap.push(node); // stays open, like a stopped root
             continue;
         }
         let node_bound = if sol.status == LpStatus::Optimal { sol.objective } else { node.bound };

@@ -36,6 +36,8 @@
 //! * [`model`] — the tiny modelling layer shared by all of it, and
 //!   [`Model::certify`], which checks an optimal answer and its row
 //!   duals against the model's own rows.
+//! * [`stop`] — [`Stop`], the deadline-and-cancel value every planner
+//!   in the workspace polls, down to this crate's pivot loops.
 //!
 //! The solver is deliberately general: nothing in this crate knows about
 //! streaming or the Cell. Correctness is established against referees
@@ -69,11 +71,13 @@ pub mod factor;
 pub mod model;
 pub mod revised;
 pub mod sparse;
+pub mod stop;
 
 pub use bb::{MipOptions, MipResult, MipStatus};
 pub use model::{Cmp, LpOptions, LpStatus, Model, SolveError, Uncertified, VarId, VarKind};
 pub use revised::{Basis, SparseLp, SparseSolution};
 pub use sparse::ColMatrix;
+pub use stop::Stop;
 
 #[cfg(test)]
 mod kernel_tests;

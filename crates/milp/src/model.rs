@@ -12,6 +12,7 @@
 //! its row duals against the model's own rows, with no factorization.
 
 use crate::revised::{SparseLp, SparseSolution};
+use crate::stop::Stop;
 use std::fmt;
 
 /// Identifier of a model variable (dense index).
@@ -114,7 +115,7 @@ pub enum LpStatus {
     Infeasible,
     /// Iteration limit hit before convergence.
     IterLimit,
-    /// The [`LpOptions::deadline`] passed before convergence.
+    /// The [`LpOptions::stop`] fired before convergence.
     TimeLimit,
 }
 
@@ -154,18 +155,15 @@ impl std::error::Error for SolveError {}
 pub struct LpOptions {
     /// Hard cap on simplex iterations.
     pub max_iterations: u64,
-    /// Optional wall-clock deadline checked *inside* the pivot loop, so
-    /// one long LP cannot overshoot a branch-and-bound budget.
-    pub deadline: Option<std::time::Instant>,
-    /// Optional cooperative cancellation flag, checked alongside the
-    /// deadline in the pivot loops: raising it stops the solve with
-    /// [`LpStatus::TimeLimit`] within a few pivots.
-    pub stop: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
+    /// Checked *inside* the pivot loop, so one long LP cannot overshoot
+    /// a branch-and-bound budget: a passed deadline or a raised flag
+    /// stops the solve with [`LpStatus::TimeLimit`] within a few pivots.
+    pub stop: Stop,
 }
 
 impl Default for LpOptions {
     fn default() -> Self {
-        LpOptions { max_iterations: 200_000, deadline: None, stop: None }
+        LpOptions { max_iterations: 200_000, stop: Stop::default() }
     }
 }
 

@@ -712,15 +712,7 @@ impl<'a> Simplex<'a> {
     }
 
     fn deadline_hit(&self) -> bool {
-        self.iterations.is_multiple_of(DEADLINE_EVERY)
-            && (self.opts.deadline.is_some_and(|d| std::time::Instant::now() >= d)
-                || self
-                    .opts
-                    .stop
-                    .as_ref()
-                    // check:allow(atomic-ordering): lone cancellation flag,
-                    // no data published alongside it
-                    .is_some_and(|s| s.load(std::sync::atomic::Ordering::Relaxed)))
+        self.iterations.is_multiple_of(DEADLINE_EVERY) && self.opts.stop.hit()
     }
 
     fn track_degeneracy(&mut self, t: f64) {

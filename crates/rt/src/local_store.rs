@@ -67,19 +67,9 @@ impl LocalStore {
         self.used
     }
 
-    /// Bytes still free.
-    pub fn free(&self) -> u64 {
-        self.budget - self.used
-    }
-
     /// Total budget.
     pub fn budget(&self) -> u64 {
         self.budget
-    }
-
-    /// The allocation table (label, bytes), in allocation order.
-    pub fn allocations(&self) -> &[(String, u64)] {
-        &self.allocations
     }
 }
 
@@ -93,8 +83,7 @@ mod tests {
         ls.reserve("a", 400).unwrap();
         ls.reserve("b", 600).unwrap();
         assert_eq!(ls.used(), 1000);
-        assert_eq!(ls.free(), 0);
-        assert_eq!(ls.allocations().len(), 2);
+        assert_eq!(ls.allocations.len(), 2);
     }
 
     #[test]
@@ -111,6 +100,6 @@ mod tests {
     fn zero_sized_reserve_ok() {
         let mut ls = LocalStore::new(10);
         ls.reserve("empty", 0).unwrap();
-        assert_eq!(ls.free(), 10);
+        assert_eq!(ls.used(), 0);
     }
 }

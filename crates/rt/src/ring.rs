@@ -135,7 +135,7 @@ impl<T, C: AtomicCounter, S: SlotLock<T>> Ring<T, C, S> {
     }
 
     /// Instances consumed (released) so far.
-    pub fn consumed(&self) -> u64 {
+    fn consumed(&self) -> u64 {
         // recycle pair (producer side): see the module docs
         self.consumed.load(Ordering::Acquire)
     }

@@ -1,18 +1,20 @@
 //! The background improver: an asynchronous full-portfolio re-solve of
 //! the incumbent workload, cancelled by the next event and adopted only
-//! when it pays for its own migration.
+//! when it pays for its own migration. The solve runs under one
+//! [`Stop`]: the improver budget as its deadline, and a flag the next
+//! event raises.
 
 use crate::report::{EventLabel, ServeReport, Verdict};
 use crate::service::{Service, MIGRATION_HORIZON};
-use cellstream_core::scheduler::{CancelToken, PlanContext};
-use cellstream_core::{evaluate_with, Mapping, MappingDelta};
+use cellstream_core::scheduler::PlanContext;
+use cellstream_core::{evaluate_with, Mapping, MappingDelta, Stop};
 use cellstream_heuristics::Portfolio;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// An in-flight background portfolio solve.
 pub(crate) struct Background {
-    cancel: CancelToken,
+    stop: Stop,
     version: u64,
     handle: JoinHandle<Option<(Mapping, f64)>>,
 }
@@ -49,11 +51,10 @@ impl Service {
         let Some(budget) = self.opts.background else { return };
         let Some(live) = self.live.as_ref() else { return };
         debug_assert!(self.background.is_none(), "reap before spawn");
-        let cancel = CancelToken::new();
+        let stop = Stop::new().within(budget);
         let ctx = PlanContext {
             seeds: vec![live.mapping.clone()],
-            budget: Some(budget),
-            cancel: cancel.clone(),
+            stop: stop.clone(),
             ..Default::default()
         };
         let g = live.workload.graph().clone();
@@ -64,7 +65,7 @@ impl Service {
                 (o.best.mapping, period)
             })
         });
-        self.background = Some(Background { cancel, version: self.version, handle });
+        self.background = Some(Background { stop, version: self.version, handle });
     }
 
     /// Join the background solve (cancelling first when `abort`) and
@@ -74,7 +75,7 @@ impl Service {
     pub(crate) fn reap_background(&mut self, abort: bool) -> Option<bool> {
         let bg = self.background.take()?;
         if abort {
-            bg.cancel.cancel();
+            bg.stop.cancel();
         }
         let result = bg.handle.join().ok().flatten();
         self.adoption_delta = None;

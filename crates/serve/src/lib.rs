@@ -42,9 +42,9 @@
 //! [`Portfolio`](cellstream_heuristics::Portfolio) re-solve runs only as
 //! an **asynchronous background improver** whose result is adopted iff
 //! it beats the incumbent *including* migration cost, and which is
-//! cancelled the moment a new event arrives (cooperative
-//! [`CancelToken`](cellstream_core::scheduler::CancelToken) threaded
-//! through every member down to the MILP's pivot loops).
+//! cancelled the moment a new event arrives (the flag of a
+//! [`Stop`](cellstream_core::Stop) threaded through every member down
+//! to the MILP's pivot loops).
 //!
 //! **Migration cost.** Every adopted replan reports a
 //! [`MappingDelta`](cellstream_core::MappingDelta): which surviving
@@ -89,7 +89,7 @@ mod report;
 mod service;
 
 pub use metrics::ServeMetrics;
-pub use pipeline::{IntakeReport, PipelineOptions, PipelineStats, ServePipeline};
+pub use pipeline::{PipelineOptions, PipelineStats, ServePipeline};
 pub use report::{
     BatchReport, EventLabel, QueueBackoff, RecoveryReport, RejectReason, ServeError, ServeReport,
     Verdict,

@@ -18,14 +18,12 @@
 //! names resolve to handles against the live incumbent — the first
 //! batch must commit before the second one's names make sense — and a
 //! fault commits alone.
-//!
-//! [`ServePipeline::replay`] drives it straight from an [`EventTrace`].
 
 use crate::metrics::ServeMetrics;
 use crate::report::Verdict;
 use crate::service::{Event, Service};
 use cellstream_rt::SpscRing;
-use cellstream_sim::online::{EventTrace, TraceEvent};
+use cellstream_sim::online::TraceEvent;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,20 +69,6 @@ impl PipelineStats {
             self.events as f64 / self.batches as f64
         }
     }
-}
-
-/// What [`ServePipeline::replay`] measured on the intake side.
-/// Planner-side outcomes (batch sizes, final incumbent) come back from
-/// [`ServePipeline::finish`]; replan latency is the service's own
-/// `replan_ns` histogram ([`ServePipeline::metrics`]).
-#[derive(Debug, Clone)]
-pub struct IntakeReport {
-    /// Events submitted (== the trace length).
-    pub submitted: usize,
-    /// Events the ring pushed back on at least once before accepting.
-    pub backpressured: usize,
-    /// Largest backlog observed right after a submission.
-    pub peak_backlog: usize,
 }
 
 /// A [`Service`] behind a lock-free intake ring and a planner thread.
@@ -140,24 +124,6 @@ impl ServePipeline {
                 }
             }
         }
-    }
-
-    /// Events accepted but not yet popped by the planner.
-    fn backlog(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Submit a whole trace **as fast as backpressure allows**, ignoring
-    /// its timestamps: the trace supplies ordering, the ring supplies
-    /// pacing — the saturation mode: submission is pure queue handoff,
-    /// while replanning proceeds concurrently on the planner thread.
-    pub fn replay(&self, trace: &EventTrace) -> IntakeReport {
-        let (mut backpressured, mut peak_backlog) = (0, 0);
-        for te in trace.events() {
-            backpressured += usize::from(self.submit(te.event.clone()));
-            peak_backlog = peak_backlog.max(self.backlog());
-        }
-        IntakeReport { submitted: trace.len(), backpressured, peak_backlog }
     }
 
     /// Close the intake, drain the ring, join the planner, and return
@@ -253,6 +219,30 @@ mod tests {
     use crate::service::ServiceOptions;
     use cellstream_apps::{audio, cipher, dsp, video};
     use cellstream_platform::{CellSpec, PeId};
+    use cellstream_sim::online::EventTrace;
+
+    /// What [`replay`] measured on the intake side.
+    struct IntakeReport {
+        /// Events submitted (== the trace length).
+        submitted: usize,
+        /// Events the ring pushed back on at least once before accepting.
+        backpressured: usize,
+        /// Largest backlog observed right after a submission.
+        peak_backlog: usize,
+    }
+
+    /// Submit a whole trace **as fast as backpressure allows**, ignoring
+    /// its timestamps: the trace supplies ordering, the ring supplies
+    /// pacing, while replanning proceeds concurrently on the planner
+    /// thread.
+    fn replay(pipe: &ServePipeline, trace: &EventTrace) -> IntakeReport {
+        let (mut backpressured, mut peak_backlog) = (0, 0);
+        for te in trace.events() {
+            backpressured += usize::from(pipe.submit(te.event.clone()));
+            peak_backlog = peak_backlog.max(pipe.ring.len());
+        }
+        IntakeReport { submitted: trace.len(), backpressured, peak_backlog }
+    }
 
     fn churn_trace() -> EventTrace {
         let audio = audio::graph().unwrap();
@@ -303,7 +293,7 @@ mod tests {
         replay_sequential(&mut seq, &trace);
 
         let pipe = ServePipeline::launch(Service::new(spec), PipelineOptions::default());
-        let intake = pipe.replay(&trace);
+        let intake = replay(&pipe, &trace);
         let (svc, stats) = pipe.finish();
 
         assert_eq!(intake.submitted, trace.len());
@@ -329,7 +319,7 @@ mod tests {
             Service::new(CellSpec::ps3()),
             PipelineOptions { capacity: 2, max_batch: 4 },
         );
-        let intake = pipe.replay(&trace);
+        let intake = replay(&pipe, &trace);
         let (svc, stats) = pipe.finish();
         assert_eq!(intake.submitted, trace.len());
         assert!(intake.peak_backlog <= 2);
@@ -402,7 +392,7 @@ mod tests {
             .at(0.04, TraceEvent::Admit { graph: g.clone(), weight: 2.0 })
             .at(0.06, TraceEvent::Reweight { app: g.name().into(), weight: 3.0 });
         let pipe = ServePipeline::launch(Service::new(CellSpec::ps3()), PipelineOptions::default());
-        pipe.replay(&trace);
+        replay(&pipe, &trace);
         let (svc, stats) = pipe.finish();
         assert_eq!(stats.skipped, 0);
         assert_eq!(svc.n_apps(), 1);
@@ -421,7 +411,7 @@ mod tests {
         );
         let trace = EventTrace::new(0.02)
             .at(0.00, TraceEvent::Admit { graph: video::graph().unwrap(), weight: 1.0 });
-        pipe.replay(&trace);
+        replay(&pipe, &trace);
         let (svc, stats) = pipe.finish();
         assert_eq!(svc.n_apps(), 0, "an impossible guarantee admits nothing");
         assert_eq!(stats.rejected, 1);

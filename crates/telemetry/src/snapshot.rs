@@ -85,14 +85,6 @@ impl Snapshot {
         self.push(name, labels, SnapValue::Histogram(Box::new(h)));
     }
 
-    /// First counter with this name, any labels.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.samples.iter().find_map(|s| match (&s.value, s.name == name) {
-            (SnapValue::Counter(v), true) => Some(*v),
-            _ => None,
-        })
-    }
-
     /// First gauge with this name, any labels.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.samples.iter().find_map(|s| match (&s.value, s.name == name) {

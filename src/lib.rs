@@ -76,14 +76,14 @@ pub mod prelude {
     pub use cellstream_cluster::{
         Cluster, ClusterOptions, ClusterReport, ClusterVerdict, NetworkModel, NodeId, PlacePolicy,
     };
-    pub use cellstream_core::scheduler::CancelToken;
     pub use cellstream_core::{
         evaluate, evaluate_workload, solve, AppReport, Mapping, MappingDelta, MappingReport, Plan,
-        PlanContext, PlanError, PlanStats, Scheduler, SolveOptions, SolveOutcome, WorkloadReport,
+        PlanContext, PlanError, PlanStats, Scheduler, SolveOptions, SolveOutcome, Stop,
+        WorkloadReport,
     };
     pub use cellstream_graph::{AppId, StreamGraph, TaskId, TaskSpec, Workload};
     pub use cellstream_heuristics::{
-        all_schedulers, best_partition, multi_start, scheduler_by_name, scheduler_names, Portfolio,
+        all_schedulers, best_partition, multi_start, scheduler_by_name, Portfolio,
         PortfolioOutcome, SCHEDULER_NAMES,
     };
     pub use cellstream_platform::{CellSpec, PeId, PeKind};

@@ -29,7 +29,7 @@
 use cellstream_core::schedule::PeriodicSchedule;
 use cellstream_core::scheduler::{Plan, PlanContext, PlanError, Scheduler};
 use cellstream_core::workload::{per_app_reports, AppReport};
-use cellstream_core::{Mapping, SolveOptions};
+use cellstream_core::{Mapping, SolveOptions, Stop};
 use cellstream_graph::{StreamGraph, Workload};
 use cellstream_heuristics::{scheduler_by_name, MemberResult, Portfolio};
 use cellstream_platform::CellSpec;
@@ -99,9 +99,10 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Cap the planning wall-clock time.
+    /// Cap the planning wall-clock time. The clock starts here, when
+    /// the session is configured, not when [`plan`](Session::plan) runs.
     pub fn budget(mut self, budget: Duration) -> Self {
-        self.ctx.budget = Some(budget);
+        self.ctx.stop = Stop::after(budget);
         self
     }
 

@@ -53,9 +53,9 @@ fn every_scheduler_survives_a_zero_work_graph() {
 fn portfolio_survives_a_zero_work_graph() {
     let g = zero_work_graph();
     let spec = CellSpec::with_spes(2);
+    let ctx = PlanContext::with_budget(std::time::Duration::from_secs(5));
     let outcome = Portfolio::standard()
-        .budget(std::time::Duration::from_secs(5))
-        .run(&g, &spec)
+        .run_with(&g, &spec, &ctx)
         .expect("PPE-only member guarantees a feasible plan");
     assert!(outcome.best.is_feasible());
     assert_eq!(outcome.best.period(), 0.0);
