@@ -1,19 +1,19 @@
 //! The per-node agent: one `Service` incumbent the coordinator calls.
 //!
 //! An agent is deliberately thin — all scheduling intelligence stays in
-//! the serving loop it wraps. Its job is to resolve the [`TraceEvent`]s
-//! the coordinator hands it into `Service` calls, translate the
-//! verdicts back into [`AgentOutcome`]s, and size the working sets a
-//! cross-node migration would move. Its [`summary`](Agent::summary) is
-//! the node's capacity as the coordinator's placer scores it.
+//! the serving loop it wraps. Its one mutating call,
+//! [`apply`](Agent::apply), resolves the group of [`TraceEvent`]s the
+//! coordinator cut into one `Service::process_batch` call and
+//! translates the verdicts back into [`AgentOutcome`]s. Its
+//! [`summary`](Agent::summary) is the node's capacity as the
+//! coordinator's placer scores it.
 
 use cellstream_core::evaluate;
 use cellstream_core::steady::buffers::BufferPlan;
 use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_platform::CellSpec;
-use cellstream_serve::{Service, ServiceOptions, Verdict};
+use cellstream_serve::{Event, Service, ServiceOptions, Verdict};
 use cellstream_sim::online::TraceEvent;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifies one Cell node (one agent) in the fleet.
@@ -169,106 +169,87 @@ impl Agent {
     }
 
     /// The wrapped serving loop (read-only; mutate via
-    /// [`apply`](Self::apply) and [`apply_batch`](Self::apply_batch)).
+    /// [`apply`](Self::apply)).
     pub fn service(&self) -> &Service {
         &self.service
     }
 
-    /// One name-addressed operation through the serving loop, which
-    /// serves fleet index 0: `(outcome, local_bytes, working_set)`.
+    /// One group the coordinator cut, in one call: one outcome per op
+    /// in request order, and `local_bytes`, the EIB traffic of the
+    /// node's replan (tasks the repair planner shuffled *within* the
+    /// node).
     ///
-    /// `local_bytes` is the EIB traffic of the node's replan (tasks the
-    /// repair planner shuffled *within* the node). `working_set` sizes
-    /// the buffers of the application the operation named — what a
-    /// cross-node migration of it pushes over the network: before a
-    /// retire (the departing state), after anything else (an admission
-    /// on the node's new composed graph). An absorbed fault that
-    /// displaced anyone answers [`AgentOutcome::Recovered`] with the
-    /// shed applications. [`TraceEvent::NodeFailed`] is the in-process
-    /// stand-in for process death: the serving state is wiped, resident
-    /// applications and their buffer state are *lost*, not migrated;
-    /// [`TraceEvent::NodeRestored`] is then a no-op — the node rejoins
-    /// empty and cold.
-    pub fn apply(&mut self, ev: TraceEvent) -> (AgentOutcome, f64, f64) {
-        let app = match ev {
-            TraceEvent::NodeFailed { .. } => {
+    /// A group is one op — a fault, or either leg of a cross-node move
+    /// — or a run of requests with distinct names and no fault. Each op
+    /// resolves by name against the serving loop (the node is fleet
+    /// index 0 of its own loop, whatever index the fleet gave it), and
+    /// the resolved ones replan once through `Service::process_batch`.
+    /// An op naming no resident application is
+    /// [`AgentOutcome::UnknownApp`]. An absorbed fault that displaced
+    /// anyone answers [`AgentOutcome::Recovered`] with the shed
+    /// applications. [`TraceEvent::NodeFailed`] is the in-process
+    /// stand-in for process death: the serving state is wiped,
+    /// resident applications and their buffer state are *lost*, not
+    /// migrated; [`TraceEvent::NodeRestored`] is then a no-op — the
+    /// node rejoins empty and cold.
+    pub fn apply(&mut self, ops: &[&TraceEvent]) -> (Vec<AgentOutcome>, f64) {
+        debug_assert!(
+            ops.len() == 1
+                || ops.iter().enumerate().all(|(i, op)| {
+                    let repeated = |app| ops[..i].iter().any(|o| o.app() == Some(app));
+                    !op.is_fault() && !op.app().is_some_and(repeated)
+                }),
+            "a group is one op or a run of requests with distinct names"
+        );
+        match ops {
+            [TraceEvent::NodeFailed { .. }] => {
                 self.service = Service::with_options(self.spec.clone(), self.opts.clone());
-                return (AgentOutcome::Applied, 0.0, 0.0);
+                return (vec![AgentOutcome::Applied], 0.0);
             }
-            TraceEvent::NodeRestored { .. } => return (AgentOutcome::Applied, 0.0, 0.0),
-            _ => ev.app().map(str::to_owned),
-        };
-        let retiring = matches!(ev, TraceEvent::Retire { .. });
-        let leaving = app.as_deref().filter(|_| retiring).map(|app| self.working_set(app));
-        let Some(event) = self.service.resolve(ev) else {
-            return (AgentOutcome::UnknownApp, 0.0, 0.0);
-        };
-        let report = match self.service.process(event) {
+            [TraceEvent::NodeRestored { .. }] => return (vec![AgentOutcome::Applied], 0.0),
+            _ => {}
+        }
+        let mut outcomes = vec![AgentOutcome::UnknownApp; ops.len()];
+        let (mut slots, mut events) = (Vec::new(), Vec::with_capacity(ops.len()));
+        for (i, op) in ops.iter().enumerate() {
+            let event = match **op {
+                TraceEvent::PeFailed { pe, .. } => Some(Event::PeFailed(pe)),
+                TraceEvent::PeRestored { pe, .. } => Some(Event::PeRestored(pe)),
+                _ => self.service.resolve(op),
+            };
+            if let Some(event) = event {
+                slots.push(i);
+                events.push(event);
+            }
+        }
+        if events.is_empty() {
+            return (outcomes, 0.0);
+        }
+        let report = match self.service.process_batch(&events) {
             Ok(report) => report,
-            Err(e) => return (AgentOutcome::Rejected(e.to_string()), 0.0, 0.0),
+            // a PE the node cannot fail; handles were just resolved
+            Err(e) => {
+                for &i in &slots {
+                    outcomes[i] = AgentOutcome::Rejected(e.to_string());
+                }
+                return (outcomes, 0.0);
+            }
         };
         let shed = self.service.take_shed();
-        let outcome = match shed.is_empty() {
-            true => outcome_of(&report.verdict),
-            false => AgentOutcome::Recovered { shed },
-        };
-        let ws = leaving.unwrap_or_else(|| app.map_or(0.0, |app| self.working_set(&app)));
-        (outcome, report.migration_bytes(), ws)
-    }
-
-    /// A group of churn in one call: `(one outcome per op in request
-    /// order, local_bytes)`. Runs of consecutive ops touching distinct
-    /// names ([`Service::resolve_run`] cuts at a repeated one, so
-    /// in-order semantics hold across the cut) fuse into single
-    /// `Service::process_batch` calls — one compose and one repair per
-    /// run. An unresolved retire/reweight is
-    /// [`AgentOutcome::UnknownApp`] without poisoning the rest; a fault
-    /// is refused in place and changes nothing (faults go through
-    /// [`apply`](Self::apply) alone). Batches size no working sets:
-    /// group steps never migrate.
-    pub fn apply_batch(&mut self, ops: Vec<TraceEvent>) -> (Vec<AgentOutcome>, f64) {
-        let mut outcomes = Vec::with_capacity(ops.len());
-        let mut local_bytes = 0.0;
-        let mut pending = VecDeque::from(ops);
-        let mut events = Vec::new();
-        while let Some(front) = pending.front() {
-            if front.is_fault() {
-                let refusal = format!("{} arrived inside a batch", front.label());
-                outcomes.push(AgentOutcome::Rejected(refusal));
-                pending.pop_front();
-                continue;
-            }
-            let known = self.service.resolve_run(&mut pending, usize::MAX, &mut events);
-            let mut verdicts = Vec::new();
-            if !events.is_empty() {
-                verdicts = match self.service.process_batch(&events) {
-                    Ok(report) => {
-                        local_bytes += report.migration_bytes();
-                        report.events.iter().map(|(_, verdict)| outcome_of(verdict)).collect()
-                    }
-                    // unreachable by construction — handles were just
-                    // resolved and names within a run are distinct — but
-                    // refuse rather than crash should validation ever fail
-                    Err(e) => {
-                        vec![AgentOutcome::Rejected(format!("batch refused: {e}")); events.len()]
-                    }
-                };
-            }
-            let mut verdicts = verdicts.into_iter();
-            outcomes.extend(known.into_iter().map(|resolved| match resolved {
-                true => verdicts.next().unwrap_or_else(|| {
-                    AgentOutcome::Rejected("the batch reported no verdict".to_owned())
-                }),
-                false => AgentOutcome::UnknownApp,
-            }));
+        if !shed.is_empty() {
+            // only a fault sheds, and a fault travels alone
+            return (vec![AgentOutcome::Recovered { shed }], report.migration_bytes());
         }
-        (outcomes, local_bytes)
+        for (&i, (_, verdict)) in slots.iter().zip(&report.events) {
+            outcomes[i] = outcome_of(verdict);
+        }
+        (outcomes, report.migration_bytes())
     }
 
     /// Buffer working set (bytes) of one resident application on the
     /// current composed graph — the state a cross-node migration of it
     /// would push over the network. 0 for unknown applications.
-    fn working_set(&self, app: &str) -> f64 {
+    pub(crate) fn working_set(&self, app: &str) -> f64 {
         let Some(w) = self.service.workload() else { return 0.0 };
         let Some(a) = w.app_id(app) else { return 0.0 };
         let g = w.graph();
@@ -303,6 +284,7 @@ impl Agent {
 mod tests {
     use super::*;
     use cellstream_daggen::{chain, CostParams};
+    use cellstream_platform::PeId;
 
     fn agent() -> Agent {
         Agent::new(NodeId(3), CellSpec::ps3(), ServiceOptions::default())
@@ -314,6 +296,13 @@ mod tests {
         TraceEvent::Admit { graph, weight: 1.0 }
     }
 
+    /// One op through [`Agent::apply`]: its outcome.
+    fn apply_one(a: &mut Agent, op: TraceEvent) -> AgentOutcome {
+        let (mut outcomes, _) = a.apply(&[&op]);
+        assert_eq!(outcomes.len(), 1, "one outcome per op");
+        outcomes.remove(0)
+    }
+
     #[test]
     fn admit_retire_round_trip_updates_the_summary() {
         let mut a = agent();
@@ -322,7 +311,7 @@ mod tests {
         assert!(idle.period.is_infinite());
 
         let g = chain("app", 4, &CostParams::default(), 11);
-        let (outcome, _, working_set) = a.apply(TraceEvent::Admit { graph: g, weight: 2.0 });
+        let outcome = apply_one(&mut a, TraceEvent::Admit { graph: g, weight: 2.0 });
         assert_eq!(outcome, AgentOutcome::Admitted);
         let admitted = a.summary();
         assert_eq!(admitted.node, NodeId(3));
@@ -330,49 +319,53 @@ mod tests {
         assert_eq!(admitted.apps, vec![("app".to_owned(), 2.0)]);
         assert!(admitted.period.is_finite());
         assert_eq!(admitted.min_weight, 2.0);
-        assert!(working_set > 0.0, "a chain has buffers to move");
+        assert!(a.working_set("app") > 0.0, "a chain has buffers to move");
 
-        let (outcome, _, working_set) = a.apply(TraceEvent::Retire { app: "app".to_owned() });
+        let outcome = apply_one(&mut a, TraceEvent::Retire { app: "app".to_owned() });
         assert_eq!(outcome, AgentOutcome::Applied);
-        assert!(working_set > 0.0, "sized before the retire");
+        assert_eq!(a.working_set("app"), 0.0, "a retired app has nothing to move");
         let gone = a.summary();
         assert_eq!(gone.n_apps, 0);
         assert!(gone.period.is_infinite());
 
-        let (ghost, _, _) = a.apply(TraceEvent::Retire { app: "app".to_owned() });
+        let ghost = apply_one(&mut a, TraceEvent::Retire { app: "app".to_owned() });
         assert_eq!(ghost, AgentOutcome::UnknownApp);
     }
 
     #[test]
     fn reweight_routes_by_name_and_rejects_nonsense() {
         let mut a = agent();
-        a.apply(admit("app", 5));
-        let (ok, _, _) = a.apply(TraceEvent::Reweight { app: "app".to_owned(), weight: 2.5 });
+        apply_one(&mut a, admit("app", 5));
+        let ok = apply_one(&mut a, TraceEvent::Reweight { app: "app".to_owned(), weight: 2.5 });
         assert_eq!(ok, AgentOutcome::Applied);
         assert_eq!(a.summary().apps[0].1, 2.5);
 
-        let (bad, _, _) = a.apply(TraceEvent::Reweight { app: "app".to_owned(), weight: -1.0 });
+        let bad = apply_one(&mut a, TraceEvent::Reweight { app: "app".to_owned(), weight: -1.0 });
         assert!(matches!(bad, AgentOutcome::Rejected(_)));
         assert_eq!(a.summary().apps[0].1, 2.5, "refused reweight rolls back");
 
-        let (ghost, _, _) = a.apply(TraceEvent::Reweight { app: "ghost".to_owned(), weight: 1.0 });
+        let ghost =
+            apply_one(&mut a, TraceEvent::Reweight { app: "ghost".to_owned(), weight: 1.0 });
         assert_eq!(ghost, AgentOutcome::UnknownApp);
     }
 
     #[test]
-    fn batch_fuses_ops_and_reports_outcomes_in_request_order() {
+    fn a_run_fuses_ops_and_reports_outcomes_in_request_order() {
         let mut a = agent();
-        a.apply(admit("x", 1));
-        a.apply(admit("y", 2));
+        apply_one(&mut a, admit("x", 1));
+        apply_one(&mut a, admit("y", 2));
 
-        let (outcomes, _) = a.apply_batch(vec![
+        let run = [
             TraceEvent::Reweight { app: "x".to_owned(), weight: 2.0 },
             TraceEvent::Retire { app: "ghost".to_owned() },
             TraceEvent::Admit { graph: chain("z", 3, &CostParams::default(), 3), weight: 1.5 },
+            TraceEvent::Admit { graph: chain("bad", 3, &CostParams::default(), 5), weight: 0.0 },
             TraceEvent::Retire { app: "y".to_owned() },
-        ]);
+        ];
+        let (outcomes, _) = a.apply(&run.iter().collect::<Vec<_>>());
+        assert!(matches!(outcomes[3], AgentOutcome::Rejected(_)), "a bad weight is refused per op");
         assert_eq!(
-            outcomes,
+            [&outcomes[..3], &outcomes[4..]].concat(),
             vec![
                 AgentOutcome::Applied,
                 AgentOutcome::UnknownApp,
@@ -386,46 +379,33 @@ mod tests {
         let names: Vec<&str> = summary.apps.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["x", "z"]);
         assert_eq!(summary.apps[0].1, 2.0, "the reweight landed");
+        assert_eq!(a.service().metrics().batches_total.get(), 3, "one replan for the run");
     }
 
     #[test]
-    fn a_fault_inside_a_batch_is_refused_and_changes_nothing() {
-        let mut a = agent();
-        a.apply(admit("x", 1));
-        let (outs, _) = a.apply_batch(vec![
-            TraceEvent::PeFailed { node: 0, pe: cellstream_platform::PeId(2) },
-            TraceEvent::Reweight { app: "x".to_owned(), weight: 2.0 },
-            TraceEvent::CostDrift { app: "x".to_owned(), factor: 3.0 },
-            TraceEvent::NodeFailed { node: 0 },
-        ]);
-        assert!(matches!(outs[0], AgentOutcome::Rejected(_)), "{:?}", outs[0]);
-        assert_eq!(outs[1], AgentOutcome::Applied, "the churn around the faults still lands");
-        assert!(matches!(outs[2], AgentOutcome::Rejected(_)), "{:?}", outs[2]);
-        assert!(matches!(outs[3], AgentOutcome::Rejected(_)), "{:?}", outs[3]);
-        assert!(a.service().availability().all_healthy(), "no PE was failed");
-        assert_eq!(a.summary().apps, vec![("x".to_owned(), 2.0)], "x stays, reweighted");
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a group is one op or a run of requests with distinct names")]
+    fn a_fault_inside_a_run_is_a_cut_bug() {
+        let run = [admit("x", 1), TraceEvent::PeFailed { node: 0, pe: PeId(2) }];
+        agent().apply(&run.iter().collect::<Vec<_>>());
     }
 
     #[test]
-    fn batch_cuts_at_repeated_names_so_dependent_ops_still_apply() {
+    fn faults_address_the_agents_own_node() {
         let mut a = agent();
-        // admit then retire the same name in one burst: the second op
-        // cannot resolve until the first commits, so the agent splits
-        // the run and both land
-        let (outcomes, _) = a.apply_batch(vec![
-            TraceEvent::Admit { graph: chain("w", 3, &CostParams::default(), 9), weight: 1.0 },
-            TraceEvent::Retire { app: "w".to_owned() },
-        ]);
-        assert_eq!(outcomes, vec![AgentOutcome::Admitted, AgentOutcome::Applied]);
-        assert_eq!(a.summary().n_apps, 0, "the burst admitted and retired the same app");
+        apply_one(&mut a, admit("x", 1));
+        // the fleet numbers this node 3; its own serving loop calls it 0
+        let fail = apply_one(&mut a, TraceEvent::PeFailed { node: 3, pe: PeId(2) });
+        assert_eq!(fail, AgentOutcome::Applied);
+        assert!(a.service().availability().is_dead(PeId(2)));
+        let ppe = apply_one(&mut a, TraceEvent::PeFailed { node: 3, pe: PeId(0) });
+        assert!(matches!(ppe, AgentOutcome::Rejected(_)), "a dead PPE is a dead node: {ppe:?}");
+        let restore = apply_one(&mut a, TraceEvent::PeRestored { node: 3, pe: PeId(2) });
+        assert_eq!(restore, AgentOutcome::Applied);
+        assert!(a.service().availability().all_healthy());
 
-        // an invalid weight inside a batch is refused per-op, not per-burst
-        let (outs, _) = a.apply_batch(vec![
-            TraceEvent::Admit { graph: chain("ok", 3, &CostParams::default(), 4), weight: 1.0 },
-            TraceEvent::Admit { graph: chain("bad", 3, &CostParams::default(), 5), weight: 0.0 },
-        ]);
-        assert_eq!(outs[0], AgentOutcome::Admitted);
-        assert!(matches!(outs[1], AgentOutcome::Rejected(_)));
-        assert_eq!(a.summary().n_apps, 1);
+        assert_eq!(apply_one(&mut a, TraceEvent::NodeFailed { node: 3 }), AgentOutcome::Applied);
+        assert_eq!(a.summary().n_apps, 0, "the crash wiped the node");
+        assert_eq!(apply_one(&mut a, TraceEvent::NodeRestored { node: 3 }), AgentOutcome::Applied);
     }
 }

@@ -492,7 +492,7 @@ impl Cluster {
     /// the group touched starts the next group, so in-order semantics
     /// hold across the cut. Within a group every op is routed against
     /// the summaries as of the group start and each node gets its ops
-    /// in one [`Agent::apply_batch`] call. An unknown application or node
+    /// in one [`Agent::apply`] call. An unknown application or node
     /// gets a [`ClusterVerdict::Rejected`] verdict — the trace is data,
     /// not a contract.
     pub fn process_burst(&mut self, events: &[TraceEvent]) -> BurstReport {
@@ -561,23 +561,20 @@ impl Cluster {
         }
         // one agent call per node, in node order (deterministic)
         for (node, slots) in per_node {
+            let ops: Vec<&TraceEvent> = slots.iter().map(|&i| &done[i].0).collect();
             // each op's recovery sums on its own before joining the
             // group's total, so a byte total has the same bits however
-            // the ops around it were grouped
+            // the ops around it were grouped; a fault's replan is part
+            // of its recovery
             let mut own = Cost::default();
-            let outcomes = match &done[slots[0]].0 {
-                fault if fault.is_fault() => {
-                    vec![self.exchange(node, node_local(fault), &mut own).0]
-                }
-                _ => {
+            let local_bytes = match ops[0].is_fault() {
+                true => &mut own.local_bytes,
+                false => {
                     *batches += 1;
-                    let ops = slots.iter().map(|&i| done[i].0.clone()).collect();
-                    let (outcomes, local_bytes) = self.agents[node.index()].apply_batch(ops);
-                    cost.local_bytes += local_bytes;
-                    self.refresh(node);
-                    outcomes
+                    &mut cost.local_bytes
                 }
             };
+            let outcomes = self.exchange(node, &ops, local_bytes);
             for (i, outcome) in slots.into_iter().zip(outcomes) {
                 done[i].1 = Ok(self.settle(node, &done[i].0, outcome, &mut own));
                 cost.absorb(std::mem::take(&mut own));
@@ -678,14 +675,19 @@ impl Cluster {
         Ok((ev.clone(), route))
     }
 
-    /// Apply one operation on `node`: add the replan's EIB traffic to
-    /// `cost`, refresh the node's summary, and hand back the outcome
-    /// with the working set the agent sized.
-    fn exchange(&mut self, node: NodeId, op: TraceEvent, cost: &mut Cost) -> (AgentOutcome, f64) {
-        let (outcome, local_bytes, working_set) = self.agents[node.index()].apply(op);
-        cost.local_bytes += local_bytes;
+    /// Hand one group to `node`'s agent: add the replan's EIB traffic
+    /// to `local_bytes`, refresh the node's summary, and hand back one
+    /// outcome per op.
+    fn exchange(
+        &mut self,
+        node: NodeId,
+        ops: &[&TraceEvent],
+        local_bytes: &mut f64,
+    ) -> Vec<AgentOutcome> {
+        let (outcomes, bytes) = self.agents[node.index()].apply(ops);
+        *local_bytes += bytes;
         self.refresh(node);
-        (outcome, working_set)
+        outcomes
     }
 
     /// Re-read `node`'s summary from its agent: the coordinator's view
@@ -803,8 +805,9 @@ impl Cluster {
 
     /// Offer an application to the nodes of `order` in turn. The first
     /// whose admission control accepts hosts it: `Ok` with that node
-    /// and the working set it sized, else the last refusal (`None` for
-    /// an empty order).
+    /// and the application's working set there — the buffers a
+    /// cross-node move pushes over the network — else the last refusal
+    /// (`None` for an empty order).
     fn walk(
         &mut self,
         graph: &StreamGraph,
@@ -813,12 +816,13 @@ impl Cluster {
         cost: &mut Cost,
     ) -> Result<(NodeId, f64), Option<String>> {
         let mut last = None;
+        let admit = TraceEvent::Admit { graph: graph.clone(), weight };
         for to in order {
-            let admit = TraceEvent::Admit { graph: graph.clone(), weight };
-            match self.exchange(to, admit, cost) {
-                (AgentOutcome::Admitted, working_set) => return Ok((to, working_set)),
-                (refused, _) => last = Some(refusal(to, &refused)),
+            let answer = self.exchange(to, &[&admit], &mut cost.local_bytes);
+            if let [AgentOutcome::Admitted] = answer[..] {
+                return Ok((to, self.agents[to.index()].working_set(graph.name())));
             }
+            last = answer.first().map(|refused| refusal(to, refused));
         }
         Err(last)
     }
@@ -1079,7 +1083,7 @@ impl Cluster {
             return false;
         };
         let retire = TraceEvent::Retire { app: app.to_owned() };
-        self.exchange(placed.node, retire, cost);
+        self.exchange(placed.node, &[&retire], &mut cost.local_bytes);
         self.place(&placed.graph, placed.weight, to);
         cost.migrations.push(self.migration(app, placed.node, to, bytes));
         true
@@ -1214,18 +1218,6 @@ fn refusal(node: NodeId, outcome: &AgentOutcome) -> String {
             format!("{node}: assignment drift — node does not host this application")
         }
         other => format!("{node}: unexpected answer {other:?}"),
-    }
-}
-
-/// `op` as its node sees it: every node is fleet index 0 of its own
-/// serving loop.
-fn node_local(op: &TraceEvent) -> TraceEvent {
-    match op {
-        TraceEvent::PeFailed { pe, .. } => TraceEvent::PeFailed { node: 0, pe: *pe },
-        TraceEvent::PeRestored { pe, .. } => TraceEvent::PeRestored { node: 0, pe: *pe },
-        TraceEvent::NodeFailed { .. } => TraceEvent::NodeFailed { node: 0 },
-        TraceEvent::NodeRestored { .. } => TraceEvent::NodeRestored { node: 0 },
-        named => named.clone(),
     }
 }
 

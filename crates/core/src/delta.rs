@@ -196,8 +196,7 @@ mod tests {
         let b = two_stage("b", 64.0);
         let spec = CellSpec::ps3();
         let old_w = Workload::compose("w", &[&a]).unwrap();
-        let mut new_w = old_w.clone();
-        new_w.add(&b, 1.0).unwrap();
+        let new_w = Workload::compose("w", &[&a, &b]).unwrap();
 
         let old_m = Mapping::all_on(old_w.graph(), PeId(0));
         // in the new composition: a/s stays on PE0, a/t moves to PE2,
@@ -224,14 +223,15 @@ mod tests {
         // versions must keep matching the renamed tasks by name
         let a = two_stage("a", 128.0);
         let dup = a.renamed("a#1");
-        let mut old_w = Workload::compose("w", &[&a]).unwrap();
-        old_w.add(&dup, 1.0).unwrap();
+        let old_w = Workload::compose("w", &[&a, &dup]).unwrap();
         let old_m = Mapping::all_on(old_w.graph(), PeId(0));
 
         // retire the original; the renamed copy survives in place
         let mut new_w = old_w.clone();
         let id = new_w.app_id("a").unwrap();
-        new_w.retire(id).unwrap();
+        let mut edit = new_w.batch();
+        edit.retire(id).unwrap();
+        edit.commit().unwrap();
         let new_m = Mapping::all_on(new_w.graph(), PeId(0));
 
         let d = MappingDelta::between(old_w.graph(), &old_m, new_w.graph(), &new_m);

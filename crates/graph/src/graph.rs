@@ -214,7 +214,7 @@ impl StreamGraph {
 
     /// A copy with every task's compute costs (`wPPE`, `wSPE`) scaled by
     /// `factor` — traffic and buffer bytes untouched, mirroring
-    /// [`Workload::rescale_costs`](crate::Workload::rescale_costs):
+    /// [`WorkloadBatch::rescale_costs`](crate::WorkloadBatch::rescale_costs):
     /// misestimated compute does not move bytes. Panics on a non-finite
     /// or non-positive factor (callers validate, as with weights).
     pub fn rescale_costs(&self, factor: f64) -> StreamGraph {

@@ -265,28 +265,33 @@ proptest! {
 // Workload mutation properties (the online serving substrate)
 // ---------------------------------------------------------------------------
 
-/// One random workload mutation: admit a fresh app, retire one, or
-/// reweight one. Indices/weights are sampled wide and clamped to the
-/// live range at application time.
+/// One random workload edit: admit a fresh app, retire one, reweight
+/// one, or drift one's compute costs. Indices/weights/factors are
+/// sampled wide and clamped to the live range at application time;
+/// `commit` ends the guard the edit rode in.
 #[derive(Debug, Clone)]
 enum WlOp {
     Add { n_tasks: usize, weight: f64 },
     Retire { idx: usize },
     Reweight { idx: usize, weight: f64 },
+    Drift { idx: usize, factor: f64 },
 }
 
-fn arb_wl_ops(max_ops: usize) -> impl Strategy<Value = Vec<WlOp>> {
-    proptest::collection::vec((0usize..3, 1usize..5, 0usize..8, 0.25f64..4.0), 1..max_ops).prop_map(
-        |raw| {
-            raw.into_iter()
-                .map(|(kind, n_tasks, idx, weight)| match kind {
-                    0 => WlOp::Add { n_tasks, weight },
+fn arb_wl_ops(max_ops: usize) -> impl Strategy<Value = Vec<(WlOp, bool)>> {
+    let raw = (0usize..4, 1usize..5, 0usize..8, 0.25f64..4.0, any::<bool>());
+    proptest::collection::vec(raw, 1..max_ops).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(kind, n_tasks, idx, x, commit)| {
+                let op = match kind {
+                    0 => WlOp::Add { n_tasks, weight: x },
                     1 => WlOp::Retire { idx },
-                    _ => WlOp::Reweight { idx, weight },
-                })
-                .collect()
-        },
-    )
+                    2 => WlOp::Reweight { idx, weight: x },
+                    _ => WlOp::Drift { idx, factor: x },
+                };
+                (op, commit)
+            })
+            .collect()
+    })
 }
 
 fn small_app(name: &str, n_tasks: usize) -> StreamGraph {
@@ -310,11 +315,12 @@ fn small_app(name: &str, n_tasks: usize) -> StreamGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A random add/retire/reweight sequence leaves the workload exactly
-    /// equal to composing the surviving (name, weight) list from
-    /// scratch: same composed graph (hence same period under any
-    /// mapping), same per-app namespaces, and `subgraph()` still
-    /// round-trips every app.
+    /// A random add/retire/reweight/drift sequence, cut into guards at
+    /// random, leaves the workload exactly equal to composing the
+    /// surviving (graph, weight) list from scratch after every commit:
+    /// same composed graph (hence same period under any mapping), same
+    /// per-app namespaces, and `subgraph()` still round-trips every app.
+    /// The model drifts its graphs with `StreamGraph::rescale_costs`.
     #[test]
     fn prop_mutation_matches_from_scratch(ops in arb_wl_ops(12)) {
         use crate::Workload;
@@ -323,28 +329,39 @@ proptest! {
         // shadow model: the (graph, weight) list we expect to survive
         let mut model: Vec<(StreamGraph, f64)> = vec![(first, 1.0)];
         let mut fresh = 1usize;
+        let last = ops.len() - 1;
 
-        for op in ops {
+        let mut batch = w.batch();
+        for (k, (op, commit)) in ops.into_iter().enumerate() {
             match op {
                 WlOp::Add { n_tasks, weight } => {
                     let g = small_app(&format!("app{fresh}"), n_tasks);
                     fresh += 1;
-                    w.add(&g, weight).unwrap();
+                    batch.add(&g, weight).unwrap();
                     model.push((g, weight));
                 }
                 WlOp::Retire { idx } => {
                     if model.len() > 1 {
                         let idx = idx % model.len();
-                        w.retire(crate::AppId(idx)).unwrap();
+                        batch.retire(crate::AppId(idx)).unwrap();
                         model.remove(idx);
                     }
                 }
                 WlOp::Reweight { idx, weight } => {
                     let idx = idx % model.len();
-                    w.reweight(crate::AppId(idx), weight).unwrap();
+                    batch.reweight(crate::AppId(idx), weight).unwrap();
                     model[idx].1 = weight;
                 }
+                WlOp::Drift { idx, factor } => {
+                    let idx = idx % model.len();
+                    batch.rescale_costs(crate::AppId(idx), factor).unwrap();
+                    model[idx].0 = model[idx].0.rescale_costs(factor);
+                }
             }
+            if !commit && k < last {
+                continue;
+            }
+            batch.commit().unwrap();
 
             // equality with a from-scratch composition of the survivors
             let mut scratch = Workload::builder("w");
@@ -378,6 +395,7 @@ proptest! {
                     prop_assert!((got.read_bytes - orig.read_bytes * weight).abs() <= 1e-9);
                 }
             }
+            batch = w.batch();
         }
     }
 }

@@ -37,12 +37,15 @@
 //!
 //! A workload is not frozen at build time: the serving layer
 //! (`cellstream-serve`) admits and retires applications while the
-//! platform runs. [`Workload::add`], [`Workload::retire`] and
-//! [`Workload::reweight`] mutate the composition **in place** and
-//! recompose the tagged graph from the retained applications' *unscaled*
-//! sources, so a mutated workload is indistinguishable from one built
-//! from scratch over the surviving applications (the property suite pins
-//! this exactly). [`AppId`]s are positional: retiring an application
+//! platform runs. Every edit goes through one guard,
+//! [`Workload::batch`]: its `add`, `retire`, `reweight` and
+//! `rescale_costs` edit the applications' *unscaled* sources, and the
+//! guard recomposes the tagged graph once when it commits or drops, so
+//! an edited workload is indistinguishable from one built from scratch
+//! over the surviving applications (the property suite pins this
+//! exactly). The guard and [`WorkloadBuilder::push`] share one copy of
+//! the name, weight and factor checks and of the source capture.
+//! [`AppId`]s are positional: retiring an application
 //! shifts every later application down by one — callers that need stable
 //! identities across churn (the serving layer does) keep their own
 //! handle → name map and resolve through [`Workload::app_id`].
@@ -80,7 +83,7 @@ use std::ops::Range;
 
 /// Identifier of an application inside one [`Workload`]: a dense index
 /// `0..N` in push order. Positional — see the module docs for what
-/// happens under [`Workload::retire`].
+/// happens under [`WorkloadBatch::retire`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct AppId(pub usize);
 
@@ -97,7 +100,7 @@ impl fmt::Display for AppId {
     }
 }
 
-/// Errors raised while composing or mutating a [`Workload`].
+/// Errors raised while composing or editing a [`Workload`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadError {
     /// Two applications share the same name (names key the reports).
@@ -105,9 +108,10 @@ pub enum WorkloadError {
     /// A weight was zero, negative or non-finite.
     InvalidWeight(String, f64),
     /// The workload has no applications (building an empty one, or
-    /// retiring the last application — drop the workload instead).
+    /// committing a batch that retired every application — drop the
+    /// workload instead).
     Empty,
-    /// An [`AppId`] outside the workload was passed to a mutation.
+    /// An [`AppId`] outside the workload was passed to a batch edit.
     UnknownApp(AppId),
     /// Composing the graphs failed (should not happen for valid inputs;
     /// surfaced rather than unwrapped).
@@ -161,8 +165,7 @@ impl AppInfo {
 
 /// One application's *unscaled* source material: what it looked like
 /// before weight scaling and name prefixing. Kept by the workload so
-/// mutations ([`Workload::add`] / [`Workload::retire`] /
-/// [`Workload::reweight`]) can recompose the tagged graph exactly as a
+/// a [`WorkloadBatch`] can recompose the tagged graph exactly as a
 /// from-scratch build over the surviving applications would.
 #[derive(Debug, Clone, PartialEq)]
 struct AppSource {
@@ -173,24 +176,45 @@ struct AppSource {
     edges: Vec<(usize, usize, f64)>,
 }
 
-impl AppSource {
-    fn capture(g: &StreamGraph, weight: f64) -> Result<AppSource, WorkloadError> {
-        if !(weight.is_finite() && weight > 0.0) {
-            return Err(WorkloadError::InvalidWeight(g.name().to_owned(), weight));
-        }
-        Ok(AppSource {
-            name: g.name().to_owned(),
-            weight,
-            specs: g.tasks().iter().map(crate::task::Task::to_spec).collect(),
-            edges: g.edges().iter().map(|e| (e.src.index(), e.dst.index(), e.data_bytes)).collect(),
-        })
+/// The one weight and drift-factor check: positive and finite.
+fn check_positive(app: &str, x: f64) -> Result<(), WorkloadError> {
+    match x.is_finite() && x > 0.0 {
+        true => Ok(()),
+        false => Err(WorkloadError::InvalidWeight(app.to_owned(), x)),
     }
 }
 
+/// Position of the named application in a source list.
+fn position(sources: &[AppSource], name: &str) -> Option<AppId> {
+    sources.iter().position(|s| s.name == name).map(AppId)
+}
+
+/// Capture `g` at `weight` as the last application of `sources`: the
+/// one duplicate-name check, weight check and capture behind both
+/// [`WorkloadBuilder::push`] and [`WorkloadBatch::add`]. The list is
+/// untouched on error.
+fn push_source(
+    sources: &mut Vec<AppSource>,
+    g: &StreamGraph,
+    weight: f64,
+) -> Result<AppId, WorkloadError> {
+    if position(sources, g.name()).is_some() {
+        return Err(WorkloadError::DuplicateApp(g.name().to_owned()));
+    }
+    check_positive(g.name(), weight)?;
+    sources.push(AppSource {
+        name: g.name().to_owned(),
+        weight,
+        specs: g.tasks().iter().map(crate::task::Task::to_spec).collect(),
+        edges: g.edges().iter().map(|e| (e.src.index(), e.dst.index(), e.data_bytes)).collect(),
+    });
+    Ok(AppId(sources.len() - 1))
+}
+
 /// Compose a source list into the tagged graph + per-app metadata. The
-/// single code path behind [`WorkloadBuilder::build`] and every in-place
-/// mutation, which is what makes "mutated == rebuilt from scratch" hold
-/// bit-for-bit.
+/// single code path behind [`WorkloadBuilder::build`] and every
+/// [`WorkloadBatch`] commit, which is what makes "edited == rebuilt
+/// from scratch" hold bit-for-bit.
 #[allow(clippy::type_complexity)]
 fn compose_sources(
     name: &str,
@@ -241,7 +265,7 @@ fn compose_sources(
 }
 
 /// N streaming applications composed into one tagged [`StreamGraph`].
-/// See the module docs for the composition and mutation semantics.
+/// See the module docs for the composition and editing semantics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     name: String,
@@ -340,91 +364,12 @@ impl Workload {
         b.build().expect("an application slice of a valid composition is valid")
     }
 
-    // ---- in-place mutation (the online serving path) ----------------------
-
-    /// Admit one more application with the given throughput weight,
-    /// recomposing the tagged graph in place. The new application lands
-    /// at the end: its id is `AppId(n_apps - 1)` (also returned). The
-    /// workload is untouched on error.
-    pub fn add(&mut self, g: &StreamGraph, weight: f64) -> Result<AppId, WorkloadError> {
-        if self.sources.iter().any(|s| s.name == g.name()) {
-            return Err(WorkloadError::DuplicateApp(g.name().to_owned()));
-        }
-        let src = AppSource::capture(g, weight)?;
-        self.sources.push(src);
-        match self.recompose() {
-            Ok(()) => Ok(AppId(self.sources.len() - 1)),
-            Err(e) => {
-                self.sources.pop();
-                // the retained sources composed before; they compose again
-                self.recompose().expect("retained sources recompose");
-                Err(e)
-            }
-        }
-    }
-
-    /// Retire an application, recomposing the graph over the survivors.
-    /// Later applications shift down by one id (dense positional ids —
-    /// see the module docs). Retiring the last application is refused
-    /// with [`WorkloadError::Empty`]: drop the workload instead.
-    pub fn retire(&mut self, a: AppId) -> Result<(), WorkloadError> {
-        if a.index() >= self.sources.len() {
-            return Err(WorkloadError::UnknownApp(a));
-        }
-        if self.sources.len() == 1 {
-            return Err(WorkloadError::Empty);
-        }
-        self.sources.remove(a.index());
-        self.recompose().expect("surviving sources recompose");
-        Ok(())
-    }
-
-    /// Change an application's throughput weight, rescaling its costs,
-    /// traffic and edge payloads in the composed graph. The workload is
-    /// untouched on error.
-    pub fn reweight(&mut self, a: AppId, weight: f64) -> Result<(), WorkloadError> {
-        let Some(src) = self.sources.get_mut(a.index()) else {
-            return Err(WorkloadError::UnknownApp(a));
-        };
-        if !(weight.is_finite() && weight > 0.0) {
-            return Err(WorkloadError::InvalidWeight(src.name.clone(), weight));
-        }
-        src.weight = weight;
-        self.recompose().expect("reweighted sources recompose");
-        Ok(())
-    }
-
-    /// Re-scale one application's *declared* compute costs by `factor` —
-    /// the cost-drift channel of the fault model, for when the costs an
-    /// application declared at admission turn out wrong at runtime
-    /// (`factor > 1` underestimated, `< 1` overestimated). Drift
-    /// multiplies `w_PPE`/`w_SPE` in the stored **source** specs, so it
-    /// survives every later recomposition (add/retire/reweight rebuild
-    /// from sources); traffic and buffer footprints are not touched —
-    /// misestimated compute does not move bytes. Drift composes
-    /// multiplicatively with the throughput weight and with further
-    /// drift events. The workload is untouched on error.
-    pub fn rescale_costs(&mut self, a: AppId, factor: f64) -> Result<(), WorkloadError> {
-        let Some(src) = self.sources.get_mut(a.index()) else {
-            return Err(WorkloadError::UnknownApp(a));
-        };
-        if !(factor.is_finite() && factor > 0.0) {
-            return Err(WorkloadError::InvalidWeight(src.name.clone(), factor));
-        }
-        for spec in &mut src.specs {
-            spec.w_ppe *= factor;
-            spec.w_spe *= factor;
-        }
-        self.recompose().expect("rescaled sources recompose");
-        Ok(())
-    }
-
     /// Rebuild one application's **unscaled** source graph: the graph as
     /// originally admitted (original name and task names, no weight
     /// scaling; accumulated cost drift *is* included — drift corrects the
     /// declared costs themselves). This is what re-admission wants: the
     /// serving layer sheds applications back into its retry queue in this
-    /// form, so a later [`Workload::add`] with the same weight reproduces
+    /// form, so a later [`WorkloadBatch::add`] with the same weight reproduces
     /// the composed slice exactly — [`Workload::subgraph`] would bake the
     /// weight in and double-scale on re-admission.
     pub fn source_graph(&self, a: AppId) -> StreamGraph {
@@ -439,21 +384,21 @@ impl Workload {
         b.build().expect("a captured source is a valid graph")
     }
 
-    /// Start a batched mutation: add/retire/reweight operations on the
-    /// returned guard edit the source list immediately but recompose the
-    /// tagged graph **once**, when the guard commits (or drops). A burst
-    /// of k churn events costs one composition instead of k — the
-    /// serving layer's batch path rides on this.
+    /// Start an edit — the only way to change a built workload: add,
+    /// retire, reweight and cost-drift operations on the returned guard
+    /// edit the source list immediately but recompose the tagged graph
+    /// **once**, when the guard commits (or drops). A burst of k churn
+    /// events costs one composition instead of k — the serving layer's
+    /// batch path rides on this.
     ///
     /// Until commit, the composed graph is stale; sequence further
     /// operations through the guard's source-list views
     /// ([`WorkloadBatch::n_apps`], [`WorkloadBatch::contains`],
-    /// [`WorkloadBatch::position`]), not the workload's. Unlike
-    /// [`Workload::retire`], the guard may retire down to zero
-    /// applications mid-batch (to admit replacements afterwards);
-    /// committing an emptied batch is [`WorkloadError::Empty`], and an
-    /// emptied guard that merely drops leaves the workload fit only for
-    /// dropping too.
+    /// [`WorkloadBatch::position`]), not the workload's. The guard may
+    /// retire down to zero applications mid-batch (to admit
+    /// replacements afterwards); committing an emptied batch is
+    /// [`WorkloadError::Empty`], and an emptied guard that merely drops
+    /// leaves the workload fit only for dropping too.
     pub fn batch(&mut self) -> WorkloadBatch<'_> {
         WorkloadBatch { w: self, dirty: false }
     }
@@ -469,7 +414,7 @@ impl Workload {
     }
 }
 
-/// Deferred-recomposition mutation guard — see [`Workload::batch`].
+/// Deferred-recomposition edit guard — see [`Workload::batch`].
 #[derive(Debug)]
 pub struct WorkloadBatch<'a> {
     w: &'a mut Workload,
@@ -485,25 +430,21 @@ impl WorkloadBatch<'_> {
 
     /// `true` when an application with this name is in the batch.
     pub fn contains(&self, name: &str) -> bool {
-        self.w.sources.iter().any(|s| s.name == name)
+        self.position(name).is_some()
     }
 
     /// Positional id of the named application, as of the operations so
     /// far.
     pub fn position(&self, name: &str) -> Option<AppId> {
-        self.w.sources.iter().position(|s| s.name == name).map(AppId)
+        position(&self.w.sources, name)
     }
 
     /// Record an admission; the new application's positional id (valid
     /// after commit) is returned. The batch is untouched on error.
     pub fn add(&mut self, g: &StreamGraph, weight: f64) -> Result<AppId, WorkloadError> {
-        if self.contains(g.name()) {
-            return Err(WorkloadError::DuplicateApp(g.name().to_owned()));
-        }
-        let src = AppSource::capture(g, weight)?;
-        self.w.sources.push(src);
+        let id = push_source(&mut self.w.sources, g, weight)?;
         self.dirty = true;
-        Ok(AppId(self.w.sources.len() - 1))
+        Ok(id)
     }
 
     /// Record a retirement; later applications shift down by one id
@@ -517,23 +458,50 @@ impl WorkloadBatch<'_> {
         Ok(())
     }
 
-    /// Record a weight change. The batch is untouched on error.
+    /// Record a weight change: the application's costs, traffic and
+    /// edge payloads scale by the new weight. The batch is untouched on
+    /// error.
     pub fn reweight(&mut self, a: AppId, weight: f64) -> Result<(), WorkloadError> {
-        let Some(src) = self.w.sources.get_mut(a.index()) else {
-            return Err(WorkloadError::UnknownApp(a));
-        };
-        if !(weight.is_finite() && weight > 0.0) {
-            return Err(WorkloadError::InvalidWeight(src.name.clone(), weight));
-        }
-        src.weight = weight;
+        self.edit(a, weight, |src| src.weight = weight)
+    }
+
+    /// Re-scale one application's *declared* compute costs by `factor` —
+    /// the cost-drift channel of the fault model, for when the costs an
+    /// application declared at admission turn out wrong at runtime
+    /// (`factor > 1` underestimated, `< 1` overestimated). Drift
+    /// multiplies `w_PPE`/`w_SPE` in the stored **source** specs, so it
+    /// survives every later recomposition; traffic and buffer
+    /// footprints are not touched — misestimated compute does not move
+    /// bytes. Drift composes multiplicatively with the throughput weight
+    /// and with further drift. The batch is untouched on error.
+    pub fn rescale_costs(&mut self, a: AppId, factor: f64) -> Result<(), WorkloadError> {
+        self.edit(a, factor, |src| {
+            for spec in &mut src.specs {
+                spec.w_ppe *= factor;
+                spec.w_spe *= factor;
+            }
+        })
+    }
+
+    /// Apply `change` to application `a`'s source once `x` (a weight or
+    /// drift factor) passed the check.
+    fn edit(
+        &mut self,
+        a: AppId,
+        x: f64,
+        change: impl FnOnce(&mut AppSource),
+    ) -> Result<(), WorkloadError> {
+        let src = self.w.sources.get_mut(a.index()).ok_or(WorkloadError::UnknownApp(a))?;
+        check_positive(&src.name, x)?;
+        change(src);
         self.dirty = true;
         Ok(())
     }
 
     /// Recompose the tagged graph over the batch's final source list —
     /// the one composition the whole burst pays. After an `Ok` the
-    /// workload is indistinguishable from applying the same operations
-    /// through the one-at-a-time mutators.
+    /// workload is indistinguishable from a from-scratch build over the
+    /// batch's final application list.
     pub fn commit(mut self) -> Result<(), WorkloadError> {
         if !self.dirty {
             return Ok(());
@@ -577,20 +545,14 @@ pub struct WorkloadBuilder {
 impl WorkloadBuilder {
     /// `true` when an application with this name was already pushed.
     pub fn contains(&self, name: &str) -> bool {
-        self.sources.iter().any(|s| s.name == name)
+        position(&self.sources, name).is_some()
     }
 
     /// Add one application with the given throughput weight. The graph's
     /// name becomes the application name and must be unique within the
     /// workload.
     pub fn push(&mut self, g: &StreamGraph, weight: f64) -> Result<AppId, WorkloadError> {
-        if self.sources.iter().any(|s| s.name == g.name()) {
-            return Err(WorkloadError::DuplicateApp(g.name().to_owned()));
-        }
-        let src = AppSource::capture(g, weight)?;
-        let id = AppId(self.sources.len());
-        self.sources.push(src);
-        Ok(id)
+        push_source(&mut self.sources, g, weight)
     }
 
     /// Validate everything and freeze the composed workload.
@@ -715,15 +677,26 @@ mod tests {
         assert!(s.contains("audio") && s.contains("cipher") && s.contains("2"), "{s}");
     }
 
-    // ---- in-place mutation ------------------------------------------------
+    // ---- editing through the guard ----------------------------------------
+
+    /// One guard around one edit, committed.
+    fn edit(
+        w: &mut Workload,
+        op: impl FnOnce(&mut WorkloadBatch<'_>) -> Result<(), WorkloadError>,
+    ) -> Result<(), WorkloadError> {
+        let mut b = w.batch();
+        op(&mut b)?;
+        b.commit()
+    }
 
     #[test]
     fn add_matches_from_scratch_composition() {
         let a = chain("a", 3);
         let b = chain("b", 2);
         let mut w = Workload::compose("w", &[&a]).unwrap();
-        let id = w.add(&b, 2.0).unwrap();
-        assert_eq!(id, AppId(1));
+        let mut g = w.batch();
+        assert_eq!(g.add(&b, 2.0).unwrap(), AppId(1));
+        g.commit().unwrap();
 
         let mut wb = Workload::builder("w");
         wb.push(&a, 1.0).unwrap();
@@ -735,32 +708,31 @@ mod tests {
     fn retire_shifts_later_apps_down() {
         let (a, b, c) = (chain("a", 2), chain("b", 3), chain("c", 2));
         let mut w = Workload::compose("w", &[&a, &b, &c]).unwrap();
-        w.retire(AppId(1)).unwrap();
+        edit(&mut w, |g| g.retire(AppId(1))).unwrap();
         assert_eq!(w.n_apps(), 2);
         assert_eq!(w.app(AppId(0)).name, "a");
         assert_eq!(w.app(AppId(1)).name, "c");
         assert_eq!(w.app_id("c"), Some(AppId(1)));
         assert_eq!(w.app_id("b"), None);
         assert_eq!(w, Workload::compose("w", &[&a, &c]).unwrap());
-        // cannot retire below one application
-        w.retire(AppId(1)).unwrap();
-        assert_eq!(w.retire(AppId(0)), Err(WorkloadError::Empty));
-        assert_eq!(w.retire(AppId(5)), Err(WorkloadError::UnknownApp(AppId(5))));
+        assert_eq!(edit(&mut w, |g| g.retire(AppId(5))), Err(WorkloadError::UnknownApp(AppId(5))));
     }
 
     #[test]
     fn reweight_rescales_in_place() {
         let (a, b) = (chain("a", 2), chain("b", 2));
         let mut w = Workload::compose("w", &[&a, &b]).unwrap();
-        w.reweight(AppId(1), 3.0).unwrap();
+        edit(&mut w, |g| g.reweight(AppId(1), 3.0)).unwrap();
         let mut wb = Workload::builder("w");
         wb.push(&a, 1.0).unwrap();
         wb.push(&b, 3.0).unwrap();
         assert_eq!(w, wb.build().unwrap());
         // invalid weights leave the workload untouched
         let before = w.clone();
-        assert!(matches!(w.reweight(AppId(1), 0.0), Err(WorkloadError::InvalidWeight(_, _))));
-        assert!(matches!(w.reweight(AppId(9), 2.0), Err(WorkloadError::UnknownApp(_))));
+        let bad = edit(&mut w, |g| g.reweight(AppId(1), 0.0));
+        assert!(matches!(bad, Err(WorkloadError::InvalidWeight(_, _))));
+        let ghost = edit(&mut w, |g| g.reweight(AppId(9), 2.0));
+        assert!(matches!(ghost, Err(WorkloadError::UnknownApp(_))));
         assert_eq!(w, before);
     }
 
@@ -769,11 +741,10 @@ mod tests {
         let (a, b) = (chain("a", 2), chain("b", 2));
         let mut w = Workload::compose("w", &[&a, &b]).unwrap();
         let before: Vec<f64> = w.graph().tasks().iter().map(|t| t.w_spe).collect();
-        w.rescale_costs(AppId(0), 2.0).unwrap();
+        let reads: Vec<f64> = w.graph().tasks().iter().map(|t| t.read_bytes).collect();
+        edit(&mut w, |g| g.rescale_costs(AppId(0), 2.0)).unwrap();
         for t in w.tasks_of(AppId(0)) {
             assert_eq!(w.graph().tasks()[t.index()].w_spe, before[t.index()] * 2.0);
-            assert_eq!(w.graph().tasks()[t.index()].w_ppe, w.graph().tasks()[t.index()].w_ppe);
-            // finite
         }
         for t in w.tasks_of(AppId(1)) {
             assert_eq!(
@@ -782,31 +753,30 @@ mod tests {
                 "other apps untouched"
             );
         }
-        // traffic is not compute: edges and read/write bytes stay put
-        let drifted_reads: Vec<f64> = w.graph().tasks().iter().map(|t| t.read_bytes).collect();
-        // drift survives recompositions triggered by unrelated mutations
-        w.reweight(AppId(1), 3.0).unwrap();
+        // drift survives recompositions triggered by unrelated edits, and
+        // traffic is not compute: read bytes stay put
+        edit(&mut w, |g| g.reweight(AppId(1), 3.0)).unwrap();
         for t in w.tasks_of(AppId(0)) {
             assert_eq!(
                 w.graph().tasks()[t.index()].w_spe,
                 before[t.index()] * 2.0,
                 "drift persisted"
             );
-            assert_eq!(w.graph().tasks()[t.index()].read_bytes, drifted_reads[t.index()]);
+            assert_eq!(w.graph().tasks()[t.index()].read_bytes, reads[t.index()]);
         }
         // drift composes multiplicatively
-        w.rescale_costs(AppId(0), 0.5).unwrap();
+        edit(&mut w, |g| g.rescale_costs(AppId(0), 0.5)).unwrap();
         for t in w.tasks_of(AppId(0)) {
             assert_eq!(w.graph().tasks()[t.index()].w_spe, before[t.index()]);
         }
         // invalid factors leave the workload untouched
         let snap = w.clone();
-        assert!(matches!(w.rescale_costs(AppId(0), 0.0), Err(WorkloadError::InvalidWeight(_, _))));
-        assert!(matches!(
-            w.rescale_costs(AppId(0), f64::NAN),
-            Err(WorkloadError::InvalidWeight(_, _))
-        ));
-        assert!(matches!(w.rescale_costs(AppId(7), 2.0), Err(WorkloadError::UnknownApp(_))));
+        for factor in [0.0, f64::NAN] {
+            let bad = edit(&mut w, |g| g.rescale_costs(AppId(0), factor));
+            assert!(matches!(bad, Err(WorkloadError::InvalidWeight(_, _))));
+        }
+        let ghost = edit(&mut w, |g| g.rescale_costs(AppId(7), 2.0));
+        assert!(matches!(ghost, Err(WorkloadError::UnknownApp(_))));
         assert_eq!(w, snap);
     }
 
@@ -814,18 +784,18 @@ mod tests {
     fn source_graph_round_trips_through_readmission() {
         let (a, b) = (chain("a", 3), chain("b", 2));
         let mut w = Workload::compose("w", &[&a, &b]).unwrap();
-        w.reweight(AppId(1), 2.5).unwrap();
+        edit(&mut w, |g| g.reweight(AppId(1), 2.5)).unwrap();
         // shed app 1, re-admit its source graph at the same weight: the
         // composition must be bit-identical
         let snap = w.clone();
         let src = w.source_graph(AppId(1));
         assert_eq!(src.name(), "b", "unscaled original name");
         assert_eq!(src, b, "source graph is the graph as admitted");
-        w.retire(AppId(1)).unwrap();
-        w.add(&src, 2.5).unwrap();
+        edit(&mut w, |g| g.retire(AppId(1))).unwrap();
+        edit(&mut w, |g| g.add(&src, 2.5).map(|_| ())).unwrap();
         assert_eq!(w, snap);
         // after drift, the source graph carries the corrected costs
-        w.rescale_costs(AppId(1), 4.0).unwrap();
+        edit(&mut w, |g| g.rescale_costs(AppId(1), 4.0)).unwrap();
         let drifted = w.source_graph(AppId(1));
         assert_eq!(drifted.tasks()[0].w_spe, b.tasks()[0].w_spe * 4.0);
     }
@@ -835,30 +805,35 @@ mod tests {
         let a = chain("a", 2);
         let mut w = Workload::compose("w", &[&a]).unwrap();
         let before = w.clone();
-        assert!(matches!(w.add(&a, 1.0), Err(WorkloadError::DuplicateApp(_))));
-        assert!(matches!(w.add(&chain("b", 1), -1.0), Err(WorkloadError::InvalidWeight(_, _))));
+        let mut g = w.batch();
+        assert!(matches!(g.add(&a, 1.0), Err(WorkloadError::DuplicateApp(_))));
+        assert!(matches!(g.add(&chain("b", 1), -1.0), Err(WorkloadError::InvalidWeight(_, _))));
+        assert_eq!(g.n_apps(), 1);
+        g.commit().unwrap();
         assert_eq!(w, before);
     }
 
     #[test]
-    fn batch_matches_one_at_a_time_mutation() {
+    fn one_guard_matches_one_guard_per_edit() {
         let (a, b, c, d) = (chain("a", 3), chain("b", 2), chain("c", 4), chain("d", 2));
         let mut seq = Workload::compose("w", &[&a, &b, &c]).unwrap();
         let mut bat = seq.clone();
 
-        seq.retire(AppId(1)).unwrap();
-        seq.reweight(AppId(0), 2.5).unwrap();
-        seq.add(&d, 3.0).unwrap();
+        edit(&mut seq, |g| g.retire(AppId(1))).unwrap();
+        edit(&mut seq, |g| g.reweight(AppId(0), 2.5)).unwrap();
+        edit(&mut seq, |g| g.rescale_costs(AppId(1), 1.5)).unwrap();
+        edit(&mut seq, |g| g.add(&d, 3.0).map(|_| ())).unwrap();
 
         let mut g = bat.batch();
         g.retire(AppId(1)).unwrap();
         assert_eq!(g.n_apps(), 2);
         assert_eq!(g.position("c"), Some(AppId(1)), "ids shift inside the batch");
         g.reweight(AppId(0), 2.5).unwrap();
+        g.rescale_costs(AppId(1), 1.5).unwrap();
         assert!(!g.contains("d"));
         g.add(&d, 3.0).unwrap();
         g.commit().unwrap();
-        assert_eq!(bat, seq, "batched mutation == sequential mutation");
+        assert_eq!(bat, seq, "one guard == one guard per edit");
     }
 
     #[test]

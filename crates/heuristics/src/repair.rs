@@ -331,8 +331,7 @@ mod tests {
         let spec = CellSpec::ps3();
         let old_w = Workload::compose("w", &[&a]).unwrap();
         let old_m = Mapping::new(old_w.graph(), &spec, vec![PeId(1), PeId(2), PeId(0)]).unwrap();
-        let mut new_w = old_w.clone();
-        new_w.add(&b, 1.0).unwrap();
+        let new_w = Workload::compose("w", &[&a, &b]).unwrap();
         let mut partial = Vec::new();
         carry_over_into(old_w.graph(), &old_m, new_w.graph(), &spec, &mut partial);
         assert_eq!(

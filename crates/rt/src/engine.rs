@@ -120,9 +120,7 @@ pub fn run(
             // both in and out buffers are charged to the host (§4.2)
             for &e in g.in_edges(t).iter().chain(g.out_edges(t)) {
                 let bytes = plan.for_edge(e).ceil() as u64;
-                store
-                    .reserve(format!("{}/{}", g.task(t).name, e), bytes)
-                    .map_err(|err| RtError::Allocation(pe, err))?;
+                store.reserve(bytes).map_err(|err| RtError::Allocation(pe, err))?;
             }
         }
         store_used[pe.index()] = store.used();

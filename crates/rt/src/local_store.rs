@@ -41,24 +41,22 @@ impl std::error::Error for StoreError {}
 pub struct LocalStore {
     budget: u64,
     used: u64,
-    allocations: Vec<(String, u64)>,
 }
 
 impl LocalStore {
     /// A store with `budget` bytes available for buffers (`LS − code`).
     pub fn new(budget: u64) -> Self {
-        LocalStore { budget, used: 0, allocations: Vec::new() }
+        LocalStore { budget, used: 0 }
     }
 
-    /// Reserve `bytes` for `label`. Fails without side effects when the
-    /// budget would be exceeded.
-    pub fn reserve(&mut self, label: impl Into<String>, bytes: u64) -> Result<(), StoreError> {
+    /// Reserve `bytes`. Fails without side effects when the budget would
+    /// be exceeded.
+    pub fn reserve(&mut self, bytes: u64) -> Result<(), StoreError> {
         let free = self.budget - self.used;
         if bytes > free {
             return Err(StoreError::OutOfMemory { requested: bytes, free, budget: self.budget });
         }
         self.used += bytes;
-        self.allocations.push((label.into(), bytes));
         Ok(())
     }
 
@@ -80,26 +78,25 @@ mod tests {
     #[test]
     fn reserve_and_account() {
         let mut ls = LocalStore::new(1000);
-        ls.reserve("a", 400).unwrap();
-        ls.reserve("b", 600).unwrap();
+        ls.reserve(400).unwrap();
+        ls.reserve(600).unwrap();
         assert_eq!(ls.used(), 1000);
-        assert_eq!(ls.allocations.len(), 2);
     }
 
     #[test]
     fn overflow_rejected_without_side_effects() {
         let mut ls = LocalStore::new(1000);
-        ls.reserve("a", 900).unwrap();
-        let err = ls.reserve("b", 200).unwrap_err();
+        ls.reserve(900).unwrap();
+        let err = ls.reserve(200).unwrap_err();
         assert_eq!(err, StoreError::OutOfMemory { requested: 200, free: 100, budget: 1000 });
         assert_eq!(ls.used(), 900, "failed reserve must not consume budget");
-        ls.reserve("c", 100).unwrap();
+        ls.reserve(100).unwrap();
     }
 
     #[test]
     fn zero_sized_reserve_ok() {
         let mut ls = LocalStore::new(10);
-        ls.reserve("empty", 0).unwrap();
+        ls.reserve(0).unwrap();
         assert_eq!(ls.used(), 0);
     }
 }

@@ -12,7 +12,7 @@
 //! carry-over + repair instead of paying one replan per event.
 //!
 //! Events are applied in submission order; the planner never reorders
-//! across a dependency. [`Service::resolve_run`] cuts the batches: two
+//! across a dependency. Its private `resolve_run` cuts the batches: two
 //! events touching the **same application name** (admit then retire,
 //! retire then re-admit, ...) are split into separate batches, because
 //! names resolve to handles against the live incumbent — the first
@@ -171,7 +171,7 @@ fn planner_loop(
 
         let occupancy = pending.len();
         // unknown names are dropped and counted, never blocking the batch
-        let known = service.resolve_run(&mut pending, max_batch, &mut events);
+        let known = resolve_run(&service, &mut pending, max_batch, &mut events);
         stats.skipped += known.iter().filter(|&&k| !k).count() as u64;
         if events.is_empty() {
             continue;
@@ -211,6 +211,50 @@ fn planner_loop(
         }
     }
     (service, stats)
+}
+
+/// [`Service::resolve`] the next fusable run of events, taken off the
+/// front of `pending` — `events` is cleared and refilled with at most
+/// `max` of them, ready for [`Service::process_batch`]. The run ends
+/// where a client holding only names must wait for a commit: a fault
+/// travels alone (it can shed applications, which would invalidate
+/// handles resolved around it), and an event naming an application an
+/// earlier event of the run touched stays behind — that handle exists
+/// only once the run commits.
+///
+/// Returns one flag per event taken: `true` — it resolved and is in
+/// `events`, in order — or `false`: it was dropped.
+fn resolve_run(
+    service: &Service,
+    pending: &mut VecDeque<TraceEvent>,
+    max: usize,
+    events: &mut Vec<Event>,
+) -> Vec<bool> {
+    events.clear();
+    let mut known = Vec::new();
+    let mut touched: Vec<String> = Vec::new();
+    while events.len() < max {
+        let Some(front) = pending.front() else { break };
+        let fault = front.is_fault();
+        let name = front.app().map(str::to_owned);
+        if name.as_ref().is_some_and(|n| touched.contains(n)) || (fault && !events.is_empty()) {
+            break;
+        }
+        let resolved = match pending.pop_front() {
+            // an admission names no handle: its graph moves, uncloned
+            Some(TraceEvent::Admit { graph, weight }) => Some(Event::Admit(graph, weight)),
+            ev => ev.and_then(|ev| service.resolve(&ev)),
+        };
+        if resolved.is_some() {
+            touched.extend(name);
+        }
+        known.push(resolved.is_some());
+        events.extend(resolved);
+        if fault {
+            break;
+        }
+    }
+    known
 }
 
 #[cfg(test)]
@@ -342,7 +386,7 @@ mod tests {
         let mut events = Vec::new();
 
         // batch 1: just the first admit — the retire names it
-        let known = svc.resolve_run(&mut pending, 16, &mut events);
+        let known = resolve_run(&svc, &mut pending, 16, &mut events);
         assert_eq!(known, [true]);
         assert!(matches!(events[..], [Event::Admit(..)]));
         assert_eq!(pending.len(), 3);
@@ -350,7 +394,7 @@ mod tests {
         // the retire now resolves only once batch 1 committed; against
         // the still-idle service it is an unknown name and is dropped —
         // the re-admit and the unrelated admit then fuse
-        let known = svc.resolve_run(&mut pending, 16, &mut events);
+        let known = resolve_run(&svc, &mut pending, 16, &mut events);
         assert_eq!(known, [false, true, true], "retire of a never-admitted name is dropped");
         assert_eq!(events.len(), 2);
         assert!(pending.is_empty());
@@ -370,14 +414,14 @@ mod tests {
         ]);
         let mut events = Vec::new();
         // the churn flushes first; each fault then travels alone
-        assert_eq!(svc.resolve_run(&mut pending, 16, &mut events), [true]);
+        assert_eq!(resolve_run(&svc, &mut pending, 16, &mut events), [true]);
         assert!(matches!(events[..], [Event::Reweight(..)]));
-        assert_eq!(svc.resolve_run(&mut pending, 16, &mut events), [true]);
+        assert_eq!(resolve_run(&svc, &mut pending, 16, &mut events), [true]);
         assert!(matches!(events[..], [Event::PeFailed(PeId(2))]));
         // unknown names, whole-node loss and other nodes' impairments
         // mean nothing to a single node
         for _ in 0..3 {
-            assert_eq!(svc.resolve_run(&mut pending, 16, &mut events), [false]);
+            assert_eq!(resolve_run(&svc, &mut pending, 16, &mut events), [false]);
             assert!(events.is_empty());
         }
         assert!(pending.is_empty());

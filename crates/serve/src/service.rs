@@ -653,8 +653,8 @@ impl Service {
         let (mut applied, mut refusable) = (0usize, false);
         let index_of = |handles: &[AppId], id: &AppId| handles.iter().position(|h| h == id);
 
-        // reality first. A fault is alone in its group; it changes the
-        // platform or the declared costs, never the application set
+        // reality first. A fault is alone in its group; a PE fault
+        // changes the platform, never the application set
         if let [i] = *group {
             match events[i] {
                 // idempotent on an already-dead PE
@@ -679,28 +679,14 @@ impl Service {
                     recovery = Some(RecoveryReport::default());
                     outcomes[i].1 = Verdict::Applied;
                 }
-                // the correction sticks across every later recomposition;
-                // a handle shed earlier in the same burst is a no-op
-                Event::CostDrift(id, factor) => {
-                    if let (Some(pos), Some(w)) = (index_of(&handles, &id), work.as_mut()) {
-                        outcomes[i].1 = match w.rescale_costs(AppId(pos), factor) {
-                            Ok(()) => {
-                                applied = 1;
-                                recovery = Some(RecoveryReport::default());
-                                Verdict::Applied
-                            }
-                            Err(_) => Verdict::Rejected(RejectReason::InvalidFactor(factor)),
-                        };
-                    }
-                }
                 _ => {}
             }
         }
 
-        // requests: the whole group through one mutation guard, which
-        // recomposes the candidate once as it drops (an idle service
-        // collects its admissions in a builder — a workload is never
-        // empty)
+        // cost drift and requests: the whole group through one edit
+        // guard, which recomposes the candidate once as it drops (an
+        // idle service collects its admissions in a builder — a
+        // workload is never empty)
         let mut seed = Workload::builder("served");
         let mut batch = work.as_mut().map(Workload::batch);
         for &i in group {
@@ -720,6 +706,18 @@ impl Service {
                             Verdict::Applied
                         }
                         Err(_) => Verdict::Rejected(RejectReason::InvalidWeight(*weight)),
+                    },
+                    _ => Verdict::NoChange,
+                },
+                // the correction sticks across every later recomposition;
+                // a handle shed earlier in the same burst is a no-op
+                Event::CostDrift(id, factor) => match (index_of(&handles, id), batch.as_mut()) {
+                    (Some(pos), Some(b)) => match b.rescale_costs(AppId(pos), *factor) {
+                        Ok(()) => {
+                            recovery = Some(RecoveryReport::default());
+                            Verdict::Applied
+                        }
+                        Err(_) => Verdict::Rejected(RejectReason::InvalidFactor(*factor)),
                     },
                     _ => Verdict::NoChange,
                 },
@@ -752,7 +750,7 @@ impl Service {
                         Err(_) => Verdict::Rejected(RejectReason::InvalidWeight(*weight)),
                     }
                 }
-                _ => continue, // the fault above
+                _ => continue, // the PE fault above
             };
             applied += usize::from(matches!(verdict, Verdict::Applied | Verdict::Admitted(_)));
             outcomes[i].1 = verdict;
@@ -821,7 +819,9 @@ impl Service {
                         break; // everything shed: the service goes idle
                     }
                     let seated = workload.graph().clone();
-                    workload.retire(AppId(idx)).expect("index enumerated from the live app list"); // check:allow(hot-path-panic): the index was just enumerated against this workload
+                    // the guard recomposes the survivors as it drops
+                    // check:allow(hot-path-panic): the index was just enumerated against this workload
+                    workload.batch().retire(AppId(idx)).expect("index from the live app list");
                     (mapping, period) = self.replan(Some((&seated, &mapping)), workload.graph());
                 }
             } else if let Some(reason) = broken(self, &workload, period).filter(|_| refusable) {
@@ -988,59 +988,20 @@ impl Service {
     /// node — a single node is fleet index 0, and whole-node loss is
     /// the cluster's event. The trace is data, not a contract: such an
     /// event means nothing here and is dropped, never an error.
-    pub fn resolve(&self, ev: TraceEvent) -> Option<Event> {
-        Some(match ev {
-            TraceEvent::Admit { graph, weight } => Event::Admit(graph, weight),
-            TraceEvent::Retire { app } => Event::Retire(self.handle_of(&app)?),
-            TraceEvent::Reweight { app, weight } => Event::Reweight(self.handle_of(&app)?, weight),
-            TraceEvent::CostDrift { app, factor } => {
-                Event::CostDrift(self.handle_of(&app)?, factor)
+    pub fn resolve(&self, ev: &TraceEvent) -> Option<Event> {
+        Some(match *ev {
+            TraceEvent::Admit { ref graph, weight } => Event::Admit(graph.clone(), weight),
+            TraceEvent::Retire { ref app } => Event::Retire(self.handle_of(app)?),
+            TraceEvent::Reweight { ref app, weight } => {
+                Event::Reweight(self.handle_of(app)?, weight)
+            }
+            TraceEvent::CostDrift { ref app, factor } => {
+                Event::CostDrift(self.handle_of(app)?, factor)
             }
             TraceEvent::PeFailed { node: 0, pe } => Event::PeFailed(pe),
             TraceEvent::PeRestored { node: 0, pe } => Event::PeRestored(pe),
             _ => return None,
         })
-    }
-
-    /// [`resolve`](Self::resolve) the next fusable run of events, taken
-    /// off the front of `pending` — `events` is cleared and refilled
-    /// with at most `max` of them, ready for
-    /// [`process_batch`](Self::process_batch). The run ends where a
-    /// client holding only names must wait for a commit: a fault
-    /// travels alone (it can shed applications, which would invalidate
-    /// handles resolved around it), and an event naming an application
-    /// an earlier event of the run touched stays behind — that handle
-    /// exists only once the run commits.
-    ///
-    /// Returns one flag per event taken: `true` — it resolved and is in
-    /// `events`, in order — or `false`: it was dropped.
-    pub fn resolve_run(
-        &self,
-        pending: &mut VecDeque<TraceEvent>,
-        max: usize,
-        events: &mut Vec<Event>,
-    ) -> Vec<bool> {
-        events.clear();
-        let mut known = Vec::new();
-        let mut touched: Vec<String> = Vec::new();
-        while events.len() < max {
-            let Some(front) = pending.front() else { break };
-            let fault = front.is_fault();
-            let name = front.app().map(str::to_owned);
-            if name.as_ref().is_some_and(|n| touched.contains(n)) || (fault && !events.is_empty()) {
-                break;
-            }
-            let resolved = pending.pop_front().and_then(|ev| self.resolve(ev));
-            if resolved.is_some() {
-                touched.extend(name);
-            }
-            known.push(resolved.is_some());
-            events.extend(resolved);
-            if fault {
-                break;
-            }
-        }
-        known
     }
 
     // ---- internals --------------------------------------------------------
@@ -1156,7 +1117,7 @@ impl Drop for Service {
 impl OnlineSystem for Service {
     fn apply_event(&mut self, ev: &TraceEvent) -> EventOutcome {
         // a name that does not resolve: nothing happened
-        let report = self.resolve(ev.clone()).and_then(|e| self.process(e).ok());
+        let report = self.resolve(ev).and_then(|e| self.process(e).ok());
         let r = report.as_ref();
         EventOutcome {
             at: 0.0,

@@ -550,7 +550,9 @@ mod tests {
                             b.build().unwrap()
                         }
                         Some((mut w, _)) => {
-                            w.add(graph, *weight).unwrap();
+                            let mut edit = w.batch();
+                            edit.add(graph, *weight).unwrap();
+                            edit.commit().unwrap();
                             w
                         }
                     };
@@ -568,7 +570,9 @@ mod tests {
                     if w.n_apps() == 1 {
                         self.replan(None);
                     } else {
-                        w.retire(id).unwrap();
+                        let mut edit = w.batch();
+                        edit.retire(id).unwrap();
+                        edit.commit().unwrap();
                         self.replan(Some(w));
                     }
                     self.outcome(ev, true)
@@ -577,10 +581,12 @@ mod tests {
                     let Some((mut w, _)) = self.state.take() else {
                         return self.outcome(ev, false);
                     };
-                    let applied = match w.app_id(app) {
-                        Some(id) => w.reweight(id, *weight).is_ok(),
+                    let mut edit = w.batch();
+                    let applied = match edit.position(app) {
+                        Some(id) => edit.reweight(id, *weight).is_ok(),
                         None => false,
                     };
+                    edit.commit().unwrap();
                     self.replan(Some(w));
                     self.outcome(ev, applied)
                 }

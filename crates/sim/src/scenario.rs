@@ -3,9 +3,8 @@
 //!
 //! Robustness claims need workloads harder than hand-written churn
 //! scripts. A [`Scenario`] draws admissions from a stochastic arrival
-//! process — steady [`Arrivals::Bursty`] bursts, a sinusoidal
-//! [`Arrivals::Diurnal`] day-cycle, or a quiet baseline punctured by a
-//! [`Arrivals::FlashCrowd`] — threads optional retire/reweight churn
+//! process — [`Arrivals::Bursty`] bursts at exponential gaps — threads
+//! optional retire/reweight churn
 //! through the admitted population, and overlays a deterministic
 //! schedule of [`Impairment`]s: SPE outages, whole-node loss and
 //! return, and cost drift. The output is an ordinary [`EventTrace`]:
@@ -32,28 +31,6 @@ pub enum Arrivals {
         rate: f64,
         /// Largest burst (sizes are drawn uniformly from 1..=burst).
         burst: usize,
-    },
-    /// A day-cycle: Poisson arrivals whose rate swings sinusoidally
-    /// around `base_rate` with the given relative `amplitude` over
-    /// `period` seconds.
-    Diurnal {
-        /// Mean arrivals per second at the cycle's midline.
-        base_rate: f64,
-        /// Relative swing in `[0, 1]`: 1.0 silences the trough and
-        /// doubles the peak.
-        amplitude: f64,
-        /// Seconds per full cycle.
-        period: f64,
-    },
-    /// A quiet Poisson baseline punctured by one flash crowd: `size`
-    /// admissions landing back to back at time `at`.
-    FlashCrowd {
-        /// Mean arrivals per second outside the crowd.
-        base_rate: f64,
-        /// When the crowd hits (seconds).
-        at: f64,
-        /// Admissions in the crowd.
-        size: usize,
     },
 }
 
@@ -250,54 +227,16 @@ impl Scenario {
     /// arrival process.
     fn arrival_times(&self, rng: &mut Lcg) -> Vec<f64> {
         let mut times = Vec::new();
-        match &self.arrivals {
-            None => {}
-            Some(Arrivals::Bursty { rate, burst }) => {
-                assert!(*rate > 0.0 && *burst > 0, "bursty arrivals need rate > 0, burst > 0");
-                let mut t = rng.exp(*rate);
-                while t < self.horizon {
-                    let size = 1 + rng.index(*burst);
-                    for k in 0..size {
-                        // back to back, strictly ordered within the burst
-                        times.push(t + k as f64 * 1e-9);
-                    }
-                    t += rng.exp(*rate);
-                }
+        let Some(Arrivals::Bursty { rate, burst }) = &self.arrivals else { return times };
+        assert!(*rate > 0.0 && *burst > 0, "bursty arrivals need rate > 0, burst > 0");
+        let mut t = rng.exp(*rate);
+        while t < self.horizon {
+            let size = 1 + rng.index(*burst);
+            for k in 0..size {
+                // back to back, strictly ordered within the burst
+                times.push(t + k as f64 * 1e-9);
             }
-            Some(Arrivals::Diurnal { base_rate, amplitude, period }) => {
-                assert!(
-                    *base_rate > 0.0 && (0.0..=1.0).contains(amplitude) && *period > 0.0,
-                    "diurnal arrivals need base_rate > 0, amplitude in [0,1], period > 0"
-                );
-                // inhomogeneous Poisson by thinning against the peak rate
-                let peak = base_rate * (1.0 + amplitude);
-                let mut t = rng.exp(peak);
-                while t < self.horizon {
-                    let phase = (t / period) * std::f64::consts::TAU;
-                    let rate = base_rate * (1.0 + amplitude * phase.sin());
-                    if rng.f64() * peak < rate {
-                        times.push(t);
-                    }
-                    t += rng.exp(peak);
-                }
-            }
-            Some(Arrivals::FlashCrowd { base_rate, at, size }) => {
-                assert!(
-                    *base_rate >= 0.0 && *size > 0 && (0.0..self.horizon).contains(at),
-                    "flash crowd needs base_rate >= 0, size > 0, 0 <= at < horizon"
-                );
-                if *base_rate > 0.0 {
-                    let mut t = rng.exp(*base_rate);
-                    while t < self.horizon {
-                        times.push(t);
-                        t += rng.exp(*base_rate);
-                    }
-                }
-                for k in 0..*size {
-                    times.push(at + k as f64 * 1e-9);
-                }
-                times.sort_by(f64::total_cmp);
-            }
+            t += rng.exp(*rate);
         }
         times
     }
@@ -387,21 +326,11 @@ mod tests {
     }
 
     #[test]
-    fn flash_crowd_lands_back_to_back_and_outages_pair_up() {
+    fn outages_pair_up_inside_the_horizon() {
         let trace = Scenario::new(5.0)
-            .arrivals(Arrivals::FlashCrowd { base_rate: 0.2, at: 2.0, size: 4 })
-            .template(template("surge"), 2.0)
             .impair(Impairment::NodeOutage { node: 1, at: 2.5, outage: 1.0 })
             .impair(Impairment::PeOutage { node: 0, pe: PeId(3), at: 1.0, outage: 9.0 })
             .build();
-        let crowd: Vec<f64> = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.event, TraceEvent::Admit { .. }))
-            .filter(|e| (e.at - 2.0).abs() < 1e-6)
-            .map(|e| e.at)
-            .collect();
-        assert_eq!(crowd.len(), 4, "the whole crowd admits at ~t=2");
         let fails =
             trace.events().iter().filter(|e| matches!(e.event, TraceEvent::NodeFailed { .. }));
         assert_eq!(fails.count(), 1);
@@ -411,28 +340,6 @@ mod tests {
         assert!(
             !trace.events().iter().any(|e| matches!(e.event, TraceEvent::PeRestored { .. })),
             "a restore past the horizon is dropped"
-        );
-    }
-
-    #[test]
-    fn diurnal_arrivals_swing_with_the_cycle() {
-        let trace = Scenario::new(100.0)
-            .seed(3)
-            .arrivals(Arrivals::Diurnal { base_rate: 2.0, amplitude: 1.0, period: 100.0 })
-            .template(template("wave"), 1.0)
-            .build();
-        // first half-cycle carries the sine's positive lobe: strictly
-        // more arrivals than the trough half
-        let (peak, trough): (Vec<_>, Vec<_>) = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.event, TraceEvent::Admit { .. }))
-            .partition(|e| e.at < 50.0);
-        assert!(
-            peak.len() > trough.len(),
-            "peak half {} should out-arrive trough half {}",
-            peak.len(),
-            trough.len()
         );
     }
 

@@ -162,7 +162,7 @@ fn drain_busiest(fleet: &mut Cluster) {
 }
 
 /// Route one churn burst through per-node batches
-/// (`Cluster::process_burst` → `Agent::apply_batch` →
+/// (`Cluster::process_burst` → `Agent::apply` →
 /// `Service::process_batch` on each node): retire six residents, admit
 /// six replacements, reweight four survivors, all in one coordinator
 /// call.

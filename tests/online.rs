@@ -149,7 +149,7 @@ fn repair_keeps_95_percent_of_from_scratch_over_the_churn() {
     let mut svc = Service::new(spec.clone());
     let mut qualities = Vec::new();
     for (_, ev) in &events {
-        let ev = svc.resolve(ev.clone()).expect("the trace names live apps");
+        let ev = svc.resolve(ev).expect("the trace names live apps");
         let report = svc.process(ev).expect("live handles");
         assert!(report.applied(), "{} did not apply: {:?}", report.event, report.verdict);
         let w = svc.workload().expect("the churn never empties the service");
