@@ -708,14 +708,14 @@ impl Cluster {
         let shed = |(rehomed, stranded)| ClusterVerdict::Recovered { rehomed, stranded };
         match (op, outcome) {
             (TraceEvent::Admit { graph, weight }, AgentOutcome::Admitted) => {
-                self.place(graph, *weight, node)
+                self.place(graph.clone(), *weight, node)
             }
             // the pre-ranked node refused: walk the rest of the order,
             // re-ranked against the refusal's fresh summaries
             (TraceEvent::Admit { graph, weight }, refused @ AgentOutcome::Rejected(_)) => {
                 let order = self.ranked(&AppDemand::of(graph, *weight), Some(node), None);
-                match self.walk(graph, *weight, order, cost) {
-                    Ok((to, _)) => self.place(graph, *weight, to),
+                match self.walk(op, order, cost) {
+                    Ok((to, _)) => self.place(graph.clone(), *weight, to),
                     Err(last) => {
                         ClusterVerdict::Rejected(last.unwrap_or_else(|| refusal(node, &refused)))
                     }
@@ -778,10 +778,10 @@ impl Cluster {
     }
 
     /// Record an accepted admission in the routing table.
-    fn place(&mut self, graph: &StreamGraph, weight: f64, node: NodeId) -> ClusterVerdict {
+    fn place(&mut self, graph: StreamGraph, weight: f64, node: NodeId) -> ClusterVerdict {
         #[cfg(feature = "debug_invariants")]
         assert!(self.schedulable(node), "admission landed on unschedulable {node}");
-        self.apps.insert(graph.name().to_owned(), Placed { graph: graph.clone(), weight, node });
+        self.apps.insert(graph.name().to_owned(), Placed { graph, weight, node });
         ClusterVerdict::Admitted(node)
     }
 
@@ -803,24 +803,23 @@ impl Cluster {
         self.policy.rank(&candidates, demand)
     }
 
-    /// Offer an application to the nodes of `order` in turn. The first
-    /// whose admission control accepts hosts it: `Ok` with that node
-    /// and the application's working set there — the buffers a
-    /// cross-node move pushes over the network — else the last refusal
-    /// (`None` for an empty order).
+    /// Offer the admission op `admit` to the nodes of `order` in turn.
+    /// The first whose admission control accepts hosts it: `Ok` with
+    /// that node and the application's working set there — the buffers
+    /// a cross-node move pushes over the network — else the last
+    /// refusal (`None` for an empty order).
     fn walk(
         &mut self,
-        graph: &StreamGraph,
-        weight: f64,
+        admit: &TraceEvent,
         order: Vec<NodeId>,
         cost: &mut Cost,
     ) -> Result<(NodeId, f64), Option<String>> {
         let mut last = None;
-        let admit = TraceEvent::Admit { graph: graph.clone(), weight };
         for to in order {
-            let answer = self.exchange(to, &[&admit], &mut cost.local_bytes);
+            let answer = self.exchange(to, &[admit], &mut cost.local_bytes);
             if let [AgentOutcome::Admitted] = answer[..] {
-                return Ok((to, self.agents[to.index()].working_set(graph.name())));
+                let app = admit.app().unwrap_or_default();
+                return Ok((to, self.agents[to.index()].working_set(app)));
             }
             last = answer.first().map(|refused| refusal(to, refused));
         }
@@ -932,9 +931,12 @@ impl Cluster {
         cost: &mut Cost,
     ) -> bool {
         let order = self.ranked(&AppDemand::of(graph, weight), exclude, None);
-        let Ok((to, bytes)) = self.walk(graph, weight, order, cost) else { return false };
-        self.place(graph, weight, to);
+        let admit = TraceEvent::Admit { graph: graph.clone(), weight };
+        let Ok((to, bytes)) = self.walk(&admit, order, cost) else { return false };
         cost.migrations.push(self.migration(graph.name(), from, to, bytes));
+        if let TraceEvent::Admit { graph, weight } = admit {
+            self.place(graph, weight, to);
+        }
         true
     }
 
@@ -1076,16 +1078,18 @@ impl Cluster {
     /// `false` when no target admits it (the application stays where it
     /// is).
     fn migrate(&mut self, app: &str, force_to: Option<NodeId>, cost: &mut Cost) -> bool {
-        let Some(placed) = self.apps.get(app).cloned() else { return false };
-        let demand = AppDemand::of(&placed.graph, placed.weight);
-        let order = self.ranked(&demand, Some(placed.node), force_to);
-        let Ok((to, bytes)) = self.walk(&placed.graph, placed.weight, order, cost) else {
+        let Some(Placed { graph, weight, node: from }) = self.apps.get(app).cloned() else {
             return false;
         };
+        let order = self.ranked(&AppDemand::of(&graph, weight), Some(from), force_to);
+        let admit = TraceEvent::Admit { graph, weight };
+        let Ok((to, bytes)) = self.walk(&admit, order, cost) else { return false };
         let retire = TraceEvent::Retire { app: app.to_owned() };
-        self.exchange(placed.node, &[&retire], &mut cost.local_bytes);
-        self.place(&placed.graph, placed.weight, to);
-        cost.migrations.push(self.migration(app, placed.node, to, bytes));
+        self.exchange(from, &[&retire], &mut cost.local_bytes);
+        if let TraceEvent::Admit { graph, weight } = admit {
+            self.place(graph, weight, to);
+        }
+        cost.migrations.push(self.migration(app, from, to, bytes));
         true
     }
 

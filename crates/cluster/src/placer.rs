@@ -78,7 +78,7 @@ impl AppDemand {
     /// `(Σw + w) / T̂_new − Σw / T̂_old`. This is the fleet's aggregate
     /// delivery objective, so the scoring placer greedily maximises it —
     /// an idle node scores `w / T̂_new` with nothing slowed down, while a
-    /// busy node is charged for the slowdown it inflicts on every
+    /// busy node is charged for the delay it inflicts on every
     /// resident.
     ///
     /// Both periods come from the *same* additive occupancy model

@@ -53,7 +53,7 @@ pub enum Violation {
         /// The proxy queue depth.
         limit: u32,
     },
-    /// A task is seated on a PE the [`Availability`](crate::Availability) overlay marks
+    /// A task is seated on a PE the [`Availability`](crate::Availability) mask marks
     /// dead — live capacity is zero there, so the mapping cannot run.
     DeadPe {
         /// The dead PE.
@@ -148,11 +148,11 @@ pub fn evaluate(
     evaluate_with(g, spec, &crate::avail::Availability::full(spec), mapping)
 }
 
-/// [`evaluate`] against *live* capacity: compute loads are scaled by
-/// each PE's [`Availability::slowdown`](crate::Availability::slowdown),
-/// and any task seated on a dead PE is reported as a
-/// [`Violation::DeadPe`]. With a fully healthy overlay this is exactly
-/// `evaluate` (slowdown `1.0` is an exact multiplicative identity).
+/// [`evaluate`] against the *live* platform: any task seated on a PE
+/// the [`Availability`](crate::Availability) mask marks dead is
+/// reported as a [`Violation::DeadPe`]. Live PEs run at nominal speed,
+/// so loads and the period are `evaluate`'s; with no PE dead this is
+/// exactly `evaluate`.
 pub fn evaluate_with(
     g: &StreamGraph,
     spec: &CellSpec,
@@ -162,7 +162,7 @@ pub fn evaluate_with(
     // revalidate (mappings can be deserialised from anywhere) — in place,
     // without cloning the assignment vector
     mapping.validate(g, spec)?;
-    assert_eq!(avail.n_pes(), spec.n_pes(), "availability overlay must cover every PE");
+    assert_eq!(avail.n_pes(), spec.n_pes(), "availability mask must cover every PE");
 
     let n = spec.n_pes();
     let bw = spec.interface_bw().as_bytes_per_s();
@@ -179,7 +179,7 @@ pub fn evaluate_with(
     for t in g.task_ids() {
         let pe = mapping.pe_of(t);
         let task = g.task(t);
-        compute_load[pe.index()] += task.cost_on(spec.kind_of(pe)) * avail.slowdown(pe);
+        compute_load[pe.index()] += task.cost_on(spec.kind_of(pe));
         in_bytes[pe.index()] += task.read_bytes;
         out_bytes[pe.index()] += task.write_bytes;
         seated[pe.index()] += 1;
@@ -405,13 +405,13 @@ mod tests {
     }
 
     #[test]
-    fn availability_scales_compute_and_flags_dead_seats() {
+    fn availability_flags_dead_seats_and_keeps_nominal_loads() {
         use crate::avail::Availability;
         let g = pair(1000.0, 0.0, 0.0);
         let spec = spec2();
         let m = Mapping::new(&g, &spec, vec![PeId(1), PeId(2)]).unwrap();
 
-        // inert overlay reproduces evaluate() exactly
+        // inert mask reproduces evaluate() exactly
         let full = Availability::full(&spec);
         let base = evaluate(&g, &spec, &m).unwrap();
         let with = evaluate_with(&g, &spec, &full, &m).unwrap();
@@ -419,20 +419,15 @@ mod tests {
         assert_eq!(with.compute_load, base.compute_load);
         assert_eq!(with.violations.len(), base.violations.len());
 
-        // a half-speed SPE doubles its compute occupation
-        let mut slow = Availability::full(&spec);
-        slow.set_factor(PeId(1), 0.5);
-        let r = evaluate_with(&g, &spec, &slow, &m).unwrap();
-        assert!((r.compute_load[1] - 4e-6).abs() < 1e-12, "2us at half speed");
-        assert!((r.period - 4e-6).abs() < 1e-12);
-        assert!(r.is_feasible(), "degraded is slow, not broken");
-
-        // a dead SPE with a seated task is a capacity violation
+        // a dead SPE with a seated task is a capacity violation; the
+        // loads and the period stay the nominal ones
         let mut dead = Availability::full(&spec);
         dead.fail(PeId(2));
         let r = evaluate_with(&g, &spec, &dead, &m).unwrap();
         assert!(!r.is_feasible());
         assert!(matches!(r.violations[0], Violation::DeadPe { pe: PeId(2), tasks: 1 }));
+        assert_eq!(r.period.to_bits(), base.period.to_bits());
+        assert_eq!(r.compute_load, base.compute_load);
         // evacuating the dead PE restores feasibility
         let m2 = Mapping::new(&g, &spec, vec![PeId(1), PeId(0)]).unwrap();
         assert!(evaluate_with(&g, &spec, &dead, &m2).unwrap().is_feasible());

@@ -152,15 +152,9 @@ pub struct EvalState<'a> {
     write_bytes: Vec<f64>,
     /// Per-task local-store buffer bytes from the [`BufferPlan`].
     task_buf: Vec<f64>,
-    /// The availability overlay this state plans against (inert when
-    /// fully healthy; kept for reports and invariant cross-checks).
+    /// The dead-PE mask this state plans against: a task seated on a
+    /// dead PE is a capacity violation.
     avail: Availability,
-    /// Per-PE compute slowdown (`1 / factor`; `1.0` for dead PEs — see
-    /// [`Availability::slowdown`]). Cached so the relocate hot path
-    /// multiplies a flat table instead of recomputing divisions.
-    slowdown: Vec<f64>,
-    /// Per-PE dead flag: seated tasks there are a capacity violation.
-    dead: Vec<bool>,
     // ---- live accumulators ------------------------------------------------
     assignment: Vec<PeId>,
     /// The per-PE table under the current assignment, pending move
@@ -200,11 +194,10 @@ impl<'a> EvalState<'a> {
         Self::new_with(g, spec, &Availability::full(spec), mapping)
     }
 
-    /// [`new`](Self::new) against *live* capacity: compute occupations
-    /// are scaled by each PE's [`Availability::slowdown`], and a task
-    /// seated on a dead PE makes the state infeasible (routing the
-    /// eviction machinery toward evacuating it). With a fully healthy
-    /// overlay this is exactly `new`.
+    /// [`new`](Self::new) against the *live* platform: a task seated
+    /// on a PE the mask marks dead makes the state infeasible (routing
+    /// the eviction machinery toward evacuating it). Live PEs run at
+    /// nominal speed, so with no PE dead this is exactly `new`.
     pub fn new_with(
         g: &'a StreamGraph,
         spec: &'a CellSpec,
@@ -212,7 +205,7 @@ impl<'a> EvalState<'a> {
         mapping: &Mapping,
     ) -> Result<Self, MappingError> {
         mapping.validate(g, spec)?;
-        assert_eq!(avail.n_pes(), spec.n_pes(), "availability overlay must cover every PE");
+        assert_eq!(avail.n_pes(), spec.n_pes(), "availability mask must cover every PE");
         let plan = BufferPlan::new(g);
         let n = spec.n_pes();
         let mut cost_ppe = Vec::with_capacity(g.n_tasks());
@@ -239,8 +232,6 @@ impl<'a> EvalState<'a> {
             write_bytes,
             task_buf: plan.task_bytes,
             avail: avail.clone(),
-            slowdown: spec.pes().map(|pe| avail.slowdown(pe)).collect(),
-            dead: spec.pes().map(|pe| avail.is_dead(pe)).collect(),
             assignment: mapping.assignment().to_vec(),
             live: vec![PeRow::default(); n],
             base: vec![PeRow::default(); n],
@@ -279,7 +270,7 @@ impl<'a> EvalState<'a> {
             let spe = i >= self.n_ppe;
             let cost = if spe { self.cost_spe[k] } else { self.cost_ppe[k] };
             let row = &mut self.live[i];
-            row.compute += cost * self.slowdown[i];
+            row.compute += cost;
             row.in_bytes += self.read_bytes[k];
             row.out_bytes += self.write_bytes[k];
             row.seated += 1;
@@ -381,21 +372,16 @@ impl<'a> EvalState<'a> {
     /// same checks out once more to name each violation.
     #[inline]
     fn row_ok(&self, i: usize, row: &PeRow) -> bool {
-        !(self.dead[i] && row.seated > 0)
+        !(self.avail.is_dead(PeId(i)) && row.seated > 0)
             && (i < self.n_ppe
                 || !(row.memory_bytes > self.ls_budget + 1e-9
                     || row.dma_in > self.dma_in_limit
                     || row.dma_ppe > self.dma_ppe_limit))
     }
 
-    /// `true` when the availability overlay marks this PE dead.
+    /// `true` when the availability mask marks this PE dead.
     pub fn is_dead(&self, pe: PeId) -> bool {
-        self.dead[pe.index()]
-    }
-
-    /// The availability overlay this state plans against.
-    pub fn availability(&self) -> &Availability {
-        &self.avail
+        self.avail.is_dead(pe)
     }
 
     /// The current assignment as a validated [`Mapping`] (clones the
@@ -480,15 +466,16 @@ impl<'a> EvalState<'a> {
             Move::Relocate { task, to } => {
                 let (k, ti) = (task.index(), to.index());
                 ti != self.assignment[k].index()
-                    && (self.dead[ti] || over(ti, self.live[ti].memory_bytes + self.task_buf[k]))
+                    && (self.avail.is_dead(to)
+                        || over(ti, self.live[ti].memory_bytes + self.task_buf[k]))
             }
             Move::Swap { a, b } => {
                 let (x, y) =
                     (self.assignment[a.index()].index(), self.assignment[b.index()].index());
                 let (buf_a, buf_b) = (self.task_buf[a.index()], self.task_buf[b.index()]);
                 x != y
-                    && (self.dead[x]
-                        || self.dead[y]
+                    && (self.avail.is_dead(PeId(x))
+                        || self.avail.is_dead(PeId(y))
                         || over(x, (self.live[x].memory_bytes - buf_a) + buf_b)
                         || over(y, (self.live[y].memory_bytes + buf_a) - buf_b))
             }
@@ -588,7 +575,7 @@ impl<'a> EvalState<'a> {
         // `assert_matches_full` can compare violation lists exactly
         for pe in self.spec.pes() {
             let i = pe.index();
-            if self.dead[i] && self.live[i].seated > 0 {
+            if self.avail.is_dead(pe) && self.live[i].seated > 0 {
                 violations.push(Violation::DeadPe { pe, tasks: self.live[i].seated as usize });
             }
         }
@@ -669,9 +656,8 @@ impl<'a> EvalState<'a> {
         let cost_from = if from_spe { self.cost_spe[k] } else { self.cost_ppe[k] };
         let cost_to = if to_spe { self.cost_spe[k] } else { self.cost_ppe[k] };
         let (read, write, buf) = (self.read_bytes[k], self.write_bytes[k], self.task_buf[k]);
-        let (slow_from, slow_to) = (self.slowdown[fi], self.slowdown[ti]);
         let row = self.row_mut(fi);
-        row.compute -= cost_from * slow_from;
+        row.compute -= cost_from;
         row.seated -= 1;
         if read != 0.0 {
             row.in_bytes -= read;
@@ -683,7 +669,7 @@ impl<'a> EvalState<'a> {
             row.memory_bytes -= buf;
         }
         let row = self.row_mut(ti);
-        row.compute += cost_to * slow_to;
+        row.compute += cost_to;
         row.seated += 1;
         if read != 0.0 {
             row.in_bytes += read;
@@ -898,11 +884,7 @@ mod tests {
         let m = Mapping::new(&g, &spec, (0..k_tasks).map(|k| PeId((k * 2) % n)).collect()).unwrap();
         let mut dead = Availability::full(&spec);
         dead.fail(PeId(2));
-        let mut slow = Availability::full(&spec);
-        slow.set_factor(PeId(3), 0.5);
-        for (overlay, avail) in
-            [("healthy", Availability::full(&spec)), ("dead", dead), ("slow", slow)]
-        {
+        for (overlay, avail) in [("healthy", Availability::full(&spec)), ("dead", dead)] {
             let mut state = EvalState::new_with(&g, &spec, &avail, &m).unwrap();
             for k in 0..k_tasks {
                 let (t, u) = (TaskId(k), TaskId((k + 1) % k_tasks));
@@ -1129,30 +1111,6 @@ mod tests {
         assert!(state.undo());
         assert!(state.is_feasible());
         assert_matches_full(&state, "after undo");
-    }
-
-    #[test]
-    fn degraded_pe_scales_compute_and_tracks_full_evaluator() {
-        let g = fork_join("fj", 4, &CostParams::default(), 7);
-        let spec = CellSpec::ps3();
-        let mut avail = Availability::full(&spec);
-        avail.set_factor(PeId(2), 0.5);
-        let m = Mapping::all_on(&g, PeId(0));
-        let mut state = EvalState::new_with(&g, &spec, &avail, &m).unwrap();
-        assert_matches_full(&state, "fresh degraded");
-        for k in 0..g.n_tasks() {
-            let to = spec.pe((k * 5 + 2) % spec.n_pes());
-            state.apply(Move::Relocate { task: TaskId(k), to });
-            assert_matches_full(&state, &format!("degraded, after moving T{k}"));
-        }
-        // half-speed PE doubles the compute occupation it accumulates
-        let healthy = EvalState::new(&g, &spec, &state.mapping()).unwrap();
-        let i = PeId(2).index();
-        let (slow, nominal) = (state.live[i].compute, healthy.live[i].compute);
-        assert!(
-            (slow - 2.0 * nominal).abs() <= 1e-9 * nominal.abs(),
-            "slowdown 2 doubles compute on PE2"
-        );
     }
 
     #[test]

@@ -112,20 +112,6 @@ pub fn per_app_reports(
     mapping: &Mapping,
     aggregate: &MappingReport,
 ) -> Vec<AppReport> {
-    per_app_reports_with(w, spec, &Availability::full(spec), mapping, aggregate)
-}
-
-/// [`per_app_reports`] against *live* capacity: each application's
-/// compute occupation is scaled by the seating PE's
-/// [`Availability::slowdown`], matching [`evaluate_with`]. With a fully
-/// healthy overlay this is exactly `per_app_reports`.
-fn per_app_reports_with(
-    w: &Workload,
-    spec: &CellSpec,
-    avail: &Availability,
-    mapping: &Mapping,
-    aggregate: &MappingReport,
-) -> Vec<AppReport> {
     let t = aggregate.period;
     let g = w.graph();
     let bw = spec.interface_bw().as_bytes_per_s();
@@ -143,7 +129,7 @@ fn per_app_reports_with(
             let seat = mapping.pe_of(tid);
             let pe = seat.index();
             let task = g.task(tid);
-            row[pe] += task.cost_on(spec.kind_of(seat)) * avail.slowdown(seat);
+            row[pe] += task.cost_on(spec.kind_of(seat));
             row[n_pes + pe] += task.read_bytes / bw;
             row[2 * n_pes + pe] += task.write_bytes / bw;
         }
@@ -254,11 +240,11 @@ pub fn evaluate_workload(
     evaluate_workload_with(w, spec, &Availability::full(spec), mapping)
 }
 
-/// [`evaluate_workload`] against *live* capacity: the aggregate verdict
-/// comes from [`evaluate_with`] (degraded PEs slow their tasks, seats on
-/// dead PEs are capacity violations) and the per-application compute
-/// attribution is scaled the same way. With a fully healthy overlay this
-/// is exactly `evaluate_workload`.
+/// [`evaluate_workload`] against the *live* platform: the aggregate
+/// verdict comes from [`evaluate_with`] (seats on dead PEs are capacity
+/// violations); the per-application split is the nominal one, since
+/// live PEs run at nominal speed. With no PE dead this is exactly
+/// `evaluate_workload`.
 pub fn evaluate_workload_with(
     w: &Workload,
     spec: &CellSpec,
@@ -266,7 +252,7 @@ pub fn evaluate_workload_with(
     mapping: &Mapping,
 ) -> Result<WorkloadReport, MappingError> {
     let aggregate = evaluate_with(w.graph(), spec, avail, mapping)?;
-    let per_app = per_app_reports_with(w, spec, avail, mapping, &aggregate);
+    let per_app = per_app_reports(w, spec, mapping, &aggregate);
     Ok(WorkloadReport { aggregate, per_app })
 }
 

@@ -28,7 +28,7 @@
 //! portfolio while staying within a few percent of its quality (the
 //! `online` bench gates both).
 
-use crate::search::{exact_period, exact_period_with, refine_in_place, LocalSearchOptions};
+use crate::search::{exact_period, refine_in_place, LocalSearchOptions};
 use cellstream_core::scheduler::{Plan, PlanContext, PlanError, PlanStats, Scheduler};
 use cellstream_core::{Availability, EvalState, Mapping, Move};
 use cellstream_graph::{StreamGraph, TaskId};
@@ -40,24 +40,22 @@ use std::time::Instant;
 pub struct RepairOptions {
     /// Parameters of the final [`refine_in_place`] polish (step 4).
     pub refine: LocalSearchOptions,
-    /// Live platform capacity. `None` plans against the nominal
-    /// platform (every PE healthy — the common case, zero overhead).
-    /// `Some` overlays per-PE health: the evaluator slows tasks on
-    /// degraded PEs and reads any seat on a dead PE as a §3.2
-    /// violation, so placement avoids dead PEs and the evict pass
-    /// evacuates seats stranded on them — fault recovery reuses the
-    /// ordinary repair machinery unchanged. Eviction moves work onto the
-    /// PPE (`PeId(0)`); when that PE is dead, seats it cannot take may be
-    /// left on dead or overfull PEs and the published period is `+∞`.
+    /// The dead-PE mask to plan against; `None` is the nominal
+    /// platform (no PE dead). See [`repair`]'s `avail`.
     pub avail: Option<Availability>,
 }
 
 /// Repair a partial assignment into a full feasible mapping and refine
-/// it. `partial[k]` is the retained PE of task `k` (`None` for tasks
-/// that need placing — newly admitted work). Returns the mapping and its
-/// exact verifier period (`+∞` only if even all-PPE is infeasible, which
-/// cannot happen on a platform whose PPE is alive — see
-/// [`RepairOptions::avail`]).
+/// it with `refine`. `partial[k]` is the retained PE of task `k` (`None`
+/// for tasks that need placing — newly admitted work). Returns the
+/// mapping and its exact verifier period.
+///
+/// `avail` is the live platform: any seat on a PE it marks dead is a
+/// §3.2 violation, so placement avoids dead PEs and the evict pass
+/// evacuates seats stranded on them — fault recovery reuses the ordinary
+/// repair machinery unchanged. Eviction moves work onto the PPE
+/// (`PeId(0)`), so the period is `+∞` only when that PE is dead: seats
+/// it cannot take may be left on dead or overfull PEs.
 ///
 /// Panics if `partial` and the graph disagree on length, or a retained
 /// PE does not exist on `spec` — partial assignments and graphs travel
@@ -65,38 +63,32 @@ pub struct RepairOptions {
 pub fn repair(
     g: &StreamGraph,
     spec: &CellSpec,
+    avail: &Availability,
     partial: &[Option<PeId>],
-    opts: &LocalSearchOptions,
-) -> (Mapping, f64) {
-    let ropts = RepairOptions { refine: opts.clone(), ..RepairOptions::default() };
-    repair_with(g, spec, partial, &ropts)
-}
-
-/// [`repair`] with explicit [`RepairOptions`] (live platform capacity).
-pub fn repair_with(
-    g: &StreamGraph,
-    spec: &CellSpec,
-    partial: &[Option<PeId>],
-    opts: &RepairOptions,
+    refine: &LocalSearchOptions,
 ) -> (Mapping, f64) {
     assert_eq!(partial.len(), g.n_tasks(), "partial assignment covers every task");
     let ppe = spec.pe(0);
     // seed: retained seats; unplaced tasks start on the PPE (always legal)
     let assignment: Vec<PeId> = partial.iter().map(|p| p.unwrap_or(ppe)).collect();
     let seed = Mapping::new(g, spec, assignment).expect("retained PEs exist on this platform"); // check:allow(hot-path-panic): seed uses only PE ids the caller retained
-    let mut state = match &opts.avail {
-        Some(avail) => EvalState::new_with(g, spec, avail, &seed),
-        None => EvalState::new(g, spec, &seed),
-    }
-    .expect("seed is structurally valid"); // check:allow(hot-path-panic): the just-built seed mapping is structurally valid
-    repair_in_place(&mut state, partial, &opts.refine);
+    let mut state = EvalState::new_with(g, spec, avail, &seed).expect("seed is structurally valid"); // check:allow(hot-path-panic): the just-built seed mapping is structurally valid
+    repair_in_place(&mut state, partial, refine);
     // publish the exact verifier period, free of incremental drift
     let mapping = state.mapping();
-    let period = match &opts.avail {
-        Some(avail) => exact_period_with(g, spec, avail, &mapping),
-        None => exact_period(g, spec, &mapping),
-    };
+    let period = exact_period(g, spec, avail, &mapping);
     (mapping, period)
+}
+
+/// [`repair`] with its mask and refinement in one [`RepairOptions`].
+pub fn repair_with(
+    g: &StreamGraph,
+    spec: &CellSpec,
+    partial: &[Option<PeId>],
+    opts: &RepairOptions,
+) -> (Mapping, f64) {
+    let avail = opts.avail.clone().unwrap_or_else(|| Availability::full(spec));
+    repair(g, spec, &avail, partial, &opts.refine)
 }
 
 /// The allocation-free core of [`repair`]: re-seat a caller-owned
@@ -125,7 +117,7 @@ pub fn repair_in_place(
     // the PPE until the verifier is satisfied
     evict_until_feasible(state, spec);
     // eviction targets the PPE: with it dead, seats may stay infeasible
-    // and the answer is +∞ (see `RepairOptions::avail`)
+    // and the answer is +∞ (see `repair`)
     debug_assert!(state.is_feasible() || state.is_dead(ppe), "eviction ends feasible");
 
     // drop the drift the committed placement/eviction moves accumulated
@@ -231,7 +223,7 @@ impl Scheduler for RepairScheduler {
                 None => vec![None; g.n_tasks()],
             };
         let opts = LocalSearchOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
-        let (mapping, _) = repair(g, spec, &partial, &opts);
+        let (mapping, _) = repair(g, spec, &Availability::full(spec), &partial, &opts);
         Plan::from_mapping(
             self.name(),
             g,
@@ -283,7 +275,8 @@ mod tests {
         let seed = crate::greedy_cpu(&g, &spec);
         let seed_p = evaluate(&g, &spec, &seed).unwrap().period;
         let partial: Vec<_> = seed.assignment().iter().map(|&p| Some(p)).collect();
-        let (m, p) = repair(&g, &spec, &partial, &LocalSearchOptions::default());
+        let (m, p) =
+            repair(&g, &spec, &Availability::full(&spec), &partial, &LocalSearchOptions::default());
         assert!(p <= seed_p + 1e-15, "repair never worsens a feasible incumbent");
         assert!(evaluate(&g, &spec, &m).unwrap().is_feasible());
     }
@@ -292,7 +285,13 @@ mod tests {
     fn empty_partial_is_a_constructive_heuristic() {
         let g = fork_join("fj", 3, &CostParams::default(), 7);
         let spec = CellSpec::ps3();
-        let (m, p) = repair(&g, &spec, &vec![None; g.n_tasks()], &LocalSearchOptions::default());
+        let (m, p) = repair(
+            &g,
+            &spec,
+            &Availability::full(&spec),
+            &vec![None; g.n_tasks()],
+            &LocalSearchOptions::default(),
+        );
         let r = evaluate(&g, &spec, &m).unwrap();
         assert!(r.is_feasible());
         assert!((r.period - p).abs() < 1e-15);
@@ -318,7 +317,8 @@ mod tests {
         b.add_edge(a, z, 64.0 * 1024.0).unwrap();
         let g = b.build().unwrap();
         let partial = vec![Some(PeId(1)), Some(PeId(1))]; // both on the SPE
-        let (m, p) = repair(&g, &spec, &partial, &LocalSearchOptions::default());
+        let (m, p) =
+            repair(&g, &spec, &Availability::full(&spec), &partial, &LocalSearchOptions::default());
         let r = evaluate(&g, &spec, &m).unwrap();
         assert!(r.is_feasible(), "repair must evict until feasible");
         assert!(p.is_finite());
@@ -339,7 +339,13 @@ mod tests {
             vec![Some(PeId(1)), Some(PeId(2)), Some(PeId(0)), None, None],
             "retained tasks keep seats, admitted tasks are unplaced"
         );
-        let (m, p) = repair(new_w.graph(), &spec, &partial, &LocalSearchOptions::default());
+        let (m, p) = repair(
+            new_w.graph(),
+            &spec,
+            &Availability::full(&spec),
+            &partial,
+            &LocalSearchOptions::default(),
+        );
         assert!(p.is_finite());
         assert!(evaluate(new_w.graph(), &spec, &m).unwrap().is_feasible());
     }
@@ -360,7 +366,7 @@ mod tests {
                 .map(|k| ((k + round) % 3 != 0).then(|| spec.pe((k + round) % spec.n_pes())))
                 .collect();
             let score = repair_in_place(&mut state, &partial, &opts);
-            let (fresh, fresh_p) = repair(&g, &spec, &partial, &opts);
+            let (fresh, fresh_p) = repair(&g, &spec, &Availability::full(&spec), &partial, &opts);
             assert_eq!(state.mapping(), fresh, "round {round}");
             assert!(state.is_feasible());
             assert!((score - fresh_p).abs() <= 1e-9 * fresh_p.max(1e-12), "round {round}");
@@ -371,7 +377,7 @@ mod tests {
     fn repair_evacuates_dead_pes_and_avoids_them() {
         // kill an SPE under an incumbent that seats work there: the
         // repaired mapping must hold zero seats on the dead PE and stay
-        // feasible on the degraded platform
+        // feasible on the impaired platform
         let g = chain("c", 8, &CostParams::default(), 5);
         let spec = CellSpec::ps3();
         let seed = crate::greedy_cpu(&g, &spec);
@@ -414,21 +420,6 @@ mod tests {
         let opts = RepairOptions { avail: Some(avail), ..RepairOptions::default() };
         let (_, p) = repair_with(&g, &spec, &partial, &opts);
         assert_eq!(p, f64::INFINITY);
-    }
-
-    #[test]
-    fn degraded_pe_shifts_work_elsewhere() {
-        // a half-speed SPE is still usable but less attractive; the
-        // repaired plan must score with the slowdown applied
-        let g = fork_join("fj", 4, &CostParams::default(), 3);
-        let spec = CellSpec::ps3();
-        let mut avail = Availability::full(&spec);
-        avail.set_factor(spec.pe(1), 0.5);
-        let opts = RepairOptions { avail: Some(avail.clone()), ..RepairOptions::default() };
-        let (m, p) = repair_with(&g, &spec, &vec![None; g.n_tasks()], &opts);
-        let r = cellstream_core::evaluate_with(&g, &spec, &avail, &m).unwrap();
-        assert!(r.is_feasible());
-        assert!((r.period - p).abs() < 1e-15, "published period scores live capacity");
     }
 
     #[test]

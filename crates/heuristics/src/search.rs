@@ -66,7 +66,7 @@
 //! state is read off the rows its move touched (see
 //! [`EvalState::is_feasible`]).
 
-use cellstream_core::{evaluate, evaluate_with, Availability, EvalState, Mapping, Move, Stop};
+use cellstream_core::{evaluate_with, Availability, EvalState, Mapping, Move, Stop};
 use cellstream_graph::StreamGraph;
 use cellstream_platform::CellSpec;
 
@@ -108,8 +108,9 @@ fn balance_potential(state: &EvalState<'_>, spec: &CellSpec) -> f64 {
 }
 
 /// Refine `start` by [`refine_in_place`]. Returns the refined mapping and
-/// its period (re-derived with one full [`evaluate`] so the published
-/// number is exactly the verifier's, free of incremental drift).
+/// its period (re-derived with one full
+/// [`evaluate`](cellstream_core::evaluate) so the published number is
+/// exactly the verifier's, free of incremental drift).
 pub fn local_search(
     g: &StreamGraph,
     spec: &CellSpec,
@@ -123,7 +124,7 @@ pub fn local_search(
     };
     refine_in_place(&mut state, opts);
     let refined = state.mapping();
-    let exact = exact_period(g, spec, &refined);
+    let exact = exact_period(g, spec, &Availability::full(spec), &refined);
     (refined, exact)
 }
 
@@ -131,11 +132,12 @@ pub fn local_search(
 /// state's current seats, committing accepted moves into the state, and
 /// return the incremental score reached (`+∞` only from an infeasible
 /// state no move can fix). The hot-path entry point — no `EvalState`
-/// construction, no `Mapping` clone, no final full [`evaluate`]: it
-/// performs **zero heap allocations**, the first call on a fresh state
-/// included (the counting-allocator suite pins it). Callers that publish
-/// a period re-derive it at their boundary; the incremental drift stays
-/// below 1e-9 relative (see the `EvalState` docs).
+/// construction, no `Mapping` clone, no final full
+/// [`evaluate`](cellstream_core::evaluate): it performs **zero heap
+/// allocations**, the first call on a fresh state included (the
+/// counting-allocator suite pins it). Callers that publish a period
+/// re-derive it at their boundary; the incremental drift stays below
+/// 1e-9 relative (see the `EvalState` docs).
 // check: no-alloc
 pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> f64 {
     let g = state.graph();
@@ -272,17 +274,9 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
     state.score()
 }
 
-/// The full verifier's verdict on a mapping: feasible period or `+∞`.
-pub(crate) fn exact_period(g: &StreamGraph, spec: &CellSpec, m: &Mapping) -> f64 {
-    match evaluate(g, spec, m) {
-        Ok(r) if r.is_feasible() => r.period,
-        _ => f64::INFINITY,
-    }
-}
-
-/// [`exact_period`] against live capacity: degraded PEs slow their
-/// tasks and any seat on a dead PE reads as infeasible (`+∞`).
-pub(crate) fn exact_period_with(
+/// The full verifier's verdict on a mapping against the live platform
+/// `avail`: feasible period or `+∞` (a seat on a dead PE is infeasible).
+pub(crate) fn exact_period(
     g: &StreamGraph,
     spec: &CellSpec,
     avail: &Availability,
@@ -315,6 +309,7 @@ pub fn multi_start(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cellstream_core::evaluate;
     use cellstream_daggen::{chain, CostParams};
     use cellstream_platform::PeId;
     use std::time::Duration;
@@ -324,10 +319,10 @@ mod tests {
         let g = chain("c", 8, &CostParams::default(), 21);
         let spec = CellSpec::with_spes(3);
         let start = Mapping::all_on(&g, PeId(0));
-        let start_period = exact_period(&g, &spec, &start);
+        let start_period = exact_period(&g, &spec, &Availability::full(&spec), &start);
         let (refined, period) = local_search(&g, &spec, &start, &LocalSearchOptions::default());
         assert!(period <= start_period);
-        assert!(exact_period(&g, &spec, &refined) == period);
+        assert!(exact_period(&g, &spec, &Availability::full(&spec), &refined) == period);
     }
 
     #[test]
@@ -337,7 +332,7 @@ mod tests {
         let spec = CellSpec::with_spes(4);
         let start = Mapping::all_on(&g, PeId(0));
         let (_, period) = local_search(&g, &spec, &start, &LocalSearchOptions::default());
-        let ppe_period = exact_period(&g, &spec, &start);
+        let ppe_period = exact_period(&g, &spec, &Availability::full(&spec), &start);
         assert!(
             period < ppe_period,
             "local search should offload something: {period} vs {ppe_period}"
@@ -383,8 +378,8 @@ mod tests {
             LocalSearchOptions { stop: Stop::after(Duration::ZERO), ..Default::default() };
         let (m, p) = local_search(&g, &spec, &start, &budgeted);
         // still does (at most) one full round, and never worsens
-        assert!(p <= exact_period(&g, &spec, &start));
-        assert_eq!(exact_period(&g, &spec, &m), p);
+        assert!(p <= exact_period(&g, &spec, &Availability::full(&spec), &start));
+        assert_eq!(exact_period(&g, &spec, &Availability::full(&spec), &m), p);
     }
 
     #[test]
@@ -414,7 +409,7 @@ mod tests {
         let (m, p) = local_search(&g, &spec, &start, &opts);
         // cancelled before the first single-task scan: no move applied
         assert_eq!(m, start);
-        assert_eq!(p, exact_period(&g, &spec, &start));
+        assert_eq!(p, exact_period(&g, &spec, &Availability::full(&spec), &start));
         // and it returned within (much less than) one search round
         assert!(started.elapsed() < Duration::from_secs(2));
     }
@@ -433,8 +428,8 @@ mod tests {
         let (m, p) = local_search(&g, &spec, &start, &opts);
         canceller.join().unwrap();
         // whatever was reached is valid, feasible and never worse
-        assert!(p <= exact_period(&g, &spec, &start));
-        assert_eq!(exact_period(&g, &spec, &m), p);
+        assert!(p <= exact_period(&g, &spec, &Availability::full(&spec), &start));
+        assert_eq!(exact_period(&g, &spec, &Availability::full(&spec), &m), p);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Lives in `tests/` (a separate crate) because the library forbids
 //! `unsafe`, and wrapping the global allocator needs it.
 
-use cellstream_core::{EvalState, Stop};
+use cellstream_core::{Availability, EvalState, Stop};
 use cellstream_graph::{AppInfo, StreamGraph, TaskSpec, Workload};
 use cellstream_heuristics::{repair, repair_in_place, LocalSearchOptions};
 use cellstream_platform::{CellSpec, PeId};
@@ -114,7 +114,7 @@ fn assert_repair_never_allocates(opts: &LocalSearchOptions) {
     // from-scratch seed, then a long-lived state: the serving loop's
     // steady-state posture
     let mut partial: Vec<Option<PeId>> = vec![None; g.n_tasks()];
-    let (seed, _) = repair(g, &spec, &partial, opts);
+    let (seed, _) = repair(g, &spec, &Availability::full(&spec), &partial, opts);
     let mut state = EvalState::new(g, &spec, &seed).expect("seed is structurally valid");
 
     let allocs = count_allocs(|| {

@@ -197,15 +197,11 @@ fn tight_local_store(g: &StreamGraph, spes: usize, eighths: u64) -> CellSpec {
         .unwrap()
 }
 
-/// The live platform a case draws: healthy (0), one dead SPE (1) or one
-/// half-speed SPE (2).
+/// The live platform a case draws: healthy (0) or one dead SPE (1).
 fn overlay(spec: &CellSpec, health: u32, which_spe: u32) -> Availability {
     let mut avail = Availability::full(spec);
-    let spe = spec.pe(1 + which_spe as usize % spec.n_spe());
-    match health {
-        1 => avail.fail(spe),
-        2 => avail.set_factor(spe, 0.5),
-        _ => {}
+    if health == 1 {
+        avail.fail(spec.pe(1 + which_spe as usize % spec.n_spe()));
     }
     avail
 }
@@ -264,8 +260,8 @@ proptest! {
         seats in collection::vec((0u32..4, any::<u32>()), 64..65),
         plateau in any::<bool>(),
         rounds in 0usize..3,
-        // 0 healthy, 1 one dead SPE, 2 one half-speed SPE
-        (health, which_spe) in (0u32..3, any::<u32>()),
+        // 0 healthy, 1 one dead SPE
+        (health, which_spe) in (0u32..2, any::<u32>()),
     ) {
         let w = workload(seed, target);
         let g = w.graph();
@@ -296,7 +292,7 @@ proptest! {
         seats in collection::vec((0u32..4, any::<u32>()), 64..65),
         plateau in any::<bool>(),
         rounds in 0usize..3,
-        (health, which_spe) in (0u32..3, any::<u32>()),
+        (health, which_spe) in (0u32..2, any::<u32>()),
         // local-store budget in eighths of the median task buffer
         eighths in 4u64..12,
         raw in any::<bool>(),

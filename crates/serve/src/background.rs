@@ -79,7 +79,7 @@ impl Service {
         }
         let result = bg.handle.join().ok().flatten();
         self.adoption_delta = None;
-        let (mapping, mut period) = result?;
+        let (mapping, period) = result?;
         if bg.version != self.version {
             return Some(false); // stale: the workload changed meanwhile
         }
@@ -87,12 +87,14 @@ impl Service {
             return Some(false);
         };
         // the portfolio plans against the nominal platform; on an
-        // impaired one its candidate must be re-scored (and possibly
-        // refused) against live capacity before adoption
+        // impaired one its candidate is refused when it seats work on a
+        // dead PE. Live PEs run at nominal speed, so a feasible
+        // candidate's live period is its nominal one
         if !self.avail.all_healthy() {
-            match evaluate_with(live.workload.graph(), &self.spec, &self.avail, &mapping) {
-                Ok(rep) if rep.is_feasible() => period = rep.period,
-                _ => return Some(false),
+            let live_ok = evaluate_with(live.workload.graph(), &self.spec, &self.avail, &mapping)
+                .is_ok_and(|rep| rep.is_feasible());
+            if !live_ok {
+                return Some(false);
             }
         }
 

@@ -326,9 +326,8 @@ pub struct BatchReport {
     /// Composed round period after the burst (`+∞` when it emptied the
     /// service).
     pub period: f64,
-    /// Per-application reports after the burst (empty when
-    /// [`ServiceOptions::per_app_reports`](crate::ServiceOptions::per_app_reports)
-    /// is off).
+    /// Per-application reports after the burst (empty when it left the
+    /// service idle).
     pub per_app: Vec<AppReport>,
     /// `true` if a finished background solve was adopted on entry.
     pub background_adopted: bool,

@@ -9,7 +9,7 @@
 use cellstream_core::workload::AppReport;
 use cellstream_core::{evaluate_workload_with, Availability, Mapping, MappingDelta};
 use cellstream_graph::{AppId, StreamGraph, Workload};
-use cellstream_heuristics::repair::{carry_over_into, repair_with, RepairOptions};
+use cellstream_heuristics::repair::{carry_over_into, repair};
 use cellstream_heuristics::LocalSearchOptions;
 use cellstream_platform::{CellSpec, PeId};
 use cellstream_sim::online::{EventOutcome, OnlineSystem, TraceEvent};
@@ -41,8 +41,8 @@ pub enum Event {
     /// replan and sheds applications if the shrunken platform cannot
     /// carry everyone ([`Service::fail_pe`]).
     PeFailed(PeId),
-    /// A failed or degraded PE returns to nominal health; the service
-    /// rebalances onto it and retries parked admissions.
+    /// A failed PE comes back to life; the service rebalances onto it
+    /// and retries parked admissions. A no-op on a PE that is alive.
     PeRestored(PeId),
     /// The application's declared compute costs turn out wrong by this
     /// factor (`> 1` underestimated). The service corrects the declared
@@ -103,11 +103,6 @@ pub struct ServiceOptions {
     /// every adopted replan. `None` (default) disables background
     /// improvement.
     pub background: Option<Duration>,
-    /// Attach per-application reports to every [`ServeReport`]
-    /// (default). Off, reports carry an empty `per_app` and the hot
-    /// path skips a full workload evaluation per event — query
-    /// [`Service::app_reports`] explicitly when needed.
-    pub per_app_reports: bool,
     /// Maintain the telemetry cells and the replan flight recorder
     /// (default). Off, every record call early-returns — the baseline
     /// of the benchmark's `telemetry.record_overhead_share`.
@@ -122,7 +117,6 @@ impl Default for ServiceOptions {
             queue_rejected: false,
             queue_max_attempts: 8,
             background: None,
-            per_app_reports: true,
             telemetry: true,
         }
     }
@@ -163,11 +157,9 @@ pub struct Service {
     /// Seat changes of a background adoption no report has surfaced
     /// yet; the next report takes them.
     pub(crate) adoption_delta: Option<MappingDelta>,
-    /// Live per-PE health, mirrored into `repair_opts.avail` so every
-    /// replan plans against real capacity ([`Service::fail_pe`]).
+    /// The dead-PE mask: every replan plans against it
+    /// ([`Service::fail_pe`]).
     pub(crate) avail: Availability,
-    /// Replanner configuration derived from `opts` once at construction.
-    repair_opts: RepairOptions,
     /// Reusable carry-over scratch — one seat per task, cleared and
     /// refilled per event instead of reallocated.
     scratch_partial: Vec<Option<PeId>>,
@@ -218,7 +210,6 @@ impl Service {
     /// A service with explicit options.
     pub fn with_options(spec: CellSpec, opts: ServiceOptions) -> Self {
         assert!(spec.n_ppe() >= 1, "the serving loop needs a PPE to evict to");
-        let repair_opts = RepairOptions { refine: opts.repair.clone(), avail: None };
         let avail = Availability::full(&spec);
         let metrics = Arc::new(ServeMetrics::new(opts.telemetry));
         Service {
@@ -232,7 +223,6 @@ impl Service {
             background: None,
             adoption_delta: None,
             avail,
-            repair_opts,
             scratch_partial: Vec::new(),
             shed_out: Vec::new(),
             metrics,
@@ -285,7 +275,7 @@ impl Service {
         self.queue.len()
     }
 
-    /// Live per-PE health: what the replanner currently plans against.
+    /// The dead-PE mask every replan currently plans against.
     pub fn availability(&self) -> &Availability {
         &self.avail
     }
@@ -418,7 +408,7 @@ impl Service {
         recovery: Option<RecoveryReport>,
     ) -> ServeReport {
         let mut per_app = Vec::new();
-        self.current_per_app_into(&mut per_app);
+        self.app_reports_into(&mut per_app);
         ServeReport {
             event,
             verdict,
@@ -505,7 +495,7 @@ impl Service {
             drained: Vec::new(),
         };
         if reports.is_empty() {
-            self.current_per_app_into(&mut batch.per_app);
+            self.app_reports_into(&mut batch.per_app);
         }
         for mut r in reports {
             batch.delta.moved.append(&mut r.delta.moved);
@@ -616,7 +606,7 @@ impl Service {
                 // the report describes the *post-event* state, drained
                 // admissions included
                 report.period = self.period();
-                self.current_per_app_into(&mut report.per_app);
+                self.app_reports_into(&mut report.per_app);
             }
         }
         reports.push(self.finish(report, group.iter().map(|&i| &outcomes[i].1)));
@@ -663,17 +653,15 @@ impl Service {
                     if !self.avail.is_dead(pe) {
                         rec.evacuated_seats = prev.as_ref().map_or(0, |l| l.mapping.count_on(pe));
                         self.avail.fail(pe);
-                        self.sync_avail();
                         applied = 1;
                     }
                     recovery = Some(rec);
                     outcomes[i].1 = Verdict::Applied;
                 }
-                // idempotent on a healthy PE (the queue is still retried)
+                // idempotent on a live PE (the queue is still retried)
                 Event::PeRestored(pe) => {
-                    if self.avail.factor(pe) != 1.0 {
+                    if self.avail.is_dead(pe) {
                         self.avail.restore(pe);
-                        self.sync_avail();
                         applied = 1;
                     }
                     recovery = Some(RecoveryReport::default());
@@ -928,15 +916,8 @@ impl Service {
                 self.opts.queue_max_attempts
             );
         }
-        match &self.repair_opts.avail {
-            None => assert!(
-                self.avail.all_healthy(),
-                "{ctx}: impaired platform but the replanner plans nominal capacity"
-            ),
-            Some(a) => assert_eq!(
-                a, &self.avail,
-                "{ctx}: replanner availability drifted from the service's"
-            ),
+        for pe in self.spec.ppes() {
+            assert!(!self.avail.is_dead(pe), "{ctx}: {pe} is dead, and a PPE may never fail");
         }
     }
 
@@ -1005,16 +986,6 @@ impl Service {
     }
 
     // ---- internals --------------------------------------------------------
-
-    /// Mirror the health mask into the replanner options. A fully
-    /// healthy platform plans with `avail: None` — the zero-overhead
-    /// nominal path, bitwise identical to pre-fault behaviour.
-    fn sync_avail(&mut self) {
-        self.repair_opts.avail = match self.avail.all_healthy() {
-            true => None,
-            false => Some(self.avail.clone()),
-        };
-    }
 
     /// The first application whose per-instance period guarantee the
     /// candidate round `period` would break.
@@ -1091,19 +1062,9 @@ impl Service {
                 partial.resize(new_g.n_tasks(), None);
             }
         }
-        let out = repair_with(new_g, &self.spec, &partial, &self.repair_opts);
+        let out = repair(new_g, &self.spec, &self.avail, &partial, &self.opts.repair);
         self.scratch_partial = partial;
         out
-    }
-
-    /// Per-application reports of the incumbent into `out`, gated by
-    /// [`ServiceOptions::per_app_reports`].
-    fn current_per_app_into(&self, out: &mut Vec<AppReport>) {
-        if self.opts.per_app_reports {
-            self.app_reports_into(out);
-        } else {
-            out.clear();
-        }
     }
 }
 
@@ -1469,17 +1430,19 @@ mod tests {
     }
 
     #[test]
-    fn a_burst_that_applies_nothing_honours_per_app_reports_off() {
-        let opts = ServiceOptions { per_app_reports: false, ..Default::default() };
-        let mut svc = Service::with_options(CellSpec::ps3(), opts);
+    fn a_burst_that_applies_nothing_reports_the_incumbent() {
+        let mut svc = Service::new(CellSpec::ps3());
         let a = svc.admit(&app("a", 4), 1.0).admitted().unwrap();
         let r = svc
             .process_batch(&[Event::Reweight(a, f64::NAN), Event::Admit(app("b", 3), 0.0)])
             .unwrap();
         assert_eq!(r.applied(), 0, "both weights are malformed");
-        assert!(r.per_app.is_empty(), "per_app_reports is off: {:?}", r.per_app);
         assert!(r.delta.is_empty());
         assert_eq!(svc.n_apps(), 1);
+        let names: Vec<&str> = r.per_app.iter().map(|p| p.app.as_str()).collect();
+        assert_eq!(names, ["a"], "per_app describes the untouched incumbent");
+        assert_eq!(r.per_app[0].period.to_bits(), svc.app_reports()[0].period.to_bits());
+        assert_eq!(r.period.to_bits(), svc.period().to_bits());
     }
 
     #[test]
@@ -1642,6 +1605,31 @@ mod tests {
         // the PPE cannot fail — the serving loop runs there
         assert!(matches!(svc.fail_pe(PeId(0)), Err(ServeError::InvalidPe(PeId(0)))));
         assert!(matches!(svc.fail_pe(PeId(99)), Err(ServeError::InvalidPe(PeId(99)))));
+    }
+
+    #[test]
+    fn restoring_an_spe_that_never_failed_is_a_no_op() {
+        // one descent round a replan: the incumbent is not a fixed point
+        // of the descent, so a restore that replanned would move seats
+        let repair = LocalSearchOptions { max_rounds: 1, ..Default::default() };
+        let opts = ServiceOptions { repair, ..Default::default() };
+        let mut svc = Service::with_options(CellSpec::ps3(), opts);
+        svc.admit(&app("a", 8), 1.0).admitted().unwrap();
+        svc.admit(&app("b", 6), 2.0).admitted().unwrap();
+        let assert_untouched = |svc: &mut Service, pe: PeId| {
+            let (mapping, period) = (svc.mapping().unwrap().clone(), svc.period());
+            let mask = svc.availability().clone();
+            let r = svc.process(Event::PeRestored(pe)).unwrap();
+            assert!(r.delta.is_empty(), "restoring live {pe} moved seats: {:?}", r.delta);
+            assert_eq!(svc.mapping(), Some(&mapping));
+            assert_eq!(svc.period().to_bits(), period.to_bits());
+            assert_eq!(svc.availability(), &mask);
+        };
+        assert_untouched(&mut svc, PeId(3));
+        // on an impaired platform too: the dead SPE stays dead
+        svc.fail_pe(PeId(2)).unwrap();
+        assert_untouched(&mut svc, PeId(3));
+        assert!(svc.availability().is_dead(PeId(2)));
     }
 
     /// Cheap on the SPE, expensive on the PPE, tiny edge: fits
