@@ -26,6 +26,19 @@
 //!   never is; a γ row is refused only when raising its γ would break a
 //!   bandwidth row (1g)/(1h) or a DMA row (1j).
 //!
+//! Both encodings know the local-store wall before any row is emitted:
+//! an `α[k][i]` whose task's §4.2 buffers alone exceed an SPE's store
+//! (`BufferPlan::for_task(k) > local_store_budget() + 1e-9`, the
+//! evaluator's own test) is fixed to `[0, 0]` and its coefficient left
+//! out of every row — (1b)–(1i) and the lazy γ/ε rows alike. The
+//! column keeps its index, so [`Formulation::encode`] and
+//! [`Formulation::decode`] do not change. The reduction is exact: every
+//! (1i) coefficient is ≥ 0, so `α[k][i] = 1` alone breaks SPE `i`'s
+//! store row, and no integral point (no mapping `evaluate` accepts) is
+//! cut off. The relaxation is what tightens: without it, the LP seats
+//! such a task fractionally across SPEs and bounds the period from far
+//! below.
+//!
 //! Two printing conventions of the paper are normalised here (flagged in
 //! DESIGN.md): constraints (1g)/(1h) are read with the evident summation
 //! `Σ_k` over the `read_k`/`write_k` terms, and every row is scaled to
@@ -148,10 +161,26 @@ impl Formulation {
             }
         };
 
+        // ---- the local-store wall: α columns no SPE can hold -------------
+        // A task whose buffers alone overfill a store (`evaluate`'s own
+        // test) is fixed off every SPE, and `live` strips its column from
+        // every row below.
+        let mut fixed = vec![false; model.n_vars()];
+        for k in (0..k_tasks).filter(|&k| plan.for_task(TaskId(k)) > ls_budget + 1e-9) {
+            for pe in spec.spes() {
+                model.set_bounds(a(k, pe.index()), 0.0, 0.0);
+                fixed[a(k, pe.index()).index()] = true;
+            }
+        }
+        let live = |mut terms: Vec<(VarId, f64)>| {
+            terms.retain(|&(v, _)| !fixed[v.index()]);
+            terms
+        };
+
         // ---- (1b): each task on exactly one PE ----------------------------
         for k in 0..k_tasks {
             let terms: Vec<_> = (0..n).map(|i| (a(k, i), 1.0)).collect();
-            model.add_con(terms, Cmp::Eq, 1.0);
+            model.add_con(live(terms), Cmp::Eq, 1.0);
         }
 
         // ---- encoding-specific coupling ------------------------------------
@@ -163,14 +192,14 @@ impl Formulation {
                         let mut terms: Vec<_> =
                             (0..n).map(|i| (beta[ei][i * n + j], 1.0)).collect();
                         terms.push((a(l, j), -1.0));
-                        model.add_con(terms, Cmp::Ge, 0.0);
+                        model.add_con(live(terms), Cmp::Ge, 0.0);
                     }
                     // (1d): ∀i  Σ_j β_{i,j} ≤ α^k_i
                     for i in 0..n {
                         let mut terms: Vec<_> =
                             (0..n).map(|j| (beta[ei][i * n + j], 1.0)).collect();
                         terms.push((a(k, i), -1.0));
-                        model.add_con(terms, Cmp::Le, 0.0);
+                        model.add_con(live(terms), Cmp::Le, 0.0);
                     }
                 }
             }
@@ -183,7 +212,7 @@ impl Formulation {
                         // identity), so no δ variable or row is needed.
                         // Lazy: γ is its one zero-cost continuous column.
                         model.add_lazy_con(
-                            vec![(gamma[ei][i], 1.0), (a(l, i), -1.0), (a(k, i), 1.0)],
+                            live(vec![(gamma[ei][i], 1.0), (a(l, i), -1.0), (a(k, i), 1.0)]),
                             Cmp::Ge,
                             0.0,
                         );
@@ -197,7 +226,7 @@ impl Formulation {
                             for j in spec.ppes() {
                                 terms.push((a(l, j.index()), -1.0));
                             }
-                            model.add_lazy_con(terms, Cmp::Ge, -1.0);
+                            model.add_lazy_con(live(terms), Cmp::Ge, -1.0);
                         }
                     }
                 }
@@ -211,7 +240,7 @@ impl Formulation {
                 .map(|k| (a(k, i), g.task(TaskId(k)).cost_on(spec.kind_of(pe)) / t0))
                 .collect();
             terms.push((t_var, -1.0));
-            model.add_con(terms, Cmp::Le, 0.0);
+            model.add_con(live(terms), Cmp::Le, 0.0);
         }
 
         // ---- (1g)/(1h): interface bandwidth --------------------------------
@@ -252,17 +281,19 @@ impl Formulation {
             }
             in_terms.push((t_var, -1.0));
             out_terms.push((t_var, -1.0));
-            model.add_con(in_terms, Cmp::Le, 0.0);
-            model.add_con(out_terms, Cmp::Le, 0.0);
+            model.add_con(live(in_terms), Cmp::Le, 0.0);
+            model.add_con(live(out_terms), Cmp::Le, 0.0);
         }
 
         // ---- (1i): local stores --------------------------------------------
         for pe in spec.spes() {
             let i = pe.index();
-            let terms: Vec<_> = (0..k_tasks)
-                .filter(|&k| plan.for_task(TaskId(k)) > 0.0)
-                .map(|k| (a(k, i), plan.for_task(TaskId(k)) / ls_budget))
-                .collect();
+            let terms = live(
+                (0..k_tasks)
+                    .filter(|&k| plan.for_task(TaskId(k)) > 0.0)
+                    .map(|k| (a(k, i), plan.for_task(TaskId(k)) / ls_budget))
+                    .collect(),
+            );
             if !terms.is_empty() {
                 model.add_con(terms, Cmp::Le, 1.0);
             }

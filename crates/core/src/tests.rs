@@ -195,6 +195,86 @@ fn infeasible_spe_tasks_stay_on_ppe() {
     assert_eq!(out.mapping.pe_of(cellstream_graph::TaskId(1)), PeId(0));
 }
 
+/// A three-task chain whose two edges each carry half the local-store
+/// budget: every §4.2 buffer spans two instance slots, so the end tasks
+/// reserve exactly the budget and the middle task twice it.
+fn chain_against_the_wall(spec: &CellSpec) -> cellstream_graph::StreamGraph {
+    use cellstream_graph::{StreamGraph, TaskSpec};
+    let half = spec.local_store_budget() as f64 / 2.0;
+    let mut b = StreamGraph::builder("wall");
+    let ids: Vec<_> = (0..3)
+        .map(|i| b.add_task(TaskSpec::new(format!("t{i}")).ppe_cost(1e-6).spe_cost(1e-7)))
+        .collect();
+    b.add_edge(ids[0], ids[1], half).unwrap();
+    b.add_edge(ids[1], ids[2], half).unwrap();
+    b.build().unwrap()
+}
+
+/// The α columns fixed off the SPEs are exactly the (task, SPE) pairs
+/// `evaluate` refuses with `Violation::LocalStore` when that task alone
+/// sits on that SPE, in both encodings, and a fixed column enters no
+/// row. A task whose buffers fill the store exactly stays free.
+#[test]
+fn alpha_columns_are_fixed_exactly_where_the_store_overflows() {
+    use crate::eval::Violation;
+    use crate::steady::buffers::BufferPlan;
+    use cellstream_daggen::paper;
+    use cellstream_graph::TaskId;
+    let spec = CellSpec::qs22();
+    let chain = chain_against_the_wall(&spec);
+    let plan = BufferPlan::new(&chain);
+    let budget = spec.local_store_budget() as f64;
+    assert_eq!([plan.for_task(TaskId(0)), plan.for_task(TaskId(2))], [budget, budget]);
+    assert_eq!(plan.for_task(TaskId(1)), 2.0 * budget);
+    let (_, graph1) = paper::ccr_variants(&paper::graph1()).pop().unwrap();
+    for g in [&graph1, &chain] {
+        for kind in [FormKind::Paper, FormKind::Compact] {
+            let form =
+                Formulation::build(g, &spec, &FormulationConfig { kind, dma_constraints: true });
+            let cols = form.sparse_columns();
+            let mut fixed = Vec::new();
+            for t in g.task_ids() {
+                for pe in spec.spes() {
+                    let mut alone = vec![PeId(0); g.n_tasks()];
+                    alone[t.index()] = pe;
+                    let report = evaluate(g, &spec, &Mapping::new(g, &spec, alone).unwrap());
+                    let overflows = report
+                        .unwrap()
+                        .violations
+                        .iter()
+                        .any(|v| matches!(v, Violation::LocalStore { .. }));
+                    let alpha = form.alpha(t, pe);
+                    let bounds = form.model.bounds(alpha);
+                    assert_eq!(
+                        bounds == (0.0, 0.0),
+                        overflows,
+                        "{} {kind:?}: {t:?} on {pe:?}",
+                        g.name()
+                    );
+                    assert!(overflows || bounds == (0.0, 1.0));
+                    if overflows {
+                        assert!(cols.col(alpha.index()).0.is_empty(), "{kind:?}: {t:?} on {pe:?}");
+                        fixed.push(t);
+                    }
+                }
+            }
+            for t in g.task_ids() {
+                assert_eq!(
+                    form.model.bounds(form.alpha(t, PeId(0))),
+                    (0.0, 1.0),
+                    "the PPE holds all"
+                );
+            }
+            let n_spe = spec.spes().count();
+            if g.name() == "wall" {
+                assert_eq!(fixed, vec![TaskId(1); n_spe], "{kind:?}: only the middle task");
+            } else {
+                assert!(!fixed.is_empty(), "graph 1 at CCR 4.6 has tasks beyond the wall");
+            }
+        }
+    }
+}
+
 #[test]
 fn dma_constraints_bind_when_enabled() {
     // 20 PPE-pinned producers feed one SPE-friendly consumer; without (1j)

@@ -5,7 +5,9 @@
 //! This example reports the same quantities for the in-repo solver on
 //! every evaluation graph at the CCR extremes, plus the formulation
 //! sparsity — the honest comparison point for the CPLEX substitution
-//! (DESIGN.md, deviation 1). At the base CCR it also measures
+//! (DESIGN.md, deviation 1), and the count of (task, SPE) pairs whose
+//! §4.2 buffers alone overfill a local store, which Linear Program (1)
+//! fixes off before it solves. At the base CCR it also measures
 //! **branch-and-bound node throughput**: nodes/second at a forced zero
 //! gap, so the search must genuinely branch instead of stopping at the
 //! root, and the cost of a pivot: microseconds per simplex iteration of
@@ -82,12 +84,13 @@ fn main() {
     let spec = CellSpec::qs22();
     println!("# MILP solve statistics (gap target 5%, budget {:?})", mip_options().time_limit);
     println!(
-        "{:<18} {:>6} {:>6} {:>6} {:>7} {:>8} {:>6} {:>6} {:>8} {:>6} {:>9}",
+        "{:<18} {:>6} {:>6} {:>6} {:>7} {:>6} {:>8} {:>6} {:>6} {:>8} {:>6} {:>9}",
         "graph",
         "CCR",
         "vars",
         "rows",
         "nnz",
+        "fixed",
         "wall(s)",
         "nodes",
         "gap%",
@@ -101,6 +104,12 @@ fn main() {
             let g = rescale_to_ccr(&base, ccr, DEFAULT_BW);
             let form = Formulation::build(&g, &spec, &FormulationConfig::default());
             let (nrows, nvars, nnz) = form.sparsity();
+            // (task, SPE) pairs whose buffers alone overfill a local store
+            let fixed = g
+                .task_ids()
+                .flat_map(|k| spec.spes().map(move |pe| (k, pe)))
+                .filter(|&(k, pe)| form.model.bounds(form.alpha(k, pe)) == (0.0, 0.0))
+                .count();
 
             // ---- the paper workflow: 5% gap, heuristic seeds -------------
             let outcome = portfolio_outcome(
@@ -128,12 +137,13 @@ fn main() {
 
             let nps_col = probe.map_or("-".to_owned(), |(r, ..)| format!("{r:.1}"));
             println!(
-                "{:<18} {:>6.3} {:>6} {:>6} {:>7} {:>8.1} {:>6} {:>6.1} {:>8} {:>6.0} {:>9}",
+                "{:<18} {:>6.3} {:>6} {:>6} {:>7} {:>6} {:>8.1} {:>6} {:>6.1} {:>8} {:>6.0} {:>9}",
                 g.name(),
                 ccr,
                 nvars,
                 nrows,
                 nnz,
+                fixed,
                 plan.wall.as_secs_f64(),
                 nodes,
                 gap * 100.0,
