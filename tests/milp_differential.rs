@@ -9,9 +9,10 @@
 //! search) lives in `cellstream-milp`'s own test suite; this one pins the
 //! instances that actually matter — the paper's mapping formulations
 //! with their assignment rows, bandwidth coupling and DMA-queue
-//! structure. Every optimal LP answer is also held to its certificate
-//! (`Model::certify`: the point and its row duals against the model's
-//! own rows).
+//! structure, and a fork with one task beyond the local-store wall,
+//! whose α columns on the SPEs the formulation fixes off. Every optimal
+//! LP answer is also held to its certificate (`Model::certify`: the
+//! point and its row duals against the model's own rows).
 
 use cellstream_core::brute::optimal_mapping;
 use cellstream_core::{evaluate, FormKind, Formulation, FormulationConfig, Mapping, SolveOptions};
@@ -22,12 +23,29 @@ use cellstream_milp::model::{LpOptions, LpStatus, Model};
 use cellstream_milp::SparseSolution;
 use cellstream_platform::{CellSpec, PeId};
 
+/// A fork whose hub alone overfills an SPE's local store: three 40 KiB
+/// edges leave it, each buffered over two instance slots (240 KiB of
+/// the 192 KiB budget), while the hub is the task an SPE speeds up most
+/// and any two leaves fit one store.
+fn store_wall_fork() -> StreamGraph {
+    let mut b = StreamGraph::builder("diff-wall");
+    let src = b.add_task(TaskSpec::new("src").ppe_cost(2e-6).spe_cost(1e-6));
+    let hub = b.add_task(TaskSpec::new("hub").ppe_cost(8e-6).spe_cost(1e-6));
+    b.add_edge(src, hub, 64.0).unwrap();
+    for i in 0..3 {
+        let leaf = b.add_task(TaskSpec::new(format!("leaf{i}")).ppe_cost(2e-6).spe_cost(1e-6));
+        b.add_edge(hub, leaf, 40.0 * 1024.0).unwrap();
+    }
+    b.build().unwrap()
+}
+
 fn small_graphs() -> Vec<StreamGraph> {
     vec![
         chain("diff-chain", 5, &CostParams::default(), 3),
         chain("diff-chain2", 7, &CostParams::default(), 11),
         fork_join("diff-fj", 3, &CostParams::default(), 5),
         fork_join("diff-fj2", 4, &CostParams::default(), 2),
+        store_wall_fork(),
     ]
 }
 
@@ -167,73 +185,6 @@ fn solve_driver_periods_agree_with_brute_force() {
     }
 }
 
-/// A fork whose hub alone overfills an SPE's local store: three 40 KiB
-/// edges leave it, each buffered over two instance slots (240 KiB of
-/// the 192 KiB budget), while the hub is the task an SPE speeds up most
-/// and any two leaves fit one store.
-fn store_wall_fork() -> StreamGraph {
-    let mut b = StreamGraph::builder("diff-wall");
-    let src = b.add_task(TaskSpec::new("src").ppe_cost(2e-6).spe_cost(1e-6));
-    let hub = b.add_task(TaskSpec::new("hub").ppe_cost(8e-6).spe_cost(1e-6));
-    b.add_edge(src, hub, 64.0).unwrap();
-    for i in 0..3 {
-        let leaf = b.add_task(TaskSpec::new(format!("leaf{i}")).ppe_cost(2e-6).spe_cost(1e-6));
-        b.add_edge(hub, leaf, 40.0 * 1024.0).unwrap();
-    }
-    b.build().unwrap()
-}
-
-/// A task beyond the local-store wall: both encodings fix its α columns
-/// off the SPEs, their relaxations stay certified lower bounds, fixing
-/// every α to a mapping that seats it on an SPE leaves the LP infeasible
-/// (its assignment row (1b) has no SPE column left), and the bare search and the
-/// `solve()` driver both land on the brute-force optimum.
-#[test]
-fn a_task_beyond_the_store_wall_keeps_the_brute_force_optimum() {
-    let spec = CellSpec::with_spes(2);
-    let g = store_wall_fork();
-    let hub = TaskId(1);
-    let (best, best_period) = optimal_mapping(&g, &spec).expect("the PPE takes anything");
-    assert_eq!(best.pe_of(hub), PeId(0), "no SPE holds the hub");
-    let exact =
-        MipOptions { rel_gap: 0.0, abs_gap: 1e-9, max_nodes: 50_000, ..MipOptions::default() };
-    for config in kinds() {
-        let what = format!("{} {:?}", g.name(), config.kind);
-        let form = Formulation::build(&g, &spec, &config);
-        let t0 = form.time_scale();
-        for pe in spec.spes() {
-            assert_eq!(form.model.bounds(form.alpha(hub, pe)), (0.0, 0.0), "{what}: {pe:?}");
-        }
-
-        let relaxed = solve_certified(&form.model, &what);
-        assert_eq!(relaxed.status, LpStatus::Optimal, "{what}: relaxation must solve");
-        assert!(relaxed.objective * t0 <= best_period * (1.0 + 1e-7), "{what}");
-        // the optimum with the hub moved to an SPE, every α fixed to it
-        let mut seated = form.model.clone();
-        for t in g.task_ids() {
-            let on = if t == hub { PeId(1) } else { best.pe_of(t) };
-            for pe in spec.pes() {
-                let v = if pe == on { 1.0 } else { 0.0 };
-                seated.set_bounds(form.alpha(t, pe), v, v);
-            }
-        }
-        let sol = solve_certified(&seated, &format!("{what}: hub on an SPE"));
-        assert_eq!(sol.status, LpStatus::Infeasible, "{what}: hub on an SPE");
-
-        let res = solve_mip(&form.model, &exact, &[], None).unwrap();
-        let (obj, x) = res.incumbent.as_ref().expect("the search finds a mapping");
-        assert!(close(obj * t0, best_period, 1e-6), "{what}: B&B {} vs {best_period}", obj * t0);
-        let m = Mapping::new(&g, &spec, form.decode(x)).unwrap();
-        assert!(close(evaluate(&g, &spec, &m).unwrap().period, best_period, 1e-6), "{what}");
-
-        let mut driver = SolveOptions { formulation: config, ..SolveOptions::default() };
-        driver.mip.rel_gap = 0.0;
-        driver.mip.abs_gap = 1e-12;
-        let out = cellstream_core::solve(&g, &spec, &driver).unwrap();
-        assert!(close(out.period, best_period, 1e-9), "{what}: solve() {}", out.period);
-    }
-}
-
 /// The sparse-column export is consistent with the model for both
 /// encodings: same dimensions, same nonzero count as a row walk.
 #[test]
@@ -270,9 +221,10 @@ fn dma_tight() -> CellSpec {
 ///   both at zero gap, land on the brute-force optimum;
 /// * most solves actually activate lazy rows (`lazy_rows > 0`), so the
 ///   activation path is what is refereed. `lazy_rows` counts γ rows
-///   too: every graph here activates 9–28 of them, and the answers
-///   also agree with brute force at interface bandwidths of 25, 4, 1
-///   and 0.25 GB/s.
+///   too: every graph here activates 6–40 rows a solve, γ and ε
+///   together (the store-wall fork the fewest), and the answers also
+///   agree with brute force at interface bandwidths of 25, 4, 1 and
+///   0.25 GB/s.
 #[test]
 fn lazy_dma_rows_agree_with_brute_force_on_a_dma_tight_cell() {
     let spec = dma_tight();
