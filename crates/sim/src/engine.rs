@@ -47,6 +47,46 @@
 //! queue, a running task is never queued, and its `ComputeDone` marks it
 //! for the next test. In debug builds every pick is held to the full
 //! scan over the PE's tasks (`pick_task`).
+//!
+//! A mapped stream settles into a periodic schedule (§4.2: instance `i`
+//! of a task runs in period `firstPeriod + i`), and `simulate` jumps over
+//! it instead of computing every period again. At each full completion
+//! (the fewest instances any sink finished rose to `C`), after the pump
+//! and the re-share, the run takes a *signature* of its state:
+//! * each task's `next` and, if it reads memory, its reads done, less
+//!   `C`; its reads and writes in flight and whether it is queued;
+//! * each edge's production and arrivals, less `C`, and its transfers in
+//!   flight; a cut edge's sends and finished transfers, less `C`;
+//! * per PE its running task, its interrupt debt and its DMA and proxy
+//!   queue counts;
+//! * the flows in flight in the order they were opened: kind, state,
+//!   bytes left of the payload and rate of the link bandwidth;
+//! * the queued events in pop order with their offsets from `now`; a
+//!   `TransferStart` names its flow by its place among the flows in
+//!   flight, and a stale `TransferDone` is left out.
+//!
+//! A counter that never moves (the reads of a task that reads no memory,
+//! the sends of a co-mapped edge) is left out, or it would differ from
+//! every earlier signature by the completions between them. One signature
+//! is kept, Brent-style: it is replaced at completions 1, 2, 4, 8, … and
+//! every other one is compared with it, counters exactly and times within
+//! `1e-9` of the cycle's period per completion. Two buffers are reused, so
+//! memory does not grow with the instance count.
+//!
+//! When the signature taken `c` completions and `Δt` seconds after the
+//! kept one equals it, the state is periodic with cycle `(c, Δt)`, which
+//! the trace records, and the run jumps `k` whole cycles: `now` and every
+//! queued event move by `k·Δt`, every counter above and every ready-queue
+//! key by `k·c`, each sink appends the cycle's last `c` completions `k`
+//! times `Δt` apart, and each interface adds `k` times the cycle's bytes.
+//! The stream's end is the only thing the cycle did not see: a task stops
+//! at instance `n`, and its peek window and memory reads shrink near it.
+//! So `k` is the largest with `lead + k·c + peek + read_ahead + c < n`,
+//! where `lead` is the largest `next` or memory reads issued of any task
+//! and `peek` the largest peek. After the landing the drain is simulated
+//! event by event; when no cycle appears, nothing changes. The debug
+//! oracles above run on across the jump, and `simulate_full` runs the
+//! same simulation without it as the jump's referee.
 
 use crate::bits;
 use crate::fair::{FlowPorts, MaxMin};
@@ -352,6 +392,21 @@ pub fn simulate(
     Sim::new(g, spec, mapping, config, n_instances)?.run()
 }
 
+/// [`simulate`] without the jump: every event of the run is simulated
+/// and no cycle is recorded. The referee of the jump, not an option.
+#[doc(hidden)]
+pub fn simulate_full(
+    g: &StreamGraph,
+    spec: &CellSpec,
+    mapping: &Mapping,
+    config: &SimConfig,
+    n_instances: u64,
+) -> Result<crate::trace::RunTrace, SimError> {
+    let mut sim = Sim::new(g, spec, mapping, config, n_instances)?;
+    sim.seeking = false;
+    sim.run()
+}
+
 struct Sim<'a> {
     g: &'a StreamGraph,
     spec: &'a CellSpec,
@@ -406,6 +461,59 @@ struct Sim<'a> {
     link_load: Vec<f64>,
     /// Flows a `TransferDone` event completes.
     drained: Vec<usize>,
+
+    /// Whether the run still looks for a cycle to jump (module docs).
+    seeking: bool,
+    /// Full completions so far: the fewest instances any sink finished.
+    completed: u64,
+    /// The signature kept from the last power-of-two completion, the one
+    /// being taken, and the queued events sorted for it.
+    saved: Signature,
+    current: Signature,
+    pending: Vec<(f64, u64, u64)>,
+    /// The cycle found: completions and seconds per cycle.
+    cycle: Option<(u64, f64)>,
+}
+
+/// The run's state at a full completion, every counter relative to the
+/// completed count and every time relative to `now` (module docs).
+#[derive(Default)]
+struct Signature {
+    /// Full completions and the time when it was taken.
+    completed: u64,
+    at: f64,
+    /// Counters, running tasks, queue counts, flow and event kinds:
+    /// compared exactly.
+    ints: Vec<u64>,
+    /// Interrupt debts and queued events' offsets from `at`: compared
+    /// within 1e-9 of the cycle's period per completion.
+    times: Vec<f64>,
+    /// Each flow's bytes left of its payload and rate of the link
+    /// bandwidth: compared within 1e-9.
+    shares: Vec<f64>,
+    /// The interface byte totals, for the jump's extrapolation.
+    bytes_in: Vec<f64>,
+    bytes_out: Vec<f64>,
+}
+
+impl Signature {
+    fn clear(&mut self) {
+        self.ints.clear();
+        self.times.clear();
+        self.shares.clear();
+        self.bytes_in.clear();
+        self.bytes_out.clear();
+    }
+
+    /// Whether this signature equals `saved`, its times within `tol`.
+    fn matches(&self, saved: &Signature, tol: f64) -> bool {
+        let close = |a: &[f64], b: &[f64], tol: f64| {
+            a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| x == y || (x - y).abs() <= tol)
+        };
+        self.ints == saved.ints
+            && close(&self.times, &saved.times, tol)
+            && close(&self.shares, &saved.shares, 1e-9)
+    }
 }
 
 impl<'a> Sim<'a> {
@@ -545,6 +653,12 @@ impl<'a> Sim<'a> {
             fair: MaxMin::new(2 * spec.n_pes()),
             link_load: Vec::new(),
             drained: Vec::new(),
+            seeking: true,
+            completed: 0,
+            saved: Signature::default(),
+            current: Signature::default(),
+            pending: Vec::new(),
+            cycle: None,
         })
     }
 
@@ -934,6 +1048,7 @@ impl<'a> Sim<'a> {
             last_t = self.now;
 
             let mut flows_changed = false;
+            let mut completion = false;
             match ev.kind {
                 Ev::ComputeDone { pe, task } => {
                     let t = &mut self.tasks[task];
@@ -993,6 +1108,7 @@ impl<'a> Sim<'a> {
                     // sink bookkeeping
                     if self.tasks[task].is_sink {
                         self.sink_times[task].push(self.now);
+                        completion = self.seeking && self.completion_rose();
                     }
                     flows_changed |= self.pump();
                     if self.done() {
@@ -1031,6 +1147,9 @@ impl<'a> Sim<'a> {
             if flows_changed {
                 self.reallocate();
             }
+            if completion {
+                self.seek_cycle(&mut last_t);
+            }
         }
         if self.done() {
             Ok(self.finish())
@@ -1039,6 +1158,179 @@ impl<'a> Sim<'a> {
                 self.sink_ids.iter().map(|&s| self.sink_times[s].len() as u64).min().unwrap_or(0);
             Err(SimError::Stalled { at: self.now, completed })
         }
+    }
+
+    // ---- the periodic steady state ---------------------------------------
+
+    /// Whether a sink's completion raised the full completion count.
+    fn completion_rose(&mut self) -> bool {
+        let sink_times = &self.sink_times;
+        let least = self.sink_ids.iter().map(|&s| sink_times[s].len() as u64).min().unwrap_or(0);
+        let rose = least > self.completed;
+        self.completed = least;
+        rose
+    }
+
+    /// At a full completion, after the pump and the re-share: compare the
+    /// state's signature with the saved one, and jump the cycle they close
+    /// when they match; otherwise save it at a power-of-two completion.
+    /// Stops looking once the stream's end is too near for any jump.
+    fn seek_cycle(&mut self, last_t: &mut f64) {
+        let lead = self.tasks.iter().map(|t| t.next.max(t.reads_done + t.reads_inflight)).max();
+        let peek = self.tasks.iter().map(|t| t.peek).max();
+        let margin = lead.unwrap_or(0) + peek.unwrap_or(0) + self.config.read_ahead;
+        // a jump of k cycles of c must land with margin + (k + 1)·c < n
+        let room = self.n_instances.saturating_sub(margin);
+        if room <= 1 {
+            self.seeking = false;
+            return;
+        }
+        self.sign();
+        let saved = &self.saved;
+        let (c, dt) = (self.completed - saved.completed, self.now - saved.at);
+        if saved.completed > 0
+            && dt > 0.0
+            && c < room
+            && self.current.matches(saved, 1e-9 * dt / c as f64)
+        {
+            self.seeking = false;
+            self.cycle = Some((c, dt));
+            let k = (room - 1) / c - 1;
+            if k > 0 {
+                self.jump(k, c, dt, last_t);
+            }
+        } else if self.completed.is_power_of_two() {
+            std::mem::swap(&mut self.saved, &mut self.current);
+        }
+    }
+
+    /// Take the state's signature into `current`.
+    fn sign(&mut self) {
+        let c = self.completed;
+        let sig = &mut self.current;
+        sig.clear();
+        sig.completed = c;
+        sig.at = self.now;
+        for t in &self.tasks {
+            sig.ints.extend([t.next.wrapping_sub(c), t.writes_inflight, u64::from(t.queued)]);
+            // a task that reads no memory never moves its read counter
+            if t.read_bytes > 0.0 {
+                sig.ints.extend([t.reads_done.wrapping_sub(c), t.reads_inflight]);
+            }
+        }
+        for e in &self.edges {
+            sig.ints.extend([e.produced.wrapping_sub(c), e.arrived.wrapping_sub(c), e.inflight]);
+            // a co-mapped edge never sends or transfers
+            if !e.co_mapped {
+                sig.ints.extend([e.next_send.wrapping_sub(c), e.transfers_done.wrapping_sub(c)]);
+            }
+        }
+        for pe in 0..self.running.len() {
+            let running = self.running[pe].map_or(u64::MAX, |k| k as u64);
+            let queues = [self.spe_queue_used[pe], self.proxy_used[pe]].map(u64::from);
+            sig.ints.push(running);
+            sig.ints.extend(queues);
+            sig.times.push(self.pending_interrupt[pe]);
+        }
+        let bw = self.spec.interface_bw().as_bytes_per_s();
+        sig.ints.push(self.active_flow_ids.len() as u64);
+        for &fid in &self.active_flow_ids {
+            let f = &self.flows[fid];
+            let kind = match f.kind {
+                FlowKind::Edge { edge } => 3 * edge,
+                FlowKind::Read { task } => 3 * task + 1,
+                FlowKind::Write { task } => 3 * task + 2,
+            };
+            sig.ints.extend([kind as u64, f.state as u64, u64::from(f.spe_queue.is_some())]);
+            sig.shares.extend([f.bytes_left / f.total_bytes.max(1.0), f.rate / bw]);
+        }
+        // the queued events in the order they will pop; a start is named
+        // by its flow's place among the flows in flight, not by its id,
+        // and a stale prediction is left out
+        self.pending.clear();
+        for e in self.events.iter() {
+            let code = match e.kind {
+                Ev::ComputeDone { task, .. } => 3 * task as u64,
+                Ev::TransferStart { id } => {
+                    let place = self.active_flow_ids.iter().position(|&f| f == id);
+                    3 * place.map_or(u64::MAX / 4, |p| p as u64) + 1
+                }
+                Ev::TransferDone { gen } if gen == self.gen => 2,
+                Ev::TransferDone { .. } => continue,
+            };
+            self.pending.push((e.at, e.seq, code));
+        }
+        self.pending.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        sig.ints.push(self.pending.len() as u64);
+        for &(at, _, code) in &self.pending {
+            sig.ints.push(code);
+            sig.times.push(at - self.now);
+        }
+        sig.bytes_in.extend_from_slice(&self.bytes_in);
+        sig.bytes_out.extend_from_slice(&self.bytes_out);
+    }
+
+    /// Skip `k` cycles of `c` completions and `dt` seconds: every time
+    /// moves by `k·dt`, every counter by `k·c`, each sink records the
+    /// cycle's completions `k` more times and the interfaces its bytes.
+    fn jump(&mut self, k: u64, c: u64, dt: f64, last_t: &mut f64) {
+        let (kc, shift) = (k * c, k as f64 * dt);
+        self.now += shift;
+        *last_t = self.now;
+        // a constant added to every key keeps both heaps' order
+        let mut events = std::mem::take(&mut self.events).into_vec();
+        for e in &mut events {
+            e.at += shift;
+        }
+        self.events = BinaryHeap::from(events);
+        for queue in &mut self.ready_queue {
+            let mut keys = std::mem::take(queue).into_vec();
+            for Reverse((slot, _, _)) in &mut keys {
+                *slot += kc;
+            }
+            *queue = BinaryHeap::from(keys);
+        }
+        for t in &mut self.tasks {
+            t.next += kc;
+            if t.read_bytes > 0.0 {
+                t.reads_done += kc;
+            }
+        }
+        for e in &mut self.edges {
+            e.produced += kc;
+            e.arrived += kc;
+            if !e.co_mapped {
+                e.next_send += kc;
+                e.transfers_done += kc;
+            }
+        }
+        let c = c as usize;
+        for &s in &self.sink_ids {
+            let times = &mut self.sink_times[s];
+            let first = times.len() - c;
+            for j in 1..=k {
+                let lag = j as f64 * dt;
+                for i in first..first + c {
+                    let at = times[i] + lag;
+                    times.push(at);
+                }
+            }
+        }
+        let k = k as f64;
+        for (now, then) in self.bytes_in.iter_mut().zip(&self.saved.bytes_in) {
+            *now += k * (*now - then);
+        }
+        for (now, then) in self.bytes_out.iter_mut().zip(&self.saved.bytes_out) {
+            *now += k * (*now - then);
+        }
+        self.completed += kc;
+        debug_assert!(
+            self.ready_queue.iter().flatten().all(|&Reverse((slot, _, t))| {
+                slot == self.tasks[t].priority + self.tasks[t].next
+            }),
+            "a jump left a ready queue's key behind"
+        );
+        debug_assert_eq!(self.missed_work(), None, "the jump left work behind at t={}", self.now);
     }
 
     fn complete_flow(&mut self, fid: usize) {
@@ -1119,6 +1411,7 @@ impl<'a> Sim<'a> {
             events: self.events_processed,
             bytes_in: self.bytes_in,
             bytes_out: self.bytes_out,
+            cycle: self.cycle,
         }
     }
 }

@@ -29,6 +29,10 @@ pub struct RunTrace {
     pub bytes_in: Vec<f64>,
     /// Bytes that left each PE's outgoing interface over the run.
     pub bytes_out: Vec<f64>,
+    /// The periodic steady state the run found, as `(c, Δt)`: its state
+    /// repeated after `c` full completions and `Δt` seconds (see
+    /// [`crate::engine`]). `None` when it never repeated.
+    pub cycle: Option<(u64, f64)>,
 }
 
 impl RunTrace {
@@ -62,11 +66,18 @@ impl RunTrace {
         out
     }
 
-    /// Steady-state throughput, measured over the `[0.5·n, 0.85·n]`
-    /// instance window: the pipeline-fill transient at the start *and*
-    /// the pipeline-drain speed-up at the end (once sources run out of
-    /// stream, periods shorten) are both excluded.
+    /// Steady-state throughput: `c / Δt` when the run found its
+    /// [`cycle`](Self::cycle), which is exact and free of the fill and the
+    /// drain. Otherwise it is measured over the `[0.5·n, 0.85·n]` instance
+    /// window, which excludes the pipeline-fill transient at the start
+    /// and most of the drain speed-up at the end (once sources run out of
+    /// stream, periods shorten). On a deep pipeline the drain reaches into
+    /// the window: graph 3's sources run ~140 instances ahead of its sink,
+    /// so a 200-instance window reads up to twice the steady rate.
     pub fn steady_state_throughput(&self) -> f64 {
+        if let Some((c, dt)) = self.cycle {
+            return c as f64 / dt;
+        }
         let n = self.completions.len();
         assert!(n >= 8, "need a few instances to estimate steady state");
         let lo = n / 2;
@@ -80,9 +91,11 @@ impl RunTrace {
         self.sink_completions.iter().find(|(s, _)| *s == t).map(|(_, ts)| ts.as_slice())
     }
 
-    /// Steady-state throughput of a subset of sinks: instance `i` of the
-    /// subset completes when *all* listed sinks finish it, measured over
-    /// the same `[0.5·n, 0.85·n]` window as
+    /// Steady-state throughput of a subset of sinks: `c / Δt` when the
+    /// run found its [`cycle`](Self::cycle), in which every sink completes
+    /// `c` instances. Otherwise instance `i` of the subset completes when
+    /// *all* listed sinks finish it, measured over the same
+    /// `[0.5·n, 0.85·n]` window as
     /// [`steady_state_throughput`](Self::steady_state_throughput).
     /// Degenerate runs (fewer than 8 instances, or a zero-work pipeline
     /// whose window has zero width) report `0.0`, mirroring the
@@ -94,6 +107,9 @@ impl RunTrace {
             .iter()
             .map(|&s| self.sink_times(s).unwrap_or_else(|| panic!("{s} is not a recorded sink")))
             .collect();
+        if let Some((c, dt)) = self.cycle {
+            return c as f64 / dt;
+        }
         let n = times.iter().map(|t| t.len()).min().expect("non-empty sink set");
         if n < 8 {
             // too few instances for a steady-state estimate; follow the
@@ -150,6 +166,7 @@ mod tests {
             events: 0,
             bytes_in: Vec::new(),
             bytes_out: Vec::new(),
+            cycle: None,
         }
     }
 
@@ -183,6 +200,7 @@ mod tests {
             events: 0,
             bytes_in: Vec::new(),
             bytes_out: Vec::new(),
+            cycle: None,
         };
         assert_eq!(zero_work.sink_group_throughput(&[TaskId(0)]), 0.0);
     }

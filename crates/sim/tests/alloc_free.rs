@@ -4,17 +4,24 @@
 //! an event pays nothing — finished flows hand their ids to the next
 //! transfer, and the streaming set, the max-min workspace and the
 //! drained list are buffers of the run. So simulating paper graph 1 for
-//! 400 instances must hit the global allocator the **same number of
-//! times** as simulating it for 200: twice the events, no more
-//! allocations.
+//! 400 instances event by event (`engine::simulate_full`) must hit the
+//! global allocator the **same number of times** as simulating it for
+//! 200: twice the events, no more allocations.
+//!
+//! `simulate` jumps over the periodic steady state once its signature
+//! repeats, so 400 instances cost it few more events than 200. Its
+//! signatures reuse two buffers, so a run that jumps also allocates the
+//! same at 200 and at 400 instances.
 //!
 //! Lives in `tests/` (a separate crate) because the library forbids
 //! `unsafe`, and wrapping the global allocator needs it.
 
 use cellstream_core::Mapping;
 use cellstream_daggen::paper;
+use cellstream_graph::StreamGraph;
 use cellstream_platform::CellSpec;
-use cellstream_sim::{simulate, SimConfig};
+use cellstream_sim::engine::simulate_full;
+use cellstream_sim::{simulate, RunTrace, SimConfig, SimError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -70,6 +77,10 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// `simulate`, or the event-by-event run behind it.
+type Simulate =
+    fn(&StreamGraph, &CellSpec, &Mapping, &SimConfig, u64) -> Result<RunTrace, SimError>;
+
 #[test]
 fn steady_state_events_never_allocate() {
     let g = paper::graph1();
@@ -82,17 +93,19 @@ fn steady_state_events_never_allocate() {
     }
     let mapping = Mapping::new(&g, &spec, assignment).expect("a structurally valid mapping");
     let config = SimConfig::calibrated();
-    let run = |instances: u64| {
-        let mut events = 0;
+    let run = |sim: Simulate, instances: u64| {
+        let mut trace: Option<RunTrace> = None;
         let allocs = count_allocs(|| {
-            events = simulate(&g, &spec, &mapping, &config, instances)
-                .expect("a block mapping simulates")
-                .events;
+            trace = Some(
+                sim(&g, &spec, &mapping, &config, instances).expect("a block mapping simulates"),
+            );
         });
-        (allocs, events)
+        (allocs, trace.expect("the run returned"))
     };
-    let (at_200, events_200) = run(200);
-    let (at_400, events_400) = run(400);
+    // every event simulated: twice the events, the same allocations
+    let (at_200, full_200) = run(simulate_full, 200);
+    let (at_400, full_400) = run(simulate_full, 400);
+    let (events_200, events_400) = (full_200.events, full_400.events);
     assert!(events_400 > events_200 * 3 / 2, "{events_200} -> {events_400} events");
     assert_eq!(
         at_200,
@@ -100,5 +113,16 @@ fn steady_state_events_never_allocate() {
         "{} more events cost {} more allocations",
         events_400 - events_200,
         at_400 as i64 - at_200 as i64
+    );
+    // the jump: its signatures allocate nothing that grows with the run
+    let (jumped_200, short) = run(simulate, 200);
+    let (jumped_400, long) = run(simulate, 400);
+    assert!(short.cycle.is_some() && long.cycle.is_some(), "no cycle found");
+    assert!(long.events < events_400, "400 instances did not jump");
+    assert_eq!(
+        jumped_200,
+        jumped_400,
+        "a longer jump cost {} more allocations",
+        jumped_400 as i64 - jumped_200 as i64
     );
 }
