@@ -30,7 +30,12 @@
 //! an `α[k][i]` whose task's §4.2 buffers alone exceed an SPE's store
 //! (`BufferPlan::for_task(k) > local_store_budget() + 1e-9`, the
 //! evaluator's own test) is fixed to `[0, 0]` and its coefficient left
-//! out of every row — (1b)–(1i) and the lazy γ/ε rows alike. The
+//! out of every row — (1b)–(1i) and the lazy γ/ε rows alike. So are the
+//! compact cut indicators the wall empties: a γ of an edge into such a
+//! task on that SPE (its row reads `γ ≥ −α_src`) and an ε of an edge out
+//! of it from that SPE (`ε ≥ Σ_PPE α_dst − 1`), whose lazy rows are not
+//! emitted at all; both columns appear only with positive coefficients
+//! in `≤` rows, so 0 is their least value in the relaxation too. Each
 //! column keeps its index, so [`Formulation::encode`] and
 //! [`Formulation::decode`] do not change. The reduction is exact: every
 //! (1i) coefficient is ≥ 0, so `α[k][i] = 1` alone breaks SPE `i`'s
@@ -163,24 +168,34 @@ impl Formulation {
 
         // ---- the local-store wall: α columns no SPE can hold -------------
         // A task whose buffers alone overfill a store (`evaluate`'s own
-        // test) is fixed off every SPE, and `live` strips its column from
-        // every row below.
+        // test) is fixed off every SPE, and so are the compact cut
+        // indicators it empties: γ of an edge into it on that SPE and ε of
+        // an edge out of it from that SPE. Every row below takes only the
+        // `live` columns, and a lazy row of a fixed γ or ε is not emitted.
         let mut fixed = vec![false; model.n_vars()];
-        for k in (0..k_tasks).filter(|&k| plan.for_task(TaskId(k)) > ls_budget + 1e-9) {
+        let walled = |k: usize| plan.for_task(TaskId(k)) > ls_budget + 1e-9;
+        for k in (0..k_tasks).filter(|&k| walled(k)) {
             for pe in spec.spes() {
-                model.set_bounds(a(k, pe.index()), 0.0, 0.0);
                 fixed[a(k, pe.index()).index()] = true;
             }
         }
-        let live = |mut terms: Vec<(VarId, f64)>| {
-            terms.retain(|&(v, _)| !fixed[v.index()]);
-            terms
-        };
+        if let AuxVars::Compact(gamma, eps) = &aux {
+            for (ei, &(k, l, _)) in edges.iter().enumerate() {
+                for (si, pe) in spec.spes().enumerate() {
+                    fixed[gamma[ei][pe.index()].index()] = walled(l);
+                    fixed[eps[ei][si].index()] = walled(k);
+                }
+            }
+        }
+        for v in (0..model.n_vars()).filter(|&v| fixed[v]) {
+            model.set_bounds(VarId(v), 0.0, 0.0);
+        }
+        let live = |&(v, _): &(VarId, f64)| !fixed[v.index()];
 
         // ---- (1b): each task on exactly one PE ----------------------------
         for k in 0..k_tasks {
-            let terms: Vec<_> = (0..n).map(|i| (a(k, i), 1.0)).collect();
-            model.add_con(live(terms), Cmp::Eq, 1.0);
+            let terms: Vec<_> = (0..n).map(|i| (a(k, i), 1.0)).filter(live).collect();
+            model.add_con(terms, Cmp::Eq, 1.0);
         }
 
         // ---- encoding-specific coupling ------------------------------------
@@ -191,15 +206,15 @@ impl Formulation {
                     for j in 0..n {
                         let mut terms: Vec<_> =
                             (0..n).map(|i| (beta[ei][i * n + j], 1.0)).collect();
-                        terms.push((a(l, j), -1.0));
-                        model.add_con(live(terms), Cmp::Ge, 0.0);
+                        terms.extend(Some((a(l, j), -1.0)).filter(live));
+                        model.add_con(terms, Cmp::Ge, 0.0);
                     }
                     // (1d): ∀i  Σ_j β_{i,j} ≤ α^k_i
                     for i in 0..n {
                         let mut terms: Vec<_> =
                             (0..n).map(|j| (beta[ei][i * n + j], 1.0)).collect();
-                        terms.push((a(k, i), -1.0));
-                        model.add_con(live(terms), Cmp::Le, 0.0);
+                        terms.extend(Some((a(k, i), -1.0)).filter(live));
+                        model.add_con(terms, Cmp::Le, 0.0);
                     }
                 }
             }
@@ -211,22 +226,30 @@ impl Formulation {
                         // outgoing indicator is γ + α^k_i − α^l_i (exact
                         // identity), so no δ variable or row is needed.
                         // Lazy: γ is its one zero-cost continuous column.
-                        model.add_lazy_con(
-                            live(vec![(gamma[ei][i], 1.0), (a(l, i), -1.0), (a(k, i), 1.0)]),
-                            Cmp::Ge,
-                            0.0,
-                        );
+                        let terms = [(gamma[ei][i], 1.0), (a(l, i), -1.0), (a(k, i), 1.0)];
+                        if live(&terms[0]) {
+                            model.add_lazy_con(
+                                terms.into_iter().filter(live).collect(),
+                                Cmp::Ge,
+                                0.0,
+                            );
+                        }
                     }
                     if config.dma_constraints {
                         // ε ≥ α^k_spe + Σ_{PPE j} α^l_j − 1, lazy: ε is
                         // its one zero-cost continuous column, so a broken
                         // row is usually repaired by raising ε alone
                         for (si, pe) in spec.spes().enumerate() {
-                            let mut terms = vec![(eps[ei][si], 1.0), (a(k, pe.index()), -1.0)];
-                            for j in spec.ppes() {
-                                terms.push((a(l, j.index()), -1.0));
+                            let eps_term = (eps[ei][si], 1.0);
+                            if !live(&eps_term) {
+                                continue;
                             }
-                            model.add_lazy_con(live(terms), Cmp::Ge, -1.0);
+                            let terms = [eps_term, (a(k, pe.index()), -1.0)]
+                                .into_iter()
+                                .chain(spec.ppes().map(|j| (a(l, j.index()), -1.0)))
+                                .filter(live)
+                                .collect();
+                            model.add_lazy_con(terms, Cmp::Ge, -1.0);
                         }
                     }
                 }
@@ -238,9 +261,10 @@ impl Formulation {
             let i = pe.index();
             let mut terms: Vec<_> = (0..k_tasks)
                 .map(|k| (a(k, i), g.task(TaskId(k)).cost_on(spec.kind_of(pe)) / t0))
+                .filter(live)
                 .collect();
             terms.push((t_var, -1.0));
-            model.add_con(live(terms), Cmp::Le, 0.0);
+            model.add_con(terms, Cmp::Le, 0.0);
         }
 
         // ---- (1g)/(1h): interface bandwidth --------------------------------
@@ -250,10 +274,12 @@ impl Formulation {
             let mut in_terms: Vec<(VarId, f64)> = (0..k_tasks)
                 .filter(|&k| g.task(TaskId(k)).read_bytes > 0.0)
                 .map(|k| (a(k, i), g.task(TaskId(k)).read_bytes / (bw * t0)))
+                .filter(live)
                 .collect();
             let mut out_terms: Vec<(VarId, f64)> = (0..k_tasks)
                 .filter(|&k| g.task(TaskId(k)).write_bytes > 0.0)
                 .map(|k| (a(k, i), g.task(TaskId(k)).write_bytes / (bw * t0)))
+                .filter(live)
                 .collect();
             for (ei, &(_, _, data)) in edges.iter().enumerate() {
                 if data <= 0.0 {
@@ -270,30 +296,28 @@ impl Formulation {
                         }
                     }
                     AuxVars::Compact(gamma, _) => {
-                        in_terms.push((gamma[ei][i], c));
+                        in_terms.extend(Some((gamma[ei][i], c)).filter(live));
                         // outgoing = γ + α_src − α_dst (identity)
                         let (k, l, _) = edges[ei];
-                        out_terms.push((gamma[ei][i], c));
-                        out_terms.push((a(k, i), c));
-                        out_terms.push((a(l, i), -c));
+                        let out = [(gamma[ei][i], c), (a(k, i), c), (a(l, i), -c)];
+                        out_terms.extend(out.into_iter().filter(live));
                     }
                 }
             }
             in_terms.push((t_var, -1.0));
             out_terms.push((t_var, -1.0));
-            model.add_con(live(in_terms), Cmp::Le, 0.0);
-            model.add_con(live(out_terms), Cmp::Le, 0.0);
+            model.add_con(in_terms, Cmp::Le, 0.0);
+            model.add_con(out_terms, Cmp::Le, 0.0);
         }
 
         // ---- (1i): local stores --------------------------------------------
         for pe in spec.spes() {
             let i = pe.index();
-            let terms = live(
-                (0..k_tasks)
-                    .filter(|&k| plan.for_task(TaskId(k)) > 0.0)
-                    .map(|k| (a(k, i), plan.for_task(TaskId(k)) / ls_budget))
-                    .collect(),
-            );
+            let terms: Vec<_> = (0..k_tasks)
+                .filter(|&k| plan.for_task(TaskId(k)) > 0.0)
+                .map(|k| (a(k, i), plan.for_task(TaskId(k)) / ls_budget))
+                .filter(live)
+                .collect();
             if !terms.is_empty() {
                 model.add_con(terms, Cmp::Le, 1.0);
             }
@@ -334,10 +358,10 @@ impl Formulation {
                     for (si, pe) in spec.spes().enumerate() {
                         let j = pe.index();
                         let in_terms: Vec<_> =
-                            gamma.iter().map(|g_e| (g_e[j], 1.0 / in_limit)).collect();
+                            gamma.iter().map(|g_e| (g_e[j], 1.0 / in_limit)).filter(live).collect();
                         model.add_con(in_terms, Cmp::Le, 1.0);
                         let ppe_terms: Vec<_> =
-                            eps.iter().map(|e_e| (e_e[si], 1.0 / ppe_limit)).collect();
+                            eps.iter().map(|e_e| (e_e[si], 1.0 / ppe_limit)).filter(live).collect();
                         model.add_con(ppe_terms, Cmp::Le, 1.0);
                     }
                 }
