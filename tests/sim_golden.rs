@@ -1,8 +1,10 @@
 //! Golden simulator traces: what `milp_golden.rs` is to the MILP, for
 //! `sim::simulate`. Every run simulates 200 instances and is pinned by
-//! its event count, its makespan bits and one FNV-1a digest over the
-//! bits of the whole `RunTrace`: per-instance completions, every sink's
-//! completion times and the bytes in and out of each PE. The event count
+//! its event count, its makespan bits, one FNV-1a digest over the
+//! bits of the whole `RunTrace` (per-instance completions, every sink's
+//! completion times and the bytes in and out of each PE) and the
+//! steady-state cycle it records (`RunTrace::cycle`, which the
+//! throughput readers return whether or not the run jumped). The event count
 //! is what is left after the jump over the periodic steady state
 //! (`sim_jump.rs` holds the jump to the event-by-event run). The
 //! simulator is deterministic, so a changed row is a changed *event order* or
@@ -37,28 +39,29 @@ use cellstream::sim::{simulate, RunTrace, SimConfig};
 /// Instances simulated per run, as in the benchmark's `plan_paper`.
 const INSTANCES: u64 = 200;
 
-/// `(events, makespan bits, trace digest)`, one row per case and
-/// configuration in the order [`cases`] lists them.
-const GOLDEN: [(u64, u64, u64); 19] = [
-    (10713, 0x3f57e2b437452bcd, 0xc070d1da1d35dcfd), // graph 1 @ 0.775, greedy_cpu, ideal: 1457.8590 us
-    (15830, 0x3f59b2f42d4307d7, 0xde6bd3d8a93385f2), // graph 1 @ 0.775, greedy_cpu, calibrated: 1568.5448 us
-    (25263, 0x3f718c437095632e, 0x49c74e5ac1e0a04b), // graph 1 @ 3.070, greedy_cpu, ideal: 4284.1563 us
-    (32988, 0x3f71904e4a2fbbdb, 0x17b4b059d532b605), // graph 1 @ 3.070, greedy_cpu, calibrated: 4288.0114 us
-    (18008, 0x3f543835890dc932, 0x2d9ca8b62057501f), // graph 3 @ 0.775, greedy_cpu, ideal: 1234.1044 us
-    (24288, 0x3f5581b6844628c1, 0x06400a60379a33c9), // graph 3 @ 0.775, greedy_cpu, calibrated: 1312.6643 us
-    (11434, 0x3f662e0e8593a7e8, 0x37f7d4f75017df9f), // graph 3 @ 3.070, greedy_cpu, ideal: 2707.5084 us
-    (14080, 0x3f671f5960e10bff, 0x5d09d4e65bad7394), // graph 3 @ 3.070, greedy_cpu, calibrated: 2822.5656 us
-    (15132, 0x3f59f5b9f6d03ede, 0xe4f99becacf54fcb), // graph 1 @ 0.775, greedy_mem, ideal: 1584.4647 us
-    (42342, 0x3f5b8ec36d65726b, 0x3e91dfab3e2599e3), // graph 1 @ 0.775, greedy_mem, calibrated: 1681.9867 us
-    (13046, 0x3f60c0e1e7786222, 0x32e8529246882040), // graph 1 @ 0.775, comm_aware, ideal: 2045.0985 us
-    (18924, 0x3f617b674476997d, 0x13ff354f38be8a35), // graph 1 @ 0.775, comm_aware, calibrated: 2134.0386 us
-    (1026, 0x3f426ed5be3d88f0, 0x1dd470fd5b595cc1),  // audio, greedy_cpu, ideal: 562.5290 us
-    (2346, 0x3f43638d56b4d46d, 0x49a9e7247bd0649d),  // audio, greedy_cpu, calibrated: 591.7015 us
-    (561, 0x3f414a301cf9c608, 0x000fced0b885e4f8),   // video, greedy_cpu, ideal: 527.6427 us
-    (905, 0x3f41aa67c0293586, 0xec480f9363bb7b3d),   // video, greedy_cpu, calibrated: 539.1127 us
-    (5766, 0x3f6ccc45aad1a07e, 0x256666ec19fa6433), // graph 1 @ 0.775, 2 SPEs, 2 + 1 DMA slots, greedy_cpu, ideal: 3515.3733 us
-    (7351, 0x3f6e1835985fd92c, 0xf0ad9e39c1b519e5), // graph 1 @ 0.775, 2 SPEs, 2 + 1 DMA slots, greedy_cpu, calibrated: 3673.6533 us
-    (27528, 0x3f44076ec56f5a00, 0x34a63026bb2767f4), // graph 3 @ 0.775, multi_start, default: 611.2376 us
+/// `(events, makespan bits, trace digest, (cycle completions, cycle
+/// seconds bits))`, one row per case and configuration in the order
+/// [`cases`] lists them; the cycle is `(0, 0)` when none was found.
+const GOLDEN: [(u64, u64, u64, (u64, u64)); 19] = [
+    (10713, 0x3f57e2b437452bcd, 0xc070d1da1d35dcfd, (1, 0x3eddf02a5589c4c0)), // graph 1 @ 0.775, greedy_cpu, ideal: 1457.8590 us
+    (15830, 0x3f59b2f42d4307d7, 0xde6bd3d8a93385f2, (1, 0x3ee02a195edc1640)), // graph 1 @ 0.775, greedy_cpu, calibrated: 1568.5448 us
+    (25263, 0x3f718c437095632e, 0x49c74e5ac1e0a04b, (0, 0x0000000000000000)), // graph 1 @ 3.070, greedy_cpu, ideal: 4284.1563 us
+    (32988, 0x3f71904e4a2fbbdb, 0x17b4b059d532b605, (0, 0x0000000000000000)), // graph 1 @ 3.070, greedy_cpu, calibrated: 4288.0114 us
+    (18008, 0x3f543835890dc932, 0x2d9ca8b62057501f, (1, 0x3ed92d45e3d17b00)), // graph 3 @ 0.775, greedy_cpu, ideal: 1234.1044 us
+    (24288, 0x3f5581b6844628c1, 0x06400a60379a33c9, (1, 0x3edad008460c2d00)), // graph 3 @ 0.775, greedy_cpu, calibrated: 1312.6643 us
+    (11434, 0x3f662e0e8593a7e8, 0x37f7d4f75017df9f, (1, 0x3eebc342beddf200)), // graph 3 @ 3.070, greedy_cpu, ideal: 2707.5084 us
+    (14080, 0x3f671f5960e10bff, 0x5d09d4e65bad7394, (1, 0x3eed05621e1ecac0)), // graph 3 @ 3.070, greedy_cpu, calibrated: 2822.5656 us
+    (15132, 0x3f59f5b9f6d03ede, 0xe4f99becacf54fcb, (2, 0x3ef022290d8d0c60)), // graph 1 @ 0.775, greedy_mem, ideal: 1584.4647 us
+    (42342, 0x3f5b8ec36d65726b, 0x3e91dfab3e2599e3, (1, 0x3ee1191ef8b63a00)), // graph 1 @ 0.775, greedy_mem, calibrated: 1681.9867 us
+    (13046, 0x3f60c0e1e7786222, 0x32e8529246882040, (1, 0x3ee4855cf1b0c3e0)), // graph 1 @ 0.775, comm_aware, ideal: 2045.0985 us
+    (18924, 0x3f617b674476997d, 0x13ff354f38be8a35, (1, 0x3ee5617aea3f3580)), // graph 1 @ 0.775, comm_aware, calibrated: 2134.0386 us
+    (1026, 0x3f426ed5be3d88f0, 0x1dd470fd5b595cc1, (1, 0x3ec77cf447651960)), // audio, greedy_cpu, ideal: 562.5290 us
+    (2346, 0x3f43638d56b4d46d, 0x49a9e7247bd0649d, (1, 0x3ec8a99a17c3c100)), // audio, greedy_cpu, calibrated: 591.7015 us
+    (561, 0x3f414a301cf9c608, 0x000fced0b885e4f8, (1, 0x3ec5cf751db94e70)), // video, greedy_cpu, ideal: 527.6427 us
+    (905, 0x3f41aa67c0293586, 0xec480f9363bb7b3d, (1, 0x3ec63ad4e8244120)), // video, greedy_cpu, calibrated: 539.1127 us
+    (5766, 0x3f6ccc45aad1a07e, 0x256666ec19fa6433, (1, 0x3ef26d3c5f12c010)), // graph 1 @ 0.775, 2 SPEs, 2 + 1 DMA slots, greedy_cpu, ideal: 3515.3733 us
+    (7351, 0x3f6e1835985fd92c, 0xf0ad9e39c1b519e5, (1, 0x3ef3414cc20c5fb0)), // graph 1 @ 0.775, 2 SPEs, 2 + 1 DMA slots, greedy_cpu, calibrated: 3673.6533 us
+    (27528, 0x3f44076ec56f5a00, 0x34a63026bb2767f4, (6, 0x3ef1334fa0924b30)), // graph 3 @ 0.775, multi_start, default: 611.2376 us
 ];
 
 /// One mapped application and the configurations it is simulated under.
@@ -174,13 +177,16 @@ fn the_simulator_replays_the_recorded_traces() {
         for (config_name, config) in &case.configs {
             let trace = simulate(&case.graph, &case.spec, &mapping, config, INSTANCES)
                 .expect("a heuristic mapping simulates");
-            let row = (trace.events, trace.total_time().to_bits(), digest(&trace));
+            let cycle = trace.cycle.map_or((0, 0), |(c, dt)| (c, dt.to_bits()));
+            let row = (trace.events, trace.total_time().to_bits(), digest(&trace), cycle);
             let name = format!("{}, {}, {config_name}", case.name, case.scheduler);
             println!(
-                "    ({}, {:#018x}, {:#018x}), // {name}: {:.4} us",
+                "    ({}, {:#018x}, {:#018x}, ({}, {:#018x})), // {name}: {:.4} us",
                 row.0,
                 row.1,
                 row.2,
+                row.3 .0,
+                row.3 .1,
                 trace.total_time() * 1e6
             );
             rows.push((name, row));
