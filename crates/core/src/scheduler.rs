@@ -8,7 +8,9 @@
 //! them one interface:
 //!
 //! * [`Scheduler`] — anything that can turn a graph + platform into a
-//!   [`Plan`];
+//!   mapping; its provided [`Scheduler::plan`] times that call,
+//!   evaluates the mapping and names the result, the one place a
+//!   [`Plan`] is built;
 //! * [`Plan`] — a mapping plus its full [`MappingReport`], per-algorithm
 //!   [`PlanStats`], and the wall-clock time spent planning;
 //! * [`PlanContext`] — cross-algorithm inputs: warm-start seeds, the
@@ -18,7 +20,8 @@
 //! Core implements the trait for the MILP driver ([`MilpScheduler`]),
 //! the exhaustive optimum ([`BruteScheduler`]) and the PPE-only baseline
 //! ([`PpeOnlyScheduler`]); the `cellstream-heuristics` crate implements
-//! it for the five heuristics and provides the string-keyed registry
+//! it for the seven heuristics (both §6.3 greedies, the comm-aware
+//! greedy, local search, annealing, multi-start and repair) and provides the string-keyed registry
 //! (`scheduler_by_name`) plus the parallel `Portfolio` runner.
 
 use crate::eval::{evaluate, MappingReport};
@@ -109,26 +112,14 @@ pub struct Plan {
     pub report: MappingReport,
     /// Algorithm-specific statistics.
     pub stats: PlanStats,
-    /// Wall-clock planning time.
+    /// Wall-clock planning time: the scheduler's
+    /// [`mapping`](Scheduler::mapping) call, evaluation excluded. For
+    /// the MILP that is its option set-up plus `solve`, not
+    /// `SolveOutcome::wall`.
     pub wall: Duration,
 }
 
 impl Plan {
-    /// Evaluate `mapping` and wrap it as a plan. Fails on structurally
-    /// invalid mappings; infeasible-but-valid mappings are returned as
-    /// plans whose report carries the violations.
-    pub fn from_mapping(
-        scheduler: impl Into<String>,
-        g: &StreamGraph,
-        spec: &CellSpec,
-        mapping: Mapping,
-        stats: PlanStats,
-        wall: Duration,
-    ) -> Result<Plan, PlanError> {
-        let report = evaluate(g, spec, &mapping)?;
-        Ok(Plan { scheduler: scheduler.into(), mapping, report, stats, wall })
-    }
-
     /// Steady-state period `T` (seconds per instance).
     pub fn period(&self) -> f64 {
         self.report.period
@@ -218,28 +209,39 @@ impl From<SolveError> for PlanError {
     }
 }
 
-/// A mapping algorithm with a uniform interface.
+/// A mapping algorithm with a uniform interface: an implementation
+/// writes only its algorithm ([`mapping`](Self::mapping)); the provided
+/// [`plan`](Self::plan) times, evaluates and names every answer alike.
+///
+/// A composed multi-application [`Workload`] is planned as
+/// `plan(w.graph(), …)`: its period is the maximum weighted
+/// per-application period, so every scheduler co-schedules it
+/// unchanged. Split the result with [`Plan::per_app`].
 ///
 /// `Send + Sync` so portfolios can run members on parallel threads.
 pub trait Scheduler: Send + Sync {
     /// Stable, registry-friendly name (e.g. `"milp"`, `"greedy_mem"`).
     fn name(&self) -> &str;
 
-    /// Compute a mapping plan for `g` on `spec`.
-    fn plan(&self, g: &StreamGraph, spec: &CellSpec, ctx: &PlanContext) -> Result<Plan, PlanError>;
-
-    /// Plan a composed multi-application [`Workload`]: the composed graph
-    /// is a plain [`StreamGraph`] whose period is the maximum weighted
-    /// per-application period, so *every* scheduler co-schedules it
-    /// unchanged. Split the result per application with
-    /// [`Plan::per_app`] or [`crate::workload::evaluate_workload`].
-    fn plan_workload(
+    /// Run the algorithm: a mapping of `g` on `spec` and what the
+    /// search reports about it.
+    fn mapping(
         &self,
-        w: &Workload,
+        g: &StreamGraph,
         spec: &CellSpec,
         ctx: &PlanContext,
-    ) -> Result<Plan, PlanError> {
-        self.plan(w.graph(), spec, ctx)
+    ) -> Result<(Mapping, PlanStats), PlanError>;
+
+    /// Compute a mapping plan for `g` on `spec`: time
+    /// [`mapping`](Self::mapping), then evaluate its answer. Fails on a
+    /// structurally invalid mapping; an infeasible but valid one comes
+    /// back as a plan whose report carries the violations.
+    fn plan(&self, g: &StreamGraph, spec: &CellSpec, ctx: &PlanContext) -> Result<Plan, PlanError> {
+        let started = Instant::now();
+        let (mapping, stats) = self.mapping(g, spec, ctx)?;
+        let wall = started.elapsed();
+        let report = evaluate(g, spec, &mapping)?;
+        Ok(Plan { scheduler: self.name().to_owned(), mapping, report, stats, wall })
     }
 
     /// `true` for schedulers that profit from running *after* fast
@@ -273,27 +275,25 @@ impl Scheduler for MilpScheduler {
         true
     }
 
-    fn plan(&self, g: &StreamGraph, spec: &CellSpec, ctx: &PlanContext) -> Result<Plan, PlanError> {
+    fn mapping(
+        &self,
+        g: &StreamGraph,
+        spec: &CellSpec,
+        ctx: &PlanContext,
+    ) -> Result<(Mapping, PlanStats), PlanError> {
         let mut opts = ctx.solve.clone();
         opts.seeds.extend(ctx.seeds.iter().cloned());
         opts.mip.stop = ctx.stop.clone();
         let outcome = solve(g, spec, &opts)?;
-        let warm_start_rate = outcome.warm_start_rate();
-        let report = evaluate(g, spec, &outcome.mapping)?;
-        Ok(Plan {
-            scheduler: self.name().to_owned(),
-            mapping: outcome.mapping,
-            report,
-            stats: PlanStats::Milp {
-                period_bound: outcome.period_bound,
-                gap: outcome.gap,
-                status: outcome.status,
-                nodes: outcome.nodes,
-                lp_iterations: outcome.lp_iterations,
-                warm_start_rate,
-            },
-            wall: outcome.wall,
-        })
+        let stats = PlanStats::Milp {
+            period_bound: outcome.period_bound,
+            gap: outcome.gap,
+            status: outcome.status,
+            nodes: outcome.nodes,
+            lp_iterations: outcome.lp_iterations,
+            warm_start_rate: outcome.warm_start_rate(),
+        };
+        Ok((outcome.mapping, stats))
     }
 }
 
@@ -308,12 +308,12 @@ impl Scheduler for BruteScheduler {
         "brute"
     }
 
-    fn plan(
+    fn mapping(
         &self,
         g: &StreamGraph,
         spec: &CellSpec,
         _ctx: &PlanContext,
-    ) -> Result<Plan, PlanError> {
+    ) -> Result<(Mapping, PlanStats), PlanError> {
         if !crate::brute::can_enumerate(g, spec) {
             return Err(PlanError::Unsupported(format!(
                 "brute force would enumerate {:.0} mappings (limit {:.0}); use the MILP scheduler",
@@ -321,17 +321,9 @@ impl Scheduler for BruteScheduler {
                 crate::brute::MAX_COMBOS
             )));
         }
-        let started = Instant::now();
         let (mapping, _) = crate::brute::optimal_mapping(g, spec)
             .ok_or_else(|| PlanError::Infeasible("no feasible mapping exists".to_owned()))?;
-        Plan::from_mapping(
-            self.name(),
-            g,
-            spec,
-            mapping,
-            PlanStats::Exhaustive { enumerated: crate::brute::combos(g, spec) as u64 },
-            started.elapsed(),
-        )
+        Ok((mapping, PlanStats::Exhaustive { enumerated: crate::brute::combos(g, spec) as u64 }))
     }
 }
 
@@ -345,15 +337,13 @@ impl Scheduler for PpeOnlyScheduler {
         "ppe_only"
     }
 
-    fn plan(
+    fn mapping(
         &self,
         g: &StreamGraph,
-        spec: &CellSpec,
+        _spec: &CellSpec,
         _ctx: &PlanContext,
-    ) -> Result<Plan, PlanError> {
-        let started = Instant::now();
-        let mapping = Mapping::all_on(g, PeId(0));
-        Plan::from_mapping(self.name(), g, spec, mapping, PlanStats::Heuristic, started.elapsed())
+    ) -> Result<(Mapping, PlanStats), PlanError> {
+        Ok((Mapping::all_on(g, PeId(0)), PlanStats::Heuristic))
     }
 }
 

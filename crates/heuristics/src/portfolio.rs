@@ -23,7 +23,7 @@
 
 use crate::schedulers::scheduler_by_name;
 use cellstream_core::scheduler::{Plan, PlanContext, PlanError, Scheduler};
-use cellstream_graph::{StreamGraph, Workload};
+use cellstream_graph::StreamGraph;
 use cellstream_platform::CellSpec;
 use std::time::{Duration, Instant};
 
@@ -53,7 +53,7 @@ impl MemberResult {
     }
 }
 
-/// The result of [`Portfolio::run`].
+/// The result of [`Portfolio::run_with`].
 #[derive(Debug, Clone)]
 pub struct PortfolioOutcome {
     /// The best feasible plan across all members.
@@ -208,31 +208,12 @@ impl Portfolio {
         first.iter().chain(second.iter()).map(|s| s.name()).collect()
     }
 
-    /// Race every member and return the best feasible plan plus the
-    /// leaderboard. Fails with [`PlanError::Unsupported`] on an empty
-    /// portfolio and [`PlanError::Infeasible`] when no member produced a
-    /// feasible plan.
-    pub fn run(&self, g: &StreamGraph, spec: &CellSpec) -> Result<PortfolioOutcome, PlanError> {
-        self.run_with(g, spec, &PlanContext::default())
-    }
-
-    /// Race the portfolio on a composed multi-application [`Workload`]:
-    /// the composed graph's period is the maximum weighted
-    /// per-application period, so every member co-schedules the
-    /// applications jointly with no changes. Split the winner per
-    /// application with `Plan::per_app` or
-    /// `cellstream_core::evaluate_workload`.
-    pub fn run_workload(
-        &self,
-        w: &Workload,
-        spec: &CellSpec,
-        ctx: &PlanContext,
-    ) -> Result<PortfolioOutcome, PlanError> {
-        self.run_with(w.graph(), spec, ctx)
-    }
-
-    /// Like [`run`](Self::run), with caller-supplied seeds, MILP options
-    /// and stop.
+    /// Race every member under `ctx` (seeds, MILP options and stop) and
+    /// return the best feasible plan plus the leaderboard. Fails with
+    /// [`PlanError::Unsupported`] on an empty portfolio and
+    /// [`PlanError::Infeasible`] when no member produced a feasible plan.
+    /// A composed multi-application workload races as
+    /// `run_with(w.graph(), …)`; split the winner with `Plan::per_app`.
     pub fn run_with(
         &self,
         g: &StreamGraph,
@@ -345,7 +326,7 @@ mod tests {
         let g = chain("c", 6, &CostParams::default(), 11);
         let spec = CellSpec::with_spes(2);
         let p = Portfolio::heuristics_only();
-        let outcome = p.run(&g, &spec).unwrap();
+        let outcome = p.run_with(&g, &spec, &PlanContext::default()).unwrap();
         assert_eq!(outcome.leaderboard.len(), 6);
         let periods: Vec<f64> = outcome
             .leaderboard
@@ -399,7 +380,8 @@ mod tests {
     #[test]
     fn empty_portfolio_is_an_error() {
         let g = chain("c", 3, &CostParams::default(), 1);
-        let err = Portfolio::new().run(&g, &CellSpec::ps3()).unwrap_err();
+        let err =
+            Portfolio::new().run_with(&g, &CellSpec::ps3(), &PlanContext::default()).unwrap_err();
         assert!(matches!(err, PlanError::Unsupported(_)));
     }
 
@@ -423,15 +405,26 @@ mod tests {
         let g = b.build().unwrap();
         let spec = CellSpec::with_spes(2);
         let p = Portfolio::heuristics_only();
-        let reference: Vec<String> =
-            p.run(&g, &spec).unwrap().leaderboard.iter().map(|m| m.scheduler.clone()).collect();
+        let ctx = PlanContext::default();
+        let reference: Vec<String> = p
+            .run_with(&g, &spec, &ctx)
+            .unwrap()
+            .leaderboard
+            .iter()
+            .map(|m| m.scheduler.clone())
+            .collect();
         for _ in 0..6 {
-            let names: Vec<String> =
-                p.run(&g, &spec).unwrap().leaderboard.iter().map(|m| m.scheduler.clone()).collect();
+            let names: Vec<String> = p
+                .run_with(&g, &spec, &ctx)
+                .unwrap()
+                .leaderboard
+                .iter()
+                .map(|m| m.scheduler.clone())
+                .collect();
             assert_eq!(names, reference, "leaderboard order must be reproducible");
         }
         // and within an equal-period block the names are sorted
-        let outcome = p.run(&g, &spec).unwrap();
+        let outcome = p.run_with(&g, &spec, &ctx).unwrap();
         for w in outcome.leaderboard.windows(2) {
             let (pa, pb) = (w[0].feasible_plan(), w[1].feasible_plan());
             if let (Some(pa), Some(pb)) = (pa, pb) {
@@ -487,14 +480,15 @@ mod tests {
     }
 
     #[test]
-    fn run_workload_co_schedules_composed_apps() {
+    fn a_composed_workload_races_as_its_graph() {
         use cellstream_graph::Workload;
         let a = chain("a", 4, &CostParams::default(), 3);
         let b = chain("b", 3, &CostParams::default(), 5);
         let w = Workload::compose("pair", &[&a, &b]).unwrap();
         let spec = CellSpec::ps3();
-        let outcome =
-            Portfolio::heuristics_only().run_workload(&w, &spec, &PlanContext::default()).unwrap();
+        let outcome = Portfolio::heuristics_only()
+            .run_with(w.graph(), &spec, &PlanContext::default())
+            .unwrap();
         assert!(outcome.best.is_feasible());
         let per_app = outcome.best.per_app(&w, &spec);
         assert_eq!(per_app.len(), 2);

@@ -29,11 +29,10 @@
 //! `online` bench gates both).
 
 use crate::search::{exact_period, refine_in_place, LocalSearchOptions};
-use cellstream_core::scheduler::{Plan, PlanContext, PlanError, PlanStats, Scheduler};
+use cellstream_core::scheduler::{PlanContext, PlanError, PlanStats, Scheduler};
 use cellstream_core::{Availability, EvalState, Mapping, Move};
 use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_platform::{CellSpec, PeId};
-use std::time::Instant;
 
 /// Knobs for [`repair_with`] beyond the refinement pass.
 #[derive(Debug, Clone, Default)]
@@ -215,8 +214,12 @@ impl Scheduler for RepairScheduler {
         "repair"
     }
 
-    fn plan(&self, g: &StreamGraph, spec: &CellSpec, ctx: &PlanContext) -> Result<Plan, PlanError> {
-        let started = Instant::now();
+    fn mapping(
+        &self,
+        g: &StreamGraph,
+        spec: &CellSpec,
+        ctx: &PlanContext,
+    ) -> Result<(Mapping, PlanStats), PlanError> {
         let partial: Vec<Option<PeId>> =
             match ctx.seeds.iter().find(|m| m.validate(g, spec).is_ok()) {
                 Some(m) => m.assignment().iter().map(|&pe| Some(pe)).collect(),
@@ -224,14 +227,7 @@ impl Scheduler for RepairScheduler {
             };
         let opts = LocalSearchOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
         let (mapping, _) = repair(g, spec, &Availability::full(spec), &partial, &opts);
-        Plan::from_mapping(
-            self.name(),
-            g,
-            spec,
-            mapping,
-            PlanStats::Search { iterations: 0 },
-            started.elapsed(),
-        )
+        Ok((mapping, PlanStats::Search { iterations: 0 }))
     }
 }
 

@@ -11,13 +11,11 @@ use crate::comm_aware::comm_aware_greedy;
 use crate::greedy::{greedy_cpu, greedy_mem};
 use crate::search::{local_search, multi_start, LocalSearchOptions};
 use cellstream_core::scheduler::{
-    BruteScheduler, MilpScheduler, Plan, PlanContext, PlanError, PlanStats, PpeOnlyScheduler,
-    Scheduler,
+    BruteScheduler, MilpScheduler, PlanContext, PlanError, PlanStats, PpeOnlyScheduler, Scheduler,
 };
 use cellstream_core::{evaluate, Mapping};
 use cellstream_graph::StreamGraph;
 use cellstream_platform::{CellSpec, PeId};
-use std::time::Instant;
 
 /// *GreedyMem* (paper §6.3) as a [`Scheduler`].
 #[derive(Debug, Clone, Default)]
@@ -28,15 +26,13 @@ impl Scheduler for GreedyMemScheduler {
         "greedy_mem"
     }
 
-    fn plan(
+    fn mapping(
         &self,
         g: &StreamGraph,
         spec: &CellSpec,
         _ctx: &PlanContext,
-    ) -> Result<Plan, PlanError> {
-        let started = Instant::now();
-        let mapping = greedy_mem(g, spec);
-        Plan::from_mapping(self.name(), g, spec, mapping, PlanStats::Heuristic, started.elapsed())
+    ) -> Result<(Mapping, PlanStats), PlanError> {
+        Ok((greedy_mem(g, spec), PlanStats::Heuristic))
     }
 }
 
@@ -49,15 +45,13 @@ impl Scheduler for GreedyCpuScheduler {
         "greedy_cpu"
     }
 
-    fn plan(
+    fn mapping(
         &self,
         g: &StreamGraph,
         spec: &CellSpec,
         _ctx: &PlanContext,
-    ) -> Result<Plan, PlanError> {
-        let started = Instant::now();
-        let mapping = greedy_cpu(g, spec);
-        Plan::from_mapping(self.name(), g, spec, mapping, PlanStats::Heuristic, started.elapsed())
+    ) -> Result<(Mapping, PlanStats), PlanError> {
+        Ok((greedy_cpu(g, spec), PlanStats::Heuristic))
     }
 }
 
@@ -70,16 +64,24 @@ impl Scheduler for CommAwareScheduler {
         "comm_aware"
     }
 
-    fn plan(
+    fn mapping(
         &self,
         g: &StreamGraph,
         spec: &CellSpec,
         _ctx: &PlanContext,
-    ) -> Result<Plan, PlanError> {
-        let started = Instant::now();
-        let mapping = comm_aware_greedy(g, spec);
-        Plan::from_mapping(self.name(), g, spec, mapping, PlanStats::Heuristic, started.elapsed())
+    ) -> Result<(Mapping, PlanStats), PlanError> {
+        Ok((comm_aware_greedy(g, spec), PlanStats::Heuristic))
     }
+}
+
+/// Where local search and annealing start: the first feasible context
+/// seed, else *GreedyCpu*.
+fn feasible_seed_or_greedy_cpu(g: &StreamGraph, spec: &CellSpec, ctx: &PlanContext) -> Mapping {
+    ctx.seeds
+        .iter()
+        .find(|m| evaluate(g, spec, m).map(|r| r.is_feasible()).unwrap_or(false))
+        .cloned()
+        .unwrap_or_else(|| greedy_cpu(g, spec))
 }
 
 /// Local search as a [`Scheduler`]: refines the first
@@ -96,26 +98,18 @@ impl Scheduler for LocalSearchScheduler {
         "local_search"
     }
 
-    fn plan(&self, g: &StreamGraph, spec: &CellSpec, ctx: &PlanContext) -> Result<Plan, PlanError> {
-        let started = Instant::now();
-        let start = ctx
-            .seeds
-            .iter()
-            .find(|m| evaluate(g, spec, m).map(|r| r.is_feasible()).unwrap_or(false))
-            .cloned()
-            .unwrap_or_else(|| greedy_cpu(g, spec));
+    fn mapping(
+        &self,
+        g: &StreamGraph,
+        spec: &CellSpec,
+        ctx: &PlanContext,
+    ) -> Result<(Mapping, PlanStats), PlanError> {
+        let start = feasible_seed_or_greedy_cpu(g, spec, ctx);
         let opts = LocalSearchOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
         let (mapping, _) = local_search(g, spec, &start, &opts);
         // local_search does not report how many rounds it actually ran,
         // so follow the PlanStats contract: 0 when untracked.
-        Plan::from_mapping(
-            self.name(),
-            g,
-            spec,
-            mapping,
-            PlanStats::Search { iterations: 0 },
-            started.elapsed(),
-        )
+        Ok((mapping, PlanStats::Search { iterations: 0 }))
     }
 }
 
@@ -134,24 +128,16 @@ impl Scheduler for AnnealScheduler {
         "anneal"
     }
 
-    fn plan(&self, g: &StreamGraph, spec: &CellSpec, ctx: &PlanContext) -> Result<Plan, PlanError> {
-        let started = Instant::now();
-        let start = ctx
-            .seeds
-            .iter()
-            .find(|m| evaluate(g, spec, m).map(|r| r.is_feasible()).unwrap_or(false))
-            .cloned()
-            .unwrap_or_else(|| greedy_cpu(g, spec));
+    fn mapping(
+        &self,
+        g: &StreamGraph,
+        spec: &CellSpec,
+        ctx: &PlanContext,
+    ) -> Result<(Mapping, PlanStats), PlanError> {
+        let start = feasible_seed_or_greedy_cpu(g, spec, ctx);
         let opts = AnnealingOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
         let (mapping, _) = anneal(g, spec, &start, &opts);
-        Plan::from_mapping(
-            self.name(),
-            g,
-            spec,
-            mapping,
-            PlanStats::Search { iterations: self.opts.steps as u64 },
-            started.elapsed(),
-        )
+        Ok((mapping, PlanStats::Search { iterations: self.opts.steps as u64 }))
     }
 }
 
@@ -170,8 +156,12 @@ impl Scheduler for MultiStartScheduler {
         "multi_start"
     }
 
-    fn plan(&self, g: &StreamGraph, spec: &CellSpec, ctx: &PlanContext) -> Result<Plan, PlanError> {
-        let started = Instant::now();
+    fn mapping(
+        &self,
+        g: &StreamGraph,
+        spec: &CellSpec,
+        ctx: &PlanContext,
+    ) -> Result<(Mapping, PlanStats), PlanError> {
         let mut starts = vec![
             greedy_mem(g, spec),
             greedy_cpu(g, spec),
@@ -182,14 +172,7 @@ impl Scheduler for MultiStartScheduler {
         let n_starts = starts.len() as u64;
         let opts = LocalSearchOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
         let (mapping, _) = multi_start(g, spec, &starts, &opts);
-        Plan::from_mapping(
-            self.name(),
-            g,
-            spec,
-            mapping,
-            PlanStats::Search { iterations: n_starts },
-            started.elapsed(),
-        )
+        Ok((mapping, PlanStats::Search { iterations: n_starts }))
     }
 }
 

@@ -156,30 +156,21 @@ fn infeasible_plans_refuse_to_schedule() {
     // A custom scheduler (exercising Session::scheduler with a
     // user-defined implementation) that maps everything onto one SPE —
     // guaranteed to blow the 192 kB local-store budget on this graph.
-    use cellstream::core::scheduler::{Plan, PlanContext, PlanStats, Scheduler as _};
+    use cellstream::core::scheduler::{PlanContext, PlanStats, Scheduler as _};
     use cellstream::graph::StreamGraph;
-    use std::time::Duration;
 
     struct OneSpeScheduler;
     impl cellstream::core::Scheduler for OneSpeScheduler {
         fn name(&self) -> &str {
             "one_spe"
         }
-        fn plan(
+        fn mapping(
             &self,
             g: &StreamGraph,
             spec: &CellSpec,
             _ctx: &PlanContext,
-        ) -> Result<Plan, PlanError> {
-            let all_on_spe = Mapping::all_on(g, spec.pe(1));
-            Plan::from_mapping(
-                self.name(),
-                g,
-                spec,
-                all_on_spe,
-                PlanStats::Heuristic,
-                Duration::ZERO,
-            )
+        ) -> Result<(Mapping, PlanStats), PlanError> {
+            Ok((Mapping::all_on(g, spec.pe(1)), PlanStats::Heuristic))
         }
     }
 

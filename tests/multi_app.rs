@@ -157,7 +157,7 @@ fn all_registered_schedulers_plan_the_composed_workload() {
     let spec = CellSpec::ps3();
     let ctx = PlanContext::with_budget(std::time::Duration::from_secs(5));
     for s in all_schedulers() {
-        match s.plan_workload(&w, &spec, &ctx) {
+        match s.plan(w.graph(), &spec, &ctx) {
             Ok(plan) => {
                 let per_app = plan.per_app(&w, &spec);
                 assert_eq!(per_app.len(), 2, "{}", s.name());

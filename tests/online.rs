@@ -75,7 +75,7 @@ fn repair_stays_close_to_from_scratch_portfolio() {
 
     let w = svc.workload().unwrap();
     let scratch = Portfolio::heuristics_only()
-        .run_workload(w, &spec, &PlanContext::default())
+        .run_with(w.graph(), &spec, &PlanContext::default())
         .expect("portfolio always plans");
     // one point, outside the churn below: a single event may sit well
     // under the churn's 95% geometric mean (its minimum is 87.9%), so the
@@ -154,7 +154,7 @@ fn repair_keeps_95_percent_of_from_scratch_over_the_churn() {
         assert!(report.applied(), "{} did not apply: {:?}", report.event, report.verdict);
         let w = svc.workload().expect("the churn never empties the service");
         let scratch = Portfolio::heuristics_only()
-            .run_workload(w, &spec, &PlanContext::default())
+            .run_with(w.graph(), &spec, &PlanContext::default())
             .expect("the ppe_only member guarantees a plan");
         qualities.push(quality(scratch.best.period(), report.period));
     }
