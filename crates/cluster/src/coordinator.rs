@@ -1229,17 +1229,14 @@ impl OnlineSystem for Cluster {
     fn apply_event(&mut self, ev: &TraceEvent) -> EventOutcome {
         // an unknown application or node: the trace is data, not a
         // contract
-        let (label, applied, replan, migration_bytes) = match self.process(ev) {
-            Ok(r) => (
-                r.event.clone(),
-                r.applied(),
-                r.latency,
-                r.local_migration_bytes + r.network_bytes(),
-            ),
-            Err(_) => (ev.label(), false, Duration::ZERO, 0.0),
-        };
-        let period = self.max_period();
-        EventOutcome { at: 0.0, label, applied, queued: false, replan, migration_bytes, period }
+        match self.process(ev) {
+            Ok(r) => EventOutcome {
+                applied: r.applied(),
+                replan: r.latency,
+                migration_bytes: r.local_migration_bytes + r.network_bytes(),
+            },
+            Err(_) => EventOutcome { applied: false, replan: Duration::ZERO, migration_bytes: 0.0 },
+        }
     }
 
     fn incumbents(&self) -> Vec<(&Workload, &Mapping, &CellSpec)> {

@@ -1081,13 +1081,9 @@ impl OnlineSystem for Service {
         let report = self.resolve(ev).and_then(|e| self.process(e).ok());
         let r = report.as_ref();
         EventOutcome {
-            at: 0.0,
-            label: ev.label(),
             applied: r.is_some_and(|r| r.applied() || r.drained.iter().any(|d| d.applied())),
-            queued: r.is_some_and(|r| matches!(r.verdict, Verdict::Queued)),
             replan: r.map_or(Duration::ZERO, |r| r.replan),
             migration_bytes: r.map_or(0.0, ServeReport::migration_bytes),
-            period: self.period(),
         }
     }
 

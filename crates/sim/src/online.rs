@@ -320,29 +320,18 @@ impl serde::Deserialize for EventTrace {
     }
 }
 
-/// What a serving system reports back for one applied event. The replay
-/// driver stamps [`at`](EventOutcome::at); everything else comes from
-/// the system (the serve crate maps its richer `ServeReport` into this).
+/// What a serving system reports back for one applied event (the serve
+/// crate maps its richer `ServeReport` into this).
 #[derive(Debug, Clone)]
 pub struct EventOutcome {
-    /// Trace timestamp (stamped by [`replay`]).
-    pub at: f64,
-    /// Event label.
-    pub label: String,
     /// `true` when the event changed the served workload (admitted /
     /// retired / reweighted); `false` for rejected or queued admissions
     /// and unknown-app events.
     pub applied: bool,
-    /// `true` when an admission was parked in the wait queue rather than
-    /// rejected outright.
-    pub queued: bool,
     /// Wall-clock replanning latency of this event.
     pub replan: Duration,
     /// Migration traffic the adopted plan requires (bytes over the EIB).
     pub migration_bytes: f64,
-    /// Composed round period after the event (`+∞` when nothing is
-    /// being served).
-    pub period: f64,
 }
 
 /// A system that can be driven by an [`EventTrace`]: apply one event,
@@ -431,8 +420,11 @@ impl OnlineReport {
 /// each resident application is credited, on whichever node hosts it,
 /// its measured steady-state throughput × interval length; a node whose
 /// simulation fails (zero `instances_per_measure`, a stall) credits its
-/// applications the interval and no instances. Replan latencies and
-/// migration bytes come from the system's own per-event reports.
+/// applications the interval and no instances. The simulation is a pure
+/// function of `(workload, mapping, spec)`, so an incumbent equal to one
+/// the previous interval measured reuses its rates: each distinct
+/// incumbent is simulated once. Replan latencies and migration bytes
+/// come from the system's own per-event reports.
 pub fn replay<S: OnlineSystem>(
     sys: &mut S,
     trace: &EventTrace,
@@ -444,9 +436,10 @@ pub fn replay<S: OnlineSystem>(
         rejected: 0,
         total_migration_bytes: 0.0,
     };
+    // the previous interval's incumbents and their per-app rates
+    let mut measured: Vec<(Workload, Mapping, CellSpec, Vec<f64>)> = Vec::new();
     for (i, te) in trace.events().iter().enumerate() {
-        let mut outcome = sys.apply_event(&te.event);
-        outcome.at = te.at;
+        let outcome = sys.apply_event(&te.event);
         if !outcome.applied {
             report.rejected += 1;
         }
@@ -456,28 +449,39 @@ pub fn replay<S: OnlineSystem>(
         let until = trace.events().get(i + 1).map_or(trace.horizon, |n| n.at);
         let interval = (until - te.at).max(0.0);
         if interval > 0.0 {
+            let mut now = Vec::new();
             for (w, m, spec) in sys.incumbents() {
-                credit_node(w, m, spec, interval, instances_per_measure, &mut report.served);
+                let seen =
+                    measured.iter().position(|(pw, pm, ps, _)| pm == m && ps == spec && pw == w);
+                let entry = match seen {
+                    Some(k) => measured.swap_remove(k),
+                    None => {
+                        let rates = app_rates(w, m, spec, instances_per_measure);
+                        (w.clone(), m.clone(), spec.clone(), rates)
+                    }
+                };
+                credit(w, &entry.3, interval, &mut report.served);
+                now.push(entry);
             }
+            measured = now;
         }
     }
     report
 }
 
-/// Credit one node's resident applications for one interval.
-fn credit_node(
-    w: &Workload,
-    m: &Mapping,
-    spec: &CellSpec,
-    interval: f64,
-    instances: u64,
-    served: &mut Vec<AppServed>,
-) {
-    let per_app = match simulate(w.graph(), spec, m, &SimConfig::ideal(), instances) {
+/// Simulated steady-state throughput of each of `w`'s applications
+/// under `m`; zeros when the simulation fails.
+fn app_rates(w: &Workload, m: &Mapping, spec: &CellSpec, instances: u64) -> Vec<f64> {
+    match simulate(w.graph(), spec, m, &SimConfig::ideal(), instances) {
         Ok(trace) => trace.per_app_throughput(w),
         Err(_) => vec![0.0; w.n_apps()],
-    };
-    for (info, thr) in w.apps().iter().zip(per_app) {
+    }
+}
+
+/// Credit one node's resident applications their `rates` for one
+/// interval.
+fn credit(w: &Workload, rates: &[f64], interval: f64, served: &mut Vec<AppServed>) {
+    for (info, &thr) in w.apps().iter().zip(rates) {
         let entry = match served.iter_mut().find(|a| a.app == info.name) {
             Some(e) => e,
             None => {
@@ -519,18 +523,11 @@ mod tests {
                 (w, m)
             });
         }
-        fn outcome(&self, ev: &TraceEvent, applied: bool) -> EventOutcome {
+        fn outcome(applied: bool) -> EventOutcome {
             EventOutcome {
-                at: 0.0,
-                label: ev.label(),
                 applied,
-                queued: false,
                 replan: Duration::from_micros(10),
                 migration_bytes: if applied { 64.0 } else { 0.0 },
-                period: self
-                    .state
-                    .as_ref()
-                    .map_or(f64::INFINITY, |(w, _)| w.graph().total_ppe_work()),
             }
         }
     }
@@ -541,7 +538,7 @@ mod tests {
                 TraceEvent::Admit { graph, weight } => {
                     let n = self.state.as_ref().map_or(0, |(w, _)| w.n_apps());
                     if n >= self.cap {
-                        return self.outcome(ev, false);
+                        return Self::outcome(false);
                     }
                     let w = match self.state.take() {
                         None => {
@@ -557,15 +554,15 @@ mod tests {
                         }
                     };
                     self.replan(Some(w));
-                    self.outcome(ev, true)
+                    Self::outcome(true)
                 }
                 TraceEvent::Retire { app } => {
                     let Some((mut w, _)) = self.state.take() else {
-                        return self.outcome(ev, false);
+                        return Self::outcome(false);
                     };
                     let Some(id) = w.app_id(app) else {
                         self.state = Some((w.clone(), Mapping::all_on(w.graph(), PeId(0))));
-                        return self.outcome(ev, false);
+                        return Self::outcome(false);
                     };
                     if w.n_apps() == 1 {
                         self.replan(None);
@@ -575,11 +572,11 @@ mod tests {
                         edit.commit().unwrap();
                         self.replan(Some(w));
                     }
-                    self.outcome(ev, true)
+                    Self::outcome(true)
                 }
                 TraceEvent::Reweight { app, weight } => {
                     let Some((mut w, _)) = self.state.take() else {
-                        return self.outcome(ev, false);
+                        return Self::outcome(false);
                     };
                     let mut edit = w.batch();
                     let applied = match edit.position(app) {
@@ -588,14 +585,14 @@ mod tests {
                     };
                     edit.commit().unwrap();
                     self.replan(Some(w));
-                    self.outcome(ev, applied)
+                    Self::outcome(applied)
                 }
                 // the toy server models no impairments: faults bounce
                 TraceEvent::PeFailed { .. }
                 | TraceEvent::PeRestored { .. }
                 | TraceEvent::CostDrift { .. }
                 | TraceEvent::NodeFailed { .. }
-                | TraceEvent::NodeRestored { .. } => self.outcome(ev, false),
+                | TraceEvent::NodeRestored { .. } => Self::outcome(false),
             }
         }
 
@@ -633,8 +630,6 @@ mod tests {
         assert!((a.seconds - 0.6).abs() < 1e-12);
         assert!(a.instances > 0.0);
         let thr = a.throughput();
-        let model = 1.0 / sys.spec.pes().count() as f64; // unused sanity anchor
-        let _ = model;
         assert!((thr - 1.0 / 2e-6).abs() / (1.0 / 2e-6) < 0.05, "ppe-only chain rate, got {thr}");
         // nothing served after the retire; b never entered
         assert!(report.app("b").is_none());
@@ -773,6 +768,55 @@ mod tests {
         assert!((a.throughput() - rate).abs() / rate < 0.05, "{}", a.throughput());
         assert!((b.throughput() - rate).abs() / rate < 0.05, "{}", b.throughput());
         assert!((report.total_instances() - 2.0 * rate).abs() / (2.0 * rate) < 0.05);
+    }
+
+    /// What `replay` credits when it simulates every incumbent in every
+    /// interval: the reference its reuse of unchanged incumbents must
+    /// match bit for bit.
+    fn replay_simulating_everything<S: OnlineSystem>(
+        sys: &mut S,
+        trace: &EventTrace,
+        instances: u64,
+    ) -> Vec<AppServed> {
+        let mut served = Vec::new();
+        for (i, te) in trace.events().iter().enumerate() {
+            sys.apply_event(&te.event);
+            let until = trace.events().get(i + 1).map_or(trace.horizon, |n| n.at);
+            let interval = (until - te.at).max(0.0);
+            if interval > 0.0 {
+                for (w, m, spec) in sys.incumbents() {
+                    credit(w, &app_rates(w, m, spec, instances), interval, &mut served);
+                }
+            }
+        }
+        served
+    }
+
+    #[test]
+    fn reused_rates_credit_what_simulating_every_interval_credits() {
+        // a and c share node 0, b holds node 1 alone; reweighting a
+        // keeps node 0's all-PPE mapping but changes its workload and
+        // both its apps' rates, while node 1's incumbent stays the same
+        let trace = EventTrace::new(1.0)
+            .at(0.0, TraceEvent::Admit { graph: tiny_app("a"), weight: 1.0 })
+            .at(0.0, TraceEvent::Admit { graph: tiny_app("b"), weight: 1.0 })
+            .at(0.0, TraceEvent::Admit { graph: tiny_app("c"), weight: 1.0 })
+            .at(0.2, TraceEvent::Reweight { app: "a".into(), weight: 2.0 })
+            .at(0.4, TraceEvent::Reweight { app: "a".into(), weight: 3.0 })
+            .at(0.6, TraceEvent::Reweight { app: "a".into(), weight: 3.0 })
+            .at(0.8, TraceEvent::Reweight { app: "a".into(), weight: 1.0 });
+        let fleet = || {
+            let node = || PpeServer { spec: CellSpec::ps3(), state: None, cap: 8 };
+            TwoNode { nodes: [node(), node()], next: 0, homes: Vec::new() }
+        };
+        let report = replay(&mut fleet(), &trace, 300);
+        let reference = replay_simulating_everything(&mut fleet(), &trace, 300);
+        assert_eq!(report.served.len(), 3);
+        for (got, want) in report.served.iter().zip(&reference) {
+            assert_eq!(got.app, want.app);
+            assert_eq!(got.seconds.to_bits(), want.seconds.to_bits(), "{}", got.app);
+            assert_eq!(got.instances.to_bits(), want.instances.to_bits(), "{}", got.app);
+        }
     }
 
     #[test]
