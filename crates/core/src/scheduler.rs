@@ -21,8 +21,9 @@
 //! the exhaustive optimum ([`BruteScheduler`]) and the PPE-only baseline
 //! ([`PpeOnlyScheduler`]); the `cellstream-heuristics` crate implements
 //! it for the seven heuristics (both §6.3 greedies, the comm-aware
-//! greedy, local search, annealing, multi-start and repair) and provides the string-keyed registry
-//! (`scheduler_by_name`) plus the parallel `Portfolio` runner.
+//! greedy, local search, annealing, multi-start and repair) and provides
+//! the string-keyed registry (`scheduler_by_name`) plus the parallel
+//! `Portfolio` runner.
 
 use crate::eval::{evaluate, MappingReport};
 use crate::mapping::{Mapping, MappingError};
