@@ -10,10 +10,21 @@
 //! probability `exp(-Δ/temperature)`, geometric cooling. Infeasible
 //! neighbours are rejected outright (the feasible region is connected
 //! through the PPE, which accepts every task, so rejection cannot strand
-//! the walk). Deterministic under a fixed seed. The walk polls the
+//! the walk). Deterministic under a fixed seed.
+//!
+//! A proposal that [`EvalState::overfills`] — it would push an SPE's
+//! buffers over the local store or seat a task on a dead PE — is
+//! rejected without a probe, by the local search's capacity screen
+//! (`crate::search`'s module docs). Its probe could only score `+∞`,
+//! since the walk stays feasible, and an infeasible neighbour is
+//! rejected before the acceptance draw and the cooling step, so the walk,
+//! its random draws and its result are those of probing every proposal.
+//! On `plan_paper` most proposals (40 046 of the 48 000 steps of a pass)
+//! are screened. The walk polls the
 //! flag of its [`Stop`] every step and its deadline every 128 steps,
 //! and returns the best mapping seen when either fires.
 
+use crate::search::screened;
 use cellstream_core::{evaluate, EvalState, Mapping, Move, Stop};
 use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_platform::CellSpec;
@@ -85,6 +96,9 @@ pub fn anneal(
             }
         }
         let mv = Move::Relocate { task: t, to };
+        if screened(&mut state, mv, current_p) {
+            continue; // it would score +∞: an infeasible neighbour
+        }
         let cand_p = state.score_move(mv);
         if !cand_p.is_finite() {
             continue; // infeasible neighbour

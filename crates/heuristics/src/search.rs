@@ -107,6 +107,23 @@ fn balance_potential(state: &EvalState<'_>, spec: &CellSpec) -> f64 {
         .sum()
 }
 
+/// The capacity screen (module docs): with `current` finite, a move that
+/// overfills a local store or seats a dead PE would score `+∞` and can
+/// never be accepted, so it is not probed. `debug_invariants` builds
+/// probe every screened move and assert the `+∞`. The annealer screens
+/// its proposals with it too.
+pub(crate) fn screened(state: &mut EvalState<'_>, mv: Move, current: f64) -> bool {
+    let skip = current.is_finite() && state.overfills(mv);
+    #[cfg(feature = "debug_invariants")]
+    if skip {
+        state.apply(mv);
+        let s = state.score();
+        state.undo();
+        assert!(s.is_infinite(), "screened {mv:?} scores {s}");
+    }
+    skip
+}
+
 /// Refine `start` by [`refine_in_place`]. Returns the refined mapping and
 /// its period (re-derived with one full
 /// [`evaluate`](cellstream_core::evaluate) so the published number is
@@ -163,20 +180,6 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
         };
         state.undo();
         (s, pot)
-    }
-    // the capacity screen (module docs): with `current` finite, a move
-    // that overfills a local store or seats a dead PE would score +∞ and
-    // can never be accepted, so it is not probed
-    fn screened(state: &mut EvalState<'_>, mv: Move, current: f64) -> bool {
-        let skip = current.is_finite() && state.overfills(mv);
-        #[cfg(feature = "debug_invariants")]
-        if skip {
-            state.apply(mv);
-            let s = state.score();
-            state.undo();
-            assert!(s.is_infinite(), "screened {mv:?} scores {s}");
-        }
-        skip
     }
     // a task's best relocation, lexicographic in (period, potential):
     // the primary comparison is *exact* (ulp-level accumulator

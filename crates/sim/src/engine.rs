@@ -2,8 +2,12 @@
 //!
 //! Fluid-flow simulation: compute completions are exact events; transfer
 //! completions are predicted from the current max-min rate allocation and
-//! re-predicted (with a generation counter invalidating stale events)
-//! whenever the active-flow set changes.
+//! re-predicted whenever the active-flow set changes. Only the next one
+//! is ever pending: it waits in a slot beside the event heap, and a
+//! re-share overwrites it, so no superseded prediction is queued, popped
+//! or counted. Its sequence number is drawn when it is predicted, like
+//! any other event's, and the run takes the next event in `(at, seq)`
+//! order from the heap and the slot together.
 //!
 //! The flow table is bounded by the transfers in flight: a finished
 //! flow's id goes on a free list and the next transfer reuses it, and
@@ -61,17 +65,21 @@
 //!   queue counts;
 //! * the flows in flight in the order they were opened: kind, state,
 //!   bytes left of the payload and rate of the link bandwidth;
-//! * the queued events in pop order with their offsets from `now`; a
-//!   `TransferStart` names its flow by its place among the flows in
-//!   flight, and a stale `TransferDone` is left out.
+//! * the queued events and the pending transfer completion in pop order
+//!   with their offsets from `now`; a `TransferStart` names its flow by
+//!   its place among the flows in flight.
 //!
 //! A counter that never moves (the reads of a task that reads no memory,
 //! the sends of a co-mapped edge) is left out, or it would differ from
-//! every earlier signature by the completions between them. One signature
-//! is kept, Brent-style: it is replaced at completions 1, 2, 4, 8, … and
-//! every other one is compared with it, counters exactly and times within
-//! `1e-9` of the cycle's period per completion. Two buffers are reused, so
-//! memory does not grow with the instance count.
+//! every earlier signature by the completions between them. Each
+//! signature is compared with the previous completion's, which closes a
+//! one-completion cycle at its first repeat, and then with one kept
+//! Brent-style, replaced at completions 1, 2, 4, 8, …, which closes a
+//! longer one; counters compare exactly and times within `1e-9` of the
+//! cycle's period per completion. Three buffers are reused (the saved,
+//! the previous and the current signature; at a power-of-two completion
+//! the saved one is also the previous), so memory does not grow with the
+//! instance count.
 //!
 //! When the signature taken `c` completions and `Δt` seconds after the
 //! kept one equals it, the state is periodic with cycle `(c, Δt)`, which
@@ -119,7 +127,12 @@ pub struct SimConfig {
     pub read_ahead: u64,
     /// Cap on outstanding memory writes per task before production blocks.
     pub write_window: u64,
-    /// Safety valve on total simulation events.
+    /// Safety valve on total simulation events: the events the run
+    /// takes, each a compute completion, a transfer start or a live
+    /// transfer completion (a re-share replaces a pending prediction
+    /// instead of queueing another), as [`RunTrace::events`] counts them.
+    ///
+    /// [`RunTrace::events`]: crate::trace::RunTrace::events
     pub max_events: u64,
 }
 
@@ -221,7 +234,7 @@ impl std::error::Error for SimError {}
 enum Ev {
     ComputeDone { pe: usize, task: usize },
     TransferStart { id: usize },
-    TransferDone { gen: u64 },
+    TransferDone,
 }
 
 struct Event {
@@ -416,7 +429,9 @@ struct Sim<'a> {
     now: f64,
     seq: u64,
     events: BinaryHeap<Event>,
-    gen: u64,
+    /// The next transfer completion, as the last re-share predicted it:
+    /// held beside the heap, so a re-share replaces it (module docs).
+    transfer_done: Option<Event>,
 
     tasks: Vec<TaskState>,
     edges: Vec<EdgeState>,
@@ -467,17 +482,24 @@ struct Sim<'a> {
     /// Full completions so far: the fewest instances any sink finished.
     completed: u64,
     /// The signature kept from the last power-of-two completion, the one
-    /// being taken, and the queued events sorted for it.
+    /// from the completion before the current one (unless that is the
+    /// saved one), the one being taken, and the queued events sorted for
+    /// it.
     saved: Signature,
+    previous: Signature,
     current: Signature,
     pending: Vec<(f64, u64, u64)>,
     /// The cycle found: completions and seconds per cycle.
     cycle: Option<(u64, f64)>,
+    /// When set, every full completion's signature and room, taken where
+    /// `seek_cycle` takes them: the first-repeat referee's record.
+    #[cfg(test)]
+    history: Option<Vec<(Signature, u64)>>,
 }
 
 /// The run's state at a full completion, every counter relative to the
 /// completed count and every time relative to `now` (module docs).
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Signature {
     /// Full completions and the time when it was taken.
     completed: u64,
@@ -631,7 +653,7 @@ impl<'a> Sim<'a> {
             now: 0.0,
             seq: 0,
             events: BinaryHeap::new(),
-            gen: 0,
+            transfer_done: None,
             tasks,
             edges,
             flows: Vec::new(),
@@ -656,15 +678,35 @@ impl<'a> Sim<'a> {
             seeking: true,
             completed: 0,
             saved: Signature::default(),
+            previous: Signature::default(),
             current: Signature::default(),
             pending: Vec::new(),
             cycle: None,
+            #[cfg(test)]
+            history: None,
         })
     }
 
-    fn push(&mut self, at: f64, kind: Ev) {
+    /// An event at `at`, numbered after every event made before it.
+    fn event(&mut self, at: f64, kind: Ev) -> Event {
         self.seq += 1;
-        self.events.push(Event { at, seq: self.seq, kind });
+        Event { at, seq: self.seq, kind }
+    }
+
+    fn push(&mut self, at: f64, kind: Ev) {
+        let e = self.event(at, kind);
+        self.events.push(e);
+    }
+
+    /// Take the next event in `(at, seq)` order: the heap's first or the
+    /// pending transfer completion, whichever comes first (`Event`'s
+    /// order is reversed for the min-heap, so the first is the greater).
+    fn next_event(&mut self) -> Option<Event> {
+        match (self.events.peek(), &self.transfer_done) {
+            (Some(e), Some(done)) if e > done => self.events.pop(),
+            (_, Some(_)) => self.transfer_done.take(),
+            (_, None) => self.events.pop(),
+        }
     }
 
     fn is_spe(&self, pe: usize) -> bool {
@@ -717,14 +759,13 @@ impl<'a> Sim<'a> {
             .eq(self.streaming.iter())
     }
 
-    /// Re-share the links among the streaming flows and schedule the next
-    /// completion event. Only the components of the flow–link graph that
+    /// Re-share the links among the streaming flows and predict the next
+    /// transfer completion, which replaces the pending one. Only the components of the flow–link graph that
     /// hold a link whose flows changed since the last call are filled
     /// again (see `fair`); every other flow keeps its rate. In debug
     /// builds a full re-share follows, which must give every streaming
     /// flow the rate it holds, bit for bit.
     fn reallocate(&mut self) {
-        self.gen += 1;
         let bw = self.spec.interface_bw().as_bytes_per_s();
         let Sim { flows, fair, .. } = self;
         for (fid, rate) in fair.reshare(bw) {
@@ -766,9 +807,7 @@ impl<'a> Sim<'a> {
                 );
             }
         }
-        if let Some(at) = next_done {
-            self.push(at, Ev::TransferDone { gen: self.gen });
-        }
+        self.transfer_done = next_done.map(|at| self.event(at, Ev::TransferDone));
     }
 
     /// The component rule's oracle: the first flow whose rate a full
@@ -1031,13 +1070,19 @@ impl<'a> Sim<'a> {
     // ---- main loop ---------------------------------------------------------
 
     fn run(mut self) -> Result<crate::trace::RunTrace, SimError> {
+        self.drive()?;
+        Ok(self.finish())
+    }
+
+    /// Simulate until every sink finished the stream.
+    fn drive(&mut self) -> Result<(), SimError> {
         // initial pump: sources with no reads start immediately
         let changed = self.pump();
         if changed {
             self.reallocate();
         }
         let mut last_t = 0.0f64;
-        while let Some(ev) = self.events.pop() {
+        while let Some(ev) = self.next_event() {
             self.events_processed += 1;
             if self.events_processed > self.config.max_events {
                 return Err(SimError::EventBudget);
@@ -1108,11 +1153,11 @@ impl<'a> Sim<'a> {
                     // sink bookkeeping
                     if self.tasks[task].is_sink {
                         self.sink_times[task].push(self.now);
-                        completion = self.seeking && self.completion_rose();
+                        completion = self.completion_rose();
                     }
                     flows_changed |= self.pump();
                     if self.done() {
-                        return Ok(self.finish());
+                        return Ok(());
                     }
                 }
                 Ev::TransferStart { id } => {
@@ -1123,10 +1168,7 @@ impl<'a> Sim<'a> {
                         flows_changed = true;
                     }
                 }
-                Ev::TransferDone { gen } => {
-                    if gen != self.gen {
-                        continue; // stale prediction
-                    }
+                Ev::TransferDone => {
                     // complete every streaming flow that has (numerically)
                     // drained; at least one must have
                     let mut drained = std::mem::take(&mut self.drained);
@@ -1148,11 +1190,15 @@ impl<'a> Sim<'a> {
                 self.reallocate();
             }
             if completion {
-                self.seek_cycle(&mut last_t);
+                #[cfg(test)]
+                self.record();
+                if self.seeking {
+                    self.seek_cycle(&mut last_t);
+                }
             }
         }
         if self.done() {
-            Ok(self.finish())
+            Ok(())
         } else {
             let completed =
                 self.sink_ids.iter().map(|&s| self.sink_times[s].len() as u64).min().unwrap_or(0);
@@ -1171,36 +1217,73 @@ impl<'a> Sim<'a> {
         rose
     }
 
-    /// At a full completion, after the pump and the re-share: compare the
-    /// state's signature with the saved one, and jump the cycle they close
-    /// when they match; otherwise save it at a power-of-two completion.
-    /// Stops looking once the stream's end is too near for any jump.
-    fn seek_cycle(&mut self, last_t: &mut f64) {
+    /// The completions a jump may still cover: a jump of `k` cycles of
+    /// `c` must land with `margin + (k + 1)·c < n` (module docs).
+    fn room(&self) -> u64 {
         let lead = self.tasks.iter().map(|t| t.next.max(t.reads_done + t.reads_inflight)).max();
         let peek = self.tasks.iter().map(|t| t.peek).max();
         let margin = lead.unwrap_or(0) + peek.unwrap_or(0) + self.config.read_ahead;
-        // a jump of k cycles of c must land with margin + (k + 1)·c < n
-        let room = self.n_instances.saturating_sub(margin);
+        self.n_instances.saturating_sub(margin)
+    }
+
+    /// At a full completion, after the pump and the re-share: compare the
+    /// state's signature with the previous completion's and with the
+    /// power-of-two one, and jump the cycle the first match closes;
+    /// otherwise keep it as the previous one, or at a power-of-two
+    /// completion as the saved one (which is then the previous one too).
+    /// Stops looking once the stream's end is too near for any jump.
+    fn seek_cycle(&mut self, last_t: &mut f64) {
+        let room = self.room();
         if room <= 1 {
             self.seeking = false;
             return;
         }
         self.sign();
-        let saved = &self.saved;
-        let (c, dt) = (self.completed - saved.completed, self.now - saved.at);
-        if saved.completed > 0
-            && dt > 0.0
-            && c < room
-            && self.current.matches(saved, 1e-9 * dt / c as f64)
-        {
-            self.seeking = false;
-            self.cycle = Some((c, dt));
-            let k = (room - 1) / c - 1;
-            if k > 0 {
-                self.jump(k, c, dt, last_t);
-            }
+        let by_previous = self.previous.completed + 1 == self.completed;
+        if let Some((c, dt)) = by_previous.then(|| self.closes(&self.previous, room)).flatten() {
+            // the jump extrapolates the bytes from the saved signature
+            std::mem::swap(&mut self.saved, &mut self.previous);
+            self.land(c, dt, room, last_t);
+        } else if let Some((c, dt)) = self.closes(&self.saved, room) {
+            self.land(c, dt, room, last_t);
         } else if self.completed.is_power_of_two() {
             std::mem::swap(&mut self.saved, &mut self.current);
+        } else {
+            std::mem::swap(&mut self.previous, &mut self.current);
+        }
+    }
+
+    /// Add the signature and the room of this full completion to the
+    /// history, if one is kept.
+    #[cfg(test)]
+    fn record(&mut self) {
+        if self.history.is_some() {
+            let room = self.room();
+            self.sign();
+            let entry = (self.current.clone(), room);
+            self.history.as_mut().expect("checked above").push(entry);
+        }
+    }
+
+    /// The cycle `(c, Δt)` from `kept` to the signature just taken, if
+    /// they match and a jump over it fits in `room`.
+    fn closes(&self, kept: &Signature, room: u64) -> Option<(u64, f64)> {
+        let (c, dt) = (self.completed - kept.completed, self.now - kept.at);
+        let closed = kept.completed > 0
+            && dt > 0.0
+            && c < room
+            && self.current.matches(kept, 1e-9 * dt / c as f64);
+        closed.then_some((c, dt))
+    }
+
+    /// Record the cycle `(c, dt)` found against `saved` and jump as many
+    /// whole cycles as `room` leaves.
+    fn land(&mut self, c: u64, dt: f64, room: u64, last_t: &mut f64) {
+        self.seeking = false;
+        self.cycle = Some((c, dt));
+        let k = (room - 1) / c - 1;
+        if k > 0 {
+            self.jump(k, c, dt, last_t);
         }
     }
 
@@ -1245,18 +1328,16 @@ impl<'a> Sim<'a> {
             sig.shares.extend([f.bytes_left / f.total_bytes.max(1.0), f.rate / bw]);
         }
         // the queued events in the order they will pop; a start is named
-        // by its flow's place among the flows in flight, not by its id,
-        // and a stale prediction is left out
+        // by its flow's place among the flows in flight, not by its id
         self.pending.clear();
-        for e in self.events.iter() {
+        for e in self.events.iter().chain(&self.transfer_done) {
             let code = match e.kind {
                 Ev::ComputeDone { task, .. } => 3 * task as u64,
                 Ev::TransferStart { id } => {
                     let place = self.active_flow_ids.iter().position(|&f| f == id);
                     3 * place.map_or(u64::MAX / 4, |p| p as u64) + 1
                 }
-                Ev::TransferDone { gen } if gen == self.gen => 2,
-                Ev::TransferDone { .. } => continue,
+                Ev::TransferDone => 2,
             };
             self.pending.push((e.at, e.seq, code));
         }
@@ -1283,6 +1364,9 @@ impl<'a> Sim<'a> {
             e.at += shift;
         }
         self.events = BinaryHeap::from(events);
+        if let Some(done) = &mut self.transfer_done {
+            done.at += shift;
+        }
         for queue in &mut self.ready_queue {
             let mut keys = std::mem::take(queue).into_vec();
             for Reverse((slot, _, _)) in &mut keys {
@@ -1412,6 +1496,129 @@ impl<'a> Sim<'a> {
             bytes_in: self.bytes_in,
             bytes_out: self.bytes_out,
             cycle: self.cycle,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The first-repeat referee: a one-completion cycle is recorded at
+    //! the first completion whose signature equals the previous one's,
+    //! read off every completion's signature of the event-by-event run.
+
+    use super::*;
+    use cellstream_daggen::{generate, paper, CostParams, DagGenParams};
+    use cellstream_heuristics::{greedy_cpu, greedy_mem, multi_start, LocalSearchOptions};
+    use proptest::prelude::*;
+
+    /// The multi-start local search's mapping, as `plan_paper` seeds it.
+    fn multi_start_mapping(g: &StreamGraph, spec: &CellSpec) -> Mapping {
+        let starts = [greedy_mem(g, spec), greedy_cpu(g, spec), Mapping::all_on(g, spec.pe(0))];
+        multi_start(g, spec, &starts, &LocalSearchOptions::default()).0
+    }
+
+    /// Instances per run, as in the benchmark's `plan_paper`.
+    const INSTANCES: u64 = 200;
+
+    /// The first completion of the event-by-event run whose signature
+    /// equals the previous completion's under `seek_cycle`'s rule, while
+    /// the room left allows a jump.
+    fn first_repeat(
+        g: &StreamGraph,
+        spec: &CellSpec,
+        m: &Mapping,
+        config: &SimConfig,
+    ) -> Option<u64> {
+        let mut sim = Sim::new(g, spec, m, config, INSTANCES).unwrap();
+        sim.seeking = false;
+        sim.history = Some(Vec::new());
+        sim.drive().unwrap();
+        let history = sim.history.take().unwrap();
+        history.windows(2).find_map(|pair| {
+            let [(previous, _), (sig, room)] = pair else { unreachable!() };
+            assert_eq!(previous.completed + 1, sig.completed, "a completion was not recorded");
+            let dt = sig.at - previous.at;
+            let repeats = *room > 1 && dt > 0.0 && sig.matches(previous, 1e-9 * dt);
+            repeats.then_some(sig.completed)
+        })
+    }
+
+    /// Where `simulate` records its cycle: the completion whose signature
+    /// closed it (the last one taken) and the cycle's completions.
+    fn found(
+        g: &StreamGraph,
+        spec: &CellSpec,
+        m: &Mapping,
+        config: &SimConfig,
+    ) -> Option<(u64, u64)> {
+        let mut sim = Sim::new(g, spec, m, config, INSTANCES).unwrap();
+        sim.drive().unwrap();
+        sim.cycle.map(|(c, _)| (sim.current.completed, c))
+    }
+
+    /// The first repeat, when `simulate` records its one-completion cycle
+    /// there; `None` when neither has one, or `simulate` closed a longer
+    /// cycle before any repeat; why not, otherwise.
+    fn referee(
+        g: &StreamGraph,
+        spec: &CellSpec,
+        m: &Mapping,
+        config: &SimConfig,
+    ) -> Result<Option<u64>, String> {
+        match (found(g, spec, m, config), first_repeat(g, spec, m, config)) {
+            (Some((at, 1)), Some(first)) if at == first => Ok(Some(first)),
+            (Some((at, c)), first) if c > 1 && first.is_none_or(|first| at < first) => Ok(None),
+            (None, None) => Ok(None),
+            (found, first) => Err(format!(
+                "simulate recorded (completion, cycle) {found:?}, the first repeat is at {first:?}"
+            )),
+        }
+    }
+
+    #[test]
+    fn paper_graph_1s_cycle_is_recorded_at_its_first_repeat() {
+        let spec = CellSpec::qs22();
+        let mut variants = paper::ccr_variants(&paper::graph1());
+        for point in [3, 0] {
+            let (ccr, g) = variants.swap_remove(point);
+            let (greedy, multi) = (greedy_cpu(&g, &spec), multi_start_mapping(&g, &spec));
+            let mut repeats = 0;
+            for (name, m) in [("greedy_cpu", &greedy), ("multi_start", &multi)] {
+                for (config_name, config) in
+                    [("ideal", SimConfig::ideal()), ("default", SimConfig::default())]
+                {
+                    let first = referee(&g, &spec, m, &config).unwrap_or_else(|why| {
+                        panic!("graph 1 @ {ccr:.3}, {name}, {config_name}: {why}")
+                    });
+                    println!("graph 1 @ {ccr:.3}, {name}, {config_name}: first repeat {first:?}");
+                    repeats += usize::from(first.is_some());
+                }
+            }
+            // not vacuous: at both CCRs some run settles into a
+            // one-completion cycle
+            assert!(repeats > 0, "graph 1 @ {ccr:.3}: no run repeats its state");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn a_one_completion_cycle_is_recorded_at_its_first_repeat(
+            seed in 0u64..10_000,
+            n in 4usize..24,
+            picks in proptest::collection::vec(0usize..1024, 24..25),
+            calibrated in any::<bool>(),
+        ) {
+            let g = generate("referee", &DagGenParams {
+                n, fat: 0.6, regular: 0.5, density: 0.4, jump: 2,
+                costs: CostParams::default(),
+            }, seed).unwrap();
+            let spec = CellSpec::qs22();
+            let assignment = g.task_ids().zip(&picks).map(|(_, &pe)| spec.pe(pe % spec.n_pes())).collect();
+            let m = Mapping::new(&g, &spec, assignment).unwrap();
+            let config = if calibrated { SimConfig::calibrated() } else { SimConfig::ideal() };
+            prop_assert_eq!(referee(&g, &spec, &m, &config).map(|_| ()), Ok(()));
         }
     }
 }

@@ -23,7 +23,10 @@ pub struct RunTrace {
     /// ([`RunTrace::per_app_throughput`]) instead of only reporting the
     /// composed aggregate.
     pub sink_completions: Vec<(TaskId, Vec<f64>)>,
-    /// Total simulation events processed (cost metric).
+    /// Total simulation events processed (cost metric): compute
+    /// completions, transfer starts and transfer completions, each a live
+    /// one; a completion that a re-share re-predicted was never queued.
+    /// A jumped cycle's events are not counted.
     pub events: u64,
     /// Bytes that entered each PE's incoming interface over the run.
     pub bytes_in: Vec<f64>,
