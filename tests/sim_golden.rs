@@ -43,25 +43,25 @@ const INSTANCES: u64 = 200;
 /// seconds bits))`, one row per case and configuration in the order
 /// [`cases`] lists them; the cycle is `(0, 0)` when none was found.
 const GOLDEN: [(u64, u64, u64, (u64, u64)); 19] = [
-    (10713, 0x3f57e2b437452bcd, 0xc070d1da1d35dcfd, (1, 0x3eddf02a5589c4c0)), // graph 1 @ 0.775, greedy_cpu, ideal: 1457.8590 us
-    (15830, 0x3f59b2f42d4307d7, 0xde6bd3d8a93385f2, (1, 0x3ee02a195edc1640)), // graph 1 @ 0.775, greedy_cpu, calibrated: 1568.5448 us
-    (25263, 0x3f718c437095632e, 0x49c74e5ac1e0a04b, (0, 0x0000000000000000)), // graph 1 @ 3.070, greedy_cpu, ideal: 4284.1563 us
-    (32988, 0x3f71904e4a2fbbdb, 0x17b4b059d532b605, (0, 0x0000000000000000)), // graph 1 @ 3.070, greedy_cpu, calibrated: 4288.0114 us
-    (18008, 0x3f543835890dc932, 0x2d9ca8b62057501f, (1, 0x3ed92d45e3d17b00)), // graph 3 @ 0.775, greedy_cpu, ideal: 1234.1044 us
-    (24288, 0x3f5581b6844628c1, 0x06400a60379a33c9, (1, 0x3edad008460c2d00)), // graph 3 @ 0.775, greedy_cpu, calibrated: 1312.6643 us
-    (11434, 0x3f662e0e8593a7e8, 0x37f7d4f75017df9f, (1, 0x3eebc342beddf200)), // graph 3 @ 3.070, greedy_cpu, ideal: 2707.5084 us
-    (14080, 0x3f671f5960e10bff, 0x5d09d4e65bad7394, (1, 0x3eed05621e1ecac0)), // graph 3 @ 3.070, greedy_cpu, calibrated: 2822.5656 us
-    (15132, 0x3f59f5b9f6d03ede, 0xe4f99becacf54fcb, (2, 0x3ef022290d8d0c60)), // graph 1 @ 0.775, greedy_mem, ideal: 1584.4647 us
-    (42342, 0x3f5b8ec36d65726b, 0x3e91dfab3e2599e3, (1, 0x3ee1191ef8b63a00)), // graph 1 @ 0.775, greedy_mem, calibrated: 1681.9867 us
-    (13046, 0x3f60c0e1e7786222, 0x32e8529246882040, (1, 0x3ee4855cf1b0c3e0)), // graph 1 @ 0.775, comm_aware, ideal: 2045.0985 us
-    (18924, 0x3f617b674476997d, 0x13ff354f38be8a35, (1, 0x3ee5617aea3f3580)), // graph 1 @ 0.775, comm_aware, calibrated: 2134.0386 us
-    (1026, 0x3f426ed5be3d88f0, 0x1dd470fd5b595cc1, (1, 0x3ec77cf447651960)), // audio, greedy_cpu, ideal: 562.5290 us
-    (2346, 0x3f43638d56b4d46d, 0x49a9e7247bd0649d, (1, 0x3ec8a99a17c3c100)), // audio, greedy_cpu, calibrated: 591.7015 us
-    (561, 0x3f414a301cf9c608, 0x000fced0b885e4f8, (1, 0x3ec5cf751db94e70)), // video, greedy_cpu, ideal: 527.6427 us
-    (905, 0x3f41aa67c0293586, 0xec480f9363bb7b3d, (1, 0x3ec63ad4e8244120)), // video, greedy_cpu, calibrated: 539.1127 us
-    (5766, 0x3f6ccc45aad1a07e, 0x256666ec19fa6433, (1, 0x3ef26d3c5f12c010)), // graph 1 @ 0.775, 2 SPEs, 2 + 1 DMA slots, greedy_cpu, ideal: 3515.3733 us
-    (7351, 0x3f6e1835985fd92c, 0xf0ad9e39c1b519e5, (1, 0x3ef3414cc20c5fb0)), // graph 1 @ 0.775, 2 SPEs, 2 + 1 DMA slots, greedy_cpu, calibrated: 3673.6533 us
-    (27528, 0x3f44076ec56f5a00, 0x34a63026bb2767f4, (6, 0x3ef1334fa0924b30)), // graph 3 @ 0.775, multi_start, default: 611.2376 us
+    (7853, 0x3f57e2b437452bcc, 0x86b3a77c1a0c4dc6, (1, 0x3eddf02a5589c4c0)), // graph 1 @ 0.775, greedy_cpu, ideal: 1457.8590 us
+    (11140, 0x3f59b2f42d4307d8, 0x20dad0ec28f94092, (1, 0x3ee02a195edc1640)), // graph 1 @ 0.775, greedy_cpu, calibrated: 1568.5448 us
+    (18590, 0x3f718c437095632e, 0xb7a93026757cb0ab, (0, 0x0000000000000000)), // graph 1 @ 3.070, greedy_cpu, ideal: 4284.1563 us
+    (24392, 0x3f71904e4a2fbbda, 0xb64dd90286ec73ac, (0, 0x0000000000000000)), // graph 1 @ 3.070, greedy_cpu, calibrated: 4288.0114 us
+    (12810, 0x3f543835890dc931, 0x23385ecea6f31ffb, (1, 0x3ed92d45e3d17b00)), // graph 3 @ 0.775, greedy_cpu, ideal: 1234.1044 us
+    (18446, 0x3f5581b6844628c1, 0x7b58705d49ac2282, (1, 0x3edad008460c2d00)), // graph 3 @ 0.775, greedy_cpu, calibrated: 1312.6643 us
+    (9448, 0x3f662e0e8593a7e8, 0x0c692ae388acfba7, (1, 0x3eebc342beddf200)), // graph 3 @ 3.070, greedy_cpu, ideal: 2707.5084 us
+    (11914, 0x3f671f5960e10bff, 0x5d09d4e65bad7394, (1, 0x3eed05621e1ecac0)), // graph 3 @ 3.070, greedy_cpu, calibrated: 2822.5656 us
+    (11634, 0x3f59f5b9f6d03ede, 0x8cadf5fb11973859, (2, 0x3ef022290d8d0c60)), // graph 1 @ 0.775, greedy_mem, ideal: 1584.4647 us
+    (26815, 0x3f5b8ec36d65728d, 0x3b0e770b94f32c8c, (1, 0x3ee1191ef8b63ac0)), // graph 1 @ 0.775, greedy_mem, calibrated: 1681.9867 us
+    (9417, 0x3f60c0e1e7786216, 0x978259ad5d67fc8e, (1, 0x3ee4855cf1b0c3c0)), // graph 1 @ 0.775, comm_aware, ideal: 2045.0985 us
+    (13116, 0x3f617b674476998a, 0x40045d8cac1a85af, (1, 0x3ee5617aea3f35a0)), // graph 1 @ 0.775, comm_aware, calibrated: 2134.0386 us
+    (822, 0x3f426ed5be3d88f0, 0x096da3c6917b1211, (1, 0x3ec77cf447651960)), // audio, greedy_cpu, ideal: 562.5290 us
+    (1389, 0x3f43638d56b4d478, 0x18bed0f8527cdcf1, (1, 0x3ec8a99a17c3c110)), // audio, greedy_cpu, calibrated: 591.7015 us
+    (489, 0x3f414a301cf9c608, 0x9ae64db1bea3ff91, (1, 0x3ec5cf751db94e70)), // video, greedy_cpu, ideal: 527.6427 us
+    (702, 0x3f41aa67c0293587, 0x6d3537a9aef23e21, (1, 0x3ec63ad4e8244120)), // video, greedy_cpu, calibrated: 539.1127 us
+    (5056, 0x3f6ccc45aad1a07e, 0x256666ec19fa6433, (1, 0x3ef26d3c5f12c010)), // graph 1 @ 0.775, 2 SPEs, 2 + 1 DMA slots, greedy_cpu, ideal: 3515.3733 us
+    (6219, 0x3f6e1835985fd92c, 0x543e49887883630b, (1, 0x3ef3414cc20c5fb0)), // graph 1 @ 0.775, 2 SPEs, 2 + 1 DMA slots, greedy_cpu, calibrated: 3673.6533 us
+    (21284, 0x3f44076ec56f5a00, 0x34a63026bb2767f4, (6, 0x3ef1334fa0924b30)), // graph 3 @ 0.775, multi_start, default: 611.2376 us
 ];
 
 /// One mapped application and the configurations it is simulated under.
