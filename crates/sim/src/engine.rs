@@ -760,11 +760,12 @@ impl<'a> Sim<'a> {
     }
 
     /// Re-share the links among the streaming flows and predict the next
-    /// transfer completion, which replaces the pending one. Only the components of the flow–link graph that
-    /// hold a link whose flows changed since the last call are filled
-    /// again (see `fair`); every other flow keeps its rate. In debug
-    /// builds a full re-share follows, which must give every streaming
-    /// flow the rate it holds, bit for bit.
+    /// transfer completion, which replaces the pending one. Only the
+    /// components of the flow–link graph that hold a link whose flows
+    /// changed since the last call are filled again (see `fair`); every
+    /// other flow keeps its rate. In debug builds a full re-share
+    /// follows, which must give every streaming flow the rate it holds,
+    /// bit for bit.
     fn reallocate(&mut self) {
         let bw = self.spec.interface_bw().as_bytes_per_s();
         let Sim { flows, fair, .. } = self;
@@ -1507,14 +1508,16 @@ mod tests {
     //! read off every completion's signature of the event-by-event run.
 
     use super::*;
+    use cellstream_core::scheduler::{PlanContext, Scheduler};
     use cellstream_daggen::{generate, paper, CostParams, DagGenParams};
-    use cellstream_heuristics::{greedy_cpu, greedy_mem, multi_start, LocalSearchOptions};
+    use cellstream_heuristics::{greedy_cpu, MultiStartScheduler};
     use proptest::prelude::*;
 
-    /// The multi-start local search's mapping, as `plan_paper` seeds it.
+    /// The multi-start local search's mapping, which the benchmark's
+    /// `plan_paper` seeds its annealer and MILP with.
     fn multi_start_mapping(g: &StreamGraph, spec: &CellSpec) -> Mapping {
-        let starts = [greedy_mem(g, spec), greedy_cpu(g, spec), Mapping::all_on(g, spec.pe(0))];
-        multi_start(g, spec, &starts, &LocalSearchOptions::default()).0
+        let plan = MultiStartScheduler::default().plan(g, spec, &PlanContext::default());
+        plan.expect("multi-start always finds a mapping").mapping
     }
 
     /// Instances per run, as in the benchmark's `plan_paper`.
