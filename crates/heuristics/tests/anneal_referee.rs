@@ -144,6 +144,6 @@ proptest! {
         let spec = if tight { tight_two_spe_cell(&g, eighths) } else { CellSpec::qs22() };
         let start = greedy_cpu(&g, &spec);
         let opts = AnnealingOptions { steps, seed, ..AnnealingOptions::default() };
-        prop_assert!(compare(&g, &spec, &start, &opts).is_ok(), "{:?}", compare(&g, &spec, &start, &opts));
+        prop_assert_eq!(compare(&g, &spec, &start, &opts).map(|_| ()), Ok(()));
     }
 }
