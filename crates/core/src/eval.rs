@@ -14,11 +14,18 @@
 //!
 //! where memory reads/writes count on the interfaces of the PE that issues
 //! them (§2.1: "memory accesses have to be counted as communications").
+//!
+//! The calibrated period `T_cal` charges the scheduling framework's
+//! overheads ([`cellstream_platform::framework`]) to each PE's compute
+//! row: `TASK_OVERHEAD` per seated task and `COMM_INTERRUPT` per memory
+//! read, per memory write, per cut in-edge and ½ per cut out-edge. The
+//! interface rows are unchanged. `T_cal` is what `sim`'s calibrated
+//! steady state runs at; `T` stays what every planner optimises.
 
 use crate::mapping::Mapping;
 use crate::steady::buffers::BufferPlan;
 use cellstream_graph::StreamGraph;
-use cellstream_platform::{CellSpec, PeId, PeKind};
+use cellstream_platform::{framework, CellSpec, PeId, PeKind};
 use std::fmt;
 
 pub mod incremental;
@@ -100,6 +107,9 @@ pub struct MappingReport {
     pub period: f64,
     /// Throughput `ρ = 1/T` (instances per second).
     pub throughput: f64,
+    /// The calibrated period `T_cal ≥ T`: the period with the scheduling
+    /// framework's overheads charged to the PEs (module docs).
+    pub calibrated_period: f64,
     /// Per-PE compute seconds per instance.
     pub compute_load: Vec<f64>,
     /// Per-PE incoming bytes per instance (edges + memory reads).
@@ -135,6 +145,36 @@ pub(crate) fn throughput_of(period: f64) -> f64 {
     } else {
         0.0
     }
+}
+
+/// `T_cal` of `assignment` (module docs). The interface rows are `T`'s,
+/// so it is the larger of `period` and the compute rows with the
+/// framework's overheads charged.
+pub(crate) fn calibrated_period(
+    g: &StreamGraph,
+    assignment: &[PeId],
+    compute_load: &[f64],
+    period: f64,
+) -> f64 {
+    // per PE: seated tasks, and interrupts per instance
+    let mut counts = vec![(0.0, 0.0); compute_load.len()];
+    for t in g.task_ids() {
+        let (task, pe) = (g.task(t), assignment[t.index()].index());
+        let memory = u8::from(task.read_bytes > 0.0) + u8::from(task.write_bytes > 0.0);
+        counts[pe].0 += 1.0;
+        counts[pe].1 += f64::from(memory);
+    }
+    for e in g.edges() {
+        let (src, dst) = (assignment[e.src.index()].index(), assignment[e.dst.index()].index());
+        if src != dst {
+            counts[dst].1 += 1.0;
+            counts[src].1 += 0.5;
+        }
+    }
+    let charged = |(&compute, (seated, interrupts)): (&f64, (f64, f64))| {
+        compute + framework::TASK_OVERHEAD * seated + framework::COMM_INTERRUPT * interrupts
+    };
+    compute_load.iter().zip(counts).map(charged).fold(period, f64::max)
 }
 
 /// Evaluate `mapping` on `spec`. Returns `Err` only for structurally
@@ -248,6 +288,7 @@ pub fn evaluate_with(
     Ok(MappingReport {
         period,
         throughput: throughput_of(period),
+        calibrated_period: calibrated_period(g, mapping.assignment(), &compute_load, period),
         compute_load,
         in_bytes,
         out_bytes,

@@ -47,7 +47,7 @@
 //! relative.
 
 use crate::avail::Availability;
-use crate::eval::{throughput_of, Bottleneck, MappingReport, Violation};
+use crate::eval::{calibrated_period, throughput_of, Bottleneck, MappingReport, Violation};
 use crate::mapping::{Mapping, MappingError};
 use crate::steady::buffers::BufferPlan;
 use cellstream_graph::{StreamGraph, TaskId};
@@ -603,10 +603,12 @@ impl<'a> EvalState<'a> {
                 });
             }
         }
+        let compute_load: Vec<f64> = self.live.iter().map(|r| r.compute).collect();
         MappingReport {
             period,
             throughput: throughput_of(period),
-            compute_load: self.live.iter().map(|r| r.compute).collect(),
+            calibrated_period: calibrated_period(self.g, &self.assignment, &compute_load, period),
+            compute_load,
             in_bytes: self.live.iter().map(|r| r.in_bytes).collect(),
             out_bytes: self.live.iter().map(|r| r.out_bytes).collect(),
             memory_bytes: self.live.iter().map(|r| r.memory_bytes).collect(),
@@ -796,6 +798,8 @@ pub(crate) fn assert_matches_full(state: &EvalState<'_>, ctx: &str) {
         rep.period,
         full.period
     );
+    let (cal, full_cal) = (rep.calibrated_period, full.calibrated_period);
+    assert!((cal - full_cal).abs() <= 1e-9 * full_cal, "{ctx}: T_cal {cal} vs {full_cal}");
     assert_eq!(rep.is_feasible(), full.is_feasible(), "{ctx}: feasibility");
     assert_eq!(state.is_feasible(), full.is_feasible(), "{ctx}: touched-row feasibility");
     assert_eq!(rep.bottleneck, full.bottleneck, "{ctx}: bottleneck");

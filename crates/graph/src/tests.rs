@@ -320,7 +320,10 @@ proptest! {
     /// surviving (graph, weight) list from scratch after every commit:
     /// same composed graph (hence same period under any mapping), same
     /// per-app namespaces, and `subgraph()` still round-trips every app.
-    /// The model drifts its graphs with `StreamGraph::rescale_costs`.
+    /// The model drifts its graphs with `StreamGraph::rescale_costs`. A
+    /// builder started from the workload before each guard
+    /// (`Workload::to_builder`) takes the same edits and must build the
+    /// same workload.
     #[test]
     fn prop_mutation_matches_from_scratch(ops in arb_wl_ops(12)) {
         use crate::Workload;
@@ -331,6 +334,7 @@ proptest! {
         let mut fresh = 1usize;
         let last = ops.len() - 1;
 
+        let mut edit = w.to_builder();
         let mut batch = w.batch();
         for (k, (op, commit)) in ops.into_iter().enumerate() {
             match op {
@@ -338,23 +342,27 @@ proptest! {
                     let g = small_app(&format!("app{fresh}"), n_tasks);
                     fresh += 1;
                     batch.add(&g, weight).unwrap();
+                    edit.push(&g, weight).unwrap();
                     model.push((g, weight));
                 }
                 WlOp::Retire { idx } => {
                     if model.len() > 1 {
                         let idx = idx % model.len();
                         batch.retire(crate::AppId(idx)).unwrap();
+                        edit.retire(crate::AppId(idx)).unwrap();
                         model.remove(idx);
                     }
                 }
                 WlOp::Reweight { idx, weight } => {
                     let idx = idx % model.len();
                     batch.reweight(crate::AppId(idx), weight).unwrap();
+                    edit.reweight(crate::AppId(idx), weight).unwrap();
                     model[idx].1 = weight;
                 }
                 WlOp::Drift { idx, factor } => {
                     let idx = idx % model.len();
                     batch.rescale_costs(crate::AppId(idx), factor).unwrap();
+                    edit.rescale_costs(crate::AppId(idx), factor).unwrap();
                     model[idx].0 = model[idx].0.rescale_costs(factor);
                 }
             }
@@ -370,6 +378,7 @@ proptest! {
             }
             let scratch = scratch.build().unwrap();
             prop_assert_eq!(&w, &scratch);
+            prop_assert_eq!(&edit.build().unwrap(), &w);
 
             // namespaces: every task of app i is "name/..." and tagged i
             for (i, info) in w.apps().iter().enumerate() {
@@ -395,6 +404,7 @@ proptest! {
                     prop_assert!((got.read_bytes - orig.read_bytes * weight).abs() <= 1e-9);
                 }
             }
+            edit = w.to_builder();
             batch = w.batch();
         }
     }

@@ -37,14 +37,17 @@
 //!
 //! A workload is not frozen at build time: the serving layer
 //! (`cellstream-serve`) admits and retires applications while the
-//! platform runs. Every edit goes through one guard,
-//! [`Workload::batch`]: its `add`, `retire`, `reweight` and
-//! `rescale_costs` edit the applications' *unscaled* sources, and the
-//! guard recomposes the tagged graph once when it commits or drops, so
-//! an edited workload is indistinguishable from one built from scratch
-//! over the surviving applications (the property suite pins this
-//! exactly). The guard and [`WorkloadBuilder::push`] share one copy of
-//! the name, weight and factor checks and of the source capture.
+//! platform runs. An edit changes the applications' *unscaled*
+//! sources and composes the tagged graph once over the result, either
+//! in place through the guard [`Workload::batch`], which recomposes when
+//! it commits or drops, or into a new workload through a
+//! [`WorkloadBuilder`] started from [`Workload::to_builder`], which
+//! copies the sources and not the composed graph. Either way an edited
+//! workload is indistinguishable from one built from scratch over the
+//! surviving applications (the property suite pins this exactly). The
+//! guard and the builder share one copy of the add, retire, reweight
+//! and drift edits, of their name, weight and factor checks and of the
+//! source capture.
 //! [`AppId`]s are positional: retiring an application
 //! shifts every later application down by one — callers that need stable
 //! identities across churn (the serving layer does) keep their own
@@ -209,6 +212,38 @@ fn push_source(
         edges: g.edges().iter().map(|e| (e.src.index(), e.dst.index(), e.data_bytes)).collect(),
     });
     Ok(AppId(sources.len() - 1))
+}
+
+/// Drop application `a` from a source list; later applications shift
+/// down by one.
+fn retire_source(sources: &mut Vec<AppSource>, a: AppId) -> Result<(), WorkloadError> {
+    if a.index() >= sources.len() {
+        return Err(WorkloadError::UnknownApp(a));
+    }
+    sources.remove(a.index());
+    Ok(())
+}
+
+/// Apply `change` to application `a`'s source once `x` (a weight or
+/// drift factor) passed the check. The list is untouched on error.
+fn edit_source(
+    sources: &mut [AppSource],
+    a: AppId,
+    x: f64,
+    change: impl FnOnce(&mut AppSource),
+) -> Result<(), WorkloadError> {
+    let src = sources.get_mut(a.index()).ok_or(WorkloadError::UnknownApp(a))?;
+    check_positive(&src.name, x)?;
+    change(src);
+    Ok(())
+}
+
+/// Multiply an application's declared compute costs by `factor`.
+fn rescale(src: &mut AppSource, factor: f64) {
+    for spec in &mut src.specs {
+        spec.w_ppe *= factor;
+        spec.w_spe *= factor;
+    }
 }
 
 /// Compose a source list into the tagged graph + per-app metadata. The
@@ -403,6 +438,13 @@ impl Workload {
         WorkloadBatch { w: self, dirty: false }
     }
 
+    /// A builder over this workload's applications, as pushed at their
+    /// current weights and drift corrections: what a candidate edit of
+    /// the workload starts from, without copying the composed graph.
+    pub fn to_builder(&self) -> WorkloadBuilder {
+        WorkloadBuilder { name: self.name.clone(), sources: self.sources.clone() }
+    }
+
     /// Rebuild graph/apps/app_of from the current sources — exactly the
     /// from-scratch build path.
     fn recompose(&mut self) -> Result<(), WorkloadError> {
@@ -450,10 +492,7 @@ impl WorkloadBatch<'_> {
     /// Record a retirement; later applications shift down by one id
     /// immediately (for subsequent batch operations).
     pub fn retire(&mut self, a: AppId) -> Result<(), WorkloadError> {
-        if a.index() >= self.w.sources.len() {
-            return Err(WorkloadError::UnknownApp(a));
-        }
-        self.w.sources.remove(a.index());
+        retire_source(&mut self.w.sources, a)?;
         self.dirty = true;
         Ok(())
     }
@@ -462,7 +501,9 @@ impl WorkloadBatch<'_> {
     /// edge payloads scale by the new weight. The batch is untouched on
     /// error.
     pub fn reweight(&mut self, a: AppId, weight: f64) -> Result<(), WorkloadError> {
-        self.edit(a, weight, |src| src.weight = weight)
+        edit_source(&mut self.w.sources, a, weight, |src| src.weight = weight)?;
+        self.dirty = true;
+        Ok(())
     }
 
     /// Re-scale one application's *declared* compute costs by `factor` —
@@ -475,25 +516,7 @@ impl WorkloadBatch<'_> {
     /// bytes. Drift composes multiplicatively with the throughput weight
     /// and with further drift. The batch is untouched on error.
     pub fn rescale_costs(&mut self, a: AppId, factor: f64) -> Result<(), WorkloadError> {
-        self.edit(a, factor, |src| {
-            for spec in &mut src.specs {
-                spec.w_ppe *= factor;
-                spec.w_spe *= factor;
-            }
-        })
-    }
-
-    /// Apply `change` to application `a`'s source once `x` (a weight or
-    /// drift factor) passed the check.
-    fn edit(
-        &mut self,
-        a: AppId,
-        x: f64,
-        change: impl FnOnce(&mut AppSource),
-    ) -> Result<(), WorkloadError> {
-        let src = self.w.sources.get_mut(a.index()).ok_or(WorkloadError::UnknownApp(a))?;
-        check_positive(&src.name, x)?;
-        change(src);
+        edit_source(&mut self.w.sources, a, factor, |src| rescale(src, factor))?;
         self.dirty = true;
         Ok(())
     }
@@ -553,6 +576,21 @@ impl WorkloadBuilder {
     /// workload.
     pub fn push(&mut self, g: &StreamGraph, weight: f64) -> Result<AppId, WorkloadError> {
         push_source(&mut self.sources, g, weight)
+    }
+
+    /// [`WorkloadBatch::retire`] on the pushed applications.
+    pub fn retire(&mut self, a: AppId) -> Result<(), WorkloadError> {
+        retire_source(&mut self.sources, a)
+    }
+
+    /// [`WorkloadBatch::reweight`] on the pushed applications.
+    pub fn reweight(&mut self, a: AppId, weight: f64) -> Result<(), WorkloadError> {
+        edit_source(&mut self.sources, a, weight, |src| src.weight = weight)
+    }
+
+    /// [`WorkloadBatch::rescale_costs`] on the pushed applications.
+    pub fn rescale_costs(&mut self, a: AppId, factor: f64) -> Result<(), WorkloadError> {
+        edit_source(&mut self.sources, a, factor, |src| rescale(src, factor))
     }
 
     /// Validate everything and freeze the composed workload.

@@ -11,6 +11,14 @@
 //!
 //! Lives in `tests/` (a separate crate) because the library forbids
 //! `unsafe`, and wrapping the global allocator needs it.
+//!
+//! Built only without the `debug_invariants` feature: its audits check
+//! the descent against fresh evaluations, which allocate by design, so
+//! under the feature there is no allocation-free path to count. CI's
+//! counting-allocator step runs this file in a release build without
+//! the feature.
+
+#![cfg(not(feature = "debug_invariants"))]
 
 use cellstream_core::{Availability, EvalState, Stop};
 use cellstream_graph::{AppInfo, StreamGraph, TaskSpec, Workload};

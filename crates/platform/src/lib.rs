@@ -20,6 +20,9 @@
 //!   replicated application code consumes `code` bytes, leaving
 //!   `LS - code` for stream buffers.
 //!
+//! The costs of the scheduling framework itself, which the model leaves
+//! out, are the constants of [`framework`].
+//!
 //! Main-memory capacity is *not* modelled (paper: "we do not consider its
 //! limited size as a constraint").
 //!
@@ -38,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod framework;
 pub mod spec;
 pub mod units;
 

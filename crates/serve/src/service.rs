@@ -635,7 +635,6 @@ impl Service {
     ) -> Option<ServeReport> {
         let started = Instant::now();
         let prev = self.live.take();
-        let mut work = prev.as_ref().map(|l| l.workload.clone());
         let mut handles = self.handles.clone();
         let mut next = self.next_handle;
         let mut recovery = None;
@@ -671,62 +670,56 @@ impl Service {
             }
         }
 
-        // cost drift and requests: the whole group through one edit
-        // guard, which recomposes the candidate once as it drops (an
-        // idle service collects its admissions in a builder — a
-        // workload is never empty)
-        let mut seed = Workload::builder("served");
-        let mut batch = work.as_mut().map(Workload::batch);
+        // cost drift and requests: the whole group edits a copy of the
+        // incumbent's sources (an idle service starts from none), and
+        // the candidate is composed from them once
+        let mut edit = match &prev {
+            Some(l) => l.workload.to_builder(),
+            None => Workload::builder("served"),
+        };
+        let faults = applied;
         for &i in group {
             let verdict = match &events[i] {
-                Event::Retire(id) => match (index_of(&handles, id), batch.as_mut()) {
-                    (Some(pos), Some(b)) => {
-                        b.retire(AppId(pos)).expect("handles parallel the sources"); // check:allow(hot-path-panic): the position comes from the handle table, parallel to the source list
+                Event::Retire(id) => match index_of(&handles, id) {
+                    Some(pos) => {
+                        edit.retire(AppId(pos)).expect("handles parallel the sources"); // check:allow(hot-path-panic): the position comes from the handle table, parallel to the source list
                         handles.remove(pos);
                         Verdict::Applied
                     }
-                    _ => Verdict::NoChange,
+                    None => Verdict::NoChange,
                 },
-                Event::Reweight(id, weight) => match (index_of(&handles, id), batch.as_mut()) {
-                    (Some(pos), Some(b)) => match b.reweight(AppId(pos), *weight) {
+                Event::Reweight(id, weight) => match index_of(&handles, id) {
+                    Some(pos) => match edit.reweight(AppId(pos), *weight) {
                         Ok(()) => {
                             refusable = true;
                             Verdict::Applied
                         }
                         Err(_) => Verdict::Rejected(RejectReason::InvalidWeight(*weight)),
                     },
-                    _ => Verdict::NoChange,
+                    None => Verdict::NoChange,
                 },
                 // the correction sticks across every later recomposition;
                 // a handle shed earlier in the same burst is a no-op
-                Event::CostDrift(id, factor) => match (index_of(&handles, id), batch.as_mut()) {
-                    (Some(pos), Some(b)) => match b.rescale_costs(AppId(pos), *factor) {
+                Event::CostDrift(id, factor) => match index_of(&handles, id) {
+                    Some(pos) => match edit.rescale_costs(AppId(pos), *factor) {
                         Ok(()) => {
                             recovery = Some(RecoveryReport::default());
                             Verdict::Applied
                         }
                         Err(_) => Verdict::Rejected(RejectReason::InvalidFactor(*factor)),
                     },
-                    _ => Verdict::NoChange,
+                    None => Verdict::NoChange,
                 },
                 Event::Admit(g, weight) => {
                     // unique name: a second "video" becomes
                     // "video#<handle>"
-                    let taken = match &batch {
-                        Some(b) => b.contains(g.name()),
-                        None => seed.contains(g.name()),
-                    };
-                    let unique = match taken {
+                    let unique = match edit.contains(g.name()) {
                         true => Cow::Owned(g.renamed(format!("{}#{next}", g.name()))),
                         false => Cow::Borrowed(g),
                     };
-                    let added = match batch.as_mut() {
-                        Some(b) => b.add(&unique, *weight),
-                        None => seed.push(&unique, *weight),
-                    };
                     // the name is fresh, so a refusal is the weight's:
                     // malformed, not capacity-bound — never queued
-                    match added {
+                    match edit.push(&unique, *weight) {
                         Ok(_) => {
                             let handle = AppId(next);
                             next += 1;
@@ -743,7 +736,6 @@ impl Service {
             applied += usize::from(matches!(verdict, Verdict::Applied | Verdict::Admitted(_)));
             outcomes[i].1 = verdict;
         }
-        drop(batch);
         let headline = |outcomes: &[Outcome]| match *group {
             [i] => outcomes[i].clone(),
             _ => (EventLabel::batch(), Verdict::Applied),
@@ -759,14 +751,19 @@ impl Service {
                 recovery,
             ));
         }
-        if work.is_none() && !handles.is_empty() {
-            // check:allow(hot-path-panic): every handle here is an admission the builder accepted
-            work = Some(seed.build().expect("admitted workloads compose"));
-        }
+        // the candidate: the edited sources, or the incumbent itself when
+        // only the platform changed; none when the group emptied the
+        // service
+        let work = match (applied > faults, handles.is_empty()) {
+            (_, true) => None,
+            // check:allow(hot-path-panic): every source here is an incumbent's or an admission the builder accepted
+            (true, false) => Some(edit.build().expect("retained sources compose")),
+            (false, false) => prev.as_ref().map(|l| l.workload.clone()),
+        };
 
         // the group's one replan (skipped when it emptied the service)
         let mut next_live = None;
-        if let Some(mut workload) = work.filter(|_| !handles.is_empty()) {
+        if let Some(mut workload) = work {
             let from = prev.as_ref().map(|l| (l.workload.graph(), &l.mapping));
             let (mut mapping, mut period) = self.replan(from, workload.graph());
             let broken = |svc: &Service, w: &Workload, period: f64| match period.is_finite() {

@@ -101,78 +101,48 @@ use crate::fair::{FlowPorts, MaxMin};
 use cellstream_core::steady::buffers::BufferPlan;
 use cellstream_core::Mapping;
 use cellstream_graph::{StreamGraph, TaskId};
-use cellstream_platform::{CellSpec, PeId, PeKind};
+use cellstream_platform::{framework, CellSpec, PeId, PeKind};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Tunables of the simulated scheduling framework.
+/// Which of the scheduling framework's overheads a run charges: none
+/// ([`ideal`](Self::ideal)) or every one of
+/// [`cellstream_platform::framework`] ([`calibrated`](Self::calibrated),
+/// the default). There is nothing else to set.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// Fixed cost added to every task-instance activation (task selection,
-    /// resource checks, data signalling — the Figure 4 loop).
-    pub task_overhead: f64,
-    /// Delay between admitting a DMA transfer and its first byte moving
-    /// (DMA issue + synchronisation).
-    pub dma_latency: f64,
-    /// CPU time a PE loses per DMA transfer it has to issue or watch.
-    /// §4.1: SPEs "are not multi-threaded and the computation must be
-    /// interrupted to initiate a communication" — the consumer pays one
-    /// interrupt per incoming transfer (issue the Get + watch it), the
-    /// producer half of one (signal + unlock). This cost is what makes
-    /// scattered mappings collapse on the real machine while the
-    /// analytic model (which ignores it, like the paper's) barely
-    /// notices; see DESIGN.md §6.4.
-    pub comm_interrupt: f64,
-    /// Memory-read prefetch window in instances.
-    pub read_ahead: u64,
-    /// Cap on outstanding memory writes per task before production blocks.
-    pub write_window: u64,
-    /// Safety valve on total simulation events: the events the run
-    /// takes, each a compute completion, a transfer start or a live
-    /// transfer completion (a re-share replaces a pending prediction
-    /// instead of queueing another), as [`RunTrace::events`] counts them.
-    ///
-    /// [`RunTrace::events`]: crate::trace::RunTrace::events
-    pub max_events: u64,
+    /// Added to every task-instance activation.
+    task_overhead: f64,
+    /// Between admitting a DMA transfer and its first byte moving.
+    dma_latency: f64,
+    /// Owed by a PE per DMA transfer it issues or watches, drained into
+    /// its next compute slot: the consumer of an edge pays one per
+    /// transfer, the producer half of one, a memory read or write one.
+    /// This cost is what makes scattered mappings collapse on the real
+    /// machine while the analytic period barely notices (DESIGN.md §6.4).
+    comm_interrupt: f64,
 }
 
 impl SimConfig {
-    /// No overheads: the simulator converges to the model throughput.
+    /// No overheads: the simulator converges to the model throughput
+    /// `1/T`.
     pub fn ideal() -> Self {
-        SimConfig {
-            task_overhead: 0.0,
-            dma_latency: 0.0,
-            comm_interrupt: 0.0,
-            read_ahead: 2,
-            write_window: 4,
-            max_events: 200_000_000,
-        }
+        SimConfig { task_overhead: 0.0, dma_latency: 0.0, comm_interrupt: 0.0 }
     }
 
-    /// Calibrated to the paper's observation that the real framework
-    /// achieves ≈ 95 % of the predicted throughput on the MILP mappings
-    /// (§6.4.1). Not every mapping lands there: DESIGN.md §6.4 records
-    /// how far the benchmark's mappings fall short (79 % at worst).
+    /// Every overhead of the paper's framework, which achieves ≈ 95 % of
+    /// the predicted throughput on the MILP mappings (§6.4.1). The steady
+    /// state is `1/T_cal` ([`MappingReport::calibrated_period`]). On graph
+    /// 3 @ CCR 0.775, the worst of the benchmark's twelve mappings, a
+    /// 200-instance run reaches 0.790 of `1/T`: 0.883 (`T/T_cal`, the
+    /// overheads) × 0.894 (the fill and drain of 200 instances).
+    ///
+    /// [`MappingReport::calibrated_period`]: cellstream_core::MappingReport::calibrated_period
     pub fn calibrated() -> Self {
         SimConfig {
-            task_overhead: 0.01e-6,
-            dma_latency: 0.3e-6,
-            comm_interrupt: 0.02e-6,
-            ..Self::ideal()
-        }
-    }
-
-    /// The first overhead that is negative or not finite, as
-    /// [`SimError::BadConfig`].
-    fn check(&self) -> Result<(), SimError> {
-        let overheads = [
-            ("task_overhead", self.task_overhead),
-            ("dma_latency", self.dma_latency),
-            ("comm_interrupt", self.comm_interrupt),
-        ];
-        match overheads.into_iter().find(|&(_, value)| !(value.is_finite() && value >= 0.0)) {
-            Some((field, value)) => Err(SimError::BadConfig { field, value }),
-            None => Ok(()),
+            task_overhead: framework::TASK_OVERHEAD,
+            dma_latency: framework::DMA_LATENCY,
+            comm_interrupt: framework::COMM_INTERRUPT,
         }
     }
 }
@@ -182,6 +152,25 @@ impl Default for SimConfig {
         Self::calibrated()
     }
 }
+
+/// The engine's own bounds on a run. Constants: a crate-private test
+/// hook (`simulate_within`) narrows them to reach the error paths.
+pub(crate) struct Limits {
+    /// Memory-read prefetch window in instances.
+    pub(crate) read_ahead: u64,
+    /// Cap on outstanding memory writes per task before production blocks.
+    pub(crate) write_window: u64,
+    /// Safety valve on total simulation events: the events the run
+    /// takes, each a compute completion, a transfer start or a live
+    /// transfer completion (a re-share replaces a pending prediction
+    /// instead of queueing another), as [`RunTrace::events`] counts them.
+    ///
+    /// [`RunTrace::events`]: crate::trace::RunTrace::events
+    pub(crate) max_events: u64,
+}
+
+pub(crate) const LIMITS: Limits =
+    Limits { read_ahead: 2, write_window: 4, max_events: 200_000_000 };
 
 /// Simulation failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,20 +183,12 @@ pub enum SimError {
         /// Instances fully completed when the stall happened.
         completed: u64,
     },
-    /// `max_events` exceeded.
+    /// The run took more events than the engine's safety valve allows.
     EventBudget,
     /// The mapping failed structural validation.
     BadMapping(String),
     /// Zero instances were asked for: there is no trace to return.
     NoInstances,
-    /// A [`SimConfig`] overhead is negative or not finite: it would run
-    /// as no overhead, a negative one or an endless one.
-    BadConfig {
-        /// The field's name.
-        field: &'static str,
-        /// Its value.
-        value: f64,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -219,9 +200,6 @@ impl std::fmt::Display for SimError {
             SimError::EventBudget => write!(f, "event budget exhausted"),
             SimError::BadMapping(m) => write!(f, "bad mapping: {m}"),
             SimError::NoInstances => write!(f, "zero instances requested"),
-            SimError::BadConfig { field, value } => {
-                write!(f, "bad config: {field} = {value} is not a finite non-negative time")
-            }
         }
     }
 }
@@ -424,6 +402,7 @@ struct Sim<'a> {
     g: &'a StreamGraph,
     spec: &'a CellSpec,
     config: SimConfig,
+    limits: Limits,
     n_instances: u64,
 
     now: f64,
@@ -546,7 +525,6 @@ impl<'a> Sim<'a> {
         config: &SimConfig,
         n_instances: u64,
     ) -> Result<Self, SimError> {
-        config.check()?;
         if n_instances == 0 {
             return Err(SimError::NoInstances);
         }
@@ -643,12 +621,13 @@ impl<'a> Sim<'a> {
         // one event: reserve what the run can record, never more
         let mut sink_times = vec![Vec::new(); g.n_tasks()];
         for &s in &sink_ids {
-            sink_times[s] = Vec::with_capacity(n_instances.min(config.max_events) as usize);
+            sink_times[s] = Vec::with_capacity(n_instances.min(LIMITS.max_events) as usize);
         }
         Ok(Sim {
             g,
             spec,
             config: *config,
+            limits: LIMITS,
             n_instances,
             now: 0.0,
             seq: 0,
@@ -962,7 +941,7 @@ impl<'a> Sim<'a> {
         t.read_bytes > 0.0
             // no need to read past the stream end
             && issued < self.n_instances + t.peek
-            && issued < t.next + self.config.read_ahead
+            && issued < t.next + self.limits.read_ahead
             && !(self.is_spe(t.pe) && self.spe_queue_used[t.pe] >= self.spec.dma_in_limit())
     }
 
@@ -1057,7 +1036,7 @@ impl<'a> Sim<'a> {
             }
         }
         // write window
-        !(t.write_bytes > 0.0 && t.writes_inflight >= self.config.write_window)
+        !(t.write_bytes > 0.0 && t.writes_inflight >= self.limits.write_window)
     }
 
     fn start_compute(&mut self, pe: usize, k: usize) {
@@ -1085,7 +1064,7 @@ impl<'a> Sim<'a> {
         let mut last_t = 0.0f64;
         while let Some(ev) = self.next_event() {
             self.events_processed += 1;
-            if self.events_processed > self.config.max_events {
+            if self.events_processed > self.limits.max_events {
                 return Err(SimError::EventBudget);
             }
             self.now = ev.at.max(last_t);
@@ -1223,7 +1202,7 @@ impl<'a> Sim<'a> {
     fn room(&self) -> u64 {
         let lead = self.tasks.iter().map(|t| t.next.max(t.reads_done + t.reads_inflight)).max();
         let peek = self.tasks.iter().map(|t| t.peek).max();
-        let margin = lead.unwrap_or(0) + peek.unwrap_or(0) + self.config.read_ahead;
+        let margin = lead.unwrap_or(0) + peek.unwrap_or(0) + self.limits.read_ahead;
         self.n_instances.saturating_sub(margin)
     }
 
@@ -1499,6 +1478,22 @@ impl<'a> Sim<'a> {
             cycle: self.cycle,
         }
     }
+}
+
+/// [`simulate`] within narrower [`Limits`]: the test hook that reaches
+/// [`SimError::Stalled`] and [`SimError::EventBudget`].
+#[cfg(test)]
+pub(crate) fn simulate_within(
+    g: &StreamGraph,
+    spec: &CellSpec,
+    mapping: &Mapping,
+    config: &SimConfig,
+    n_instances: u64,
+    limits: Limits,
+) -> Result<crate::trace::RunTrace, SimError> {
+    let mut sim = Sim::new(g, spec, mapping, config, n_instances)?;
+    sim.limits = limits;
+    sim.run()
 }
 
 #[cfg(test)]

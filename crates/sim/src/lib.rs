@@ -19,12 +19,17 @@
 //!   both the producer and the consumer side (§4.2); producers block when
 //!   a buffer is full (back-pressure), consumers free a slot after the
 //!   last peek touching it;
-//! * configurable overheads ([`SimConfig`]) model the scheduling
-//!   framework: a per-activation cost and a per-DMA initiation latency.
-//!   With both at zero the simulated steady-state throughput converges to
-//!   the model prediction `ρ = 1/T`; the calibrated defaults aim at the
-//!   ≈ 95 % of it that §6.4.1 reports, and the worst of the benchmark's
-//!   twelve `plan_paper` mappings lands at 79 % (DESIGN.md §6.4).
+//! * [`SimConfig`] chooses whether the run charges the scheduling
+//!   framework's overheads (`cellstream_platform::framework`: a cost per
+//!   task activation, a CPU interrupt per DMA transfer, a DMA start-up
+//!   latency). Under [`SimConfig::ideal`] none is charged and the
+//!   steady-state throughput converges to the model's `ρ = 1/T`. Under
+//!   [`SimConfig::calibrated`] (the default) it converges to `1/T_cal`,
+//!   the calibrated period `core::evaluate` reports beside `T`. §6.4.1
+//!   measures ≈ 95 % of `1/T`; the worst of the benchmark's twelve
+//!   `plan_paper` mappings, graph 3 @ CCR 0.775, reaches 0.790 of it over
+//!   200 instances: 0.883 (`T/T_cal`) × 0.894 (the fill and drain of 200
+//!   instances) (DESIGN.md §6.4).
 //!
 //! The output is a [`trace::RunTrace`]: per-instance completion times at
 //! the sinks, from which the Figure 6 ramp-up curve and the steady-state

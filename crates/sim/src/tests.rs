@@ -1,7 +1,7 @@
 //! Simulator validation: against the analytic model, conservation laws,
 //! determinism and back-pressure.
 
-use crate::engine::{simulate, SimConfig, SimError};
+use crate::engine::{simulate, simulate_within, Limits, SimConfig, SimError, LIMITS};
 use cellstream_core::{evaluate, Mapping};
 use cellstream_daggen::{chain, fork_join, generate, CostParams, DagGenParams};
 use cellstream_graph::{StreamGraph, TaskSpec};
@@ -297,8 +297,8 @@ fn link_never_overallocated_under_heavy_contention() {
 }
 
 // ---------------------------------------------------------------------------
-// Error surface: Stalled and EventBudget (previously constructed but never
-// exercised by any test)
+// Error surface: Stalled and EventBudget, reached through the engine's
+// test hook, which narrows its constant limits
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -310,8 +310,16 @@ fn stalled_when_write_window_is_zero() {
     b.add_task(TaskSpec::new("t").uniform_cost(1e-6).writes(512.0));
     let g = b.build().unwrap();
     let spec = CellSpec::with_spes(1);
-    let cfg = SimConfig { write_window: 0, ..SimConfig::ideal() };
-    let err = simulate(&g, &spec, &Mapping::all_on(&g, PeId(0)), &cfg, 50).unwrap_err();
+    let m = Mapping::all_on(&g, PeId(0));
+    let err = simulate_within(
+        &g,
+        &spec,
+        &m,
+        &SimConfig::ideal(),
+        50,
+        Limits { write_window: 0, ..LIMITS },
+    )
+    .unwrap_err();
     match err {
         SimError::Stalled { at, completed } => {
             assert_eq!(completed, 0, "nothing can complete");
@@ -331,8 +339,10 @@ fn stalled_mid_stream_reports_progress() {
     b.add_edge(s, t, 128.0).unwrap();
     let g = b.build().unwrap();
     let spec = CellSpec::with_spes(1);
-    let cfg = SimConfig { read_ahead: 0, ..SimConfig::ideal() };
-    let err = simulate(&g, &spec, &Mapping::all_on(&g, PeId(0)), &cfg, 50).unwrap_err();
+    let m = Mapping::all_on(&g, PeId(0));
+    let err =
+        simulate_within(&g, &spec, &m, &SimConfig::ideal(), 50, Limits { read_ahead: 0, ..LIMITS })
+            .unwrap_err();
     assert!(matches!(err, SimError::Stalled { .. }), "{err:?}");
 }
 
@@ -350,62 +360,18 @@ fn zero_instances_is_an_error_not_a_panic() {
 fn event_budget_exhaustion_is_an_error_not_a_hang() {
     let g = chain("c", 6, &CostParams::default(), 3);
     let spec = CellSpec::ps3();
-    let cfg = SimConfig { max_events: 10, ..SimConfig::ideal() };
-    let err = simulate(&g, &spec, &Mapping::all_on(&g, PeId(0)), &cfg, 10_000).unwrap_err();
+    let m = Mapping::all_on(&g, PeId(0));
+    let err = simulate_within(
+        &g,
+        &spec,
+        &m,
+        &SimConfig::ideal(),
+        10_000,
+        Limits { max_events: 10, ..LIMITS },
+    )
+    .unwrap_err();
     assert_eq!(err, SimError::EventBudget);
     assert_eq!(err.to_string(), "event budget exhausted");
-}
-
-/// `simulate` of a six-task chain spread over a PS3, with one overhead
-/// of the default config set to `value`.
-fn simulate_with(field: &str, value: f64) -> Result<crate::RunTrace, SimError> {
-    let g = chain("c", 6, &CostParams::default(), 3);
-    let spec = CellSpec::ps3();
-    let mut cfg = SimConfig::default();
-    match field {
-        "task_overhead" => cfg.task_overhead = value,
-        "dma_latency" => cfg.dma_latency = value,
-        "comm_interrupt" => cfg.comm_interrupt = value,
-        _ => unreachable!("{field}"),
-    }
-    let mut assignment = vec![PeId(0); g.n_tasks()];
-    for (i, t) in g.task_ids().enumerate() {
-        assignment[t.index()] = spec.pe(i % spec.n_pes());
-    }
-    let m = Mapping::new(&g, &spec, assignment).unwrap();
-    simulate(&g, &spec, &m, &cfg, 50)
-}
-
-fn assert_bad_config(field: &'static str) {
-    assert!(simulate_with(field, 0.0).is_ok(), "zero is a valid {field}");
-    for value in [f64::NAN, -1e-6, f64::INFINITY, f64::NEG_INFINITY] {
-        match simulate_with(field, value) {
-            Err(SimError::BadConfig { field: f, value: v }) => {
-                assert_eq!(f, field);
-                assert_eq!(v.to_bits(), value.to_bits());
-            }
-            other => panic!("{field} = {value}: expected BadConfig, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn a_bad_task_overhead_is_refused() {
-    assert_bad_config("task_overhead");
-    assert_eq!(
-        simulate_with("task_overhead", -1e-3).unwrap_err().to_string(),
-        "bad config: task_overhead = -0.001 is not a finite non-negative time"
-    );
-}
-
-#[test]
-fn a_bad_dma_latency_is_refused() {
-    assert_bad_config("dma_latency");
-}
-
-#[test]
-fn a_bad_comm_interrupt_is_refused() {
-    assert_bad_config("comm_interrupt");
 }
 
 // ---------------------------------------------------------------------------
