@@ -27,7 +27,7 @@
 
 use crate::eval::{evaluate, MappingReport};
 use crate::mapping::{Mapping, MappingError};
-use crate::solve::{solve, SolveOptions};
+use crate::solve::{solve_until, SolveOptions};
 use cellstream_graph::{StreamGraph, Workload};
 use cellstream_milp::bb::MipStatus;
 use cellstream_milp::model::SolveError;
@@ -284,8 +284,7 @@ impl Scheduler for MilpScheduler {
     ) -> Result<(Mapping, PlanStats), PlanError> {
         let mut opts = ctx.solve.clone();
         opts.seeds.extend(ctx.seeds.iter().cloned());
-        opts.mip.stop = ctx.stop.clone();
-        let outcome = solve(g, spec, &opts)?;
+        let outcome = solve_until(g, spec, &opts, &ctx.stop)?;
         let stats = PlanStats::Milp {
             period_bound: outcome.period_bound,
             gap: outcome.gap,
@@ -351,6 +350,7 @@ impl Scheduler for PpeOnlyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solve::solve;
     use cellstream_daggen::{chain, CostParams};
 
     #[test]

@@ -11,8 +11,8 @@ use crate::eval::evaluate;
 use crate::formulation::{Formulation, FormulationConfig};
 use crate::mapping::Mapping;
 use cellstream_graph::StreamGraph;
-use cellstream_milp::bb::{solve_mip, MipOptions, MipStatus};
-use cellstream_milp::model::SolveError;
+use cellstream_milp::bb::solve_mip;
+use cellstream_milp::{MipOptions, MipStatus, SolveError, Stop};
 use cellstream_platform::{CellSpec, PeId};
 use std::time::{Duration, Instant};
 
@@ -89,11 +89,24 @@ impl SolveOutcome {
 }
 
 /// Compute a throughput-optimal mapping of `g` onto `spec` (within the
-/// configured gap).
+/// configured gap). The search stops on `opts.mip`'s time and node
+/// limits only.
 pub fn solve(
     g: &StreamGraph,
     spec: &CellSpec,
     opts: &SolveOptions,
+) -> Result<SolveOutcome, SolveError> {
+    solve_until(g, spec, opts, &Stop::default())
+}
+
+/// [`solve`] that also gives up once `stop` fires
+/// ([`MilpScheduler`](crate::scheduler::MilpScheduler) passes its
+/// context's).
+pub(crate) fn solve_until(
+    g: &StreamGraph,
+    spec: &CellSpec,
+    opts: &SolveOptions,
+    stop: &Stop,
 ) -> Result<SolveOutcome, SolveError> {
     let started = Instant::now();
     let form = Formulation::build(g, spec, &opts.formulation);
@@ -121,7 +134,7 @@ pub fn solve(
         Some((report.period / form.time_scale(), full))
     };
 
-    let res = solve_mip(&form.model, &opts.mip, &seed_vectors, Some(&completion))?;
+    let res = solve_mip(&form.model, &opts.mip, stop, &seed_vectors, Some(&completion))?;
 
     let (_, x) =
         res.incumbent.as_ref().expect("PPE-only seed guarantees an incumbent for every instance");

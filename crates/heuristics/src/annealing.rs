@@ -21,8 +21,9 @@
 //! its random draws and its result are those of probing every proposal.
 //! On `plan_paper` most proposals (40 046 of the 48 000 steps of a pass)
 //! are screened. The walk polls the
-//! flag of its [`Stop`] every step and its deadline every 128 steps,
-//! and returns the best mapping seen when either fires.
+//! flag of the [`Stop`] it is handed every step and its deadline every
+//! 128 steps, and returns the best mapping seen when either fires,
+//! with the number of steps it ran.
 
 use crate::search::screened;
 use cellstream_core::{evaluate, EvalState, Mapping, Move, Stop};
@@ -44,28 +45,28 @@ pub struct AnnealingOptions {
     pub steps: u32,
     /// RNG seed.
     pub seed: u64,
-    /// When to give up early: a raised flag ends the walk at the next
-    /// step, a passed deadline within 128 steps. The default never
-    /// stops, so all `steps` run.
-    pub stop: Stop,
 }
 
 impl Default for AnnealingOptions {
     fn default() -> Self {
-        AnnealingOptions { steps: 4000, seed: 0xA11EA1, stop: Stop::default() }
+        AnnealingOptions { steps: 4000, seed: 0xA11EA1 }
     }
 }
 
-/// Anneal from `start`; returns the best feasible mapping seen and its
-/// period (re-derived with one full [`evaluate`], so the published
-/// number is exactly the verifier's). If `start` is infeasible the walk
+/// Anneal from `start` until `opts.steps` or `stop` (a raised flag ends
+/// the walk at the next step, a passed deadline within 128 steps);
+/// returns the best feasible mapping seen, its period (re-derived with
+/// one full [`evaluate`], so the published number is exactly the
+/// verifier's) and the number of steps the walk ran, rejected and
+/// screened proposals included. If `start` is infeasible the walk
 /// begins from PPE-only.
 pub fn anneal(
     g: &StreamGraph,
     spec: &CellSpec,
     start: &Mapping,
     opts: &AnnealingOptions,
-) -> (Mapping, f64) {
+    stop: &Stop,
+) -> (Mapping, f64, u32) {
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let ppe_only = Mapping::all_on(g, spec.pe(0));
     let mut state = match EvalState::new(g, spec, start) {
@@ -82,10 +83,10 @@ pub fn anneal(
     let mut temperature = current_p * T0_FRACTION;
     let cool_every = (opts.steps / 100).max(1);
 
-    for step in 0..opts.steps {
-        if opts.stop.cancelled() || (step % 128 == 0 && opts.stop.hit()) {
-            break;
-        }
+    // `ran` counts the steps entered, `continue`d ones included
+    let mut ran = 0;
+    while ran < opts.steps && !stop.cancelled() && (ran % 128 != 0 || !stop.hit()) {
+        ran += 1;
         // neighbour: move one random task to one random other PE
         let t = TaskId(rng.gen_range(0..g.n_tasks()));
         let mut to = spec.pe(rng.gen_range(0..spec.n_pes()));
@@ -114,13 +115,13 @@ pub fn anneal(
                 best_p = current_p;
             }
         }
-        if step % cool_every == cool_every - 1 {
+        if ran % cool_every == 0 {
             temperature *= COOLING;
         }
     }
     // publish the exact verifier period of the best mapping seen
     let exact = evaluate(g, spec, &best).expect("best mapping is valid").period;
-    (best, exact)
+    (best, exact, ran)
 }
 
 #[cfg(test)]
@@ -136,7 +137,7 @@ mod tests {
         let spec = CellSpec::ps3();
         let start = Mapping::all_on(&g, PeId(0));
         let start_p = evaluate(&g, &spec, &start).unwrap().period;
-        let (m, p) = anneal(&g, &spec, &start, &AnnealingOptions::default());
+        let (m, p, _) = anneal(&g, &spec, &start, &AnnealingOptions::default(), &Stop::default());
         assert!(p <= start_p + 1e-15);
         let check = evaluate(&g, &spec, &m).unwrap();
         assert!(check.is_feasible());
@@ -166,7 +167,8 @@ mod tests {
             .unwrap();
             let greedy = crate::greedy_cpu(&g, &spec);
             let greedy_p = evaluate(&g, &spec, &greedy).unwrap().period;
-            let (_, p) = anneal(&g, &spec, &greedy, &AnnealingOptions::default());
+            let (_, p, _) =
+                anneal(&g, &spec, &greedy, &AnnealingOptions::default(), &Stop::default());
             if p < greedy_p - 1e-15 {
                 wins += 1;
             } else if (p - greedy_p).abs() <= 1e-15 {
@@ -182,10 +184,16 @@ mod tests {
         let g = chain("a", 8, &CostParams::default(), 13);
         let spec = CellSpec::with_spes(3);
         let start = Mapping::all_on(&g, PeId(0));
-        let a = anneal(&g, &spec, &start, &AnnealingOptions::default());
-        let b = anneal(&g, &spec, &start, &AnnealingOptions::default());
+        let a = anneal(&g, &spec, &start, &AnnealingOptions::default(), &Stop::default());
+        let b = anneal(&g, &spec, &start, &AnnealingOptions::default(), &Stop::default());
         assert_eq!(a.0, b.0);
-        let c = anneal(&g, &spec, &start, &AnnealingOptions { seed: 9, ..Default::default() });
+        let c = anneal(
+            &g,
+            &spec,
+            &start,
+            &AnnealingOptions { seed: 9, ..Default::default() },
+            &Stop::default(),
+        );
         // different seed may differ (not asserted equal)
         let _ = c;
     }
@@ -200,8 +208,13 @@ mod tests {
         let g = b.build().unwrap();
         let spec = CellSpec::with_spes(2);
         let bad = Mapping::all_on(&g, PeId(1)); // infeasible: SPE overflow
-        let (m, _) =
-            anneal(&g, &spec, &bad, &AnnealingOptions { steps: 200, ..Default::default() });
+        let (m, _, _) = anneal(
+            &g,
+            &spec,
+            &bad,
+            &AnnealingOptions { steps: 200, ..Default::default() },
+            &Stop::default(),
+        );
         let r = evaluate(&g, &spec, &m).unwrap();
         assert!(r.is_feasible());
     }
@@ -215,12 +228,12 @@ mod tests {
         stop.cancel();
         let opts = AnnealingOptions {
             steps: 50_000_000, // would take minutes uncancelled
-            stop,
             ..Default::default()
         };
         let started = std::time::Instant::now();
-        let (m, p) = anneal(&g, &spec, &start, &opts);
+        let (m, p, ran) = anneal(&g, &spec, &start, &opts, &stop);
         assert_eq!(m, start, "no step taken after cancellation");
+        assert_eq!(ran, 0, "a cancelled walk reports the steps it ran");
         assert!(started.elapsed() < Duration::from_secs(2));
         let r = evaluate(&g, &spec, &m).unwrap();
         assert!((r.period - p).abs() < 1e-15);
@@ -231,10 +244,10 @@ mod tests {
         let g = chain("a", 9, &CostParams::default(), 5);
         let spec = CellSpec::ps3();
         let start = Mapping::all_on(&g, PeId(0));
-        let unlimited = AnnealingOptions { stop: Stop::after(Duration::MAX), ..Default::default() };
+        let opts = AnnealingOptions::default();
         assert_eq!(
-            anneal(&g, &spec, &start, &unlimited),
-            anneal(&g, &spec, &start, &AnnealingOptions::default())
+            anneal(&g, &spec, &start, &opts, &Stop::after(Duration::MAX)),
+            anneal(&g, &spec, &start, &opts, &Stop::default())
         );
     }
 
@@ -243,8 +256,8 @@ mod tests {
         let g = chain("a", 9, &CostParams::default(), 5);
         let spec = CellSpec::ps3();
         let start = Mapping::all_on(&g, PeId(0));
-        let opts = AnnealingOptions { stop: Stop::after(Duration::ZERO), ..Default::default() };
-        let (m, p) = anneal(&g, &spec, &start, &opts);
+        let opts = AnnealingOptions::default();
+        let (m, p, _) = anneal(&g, &spec, &start, &opts, &Stop::after(Duration::ZERO));
         let r = evaluate(&g, &spec, &m).unwrap();
         assert!(r.is_feasible());
         assert!((r.period - p).abs() < 1e-15);

@@ -15,7 +15,7 @@
 //!   whose *composed* evaluation (all applications' PPE loads summed,
 //!   exactly as the machine would see them) has the smallest maximum
 //!   weighted per-application period, until the context's
-//!   [`Stop`](cellstream_core::Stop) fires.
+//!   [`Stop`] fires.
 //!
 //! Co-scheduling searches a strict superset of the partitioned
 //! placements — every partition mapping is a valid mapping of the
@@ -27,7 +27,7 @@
 use crate::search::{multi_start, LocalSearchOptions};
 use cellstream_core::scheduler::{PlanContext, PlanError};
 use cellstream_core::workload::{evaluate_workload, WorkloadReport};
-use cellstream_core::Mapping;
+use cellstream_core::{Mapping, Stop};
 use cellstream_graph::{AppId, Workload};
 use cellstream_platform::{CellSpec, PeId};
 
@@ -86,7 +86,7 @@ fn partition_mapping(w: &Workload, spec: &CellSpec, alloc: &[usize]) -> Result<M
             crate::comm_aware::comm_aware_greedy(&sub, &slice),
             Mapping::all_on(&sub, PeId(0)),
         ];
-        let (local, _) = multi_start(&sub, &slice, &starts, &opts);
+        let (local, _) = multi_start(&sub, &slice, &starts, &opts, &Stop::default());
         for (k, t) in w.tasks_of(app).enumerate() {
             let pe = local.pe_of(cellstream_graph::TaskId(k));
             assignment[t.index()] = if pe.index() < spec.n_ppe() {
@@ -132,8 +132,8 @@ fn allocations(total: usize, parts: usize) -> Vec<Vec<usize>> {
 /// interesting well before that). `ctx.stop` is checked *between*
 /// allocations: balanced splits are tried first, at least one feasible
 /// allocation is always kept, and the sweep stops early once the stop
-/// fires, flag or deadline (each slice plan itself uses the default
-/// multi-start options).
+/// fires, flag or deadline (each slice plan itself runs to its local
+/// optimum under a stop that never fires).
 pub fn best_partition(
     w: &Workload,
     spec: &CellSpec,
@@ -180,7 +180,6 @@ pub fn best_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellstream_core::Stop;
     use cellstream_daggen::{chain, CostParams};
     use cellstream_graph::TaskId;
 
@@ -281,7 +280,13 @@ mod tests {
         let (baseline, _, base_report) =
             best_partition(&w, &spec, &PlanContext::default()).unwrap();
         let starts = vec![baseline];
-        let (m, p) = multi_start(w.graph(), &spec, &starts, &LocalSearchOptions::default());
+        let (m, p) = multi_start(
+            w.graph(),
+            &spec,
+            &starts,
+            &LocalSearchOptions::default(),
+            &Stop::default(),
+        );
         assert!(p <= base_report.max_weighted_period() + 1e-15);
         let _ = m.pe_of(TaskId(0));
     }

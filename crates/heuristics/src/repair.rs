@@ -23,14 +23,16 @@
 //!    the repaired seats.
 //!
 //! Steps 2–3 are O(K·n_PEs) probes on [`EvalState`]; step 4 is bounded
-//! by the caller's budget/round cap. That is what buys the serving
+//! by the caller's round cap and by the [`Stop`] that [`repair`] and
+//! [`repair_in_place`] are handed. [`repair_with`] and the serving layer
+//! pass `Stop::default()`, which never fires. That is what buys the serving
 //! layer's order-of-magnitude replan-latency headroom over a from-scratch
 //! portfolio while staying within a few percent of its quality (the
 //! `online` bench gates both).
 
 use crate::search::{exact_period, refine_in_place, LocalSearchOptions};
 use cellstream_core::scheduler::{PlanContext, PlanError, PlanStats, Scheduler};
-use cellstream_core::{Availability, EvalState, Mapping, Move};
+use cellstream_core::{Availability, EvalState, Mapping, Move, Stop};
 use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_platform::{CellSpec, PeId};
 
@@ -45,9 +47,9 @@ pub struct RepairOptions {
 }
 
 /// Repair a partial assignment into a full feasible mapping and refine
-/// it with `refine`. `partial[k]` is the retained PE of task `k` (`None`
-/// for tasks that need placing — newly admitted work). Returns the
-/// mapping and its exact verifier period.
+/// it with `refine` until `stop` fires. `partial[k]` is the retained PE
+/// of task `k` (`None` for tasks that need placing — newly admitted
+/// work). Returns the mapping and its exact verifier period.
 ///
 /// `avail` is the live platform: any seat on a PE it marks dead is a
 /// §3.2 violation, so placement avoids dead PEs and the evict pass
@@ -65,6 +67,7 @@ pub fn repair(
     avail: &Availability,
     partial: &[Option<PeId>],
     refine: &LocalSearchOptions,
+    stop: &Stop,
 ) -> (Mapping, f64) {
     assert_eq!(partial.len(), g.n_tasks(), "partial assignment covers every task");
     let ppe = spec.pe(0);
@@ -72,14 +75,15 @@ pub fn repair(
     let assignment: Vec<PeId> = partial.iter().map(|p| p.unwrap_or(ppe)).collect();
     let seed = Mapping::new(g, spec, assignment).expect("retained PEs exist on this platform"); // check:allow(hot-path-panic): seed uses only PE ids the caller retained
     let mut state = EvalState::new_with(g, spec, avail, &seed).expect("seed is structurally valid"); // check:allow(hot-path-panic): the just-built seed mapping is structurally valid
-    repair_in_place(&mut state, partial, refine);
+    repair_in_place(&mut state, partial, refine, stop);
     // publish the exact verifier period, free of incremental drift
     let mapping = state.mapping();
     let period = exact_period(g, spec, avail, &mapping);
     (mapping, period)
 }
 
-/// [`repair`] with its mask and refinement in one [`RepairOptions`].
+/// [`repair`] with its mask and refinement in one [`RepairOptions`],
+/// under a stop that never fires.
 pub fn repair_with(
     g: &StreamGraph,
     spec: &CellSpec,
@@ -87,13 +91,14 @@ pub fn repair_with(
     opts: &RepairOptions,
 ) -> (Mapping, f64) {
     let avail = opts.avail.clone().unwrap_or_else(|| Availability::full(spec));
-    repair(g, spec, &avail, partial, &opts.refine)
+    repair(g, spec, &avail, partial, &opts.refine, &Stop::default())
 }
 
 /// The allocation-free core of [`repair`]: re-seat a caller-owned
 /// [`EvalState`] on `partial` (unplaced tasks fall back to the PPE),
-/// place the delta, evict until feasible and refine — committing the
-/// result into the state and returning its incremental score. This
+/// place the delta, evict until feasible and refine under `stop` —
+/// committing the result into the state and returning its incremental
+/// score. This
 /// performs **zero heap allocations**, the first call on a fresh state
 /// included: every table of the state is sized at construction (the
 /// counting-allocator suite pins it).
@@ -102,6 +107,7 @@ pub fn repair_in_place(
     state: &mut EvalState<'_>,
     partial: &[Option<PeId>],
     refine: &LocalSearchOptions,
+    stop: &Stop,
 ) -> f64 {
     let spec = state.spec();
     assert_eq!(partial.len(), state.graph().n_tasks(), "partial assignment covers every task");
@@ -125,7 +131,7 @@ pub fn repair_in_place(
     state.rebase();
     #[cfg(feature = "debug_invariants")]
     state.check_invariants("repair_in_place: after eviction and rebase");
-    refine_in_place(state, refine)
+    refine_in_place(state, refine, stop)
 }
 
 /// One seat candidate strictly beats the incumbent: feasible hosts
@@ -225,8 +231,8 @@ impl Scheduler for RepairScheduler {
                 Some(m) => m.assignment().iter().map(|&pe| Some(pe)).collect(),
                 None => vec![None; g.n_tasks()],
             };
-        let opts = LocalSearchOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
-        let (mapping, _) = repair(g, spec, &Availability::full(spec), &partial, &opts);
+        let (mapping, _) =
+            repair(g, spec, &Availability::full(spec), &partial, &self.opts, &ctx.stop);
         Ok((mapping, PlanStats::Search { iterations: 0 }))
     }
 }
@@ -271,8 +277,14 @@ mod tests {
         let seed = crate::greedy_cpu(&g, &spec);
         let seed_p = evaluate(&g, &spec, &seed).unwrap().period;
         let partial: Vec<_> = seed.assignment().iter().map(|&p| Some(p)).collect();
-        let (m, p) =
-            repair(&g, &spec, &Availability::full(&spec), &partial, &LocalSearchOptions::default());
+        let (m, p) = repair(
+            &g,
+            &spec,
+            &Availability::full(&spec),
+            &partial,
+            &LocalSearchOptions::default(),
+            &Stop::default(),
+        );
         assert!(p <= seed_p + 1e-15, "repair never worsens a feasible incumbent");
         assert!(evaluate(&g, &spec, &m).unwrap().is_feasible());
     }
@@ -287,6 +299,7 @@ mod tests {
             &Availability::full(&spec),
             &vec![None; g.n_tasks()],
             &LocalSearchOptions::default(),
+            &Stop::default(),
         );
         let r = evaluate(&g, &spec, &m).unwrap();
         assert!(r.is_feasible());
@@ -313,8 +326,14 @@ mod tests {
         b.add_edge(a, z, 64.0 * 1024.0).unwrap();
         let g = b.build().unwrap();
         let partial = vec![Some(PeId(1)), Some(PeId(1))]; // both on the SPE
-        let (m, p) =
-            repair(&g, &spec, &Availability::full(&spec), &partial, &LocalSearchOptions::default());
+        let (m, p) = repair(
+            &g,
+            &spec,
+            &Availability::full(&spec),
+            &partial,
+            &LocalSearchOptions::default(),
+            &Stop::default(),
+        );
         let r = evaluate(&g, &spec, &m).unwrap();
         assert!(r.is_feasible(), "repair must evict until feasible");
         assert!(p.is_finite());
@@ -341,6 +360,7 @@ mod tests {
             &Availability::full(&spec),
             &partial,
             &LocalSearchOptions::default(),
+            &Stop::default(),
         );
         assert!(p.is_finite());
         assert!(evaluate(new_w.graph(), &spec, &m).unwrap().is_feasible());
@@ -361,8 +381,9 @@ mod tests {
             let partial: Vec<Option<PeId>> = (0..g.n_tasks())
                 .map(|k| ((k + round) % 3 != 0).then(|| spec.pe((k + round) % spec.n_pes())))
                 .collect();
-            let score = repair_in_place(&mut state, &partial, &opts);
-            let (fresh, fresh_p) = repair(&g, &spec, &Availability::full(&spec), &partial, &opts);
+            let score = repair_in_place(&mut state, &partial, &opts, &Stop::default());
+            let (fresh, fresh_p) =
+                repair(&g, &spec, &Availability::full(&spec), &partial, &opts, &Stop::default());
             assert_eq!(state.mapping(), fresh, "round {round}");
             assert!(state.is_feasible());
             assert!((score - fresh_p).abs() <= 1e-9 * fresh_p.max(1e-12), "round {round}");

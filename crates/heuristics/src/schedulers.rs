@@ -5,6 +5,10 @@
 //! `scheduler_by_name("greedy_mem")` instead of a hand-wired call, and
 //! [`all_schedulers`] to sweep the whole family (as the paper's §6
 //! evaluation does).
+//!
+//! The iterative schedulers hand `ctx.stop` to their algorithm as an
+//! argument; the options they hold are the algorithm's own parameters
+//! only, with no stop among them.
 
 use crate::annealing::{anneal, AnnealingOptions};
 use crate::comm_aware::comm_aware_greedy;
@@ -86,7 +90,7 @@ fn feasible_seed_or_greedy_cpu(g: &StreamGraph, spec: &CellSpec, ctx: &PlanConte
 
 /// Local search as a [`Scheduler`]: refines the first
 /// feasible seed from the context, falling back to *GreedyCpu*. Stops on
-/// `ctx.stop`; the stop in its options is not read.
+/// `ctx.stop`.
 #[derive(Debug, Clone, Default)]
 pub struct LocalSearchScheduler {
     /// Search parameters.
@@ -105,8 +109,7 @@ impl Scheduler for LocalSearchScheduler {
         ctx: &PlanContext,
     ) -> Result<(Mapping, PlanStats), PlanError> {
         let start = feasible_seed_or_greedy_cpu(g, spec, ctx);
-        let opts = LocalSearchOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
-        let (mapping, _) = local_search(g, spec, &start, &opts);
+        let (mapping, _) = local_search(g, spec, &start, &self.opts, &ctx.stop);
         // local_search does not report how many rounds it actually ran,
         // so follow the PlanStats contract: 0 when untracked.
         Ok((mapping, PlanStats::Search { iterations: 0 }))
@@ -116,7 +119,7 @@ impl Scheduler for LocalSearchScheduler {
 /// Simulated annealing as a [`Scheduler`]: walks from the first feasible
 /// seed (falling back to *GreedyCpu*; infeasible starts are handled by
 /// [`anneal`] itself, which restarts from PPE-only). Stops on
-/// `ctx.stop`; the stop in its options is not read.
+/// `ctx.stop`, and reports the steps the walk ran.
 #[derive(Debug, Clone, Default)]
 pub struct AnnealScheduler {
     /// Annealing parameters.
@@ -135,9 +138,8 @@ impl Scheduler for AnnealScheduler {
         ctx: &PlanContext,
     ) -> Result<(Mapping, PlanStats), PlanError> {
         let start = feasible_seed_or_greedy_cpu(g, spec, ctx);
-        let opts = AnnealingOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
-        let (mapping, _) = anneal(g, spec, &start, &opts);
-        Ok((mapping, PlanStats::Search { iterations: self.opts.steps as u64 }))
+        let (mapping, _, ran) = anneal(g, spec, &start, &self.opts, &ctx.stop);
+        Ok((mapping, PlanStats::Search { iterations: u64::from(ran) }))
     }
 }
 
@@ -169,10 +171,8 @@ impl Scheduler for MultiStartScheduler {
             Mapping::all_on(g, PeId(0)),
         ];
         starts.extend(ctx.seeds.iter().cloned());
-        let n_starts = starts.len() as u64;
-        let opts = LocalSearchOptions { stop: ctx.stop.clone(), ..self.opts.clone() };
-        let (mapping, _) = multi_start(g, spec, &starts, &opts);
-        Ok((mapping, PlanStats::Search { iterations: n_starts }))
+        let (mapping, _) = multi_start(g, spec, &starts, &self.opts, &ctx.stop);
+        Ok((mapping, PlanStats::Search { iterations: starts.len() as u64 }))
     }
 }
 
@@ -256,6 +256,21 @@ mod tests {
         let ctx = PlanContext::default().seed(seed);
         let plan = LocalSearchScheduler::default().plan(&g, &spec, &ctx).unwrap();
         assert!(plan.period() <= seed_period + 1e-15);
+    }
+
+    /// An annealing plan counts the steps its walk ran: none under a
+    /// spent budget, all of them when nothing stops it.
+    #[test]
+    fn an_anneal_plan_reports_the_steps_it_ran() {
+        let g = chain("c", 8, &CostParams::default(), 21);
+        let spec = CellSpec::with_spes(3);
+        for (ctx, want) in [
+            (PlanContext::with_budget(std::time::Duration::ZERO), 0),
+            (PlanContext::default(), AnnealingOptions::default().steps as u64),
+        ] {
+            let plan = AnnealScheduler::default().plan(&g, &spec, &ctx).unwrap();
+            assert_eq!(plan.stats, PlanStats::Search { iterations: want });
+        }
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! orders of magnitude more moves. Infeasible neighbours score `+∞` and
 //! are never selected, so starting from a feasible mapping the result
 //! stays feasible. Deterministic given a deterministic start. It gives
-//! up early on [`LocalSearchOptions::stop`]: its flag is polled before
+//! up early on the [`Stop`] it is handed: its flag is polled before
 //! every single task's scan (a flag read, never the clock: serving's
-//! repair runs this loop), its deadline once a round.
+//! repair runs this loop), its deadline once a round (the search stops
+//! after the first round that ends past it). `Stop::default()` never
+//! stops, so all [`LocalSearchOptions::max_rounds`] may run.
 //!
 //! **Plateau descent.** The period is a *maximum* over per-PE
 //! occupations, so two co-bottlenecked PEs stall a descent on the period
@@ -76,12 +78,6 @@ pub struct LocalSearchOptions {
     /// Maximum rounds: a round is one relocation sweep over the tasks
     /// plus, if that sweep applied nothing, one scan of the swap pairs.
     pub max_rounds: usize,
-    /// When to give up early. Its flag is polled before each single
-    /// task's neighbourhood scan (raising it returns the best mapping so
-    /// far within one such step); its deadline once per round (the
-    /// search stops after the first round that ends past it). The
-    /// default never stops, so all `max_rounds` run.
-    pub stop: Stop,
     /// Escape period plateaus by accepting equal-period moves that
     /// strictly reduce the `Σ occupancy²` balance potential (see the
     /// module docs). On by default; off, only strict period gains are
@@ -91,7 +87,7 @@ pub struct LocalSearchOptions {
 
 impl Default for LocalSearchOptions {
     fn default() -> Self {
-        LocalSearchOptions { max_rounds: 64, stop: Stop::default(), plateau: true }
+        LocalSearchOptions { max_rounds: 64, plateau: true }
     }
 }
 
@@ -124,8 +120,8 @@ pub(crate) fn screened(state: &mut EvalState<'_>, mv: Move, current: f64) -> boo
     skip
 }
 
-/// Refine `start` by [`refine_in_place`]. Returns the refined mapping and
-/// its period (re-derived with one full
+/// Refine `start` by [`refine_in_place`] under `stop`. Returns the
+/// refined mapping and its period (re-derived with one full
 /// [`evaluate`](cellstream_core::evaluate) so the published number is
 /// exactly the verifier's, free of incremental drift).
 pub fn local_search(
@@ -133,13 +129,14 @@ pub fn local_search(
     spec: &CellSpec,
     start: &Mapping,
     opts: &LocalSearchOptions,
+    stop: &Stop,
 ) -> (Mapping, f64) {
     let mut state = match EvalState::new(g, spec, start) {
         Ok(s) => s,
         // structurally invalid start: nothing to refine
         Err(_) => return (start.clone(), f64::INFINITY),
     };
-    refine_in_place(&mut state, opts);
+    refine_in_place(&mut state, opts, stop);
     let refined = state.mapping();
     let exact = exact_period(g, spec, &Availability::full(spec), &refined);
     (refined, exact)
@@ -148,7 +145,8 @@ pub fn local_search(
 /// [`local_search`] on a caller-owned [`EvalState`]: descend from the
 /// state's current seats, committing accepted moves into the state, and
 /// return the incremental score reached (`+∞` only from an infeasible
-/// state no move can fix). The hot-path entry point — no `EvalState`
+/// state no move can fix), or whatever it reached when `stop` fired
+/// (module docs). The hot-path entry point — no `EvalState`
 /// construction, no `Mapping` clone, no final full
 /// [`evaluate`](cellstream_core::evaluate): it performs **zero heap
 /// allocations**, the first call on a fresh state included (the
@@ -156,7 +154,7 @@ pub fn local_search(
 /// re-derive it at their boundary; the incremental drift stays below
 /// 1e-9 relative (see the `EvalState` docs).
 // check: no-alloc
-pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> f64 {
+pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions, stop: &Stop) -> f64 {
     let g = state.graph();
     let spec = state.spec();
     let mut current = state.score();
@@ -209,7 +207,7 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
     'sweeps: for _ in 0..opts.max_rounds {
         let mut changed = false;
         for t in g.task_ids() {
-            if opts.stop.cancelled() {
+            if stop.cancelled() {
                 break 'sweeps;
             }
             let from = state.pe_of(t);
@@ -245,7 +243,7 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
         // swaps only when a whole relocation sweep came up dry
         if !changed {
             'scan: for a in g.task_ids() {
-                if opts.stop.cancelled() {
+                if stop.cancelled() {
                     break 'sweeps;
                 }
                 for b in g.task_ids().skip(a.index() + 1) {
@@ -270,7 +268,7 @@ pub fn refine_in_place(state: &mut EvalState<'_>, opts: &LocalSearchOptions) -> 
         if !changed {
             break; // local optimum of the full neighbourhood
         }
-        if opts.stop.hit() {
+        if stop.hit() {
             break;
         }
     }
@@ -293,18 +291,19 @@ pub(crate) fn exact_period(
 
 /// Run local search from several starts (e.g. both greedies and PPE-only)
 /// and keep the best. The usual entry point for "the best heuristic
-/// answer without the MILP". Every start runs under the one `opts.stop`:
+/// answer without the MILP". Every start runs under the one `stop`:
 /// once its deadline has passed, each remaining start does one round.
 pub fn multi_start(
     g: &StreamGraph,
     spec: &CellSpec,
     starts: &[Mapping],
     opts: &LocalSearchOptions,
+    stop: &Stop,
 ) -> (Mapping, f64) {
     assert!(!starts.is_empty(), "need at least one start");
     starts
         .iter()
-        .map(|s| local_search(g, spec, s, opts))
+        .map(|s| local_search(g, spec, s, opts, stop))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("at least one start")
 }
@@ -323,7 +322,8 @@ mod tests {
         let spec = CellSpec::with_spes(3);
         let start = Mapping::all_on(&g, PeId(0));
         let start_period = exact_period(&g, &spec, &Availability::full(&spec), &start);
-        let (refined, period) = local_search(&g, &spec, &start, &LocalSearchOptions::default());
+        let (refined, period) =
+            local_search(&g, &spec, &start, &LocalSearchOptions::default(), &Stop::default());
         assert!(period <= start_period);
         assert!(exact_period(&g, &spec, &Availability::full(&spec), &refined) == period);
     }
@@ -334,7 +334,8 @@ mod tests {
         let g = chain("c", 6, &CostParams::default(), 4);
         let spec = CellSpec::with_spes(4);
         let start = Mapping::all_on(&g, PeId(0));
-        let (_, period) = local_search(&g, &spec, &start, &LocalSearchOptions::default());
+        let (_, period) =
+            local_search(&g, &spec, &start, &LocalSearchOptions::default(), &Stop::default());
         let ppe_period = exact_period(&g, &spec, &Availability::full(&spec), &start);
         assert!(
             period < ppe_period,
@@ -351,9 +352,11 @@ mod tests {
             crate::greedy::greedy_cpu(&g, &spec),
             crate::greedy::greedy_mem(&g, &spec),
         ];
-        let (_, best) = multi_start(&g, &spec, &starts, &LocalSearchOptions::default());
+        let (_, best) =
+            multi_start(&g, &spec, &starts, &LocalSearchOptions::default(), &Stop::default());
         for s in &starts {
-            let (_, single) = local_search(&g, &spec, s, &LocalSearchOptions::default());
+            let (_, single) =
+                local_search(&g, &spec, s, &LocalSearchOptions::default(), &Stop::default());
             assert!(best <= single + 1e-15);
         }
     }
@@ -368,6 +371,7 @@ mod tests {
             &spec,
             &start,
             &LocalSearchOptions { max_rounds: 0, ..Default::default() },
+            &Stop::default(),
         );
         assert_eq!(m, start);
     }
@@ -377,9 +381,8 @@ mod tests {
         let g = chain("c", 12, &CostParams::default(), 8);
         let spec = CellSpec::qs22();
         let start = Mapping::all_on(&g, PeId(0));
-        let budgeted =
-            LocalSearchOptions { stop: Stop::after(Duration::ZERO), ..Default::default() };
-        let (m, p) = local_search(&g, &spec, &start, &budgeted);
+        let opts = LocalSearchOptions::default();
+        let (m, p) = local_search(&g, &spec, &start, &opts, &Stop::after(Duration::ZERO));
         // still does (at most) one full round, and never worsens
         assert!(p <= exact_period(&g, &spec, &Availability::full(&spec), &start));
         assert_eq!(exact_period(&g, &spec, &Availability::full(&spec), &m), p);
@@ -390,11 +393,10 @@ mod tests {
         let g = chain("c", 12, &CostParams::default(), 8);
         let spec = CellSpec::qs22();
         let start = Mapping::all_on(&g, PeId(0));
-        let unlimited =
-            LocalSearchOptions { stop: Stop::after(Duration::MAX), ..Default::default() };
+        let opts = LocalSearchOptions::default();
         assert_eq!(
-            local_search(&g, &spec, &start, &unlimited),
-            local_search(&g, &spec, &start, &LocalSearchOptions::default())
+            local_search(&g, &spec, &start, &opts, &Stop::after(Duration::MAX)),
+            local_search(&g, &spec, &start, &opts, &Stop::default())
         );
     }
 
@@ -407,9 +409,8 @@ mod tests {
         let start = Mapping::all_on(&g, PeId(0));
         let stop = Stop::new();
         stop.cancel();
-        let opts = LocalSearchOptions { stop, ..Default::default() };
         let started = std::time::Instant::now();
-        let (m, p) = local_search(&g, &spec, &start, &opts);
+        let (m, p) = local_search(&g, &spec, &start, &LocalSearchOptions::default(), &stop);
         // cancelled before the first single-task scan: no move applied
         assert_eq!(m, start);
         assert_eq!(p, exact_period(&g, &spec, &Availability::full(&spec), &start));
@@ -423,12 +424,12 @@ mod tests {
         let spec = CellSpec::qs22();
         let start = Mapping::all_on(&g, PeId(0));
         let stop = Stop::new();
-        let opts = LocalSearchOptions { stop: stop.clone(), ..Default::default() };
+        let flag = stop.clone();
         let canceller = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
-            stop.cancel();
+            flag.cancel();
         });
-        let (m, p) = local_search(&g, &spec, &start, &opts);
+        let (m, p) = local_search(&g, &spec, &start, &LocalSearchOptions::default(), &stop);
         canceller.join().unwrap();
         // whatever was reached is valid, feasible and never worse
         assert!(p <= exact_period(&g, &spec, &Availability::full(&spec), &start));
@@ -440,8 +441,13 @@ mod tests {
         // the returned period must be bit-identical to a fresh evaluate()
         let g = chain("c", 20, &CostParams::default(), 77);
         let spec = CellSpec::qs22();
-        let (m, p) =
-            local_search(&g, &spec, &Mapping::all_on(&g, PeId(0)), &LocalSearchOptions::default());
+        let (m, p) = local_search(
+            &g,
+            &spec,
+            &Mapping::all_on(&g, PeId(0)),
+            &LocalSearchOptions::default(),
+            &Stop::default(),
+        );
         let r = evaluate(&g, &spec, &m).unwrap();
         assert!(r.is_feasible());
         assert_eq!(r.period, p);

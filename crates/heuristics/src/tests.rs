@@ -1,7 +1,7 @@
 //! Cross-heuristic properties.
 
 use crate::{comm_aware_greedy, greedy_cpu, greedy_mem, local_search, LocalSearchOptions};
-use cellstream_core::{evaluate, Mapping};
+use cellstream_core::{evaluate, Mapping, Stop};
 use cellstream_daggen::{generate, CostParams, DagGenParams};
 use cellstream_platform::{CellSpec, PeId};
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ fn paper_scale_graph2_refines_with_swaps_in_tier1() {
     let spec = CellSpec::qs22();
     let start = greedy_cpu(&g, &spec);
     let start_p = evaluate(&g, &spec, &start).unwrap().period;
-    let (m, p) = local_search(&g, &spec, &start, &LocalSearchOptions::default());
+    let (m, p) = local_search(&g, &spec, &start, &LocalSearchOptions::default(), &Stop::default());
     assert!(p <= start_p + 1e-15, "search never worsens: {p} vs {start_p}");
     let r = evaluate(&g, &spec, &m).unwrap();
     assert!(r.is_feasible());
@@ -108,7 +108,7 @@ proptest! {
         let spec = CellSpec::ps3();
         for start in [greedy_mem(&g, &spec), greedy_cpu(&g, &spec), Mapping::all_on(&g, PeId(0))] {
             let before = evaluate(&g, &spec, &start).unwrap();
-            let (after_m, after_p) = local_search(&g, &spec, &start, &LocalSearchOptions::default());
+            let (after_m, after_p) = local_search(&g, &spec, &start, &LocalSearchOptions::default(), &Stop::default());
             let after = evaluate(&g, &spec, &after_m).unwrap();
             prop_assert!((after.period - after_p).abs() < 1e-12);
             if before.is_feasible() {

@@ -107,9 +107,9 @@ fn churn(state: &EvalState<'_>, apps: &[AppInfo], partial: &mut [Option<PeId>], 
     }
 }
 
-/// Churn rounds under `opts` on a state nothing has run on yet: the
-/// measurement starts at the first `repair_in_place`.
-fn assert_repair_never_allocates(opts: &LocalSearchOptions) {
+/// Churn rounds under `opts` and `stop` on a state nothing has run on
+/// yet: the measurement starts at the first `repair_in_place`.
+fn assert_repair_never_allocates(opts: &LocalSearchOptions, stop: &Stop) {
     let spec = CellSpec::qs22();
     let mut b = Workload::builder("mix");
     b.push(&pipeline("a", 4), 1.0).unwrap();
@@ -122,13 +122,13 @@ fn assert_repair_never_allocates(opts: &LocalSearchOptions) {
     // from-scratch seed, then a long-lived state: the serving loop's
     // steady-state posture
     let mut partial: Vec<Option<PeId>> = vec![None; g.n_tasks()];
-    let (seed, _) = repair(g, &spec, &Availability::full(&spec), &partial, opts);
+    let (seed, _) = repair(g, &spec, &Availability::full(&spec), &partial, opts, stop);
     let mut state = EvalState::new(g, &spec, &seed).expect("seed is structurally valid");
 
     let allocs = count_allocs(|| {
         for round in 0..3 * n_apps {
             churn(&state, w.apps(), &mut partial, round % n_apps);
-            let period = repair_in_place(&mut state, &partial, opts);
+            let period = repair_in_place(&mut state, &partial, opts, stop);
             assert!(period.is_finite());
         }
     });
@@ -140,11 +140,11 @@ fn assert_repair_never_allocates(opts: &LocalSearchOptions) {
 /// same descent cut short by a round cap.
 #[test]
 fn repair_replans_without_allocating() {
-    assert_repair_never_allocates(&LocalSearchOptions::default());
-    assert_repair_never_allocates(&LocalSearchOptions {
-        max_rounds: 4,
-        ..LocalSearchOptions::default()
-    });
+    assert_repair_never_allocates(&LocalSearchOptions::default(), &Stop::default());
+    assert_repair_never_allocates(
+        &LocalSearchOptions { max_rounds: 4, ..LocalSearchOptions::default() },
+        &Stop::default(),
+    );
 }
 
 /// A stop that can fire: the descent polls its flag before every
@@ -153,5 +153,5 @@ fn repair_replans_without_allocating() {
 #[test]
 fn repair_under_a_flag_and_a_deadline_allocates_nothing() {
     let stop = Stop::new().within(Duration::from_secs(3600));
-    assert_repair_never_allocates(&LocalSearchOptions { stop, ..LocalSearchOptions::default() });
+    assert_repair_never_allocates(&LocalSearchOptions::default(), &stop);
 }

@@ -9,7 +9,7 @@
 //! feature every screened proposal is probed as well and must score `+∞`.
 
 use cellstream_core::steady::buffers::BufferPlan;
-use cellstream_core::{evaluate, EvalState, Mapping, Move};
+use cellstream_core::{evaluate, EvalState, Mapping, Move, Stop};
 use cellstream_daggen::{generate, paper, CostParams, DagGenParams};
 use cellstream_graph::{StreamGraph, TaskId};
 use cellstream_heuristics::{anneal, greedy_cpu, AnnealingOptions};
@@ -84,7 +84,7 @@ fn compare(
     start: &Mapping,
     opts: &AnnealingOptions,
 ) -> Result<usize, String> {
-    let (m, p) = anneal(g, spec, start, opts);
+    let (m, p, _) = anneal(g, spec, start, opts, &Stop::default());
     let ((ref_m, ref_p), overfilling) = reference_anneal(g, spec, start, opts);
     if m != ref_m || p.to_bits() != ref_p.to_bits() {
         return Err(format!("anneal reached {p:e}, the unscreened walk {ref_p:e}"));
@@ -143,7 +143,7 @@ proptest! {
         }, graph_seed).unwrap();
         let spec = if tight { tight_two_spe_cell(&g, eighths) } else { CellSpec::qs22() };
         let start = greedy_cpu(&g, &spec);
-        let opts = AnnealingOptions { steps, seed, ..AnnealingOptions::default() };
+        let opts = AnnealingOptions { steps, seed };
         prop_assert_eq!(compare(&g, &spec, &start, &opts).map(|_| ()), Ok(()));
     }
 }

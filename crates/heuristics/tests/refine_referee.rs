@@ -11,7 +11,7 @@
 //! from the planners' starts on a paper-scale graph.
 
 use cellstream_core::steady::buffers::BufferPlan;
-use cellstream_core::{Availability, EvalState, Mapping, Move};
+use cellstream_core::{Availability, EvalState, Mapping, Move, Stop};
 use cellstream_daggen::{chain, fork_join, CostParams};
 use cellstream_graph::{StreamGraph, Workload};
 use cellstream_heuristics::{greedy_cpu, refine_in_place, repair_in_place, LocalSearchOptions};
@@ -146,12 +146,17 @@ fn the_last_pair_of_a_swap_scan_is_probed() {
 
     let start = Mapping::all_on(&g, spec.pe(0));
     let mut shipped = EvalState::new(&g, &spec, &start).unwrap();
-    let score = repair_in_place(&mut shipped, &seats, &opts);
+    let score = repair_in_place(&mut shipped, &seats, &opts, &Stop::default());
     assert_eq!(shipped.assignment(), &[spec.pe(0), spec.pe(1), spec.pe(0)], "the swap was found");
     assert!(score < 1.2e-6, "period {score}");
 
     let mut reference = EvalState::new(&g, &spec, &start).unwrap();
-    repair_in_place(&mut reference, &seats, &LocalSearchOptions { max_rounds: 0, ..opts.clone() });
+    repair_in_place(
+        &mut reference,
+        &seats,
+        &LocalSearchOptions { max_rounds: 0, ..opts.clone() },
+        &Stop::default(),
+    );
     assert_eq!(reference_refine(&mut reference, &opts).to_bits(), score.to_bits());
     assert_eq!(shipped.assignment(), reference.assignment());
 }
@@ -170,7 +175,7 @@ fn cold_starts_on_paper_graph2_match_the_reference() {
         for plateau in [true, false] {
             let opts = LocalSearchOptions { plateau, ..LocalSearchOptions::default() };
             let mut shipped = EvalState::new(&g, &spec, start).unwrap();
-            let shipped_score = refine_in_place(&mut shipped, &opts);
+            let shipped_score = refine_in_place(&mut shipped, &opts, &Stop::default());
             let mut reference = EvalState::new(&g, &spec, start).unwrap();
             let reference_score = reference_refine(&mut reference, &opts);
             let ctx = format!("{name}, plateau {plateau}");
@@ -237,11 +242,14 @@ fn referee_case(
         let seats = || partial.iter().map(|p| p.unwrap_or(spec.pe(0)));
         shipped.reseat(seats());
         reference.reseat(seats());
-        (refine_in_place(&mut shipped, opts), reference_refine(&mut reference, opts))
+        (
+            refine_in_place(&mut shipped, opts, &Stop::default()),
+            reference_refine(&mut reference, opts),
+        )
     } else {
-        let shipped_score = repair_in_place(&mut shipped, partial, opts);
+        let shipped_score = repair_in_place(&mut shipped, partial, opts, &Stop::default());
         let no_refine = LocalSearchOptions { max_rounds: 0, ..opts.clone() };
-        repair_in_place(&mut reference, partial, &no_refine);
+        repair_in_place(&mut reference, partial, &no_refine, &Stop::default());
         (shipped_score, reference_refine(&mut reference, opts))
     };
     assert_eq!(shipped.assignment(), reference.assignment(), "{ctx}: seats");
@@ -266,11 +274,7 @@ proptest! {
         let w = workload(seed, target);
         let g = w.graph();
         let spec = CellSpec::with_spes(spes);
-        let opts = LocalSearchOptions {
-            plateau,
-            max_rounds: [1, 4, 64][rounds],
-            ..LocalSearchOptions::default()
-        };
+        let opts = LocalSearchOptions { plateau, max_rounds: [1, 4, 64][rounds] };
         let ctx = format!(
             "seed {seed}, {} tasks, {spes} SPEs, health {health}, plateau {plateau}, \
              max_rounds {}",
@@ -300,11 +304,7 @@ proptest! {
         let w = workload(seed, target);
         let g = w.graph();
         let spec = tight_local_store(g, spes, eighths);
-        let opts = LocalSearchOptions {
-            plateau,
-            max_rounds: [1, 4, 64][rounds],
-            ..LocalSearchOptions::default()
-        };
+        let opts = LocalSearchOptions { plateau, max_rounds: [1, 4, 64][rounds] };
         let ctx = format!(
             "seed {seed}, {} tasks, {spes} SPEs, local store {eighths}/8 of the median \
              buffer, health {health}, plateau {plateau}, max_rounds {}, raw {raw}",

@@ -49,9 +49,10 @@
 //! * **Pseudo-cost branching**: per-binary average objective degradations
 //!   (up and down) learned from every solved child pick the branching
 //!   variable by the product rule, replacing most-fractional.
-//! * The search's [`Stop`] is threaded *into* the LP pivot loops
-//!   ([`LpOptions::stop`]), so a single long node LP cannot overshoot
-//!   [`MipOptions::time_limit`] or a raised flag.
+//! * The [`Stop`] that [`solve_mip`] is handed, within
+//!   [`MipOptions::time_limit`], is threaded *into* the LP pivot loops
+//!   as an argument of every node solve, so a single long node LP
+//!   cannot overshoot the time limit or a raised flag.
 //! * Nodes fix binaries by *bound tightening* (`lo = hi ∈ {0,1}`), which the
 //!   bounded-variable simplex absorbs with zero extra rows.
 //! * **Lazy rows** ([`Model::add_lazy_con`]) start outside the search's
@@ -107,7 +108,7 @@ pub enum MipStatus {
     NodeLimit,
     /// Stopped on the time limit; incumbent may be sub-optimal.
     TimeLimit,
-    /// Stopped because the flag of [`MipOptions::stop`] was raised;
+    /// Stopped because the flag of the search's [`Stop`] was raised;
     /// incumbent may be sub-optimal.
     Cancelled,
     /// No feasible integral point exists.
@@ -127,17 +128,12 @@ pub struct MipOptions {
     /// Maximum number of explored nodes.
     pub max_nodes: u64,
     /// Wall-clock budget, counted from the start of the solve and
-    /// combined with [`stop`](Self::stop) by [`Stop::within`].
+    /// combined with the [`solve_mip`] caller's [`Stop`] by
+    /// [`Stop::within`].
     pub time_limit: Duration,
     /// LP sub-solver options, applied to the root solve and to every
-    /// node re-solve. The search replaces their `stop` with its own.
+    /// node re-solve.
     pub lp: LpOptions,
-    /// Checked at every node *and* threaded into the LP pivot loops
-    /// ([`LpOptions::stop`]), so a passed deadline ends the search with
-    /// [`MipStatus::TimeLimit`] and a raised flag, within a handful of
-    /// pivots, with [`MipStatus::Cancelled`]; either returns the
-    /// incumbent.
-    pub stop: Stop,
 }
 
 impl Default for MipOptions {
@@ -148,7 +144,6 @@ impl Default for MipOptions {
             max_nodes: 10_000,
             time_limit: Duration::from_secs(60),
             lp: LpOptions::default(),
-            stop: Stop::default(),
         }
     }
 }
@@ -279,7 +274,8 @@ impl PseudoCosts {
 /// refused (singular, or not dual feasible) the node re-solves from the
 /// slack basis, which the model's validation makes a dual start. The
 /// flag says whether `basis` held. `None` means contradictory fixings —
-/// a domain the fixings emptied — so an infeasible subtree.
+/// a domain the fixings emptied — so an infeasible subtree. The solve
+/// stops early on `stop`.
 fn solve_node(
     lp: &mut SparseLp,
     ws: &mut Workspace,
@@ -287,14 +283,15 @@ fn solve_node(
     fixings: &[(VarId, bool)],
     basis: &Basis,
     opts: &LpOptions,
+    stop: &Stop,
 ) -> (Option<SparseSolution>, bool) {
     for &(v, val) in fixings {
         let b = if val { 1.0 } else { 0.0 };
         lp.set_bounds(v.0, b, b);
     }
-    let sol = match lp.solve_dual_in(ws, basis, opts) {
+    let sol = match lp.solve_dual_in(ws, basis, opts, stop) {
         Ok(s) => (Some(s), true),
-        Err(_) => (lp.solve_dual_in(ws, &lp.slack_basis(), opts).ok(), false),
+        Err(_) => (lp.solve_dual_in(ws, &lp.slack_basis(), opts, stop).ok(), false),
     };
     for &(v, _) in fixings {
         let (lo, hi) = model.bounds(v);
@@ -320,16 +317,20 @@ struct NodeLp {
     /// The root's raised lower bound `(column, bound)` while it is in
     /// force ([`NodeLp::solve_root`]).
     shift: Option<(usize, f64)>,
+    /// The options of every solve on this LP.
+    opts: LpOptions,
+    /// The search's stop, polled inside every solve's pivot loop.
+    stop: Stop,
 }
 
 impl NodeLp {
-    fn new(model: &Model) -> Result<NodeLp, SolveError> {
+    fn new(model: &Model, opts: LpOptions, stop: Stop) -> Result<NodeLp, SolveError> {
         let (inactive, active): (Vec<usize>, Vec<usize>) =
             (0..model.n_cons()).partition(|&i| model.cons[i].lazy);
         let lp = SparseLp::from_model_rows(model, &active)?;
         let ws = Workspace::new(&lp);
         let scales = model.cons.iter().map(Constraint::scale).collect();
-        Ok(NodeLp { lp, ws, active, inactive, scales, activated: 0, shift: None })
+        Ok(NodeLp { lp, ws, active, inactive, scales, activated: 0, shift: None, opts, stop })
     }
 
     /// [`solve_node`] on this LP, then the node's value with every model
@@ -345,9 +346,8 @@ impl NodeLp {
         model: &Model,
         fixings: &[(VarId, bool)],
         basis: &Basis,
-        opts: &LpOptions,
     ) -> (Option<SparseSolution>, bool) {
-        let (mut sol, held) = self.solve_from(model, fixings, basis, opts);
+        let (mut sol, held) = self.solve_from(model, fixings, basis);
         while let Some(s) = sol.as_mut().filter(|s| s.status == LpStatus::Optimal) {
             let broken: Vec<usize> = self
                 .inactive
@@ -386,7 +386,7 @@ impl NodeLp {
             );
             self.ws = Workspace::new(&self.lp);
             let spent = s.iterations;
-            sol = self.solve_from(model, fixings, &s.basis, opts).0;
+            sol = self.solve_from(model, fixings, &s.basis).0;
             if let Some(s) = sol.as_mut() {
                 s.iterations += spent;
             }
@@ -410,15 +410,14 @@ impl NodeLp {
         model: &Model,
         basis: &Basis,
         shift: Option<(usize, f64)>,
-        opts: &LpOptions,
     ) -> Option<SparseSolution> {
         let Some((t, raised)) = shift else {
-            return self.solve(model, &[], basis, opts).0;
+            return self.solve(model, &[], basis).0;
         };
         let (lo, hi) = model.bounds(VarId(t));
         self.lp.set_bounds(t, raised, hi);
         self.shift = shift;
-        let shifted = self.solve(model, &[], basis, opts).0;
+        let shifted = self.solve(model, &[], basis).0;
         self.lp.set_bounds(t, lo, hi);
         self.shift = None;
         let shifted = shifted?;
@@ -433,7 +432,7 @@ impl NodeLp {
             LpStatus::Infeasible => basis,
             LpStatus::IterLimit | LpStatus::TimeLimit => return Some(shifted),
         };
-        let mut sol = self.solve(model, &[], from, opts).0;
+        let mut sol = self.solve(model, &[], from).0;
         if let Some(s) = sol.as_mut() {
             s.iterations += shifted.iterations;
         }
@@ -447,7 +446,6 @@ impl NodeLp {
         model: &Model,
         fixings: &[(VarId, bool)],
         basis: &Basis,
-        opts: &LpOptions,
     ) -> (Option<SparseSolution>, bool) {
         let (n, m) = (self.lp.n_structural(), self.lp.n_rows());
         let mut extended;
@@ -461,7 +459,7 @@ impl NodeLp {
             }
             &extended
         };
-        solve_node(&mut self.lp, &mut self.ws, model, fixings, basis, opts)
+        solve_node(&mut self.lp, &mut self.ws, model, fixings, basis, &self.opts, &self.stop)
     }
 }
 
@@ -616,13 +614,21 @@ pub type Completion<'a> = dyn Fn(&[f64]) -> Option<(f64, Vec<f64>)> + 'a;
 /// binary is refused, like one that breaks a row); the root starts from
 /// the best one's [`SparseLp::seeded_basis`]. `completion` is invoked on
 /// every node's fractional solution to harvest early incumbents.
+///
+/// The search gives up on `stop` or on [`MipOptions::time_limit`],
+/// whichever fires first. It is checked at every node *and* inside the
+/// LP pivot loops, so a passed deadline ends the search with
+/// [`MipStatus::TimeLimit`] and a raised flag, within a handful of
+/// pivots, with [`MipStatus::Cancelled`]; either returns the incumbent.
+/// `Stop::default()` leaves the time limit alone.
 pub fn solve_mip(
     model: &Model,
     opts: &MipOptions,
+    stop: &Stop,
     seeds: &[Vec<f64>],
     completion: Option<&Completion<'_>>,
 ) -> Result<MipResult, SolveError> {
-    let stop = opts.stop.within(opts.time_limit);
+    let stop = stop.within(opts.time_limit);
     let binaries = model.binary_vars();
     let mut bin_of = vec![usize::MAX; model.n_vars()];
     for (i, v) in binaries.iter().enumerate() {
@@ -634,9 +640,7 @@ pub fn solve_mip(
     let mut warm = (0u64, 0u64);
 
     // the search's stop reaches every LP pivot loop
-    let lp_opts = LpOptions { stop: stop.clone(), ..opts.lp.clone() };
-
-    let mut node_lp = NodeLp::new(model)?;
+    let mut node_lp = NodeLp::new(model, opts.lp.clone(), stop.clone())?;
 
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     for seed in seeds {
@@ -661,7 +665,7 @@ pub fn solve_mip(
         Some((z, x)) => (node_lp.lp.seeded_basis(x), root_shift(model, *z)),
         None => (node_lp.lp.slack_basis(), None),
     };
-    let root = node_lp.solve_root(model, &start_basis, shift, &lp_opts);
+    let root = node_lp.solve_root(model, &start_basis, shift);
     let root = root.expect("the slack basis of a validated model is a dual start");
     lp_iterations += root.iterations;
     nodes_done += 1;
@@ -764,7 +768,7 @@ pub fn solve_mip(
             break;
         }
 
-        let (sol, held) = node_lp.solve(model, &node.fixings, &node.basis, &lp_opts);
+        let (sol, held) = node_lp.solve(model, &node.fixings, &node.basis);
         warm.0 += 1;
         warm.1 += u64::from(held);
         let Some(sol) = sol else {
@@ -928,7 +932,8 @@ mod tests {
         };
         for (what, basis) in [("wrong shape", wrong_shape), ("not dual feasible", x_basic)] {
             assert!(lp.solve_dual_from(&basis, &opts).is_err(), "{what}: must be refused");
-            let (sol, held) = solve_node(&mut lp, &mut ws, &m, &[], &basis, &opts);
+            let (sol, held) =
+                solve_node(&mut lp, &mut ws, &m, &[], &basis, &opts, &Stop::default());
             let sol = sol.expect("the slack basis is a dual start");
             assert!(!held, "{what}: the refused basis cannot count as held");
             assert_eq!(sol.status, LpStatus::Optimal, "{what}");
@@ -961,13 +966,13 @@ mod tests {
         assert_eq!(lp.solve_dual_from(&seeded, &opts).err(), Some(WarmStartError::Singular));
         let slack = lp.solve_dual_from(&lp.slack_basis(), &opts).unwrap();
         let mut ws = Workspace::new(&lp);
-        let (root, held) = solve_node(&mut lp, &mut ws, &m, &[], &seeded, &opts);
+        let (root, held) = solve_node(&mut lp, &mut ws, &m, &[], &seeded, &opts, &Stop::default());
         let root = root.expect("the slack basis is a dual start");
         assert!(!held, "a singular basis cannot count as held");
         assert_eq!((root.status, root.objective), (LpStatus::Optimal, slack.objective));
         assert!((root.objective + 0.5).abs() < 1e-12, "{}", root.objective);
-        let with_seed = solve_mip(&m, &exact(), &[seed], None).unwrap();
-        let without = solve_mip(&m, &exact(), &[], None).unwrap();
+        let with_seed = solve_mip(&m, &exact(), &Stop::default(), &[seed], None).unwrap();
+        let without = solve_mip(&m, &exact(), &Stop::default(), &[], None).unwrap();
         assert_eq!((with_seed.status, without.status), (MipStatus::Optimal, MipStatus::Optimal));
         assert_eq!(with_seed.incumbent, without.incumbent);
         assert_eq!(with_seed.incumbent.map(|(obj, _)| obj), Some(0.0));
@@ -1012,8 +1017,8 @@ mod tests {
     /// activated, and the search answers what the eager model answers.
     #[test]
     fn a_binding_lazy_row_is_activated_and_matches_the_eager_model() {
-        let lazy = solve_mip(&knapsack(true), &exact(), &[], None).unwrap();
-        let eager = solve_mip(&knapsack(false), &exact(), &[], None).unwrap();
+        let lazy = solve_mip(&knapsack(true), &exact(), &Stop::default(), &[], None).unwrap();
+        let eager = solve_mip(&knapsack(false), &exact(), &Stop::default(), &[], None).unwrap();
         assert_eq!((lazy.status, eager.status), (MipStatus::Optimal, MipStatus::Optimal));
         assert_eq!(lazy.incumbent, eager.incumbent);
         assert_eq!(lazy.incumbent.map(|(obj, _)| obj), Some(-6.0));
@@ -1025,7 +1030,7 @@ mod tests {
     #[test]
     fn a_lift_repairs_a_broken_lazy_row_without_activating_it() {
         let m = indicator(1.0);
-        let res = solve_mip(&m, &exact(), &[], None).unwrap();
+        let res = solve_mip(&m, &exact(), &Stop::default(), &[], None).unwrap();
         assert_eq!(res.status, MipStatus::Optimal);
         assert_eq!(res.lazy_rows, 0);
         assert_eq!(res.nodes, 1, "the lifted root is integral");
@@ -1038,7 +1043,7 @@ mod tests {
     #[test]
     fn a_lift_that_breaks_another_row_activates_the_row() {
         let m = indicator(0.5);
-        let res = solve_mip(&m, &exact(), &[], None).unwrap();
+        let res = solve_mip(&m, &exact(), &Stop::default(), &[], None).unwrap();
         assert_eq!(res.status, MipStatus::Optimal);
         assert_eq!(res.lazy_rows, 1);
         let (obj, x) = res.incumbent.unwrap();
@@ -1072,8 +1077,9 @@ mod tests {
     /// the answer is the eager model's.
     #[test]
     fn a_lift_refused_in_one_row_activates_only_that_row() {
-        let lazy = solve_mip(&two_indicators(true), &exact(), &[], None).unwrap();
-        let eager = solve_mip(&two_indicators(false), &exact(), &[], None).unwrap();
+        let lazy = solve_mip(&two_indicators(true), &exact(), &Stop::default(), &[], None).unwrap();
+        let eager =
+            solve_mip(&two_indicators(false), &exact(), &Stop::default(), &[], None).unwrap();
         assert_eq!((lazy.status, eager.status), (MipStatus::Optimal, MipStatus::Optimal));
         assert_eq!(lazy.lazy_rows, 1);
         let objective = |r: &MipResult| r.incumbent.as_ref().map(|(obj, _)| *obj);
@@ -1118,19 +1124,18 @@ mod tests {
     #[test]
     fn a_basis_from_before_an_activation_is_extended() {
         let m = knapsack(true);
-        let opts = LpOptions::default();
-        let mut lp = NodeLp::new(&m).unwrap();
+        let mut lp = NodeLp::new(&m, LpOptions::default(), Stop::default()).unwrap();
         let slack = lp.lp.slack_basis();
         // the root's basis, on the eager row alone
-        let root = lp.solve_from(&m, &[], &slack, &opts).0.unwrap();
+        let root = lp.solve_from(&m, &[], &slack).0.unwrap();
         assert_eq!(root.basis.cols.len(), 1);
         // b = 0 breaks a + c ≤ 1: activated
-        let (child, held) = lp.solve(&m, &[(VarId(1), false)], &root.basis, &opts);
+        let (child, held) = lp.solve(&m, &[(VarId(1), false)], &root.basis);
         assert!(held);
         assert_eq!((lp.activated, lp.lp.n_rows()), (1, 2));
         assert_eq!(child.unwrap().objective, -4.0);
         // its sibling b = 1, from the one-row root basis
-        let (sibling, held) = lp.solve(&m, &[(VarId(1), true)], &root.basis, &opts);
+        let (sibling, held) = lp.solve(&m, &[(VarId(1), true)], &root.basis);
         assert!(held, "the extended basis must be a dual start");
         assert_eq!(lp.activated, 1, "the sibling activates nothing more");
         let sibling = sibling.unwrap();
@@ -1186,9 +1191,9 @@ mod tests {
 
     /// `solve_root` on a fresh search LP from `x`'s seeded basis.
     fn root_of(m: &Model, x: &[f64], shift: Option<(usize, f64)>) -> (SparseSolution, NodeLp) {
-        let mut lp = NodeLp::new(m).unwrap();
+        let mut lp = NodeLp::new(m, LpOptions::default(), Stop::default()).unwrap();
         let basis = lp.lp.seeded_basis(x);
-        let root = lp.solve_root(m, &basis, shift, &LpOptions::default());
+        let root = lp.solve_root(m, &basis, shift);
         (root.expect("the slack basis is a dual start"), lp)
     }
 
@@ -1228,8 +1233,8 @@ mod tests {
             let y = model_duals(&m, &lp, &shifted);
             assert_eq!(m.certify(&shifted.x, &y, 1e-9), Ok(()), "seed {seed}");
             activated += lp.activated;
-            let seeded = solve_mip(&m, &exact(), &[x], None).unwrap();
-            let unseeded = solve_mip(&m, &exact(), &[], None).unwrap();
+            let seeded = solve_mip(&m, &exact(), &Stop::default(), &[x], None).unwrap();
+            let unseeded = solve_mip(&m, &exact(), &Stop::default(), &[], None).unwrap();
             assert_eq!((seeded.status, unseeded.status), (MipStatus::Optimal, MipStatus::Optimal));
             let objective = |r: &MipResult| r.incumbent.as_ref().map(|(obj, _)| *obj);
             let (with, without) = (objective(&seeded).unwrap(), objective(&unseeded).unwrap());
@@ -1275,7 +1280,7 @@ mod tests {
         assert!((root.objective - 1.0).abs() < 1e-12, "{}", root.objective);
         assert!(root.iterations > held.iterations, "the release re-solve is counted");
         assert_eq!(m.certify(&root.x, &model_duals(&m, &lp, &root), 1e-9), Ok(()));
-        let res = solve_mip(&m, &exact(), &[x], None).unwrap();
+        let res = solve_mip(&m, &exact(), &Stop::default(), &[x], None).unwrap();
         assert_eq!(res.status, MipStatus::Optimal);
         assert_eq!(res.incumbent.map(|(obj, _)| obj), Some(1.0));
     }

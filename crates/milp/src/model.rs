@@ -12,7 +12,6 @@
 //! its row duals against the model's own rows, with no factorization.
 
 use crate::revised::{SparseLp, SparseSolution};
-use crate::stop::Stop;
 use std::fmt;
 
 /// Identifier of a model variable (dense index).
@@ -115,7 +114,8 @@ pub enum LpStatus {
     Infeasible,
     /// Iteration limit hit before convergence.
     IterLimit,
-    /// The [`LpOptions::stop`] fired before convergence.
+    /// The branch-and-bound search's [`Stop`](crate::Stop) fired
+    /// before convergence; a plain LP solve never stops on one.
     TimeLimit,
 }
 
@@ -155,15 +155,11 @@ impl std::error::Error for SolveError {}
 pub struct LpOptions {
     /// Hard cap on simplex iterations.
     pub max_iterations: u64,
-    /// Checked *inside* the pivot loop, so one long LP cannot overshoot
-    /// a branch-and-bound budget: a passed deadline or a raised flag
-    /// stops the solve with [`LpStatus::TimeLimit`] within a few pivots.
-    pub stop: Stop,
 }
 
 impl Default for LpOptions {
     fn default() -> Self {
-        LpOptions { max_iterations: 200_000, stop: Stop::default() }
+        LpOptions { max_iterations: 200_000 }
     }
 }
 

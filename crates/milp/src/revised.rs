@@ -30,6 +30,7 @@
 use crate::factor::Factorization;
 use crate::model::{Cmp, Constraint, LpOptions, LpStatus, Model, SolveError};
 use crate::sparse::{ColMatrix, SparseAcc};
+use crate::stop::Stop;
 
 /// Where a column currently rests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,28 +235,32 @@ impl SparseLp {
     /// parent node's optimal basis, which makes a re-solve fast when only
     /// bounds changed since it was optimal — the branch-and-bound case.
     /// Refuses with a [`WarmStartError`] a basis it cannot start from
-    /// instead of guessing.
+    /// instead of guessing. Nothing but `opts` ends the solve early.
     pub fn solve_dual_from(
         &self,
         basis: &Basis,
         opts: &LpOptions,
     ) -> Result<SparseSolution, WarmStartError> {
-        self.solve_dual_in(&mut Workspace::new(self), basis, opts)
+        self.solve_dual_in(&mut Workspace::new(self), basis, opts, &Stop::default())
     }
 
-    /// [`SparseLp::solve_dual_from`] in the caller's buffers.
+    /// [`SparseLp::solve_dual_from`] in the caller's buffers, ended
+    /// early with [`LpStatus::TimeLimit`] once `stop` fires: the pivot
+    /// loop polls it, so one long LP cannot overshoot a branch-and-bound
+    /// budget by more than a few pivots.
     pub(crate) fn solve_dual_in(
         &self,
         ws: &mut Workspace,
         basis: &Basis,
         opts: &LpOptions,
+        stop: &Stop,
     ) -> Result<SparseSolution, WarmStartError> {
         if self.empty_domain() {
             return Err(WarmStartError::Mismatch);
         }
         let mut s = Simplex::new(self, opts, ws);
         s.init_from_basis(basis)?;
-        let status = s.dual();
+        let status = s.dual(stop);
         Ok(s.finish(status))
     }
 
@@ -711,10 +716,6 @@ impl<'a> Simplex<'a> {
         });
     }
 
-    fn deadline_hit(&self) -> bool {
-        self.iterations.is_multiple_of(DEADLINE_EVERY) && self.opts.stop.hit()
-    }
-
     fn track_degeneracy(&mut self, t: f64) {
         if t.abs() <= 1e-9 {
             self.degenerate_run += 1;
@@ -779,12 +780,14 @@ impl<'a> Simplex<'a> {
 
     // ---- dual simplex -----------------------------------------------------
 
-    fn dual(&mut self) -> LpStatus {
+    /// Pivot until optimal, infeasible, `opts`' iteration cap or `stop`,
+    /// which is polled every [`DEADLINE_EVERY`] pivots.
+    fn dual(&mut self, stop: &Stop) -> LpStatus {
         loop {
             if self.broken || self.iterations >= self.opts.max_iterations {
                 return LpStatus::IterLimit;
             }
-            if self.deadline_hit() {
+            if self.iterations.is_multiple_of(DEADLINE_EVERY) && stop.hit() {
                 return LpStatus::TimeLimit;
             }
             self.iterations += 1;
@@ -990,7 +993,7 @@ mod tests {
         let clean = s.commit_pivot(0, &[1e-9, 10.0], &[0, 1], 0, VState::AtLower, 0.0, 0.0);
         assert!(!clean, "the update must be refused");
         assert!(s.broken, "x0 in row 0's position leaves row 0 empty");
-        assert_eq!(s.dual(), LpStatus::IterLimit);
+        assert_eq!(s.dual(&Stop::default()), LpStatus::IterLimit);
     }
 
     /// A random model with equality rows, and a 0/1 point `x` that holds
@@ -1090,8 +1093,7 @@ mod tests {
             m.add_con(vec![(x, 1.0)], Cmp::Ge, 1.0);
         }
         let lp = SparseLp::from_model(&m).unwrap();
-        let one_more: Vec<LpOptions> =
-            (1..=9).map(|k| LpOptions { max_iterations: k, ..LpOptions::default() }).collect();
+        let one_more: Vec<LpOptions> = (1..=9).map(|k| LpOptions { max_iterations: k }).collect();
         let uncapped = LpOptions::default();
         let mut ws = Workspace::new(&lp);
         let mut s = Simplex::new(&lp, &uncapped, &mut ws);
@@ -1100,10 +1102,13 @@ mod tests {
             assert!(s.restart(), "retry {} follows a committed pivot", k + 1);
             s.compute_duals();
             s.opts = cap;
-            assert_eq!((s.dual(), s.iterations), (LpStatus::IterLimit, k as u64 + 1));
+            assert_eq!(
+                (s.dual(&Stop::default()), s.iterations),
+                (LpStatus::IterLimit, k as u64 + 1)
+            );
         }
         s.opts = &uncapped;
-        assert_eq!(s.dual(), LpStatus::Optimal);
+        assert_eq!(s.dual(&Stop::default()), LpStatus::Optimal);
         let in_a_row: Vec<bool> = (0..9).map(|_| s.restart()).collect();
         assert_eq!(in_a_row, [true, true, true, true, true, true, true, true, false]);
     }

@@ -7,6 +7,7 @@
 use crate::bb::{solve_mip, MipOptions, MipStatus};
 use crate::model::{Cmp, LpOptions, LpStatus, Model, SolveError, Uncertified, VarId, VarKind};
 use crate::revised::{SparseLp, SparseSolution, VState, Workspace};
+use crate::stop::Stop;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -258,7 +259,7 @@ fn the_absolute_gap_is_compared_as_an_absolute_gap() {
     let c = m.add_var(0.0, 1.0, -0.5, VarKind::Binary);
     m.add_con(vec![(a, 1.0), (b, 1.0), (c, 2.0)], Cmp::Le, 2.5);
     let brute = brute_force_binary(&m).expect("the zero vector is feasible");
-    let res = solve_mip(&m, &exact_opts(), &[vec![1.0, 0.0, 0.0]], None).unwrap();
+    let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[vec![1.0, 0.0, 0.0]], None).unwrap();
     let (obj, x) = res.incumbent.expect("the seed is feasible");
     assert_eq!(res.status, MipStatus::Optimal);
     assert!((obj - brute).abs() < 1e-6, "bb {obj} vs brute {brute}: {x:?}");
@@ -313,7 +314,7 @@ fn knapsack_small() {
     let b = m.add_var(0.0, 1.0, -13.0, VarKind::Binary);
     let c = m.add_var(0.0, 1.0, -7.0, VarKind::Binary);
     m.add_con(vec![(a, 3.0), (b, 4.0), (c, 2.0)], Cmp::Le, 6.0);
-    let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+    let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], None).unwrap();
     let (obj, x) = res.incumbent.expect("feasible");
     assert!((obj + 20.0).abs() < 1e-9, "{obj}");
     assert_eq!(x.iter().map(|v| v.round() as i32).collect::<Vec<_>>(), vec![0, 1, 1]);
@@ -326,7 +327,7 @@ fn infeasible_mip() {
     let a = m.add_var(0.0, 1.0, 1.0, VarKind::Binary);
     let b = m.add_var(0.0, 1.0, 1.0, VarKind::Binary);
     m.add_con(vec![(a, 1.0), (b, 1.0)], Cmp::Ge, 3.0);
-    let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+    let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], None).unwrap();
     assert_eq!(res.status, MipStatus::Infeasible);
     assert!(res.incumbent.is_none());
 }
@@ -340,7 +341,7 @@ fn lp_relaxation_fractional_but_mip_integral() {
     m.add_con(vec![(a, 2.0), (b, 2.0)], Cmp::Le, 3.0);
     let lp = m.solve_lp(&LpOptions::default()).unwrap();
     assert!((lp.objective + 1.5).abs() < 1e-8);
-    let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+    let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], None).unwrap();
     let (obj, _) = res.incumbent.unwrap();
     assert!((obj + 1.0).abs() < 1e-9, "{obj}");
 }
@@ -362,7 +363,7 @@ fn a_fractional_seed_or_completion_is_refused() {
         ("seed", vec![half.clone()], None),
         ("completion", Vec::new(), Some(&completion as &crate::bb::Completion<'_>)),
     ] {
-        let res = solve_mip(&m, &exact_opts(), &seeds, complete).unwrap();
+        let res = solve_mip(&m, &exact_opts(), &Stop::default(), &seeds, complete).unwrap();
         assert_eq!(res.status, MipStatus::Optimal, "{what}");
         let (obj, x) = res.incumbent.expect("the search finds an integral point");
         assert_eq!(obj, -1.0, "{what}: {x:?}");
@@ -376,7 +377,7 @@ fn seeds_are_validated_not_trusted() {
     let a = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
     m.add_con(vec![(a, 1.0)], Cmp::Le, 0.0); // forces a = 0
                                              // seed claims a=1 (infeasible) — must be rejected
-    let res = solve_mip(&m, &exact_opts(), &[vec![1.0]], None).unwrap();
+    let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[vec![1.0]], None).unwrap();
     let (obj, x) = res.incumbent.unwrap();
     assert_eq!(x[0], 0.0);
     assert!(obj.abs() < 1e-9);
@@ -422,7 +423,8 @@ fn a_long_point_is_infinitely_infeasible() {
 #[test]
 fn a_nan_seed_is_refused() {
     let m = cover_of_two();
-    let res = solve_mip(&m, &exact_opts(), &[vec![f64::NAN, f64::NAN]], None).unwrap();
+    let res =
+        solve_mip(&m, &exact_opts(), &Stop::default(), &[vec![f64::NAN, f64::NAN]], None).unwrap();
     assert_eq!(res.status, MipStatus::Optimal);
     let (obj, x) = res.incumbent.expect("the search finds the cover");
     assert_eq!((obj, res.best_bound), (1.0, 1.0));
@@ -440,7 +442,7 @@ fn a_nan_completion_is_refused() {
         called.set(called.get() + 1);
         Some((f64::NAN, vec![f64::NAN; x.len()]))
     };
-    let res = solve_mip(&m, &exact_opts(), &[], Some(&completion)).unwrap();
+    let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], Some(&completion)).unwrap();
     assert!(called.get() > 0, "the root is fractional");
     assert_eq!(res.status, MipStatus::Optimal);
     let (obj, x) = res.incumbent.expect("the search finds the cover");
@@ -458,7 +460,7 @@ fn good_seed_short_circuits_search() {
     let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
     m.add_con(terms, Cmp::Le, 6.0); // all fit: optimum takes everything
     let seed = vec![1.0; 6];
-    let res = solve_mip(&m, &MipOptions::default(), &[seed], None).unwrap();
+    let res = solve_mip(&m, &MipOptions::default(), &Stop::default(), &[seed], None).unwrap();
     let (obj, _) = res.incumbent.unwrap();
     assert!((obj + 21.0).abs() < 1e-9);
     assert!(res.nodes <= 2, "root should settle it, used {} nodes", res.nodes);
@@ -478,7 +480,7 @@ fn completion_callback_harvests_incumbents() {
         full[argmax] = 1.0;
         Some((0.0, full))
     };
-    let res = solve_mip(&m, &exact_opts(), &[], Some(&completion)).unwrap();
+    let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], Some(&completion)).unwrap();
     let (obj, _) = res.incumbent.unwrap();
     assert!((obj + 3.0).abs() < 1e-9, "{obj}");
 }
@@ -497,8 +499,14 @@ fn gap_mode_stops_early_but_reports_gap() {
         Cmp::Le,
         cap,
     );
-    let res =
-        solve_mip(&m, &MipOptions { rel_gap: 0.05, ..Default::default() }, &[], None).unwrap();
+    let res = solve_mip(
+        &m,
+        &MipOptions { rel_gap: 0.05, ..Default::default() },
+        &Stop::default(),
+        &[],
+        None,
+    )
+    .unwrap();
     let (obj, _) = res.incumbent.expect("always feasible");
     assert!(res.gap <= 0.05 + 1e-12, "gap {} too large", res.gap);
     assert!(obj <= res.best_bound * (1.0 - 0.0) + 1e-9 || obj >= res.best_bound);
@@ -514,7 +522,7 @@ fn mixed_integer_continuous() {
     let a = m.add_var(0.0, 1.0, 0.0, VarKind::Binary);
     m.add_con(vec![(t, 1.0), (a, -3.0)], Cmp::Ge, 1.0);
     m.add_con(vec![(t, 1.0), (a, 4.0)], Cmp::Ge, 4.0);
-    let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+    let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], None).unwrap();
     let (obj, _) = res.incumbent.unwrap();
     assert!((obj - 4.0).abs() < 1e-8, "{obj}");
 }
@@ -528,9 +536,14 @@ fn node_limit_respected() {
         (0..n).map(|_| m.add_var(0.0, 1.0, -rng.gen_range(1.0..9.0f64), VarKind::Binary)).collect();
     let terms: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(1.0..9.0f64))).collect();
     m.add_con(terms, Cmp::Le, 20.0);
-    let res =
-        solve_mip(&m, &MipOptions { rel_gap: 0.0, max_nodes: 3, ..Default::default() }, &[], None)
-            .unwrap();
+    let res = solve_mip(
+        &m,
+        &MipOptions { rel_gap: 0.0, max_nodes: 3, ..Default::default() },
+        &Stop::default(),
+        &[],
+        None,
+    )
+    .unwrap();
     assert!(res.nodes <= 4); // root + up to limit
 }
 
@@ -551,7 +564,7 @@ proptest! {
             m.add_con(terms, Cmp::Le, rhs);
         }
         let brute = brute_force_binary(&m).expect("zero vector feasible");
-        let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+        let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], None).unwrap();
         let (obj, x) = res.incumbent.expect("feasible");
         prop_assert!(m.max_violation(&x) <= 1e-7);
         prop_assert!((obj - brute).abs() <= 1e-6 * (1.0 + brute.abs()),
@@ -576,7 +589,7 @@ proptest! {
         let res = solve_mip(
             &m,
             &MipOptions { rel_gap: 0.1, ..Default::default() },
-            &[],
+            &Stop::default(), &[],
             None,
         ).unwrap();
         let (obj, _) = res.incumbent.expect("feasible");
@@ -604,7 +617,7 @@ fn assignment_mip_matches_hungarian_style_brute_force() {
         m.add_con(r.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
         x.push(r);
     }
-    let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+    let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], None).unwrap();
     let (obj, _) = res.incumbent.unwrap();
     // optimum: 2 + 3 + 1 + 2 = 8
     assert!((obj - 8.0).abs() < 1e-9, "{obj}");
@@ -679,12 +692,12 @@ fn binary_fixing_via_bounds_like_branch_and_bound() {
     let b = m.add_var(0.0, 1.0, -3.0, VarKind::Binary);
     m.add_con(vec![(a, 1.0), (b, 1.0)], Cmp::Le, 1.0);
     // free: take a (obj -5)
-    let free = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+    let free = solve_mip(&m, &exact_opts(), &Stop::default(), &[], None).unwrap();
     assert!((free.incumbent.unwrap().0 + 5.0).abs() < 1e-9);
     // a fixed to 0: must take b
     let mut m0 = m.clone();
     m0.set_bounds(a, 0.0, 0.0);
-    let fixed = solve_mip(&m0, &exact_opts(), &[], None).unwrap();
+    let fixed = solve_mip(&m0, &exact_opts(), &Stop::default(), &[], None).unwrap();
     assert!((fixed.incumbent.unwrap().0 + 3.0).abs() < 1e-9);
 }
 
@@ -790,7 +803,7 @@ proptest! {
             m.add_con(terms, Cmp::Le, rng.gen_range(0.0..8.0));
         }
         let brute = brute_force_binary(&m).expect("T absorbs every row");
-        let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+        let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], None).unwrap();
         let (obj, x) = res.incumbent.expect("feasible");
         prop_assert!(m.max_violation(&x) <= 1e-6);
         prop_assert!((obj - brute).abs() <= 1e-6 * (1.0 + brute.abs()),
@@ -833,7 +846,7 @@ proptest! {
         let (a, b) = (bins[rng.gen_range(0..n)], bins[rng.gen_range(0..n)]);
         add(&mut m, vec![(a, 1.0), (b, 1.0)], Cmp::Le, 1.0, rng.gen_bool(0.5));
         let brute = brute_force_binary(&m).expect("all-zero is feasible");
-        let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+        let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], None).unwrap();
         prop_assert_eq!(res.status, MipStatus::Optimal);
         let (obj, x) = res.incumbent.expect("feasible");
         prop_assert!(m.max_violation(&x) <= 1e-6, "incumbent breaks a row by {}", m.max_violation(&x));
@@ -918,7 +931,7 @@ proptest! {
                 basis.cols.push(n + pos);
                 basis.state.push(VState::Basic(pos));
             }
-            let solve = |lp: &SparseLp| lp.solve_dual_in(&mut Workspace::new(lp), &basis, &opts);
+            let solve = |lp: &SparseLp| lp.solve_dual_in(&mut Workspace::new(lp), &basis, &opts, &Stop::default());
             match (solve(&grown), solve(&fresh)) {
                 (Ok(g), Ok(f)) => {
                     prop_assert_eq!(g.status, f.status);
@@ -955,7 +968,7 @@ fn degenerate_beale_terminates_under_bland_fallback() {
     // a tight-but-sufficient cap: termination must come from optimality,
     // not from bumping into the cap
     let cap = 1_000;
-    let sol = m.solve_lp(&LpOptions { max_iterations: cap, ..Default::default() }).unwrap();
+    let sol = m.solve_lp(&LpOptions { max_iterations: cap }).unwrap();
     assert_eq!(sol.status, LpStatus::Optimal, "Bland fallback must break the cycle");
     assert!(sol.iterations < cap, "finished at the cap ({cap}): suspicious of cycling");
     assert!((sol.objective + 0.05).abs() < 1e-6, "{}", sol.objective);
@@ -975,7 +988,7 @@ fn iteration_cap_is_enforced() {
         let terms: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(0.1..2.0f64))).collect();
         m.add_con(terms, Cmp::Le, rng.gen_range(1.0..4.0));
     }
-    let sol = m.solve_lp(&LpOptions { max_iterations: 3, ..Default::default() }).unwrap();
+    let sol = m.solve_lp(&LpOptions { max_iterations: 3 }).unwrap();
     assert_eq!(sol.status, LpStatus::IterLimit);
     assert!(sol.iterations <= 3, "{}", sol.iterations);
 }
@@ -996,7 +1009,14 @@ fn warm_starts_are_attempted_and_mostly_hit() {
     let vars: Vec<_> = (0..n).map(|i| m.add_var(0.0, 1.0, -weights[i], VarKind::Binary)).collect();
     let cap: f64 = weights.iter().sum::<f64>() * 0.37;
     m.add_con(vars.iter().zip(&weights).map(|(&v, &w)| (v, w)).collect(), Cmp::Le, cap);
-    let res = solve_mip(&m, &MipOptions { rel_gap: 0.0, ..Default::default() }, &[], None).unwrap();
+    let res = solve_mip(
+        &m,
+        &MipOptions { rel_gap: 0.0, ..Default::default() },
+        &Stop::default(),
+        &[],
+        None,
+    )
+    .unwrap();
     assert!(res.nodes > 3, "expected real branching, got {} nodes", res.nodes);
     assert!(res.warm_starts > 0, "child nodes must attempt warm starts");
     assert!(
@@ -1040,7 +1060,7 @@ proptest! {
             None
         };
         let seeds = [vec![0.0; n + 1]];
-        let got = solve_mip(&m, &exact_opts(), &seeds, Some(&completion)).map(|_| ());
+        let got = solve_mip(&m, &exact_opts(), &Stop::default(), &seeds, Some(&completion)).map(|_| ());
         prop_assert_eq!(got, refused);
         prop_assert!(!called.get(), "a refused model reached the search");
         prop_assert_eq!(format!("{m:?}"), before);
@@ -1078,6 +1098,7 @@ fn time_limit_cannot_be_overshot_by_one_long_lp() {
     let res = solve_mip(
         &m,
         &MipOptions { rel_gap: 0.0, time_limit: budget, ..Default::default() },
+        &Stop::default(),
         &[],
         None,
     )
@@ -1100,7 +1121,7 @@ fn unrepresentable_time_limit_means_no_deadline() {
     let x = m.add_var(0.0, 1.0, -1.0, VarKind::Binary);
     m.add_con(vec![(x, 2.0)], Cmp::Le, 1.0);
     let opts = MipOptions { time_limit: std::time::Duration::MAX, ..exact_opts() };
-    let res = solve_mip(&m, &opts, &[], None).unwrap();
+    let res = solve_mip(&m, &opts, &Stop::default(), &[], None).unwrap();
     assert_eq!(res.status, MipStatus::Optimal);
     let (obj, x) = res.incumbent.expect("x = 0 is feasible");
     assert_eq!((obj, x), (0.0, vec![0.0]));
@@ -1127,7 +1148,7 @@ proptest! {
             weights.iter().sum::<f64>(), // always satisfiable
         );
         let brute = brute_force_binary(&m);
-        let res = solve_mip(&m, &exact_opts(), &[], None).unwrap();
+        let res = solve_mip(&m, &exact_opts(), &Stop::default(), &[], None).unwrap();
         match brute {
             Some(opt) => {
                 let (obj, _) = res.incumbent.expect("brute force found a point");
@@ -1338,7 +1359,7 @@ fn non_finite_rows_are_rejected_at_both_entry_points() {
         for (case, m) in models.iter().enumerate() {
             let got = m.solve_lp(&LpOptions::default()).map(|s| (s.status, s.objective));
             assert_eq!(got, Err(SolveError::BadCoefficient), "solve_lp, case {case}, {bad}");
-            let got = solve_mip(m, &exact_opts(), &[], None).map(|r| r.status);
+            let got = solve_mip(m, &exact_opts(), &Stop::default(), &[], None).map(|r| r.status);
             assert_eq!(got, Err(SolveError::BadCoefficient), "solve_mip, case {case}, {bad}");
         }
     }

@@ -131,7 +131,7 @@ fn packing_lp() -> Model {
 /// Allocations of one root solve, the dual simplex from the slack
 /// basis, stopped after `pivots` iterations.
 fn allocs_of_a_capped_solve(lp: &SparseLp, pivots: u64) -> u64 {
-    let opts = LpOptions { max_iterations: pivots, ..LpOptions::default() };
+    let opts = LpOptions { max_iterations: pivots };
     let slack = lp.slack_basis();
     let mut outcome = None;
     let allocs = count_allocs(|| {

@@ -7,7 +7,7 @@
 //! report). [`Service::process`] is that path for a burst of one.
 
 use cellstream_core::workload::AppReport;
-use cellstream_core::{evaluate_workload_with, Availability, Mapping, MappingDelta};
+use cellstream_core::{evaluate_workload_with, Availability, Mapping, MappingDelta, Stop};
 use cellstream_graph::{AppId, StreamGraph, Workload};
 use cellstream_heuristics::repair::{carry_over_into, repair};
 use cellstream_heuristics::LocalSearchOptions;
@@ -1045,7 +1045,7 @@ impl Service {
     /// or an earlier candidate; nothing is seated when the service was
     /// idle) over into the reusable scratch vector and repair. Reuses
     /// the same carry-over allocation across every event the service
-    /// processes.
+    /// processes. No stop fires: `opts.repair`'s round cap bounds it.
     fn replan(
         &mut self,
         from: Option<(&StreamGraph, &Mapping)>,
@@ -1059,7 +1059,8 @@ impl Service {
                 partial.resize(new_g.n_tasks(), None);
             }
         }
-        let out = repair(new_g, &self.spec, &self.avail, &partial, &self.opts.repair);
+        let out =
+            repair(new_g, &self.spec, &self.avail, &partial, &self.opts.repair, &Stop::default());
         self.scratch_partial = partial;
         out
     }

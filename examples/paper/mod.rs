@@ -40,7 +40,7 @@ pub fn mip_options() -> MipOptions {
         rel_gap: 0.05,
         time_limit: Duration::from_secs(120),
         max_nodes: 50_000,
-        lp: LpOptions { max_iterations: 60_000, ..Default::default() },
+        lp: LpOptions { max_iterations: 60_000 },
         ..Default::default()
     }
 }

@@ -48,8 +48,7 @@ fn probe_options() -> MipOptions {
         abs_gap: 0.0,
         max_nodes: 300,
         time_limit: Duration::from_secs(30),
-        lp: LpOptions { max_iterations: 60_000, ..Default::default() },
-        ..Default::default()
+        lp: LpOptions { max_iterations: 60_000 },
     }
 }
 

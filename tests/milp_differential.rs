@@ -20,7 +20,7 @@ use cellstream_daggen::{chain, fork_join, CostParams};
 use cellstream_graph::{StreamGraph, TaskId, TaskSpec};
 use cellstream_milp::bb::{solve_mip, MipOptions};
 use cellstream_milp::model::{LpOptions, LpStatus, Model};
-use cellstream_milp::SparseSolution;
+use cellstream_milp::{SparseSolution, Stop};
 use cellstream_platform::{CellSpec, PeId};
 
 /// A fork whose hub alone overfills an SPE's local store: three 40 KiB
@@ -145,7 +145,7 @@ fn mip_incumbents_agree_with_brute_force() {
         let (_, best_period) = optimal_mapping(&g, &spec).unwrap();
         for config in kinds() {
             let form = Formulation::build(&g, &spec, &config);
-            let res = solve_mip(&form.model, &exact, &[], None).unwrap();
+            let res = solve_mip(&form.model, &exact, &Stop::default(), &[], None).unwrap();
             let (obj, x) = res.incumbent.as_ref().expect("the search finds a mapping");
             assert!(
                 close(obj * form.time_scale(), best_period, 1e-6),
@@ -241,7 +241,7 @@ fn lazy_dma_rows_agree_with_brute_force_on_a_dma_tight_cell() {
         let (_, best_period) = optimal_mapping(g, &spec).expect("the PPE takes anything");
         let form = Formulation::build(g, &spec, &config);
         let relaxed = solve_certified(&form.model, g.name());
-        let root = solve_mip(&form.model, &root_only, &[], None).unwrap();
+        let root = solve_mip(&form.model, &root_only, &Stop::default(), &[], None).unwrap();
         assert!(
             close(root.best_bound, relaxed.objective, 1e-9),
             "{}: root bound {} vs the full relaxation {}",
@@ -249,7 +249,7 @@ fn lazy_dma_rows_agree_with_brute_force_on_a_dma_tight_cell() {
             root.best_bound,
             relaxed.objective
         );
-        let res = solve_mip(&form.model, &exact, &[], None).unwrap();
+        let res = solve_mip(&form.model, &exact, &Stop::default(), &[], None).unwrap();
         let (obj, x) = res.incumbent.as_ref().expect("the search finds a mapping");
         assert!(form.model.max_violation(x) <= 1e-6, "{}: incumbent breaks a row", g.name());
         assert!(

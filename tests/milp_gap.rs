@@ -67,7 +67,7 @@ fn assert_stops_within(g: &StreamGraph, ceiling: f64) {
         rel_gap: 0.05,
         time_limit: Duration::from_secs(60),
         max_nodes: MAX_NODES,
-        lp: LpOptions { max_iterations: MAX_LP_ITERATIONS, ..Default::default() },
+        lp: LpOptions { max_iterations: MAX_LP_ITERATIONS },
         ..Default::default()
     };
     let plan = milp_plan(g, &CellSpec::qs22(), SolveOptions { mip, ..Default::default() });

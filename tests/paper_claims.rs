@@ -2,7 +2,7 @@
 //! so the full-size figure examples (`fig6`, `fig7`, `fig8`) are backed
 //! by tier-1.
 
-use cellstream::core::{evaluate, Mapping};
+use cellstream::core::{evaluate, Mapping, Stop};
 use cellstream::daggen::paper;
 use cellstream::graph::ccr::{ccr, rescale_to_ccr, DEFAULT_BW};
 use cellstream::heuristics::{greedy_cpu, greedy_mem, search};
@@ -21,6 +21,7 @@ fn steady_state_near_prediction() {
         &spec,
         &[greedy_mem(&g, &spec), greedy_cpu(&g, &spec), Mapping::all_on(&g, PeId(0))],
         &search::LocalSearchOptions::default(),
+        &Stop::default(),
     );
     let model = evaluate(&g, &spec, &m).unwrap();
     assert!(model.is_feasible());
@@ -50,6 +51,7 @@ fn optimised_mapping_beats_paper_greedies() {
         &spec,
         &[greedy_mem(&g, &spec), greedy_cpu(&g, &spec), Mapping::all_on(&g, PeId(0))],
         &search::LocalSearchOptions::default(),
+        &Stop::default(),
     );
     let lp_like = measure(&best) / ppe;
     assert!(
@@ -73,6 +75,7 @@ fn speedup_declines_with_ccr() {
             &spec,
             &[greedy_mem(&g, &spec), greedy_cpu(&g, &spec), Mapping::all_on(&g, PeId(0))],
             &search::LocalSearchOptions::default(),
+            &Stop::default(),
         );
         let ppe = evaluate(&g, &spec, &Mapping::all_on(&g, PeId(0))).unwrap();
         let _ = m;

@@ -5,7 +5,10 @@
 //! plan worse than the best of its members.
 
 use cellstream::core::scheduler::{PlanContext, PlanError};
+use cellstream::core::Availability;
 use cellstream::daggen::{chain, diamond, fork_join, shapes, CostParams};
+use cellstream::heuristics::repair::repair;
+use cellstream::heuristics::{comm_aware_greedy, greedy_cpu, greedy_mem, LocalSearchOptions};
 use cellstream::prelude::*;
 use std::time::Duration;
 
@@ -83,6 +86,58 @@ fn every_scheduler_is_valid_on_the_zoo() {
             }
         }
     }
+}
+
+/// A context cancelled before planning stops every iterative heuristic
+/// before its first step, and each of them would have moved without the
+/// stop: `ctx.stop` reaches local search, multi-start, annealing and
+/// repair, not only a search that runs until a budget ends it.
+#[test]
+fn a_cancelled_context_stops_every_iterative_heuristic() {
+    let g = chain("stopped", 12, &CostParams::default(), 8);
+    let spec = CellSpec::qs22();
+    let cancelled = PlanContext { stop: Stop::new(), ..PlanContext::default() };
+    cancelled.stop.cancel();
+    let free = PlanContext::default();
+    let plan = |name: &str, ctx: &PlanContext| {
+        scheduler_by_name(name).expect("registered").plan(&g, &spec, ctx).expect("plans")
+    };
+    let period = |m: &Mapping| {
+        let r = evaluate(&g, &spec, m).expect("valid");
+        if r.is_feasible() {
+            r.period
+        } else {
+            f64::INFINITY
+        }
+    };
+
+    // local search and annealing start from GreedyCpu when unseeded
+    let start = greedy_cpu(&g, &spec);
+    assert!(period(&start).is_finite(), "the annealer keeps a feasible start");
+    assert_eq!(plan("local_search", &cancelled).mapping, start);
+    assert_ne!(plan("local_search", &free).mapping, start);
+
+    let starts = [
+        greedy_mem(&g, &spec),
+        start.clone(),
+        comm_aware_greedy(&g, &spec),
+        Mapping::all_on(&g, PeId(0)),
+    ];
+    let best_start = starts.iter().min_by(|a, b| period(a).total_cmp(&period(b))).unwrap();
+    assert_eq!(&plan("multi_start", &cancelled).mapping, best_start);
+    assert_ne!(&plan("multi_start", &free).mapping, best_start);
+
+    let annealed = plan("anneal", &cancelled);
+    assert_eq!(annealed.mapping, start);
+    assert_eq!(annealed.stats, PlanStats::Search { iterations: 0 });
+    assert_ne!(plan("anneal", &free).mapping, start);
+
+    let unplaced = vec![None; g.n_tasks()];
+    let full = Availability::full(&spec);
+    let refine = LocalSearchOptions::default();
+    let (unrefined, _) = repair(&g, &spec, &full, &unplaced, &refine, &cancelled.stop);
+    assert_eq!(plan("repair", &cancelled).mapping, unrefined);
+    assert_ne!(plan("repair", &free).mapping, unrefined);
 }
 
 #[test]

@@ -28,88 +28,22 @@
 //!   counts the cases outside the claim and how many of them miss the
 //!   bound, and requires a quarter of its cases to be claimed.
 
-use cellstream::core::{evaluate, solve, Mapping, Plan, PlanContext, Scheduler, SolveOptions};
-use cellstream::daggen::{generate, paper, CostParams, DagGenParams};
+mod common;
+
+use cellstream::core::{evaluate, Mapping};
+use cellstream::daggen::{generate, CostParams, DagGenParams};
 use cellstream::graph::ccr::{paper_ccr_sweep, rescale_to_ccr, DEFAULT_BW};
 use cellstream::graph::StreamGraph;
-use cellstream::heuristics::{
-    scheduler_by_name, AnnealScheduler, AnnealingOptions, MultiStartScheduler,
-};
-use cellstream::milp::bb::MipOptions;
 use cellstream::platform::framework::DMA_LATENCY;
 use cellstream::platform::{CellSpec, PeId};
 use cellstream::sim::{simulate, SimConfig};
-use std::time::Duration;
+use common::{plan_paper, Planned, SplitMix};
 
 /// Instances per run: enough that the drain stays out of the window.
 const INSTANCES: u64 = 2_000;
 
 /// Random cases of the sweep.
 const CASES: usize = 64;
-
-/// A splitmix64 stream, as the benchmark draws its annealer seeds.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
-/// The benchmark's `plan_paper` planning: graphs 1 and 3 at the six
-/// CCRs, the seed stack (the three greedies, multi-start, the annealer
-/// from multi-start with the benchmark's per-instance seed), then Linear
-/// Program (1) warm-started with the feasible seeds and stopped on a
-/// 12-node cap at zero gap. Each instance's name, graph and mapping.
-fn plan_paper() -> Vec<(String, StreamGraph, Mapping)> {
-    let spec = CellSpec::qs22();
-    let mut anneal_seeds = SplitMix(0x5A_2010 ^ 10u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let graphs = paper::all_graphs();
-    let mut planned = Vec::new();
-    for ccr in paper_ccr_sweep() {
-        for i in [0, 2] {
-            let g = rescale_to_ccr(&graphs[i], ccr, DEFAULT_BW);
-            let mut ctx = PlanContext::default();
-            let mut plans: Vec<Plan> = ["greedy_mem", "greedy_cpu", "comm_aware"]
-                .into_iter()
-                .map(|name| scheduler_by_name(name).unwrap().plan(&g, &spec, &ctx).unwrap())
-                .collect();
-            let multi = MultiStartScheduler::default().plan(&g, &spec, &ctx).unwrap();
-            ctx.seeds = vec![multi.mapping.clone()];
-            plans.push(multi);
-            let anneal = AnnealScheduler {
-                opts: AnnealingOptions {
-                    seed: anneal_seeds.next_u64(),
-                    ..AnnealingOptions::default()
-                },
-            };
-            plans.push(anneal.plan(&g, &spec, &ctx).unwrap());
-            let opts = SolveOptions {
-                mip: MipOptions {
-                    rel_gap: 0.0,
-                    abs_gap: 0.0,
-                    max_nodes: 12,
-                    time_limit: Duration::from_secs(3600),
-                    ..MipOptions::default()
-                },
-                seeds: plans
-                    .iter()
-                    .filter(|p| p.is_feasible())
-                    .map(|p| p.mapping.clone())
-                    .collect(),
-                ..SolveOptions::default()
-            };
-            let out = solve(&g, &spec, &opts).expect("the PPE-only seed guarantees an incumbent");
-            let label = if i == 0 { 1 } else { 3 };
-            planned.push((format!("graph {label} @ {ccr:.3}"), g, out.mapping));
-        }
-    }
-    planned
-}
 
 /// `rate · period − 1` of `m` under each configuration: the calibrated
 /// run against `T_cal`, the ideal one against `T`.
@@ -139,12 +73,12 @@ fn claimed(g: &StreamGraph, spec: &CellSpec, m: &Mapping) -> (bool, bool) {
 #[test]
 fn the_plan_paper_mappings_run_at_their_calibrated_and_ideal_periods() {
     let spec = CellSpec::qs22();
-    for (name, g, m) in plan_paper() {
+    for Planned { name, graph: g, mapping: m, period } in plan_paper() {
         let report = evaluate(&g, &spec, &m).unwrap();
         let (calibrated, ideal) = errors(&g, &spec, &m);
         println!(
             "{name}: T/T_cal {:.4}, calibrated {calibrated:+.1e}, ideal {ideal:+.1e}",
-            report.period / report.calibrated_period
+            period / report.calibrated_period
         );
         assert!(calibrated.abs() <= 1e-3, "{name}: calibrated rate x T_cal - 1 = {calibrated:e}");
         assert!(ideal.abs() <= 3e-3, "{name}: ideal rate x T - 1 = {ideal:e}");
